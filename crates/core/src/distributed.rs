@@ -1,38 +1,39 @@
-//! The wire bridge: runs the staged training/serving pipeline on any
-//! [`Executor`] — in-process or across real sockets — instead of the
-//! trainer's built-in serial `VirtualExecutor`.
+//! The wire bridge: the one way a round reaches an [`Executor`] — the
+//! trainer's own `VirtualExecutor`, real threads, or real sockets.
 //!
 //! The executor trait is modulus-erased (blocks and vectors travel as `u64`
 //! representatives, because closures cannot cross a process boundary), so
 //! this module owns the two conversions:
 //!
-//! * **down**: a round's [`RoundTask`]s become one wire
-//!   [`Block`] per worker (installed once per job)
-//!   plus per-round input vectors;
+//! * **down**: a round's tasks become one wire [`Block`] per worker
+//!   (installed once per channel) plus per-round input vectors;
 //! * **up**: modulus-erased outcomes come back as canonical `u64`s, are
 //!   validated back into field elements (non-canonical payloads drop the
 //!   worker — the wire layer's invariant, never silently reduced), and the
-//!   Byzantine corruption is applied **master-side on arrival**, exactly as
-//!   the in-process executors do, so fault injection is executor-independent.
+//!   Byzantine corruption is applied **master-side on arrival**, so fault
+//!   injection is executor-independent.
 //!
 //! Block installation is keyed by *pointer identity* of the engines' shared
 //! dataset `Arc`s: dispatching twice over the same encoded dataset reuses the
 //! resident remote blocks (rounds then move only input/output vectors, the
 //! paper's "data is distributed once" assumption), while an adaptation that
-//! re-encodes to a smaller `(N, K)` swaps the `Arc`s and is detected as a new
-//! job — the new blocks are shipped before the next round, which is precisely
-//! the re-distribution cost the adaptive controller charges.
+//! re-encodes to a smaller `(N, K)` swaps the `Arc`s — the new blocks are
+//! shipped before the next round, which is precisely the re-distribution cost
+//! the adaptive controller charges. A channel owns one wire job id for life,
+//! so the re-shipped blocks *replace* the superseded ones on the master's
+//! respawn cache and on every worker.
+//!
+//! On top of the runner sits the one iteration driver: [`train_distributed`]
+//! runs it on a caller's executor, [`DistributedTrainer::train`] on the
+//! trainer's own.
 
 use std::sync::Arc;
 
-use avcc_coding::{DualCodeword, ScreenOutcome};
 use avcc_field::{Fp, PrimeField, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::attack::ByzantineSpec;
-use avcc_sim::churn::ChurnEventKind;
 use avcc_sim::executor::{Executor, ExecutorError, WorkerOutcome};
 use avcc_sim::wire::Block;
-use rand::Rng;
 
 use crate::driver::DistributedTrainer;
 use crate::report::{IterationRecord, TrainingReport};
@@ -41,10 +42,6 @@ use crate::rounds::{BatchRoundTask, RoundTask, SchemeFailure};
 /// Arrival-ordered outcomes of one batched round: per worker, one field
 /// vector per function.
 pub type BatchOutcomes<M> = Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>>;
-
-/// Result of a screened round: the outcomes that survived the dual-codeword
-/// screen plus the sorted ids of the workers it evicted.
-pub type ScreenedOutcomes<M> = (Vec<WorkerOutcome<Vec<Fp<M>>>>, Vec<usize>);
 
 /// Errors from running the pipeline over an executor: either the scheme
 /// itself failed (not enough usable results, decode failure) or the executor
@@ -80,6 +77,20 @@ impl From<ExecutorError> for DistributedError {
     }
 }
 
+/// Folds an executor-level failure into the scheme-failure shape callers of
+/// `train()` and the serving layer already handle (an executor that cannot
+/// run a round cannot decode one).
+impl From<DistributedError> for SchemeFailure {
+    fn from(error: DistributedError) -> Self {
+        match error {
+            DistributedError::Scheme(failure) => failure,
+            DistributedError::Executor(error) => SchemeFailure::DecodeFailed {
+                details: format!("executor failure: {error}"),
+            },
+        }
+    }
+}
+
 /// Serializes one worker's matrix block into its wire form.
 fn block_of<M: PrimeModulus>(matrix: &Matrix<Fp<M>>) -> Block {
     Block {
@@ -105,22 +116,16 @@ fn lift<M: PrimeModulus>(v: &[u64]) -> Option<Vec<Fp<M>>> {
     Some(v.iter().map(|&x| Fp::<M>::from_u64(x)).collect())
 }
 
-/// One logical dispatch stream (e.g. "round 1 of this trainer"): which wire
-/// job its blocks are installed under, and the dataset fingerprint that job
-/// corresponds to.
-#[derive(Debug, Default, Clone)]
-struct Channel {
-    job: u64,
-    /// `Arc` pointer identity of each worker's block at install time.
-    fingerprint: Vec<usize>,
-}
-
 /// Drives modulus-typed rounds over a modulus-erased [`Executor`], caching
 /// block installation per channel (see the module docs).
+///
+/// A *channel* is one logical dispatch stream (e.g. "round 1 of this
+/// trainer"). Its index is the wire job id its blocks live under.
 #[derive(Debug, Default)]
 pub struct WireRunner {
-    channels: Vec<Option<Channel>>,
-    next_job: u64,
+    /// Per channel, the `Arc` pointer identity of each worker's block at
+    /// install time (`None` = nothing installed yet).
+    installed: Vec<Option<Vec<usize>>>,
     next_round: u64,
 }
 
@@ -139,26 +144,73 @@ impl WireRunner {
         channel: usize,
         matrices: &[&Arc<Matrix<Fp<M>>>],
     ) -> Result<u64, ExecutorError> {
-        if self.channels.len() <= channel {
-            self.channels.resize(channel + 1, None);
+        if self.installed.len() <= channel {
+            self.installed.resize(channel + 1, None);
         }
+        let job = channel as u64;
         let fingerprint: Vec<usize> = matrices.iter().map(|m| Arc::as_ptr(m) as usize).collect();
-        if let Some(existing) = &self.channels[channel] {
-            if existing.fingerprint == fingerprint {
-                return Ok(existing.job);
-            }
+        if self.installed[channel].as_ref() != Some(&fingerprint) {
+            let blocks: Vec<Block> = matrices.iter().map(|m| block_of(m)).collect();
+            executor.install_blocks(job, &blocks)?;
+            self.installed[channel] = Some(fingerprint);
         }
-        let job = self.next_job;
-        self.next_job += 1;
-        let blocks: Vec<Block> = matrices.iter().map(|m| block_of(m)).collect();
-        executor.install_blocks(job, &blocks)?;
-        self.channels[channel] = Some(Channel { job, fingerprint });
         Ok(job)
     }
 
-    /// Runs one single-function round (`tasks[i]` addressed to worker `i`)
-    /// on the executor and returns arrival-ordered, corruption-applied
-    /// outcomes — the exact shape
+    /// Runs one round (`tasks[i]`, carrying `m` inputs, addressed to worker
+    /// `i`): install (if the dataset changed), run the lowered inputs on the
+    /// executor, keep the outcomes of the dispatched shape (`m` outputs each,
+    /// all canonical), apply the Byzantine corruption to every function — a
+    /// corrupted node does not selectively spare sub-results — and sort by
+    /// arrival: the shape the engines' `collect_batch` expects.
+    pub fn run_batch_round<M: PrimeModulus>(
+        &mut self,
+        executor: &mut dyn Executor,
+        channel: usize,
+        tasks: &[BatchRoundTask<M>],
+        byzantine: &ByzantineSpec,
+    ) -> Result<BatchOutcomes<M>, ExecutorError> {
+        let matrices: Vec<_> = tasks.iter().map(BatchRoundTask::matrix).collect();
+        let job = self.ensure_installed(executor, channel, &matrices)?;
+        let round = self.next_round;
+        self.next_round += 1;
+        let inputs: Vec<Vec<Vec<u64>>> = tasks
+            .iter()
+            .map(|t| t.inputs().iter().map(|v| lower(v)).collect())
+            .collect();
+        let functions = tasks.first().map_or(0, BatchRoundTask::functions);
+        let raw = executor.execute_round(job, round, &inputs)?;
+        let mut outcomes: BatchOutcomes<M> = raw
+            .into_iter()
+            .filter_map(|outcome| {
+                if outcome.payload.len() != functions {
+                    return None;
+                }
+                let mut payload = outcome
+                    .payload
+                    .iter()
+                    .map(|part| lift::<M>(part))
+                    .collect::<Option<Vec<_>>>()?;
+                let mut corrupted = false;
+                for part in payload.iter_mut() {
+                    corrupted |= byzantine.corrupt(outcome.worker, part);
+                }
+                Some(WorkerOutcome {
+                    corrupted,
+                    ..outcome.map_payload(|_| payload)
+                })
+            })
+            .collect();
+        outcomes.sort_by(|a, b| {
+            a.arrival_seconds
+                .partial_cmp(&b.arrival_seconds)
+                .expect("finite arrival times")
+        });
+        Ok(outcomes)
+    }
+
+    /// Runs one single-function round — a batch of one — and unwraps each
+    /// payload: the shape
     /// [`DistributedTrainer::collect_round1`]/`collect_round2` and the
     /// engines' `collect` expect.
     pub fn run_round<M: PrimeModulus>(
@@ -168,131 +220,12 @@ impl WireRunner {
         tasks: &[RoundTask<M>],
         byzantine: &ByzantineSpec,
     ) -> Result<Vec<WorkerOutcome<Vec<Fp<M>>>>, ExecutorError> {
-        let matrices: Vec<&Arc<Matrix<Fp<M>>>> = tasks.iter().map(|t| t.matrix()).collect();
-        let job = self.ensure_installed(executor, channel, &matrices)?;
-        let round = self.next_round;
-        self.next_round += 1;
-        let inputs: Vec<Vec<Vec<u64>>> = tasks.iter().map(|t| vec![lower(t.input())]).collect();
-        let raw = executor.execute_round(job, round, &inputs)?;
-        let mut outcomes: Vec<WorkerOutcome<Vec<Fp<M>>>> = raw
+        let batch: Vec<BatchRoundTask<M>> = tasks.iter().cloned().map(Into::into).collect();
+        let outcomes = self.run_batch_round(executor, channel, &batch, byzantine)?;
+        Ok(outcomes
             .into_iter()
-            .filter_map(|outcome| {
-                // Exactly one function's output, of the dispatched shape.
-                let [output] = outcome.payload.as_slice() else {
-                    return None;
-                };
-                let mut payload = lift::<M>(output)?;
-                let corrupted = byzantine.corrupt(outcome.worker, &mut payload);
-                Some(WorkerOutcome {
-                    worker: outcome.worker,
-                    payload,
-                    compute_seconds: outcome.compute_seconds,
-                    network_seconds: outcome.network_seconds,
-                    arrival_seconds: outcome.arrival_seconds,
-                    corrupted,
-                })
-            })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("finite arrival times")
-        });
-        Ok(outcomes)
-    }
-
-    /// Runs one single-function round and screens the arrivals with the
-    /// pre-decode dual-codeword check before handing them on: workers whose
-    /// blocks the screen localizes as RS-inconsistent are dropped from the
-    /// outcome list — downstream they are indistinguishable from stragglers
-    /// — and returned separately so callers can account for the evictions.
-    ///
-    /// When the responder set is too small to screen (`R ≤ threshold`), or
-    /// the screen passes (or cannot localize), the outcomes pass through
-    /// untouched; engine-side Freivalds verification remains the backstop.
-    pub fn run_round_screened<M: PrimeModulus, R: Rng + ?Sized>(
-        &mut self,
-        executor: &mut dyn Executor,
-        channel: usize,
-        tasks: &[RoundTask<M>],
-        byzantine: &ByzantineSpec,
-        screen: &DualCodeword<M>,
-        rng: &mut R,
-    ) -> Result<ScreenedOutcomes<M>, ExecutorError> {
-        let outcomes = self.run_round(executor, channel, tasks, byzantine)?;
-        if !screen.screenable(outcomes.len()) {
-            return Ok((outcomes, Vec::new()));
-        }
-        let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
-            .iter()
-            .map(|o| (o.worker, o.payload.clone()))
-            .collect();
-        let screened = match screen.screen(&claims, 1, rng) {
-            Ok(report) => match report.outcome {
-                ScreenOutcome::Corrupted { workers } => workers,
-                ScreenOutcome::Clean | ScreenOutcome::Unlocalized => Vec::new(),
-            },
-            Err(_) => Vec::new(),
-        };
-        let outcomes = outcomes
-            .into_iter()
-            .filter(|o| !screened.contains(&o.worker))
-            .collect();
-        Ok((outcomes, screened))
-    }
-
-    /// Runs one batched round (`m` functions per task) on the executor; the
-    /// batched counterpart of [`WireRunner::run_round`], returning the shape
-    /// the engines' `collect_batch` expects. A Byzantine worker corrupts
-    /// every function of its payload, matching
-    /// [`crate::engines::MatVecEngine::execute_batch`].
-    pub fn run_batch_round<M: PrimeModulus>(
-        &mut self,
-        executor: &mut dyn Executor,
-        channel: usize,
-        tasks: &[BatchRoundTask<M>],
-        byzantine: &ByzantineSpec,
-    ) -> Result<BatchOutcomes<M>, ExecutorError> {
-        let matrices: Vec<&Arc<Matrix<Fp<M>>>> = tasks.iter().map(|t| t.matrix()).collect();
-        let job = self.ensure_installed(executor, channel, &matrices)?;
-        let round = self.next_round;
-        self.next_round += 1;
-        let inputs: Vec<Vec<Vec<u64>>> = tasks
-            .iter()
-            .map(|t| t.inputs().iter().map(|v| lower(v)).collect())
-            .collect();
-        let functions = tasks.first().map_or(0, |t| t.functions());
-        let raw = executor.execute_round(job, round, &inputs)?;
-        let mut outcomes: BatchOutcomes<M> = raw
-            .into_iter()
-            .filter_map(|outcome| {
-                if outcome.payload.len() != functions {
-                    return None;
-                }
-                let mut payload = Vec::with_capacity(functions);
-                for part in &outcome.payload {
-                    payload.push(lift::<M>(part)?);
-                }
-                let mut corrupted = false;
-                for part in payload.iter_mut() {
-                    corrupted |= byzantine.corrupt(outcome.worker, part);
-                }
-                Some(WorkerOutcome {
-                    worker: outcome.worker,
-                    payload,
-                    compute_seconds: outcome.compute_seconds,
-                    network_seconds: outcome.network_seconds,
-                    arrival_seconds: outcome.arrival_seconds,
-                    corrupted,
-                })
-            })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("finite arrival times")
-        });
-        Ok(outcomes)
+            .map(|outcome| outcome.map_payload(|mut parts| parts.remove(0)))
+            .collect())
     }
 }
 
@@ -301,9 +234,9 @@ const CHANNEL_ROUND1: usize = 0;
 /// Channel index used for a trainer's round-2 dispatches.
 const CHANNEL_ROUND2: usize = 1;
 
-/// Runs the trainer's full configured training loop on `executor`: the
-/// distributed counterpart of [`DistributedTrainer::train`], producing a
-/// bit-identical model trajectory for any executor whose outcomes carry the
+/// Runs the trainer's full configured training loop on `executor`: what
+/// [`DistributedTrainer::train`] does on the trainer's own executor, producing
+/// a bit-identical model trajectory for any executor whose outcomes carry the
 /// same values (all of them — the compute path is the same
 /// `avcc_linalg::mat_vec` kernel everywhere, and decode is exact).
 ///
@@ -329,98 +262,86 @@ pub fn train_distributed<M: PrimeModulus>(
     let mut report = TrainingReport::new(trainer.scheme().label(), trainer.scenario_label());
     let mut cumulative = 0.0;
     for iteration in 0..trainer.iterations() {
-        match run_iteration_parked(trainer, executor, &mut runner, iteration, &mut cumulative) {
-            Ok(record) => report.push(record),
-            Err(error) => {
-                trainer.reset_pipeline();
-                return Err(error);
-            }
-        }
+        let record =
+            run_iteration_parked(trainer, executor, &mut runner, iteration, &mut cumulative)?;
+        report.push(record);
     }
     Ok(report)
 }
 
-/// One iteration of [`train_distributed`], with the park / resume / shrink
-/// loop around each round's collect (see the function docs above).
-fn run_iteration_parked<M: PrimeModulus>(
+/// The iteration driver: both rounds of one training iteration on
+/// `executor`, each inside the park / resume / shrink loop (see
+/// [`train_distributed`]); a shrink-recode restarts the iteration on the new
+/// code. On `Err` the trainer's pipeline is reset.
+pub(crate) fn run_iteration_parked<M: PrimeModulus>(
     trainer: &mut DistributedTrainer<M>,
     executor: &mut dyn Executor,
     runner: &mut WireRunner,
     iteration: usize,
     cumulative: &mut f64,
 ) -> Result<IterationRecord, DistributedError> {
-    'restart: loop {
-        let round1_tasks = trainer.encode_round1();
-        let byzantine = trainer.byzantine().clone();
-        let mut stalls = 0usize;
-        let round2_tasks = loop {
-            let outcomes = runner.run_round(executor, CHANNEL_ROUND1, &round1_tasks, &byzantine)?;
-            let responded = outcomes.len();
-            match trainer.collect_round1(&outcomes) {
-                Ok(tasks) => {
-                    if stalls > 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            responded,
-                            ChurnEventKind::Resumed,
-                        );
-                    }
-                    break tasks;
-                }
-                Err(SchemeFailure::NotEnoughResults {
-                    available,
-                    required,
-                }) => {
-                    if stalls == 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            available,
-                            ChurnEventKind::Parked,
-                        );
-                    }
-                    stalls += 1;
-                    if stalls > trainer.stall_budget() {
-                        trainer.shrink_to_fit(iteration as u64, available, required)?;
-                        continue 'restart;
-                    }
-                }
-                Err(other) => return Err(other.into()),
-            }
+    let result = (|| loop {
+        let tasks = trainer.encode_round1();
+        let Some(tasks) = run_parked_round(
+            trainer,
+            executor,
+            runner,
+            CHANNEL_ROUND1,
+            iteration,
+            &tasks,
+            |trainer, outcomes| trainer.collect_round1(outcomes),
+        )?
+        else {
+            continue;
         };
-        let byzantine = trainer.byzantine().clone();
-        let mut stalls = 0usize;
-        loop {
-            let outcomes = runner.run_round(executor, CHANNEL_ROUND2, &round2_tasks, &byzantine)?;
-            let responded = outcomes.len();
-            match trainer.collect_round2(iteration, &outcomes, cumulative) {
-                Ok(record) => {
-                    if stalls > 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            responded,
-                            ChurnEventKind::Resumed,
-                        );
-                    }
-                    return Ok(record);
+        let record = run_parked_round(
+            trainer,
+            executor,
+            runner,
+            CHANNEL_ROUND2,
+            iteration,
+            &tasks,
+            |trainer, outcomes| trainer.collect_round2(iteration, outcomes, cumulative),
+        )?;
+        if let Some(record) = record {
+            return Ok(record);
+        }
+    })();
+    if result.is_err() {
+        trainer.reset_pipeline();
+    }
+    result
+}
+
+/// Dispatches `tasks` until `collect` accepts a round: a below-threshold
+/// round is re-dispatched or shrink-recoded as
+/// [`DistributedTrainer::park_or_shrink`] decides. `Ok(None)` means the
+/// trainer shrink-recoded and the iteration must restart.
+fn run_parked_round<M: PrimeModulus, T>(
+    trainer: &mut DistributedTrainer<M>,
+    executor: &mut dyn Executor,
+    runner: &mut WireRunner,
+    channel: usize,
+    iteration: usize,
+    tasks: &[RoundTask<M>],
+    mut collect: impl FnMut(
+        &mut DistributedTrainer<M>,
+        &[WorkerOutcome<Vec<Fp<M>>>],
+    ) -> Result<T, SchemeFailure>,
+) -> Result<Option<T>, DistributedError> {
+    let byzantine = trainer.byzantine().clone();
+    let mut stalls = 0usize;
+    loop {
+        let outcomes = runner.run_round(executor, channel, tasks, &byzantine)?;
+        match collect(trainer, &outcomes) {
+            Ok(collected) => {
+                trainer.note_resumed(iteration, &mut stalls, outcomes.len());
+                return Ok(Some(collected));
+            }
+            Err(failure) => {
+                if trainer.park_or_shrink(iteration, &mut stalls, failure)? {
+                    return Ok(None);
                 }
-                Err(SchemeFailure::NotEnoughResults {
-                    available,
-                    required,
-                }) => {
-                    if stalls == 0 {
-                        trainer.note_fleet_event(
-                            iteration as u64,
-                            available,
-                            ChurnEventKind::Parked,
-                        );
-                    }
-                    stalls += 1;
-                    if stalls > trainer.stall_budget() {
-                        trainer.shrink_to_fit(iteration as u64, available, required)?;
-                        continue 'restart;
-                    }
-                }
-                Err(other) => return Err(other.into()),
             }
         }
     }
@@ -449,20 +370,22 @@ mod tests {
         TrainingProblem::from_dataset(&dataset, 9)
     }
 
-    fn quick_config(scheme: SchemeKind) -> TrainerConfig {
-        TrainerConfig {
-            iterations: 5,
-            time_scale: 1.0,
-            ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
-        }
-    }
-
-    fn make_trainer(scheme: SchemeKind) -> DistributedTrainer<P25> {
+    /// A (12, 9, S=2, M=1) trainer with ×10 `stragglers` and one
+    /// constant-attack Byzantine worker.
+    fn make_trainer(
+        scheme: SchemeKind,
+        stragglers: &[usize],
+        byzantine: usize,
+    ) -> DistributedTrainer<P25> {
         DistributedTrainer::new(
             small_problem(),
-            ClusterProfile::uniform(12).with_stragglers(&[0], 10.0),
-            ByzantineSpec::new([3], AttackModel::constant()),
-            quick_config(scheme),
+            ClusterProfile::uniform(12).with_stragglers(stragglers, 10.0),
+            ByzantineSpec::new([byzantine], AttackModel::constant()),
+            TrainerConfig {
+                iterations: 6,
+                time_scale: 1.0,
+                ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
+            },
             "bridge-test",
         )
     }
@@ -478,25 +401,11 @@ mod tests {
     }
 
     #[test]
-    fn train_distributed_on_virtual_executor_matches_train() {
-        let mut oracle = make_trainer(SchemeKind::Avcc);
-        let oracle_report = oracle.train().unwrap();
-
-        let mut trainer = make_trainer(SchemeKind::Avcc);
-        let mut executor = VirtualExecutor::new(trainer.cluster().clone());
-        let report = train_distributed(&mut trainer, &mut executor).unwrap();
-
-        assert_eq!(trajectory(&report), trajectory(&oracle_report));
-        assert_eq!(trainer.model().weights, oracle.model().weights);
-        assert!(report.total_detections() > 0);
-    }
-
-    #[test]
     fn train_distributed_on_threaded_executor_matches_train() {
-        let mut oracle = make_trainer(SchemeKind::StaticVcc);
+        let mut oracle = make_trainer(SchemeKind::StaticVcc, &[0], 3);
         let oracle_report = oracle.train().unwrap();
 
-        let mut trainer = make_trainer(SchemeKind::StaticVcc);
+        let mut trainer = make_trainer(SchemeKind::StaticVcc, &[0], 3);
         let mut executor = ThreadedExecutor::new(trainer.cluster().clone());
         executor.sleep_per_slowdown_unit = 0.002;
         let report = train_distributed(&mut trainer, &mut executor).unwrap();
@@ -506,25 +415,12 @@ mod tests {
     }
 
     #[test]
-    fn adaptation_reinstalls_blocks_under_a_fresh_job() {
+    fn adaptation_ships_new_blocks_before_the_next_round() {
         // Straggler pressure beyond the (S=2) budget forces a re-encode; the
         // runner must detect the swapped dataset Arcs and ship new blocks
         // instead of letting workers compute on stale ones (which decode
         // would reject as garbage).
-        let mut trainer = DistributedTrainer::<P25>::new(
-            small_problem(),
-            ClusterProfile::uniform(12).with_stragglers(&[0, 1, 2], 10.0),
-            ByzantineSpec::new([4], AttackModel::constant()),
-            TrainerConfig {
-                iterations: 6,
-                time_scale: 1.0,
-                ..TrainerConfig::paper_defaults(
-                    SchemeKind::Avcc,
-                    SchemeConfig::linear(12, 9, 2, 1).unwrap(),
-                )
-            },
-            "bridge-adapt",
-        );
+        let mut trainer = make_trainer(SchemeKind::Avcc, &[0, 1, 2], 4);
         let mut executor = VirtualExecutor::new(trainer.cluster().clone());
         let report = train_distributed(&mut trainer, &mut executor).unwrap();
         assert!(report.reconfiguration_count() >= 1);

@@ -1,7 +1,11 @@
 //! The distributed training driver: one object per (scheme, cluster, fault
 //! scenario) that runs the paper's two-round logistic-regression protocol for
 //! a configured number of iterations and records everything the experiments
-//! need.
+//! need. The staged API (`encode_round1` → `collect_round1` →
+//! `collect_round2`) is the master's half of an iteration; who runs the
+//! rounds in between is the caller's business — [`crate::distributed`]'s
+//! iteration driver for `train()` / `train_distributed`, the serving
+//! scheduler for pipelined jobs.
 //!
 //! One iteration (§IV-A) is:
 //!
@@ -15,9 +19,7 @@
 //!    workers and re-encode if the straggler slack went negative, charging the
 //!    one-time re-encoding and re-distribution cost to this iteration.
 
-use std::sync::Arc;
-
-use avcc_coding::{EncodedDataset, SchemeConfig};
+use avcc_coding::SchemeConfig;
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_ml::logistic::LogisticModel;
@@ -32,10 +34,11 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, Autopilot, AutopilotConfig};
+use crate::distributed::{run_iteration_parked, WireRunner};
 use crate::engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{field_vector_bytes, RoundExecution, RoundTask, SchemeFailure};
+use crate::rounds::{RoundExecution, RoundTask, SchemeFailure};
 
 /// The four schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -142,13 +145,45 @@ struct InflightIteration<M: PrimeModulus> {
     round2_input: Option<Vec<Fp<M>>>,
 }
 
+/// One AVCC session per round matrix for `coding`. Per round the dataset is
+/// encoded before its keys are drawn — the order pins the rng stream.
+fn avcc_sessions<M: PrimeModulus>(
+    matrices: [&Matrix<Fp<M>>; 2],
+    coding: SchemeConfig,
+    config: &TrainerConfig,
+    rng: &mut StdRng,
+) -> [AvccMatVec<M>; 2] {
+    let key_config = KeyGenConfig {
+        repetitions: config.key_repetitions.max(1),
+    };
+    matrices.map(|matrix| {
+        AvccMatVec::new(matrix, coding, key_config, rng).with_screening(config.screen)
+    })
+}
+
+/// Sorted, deduplicated union of the two rounds' worker lists.
+fn union(round1: &[usize], round2: &[usize]) -> Vec<usize> {
+    let mut workers = [round1, round2].concat();
+    workers.sort_unstable();
+    workers.dedup();
+    workers
+}
+
 /// The distributed trainer.
 pub struct DistributedTrainer<M: PrimeModulus> {
     config: TrainerConfig,
     problem: TrainingProblem,
     protocol: QuantizedProtocol,
     model: LogisticModel,
-    executor: VirtualExecutor,
+    /// The fleet as the trainer models it: cost-model network, straggler
+    /// flags, and one slot per worker of the current code (shrinks when the
+    /// dynamic-coding controller evicts workers).
+    cluster: ClusterProfile,
+    /// The trainer's own executor for `train()` / `run_iteration()`, with the
+    /// runner that keeps its blocks installed between calls. Built on first
+    /// use, re-profiled from `cluster` every iteration, and lent to the
+    /// iteration driver (hence the `Option`).
+    local: Option<(VirtualExecutor, WireRunner)>,
     byzantine: ByzantineSpec,
     round1: Box<dyn MatVecEngine<M>>,
     round2: Box<dyn MatVecEngine<M>>,
@@ -195,64 +230,27 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let protocol = problem.default_protocol::<M>();
         let round1_matrix = problem.round1_matrix::<M>(&protocol);
         let round2_matrix = problem.round2_matrix::<M>(&protocol);
-        let key_config = KeyGenConfig {
-            repetitions: config.key_repetitions.max(1),
-        };
-
-        let (round1, round2, executor): (
+        // The uncoded scheme uses only the first K workers.
+        let participants = config.coding.partitions;
+        let (round1, round2, cluster): (
             Box<dyn MatVecEngine<M>>,
             Box<dyn MatVecEngine<M>>,
-            VirtualExecutor,
+            ClusterProfile,
         ) = match config.scheme {
-            SchemeKind::Uncoded => {
-                let participants = config.coding.partitions;
-                let executor = VirtualExecutor::new(cluster.truncated(participants))
-                    .with_time_scale(config.time_scale);
-                let dataset1 = Arc::new(EncodedDataset::partitioned(&round1_matrix, participants));
-                let dataset2 = Arc::new(EncodedDataset::partitioned(&round2_matrix, participants));
-                (
-                    Box::new(UncodedMatVec::over(dataset1)),
-                    Box::new(UncodedMatVec::over(dataset2)),
-                    executor,
-                )
-            }
-            SchemeKind::Lcc => {
-                let executor = VirtualExecutor::new(cluster).with_time_scale(config.time_scale);
-                let dataset1 = Arc::new(EncodedDataset::encode(
-                    &round1_matrix,
-                    config.coding,
-                    &mut rng,
-                ));
-                let dataset2 = Arc::new(EncodedDataset::encode(
-                    &round2_matrix,
-                    config.coding,
-                    &mut rng,
-                ));
-                (
-                    Box::new(LccMatVec::over(dataset1)),
-                    Box::new(LccMatVec::over(dataset2)),
-                    executor,
-                )
-            }
+            SchemeKind::Uncoded => (
+                Box::new(UncodedMatVec::new(&round1_matrix, participants)),
+                Box::new(UncodedMatVec::new(&round2_matrix, participants)),
+                cluster.truncated(participants),
+            ),
+            SchemeKind::Lcc => (
+                Box::new(LccMatVec::new(&round1_matrix, config.coding, &mut rng)),
+                Box::new(LccMatVec::new(&round2_matrix, config.coding, &mut rng)),
+                cluster,
+            ),
             SchemeKind::Avcc | SchemeKind::StaticVcc => {
-                let executor = VirtualExecutor::new(cluster).with_time_scale(config.time_scale);
-                // Dataset then keys, per round, to keep the rng stream
-                // identical to the pre-dataset construction order.
-                let dataset1 = Arc::new(EncodedDataset::encode(
-                    &round1_matrix,
-                    config.coding,
-                    &mut rng,
-                ));
-                let engine1 =
-                    AvccMatVec::over(dataset1, key_config, &mut rng).with_screening(config.screen);
-                let dataset2 = Arc::new(EncodedDataset::encode(
-                    &round2_matrix,
-                    config.coding,
-                    &mut rng,
-                ));
-                let engine2 =
-                    AvccMatVec::over(dataset2, key_config, &mut rng).with_screening(config.screen);
-                (Box::new(engine1), Box::new(engine2), executor)
+                let matrices = [&round1_matrix, &round2_matrix];
+                let [engine1, engine2] = avcc_sessions(matrices, config.coding, &config, &mut rng);
+                (Box::new(engine1), Box::new(engine2), cluster)
             }
         };
 
@@ -265,7 +263,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             problem,
             protocol,
             model,
-            executor,
+            cluster,
+            local: None,
             byzantine,
             round1,
             round2,
@@ -299,7 +298,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// The cluster profile the trainer currently executes against (shrinks
     /// when the dynamic-coding controller evicts workers).
     pub fn cluster(&self) -> &ClusterProfile {
-        self.executor.profile()
+        &self.cluster
     }
 
     /// The Byzantine specification currently in effect.
@@ -348,7 +347,10 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         }
     }
 
-    /// Runs the configured number of iterations and returns the full report.
+    /// Runs the configured number of iterations on the trainer's own serial
+    /// [`VirtualExecutor`] and returns the full report — exactly
+    /// [`crate::train_distributed`] on that executor, park / resume / shrink
+    /// included (on its quiet fleet nothing ever parks).
     pub fn train(&mut self) -> Result<TrainingReport, SchemeFailure> {
         let mut report = TrainingReport::new(self.config.scheme.label(), &self.scenario_label);
         let mut cumulative = 0.0;
@@ -359,28 +361,27 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         Ok(report)
     }
 
-    /// Runs a single iteration, returning its record. Exposed so scenario
-    /// scripts (e.g. Fig. 5) can change fault conditions between iterations.
-    ///
-    /// A thin wrapper over the staged pipeline API, driving both rounds on
-    /// the trainer's serial [`VirtualExecutor`]; it is the behaviour oracle
-    /// the serving scheduler's results are compared against.
+    /// Runs a single iteration on the trainer's own executor, returning its
+    /// record. Exposed so scenario scripts (e.g. Fig. 5) can change fault
+    /// conditions between iterations; blocks stay installed across calls.
     pub fn run_iteration(
         &mut self,
         iteration: usize,
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
-        let result = (|| {
-            let round1_tasks = self.encode_round1();
-            let round1_outcomes = self.run_virtual(round1_tasks);
-            let round2_tasks = self.collect_round1(&round1_outcomes)?;
-            let round2_outcomes = self.run_virtual(round2_tasks);
-            self.collect_round2(iteration, &round2_outcomes, cumulative)
-        })();
-        if result.is_err() {
-            self.reset_pipeline();
-        }
-        result
+        let (mut executor, mut runner) = self.local.take().unwrap_or_else(|| {
+            let executor = VirtualExecutor::new(self.cluster.clone());
+            (
+                executor.with_time_scale(self.config.time_scale),
+                WireRunner::new(),
+            )
+        });
+        // Evictions and `set_stragglers` edit the trainer's view of the
+        // fleet; the executor must charge exactly those slots and slowdowns.
+        executor.set_profile(self.cluster.clone());
+        let result = run_iteration_parked(self, &mut executor, &mut runner, iteration, cumulative);
+        self.local = Some((executor, runner));
+        Ok(result?)
     }
 
     /// Stage 1 of the pipeline: quantizes the current weights and builds the
@@ -431,8 +432,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let execution = self.round1.collect(
             &inflight.round1_input,
             outcomes,
-            &self.executor.profile().network,
-            self.executor.time_scale,
+            &self.cluster.network,
+            self.config.time_scale,
             &mut self.rng,
         )?;
         let errors = self
@@ -470,8 +471,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let round2 = self.round2.collect(
             e_field,
             outcomes,
-            &self.executor.profile().network,
-            self.executor.time_scale,
+            &self.cluster.network,
+            self.config.time_scale,
             &mut self.rng,
         )?;
         let round1 = self
@@ -486,30 +487,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         // Bookkeeping.
         let mut costs = round1.costs.combined(&round2.costs);
         let ops = round1.ops.combined(&round2.ops);
-        let mut detected: Vec<usize> = round1
-            .detected_byzantine
-            .iter()
-            .chain(round2.detected_byzantine.iter())
-            .copied()
-            .collect();
-        detected.sort_unstable();
-        detected.dedup();
-        let mut stragglers: Vec<usize> = round1
-            .observed_stragglers
-            .iter()
-            .chain(round2.observed_stragglers.iter())
-            .copied()
-            .collect();
-        stragglers.sort_unstable();
-        stragglers.dedup();
-        let mut screened: Vec<usize> = round1
-            .screened_workers
-            .iter()
-            .chain(round2.screened_workers.iter())
-            .copied()
-            .collect();
-        screened.sort_unstable();
-        screened.dedup();
+        let detected = union(&round1.detected_byzantine, &round2.detected_byzantine);
+        let stragglers = union(&round1.observed_stragglers, &round2.observed_stragglers);
+        let screened = union(&round1.screened_workers, &round2.screened_workers);
 
         // A shrink-recode performed between iterations (stall budget
         // exhausted) already re-encoded; charge its deferred cost to the
@@ -585,17 +565,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.inflight = None;
     }
 
-    /// Runs round tasks on the trainer's own serial virtual executor with its
-    /// Byzantine spec applied — the synchronous compute stage.
-    fn run_virtual(&self, tasks: Vec<RoundTask<M>>) -> Vec<WorkerOutcome<Vec<Fp<M>>>> {
-        let jobs: Vec<_> = tasks.into_iter().map(|task| move || task.run()).collect();
-        self.executor.run_round(
-            jobs,
-            |payload: &Vec<Fp<M>>| field_vector_bytes(payload.len()),
-            |worker, payload: &mut Vec<Fp<M>>| self.byzantine.corrupt(worker, payload),
-        )
-    }
-
     /// Evicts workers, rebuilds the engines for the new configuration and
     /// returns the one-time reconfiguration cost in simulated seconds.
     ///
@@ -612,32 +581,16 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         new_config: SchemeConfig,
         reencode: bool,
     ) -> f64 {
-        let new_profile = self.executor.profile().without_workers(evicted);
+        self.cluster = self.cluster.without_workers(evicted);
         self.byzantine = self.byzantine.reindexed_after_removal(evicted);
-        self.executor.set_profile(new_profile);
 
-        let key_config = KeyGenConfig {
-            repetitions: self.config.key_repetitions.max(1),
-        };
-        let dataset1 = Arc::new(EncodedDataset::<M>::encode(
-            &self.round1_matrix,
-            new_config,
-            &mut self.rng,
-        ));
-        let engine1 = AvccMatVec::over(dataset1, key_config, &mut self.rng)
-            .with_screening(self.config.screen);
-        let dataset2 = Arc::new(EncodedDataset::<M>::encode(
-            &self.round2_matrix,
-            new_config,
-            &mut self.rng,
-        ));
-        let engine2 = AvccMatVec::over(dataset2, key_config, &mut self.rng)
-            .with_screening(self.config.screen);
+        let matrices = [&self.round1_matrix, &self.round2_matrix];
+        let [engine1, engine2] = avcc_sessions(matrices, new_config, &self.config, &mut self.rng);
         let redistribution_seconds = if reencode {
             let shipped_bytes = engine1.encoded_bytes() + engine2.encoded_bytes();
             // The master pushes every worker its new share over its single
             // uplink, so the transfers serialize.
-            let network = self.executor.profile().network;
+            let network = self.cluster.network;
             network.base_latency_seconds * new_config.workers as f64
                 + network.transfer_seconds(shipped_bytes)
         } else {
@@ -652,9 +605,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// Updates the straggler set of the cluster mid-run (used by scenario
     /// scripts such as Fig. 5 where stragglers appear at a given iteration).
     pub fn set_stragglers(&mut self, stragglers: &[usize], multiplier: f64) {
-        self.executor
-            .profile_mut()
-            .set_stragglers(stragglers, multiplier);
+        self.cluster.set_stragglers(stragglers, multiplier);
     }
 
     /// Replaces the Byzantine specification mid-run.
@@ -700,6 +651,50 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             worker: workers,
             kind,
         });
+    }
+
+    /// The park / shrink decision for a round whose collect failed with every
+    /// dispatched result in (churned workers absent, not merely late), shared
+    /// by the iteration driver and the serving scheduler. The round is parked
+    /// — re-dispatched unchanged — while `stalls`, its consecutive
+    /// re-dispatches, stay within the stall budget; then the trainer
+    /// [shrink-recodes](DistributedTrainer::shrink_to_fit). Returns whether
+    /// it did: `false` = re-dispatch the same tasks (the next dispatch
+    /// advances the churn clock, so absent workers may rejoin), `true` = the
+    /// in-flight iteration was abandoned, restart it from `encode_round1`.
+    /// Any other failure, or a shrink with no smaller decodable code, is the
+    /// error.
+    pub fn park_or_shrink(
+        &mut self,
+        iteration: usize,
+        stalls: &mut usize,
+        failure: SchemeFailure,
+    ) -> Result<bool, SchemeFailure> {
+        let SchemeFailure::NotEnoughResults {
+            available,
+            required,
+        } = failure
+        else {
+            return Err(failure);
+        };
+        if *stalls == 0 {
+            self.note_fleet_event(iteration as u64, available, ChurnEventKind::Parked);
+        }
+        *stalls += 1;
+        if *stalls <= self.config.stall_budget {
+            return Ok(false);
+        }
+        self.shrink_to_fit(iteration as u64, available, required)?;
+        *stalls = 0;
+        Ok(true)
+    }
+
+    /// Closes a park: records `Resumed` if the round that just collected
+    /// (from `responded` workers) had been parked, and clears `stalls`.
+    pub fn note_resumed(&mut self, iteration: usize, stalls: &mut usize, responded: usize) {
+        if std::mem::take(stalls) > 0 {
+            self.note_fleet_event(iteration as u64, responded, ChurnEventKind::Resumed);
+        }
     }
 
     /// Shrink-recodes after a parked round exhausted its stall budget: every
@@ -895,16 +890,23 @@ mod tests {
         let report = synchronous.train().unwrap();
 
         let mut staged = make();
+        let mut executor = VirtualExecutor::new(staged.cluster().clone()).with_time_scale(1.0);
+        let mut runner = WireRunner::new();
         let mut cumulative = 0.0;
         for iteration in 0..staged.iterations() {
+            let byzantine = staged.byzantine().clone();
             let round1_tasks = staged.encode_round1();
             assert_eq!(
                 round1_tasks.len(),
                 staged.round_workers(TrainingRound::Round1)
             );
-            let round1_outcomes = staged.run_virtual(round1_tasks);
+            let round1_outcomes = runner
+                .run_round(&mut executor, 0, &round1_tasks, &byzantine)
+                .unwrap();
             let round2_tasks = staged.collect_round1(&round1_outcomes).unwrap();
-            let round2_outcomes = staged.run_virtual(round2_tasks);
+            let round2_outcomes = runner
+                .run_round(&mut executor, 1, &round2_tasks, &byzantine)
+                .unwrap();
             let record = staged
                 .collect_round2(iteration, &round2_outcomes, &mut cumulative)
                 .unwrap();

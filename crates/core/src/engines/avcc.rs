@@ -38,7 +38,7 @@ use rand::Rng;
 use crate::engines::MatVecEngine;
 use crate::rounds::{
     detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    SchemeFailure,
 };
 
 /// The AVCC distributed matrix–vector engine: a per-function session over a
@@ -145,8 +145,7 @@ impl<M: PrimeModulus> AvccMatVec<M> {
     /// Runs the pre-decode screen over a round's arrivals: returns the
     /// localized corrupted workers (empty when the round is clean, not
     /// screenable, or localization did not converge) plus the screening MAC
-    /// count. Factored out so both collect paths — and wire-level callers
-    /// screening blocks on arrival — share the exact semantics.
+    /// count.
     fn screen_claims<R: Rng + ?Sized>(
         &self,
         claims: &[(usize, Vec<Fp<M>>)],
@@ -168,6 +167,30 @@ impl<M: PrimeModulus> AvccMatVec<M> {
             Err(_) => (Vec::new(), 0),
         }
     }
+
+    /// Names the function(s) a rejected worker corrupted, adding them to
+    /// `corrupted`, and returns how many Freivalds checks that took: one per
+    /// function for a batch, none for a single function — the check (or
+    /// screen) that rejected the worker already names it.
+    fn localize(
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        outcome: &WorkerOutcome<Vec<Vec<Fp<M>>>>,
+        corrupted: &mut Vec<usize>,
+    ) -> usize {
+        if inputs.len() == 1 {
+            if corrupted.is_empty() {
+                corrupted.push(0);
+            }
+            return 0;
+        }
+        for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
+            if !self.keys[outcome.worker].verify(input, claim) && !corrupted.contains(&function) {
+                corrupted.push(function);
+            }
+        }
+        inputs.len()
+    }
 }
 
 impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
@@ -183,124 +206,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         self.dataset.recovery_threshold()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| RoundTask::new(worker, Arc::clone(share), Arc::clone(&input)))
-            .collect()
-    }
-
-    fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let observed_stragglers = detect_stragglers(outcomes);
-        let threshold = self.dataset.recovery_threshold();
-
-        // Pre-decode dual-codeword screen: with more than threshold arrivals
-        // there is dual redundancy, and one O(R·width) pass localizes
-        // corrupted blocks before any Freivalds work. Screened-out workers
-        // are erased exactly like stragglers.
-        let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
-            .iter()
-            .map(|outcome| (outcome.worker, outcome.payload.clone()))
-            .collect();
-        let screen_start = Instant::now();
-        let (screened_workers, screen_macs) = self.screen_claims(&claims, rng);
-        let mut verification_seconds = screen_start.elapsed().as_secs_f64();
-
-        // Verify results in arrival order and stop as soon as the threshold of
-        // verified results is reached — the key property that lets AVCC start
-        // decoding before the stragglers (and without LCC's 2M overhead).
-        let mut verifications = 0usize;
-        let mut verified: Vec<(usize, Vec<Fp<M>>)> = Vec::with_capacity(threshold);
-        let mut verified_outcomes = Vec::with_capacity(threshold);
-        let mut detected_byzantine = screened_workers.clone();
-        for outcome in outcomes {
-            if verified.len() >= threshold {
-                break;
-            }
-            if screened_workers.contains(&outcome.worker) {
-                continue;
-            }
-            let verify_start = Instant::now();
-            let accepted = self.keys[outcome.worker].verify(input, &outcome.payload);
-            verification_seconds += verify_start.elapsed().as_secs_f64();
-            verifications += 1;
-            if accepted {
-                verified.push((outcome.worker, outcome.payload.clone()));
-                verified_outcomes.push(outcome);
-            } else {
-                detected_byzantine.push(outcome.worker);
-            }
-        }
-        if verified.len() < threshold {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: verified.len(),
-                required: threshold,
-            });
-        }
-
-        let block_rows = self.dataset.block_rows();
-        let mut costs = waiting_costs(
-            &verified_outcomes,
-            network,
-            field_vector_bytes(input.len()),
-            self.dataset.workers(),
-        );
-        costs.verification = verification_seconds * time_scale;
-
-        let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
-        let decode_start = Instant::now();
-        let blocks =
-            decoder
-                .decode_erasure(&verified)
-                .map_err(|e| SchemeFailure::DecodeFailed {
-                    details: e.to_string(),
-                })?;
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
-
-        let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
-        for block in blocks {
-            output.extend(block);
-        }
-        output.truncate(self.dataset.output_rows());
-        // Freivalds checks one inner product over the payload plus one over
-        // the input per verification; the Lagrange erasure decode interpolates
-        // `partitions` blocks from `threshold` verified results.
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: (verifications * (block_rows + input.len())) as u64 + screen_macs,
-            decode_macs: (block_rows * threshold * self.dataset.partitions()) as u64,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: verified.iter().map(|(worker, _)| *worker).collect(),
-            detected_byzantine,
-            observed_stragglers,
-            screened_workers,
-        })
-    }
-
     fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| {
-                BatchRoundTask::new(worker, Arc::clone(share), Arc::clone(&inputs))
-            })
-            .collect()
+        BatchRoundTask::for_shares(self.dataset.shares(), inputs)
     }
 
     fn collect_batch(
@@ -318,24 +225,37 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         let threshold = self.dataset.recovery_threshold();
         let block_rows = self.dataset.block_rows();
 
-        // One scalar σ batches the whole round: the master combines the m
-        // inputs into x_c = Σ σ^j x_j once, combines each arrival's m claims
-        // into y_c = Σ σ^j y_j, and runs a single Freivalds check per arrival
-        // — verifying m products costs barely more than one. A failed
-        // combined check falls back to the m per-function checks to localize
-        // which function(s) the worker corrupted.
-        let sigma: Fp<M> = avcc_field::random_element(rng);
+        // Verify results in arrival order and stop as soon as the threshold of
+        // verified results is reached — the key property that lets AVCC start
+        // decoding before the stragglers (and without LCC's 2M overhead).
+        //
+        // With m > 1 one scalar σ batches the whole round: the master
+        // combines the m inputs into x_c = Σ σ^j x_j once, combines each
+        // arrival's m claims into y_c = Σ σ^j y_j, and runs a single Freivalds
+        // check per arrival — verifying m products costs barely more than
+        // one. A failed combined check falls back to the m per-function
+        // checks to localize which function(s) the worker corrupted. A single
+        // function is its own combination: no σ is drawn (so the rng stream
+        // is exactly the single-function round's) and nothing is combined.
+        let sigma: Option<Fp<M>> = (functions > 1).then(|| avcc_field::random_element(rng));
+        let combine = |parts: &[Vec<Fp<M>>]| match sigma {
+            Some(sigma) => combine_with_powers(sigma, parts),
+            None => parts[0].clone(),
+        };
         let verify_setup = Instant::now();
-        let combined_input = combine_with_powers(sigma, inputs);
-        // The σ-combined claims Σ σ^j·Ỹ_i^{(j)} are themselves evaluations of
-        // the combined polynomial (degree unchanged), so one dual-codeword
-        // screen over the combined claims covers all m functions at once —
-        // the same amortization trick as the batched Freivalds pass.
+        let combined_input = combine(inputs);
+        // Pre-decode dual-codeword screen: with more than threshold arrivals
+        // there is dual redundancy, and one O(R·width) pass localizes
+        // corrupted blocks before any Freivalds work. The σ-combined claims
+        // Σ σ^j·Ỹ_i^{(j)} are themselves evaluations of the combined
+        // polynomial (degree unchanged), so one screen over them covers all m
+        // functions at once — the same amortization as the batched Freivalds
+        // pass. Screened-out workers are erased exactly like stragglers.
         let combined_claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
             .iter()
             .map(|outcome| {
                 debug_assert_eq!(outcome.payload.len(), functions);
-                (outcome.worker, combine_with_powers(sigma, &outcome.payload))
+                (outcome.worker, combine(&outcome.payload))
             })
             .collect();
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
@@ -345,22 +265,14 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         let mut verified: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = Vec::with_capacity(threshold);
         let mut detected_byzantine = screened_workers.clone();
         let mut corrupted_functions = Vec::new();
-        // Screened-out workers skip the combined check entirely, but the
-        // per-function fallback still runs for them so corrupted functions
-        // are localized exactly as before the screen existed.
+        // Screened-out workers skip the combined check entirely, but their
+        // corrupted functions are still localized.
         for &worker in &screened_workers {
             let outcome = outcomes
                 .iter()
                 .find(|outcome| outcome.worker == worker)
                 .expect("screened workers come from the arrivals");
-            for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
-                fallback_checks += 1;
-                if !self.keys[worker].verify(input, claim)
-                    && !corrupted_functions.contains(&function)
-                {
-                    corrupted_functions.push(function);
-                }
-            }
+            fallback_checks += self.localize(inputs, outcome, &mut corrupted_functions);
         }
         for (outcome, (_, combined_claim)) in outcomes.iter().zip(&combined_claims) {
             if verified.len() >= threshold {
@@ -375,14 +287,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             if accepted {
                 verified.push(outcome);
             } else {
-                for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
-                    fallback_checks += 1;
-                    if !self.keys[outcome.worker].verify(input, claim)
-                        && !corrupted_functions.contains(&function)
-                    {
-                        corrupted_functions.push(function);
-                    }
-                }
+                fallback_checks += self.localize(inputs, outcome, &mut corrupted_functions);
                 detected_byzantine.push(outcome.worker);
             }
             verification_seconds += verify_start.elapsed().as_secs_f64();
@@ -414,12 +319,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
                 .iter()
                 .map(|o| (o.worker, o.payload[function].clone()))
                 .collect();
-            let blocks =
-                decoder
-                    .decode_erasure(&results)
-                    .map_err(|e| SchemeFailure::DecodeFailed {
-                        details: e.to_string(),
-                    })?;
+            let blocks = decoder.decode_erasure(&results)?;
             let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
             for block in blocks {
                 output.extend(block);
@@ -429,16 +329,19 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         }
         costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
-        // Combining costs `m` MACs per coordinate (inputs once, plus every
-        // arrival's claims — the screen needs them all); each combined check
-        // is one ordinary Freivalds check; fallbacks are ordinary
+        // Combining (m > 1 only) costs `m` MACs per coordinate (inputs once,
+        // plus every arrival's claims — the screen needs them all); each
+        // combined check is one ordinary Freivalds check — one inner product
+        // over the payload plus one over the input; fallbacks are ordinary
         // per-function checks; the screen adds its reported MACs.
+        let combine_macs = match sigma {
+            Some(_) => functions * cols + outcomes.len() * functions * block_rows,
+            None => 0,
+        };
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
-            verify_macs: (functions * cols
-                + outcomes.len() * functions * block_rows
-                + verifications * (block_rows + cols)
-                + fallback_checks * (block_rows + cols)) as u64
+            verify_macs: (combine_macs + (verifications + fallback_checks) * (block_rows + cols))
+                as u64
                 + screen_macs,
             decode_macs: (functions * block_rows * threshold * self.dataset.partitions()) as u64,
         };
@@ -462,6 +365,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::distributed::DistributedError;
     use avcc_field::{F25, P25};
     use avcc_linalg::mat_vec;
     use avcc_sim::attack::{AttackModel, ByzantineSpec};
@@ -487,10 +391,10 @@ mod tests {
     fn clean_round_uses_exactly_the_threshold() {
         let (matrix, input, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 2);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(3);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.used_workers.len(), 9);
@@ -506,11 +410,11 @@ mod tests {
         // guaranteed to be among the arrivals the master verifies.
         let honest: Vec<usize> = (0..12).filter(|w| *w != 0 && *w != 6).collect();
         let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([0, 6], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(5);
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_eq!(round.output, expected, "AVCC must still decode correctly");
         let mut detected = round.detected_byzantine.clone();
@@ -530,11 +434,11 @@ mod tests {
         // detects) it.
         let honest: Vec<usize> = (0..12).filter(|w| *w != 4).collect();
         let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([4], AttackModel::reverse());
         let mut rng = StdRng::seed_from_u64(7);
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.detected_byzantine, vec![4]);
@@ -545,10 +449,10 @@ mod tests {
         let (matrix, input, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 8);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[1, 9], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(9);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert!(!round.used_workers.contains(&1));
@@ -561,11 +465,11 @@ mod tests {
         // (N=12, K=9, S+M=3): two stragglers plus one Byzantine node.
         let mut engine = engine(&matrix, 2, 1, 10);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[2, 3], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([7], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(11);
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.detected_byzantine, vec![7]);
@@ -590,10 +494,15 @@ mod tests {
         assert!(decoder.supports_ntt());
         assert!(decoder.supports_partial_ntt());
         let profile = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let mut round_rng = StdRng::seed_from_u64(41);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut round_rng)
+            .execute(
+                &input,
+                &mut executor,
+                &ByzantineSpec::none(),
+                &mut round_rng,
+            )
             .unwrap();
         assert_eq!(round.output, expected);
         for straggler in [0usize, 5, 11, 13] {
@@ -607,13 +516,16 @@ mod tests {
         // Every worker Byzantine: verification rejects them all and the engine
         // reports the shortfall instead of producing garbage.
         let mut engine = engine(&matrix, 2, 1, 12);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new(0..12, AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = engine.execute(&input, &executor, &byzantine, &mut rng);
+        let outcome = engine.execute(&input, &mut executor, &byzantine, &mut rng);
         assert!(matches!(
             outcome,
-            Err(SchemeFailure::NotEnoughResults { required: 9, .. })
+            Err(DistributedError::Scheme(SchemeFailure::NotEnoughResults {
+                required: 9,
+                ..
+            }))
         ));
     }
 }

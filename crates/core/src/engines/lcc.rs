@@ -28,7 +28,7 @@ use rand::Rng;
 use crate::engines::MatVecEngine;
 use crate::rounds::{
     detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    SchemeFailure,
 };
 
 /// The LCC distributed matrix–vector engine: a per-function session over a
@@ -90,108 +90,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         self.config().lcc_wait_count()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| RoundTask::new(worker, Arc::clone(share), Arc::clone(&input)))
-            .collect()
-    }
-
-    fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let observed_stragglers = detect_stragglers(outcomes);
-        let config = *self.config();
-        let block_rows = self.dataset.block_rows();
-
-        // LCC can only start decoding once N - S results are in.
-        let wait_count = config.lcc_wait_count().min(outcomes.len());
-        let threshold = config.recovery_threshold();
-        if wait_count < threshold {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: wait_count,
-                required: threshold,
-            });
-        }
-        let used: Vec<_> = outcomes[..wait_count].iter().collect();
-        let mut costs = waiting_costs(
-            &used,
-            network,
-            field_vector_bytes(input.len()),
-            config.workers,
-        );
-
-        let results: Vec<(usize, Vec<Fp<M>>)> =
-            used.iter().map(|o| (o.worker, o.payload.clone())).collect();
-        let decoder = self.dataset.decoder().expect("LCC dataset is coded");
-        let decode_start = Instant::now();
-        let decoded = decoder.decode_with_errors(&results, config.byzantine, rng);
-        let (blocks, detected) = match decoded {
-            Ok(outcome) => outcome,
-            Err(DecodeError::TooManyErrors) => {
-                // Beyond the designed correction capability: a real decoder
-                // emits an incorrect reconstruction. Erasure-decode the fastest
-                // threshold results, corrupted or not.
-                let fallback = decoder.decode_erasure(&results[..threshold]).map_err(|e| {
-                    SchemeFailure::DecodeFailed {
-                        details: e.to_string(),
-                    }
-                })?;
-                (fallback, Vec::new())
-            }
-            Err(other) => {
-                return Err(SchemeFailure::DecodeFailed {
-                    details: other.to_string(),
-                })
-            }
-        };
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
-
-        let mut output = Vec::with_capacity(config.partitions * block_rows);
-        for block in blocks {
-            output.extend(block);
-        }
-        output.truncate(self.dataset.output_rows());
-        // Reed–Solomon error decoding interpolates through all `wait_count`
-        // results (the syndrome/locator work is the extra `wait_count²` term
-        // LCC pays over an erasure decode).
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: 0,
-            decode_macs: (block_rows * wait_count * config.partitions + wait_count * wait_count)
-                as u64,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: used.iter().map(|o| o.worker).collect(),
-            detected_byzantine: detected,
-            observed_stragglers,
-            // LCC has no pre-decode screen: Byzantine workers surface through
-            // error decoding, not screening.
-            screened_workers: Vec::new(),
-        })
-    }
-
     fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, share)| {
-                BatchRoundTask::new(worker, Arc::clone(share), Arc::clone(&inputs))
-            })
-            .collect()
+        BatchRoundTask::for_shares(self.dataset.shares(), inputs)
     }
 
     fn collect_batch(
@@ -209,6 +109,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         let config = *self.config();
         let block_rows = self.dataset.block_rows();
 
+        // LCC can only start decoding once N - S results are in.
         let wait_count = config.lcc_wait_count().min(outcomes.len());
         let threshold = config.recovery_threshold();
         if wait_count < threshold {
@@ -227,7 +128,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
 
         // LCC has no per-arrival check to batch: each function is error-
         // decoded independently (Byzantine identification is a decode-side
-        // by-product), with detections unioned across the batch.
+        // by-product), with detections unioned across the batch in
+        // first-located order.
         let decoder = self.dataset.decoder().expect("LCC dataset is coded");
         let decode_start = Instant::now();
         let mut outputs = Vec::with_capacity(functions);
@@ -241,18 +143,12 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             let (blocks, detected) = match decoded {
                 Ok(outcome) => outcome,
                 Err(DecodeError::TooManyErrors) => {
-                    let fallback = decoder.decode_erasure(&results[..threshold]).map_err(|e| {
-                        SchemeFailure::DecodeFailed {
-                            details: e.to_string(),
-                        }
-                    })?;
-                    (fallback, Vec::new())
+                    // Beyond the designed correction capability: a real
+                    // decoder emits an incorrect reconstruction. Erasure-
+                    // decode the fastest threshold results, corrupted or not.
+                    (decoder.decode_erasure(&results[..threshold])?, Vec::new())
                 }
-                Err(other) => {
-                    return Err(SchemeFailure::DecodeFailed {
-                        details: other.to_string(),
-                    })
-                }
+                Err(other) => return Err(other.into()),
             };
             for worker in detected {
                 if !detected_byzantine.contains(&worker) {
@@ -266,9 +162,11 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             output.truncate(self.dataset.output_rows());
             outputs.push(output);
         }
-        detected_byzantine.sort_unstable();
         costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
+        // Reed–Solomon error decoding interpolates through all `wait_count`
+        // results (the syndrome/locator work is the extra `wait_count²` term
+        // LCC pays over an erasure decode), once per function.
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
             verify_macs: 0,
@@ -283,6 +181,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             used_workers: used.iter().map(|o| o.worker).collect(),
             detected_byzantine,
             observed_stragglers,
+            // LCC has no pre-decode screen: Byzantine workers surface through
+            // error decoding, not screening.
             screened_workers: Vec::new(),
             // LCC decoding identifies workers, not functions: localization is
             // a verification-side capability AVCC adds.
@@ -319,9 +219,9 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.used_workers.len(), 11); // N - S
@@ -338,10 +238,10 @@ mod tests {
         // uniform worker can be the slowest, and if the Byzantine worker were
         // dropped there would be nothing left to detect.
         let profile = ClusterProfile::uniform(12).with_stragglers(&[11], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.detected_byzantine, vec![5]);
@@ -358,10 +258,10 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2, 5, 7, 9], AttackModel::constant());
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_ne!(round.output, expected, "LCC beyond capability should err");
     }
@@ -373,9 +273,9 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[3], 300.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert!(

@@ -1,45 +1,40 @@
 //! The per-scheme execution engines.
 //!
-//! Each engine owns the data it distributed to its workers (raw blocks for the
-//! uncoded scheme, coded shares for LCC/AVCC) plus whatever master-side state
-//! the scheme needs (a Reed–Solomon decoder for LCC, Freivalds keys for AVCC)
-//! and knows how to run one distributed matrix–vector round end to end.
+//! Each engine is a lightweight *session* over a shared
+//! [`avcc_coding::EncodedDataset`] (raw blocks for the uncoded scheme, coded
+//! shares for LCC/AVCC) plus whatever master-side state the scheme needs
+//! (Freivalds keys and the dual-codeword screen for AVCC). The `::over`
+//! constructors take an `Arc`'d dataset encoded once; `::new` builds a
+//! private one.
 //!
-//! Since PR6 the round is split into the master's two halves so a scheduler
-//! can interleave rounds from many jobs on one fleet:
+//! Every round is a *batch* of `m ≥ 1` input vectors over the same blocks,
+//! and every round takes the same path:
 //!
-//! 1. [`MatVecEngine::dispatch`] — encode-side: build one [`RoundTask`] per
-//!    worker (cheap `Arc` handles onto the engine's shares plus the broadcast
-//!    input).
-//! 2. *compute* — somebody runs the tasks: the serial [`VirtualExecutor`]
-//!    inside [`MatVecEngine::execute`], or a multi-job fleet scheduler on
-//!    real threads.
-//! 3. [`MatVecEngine::collect`] — decode-side: given the arrival-ordered
-//!    outcomes, establish integrity (Freivalds for AVCC, error decoding for
-//!    LCC), reconstruct the product and account the round's costs.
+//! ```text
+//! dispatch_batch ─▶ WireRunner ─▶ Executor::execute_round ─▶ collect_batch
+//! ```
 //!
-//! [`MatVecEngine::execute`] is a provided method gluing the three together
-//! on a `VirtualExecutor`; every experiment continues to go through it, and
-//! the split is bit-transparent to them.
+//! [`MatVecEngine::dispatch_batch`] builds one [`BatchRoundTask`] per worker;
+//! the [`WireRunner`] (or the in-process fleet scheduler) runs them;
+//! [`MatVecEngine::collect_batch`] establishes integrity on the
+//! arrival-ordered outcomes (Freivalds for AVCC, error decoding for LCC),
+//! reconstructs the `m` products and accounts the round's costs.
 //!
-//! Since PR7 the engines are lightweight *sessions* over a shared
-//! [`avcc_coding::EncodedDataset`]: the `::over` constructors take an
-//! `Arc`'d dataset encoded once, and a second, batched round shape —
-//! [`MatVecEngine::dispatch_batch`] / [`MatVecEngine::collect_batch`] —
-//! carries `m` input vectors per worker task so `m` matrix–vector products
-//! amortize one encode (and, for AVCC, one batched Freivalds pass). The
-//! original `::new` constructors remain as thin wrappers that build a private
-//! dataset, so existing experiments are untouched.
+//! Training rounds are `m = 1`: [`MatVecEngine::dispatch`] and
+//! [`MatVecEngine::collect`] wrap one input into a batch of one and unwrap the
+//! result, because the trainer's staged API speaks [`RoundTask`] /
+//! [`RoundExecution`]. With one function the `(m − 1)/q` batching term
+//! vanishes and no combining scalar is drawn, so the wrapper is bit- and
+//! rng-identical to a dedicated single-function round.
 
 use avcc_field::{Fp, PrimeModulus};
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::cluster::NetworkModel;
-use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
+use avcc_sim::executor::{Executor, WorkerOutcome};
 use rand::rngs::StdRng;
 
-use crate::rounds::{
-    field_vector_bytes, BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure,
-};
+use crate::distributed::{DistributedError, WireRunner};
+use crate::rounds::{BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure};
 
 pub mod avcc;
 pub mod lcc;
@@ -53,60 +48,40 @@ pub use uncoded::UncodedMatVec;
 ///
 /// The training driver holds two engines per scheme — one for round 1
 /// (`X`, row-partitioned) and one for round 2 (`Xᵀ`, row-partitioned) — and
-/// calls [`MatVecEngine::execute`] with the quantized weight vector and the
-/// quantized error vector respectively. A serving scheduler instead calls
-/// [`MatVecEngine::dispatch`] / [`MatVecEngine::collect`] around its own
-/// fleet execution.
+/// feeds them the quantized weight vector and the quantized error vector
+/// respectively, one function per round.
 pub trait MatVecEngine<M: PrimeModulus> {
     /// Human-readable scheme name (for reports).
     fn name(&self) -> &'static str;
 
-    /// The number of workers this engine dispatches to. The executor's
-    /// cluster profile must have exactly this many workers.
+    /// The number of workers this engine dispatches to. The executor must be
+    /// at least this wide.
     fn workers(&self) -> usize;
 
-    /// The minimum number of arrived results [`MatVecEngine::collect`] needs
-    /// before it can possibly succeed: the recovery threshold for AVCC, the
-    /// designed wait count for LCC, all workers for the uncoded scheme.
+    /// The minimum number of arrived results a collect needs before it can
+    /// possibly succeed: the recovery threshold for AVCC, the designed wait
+    /// count for LCC, all workers for the uncoded scheme.
     ///
-    /// `collect` may still fail with that many results (e.g. a Byzantine
+    /// A collect may still fail with that many results (e.g. a Byzantine
     /// payload among an exactly-threshold AVCC prefix); callers that stream
     /// arrivals should retry with more results until all
     /// [`MatVecEngine::workers`] have arrived.
     fn min_results(&self) -> usize;
 
-    /// Builds the round's worker tasks for the given broadcast input, one per
-    /// worker, in worker order.
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>>;
-
-    /// Reconstructs the round from arrival-ordered worker `outcomes` of the
-    /// tasks built by [`MatVecEngine::dispatch`] for the same `input`.
-    ///
-    /// `network` and `time_scale` feed the cost model (broadcast cost and
-    /// master-side work scaling). On `Err` the engine's state is unchanged, so
-    /// the call may be retried with more outcomes.
-    fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure>;
-
-    /// Builds the batched round's worker tasks for `m` broadcast inputs, one
-    /// task per worker (each carrying all `m` inputs), in worker order.
+    /// Builds the round's worker tasks for `m` broadcast inputs, one task per
+    /// worker (each carrying all `m` inputs), in worker order.
     fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>>;
 
-    /// Reconstructs a batched round from arrival-ordered worker `outcomes` of
-    /// the tasks built by [`MatVecEngine::dispatch_batch`] for the same
-    /// `inputs`: `m` products over one dispatch, one wait, and (for AVCC) one
-    /// batched Freivalds pass per arrival with per-function fallback.
+    /// Reconstructs a round from arrival-ordered worker `outcomes` of the
+    /// tasks built by [`MatVecEngine::dispatch_batch`] for the same `inputs`:
+    /// `m` products over one dispatch, one wait, and (for AVCC) one batched
+    /// Freivalds pass per arrival with per-function fallback.
     ///
-    /// The outputs are bit-identical to `m` independent
-    /// [`MatVecEngine::collect`] rounds over the same dataset — all decode
-    /// paths are exact over the field. On `Err` the engine's state is
-    /// unchanged, so the call may be retried with more outcomes.
+    /// `network` and `time_scale` feed the cost model (broadcast cost and
+    /// master-side work scaling). The outputs are bit-identical to `m`
+    /// independent rounds over the same dataset — all decode paths are exact
+    /// over the field. On `Err` the engine's state is unchanged, so the call
+    /// may be retried with more outcomes.
     fn collect_batch(
         &mut self,
         inputs: &[Vec<Fp<M>>],
@@ -124,70 +99,59 @@ pub trait MatVecEngine<M: PrimeModulus> {
         (0, 0)
     }
 
-    /// Runs one distributed matrix–vector product of the engine's matrix with
-    /// `input`, under the given cluster and attack conditions: dispatch, run
-    /// every task on the serial virtual executor, collect.
-    fn execute(
-        &mut self,
-        input: &[Fp<M>],
-        executor: &VirtualExecutor,
-        byzantine: &ByzantineSpec,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let jobs: Vec<_> = self
-            .dispatch(input)
-            .into_iter()
-            .map(|task| move || task.run())
-            .collect();
-        let outcomes = executor.run_round(
-            jobs,
-            |payload: &Vec<Fp<M>>| field_vector_bytes(payload.len()),
-            |worker, payload: &mut Vec<Fp<M>>| byzantine.corrupt(worker, payload),
-        );
-        self.collect(
-            input,
-            &outcomes,
-            &executor.profile().network,
-            executor.time_scale,
-            rng,
-        )
+    /// The single-function round's tasks: [`MatVecEngine::dispatch_batch`]
+    /// for a batch of one, in the [`RoundTask`] shape.
+    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
+        let batch = self.dispatch_batch(&[input.to_vec()]);
+        batch.into_iter().map(RoundTask::from).collect()
     }
 
-    /// Runs one *batched* round — `m` products of the engine's matrix with
-    /// `inputs` — on the serial virtual executor: dispatch-batch, run, collect.
-    /// Byzantine workers corrupt every function of their payload (a corrupted
-    /// node does not selectively spare sub-results).
+    /// Collects a single-function round: [`MatVecEngine::collect_batch`] for
+    /// a batch of one, unwrapped into a [`RoundExecution`].
+    fn collect(
+        &mut self,
+        input: &[Fp<M>],
+        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        network: &NetworkModel,
+        time_scale: f64,
+        rng: &mut StdRng,
+    ) -> Result<RoundExecution<M>, SchemeFailure> {
+        let outcomes: Vec<_> = outcomes
+            .iter()
+            .map(|outcome| outcome.clone().map_payload(|payload| vec![payload]))
+            .collect();
+        self.collect_batch(&[input.to_vec()], &outcomes, network, time_scale, rng)
+            .map(BatchExecution::into_single)
+    }
+
+    /// Runs one round — `m` products of the engine's matrix with `inputs` —
+    /// on `executor` under the given attack: dispatch, run through a
+    /// [`WireRunner`], collect. Byzantine workers corrupt every function of
+    /// their payload (a corrupted node does not selectively spare
+    /// sub-results). Master-side costs are charged unscaled.
     fn execute_batch(
         &mut self,
         inputs: &[Vec<Fp<M>>],
-        executor: &VirtualExecutor,
+        executor: &mut dyn Executor,
         byzantine: &ByzantineSpec,
         rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        let jobs: Vec<_> = self
-            .dispatch_batch(inputs)
-            .into_iter()
-            .map(|task| move || task.run())
-            .collect();
-        let outcomes = executor.run_round(
-            jobs,
-            |payload: &Vec<Vec<Fp<M>>>| {
-                field_vector_bytes(payload.iter().map(Vec::len).sum::<usize>())
-            },
-            |worker, payload: &mut Vec<Vec<Fp<M>>>| {
-                let mut any = false;
-                for part in payload.iter_mut() {
-                    any |= byzantine.corrupt(worker, part);
-                }
-                any
-            },
-        );
-        self.collect_batch(
-            inputs,
-            &outcomes,
-            &executor.profile().network,
-            executor.time_scale,
-            rng,
-        )
+    ) -> Result<BatchExecution<M>, DistributedError> {
+        let tasks = self.dispatch_batch(inputs);
+        let outcomes = WireRunner::new().run_batch_round(executor, 0, &tasks, byzantine)?;
+        let network = executor.profile().network;
+        Ok(self.collect_batch(inputs, &outcomes, &network, 1.0, rng)?)
+    }
+
+    /// Runs one single-function round: [`MatVecEngine::execute_batch`] for a
+    /// batch of one.
+    fn execute(
+        &mut self,
+        input: &[Fp<M>],
+        executor: &mut dyn Executor,
+        byzantine: &ByzantineSpec,
+        rng: &mut StdRng,
+    ) -> Result<RoundExecution<M>, DistributedError> {
+        self.execute_batch(&[input.to_vec()], executor, byzantine, rng)
+            .map(BatchExecution::into_single)
     }
 }

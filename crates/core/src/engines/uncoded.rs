@@ -20,7 +20,7 @@ use rand::rngs::StdRng;
 use crate::engines::MatVecEngine;
 use crate::rounds::{
     detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    RoundExecution, RoundTask, SchemeFailure,
+    SchemeFailure,
 };
 
 /// The uncoded distributed matrix–vector engine: a per-function session over
@@ -78,75 +78,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
         self.dataset.workers()
     }
 
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let input = Arc::new(input.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, block)| RoundTask::new(worker, Arc::clone(block), Arc::clone(&input)))
-            .collect()
-    }
-
-    fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        _rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let workers = self.dataset.workers();
-        let block_rows = self.dataset.block_rows();
-        if outcomes.len() < workers {
-            return Err(SchemeFailure::NotEnoughResults {
-                available: outcomes.len(),
-                required: workers,
-            });
-        }
-        let observed_stragglers = detect_stragglers(outcomes);
-        // The master needs every result, so it pays for the slowest worker.
-        let used: Vec<_> = outcomes.iter().collect();
-        let mut costs = waiting_costs(&used, network, field_vector_bytes(input.len()), workers);
-
-        // Reassembly (concatenation in block order) is the uncoded "decode";
-        // it is nearly free but measured for completeness.
-        let reassembly_start = Instant::now();
-        let mut output = vec![Fp::<M>::ZERO; workers * block_rows];
-        for outcome in outcomes {
-            let start = outcome.worker * block_rows;
-            output[start..start + block_rows].copy_from_slice(&outcome.payload);
-        }
-        costs.decoding = reassembly_start.elapsed().as_secs_f64() * time_scale;
-
-        // No verification and no real decode: reassembly is data movement,
-        // not multiply–accumulate work.
-        let ops = OpCounts {
-            worker_macs: (block_rows * input.len()) as u64,
-            verify_macs: 0,
-            decode_macs: 0,
-        };
-        Ok(RoundExecution {
-            output,
-            costs,
-            ops,
-            used_workers: outcomes.iter().map(|o| o.worker).collect(),
-            detected_byzantine: Vec::new(),
-            observed_stragglers,
-            screened_workers: Vec::new(),
-        })
-    }
-
     fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        let inputs = Arc::new(inputs.to_vec());
-        self.dataset
-            .shares()
-            .iter()
-            .enumerate()
-            .map(|(worker, block)| {
-                BatchRoundTask::new(worker, Arc::clone(block), Arc::clone(&inputs))
-            })
-            .collect()
+        BatchRoundTask::for_shares(self.dataset.shares(), inputs)
     }
 
     fn collect_batch(
@@ -169,6 +102,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
             });
         }
         let observed_stragglers = detect_stragglers(outcomes);
+        // The master needs every result, so it pays for the slowest worker.
         let used: Vec<_> = outcomes.iter().collect();
         let mut costs = waiting_costs(
             &used,
@@ -177,6 +111,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
             workers,
         );
 
+        // Reassembly (concatenation in block order) is the uncoded "decode";
+        // it is nearly free but measured for completeness.
         let reassembly_start = Instant::now();
         let mut outputs = vec![vec![Fp::<M>::ZERO; workers * block_rows]; functions];
         for outcome in outcomes {
@@ -187,6 +123,8 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
         }
         costs.decoding = reassembly_start.elapsed().as_secs_f64() * time_scale;
 
+        // No verification and no real decode: reassembly is data movement,
+        // not multiply–accumulate work.
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
             verify_macs: 0,
@@ -228,10 +166,10 @@ mod tests {
         let (matrix, input) = setup(18, 5, 9);
         let expected = mat_vec(&matrix, &input);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 9);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(9)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(2);
         let round = engine
-            .execute(&input, &executor, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
         assert_eq!(round.output, expected);
         assert_eq!(round.used_workers.len(), 9);
@@ -243,11 +181,11 @@ mod tests {
         let (matrix, input) = setup(12, 4, 6);
         let expected = mat_vec(&matrix, &input);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(3);
         let round = engine
-            .execute(&input, &executor, &byzantine, &mut rng)
+            .execute(&input, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_ne!(round.output, expected, "corruption should reach the output");
         // The uncoded scheme has no way to notice.
@@ -261,9 +199,10 @@ mod tests {
         let (matrix, input) = setup(12, 4, 6);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
         let mut rng = StdRng::seed_from_u64(4);
-        let fast = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
-        let slow = VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0))
-            .with_time_scale(1.0);
+        let mut fast = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
+        let mut slow =
+            VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0))
+                .with_time_scale(1.0);
         // Wall-clock-derived virtual costs are noisy under parallel test
         // load; take the fastest of a few unloaded runs as the baseline (a
         // scheduling blip can only inflate a measurement, never deflate it)
@@ -271,14 +210,14 @@ mod tests {
         let fast_compute = (0..3)
             .map(|_| {
                 engine
-                    .execute(&input, &fast, &ByzantineSpec::none(), &mut rng)
+                    .execute(&input, &mut fast, &ByzantineSpec::none(), &mut rng)
                     .unwrap()
                     .costs
                     .compute
             })
             .fold(f64::INFINITY, f64::min);
         let slow_costs = engine
-            .execute(&input, &slow, &ByzantineSpec::none(), &mut rng)
+            .execute(&input, &mut slow, &ByzantineSpec::none(), &mut rng)
             .unwrap()
             .costs;
         assert!(slow_costs.compute > fast_compute * 5.0);

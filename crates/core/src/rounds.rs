@@ -16,71 +16,15 @@ use avcc_sim::metrics::{IterationCosts, OpCounts};
 use avcc_sim::NetworkModel;
 
 /// One worker's share of a dispatched round: the (coded or raw) matrix block
-/// the worker holds plus the broadcast input vector.
+/// the worker holds plus the `m` broadcast input vectors it is applied to —
+/// the multi-function shape `X̃·w₁ … X̃·wₘ` that amortizes a single encode.
 ///
 /// Both halves sit behind [`Arc`]s, so the task is cheap to clone and `Send`
-/// — an engine can hand the same round out to a [`crate::driver`]'s serial
-/// executor or to a multi-job fleet scheduler that runs it on another
+/// — an engine can hand the same round out to the [`crate::distributed`]
+/// wire bridge or to a multi-job fleet scheduler that runs it on another
 /// thread, without the task borrowing the engine (the master needs the
 /// engine back, mutably, to collect the results while the tasks are still
 /// in flight).
-#[derive(Debug, Clone)]
-pub struct RoundTask<M: PrimeModulus> {
-    /// The worker this task is addressed to.
-    pub worker: usize,
-    matrix: Arc<Matrix<Fp<M>>>,
-    input: Arc<Vec<Fp<M>>>,
-}
-
-impl<M: PrimeModulus> RoundTask<M> {
-    /// A task multiplying `matrix` by `input` at `worker`.
-    pub fn new(worker: usize, matrix: Arc<Matrix<Fp<M>>>, input: Arc<Vec<Fp<M>>>) -> Self {
-        RoundTask {
-            worker,
-            matrix,
-            input,
-        }
-    }
-
-    /// Runs the worker's computation: the block–vector product.
-    pub fn run(&self) -> Vec<Fp<M>> {
-        mat_vec(&self.matrix, &self.input)
-    }
-
-    /// Rows of this worker's block — the length of the payload [`RoundTask::run`]
-    /// produces.
-    pub fn output_rows(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    /// First-order MAC count of this task's product.
-    pub fn macs(&self) -> u64 {
-        (self.matrix.rows() * self.matrix.cols()) as u64
-    }
-
-    /// The worker's (coded or raw) matrix block, behind the engine's `Arc`.
-    ///
-    /// The shared handle (rather than the matrix itself) is exposed so a wire
-    /// bridge can both serialize the block *and* fingerprint it by pointer
-    /// identity — two dispatches over the same encoded dataset share the
-    /// `Arc`, so an unchanged fingerprint proves the blocks already installed
-    /// on remote workers are still current.
-    pub fn matrix(&self) -> &Arc<Matrix<Fp<M>>> {
-        &self.matrix
-    }
-
-    /// The broadcast input vector of this task.
-    pub fn input(&self) -> &[Fp<M>] {
-        &self.input
-    }
-}
-
-/// One worker's share of a dispatched *batched* round: the same (coded or
-/// raw) block applied to `m` broadcast input vectors at once — the
-/// multi-function shape `X̃·w₁ … X̃·wₘ` that amortizes a single encode.
-///
-/// Like [`RoundTask`], both halves sit behind [`Arc`]s so the task is cheap
-/// to clone and `Send`.
 #[derive(Debug, Clone)]
 pub struct BatchRoundTask<M: PrimeModulus> {
     /// The worker this task is addressed to.
@@ -99,6 +43,18 @@ impl<M: PrimeModulus> BatchRoundTask<M> {
         }
     }
 
+    /// One round's tasks over a dataset's per-worker `shares`: worker `i`
+    /// gets `shares[i]` and all of `inputs` (shared behind one `Arc`). What
+    /// every engine's `dispatch_batch` is.
+    pub fn for_shares(shares: &[Arc<Matrix<Fp<M>>>], inputs: &[Vec<Fp<M>>]) -> Vec<Self> {
+        let inputs = Arc::new(inputs.to_vec());
+        shares
+            .iter()
+            .enumerate()
+            .map(|(worker, share)| Self::new(worker, Arc::clone(share), Arc::clone(&inputs)))
+            .collect()
+    }
+
     /// Runs the worker's computation: one block–vector product per function,
     /// in function order.
     pub fn run(&self) -> Vec<Vec<Fp<M>>> {
@@ -113,18 +69,13 @@ impl<M: PrimeModulus> BatchRoundTask<M> {
         self.inputs.len()
     }
 
-    /// Rows of this worker's block — the length of each per-function payload.
-    pub fn output_rows(&self) -> usize {
-        self.matrix.rows()
-    }
-
-    /// First-order MAC count of this task's `m` products.
-    pub fn macs(&self) -> u64 {
-        (self.matrix.rows() * self.matrix.cols() * self.inputs.len()) as u64
-    }
-
-    /// The worker's (coded or raw) matrix block, behind the engine's `Arc`
-    /// (see [`RoundTask::matrix`] for why the handle itself is exposed).
+    /// The worker's (coded or raw) matrix block, behind the engine's `Arc`.
+    ///
+    /// The shared handle (rather than the matrix itself) is exposed so a wire
+    /// bridge can both serialize the block *and* fingerprint it by pointer
+    /// identity — two dispatches over the same encoded dataset share the
+    /// `Arc`, so an unchanged fingerprint proves the blocks already installed
+    /// on remote workers are still current.
     pub fn matrix(&self) -> &Arc<Matrix<Fp<M>>> {
         &self.matrix
     }
@@ -132,6 +83,50 @@ impl<M: PrimeModulus> BatchRoundTask<M> {
     /// The `m` broadcast input vectors of this task, in function order.
     pub fn inputs(&self) -> &[Vec<Fp<M>>] {
         &self.inputs
+    }
+}
+
+/// A [`BatchRoundTask`] of exactly one input: the single-function shape the
+/// trainer's staged API speaks. Converts from and into the batch task.
+#[derive(Debug, Clone)]
+pub struct RoundTask<M: PrimeModulus> {
+    /// The worker this task is addressed to.
+    pub worker: usize,
+    batch: BatchRoundTask<M>,
+}
+
+impl<M: PrimeModulus> RoundTask<M> {
+    /// Runs the worker's computation: the block–vector product.
+    pub fn run(&self) -> Vec<Fp<M>> {
+        mat_vec(self.matrix(), self.input())
+    }
+
+    /// The worker's matrix block (see [`BatchRoundTask::matrix`]).
+    pub fn matrix(&self) -> &Arc<Matrix<Fp<M>>> {
+        self.batch.matrix()
+    }
+
+    /// The broadcast input vector of this task.
+    pub fn input(&self) -> &[Fp<M>] {
+        &self.batch.inputs()[0]
+    }
+}
+
+impl<M: PrimeModulus> From<BatchRoundTask<M>> for RoundTask<M> {
+    /// # Panics
+    /// Panics if `batch` does not carry exactly one input.
+    fn from(batch: BatchRoundTask<M>) -> Self {
+        assert_eq!(batch.functions(), 1, "not a batch of one");
+        RoundTask {
+            worker: batch.worker,
+            batch,
+        }
+    }
+}
+
+impl<M: PrimeModulus> From<RoundTask<M>> for BatchRoundTask<M> {
+    fn from(task: RoundTask<M>) -> Self {
+        task.batch
     }
 }
 
@@ -184,10 +179,31 @@ pub struct BatchExecution<M: PrimeModulus> {
     /// σ-combined claims — see the AVCC engine). Always a subset of
     /// `detected_byzantine`.
     pub screened_workers: Vec<usize>,
-    /// Function indices localized as corrupted by the per-function fallback
-    /// after a batched check failed (sorted, deduplicated). Empty whenever
-    /// every examined worker passed the batched check.
+    /// Function indices localized as corrupted after a worker failed the
+    /// batched check or the screen (sorted, deduplicated): by the
+    /// per-function fallback when `m > 1`, by the failed check itself when
+    /// there is one function. Empty whenever every examined worker passed.
     pub corrupted_functions: Vec<usize>,
+}
+
+impl<M: PrimeModulus> BatchExecution<M> {
+    /// Unwraps a batch of one into the single-function round shape the
+    /// trainer's staged API speaks.
+    ///
+    /// # Panics
+    /// Panics if the batch does not hold exactly one function.
+    pub fn into_single(mut self) -> RoundExecution<M> {
+        assert_eq!(self.outputs.len(), 1, "not a batch of one");
+        RoundExecution {
+            output: self.outputs.remove(0),
+            costs: self.costs,
+            ops: self.ops,
+            used_workers: self.used_workers,
+            detected_byzantine: self.detected_byzantine,
+            observed_stragglers: self.observed_stragglers,
+            screened_workers: self.screened_workers,
+        }
+    }
 }
 
 /// Errors an engine can produce.
@@ -223,6 +239,14 @@ impl std::fmt::Display for SchemeFailure {
 }
 
 impl std::error::Error for SchemeFailure {}
+
+impl From<avcc_coding::decoder::DecodeError> for SchemeFailure {
+    fn from(error: avcc_coding::decoder::DecodeError) -> Self {
+        SchemeFailure::DecodeFailed {
+            details: error.to_string(),
+        }
+    }
+}
 
 /// Multiplier above the median arrival time beyond which a worker counts as
 /// an *observed* straggler (the adaptive controller's input `S_t`).

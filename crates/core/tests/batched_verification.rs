@@ -3,7 +3,10 @@
 //! single-function rounds (and to the plain `mat_vec` oracle), the batched
 //! Freivalds pass accepts exactly when every per-function check accepts, and
 //! a corrupted function inside a batch is localized by the per-function
-//! fallback — across schemes and moduli.
+//! fallback — across schemes and moduli. And the other direction of "a
+//! single product is a batch of one": `m = 1` through `collect_batch`
+//! reproduces the dedicated single-function collect it replaced, down to the
+//! rng stream.
 
 use std::sync::Arc;
 
@@ -18,7 +21,7 @@ use avcc_sim::NetworkModel;
 use avcc_verify::KeyGenConfig;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::SeedableRng;
+use rand::{RngCore, SeedableRng};
 
 fn random_matrix<M: PrimeModulus>(rng: &mut StdRng, rows: usize, cols: usize) -> Matrix<Fp<M>> {
     Matrix::from_vec(rows, cols, avcc_field::random_matrix(rng, rows, cols))
@@ -60,11 +63,16 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
     ];
 
     for engine in engines.iter_mut() {
-        let executor =
+        let mut executor =
             VirtualExecutor::new(ClusterProfile::uniform(engine.workers())).with_time_scale(1.0);
         let mut round_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let batch = engine
-            .execute_batch(&inputs, &executor, &ByzantineSpec::none(), &mut round_rng)
+            .execute_batch(
+                &inputs,
+                &mut executor,
+                &ByzantineSpec::none(),
+                &mut round_rng,
+            )
             .unwrap();
         assert_eq!(batch.outputs.len(), functions);
         assert!(batch.corrupted_functions.is_empty());
@@ -80,7 +88,7 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
         // m independent single-function rounds over the same session.
         for (function, input) in inputs.iter().enumerate() {
             let single = engine
-                .execute(input, &executor, &ByzantineSpec::none(), &mut round_rng)
+                .execute(input, &mut executor, &ByzantineSpec::none(), &mut round_rng)
                 .unwrap();
             assert_eq!(
                 single.output,
@@ -225,10 +233,15 @@ fn batch_decode_amortizes_the_basis_cache() {
     let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
     assert_eq!(engine.decode_cache_stats(), (0, 0));
 
-    let executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+    let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
     let mut round_rng = StdRng::seed_from_u64(100);
     engine
-        .execute_batch(&inputs, &executor, &ByzantineSpec::none(), &mut round_rng)
+        .execute_batch(
+            &inputs,
+            &mut executor,
+            &ByzantineSpec::none(),
+            &mut round_rng,
+        )
         .unwrap();
     // One survivor set, m per-function decodes: the first pays for the
     // Lagrange basis, the remaining m − 1 hit the shared cache.
@@ -261,4 +274,82 @@ fn empty_arrivals_fail_loudly() {
             required: 9
         })
     ));
+}
+
+#[test]
+fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
+    // Fixed arrivals: worker `w` arrives `w`-th, worker 1 corrupts its first
+    // element, worker 7 computes 50× slower. Each row is what the dedicated
+    // single-function `collect` of that engine reported, recorded at the
+    // commit that still had one: (engine, used workers, detected, screened,
+    // (worker, verify, decode) MACs, the caller's rng's next draw).
+    type Workers = &'static [usize];
+    type Recorded = (&'static str, Workers, Workers, Workers, [u64; 3], u64);
+    const VERIFIED: Workers = &[0, 2, 3, 4, 5, 6, 7, 8, 9];
+    const WAITED_FOR: Workers = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+    const EVERYONE: Workers = &[0, 1, 2, 3, 4, 5, 6, 7, 8];
+    const UNTOUCHED: u64 = 7086638178683056257; // first draw of seed 77
+    #[rustfmt::skip]
+    let recorded: [Recorded; 4] = [
+        ("avcc",             VERIFIED,   &[1], &[1], [12, 249, 162], 8159428425992391467),
+        ("avcc, screen off", VERIFIED,   &[1], &[],  [12, 80, 162],  UNTOUCHED),
+        ("lcc",              WAITED_FOR, &[1], &[],  [12, 0, 319],   10109092562820482796),
+        ("uncoded",          EVERYONE,   &[],  &[],  [12, 0, 0],     UNTOUCHED),
+    ];
+
+    let mut rng = StdRng::seed_from_u64(2024);
+    let matrix = random_matrix::<P25>(&mut rng, 18, 6);
+    let input: Vec<Fp<P25>> = avcc_field::random_vector(&mut rng, 6);
+    let oracle = mat_vec(&matrix, &input);
+    let avcc = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+    let lcc = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+    let keys = KeyGenConfig::default();
+    let mut engines: Vec<Box<dyn MatVecEngine<P25>>> = vec![
+        Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng)),
+        Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng).with_screening(false)),
+        Box::new(LccMatVec::new(&matrix, lcc, &mut rng)),
+        Box::new(UncodedMatVec::new(&matrix, 9)),
+    ];
+    for (engine, (name, used, detected, screened, macs, next_draw)) in
+        engines.iter_mut().zip(recorded)
+    {
+        let outcomes: Vec<WorkerOutcome<Vec<Fp<P25>>>> = engine
+            .dispatch(&input)
+            .iter()
+            .map(|task| {
+                let mut payload = task.run();
+                if task.worker == 1 {
+                    payload[0] += Fp::<P25>::ONE;
+                }
+                WorkerOutcome {
+                    worker: task.worker,
+                    payload,
+                    compute_seconds: if task.worker == 7 { 0.05 } else { 0.001 },
+                    network_seconds: 0.0001,
+                    arrival_seconds: 0.001 * (task.worker + 1) as f64,
+                    corrupted: task.worker == 1,
+                }
+            })
+            .collect();
+        let mut collect_rng = StdRng::seed_from_u64(77);
+        let network = NetworkModel::default();
+        let round = engine
+            .collect(&input, &outcomes, &network, 1.0, &mut collect_rng)
+            .unwrap();
+        // Every protected scheme decodes the exact product; the uncoded
+        // baseline lets worker 1's corruption through, at its block's start.
+        let mut expected = oracle.clone();
+        if name == "uncoded" {
+            expected[2] += Fp::<P25>::ONE;
+        }
+        assert_eq!(round.output, expected, "{name}: output");
+        assert_eq!(round.used_workers, used, "{name}: used");
+        assert_eq!(round.detected_byzantine, detected, "{name}: detected");
+        assert_eq!(round.screened_workers, screened, "{name}: screened");
+        assert_eq!(round.observed_stragglers, [7], "{name}: stragglers");
+        let ops = round.ops;
+        let ops = [ops.worker_macs, ops.verify_macs, ops.decode_macs];
+        assert_eq!(ops, macs, "{name}: op counts");
+        assert_eq!(collect_rng.next_u64(), next_draw, "{name}: rng");
+    }
 }

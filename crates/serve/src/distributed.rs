@@ -9,6 +9,12 @@
 //! a round, across worker processes), but every job's result is bit-identical
 //! to the scheduler's for the same spec — all decode paths are exact.
 //!
+//! Every job takes the one round path: a training job is
+//! `train_distributed`, a product job — one input or `m` — is one
+//! [`MatVecEngine::execute_batch`]. Each job ships its blocks under the same
+//! small set of wire job ids, replacing its predecessor's, so a long call
+//! holds one job's blocks at a time on the master and on the workers.
+//!
 //! Worker evictions (corrupt frames, disconnects, deadline blowouts) surface
 //! as absent outcomes, which the engines absorb through the same straggler
 //! tolerance they were designed around; a job fails only when the surviving
@@ -16,13 +22,13 @@
 
 use std::time::Instant;
 
-use avcc_core::distributed::{train_distributed, DistributedError, WireRunner};
+use avcc_coding::SchemeConfig;
+use avcc_core::distributed::train_distributed;
 use avcc_core::engines::AvccMatVec;
-use avcc_core::rounds::SchemeFailure;
-use avcc_core::MatVecEngine;
-use avcc_field::PrimeModulus;
+use avcc_core::{MatVecEngine, SchemeFailure};
+use avcc_field::{Fp, PrimeModulus};
+use avcc_linalg::Matrix;
 use avcc_sim::attack::ByzantineSpec;
-use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::Executor;
 use avcc_sim::metrics::JobMetrics;
 use avcc_verify::KeyGenConfig;
@@ -31,17 +37,6 @@ use rand::SeedableRng;
 
 use crate::job::{CompletedJob, JobOutput, JobSpec};
 
-/// Folds an executor-level failure into the job-failure shape callers
-/// already handle (an executor that cannot run a round cannot decode one).
-fn job_failure(error: DistributedError) -> SchemeFailure {
-    match error {
-        DistributedError::Scheme(failure) => failure,
-        DistributedError::Executor(error) => SchemeFailure::DecodeFailed {
-            details: format!("executor failure: {error}"),
-        },
-    }
-}
-
 /// Runs every job on `executor`, in submission order, returning one
 /// [`CompletedJob`] per spec (ids are the spec's index). See the module docs
 /// for semantics.
@@ -49,12 +44,7 @@ pub fn serve_distributed<M: PrimeModulus>(
     specs: Vec<JobSpec<M>>,
     executor: &mut dyn Executor,
 ) -> Vec<CompletedJob<M>> {
-    let mut runner = WireRunner::new();
     let mut completed = Vec::with_capacity(specs.len());
-    // Training jobs use two block channels (one per round); one-shot jobs
-    // use one. Distinct channels per job keep block installation cached
-    // per dataset instead of thrashing between jobs.
-    let mut next_channel = 0usize;
     for (id, spec) in specs.into_iter().enumerate() {
         let started = Instant::now();
         let mut metrics = JobMetrics::default();
@@ -70,73 +60,26 @@ pub fn serve_distributed<M: PrimeModulus>(
                         }
                         JobOutput::Training(Box::new(report))
                     }
-                    Err(error) => JobOutput::Failed(job_failure(error)),
+                    Err(error) => JobOutput::Failed(error.into()),
                 }
             }
+            // A single product is a batch of one.
             JobSpec::CodedMatVec {
                 matrix,
                 input,
                 coding,
                 seed,
-            } => {
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut engine =
-                    AvccMatVec::new(&matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
-                let channel = next_channel;
-                next_channel += 1;
-                let tasks = engine.dispatch(&input);
-                let result = runner
-                    .run_round(executor, channel, &tasks, &ByzantineSpec::none())
-                    .map_err(|e| job_failure(DistributedError::Executor(e)))
-                    .and_then(|outcomes| {
-                        engine.collect(&input, &outcomes, &NetworkModel::default(), 1.0, &mut rng)
-                    });
-                match result {
-                    Ok(execution) => {
-                        metrics.rounds = 1;
-                        metrics.ops = execution.ops;
-                        metrics.screened_workers = execution.screened_workers.len() as u64;
-                        JobOutput::MatVec(execution.output)
-                    }
-                    Err(failure) => JobOutput::Failed(failure),
-                }
-            }
+            } => matmul_batch(&matrix, &[input], coding, seed, executor, &mut metrics)
+                .map(|mut outputs| JobOutput::MatVec(outputs.remove(0)))
+                .unwrap_or_else(JobOutput::Failed),
             JobSpec::MatMulBatch {
                 matrix,
                 inputs,
                 coding,
                 seed,
-            } => {
-                // Same construction (and rng stream) as CodedMatVec — the m
-                // functions share one encode and one key set.
-                let mut rng = StdRng::seed_from_u64(seed);
-                let mut engine =
-                    AvccMatVec::new(&matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
-                let channel = next_channel;
-                next_channel += 1;
-                let tasks = engine.dispatch_batch(&inputs);
-                let result = runner
-                    .run_batch_round(executor, channel, &tasks, &ByzantineSpec::none())
-                    .map_err(|e| job_failure(DistributedError::Executor(e)))
-                    .and_then(|outcomes| {
-                        engine.collect_batch(
-                            &inputs,
-                            &outcomes,
-                            &NetworkModel::default(),
-                            1.0,
-                            &mut rng,
-                        )
-                    });
-                match result {
-                    Ok(execution) => {
-                        metrics.rounds = 1;
-                        metrics.ops = execution.ops;
-                        metrics.screened_workers = execution.screened_workers.len() as u64;
-                        JobOutput::MatVecBatch(execution.outputs)
-                    }
-                    Err(failure) => JobOutput::Failed(failure),
-                }
-            }
+            } => matmul_batch(&matrix, &inputs, coding, seed, executor, &mut metrics)
+                .map(JobOutput::MatVecBatch)
+                .unwrap_or_else(JobOutput::Failed),
         };
         metrics.active_seconds = started.elapsed().as_secs_f64();
         completed.push(CompletedJob {
@@ -148,15 +91,39 @@ pub fn serve_distributed<M: PrimeModulus>(
     completed
 }
 
+/// One one-shot job: encode `matrix`, key it, and run its `inputs` as a
+/// single batched round on `executor` (the `m` functions share one encode
+/// and one key set). Every one-shot job ships its blocks under the same wire
+/// job id, replacing its predecessor's.
+fn matmul_batch<M: PrimeModulus>(
+    matrix: &Matrix<Fp<M>>,
+    inputs: &[Vec<Fp<M>>],
+    coding: SchemeConfig,
+    seed: u64,
+    executor: &mut dyn Executor,
+    metrics: &mut JobMetrics,
+) -> Result<Vec<Vec<Fp<M>>>, SchemeFailure> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let mut engine = AvccMatVec::new(matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
+    let execution = engine.execute_batch(inputs, executor, &ByzantineSpec::none(), &mut rng)?;
+    metrics.rounds = 1;
+    metrics.ops = execution.ops;
+    metrics.screened_workers = execution.screened_workers.len() as u64;
+    Ok(execution.outputs)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::job::JobSpec;
-    use avcc_coding::SchemeConfig;
-    use avcc_field::{Fp, PrimeField, P25};
-    use avcc_linalg::{mat_vec, Matrix};
+    use avcc_core::{ExperimentConfig, FaultScenario};
+    use avcc_field::{PrimeField, P25};
+    use avcc_linalg::mat_vec;
+    use avcc_ml::dataset::DatasetConfig;
+    use avcc_sim::attack::AttackModel;
     use avcc_sim::cluster::ClusterProfile;
-    use avcc_sim::executor::ThreadedExecutor;
+    use avcc_sim::executor::{ExecutorError, ThreadedExecutor, WorkerOutcome};
+    use avcc_sim::wire::Block;
 
     fn matrix(rows: usize, cols: usize, seed: u64) -> Matrix<Fp<P25>> {
         Matrix::from_vec(
@@ -217,5 +184,119 @@ mod tests {
             assert_eq!(got, &want);
         }
         assert!(completed.iter().all(|job| job.metrics.rounds == 1));
+    }
+
+    /// Passes every call through to a `ThreadedExecutor`, recording each
+    /// `install_blocks` as `(job, blocks shipped)`.
+    struct CountingExecutor {
+        inner: ThreadedExecutor,
+        installs: Vec<(u64, usize)>,
+    }
+
+    impl CountingExecutor {
+        fn new(profile: ClusterProfile) -> Self {
+            let mut inner = ThreadedExecutor::new(profile);
+            inner.sleep_per_slowdown_unit = 0.002;
+            CountingExecutor {
+                inner,
+                installs: Vec::new(),
+            }
+        }
+
+        fn distinct_jobs(&self) -> Vec<u64> {
+            let mut jobs: Vec<u64> = self.installs.iter().map(|&(job, _)| job).collect();
+            jobs.sort_unstable();
+            jobs.dedup();
+            jobs
+        }
+    }
+
+    impl Executor for CountingExecutor {
+        fn workers(&self) -> usize {
+            self.inner.workers()
+        }
+        fn profile(&self) -> &ClusterProfile {
+            Executor::profile(&self.inner)
+        }
+        fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
+            self.installs.push((job, blocks.len()));
+            self.inner.install_blocks(job, blocks)
+        }
+        fn execute_round(
+            &mut self,
+            job: u64,
+            round: u64,
+            inputs: &[Vec<Vec<u64>>],
+        ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError> {
+            self.inner.execute_round(job, round, inputs)
+        }
+    }
+
+    fn training(scenario: FaultScenario, iterations: usize) -> ExperimentConfig {
+        let mut config = ExperimentConfig::paper_avcc(2, 1, scenario);
+        config.iterations = iterations;
+        config.time_scale = 1.0;
+        config.dataset = DatasetConfig {
+            train_samples: 180,
+            test_samples: 60,
+            features: 27,
+            informative: 9,
+            ..DatasetConfig::default()
+        };
+        config
+    }
+
+    #[test]
+    fn a_channel_owns_one_job_id_across_re_encodes() {
+        // Three stragglers plus a Byzantine worker exceed the (S=2, M=1)
+        // budget, so the controller evicts and re-encodes mid-run. The new
+        // blocks must ship under the channels' own two job ids — replacing
+        // the superseded blocks instead of stranding them under fresh ids.
+        let scenario = FaultScenario::paper(3, 1, AttackModel::constant());
+        let mut trainer = training(scenario, 6).build_trainer::<P25>();
+        let mut executor = CountingExecutor::new(trainer.cluster().clone());
+        let report = train_distributed(&mut trainer, &mut executor).unwrap();
+        assert!(report.reconfiguration_count() >= 1);
+        let installs = &executor.installs;
+        assert_eq!(installs[..2], [(0, 12), (1, 12)], "the initial code");
+        assert_eq!(
+            installs.last(),
+            Some(&(1, trainer.current_coding().workers)),
+            "the re-encoded round-2 blocks ship before the next round"
+        );
+        assert_eq!(executor.distinct_jobs(), [0, 1]);
+    }
+
+    #[test]
+    fn job_ids_do_not_grow_with_the_number_of_jobs() {
+        // Every job re-ships its blocks under the same few wire job ids, so a
+        // long call strands nothing on the master's respawn cache or on the
+        // workers: 20 jobs touch exactly the ids 4 jobs touch.
+        let distinct_jobs = |jobs: usize| {
+            let coding = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+            let specs = (0..jobs as u64)
+                .map(|job| match job % 4 {
+                    0 => JobSpec::Training(training(FaultScenario::none(), 1)),
+                    1 => JobSpec::CodedMatVec {
+                        matrix: matrix(18, 6, job),
+                        input: input(6, job),
+                        coding,
+                        seed: job,
+                    },
+                    _ => JobSpec::MatMulBatch {
+                        matrix: matrix(18, 6, job),
+                        inputs: vec![input(6, 1), input(6, 2)],
+                        coding,
+                        seed: job,
+                    },
+                })
+                .collect();
+            let mut executor = CountingExecutor::new(ClusterProfile::uniform(12));
+            let completed = serve_distributed::<P25>(specs, &mut executor);
+            assert!(completed.iter().all(|job| !job.output.is_failed()));
+            assert!(executor.installs.len() >= jobs, "every job ships blocks");
+            executor.distinct_jobs()
+        };
+        assert_eq!(distinct_jobs(4), distinct_jobs(20));
     }
 }

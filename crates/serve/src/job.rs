@@ -23,7 +23,7 @@ pub enum JobSpec<M: PrimeModulus> {
     /// them on its own executor.
     Training(ExperimentConfig),
     /// A one-shot AVCC-coded matrix–vector product: encode, one round on the
-    /// fleet, verify and decode.
+    /// fleet, verify and decode — served as a [`JobSpec::MatMulBatch`] of one.
     CodedMatVec {
         /// The matrix to encode across the fleet's workers.
         matrix: Matrix<Fp<M>>,

@@ -33,6 +33,7 @@ use std::fmt;
 use std::sync::mpsc::{self, Sender};
 use std::time::{Duration, Instant};
 
+use avcc_coding::SchemeConfig;
 use avcc_core::engines::AvccMatVec;
 use avcc_core::rounds::field_vector_bytes;
 use avcc_core::{
@@ -40,9 +41,10 @@ use avcc_core::{
     TrainingRound,
 };
 use avcc_field::{Fp, PrimeModulus};
+use avcc_linalg::Matrix;
 use avcc_pool::Scope;
-use avcc_sim::churn::{ChurnEventKind, ChurnSchedule, ChurnState};
-use avcc_sim::cluster::{ClusterProfile, NetworkModel};
+use avcc_sim::churn::{ChurnSchedule, ChurnState};
+use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::{slowdown_sleep_seconds, WorkerOutcome};
 use avcc_sim::metrics::{JobMetrics, ServingMetrics};
 use avcc_verify::KeyGenConfig;
@@ -151,49 +153,23 @@ enum JobEngine<M: PrimeModulus> {
         cumulative: f64,
         round: TrainingRound,
     },
-    MatVec {
-        engine: Box<AvccMatVec<M>>,
-        input: Vec<Fp<M>>,
-        network: NetworkModel,
-        rng: StdRng,
-    },
+    /// `m` products over one encode; a `CodedMatVec` job is the batch of one
+    /// (`single`), unwrapped into [`JobOutput::MatVec`] at completion.
     MatVecBatch {
         engine: Box<AvccMatVec<M>>,
         inputs: Vec<Vec<Fp<M>>>,
-        network: NetworkModel,
         rng: StdRng,
+        single: bool,
     },
 }
 
-/// One worker task on the fleet: a single-function share product or a batch
-/// of `m` of them over the same share.
-#[derive(Clone)]
-enum FleetTask<M: PrimeModulus> {
-    Single(RoundTask<M>),
-    Batch(BatchRoundTask<M>),
-}
-
-impl<M: PrimeModulus> FleetTask<M> {
-    fn worker(&self) -> usize {
-        match self {
-            FleetTask::Single(task) => task.worker,
-            FleetTask::Batch(task) => task.worker,
-        }
-    }
-
-    /// Runs the task. A batch flattens its per-function outputs into one
-    /// function-major wire payload; [`split_functions`] reverses this at
-    /// collect time.
-    fn run(&self) -> Vec<Fp<M>> {
-        match self {
-            FleetTask::Single(task) => task.run(),
-            FleetTask::Batch(task) => task.run().into_iter().flatten().collect(),
-        }
-    }
+/// A training round's tasks in the fleet's one task shape: batches of one.
+fn batch_of_one<M: PrimeModulus>(tasks: Vec<RoundTask<M>>) -> Vec<BatchRoundTask<M>> {
+    tasks.into_iter().map(Into::into).collect()
 }
 
 /// Splits a flattened batch payload back into its `functions` per-function
-/// parts (the inverse of [`FleetTask::run`]'s flattening).
+/// parts (the inverse of the flattening in [`dispatch_round`]).
 fn split_functions<M: PrimeModulus>(payload: &[Fp<M>], functions: usize) -> Vec<Vec<Fp<M>>> {
     debug_assert_eq!(payload.len() % functions, 0);
     let part = payload.len() / functions;
@@ -221,9 +197,10 @@ struct ActiveJob<M: PrimeModulus> {
     /// Decoder basis-cache counters at admission; the job's metrics report
     /// the delta at completion.
     cache_baseline: (u64, u64),
-    /// A copy of the current round's tasks (cheap: both halves sit behind
-    /// `Arc`s), kept so a parked round can be re-dispatched verbatim.
-    tasks: Vec<FleetTask<M>>,
+    /// The current round's tasks (cheap to clone: both halves sit behind
+    /// `Arc`s), set by whoever prepares a round and kept so a parked round
+    /// can be re-dispatched verbatim.
+    tasks: Vec<BatchRoundTask<M>>,
     /// Consecutive re-dispatches of the current parked round.
     stalls: usize,
 }
@@ -232,14 +209,28 @@ impl<M: PrimeModulus> ActiveJob<M> {
     fn network(&self) -> NetworkModel {
         match &self.engine {
             JobEngine::Training { trainer, .. } => trainer.cluster().network,
-            JobEngine::MatVec { network, .. } | JobEngine::MatVecBatch { network, .. } => *network,
+            JobEngine::MatVecBatch { .. } => NetworkModel::default(),
         }
     }
 
     fn corrupt(&self, worker: usize, payload: &mut [Fp<M>]) -> bool {
         match &self.engine {
             JobEngine::Training { trainer, .. } => trainer.byzantine().corrupt(worker, payload),
-            JobEngine::MatVec { .. } | JobEngine::MatVecBatch { .. } => false,
+            JobEngine::MatVecBatch { .. } => false,
+        }
+    }
+
+    /// Every worker's effective slowdown right now — snapshotted per
+    /// dispatch, so a later adaptation (worker eviction) cannot skew a round
+    /// already in flight. One-shot products run on nominal workers;
+    /// stragglers and attacks are the training scenarios' concern.
+    fn slowdowns(&self) -> Vec<f64> {
+        match &self.engine {
+            JobEngine::Training { trainer, .. } => {
+                let workers = trainer.cluster().workers();
+                workers.iter().map(|w| w.effective_slowdown()).collect()
+            }
+            JobEngine::MatVecBatch { .. } => vec![1.0; self.tasks.len()],
         }
     }
 
@@ -247,32 +238,21 @@ impl<M: PrimeModulus> ActiveJob<M> {
     fn decode_cache_stats(&self) -> (u64, u64) {
         match &self.engine {
             JobEngine::Training { trainer, .. } => trainer.decode_cache_stats(),
-            JobEngine::MatVec { engine, .. } | JobEngine::MatVecBatch { engine, .. } => {
-                engine.decode_cache_stats()
-            }
-        }
-    }
-
-    /// Per-worker slowdown snapshot for re-dispatching the current round.
-    fn slowdowns(&self) -> Vec<f64> {
-        match &self.engine {
-            JobEngine::Training { trainer, .. } => effective_slowdowns(trainer.cluster()),
-            JobEngine::MatVec { .. } | JobEngine::MatVecBatch { .. } => vec![1.0; self.tasks.len()],
+            JobEngine::MatVecBatch { engine, .. } => engine.decode_cache_stats(),
         }
     }
 }
 
 /// What one master step did to a collectable job.
 enum Step<M: PrimeModulus> {
-    /// The round was collected and the next round's tasks are ready.
-    Continue(Vec<FleetTask<M>>, Vec<f64>),
+    /// Put the job's `tasks` on the fleet: the next round after a successful
+    /// collect, or a parked round again — one that came back below the
+    /// recovery threshold with every dispatched result in (churned workers
+    /// absent) is re-dispatched unchanged while the stall budget lasts; each
+    /// dispatch advances the churn clock, so absent workers may have rejoined.
+    Continue,
     /// The collect failed on a short prefix; wait for one more arrival.
     Wait,
-    /// The round came back below the recovery threshold with every
-    /// dispatched result in (churned workers absent): re-dispatch the same
-    /// tasks — the next dispatch advances the churn clock, so absent
-    /// workers may have rejoined — while the stall budget lasts.
-    Park,
     /// The job finished (successfully or not).
     Done(JobOutput<M>),
 }
@@ -360,139 +340,110 @@ impl<M: PrimeModulus> Scheduler<M> {
         let (tx, rx) = mpsc::channel::<TaskMessage<M>>();
         let mut next_serial: u64 = 0;
         let sleep_per_unit = self.config.sleep_per_slowdown_unit;
+        let churn = &mut self.churn;
+        let pending = &mut self.pending;
 
-        fleet.pool().scope(|scope| loop {
-            let mut progressed = false;
-
-            // Admission: move queued jobs into free slots and dispatch their
-            // first rounds.
-            for (slot, entry) in slots.iter_mut().enumerate() {
-                if entry.is_some() {
-                    continue;
+        fleet.pool().scope(|scope| {
+            // The one way a round reaches the fleet — a job's first round, its
+            // next round, or a parked round again: a fresh serial (one tick of
+            // the churn clock), an empty arrival list, `job.tasks` dispatched.
+            let mut launch = |slot: usize, job: &mut ActiveJob<M>| {
+                job.serial = next_serial;
+                next_serial += 1;
+                if let Some(churn) = churn.as_mut() {
+                    churn.advance_to(job.serial);
                 }
-                let Some(pending) = self.pending.pop_front() else {
+                job.outcomes.clear();
+                job.round_started_at = Instant::now();
+                job.dispatched = dispatch_round(
+                    scope,
+                    &tx,
+                    slot,
+                    job.serial,
+                    sleep_per_unit,
+                    job.tasks.clone(),
+                    &job.slowdowns(),
+                    churn.as_ref(),
+                );
+                job.needed = job.needed.min(job.dispatched);
+            };
+            loop {
+                let mut progressed = false;
+
+                // Admission: move queued jobs into free slots and dispatch
+                // their first rounds.
+                for (slot, entry) in slots.iter_mut().enumerate() {
+                    if entry.is_some() {
+                        continue;
+                    }
+                    let Some(pending) = pending.pop_front() else {
+                        break;
+                    };
+                    match start_job(pending) {
+                        Ok(mut job) => {
+                            launch(slot, &mut job);
+                            *entry = Some(job);
+                        }
+                        Err(completed) => {
+                            metrics.record_job(&completed.metrics, completed.output.is_failed());
+                            jobs.push(completed);
+                        }
+                    }
+                    progressed = true;
+                }
+
+                // Drain every result that has arrived, without blocking.
+                while let Ok(message) = rx.try_recv() {
+                    progressed |= deliver(message, &mut slots, &mut metrics);
+                }
+
+                // Master steps: collect any round with enough arrivals, then
+                // immediately dispatch that job's next round.
+                for (slot, entry) in slots.iter_mut().enumerate() {
+                    let Some(mut job) = entry.take() else {
+                        continue;
+                    };
+                    if job.outcomes.len() < job.needed {
+                        *entry = Some(job);
+                        continue;
+                    }
+                    match step(&mut job) {
+                        Step::Continue => {
+                            launch(slot, &mut job);
+                            *entry = Some(job);
+                            progressed = true;
+                        }
+                        Step::Wait => {
+                            *entry = Some(job);
+                        }
+                        Step::Done(output) => {
+                            let (hits, misses) = job.decode_cache_stats();
+                            job.metrics.decode_cache_hits =
+                                hits.saturating_sub(job.cache_baseline.0);
+                            job.metrics.decode_cache_misses =
+                                misses.saturating_sub(job.cache_baseline.1);
+                            job.metrics.active_seconds = job.admitted_at.elapsed().as_secs_f64();
+                            metrics.record_job(&job.metrics, output.is_failed());
+                            jobs.push(CompletedJob {
+                                id: job.id,
+                                output,
+                                metrics: job.metrics,
+                            });
+                            progressed = true;
+                        }
+                    }
+                }
+
+                if pending.is_empty() && slots.iter().all(Option::is_none) {
                     break;
-                };
-                match start_job(pending, next_serial) {
-                    Ok((mut job, tasks, slowdowns)) => {
-                        next_serial += 1;
-                        if let Some(churn) = self.churn.as_mut() {
-                            churn.advance_to(job.serial);
-                        }
-                        job.tasks = tasks.clone();
-                        job.dispatched = dispatch_round(
-                            scope,
-                            &tx,
-                            slot,
-                            job.serial,
-                            sleep_per_unit,
-                            tasks,
-                            &slowdowns,
-                            self.churn.as_ref(),
-                        );
-                        job.needed = job.needed.min(job.dispatched);
-                        *entry = Some(job);
-                    }
-                    Err(completed) => {
-                        metrics.record_job(&completed.metrics, completed.output.is_failed());
-                        jobs.push(completed);
-                    }
                 }
-                progressed = true;
-            }
 
-            // Drain every result that has arrived, without blocking.
-            while let Ok(message) = rx.try_recv() {
-                progressed |= deliver(message, &mut slots, &mut metrics);
-            }
-
-            // Master steps: collect any round with enough arrivals, then
-            // immediately dispatch that job's next round.
-            for (slot, entry) in slots.iter_mut().enumerate() {
-                let Some(mut job) = entry.take() else {
-                    continue;
-                };
-                if job.outcomes.len() < job.needed {
-                    *entry = Some(job);
-                    continue;
-                }
-                match step(&mut job) {
-                    Step::Continue(tasks, slowdowns) => {
-                        job.serial = next_serial;
-                        next_serial += 1;
-                        if let Some(churn) = self.churn.as_mut() {
-                            churn.advance_to(job.serial);
-                        }
-                        job.outcomes.clear();
-                        job.round_started_at = Instant::now();
-                        job.tasks = tasks.clone();
-                        job.dispatched = dispatch_round(
-                            scope,
-                            &tx,
-                            slot,
-                            job.serial,
-                            sleep_per_unit,
-                            tasks,
-                            &slowdowns,
-                            self.churn.as_ref(),
-                        );
-                        job.needed = job.needed.min(job.dispatched);
-                        *entry = Some(job);
-                        progressed = true;
+                // Nothing to do until another result lands: block briefly.
+                // The fleet's background threads keep computing meanwhile.
+                if !progressed {
+                    if let Ok(message) = rx.recv_timeout(Duration::from_millis(50)) {
+                        deliver(message, &mut slots, &mut metrics);
                     }
-                    Step::Park => {
-                        job.serial = next_serial;
-                        next_serial += 1;
-                        if let Some(churn) = self.churn.as_mut() {
-                            churn.advance_to(job.serial);
-                        }
-                        job.outcomes.clear();
-                        job.round_started_at = Instant::now();
-                        let tasks = job.tasks.clone();
-                        let slowdowns = job.slowdowns();
-                        job.dispatched = dispatch_round(
-                            scope,
-                            &tx,
-                            slot,
-                            job.serial,
-                            sleep_per_unit,
-                            tasks,
-                            &slowdowns,
-                            self.churn.as_ref(),
-                        );
-                        job.needed = job.needed.min(job.dispatched);
-                        *entry = Some(job);
-                        progressed = true;
-                    }
-                    Step::Wait => {
-                        *entry = Some(job);
-                    }
-                    Step::Done(output) => {
-                        let (hits, misses) = job.decode_cache_stats();
-                        job.metrics.decode_cache_hits = hits.saturating_sub(job.cache_baseline.0);
-                        job.metrics.decode_cache_misses =
-                            misses.saturating_sub(job.cache_baseline.1);
-                        job.metrics.active_seconds = job.admitted_at.elapsed().as_secs_f64();
-                        metrics.record_job(&job.metrics, output.is_failed());
-                        jobs.push(CompletedJob {
-                            id: job.id,
-                            output,
-                            metrics: job.metrics,
-                        });
-                        progressed = true;
-                    }
-                }
-            }
-
-            if self.pending.is_empty() && slots.iter().all(Option::is_none) {
-                break;
-            }
-
-            // Nothing to do until another result lands: block briefly. The
-            // fleet's background threads keep computing meanwhile.
-            if !progressed {
-                if let Ok(message) = rx.recv_timeout(Duration::from_millis(50)) {
-                    deliver(message, &mut slots, &mut metrics);
                 }
             }
         });
@@ -509,41 +460,31 @@ impl<M: PrimeModulus> Scheduler<M> {
     }
 }
 
-/// Builds the master-side driver for a freshly admitted job and its first
-/// round of tasks, or completes it immediately (zero-iteration training).
-#[allow(clippy::type_complexity)]
-fn start_job<M: PrimeModulus>(
-    pending: PendingJob<M>,
-    serial: u64,
-) -> Result<(ActiveJob<M>, Vec<FleetTask<M>>, Vec<f64>), CompletedJob<M>> {
+/// Builds the master-side driver for a freshly admitted job, its first
+/// round's tasks ready to launch, or completes it immediately
+/// (zero-iteration training).
+fn start_job<M: PrimeModulus>(pending: PendingJob<M>) -> Result<ActiveJob<M>, CompletedJob<M>> {
     let queue_wait_seconds = pending.submitted_at.elapsed().as_secs_f64();
     let metrics = JobMetrics {
         queue_wait_seconds,
         ..JobMetrics::default()
     };
-    let (engine, tasks, needed, slowdowns) = match pending.spec {
+    let (engine, tasks, needed) = match pending.spec {
         JobSpec::Training(config) => {
             let mut trainer = Box::new(config.build_trainer::<M>());
-            if trainer.iterations() == 0 {
-                let report =
-                    TrainingReport::new(trainer.scheme().label(), trainer.scenario_label());
-                return Err(CompletedJob {
-                    id: pending.id,
-                    output: JobOutput::Training(Box::new(report)),
-                    metrics,
-                });
-            }
             let report = Box::new(TrainingReport::new(
                 trainer.scheme().label(),
                 trainer.scenario_label(),
             ));
-            let tasks = trainer
-                .encode_round1()
-                .into_iter()
-                .map(FleetTask::Single)
-                .collect();
+            if trainer.iterations() == 0 {
+                return Err(CompletedJob {
+                    id: pending.id,
+                    output: JobOutput::Training(report),
+                    metrics,
+                });
+            }
+            let tasks = batch_of_one(trainer.encode_round1());
             let needed = trainer.round_min_results(TrainingRound::Round1);
-            let slowdowns = effective_slowdowns(trainer.cluster());
             (
                 JobEngine::Training {
                     trainer,
@@ -554,83 +495,27 @@ fn start_job<M: PrimeModulus>(
                 },
                 tasks,
                 needed,
-                slowdowns,
             )
         }
+        // A single product is a batch of one.
         JobSpec::CodedMatVec {
             matrix,
             input,
             coding,
             seed,
-        } => {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let engine = Box::new(AvccMatVec::new(
-                &matrix,
-                coding,
-                KeyGenConfig { repetitions: 1 },
-                &mut rng,
-            ));
-            let tasks = engine
-                .dispatch(&input)
-                .into_iter()
-                .map(FleetTask::Single)
-                .collect::<Vec<_>>();
-            let needed = engine.min_results();
-            // One-shot products run on nominal workers; stragglers and
-            // attacks are the training scenarios' concern.
-            let slowdowns = vec![1.0; tasks.len()];
-            (
-                JobEngine::MatVec {
-                    engine,
-                    input,
-                    network: NetworkModel::default(),
-                    rng,
-                },
-                tasks,
-                needed,
-                slowdowns,
-            )
-        }
+        } => start_matmul(&matrix, vec![input], coding, seed, true),
         JobSpec::MatMulBatch {
             matrix,
             inputs,
             coding,
             seed,
-        } => {
-            // Same construction (and rng stream) as CodedMatVec: one encode,
-            // one key set — the whole point is that the m functions share it.
-            let mut rng = StdRng::seed_from_u64(seed);
-            let engine = Box::new(AvccMatVec::new(
-                &matrix,
-                coding,
-                KeyGenConfig { repetitions: 1 },
-                &mut rng,
-            ));
-            let tasks = engine
-                .dispatch_batch(&inputs)
-                .into_iter()
-                .map(FleetTask::Batch)
-                .collect::<Vec<_>>();
-            let needed = engine.min_results();
-            let slowdowns = vec![1.0; tasks.len()];
-            (
-                JobEngine::MatVecBatch {
-                    engine,
-                    inputs,
-                    network: NetworkModel::default(),
-                    rng,
-                },
-                tasks,
-                needed,
-                slowdowns,
-            )
-        }
+        } => start_matmul(&matrix, inputs, coding, seed, false),
     };
     let now = Instant::now();
     let mut job = ActiveJob {
         id: pending.id,
         engine,
-        serial,
+        serial: 0,
         dispatched: tasks.len(),
         needed,
         outcomes: Vec::new(),
@@ -638,11 +523,38 @@ fn start_job<M: PrimeModulus>(
         admitted_at: now,
         metrics,
         cache_baseline: (0, 0),
-        tasks: Vec::new(),
+        tasks,
         stalls: 0,
     };
     job.cache_baseline = job.decode_cache_stats();
-    Ok((job, tasks, slowdowns))
+    Ok(job)
+}
+
+/// The driver and single round of a one-shot product job: one encode and one
+/// key set shared by the `m` inputs.
+fn start_matmul<M: PrimeModulus>(
+    matrix: &Matrix<Fp<M>>,
+    inputs: Vec<Vec<Fp<M>>>,
+    coding: SchemeConfig,
+    seed: u64,
+    single: bool,
+) -> (JobEngine<M>, Vec<BatchRoundTask<M>>, usize) {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let engine = Box::new(AvccMatVec::new(
+        matrix,
+        coding,
+        KeyGenConfig { repetitions: 1 },
+        &mut rng,
+    ));
+    let tasks = engine.dispatch_batch(&inputs);
+    let needed = engine.min_results();
+    let engine = JobEngine::MatVecBatch {
+        engine,
+        inputs,
+        rng,
+        single,
+    };
+    (engine, tasks, needed)
 }
 
 /// Spawns one round's tasks onto the fleet. Each task computes its share
@@ -657,13 +569,13 @@ fn dispatch_round<'scope, M: PrimeModulus>(
     slot: usize,
     serial: u64,
     sleep_per_unit: f64,
-    tasks: Vec<FleetTask<M>>,
+    tasks: Vec<BatchRoundTask<M>>,
     slowdowns: &[f64],
     churn: Option<&ChurnState>,
 ) -> usize {
     let mut count = 0;
     for task in tasks {
-        let worker = task.worker();
+        let worker = task.worker;
         if let Some(churn) = churn {
             if churn.is_down(worker) || churn.is_corrupting(worker) {
                 continue;
@@ -676,7 +588,8 @@ fn dispatch_round<'scope, M: PrimeModulus>(
         let sleep = slowdown_sleep_seconds(slowdown, sleep_per_unit);
         scope.spawn(move || {
             let started = Instant::now();
-            let payload = task.run();
+            // The m per-function outputs travel as one function-major payload.
+            let payload: Vec<Fp<M>> = task.run().into_iter().flatten().collect();
             if sleep > 0.0 {
                 std::thread::sleep(Duration::from_secs_f64(sleep));
             }
@@ -732,9 +645,53 @@ fn deliver<M: PrimeModulus>(
 /// Runs the collect stage of a job whose round has enough arrivals, and
 /// prepares the next round. Collect failures on a short prefix raise the
 /// arrival target instead of failing the job (the engines guarantee a failed
-/// collect consumes no state); the job aborts only when every dispatched
-/// result is already in.
+/// collect consumes no state). With every dispatched result already in, a
+/// training round parks or shrink-recodes as
+/// [`DistributedTrainer::park_or_shrink`] decides — re-dispatching the same
+/// round while the stall budget lasts (the churn clock advances per dispatch,
+/// so absent workers may rejoin), then restarting the iteration on a smaller
+/// `K` — and a one-shot job fails.
 fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
+    let failure = match collect_stage(job) {
+        Ok(step) => return step,
+        Err(failure) => failure,
+    };
+    if job.outcomes.len() < job.dispatched {
+        job.needed = job.outcomes.len() + 1;
+        return Step::Wait;
+    }
+    let JobEngine::Training {
+        trainer,
+        iteration,
+        round,
+        ..
+    } = &mut job.engine
+    else {
+        return Step::Done(JobOutput::Failed(failure));
+    };
+    let SchemeFailure::NotEnoughResults { required, .. } = failure else {
+        return Step::Done(JobOutput::Failed(failure));
+    };
+    match trainer.park_or_shrink(*iteration, &mut job.stalls, failure) {
+        // Parked: the same tasks again.
+        Ok(false) => {
+            job.needed = required;
+            Step::Continue
+        }
+        // Shrink-recoded: restart the iteration on the new code.
+        Ok(true) => {
+            *round = TrainingRound::Round1;
+            job.needed = trainer.round_min_results(TrainingRound::Round1);
+            job.tasks = batch_of_one(trainer.encode_round1());
+            Step::Continue
+        }
+        Err(failure) => Step::Done(JobOutput::Failed(failure)),
+    }
+}
+
+/// The collect half of [`step`]: `Ok` is what a successful collect leads to,
+/// `Err` the engine's failure with the job's state untouched.
+fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, SchemeFailure> {
     match &mut job.engine {
         JobEngine::Training {
             trainer,
@@ -743,121 +700,44 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
             cumulative,
             round,
         } => match round {
-            TrainingRound::Round1 => match trainer.collect_round1(&job.outcomes) {
-                Ok(tasks) => {
-                    if job.stalls > 0 {
-                        trainer.note_fleet_event(
-                            *iteration as u64,
-                            job.outcomes.len(),
-                            ChurnEventKind::Resumed,
-                        );
-                        job.stalls = 0;
-                    }
-                    job.metrics.rounds += 1;
-                    *round = TrainingRound::Round2;
-                    job.needed = trainer.round_min_results(TrainingRound::Round2);
-                    let slowdowns = effective_slowdowns(trainer.cluster());
-                    Step::Continue(
-                        tasks.into_iter().map(FleetTask::Single).collect(),
-                        slowdowns,
-                    )
-                }
-                Err(failure) => {
-                    if job.outcomes.len() < job.dispatched {
-                        job.needed = job.outcomes.len() + 1;
-                        Step::Wait
-                    } else {
-                        park_or_shrink(
-                            trainer,
-                            *iteration,
-                            round,
-                            &mut job.needed,
-                            &mut job.stalls,
-                            failure,
-                        )
-                    }
-                }
-            },
+            TrainingRound::Round1 => {
+                let tasks = trainer.collect_round1(&job.outcomes)?;
+                trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
+                job.metrics.rounds += 1;
+                *round = TrainingRound::Round2;
+                job.needed = trainer.round_min_results(TrainingRound::Round2);
+                job.tasks = batch_of_one(tasks);
+                Ok(Step::Continue)
+            }
             TrainingRound::Round2 => {
                 // The round stopped collecting at `needed` arrivals; tell the
                 // trainer how many workers were actually dispatched so the
                 // autopilot's missing-worker estimate reflects churn, not the
                 // early cutoff.
                 trainer.set_live_hint(job.dispatched);
-                match trainer.collect_round2(*iteration, &job.outcomes, cumulative) {
-                    Ok(record) => {
-                        if job.stalls > 0 {
-                            trainer.note_fleet_event(
-                                *iteration as u64,
-                                job.outcomes.len(),
-                                ChurnEventKind::Resumed,
-                            );
-                            job.stalls = 0;
-                        }
-                        job.metrics.rounds += 1;
-                        job.metrics.ops = job.metrics.ops.combined(&record.ops);
-                        job.metrics.screened_workers += record.screened_workers.len() as u64;
-                        report.push(record);
-                        *iteration += 1;
-                        if *iteration >= trainer.iterations() {
-                            let finished =
-                                std::mem::replace(report, Box::new(TrainingReport::new("", "")));
-                            Step::Done(JobOutput::Training(finished))
-                        } else {
-                            let tasks = trainer.encode_round1();
-                            *round = TrainingRound::Round1;
-                            job.needed = trainer.round_min_results(TrainingRound::Round1);
-                            let slowdowns = effective_slowdowns(trainer.cluster());
-                            Step::Continue(
-                                tasks.into_iter().map(FleetTask::Single).collect(),
-                                slowdowns,
-                            )
-                        }
-                    }
-                    Err(failure) => {
-                        if job.outcomes.len() < job.dispatched {
-                            job.needed = job.outcomes.len() + 1;
-                            Step::Wait
-                        } else {
-                            park_or_shrink(
-                                trainer,
-                                *iteration,
-                                round,
-                                &mut job.needed,
-                                &mut job.stalls,
-                                failure,
-                            )
-                        }
-                    }
-                }
-            }
-        },
-        JobEngine::MatVec {
-            engine,
-            input,
-            network,
-            rng,
-        } => match engine.collect(input, &job.outcomes, network, 1.0, rng) {
-            Ok(execution) => {
+                let record = trainer.collect_round2(*iteration, &job.outcomes, cumulative)?;
+                trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
                 job.metrics.rounds += 1;
-                job.metrics.ops = job.metrics.ops.combined(&execution.ops);
-                job.metrics.screened_workers += execution.screened_workers.len() as u64;
-                Step::Done(JobOutput::MatVec(execution.output))
-            }
-            Err(failure) => {
-                if job.outcomes.len() < job.dispatched {
-                    job.needed = job.outcomes.len() + 1;
-                    Step::Wait
-                } else {
-                    Step::Done(JobOutput::Failed(failure))
+                job.metrics.ops = job.metrics.ops.combined(&record.ops);
+                job.metrics.screened_workers += record.screened_workers.len() as u64;
+                report.push(record);
+                *iteration += 1;
+                if *iteration >= trainer.iterations() {
+                    let finished = std::mem::replace(report, Box::new(TrainingReport::new("", "")));
+                    return Ok(Step::Done(JobOutput::Training(finished)));
                 }
+                let tasks = trainer.encode_round1();
+                *round = TrainingRound::Round1;
+                job.needed = trainer.round_min_results(TrainingRound::Round1);
+                job.tasks = batch_of_one(tasks);
+                Ok(Step::Continue)
             }
         },
         JobEngine::MatVecBatch {
             engine,
             inputs,
-            network,
             rng,
+            single,
         } => {
             // Un-flatten each wire payload back into its m per-function
             // parts before handing the arrivals to the batched collect.
@@ -865,101 +745,30 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
             let outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> = job
                 .outcomes
                 .iter()
-                .map(|outcome| WorkerOutcome {
-                    worker: outcome.worker,
-                    payload: split_functions(&outcome.payload, functions),
-                    compute_seconds: outcome.compute_seconds,
-                    network_seconds: outcome.network_seconds,
-                    arrival_seconds: outcome.arrival_seconds,
-                    corrupted: outcome.corrupted,
+                .map(|outcome| {
+                    (outcome.clone()).map_payload(|payload| split_functions(&payload, functions))
                 })
                 .collect();
-            match engine.collect_batch(inputs, &outcomes, network, 1.0, rng) {
-                Ok(execution) => {
-                    job.metrics.rounds += 1;
-                    job.metrics.ops = job.metrics.ops.combined(&execution.ops);
-                    job.metrics.screened_workers += execution.screened_workers.len() as u64;
-                    Step::Done(JobOutput::MatVecBatch(execution.outputs))
-                }
-                Err(failure) => {
-                    if job.outcomes.len() < job.dispatched {
-                        job.needed = job.outcomes.len() + 1;
-                        Step::Wait
-                    } else {
-                        Step::Done(JobOutput::Failed(failure))
-                    }
-                }
-            }
+            let mut execution =
+                engine.collect_batch(inputs, &outcomes, &NetworkModel::default(), 1.0, rng)?;
+            job.metrics.rounds += 1;
+            job.metrics.ops = job.metrics.ops.combined(&execution.ops);
+            job.metrics.screened_workers += execution.screened_workers.len() as u64;
+            Ok(Step::Done(if *single {
+                JobOutput::MatVec(execution.outputs.remove(0))
+            } else {
+                JobOutput::MatVecBatch(execution.outputs)
+            }))
         }
     }
-}
-
-/// Park/shrink policy for a training round that failed with every dispatched
-/// result already in (churned workers absent, not merely late): re-dispatch
-/// the same round while the trainer's stall budget lasts — the churn clock
-/// advances per dispatch, so absent workers may rejoin — then shrink-recode
-/// to a smaller `K` and restart the iteration. The job fails only when no
-/// strictly smaller decodable code exists.
-fn park_or_shrink<M: PrimeModulus>(
-    trainer: &mut DistributedTrainer<M>,
-    iteration: usize,
-    round: &mut TrainingRound,
-    needed: &mut usize,
-    stalls: &mut usize,
-    failure: SchemeFailure,
-) -> Step<M> {
-    let SchemeFailure::NotEnoughResults {
-        available,
-        required,
-    } = failure
-    else {
-        return Step::Done(JobOutput::Failed(failure));
-    };
-    if *stalls < trainer.stall_budget() {
-        if *stalls == 0 {
-            trainer.note_fleet_event(iteration as u64, available, ChurnEventKind::Parked);
-        }
-        *stalls += 1;
-        *needed = required;
-        Step::Park
-    } else if trainer
-        .shrink_to_fit(iteration as u64, available, required)
-        .is_ok()
-    {
-        *stalls = 0;
-        *round = TrainingRound::Round1;
-        let tasks = trainer.encode_round1();
-        *needed = trainer.round_min_results(TrainingRound::Round1);
-        let slowdowns = effective_slowdowns(trainer.cluster());
-        Step::Continue(
-            tasks.into_iter().map(FleetTask::Single).collect(),
-            slowdowns,
-        )
-    } else {
-        Step::Done(JobOutput::Failed(SchemeFailure::NotEnoughResults {
-            available,
-            required,
-        }))
-    }
-}
-
-/// Snapshot of every worker's effective slowdown, taken at dispatch time so
-/// a mid-round adaptation (worker eviction) cannot skew an in-flight round.
-fn effective_slowdowns(cluster: &ClusterProfile) -> Vec<f64> {
-    cluster
-        .workers()
-        .iter()
-        .map(|worker| worker.effective_slowdown())
-        .collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avcc_coding::SchemeConfig;
     use avcc_core::{ExperimentConfig, FaultScenario};
     use avcc_field::{PrimeField, P25};
-    use avcc_linalg::{mat_vec, Matrix};
+    use avcc_linalg::mat_vec;
     use avcc_ml::dataset::DatasetConfig;
     use avcc_sim::attack::AttackModel;
     use rand::Rng;

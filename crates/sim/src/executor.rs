@@ -1,32 +1,29 @@
 //! Execution engines that place worker results on a timeline.
 //!
-//! Two engines share the same outcome type:
+//! Every engine implements the one round interface, [`Executor`]: install a
+//! job's blocks once, then [`Executor::execute_round`] per round. Two
+//! in-process engines live here (the socket runtime is `crate::socket`):
 //!
-//! * [`VirtualExecutor`] — the engine every experiment uses. Each worker task
-//!   is executed for real (so the payload is a genuine finite-field result and
-//!   its cost is measured with a monotonic clock), then the measured compute
-//!   time is multiplied by the worker's slowdown factor and a network transfer
-//!   time is added, producing a deterministic-enough virtual arrival time.
-//!   Nothing sleeps; a 50-iteration training run over a 12-worker cluster
-//!   completes in seconds of real time while still exhibiting the arrival
-//!   orderings the paper's results depend on.
-//! * [`ThreadedExecutor`] — every worker task runs as a task on the shared
-//!   [`avcc_pool`] work-stealing pool and reports back over an mpsc channel;
-//!   stragglers really do finish later. Used by the examples to demonstrate
-//!   that the same master logic drives a live cluster. Because worker tasks
-//!   are pool tasks (not one dedicated OS thread per worker, as in earlier
-//!   revisions), a worker task may itself call the pool-backed parallel
-//!   kernels in `avcc_linalg` — the nested fan-out shares the one fixed set
-//!   of pool threads instead of multiplying OS threads, and a worker waiting
-//!   on its inner kernel chunks executes those same chunks meanwhile (the
-//!   pool's *scope-local* helping rule, which is also what keeps a waiter
-//!   from nesting another worker's task — and sleep — inside its own
-//!   measured compute span), so the nesting cannot deadlock.
-//!
-//! [`VirtualExecutor`] stays deliberately serial: it derives each worker's
-//! virtual cost from a wall-clock measurement of that worker's task, and
-//! running tasks concurrently would let them contend and corrupt each
-//! other's measurements.
+//! * [`VirtualExecutor`] — the engine every experiment uses. Each worker's
+//!   block product is executed for real (so the payload is a genuine
+//!   finite-field result and its cost is measured with a monotonic clock),
+//!   then the measured compute time is multiplied by the worker's slowdown
+//!   factor and a network transfer time is added, producing a
+//!   deterministic-enough virtual arrival time. Nothing sleeps; a
+//!   50-iteration training run over a 12-worker cluster completes in seconds
+//!   of real time while still exhibiting the arrival orderings the paper's
+//!   results depend on. It stays deliberately serial: each worker's virtual
+//!   cost derives from a wall-clock measurement of that worker's product, and
+//!   running them concurrently would let them contend and corrupt each
+//!   other's measurements.
+//! * [`ThreadedExecutor`] — every worker's product runs as a task on the
+//!   shared [`avcc_pool`] work-stealing pool and reports back over an mpsc
+//!   channel; stragglers really do finish later. The round is a pool scope,
+//!   so it may itself be driven from inside a pool task: a thread waiting on
+//!   the scope executes that scope's pending tasks meanwhile (the pool's
+//!   *scope-local* helping rule, which is also what keeps a waiter from
+//!   nesting another worker's task — and sleep — inside its own measured
+//!   compute span), so the nesting cannot deadlock.
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
@@ -56,6 +53,22 @@ pub struct WorkerOutcome<T> {
     pub arrival_seconds: f64,
     /// `true` iff the payload was modified by a Byzantine attack.
     pub corrupted: bool,
+}
+
+impl<T> WorkerOutcome<T> {
+    /// The same outcome carrying `f(payload)` — how the round path moves
+    /// between wire (`u64`), typed and single-function payload shapes
+    /// without touching the timeline.
+    pub fn map_payload<U>(self, f: impl FnOnce(T) -> U) -> WorkerOutcome<U> {
+        WorkerOutcome {
+            worker: self.worker,
+            payload: f(self.payload),
+            compute_seconds: self.compute_seconds,
+            network_seconds: self.network_seconds,
+            arrival_seconds: self.arrival_seconds,
+            corrupted: self.corrupted,
+        }
+    }
 }
 
 /// Why an executor dropped a worker from a round.
@@ -211,8 +224,15 @@ fn clobber(payload: &mut [Vec<u64>]) {
     }
 }
 
-/// Installs wire blocks as typed blocks, validating each against its modulus.
-fn type_blocks(blocks: &[Block]) -> Result<Vec<TypedBlock>, ExecutorError> {
+/// Types a job's wire blocks for a fleet of `workers`, validating each
+/// against its modulus.
+fn type_blocks(workers: usize, blocks: &[Block]) -> Result<Vec<TypedBlock>, ExecutorError> {
+    if blocks.len() > workers {
+        return Err(ExecutorError::TooManyTasks {
+            tasks: blocks.len(),
+            workers,
+        });
+    }
     blocks
         .iter()
         .enumerate()
@@ -220,6 +240,38 @@ fn type_blocks(blocks: &[Block]) -> Result<Vec<TypedBlock>, ExecutorError> {
             TypedBlock::from_block(block).map_err(|error| ExecutorError::BadBlock { worker, error })
         })
         .collect()
+}
+
+/// The start of every in-process round: one tick of the churn clock, then the
+/// job's resident blocks, which must cover all `tasks` inputs.
+fn begin_round<'a, B>(
+    churn: &mut Option<ChurnState>,
+    resident: &'a HashMap<u64, Vec<B>>,
+    job: u64,
+    round: u64,
+    tasks: usize,
+) -> Result<&'a [B], ExecutorError> {
+    if let Some(churn) = churn {
+        churn.advance_to(round);
+    }
+    let blocks = resident
+        .get(&job)
+        .ok_or(ExecutorError::UnknownJob { job })?;
+    if tasks > blocks.len() {
+        return Err(ExecutorError::TooManyTasks {
+            tasks,
+            workers: blocks.len(),
+        });
+    }
+    Ok(blocks)
+}
+
+/// Modeled transfer time of a worker's result: the *true* wire size of its
+/// result frame, so the virtual network cost matches what the socket runtime
+/// ships.
+fn result_transfer_seconds(profile: &ClusterProfile, payload: &[Vec<u64>]) -> f64 {
+    let frame_bytes = result_frame_bytes(payload.len(), payload.first().map_or(0, Vec::len));
+    profile.network.transfer_seconds(frame_bytes)
 }
 
 /// The virtual-timeline executor.
@@ -231,7 +283,7 @@ pub struct VirtualExecutor {
     /// development machine; the default of 40 puts per-iteration times in the
     /// same ballpark as the paper's seconds-per-iteration scale).
     pub time_scale: f64,
-    /// Per-job resident blocks for the modulus-erased [`Executor`] path.
+    /// Per-job resident blocks.
     blocks: HashMap<u64, Vec<TypedBlock>>,
     /// Scripted fleet churn, consumed on the round clock (`None` = quiet).
     churn: Option<ChurnState>,
@@ -272,72 +324,10 @@ impl VirtualExecutor {
         &self.profile
     }
 
-    /// Mutable access to the cluster profile (e.g. to move straggler flags
-    /// between iterations).
-    pub fn profile_mut(&mut self) -> &mut ClusterProfile {
-        &mut self.profile
-    }
-
-    /// Replaces the cluster profile (used by the dynamic-coding controller
-    /// when it drops workers).
+    /// Replaces the cluster profile (the trainer re-profiles its executor
+    /// when stragglers move or the dynamic-coding controller drops workers).
     pub fn set_profile(&mut self, profile: ClusterProfile) {
         self.profile = profile;
-    }
-
-    /// Runs one round: executes `tasks[i]` as worker `i`, applies `corrupt`
-    /// to each payload (returning whether it modified it), charges compute and
-    /// network time and returns the outcomes sorted by arrival time.
-    ///
-    /// # Panics
-    /// Panics if the number of tasks differs from the number of workers in the
-    /// profile.
-    pub fn run_round<T, Task, Corrupt>(
-        &self,
-        tasks: Vec<Task>,
-        payload_bytes: impl Fn(&T) -> usize,
-        mut corrupt: Corrupt,
-    ) -> Vec<WorkerOutcome<T>>
-    where
-        Task: FnOnce() -> T,
-        Corrupt: FnMut(usize, &mut T) -> bool,
-    {
-        assert_eq!(
-            tasks.len(),
-            self.profile.len(),
-            "expected one task per worker ({}), got {}",
-            self.profile.len(),
-            tasks.len()
-        );
-        let mut outcomes: Vec<WorkerOutcome<T>> = tasks
-            .into_iter()
-            .enumerate()
-            .map(|(worker, task)| {
-                let started = Instant::now();
-                let mut payload = task();
-                let measured = started.elapsed().as_secs_f64();
-                let corrupted = corrupt(worker, &mut payload);
-                let compute_seconds =
-                    measured * self.time_scale * self.profile.worker(worker).effective_slowdown();
-                let network_seconds = self
-                    .profile
-                    .network
-                    .transfer_seconds(payload_bytes(&payload));
-                WorkerOutcome {
-                    worker,
-                    arrival_seconds: compute_seconds + network_seconds,
-                    compute_seconds,
-                    network_seconds,
-                    payload,
-                    corrupted,
-                }
-            })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("arrival times are finite")
-        });
-        outcomes
     }
 }
 
@@ -370,8 +360,8 @@ pub struct ThreadedExecutor {
     /// Seconds of real sleep charged per unit of effective slowdown above 1.0
     /// (kept small so examples finish quickly).
     pub sleep_per_slowdown_unit: f64,
-    /// Per-job resident blocks for the modulus-erased [`Executor`] path
-    /// (`Arc` so pool tasks can share them without cloning matrices).
+    /// Per-job resident blocks (`Arc` so pool tasks can share them without
+    /// cloning matrices).
     blocks: HashMap<u64, Vec<Arc<TypedBlock>>>,
     /// Scripted fleet churn, consumed on the round clock (`None` = quiet).
     churn: Option<ChurnState>,
@@ -404,78 +394,6 @@ impl ThreadedExecutor {
     pub fn churn(&self) -> Option<&ChurnState> {
         self.churn.as_ref()
     }
-
-    /// Runs one round as pool tasks. Results are returned in arrival order
-    /// (the order in which the master's channel received them).
-    pub fn run_round<T, Task, Corrupt>(
-        &self,
-        tasks: Vec<Task>,
-        payload_bytes: impl Fn(&T) -> usize,
-        mut corrupt: Corrupt,
-    ) -> Vec<WorkerOutcome<T>>
-    where
-        T: Send,
-        Task: FnOnce() -> T + Send,
-        Corrupt: FnMut(usize, &mut T) -> bool,
-    {
-        assert_eq!(
-            tasks.len(),
-            self.profile.len(),
-            "expected one task per worker ({}), got {}",
-            self.profile.len(),
-            tasks.len()
-        );
-        let (sender, receiver) = mpsc::channel();
-        let round_start = Instant::now();
-        // The scope returns once every worker task has sent its result, so
-        // draining the channel afterwards never blocks. (Collecting *inside*
-        // the scope body would deadlock on small pools: the body runs before
-        // the scope starts executing queued tasks.)
-        avcc_pool::scope(|scope| {
-            for (worker, task) in tasks.into_iter().enumerate() {
-                let sender = sender.clone();
-                let slowdown = self.profile.worker(worker).effective_slowdown();
-                let extra_sleep = slowdown_sleep_seconds(slowdown, self.sleep_per_slowdown_unit);
-                scope.spawn(move || {
-                    // Compute time is the task's own execution span; on a
-                    // pool smaller than the worker count the task may also
-                    // have *queued* behind other workers, and that wait
-                    // belongs to arrival, not compute.
-                    let task_start = Instant::now();
-                    let payload = task();
-                    if extra_sleep > 0.0 {
-                        std::thread::sleep(std::time::Duration::from_secs_f64(extra_sleep));
-                    }
-                    let compute = task_start.elapsed().as_secs_f64();
-                    let sent_at = round_start.elapsed().as_secs_f64();
-                    // A closed receiver just means the master stopped early.
-                    let _ = sender.send((worker, payload, compute, sent_at));
-                });
-            }
-        });
-        drop(sender);
-        let mut arrived: Vec<(usize, T, f64, f64)> = receiver.iter().collect();
-        // The channel already yields messages in arrival order; keep it.
-        let outcomes = arrived
-            .drain(..)
-            .map(|(worker, mut payload, compute_seconds, sent_at)| {
-                let corrupted = corrupt(worker, &mut payload);
-                let network_seconds = self
-                    .profile
-                    .network
-                    .transfer_seconds(payload_bytes(&payload));
-                WorkerOutcome {
-                    worker,
-                    compute_seconds,
-                    network_seconds,
-                    arrival_seconds: sent_at + network_seconds,
-                    payload,
-                    corrupted,
-                }
-            })
-            .collect();
-        outcomes
-    }
 }
 
 impl Executor for VirtualExecutor {
@@ -488,13 +406,8 @@ impl Executor for VirtualExecutor {
     }
 
     fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
-        if blocks.len() > self.profile.len() {
-            return Err(ExecutorError::TooManyTasks {
-                tasks: blocks.len(),
-                workers: self.profile.len(),
-            });
-        }
-        self.blocks.insert(job, type_blocks(blocks)?);
+        let typed = type_blocks(self.profile.len(), blocks)?;
+        self.blocks.insert(job, typed);
         Ok(())
     }
 
@@ -504,19 +417,7 @@ impl Executor for VirtualExecutor {
         round: u64,
         inputs: &[Vec<Vec<u64>>],
     ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError> {
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round);
-        }
-        let blocks = self
-            .blocks
-            .get(&job)
-            .ok_or(ExecutorError::UnknownJob { job })?;
-        if inputs.len() > blocks.len() {
-            return Err(ExecutorError::TooManyTasks {
-                tasks: inputs.len(),
-                workers: blocks.len(),
-            });
-        }
+        let blocks = begin_round(&mut self.churn, &self.blocks, job, round, inputs.len())?;
         let churn = self.churn.as_ref();
         let mut outcomes: Vec<WorkerOutcome<Vec<Vec<u64>>>> = Vec::with_capacity(inputs.len());
         for (worker, worker_inputs) in inputs.iter().enumerate() {
@@ -538,14 +439,7 @@ impl Executor for VirtualExecutor {
                 * self.time_scale
                 * self.profile.worker(worker).effective_slowdown()
                 * stall;
-            let functions = payload.len();
-            let output_len = payload.first().map_or(0, Vec::len);
-            // Charge the *true* wire size of the result frame, so the
-            // virtual network cost matches what the socket runtime ships.
-            let network_seconds = self
-                .profile
-                .network
-                .transfer_seconds(result_frame_bytes(functions, output_len));
+            let network_seconds = result_transfer_seconds(&self.profile, &payload);
             outcomes.push(WorkerOutcome {
                 worker,
                 arrival_seconds: compute_seconds + network_seconds,
@@ -584,16 +478,9 @@ impl Executor for ThreadedExecutor {
     }
 
     fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
-        if blocks.len() > self.profile.len() {
-            return Err(ExecutorError::TooManyTasks {
-                tasks: blocks.len(),
-                workers: self.profile.len(),
-            });
-        }
-        self.blocks.insert(
-            job,
-            type_blocks(blocks)?.into_iter().map(Arc::new).collect(),
-        );
+        let typed = type_blocks(self.profile.len(), blocks)?;
+        self.blocks
+            .insert(job, typed.into_iter().map(Arc::new).collect());
         Ok(())
     }
 
@@ -603,19 +490,7 @@ impl Executor for ThreadedExecutor {
         round: u64,
         inputs: &[Vec<Vec<u64>>],
     ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError> {
-        if let Some(churn) = self.churn.as_mut() {
-            churn.advance_to(round);
-        }
-        let blocks = self
-            .blocks
-            .get(&job)
-            .ok_or(ExecutorError::UnknownJob { job })?;
-        if inputs.len() > blocks.len() {
-            return Err(ExecutorError::TooManyTasks {
-                tasks: inputs.len(),
-                workers: blocks.len(),
-            });
-        }
+        let blocks = begin_round(&mut self.churn, &self.blocks, job, round, inputs.len())?;
         let churn = self.churn.as_ref();
         let corrupting: Vec<bool> = (0..inputs.len())
             .map(|w| churn.is_some_and(|c| c.is_corrupting(w)))
@@ -652,12 +527,7 @@ impl Executor for ThreadedExecutor {
             if corrupting[worker] {
                 clobber(&mut payload);
             }
-            let functions = payload.len();
-            let output_len = payload.first().map_or(0, Vec::len);
-            let network_seconds = self
-                .profile
-                .network
-                .transfer_seconds(result_frame_bytes(functions, output_len));
+            let network_seconds = result_transfer_seconds(&self.profile, &payload);
             outcomes.push(WorkerOutcome {
                 worker,
                 compute_seconds,
@@ -684,35 +554,52 @@ impl Executor for ThreadedExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::attack::{AttackModel, ByzantineSpec};
-    use avcc_field::{PrimeField, F25};
+    use avcc_field::{PrimeModulus, P25};
+    use rand::SeedableRng;
 
-    /// A worker task that does a deterministic amount of field arithmetic so
-    /// measured compute times are non-trivial and comparable across workers.
-    fn busy_task(worker: usize, work: usize) -> impl FnOnce() -> Vec<F25> {
-        move || {
-            let mut accumulator = F25::from_u64(worker as u64 + 1);
-            for i in 0..work {
-                accumulator = accumulator * F25::from_u64((i % 1000) as u64 + 1) + F25::ONE;
-            }
-            vec![accumulator; 8]
-        }
+    /// `workers` random `rows × cols` blocks over the 25-bit field plus one
+    /// shared input per worker — enough field arithmetic per worker that
+    /// measured compute times are non-trivial and comparable.
+    fn round(workers: usize, rows: usize, cols: usize) -> (Vec<Block>, Vec<Vec<Vec<u64>>>) {
+        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
+        let mut residues = |count: usize| -> Vec<u64> {
+            avcc_field::random_vector::<P25, _>(&mut rng, count)
+                .into_iter()
+                .map(avcc_field::PrimeField::to_u64)
+                .collect()
+        };
+        let blocks = (0..workers)
+            .map(|_| Block {
+                modulus: P25::MODULUS,
+                rows: rows as u32,
+                cols: cols as u32,
+                elements: residues(rows * cols),
+            })
+            .collect();
+        let input = residues(cols);
+        (blocks, vec![vec![input]; workers])
     }
 
-    fn byte_len(v: &[F25]) -> usize {
-        v.len() * 8
+    fn virtual_round(
+        profile: ClusterProfile,
+        time_scale: f64,
+        rows: usize,
+    ) -> Vec<WorkerOutcome<Vec<Vec<u64>>>> {
+        let (blocks, inputs) = round(profile.len(), rows, 64);
+        let mut executor = VirtualExecutor::new(profile).with_time_scale(time_scale);
+        executor.install_blocks(0, &blocks).unwrap();
+        executor.execute_round(0, 0, &inputs).unwrap()
     }
 
     #[test]
     fn virtual_round_returns_one_outcome_per_worker() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(4)).with_time_scale(1.0);
-        let tasks: Vec<_> = (0..4).map(|w| busy_task(w, 2_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
-        assert_eq!(outcomes.len(), 4);
+        let outcomes = virtual_round(ClusterProfile::uniform(4), 1.0, 32);
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();
         assert_eq!(workers, vec![0, 1, 2, 3]);
         for outcome in &outcomes {
+            assert_eq!(outcome.payload.len(), 1);
+            assert_eq!(outcome.payload[0].len(), 32);
             assert!(outcome.compute_seconds >= 0.0);
             assert!(outcome.network_seconds > 0.0);
             assert!(
@@ -725,10 +612,8 @@ mod tests {
 
     #[test]
     fn outcomes_are_sorted_by_arrival() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 50.0))
-            .with_time_scale(1.0);
-        let tasks: Vec<_> = (0..6).map(|w| busy_task(w, 20_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let profile = ClusterProfile::uniform(6).with_stragglers(&[0], 50.0);
+        let outcomes = virtual_round(profile, 1.0, 256);
         for pair in outcomes.windows(2) {
             assert!(pair[0].arrival_seconds <= pair[1].arrival_seconds);
         }
@@ -739,96 +624,71 @@ mod tests {
     #[test]
     fn stragglers_arrive_after_nominal_workers() {
         let profile = ClusterProfile::uniform(5).with_stragglers(&[2, 4], 100.0);
-        let executor = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let tasks: Vec<_> = (0..5).map(|w| busy_task(w, 50_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        let outcomes = virtual_round(profile, 1.0, 512);
         let last_two: Vec<usize> = outcomes[3..].iter().map(|o| o.worker).collect();
         assert!(last_two.contains(&2) && last_two.contains(&4));
     }
 
     #[test]
-    fn corruption_callback_marks_payloads() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(3)).with_time_scale(1.0);
-        let spec = ByzantineSpec::new([1], AttackModel::constant());
-        let tasks: Vec<_> = (0..3).map(|w| busy_task(w, 1_000)).collect();
-        let outcomes = executor.run_round(
-            tasks,
-            |v| byte_len(v),
-            |worker, payload: &mut Vec<F25>| spec.corrupt(worker, payload),
+    fn task_count_mismatch_is_an_error() {
+        // More inputs than installed blocks (or more blocks than workers) is
+        // a typed error on the round path, not a panic.
+        let (blocks, inputs) = round(4, 2, 2);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(3));
+        assert_eq!(
+            executor.install_blocks(0, &blocks),
+            Err(ExecutorError::TooManyTasks {
+                tasks: 4,
+                workers: 3
+            })
         );
-        for outcome in &outcomes {
-            if outcome.worker == 1 {
-                assert!(outcome.corrupted);
-                assert!(outcome.payload.iter().all(|&v| v == F25::from_u64(3)));
-            } else {
-                assert!(!outcome.corrupted);
-            }
-        }
-    }
-
-    #[test]
-    #[should_panic(expected = "one task per worker")]
-    fn task_count_mismatch_panics() {
-        let executor = VirtualExecutor::new(ClusterProfile::uniform(3));
-        let tasks: Vec<_> = (0..2).map(|w| busy_task(w, 10)).collect();
-        let _ = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
+        executor.install_blocks(0, &blocks[..3]).unwrap();
+        assert_eq!(
+            executor.execute_round(0, 0, &inputs),
+            Err(ExecutorError::TooManyTasks {
+                tasks: 4,
+                workers: 3
+            })
+        );
     }
 
     #[test]
     fn time_scale_scales_compute_linearly() {
-        let profile = ClusterProfile::uniform(1);
-        let tasks = || vec![busy_task(0, 30_000)];
-        let slow = VirtualExecutor::new(profile.clone()).with_time_scale(100.0);
-        let fast = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let slow_outcome = &slow.run_round(tasks(), |v| byte_len(v), |_, _| false)[0];
-        let fast_outcome = &fast.run_round(tasks(), |v| byte_len(v), |_, _| false)[0];
+        let slow = &virtual_round(ClusterProfile::uniform(1), 100.0, 512)[0];
+        let fast = &virtual_round(ClusterProfile::uniform(1), 1.0, 512)[0];
         // Measured times vary between runs, but a 100x scale must dominate
         // measurement noise by a wide margin.
-        assert!(slow_outcome.compute_seconds > fast_outcome.compute_seconds * 5.0);
+        assert!(slow.compute_seconds > fast.compute_seconds * 5.0);
     }
 
     #[test]
     fn threaded_executor_nests_pool_backed_kernels_without_deadlock() {
-        // The composition the pool exists for: the executor fans 8 worker
-        // tasks onto the pool, and every worker task itself fans a blocked
-        // kernel onto the same pool. With per-worker OS threads this was 8 +
-        // 8*4 threads; with the pool it must complete on ANY pool size
-        // because threads waiting on inner scopes execute pending tasks.
-        use avcc_linalg::{mat_vec, mat_vec_parallel, Matrix};
-        use rand::SeedableRng;
-        let workers = 8;
-        let (rows, cols) = (128usize, 160usize);
-        let mut rng = rand::rngs::StdRng::seed_from_u64(42);
-        let matrix = std::sync::Arc::new(Matrix::from_vec(
-            rows,
-            cols,
-            avcc_field::random_matrix(&mut rng, rows, cols),
-        ));
-        let x: std::sync::Arc<Vec<F25>> =
-            std::sync::Arc::new(avcc_field::random_vector(&mut rng, cols));
-        let expected = mat_vec(&matrix, &x);
-        let executor = ThreadedExecutor::new(ClusterProfile::uniform(workers));
-        let tasks: Vec<_> = (0..workers)
-            .map(|_| {
-                let matrix = std::sync::Arc::clone(&matrix);
-                let x = std::sync::Arc::clone(&x);
-                move || mat_vec_parallel(&matrix, &x, 4)
-            })
-            .collect();
-        let outcomes = executor.run_round(tasks, |v: &Vec<F25>| v.len() * 8, |_, _| false);
-        assert_eq!(outcomes.len(), workers);
-        for outcome in &outcomes {
-            assert_eq!(outcome.payload, expected);
-        }
-    }
-
-    /// A 2×2 block over the 25-bit field for trait-path churn tests.
-    fn tiny_block() -> avcc_wire::Block {
-        avcc_wire::Block {
-            modulus: <avcc_field::P25 as avcc_field::PrimeModulus>::MODULUS,
-            rows: 2,
-            cols: 2,
-            elements: vec![1, 2, 3, 4],
+        // The composition the pool exists for: four masters run as pool
+        // tasks, and each fans its own 8-worker round onto the same pool.
+        // It must complete on ANY pool size because a thread waiting on an
+        // inner scope executes that scope's pending tasks.
+        let (blocks, inputs) = round(8, 64, 64);
+        let typed = TypedBlock::from_block(&blocks[3]).unwrap();
+        let expected = typed.execute(&inputs[3]).unwrap();
+        let (sender, receiver) = mpsc::channel();
+        avcc_pool::scope(|scope| {
+            for _ in 0..4 {
+                let sender = sender.clone();
+                let (blocks, inputs) = (&blocks, &inputs);
+                scope.spawn(move || {
+                    let mut executor = ThreadedExecutor::new(ClusterProfile::uniform(8));
+                    executor.install_blocks(0, blocks).unwrap();
+                    let _ = sender.send(executor.execute_round(0, 0, inputs).unwrap());
+                });
+            }
+        });
+        drop(sender);
+        let rounds: Vec<_> = receiver.iter().collect();
+        assert_eq!(rounds.len(), 4);
+        for outcomes in rounds {
+            assert_eq!(outcomes.len(), 8);
+            let third = outcomes.iter().find(|o| o.worker == 3).unwrap();
+            assert_eq!(third.payload, expected);
         }
     }
 
@@ -848,9 +708,8 @@ mod tests {
                     },
                 ),
         );
-        let blocks = vec![tiny_block(); 4];
+        let (blocks, inputs) = round(4, 2, 2);
         executor.install_blocks(7, &blocks).unwrap();
-        let inputs = vec![vec![vec![1, 1]]; 4];
         let outcomes = executor.execute_round(7, 0, &inputs).unwrap();
         let mut seen: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         seen.sort_unstable();
@@ -870,8 +729,8 @@ mod tests {
         use crate::churn::{ChaosSchedule, ChurnEventKind};
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(4)).with_time_scale(1.0);
         executor.set_churn(ChaosSchedule::flap(&[0], 1, 2));
-        executor.install_blocks(0, &vec![tiny_block(); 4]).unwrap();
-        let inputs = vec![vec![vec![1, 1]]; 4];
+        let (blocks, inputs) = round(4, 2, 2);
+        executor.install_blocks(0, &blocks).unwrap();
         assert_eq!(executor.execute_round(0, 0, &inputs).unwrap().len(), 4);
         assert_eq!(executor.execute_round(0, 1, &inputs).unwrap().len(), 3);
         assert_eq!(executor.execute_round(0, 2, &inputs).unwrap().len(), 3);
@@ -887,10 +746,10 @@ mod tests {
     #[test]
     fn threaded_executor_collects_all_workers() {
         let profile = ClusterProfile::uniform(4).with_stragglers(&[3], 5.0);
-        let executor = ThreadedExecutor::new(profile);
-        let tasks: Vec<_> = (0..4).map(|w| busy_task(w, 5_000)).collect();
-        let outcomes = executor.run_round(tasks, |v| byte_len(v), |_, _| false);
-        assert_eq!(outcomes.len(), 4);
+        let (blocks, inputs) = round(4, 64, 64);
+        let mut executor = ThreadedExecutor::new(profile);
+        executor.install_blocks(0, &blocks).unwrap();
+        let outcomes = executor.execute_round(0, 0, &inputs).unwrap();
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();
         assert_eq!(workers, vec![0, 1, 2, 3]);

@@ -4,7 +4,7 @@
 //! The paper evaluates AVCC on a 13-node DCOMP testbed (one master plus
 //! `N = 12` Minnow workers). That hardware is not available here, so this
 //! crate provides the substitute substrate described in DESIGN.md §4: worker
-//! tasks are *actually executed* (real finite-field arithmetic, measured with
+//! products are *actually executed* (real finite-field arithmetic, measured with
 //! a monotonic clock) and their completion times are then placed on a virtual
 //! timeline according to a [`cluster::ClusterProfile`] — per-worker speed
 //! factors, straggler slowdowns and a network model. What the experiments
@@ -25,26 +25,26 @@
 //!
 //! # Executor selection
 //!
-//! All engines run one task per simulated worker and return
-//! [`executor::WorkerOutcome`]s in arrival order; they differ in what
-//! "time" means and on what the tasks run:
+//! There is one way to run a round: install a job's blocks, then
+//! [`executor::Executor::execute_round`] — worker `i` multiplies its resident
+//! block by the round's inputs, and the outcomes come back as
+//! [`executor::WorkerOutcome`]s in arrival order. The engines differ in what
+//! "time" means and on what the products run:
 //!
-//! | Engine | Tasks run on | Arrival time | Use when |
+//! | Engine | Products run on | Arrival time | Use when |
 //! |---|---|---|---|
-//! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per task × profile slowdown + modeled network transfer | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
+//! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per product × profile slowdown + modeled transfer of the result frame | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
 //! | [`executor::ThreadedExecutor`] | the global [`avcc_pool`] work-stealing pool, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | the examples: demonstrates the same master logic driving real concurrency |
 //! | [`socket::SocketExecutor`] | worker threads or spawned `avcc-worker` processes, over TCP loopback or Unix domain sockets | real elapsed time; network time measured as arrival − compute, not modeled | end-to-end protocol validation, wire-fault injection, the multi-process deployment shape |
 //!
-//! The split is deliberate. The virtual engine must stay serial because its
-//! cost model *measures* each task with a monotonic clock — concurrent
-//! tasks would contend for cores and corrupt each other's measurements. The
-//! threaded engine, conversely, exists to exhibit real concurrency, and
-//! since PR4 dispatches worker tasks onto the shared work-stealing pool
-//! rather than spawning one OS thread per worker: worker tasks may
-//! themselves call the pool-parallel kernels in `avcc_linalg`, and the
-//! nested fan-out (round × blocked kernel) shares one fixed thread set —
-//! composable, deadlock-free (waiting threads execute pending tasks), and
-//! never oversubscribed.
+//! The virtual engine must stay serial because its cost model *measures*
+//! each product with a monotonic clock — concurrent products would contend
+//! for cores and corrupt each other's measurements. The threaded engine
+//! exists to exhibit real concurrency; its round is a scope on the shared
+//! work-stealing pool (not one OS thread per worker), so rounds driven from
+//! inside pool tasks share one fixed thread set — composable, deadlock-free
+//! (waiting threads execute their scope's pending tasks), never
+//! oversubscribed.
 //!
 //! # Cost accounting
 //!

@@ -141,6 +141,29 @@ impl Block {
     }
 }
 
+/// Reads `functions` vectors of `len` raw `u64`s each. Both counts come off
+/// the wire unvalidated, so they are bounded by the bytes actually present
+/// *before* any allocation or loop: `functions · len · 8` may not exceed the
+/// rest of the payload, and zero-length vectors — which would let `functions`
+/// grow to 2³² at no byte cost — are malformed.
+fn take_rectangular(
+    reader: &mut WireReader<'_>,
+    functions: usize,
+    len: usize,
+    context: &'static str,
+) -> Result<Vec<Vec<u64>>, WireError> {
+    if functions > 0 && len == 0 {
+        return Err(WireError::Malformed { context });
+    }
+    let bytes = functions.checked_mul(len).and_then(|n| n.checked_mul(8));
+    if bytes.is_none_or(|bytes| bytes > reader.remaining()) {
+        return Err(WireError::Truncated { context });
+    }
+    (0..functions)
+        .map(|_| take_u64_elements(reader, len, context))
+        .collect()
+}
+
 /// Master → worker: one round's inputs (the block is already resident).
 ///
 /// `inputs` is rectangular: `functions` vectors of `input_len` elements each
@@ -176,10 +199,7 @@ impl Task {
         let sleep_micros = r.take_u64("TASK sleep")?;
         let functions = r.take_u32("TASK functions")? as usize;
         let input_len = r.take_u32("TASK input_len")? as usize;
-        let mut inputs = Vec::with_capacity(functions);
-        for _ in 0..functions {
-            inputs.push(take_u64_elements(&mut r, input_len, "TASK inputs")?);
-        }
+        let inputs = take_rectangular(&mut r, functions, input_len, "TASK inputs")?;
         r.expect_end("trailing bytes after TASK inputs")?;
         Ok(Self {
             sleep_micros,
@@ -229,10 +249,7 @@ impl TaskResult {
         let compute_seconds = r.take_f64("RESULT compute_seconds")?;
         let functions = r.take_u32("RESULT functions")? as usize;
         let output_len = r.take_u32("RESULT output_len")? as usize;
-        let mut outputs = Vec::with_capacity(functions);
-        for _ in 0..functions {
-            outputs.push(take_u64_elements(&mut r, output_len, "RESULT outputs")?);
-        }
+        let outputs = take_rectangular(&mut r, functions, output_len, "RESULT outputs")?;
         r.expect_end("trailing bytes after RESULT outputs")?;
         Ok(Self {
             worker,
@@ -435,6 +452,35 @@ mod tests {
             outputs: Vec::new(),
         };
         assert_eq!(TaskResult::decode(&msg.encode()).unwrap(), msg);
+    }
+
+    #[test]
+    fn twenty_byte_task_result_cannot_kill_the_master() {
+        // ROADMAP's one-frame master kill: a 20-byte, CRC-valid TASK_RESULT
+        // whose `functions` word asks for billions of (zero-length) vectors.
+        let mut payload = Vec::new();
+        payload.extend_from_slice(&3u32.to_le_bytes()); // worker
+        payload.extend_from_slice(&0f64.to_bits().to_le_bytes()); // compute_seconds
+        payload.extend_from_slice(&u32::MAX.to_le_bytes()); // functions
+        payload.extend_from_slice(&0u32.to_le_bytes()); // output_len
+        assert_eq!(payload.len(), 20);
+        let wire = Frame::new(FrameKind::TaskResult, 1, 2, payload).encode();
+        let (frame, _) =
+            crate::frame::read_frame(&mut wire.as_slice(), crate::frame::DEFAULT_MAX_PAYLOAD)
+                .expect("the frame itself is valid");
+        assert!(matches!(
+            TaskResult::decode(&frame.payload),
+            Err(WireError::Malformed { .. })
+        ));
+        // Same header shape on the worker side, and the non-zero-length
+        // variant: counts beyond the payload are truncation, not allocation.
+        let mut task = 0u64.to_le_bytes().to_vec(); // sleep_micros
+        task.extend_from_slice(&u32::MAX.to_le_bytes()); // functions
+        task.extend_from_slice(&u32::MAX.to_le_bytes()); // input_len
+        assert!(matches!(
+            Task::decode(&task),
+            Err(WireError::Truncated { .. })
+        ));
     }
 
     #[test]

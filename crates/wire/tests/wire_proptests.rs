@@ -59,7 +59,13 @@ proptest! {
             .map(|f| (0..len).map(|i| (f * 1000 + i) as u64).collect())
             .collect();
         let task = Task { sleep_micros: sleep, inputs };
-        prop_assert_eq!(Task::decode(&task.encode()).unwrap(), task);
+        if functions > 0 && len == 0 {
+            // Zero-length vectors are malformed: they would let `functions`
+            // grow without costing payload bytes.
+            prop_assert!(Task::decode(&task.encode()).is_err());
+        } else {
+            prop_assert_eq!(Task::decode(&task.encode()).unwrap(), task);
+        }
     }
 
     #[test]

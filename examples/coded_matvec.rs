@@ -4,8 +4,9 @@
 //! driver: it reproduces the paper's Fig. 1 workflow — encode a matrix with a
 //! systematic `(N, K)` MDS code, hand each share to a worker thread, multiply
 //! by a vector, verify each returned result with a Freivalds key and decode
-//! from the fastest verified results — using the `ThreadedExecutor`, so the
-//! straggler really is an OS thread that finishes late.
+//! from the fastest verified results — through the same round path the
+//! trainer uses (`WireRunner` over an `Executor`), here the
+//! `ThreadedExecutor`, so the straggler really is a thread that finishes late.
 //!
 //! Run with:
 //!
@@ -13,7 +14,10 @@
 //! cargo run --release --example coded_matvec
 //! ```
 
+use std::sync::Arc;
+
 use avcc::coding::MdsCode;
+use avcc::core::{BatchRoundTask, RoundTask, WireRunner};
 use avcc::field::{F25, P25};
 use avcc::linalg::{mat_vec, Matrix};
 use avcc::sim::attack::{AttackModel, ByzantineSpec};
@@ -50,19 +54,20 @@ fn main() {
     // Worker 2 is a straggler; worker 5 is Byzantine (reverse-value attack).
     let profile = ClusterProfile::uniform(workers).with_stragglers(&[2], 30.0);
     let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
-    let executor = ThreadedExecutor::new(profile);
+    let mut executor = ThreadedExecutor::new(profile);
 
-    let blocks: Vec<_> = shares.iter().map(|s| s.block.clone()).collect();
-    let input_ref = &input;
-    let tasks: Vec<_> = blocks
-        .iter()
-        .map(|block| move || mat_vec(block, input_ref))
-        .collect();
-    let outcomes = executor.run_round(
-        tasks,
-        |payload: &Vec<F25>| payload.len() * 8,
-        |worker, payload: &mut Vec<F25>| byzantine.corrupt(worker, payload),
-    );
+    // One task per worker: its coded share and the broadcast input (a batch
+    // of one). The runner ships the shares once, runs the round, and applies
+    // the attack to worker 5's result on arrival.
+    let blocks: Vec<_> = shares.iter().map(|s| Arc::new(s.block.clone())).collect();
+    let tasks: Vec<RoundTask<P25>> =
+        BatchRoundTask::for_shares(&blocks, std::slice::from_ref(&input))
+            .into_iter()
+            .map(RoundTask::from)
+            .collect();
+    let outcomes = WireRunner::new()
+        .run_round(&mut executor, 0, &tasks, &byzantine)
+        .expect("the round runs");
 
     // Verify in arrival order, keep the first K verified results.
     let mut verified = Vec::new();

@@ -8,19 +8,20 @@ use std::path::PathBuf;
 use std::time::Duration;
 
 use avcc::core::distributed::WireRunner;
-use avcc::core::{DistributedTrainer, IterationRecord, SchemeKind, TrainerConfig, TrainingProblem};
+use avcc::core::{
+    train_distributed, DistributedTrainer, SchemeKind, TrainerConfig, TrainingProblem,
+    TrainingReport,
+};
 use avcc::field::{Fp, PrimeField, P25};
 use avcc::linalg::{mat_vec, Matrix};
 use avcc::ml::dataset::{Dataset, DatasetConfig};
 use avcc::sim::attack::{AttackModel, ByzantineSpec};
 use avcc::sim::cluster::ClusterProfile;
-use avcc::sim::executor::{Executor, ThreadedExecutor};
+use avcc::sim::executor::ThreadedExecutor;
 use avcc::sim::socket::{SocketConfig, SocketExecutor, Transport, WorkerBackend};
 use avcc::sim::wire::FaultKind;
-use avcc_coding::{DualCodeword, SchemeConfig};
+use avcc_coding::SchemeConfig;
 use avcc_serve::{serve_distributed, JobOutput, JobSpec};
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn worker_binary() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_avcc-worker"))
@@ -53,21 +54,22 @@ fn small_problem() -> TrainingProblem {
     TrainingProblem::from_dataset(&dataset, 9)
 }
 
-fn make_trainer() -> DistributedTrainer<P25> {
+fn make_trainer_with(scheme: SchemeKind, byzantine: ByzantineSpec) -> DistributedTrainer<P25> {
     DistributedTrainer::new(
         small_problem(),
         ClusterProfile::uniform(12),
-        ByzantineSpec::none(),
+        byzantine,
         TrainerConfig {
             iterations: 4,
             time_scale: 1.0,
-            ..TrainerConfig::paper_defaults(
-                SchemeKind::Avcc,
-                SchemeConfig::linear(12, 9, 2, 1).unwrap(),
-            )
+            ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
         },
         "socket-acceptance",
     )
+}
+
+fn make_trainer() -> DistributedTrainer<P25> {
+    make_trainer_with(SchemeKind::Avcc, ByzantineSpec::none())
 }
 
 /// GISETTE-style training over a real TCP fleet of 12 worker *processes*,
@@ -169,86 +171,54 @@ fn batched_matmul_over_uds_processes_is_exact() {
     assert!(fleet.metrics().evictions >= 1, "the bad CRC must evict");
 }
 
-/// Runs the trainer's screened loop over `executor`: every round passes
-/// through [`WireRunner::run_round_screened`], which evicts RS-inconsistent
-/// blocks before the trainer's collect ever sees them. Returns the trained
-/// model's trajectory inputs plus how many evictions the screen made.
-fn run_screened_training(
-    executor: &mut dyn Executor,
-    byzantine: &ByzantineSpec,
-    seed: u64,
-) -> (DistributedTrainer<P25>, Vec<IterationRecord>, usize) {
-    let mut trainer = make_trainer();
-    let screen = DualCodeword::<P25>::new(*trainer.current_coding());
-    let mut runner = WireRunner::new();
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut cumulative = 0.0;
-    let mut records = Vec::new();
-    let mut screened_total = 0;
-    for iteration in 0..trainer.iterations() {
-        let round1_tasks = trainer.encode_round1();
-        let (round1, screened1) = runner
-            .run_round_screened(executor, 0, &round1_tasks, byzantine, &screen, &mut rng)
-            .expect("screened round 1");
-        assert_eq!(screened1, vec![3], "the corrupted block must be screened");
-        screened_total += screened1.len();
-        let round2_tasks = trainer.collect_round1(&round1).expect("collect round 1");
-        let (round2, screened2) = runner
-            .run_round_screened(executor, 1, &round2_tasks, byzantine, &screen, &mut rng)
-            .expect("screened round 2");
-        assert_eq!(screened2, vec![3], "round 2 is corrupted too");
-        screened_total += screened2.len();
-        let record = trainer
-            .collect_round2(iteration, &round2, &mut cumulative)
-            .expect("collect round 2");
-        records.push(record);
-    }
-    (trainer, records, screened_total)
-}
-
 /// A worker *process* returning Byzantine-corrupted blocks (master-side
 /// spec — the same injection path the in-process executors use) is caught
-/// by the pre-decode dual-codeword screen and evicted before collect ever
-/// sees it: downstream it is indistinguishable from a straggler (no
-/// Byzantine detection recorded), and the training trajectory is
-/// bit-identical to the same screened loop over the in-process
+/// by the engines' pre-decode dual-codeword screen on the ordinary
+/// `train_distributed` path: every round of every iteration reports it in
+/// `screened_workers`, it never reaches Freivalds or the decoder, and the
+/// training trajectory is bit-identical to the same run over the in-process
 /// `ThreadedExecutor`.
 #[test]
 fn screened_training_over_processes_matches_threaded_executor() {
-    let byzantine = ByzantineSpec::new([3], AttackModel::constant());
+    // StaticVcc: the adaptive controller would evict the worker after the
+    // first detection, and there would be nothing left to screen.
+    let make = || {
+        make_trainer_with(
+            SchemeKind::StaticVcc,
+            ByzantineSpec::new([3], AttackModel::constant()),
+        )
+    };
 
+    let mut socket_trainer = make();
     let mut fleet = process_fleet(12, Transport::Tcp);
-    let (socket_trainer, socket_records, socket_screened) =
-        run_screened_training(&mut fleet, &byzantine, 1009);
+    let socket_report = train_distributed(&mut socket_trainer, &mut fleet).expect("socket run");
 
+    let mut oracle_trainer = make();
     let mut threaded = ThreadedExecutor::new(ClusterProfile::uniform(12));
-    let (oracle_trainer, oracle_records, oracle_screened) =
-        run_screened_training(&mut threaded, &byzantine, 1009);
+    let oracle_report = train_distributed(&mut oracle_trainer, &mut threaded).expect("oracle run");
 
     // Bit-identical models and trajectories across the process boundary.
     assert_eq!(
         socket_trainer.model().weights,
         oracle_trainer.model().weights
     );
-    let trajectory = |records: &[IterationRecord]| -> Vec<(f64, f64)> {
-        records
+    let trajectory = |report: &TrainingReport| -> Vec<(f64, f64)> {
+        report
+            .iterations
             .iter()
             .map(|r| (r.test_accuracy, r.train_loss))
             .collect()
     };
-    assert_eq!(trajectory(&socket_records), trajectory(&oracle_records));
+    assert_eq!(trajectory(&socket_report), trajectory(&oracle_report));
 
-    // Two rounds screened per iteration, on both executors.
-    assert_eq!(socket_screened, 2 * socket_records.len());
-    assert_eq!(socket_screened, oracle_screened);
-
-    // The evicted worker is erased from the round before the trainer's
-    // collect runs — no Byzantine detection is ever recorded (time-based
-    // straggler observation doesn't list it either: like a worker that
-    // never answered, it simply isn't among the arrivals).
-    for record in &socket_records {
-        assert!(record.detected_byzantine.is_empty());
-        assert!(record.screened_workers.is_empty());
+    // All 12 workers answer every round (12 > threshold 9), so the screen
+    // runs and localizes exactly the corrupted worker, on both executors.
+    assert_eq!(socket_report.len(), 4);
+    for report in [&socket_report, &oracle_report] {
+        for record in &report.iterations {
+            assert_eq!(record.screened_workers, vec![3]);
+            assert_eq!(record.detected_byzantine, vec![3]);
+        }
     }
 }
 
