@@ -9,9 +9,7 @@
 //! sums, and then erasure-decodes the clean survivors — never paying the
 //! error-correcting solve.
 //!
-//! The ids (`byzantine_screen/k<K>_byz<B>/{redecode,screen}`) are parsed by
-//! `scripts/bench_regression.py`, which fails CI unless the screen path is
-//! strictly faster at `K ≥ 64` for every Byzantine count — the PR9 gate.
+//! The ids are `byzantine_screen/k<K>_byz<B>/{redecode,screen}`.
 //! Both paths are asserted bit-identical (same product, same localized
 //! workers) before anything is timed.
 

@@ -16,9 +16,8 @@
 //!   no round ever parks.
 //!
 //! `churn_recover/flap_fleet/{static,autopilot}` is the PR10 acceptance
-//! pair: the autopilot must not lose to the static configuration under
-//! churn — CI enforces it via `scripts/bench_regression.py`. The `quiet`
-//! case (no churn) is informational: it shows what the churn itself costs.
+//! pair: the autopilot against the static configuration under churn. The
+//! `quiet` case (no churn) shows what the churn itself costs.
 //! All three cases are asserted bit-identical before any timing: churn,
 //! parking, shrink-recoding and retuning may change *which* results decode,
 //! never the decoded values.

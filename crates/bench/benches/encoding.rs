@@ -1,12 +1,11 @@
 //! Encoding benchmarks: MDS/Lagrange encoding cost as a function of the data
 //! size and the worker count, backing the paper's "encoding is a one-time,
 //! near-linear cost" discussion (§II-A), plus the `F64` matrix-vs-NTT
-//! comparison that the CI bench-regression job gates on: with evaluation
-//! points in subgroup position the `O(K·N)`-per-coordinate encoding matrix
-//! collapses to `O(N log N)` transforms, and the same holds for full-coset
-//! erasure decoding.
+//! comparison: with evaluation points in subgroup position the
+//! `O(K·N)`-per-coordinate encoding matrix collapses to `O(N log N)`
+//! transforms.
 
-use avcc_coding::{EvaluationPoints, LagrangeDecoder, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{EvaluationPoints, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F25, F64, P25, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -64,10 +63,8 @@ fn f64_blocks(rows: usize, cols: usize, partitions: usize, seed: u64) -> Vec<Mat
     matrix.split_rows(partitions)
 }
 
-/// Matrix-path vs NTT-path encoding on the Goldilocks field. The ids
-/// (`encode_f64/k<K>/{matrix,ntt}`) are parsed by
-/// `scripts/bench_regression.py`, which fails CI if the NTT path stops
-/// beating the matrix path at `K ≥ 64`.
+/// Matrix-path vs NTT-path encoding on the Goldilocks field (ids
+/// `encode_f64/k<K>/{matrix,ntt}`).
 fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_f64");
     for &(partitions, workers, block_rows) in &[(64usize, 128usize, 4usize), (128, 256, 2)] {
@@ -94,49 +91,11 @@ fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Full-coset erasure decoding: Lagrange combination vs inverse-NTT path on
-/// the Goldilocks field (ids `decode_f64/k<K>/{matrix,ntt}`).
-fn bench_f64_matrix_vs_ntt_decoding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode_f64");
-    for &(partitions, workers) in &[(64usize, 128usize), (128, 256)] {
-        let width = 128usize;
-        let blocks = f64_blocks(partitions, width, partitions, 20);
-        let config = SchemeConfig::linear(workers, partitions, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P64>::new(config);
-        assert!(encoder.uses_ntt());
-        let shares = encoder.encode_deterministic(&blocks);
-        // Workers apply the identity map: results are the share rows
-        // themselves, which keeps the bench focused on decoding cost.
-        let results: Vec<(usize, Vec<F64>)> = shares
-            .iter()
-            .map(|share| (share.worker, share.block.data().to_vec()))
-            .collect();
-        let ntt_decoder = LagrangeDecoder::<P64>::new(config);
-        assert!(ntt_decoder.supports_ntt());
-        // The Lagrange comparator decodes the same code from a straggler-free
-        // round minus one worker, which forces the matrix path on identical
-        // subgroup points.
-        let partial: Vec<(usize, Vec<F64>)> = results[1..].to_vec();
-        group.bench_with_input(
-            BenchmarkId::new(format!("k{partitions}"), "matrix"),
-            &partitions,
-            |bencher, _| bencher.iter(|| ntt_decoder.decode_erasure(black_box(&partial)).unwrap()),
-        );
-        group.bench_with_input(
-            BenchmarkId::new(format!("k{partitions}"), "ntt"),
-            &partitions,
-            |bencher, _| bencher.iter(|| ntt_decoder.decode_erasure(black_box(&results)).unwrap()),
-        );
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_mds_encoding_by_size,
     bench_encoding_by_worker_count,
     bench_private_encoding,
-    bench_f64_matrix_vs_ntt_encoding,
-    bench_f64_matrix_vs_ntt_decoding
+    bench_f64_matrix_vs_ntt_encoding
 );
 criterion_main!(benches);

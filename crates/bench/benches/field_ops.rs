@@ -11,12 +11,8 @@
 //!   Barrett for `F_251`), one reduction per product;
 //! * **lazy** — unreduced `u128` accumulation with one specialized reduction
 //!   per [`PrimeModulus::WIDE_BATCH`] products (the batch/linalg kernels).
-//!
-//! `BENCH_PR1.json` in the repo root records a captured run.
 
-use avcc_field::{
-    batch_inverse, dot, Fp, MontFp, PrimeField, PrimeModulus, F25, F61, P25, P251, P61, P64,
-};
+use avcc_field::{batch_inverse, dot, Fp, PrimeField, PrimeModulus, F25, F61, P25, P251, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -169,7 +165,7 @@ fn bench_mat_vec_512(c: &mut Criterion) {
 
 /// The PR1 single-accumulator lazy dot: one `u128` running sum, one
 /// specialized reduction per [`PrimeModulus::WIDE_BATCH`] products — the
-/// baseline the lane-striped kernel is gated against (`avcc_field::dot`
+/// baseline the lane-striped kernel is compared with (`avcc_field::dot`
 /// itself stripes for the tight-cadence moduli, so the baseline is spelled
 /// out here like the other pre-PR references).
 fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
@@ -188,8 +184,7 @@ fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
 /// cadence makes striping worthwhile (`p61`: every 63 products; `p64`:
 /// every product — `P25`/`P251` keep the single accumulator via the
 /// `LANE_STRIPE_MAX_BATCH` const branch, exactly as they keep their folds
-/// over Montgomery). CI gates `vectorized` not losing to `scalar` at
-/// length ≥ 4096 (`scripts/bench_regression.py`).
+/// over Montgomery).
 fn bench_dot_lanes(c: &mut Criterion) {
     fn run<M: PrimeModulus>(c: &mut Criterion, field_name: &str, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -220,8 +215,8 @@ fn bench_batch_inverse(c: &mut Criterion) {
 }
 
 /// The non-Montgomery square-and-multiply ladder, every product paying the
-/// modulus's per-product `reduce_wide` — the baseline the chain gate
-/// compares against (`Fp::pow` itself is Montgomery-routed for the chained
+/// modulus's per-product `reduce_wide` — the baseline the chain benches
+/// compare against (`Fp::pow` itself is Montgomery-routed for the chained
 /// moduli, so the baseline is spelled out here like the other pre-PR
 /// references).
 fn pow_per_product<M: PrimeModulus>(base: Fp<M>, mut exponent: u64) -> Fp<M> {
@@ -241,8 +236,8 @@ fn pow_per_product<M: PrimeModulus>(base: Fp<M>, mut exponent: u64) -> Fp<M> {
 }
 
 /// The non-Montgomery batch inversion (prefix products, one Fermat
-/// inversion via [`pow_per_product`], suffix sweep) — the chain-gate
-/// baseline for `inverse_chain`.
+/// inversion via [`pow_per_product`], suffix sweep) — the baseline for
+/// `inverse_chain`.
 fn batch_inverse_per_product<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
     let mut prefixes = Vec::with_capacity(values.len());
     let mut running = Fp::<M>::ONE;
@@ -263,17 +258,15 @@ fn batch_inverse_per_product<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
     result
 }
 
-/// The tentpole comparison: long dependent product chains per reduction
-/// backend. `pow_chain/<field>/len<B>` runs a `B`-bit exponent ladder
+/// Long dependent product chains per reduction backend. `pow_chain/<field>/len<B>` runs a `B`-bit exponent ladder
 /// (`B` squarings + up to `B` multiplies); `inverse_chain/<field>/len<N>`
 /// batch-inverts `N` elements (`3(N−1)` chained multiplies plus one Fermat
 /// ladder).
 ///
-/// On `p251` the baseline is Barrett (`barrett` vs `montgomery`) and CI
-/// gates Montgomery winning at length ≥ 64
-/// (`scripts/bench_regression.py`). The `p64` pair (`fold` vs `montgomery`)
-/// is informational: it tracks REDC against the Goldilocks ε-fold, the
-/// trade the NTT butterflies make.
+/// On `p251` the baseline is Barrett (`barrett` vs `montgomery`); the `p64`
+/// pair (`fold` vs `montgomery`) tracks REDC against the Goldilocks ε-fold,
+/// the trade the NTT butterflies make — the one that shows end to end
+/// (`matmul_batch`, see ARCHITECTURE.md).
 fn bench_montgomery_chains(c: &mut Criterion) {
     fn run_pow<M: PrimeModulus>(c: &mut Criterion, field_name: &str, baseline: &str, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -322,32 +315,6 @@ fn bench_montgomery_chains(c: &mut Criterion) {
     run_inverse::<P64>(c, "p64", "fold", 10);
 }
 
-/// `MontFp` chain-type overhead check: a running product that enters the
-/// domain once versus per-product canonical multiplies.
-fn bench_product_chain(c: &mut Criterion) {
-    const LEN: usize = 1024;
-    let mut rng = StdRng::seed_from_u64(11);
-    let values: Vec<Fp<P251>> = avcc_field::rng::random_nonzero_vector(&mut rng, LEN);
-    let mut group = c.benchmark_group(format!("product_chain/p251/len{LEN}"));
-    group.bench_function(BenchmarkId::from_parameter("barrett"), |bencher| {
-        bencher.iter(|| {
-            black_box(&values)
-                .iter()
-                .fold(Fp::<P251>::ONE, |acc, &x| acc * x)
-        })
-    });
-    group.bench_function(BenchmarkId::from_parameter("montgomery"), |bencher| {
-        bencher.iter(|| {
-            let product: MontFp<P251> = black_box(&values)
-                .iter()
-                .map(|&x| MontFp::from(x))
-                .product();
-            Fp::from(product)
-        })
-    });
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_scalar_ops,
@@ -357,7 +324,6 @@ criterion_group!(
     bench_dot_lanes,
     bench_mat_vec_512,
     bench_batch_inverse,
-    bench_montgomery_chains,
-    bench_product_chain
+    bench_montgomery_chains
 );
 criterion_main!(benches);

@@ -5,9 +5,8 @@
 //!
 //! The `mat_mat_512/<field>/{serial,pooled}` pairs are the PR4 acceptance
 //! benches: the pooled kernel (chunks as `avcc_pool` work-stealing tasks)
-//! must not lose to the PR1 serial blocked kernel — CI enforces it via
-//! `scripts/bench_regression.py`. On a single-core host the pool degenerates
-//! to the serial path, so the pair ties; on multi-core hosts the pooled side
+//! against the PR1 serial blocked kernel. On a single-core host the pool
+//! degenerates to the serial path, so the pair ties; on multi-core hosts the pooled side
 //! wins by roughly the core count. `pool_fanout/*` compares the *dispatch
 //! mechanisms* themselves — per-task scoped OS threads (the pre-PR4
 //! implementation) against pool tasks — at a granularity where spawn
@@ -146,7 +145,7 @@ fn bench_pool_fanout(c: &mut Criterion) {
 /// The PR6 autotune pair: the same 768×512 matrix–matrix product dispatched
 /// with the historical fixed 8-way fan-out versus the autotuned chunk count
 /// (`auto_chunk_count`: work size × global pool width, floor on chunk size).
-/// CI gates `auto` to never lose to `fixed8`; on hosts where 8 happens to be
+/// On hosts where 8 happens to be
 /// the right answer the pair ties, while narrow pools and small blocks see
 /// the autotuned side skip queueing costs the fixed count pays.
 fn bench_chunk_autotune(c: &mut Criterion) {

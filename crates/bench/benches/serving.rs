@@ -3,8 +3,7 @@
 //!
 //! The `serving/jobs4_fleet4/{synchronous,pipelined}` pair is the PR6
 //! acceptance bench: with four concurrent training jobs on a four-slot
-//! fleet the pipelined schedule must beat the synchronous one by at least
-//! 1.3× — CI enforces it via `scripts/bench_regression.py`. The win is
+//! fleet the pipelined schedule beats the synchronous one. The win is
 //! structural, not a core-count artifact: each job carries a ×10 straggler
 //! whose slot sleep (`sleep_per_slowdown_unit`) sits on the synchronous
 //! critical path every round, while the pipelined schedule overlaps the

@@ -3,8 +3,8 @@
 //! kernel, so the spread is pure runtime overhead (frame encode/decode, CRC,
 //! syscalls, loopback hops).
 //!
-//! Not gated: a socket round being slower than a threaded round is expected
-//! physics, and the numbers feed `EXPERIMENTS.md`, not a regression wall.
+//! A socket round being slower than a threaded round is expected physics;
+//! the numbers feed `EXPERIMENTS.md`.
 
 use std::time::Duration;
 

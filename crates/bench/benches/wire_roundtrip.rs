@@ -1,16 +1,16 @@
 //! Wire-format micro-benchmarks: the CRC-32C kernel, field-element bulk
 //! encoding, and full frame encode/decode round trips.
 //!
-//! Two pairs are gated by `scripts/bench_regression.py`:
+//! Two pairs compare a kernel with its baseline:
 //!
-//! * `wire_crc/n*/{bytewise,sliced}` — the slicing-by-8 CRC must stay
-//!   not-worse than the canonical byte-at-a-time implementation (it is the
-//!   one every frame pays on both send and receive);
-//! * `wire_encode/n*/{element,bulk}` — `WireWriter::put_u64_bulk` must stay
-//!   not-worse than a per-element `put_u64` loop (task/result payloads are
-//!   dominated by element serialization).
+//! * `wire_crc/n*/{bytewise,sliced}` — the slicing-by-8 CRC against the
+//!   canonical byte-at-a-time implementation (it is the one every frame
+//!   pays on both send and receive);
+//! * `wire_encode/n*/{element,bulk}` — `WireWriter::put_u64_bulk` against a
+//!   per-element `put_u64` loop (task/result payloads are dominated by
+//!   element serialization).
 //!
-//! `wire_roundtrip/*` is informational: the absolute cost of a full
+//! `wire_roundtrip/*` is the absolute cost of a full
 //! encode/validate/decode cycle for realistic TASK_RESULT frames, i.e. the
 //! per-frame CPU tax the socket runtime adds over the threaded executor.
 

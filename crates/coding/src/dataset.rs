@@ -9,11 +9,6 @@
 //! in `avcc-core`) can dispatch against a single encode, typically through an
 //! [`std::sync::Arc`].
 //!
-//! Sharing is more than skipping the encode: the decoder's per-survivor-set
-//! basis cache ([`LagrangeDecoder::basis_cache_stats`]) lives inside the
-//! dataset, so `m` functions decoded from the same survivor set pay one basis
-//! construction and `m − 1` cache hits.
-//!
 //! Two layouts are supported, matching the engines that consume them:
 //!
 //! * [`EncodedDataset::encode`] — Lagrange/MDS coded shares for the AVCC and
@@ -60,10 +55,8 @@ enum DatasetCoding<M: PrimeModulus> {
 
 /// One matrix, encoded (or partitioned) once, shared by many computations.
 ///
-/// Cloning duplicates the handle's configuration but resets the decoder's
-/// basis cache; to actually share the encode — and its cache — across
-/// sessions, wrap the dataset in an [`Arc`] and hand clones of the `Arc` to
-/// each engine.
+/// To share the encode across sessions, wrap the dataset in an [`Arc`] and
+/// hand clones of the `Arc` to each engine.
 #[derive(Debug, Clone)]
 pub struct EncodedDataset<M: PrimeModulus> {
     shares: Vec<Arc<Matrix<Fp<M>>>>,
@@ -178,8 +171,7 @@ impl<M: PrimeModulus> EncodedDataset<M> {
         }
     }
 
-    /// The shared decoder, for coded datasets. Its per-survivor-set basis
-    /// cache is shared by every session holding this dataset.
+    /// The decoder that inverts the code, for coded datasets.
     pub fn decoder(&self) -> Option<&LagrangeDecoder<M>> {
         match &self.coding {
             DatasetCoding::Lagrange { decoder, .. } => Some(decoder),
@@ -200,15 +192,6 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// field element).
     pub fn encoded_bytes(&self) -> usize {
         self.shares.iter().map(|s| s.len() * 8).sum()
-    }
-
-    /// `(hits, misses)` of the shared decoder's per-survivor-set basis cache
-    /// — `(0, 0)` for raw datasets, which have nothing to decode.
-    pub fn basis_cache_stats(&self) -> (u64, u64) {
-        match &self.coding {
-            DatasetCoding::Lagrange { decoder, .. } => decoder.basis_cache_stats(),
-            DatasetCoding::Raw { .. } => (0, 0),
-        }
     }
 }
 
@@ -269,42 +252,8 @@ mod tests {
         assert_eq!(dataset.recovery_threshold(), 9);
         assert!(dataset.scheme().is_none());
         assert!(dataset.decoder().is_none());
-        assert_eq!(dataset.basis_cache_stats(), (0, 0));
         for (k, share) in dataset.shares().iter().enumerate() {
             assert_eq!(share.data(), &matrix.data()[k * 2 * 5..(k + 1) * 2 * 5]);
         }
-    }
-
-    #[test]
-    fn arc_shared_sessions_share_one_basis_cache() {
-        let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let matrix = matrix(18, 5, 6);
-        let mut rng = StdRng::seed_from_u64(7);
-        let input = avcc_field::random_vector(&mut rng, 5);
-        let dataset = Arc::new(EncodedDataset::<P25>::encode(&matrix, config, &mut rng));
-        let results: Vec<(usize, Vec<F25>)> = (0..9)
-            .map(|worker| (worker, mat_vec(dataset.share(worker), &input)))
-            .collect();
-
-        // Two handles onto the same Arc: a decode through either advances the
-        // same cache — the amortization a shared dataset buys.
-        let session_a = Arc::clone(&dataset);
-        let session_b = Arc::clone(&dataset);
-        session_a
-            .decoder()
-            .unwrap()
-            .decode_erasure(&results)
-            .unwrap();
-        assert_eq!(dataset.basis_cache_stats(), (0, 1));
-        session_b
-            .decoder()
-            .unwrap()
-            .decode_erasure(&results)
-            .unwrap();
-        assert_eq!(dataset.basis_cache_stats(), (1, 1));
-
-        // A plain clone is a new dataset handle with a fresh cache.
-        let cloned = (*dataset).clone();
-        assert_eq!(cloned.basis_cache_stats(), (0, 0));
     }
 }

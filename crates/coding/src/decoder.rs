@@ -22,32 +22,29 @@
 //!   fallback is used if the fingerprint pass fails to produce a consistent
 //!   codeword.
 //!
-//! When the evaluation points are in subgroup position (NTT-friendly field,
-//! see [`crate::points::EvaluationPoints::subgroup`]) erasure decoding stays
-//! on a fast path regardless of who responded:
+//! Erasure decoding is *prepare once, apply many*: everything that depends
+//! only on **which** workers supplied results — not on the values they
+//! returned — is built by [`LagrangeDecoder::prepare`] into a
+//! [`PreparedDecode`], which is then applied to any number of result sets
+//! from those workers (the `m` functions of a batched round share one
+//! prepare). The decoder itself holds no state between calls. Which of the
+//! two bases `prepare` builds follows from one observable property, the
+//! point layout:
 //!
-//! * **Every worker present** and `N` filling the covering coset: one
-//!   full-coset inverse NTT, a fold modulo `z^B − 1` and one forward NTT —
-//!   `O(N log N)` per coordinate.
-//! * **Workers missing** (stragglers, evicted Byzantine workers): the
-//!   surviving α-points are no longer a full coset, so the decoder
-//!   interpolates `f(u)` from the survivor subset with a subproduct tree
-//!   ([`avcc_poly::TreeInterpolator`], `O(R log² R)` per coordinate), then
-//!   folds and forward-NTTs to the β-points exactly like the full-coset
-//!   path. The tree, its vanishing-derivative weights and their shared batch
-//!   inversion depend only on *which* workers survived, so they are cached
-//!   per survivor set (consecutive rounds straggle the same workers far more
-//!   often than not).
+//! * **Points in subgroup position** (NTT-friendly field, see
+//!   [`crate::points::EvaluationPoints::subgroup`]): interpolate `f(u)` from
+//!   the survivor α-subset with a subproduct tree
+//!   ([`avcc_poly::TreeInterpolator`], `O(R log² R)` per coordinate), fold
+//!   the coefficients modulo `z^B − 1` and forward-NTT to the β-points.
+//! * **Any other points**: the dense Lagrange combination, `O(K·R)` per
+//!   coordinate.
 //!
-//! The dense Lagrange combination ([`LagrangeDecoder::decode_erasure_lagrange`])
-//! remains as the non-NTT-field path and as the correctness oracle — both
-//! paths are bit-identical on every input (exact field arithmetic), which the
-//! tests assert directly.
+//! The dense combination also stays reachable on subgroup points as
+//! [`LagrangeDecoder::decode_erasure_lagrange`], the correctness oracle —
+//! both paths are bit-identical on every input (exact field arithmetic),
+//! which the tests assert directly.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use avcc_field::{dot, random_vector, Fp, PrimeField, PrimeModulus};
+use avcc_field::{dot, random_vector, Fp, PrimeModulus};
 use avcc_poly::{BerlekampWelch, LagrangeBasis, NttPlan, RsDecodeError, TreeInterpolator};
 use rand::Rng;
 
@@ -112,92 +109,47 @@ impl std::error::Error for DecodeError {}
 /// worker indices identified as corrupted.
 pub type DecodedWithErrors<M> = (Vec<Vec<Fp<M>>>, Vec<usize>);
 
-/// The cached NTT plans of a decoder whose points are in subgroup position.
+/// The decoder bound to a scheme configuration and its evaluation points.
 #[derive(Debug, Clone)]
-struct DecoderNtt<M: PrimeModulus> {
-    /// Inverse transform over the α-coset subgroup (size `A`): worker values
-    /// → coefficients of `f(u)` (after undoing the coset shift). Present
-    /// only when `N` fills the covering subgroup — the full-coset path needs
-    /// an evaluation at *every* coset point.
-    interpolate: Option<NttPlan<M>>,
+pub struct LagrangeDecoder<M: PrimeModulus> {
+    config: SchemeConfig,
+    points: EvaluationPoints<M>,
     /// Forward transform over the β-subgroup (size `K + T`): folded
-    /// coefficients → outputs at the β-points. Shared by the full-coset and
-    /// the partial (subproduct-tree) paths.
-    evaluate: NttPlan<M>,
+    /// coefficients → outputs at the β-points. `None` → points not in
+    /// subgroup position, always the dense Lagrange path.
+    evaluate: Option<NttPlan<M>>,
 }
 
-/// Entries the decoder caches per surviving-worker set: everything about a
-/// decode that depends only on *which* workers supplied results, not on the
-/// values they returned.
+/// What a decode needs beyond the result values: the basis for one survivor
+/// set, built by [`LagrangeDecoder::prepare`].
 #[derive(Debug)]
-enum CachedBasis<M: PrimeModulus> {
-    /// Dense Lagrange combination rows (the fallback/oracle path).
+enum Basis<M: PrimeModulus> {
+    /// Dense Lagrange combination rows.
     Dense(DenseBasis<M>),
-    /// Subproduct-tree interpolator over the survivor α-points (the partial
-    /// NTT path).
+    /// Subproduct-tree interpolator over the survivor α-points.
     Tree(TreeInterpolator<M>),
 }
 
-/// The dense path's cached shape: systematic hits plus one Lagrange
-/// coefficient row per interpolated block, all in sorted-survivor order.
+/// The dense path's shape: systematic hits plus one Lagrange coefficient row
+/// per interpolated block, in the order the workers were supplied.
 #[derive(Debug)]
 struct DenseBasis<M: PrimeModulus> {
-    /// For each data block `k`: the sorted-survivor position of a worker
-    /// sitting exactly on `β_k` (its vector *is* the output), if any.
+    /// For each data block `k`: the position of a worker sitting exactly on
+    /// `β_k` (its vector *is* the output), if any.
     systematic: Vec<Option<usize>>,
     /// `ℓ_j(β_k)` rows for the non-systematic blocks, ascending `k`.
     rows: Vec<Vec<Fp<M>>>,
 }
 
-/// Basis cache keyed by `(tree_path, sorted surviving workers)` with hit
-/// accounting. Bounded: at [`BASIS_CACHE_CAPACITY`] distinct survivor sets
-/// the cache is cleared (straggler patterns at scale are heavily repetitive,
-/// so churn past the bound means the patterns are random and caching is
-/// hopeless anyway).
+/// An erasure decode prepared for one survivor set: apply it to the result
+/// lanes of those workers, once per function.
 #[derive(Debug)]
-struct BasisCache<M: PrimeModulus> {
-    entries: HashMap<(bool, Vec<usize>), Arc<CachedBasis<M>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<M: PrimeModulus> Default for BasisCache<M> {
-    fn default() -> Self {
-        BasisCache {
-            entries: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
-/// Distinct survivor sets held before the basis cache resets.
-const BASIS_CACHE_CAPACITY: usize = 32;
-
-/// The decoder bound to a scheme configuration and its evaluation points.
-#[derive(Debug)]
-pub struct LagrangeDecoder<M: PrimeModulus> {
-    config: SchemeConfig,
-    points: EvaluationPoints<M>,
-    /// Cached transforms for the NTT fast paths (`None` → points not in
-    /// subgroup position, always the dense Lagrange path).
-    ntt: Option<DecoderNtt<M>>,
-    /// Per-survivor-set interpolation state (see [`BasisCache`]); interior
-    /// mutability because decoding takes `&self`.
-    cache: Mutex<BasisCache<M>>,
-}
-
-impl<M: PrimeModulus> Clone for LagrangeDecoder<M> {
-    /// Clones the decoder configuration; the basis cache starts empty (it is
-    /// a pure accelerator, rebuilt on demand).
-    fn clone(&self) -> Self {
-        LagrangeDecoder {
-            config: self.config,
-            points: self.points.clone(),
-            ntt: self.ntt.clone(),
-            cache: Mutex::new(BasisCache::default()),
-        }
-    }
+pub struct PreparedDecode<'a, M: PrimeModulus> {
+    decoder: &'a LagrangeDecoder<M>,
+    /// How many workers were supplied to `prepare`; the basis covers the
+    /// first `recovery_threshold()` of them.
+    supplied: usize,
+    basis: Basis<M>,
 }
 
 impl<M: PrimeModulus> LagrangeDecoder<M> {
@@ -228,50 +180,21 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             config.workers,
             "need one α-point per worker"
         );
-        // The β-side forward transform works whenever the points are in
-        // subgroup position; the full-coset inverse NTT additionally needs an
-        // evaluation at *every* coset point, so that plan only exists when
-        // the worker count fills the covering subgroup exactly (N a power of
-        // two).
-        let ntt = points.ntt_layout().map(|layout| DecoderNtt {
-            interpolate: (layout.workers() == config.workers)
-                .then(|| NttPlan::new(layout.log_workers)),
-            evaluate: NttPlan::new(layout.log_blocks),
-        });
+        let evaluate = points
+            .ntt_layout()
+            .map(|layout| NttPlan::new(layout.log_blocks));
         LagrangeDecoder {
             config,
             points,
-            ntt,
-            cache: Mutex::new(BasisCache::default()),
+            evaluate,
         }
     }
 
-    /// `true` iff this decoder can take the full-coset `O(N log N)` NTT path
-    /// (subgroup points and `N` filling the covering subgroup); with results
-    /// missing it drops to the partial subproduct-tree path instead.
-    pub fn supports_ntt(&self) -> bool {
-        self.ntt
-            .as_ref()
-            .is_some_and(|ntt| ntt.interpolate.is_some())
-    }
-
-    /// `true` iff this decoder can take the partial `O(R log² R)`
-    /// subproduct-tree path when workers are missing (points in subgroup
-    /// position — the β-side forward NTT is what the fold needs).
+    /// `true` iff erasure decoding takes the `O(R log² R)` subproduct-tree
+    /// path (points in subgroup position — the β-side forward NTT is what
+    /// the fold needs); otherwise it is the dense Lagrange combination.
     pub fn supports_partial_ntt(&self) -> bool {
-        self.ntt.is_some()
-    }
-
-    /// Cache accounting for the per-survivor-set interpolation state:
-    /// `(hits, misses)` since construction. A repeated straggler pattern
-    /// must hit (tested), so at steady state `hits` grows and `misses`
-    /// stays put.
-    pub fn basis_cache_stats(&self) -> (u64, u64) {
-        let cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (cache.hits, cache.misses)
+        self.evaluate.is_some()
     }
 
     /// The scheme configuration.
@@ -284,99 +207,77 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
         self.config.recovery_threshold()
     }
 
+    /// Builds the interpolation basis for the survivor set `workers` (at
+    /// least the recovery threshold of distinct, verified workers; the first
+    /// threshold of them are used). The returned [`PreparedDecode`] decodes
+    /// any number of result sets from exactly these workers.
+    pub fn prepare(&self, workers: &[usize]) -> Result<PreparedDecode<'_, M>, DecodeError> {
+        self.prepare_on(workers, self.evaluate.is_some())
+    }
+
+    fn prepare_on(
+        &self,
+        workers: &[usize],
+        tree: bool,
+    ) -> Result<PreparedDecode<'_, M>, DecodeError> {
+        let threshold = self.recovery_threshold();
+        self.validate_workers(workers, threshold)?;
+        let alphas: Vec<Fp<M>> = workers[..threshold]
+            .iter()
+            .map(|&worker| self.points.alpha()[worker])
+            .collect();
+        let basis = if tree {
+            Basis::Tree(TreeInterpolator::new(alphas))
+        } else {
+            Basis::Dense(self.build_dense_basis(alphas))
+        };
+        Ok(PreparedDecode {
+            decoder: self,
+            supplied: workers.len(),
+            basis,
+        })
+    }
+
     /// Erasure decoding from verified results.
     ///
     /// `results` maps worker indices to their returned vectors `Ỹ_i`; at least
     /// the recovery threshold of them must be present. Returns the `K` output
     /// blocks `Y_1, …, Y_K` (each the same length as the worker vectors).
+    /// One [`LagrangeDecoder::prepare`] plus one [`PreparedDecode::apply`].
     pub fn decode_erasure(
         &self,
         results: &[(usize, Vec<Fp<M>>)],
     ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
-        let threshold = self.recovery_threshold();
-        self.validate(results, threshold)?;
-        if let Some(ntt) = &self.ntt {
-            // Full-coset fast path: every worker responded (validate has
-            // already established distinctness, so `N` results = all of
-            // them), and `N` fills the covering subgroup.
-            if ntt.interpolate.is_some() && results.len() == self.config.workers {
-                return Ok(self.decode_erasure_full_coset(results));
-            }
-            // Partial fast path: workers are missing (or never filled the
-            // coset), but the points are still in subgroup position —
-            // subproduct-tree interpolation from the surviving subset.
-            return Ok(self.decode_erasure_tree(&results[..threshold], ntt));
-        }
-        Ok(self.decode_erasure_dense(&results[..threshold]))
+        self.decode_erasure_on(results, self.evaluate.is_some())
     }
 
-    /// The dense Lagrange combination on exactly `threshold` results — the
-    /// non-NTT-field path, kept public as the correctness oracle for the
-    /// NTT paths (bit-identical outputs, asserted in tests) and as the
-    /// comparator the `decode_straggler` benches gate against.
-    ///
-    /// Accepts the same inputs as [`LagrangeDecoder::decode_erasure`] and
-    /// shares its per-survivor-set cache.
+    /// The dense Lagrange combination whatever the point layout — kept public
+    /// as the correctness oracle for the tree path (bit-identical outputs,
+    /// asserted in tests) and as the comparator of the `decode_straggler`
+    /// benches. Accepts the same inputs as
+    /// [`LagrangeDecoder::decode_erasure`].
     pub fn decode_erasure_lagrange(
         &self,
         results: &[(usize, Vec<Fp<M>>)],
     ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
-        let threshold = self.recovery_threshold();
-        self.validate(results, threshold)?;
-        Ok(self.decode_erasure_dense(&results[..threshold]))
+        self.decode_erasure_on(results, false)
     }
 
-    /// Sorts selected results by worker index: the cache key must not depend
-    /// on arrival order, so every per-survivor-set structure (and the
-    /// combination that consumes it) uses this canonical order.
-    fn sorted_by_worker(selected: &[(usize, Vec<Fp<M>>)]) -> Vec<&(usize, Vec<Fp<M>>)> {
-        let mut ordered: Vec<&(usize, Vec<Fp<M>>)> = selected.iter().collect();
-        ordered.sort_unstable_by_key(|(worker, _)| *worker);
-        ordered
+    fn decode_erasure_on(
+        &self,
+        results: &[(usize, Vec<Fp<M>>)],
+        tree: bool,
+    ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
+        let workers: Vec<usize> = results.iter().map(|(worker, _)| *worker).collect();
+        let lanes: Vec<&[Fp<M>]> = results.iter().map(|(_, v)| v.as_slice()).collect();
+        self.prepare_on(&workers, tree)?.apply(&lanes)
     }
 
-    /// Fetches (or builds and caches) the per-survivor-set interpolation
-    /// state for the given canonicalized selection.
-    fn basis_for(&self, ordered: &[&(usize, Vec<Fp<M>>)], tree: bool) -> Arc<CachedBasis<M>> {
-        let workers: Vec<usize> = ordered.iter().map(|(worker, _)| *worker).collect();
-        {
-            let mut cache = self
-                .cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(hit) = cache.entries.get(&(tree, workers.clone())) {
-                let hit = Arc::clone(hit);
-                cache.hits += 1;
-                return hit;
-            }
-            cache.misses += 1;
-        }
-        // Build outside the lock: concurrent first decodes of the same
-        // pattern may both build (harmless), but no decode ever blocks on
-        // another's basis construction.
-        let alphas: Vec<Fp<M>> = workers.iter().map(|&w| self.points.alpha()[w]).collect();
-        let built = Arc::new(if tree {
-            CachedBasis::Tree(TreeInterpolator::new(alphas))
-        } else {
-            CachedBasis::Dense(self.build_dense_basis(&alphas))
-        });
-        let mut cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cache.entries.len() >= BASIS_CACHE_CAPACITY {
-            cache.entries.clear();
-        }
-        cache.entries.insert((tree, workers), Arc::clone(&built));
-        built
-    }
-
-    /// Builds the dense path's cached shape: systematic hits and the
-    /// Lagrange rows for the interpolated blocks. One basis construction
-    /// (with its batch-inverted barycentric weights) and one shared
-    /// `evaluate_at_many` batch inversion cover all `K` blocks.
-    fn build_dense_basis(&self, alphas: &[Fp<M>]) -> DenseBasis<M> {
-        let basis = LagrangeBasis::new(alphas.to_vec());
+    /// Builds the dense basis: systematic hits and the Lagrange rows for the
+    /// interpolated blocks. One basis construction (with its batch-inverted
+    /// barycentric weights) and one shared `evaluate_at_many` batch inversion
+    /// cover all `K` blocks.
+    fn build_dense_basis(&self, alphas: Vec<Fp<M>>) -> DenseBasis<M> {
         // Systematic fast path per block: a selected worker sitting exactly
         // on β_k already holds the output.
         let systematic: Vec<Option<usize>> = (0..self.config.partitions)
@@ -391,120 +292,8 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             .filter(|(_, hit)| hit.is_none())
             .map(|(k, _)| self.points.beta()[k])
             .collect();
-        let rows = basis.evaluate_at_many(&interpolated_betas);
+        let rows = LagrangeBasis::new(alphas).evaluate_at_many(&interpolated_betas);
         DenseBasis { systematic, rows }
-    }
-
-    /// The dense `O(K·R)`-per-coordinate combination over exactly
-    /// `threshold` results, with its basis rows cached per survivor set.
-    fn decode_erasure_dense(&self, selected: &[(usize, Vec<Fp<M>>)]) -> Vec<Vec<Fp<M>>> {
-        let ordered = Self::sorted_by_worker(selected);
-        let basis = self.basis_for(&ordered, false);
-        let CachedBasis::Dense(dense) = &*basis else {
-            unreachable!("dense decode fetched a dense basis");
-        };
-        let width = ordered[0].1.len();
-        let mut basis_rows = dense.rows.iter();
-        let mut outputs = Vec::with_capacity(self.config.partitions);
-        for hit in &dense.systematic {
-            if let Some(position) = hit {
-                outputs.push(ordered[*position].1.clone());
-                continue;
-            }
-            let coefficients = basis_rows
-                .next()
-                .expect("one basis row per interpolated β-point");
-            // One lazy-reduction pass over the selected workers: the u128
-            // lanes absorb one product per worker and reduce once at the end.
-            let mut block = avcc_field::WideAccumulator::<M>::new(width);
-            for ((_, vector), &coefficient) in ordered.iter().zip(coefficients.iter()) {
-                if coefficient == Fp::<M>::ZERO {
-                    continue;
-                }
-                block.axpy(coefficient, vector);
-            }
-            outputs.push(block.finish());
-        }
-        outputs
-    }
-
-    /// The partial `O(R log² R)`-per-coordinate fast path (points in
-    /// subgroup position, workers missing): interpolate `P = f(u)` from the
-    /// surviving α-subset with the cached subproduct tree (vector lanes —
-    /// every coordinate in one tree pass), then fold the coefficients modulo
-    /// `z^B − 1` and forward-NTT over the β-subgroup exactly like the
-    /// full-coset path.
-    fn decode_erasure_tree(
-        &self,
-        selected: &[(usize, Vec<Fp<M>>)],
-        ntt: &DecoderNtt<M>,
-    ) -> Vec<Vec<Fp<M>>> {
-        let ordered = Self::sorted_by_worker(selected);
-        let basis = self.basis_for(&ordered, true);
-        let CachedBasis::Tree(interpolator) = &*basis else {
-            unreachable!("tree decode fetched a tree basis");
-        };
-        let lanes: Vec<&[Fp<M>]> = ordered
-            .iter()
-            .map(|(_, vector)| vector.as_slice())
-            .collect();
-        let width = lanes[0].len();
-        let mut coefficients = interpolator.interpolate_vectors(&lanes).into_iter();
-        // Fold modulo z^B − 1 (exact: every β-point satisfies z^B = 1). The
-        // recovery threshold (K+T−1)·deg f + 1 is at least B = K+T, so the
-        // first B coefficient lanes always exist.
-        let blocks = ntt.evaluate.len();
-        let mut folded: Vec<Vec<Fp<M>>> = coefficients.by_ref().take(blocks).collect();
-        debug_assert_eq!(folded.len(), blocks);
-        for (m, lane) in coefficients.enumerate() {
-            let target = &mut folded[m % blocks];
-            for (slot, value) in target.iter_mut().zip(lane) {
-                *slot += value;
-            }
-        }
-        ntt.evaluate.forward_vectors(&mut folded);
-        folded.truncate(self.config.partitions);
-        debug_assert!(folded.iter().all(|lane| lane.len() == width));
-        folded
-    }
-
-    /// The `O(N log N)`-per-coordinate fast path: interpolate `P = f(u)` from
-    /// the full α-coset with one inverse NTT, fold the coefficients modulo
-    /// `z^B − 1` (exact, because every β-point satisfies `z^B = 1`) and
-    /// evaluate at all β-points with one forward NTT over the subgroup.
-    fn decode_erasure_full_coset(&self, results: &[(usize, Vec<Fp<M>>)]) -> Vec<Vec<Fp<M>>> {
-        let ntt = self.ntt.as_ref().expect("caller checked the fast path");
-        let interpolate = ntt
-            .interpolate
-            .as_ref()
-            .expect("caller checked the full-coset plan");
-        let layout = self
-            .points
-            .ntt_layout()
-            .expect("NTT plans imply a subgroup layout");
-        let width = results[0].1.len();
-        // Scatter results into coset order: worker i sits at α_i = g·ω_A^i.
-        let mut lanes: Vec<Vec<Fp<M>>> = vec![Vec::new(); self.config.workers];
-        for (worker, vector) in results {
-            lanes[*worker] = vector.clone();
-        }
-        // Coefficients of P in the coset basis: INTT gives p_k·g^k, undone by
-        // scaling with g^{-1} powers.
-        interpolate.inverse_vectors(&mut lanes);
-        interpolate.coset_scale_vectors(&mut lanes, layout.shift.inverse());
-        // Fold modulo z^B − 1: coefficient m contributes to residue m mod B.
-        let blocks = ntt.evaluate.len();
-        let mut folded: Vec<Vec<Fp<M>>> = lanes.drain(..blocks).collect();
-        for (m, lane) in lanes.into_iter().enumerate() {
-            let target = &mut folded[m % blocks];
-            debug_assert_eq!(lane.len(), width);
-            for (slot, value) in target.iter_mut().zip(lane) {
-                *slot += value;
-            }
-        }
-        ntt.evaluate.forward_vectors(&mut folded);
-        folded.truncate(self.config.partitions);
-        folded
     }
 
     /// Error-correcting decoding: tolerates up to `max_errors` arbitrarily
@@ -518,12 +307,13 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
     ) -> Result<DecodedWithErrors<M>, DecodeError> {
         let threshold = self.recovery_threshold();
         let required = threshold + 2 * max_errors;
-        self.validate(results, required)?;
+        let workers: Vec<usize> = results.iter().map(|(worker, _)| *worker).collect();
+        self.validate_workers(&workers, required)?;
         let width = results[0].1.len();
-        let alphas: Vec<Fp<M>> = results
-            .iter()
-            .map(|(worker, _)| self.points.alpha()[*worker])
-            .collect();
+        if results.iter().any(|(_, vector)| vector.len() != width) {
+            return Err(DecodeError::ShapeMismatch);
+        }
+        let alphas: Vec<Fp<M>> = workers.iter().map(|&w| self.points.alpha()[w]).collect();
 
         // Fingerprint pass: collapse each worker vector to a single field
         // element with a shared random combination vector. Correct workers'
@@ -533,7 +323,7 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             .iter()
             .map(|(_, vector)| dot(vector, &combination))
             .collect();
-        let decoder = BerlekampWelch::new(alphas.clone(), threshold);
+        let decoder = BerlekampWelch::new(alphas, threshold);
         let located = match decoder.decode(&fingerprints, max_errors) {
             Ok(decoded) => decoded.error_positions,
             Err(RsDecodeError::TooManyErrors) => return Err(DecodeError::TooManyErrors),
@@ -561,32 +351,109 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
         Ok((outputs, corrupted_workers))
     }
 
-    fn validate(
-        &self,
-        results: &[(usize, Vec<Fp<M>>)],
-        required: usize,
-    ) -> Result<(), DecodeError> {
-        if results.len() < required {
+    /// Checks a survivor list: enough of them, all in `[0, N)`, no repeats.
+    fn validate_workers(&self, workers: &[usize], required: usize) -> Result<(), DecodeError> {
+        if workers.len() < required {
             return Err(DecodeError::NotEnoughResults {
-                provided: results.len(),
+                provided: workers.len(),
                 required,
             });
         }
         let mut seen = vec![false; self.config.workers];
-        let width = results[0].1.len();
-        for (worker, vector) in results {
-            if *worker >= self.config.workers {
-                return Err(DecodeError::UnknownWorker { worker: *worker });
+        for &worker in workers {
+            if worker >= self.config.workers {
+                return Err(DecodeError::UnknownWorker { worker });
             }
-            if seen[*worker] {
-                return Err(DecodeError::DuplicateWorker { worker: *worker });
+            if seen[worker] {
+                return Err(DecodeError::DuplicateWorker { worker });
             }
-            seen[*worker] = true;
-            if vector.len() != width {
-                return Err(DecodeError::ShapeMismatch);
-            }
+            seen[worker] = true;
         }
         Ok(())
+    }
+}
+
+impl<M: PrimeModulus> PreparedDecode<'_, M> {
+    /// Decodes one result set: `lanes[i]` is the vector returned by the
+    /// `i`-th worker given to [`LagrangeDecoder::prepare`]. Returns the `K`
+    /// output blocks, each as long as the lanes.
+    ///
+    /// Fails with [`DecodeError::ShapeMismatch`] unless there is exactly one
+    /// lane per prepared worker and all lanes share a length.
+    pub fn apply(&self, lanes: &[&[Fp<M>]]) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
+        let width = lanes.first().map_or(0, |lane| lane.len());
+        if lanes.len() != self.supplied || lanes.iter().any(|lane| lane.len() != width) {
+            return Err(DecodeError::ShapeMismatch);
+        }
+        let selected = &lanes[..self.decoder.recovery_threshold()];
+        Ok(match &self.basis {
+            Basis::Dense(dense) => self.apply_dense(dense, selected, width),
+            Basis::Tree(interpolator) => self.apply_tree(interpolator, selected),
+        })
+    }
+
+    /// The dense `O(K·R)`-per-coordinate combination.
+    fn apply_dense(
+        &self,
+        dense: &DenseBasis<M>,
+        lanes: &[&[Fp<M>]],
+        width: usize,
+    ) -> Vec<Vec<Fp<M>>> {
+        let mut basis_rows = dense.rows.iter();
+        dense
+            .systematic
+            .iter()
+            .map(|hit| {
+                if let Some(position) = hit {
+                    return lanes[*position].to_vec();
+                }
+                let coefficients = basis_rows
+                    .next()
+                    .expect("one basis row per interpolated β-point");
+                // One lazy-reduction pass over the selected workers: the u128
+                // lanes absorb one product per worker and reduce once at the
+                // end.
+                let mut block = avcc_field::WideAccumulator::<M>::new(width);
+                for (lane, &coefficient) in lanes.iter().zip(coefficients.iter()) {
+                    if coefficient != Fp::<M>::ZERO {
+                        block.axpy(coefficient, lane);
+                    }
+                }
+                block.finish()
+            })
+            .collect()
+    }
+
+    /// The `O(R log² R)`-per-coordinate tree path: interpolate `P = f(u)`
+    /// from the survivor α-subset (vector lanes — every coordinate in one
+    /// tree pass), fold the coefficients modulo `z^B − 1` and forward-NTT
+    /// over the β-subgroup.
+    fn apply_tree(
+        &self,
+        interpolator: &TreeInterpolator<M>,
+        lanes: &[&[Fp<M>]],
+    ) -> Vec<Vec<Fp<M>>> {
+        let evaluate = self
+            .decoder
+            .evaluate
+            .as_ref()
+            .expect("a tree basis is only prepared on subgroup points");
+        let mut coefficients = interpolator.interpolate_vectors(lanes).into_iter();
+        // Fold modulo z^B − 1 (exact: every β-point satisfies z^B = 1). The
+        // recovery threshold (K+T−1)·deg f + 1 is at least B = K+T, so the
+        // first B coefficient lanes always exist.
+        let blocks = evaluate.len();
+        let mut folded: Vec<Vec<Fp<M>>> = coefficients.by_ref().take(blocks).collect();
+        debug_assert_eq!(folded.len(), blocks);
+        for (m, lane) in coefficients.enumerate() {
+            let target = &mut folded[m % blocks];
+            for (slot, value) in target.iter_mut().zip(lane) {
+                *slot += value;
+            }
+        }
+        evaluate.forward_vectors(&mut folded);
+        folded.truncate(self.decoder.config.partitions);
+        folded
     }
 }
 
@@ -817,17 +684,20 @@ mod tests {
         fn full_coset_results_decode_through_the_ntt() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
             let (expected, results, decoder) = ntt_round(config, 21);
-            assert!(decoder.supports_ntt());
+            // Every worker present at N = 16: still the tree path (over the
+            // first threshold arrivals), bit-identical to the dense oracle.
+            assert!(decoder.supports_partial_ntt());
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);
+            assert_eq!(outputs, decoder.decode_erasure_lagrange(&results).unwrap());
         }
 
         #[test]
         fn missing_workers_take_the_tree_path_and_agree() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
             let (expected, results, decoder) = ntt_round(config, 22);
-            // Dropping any straggler drops to the partial subproduct-tree
-            // path; all three paths must produce the same outputs.
+            // With or without stragglers the subproduct-tree path decodes,
+            // and must agree with the dense oracle.
             let full = decoder.decode_erasure(&results).unwrap();
             let subset = results[3..].to_vec();
             let partial = decoder.decode_erasure(&subset).unwrap();
@@ -854,51 +724,52 @@ mod tests {
 
         #[test]
         fn non_power_of_two_worker_counts_use_the_partial_path() {
-            // N = 12 < 16 never fills the coset: the full-coset path is
-            // unavailable, but the points are still in subgroup position so
-            // the partial tree path applies — and decoding stays correct.
+            // N = 12 < 16 never fills the coset, but the points are still in
+            // subgroup position so the tree path applies — and decoding
+            // stays correct.
             let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
             let (expected, results, decoder) = ntt_round(config, 23);
-            assert!(!decoder.supports_ntt());
             assert!(decoder.supports_partial_ntt());
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);
         }
 
         #[test]
-        fn repeated_straggler_pattern_hits_the_basis_cache() {
+        fn one_prepare_decodes_many_result_sets_in_any_worker_order() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
             let (expected, results, decoder) = ntt_round(config, 27);
-            // Exactly threshold-many survivors, so the selected set (and
-            // with it the cache key) is the whole subset regardless of
-            // arrival order.
             assert_eq!(decoder.recovery_threshold(), 8);
-            let subset = results[2..10].to_vec();
-            assert_eq!(decoder.basis_cache_stats(), (0, 0));
-            assert_eq!(decoder.decode_erasure(&subset).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (0, 1));
-            // Same survivor set again (the common consecutive-round case):
-            // the interpolator is reused, not rebuilt.
-            assert_eq!(decoder.decode_erasure(&subset).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (1, 1));
-            // Arrival order must not matter: a shuffled copy of the same
-            // survivor set still hits.
-            let mut shuffled = subset.clone();
+            let subset = &results[2..10];
+            let workers: Vec<usize> = subset.iter().map(|(worker, _)| *worker).collect();
+            let lanes: Vec<&[F64]> = subset.iter().map(|(_, v)| v.as_slice()).collect();
+            let prepared = decoder.prepare(&workers).unwrap();
+            // The basis depends on the survivor set only: a second result
+            // set from the same workers (here, every value doubled) decodes
+            // through the same prepare.
+            assert_eq!(prepared.apply(&lanes).unwrap(), expected);
+            let doubled: Vec<Vec<F64>> = subset
+                .iter()
+                .map(|(_, v)| v.iter().map(|&x| x + x).collect())
+                .collect();
+            let doubled_lanes: Vec<&[F64]> = doubled.iter().map(Vec::as_slice).collect();
+            let doubled_expected: Vec<Vec<F64>> = expected
+                .iter()
+                .map(|block| block.iter().map(|&x| x + x).collect())
+                .collect();
+            assert_eq!(prepared.apply(&doubled_lanes).unwrap(), doubled_expected);
+            // Arrival order does not change the decode, on either path.
+            let mut shuffled = subset.to_vec();
             shuffled.reverse();
             assert_eq!(decoder.decode_erasure(&shuffled).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (2, 1));
-            // A different straggler pattern is a different key.
-            let other = results[3..].to_vec();
-            assert_eq!(decoder.decode_erasure(&other).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (2, 2));
-            // The dense oracle on the same survivors caches separately.
-            assert_eq!(decoder.decode_erasure_lagrange(&subset).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (2, 3));
-            assert_eq!(decoder.decode_erasure_lagrange(&subset).unwrap(), expected);
-            assert_eq!(decoder.basis_cache_stats(), (3, 3));
-            // Cloning resets the cache (it is a pure accelerator).
-            let cloned = decoder.clone();
-            assert_eq!(cloned.basis_cache_stats(), (0, 0));
+            assert_eq!(
+                decoder.decode_erasure_lagrange(&shuffled).unwrap(),
+                expected
+            );
+            // Lanes must match the prepared workers one for one.
+            assert_eq!(prepared.apply(&lanes[1..]), Err(DecodeError::ShapeMismatch));
+            let mut ragged = lanes.clone();
+            ragged[3] = &ragged[3][1..];
+            assert_eq!(prepared.apply(&ragged), Err(DecodeError::ShapeMismatch));
         }
 
         #[test]
@@ -906,7 +777,6 @@ mod tests {
             // K + T = 8, N = 16: threshold (8−1)·1+1 = 8 ≤ 16.
             let config = SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap();
             let (expected, results, decoder) = ntt_round(config, 24);
-            assert!(decoder.supports_ntt());
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);
         }
@@ -914,8 +784,7 @@ mod tests {
         #[test]
         fn error_correcting_decode_works_on_subgroup_points() {
             // LCC-style on F64: locate the corruption via Berlekamp–Welch,
-            // then erasure-decode the clean subset (Lagrange fallback, since
-            // the evicted worker breaks full-coset coverage).
+            // then erasure-decode the clean subset on the tree path.
             let config = SchemeConfig::linear(16, 8, 2, 2).unwrap();
             let (expected, mut results, decoder) = ntt_round(config, 25);
             for value in results[5].1.iter_mut() {

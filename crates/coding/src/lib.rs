@@ -30,37 +30,34 @@
 //! erasures.
 //!
 //! A fifth concern sits on top: **how often is the dataset encoded?**
-//! [`dataset::EncodedDataset`] owns the coded partitions (and the shared
-//! decoder with its basis cache) once, so many per-function engine sessions —
+//! [`dataset::EncodedDataset`] owns the coded partitions (and the decoder
+//! that inverts them) once, so many per-function engine sessions —
 //! and the multi-function batched rounds built on them — amortize a single
 //! encode instead of re-encoding per computation.
 //!
 //! # Encode/decode path selection
 //!
 //! Every encode and decode picks between algebraically identical
-//! implementations, automatically, per call:
+//! implementations by one observable property, the point layout:
 //!
 //! | Path | Cost per coordinate | Requires | Chosen when |
 //! |---|---|---|---|
-//! | Lagrange matrix | `O((K+T)·N)` encode, `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | fallback, always available (and the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`]) |
-//! | NTT full coset (decode) / subgroup (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors), and — for the decode — **every** coset worker responding | all conditions hold |
-//! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position but the full coset is incomplete (stragglers, evicted Byzantine workers, `N` not a power of two) |
+//! | Lagrange matrix | `O((K+T)·N)` encode, `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | points not in subgroup position (`P25`: `train_*`, `serve_mixed`); also the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`] |
+//! | NTT (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors) | all conditions hold |
+//! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position (`P64`: `matmul_batch`) |
 //! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; closed-form weights + NTT `Q`-evaluation on the full coset, `O(R²)` cached weights otherwise | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
 //!
 //! The β-points (interpolation) sit in an order-`(K+T)` multiplicative
 //! subgroup and the α-points (workers) on a generator-shifted coset, so the
 //! two sets never collide; encode is then an inverse NTT over the subgroup
-//! followed by a coset-scaled forward NTT, and decode folds the full-coset
-//! inverse transform mod `z^B − 1` back onto the subgroup. A missing
-//! worker breaks the coset structure but not the subgroup position: the
-//! decoder then interpolates `f(u)` from the surviving α-subset with a
-//! cached subproduct tree ([`avcc_poly::TreeInterpolator`], keyed by the
-//! survivor set — consecutive rounds usually straggle the same workers) and
-//! still folds/forward-NTTs to the β-points. The dense Lagrange matrix only
-//! runs on fields without NTT metadata — correctness never depends on a
-//! fast path (`BENCH_PR2.json`: 4.3–8.3× at `K ∈ {64, 128}`;
-//! `BENCH_PR5.json`: tree vs dense with 1–4 missing workers; both gated in
-//! CI).
+//! followed by a coset-scaled forward NTT. The decoder interpolates `f(u)`
+//! from the first threshold verified α-points with a subproduct tree
+//! ([`avcc_poly::TreeInterpolator`]), folds the coefficients mod `z^B − 1`
+//! and forward-NTTs to the β-points. The basis (tree or dense rows) is built
+//! once per survivor set by [`decoder::LagrangeDecoder::prepare`] and
+//! applied to each of a batched round's `m` functions; nothing is kept
+//! between rounds. Correctness never depends on which path runs: both are
+//! exact, and the tests assert them bit-identical.
 //!
 //! Both paths share the same vectorized substrate: Lagrange linear
 //! combinations run on [`avcc_field::WideAccumulator`] lanes with one
@@ -79,7 +76,7 @@ pub mod scheme;
 pub mod screen;
 
 pub use dataset::EncodedDataset;
-pub use decoder::{DecodeError, LagrangeDecoder};
+pub use decoder::{DecodeError, LagrangeDecoder, PreparedDecode};
 pub use encoder::{EncodedShare, LagrangeEncoder};
 pub use mds::MdsCode;
 pub use points::{EvaluationPoints, SubgroupLayout};

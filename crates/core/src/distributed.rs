@@ -37,7 +37,7 @@ use avcc_sim::wire::Block;
 
 use crate::driver::DistributedTrainer;
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{BatchRoundTask, RoundTask, SchemeFailure};
+use crate::rounds::{has_dispatched_shape, BatchRoundTask, RoundTask, SchemeFailure};
 
 /// Arrival-ordered outcomes of one batched round: per worker, one field
 /// vector per function.
@@ -159,8 +159,9 @@ impl WireRunner {
 
     /// Runs one round (`tasks[i]`, carrying `m` inputs, addressed to worker
     /// `i`): install (if the dataset changed), run the lowered inputs on the
-    /// executor, keep the outcomes of the dispatched shape (`m` outputs each,
-    /// all canonical), apply the Byzantine corruption to every function — a
+    /// executor, keep the outcomes of the dispatched shape (`m` outputs of
+    /// the block's row count each, all canonical), apply the Byzantine
+    /// corruption to every function — a
     /// corrupted node does not selectively spare sub-results — and sort by
     /// arrival: the shape the engines' `collect_batch` expects.
     pub fn run_batch_round<M: PrimeModulus>(
@@ -183,7 +184,8 @@ impl WireRunner {
         let mut outcomes: BatchOutcomes<M> = raw
             .into_iter()
             .filter_map(|outcome| {
-                if outcome.payload.len() != functions {
+                let rows = tasks.get(outcome.worker)?.matrix().rows();
+                if !has_dispatched_shape(&outcome.payload, functions, rows) {
                     return None;
                 }
                 let mut payload = outcome

@@ -321,13 +321,10 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         &self.scenario_label
     }
 
-    /// Combined `(hits, misses)` of both round engines' decoder basis caches
-    /// (see [`MatVecEngine::decode_cache_stats`]); zeros for schemes that do
-    /// not decode.
+    /// Always `(0, 0)`: the decoder keeps no cache. Harness compatibility;
+    /// remove at the next `benchmark` re-bind.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
-        let (h1, m1) = self.round1.decode_cache_stats();
-        let (h2, m2) = self.round2.decode_cache_stats();
-        (h1 + h2, m1 + m2)
+        (0, 0)
     }
 
     /// The number of workers the given round dispatches to.

@@ -37,15 +37,15 @@ use rand::Rng;
 
 use crate::engines::MatVecEngine;
 use crate::rounds::{
-    detect_stragglers, field_vector_bytes, waiting_costs, BatchExecution, BatchRoundTask,
-    SchemeFailure,
+    detect_stragglers, field_vector_bytes, has_dispatched_shape, waiting_costs, BatchExecution,
+    BatchRoundTask, SchemeFailure,
 };
 
 /// The AVCC distributed matrix–vector engine: a per-function session over a
 /// shared [`EncodedDataset`], plus the per-worker Freivalds keys.
 ///
 /// Cloning the session clones the `Arc` onto the dataset, so clones keep
-/// sharing one encode (and one decoder basis cache).
+/// sharing one encode.
 #[derive(Debug, Clone)]
 pub struct AvccMatVec<M: PrimeModulus> {
     dataset: Arc<EncodedDataset<M>>,
@@ -224,6 +224,12 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         let observed_stragglers = detect_stragglers(outcomes);
         let threshold = self.dataset.recovery_threshold();
         let block_rows = self.dataset.block_rows();
+        // A wrong-shaped arrival never reaches a key or the decoder: it is
+        // dropped here, exactly like a result that never arrived.
+        let outcomes: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = outcomes
+            .iter()
+            .filter(|outcome| has_dispatched_shape(&outcome.payload, functions, block_rows))
+            .collect();
 
         // Verify results in arrival order and stop as soon as the threshold of
         // verified results is reached — the key property that lets AVCC start
@@ -253,10 +259,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         // pass. Screened-out workers are erased exactly like stragglers.
         let combined_claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
             .iter()
-            .map(|outcome| {
-                debug_assert_eq!(outcome.payload.len(), functions);
-                (outcome.worker, combine(&outcome.payload))
-            })
+            .map(|outcome| (outcome.worker, combine(&outcome.payload)))
             .collect();
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
         let mut verification_seconds = verify_setup.elapsed().as_secs_f64();
@@ -308,18 +311,19 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         );
         costs.verification = verification_seconds * time_scale;
 
-        // m per-function erasure decodes over one survivor set: the first
-        // pays for the Lagrange basis, the remaining m − 1 hit the dataset's
-        // basis cache.
+        // One interpolation basis for the verified survivor set, applied to
+        // each of the m functions' borrowed result lanes.
         let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
         let decode_start = Instant::now();
+        let survivors: Vec<usize> = verified.iter().map(|o| o.worker).collect();
+        let prepared = decoder.prepare(&survivors)?;
         let mut outputs = Vec::with_capacity(functions);
         for function in 0..functions {
-            let results: Vec<(usize, Vec<Fp<M>>)> = verified
+            let lanes: Vec<&[Fp<M>]> = verified
                 .iter()
-                .map(|o| (o.worker, o.payload[function].clone()))
+                .map(|o| o.payload[function].as_slice())
                 .collect();
-            let blocks = decoder.decode_erasure(&results)?;
+            let blocks = prepared.apply(&lanes)?;
             let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
             for block in blocks {
                 output.extend(block);
@@ -349,16 +353,12 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             outputs,
             costs,
             ops,
-            used_workers: verified.iter().map(|o| o.worker).collect(),
+            used_workers: survivors,
             detected_byzantine,
             observed_stragglers,
             screened_workers,
             corrupted_functions,
         })
-    }
-
-    fn decode_cache_stats(&self) -> (u64, u64) {
-        self.dataset.basis_cache_stats()
     }
 }
 
@@ -478,35 +478,42 @@ mod tests {
     #[test]
     fn straggler_round_on_subgroup_points_decodes_via_the_partial_ntt_path() {
         use avcc_field::{F64, P64};
-        // Goldilocks field, K = 8 and N = 16 in subgroup position: a clean
-        // round decodes through the full-coset NTT, while the straggler
-        // round below decodes through the subproduct-tree partial path
-        // (PR5) — the common case at scale. Both must reproduce the exact
-        // product.
+        // Goldilocks field, K = 8 and N = 16 in subgroup position: the
+        // straggler round below and a round with every worker present both
+        // decode through the subproduct-tree path, reproduce the exact
+        // product, and agree with the dense oracle on their survivor set.
         let mut rng = StdRng::seed_from_u64(40);
         let matrix = Matrix::from_vec(16, 6, avcc_field::random_matrix(&mut rng, 16, 6));
         let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
         let expected = mat_vec(&matrix, &input);
         let config = SchemeConfig::linear(16, 8, 4, 0).unwrap();
         let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
-        // Sanity: this geometry really is the NTT layout with both fast paths.
+        // Sanity: this geometry really is the subgroup layout.
         let decoder = avcc_coding::LagrangeDecoder::<P64>::new(config);
-        assert!(decoder.supports_ntt());
         assert!(decoder.supports_partial_ntt());
-        let profile = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
-        let mut round_rng = StdRng::seed_from_u64(41);
-        let round = engine
-            .execute(
-                &input,
-                &mut executor,
-                &ByzantineSpec::none(),
-                &mut round_rng,
-            )
-            .unwrap();
-        assert_eq!(round.output, expected);
-        for straggler in [0usize, 5, 11, 13] {
-            assert!(!round.used_workers.contains(&straggler));
+        let straggling = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
+        for profile in [straggling, ClusterProfile::uniform(16)] {
+            let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+            let mut round_rng = StdRng::seed_from_u64(41);
+            let round = engine
+                .execute(
+                    &input,
+                    &mut executor,
+                    &ByzantineSpec::none(),
+                    &mut round_rng,
+                )
+                .unwrap();
+            assert_eq!(round.output, expected);
+            let survivors: Vec<(usize, Vec<F64>)> = round
+                .used_workers
+                .iter()
+                .map(|&w| (w, mat_vec(engine.dataset().share(w), &input)))
+                .collect();
+            let oracle = decoder.decode_erasure_lagrange(&survivors).unwrap();
+            assert_eq!(round.output, oracle.concat());
+            for straggler in executor.profile().straggler_indices() {
+                assert!(!round.used_workers.contains(&straggler));
+            }
         }
     }
 

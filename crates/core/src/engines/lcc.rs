@@ -189,10 +189,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             corrupted_functions: Vec::new(),
         })
     }
-
-    fn decode_cache_stats(&self) -> (u64, u64) {
-        self.dataset.basis_cache_stats()
-    }
 }
 
 #[cfg(test)]

@@ -91,10 +91,8 @@ pub trait MatVecEngine<M: PrimeModulus> {
         rng: &mut StdRng,
     ) -> Result<BatchExecution<M>, SchemeFailure>;
 
-    /// `(hits, misses)` of the engine's shared decoder basis cache — `(0, 0)`
-    /// for engines with nothing to decode. Counters are cumulative over the
-    /// dataset's lifetime and shared with every other session over the same
-    /// [`avcc_coding::EncodedDataset`].
+    /// Always `(0, 0)`: the decoder keeps no cache. Harness compatibility;
+    /// remove at the next `benchmark` re-bind.
     fn decode_cache_stats(&self) -> (u64, u64) {
         (0, 0)
     }

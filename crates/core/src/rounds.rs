@@ -271,6 +271,14 @@ pub fn detect_stragglers<T>(outcomes: &[WorkerOutcome<T>]) -> Vec<usize> {
         .collect()
 }
 
+/// `true` iff a worker's payload has the dispatched shape: one vector per
+/// function, each as long as the worker's block has rows. Anything else is
+/// dropped before verification — a worker chooses its payload's shape, and
+/// the Freivalds keys and the decoder assume it.
+pub(crate) fn has_dispatched_shape<T>(payload: &[Vec<T>], functions: usize, rows: usize) -> bool {
+    payload.len() == functions && payload.iter().all(|part| part.len() == rows)
+}
+
 /// Assembles the compute/communication part of a round's cost from the subset
 /// of outcomes the master actually waited for, plus the cost of broadcasting
 /// the input vector to every worker.

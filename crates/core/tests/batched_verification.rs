@@ -12,11 +12,12 @@ use std::sync::Arc;
 
 use avcc_coding::{EncodedDataset, SchemeConfig};
 use avcc_core::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
-use avcc_field::{Fp, PrimeModulus, P25, P64};
+use avcc_field::{Fp, PrimeModulus, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::cluster::ClusterProfile;
-use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
+use avcc_sim::executor::{Executor, ExecutorError, VirtualExecutor, WorkerOutcome};
+use avcc_sim::wire::Block;
 use avcc_sim::NetworkModel;
 use avcc_verify::KeyGenConfig;
 use proptest::prelude::*;
@@ -223,33 +224,204 @@ fn multiple_corrupted_functions_are_all_localized() {
     }
 }
 
+/// How a hostile worker misshapes every part of an otherwise correct,
+/// CRC-valid, canonical payload.
+#[derive(Debug, Clone, Copy)]
+enum Reshape {
+    Shorten,
+    Lengthen,
+    Empty,
+}
+
+impl Reshape {
+    fn apply<T: Default>(self, parts: &mut [Vec<T>]) {
+        for part in parts {
+            match self {
+                Reshape::Shorten => drop(part.pop()),
+                Reshape::Lengthen => part.push(T::default()),
+                Reshape::Empty => part.clear(),
+            }
+        }
+    }
+}
+
+/// Passes every call through to a `VirtualExecutor`, then reshapes the
+/// victim's payload and moves it to the front of the arrival order, so the
+/// master is guaranteed to examine it.
+struct ReshapingExecutor {
+    inner: VirtualExecutor,
+    victim: usize,
+    reshape: Reshape,
+}
+
+impl Executor for ReshapingExecutor {
+    fn workers(&self) -> usize {
+        self.inner.workers()
+    }
+    fn profile(&self) -> &ClusterProfile {
+        Executor::profile(&self.inner)
+    }
+    fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
+        self.inner.install_blocks(job, blocks)
+    }
+    fn execute_round(
+        &mut self,
+        job: u64,
+        round: u64,
+        inputs: &[Vec<Vec<u64>>],
+    ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError> {
+        let mut outcomes = self.inner.execute_round(job, round, inputs)?;
+        for outcome in outcomes.iter_mut().filter(|o| o.worker == self.victim) {
+            self.reshape.apply(&mut outcome.payload);
+            outcome.arrival_seconds = 0.0;
+        }
+        Ok(outcomes)
+    }
+}
+
+/// A worker chooses the shape of what it sends: a result whose vectors are
+/// not one block's rows long must be dropped like a result that never
+/// arrived — over the wire path and for in-process callers of
+/// `collect_batch` — and the round decodes from the rest exactly as if the
+/// worker had been absent.
 #[test]
-fn batch_decode_amortizes_the_basis_cache() {
-    let functions = 4;
-    let mut rng = StdRng::seed_from_u64(99);
-    let matrix = random_matrix::<P25>(&mut rng, 18, 6);
-    let inputs = random_inputs::<P25>(&mut rng, functions, 6);
+fn a_wrong_length_result_is_dropped_before_verification() {
+    for functions in [1usize, 3] {
+        for reshape in [Reshape::Shorten, Reshape::Lengthen, Reshape::Empty] {
+            let case = format!("m = {functions}, {reshape:?}");
+            let mut rng = StdRng::seed_from_u64(500 + functions as u64);
+            let matrix = random_matrix::<P25>(&mut rng, 18, 6);
+            let inputs = random_inputs::<P25>(&mut rng, functions, 6);
+            let oracle: Vec<Vec<Fp<P25>>> = inputs.iter().map(|x| mat_vec(&matrix, x)).collect();
+            let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+            let mut engine =
+                AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+
+            let mut executor = ReshapingExecutor {
+                inner: VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0),
+                victim: 0,
+                reshape,
+            };
+            let wired = engine
+                .execute_batch(
+                    &inputs,
+                    &mut executor,
+                    &ByzantineSpec::none(),
+                    &mut StdRng::seed_from_u64(501),
+                )
+                .unwrap();
+            assert_eq!(wired.outputs, oracle, "{case}");
+            assert!(!wired.used_workers.contains(&0), "{case}");
+            assert!(wired.detected_byzantine.is_empty(), "{case}");
+
+            let honest = manual_outcomes(&engine, &inputs, &[]);
+            let mut hostile = honest.clone();
+            reshape.apply(&mut hostile[0].payload);
+            let mut collect = |outcomes: &[WorkerOutcome<Vec<Vec<Fp<P25>>>>]| {
+                engine
+                    .collect_batch(
+                        &inputs,
+                        outcomes,
+                        &NetworkModel::default(),
+                        1.0,
+                        &mut StdRng::seed_from_u64(502),
+                    )
+                    .unwrap()
+            };
+            let (direct, absent) = (collect(&hostile), collect(&honest[1..]));
+            assert_eq!(direct.outputs, oracle, "{case}");
+            assert_eq!(direct.used_workers, absent.used_workers, "{case}");
+            assert_eq!(
+                direct.detected_byzantine, absent.detected_byzantine,
+                "{case}"
+            );
+            assert_eq!(direct.ops, absent.ops, "{case}");
+        }
+    }
+}
+
+/// Runs `collect_batch` (screen off, so the σ-combined Freivalds check is
+/// all that stands between worker 0 and the decoder) once for **every**
+/// `σ ∈ F_251`, by scanning rng seeds until each value has been the
+/// collect's first draw. Worker 0 arrives first with `corrupted` functions
+/// wrong. Returns the σ values whose combined check accepted it.
+fn sigmas_accepting_worker_zero(functions: usize, corrupted: &[usize], seed: u64) -> Vec<u64> {
+    let mut rng = StdRng::seed_from_u64(seed);
+    let matrix = random_matrix::<P251>(&mut rng, 18, 6);
+    let inputs = random_inputs::<P251>(&mut rng, functions, 6);
+    let oracle: Vec<Vec<Fp<P251>>> = inputs.iter().map(|x| mat_vec(&matrix, x)).collect();
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
-    assert_eq!(engine.decode_cache_stats(), (0, 0));
+    let mut engine = AvccMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng)
+        .with_screening(false);
+    let corruptions: Vec<(usize, usize)> = corrupted.iter().map(|&j| (0, j)).collect();
+    let outcomes = manual_outcomes(&engine, &inputs, &corruptions);
 
-    let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
-    let mut round_rng = StdRng::seed_from_u64(100);
-    engine
-        .execute_batch(
-            &inputs,
-            &mut executor,
-            &ByzantineSpec::none(),
-            &mut round_rng,
-        )
-        .unwrap();
-    // One survivor set, m per-function decodes: the first pays for the
-    // Lagrange basis, the remaining m − 1 hit the shared cache.
-    assert_eq!(engine.decode_cache_stats(), (functions as u64 - 1, 1));
+    let mut accepted = Vec::new();
+    let mut seen = [false; 251];
+    for collect_seed in 0u64.. {
+        if seen.iter().all(|&s| s) {
+            break;
+        }
+        // With m > 1 and the screen off, σ is the collect's first draw.
+        let sigma: Fp<P251> = avcc_field::random_element(&mut StdRng::seed_from_u64(collect_seed));
+        if std::mem::replace(&mut seen[sigma.value() as usize], true) {
+            continue;
+        }
+        let batch = engine
+            .collect_batch(
+                &inputs,
+                &outcomes,
+                &NetworkModel::default(),
+                1.0,
+                &mut StdRng::seed_from_u64(collect_seed),
+            )
+            .unwrap();
+        if batch.used_workers.contains(&0) {
+            // A false accept: the corrupted claims went into the decode.
+            assert!(batch.detected_byzantine.is_empty(), "σ = {sigma:?}");
+            assert_ne!(batch.outputs, oracle, "σ = {sigma:?}");
+            accepted.push(sigma.value());
+        } else {
+            // Rejected: the per-function fallback names exactly what was
+            // corrupted, and the round decodes from the honest rest.
+            assert_eq!(batch.detected_byzantine, vec![0], "σ = {sigma:?}");
+            assert_eq!(batch.corrupted_functions, corrupted, "σ = {sigma:?}");
+            assert_eq!(batch.outputs, oracle, "σ = {sigma:?}");
+        }
+    }
+    accepted
+}
 
-    // A cloned session shares the same dataset, hence the same cache.
-    let clone = engine.clone();
-    assert_eq!(clone.decode_cache_stats(), (functions as u64 - 1, 1));
+/// The batched-Freivalds bound where it is observable (Kim–Kruglik–Kiah):
+/// the combined check accepts a wrong claim only at the roots of
+/// `σ ↦ Σ_j σ^j (r·e_j)`, a nonzero polynomial of degree `≤ m − 1` — so at
+/// most `m − 1` of the 251 possible σ, counted exhaustively. On the 25-bit
+/// and 64-bit fields the same bound is `(m − 1)/q ≈ 0`; `F_251` is where a
+/// violation would show.
+#[test]
+fn batched_check_accepts_a_wrong_claim_for_at_most_m_minus_one_sigmas() {
+    for (functions, corrupted, seed) in [
+        (3usize, &[1usize][..], 610u64),
+        (4, &[1, 3], 611),
+        (5, &[0, 2, 4], 612),
+        (8, &[7], 613),
+    ] {
+        let accepted = sigmas_accepting_worker_zero(functions, corrupted, seed);
+        assert!(
+            accepted.len() < functions,
+            "m = {functions}: σ ∈ {accepted:?} all accepted a wrong claim"
+        );
+    }
+}
+
+/// The bound is tight, not vacuous: with `m = 2` and both functions wrong
+/// the polynomial `(r·e_0) + σ (r·e_1)` has exactly one root, the scan finds
+/// it, and at that σ the master decodes a wrong product without noticing.
+#[test]
+fn two_wrong_functions_have_exactly_one_accepting_sigma() {
+    let accepted = sigmas_accepting_worker_zero(2, &[0, 1], 620);
+    assert_eq!(accepted.len(), 1);
+    assert_ne!(accepted[0], 0, "both functions are wrong, so σ = 0 rejects");
 }
 
 #[test]

@@ -53,7 +53,7 @@ pub const DOT_LANES: usize = 4;
 /// 25-bit field's batch is ≈ 2^78), the loop is a plain multiply-add
 /// reduction that the optimizer already reassociates across iterations, and
 /// manual striping only adds bookkeeping — measured, see the
-/// `dot_lanes/<field>` benches and `BENCH_PR4.json`.
+/// `dot_lanes/<field>` benches.
 pub const LANE_STRIPE_MAX_BATCH: usize = 1 << 16;
 
 /// Element-wise sum of two equal-length slices into a new vector.

@@ -66,11 +66,13 @@ pub trait PrimeModulus:
     /// [`PrimeModulus::mul_redc`] instead of [`PrimeModulus::reduce_wide`].
     ///
     /// Defaults to `false`: the specialized folds (Mersenne, pseudo-Mersenne)
-    /// are already cheaper than REDC, so only moduli that implement the
-    /// [`MontgomeryModulus`] marker flip this on (and every implementor of
-    /// the marker **must** flip it on — the marker is the public, compile-time
-    /// face of this selection). The branch is on a `const`, so the unselected
-    /// path folds away entirely.
+    /// of [`P61`] / [`P25`] are already cheaper than REDC per multiply. Which
+    /// moduli flip it on is an empirical choice, not a soundness one (REDC is
+    /// correct for every odd modulus): Barrett-backed moduli ([`P251`]) win
+    /// on any chain longer than the two domain conversions, and Goldilocks
+    /// ([`P64`]) wins inside the NTT butterflies where `WIDE_BATCH = 1`
+    /// forces a reduction per product. The branch is on a `const`, so the
+    /// unselected path folds away entirely.
     const MONTGOMERY_CHAINS: bool = false;
     /// The REDC constant `−q⁻¹ mod 2^64` (valid for every odd modulus —
     /// i.e. every prime but 2).
@@ -163,7 +165,7 @@ impl PrimeModulus for P251 {
     const NAME: &'static str = "F_251";
     // Barrett per-product reduction loses to REDC on any chain longer than
     // the two domain conversions; route pow/inversion chains through
-    // Montgomery (see [`MontgomeryModulus`]).
+    // Montgomery.
     const MONTGOMERY_CHAINS: bool = true;
 }
 
@@ -210,27 +212,6 @@ impl PrimeModulus for P64 {
 pub trait NttModulus: PrimeModulus {}
 
 impl NttModulus for P64 {}
-
-/// Marker for moduli that route long product chains through the
-/// Montgomery-form backend ([`crate::montgomery`]).
-///
-/// Implementing this trait is a compile-time promise that
-/// [`PrimeModulus::MONTGOMERY_CHAINS`] is `true`; it publicly gates the
-/// [`crate::montgomery::MontFp`] chain type, while generic code bound only by
-/// [`PrimeModulus`] reads the (const-folded) flag instead — the same
-/// split-level pattern as [`NttModulus`] and the NTT metadata.
-///
-/// Which moduli opt in is an empirical choice, not a soundness one (REDC is
-/// correct for every odd modulus): Barrett-backed moduli ([`P251`] and any
-/// future structureless prime) always win on chains longer than the two
-/// domain conversions, and Goldilocks ([`P64`]) wins inside the NTT
-/// butterflies where `WIDE_BATCH = 1` forces a reduction per product. The
-/// Mersenne/pseudo-Mersenne folds of [`P61`] / [`P25`] are cheaper than REDC
-/// per multiply, so those moduli deliberately opt out.
-pub trait MontgomeryModulus: PrimeModulus {}
-
-impl MontgomeryModulus for P251 {}
-impl MontgomeryModulus for P64 {}
 
 /// Operations every prime-field element type supports.
 ///
@@ -344,37 +325,54 @@ fn batch_inverse_generic<F: PrimeField>(values: &[F]) -> Vec<F> {
     result
 }
 
-/// The in-domain REDC square-and-multiply ladder: raises a Montgomery
-/// residue to `exponent`, staying in the domain.
-///
-/// Exposed crate-internally as the single ladder implementation shared by
-/// [`crate::montgomery::MontFp::pow`] (which stays in-domain) and
-/// [`pow_montgomery_raw`] (which wraps it in the boundary conversions).
-pub(crate) fn pow_redc_raw<M: PrimeModulus>(base_mont: u64, mut exponent: u64) -> u64 {
+/// Modular exponentiation of a canonical representative through the
+/// Montgomery domain: one conversion in, the REDC square-and-multiply
+/// ladder, one conversion out.
+pub(crate) fn pow_montgomery_raw<M: PrimeModulus>(base: u64, mut exponent: u64) -> u64 {
+    debug_assert!(base < M::MODULUS, "non-canonical base {base}");
+    let mut base = M::to_montgomery(base);
     // `MONT_R` is the Montgomery representation of 1.
-    if exponent == 0 {
-        return M::MONT_R;
-    }
-    let mut base = base_mont;
     let mut accumulator = M::MONT_R;
-    // Same top-bit trim as the generic `Fp::pow`: the final squaring of the
-    // naive loop is never consumed.
-    while exponent > 1 {
-        if exponent & 1 == 1 {
-            accumulator = M::mul_redc(accumulator, base);
+    if exponent > 0 {
+        // Same top-bit trim as the generic `Fp::pow`: the final squaring of
+        // the naive loop is never consumed.
+        while exponent > 1 {
+            if exponent & 1 == 1 {
+                accumulator = M::mul_redc(accumulator, base);
+            }
+            base = M::mul_redc(base, base);
+            exponent >>= 1;
         }
-        base = M::mul_redc(base, base);
-        exponent >>= 1;
+        accumulator = M::mul_redc(accumulator, base);
     }
-    M::mul_redc(accumulator, base)
+    M::from_montgomery(accumulator)
 }
 
-/// Modular exponentiation of a canonical representative through the
-/// Montgomery domain: one conversion in, the [`pow_redc_raw`] ladder, one
-/// conversion out.
-pub(crate) fn pow_montgomery_raw<M: PrimeModulus>(base: u64, exponent: u64) -> u64 {
-    debug_assert!(base < M::MODULUS, "non-canonical base {base}");
-    M::from_montgomery(pow_redc_raw::<M>(M::to_montgomery(base), exponent))
+/// The powers `[1, x, x², …, x^{len-1}]`, computed as a single dependent
+/// product chain.
+///
+/// For chain-routed moduli the hybrid-multiply trick applies: the base is
+/// lifted to Montgomery form once and every step is a bare
+/// [`PrimeModulus::mul_redc`] whose *output is already canonical*
+/// (`x^k · x̄ · R^{-1} = x^{k+1}`), so the series costs one conversion total —
+/// no per-element domain traffic. Freivalds power-structured keys and the
+/// NTT coset scalings are built on this.
+pub fn power_series<M: PrimeModulus>(base: Fp<M>, len: usize) -> Vec<Fp<M>> {
+    let mut powers = Vec::with_capacity(len);
+    let mut current = Fp::<M>::ONE;
+    if M::MONTGOMERY_CHAINS {
+        let lifted = M::to_montgomery(base.value());
+        for _ in 0..len {
+            powers.push(current);
+            current = Fp::new(M::mul_redc(current.value(), lifted));
+        }
+    } else {
+        for _ in 0..len {
+            powers.push(current);
+            current *= base;
+        }
+    }
+    powers
 }
 
 /// A prime-field element with modulus supplied by the marker type `M`.
@@ -978,6 +976,34 @@ mod tests {
     }
 
     #[test]
+    #[allow(clippy::assertions_on_constants)]
+    fn montgomery_chains_are_routed_for_p251_and_p64_only() {
+        assert!(P251::MONTGOMERY_CHAINS);
+        assert!(P64::MONTGOMERY_CHAINS);
+        assert!(!P25::MONTGOMERY_CHAINS);
+        assert!(!P61::MONTGOMERY_CHAINS);
+    }
+
+    #[test]
+    fn power_series_matches_repeated_multiplication() {
+        fn check<M: PrimeModulus>(raw: u64) {
+            let base = Fp::<M>::from_u64(raw);
+            let series = power_series(base, 9);
+            let mut expected = Fp::<M>::ONE;
+            for (k, &power) in series.iter().enumerate() {
+                assert_eq!(power, expected, "{} power {k}", M::NAME);
+                expected *= base;
+            }
+        }
+        // Both the Montgomery-routed and the plain chain, incl. boundaries.
+        check::<P251>(250);
+        check::<P64>(P64::MODULUS - 1);
+        check::<P25>(123_456);
+        check::<P61>(P61::MODULUS - 2);
+        assert!(power_series(Fp::<P251>::from_u64(3), 0).is_empty());
+    }
+
+    #[test]
     fn pow_and_inverse_agree_with_reference_near_the_modulus() {
         fn check<M: PrimeModulus>() {
             for raw in [1u64, 2, M::MODULUS - 2, M::MODULUS - 1] {
@@ -1092,6 +1118,29 @@ mod tests {
             check::<P61>(raw);
             check::<P251>(raw);
             check::<P64>(raw);
+        }
+
+        #[test]
+        fn prop_mul_redc_multiplies_in_the_domain(a in any::<u64>(), b in any::<u64>()) {
+            fn check<M: PrimeModulus>(a: u64, b: u64) {
+                let (x, y) = (Fp::<M>::from_u64(a), Fp::<M>::from_u64(b));
+                let product = M::mul_redc(M::to_montgomery(x.value()), M::to_montgomery(y.value()));
+                assert_eq!(M::from_montgomery(product), (x * y).value(), "{}", M::NAME);
+            }
+            check::<P25>(a, b);
+            check::<P61>(a, b);
+            check::<P251>(a, b);
+            check::<P64>(a, b);
+        }
+
+        #[test]
+        fn prop_power_series_prefix_consistency(raw in any::<u64>(), len in 1usize..40) {
+            let base = Fp::<P64>::from_u64(raw);
+            let series = power_series(base, len);
+            prop_assert_eq!(series.len(), len);
+            for window in series.windows(2) {
+                prop_assert_eq!(window[1], window[0] * base);
+            }
         }
 
         #[test]

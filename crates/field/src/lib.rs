@@ -17,12 +17,6 @@
 //!   [`F251`] is provided for exhaustive tests.
 //! * [`reduce`] — the specialized wide-reduction backends behind every
 //!   multiply (see *Reduction strategy* below).
-//! * [`montgomery`] — the Montgomery-form chain backend: [`MontFp`] holds a
-//!   residue `x·R mod q` so long product chains (`pow`, Fermat inversions,
-//!   batch-inversion sweeps, NTT twiddle products) multiply via the
-//!   three-multiply REDC step instead of paying a full reduction per
-//!   product. Selection is compile-time via the [`MontgomeryModulus`]
-//!   marker / [`PrimeModulus::MONTGOMERY_CHAINS`] flag.
 //! * [`batch`] — slice-level kernels: element-wise operations, dot products
 //!   with lazy reduction, the [`WideAccumulator`] engine of the encoder and
 //!   decoder, Montgomery batch inversion.
@@ -52,20 +46,22 @@
 //! *Chains* — sequences of dependent multiplies (`pow` ladders, Fermat
 //! inversions, batch-inversion sweeps, NTT twiddle products, power series) —
 //! additionally choose between the canonical backend above and the
-//! Montgomery domain ([`montgomery`]), selected at compile time by the
-//! [`MontgomeryModulus`] marker / [`PrimeModulus::MONTGOMERY_CHAINS`] flag:
+//! Montgomery domain (the raw [`PrimeModulus::mul_redc`] /
+//! [`PrimeModulus::to_montgomery`] hooks over [`reduce::redc`]: lift once,
+//! multiply with the three-multiply REDC step, lower once), selected at
+//! compile time by the [`PrimeModulus::MONTGOMERY_CHAINS`] flag:
 //!
 //! | Modulus | One-shot products / lazy sums | Long chains | Why |
 //! |---------|-------------------------------|-------------|-----|
 //! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step, and `WIDE_BATCH ≈ 2^78` makes lazy accumulation nearly free |
 //! | [`P61`] | Mersenne fold | fold (opted out) | same: shift-add folds beat REDC per multiply |
 //! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the NTT butterflies (twiddles pre-converted once per plan) in-domain |
-//! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions — gated in CI at chain length ≥ 64 |
+//! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions (no end-to-end workload selects this field; it exists for exhaustive soundness tests) |
 //!
 //! Opting in is an empirical decision, not a soundness one: REDC is correct
-//! for every odd modulus, and the CI bench gate
-//! (`scripts/bench_regression.py`) enforces that the Montgomery path
-//! actually wins where it is enabled.
+//! for every odd modulus. The `P64` route is the one an end-to-end workload
+//! exercises: without it `matmul_batch` `op_ms_p50` is 5.6 % worse on 8 of 8
+//! alternating pairs (`avcc-e2e/E2E.md` names the workloads).
 //!
 //! # Overflow bounds (lazy reduction)
 //!
@@ -103,7 +99,6 @@
 
 pub mod batch;
 pub mod fp;
-pub mod montgomery;
 pub mod quantize;
 pub mod reduce;
 pub mod rng;
@@ -112,8 +107,7 @@ pub use batch::{
     batch_inverse, dot, slice_add, slice_add_assign, slice_axpy, slice_scale, slice_sub,
     WideAccumulator, DOT_LANES,
 };
-pub use fp::{Fp, MontgomeryModulus, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
-pub use montgomery::{from_montgomery_vec, power_series, to_montgomery_vec, MontFp};
+pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};
 

@@ -95,7 +95,7 @@ impl<F: PrimeField> LagrangeBasis<F> {
     /// of `m` separate inversions — the shape the decoder's Lagrange
     /// fallback hits once per output block. The chain itself is
     /// Montgomery-routed for moduli that opted in (see
-    /// [`avcc_field::MontgomeryModulus`]).
+    /// [`avcc_field::PrimeModulus::MONTGOMERY_CHAINS`]).
     pub fn evaluate_at_many(&self, targets: &[F]) -> Vec<Vec<F>> {
         let n = self.points.len();
         // Pass 1: resolve indicator targets (z equal to an interpolation

@@ -124,27 +124,34 @@ cross_moduli_suite!(p251, P251, 24);
 cross_moduli_suite!(p64, P64, 48);
 
 /// Survivor subsets of a genuine NTT coset layout — the exact point geometry
-/// the decoder's straggler path sees: the α-points `g·ω^i` with a few
-/// workers missing.
+/// the decoder's tree path sees: the α-points `g·ω^i` of 16 and of 32
+/// workers, all present (`missing = 0`, which has no other decode path) or
+/// with a few missing.
 #[test]
 fn coset_survivor_subsets_interpolate_identically_on_p64() {
-    let log_workers = 5u32; // 32 workers
-    let omega = avcc_poly::root_of_unity::<P64>(log_workers);
-    let shift = Fp::<P64>::new(<P64 as PrimeModulus>::GROUP_GENERATOR);
-    let mut alpha = Vec::new();
-    let mut power = shift;
-    for _ in 0..(1usize << log_workers) {
-        alpha.push(power);
-        power *= omega;
-    }
-    let values: Vec<Fp<P64>> = (0..alpha.len() as u64)
-        .map(|i| <Fp<P64> as PrimeField>::from_u64(i * i + 12345))
-        .collect();
-    for missing in [0usize, 1, 2, 4] {
-        let points = alpha[missing..].to_vec();
-        let survivor_values = values[missing..].to_vec();
-        let tree_result = TreeInterpolator::new(points.clone()).interpolate(&survivor_values);
-        let dense_result = LagrangeBasis::new(points).interpolate(&survivor_values);
-        assert_eq!(tree_result, dense_result, "{missing} workers missing");
+    for log_workers in [4u32, 5] {
+        let omega = avcc_poly::root_of_unity::<P64>(log_workers);
+        let shift = Fp::<P64>::new(<P64 as PrimeModulus>::GROUP_GENERATOR);
+        let mut alpha = Vec::new();
+        let mut power = shift;
+        for _ in 0..(1usize << log_workers) {
+            alpha.push(power);
+            power *= omega;
+        }
+        let values: Vec<Fp<P64>> = (0..alpha.len() as u64)
+            .map(|i| <Fp<P64> as PrimeField>::from_u64(i * i + 12345))
+            .collect();
+        for missing in [0usize, 1, 2, 4] {
+            let points = alpha[missing..].to_vec();
+            let survivor_values = values[missing..].to_vec();
+            let tree_result = TreeInterpolator::new(points.clone()).interpolate(&survivor_values);
+            let dense_result = LagrangeBasis::new(points).interpolate(&survivor_values);
+            assert_eq!(
+                tree_result,
+                dense_result,
+                "{missing} of {} workers missing",
+                alpha.len()
+            );
+        }
     }
 }

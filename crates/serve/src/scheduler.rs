@@ -194,9 +194,6 @@ struct ActiveJob<M: PrimeModulus> {
     round_started_at: Instant,
     admitted_at: Instant,
     metrics: JobMetrics,
-    /// Decoder basis-cache counters at admission; the job's metrics report
-    /// the delta at completion.
-    cache_baseline: (u64, u64),
     /// The current round's tasks (cheap to clone: both halves sit behind
     /// `Arc`s), set by whoever prepares a round and kept so a parked round
     /// can be re-dispatched verbatim.
@@ -231,14 +228,6 @@ impl<M: PrimeModulus> ActiveJob<M> {
                 workers.iter().map(|w| w.effective_slowdown()).collect()
             }
             JobEngine::MatVecBatch { .. } => vec![1.0; self.tasks.len()],
-        }
-    }
-
-    /// Cumulative Lagrange-basis cache counters of this job's decoder(s).
-    fn decode_cache_stats(&self) -> (u64, u64) {
-        match &self.engine {
-            JobEngine::Training { trainer, .. } => trainer.decode_cache_stats(),
-            JobEngine::MatVecBatch { engine, .. } => engine.decode_cache_stats(),
         }
     }
 }
@@ -417,11 +406,6 @@ impl<M: PrimeModulus> Scheduler<M> {
                             *entry = Some(job);
                         }
                         Step::Done(output) => {
-                            let (hits, misses) = job.decode_cache_stats();
-                            job.metrics.decode_cache_hits =
-                                hits.saturating_sub(job.cache_baseline.0);
-                            job.metrics.decode_cache_misses =
-                                misses.saturating_sub(job.cache_baseline.1);
                             job.metrics.active_seconds = job.admitted_at.elapsed().as_secs_f64();
                             metrics.record_job(&job.metrics, output.is_failed());
                             jobs.push(CompletedJob {
@@ -512,7 +496,7 @@ fn start_job<M: PrimeModulus>(pending: PendingJob<M>) -> Result<ActiveJob<M>, Co
         } => start_matmul(&matrix, inputs, coding, seed, false),
     };
     let now = Instant::now();
-    let mut job = ActiveJob {
+    Ok(ActiveJob {
         id: pending.id,
         engine,
         serial: 0,
@@ -522,12 +506,9 @@ fn start_job<M: PrimeModulus>(pending: PendingJob<M>) -> Result<ActiveJob<M>, Co
         round_started_at: now,
         admitted_at: now,
         metrics,
-        cache_baseline: (0, 0),
         tasks,
         stalls: 0,
-    };
-    job.cache_baseline = job.decode_cache_stats();
-    Ok(job)
+    })
 }
 
 /// The driver and single round of a one-shot product job: one encode and one

@@ -369,14 +369,6 @@ proptest! {
             prop_assert_eq!(single, &oracle[function]);
             prop_assert_eq!(single, &batch_outputs[function]);
         }
-
-        // The batch decodes m functions over one survivor set: the first
-        // pays the Lagrange basis, the remaining m − 1 hit the shared cache.
-        prop_assert_eq!(
-            (batch_job.metrics.decode_cache_hits, batch_job.metrics.decode_cache_misses),
-            (functions as u64 - 1, 1)
-        );
         prop_assert_eq!(report.metrics.jobs_completed, functions + 1);
-        prop_assert!(report.metrics.decode_cache_hits >= functions as u64 - 1);
     }
 }

@@ -9,8 +9,9 @@
 //! Semantics: each property runs `cases` times against values drawn from a
 //! deterministic per-test generator (seeded from the test's name, so failures
 //! reproduce across runs). There is no shrinking — a failing case panics with
-//! the assertion message directly, which is enough for CI; shrink support
-//! returns when the real crate is available.
+//! the assertion message directly, followed by one line naming the property,
+//! its seed and the failing case index; shrink support returns when the real
+//! crate is available.
 
 #![forbid(unsafe_code)]
 
@@ -236,6 +237,34 @@ pub fn seed_for(name: &str) -> u64 {
     hash
 }
 
+/// Names the property, seed and case on stderr when a case panics: held for
+/// the duration of each case by [`proptest!`].
+#[doc(hidden)]
+pub struct CaseGuard {
+    pub path: &'static str,
+    pub seed: u64,
+    pub case: u32,
+}
+
+impl CaseGuard {
+    fn failure_line(&self) -> String {
+        format!(
+            "proptest: {} failed at case {} (seed {:#018x})",
+            self.path, self.case, self.seed
+        )
+    }
+}
+
+impl Drop for CaseGuard {
+    fn drop(&mut self) {
+        if std::thread::panicking() {
+            // A write error must not turn into a second panic mid-unwind.
+            use std::io::Write as _;
+            let _ = writeln!(std::io::stderr(), "{}", self.failure_line());
+        }
+    }
+}
+
 /// Runs a block of property tests. See the crate docs for semantics.
 #[macro_export]
 macro_rules! proptest {
@@ -264,11 +293,12 @@ macro_rules! __proptest_impl {
             $(#[$meta])*
             fn $name() {
                 let __config = $config;
-                let mut __rng = <$crate::strategy::TestRng as $crate::__rand::SeedableRng>::seed_from_u64(
-                    $crate::seed_for(concat!(module_path!(), "::", stringify!($name))),
-                );
+                let __path = concat!(module_path!(), "::", stringify!($name));
+                let __seed = $crate::seed_for(__path);
+                let mut __rng =
+                    <$crate::strategy::TestRng as $crate::__rand::SeedableRng>::seed_from_u64(__seed);
                 for __case in 0..__config.cases {
-                    let _ = __case;
+                    let _guard = $crate::CaseGuard { path: __path, seed: __seed, case: __case };
                     $(
                         let $arg = $crate::strategy::Strategy::generate(&($strategy), &mut __rng);
                     )*
@@ -342,5 +372,33 @@ mod tests {
     #[test]
     fn seeds_differ_per_name() {
         assert_ne!(crate::seed_for("a"), crate::seed_for("b"));
+    }
+
+    #[test]
+    fn a_failing_case_names_its_property_seed_and_index() {
+        let guard = crate::CaseGuard {
+            path: "some::module::prop_holds",
+            seed: crate::seed_for("some::module::prop_holds"),
+            case: 17,
+        };
+        let line = guard.failure_line();
+        assert!(line.contains("some::module::prop_holds"), "{line}");
+        assert!(line.contains("case 17"), "{line}");
+        assert!(line.contains(&format!("{:#018x}", guard.seed)), "{line}");
+    }
+
+    #[test]
+    fn a_failing_property_unwinds_through_the_guard() {
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(8))]
+            fn fails_on_the_fourth_case(_x in 0u64..10) {
+                static CASES: std::sync::atomic::AtomicU32 = std::sync::atomic::AtomicU32::new(0);
+                let case = CASES.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+                prop_assert!(case < 3, "case {case} fails");
+            }
+        }
+        let panic = std::panic::catch_unwind(fails_on_the_fourth_case).unwrap_err();
+        let message = panic.downcast_ref::<String>().expect("assert message");
+        assert!(message.contains("case 3 fails"), "{message}");
     }
 }

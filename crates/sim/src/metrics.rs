@@ -187,12 +187,6 @@ pub struct JobMetrics {
     pub rounds: usize,
     /// Deterministic operation counts accumulated across the job's rounds.
     pub ops: OpCounts,
-    /// Lagrange-basis cache hits the job's decodes scored (PR5 decoder
-    /// cache). Batched multi-function jobs decode `m` times per survivor
-    /// set, so a healthy batch shows `m − 1` hits per miss.
-    pub decode_cache_hits: u64,
-    /// Lagrange-basis cache misses (basis recomputations) during the job.
-    pub decode_cache_misses: u64,
     /// Workers evicted by the pre-decode dual-codeword screen across the
     /// job's rounds (PR9). Zero for engines without a screen.
     pub screened_workers: u64,
@@ -229,10 +223,6 @@ pub struct ServingMetrics {
     pub queue_wait_total_seconds: f64,
     /// Deterministic operation counts accumulated across all jobs.
     pub ops: OpCounts,
-    /// Summed Lagrange-basis cache hits across all jobs' decodes.
-    pub decode_cache_hits: u64,
-    /// Summed Lagrange-basis cache misses across all jobs' decodes.
-    pub decode_cache_misses: u64,
     /// Summed screened-worker evictions across all jobs (PR9 dual-codeword
     /// screen).
     pub screened_workers: u64,
@@ -249,8 +239,6 @@ impl ServingMetrics {
         self.rounds_total += job.rounds;
         self.queue_wait_total_seconds += job.queue_wait_seconds;
         self.ops = self.ops.combined(&job.ops);
-        self.decode_cache_hits += job.decode_cache_hits;
-        self.decode_cache_misses += job.decode_cache_misses;
         self.screened_workers += job.screened_workers;
     }
 
@@ -395,8 +383,6 @@ mod tests {
             active_seconds: 2.0,
             rounds: 10,
             ops: OpCounts::default(),
-            decode_cache_hits: 0,
-            decode_cache_misses: 0,
             screened_workers: 0,
         };
         assert!((job.rounds_per_second() - 5.0).abs() < 1e-12);
@@ -419,8 +405,6 @@ mod tests {
                 worker_macs: 7,
                 ..OpCounts::default()
             },
-            decode_cache_hits: 3,
-            decode_cache_misses: 1,
             screened_workers: 2,
         };
         fleet.record_job(&job, false);
@@ -430,8 +414,6 @@ mod tests {
         assert_eq!(fleet.jobs_failed, 1);
         assert_eq!(fleet.rounds_total, 18);
         assert_eq!(fleet.ops.worker_macs, 21);
-        assert_eq!(fleet.decode_cache_hits, 9);
-        assert_eq!(fleet.decode_cache_misses, 3);
         assert_eq!(fleet.screened_workers, 6);
         assert!((fleet.jobs_per_second() - 1.0).abs() < 1e-12);
         assert!((fleet.rounds_per_second() - 9.0).abs() < 1e-12);

@@ -12,10 +12,10 @@
 //! ([`check_with_power_key`]): the secret vector is the power series
 //! `r = (1, ρ, ρ², …)` of a single field element, cutting per-repetition key
 //! storage from `rows(A)` elements to one. Expanding the series is a long
-//! dependent product chain — exactly the shape the Montgomery backend
-//! ([`avcc_field::MontgomeryModulus`]) accelerates — and the soundness error
-//! grows only to `(rows − 1)/q` (Schwartz–Zippel on the degree-`< rows`
-//! difference polynomial `Σ_i Δ_i ρ^i`).
+//! dependent product chain — exactly the shape the Montgomery route
+//! ([`avcc_field::PrimeModulus::MONTGOMERY_CHAINS`]) accelerates — and the
+//! soundness error grows only to `(rows − 1)/q` (Schwartz–Zippel on the
+//! degree-`< rows` difference polynomial `Σ_i Δ_i ρ^i`).
 
 use avcc_field::{dot, power_series, Fp, PrimeModulus};
 
