@@ -45,7 +45,7 @@
 //! | Lagrange matrix | `O((K+T)·N)` encode, `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | points not in subgroup position (`P25`: `train_*`, `serve_mixed`); also the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`] |
 //! | NTT (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors) | all conditions hold |
 //! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position (`P64`: `matmul_batch`) |
-//! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; closed-form weights + NTT `Q`-evaluation on the full coset, `O(R²)` cached weights otherwise | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
+//! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; `O(R²)` dual weights + Horner `Q`-evaluation per screen on any layout | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
 //!
 //! The β-points (interpolation) sit in an order-`(K+T)` multiplicative
 //! subgroup and the α-points (workers) on a generator-shifted coset, so the

@@ -9,7 +9,6 @@
 
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
-use rand::Rng;
 
 use crate::decoder::{DecodeError, LagrangeDecoder};
 use crate::encoder::{EncodedShare, LagrangeEncoder};
@@ -68,11 +67,6 @@ impl<M: PrimeModulus> MdsCode<M> {
         self.encoder.encode_deterministic(&blocks)
     }
 
-    /// Encodes pre-partitioned blocks (all the same shape).
-    pub fn encode_blocks(&self, blocks: &[Matrix<Fp<M>>]) -> Vec<EncodedShare<M>> {
-        self.encoder.encode_deterministic(blocks)
-    }
-
     /// Access to the inner Lagrange encoder (e.g. for the encoding matrix).
     pub fn encoder(&self) -> &LagrangeEncoder<M> {
         &self.encoder
@@ -92,18 +86,6 @@ impl<M: PrimeModulus> MdsCode<M> {
     ) -> Result<Vec<Fp<M>>, DecodeError> {
         let blocks = self.decoder.decode_erasure(results)?;
         Ok(blocks.into_iter().flatten().collect())
-    }
-
-    /// Error-correcting decode and concatenation (used by tests comparing the
-    /// MDS wrapper against the LCC baseline's behaviour).
-    pub fn decode_concatenated_with_errors<R: Rng + ?Sized>(
-        &self,
-        results: &[(usize, Vec<Fp<M>>)],
-        max_errors: usize,
-        rng: &mut R,
-    ) -> Result<(Vec<Fp<M>>, Vec<usize>), DecodeError> {
-        let (blocks, corrupted) = self.decoder.decode_with_errors(results, max_errors, rng)?;
-        Ok((blocks.into_iter().flatten().collect(), corrupted))
     }
 }
 
@@ -157,28 +139,6 @@ mod tests {
         // Take workers 3..12 (9 results, skipping the three "stragglers").
         let decoded = code.decode_concatenated(&results[3..]).unwrap();
         assert_eq!(decoded, expected);
-    }
-
-    #[test]
-    fn error_correcting_wrapper_locates_byzantine_worker() {
-        let code = MdsCode::<P25>::new(12, 9).unwrap();
-        let mut rng = StdRng::seed_from_u64(21);
-        let data = Matrix::from_vec(9, 4, avcc_field::random_matrix(&mut rng, 9, 4));
-        let b: Vec<F25> = avcc_field::random_vector(&mut rng, 4);
-        let expected = mat_vec(&data, &b);
-        let shares = code.encode_matrix(&data);
-        let mut results: Vec<(usize, Vec<F25>)> = shares
-            .iter()
-            .map(|share| (share.worker, mat_vec(&share.block, &b)))
-            .collect();
-        for value in results[6].1.iter_mut() {
-            *value = -*value;
-        }
-        let (decoded, corrupted) = code
-            .decode_concatenated_with_errors(&results, 1, &mut rng)
-            .unwrap();
-        assert_eq!(decoded, expected);
-        assert_eq!(corrupted, vec![6]);
     }
 
     #[test]

@@ -46,8 +46,8 @@ impl<M: PrimeModulus> SubgroupLayout<M> {
         1usize << self.log_blocks
     }
 
-    /// The α-coset order `A` (the decoder's full-coset NTT path needs all `A`
-    /// coset evaluations, i.e. `N = A` and no stragglers).
+    /// The α-coset order `A`; the first `N ≤ A` coset points are the worker
+    /// points.
     pub fn workers(&self) -> usize {
         1usize << self.log_workers
     }

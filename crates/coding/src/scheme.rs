@@ -11,8 +11,6 @@
 //!   worker costs one extra worker because its (verified-and-rejected) result
 //!   is simply treated as an erasure.
 
-use serde::{Deserialize, Serialize};
-
 /// Errors raised when a configuration is infeasible or inconsistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SchemeError {
@@ -51,7 +49,7 @@ impl std::fmt::Display for SchemeError {
 impl std::error::Error for SchemeError {}
 
 /// The coding-scheme parameters `(N, K, S, M, T, deg f)`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeConfig {
     /// Number of worker nodes `N`.
     pub workers: usize,

@@ -18,13 +18,10 @@
 //! is *not* a codeword (the code is MDS with minimum distance
 //! `R − threshold + 1`), so `s` vanishes with probability at most `1/q` over
 //! the choice of `Q` — the Schwartz–Zippel bound; `k` independent dual
-//! vectors push the escape probability to `(1/q)^k`. On the full α-coset
-//! (subgroup layout, every worker responding) the weights collapse to the
-//! closed form `u_i = α_i · (A·g^A)^{-1}` — one inversion — and `Q` is
-//! evaluated at all coset points by a coset-scaled forward NTT; on general
-//! responder subsets the weights cost `O(R²)` multiplies plus one shared
-//! batch inversion and are cached per survivor set (straggler patterns
-//! repeat, exactly as in the decoder's basis cache).
+//! vectors push the escape probability to `(1/q)^k`. The weights cost
+//! `O(R²)` multiplies plus one shared batch inversion per screen, and `Q` is
+//! evaluated at the responder points by Horner's rule — a few microseconds
+//! at the fleet sizes in use, so nothing is cached.
 //!
 //! **Localization**: when membership fails, the corrupted workers are found
 //! without Berlekamp–Welch error decoding. Collapse each responder vector to
@@ -52,12 +49,8 @@
 //! the Freivalds check downstream as the belt to this suspender, so a
 //! screened round is still verified against the actual computation.
 
-use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
-
-use avcc_field::{batch_inverse, dot, random_vector, Fp, PrimeField, PrimeModulus};
+use avcc_field::{batch_inverse, dot, random_vector, Fp, PrimeModulus};
 use avcc_poly::linear::{self, LinearSolveError};
-use avcc_poly::NttPlan;
 use rand::Rng;
 
 use crate::points::EvaluationPoints;
@@ -68,11 +61,6 @@ use crate::scheme::SchemeConfig;
 /// collision (probability ≤ `t/q` per attempt), so four attempts make a
 /// spurious `Unlocalized` astronomically unlikely while bounding the work.
 pub const SCREEN_RETRIES: usize = 4;
-
-/// Distinct responder sets held before the weight cache resets (same policy
-/// as the decoder's basis cache: repetitive straggler patterns hit, random
-/// churn means caching is hopeless anyway).
-const WEIGHT_CACHE_CAPACITY: usize = 32;
 
 /// Errors raised by [`DualCodeword::screen`] — malformed rounds, mirroring
 /// the decoder's validation so engines can treat both uniformly.
@@ -155,51 +143,12 @@ pub struct ScreenReport {
     pub macs: u64,
 }
 
-/// Per-responder-set dual weights `u_i = ∏_{j≠i}(α_i − α_j)^{-1}`, cached
-/// keyed by the sorted worker set with hit accounting.
-#[derive(Debug)]
-struct WeightCache<M: PrimeModulus> {
-    entries: HashMap<Vec<usize>, Arc<Vec<Fp<M>>>>,
-    hits: u64,
-    misses: u64,
-}
-
-impl<M: PrimeModulus> Default for WeightCache<M> {
-    fn default() -> Self {
-        WeightCache {
-            entries: HashMap::new(),
-            hits: 0,
-            misses: 0,
-        }
-    }
-}
-
 /// The dual-codeword screen bound to a scheme configuration and its
 /// evaluation points (must match the encoder's, exactly like the decoder).
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 pub struct DualCodeword<M: PrimeModulus> {
     config: SchemeConfig,
     points: EvaluationPoints<M>,
-    /// Forward-NTT plan over the α-coset, present when the layout is in
-    /// subgroup position **and** `N` fills the covering coset: evaluates the
-    /// random dual polynomial `Q` at every worker point in `O(A log A)`.
-    coset: Option<NttPlan<M>>,
-    /// Per-responder-set weights (see [`WeightCache`]); interior mutability
-    /// because screening takes `&self`.
-    cache: Mutex<WeightCache<M>>,
-}
-
-impl<M: PrimeModulus> Clone for DualCodeword<M> {
-    /// Clones the screen configuration; the weight cache starts empty (it is
-    /// a pure accelerator, rebuilt on demand).
-    fn clone(&self) -> Self {
-        DualCodeword {
-            config: self.config,
-            points: self.points.clone(),
-            coset: self.coset.clone(),
-            cache: Mutex::new(WeightCache::default()),
-        }
-    }
 }
 
 impl<M: PrimeModulus> DualCodeword<M> {
@@ -224,16 +173,7 @@ impl<M: PrimeModulus> DualCodeword<M> {
             config.workers,
             "need one α-point per worker"
         );
-        let coset = points
-            .ntt_layout()
-            .filter(|layout| layout.workers() == config.workers)
-            .map(|layout| NttPlan::new(layout.log_workers));
-        DualCodeword {
-            config,
-            points,
-            coset,
-            cache: Mutex::new(WeightCache::default()),
-        }
+        DualCodeword { config, points }
     }
 
     /// The scheme configuration.
@@ -254,16 +194,6 @@ impl<M: PrimeModulus> DualCodeword<M> {
     /// responders the screen still *detects* corruption but cannot localize.
     pub fn max_locatable(&self, responders: usize) -> usize {
         responders.saturating_sub(self.config.recovery_threshold()) / 2
-    }
-
-    /// Weight-cache accounting: `(hits, misses)` since construction. A
-    /// repeated responder set must hit (tested).
-    pub fn weight_cache_stats(&self) -> (u64, u64) {
-        let cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        (cache.hits, cache.misses)
     }
 
     /// Screens a round of responder blocks for RS-codeword membership with
@@ -288,13 +218,12 @@ impl<M: PrimeModulus> DualCodeword<M> {
             .iter()
             .map(|(worker, _)| self.points.alpha()[*worker])
             .collect();
-        let weights = self.weights_for(&ordered);
+        let weights = dual_weights(&alphas);
         let mut macs = 0u64;
 
-        let full_coset = self.coset.is_some() && ordered.len() == self.config.workers;
         let mut clean = true;
         for _ in 0..vectors {
-            if !self.membership_pass(&ordered, &alphas, &weights, full_coset, rng, &mut macs) {
+            if !self.membership_pass(&ordered, &alphas, &weights, rng, &mut macs) {
                 clean = false;
                 break;
             }
@@ -326,7 +255,6 @@ impl<M: PrimeModulus> DualCodeword<M> {
         ordered: &[&(usize, Vec<Fp<M>>)],
         alphas: &[Fp<M>],
         weights: &[Fp<M>],
-        full_coset: bool,
         rng: &mut R,
         macs: &mut u64,
     ) -> bool {
@@ -334,52 +262,15 @@ impl<M: PrimeModulus> DualCodeword<M> {
         let dual_dim = responders - self.config.recovery_threshold();
         let width = ordered[0].1.len();
         let coefficients: Vec<Fp<M>> = random_vector(rng, dual_dim);
-        let q_values = self.evaluate_dual_poly(&coefficients, alphas, full_coset);
         let mut accumulator = avcc_field::WideAccumulator::<M>::new(width);
-        for (((_, vector), &weight), &q) in ordered.iter().zip(weights).zip(&q_values) {
-            accumulator.axpy(weight * q, vector);
+        for (((_, vector), &weight), &alpha) in ordered.iter().zip(weights).zip(alphas) {
+            accumulator.axpy(weight * horner(&coefficients, alpha), vector);
         }
         *macs += (responders * width + responders * dual_dim) as u64;
         accumulator
             .finish()
             .into_iter()
             .all(|value| value == Fp::<M>::ZERO)
-    }
-
-    /// Evaluates the dual polynomial `Q` (coefficients ascending) at the
-    /// responder α-points: a coset-scaled forward NTT when the responders
-    /// fill the α-coset (the points are `g·ω_A^i` in worker order, which is
-    /// sorted order), Horner per point otherwise.
-    fn evaluate_dual_poly(
-        &self,
-        coefficients: &[Fp<M>],
-        alphas: &[Fp<M>],
-        full_coset: bool,
-    ) -> Vec<Fp<M>> {
-        if full_coset {
-            let plan = self.coset.as_ref().expect("caller checked the coset plan");
-            let layout = self
-                .points
-                .ntt_layout()
-                .expect("a coset plan implies a subgroup layout");
-            let mut values = vec![Fp::<M>::ZERO; plan.len()];
-            values[..coefficients.len()].copy_from_slice(coefficients);
-            // Evaluating at g·ω_A^i = NTT of the g^k-scaled coefficients.
-            plan.coset_scale(&mut values, layout.shift);
-            plan.forward(&mut values);
-            values.truncate(alphas.len());
-            return values;
-        }
-        alphas
-            .iter()
-            .map(|&alpha| {
-                let mut value = Fp::<M>::ZERO;
-                for &coefficient in coefficients.iter().rev() {
-                    value = value * alpha + coefficient;
-                }
-                value
-            })
-            .collect()
     }
 
     /// Localizes the corrupted responders after a failed membership pass.
@@ -438,12 +329,11 @@ impl<M: PrimeModulus> DualCodeword<M> {
                     .iter()
                     .map(|(worker, _)| self.points.alpha()[*worker])
                     .collect();
-                let remaining_weights = self.weights_for(&remaining);
+                let remaining_weights = dual_weights(&remaining_alphas);
                 if self.membership_pass(
                     &remaining,
                     &remaining_alphas,
                     &remaining_weights,
-                    false,
                     rng,
                     macs,
                 ) {
@@ -507,61 +397,7 @@ impl<M: PrimeModulus> DualCodeword<M> {
         None
     }
 
-    /// Fetches (or builds and caches) the dual weights
-    /// `u_i = ∏_{j≠i}(α_i − α_j)^{-1}` for a canonically ordered responder
-    /// set. On the full α-coset the product telescopes to the closed form
-    /// `u_i = α_i·(A·g^A)^{-1}` (`α_i^A = g^A` for every coset point), which
-    /// is cheap enough to skip the cache entirely.
-    fn weights_for(&self, ordered: &[&(usize, Vec<Fp<M>>)]) -> Vec<Fp<M>> {
-        if self.coset.is_some() && ordered.len() == self.config.workers {
-            let layout = self
-                .points
-                .ntt_layout()
-                .expect("a coset plan implies a subgroup layout");
-            let coset_order = layout.workers() as u64;
-            let scale = (Fp::<M>::new(coset_order) * layout.shift.pow(coset_order)).inverse();
-            return ordered
-                .iter()
-                .map(|(worker, _)| self.points.alpha()[*worker] * scale)
-                .collect();
-        }
-        let workers: Vec<usize> = ordered.iter().map(|(worker, _)| *worker).collect();
-        {
-            let mut cache = self
-                .cache
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if let Some(hit) = cache.entries.get(&workers) {
-                let hit = Arc::clone(hit);
-                cache.hits += 1;
-                return hit.as_ref().clone();
-            }
-            cache.misses += 1;
-        }
-        // Build outside the lock, same policy as the decoder's basis cache.
-        let alphas: Vec<Fp<M>> = workers.iter().map(|&w| self.points.alpha()[w]).collect();
-        let mut products = vec![Fp::<M>::ONE; alphas.len()];
-        for (i, &alpha_i) in alphas.iter().enumerate() {
-            for (j, &alpha_j) in alphas.iter().enumerate() {
-                if i != j {
-                    products[i] *= alpha_i - alpha_j;
-                }
-            }
-        }
-        let built = Arc::new(batch_inverse(&products));
-        let mut cache = self
-            .cache
-            .lock()
-            .unwrap_or_else(std::sync::PoisonError::into_inner);
-        if cache.entries.len() >= WEIGHT_CACHE_CAPACITY {
-            cache.entries.clear();
-        }
-        cache.entries.insert(workers, Arc::clone(&built));
-        built.as_ref().clone()
-    }
-
-    /// Sorts results by worker index — the canonical order shared with the
-    /// weight cache key (arrival order must not matter).
+    /// Sorts results by worker index (arrival order must not matter).
     fn sorted_by_worker(results: &[(usize, Vec<Fp<M>>)]) -> Vec<&(usize, Vec<Fp<M>>)> {
         let mut ordered: Vec<&(usize, Vec<Fp<M>>)> = results.iter().collect();
         ordered.sort_unstable_by_key(|(worker, _)| *worker);
@@ -595,4 +431,27 @@ impl<M: PrimeModulus> DualCodeword<M> {
         }
         Ok(())
     }
+}
+
+/// The dual weights `u_i = ∏_{j≠i}(α_i − α_j)^{-1}` over a responder point
+/// set: `O(R²)` multiplies and one shared batch inversion.
+fn dual_weights<M: PrimeModulus>(alphas: &[Fp<M>]) -> Vec<Fp<M>> {
+    let mut products = vec![Fp::<M>::ONE; alphas.len()];
+    for (i, &alpha_i) in alphas.iter().enumerate() {
+        for (j, &alpha_j) in alphas.iter().enumerate() {
+            if i != j {
+                products[i] *= alpha_i - alpha_j;
+            }
+        }
+    }
+    batch_inverse(&products)
+}
+
+/// Evaluates the polynomial with ascending `coefficients` at `point`.
+fn horner<M: PrimeModulus>(coefficients: &[Fp<M>], point: Fp<M>) -> Fp<M> {
+    let mut value = Fp::<M>::ZERO;
+    for &coefficient in coefficients.iter().rev() {
+        value = value * point + coefficient;
+    }
+    value
 }

@@ -1,16 +1,16 @@
 //! Property tests for the SCRAPE-style dual-codeword screen: honest rounds
 //! always pass on every modulus and point layout (including boundary values
 //! next to the modulus), corrupted rounds are rejected and localized exactly,
-//! and the empirical escape rate of a single corrupted symbol respects the
-//! documented Schwartz–Zippel bound `(1/q)^k` (measurable on the tiny
-//! `q = 251` field).
+//! and the escape rate of a single corrupted symbol meets the documented
+//! Schwartz–Zippel bound `(1/q)^k` on the tiny `q = 251` field — exactly,
+//! over every dual polynomial, and empirically over random ones.
 
 use avcc_coding::points::EvaluationPoints;
 use avcc_coding::{DualCodeword, SchemeConfig, ScreenError, ScreenOutcome};
 use avcc_field::{random_vector, Fp, PrimeModulus, P25, P251, P61, P64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 /// Evaluates `poly` (coefficients ascending) at `x`.
 fn horner<M: PrimeModulus>(poly: &[Fp<M>], x: Fp<M>) -> Fp<M> {
@@ -91,9 +91,8 @@ fn honest_rounds_pass_on_all_four_moduli() {
     assert_honest_passes::<P25>(SchemeConfig::linear(12, 9, 2, 1).unwrap(), 1);
     assert_honest_passes::<P61>(SchemeConfig::linear(12, 9, 2, 1).unwrap(), 2);
     assert_honest_passes::<P251>(SchemeConfig::linear(10, 4, 2, 2).unwrap(), 3);
-    // Subgroup/coset layout (P64 auto-selects NTT position for K+T = 8):
-    // responders = 16 exercises the closed-form full-coset weights and the
-    // NTT Q-evaluation; smaller subsets exercise the general weights.
+    // Subgroup/coset layout (P64 auto-selects NTT position for K+T = 8),
+    // from the full α-coset (16 responders) down to threshold + 1.
     let subgroup = SchemeConfig::linear(16, 8, 4, 2).unwrap();
     assert!(EvaluationPoints::<P64>::auto(8, 0, 16)
         .ntt_layout()
@@ -244,27 +243,27 @@ fn malformed_rounds_are_rejected() {
 }
 
 #[test]
-fn repeated_responder_sets_hit_the_weight_cache() {
+fn arrival_order_does_not_change_the_report() {
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
     let screen = DualCodeword::<P25>::new(config);
     let round = honest_round::<P25>(config, 3, 31);
     let subset = round[1..].to_vec();
-    let mut rng = StdRng::seed_from_u64(32);
-    assert_eq!(screen.weight_cache_stats(), (0, 0));
-    screen.screen(&subset, 1, &mut rng).unwrap();
-    assert_eq!(screen.weight_cache_stats(), (0, 1));
-    screen.screen(&subset, 1, &mut rng).unwrap();
-    assert_eq!(screen.weight_cache_stats(), (1, 1));
-    // Arrival order must not matter.
+    let report = screen
+        .screen(&subset, 1, &mut StdRng::seed_from_u64(32))
+        .unwrap();
+    assert_eq!(report.outcome, ScreenOutcome::Clean);
     let mut shuffled = subset.clone();
     shuffled.reverse();
-    screen.screen(&shuffled, 1, &mut rng).unwrap();
-    assert_eq!(screen.weight_cache_stats(), (2, 1));
-    // A different responder set is a different key.
-    screen.screen(&round[2..], 1, &mut rng).unwrap();
-    assert_eq!(screen.weight_cache_stats(), (2, 2));
-    // Cloning resets the cache (pure accelerator).
-    assert_eq!(screen.clone().weight_cache_stats(), (0, 0));
+    let reordered = screen
+        .screen(&shuffled, 1, &mut StdRng::seed_from_u64(32))
+        .unwrap();
+    assert_eq!(reordered, report);
+    // A clone is the same screen.
+    let cloned = screen
+        .clone()
+        .screen(&subset, 1, &mut StdRng::seed_from_u64(32))
+        .unwrap();
+    assert_eq!(cloned, report);
 }
 
 /// The Schwartz–Zippel escape bound, measured: on `q = 251` a single
@@ -304,6 +303,105 @@ fn empirical_escape_rate_respects_the_schwartz_zippel_bound() {
         double_vector_escapes, 0,
         "two dual vectors must catch every corruption at (1/q)² odds"
     );
+}
+
+/// An [`RngCore`] double that replays scripted field elements of `F₂₅₁`:
+/// the `k`-th `random_element` draw returns `values[k]` (the generator word
+/// `⌈v·2⁶⁴/q⌉` is what `gen_range(0..q)`'s multiply-shift maps back to `v`).
+/// Drawing past the script panics, so a test also pins *how many* elements
+/// the screen consumes.
+struct Scripted {
+    values: Vec<u64>,
+    drawn: usize,
+}
+
+impl Scripted {
+    fn new(values: &[u64]) -> Self {
+        Scripted {
+            values: values.to_vec(),
+            drawn: 0,
+        }
+    }
+}
+
+impl RngCore for Scripted {
+    fn next_u64(&mut self) -> u64 {
+        let value = self.values[self.drawn];
+        self.drawn += 1;
+        ((value as u128) << 64).div_ceil(P251::MODULUS as u128) as u64
+    }
+}
+
+/// The escape bound where it is observable: over `F₂₅₁`, with one corrupted
+/// responder `c` and one dual vector, the screen is driven through *every*
+/// dual polynomial `Q` of degree `< ν`. Exactly the `q^{ν−1}` choices with
+/// `Q(α_c) = 0` report `Clean` — the `1/q` bound is tight, not vacuous — and
+/// every other choice reports the corruption: localized when `⌊ν/2⌋ ≥ 1`,
+/// `Unlocalized` when `ν = 1`.
+#[test]
+fn exhaustive_dual_polynomials_escape_exactly_one_in_q() {
+    const Q: u64 = P251::MODULUS;
+    for value in 0..Q {
+        let drawn: Fp<P251> = avcc_field::random_element(&mut Scripted::new(&[value]));
+        assert_eq!(drawn, Fp::new(value), "the script must replay {value}");
+    }
+
+    let config = SchemeConfig::linear(4, 2, 1, 1).unwrap();
+    assert_eq!(config.recovery_threshold(), 2);
+    let screen = DualCodeword::<P251>::new(config);
+    let alpha = EvaluationPoints::<P251>::auto(config.partitions, config.colluding, config.workers)
+        .alpha()
+        .to_vec();
+    let honest = honest_round::<P251>(config, 2, 71);
+
+    // ν = 1: three responders, Q = q₀. No localization draws at all.
+    for victim in 0..3 {
+        let mut round = honest[..3].to_vec();
+        round[victim].1[0] += Fp::new(17);
+        let mut clean = 0u64;
+        for q0 in 0..Q {
+            let mut rng = Scripted::new(&[q0]);
+            let report = screen.screen(&round, 1, &mut rng).unwrap();
+            assert_eq!(rng.drawn, 1);
+            if q0 == 0 {
+                assert_eq!(report.outcome, ScreenOutcome::Clean);
+                clean += 1;
+            } else {
+                assert_eq!(report.outcome, ScreenOutcome::Unlocalized, "q0 = {q0}");
+            }
+        }
+        assert_eq!(clean, 1, "ν = 1: q⁰ escaping choices (victim {victim})");
+    }
+
+    // ν = 2: all four respond, Q = q₀ + q₁·z. The fingerprint ρ = (1, 0) is
+    // scripted non-colliding (the corruption sits in coordinate 0), and the
+    // last scripted element feeds the validation re-screen of the other three.
+    let victim = 2;
+    let mut round = honest.clone();
+    round[victim].1[0] += Fp::new(17);
+    let mut clean = 0u64;
+    for q0 in 0..Q {
+        for q1 in 0..Q {
+            let mut rng = Scripted::new(&[q0, q1, 1, 0, 1]);
+            let report = screen.screen(&round, 1, &mut rng).unwrap();
+            let escapes = horner(&[Fp::new(q0), Fp::new(q1)], alpha[victim]) == Fp::new(0);
+            if escapes {
+                assert_eq!(report.outcome, ScreenOutcome::Clean, "Q = {q0} + {q1}z");
+                assert_eq!(rng.drawn, 2);
+                clean += 1;
+            } else {
+                assert_eq!(
+                    report.outcome,
+                    ScreenOutcome::Corrupted {
+                        workers: vec![victim]
+                    },
+                    "Q = {q0} + {q1}z"
+                );
+                assert_eq!(rng.drawn, 5);
+            }
+        }
+    }
+    assert_eq!(clean, Q, "ν = 2: q¹ escaping choices");
 }
 
 proptest! {

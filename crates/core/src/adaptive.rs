@@ -21,7 +21,6 @@
 //! charges to the iteration in which the switch happens (Fig. 5).
 
 use avcc_coding::SchemeConfig;
-use serde::{Deserialize, Serialize};
 
 /// What the controller decided to do after an iteration.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -118,7 +117,7 @@ impl AdaptiveController {
 ///
 /// All rates are per-iteration worker counts smoothed with an exponentially
 /// weighted moving average (EWMA): `x̂ ← α·x + (1−α)·x̂`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AutopilotConfig {
     /// Whether the autopilot retunes the code at all.
     pub enabled: bool,

@@ -31,7 +31,6 @@ use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
 use avcc_verify::KeyGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::adaptive::{AdaptiveController, Autopilot, AutopilotConfig};
 use crate::distributed::{run_iteration_parked, WireRunner};
@@ -41,7 +40,7 @@ use crate::report::{IterationRecord, TrainingReport};
 use crate::rounds::{RoundExecution, RoundTask, SchemeFailure};
 
 /// The four schemes the paper evaluates.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SchemeKind {
     /// No redundancy, no verification (the paper's uncoded baseline).
     Uncoded,
@@ -76,7 +75,7 @@ impl SchemeKind {
 }
 
 /// Driver configuration.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainerConfig {
     /// Which scheme to run.
     pub scheme: SchemeKind,
@@ -603,11 +602,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// scripts such as Fig. 5 where stragglers appear at a given iteration).
     pub fn set_stragglers(&mut self, stragglers: &[usize], multiplier: f64) {
         self.cluster.set_stragglers(stragglers, multiplier);
-    }
-
-    /// Replaces the Byzantine specification mid-run.
-    pub fn set_byzantine(&mut self, byzantine: ByzantineSpec) {
-        self.byzantine = byzantine;
     }
 
     /// How many re-dispatches a parked round is allowed before the driver

@@ -24,7 +24,6 @@ use avcc_field::PrimeModulus;
 use avcc_ml::dataset::{Dataset, DatasetConfig};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
 use avcc_sim::cluster::ClusterProfile;
-use serde::{Deserialize, Serialize};
 
 use crate::adaptive::AutopilotConfig;
 use crate::driver::{DistributedTrainer, SchemeKind, TrainerConfig};
@@ -34,7 +33,7 @@ use crate::rounds::SchemeFailure;
 
 /// The actual fault injection of one experiment (as opposed to the tolerances
 /// the scheme was *designed* for).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FaultScenario {
     /// Indices of the workers that straggle.
     pub stragglers: Vec<usize>,
@@ -93,7 +92,7 @@ impl FaultScenario {
 }
 
 /// One experiment of the evaluation section.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ExperimentConfig {
     /// The scheme under test.
     pub scheme: SchemeKind,

@@ -11,10 +11,9 @@
 //!   coding — [`TrainingReport::cumulative_timeline`].
 
 use avcc_sim::metrics::{IterationCosts, OpCounts};
-use serde::{Deserialize, Serialize};
 
 /// Everything recorded about one training iteration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct IterationRecord {
     /// Iteration index (0-based).
     pub iteration: usize,
@@ -42,7 +41,7 @@ pub struct IterationRecord {
 }
 
 /// The complete record of one training run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TrainingReport {
     /// The scheme that produced this run ("uncoded", "lcc", "avcc",
     /// "static-vcc").

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
 use avcc_core::{AvccMatVec, MatVecEngine};
-use avcc_field::{Fp, PrimeModulus, P25, P61, P64};
+use avcc_field::{Fp, PrimeModulus, P25, P251, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
 use avcc_sim::executor::WorkerOutcome;
@@ -209,9 +209,8 @@ proptest! {
     fn screening_matrix_holds_across_moduli(seed in 0u64..1000) {
         matrix_for_modulus::<P25>(seed);
         matrix_for_modulus::<P61>(seed);
-        // P64 has NTT metadata: straggler-free cells take the closed-form
-        // coset weights + NTT dual evaluation, straggling cells the general
-        // cached-weight path.
+        // P64 puts the points in subgroup position (the NTT encode and
+        // subproduct-tree decode paths).
         matrix_for_modulus::<P64>(seed);
     }
 }
@@ -245,4 +244,71 @@ fn all_worker_constant_attack_passes_screen_but_fails_freivalds() {
         result,
         Err(avcc_core::SchemeFailure::NotEnoughResults { .. })
     ));
+}
+
+/// The other half of belt-and-suspenders, on the field where the screen's
+/// `1/q` escape is reachable: for a dual polynomial `Q` with `Q(α_c) = 0`
+/// (found by scanning collect seeds — with `m = 1` the screen's `ν`
+/// coefficients are the first draws) the screen reports `Clean` on a round
+/// with worker `c` corrupted, and the engine still names `c` through its
+/// Freivalds key and decodes the exact product from the others.
+#[test]
+fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
+    let config = SchemeConfig::linear(4, 2, 1, 1).unwrap();
+    let mut rng = StdRng::seed_from_u64(43);
+    let matrix = Matrix::from_vec(4, 3, avcc_field::random_matrix(&mut rng, 4, 3));
+    let input: Vec<Fp<P251>> = avcc_field::random_vector(&mut rng, 3);
+    let product = mat_vec(&matrix, &input);
+    let mut engine = AvccMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let victim = 1;
+    let alpha_victim = avcc_coding::points::EvaluationPoints::<P251>::auto(
+        config.partitions,
+        config.colluding,
+        config.workers,
+    )
+    .alpha()[victim];
+    let spec = ByzantineSpec::new([victim], AttackModel::reverse());
+
+    // ν = 1 (worker 3 straggles) and ν = 2 (everyone responds).
+    for stragglers in [vec![3], vec![]] {
+        let outcomes = manual_outcomes(&engine, &input, &spec, &stragglers);
+        assert!(
+            outcomes[victim].corrupted,
+            "the attack must change the payload"
+        );
+        let dual_dim = outcomes.len() - config.recovery_threshold();
+        let escaping_seed = (0u64..)
+            .find(|&seed| {
+                let q: Vec<Fp<P251>> =
+                    avcc_field::random_vector(&mut StdRng::seed_from_u64(seed), dual_dim);
+                q.iter()
+                    .rev()
+                    .fold(Fp::new(0), |value, &c| value * alpha_victim + c)
+                    == Fp::new(0)
+            })
+            .expect("one seed in q escapes");
+
+        let claims: Vec<(usize, Vec<Fp<P251>>)> = outcomes
+            .iter()
+            .map(|o| (o.worker, o.payload.clone()))
+            .collect();
+        let report = DualCodeword::<P251>::new(config)
+            .screen(&claims, 1, &mut StdRng::seed_from_u64(escaping_seed))
+            .unwrap();
+        assert_eq!(report.outcome, ScreenOutcome::Clean, "ν = {dual_dim}");
+
+        let execution = engine
+            .collect(
+                &input,
+                &outcomes,
+                &NetworkModel::default(),
+                1.0,
+                &mut StdRng::seed_from_u64(escaping_seed),
+            )
+            .unwrap();
+        assert!(execution.screened_workers.is_empty(), "ν = {dual_dim}");
+        assert_eq!(execution.detected_byzantine, vec![victim], "ν = {dual_dim}");
+        assert!(!execution.used_workers.contains(&victim));
+        assert_eq!(execution.output, product, "ν = {dual_dim}");
+    }
 }

@@ -74,17 +74,6 @@ pub fn slice_sub<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Vec<Fp<M>> {
     a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
 }
 
-/// In-place element-wise accumulation `a[i] += b[i]`.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn slice_add_assign<M: PrimeModulus>(a: &mut [Fp<M>], b: &[Fp<M>]) {
-    assert_eq!(a.len(), b.len(), "slice_add_assign length mismatch");
-    for (x, &y) in a.iter_mut().zip(b.iter()) {
-        *x += y;
-    }
-}
-
 /// Scales every element of `a` by the scalar `c` into a new vector.
 pub fn slice_scale<M: PrimeModulus>(a: &[Fp<M>], c: Fp<M>) -> Vec<Fp<M>> {
     let scale = c.value() as u128;
@@ -354,15 +343,6 @@ mod tests {
         let b = fv(&[10, 20, 30, 40]);
         let sum = slice_add(&a, &b);
         assert_eq!(slice_sub(&sum, &b), a);
-    }
-
-    #[test]
-    fn slice_add_assign_matches_slice_add() {
-        let mut a = fv(&[5, 6, 7]);
-        let b = fv(&[1, 1, 1]);
-        let expected = slice_add(&a, &b);
-        slice_add_assign(&mut a, &b);
-        assert_eq!(a, expected);
     }
 
     #[test]

@@ -12,8 +12,6 @@ use core::iter::{Product, Sum};
 use core::marker::PhantomData;
 use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 
-use serde::{Deserialize, Deserializer, Serialize, Serializer};
-
 /// A zero-sized marker supplying the prime modulus of a field together with
 /// its specialized reduction backend.
 ///
@@ -240,8 +238,6 @@ pub trait PrimeField:
     + DivAssign
     + Sum
     + Product
-    + Serialize
-    + for<'de> Deserialize<'de>
     + 'static
 {
     /// The additive identity.
@@ -698,19 +694,6 @@ impl<M: PrimeModulus> From<u32> for Fp<M> {
     }
 }
 
-impl<M: PrimeModulus> Serialize for Fp<M> {
-    fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        serializer.serialize_u64(self.0)
-    }
-}
-
-impl<'de, M: PrimeModulus> Deserialize<'de> for Fp<M> {
-    fn deserialize<D: Deserializer<'de>>(deserializer: D) -> Result<Self, D::Error> {
-        let raw = u64::deserialize(deserializer)?;
-        Ok(Self::new(raw))
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -932,19 +915,6 @@ mod tests {
         let a = F::from_u64(42);
         assert_eq!(format!("{a}"), "42");
         assert!(format!("{a:?}").contains("42"));
-    }
-
-    #[test]
-    fn serde_round_trip() {
-        let a = F::from_u64(99_999);
-        let json = serde_json_like(a);
-        assert_eq!(json, 99_999);
-    }
-
-    /// Poor-man's serde check without pulling serde_json: serialize to a u64
-    /// via the Serializer impl by using serde's `IntoDeserializer` mirror.
-    fn serde_json_like(x: F) -> u64 {
-        x.to_u64()
     }
 
     /// The pre-Montgomery `pow` ladder, kept as the reference the routed

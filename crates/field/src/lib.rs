@@ -104,8 +104,7 @@ pub mod reduce;
 pub mod rng;
 
 pub use batch::{
-    batch_inverse, dot, slice_add, slice_add_assign, slice_axpy, slice_scale, slice_sub,
-    WideAccumulator, DOT_LANES,
+    batch_inverse, dot, slice_add, slice_axpy, slice_scale, slice_sub, WideAccumulator, DOT_LANES,
 };
 pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};

@@ -1,11 +1,13 @@
-//! Field-matrix kernels: matrix–vector, transpose–vector and matrix–matrix
-//! products, in serial and multi-threaded form.
+//! Field-matrix kernels: the serial matrix–vector and transpose–vector
+//! products.
 //!
 //! The worker-side computations of the paper's two-round logistic-regression
 //! protocol are exactly these kernels: round one computes `z̃ = X̃ w`
-//! ([`mat_vec`]) and round two computes `g̃ = X̃ᵀ e` ([`matt_vec`]).
+//! ([`mat_vec`]) and round two computes `g̃ = X̃ᵀ e` ([`matt_vec`]);
+//! [`matt_vec`] is also the kernel of Freivalds key generation
+//! (`s = rᵀ·X̃`).
 //!
-//! All kernels are built on *lazy reduction* (see [`avcc_field::batch`]):
+//! Both are built on *lazy reduction* (see [`avcc_field::batch`]):
 //! unreduced products accumulate in `u128` lanes and collapse through the
 //! modulus's specialized [`PrimeModulus::reduce_wide`] backend once per
 //! [`PrimeModulus::WIDE_BATCH`] products, so the inner loops are
@@ -15,36 +17,16 @@
 //!   `x`, each with its own lazy accumulator.
 //! * [`matt_vec`] — one [`WideAccumulator`] over the output columns; the
 //!   matrix streams through row-major exactly once.
-//! * [`mat_mat`] — cache-blocked: strips of [`MAT_MAT_ROW_BLOCK`] output rows
-//!   share one streaming pass over `B`, so `B` is read `rows/block` times
-//!   instead of `rows` times.
 //!
-//! The parallel variants split the row range with the shared
-//! [`crate::partition`] helper and run the chunks as tasks on the global
-//! work-stealing pool ([`avcc_pool`]); they are used by the threaded cluster
-//! executor where a worker may own several cores, and by the benchmarks that
-//! calibrate the simulator's compute-cost model. Because the chunks are pool
-//! tasks rather than dedicated OS threads, these kernels can be called from
-//! *inside* other pool tasks (the simulated cluster's per-worker dispatch)
-//! without oversubscribing the machine: the `threads` argument caps the
-//! chunk count, and the pool schedules chunks onto its fixed worker set.
+//! Parallelism lives one level up: the executors in `avcc_sim` run one
+//! worker's kernel per pool task, so the kernels themselves stay serial.
 
 use avcc_field::batch::assert_wide_batch;
 use avcc_field::{Fp, PrimeModulus, WideAccumulator};
 
 use crate::matrix::Matrix;
-use crate::partition::{auto_chunk_count, chunk_ranges, pool_map};
 
-/// Number of output rows that share one streaming pass over `B` (or over `x`)
-/// in the blocked kernels. Chosen so a strip of `u128` accumulator lanes for
-/// typical widths stays within L2 while still cutting memory traffic on the
-/// streamed operand by the same factor.
-pub const MAT_MAT_ROW_BLOCK: usize = 8;
-
-/// Work-size threshold below which the parallel kernels stay serial.
-const PARALLEL_MIN_ELEMENTS: usize = 1 << 14;
-
-/// Serial matrix–vector product `A·x` over the field.
+/// Matrix–vector product `A·x` over the field.
 ///
 /// Rows are processed four at a time so each streamed load of `x[j]` feeds
 /// four multiply-adds; accumulation is lazy with one reduction per row per
@@ -53,21 +35,13 @@ const PARALLEL_MIN_ELEMENTS: usize = 1 << 14;
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
 pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
-    assert_eq!(a.cols(), x.len(), "mat_vec dimension mismatch");
-    mat_vec_rows(a, x, 0..a.rows())
-}
-
-/// The row-range worker behind [`mat_vec`] / [`mat_vec_parallel`].
-fn mat_vec_rows<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    x: &[Fp<M>],
-    rows: core::ops::Range<usize>,
-) -> Vec<Fp<M>> {
     const { assert_wide_batch::<M>() }
-    let mut out = Vec::with_capacity(rows.len());
-    let mut row = rows.start;
+    assert_eq!(a.cols(), x.len(), "mat_vec dimension mismatch");
+    let rows = a.rows();
+    let mut out = Vec::with_capacity(rows);
+    let mut row = 0;
     // Four-row micro-kernel: one pass over x feeds four accumulators.
-    while row + 4 <= rows.end {
+    while row + 4 <= rows {
         let (r0, r1, r2, r3) = (a.row(row), a.row(row + 1), a.row(row + 2), a.row(row + 3));
         let mut acc = [0u128; 4];
         let mut column = 0;
@@ -91,13 +65,13 @@ fn mat_vec_rows<M: PrimeModulus>(
         row += 4;
     }
     // Remainder rows: plain lazy dot.
-    for r in row..rows.end {
+    for r in row..rows {
         out.push(avcc_field::dot(a.row(r), x));
     }
     out
 }
 
-/// Serial transpose–vector product `Aᵀ·y` over the field, computed without
+/// Transpose–vector product `Aᵀ·y` over the field, computed without
 /// materializing the transpose: one [`WideAccumulator`] over the output
 /// columns absorbs `y[i]·A[i,·]` per row, reducing lazily.
 ///
@@ -105,149 +79,11 @@ fn mat_vec_rows<M: PrimeModulus>(
 /// Panics if `y.len() != A.rows()`.
 pub fn matt_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, y: &[Fp<M>]) -> Vec<Fp<M>> {
     assert_eq!(a.rows(), y.len(), "matt_vec dimension mismatch");
-    matt_vec_rows(a, y, 0..a.rows())
-}
-
-/// Partial transpose–vector product over a row range (full-width output).
-fn matt_vec_rows<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    y: &[Fp<M>],
-    rows: core::ops::Range<usize>,
-) -> Vec<Fp<M>> {
     let mut accumulator = WideAccumulator::<M>::new(a.cols());
-    for row in rows {
-        accumulator.axpy(y[row], a.row(row));
+    for (row, &scale) in y.iter().enumerate() {
+        accumulator.axpy(scale, a.row(row));
     }
     accumulator.finish()
-}
-
-/// Serial matrix–matrix product `A·B` over the field, cache-blocked: strips
-/// of [`MAT_MAT_ROW_BLOCK`] output rows share one streaming pass over `B`.
-///
-/// # Panics
-/// Panics if `A.cols() != B.rows()`.
-pub fn mat_mat<M: PrimeModulus>(a: &Matrix<Fp<M>>, b: &Matrix<Fp<M>>) -> Matrix<Fp<M>> {
-    assert_eq!(a.cols(), b.rows(), "mat_mat dimension mismatch");
-    Matrix::from_vec(a.rows(), b.cols(), mat_mat_rows(a, b, 0..a.rows()))
-}
-
-/// The row-strip worker behind [`mat_mat`] / [`mat_mat_parallel`]: computes
-/// output rows `rows` in row-major order.
-fn mat_mat_rows<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    b: &Matrix<Fp<M>>,
-    rows: core::ops::Range<usize>,
-) -> Vec<Fp<M>> {
-    let mut out = Vec::with_capacity(rows.len() * b.cols());
-    let mut strip_start = rows.start;
-    while strip_start < rows.end {
-        let strip_end = (strip_start + MAT_MAT_ROW_BLOCK).min(rows.end);
-        let mut accumulators: Vec<WideAccumulator<M>> = (strip_start..strip_end)
-            .map(|_| WideAccumulator::new(b.cols()))
-            .collect();
-        // One pass over B serves the whole strip.
-        for k in 0..a.cols() {
-            let b_row = b.row(k);
-            for (offset, accumulator) in accumulators.iter_mut().enumerate() {
-                let a_ik = *a.get(strip_start + offset, k);
-                if a_ik.value() != 0 {
-                    accumulator.axpy(a_ik, b_row);
-                }
-            }
-        }
-        for accumulator in accumulators {
-            out.extend(accumulator.finish());
-        }
-        strip_start = strip_end;
-    }
-    out
-}
-
-/// Multi-threaded matrix–vector product: rows are split into `threads`
-/// contiguous chunks by the shared [`crate::partition`] helper.
-///
-/// Falls back to the serial kernel when `threads <= 1` or the matrix is small
-/// enough that threading overhead would dominate.
-pub fn mat_vec_parallel<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    x: &[Fp<M>],
-    threads: usize,
-) -> Vec<Fp<M>> {
-    assert_eq!(a.cols(), x.len(), "mat_vec_parallel dimension mismatch");
-    let rows = a.rows();
-    if threads <= 1 || rows < 2 * threads || rows * a.cols() < PARALLEL_MIN_ELEMENTS {
-        return mat_vec(a, x);
-    }
-    let partials = pool_map(chunk_ranges(rows, threads), |range| {
-        mat_vec_rows(a, x, range)
-    });
-    partials.into_iter().flatten().collect()
-}
-
-/// Multi-threaded transpose–vector product: the row range is split across
-/// threads by the shared [`crate::partition`] helper, each producing a
-/// partial column accumulation that is then reduced.
-pub fn matt_vec_parallel<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    y: &[Fp<M>],
-    threads: usize,
-) -> Vec<Fp<M>> {
-    assert_eq!(a.rows(), y.len(), "matt_vec_parallel dimension mismatch");
-    let rows = a.rows();
-    if threads <= 1 || rows < 2 * threads || rows * a.cols() < PARALLEL_MIN_ELEMENTS {
-        return matt_vec(a, y);
-    }
-    let partials = pool_map(chunk_ranges(rows, threads), |range| {
-        matt_vec_rows(a, y, range)
-    });
-    let mut result = vec![Fp::<M>::ZERO; a.cols()];
-    for partial in partials {
-        avcc_field::slice_add_assign(&mut result, &partial);
-    }
-    result
-}
-
-/// Multi-threaded matrix–matrix product: output row strips are split across
-/// threads by the shared [`crate::partition`] helper.
-pub fn mat_mat_parallel<M: PrimeModulus>(
-    a: &Matrix<Fp<M>>,
-    b: &Matrix<Fp<M>>,
-    threads: usize,
-) -> Matrix<Fp<M>> {
-    assert_eq!(a.cols(), b.rows(), "mat_mat_parallel dimension mismatch");
-    let rows = a.rows();
-    if threads <= 1 || rows < 2 * threads || rows * a.cols() * b.cols() < PARALLEL_MIN_ELEMENTS {
-        return mat_mat(a, b);
-    }
-    let partials = pool_map(chunk_ranges(rows, threads), |range| {
-        mat_mat_rows(a, b, range)
-    });
-    Matrix::from_vec(rows, b.cols(), partials.into_iter().flatten().collect())
-}
-
-/// Matrix–vector product with autotuned fan-out: the chunk count comes from
-/// [`crate::partition::auto_chunk_count`] (work size × global pool width)
-/// instead of a caller-fixed thread count.
-pub fn mat_vec_auto<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
-    mat_vec_parallel(a, x, auto_chunk_count(a.rows(), a.cols()))
-}
-
-/// Transpose–vector product with autotuned fan-out (see [`mat_vec_auto`]).
-pub fn matt_vec_auto<M: PrimeModulus>(a: &Matrix<Fp<M>>, y: &[Fp<M>]) -> Vec<Fp<M>> {
-    matt_vec_parallel(a, y, auto_chunk_count(a.rows(), a.cols()))
-}
-
-/// Matrix–matrix product with autotuned fan-out; per output row the work is
-/// a `cols × B.cols` pass, which is what the chunk sizing weighs.
-pub fn mat_mat_auto<M: PrimeModulus>(a: &Matrix<Fp<M>>, b: &Matrix<Fp<M>>) -> Matrix<Fp<M>> {
-    mat_mat_parallel(a, b, auto_chunk_count(a.rows(), a.cols() * b.cols()))
-}
-
-/// Left vector–matrix product `rᵀ·A` over the field — the kernel of Freivalds
-/// key generation (`s = r · X̃`).
-pub fn vec_mat<M: PrimeModulus>(r: &[Fp<M>], a: &Matrix<Fp<M>>) -> Vec<Fp<M>> {
-    assert_eq!(r.len(), a.rows(), "vec_mat dimension mismatch");
-    matt_vec(a, r)
 }
 
 #[cfg(test)]
@@ -338,95 +174,6 @@ mod tests {
     }
 
     #[test]
-    fn mat_mat_matches_mat_vec_per_column() {
-        let mut rng = StdRng::seed_from_u64(8);
-        let a = random_matrix(&mut rng, 5, 4);
-        let b = random_matrix(&mut rng, 4, 3);
-        let product = mat_mat(&a, &b);
-        for j in 0..3 {
-            let column: Vec<F25> = (0..4).map(|k| *b.get(k, j)).collect();
-            let expected = mat_vec(&a, &column);
-            for (i, &value) in expected.iter().enumerate() {
-                assert_eq!(*product.get(i, j), value);
-            }
-        }
-    }
-
-    #[test]
-    fn mat_mat_blocking_handles_strip_remainders() {
-        let mut rng = StdRng::seed_from_u64(13);
-        for rows in [1usize, 7, 8, 9, 17] {
-            let a = random_matrix(&mut rng, rows, 6);
-            let b = random_matrix(&mut rng, 6, 5);
-            let blocked = mat_mat(&a, &b);
-            for i in 0..rows {
-                let expected: Vec<F25> = (0..5)
-                    .map(|j| (0..6).map(|k| *a.get(i, k) * *b.get(k, j)).sum())
-                    .collect();
-                assert_eq!(blocked.row(i), &expected[..], "rows = {rows}, i = {i}");
-            }
-        }
-    }
-
-    #[test]
-    fn parallel_mat_vec_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(9);
-        let a = random_matrix(&mut rng, 256, 128);
-        let x = random_vector(&mut rng, 128);
-        for threads in [1, 2, 4, 7] {
-            assert_eq!(mat_vec_parallel(&a, &x, threads), mat_vec(&a, &x));
-        }
-    }
-
-    #[test]
-    fn parallel_matt_vec_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(10);
-        let a = random_matrix(&mut rng, 300, 64);
-        let y = random_vector(&mut rng, 300);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(matt_vec_parallel(&a, &y, threads), matt_vec(&a, &y));
-        }
-    }
-
-    #[test]
-    fn parallel_mat_mat_matches_serial() {
-        let mut rng = StdRng::seed_from_u64(14);
-        let a = random_matrix(&mut rng, 64, 48);
-        let b = random_matrix(&mut rng, 48, 32);
-        for threads in [1, 2, 3, 8] {
-            assert_eq!(mat_mat_parallel(&a, &b, threads), mat_mat(&a, &b));
-        }
-    }
-
-    #[test]
-    fn auto_kernels_match_serial() {
-        let mut rng = StdRng::seed_from_u64(15);
-        let a = random_matrix(&mut rng, 200, 96);
-        let x = random_vector(&mut rng, 96);
-        let y = random_vector(&mut rng, 200);
-        let b = random_matrix(&mut rng, 96, 40);
-        assert_eq!(mat_vec_auto(&a, &x), mat_vec(&a, &x));
-        assert_eq!(matt_vec_auto(&a, &y), matt_vec(&a, &y));
-        assert_eq!(mat_mat_auto(&a, &b), mat_mat(&a, &b));
-    }
-
-    #[test]
-    fn small_matrices_fall_back_to_serial_path() {
-        let mut rng = StdRng::seed_from_u64(11);
-        let a = random_matrix(&mut rng, 4, 4);
-        let x = random_vector(&mut rng, 4);
-        assert_eq!(mat_vec_parallel(&a, &x, 8), mat_vec(&a, &x));
-    }
-
-    #[test]
-    fn vec_mat_is_left_multiplication() {
-        let mut rng = StdRng::seed_from_u64(12);
-        let a = random_matrix(&mut rng, 6, 9);
-        let r = random_vector(&mut rng, 6);
-        assert_eq!(vec_mat(&r, &a), mat_vec(&a.transpose(), &r));
-    }
-
-    #[test]
     #[should_panic(expected = "dimension mismatch")]
     fn mat_vec_rejects_bad_dimensions() {
         let a: Matrix<F25> = Matrix::zeros(2, 3);
@@ -461,23 +208,9 @@ mod tests {
             let r = random_vector(&mut rng, 8);
             let ax = mat_vec(&a, &x);
             let lhs = avcc_field::dot(&r, &ax);
-            let rta = vec_mat(&r, &a);
+            let rta = matt_vec(&a, &r);
             let rhs = avcc_field::dot(&rta, &x);
             prop_assert_eq!(lhs, rhs);
-        }
-
-        #[test]
-        fn prop_mat_mat_matches_reference(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let a = random_matrix(&mut rng, 10, 7);
-            let b = random_matrix(&mut rng, 7, 6);
-            let product = mat_mat(&a, &b);
-            for i in 0..10 {
-                for j in 0..6 {
-                    let expected: F25 = (0..7).map(|k| *a.get(i, k) * *b.get(k, j)).sum();
-                    prop_assert_eq!(*product.get(i, j), expected);
-                }
-            }
         }
     }
 }

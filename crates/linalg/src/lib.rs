@@ -1,5 +1,5 @@
 //! Dense matrices and vectors over prime fields and `f64`, with the
-//! multi-threaded kernels used by the workers of the cluster substrate.
+//! kernels run by the workers of the cluster substrate.
 //!
 //! The AVCC workload is dominated by two shapes of computation:
 //!
@@ -11,25 +11,18 @@
 //!   decoding (small linear solves / interpolation).
 //!
 //! [`Matrix`] is a simple row-major dense container generic over the element
-//! type; [`field_ops`] provides the field kernels (serial, and multi-threaded
-//! as tasks on the shared [`avcc_pool`] work-stealing pool so they compose
-//! with the simulator's per-worker fan-out), and [`real_ops`] provides the
-//! `f64` reference kernels plus quantization bridges used by the ML layer and
-//! by tests that compare the field pipeline against a floating-point
-//! reference.
+//! type; [`field_ops`] provides the two serial field kernels (the executors
+//! in `avcc_sim` fan workers out, one kernel call per pool task), and
+//! [`real_ops`] provides the `f64` reference kernels plus the quantization
+//! bridge used by the ML layer.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod field_ops;
 pub mod matrix;
-pub mod partition;
 pub mod real_ops;
 
-pub use field_ops::{
-    mat_mat, mat_mat_auto, mat_mat_parallel, mat_vec, mat_vec_auto, mat_vec_parallel, matt_vec,
-    matt_vec_auto, matt_vec_parallel, vec_mat,
-};
+pub use field_ops::{mat_vec, matt_vec};
 pub use matrix::Matrix;
-pub use partition::auto_chunk_count;
-pub use real_ops::{dequantize_matrix, quantize_matrix, real_mat_vec, real_matt_vec};
+pub use real_ops::{quantize_matrix, real_mat_vec, real_matt_vec};

@@ -2,10 +2,9 @@
 //!
 //! [`Matrix`] is deliberately minimal: it stores elements contiguously in
 //! row-major order and exposes the partitioning operations the coding layer
-//! needs (splitting a dataset into `K` row blocks, stacking blocks back
-//! together) plus simple accessors. Numeric kernels live in
-//! [`crate::field_ops`] and [`crate::real_ops`] so that the container itself
-//! stays element-type agnostic.
+//! needs (splitting a dataset into `K` row blocks) plus simple accessors.
+//! Numeric kernels live in [`crate::field_ops`] and [`crate::real_ops`] so
+//! that the container itself stays element-type agnostic.
 
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -43,25 +42,6 @@ impl<T> Matrix<T> {
         Matrix { rows, cols, data }
     }
 
-    /// Builds a matrix from a slice of equal-length rows.
-    ///
-    /// # Panics
-    /// Panics if the rows have differing lengths.
-    pub fn from_rows(rows: Vec<Vec<T>>) -> Self {
-        let row_count = rows.len();
-        let col_count = rows.first().map_or(0, |r| r.len());
-        let mut data = Vec::with_capacity(row_count * col_count);
-        for row in rows {
-            assert_eq!(row.len(), col_count, "all rows must have equal length");
-            data.extend(row);
-        }
-        Matrix {
-            rows: row_count,
-            cols: col_count,
-            data,
-        }
-    }
-
     /// Number of rows.
     pub fn rows(&self) -> usize {
         self.rows
@@ -87,16 +67,6 @@ impl<T> Matrix<T> {
         &self.data
     }
 
-    /// Mutable access to the underlying row-major data slice.
-    pub fn data_mut(&mut self) -> &mut [T] {
-        &mut self.data
-    }
-
-    /// Consumes the matrix, returning the row-major data vector.
-    pub fn into_data(self) -> Vec<T> {
-        self.data
-    }
-
     /// A view of row `i`.
     ///
     /// # Panics
@@ -104,12 +74,6 @@ impl<T> Matrix<T> {
     pub fn row(&self, i: usize) -> &[T] {
         assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
         &self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// Mutable view of row `i`.
-    pub fn row_mut(&mut self, i: usize) -> &mut [T] {
-        assert!(i < self.rows, "row index {i} out of bounds ({})", self.rows);
-        &mut self.data[i * self.cols..(i + 1) * self.cols]
     }
 
     /// Element accessor.
@@ -185,27 +149,6 @@ impl<T: Copy> Matrix<T> {
             .collect()
     }
 
-    /// Vertically stacks blocks with identical column counts.
-    ///
-    /// # Panics
-    /// Panics if the blocks disagree on the number of columns or the list is
-    /// empty.
-    pub fn vstack(blocks: &[Matrix<T>]) -> Matrix<T> {
-        assert!(!blocks.is_empty(), "cannot stack zero blocks");
-        let cols = blocks[0].cols;
-        let mut data = Vec::new();
-        let mut rows = 0;
-        for block in blocks {
-            assert_eq!(
-                block.cols, cols,
-                "all blocks must have the same column count"
-            );
-            rows += block.rows;
-            data.extend_from_slice(&block.data);
-        }
-        Matrix { rows, cols, data }
-    }
-
     /// Returns a copy of the sub-matrix consisting of rows `[start, end)`.
     pub fn row_slice(&self, start: usize, end: usize) -> Matrix<T> {
         assert!(
@@ -255,18 +198,6 @@ mod tests {
     }
 
     #[test]
-    fn from_rows_matches_from_vec() {
-        let m = Matrix::from_rows(vec![vec![1, 2, 3], vec![4, 5, 6]]);
-        assert_eq!(m, sample());
-    }
-
-    #[test]
-    #[should_panic(expected = "equal length")]
-    fn ragged_rows_panic() {
-        let _ = Matrix::from_rows(vec![vec![1, 2], vec![3]]);
-    }
-
-    #[test]
     #[should_panic(expected = "does not match")]
     fn wrong_data_length_panics() {
         let _ = Matrix::from_vec(2, 2, vec![1, 2, 3]);
@@ -302,21 +233,6 @@ mod tests {
     #[should_panic(expected = "not divisible")]
     fn uneven_split_panics() {
         let _ = sample().split_rows(4);
-    }
-
-    #[test]
-    fn vstack_inverts_split() {
-        let m = Matrix::from_vec(6, 2, (0..12).collect());
-        let blocks = m.split_rows(3);
-        assert_eq!(Matrix::vstack(&blocks), m);
-    }
-
-    #[test]
-    #[should_panic(expected = "same column count")]
-    fn vstack_rejects_mismatched_columns() {
-        let a = Matrix::from_vec(1, 2, vec![1, 2]);
-        let b = Matrix::from_vec(1, 3, vec![1, 2, 3]);
-        let _ = Matrix::vstack(&[a, b]);
     }
 
     #[test]

@@ -1,11 +1,10 @@
-//! Floating-point reference kernels and quantization bridges.
+//! Floating-point reference kernels and the matrix quantization bridge.
 //!
 //! The ML layer keeps the labels, the sigmoid and the accuracy computation in
 //! the real domain (as the paper does — only the distributed matrix products
-//! run over the field), so it needs `f64` matrix kernels and conversions
-//! between `Matrix<f64>` and `Matrix<Fp>`. These conversions implement the
-//! paper's quantization step `x_r = round(2^l x)` and the corresponding
-//! rescaling on the way back.
+//! run over the field), so it needs `f64` matrix kernels and the conversion
+//! from `Matrix<f64>` to `Matrix<Fp>`, the paper's quantization step
+//! `x_r = round(2^l x)`; vectors go through [`Quantizer`] directly.
 
 use avcc_field::{Fp, PrimeModulus, QuantError, Quantizer};
 
@@ -47,25 +46,6 @@ pub fn quantize_matrix<M: PrimeModulus>(
     Ok(Matrix::from_vec(a.rows(), a.cols(), data))
 }
 
-/// Dequantizes a field matrix whose elements carry a total scale of
-/// `2^total_bits` back to `f64`.
-pub fn dequantize_matrix<M: PrimeModulus>(a: &Matrix<Fp<M>>, total_bits: u32) -> Matrix<f64> {
-    a.map(|element| Quantizer::dequantize_with_scale(element, total_bits))
-}
-
-/// Quantizes a real vector with the given quantizer.
-pub fn quantize_vector<M: PrimeModulus>(
-    values: &[f64],
-    quantizer: Quantizer,
-) -> Result<Vec<Fp<M>>, QuantError> {
-    quantizer.quantize_slice(values)
-}
-
-/// Dequantizes a field vector with the given total scale.
-pub fn dequantize_vector<M: PrimeModulus>(values: &[Fp<M>], total_bits: u32) -> Vec<f64> {
-    Quantizer::dequantize_slice_with_scale(values, total_bits)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -92,8 +72,8 @@ mod tests {
         let a = Matrix::from_vec(2, 2, vec![0.5, -1.25, 3.0, 0.03125]);
         let quantizer = Quantizer::new(5);
         let field_matrix = quantize_matrix::<P25>(&a, quantizer).unwrap();
-        let back = dequantize_matrix(&field_matrix, 5);
-        for (original, recovered) in a.data().iter().zip(back.data().iter()) {
+        let back = Quantizer::dequantize_slice_with_scale(field_matrix.data(), 5);
+        for (original, recovered) in a.data().iter().zip(back.iter()) {
             assert!((original - recovered).abs() <= 1.0 / 64.0);
         }
     }
@@ -106,9 +86,9 @@ mod tests {
         let x_real = Matrix::from_vec(2, 3, vec![3.0, 1.0, 4.0, 1.0, 5.0, 9.0]);
         let w_real = [0.5, -0.25, 1.0];
         let x_field = quantize_matrix::<P25>(&x_real, Quantizer::new(0)).unwrap();
-        let w_field = quantize_vector::<P25>(&w_real, Quantizer::new(5)).unwrap();
+        let w_field = Quantizer::new(5).quantize_slice::<P25>(&w_real).unwrap();
         let z_field = mat_vec(&x_field, &w_field);
-        let z_back = dequantize_vector(&z_field, 5);
+        let z_back = Quantizer::dequantize_slice_with_scale(&z_field, 5);
         let z_real = real_mat_vec(&x_real, &w_real);
         for (a, b) in z_real.iter().zip(z_back.iter()) {
             assert!((a - b).abs() < 0.1, "{a} vs {b}");
@@ -130,8 +110,8 @@ mod tests {
         ) {
             let a_real = Matrix::from_vec(3, 4, entries);
             let x_field_matrix = quantize_matrix::<P25>(&a_real, Quantizer::new(8)).unwrap();
-            let w_field = quantize_vector::<P25>(&weights, Quantizer::new(8)).unwrap();
-            let z = dequantize_vector(&mat_vec(&x_field_matrix, &w_field), 16);
+            let w_field = Quantizer::new(8).quantize_slice::<P25>(&weights).unwrap();
+            let z = Quantizer::dequantize_slice_with_scale(&mat_vec(&x_field_matrix, &w_field), 16);
             let z_real = real_mat_vec(&a_real, &weights);
             // Each of the 4 product terms can deviate by about
             // (|x| + |w|) * half-LSB ≈ 52 * 0.5 / 256, so bound by 0.5 total.

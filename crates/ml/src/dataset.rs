@@ -16,10 +16,9 @@
 
 use avcc_linalg::Matrix;
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 /// Configuration for the synthetic dataset generator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DatasetConfig {
     /// Number of training samples `m`.
     pub train_samples: usize,
@@ -67,12 +66,6 @@ impl DatasetConfig {
             informative: 300,
             ..DatasetConfig::default()
         }
-    }
-
-    /// A scaled-down shape with the same aspect ratio, suitable for tests and
-    /// quick experiment runs.
-    pub fn gisette_small() -> Self {
-        DatasetConfig::default()
     }
 }
 

@@ -13,7 +13,6 @@
 //! the real domain on the master, so this module is shared by every scheme.
 
 use avcc_linalg::{real_mat_vec, real_matt_vec, Matrix};
-use serde::{Deserialize, Serialize};
 
 /// The numerically stable sigmoid `h(θ) = 1 / (1 + e^{−θ})`.
 pub fn sigmoid(theta: f64) -> f64 {
@@ -60,7 +59,7 @@ pub fn accuracy(predictions: &[f64], labels: &[f64]) -> f64 {
 }
 
 /// Gradient-descent hyperparameters.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TrainConfig {
     /// Learning rate `η`.
     pub learning_rate: f64,
@@ -84,7 +83,7 @@ impl Default for TrainConfig {
 
 /// A logistic-regression model (weights only; the bias is folded into the
 /// weights as the paper does).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LogisticModel {
     /// The weight vector `w ∈ R^d`.
     pub weights: Vec<f64>,
@@ -197,7 +196,7 @@ pub fn normalize_features(features: &Matrix<f64>) -> (Matrix<f64>, f64) {
 /// the identical affine transform to the test set. The resulting values lie
 /// in `[−1, 1]`, which keeps the fixed-point overflow analysis of
 /// [`crate::quantized::QuantizedProtocol`] intact.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeatureScaler {
     /// Per-column means of the training features.
     pub column_means: Vec<f64>,

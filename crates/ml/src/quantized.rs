@@ -21,7 +21,6 @@
 
 use avcc_field::{Fp, PrimeModulus, Quantizer};
 use avcc_linalg::{quantize_matrix, Matrix};
-use serde::{Deserialize, Serialize};
 
 use crate::logistic::sigmoid;
 
@@ -30,7 +29,7 @@ use crate::logistic::sigmoid;
 /// Features are expected to be pre-normalized into `[0, 1]` (the integer
 /// GISETTE-like features divided by their maximum); weights and error-vector
 /// entries live in a small real range around zero.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct QuantizedProtocol {
     /// Fractional bits for the (normalized) features.
     pub feature_bits: u32,

@@ -182,30 +182,6 @@ impl<F: PrimeField> Polynomial<F> {
             Self::from_coefficients(remainder),
         )
     }
-
-    /// Returns the composition with a linear map of the data blocks: given
-    /// per-coefficient vectors it is often more convenient to evaluate many
-    /// polynomials that share evaluation points. This helper evaluates a
-    /// *vector-valued* polynomial whose `i`-th coefficient is
-    /// `coefficient_vectors[i]` (all the same length) at `point`.
-    pub fn evaluate_vector_valued(coefficient_vectors: &[Vec<F>], point: F) -> Vec<F> {
-        let Some(first) = coefficient_vectors.first() else {
-            return Vec::new();
-        };
-        let width = first.len();
-        let mut accumulator = vec![F::ZERO; width];
-        for coefficients in coefficient_vectors.iter().rev() {
-            assert_eq!(
-                coefficients.len(),
-                width,
-                "vector-valued polynomial coefficients must share a width"
-            );
-            for (slot, &c) in accumulator.iter_mut().zip(coefficients.iter()) {
-                *slot = *slot * point + c;
-            }
-        }
-        accumulator
-    }
 }
 
 #[cfg(test)]
@@ -316,24 +292,6 @@ mod tests {
         for (point, value) in points.iter().zip(values.iter()) {
             assert_eq!(p.evaluate(*point), *value);
         }
-    }
-
-    #[test]
-    fn vector_valued_evaluation_matches_scalar_evaluation_per_slot() {
-        // Two "slots": p0(z) = 1 + 2z, p1(z) = 3 + 4z.
-        let coefficient_vectors = vec![
-            vec![F25::from_u64(1), F25::from_u64(3)],
-            vec![F25::from_u64(2), F25::from_u64(4)],
-        ];
-        let point = F25::from_u64(10);
-        let value = Polynomial::evaluate_vector_valued(&coefficient_vectors, point);
-        assert_eq!(value, vec![F25::from_u64(21), F25::from_u64(43)]);
-    }
-
-    #[test]
-    fn vector_valued_evaluation_of_empty_is_empty() {
-        let value = Polynomial::<F25>::evaluate_vector_valued(&[], F25::from_u64(3));
-        assert!(value.is_empty());
     }
 
     fn arbitrary_poly() -> impl Strategy<Value = Polynomial<F25>> {

@@ -44,7 +44,7 @@ pub mod subproduct;
 pub use dense::Polynomial;
 pub use fast::NTT_MUL_THRESHOLD;
 pub use lagrange::{evaluate_basis_at, interpolate, interpolate_eval, LagrangeBasis};
-pub use linear::{invert_matrix, mat_vec, rank, solve, LinearSolveError};
+pub use linear::{mat_vec, rank, solve, LinearSolveError};
 pub use ntt::{root_of_unity, NttPlan, NTT_LANES};
 pub use reed_solomon::{BerlekampWelch, RsDecodeError, RsDecoded};
 pub use subproduct::{SubproductTree, TreeInterpolator};

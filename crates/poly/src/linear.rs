@@ -1,12 +1,11 @@
-//! Dense linear algebra over a prime field: Gaussian elimination, matrix
-//! inversion and rank computation.
+//! Dense linear algebra over a prime field: Gaussian elimination and rank
+//! computation.
 //!
 //! The sizes involved are tiny (at most `N × N` with `N` the number of
 //! workers, 12 in the paper's testbed), so a straightforward `O(n³)`
 //! elimination with partial "pivoting" (any nonzero pivot works in a field) is
-//! the right tool. The Berlekamp–Welch decoder ([`crate::reed_solomon`]) and
-//! the MDS decoding-matrix construction both sit on top of [`solve`] /
-//! [`invert_matrix`], and the T-privacy test uses [`rank`] to check the
+//! the right tool. The dual-codeword screen's error-locator step sits on top
+//! of [`solve`], and the T-privacy test uses [`rank`] to check the
 //! invertibility of the bottom `T × T` submatrices of the encoding matrix
 //! (Lemma 2 of the LCC paper, used in Theorem 1 of AVCC).
 
@@ -60,29 +59,6 @@ pub fn solve<F: PrimeField>(matrix: &[F], rhs: &[F], n: usize) -> Result<Vec<F>,
     }
     gauss_jordan(&mut augmented, n, width)?;
     Ok((0..n).map(|row| augmented[row * width + n]).collect())
-}
-
-/// Inverts the square row-major `n × n` matrix.
-pub fn invert_matrix<F: PrimeField>(matrix: &[F], n: usize) -> Result<Vec<F>, LinearSolveError> {
-    if matrix.len() != n * n {
-        return Err(LinearSolveError::DimensionMismatch {
-            details: format!("matrix has {} entries, expected {}", matrix.len(), n * n),
-        });
-    }
-    // Augmented matrix [A | I].
-    let width = 2 * n;
-    let mut augmented = vec![F::ZERO; n * width];
-    for row in 0..n {
-        augmented[row * width..row * width + n].copy_from_slice(&matrix[row * n..(row + 1) * n]);
-        augmented[row * width + n + row] = F::ONE;
-    }
-    gauss_jordan(&mut augmented, n, width)?;
-    let mut inverse = vec![F::ZERO; n * n];
-    for row in 0..n {
-        inverse[row * n..(row + 1) * n]
-            .copy_from_slice(&augmented[row * width + n..row * width + 2 * n]);
-    }
-    Ok(inverse)
 }
 
 /// Reduces the first `n` columns of the `rows × width` augmented matrix to the
@@ -228,20 +204,6 @@ mod tests {
     }
 
     #[test]
-    fn inverse_times_original_is_identity() {
-        let a = fm(&[4, 7, 2, 6]);
-        let inverse = invert_matrix(&a, 2).unwrap();
-        let product = multiply(&a, &inverse, 2);
-        assert_eq!(product, fm(&[1, 0, 0, 1]));
-    }
-
-    #[test]
-    fn singular_matrix_has_no_inverse() {
-        let a = fm(&[1, 2, 2, 4]);
-        assert_eq!(invert_matrix(&a, 2), Err(LinearSolveError::Singular));
-    }
-
-    #[test]
     fn rank_of_identity_is_full() {
         let identity = fm(&[1, 0, 0, 0, 1, 0, 0, 0, 1]);
         assert_eq!(rank(&identity, 3, 3), 3);
@@ -266,18 +228,6 @@ mod tests {
         assert_eq!(mat_vec(&a, &v, 2, 2), fm(&[17, 39]));
     }
 
-    fn multiply(a: &[F25], b: &[F25], n: usize) -> Vec<F25> {
-        let mut out = vec![F25::ZERO; n * n];
-        for i in 0..n {
-            for j in 0..n {
-                for k in 0..n {
-                    out[i * n + j] += a[i * n + k] * b[k * n + j];
-                }
-            }
-        }
-        out
-    }
-
     proptest! {
         #[test]
         fn prop_solve_then_substitute(seed in any::<u64>(), n in 1usize..6) {
@@ -298,23 +248,6 @@ mod tests {
                     prop_assert!(rank(&matrix, n, n) < n);
                 }
                 Err(other) => prop_assert!(false, "unexpected error {other:?}"),
-            }
-        }
-
-        #[test]
-        fn prop_inverse_round_trips(seed in any::<u64>(), n in 1usize..6) {
-            use rand::Rng;
-            let mut rng = StdRng::seed_from_u64(seed);
-            let matrix: Vec<F25> = (0..n * n)
-                .map(|_| F25::from_u64(rng.gen_range(0..F25::MODULUS)))
-                .collect();
-            if let Ok(inverse) = invert_matrix(&matrix, n) {
-                let product = multiply(&matrix, &inverse, n);
-                let mut identity = vec![F25::ZERO; n * n];
-                for i in 0..n {
-                    identity[i * n + i] = F25::ONE;
-                }
-                prop_assert_eq!(product, identity);
             }
         }
     }

@@ -194,11 +194,6 @@ impl<M: PrimeModulus> NttPlan<M> {
         false
     }
 
-    /// `log2` of the transform size.
-    pub fn log_len(&self) -> u32 {
-        self.log_n
-    }
-
     /// In-place forward transform: `data[i] ← Σ_k data[k]·ω^{ik}`
     /// (coefficients → values on the subgroup).
     ///

@@ -1,8 +1,8 @@
-//! A small work-stealing thread pool with a `scope`/`join` API.
+//! A small work-stealing thread pool with a `scope` API.
 //!
 //! The build environment is offline, so the workspace cannot depend on rayon;
-//! this crate provides the subset of its execution model the AVCC kernels
-//! need, sized for the workloads in this repository:
+//! this crate provides the subset of its execution model the AVCC executors
+//! and serving fleet need, sized for the workloads in this repository:
 //!
 //! * **One global pool** ([`global`]), sized from
 //!   [`std::thread::available_parallelism`] and overridable with the
@@ -20,11 +20,12 @@
 //!   to drain — whether a pool worker or an external caller — executes
 //!   pending tasks *of that scope* while it waits (background workers,
 //!   which wait on nothing, run anything). This is what makes *nested*
-//!   parallelism compose: a simulated cluster fans out worker tasks, each
-//!   worker task fans out blocked-kernel chunks, and every waiter drains
-//!   the very tasks it is waiting on, so the nesting can neither deadlock
-//!   nor oversubscribe the machine with one OS thread per leaf task (the
-//!   failure mode of the scoped-thread fan-out this pool replaced).
+//!   parallelism compose: a pool task may itself open a scope (an
+//!   executor round driven from inside another pool task fans out its own
+//!   worker tasks), and every waiter drains the very tasks it is waiting
+//!   on, so the nesting can neither deadlock nor oversubscribe the machine
+//!   with one OS thread per leaf task (the failure mode of the
+//!   scoped-thread fan-out this pool replaced).
 //!   Restricting helpers to their own scope keeps a waiter from nesting an
 //!   unrelated task (and its runtime) inside its own call stack — callers
 //!   that time their own work, like the cluster simulator's round
@@ -38,10 +39,9 @@
 //! # Execution model
 //!
 //! A [`ThreadPool`] of parallelism `n` owns `n − 1` background OS threads;
-//! the caller of a blocking operation ([`ThreadPool::scope`],
-//! [`ThreadPool::join`], [`map_ranges`]) is the `n`-th participant. With
-//! `n = 1` there are no background threads at all and every task runs
-//! inline, in spawn order, on the caller — useful both for
+//! the caller of the blocking [`ThreadPool::scope`] is the `n`-th
+//! participant. With `n = 1` there are no background threads at all and
+//! every task runs inline, in spawn order, on the caller — useful both for
 //! `AVCC_THREADS=1` reproducibility and for measuring parallel overhead.
 //!
 //! Panics in spawned tasks are caught, forwarded to the thread that called
@@ -63,7 +63,6 @@
 #![warn(missing_docs)]
 
 use std::collections::VecDeque;
-use std::ops::Range;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, OnceLock};
@@ -360,7 +359,7 @@ impl std::fmt::Debug for ThreadPool {
 impl ThreadPool {
     /// Creates a pool with the given total parallelism (clamped to at least
     /// 1): `parallelism − 1` background workers plus the calling thread
-    /// whenever it blocks in [`ThreadPool::scope`] / [`ThreadPool::join`].
+    /// whenever it blocks in [`ThreadPool::scope`].
     pub fn new(parallelism: usize) -> Self {
         let parallelism = parallelism.max(1);
         let workers = parallelism - 1;
@@ -387,7 +386,7 @@ impl ThreadPool {
     }
 
     /// The pool's total parallelism (background workers + the participating
-    /// caller). Kernels use this to pick chunk counts.
+    /// caller).
     pub fn parallelism(&self) -> usize {
         self.parallelism
     }
@@ -422,56 +421,6 @@ impl ThreadPool {
             resume_unwind(payload);
         }
         result
-    }
-
-    /// Runs `left` and `right` potentially in parallel and returns both
-    /// results ( `right` runs on the calling thread; `left` is available for
-    /// stealing).
-    ///
-    /// # Panics
-    /// Re-throws a panic from either closure.
-    pub fn join<RL, RR>(
-        &self,
-        left: impl FnOnce() -> RL + Send,
-        right: impl FnOnce() -> RR + Send,
-    ) -> (RL, RR)
-    where
-        RL: Send,
-        RR: Send,
-    {
-        let mut left_result = None;
-        let right_result = self.scope(|scope| {
-            scope.spawn(|| left_result = Some(left()));
-            right()
-        });
-        (
-            left_result.expect("join: spawned side did not run"),
-            right_result,
-        )
-    }
-
-    /// Applies `task` to every range, in parallel on this pool, returning the
-    /// results in range order. Single-range (and empty) inputs run inline
-    /// with no queueing cost.
-    pub fn map_ranges<R, F>(&self, ranges: Vec<Range<usize>>, task: F) -> Vec<R>
-    where
-        R: Send,
-        F: Fn(Range<usize>) -> R + Sync,
-    {
-        if self.parallelism <= 1 || ranges.len() <= 1 {
-            return ranges.into_iter().map(task).collect();
-        }
-        let task = &task;
-        let mut slots: Vec<Option<R>> = (0..ranges.len()).map(|_| None).collect();
-        self.scope(|scope| {
-            for (slot, range) in slots.iter_mut().zip(ranges) {
-                scope.spawn(move || *slot = Some(task(range)));
-            }
-        });
-        slots
-            .into_iter()
-            .map(|slot| slot.expect("map_ranges task did not run"))
-            .collect()
     }
 }
 
@@ -517,7 +466,7 @@ fn default_parallelism() -> usize {
         .unwrap_or(1)
 }
 
-/// The process-wide pool every kernel shares, created at first use. Its size
+/// The process-wide pool every executor shares, created at first use. Its size
 /// is decided once (`AVCC_THREADS` when set to a positive integer, otherwise
 /// [`std::thread::available_parallelism`]); later changes to
 /// `AVCC_THREADS` have no effect.
@@ -531,27 +480,10 @@ pub fn scope<'scope, R>(body: impl FnOnce(&Scope<'scope>) -> R) -> R {
     global().scope(body)
 }
 
-/// [`ThreadPool::join`] on the [`global`] pool.
-pub fn join<RL, RR>(left: impl FnOnce() -> RL + Send, right: impl FnOnce() -> RR + Send) -> (RL, RR)
-where
-    RL: Send,
-    RR: Send,
-{
-    global().join(left, right)
-}
-
-/// [`ThreadPool::map_ranges`] on the [`global`] pool.
-pub fn map_ranges<R, F>(ranges: Vec<Range<usize>>, task: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(Range<usize>) -> R + Sync,
-{
-    global().map_ranges(ranges, task)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::ops::Range;
     use std::sync::atomic::AtomicU64;
 
     fn ranges(total: usize, parts: usize) -> Vec<Range<usize>> {
@@ -593,23 +525,6 @@ mod tests {
             }
         });
         assert_eq!(partials.iter().sum::<u64>(), 1000 * 999 / 2);
-    }
-
-    #[test]
-    fn map_ranges_preserves_order() {
-        for parallelism in [1, 3, 8] {
-            let pool = ThreadPool::new(parallelism);
-            let out = pool.map_ranges(ranges(100, 7), |range| range.sum::<usize>());
-            let expected: Vec<usize> = ranges(100, 7).into_iter().map(|r| r.sum()).collect();
-            assert_eq!(out, expected, "p = {parallelism}");
-        }
-    }
-
-    #[test]
-    fn join_returns_both_results() {
-        let pool = ThreadPool::new(2);
-        let (a, b) = pool.join(|| 6 * 7, || "ok");
-        assert_eq!((a, b), (42, "ok"));
     }
 
     #[test]
@@ -689,10 +604,16 @@ mod tests {
 
     #[test]
     fn global_pool_is_usable() {
-        let total: usize = map_ranges(ranges(1000, 8), |range| range.len())
-            .into_iter()
-            .sum();
-        assert_eq!(total, 1000);
+        let total = AtomicUsize::new(0);
+        scope(|scope| {
+            for range in ranges(1000, 8) {
+                let total = &total;
+                scope.spawn(move || {
+                    total.fetch_add(range.len(), Ordering::SeqCst);
+                });
+            }
+        });
+        assert_eq!(total.load(Ordering::SeqCst), 1000);
         assert!(global().parallelism() >= 1);
     }
 

@@ -27,6 +27,12 @@ fn avcc_threads_one_forces_an_inline_global_pool() {
         "AVCC_THREADS=1 must run tasks inline on the caller"
     );
 
-    let sums = avcc_pool::map_ranges(vec![0..10, 10..60, 60..100], |range| range.sum::<usize>());
+    // Several tasks in one scope all run before `scope` returns.
+    let mut sums = [0usize; 3];
+    avcc_pool::scope(|scope| {
+        for (slot, range) in sums.iter_mut().zip([0..10, 10..60, 60..100]) {
+            scope.spawn(move || *slot = range.sum());
+        }
+    });
     assert_eq!(sums.iter().sum::<usize>(), (0..100).sum::<usize>());
 }

@@ -26,10 +26,9 @@
 use std::collections::BTreeSet;
 
 use avcc_field::{Fp, PrimeField, PrimeModulus};
-use serde::{Deserialize, Serialize};
 
 /// The attack a Byzantine worker mounts on its outgoing result.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum AttackModel {
     /// Send the honest result unchanged (an "attack" that does nothing; useful
     /// as a control).
@@ -144,7 +143,7 @@ impl AttackModel {
 }
 
 /// Which workers are Byzantine and what they send.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ByzantineSpec {
     workers: BTreeSet<usize>,
     attack: AttackModel,

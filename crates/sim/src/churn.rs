@@ -20,10 +20,9 @@ use std::collections::BTreeMap;
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// One scripted churn action, fired at a scheduled round.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ChurnAction {
     /// The worker goes down and stays down (until an explicit [`Join`]).
     ///
@@ -96,7 +95,7 @@ impl ChurnAction {
 /// [`ChurnSchedule::seeded`]. Install it on an executor
 /// (`ThreadedExecutor::set_churn` / `SocketExecutor::set_churn`) and the
 /// executor consumes it round by round.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnSchedule {
     actions: BTreeMap<u64, Vec<ChurnAction>>,
 }
@@ -231,7 +230,7 @@ impl ChaosSchedule {
 }
 
 /// What happened to the fleet, as a typed record in the metrics stream.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ChurnEventKind {
     /// A worker crashed (scheduled, stays down).
     Crash,
@@ -263,7 +262,7 @@ pub enum ChurnEventKind {
 }
 
 /// One typed churn record: what happened, to whom, at which schedule round.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChurnEvent {
     /// The round (schedule clock) at which the event fired.
     pub round: u64,
@@ -428,11 +427,6 @@ impl ChurnState {
     /// Number of workers currently up.
     pub fn live_count(&self) -> usize {
         self.down.iter().filter(|&&d| !d).count()
-    }
-
-    /// Indices of the workers currently down.
-    pub fn down_workers(&self) -> Vec<usize> {
-        (0..self.down.len()).filter(|&w| self.down[w]).collect()
     }
 
     /// The extra slowdown multiplier on worker `w` right now (1.0 = none).

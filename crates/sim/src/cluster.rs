@@ -10,11 +10,8 @@
 //! transfer time for each result sent back to the master, mirroring the
 //! 1 GbE interfaces of the Minnow nodes.
 
-use rand::Rng;
-use serde::{Deserialize, Serialize};
-
 /// The execution profile of a single worker.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerProfile {
     /// Multiplier on the measured compute time (1.0 = nominal speed).
     pub speed_factor: f64,
@@ -47,7 +44,7 @@ impl WorkerProfile {
 
 /// The network model: a fixed per-message latency plus a byte-proportional
 /// transfer time.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct NetworkModel {
     /// One-way message latency in seconds.
     pub base_latency_seconds: f64,
@@ -72,34 +69,9 @@ impl NetworkModel {
     }
 }
 
-/// One speed tier of a heterogeneous fleet: `workers` workers all running at
-/// `speed_factor` times the nominal compute time.
-///
-/// Tiers model the paper's mixed-hardware reality more faithfully than the
-/// independent-uniform draw of [`ClusterProfile::heterogeneous`]: a real
-/// fleet has a few discrete machine generations, not a continuum. The old
-/// constructors remain untouched so the paper figures reproduce exactly.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
-pub struct SpeedTier {
-    /// Number of workers in this tier.
-    pub workers: usize,
-    /// Multiplier on measured compute time for every worker in the tier.
-    pub speed_factor: f64,
-}
-
-impl SpeedTier {
-    /// A tier of `workers` workers at `speed_factor`.
-    pub fn new(workers: usize, speed_factor: f64) -> Self {
-        SpeedTier {
-            workers,
-            speed_factor,
-        }
-    }
-}
-
 /// The full cluster profile: one [`WorkerProfile`] per worker plus the shared
 /// [`NetworkModel`].
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterProfile {
     workers: Vec<WorkerProfile>,
     /// The shared network model.
@@ -111,43 +83,6 @@ impl ClusterProfile {
     pub fn uniform(workers: usize) -> Self {
         ClusterProfile {
             workers: vec![WorkerProfile::default(); workers],
-            network: NetworkModel::default(),
-        }
-    }
-
-    /// A cluster with mild heterogeneity: speed factors drawn uniformly from
-    /// `[1.0, 1.0 + spread]`.
-    pub fn heterogeneous<R: Rng + ?Sized>(workers: usize, spread: f64, rng: &mut R) -> Self {
-        let workers = (0..workers)
-            .map(|_| WorkerProfile {
-                speed_factor: 1.0 + rng.gen_range(0.0..=spread.max(0.0)),
-                ..WorkerProfile::default()
-            })
-            .collect();
-        ClusterProfile {
-            workers,
-            network: NetworkModel::default(),
-        }
-    }
-
-    /// A fleet built from discrete speed tiers, laid out tier by tier in
-    /// order (workers `0..t0` in the first tier, and so on). Deterministic —
-    /// no randomness — so tiered experiments are exactly reproducible.
-    pub fn tiered(tiers: &[SpeedTier]) -> Self {
-        let workers = tiers
-            .iter()
-            .flat_map(|tier| {
-                std::iter::repeat_n(
-                    WorkerProfile {
-                        speed_factor: tier.speed_factor,
-                        ..WorkerProfile::default()
-                    },
-                    tier.workers,
-                )
-            })
-            .collect();
-        ClusterProfile {
-            workers,
             network: NetworkModel::default(),
         }
     }
@@ -165,11 +100,6 @@ impl ClusterProfile {
     /// The profile of worker `i`.
     pub fn worker(&self, i: usize) -> &WorkerProfile {
         &self.workers[i]
-    }
-
-    /// Mutable profile of worker `i`.
-    pub fn worker_mut(&mut self, i: usize) -> &mut WorkerProfile {
-        &mut self.workers[i]
     }
 
     /// All worker profiles.
@@ -197,45 +127,6 @@ impl ClusterProfile {
     pub fn with_stragglers(mut self, stragglers: &[usize], multiplier: f64) -> Self {
         self.set_stragglers(stragglers, multiplier);
         self
-    }
-
-    /// Marks *correlated* straggler groups: the fleet is partitioned into
-    /// consecutive racks of `rack_size` workers, `slow_racks` racks are drawn
-    /// with a single use of `rng`, and **every** worker in a drawn rack is
-    /// flagged (clearing previous flags). One seed takes a whole rack slow —
-    /// the correlated failure mode independent per-worker flags cannot
-    /// express. Returns the drawn rack indices, sorted.
-    pub fn set_correlated_stragglers<R: Rng + ?Sized>(
-        &mut self,
-        rack_size: usize,
-        slow_racks: usize,
-        multiplier: f64,
-        rng: &mut R,
-    ) -> Vec<usize> {
-        assert!(rack_size > 0, "rack size must be positive");
-        let racks = self.workers.len().div_ceil(rack_size);
-        assert!(
-            slow_racks <= racks,
-            "cannot draw {slow_racks} slow racks from {racks}"
-        );
-        // Partial Fisher–Yates over rack ids: the first `slow_racks` entries
-        // after shuffling are the drawn racks.
-        let mut ids: Vec<usize> = (0..racks).collect();
-        for i in 0..slow_racks {
-            let j = i + rng.gen_range(0..ids.len() - i);
-            ids.swap(i, j);
-        }
-        let mut drawn: Vec<usize> = ids[..slow_racks].to_vec();
-        drawn.sort_unstable();
-        let slow_workers: Vec<usize> = drawn
-            .iter()
-            .flat_map(|&rack| {
-                (rack * rack_size..((rack + 1) * rack_size).min(self.workers.len()))
-                    .collect::<Vec<_>>()
-            })
-            .collect();
-        self.set_stragglers(&slow_workers, multiplier);
-        drawn
     }
 
     /// Indices of the workers currently flagged as stragglers.
@@ -281,8 +172,6 @@ impl ClusterProfile {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rand::rngs::StdRng;
-    use rand::SeedableRng;
 
     #[test]
     fn uniform_cluster_has_nominal_workers() {
@@ -321,64 +210,6 @@ mod tests {
     fn out_of_range_straggler_panics() {
         let mut cluster = ClusterProfile::uniform(3);
         cluster.set_stragglers(&[5], 2.0);
-    }
-
-    #[test]
-    fn heterogeneous_speeds_are_within_spread() {
-        let mut rng = StdRng::seed_from_u64(1);
-        let cluster = ClusterProfile::heterogeneous(20, 0.5, &mut rng);
-        for worker in cluster.workers() {
-            assert!(worker.speed_factor >= 1.0 && worker.speed_factor <= 1.5);
-        }
-    }
-
-    #[test]
-    fn tiered_fleet_lays_tiers_out_in_order() {
-        let cluster = ClusterProfile::tiered(&[
-            SpeedTier::new(4, 1.0),
-            SpeedTier::new(4, 1.5),
-            SpeedTier::new(4, 2.5),
-        ]);
-        assert_eq!(cluster.len(), 12);
-        assert_eq!(cluster.worker(0).speed_factor, 1.0);
-        assert_eq!(cluster.worker(5).speed_factor, 1.5);
-        assert_eq!(cluster.worker(11).speed_factor, 2.5);
-        // Deterministic: two builds are identical.
-        assert_eq!(
-            cluster,
-            ClusterProfile::tiered(&[
-                SpeedTier::new(4, 1.0),
-                SpeedTier::new(4, 1.5),
-                SpeedTier::new(4, 2.5),
-            ])
-        );
-    }
-
-    #[test]
-    fn correlated_stragglers_take_whole_racks() {
-        let mut cluster = ClusterProfile::uniform(12);
-        let mut rng = StdRng::seed_from_u64(3);
-        let racks = cluster.set_correlated_stragglers(4, 1, 8.0, &mut rng);
-        assert_eq!(racks.len(), 1);
-        let slow = cluster.straggler_indices();
-        assert_eq!(slow.len(), 4);
-        // The whole rack is contiguous and aligned to the rack boundary.
-        assert_eq!(slow[0] % 4, 0);
-        assert!(slow.windows(2).all(|w| w[1] == w[0] + 1));
-        // Same seed, same rack.
-        let mut again = ClusterProfile::uniform(12);
-        let mut rng2 = StdRng::seed_from_u64(3);
-        assert_eq!(again.set_correlated_stragglers(4, 1, 8.0, &mut rng2), racks);
-    }
-
-    #[test]
-    fn correlated_stragglers_handle_ragged_last_rack() {
-        let mut cluster = ClusterProfile::uniform(10);
-        let mut rng = StdRng::seed_from_u64(0);
-        // 3 racks of 4/4/2; drawing all of them flags every worker.
-        let racks = cluster.set_correlated_stragglers(4, 3, 5.0, &mut rng);
-        assert_eq!(racks, vec![0, 1, 2]);
-        assert_eq!(cluster.straggler_indices().len(), 10);
     }
 
     #[test]

@@ -653,6 +653,26 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_block_is_a_bad_block_not_a_panic() {
+        // `Block`'s fields are public: a shape that disagrees with the
+        // element count must come back as a typed install error.
+        let (mut blocks, _) = round(3, 2, 3);
+        blocks[1].elements.truncate(3);
+        for executor in [
+            &mut VirtualExecutor::new(ClusterProfile::uniform(3)) as &mut dyn Executor,
+            &mut ThreadedExecutor::new(ClusterProfile::uniform(3)),
+        ] {
+            assert!(matches!(
+                executor.install_blocks(0, &blocks),
+                Err(ExecutorError::BadBlock {
+                    worker: 1,
+                    error: WireError::Malformed { .. }
+                })
+            ));
+        }
+    }
+
+    #[test]
     fn time_scale_scales_compute_linearly() {
         let slow = &virtual_round(ClusterProfile::uniform(1), 100.0, 512)[0];
         let fast = &virtual_round(ClusterProfile::uniform(1), 1.0, 512)[0];

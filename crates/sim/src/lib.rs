@@ -74,7 +74,7 @@ pub use attack::{AttackModel, ByzantineSpec};
 pub use churn::{
     ChaosSchedule, ChurnAction, ChurnEvent, ChurnEventKind, ChurnSchedule, ChurnState,
 };
-pub use cluster::{ClusterProfile, NetworkModel, SpeedTier, WorkerProfile};
+pub use cluster::{ClusterProfile, NetworkModel, WorkerProfile};
 pub use executor::{
     slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, ThreadedExecutor,
     VirtualExecutor, WorkerOutcome,

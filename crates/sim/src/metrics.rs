@@ -29,10 +29,8 @@
 //!   accounting (queue wait, rounds/sec, jobs/sec, pipeline occupancy) for
 //!   the multi-job scheduler in `avcc-serve`.
 
-use serde::{Deserialize, Serialize};
-
 /// The per-iteration cost breakdown, in seconds.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct IterationCosts {
     /// Worst-case worker compute latency among used results.
     pub compute: f64,
@@ -77,7 +75,7 @@ impl IterationCosts {
 }
 
 /// Accumulates iteration costs into cumulative and average views.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct CostAccumulator {
     iterations: Vec<IterationCosts>,
 }
@@ -150,7 +148,7 @@ impl CostAccumulator {
 /// `verify_macs` and `decode_macs` model the master-side Freivalds checks
 /// and decode/reassembly work that the serving layer overlaps with worker
 /// compute.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// MACs on the worker critical path (one share/block product).
     pub worker_macs: u64,
@@ -177,7 +175,7 @@ impl OpCounts {
 }
 
 /// Per-job accounting recorded by the serving scheduler.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct JobMetrics {
     /// Real seconds the job spent queued before a fleet slot admitted it.
     pub queue_wait_seconds: f64,
@@ -204,7 +202,7 @@ impl JobMetrics {
 }
 
 /// Fleet-level accounting for one scheduler run over many jobs.
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ServingMetrics {
     /// Worker slots the fleet multiplexes the jobs onto.
     pub fleet_width: usize,

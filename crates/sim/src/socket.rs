@@ -62,8 +62,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use avcc_wire::{
-    read_frame, write_frame, Block, ErrorMsg, Fault, FaultKind, Frame, FrameKind, Hello, HelloAck,
-    Task, TaskResult, WireError, WorkerOptions, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    read_frame, write_frame, Block, Fault, FaultKind, Frame, FrameKind, Hello, HelloAck, Task,
+    TaskResult, WireError, WorkerOptions, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
@@ -939,15 +939,7 @@ impl Executor for SocketExecutor {
                             // A late result for some other (job, round).
                             self.metrics.stale_frames += 1;
                         }
-                        FrameKind::Error => {
-                            let reason = ErrorMsg::decode(&frame.payload)
-                                .map(|e| e.message)
-                                .unwrap_or_default();
-                            let _ = reason; // reason is for tracing; eviction is the action
-                            pending[worker] = None;
-                            remaining -= 1;
-                            self.evict(worker, round, EvictionReason::Protocol);
-                        }
+                        // An `ERROR` reply or any other kind mid-round.
                         _ => {
                             pending[worker] = None;
                             remaining -= 1;

@@ -6,12 +6,16 @@
 //! * round 1 (computes `z̃ = X̃ w`): `r⁽¹⁾ ∈ F^{m/K}`, `s⁽¹⁾ = r⁽¹⁾·X̃` (eq. 6),
 //! * round 2 (computes `g̃ = X̃ᵀ e`): `r⁽²⁾ ∈ F^{d}`, `s⁽²⁾ = r⁽²⁾·X̃ᵀ` (eq. 7).
 //!
+//! Both are one [`MatVecKey::generate`] call on the matrix the worker
+//! multiplies by in that round (the engines hold one key per worker per round
+//! matrix).
+//!
 //! Key generation costs one pass over the coded block per key, but it is a
 //! **one-time** cost amortized over every training iteration — exactly the
 //! argument the paper makes when accounting per-iteration overheads (Fig. 4).
 
 use avcc_field::{random_vector, Fp, PrimeModulus};
-use avcc_linalg::{mat_vec, matt_vec, Matrix};
+use avcc_linalg::{matt_vec, Matrix};
 use rand::Rng;
 
 /// Configuration for key generation.
@@ -68,45 +72,6 @@ impl<M: PrimeModulus> MatVecKey<M> {
         }
     }
 
-    /// Generates a key for verifying products with `Aᵀ` (round 2) without
-    /// materializing the transpose: `r` has length `cols(A)` and
-    /// `s = rᵀAᵀ = (A·r)ᵀ` has length `rows(A)`.
-    pub fn generate_for_transpose<R: Rng + ?Sized>(
-        matrix: &Matrix<Fp<M>>,
-        config: KeyGenConfig,
-        rng: &mut R,
-    ) -> Self {
-        assert!(config.repetitions > 0, "need at least one key repetition");
-        let pairs = (0..config.repetitions)
-            .map(|_| {
-                let r: Vec<Fp<M>> = random_vector(rng, matrix.cols());
-                let s = mat_vec(matrix, &r);
-                (r, s)
-            })
-            .collect();
-        MatVecKey {
-            pairs,
-            rows: matrix.cols(),
-            cols: matrix.rows(),
-        }
-    }
-
-    /// The `(r, s)` repetitions.
-    pub fn pairs(&self) -> &[KeyPair<M>] {
-        &self.pairs
-    }
-
-    /// Expected length of the worker's *claimed result* vector (`rows(A)` for
-    /// the key generated by [`MatVecKey::generate`]).
-    pub fn result_length(&self) -> usize {
-        self.rows
-    }
-
-    /// Expected length of the *input* vector (`cols(A)`).
-    pub fn input_length(&self) -> usize {
-        self.cols
-    }
-
     /// Number of repetitions.
     pub fn repetitions(&self) -> usize {
         self.pairs.len()
@@ -137,43 +102,13 @@ impl<M: PrimeModulus> MatVecKey<M> {
             .iter()
             .all(|(r, s)| avcc_field::dot(r, claimed) == avcc_field::dot(s, input))
     }
-
-    /// The number of field multiplications one verification performs —
-    /// `repetitions · (rows + cols)`, the `O(m + d)` the paper quotes.
-    pub fn verification_cost(&self) -> usize {
-        self.pairs.len() * (self.rows + self.cols)
-    }
-}
-
-/// The two per-worker keys of the logistic-regression protocol: round 1
-/// verifies `z̃ = X̃ w` and round 2 verifies `g̃ = X̃ᵀ e`.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct RoundKeys<M: PrimeModulus> {
-    /// Key for round 1 (`X̃ w`).
-    pub round1: MatVecKey<M>,
-    /// Key for round 2 (`X̃ᵀ e`).
-    pub round2: MatVecKey<M>,
-}
-
-impl<M: PrimeModulus> RoundKeys<M> {
-    /// Generates both round keys for a worker's coded block `X̃`.
-    pub fn generate<R: Rng + ?Sized>(
-        coded_block: &Matrix<Fp<M>>,
-        config: KeyGenConfig,
-        rng: &mut R,
-    ) -> Self {
-        RoundKeys {
-            round1: MatVecKey::generate(coded_block, config, rng),
-            round2: MatVecKey::generate_for_transpose(coded_block, config, rng),
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use avcc_field::{PrimeField, F25};
-    use avcc_linalg::{mat_vec, matt_vec};
+    use avcc_linalg::mat_vec;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
@@ -190,18 +125,6 @@ mod tests {
             let w: Vec<F25> = avcc_field::random_vector(&mut rng, 6);
             let z = mat_vec(&block, &w);
             assert!(key.verify(&w, &z));
-        }
-    }
-
-    #[test]
-    fn correct_results_always_pass_round2() {
-        let mut rng = StdRng::seed_from_u64(2);
-        let block = random_block(&mut rng, 10, 6);
-        let key = MatVecKey::generate_for_transpose(&block, KeyGenConfig::default(), &mut rng);
-        for _ in 0..20 {
-            let e: Vec<F25> = avcc_field::random_vector(&mut rng, 10);
-            let g = matt_vec(&block, &e);
-            assert!(key.verify(&e, &g));
         }
     }
 
@@ -223,45 +146,13 @@ mod tests {
     }
 
     #[test]
-    fn key_dimensions_follow_matrix_shape() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let block = random_block(&mut rng, 7, 3);
-        let key = MatVecKey::generate(&block, KeyGenConfig::default(), &mut rng);
-        assert_eq!(key.result_length(), 7);
-        assert_eq!(key.input_length(), 3);
-        let transpose_key =
-            MatVecKey::generate_for_transpose(&block, KeyGenConfig::default(), &mut rng);
-        assert_eq!(transpose_key.result_length(), 3);
-        assert_eq!(transpose_key.input_length(), 7);
-    }
-
-    #[test]
-    fn verification_cost_is_linear_in_dimensions() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let block = random_block(&mut rng, 100, 40);
-        let key = MatVecKey::generate(&block, KeyGenConfig { repetitions: 2 }, &mut rng);
-        assert_eq!(key.verification_cost(), 2 * 140);
-        assert_eq!(key.repetitions(), 2);
-    }
-
-    #[test]
     fn multiple_repetitions_still_accept_correct_results() {
         let mut rng = StdRng::seed_from_u64(6);
         let block = random_block(&mut rng, 9, 9);
         let key = MatVecKey::generate(&block, KeyGenConfig { repetitions: 3 }, &mut rng);
+        assert_eq!(key.repetitions(), 3);
         let w: Vec<F25> = avcc_field::random_vector(&mut rng, 9);
         assert!(key.verify(&w, &mat_vec(&block, &w)));
-    }
-
-    #[test]
-    fn round_keys_generate_both_rounds() {
-        let mut rng = StdRng::seed_from_u64(7);
-        let block = random_block(&mut rng, 6, 4);
-        let keys = RoundKeys::generate(&block, KeyGenConfig::default(), &mut rng);
-        let w: Vec<F25> = avcc_field::random_vector(&mut rng, 4);
-        let e: Vec<F25> = avcc_field::random_vector(&mut rng, 6);
-        assert!(keys.round1.verify(&w, &mat_vec(&block, &w)));
-        assert!(keys.round2.verify(&e, &matt_vec(&block, &e)));
     }
 
     #[test]

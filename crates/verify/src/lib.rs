@@ -11,24 +11,17 @@
 //! Repeating the check with `t` independent keys drives the soundness error
 //! to `q⁻ᵗ`.
 //!
-//! * [`keys`] — verification-key generation: per-worker round-1 keys
-//!   (`s⁽¹⁾ = r⁽¹⁾·X̃`, eq. 6) and round-2 keys (`s⁽²⁾ = r⁽²⁾·X̃ᵀ`, eq. 7).
-//! * [`freivalds`] — the integrity checks themselves (eq. 8 / eq. 9), plus a
-//!   multi-key variant and the soundness-error bookkeeping.
-//! * [`verifier`] — the per-worker [`verifier::WorkerVerifier`] bundling both
-//!   rounds, and a [`verifier::VerifierSet`] for a whole cluster, which is
-//!   what the AVCC master holds.
+//! * [`keys`] — [`MatVecKey`]: key generation (`s = rᵀ·A`, eq. 6 / eq. 7,
+//!   one key per worker per round matrix) and the check itself (eq. 8 /
+//!   eq. 9).
+//! * [`freivalds`] — [`combine_with_powers`], the σ-combination that folds an
+//!   `m`-function round into one check per worker.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod freivalds;
 pub mod keys;
-pub mod verifier;
 
-pub use freivalds::{
-    batch_soundness_error, check_mat_vec, check_with_power_key, combine_with_powers,
-    expand_power_key, power_key_soundness_error, soundness_error, FreivaldsCheck,
-};
-pub use keys::{KeyGenConfig, MatVecKey, RoundKeys};
-pub use verifier::{VerdictStats, VerifierSet, WorkerVerifier};
+pub use freivalds::combine_with_powers;
+pub use keys::{KeyGenConfig, MatVecKey};

@@ -1,19 +1,11 @@
-//! Little-endian primitive codec, and the *real* implementations of the
-//! workspace's serde-shaped traits.
+//! Little-endian primitive codec.
 //!
 //! Every multi-byte integer on the wire is little-endian. [`WireWriter`] and
 //! [`WireReader`] are the only places bytes are produced or consumed;
 //! everything above them (messages, frames) is layout, not byte twiddling.
-//!
-//! `&mut WireWriter` implements [`serde::Serializer`] and `&mut WireReader`
-//! implements [`serde::Deserializer`], so any type with a hand-written
-//! `Serialize`/`Deserialize` impl — notably `Fp<M>`, which writes its
-//! canonical `u64` residue — serializes onto the wire through the exact trait
-//! surface the rest of the workspace already annotates. The no-op *derived*
-//! impls (which emit `serialize_unit`) are rejected loudly rather than
-//! silently writing nothing.
-
-use avcc_field::{Fp, PrimeField, PrimeModulus};
+//! Field elements travel as raw `u64`s; the canonical-residue check happens
+//! where the modulus is known (`compute::typed_matrix` / `execute_typed` on
+//! the worker, `lift` on the master).
 
 use crate::error::WireError;
 
@@ -56,11 +48,6 @@ impl WireWriter {
         &self.buf
     }
 
-    /// Appends one byte.
-    pub fn put_u8(&mut self, value: u8) {
-        self.buf.push(value);
-    }
-
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, value: u16) {
         self.buf.extend_from_slice(&value.to_le_bytes());
@@ -82,14 +69,8 @@ impl WireWriter {
         self.put_u64(value.to_bits());
     }
 
-    /// Appends raw bytes verbatim.
-    pub fn put_bytes(&mut self, bytes: &[u8]) {
-        self.buf.extend_from_slice(bytes);
-    }
-
     /// Appends a `u64` slice in one pre-reserved pass — the bulk path used
-    /// for element arrays (benched against the per-element serde path by
-    /// `wire_encode`, gated not-worse).
+    /// for element arrays.
     ///
     /// Values are staged through a stack buffer 16 at a time so the vector
     /// pays one capacity check per 128 bytes instead of one per element.
@@ -106,24 +87,6 @@ impl WireWriter {
         for &value in chunks.remainder() {
             self.buf.extend_from_slice(&value.to_le_bytes());
         }
-    }
-}
-
-impl serde::Serializer for &mut WireWriter {
-    type Ok = ();
-    type Error = WireError;
-
-    fn serialize_u64(self, value: u64) -> Result<(), WireError> {
-        self.put_u64(value);
-        Ok(())
-    }
-
-    fn serialize_unit(self) -> Result<(), WireError> {
-        // `serialize_unit` is what the *no-op derived* impls emit. Writing
-        // nothing would silently drop data on the wire, so refuse.
-        Err(WireError::Malformed {
-            context: "refusing to wire-serialize a no-op derived impl (unit)",
-        })
     }
 }
 
@@ -184,11 +147,6 @@ impl<'a> WireReader<'a> {
         Ok(f64::from_bits(self.take_u64(context)?))
     }
 
-    /// Reads `n` raw bytes.
-    pub fn take_bytes(&mut self, n: usize, context: &'static str) -> Result<&'a [u8], WireError> {
-        self.take(n, context)
-    }
-
     /// Fails unless every byte has been consumed — trailing garbage in a
     /// message payload is a protocol violation, not padding.
     pub fn expect_end(&self, context: &'static str) -> Result<(), WireError> {
@@ -197,49 +155,6 @@ impl<'a> WireReader<'a> {
         }
         Ok(())
     }
-}
-
-impl<'de> serde::Deserializer<'de> for &mut WireReader<'de> {
-    type Error = WireError;
-
-    fn deserialize_u64(self) -> Result<u64, WireError> {
-        self.take_u64("u64 via serde")
-    }
-}
-
-/// Serializes a field-element slice through the serde trait surface
-/// (`Fp::serialize` → `serialize_u64`): one canonical `u64` residue per
-/// element, no length prefix (the caller's message layout carries counts).
-pub fn put_field_elements<M: PrimeModulus>(
-    writer: &mut WireWriter,
-    values: &[Fp<M>],
-) -> Result<(), WireError> {
-    for value in values {
-        serde::Serialize::serialize(value, &mut *writer)?;
-    }
-    Ok(())
-}
-
-/// Reads `count` field elements, enforcing the canonical-residue invariant:
-/// a raw value `>= M::MODULUS` is a protocol violation (never silently
-/// reduced — that would let a corrupted frame masquerade as valid data).
-pub fn take_field_elements<M: PrimeModulus>(
-    reader: &mut WireReader<'_>,
-    count: usize,
-) -> Result<Vec<Fp<M>>, WireError> {
-    let mut values = Vec::with_capacity(count);
-    for index in 0..count {
-        let raw: u64 = serde::Deserialize::deserialize(&mut *reader)?;
-        if raw >= M::MODULUS {
-            return Err(WireError::NonCanonical {
-                index,
-                value: raw,
-                modulus: M::MODULUS,
-            });
-        }
-        values.push(<Fp<M> as PrimeField>::from_u64(raw));
-    }
-    Ok(values)
 }
 
 /// Reads `count` raw `u64`s (the modulus-erased executor path; canonicity is
@@ -262,17 +177,16 @@ pub fn take_u64_elements(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avcc_field::{F251, F61, P251, P61};
 
     #[test]
     fn primitive_roundtrip() {
         let mut w = WireWriter::new();
-        w.put_u8(0xAB);
         w.put_u16(0xBEEF);
         w.put_u32(0xDEAD_BEEF);
         w.put_u64(0x0123_4567_89AB_CDEF);
         w.put_f64(-1234.5678);
-        let bytes = w.into_bytes();
+        let mut bytes = vec![0xAB];
+        bytes.extend(w.into_bytes());
         assert_eq!(bytes.len(), 1 + 2 + 4 + 8 + 8);
 
         let mut r = WireReader::new(&bytes);
@@ -292,38 +206,6 @@ mod tests {
     }
 
     #[test]
-    fn field_elements_roundtrip_via_serde_traits() {
-        let values: Vec<F61> = (0..17u64).map(|i| F61::new(i * 1_000_003)).collect();
-        let mut w = WireWriter::new();
-        put_field_elements(&mut w, &values).unwrap();
-        let bytes = w.into_bytes();
-        assert_eq!(bytes.len(), 17 * 8);
-
-        let mut r = WireReader::new(&bytes);
-        let back: Vec<F61> = take_field_elements::<P61>(&mut r, 17).unwrap();
-        r.expect_end("t").unwrap();
-        assert_eq!(back, values);
-    }
-
-    #[test]
-    fn non_canonical_element_rejected() {
-        let mut w = WireWriter::new();
-        w.put_u64(251); // == P251::MODULUS, so not canonical
-        let bytes = w.into_bytes();
-        let mut r = WireReader::new(&bytes);
-        let err = take_field_elements::<P251>(&mut r, 1).unwrap_err();
-        assert_eq!(
-            err,
-            WireError::NonCanonical {
-                index: 0,
-                value: 251,
-                modulus: 251,
-            }
-        );
-        let _: Vec<F251> = Vec::new();
-    }
-
-    #[test]
     fn truncated_read_is_an_error_not_a_panic() {
         let mut r = WireReader::new(&[1, 2, 3]);
         assert!(matches!(r.take_u64("t"), Err(WireError::Truncated { .. })));
@@ -339,12 +221,5 @@ mod tests {
         let mut bulk = WireWriter::new();
         bulk.put_u64_bulk(&values);
         assert_eq!(element.as_slice(), bulk.as_slice());
-    }
-
-    #[test]
-    fn derived_noop_serialize_is_rejected() {
-        let mut w = WireWriter::new();
-        let err = serde::Serializer::serialize_unit(&mut w).unwrap_err();
-        assert!(matches!(err, WireError::Malformed { .. }));
     }
 }

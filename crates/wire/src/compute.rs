@@ -14,9 +14,6 @@ use avcc_linalg::{mat_vec, Matrix};
 use crate::error::WireError;
 use crate::message::Block;
 
-/// The four moduli this build can compute under.
-pub const SUPPORTED_MODULI: [u64; 4] = [P25::MODULUS, P61::MODULUS, P251::MODULUS, P64::MODULUS];
-
 /// A block re-typed under its modulus, ready to multiply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypedBlock {
@@ -31,6 +28,14 @@ pub enum TypedBlock {
 }
 
 fn typed_matrix<M: PrimeModulus>(block: &Block) -> Result<Matrix<Fp<M>>, WireError> {
+    // `Block`'s fields are public, so a block that never went through
+    // `Block::decode` can disagree with its own shape.
+    let count = (block.rows as usize).checked_mul(block.cols as usize);
+    if count != Some(block.elements.len()) {
+        return Err(WireError::Malformed {
+            context: "BLOCK rows*cols does not match its element count",
+        });
+    }
     let mut data = Vec::with_capacity(block.elements.len());
     for (index, &raw) in block.elements.iter().enumerate() {
         if raw >= M::MODULUS {
@@ -78,8 +83,8 @@ fn execute_typed<M: PrimeModulus>(
 }
 
 impl TypedBlock {
-    /// Re-types a wire block, rejecting unknown moduli and non-canonical
-    /// elements.
+    /// Re-types a wire block, rejecting unknown moduli, a shape that
+    /// disagrees with the element count, and non-canonical elements.
     pub fn from_block(block: &Block) -> Result<Self, WireError> {
         match block.modulus {
             m if m == P25::MODULUS => Ok(Self::P25(typed_matrix::<P25>(block)?)),
@@ -179,6 +184,23 @@ mod tests {
     }
 
     #[test]
+    fn inconsistent_shape_is_malformed_not_a_panic() {
+        let mut block = block_251();
+        block.elements.truncate(3);
+        assert!(matches!(
+            TypedBlock::from_block(&block).unwrap_err(),
+            WireError::Malformed { .. }
+        ));
+        // Overflows `usize` on 32-bit targets; a plain mismatch elsewhere.
+        block.rows = u32::MAX;
+        block.cols = u32::MAX;
+        assert!(matches!(
+            TypedBlock::from_block(&block).unwrap_err(),
+            WireError::Malformed { .. }
+        ));
+    }
+
+    #[test]
     fn non_canonical_input_rejected() {
         let typed = TypedBlock::from_block(&block_251()).unwrap();
         assert!(matches!(
@@ -195,7 +217,7 @@ mod tests {
 
     #[test]
     fn all_supported_moduli_type_check() {
-        for modulus in SUPPORTED_MODULI {
+        for modulus in [P25::MODULUS, P61::MODULUS, P251::MODULUS, P64::MODULUS] {
             let block = Block {
                 modulus,
                 rows: 1,

@@ -91,8 +91,6 @@ pub enum WireError {
         /// What was wrong.
         context: &'static str,
     },
-    /// Free-form error built through `serde`'s `Error::custom`.
-    Custom(String),
 }
 
 impl WireError {
@@ -136,15 +134,8 @@ impl fmt::Display for WireError {
                 "non-canonical field element {value} at index {index} (modulus {modulus})"
             ),
             Self::Malformed { context } => write!(f, "malformed message: {context}"),
-            Self::Custom(message) => write!(f, "{message}"),
         }
     }
 }
 
 impl std::error::Error for WireError {}
-
-impl serde::Error for WireError {
-    fn custom<T: fmt::Display>(message: T) -> Self {
-        Self::Custom(message.to_string())
-    }
-}

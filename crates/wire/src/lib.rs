@@ -8,10 +8,8 @@
 //! * [`crc`] — CRC-32C (Castagnoli), bytewise reference + slice-by-8.
 //! * [`error`] — [`WireError`], the one error type; its variants are what
 //!   the master's eviction machinery keys on.
-//! * [`codec`] — little-endian primitives, and the *real* implementations
-//!   of the workspace's serde-shaped `Serializer`/`Deserializer` traits
-//!   (so `Fp<M>`'s hand-written impls serialize canonical residues onto the
-//!   wire through the exact trait surface the types already carry).
+//! * [`codec`] — little-endian primitives; field elements travel as raw
+//!   `u64` residues.
 //! * [`frame`] — the 28-byte header + payload + checksum framing, with the
 //!   magic/version/length/CRC/kind validation pipeline.
 //! * [`message`] — per-[`FrameKind`] payload layouts (handshake, blocks,
@@ -37,10 +35,8 @@ pub mod frame;
 pub mod message;
 pub mod worker;
 
-pub use codec::{
-    put_field_elements, take_field_elements, take_u64_elements, WireReader, WireWriter,
-};
-pub use compute::{TypedBlock, SUPPORTED_MODULI};
+pub use codec::{take_u64_elements, WireReader, WireWriter};
+pub use compute::TypedBlock;
 pub use crc::{crc32c, crc32c_bytewise, Crc32c};
 pub use error::WireError;
 pub use frame::{
@@ -48,7 +44,6 @@ pub use frame::{
     PROTOCOL_VERSION, TRAILER_LEN,
 };
 pub use message::{
-    result_frame_bytes, task_frame_bytes, Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task,
-    TaskResult,
+    result_frame_bytes, Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult,
 };
 pub use worker::{serve_connection, WorkerOptions};

@@ -363,12 +363,6 @@ pub fn result_frame_bytes(functions: usize, output_len: usize) -> usize {
     crate::frame::HEADER_LEN + 20 + functions * output_len * 8 + crate::frame::TRAILER_LEN
 }
 
-/// On-the-wire size of a `TASK` frame carrying `functions` input vectors of
-/// `input_len` elements.
-pub fn task_frame_bytes(functions: usize, input_len: usize) -> usize {
-    crate::frame::HEADER_LEN + 16 + functions * input_len * 8 + crate::frame::TRAILER_LEN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -430,7 +424,7 @@ mod tests {
             inputs: vec![vec![1, 2, 3], vec![4, 5, 6]],
         };
         assert_eq!(Task::decode(&msg.encode()).unwrap(), msg);
-        assert_eq!(msg.encode().len() + 32, task_frame_bytes(2, 3));
+        assert_eq!(msg.encode().len(), 16 + 2 * 3 * 8);
     }
 
     #[test]
