@@ -28,16 +28,19 @@
 //! trainer's own.
 
 use std::sync::Arc;
+use std::time::Duration;
 
 use avcc_field::{Fp, PrimeField, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::attack::ByzantineSpec;
-use avcc_sim::executor::{Executor, ExecutorError, WorkerOutcome};
+use avcc_sim::executor::{Executor, ExecutorError, RawOutcome, RoundPoll, WorkerOutcome};
 use avcc_sim::wire::Block;
 
-use crate::driver::DistributedTrainer;
+use crate::driver::{DistributedTrainer, TrainingRound};
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{has_dispatched_shape, BatchRoundTask, RoundTask, SchemeFailure};
+use crate::rounds::{
+    has_dispatched_shape, BatchRoundTask, RoundTask, SchemeFailure, STRAGGLER_DETECTION_FACTOR,
+};
 
 /// Arrival-ordered outcomes of one batched round: per worker, one field
 /// vector per function.
@@ -158,19 +161,44 @@ impl WireRunner {
     }
 
     /// Runs one round (`tasks[i]`, carrying `m` inputs, addressed to worker
-    /// `i`): install (if the dataset changed), run the lowered inputs on the
-    /// executor, keep the outcomes of the dispatched shape (`m` outputs of
-    /// the block's row count each, all canonical), apply the Byzantine
-    /// corruption to every function — a
-    /// corrupted node does not selectively spare sub-results — and sort by
-    /// arrival: the shape the engines' `collect_batch` expects.
-    pub fn run_batch_round<M: PrimeModulus>(
+    /// `i`) and hands its arrivals to `collect` — the one round body; every
+    /// other way to run a round is this with a different `quorum` and
+    /// `collect`.
+    ///
+    /// Install (if the dataset changed), submit the lowered inputs, then poll.
+    /// Each arrival is kept only if it has the dispatched shape (`m` outputs
+    /// of the block's row count each, all canonical), gets the Byzantine
+    /// corruption applied to every function — a corrupted node does not
+    /// selectively spare sub-results — and joins the arrival-sorted
+    /// `outcomes`: the shape the engines' `collect_batch` expects.
+    ///
+    /// The round **closes** — `collect(outcomes, late)` is first attempted,
+    /// `late` being the workers still awaited — when nobody is awaited, or,
+    /// given a `quorum`, once at least that many results are in and
+    /// [`STRAGGLER_DETECTION_FACTOR`] × their median arrival time has passed
+    /// since submit (on the executor's clock, the one arrival times are
+    /// measured on): the master waits for every worker that is not a
+    /// straggler by `detect_stragglers`' own yardstick, and for nobody else
+    /// (the paper's §IV-B: decode from the fastest results, never wait for a
+    /// straggler). If `collect` then reports
+    /// [`SchemeFailure::NotEnoughResults`] while workers are still awaited —
+    /// a Byzantine payload inside a short prefix — it is retried at each new
+    /// arrival; it must leave `outcomes` intact when it fails. Its final
+    /// verdict is the inner result, and the round's ticket is retired either
+    /// way, so results that arrive later are discarded by the executor.
+    ///
+    /// An executor without real split-phase rounds returns everything on the
+    /// first poll, so `collect` runs exactly once, on exactly the outcomes a
+    /// blocking `execute_round` returns.
+    pub fn run_streaming_round<M: PrimeModulus, T>(
         &mut self,
         executor: &mut dyn Executor,
         channel: usize,
         tasks: &[BatchRoundTask<M>],
         byzantine: &ByzantineSpec,
-    ) -> Result<BatchOutcomes<M>, ExecutorError> {
+        quorum: Option<usize>,
+        mut collect: impl FnMut(&mut BatchOutcomes<M>, &[usize]) -> Result<T, SchemeFailure>,
+    ) -> Result<Result<T, SchemeFailure>, ExecutorError> {
         let matrices: Vec<_> = tasks.iter().map(BatchRoundTask::matrix).collect();
         let job = self.ensure_installed(executor, channel, &matrices)?;
         let round = self.next_round;
@@ -180,39 +208,91 @@ impl WireRunner {
             .map(|t| t.inputs().iter().map(|v| lower(v)).collect())
             .collect();
         let functions = tasks.first().map_or(0, BatchRoundTask::functions);
-        let raw = executor.execute_round(job, round, &inputs)?;
-        let mut outcomes: BatchOutcomes<M> = raw
-            .into_iter()
-            .filter_map(|outcome| {
-                let rows = tasks.get(outcome.worker)?.matrix().rows();
-                if !has_dispatched_shape(&outcome.payload, functions, rows) {
-                    return None;
-                }
-                let mut payload = outcome
-                    .payload
-                    .iter()
-                    .map(|part| lift::<M>(part))
-                    .collect::<Option<Vec<_>>>()?;
-                let mut corrupted = false;
-                for part in payload.iter_mut() {
-                    corrupted |= byzantine.corrupt(outcome.worker, part);
-                }
-                Some(WorkerOutcome {
-                    corrupted,
-                    ..outcome.map_payload(|_| payload)
-                })
+        let admit = |outcome: RawOutcome| {
+            let rows = tasks.get(outcome.worker)?.matrix().rows();
+            if !has_dispatched_shape(&outcome.payload, functions, rows) {
+                return None;
+            }
+            let mut payload = outcome
+                .payload
+                .iter()
+                .map(|part| lift::<M>(part))
+                .collect::<Option<Vec<_>>>()?;
+            let mut corrupted = false;
+            for part in payload.iter_mut() {
+                corrupted |= byzantine.corrupt(outcome.worker, part);
+            }
+            Some(WorkerOutcome {
+                corrupted,
+                ..outcome.map_payload(|_| payload)
             })
-            .collect();
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("finite arrival times")
-        });
-        Ok(outcomes)
+        };
+
+        let mut ticket = executor.submit_round(job, round, &inputs)?;
+        let mut outcomes: BatchOutcomes<M> = Vec::with_capacity(tasks.len());
+        let mut closed = false;
+        let mut wait = None;
+        let verdict = loop {
+            let RoundPoll {
+                arrivals,
+                pending: late,
+                elapsed_seconds,
+            } = executor.poll_round(&mut ticket, wait);
+            let grew = !arrivals.is_empty();
+            if grew {
+                outcomes.extend(arrivals.into_iter().filter_map(&admit));
+                outcomes.sort_by(|a, b| a.arrival_seconds.total_cmp(&b.arrival_seconds));
+            }
+            wait = None;
+            if !late.is_empty() {
+                // Someone is still awaited. Before the round has closed, that
+                // is fine until a quorum is in and its patience has run out;
+                // after, only a new arrival is worth another attempt.
+                let quorate = quorum.is_some_and(|quorum| outcomes.len() >= quorum.max(1));
+                if !quorate || (closed && !grew) {
+                    continue;
+                }
+                if !closed {
+                    let median = outcomes[outcomes.len() / 2].arrival_seconds;
+                    let patience = STRAGGLER_DETECTION_FACTOR * median;
+                    // Whole nanoseconds, or none: a wait that rounds to zero
+                    // would poll without letting any time pass.
+                    let remaining = Duration::try_from_secs_f64(patience - elapsed_seconds);
+                    if let Some(remaining) = remaining.ok().filter(|wait| !wait.is_zero()) {
+                        wait = Some(remaining);
+                        continue;
+                    }
+                }
+            }
+            closed = true;
+            match collect(&mut outcomes, &late) {
+                Err(SchemeFailure::NotEnoughResults { .. }) if !late.is_empty() => {}
+                verdict => break verdict,
+            }
+        };
+        executor.retire_round(ticket);
+        Ok(verdict)
     }
 
-    /// Runs one single-function round — a batch of one — and unwraps each
-    /// payload: the shape
+    /// Runs one round to the end — every dispatched worker answered or was
+    /// evicted — and returns all outcomes:
+    /// [`run_streaming_round`](Self::run_streaming_round) that never closes
+    /// early. For callers that collect on their own (the staged trainer API,
+    /// the benchmark harness).
+    pub fn run_batch_round<M: PrimeModulus>(
+        &mut self,
+        executor: &mut dyn Executor,
+        channel: usize,
+        tasks: &[BatchRoundTask<M>],
+        byzantine: &ByzantineSpec,
+    ) -> Result<BatchOutcomes<M>, ExecutorError> {
+        let all = |outcomes: &mut BatchOutcomes<M>, _: &[usize]| Ok(std::mem::take(outcomes));
+        let outcomes = self.run_streaming_round(executor, channel, tasks, byzantine, None, all)?;
+        Ok(outcomes.unwrap_or_default())
+    }
+
+    /// Runs one single-function round — a batch of one — to the end and
+    /// unwraps each payload: the shape
     /// [`DistributedTrainer::collect_round1`]/`collect_round2` and the
     /// engines' `collect` expect.
     pub fn run_round<M: PrimeModulus>(
@@ -224,11 +304,13 @@ impl WireRunner {
     ) -> Result<Vec<WorkerOutcome<Vec<Fp<M>>>>, ExecutorError> {
         let batch: Vec<BatchRoundTask<M>> = tasks.iter().cloned().map(Into::into).collect();
         let outcomes = self.run_batch_round(executor, channel, &batch, byzantine)?;
-        Ok(outcomes
-            .into_iter()
-            .map(|outcome| outcome.map_payload(|mut parts| parts.remove(0)))
-            .collect())
+        Ok(outcomes.into_iter().map(single_function).collect())
     }
+}
+
+/// Unwraps a batch-of-one outcome into the single-function shape.
+fn single_function<T>(outcome: WorkerOutcome<Vec<T>>) -> WorkerOutcome<T> {
+    outcome.map_payload(|mut parts| parts.remove(0))
 }
 
 /// Channel index used for a trainer's round-1 dispatches.
@@ -288,7 +370,7 @@ pub(crate) fn run_iteration_parked<M: PrimeModulus>(
             trainer,
             executor,
             runner,
-            CHANNEL_ROUND1,
+            TrainingRound::Round1,
             iteration,
             &tasks,
             |trainer, outcomes| trainer.collect_round1(outcomes),
@@ -300,7 +382,7 @@ pub(crate) fn run_iteration_parked<M: PrimeModulus>(
             trainer,
             executor,
             runner,
-            CHANNEL_ROUND2,
+            TrainingRound::Round2,
             iteration,
             &tasks,
             |trainer, outcomes| trainer.collect_round2(iteration, outcomes, cumulative),
@@ -315,15 +397,19 @@ pub(crate) fn run_iteration_parked<M: PrimeModulus>(
     result
 }
 
-/// Dispatches `tasks` until `collect` accepts a round: a below-threshold
-/// round is re-dispatched or shrink-recoded as
-/// [`DistributedTrainer::park_or_shrink`] decides. `Ok(None)` means the
-/// trainer shrink-recoded and the iteration must restart.
+/// Dispatches `tasks` until `collect` accepts a round. Each dispatch is one
+/// [`WireRunner::run_streaming_round`] that closes once the round's engine
+/// can decode; what it did not wait for is reported to the trainer
+/// ([`DistributedTrainer::set_live_hint`]) before every collect. A round that
+/// stays below threshold with nobody left to wait for is re-dispatched or
+/// shrink-recoded as [`DistributedTrainer::park_or_shrink`] decides.
+/// `Ok(None)` means the trainer shrink-recoded and the iteration must
+/// restart.
 fn run_parked_round<M: PrimeModulus, T>(
     trainer: &mut DistributedTrainer<M>,
     executor: &mut dyn Executor,
     runner: &mut WireRunner,
-    channel: usize,
+    round: TrainingRound,
     iteration: usize,
     tasks: &[RoundTask<M>],
     mut collect: impl FnMut(
@@ -331,13 +417,30 @@ fn run_parked_round<M: PrimeModulus, T>(
         &[WorkerOutcome<Vec<Fp<M>>>],
     ) -> Result<T, SchemeFailure>,
 ) -> Result<Option<T>, DistributedError> {
+    let channel = match round {
+        TrainingRound::Round1 => CHANNEL_ROUND1,
+        TrainingRound::Round2 => CHANNEL_ROUND2,
+    };
     let byzantine = trainer.byzantine().clone();
+    let batch: Vec<BatchRoundTask<M>> = tasks.iter().cloned().map(Into::into).collect();
     let mut stalls = 0usize;
     loop {
-        let outcomes = runner.run_round(executor, channel, tasks, &byzantine)?;
-        match collect(trainer, &outcomes) {
-            Ok(collected) => {
-                trainer.note_resumed(iteration, &mut stalls, outcomes.len());
+        let quorum = trainer.round_min_results(round);
+        let collected = runner.run_streaming_round(
+            executor,
+            channel,
+            &batch,
+            &byzantine,
+            Some(quorum),
+            |outcomes, late| {
+                let outcomes: Vec<_> = outcomes.iter().cloned().map(single_function).collect();
+                trainer.set_live_hint(outcomes.len() + late.len(), late);
+                Ok((collect(trainer, &outcomes)?, outcomes.len()))
+            },
+        )?;
+        match collected {
+            Ok((collected, responded)) => {
+                trainer.note_resumed(iteration, &mut stalls, responded);
                 return Ok(Some(collected));
             }
             Err(failure) => {
@@ -359,7 +462,7 @@ mod tests {
     use avcc_ml::dataset::{Dataset, DatasetConfig};
     use avcc_sim::attack::AttackModel;
     use avcc_sim::cluster::ClusterProfile;
-    use avcc_sim::executor::{ThreadedExecutor, VirtualExecutor};
+    use avcc_sim::executor::{RoundTicket, ThreadedExecutor, VirtualExecutor};
 
     fn small_problem() -> TrainingProblem {
         let dataset = Dataset::gisette_like(DatasetConfig {
@@ -428,6 +531,175 @@ mod tests {
         assert!(report.reconfiguration_count() >= 1);
         assert!(trainer.current_coding().workers < 12);
         assert!(report.final_accuracy() > 0.5);
+    }
+
+    /// A split-phase test double. Each round runs to the end on the wrapped
+    /// executor at submit; its results are then revealed wave by wave:
+    /// `waves[i]` names the workers the `i`-th *open-ended* poll reveals (once
+    /// the script runs out, everybody left). A poll with a time limit lets
+    /// exactly that much time pass on the round's (virtual) clock and reveals
+    /// nothing — the script, not the host, decides who is late.
+    struct ScriptedExecutor {
+        inner: VirtualExecutor,
+        waves: Vec<Vec<usize>>,
+        next_wave: usize,
+        elapsed_seconds: f64,
+        held: Vec<RawOutcome>,
+        /// Who was still awaited each time a round was retired.
+        retired_with_pending: Vec<Vec<usize>>,
+    }
+
+    impl ScriptedExecutor {
+        fn new(inner: VirtualExecutor, waves: &[&[usize]]) -> Self {
+            ScriptedExecutor {
+                inner,
+                waves: waves.iter().map(|wave| wave.to_vec()).collect(),
+                next_wave: 0,
+                elapsed_seconds: 0.0,
+                held: Vec::new(),
+                retired_with_pending: Vec::new(),
+            }
+        }
+
+        fn pending(&self) -> Vec<usize> {
+            let mut pending: Vec<usize> = self.held.iter().map(|o| o.worker).collect();
+            pending.sort_unstable();
+            pending
+        }
+    }
+
+    impl Executor for ScriptedExecutor {
+        fn workers(&self) -> usize {
+            self.inner.workers()
+        }
+        fn profile(&self) -> &ClusterProfile {
+            Executor::profile(&self.inner)
+        }
+        fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
+            self.inner.install_blocks(job, blocks)
+        }
+        fn execute_round(
+            &mut self,
+            job: u64,
+            round: u64,
+            inputs: &[Vec<Vec<u64>>],
+        ) -> Result<Vec<RawOutcome>, ExecutorError> {
+            self.inner.execute_round(job, round, inputs)
+        }
+        fn submit_round(
+            &mut self,
+            job: u64,
+            round: u64,
+            inputs: &[Vec<Vec<u64>>],
+        ) -> Result<RoundTicket, ExecutorError> {
+            (self.next_wave, self.elapsed_seconds) = (0, 0.0);
+            self.inner.submit_round(job, round, inputs)
+        }
+        fn poll_round(&mut self, ticket: &mut RoundTicket, wait: Option<Duration>) -> RoundPoll {
+            self.held
+                .extend(self.inner.poll_round(ticket, None).arrivals);
+            let mut arrivals = Vec::new();
+            match wait {
+                Some(wait) => self.elapsed_seconds += wait.as_secs_f64(),
+                None => {
+                    let wave = self.waves.get(self.next_wave);
+                    self.next_wave += 1;
+                    let (revealed, held) = std::mem::take(&mut self.held)
+                        .into_iter()
+                        .partition(|o| wave.is_none_or(|wave| wave.contains(&o.worker)));
+                    (arrivals, self.held) = (revealed, held);
+                }
+            }
+            RoundPoll {
+                arrivals,
+                pending: self.pending(),
+                elapsed_seconds: self.elapsed_seconds,
+            }
+        }
+        fn retire_round(&mut self, ticket: RoundTicket) {
+            self.retired_with_pending.push(self.pending());
+            self.held.clear();
+            self.inner.retire_round(ticket);
+        }
+    }
+
+    #[test]
+    fn a_short_prefix_is_retried_at_each_new_arrival_and_the_rest_is_not_awaited() {
+        use crate::engines::{AvccMatVec, MatVecEngine};
+        use avcc_linalg::mat_vec;
+        use rand::SeedableRng;
+
+        let mut rng = rand::rngs::StdRng::seed_from_u64(5);
+        let matrix = Matrix::from_vec(18, 6, avcc_field::random_matrix::<P25, _>(&mut rng, 18, 6));
+        let input = avcc_field::random_vector::<P25, _>(&mut rng, 6);
+        let coding = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+        let mut engine = AvccMatVec::new(&matrix, coding, Default::default(), &mut rng);
+        // The first nine results include worker 3's forgery: a quorum, but
+        // one verified result short. Worker 9 completes it; 10 and 11 are
+        // never waited for.
+        let fleet = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let first_nine: Vec<usize> = (0..9).collect();
+        let mut executor = ScriptedExecutor::new(fleet, &[&first_nine, &[9], &[10], &[11]]);
+        let byzantine = ByzantineSpec::new([3], AttackModel::constant());
+        let round = engine
+            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .unwrap();
+        assert_eq!(round.output, mat_vec(&matrix, &input));
+        assert_eq!(round.detected_byzantine, [3]);
+        let mut used = round.used_workers.clone();
+        used.sort_unstable();
+        assert_eq!(used, [0, 1, 2, 4, 5, 6, 7, 8, 9]);
+        assert!([10, 11]
+            .iter()
+            .all(|late| round.observed_stragglers.contains(late)));
+        assert_eq!(executor.retired_with_pending, [[10, 11]]);
+    }
+
+    #[test]
+    fn controllers_see_a_cut_off_straggler_as_they_see_a_late_one() {
+        let make = || {
+            DistributedTrainer::<P25>::new(
+                small_problem(),
+                ClusterProfile::uniform(12).with_stragglers(&[0], 10.0),
+                ByzantineSpec::none(),
+                TrainerConfig {
+                    iterations: 6,
+                    time_scale: 1.0,
+                    autopilot: crate::adaptive::AutopilotConfig::with_privacy(0),
+                    ..TrainerConfig::paper_defaults(
+                        SchemeKind::Avcc,
+                        SchemeConfig::linear(12, 9, 2, 1).unwrap(),
+                    )
+                },
+                "bridge-test",
+            )
+        };
+        // Waited for, worker 0 is late by its own compute time.
+        let mut oracle = make();
+        let oracle_report = oracle.train().unwrap();
+
+        // Cut off, it never answers before its round is retired.
+        let mut trainer = make();
+        let fleet = VirtualExecutor::new(trainer.cluster().clone()).with_time_scale(1.0);
+        let everyone_else: Vec<usize> = (1..12).collect();
+        let mut executor = ScriptedExecutor::new(fleet, &[&everyone_else, &[0]]);
+        let report = train_distributed(&mut trainer, &mut executor).unwrap();
+
+        assert_eq!(trajectory(&report), trajectory(&oracle_report));
+        assert_eq!(executor.retired_with_pending.len(), 2 * report.len());
+        assert!(executor
+            .retired_with_pending
+            .iter()
+            .all(|late| late == &[0]));
+        for report in [&report, &oracle_report] {
+            for record in &report.iterations {
+                assert!(record.observed_stragglers.contains(&0), "{record:?}");
+            }
+        }
+        // Dispatched is not awaited: nobody was *missing*, so the autopilot's
+        // missing-worker estimate stays at zero in both runs.
+        assert_eq!(trainer.autopilot().rates().0, 0.0);
+        assert_eq!(oracle.autopilot().rates().0, 0.0);
     }
 
     #[test]

@@ -197,6 +197,7 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     fleet_events: Vec<ChurnEvent>,
     pending_reconfiguration: f64,
     live_hint: Option<usize>,
+    late_hint: Vec<usize>,
 }
 
 impl<M: PrimeModulus> DistributedTrainer<M> {
@@ -275,6 +276,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             fleet_events: Vec::new(),
             pending_reconfiguration: 0.0,
             live_hint: None,
+            late_hint: Vec::new(),
         }
     }
 
@@ -425,13 +427,14 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             inflight.round1.is_none(),
             "round 1 of the in-flight iteration was already collected"
         );
-        let execution = self.round1.collect(
+        let mut execution = self.round1.collect(
             &inflight.round1_input,
             outcomes,
             &self.cluster.network,
             self.config.time_scale,
             &mut self.rng,
         )?;
+        execution.observed_stragglers.append(&mut self.late_hint);
         let errors = self
             .protocol
             .error_vector(&execution.output, &self.problem.train_labels);
@@ -464,13 +467,14 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             .round2_input
             .as_ref()
             .expect("collect_round2 called before round 1 was collected");
-        let round2 = self.round2.collect(
+        let mut round2 = self.round2.collect(
             e_field,
             outcomes,
             &self.cluster.network,
             self.config.time_scale,
             &mut self.rng,
         )?;
+        round2.observed_stragglers.append(&mut self.late_hint);
         let round1 = self
             .inflight
             .take()
@@ -498,10 +502,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         // kept so churned workers may rejoin, and `(K, T)` is retuned in
         // both directions from smoothed observations.
         //
-        // A pipelined scheduler stops collecting at `needed` results, so
-        // `outcomes.len()` under-reports how many workers were actually
-        // live; the live hint (set per round by such callers) corrects the
-        // missing-worker estimate.
+        // A caller that stops waiting once the round can decode hands over
+        // fewer outcomes than workers were live; the live hint (set per
+        // round by such callers) corrects the missing-worker estimate.
         let responded = self
             .live_hint
             .take()
@@ -610,15 +613,22 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.config.stall_budget
     }
 
-    /// Reports how many workers were actually live in the iteration about to
-    /// be collected. Callers that stop collecting at the decode threshold
-    /// (the pipelined scheduler) must set this every iteration, or the
-    /// autopilot would mistake the never-awaited workers for churned-out
-    /// ones and shrink the code indefinitely. Consumed by the next
-    /// [`DistributedTrainer::collect_round2`]; the synchronous driver, whose
-    /// executors return every live worker, never needs it.
-    pub fn set_live_hint(&mut self, live: usize) {
+    /// Reports what the round about to be collected looked like when its
+    /// caller stopped waiting: `live` workers were dispatched a task, and the
+    /// `late` ones among them had not answered yet. Callers that stop
+    /// collecting once the round can decode — the iteration driver behind
+    /// [`crate::train_distributed`], the pipelined scheduler — must set this
+    /// before every collect, or the controllers see a fleet that is not
+    /// there: the autopilot would mistake the never-awaited workers for
+    /// churned-out ones and shrink the code indefinitely, and stragglers that
+    /// were cut off rather than waited for would never be observed as
+    /// stragglers. The next successful collect adds `late` to its round's
+    /// observed stragglers; the next [`DistributedTrainer::collect_round2`]
+    /// takes `live` as the number of workers that responded. A caller that
+    /// waits for every dispatched worker never needs it.
+    pub fn set_live_hint(&mut self, live: usize, late: &[usize]) {
         self.live_hint = Some(live);
+        self.late_hint = late.to_vec();
     }
 
     /// The churn-aware autopilot (its smoothed rates are inspectable even

@@ -11,12 +11,13 @@
 //! and every round takes the same path:
 //!
 //! ```text
-//! dispatch_batch ─▶ WireRunner ─▶ Executor::execute_round ─▶ collect_batch
+//! dispatch_batch ─▶ WireRunner ─▶ Executor::{submit, poll, retire}_round ─▶ collect_batch
 //! ```
 //!
 //! [`MatVecEngine::dispatch_batch`] builds one [`BatchRoundTask`] per worker;
-//! the [`WireRunner`] (or the in-process fleet scheduler) runs them;
-//! [`MatVecEngine::collect_batch`] establishes integrity on the
+//! the [`WireRunner`] (or the in-process fleet scheduler) runs them, closing
+//! the round once [`MatVecEngine::min_results`] non-straggling results are
+//! in; [`MatVecEngine::collect_batch`] establishes integrity on the
 //! arrival-ordered outcomes (Freivalds for AVCC, error decoding for LCC),
 //! reconstructs the `m` products and accounts the round's costs.
 //!
@@ -33,7 +34,7 @@ use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::{Executor, WorkerOutcome};
 use rand::rngs::StdRng;
 
-use crate::distributed::{DistributedError, WireRunner};
+use crate::distributed::{BatchOutcomes, DistributedError, WireRunner};
 use crate::rounds::{BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure};
 
 pub mod avcc;
@@ -123,10 +124,13 @@ pub trait MatVecEngine<M: PrimeModulus> {
     }
 
     /// Runs one round — `m` products of the engine's matrix with `inputs` —
-    /// on `executor` under the given attack: dispatch, run through a
-    /// [`WireRunner`], collect. Byzantine workers corrupt every function of
-    /// their payload (a corrupted node does not selectively spare
-    /// sub-results). Master-side costs are charged unscaled.
+    /// on `executor` under the given attack: dispatch, run through
+    /// [`WireRunner::run_streaming_round`], collect as soon as
+    /// [`MatVecEngine::min_results`] non-straggling results allow it. Workers
+    /// the round did not wait for join its observed stragglers. Byzantine
+    /// workers corrupt every function of their payload (a corrupted node does
+    /// not selectively spare sub-results). Master-side costs are charged
+    /// unscaled.
     fn execute_batch(
         &mut self,
         inputs: &[Vec<Fp<M>>],
@@ -135,9 +139,16 @@ pub trait MatVecEngine<M: PrimeModulus> {
         rng: &mut StdRng,
     ) -> Result<BatchExecution<M>, DistributedError> {
         let tasks = self.dispatch_batch(inputs);
-        let outcomes = WireRunner::new().run_batch_round(executor, 0, &tasks, byzantine)?;
         let network = executor.profile().network;
-        Ok(self.collect_batch(inputs, &outcomes, &network, 1.0, rng)?)
+        let quorum = Some(self.min_results());
+        let collect = |outcomes: &mut BatchOutcomes<M>, late: &[usize]| {
+            let mut execution = self.collect_batch(inputs, outcomes, &network, 1.0, rng)?;
+            execution.observed_stragglers.extend_from_slice(late);
+            Ok(execution)
+        };
+        let execution = WireRunner::new()
+            .run_streaming_round(executor, 0, &tasks, byzantine, quorum, collect)?;
+        Ok(execution?)
     }
 
     /// Runs one single-function round: [`MatVecEngine::execute_batch`] for a

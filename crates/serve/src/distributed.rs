@@ -15,6 +15,17 @@
 //! small set of wire job ids, replacing its predecessor's, so a long call
 //! holds one job's blocks at a time on the master and on the workers.
 //!
+//! On an executor with real split-phase rounds (the socket fleet) neither
+//! path waits for stragglers: a round closes once its engine can decode and
+//! everybody who is not ≥ 3× the median late has answered, so a coded job's
+//! rounds cost the fast workers' time, not the slowest worker's. A job may
+//! therefore *start* while a straggler still computes a task of its
+//! predecessor under the very wire ids the new job reuses; the executor keeps
+//! the two apart (one task in flight per worker, results matched to the task
+//! last sent). The uncoded scheme needs every block, so its rounds still wait
+//! for the straggler — including, at most once per job, for a stale task it
+//! is finishing first.
+//!
 //! Worker evictions (corrupt frames, disconnects, deadline blowouts) surface
 //! as absent outcomes, which the engines absorb through the same straggler
 //! tolerance they were designed around; a job fails only when the surviving

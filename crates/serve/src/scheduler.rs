@@ -695,7 +695,7 @@ fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, Sch
                 // trainer how many workers were actually dispatched so the
                 // autopilot's missing-worker estimate reflects churn, not the
                 // early cutoff.
-                trainer.set_live_hint(job.dispatched);
+                trainer.set_live_hint(job.dispatched, &[]);
                 let record = trainer.collect_round2(*iteration, &job.outcomes, cumulative)?;
                 trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
                 job.metrics.rounds += 1;

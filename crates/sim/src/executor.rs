@@ -27,7 +27,7 @@
 
 use std::collections::HashMap;
 use std::sync::{mpsc, Arc};
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use avcc_wire::{result_frame_bytes, Block, TypedBlock, WireError};
 
@@ -150,6 +150,45 @@ impl std::fmt::Display for ExecutorError {
 
 impl std::error::Error for ExecutorError {}
 
+/// One worker's modulus-erased result: one `u64` vector per function.
+pub type RawOutcome = WorkerOutcome<Vec<Vec<u64>>>;
+
+/// A submitted round: what [`Executor::submit_round`] hands out and
+/// [`Executor::poll_round`] / [`Executor::retire_round`] take back. Opaque —
+/// only the executor that issued a ticket can interpret it.
+#[derive(Debug)]
+pub struct RoundTicket {
+    /// Executor-private serial of the round.
+    pub(crate) id: u64,
+    /// The provided split-phase methods park a blocking round's outcomes
+    /// here until the first poll; a real split-phase executor leaves it empty.
+    settled: Vec<RawOutcome>,
+}
+
+impl RoundTicket {
+    /// A ticket for a round still in flight under the issuer's serial `id`.
+    pub(crate) fn live(id: u64) -> Self {
+        RoundTicket {
+            id,
+            settled: Vec::new(),
+        }
+    }
+}
+
+/// What one [`Executor::poll_round`] saw.
+#[derive(Debug)]
+pub struct RoundPoll {
+    /// Results that arrived since the previous poll, in arrival order.
+    pub arrivals: Vec<RawOutcome>,
+    /// Workers the round is still waiting for (ascending). Empty means the
+    /// round is complete: every dispatched worker answered or was evicted.
+    pub pending: Vec<usize>,
+    /// Seconds since the round was submitted, on the clock its outcomes'
+    /// `arrival_seconds` are measured on — so "is worker `w` late yet?" is a
+    /// comparison on one clock. Meaningless (0) once nothing is pending.
+    pub elapsed_seconds: f64,
+}
+
 /// The object-safe execution interface every master-side driver can run on:
 /// in-process virtual timelines, in-process real threads, or real sockets to
 /// real worker processes — same trait, bit-identical payloads.
@@ -165,6 +204,15 @@ impl std::error::Error for ExecutorError {}
 ///   `inputs[i]` (one vector per function) and returns the outcomes that
 ///   made it back, in arrival order. A worker with no outcome is a straggler
 ///   or was evicted — exactly the shape the decode layer already handles.
+/// * [`submit_round`](Executor::submit_round) →
+///   [`poll_round`](Executor::poll_round) →
+///   [`retire_round`](Executor::retire_round) is the same round in split
+///   phase, for a master that stops waiting once it can decode (the paper's
+///   §IV-B: decode from the fastest verified results, never wait for a
+///   straggler). They are *provided*: the defaults run the blocking
+///   `execute_round` at submit and hand its outcomes back on the first poll,
+///   so an executor that implements only `execute_round` behaves exactly as
+///   it always did. `SocketExecutor` implements them for real.
 /// * Byzantine corruption is applied by the *master* on arrival (as the
 ///   scheduler's `deliver` does), never by this trait: a real network cannot
 ///   be asked to corrupt payloads on cue.
@@ -191,8 +239,46 @@ pub trait Executor {
         inputs: &[Vec<Vec<u64>>],
     ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError>;
 
-    /// The workers evicted during the most recent
-    /// [`execute_round`](Executor::execute_round) call, with reasons.
+    /// Starts a round — the same dispatch as
+    /// [`execute_round`](Executor::execute_round) — without waiting for it.
+    /// The provided version runs the whole blocking round.
+    fn submit_round(
+        &mut self,
+        job: u64,
+        round: u64,
+        inputs: &[Vec<Vec<u64>>],
+    ) -> Result<RoundTicket, ExecutorError> {
+        Ok(RoundTicket {
+            id: 0,
+            settled: self.execute_round(job, round, inputs)?,
+        })
+    }
+
+    /// Results of `ticket`'s round that arrived since the previous poll, and
+    /// who is still awaited. Returns as soon as there is at least one new
+    /// arrival or nothing is pending; otherwise blocks for up to `wait`
+    /// (`None`: until one of the two happens — every in-flight task has its
+    /// own deadline, so that is bounded). The provided version returns the
+    /// whole blocking round on the first poll.
+    fn poll_round(&mut self, ticket: &mut RoundTicket, wait: Option<Duration>) -> RoundPoll {
+        let _ = wait;
+        RoundPoll {
+            arrivals: std::mem::take(&mut ticket.settled),
+            pending: Vec::new(),
+            elapsed_seconds: 0.0,
+        }
+    }
+
+    /// Ends `ticket`'s round: results still outstanding are no longer
+    /// wanted and will be discarded when (if) they arrive. Every submitted
+    /// ticket must be retired.
+    fn retire_round(&mut self, ticket: RoundTicket) {
+        drop(ticket);
+    }
+
+    /// The workers evicted since the most recent
+    /// [`execute_round`](Executor::execute_round) /
+    /// [`submit_round`](Executor::submit_round) call began, with reasons.
     fn round_evictions(&self) -> &[Eviction] {
         &[]
     }

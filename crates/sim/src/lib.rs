@@ -28,14 +28,16 @@
 //! There is one way to run a round: install a job's blocks, then
 //! [`executor::Executor::execute_round`] — worker `i` multiplies its resident
 //! block by the round's inputs, and the outcomes come back as
-//! [`executor::WorkerOutcome`]s in arrival order. The engines differ in what
-//! "time" means and on what the products run:
+//! [`executor::WorkerOutcome`]s in arrival order — or the same round in split
+//! phase ([`executor::Executor::submit_round`] → `poll_round` →
+//! `retire_round`), for a master that stops waiting once it can decode. The
+//! engines differ in what "time" means and on what the products run:
 //!
-//! | Engine | Products run on | Arrival time | Use when |
-//! |---|---|---|---|
-//! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per product × profile slowdown + modeled transfer of the result frame | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
-//! | [`executor::ThreadedExecutor`] | the global [`avcc_pool`] work-stealing pool, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | the examples: demonstrates the same master logic driving real concurrency |
-//! | [`socket::SocketExecutor`] | worker threads or spawned `avcc-worker` processes, over TCP loopback or Unix domain sockets | real elapsed time; network time measured as arrival − compute, not modeled | end-to-end protocol validation, wire-fault injection, the multi-process deployment shape |
+//! | Engine | Products run on | Arrival time | Split-phase | Use when |
+//! |---|---|---|---|---|
+//! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per product × profile slowdown + modeled transfer of the result frame | provided default: the blocking round runs at submit | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
+//! | [`executor::ThreadedExecutor`] | the global [`avcc_pool`] work-stealing pool, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | provided default | the examples: demonstrates the same master logic driving real concurrency |
+//! | [`socket::SocketExecutor`] | worker threads or spawned `avcc-worker` processes, over TCP loopback or Unix domain sockets | real elapsed time; network time measured as arrival − compute, not modeled | real: a round can be retired while stragglers still compute (one task in flight per worker) | end-to-end protocol validation, wire-fault injection, the multi-process deployment shape |
 //!
 //! The virtual engine must stay serial because its cost model *measures*
 //! each product with a monotonic clock — concurrent products would contend
@@ -65,6 +67,7 @@ pub mod cluster;
 pub mod executor;
 pub mod metrics;
 pub mod socket;
+mod tickets;
 
 /// The wire-format crate, re-exported so downstream crates address blocks,
 /// frames and faults without a separate dependency edge.
@@ -76,8 +79,8 @@ pub use churn::{
 };
 pub use cluster::{ClusterProfile, NetworkModel, WorkerProfile};
 pub use executor::{
-    slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, ThreadedExecutor,
-    VirtualExecutor, WorkerOutcome,
+    slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, RawOutcome,
+    RoundPoll, RoundTicket, ThreadedExecutor, VirtualExecutor, WorkerOutcome,
 };
 pub use metrics::{CostAccumulator, IterationCosts, JobMetrics, OpCounts, ServingMetrics};
 pub use socket::{

@@ -15,22 +15,39 @@
 //!   ├── per worker: writer half ──────────────► worker i
 //!   │               reader thread ◄──────────── (process running the
 //!   │                    │ mpsc Event channel    `avcc-worker` binary, or an
-//!   └── execute_round ◄──┘                       in-process thread running
-//!                                                the same protocol loop)
+//!   └── receive loop ◄───┘                       in-process thread running
+//!        (submit / poll / install)               the same protocol loop)
 //! ```
 //!
 //! One thread per connection blocks on [`avcc_wire::read_frame`] and pushes
-//! events into an mpsc channel; `execute_round` dispatches `TASK` frames and
-//! drains the channel against a per-round deadline. There are deliberately
-//! *no read timeouts on the sockets themselves* — a silent worker is handled
-//! by the master-side deadline (eviction as a timed-out straggler), and a
-//! dead worker by the EOF its closing socket delivers to the reader thread.
+//! events into an mpsc channel; one receive loop on the master drains it.
+//! There are deliberately *no read timeouts on the sockets themselves* — a
+//! silent worker is handled by the master-side deadline (eviction as a
+//! timed-out straggler), and a dead worker by the EOF its closing socket
+//! delivers to the reader thread.
+//!
+//! # Rounds are split-phase
+//!
+//! [`Executor::submit_round`] dispatches a round and returns a ticket,
+//! [`Executor::poll_round`] reports the ticket's new arrivals and who is still
+//! awaited, [`Executor::retire_round`] ends it — possibly while slow workers
+//! are still computing, which is how a master that can already decode stops
+//! waiting for its stragglers. [`Executor::execute_round`] is submit, poll
+//! until nobody is awaited, retire.
+//!
+//! Because rounds end with workers still busy, each worker has **at most one
+//! task in flight**: frames for a busy worker wait master-side and go out
+//! when its result — wanted or stale — arrives, a retired round's queued
+//! tasks are never sent, and a result is matched to the task the master last
+//! sent that worker rather than by its `(job, round)` echo. The `tickets`
+//! module next to this one holds that state machine and the reasons.
 //!
 //! # Eviction and recovery
 //!
 //! Any wire-level defect on a worker's connection — checksum mismatch,
-//! version mismatch, truncated frame, disconnect, deadline — evicts the
-//! worker for the round: its outcome is simply absent, which is exactly the
+//! version mismatch, truncated frame, disconnect, an answer nobody asked for,
+//! a task unanswered [`SocketConfig::round_timeout`] after it was sent —
+//! evicts the worker: its outcome is simply absent, which is exactly the
 //! straggler/Byzantine shape the decode layer already tolerates. The
 //! connection is torn down; at the next round the worker is respawned,
 //! re-handshaken and re-sent every cached block (`reconnect-or-evict`).
@@ -69,8 +86,10 @@ use avcc_wire::{
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
 use crate::cluster::ClusterProfile;
 use crate::executor::{
-    slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, WorkerOutcome,
+    slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, RawOutcome,
+    RoundPoll, RoundTicket,
 };
+use crate::tickets::{TicketBoard, Verdict};
 
 /// Which socket family carries the frames.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -105,8 +124,8 @@ pub struct SocketConfig {
     pub backend: WorkerBackend,
     /// Deadline for spawn + connect + handshake of one worker.
     pub connect_timeout: Duration,
-    /// Per-round deadline: workers silent past it are evicted as timed-out
-    /// stragglers.
+    /// Per-task deadline, running from the instant the task was sent: a
+    /// worker silent past it is evicted as a timed-out straggler.
     pub round_timeout: Duration,
     /// Write timeout on master→worker sends (a wedged worker cannot block
     /// the master indefinitely).
@@ -185,9 +204,12 @@ pub struct SocketMetrics {
     pub bytes_sent: u64,
     /// Bytes the master received.
     pub bytes_received: u64,
-    /// Frames discarded as stale (late results from already-settled rounds
-    /// or replaced connections).
+    /// Frames discarded as stale (late results for retired rounds, frames
+    /// from replaced connections).
     pub stale_frames: u64,
+    /// `TASK`s dropped unsent because their round was retired while they
+    /// waited for a busy worker.
+    pub tasks_dropped: u64,
 }
 
 /// A unified client stream over both transports.
@@ -395,9 +417,6 @@ fn spawn_err(e: &dyn std::fmt::Display) -> ExecutorError {
 #[derive(Debug)]
 struct WorkerLink {
     writer: StreamKind,
-    /// Monotonic connection generation: events from a replaced connection's
-    /// reader thread are discarded by generation mismatch.
-    generation: u64,
     child: Option<Child>,
     /// Reader (and, for `InProcess`, worker) threads are detached; handles
     /// are kept only so dropping them is explicit.
@@ -433,8 +452,13 @@ pub struct SocketExecutor {
     /// Master-side block cache, job → per-worker blocks: what a respawned
     /// worker must be re-sent before it can compute again.
     blocks: HashMap<u64, Vec<Block>>,
+    /// Live rounds, what each worker is busy with and what waits for it.
+    board: TicketBoard,
+    /// Evictions since the most recent submit.
     last_evictions: Vec<Eviction>,
     metrics: SocketMetrics,
+    /// Monotonic connection generation: events from a replaced connection's
+    /// reader thread are discarded by generation mismatch.
     next_generation: u64,
     /// Consecutive *failed* respawn attempts per worker since its last
     /// successful spawn (drives the exponential backoff).
@@ -479,6 +503,7 @@ impl SocketExecutor {
             events,
             events_tx,
             blocks: HashMap::new(),
+            board: TicketBoard::new(width),
             last_evictions: Vec::new(),
             metrics: SocketMetrics {
                 respawn_attempts: vec![0; width],
@@ -501,8 +526,8 @@ impl SocketExecutor {
     }
 
     /// Installs a churn schedule, consumed against the round indices passed
-    /// to [`Executor::execute_round`]. Replaces any previous schedule and
-    /// resets its state.
+    /// to [`Executor::submit_round`] / [`Executor::execute_round`]. Replaces
+    /// any previous schedule and resets its state.
     pub fn set_churn(&mut self, schedule: ChurnSchedule) {
         self.churn = Some(ChurnState::new(schedule, self.links.len()));
     }
@@ -526,8 +551,18 @@ impl SocketExecutor {
     /// worker's next result send exhibits the defect, which the master then
     /// handles exactly as it would the real thing.
     pub fn inject_fault(&mut self, worker: usize, kind: FaultKind) -> Result<(), ExecutorError> {
-        self.send_frame(worker, &Fault { kind }.frame())
-            .map_err(|error| ExecutorError::BadBlock { worker, error })
+        if self.links[worker].is_some() {
+            self.post(worker, None, Fault { kind }.frame());
+        }
+        // `post` evicts on a failed write, so a missing link covers both "was
+        // already down" and "went down under this frame".
+        if self.links[worker].is_some() {
+            return Ok(());
+        }
+        let error = WireError::Closed {
+            context: "arming a fault on an evicted worker",
+        };
+        Err(ExecutorError::BadBlock { worker, error })
     }
 
     /// Kills a worker outright: for the process backend this is a real
@@ -646,15 +681,17 @@ impl SocketExecutor {
 
         self.links[worker] = Some(WorkerLink {
             writer: stream,
-            generation,
             child,
             _reader: reader,
         });
+        self.board.connect(worker, generation);
         Ok(())
     }
 
-    /// Tears a worker's connection down (stream shutdown, child reaped).
+    /// Tears a worker's connection down (stream shutdown, child reaped);
+    /// whatever it was computing or had queued is lost with it.
     fn tear_down(&mut self, worker: usize) {
+        self.board.disconnect(worker);
         if let Some(mut link) = self.links[worker].take() {
             link.writer.shutdown();
             if let Some(mut child) = link.child.take() {
@@ -716,6 +753,23 @@ impl SocketExecutor {
         true
     }
 
+    /// Queues `frame` for `worker` (as part of `ticket`'s round, if any) and
+    /// sends whatever the worker is ready for: everything at once if it is
+    /// idle, nothing until its result arrives if it is busy.
+    fn post(&mut self, worker: usize, ticket: Option<u64>, frame: Frame) {
+        self.board.enqueue(worker, ticket, frame);
+        self.flush(worker);
+    }
+
+    /// Sends `worker` its queued frames, up to and including the next `TASK`.
+    fn flush(&mut self, worker: usize) {
+        while let Some(frame) = self.board.pop_ready(worker, Instant::now()) {
+            if self.send_frame(worker, &frame).is_err() {
+                self.evict(worker, frame.round, EvictionReason::Disconnected);
+            }
+        }
+    }
+
     fn send_frame(&mut self, worker: usize, frame: &Frame) -> Result<(), WireError> {
         let link = self.links[worker].as_mut().ok_or(WireError::Closed {
             context: "sending to an evicted worker",
@@ -741,38 +795,122 @@ impl SocketExecutor {
         self.tear_down(worker);
     }
 
-    /// Is this event from the connection we currently consider live?
-    fn is_current(&self, worker: usize, generation: u64) -> bool {
-        self.links
-            .get(worker)
-            .and_then(Option::as_ref)
-            .is_some_and(|l| l.generation == generation)
+    /// The one receive loop. Handles every event already queued without
+    /// blocking; then, while `ticket` is live and has no news, blocks for the
+    /// next event until `give_up` (`None`: as long as it takes — every task
+    /// in flight has a deadline, so that is bounded). With no `ticket` it
+    /// only settles what has arrived, so frames that belong to live rounds
+    /// reach them whichever call happens to read them off the channel.
+    fn pump(&mut self, ticket: Option<u64>, give_up: Option<Instant>) {
+        let timeout = self.config.round_timeout;
+        loop {
+            let now = Instant::now();
+            for (worker, round) in self.board.drop_overdue(now, timeout) {
+                self.evict(worker, round, EvictionReason::TimedOut);
+            }
+            let waiting = ticket.is_some_and(|ticket| !self.board.has_news(ticket));
+            let until = if waiting {
+                // Someone is awaited, so a task is in flight and has a deadline.
+                let Some(deadline) = self.board.next_deadline(timeout) else {
+                    return;
+                };
+                give_up.map_or(deadline, |give_up| give_up.min(deadline))
+            } else {
+                now
+            };
+            match self
+                .events
+                .recv_timeout(until.saturating_duration_since(now))
+            {
+                Ok(event) => self.handle(event),
+                Err(mpsc::RecvTimeoutError::Timeout) if waiting => {
+                    if give_up.is_some_and(|give_up| Instant::now() >= give_up) {
+                        return;
+                    }
+                    // A task's deadline passed: expire it at the top.
+                }
+                Err(_) => return,
+            }
+        }
     }
 
-    /// Processes connection failures that happened *between* rounds (e.g. a
-    /// killed worker) and discards stale frames, so the round starts from a
-    /// clean event queue.
-    fn drain_idle_events(&mut self) {
-        loop {
-            let event = match self.events.try_recv() {
-                Ok(event) => event,
-                Err(_) => return,
-            };
-            match event {
-                Event::Frame { bytes, .. } => {
-                    self.metrics.frames_received += 1;
-                    self.metrics.bytes_received += bytes as u64;
-                    self.metrics.stale_frames += 1;
-                }
-                Event::Failed {
-                    worker, generation, ..
-                } => {
-                    if self.is_current(worker, generation) {
-                        self.tear_down(worker);
+    /// Applies one reader-thread event to the board, the links and the
+    /// metrics — the only place results are matched to rounds.
+    fn handle(&mut self, event: Event) {
+        match event {
+            Event::Frame {
+                worker,
+                generation,
+                frame,
+                bytes,
+                at,
+            } => {
+                self.metrics.frames_received += 1;
+                self.metrics.bytes_received += bytes as u64;
+                let verdict =
+                    self.board
+                        .on_frame(worker, generation, frame.kind, frame.job, frame.round);
+                match verdict {
+                    Verdict::Deliver { ticket, started } => {
+                        match TaskResult::decode(&frame.payload) {
+                            Ok(result) => {
+                                let arrival_seconds = at.duration_since(started).as_secs_f64();
+                                self.board
+                                    .deliver(ticket, outcome_of(worker, result, arrival_seconds));
+                            }
+                            Err(_) => self.evict(worker, frame.round, EvictionReason::Protocol),
+                        }
                     }
+                    Verdict::Stale => self.metrics.stale_frames += 1,
+                    Verdict::Evict { round, reason } => self.evict(worker, round, reason),
+                    Verdict::Gone | Verdict::Ignored => {}
+                }
+                // A result, wanted or stale, frees the worker for what waited.
+                self.flush(worker);
+            }
+            Event::Failed {
+                worker,
+                generation,
+                error,
+            } => {
+                let reason = match error {
+                    WireError::ChecksumMismatch { .. } | WireError::BadMagic { .. } => {
+                        EvictionReason::CorruptFrame
+                    }
+                    WireError::UnsupportedVersion { .. } => EvictionReason::VersionMismatch,
+                    WireError::FrameTooLarge { .. }
+                    | WireError::UnknownFrameKind { .. }
+                    | WireError::Malformed { .. } => EvictionReason::Protocol,
+                    _ => EvictionReason::Disconnected,
+                };
+                match self.board.on_failure(worker, generation, reason) {
+                    Verdict::Evict { round, reason } => self.evict(worker, round, reason),
+                    Verdict::Gone => self.tear_down(worker),
+                    _ => {}
                 }
             }
         }
+    }
+}
+
+/// Turns a worker's `TASK_RESULT`, which arrived `arrival_seconds` after its
+/// round was submitted, into the round's outcome for that worker.
+fn outcome_of(worker: usize, result: TaskResult, arrival_seconds: f64) -> RawOutcome {
+    // Worker-reported, so bounded by what the master itself observed: a
+    // worker cannot have computed for longer than the master waited, and a
+    // claim of 1e300 s must not reach the straggler detector. (`clamp` would
+    // propagate a NaN; `max` then `min` turns it into 0.)
+    let compute_seconds = result.compute_seconds.max(0.0).min(arrival_seconds);
+    RawOutcome {
+        worker,
+        payload: result.outputs,
+        compute_seconds,
+        // Everything between the worker finishing compute and the master
+        // holding the decoded frame: serialization, the kernel's socket path,
+        // and queueing.
+        network_seconds: arrival_seconds - compute_seconds,
+        arrival_seconds,
+        corrupted: false,
     }
 }
 
@@ -792,7 +930,8 @@ impl Executor for SocketExecutor {
                 workers: self.links.len(),
             });
         }
-        self.drain_idle_events();
+        self.pump(None, None);
+        self.metrics.tasks_dropped += self.board.retire_job(job);
         self.blocks.insert(job, blocks.to_vec());
         for (worker, block) in blocks.iter().enumerate() {
             if !self.ensure_live(worker) {
@@ -800,10 +939,7 @@ impl Executor for SocketExecutor {
             }
             // `ensure_live` above re-sent cached blocks only for *respawned*
             // workers; live workers still need this job's block.
-            let frame = block.frame(job);
-            if self.send_frame(worker, &frame).is_err() {
-                self.tear_down(worker);
-            }
+            self.post(worker, None, block.frame(job));
         }
         Ok(())
     }
@@ -813,7 +949,25 @@ impl Executor for SocketExecutor {
         job: u64,
         round: u64,
         inputs: &[Vec<Vec<u64>>],
-    ) -> Result<Vec<WorkerOutcome<Vec<Vec<u64>>>>, ExecutorError> {
+    ) -> Result<Vec<RawOutcome>, ExecutorError> {
+        let mut ticket = self.submit_round(job, round, inputs)?;
+        let mut outcomes = Vec::with_capacity(inputs.len());
+        loop {
+            let polled = self.poll_round(&mut ticket, None);
+            outcomes.extend(polled.arrivals);
+            if polled.pending.is_empty() {
+                self.retire_round(ticket);
+                return Ok(outcomes);
+            }
+        }
+    }
+
+    fn submit_round(
+        &mut self,
+        job: u64,
+        round: u64,
+        inputs: &[Vec<Vec<u64>>],
+    ) -> Result<RoundTicket, ExecutorError> {
         let job_width = self
             .blocks
             .get(&job)
@@ -829,7 +983,7 @@ impl Executor for SocketExecutor {
             churn.advance_to(round);
         }
         self.last_evictions.clear();
-        self.drain_idle_events();
+        self.pump(None, None);
         for worker in 0..inputs.len() {
             if self.churn_down(worker) {
                 // Scheduled crash/flap: take the real connection down and
@@ -845,22 +999,19 @@ impl Executor for SocketExecutor {
             }
         }
 
-        let round_start = Instant::now();
-        // Generation each in-flight worker's result must come from.
-        let mut pending: Vec<Option<u64>> = vec![None; inputs.len()];
+        let ticket = self.board.open(job, Instant::now());
         for (worker, worker_inputs) in inputs.iter().enumerate() {
-            if self.links[worker].is_some()
-                && self.churn.as_ref().is_some_and(|c| c.is_corrupting(worker))
-            {
+            if self.links[worker].is_none() {
+                continue; // down or evicted above
+            }
+            if self.churn.as_ref().is_some_and(|c| c.is_corrupting(worker)) {
                 // Corruption window: arm the wire-level payload fault so the
                 // worker's next result arrives with a broken checksum and is
                 // evicted as a corrupt frame — the real defect, end to end.
-                let _ = self.inject_fault(worker, FaultKind::CorruptPayload);
+                let kind = FaultKind::CorruptPayload;
+                self.board
+                    .enqueue(worker, Some(ticket), Fault { kind }.frame());
             }
-            let Some(link) = self.links[worker].as_ref() else {
-                continue; // already evicted above
-            };
-            let generation = link.generation;
             let slowdown = self.profile.worker(worker).effective_slowdown()
                 * self
                     .churn
@@ -871,120 +1022,18 @@ impl Executor for SocketExecutor {
                 sleep_micros: (sleep * 1e6) as u64,
                 inputs: worker_inputs.clone(),
             };
-            match self.send_frame(worker, &task.frame(job, round)) {
-                Ok(()) => pending[worker] = Some(generation),
-                Err(_) => self.evict(worker, round, EvictionReason::Disconnected),
-            }
+            self.post(worker, Some(ticket), task.frame(job, round));
         }
+        Ok(RoundTicket::live(ticket))
+    }
 
-        let deadline = round_start + self.config.round_timeout;
-        let mut outcomes: Vec<WorkerOutcome<Vec<Vec<u64>>>> = Vec::with_capacity(inputs.len());
-        let mut remaining = pending.iter().filter(|p| p.is_some()).count();
-        while remaining > 0 {
-            let Some(budget) = deadline.checked_duration_since(Instant::now()) else {
-                break;
-            };
-            let event = match self.events.recv_timeout(budget) {
-                Ok(event) => event,
-                Err(_) => break, // deadline (or, impossibly, a closed channel)
-            };
-            match event {
-                Event::Frame {
-                    worker,
-                    generation,
-                    frame,
-                    bytes,
-                    at,
-                } => {
-                    self.metrics.frames_received += 1;
-                    self.metrics.bytes_received += bytes as u64;
-                    if pending.get(worker).copied().flatten() != Some(generation)
-                        || !self.is_current(worker, generation)
-                    {
-                        self.metrics.stale_frames += 1;
-                        continue;
-                    }
-                    match frame.kind {
-                        FrameKind::TaskResult if frame.job == job && frame.round == round => {
-                            match TaskResult::decode(&frame.payload) {
-                                Ok(result) => {
-                                    let arrival_seconds =
-                                        at.duration_since(round_start).as_secs_f64();
-                                    let compute_seconds = result.compute_seconds.max(0.0);
-                                    // Everything between the worker finishing
-                                    // compute and the master holding the
-                                    // decoded frame: serialization, the
-                                    // kernel's socket path, and queueing.
-                                    let network_seconds =
-                                        (arrival_seconds - compute_seconds).max(0.0);
-                                    outcomes.push(WorkerOutcome {
-                                        worker,
-                                        payload: result.outputs,
-                                        compute_seconds,
-                                        network_seconds,
-                                        arrival_seconds,
-                                        corrupted: false,
-                                    });
-                                    pending[worker] = None;
-                                    remaining -= 1;
-                                }
-                                Err(_) => {
-                                    pending[worker] = None;
-                                    remaining -= 1;
-                                    self.evict(worker, round, EvictionReason::Protocol);
-                                }
-                            }
-                        }
-                        FrameKind::TaskResult => {
-                            // A late result for some other (job, round).
-                            self.metrics.stale_frames += 1;
-                        }
-                        // An `ERROR` reply or any other kind mid-round.
-                        _ => {
-                            pending[worker] = None;
-                            remaining -= 1;
-                            self.evict(worker, round, EvictionReason::Protocol);
-                        }
-                    }
-                }
-                Event::Failed {
-                    worker,
-                    generation,
-                    error,
-                } => {
-                    if !self.is_current(worker, generation) {
-                        continue;
-                    }
-                    let reason = match error {
-                        WireError::ChecksumMismatch { .. } | WireError::BadMagic { .. } => {
-                            EvictionReason::CorruptFrame
-                        }
-                        WireError::UnsupportedVersion { .. } => EvictionReason::VersionMismatch,
-                        WireError::FrameTooLarge { .. }
-                        | WireError::UnknownFrameKind { .. }
-                        | WireError::Malformed { .. } => EvictionReason::Protocol,
-                        _ => EvictionReason::Disconnected,
-                    };
-                    if pending.get(worker).copied().flatten() == Some(generation) {
-                        pending[worker] = None;
-                        remaining -= 1;
-                        self.evict(worker, round, reason);
-                    } else {
-                        self.tear_down(worker);
-                    }
-                }
-            }
-        }
-        // Anything still pending after the deadline is a timed-out straggler.
-        let timed_out: Vec<usize> = pending
-            .iter()
-            .enumerate()
-            .filter_map(|(w, p)| p.map(|_| w))
-            .collect();
-        for worker in timed_out {
-            self.evict(worker, round, EvictionReason::TimedOut);
-        }
-        Ok(outcomes)
+    fn poll_round(&mut self, ticket: &mut RoundTicket, wait: Option<Duration>) -> RoundPoll {
+        self.pump(Some(ticket.id), wait.map(|wait| Instant::now() + wait));
+        self.board.take_news(ticket.id, Instant::now())
+    }
+
+    fn retire_round(&mut self, ticket: RoundTicket) {
+        self.metrics.tasks_dropped += self.board.retire(ticket.id);
     }
 
     fn round_evictions(&self) -> &[Eviction] {
@@ -1026,6 +1075,39 @@ impl Drop for SocketExecutor {
                 }
             }
             link.writer.shutdown();
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn worker_reported_compute_time_is_bounded_by_what_the_master_observed() {
+        let outcome = |claimed: f64| {
+            let result = TaskResult {
+                worker: 3,
+                compute_seconds: claimed,
+                outputs: vec![vec![1, 2]],
+            };
+            outcome_of(3, result, 0.25)
+        };
+        // (claimed, kept): a lie in either direction, or a non-number, never
+        // leaves [0, arrival] — so it can neither flag the worker as a
+        // straggler round after round nor make network time negative.
+        for (claimed, kept) in [
+            (0.1, 0.1),
+            (-1.0, 0.0),
+            (f64::NAN, 0.0),
+            (f64::INFINITY, 0.25),
+            (1e300, 0.25),
+        ] {
+            let outcome = outcome(claimed);
+            assert_eq!(outcome.compute_seconds, kept, "claimed {claimed}");
+            assert_eq!(outcome.network_seconds, 0.25 - kept, "claimed {claimed}");
+            assert_eq!(outcome.arrival_seconds, 0.25);
+            assert_eq!((outcome.worker, outcome.corrupted), (3, false));
         }
     }
 }

@@ -7,7 +7,7 @@
 use std::time::Duration;
 
 use avcc_sim::cluster::ClusterProfile;
-use avcc_sim::executor::{EvictionReason, Executor, ThreadedExecutor};
+use avcc_sim::executor::{EvictionReason, Executor, RawOutcome, ThreadedExecutor};
 use avcc_sim::socket::{SocketConfig, SocketExecutor, Transport};
 use avcc_sim::wire::{Block, FaultKind};
 use proptest::prelude::*;
@@ -196,32 +196,109 @@ fn killed_worker_is_respawned_or_stays_evicted() {
     assert_eq!(evictions[0].reason, EvictionReason::Disconnected);
 }
 
-/// A worker that blows the round deadline is evicted as a timed-out
-/// straggler — the master never hangs on a silent worker.
+/// A worker that blows the task deadline is evicted as a timed-out
+/// straggler — the master never hangs on a silent worker, whichever way the
+/// round is driven: the blocking wrapper, or submit / poll / retire.
 #[test]
 fn deadline_evicts_silent_stragglers() {
+    let blocking = |socket: &mut SocketExecutor, inputs: &[Vec<Vec<u64>>]| {
+        socket.execute_round(9, 0, inputs).unwrap()
+    };
+    let split_phase = |socket: &mut SocketExecutor, inputs: &[Vec<Vec<u64>>]| {
+        let mut ticket = socket.submit_round(9, 0, inputs).unwrap();
+        let mut outcomes = Vec::new();
+        loop {
+            let polled = socket.poll_round(&mut ticket, None);
+            outcomes.extend(polled.arrivals);
+            if polled.pending.is_empty() {
+                socket.retire_round(ticket);
+                return outcomes;
+            }
+        }
+    };
+    type Drive<'a> = &'a dyn Fn(&mut SocketExecutor, &[Vec<Vec<u64>>]) -> Vec<RawOutcome>;
+    for drive in [&blocking as Drive, &split_phase] {
+        let workers = 2;
+        let blocks = blocks(workers, 2, 2, 13);
+        let inputs = inputs(workers, 1, 2, 13);
+        // Worker 1 sleeps ~1.2 s (slowdown 13 × 0.1 s/unit); a task may take 0.3 s.
+        let profile = ClusterProfile::uniform(workers).with_stragglers(&[1], 13.0);
+        let mut socket = SocketExecutor::with_config(
+            profile,
+            SocketConfig {
+                round_timeout: Duration::from_millis(300),
+                sleep_per_slowdown_unit: 0.1,
+                ..quick_config(Transport::Tcp)
+            },
+        )
+        .unwrap();
+        socket.install_blocks(9, &blocks).unwrap();
+        let outcomes = drive(&mut socket, &inputs);
+        assert_eq!(outcomes.len(), 1);
+        assert_eq!(outcomes[0].worker, 0);
+        let evictions = socket.round_evictions();
+        assert_eq!(evictions.len(), 1);
+        assert_eq!(evictions[0].worker, 1);
+        assert_eq!(evictions[0].reason, EvictionReason::TimedOut);
+    }
+}
+
+/// A round that is retired while a worker is still computing leaves that
+/// worker busy: the next round's task waits for it master-side, the late
+/// result is counted stale — not taken for the next round's, though both
+/// rounds echo the same `(job, round)` — and a task whose round is retired
+/// before the worker frees up is never sent.
+#[test]
+fn a_retired_rounds_straggler_is_not_handed_the_next_task_until_it_answers() {
     let workers = 2;
-    let blocks = blocks(workers, 2, 2, 13);
-    let inputs = inputs(workers, 1, 2, 13);
-    // Worker 1 sleeps ~1.2 s (slowdown 13 × 0.1 s/unit); the round allows 0.3 s.
-    let profile = ClusterProfile::uniform(workers).with_stragglers(&[1], 13.0);
+    let blocks = blocks(workers, 2, 2, 29);
+    let round_inputs = |seed| inputs(workers, 1, 2, seed);
+    let profile = ClusterProfile::uniform(workers).with_stragglers(&[1], 2.0);
     let mut socket = SocketExecutor::with_config(
-        profile,
+        profile.clone(),
         SocketConfig {
-            round_timeout: Duration::from_millis(300),
-            sleep_per_slowdown_unit: 0.1,
-            ..quick_config(Transport::Tcp)
+            // Worker 1 sleeps 0.2 s per task: long enough that the few
+            // master-side steps between two submits cannot outlast it.
+            sleep_per_slowdown_unit: 0.2,
+            ..quick_config(Transport::Uds)
         },
     )
     .unwrap();
-    socket.install_blocks(9, &blocks).unwrap();
-    let outcomes = socket.execute_round(9, 0, &inputs).unwrap();
-    assert_eq!(outcomes.len(), 1);
-    assert_eq!(outcomes[0].worker, 0);
-    let evictions = socket.round_evictions();
-    assert_eq!(evictions.len(), 1);
-    assert_eq!(evictions[0].worker, 1);
-    assert_eq!(evictions[0].reason, EvictionReason::TimedOut);
+    socket.install_blocks(0, &blocks).unwrap();
+    let mut oracle = ThreadedExecutor::new(ClusterProfile::uniform(workers));
+    oracle.install_blocks(0, &blocks).unwrap();
+
+    // Round A: take worker 0's result and go, while worker 1 sleeps on.
+    let mut first = socket.submit_round(0, 0, &round_inputs(1)).unwrap();
+    let polled = socket.poll_round(&mut first, None);
+    assert_eq!(polled.arrivals.len(), 1);
+    assert_eq!((polled.arrivals[0].worker, polled.pending), (0, vec![1]));
+    socket.retire_round(first);
+    let frames_after_first = socket.metrics().frames_sent;
+
+    // Round B, same echo, other inputs: worker 1's task must wait. Retired
+    // at once, it is dropped unsent.
+    let second = socket.submit_round(0, 0, &round_inputs(2)).unwrap();
+    assert_eq!(
+        socket.metrics().frames_sent,
+        frames_after_first + 1,
+        "only the idle worker is written to"
+    );
+    socket.retire_round(second);
+    assert_eq!(socket.metrics().tasks_dropped, 1);
+
+    // Round C, same echo again, waited for in full: worker 1 first delivers
+    // its stale answer to round A's inputs, then computes round C's.
+    let third = round_inputs(3);
+    let got = payloads(socket.execute_round(0, 0, &third).unwrap());
+    assert_eq!(got, payloads(oracle.execute_round(0, 0, &third).unwrap()));
+    let metrics = socket.metrics();
+    assert!(metrics.stale_frames >= 1, "round A's late result was stale");
+    assert_eq!(metrics.tasks_dropped, 1);
+    assert!(
+        socket.round_evictions().is_empty(),
+        "lateness is not a fault"
+    );
 }
 
 /// Measured costs flow through: compute and network seconds are real,

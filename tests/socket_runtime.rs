@@ -17,7 +17,7 @@ use avcc::linalg::{mat_vec, Matrix};
 use avcc::ml::dataset::{Dataset, DatasetConfig};
 use avcc::sim::attack::{AttackModel, ByzantineSpec};
 use avcc::sim::cluster::ClusterProfile;
-use avcc::sim::executor::ThreadedExecutor;
+use avcc::sim::executor::{Executor, ThreadedExecutor};
 use avcc::sim::socket::{SocketConfig, SocketExecutor, Transport, WorkerBackend};
 use avcc::sim::wire::FaultKind;
 use avcc_coding::SchemeConfig;
@@ -72,6 +72,44 @@ fn make_trainer() -> DistributedTrainer<P25> {
     make_trainer_with(SchemeKind::Avcc, ByzantineSpec::none())
 }
 
+/// Trains over `fleet` through the trainer's staged API, every round through
+/// [`WireRunner::run_round`] — which waits until all twelve workers have
+/// answered or been evicted — calling `before` ahead of each iteration.
+fn train_waiting_for_all(
+    trainer: &mut DistributedTrainer<P25>,
+    fleet: &mut SocketExecutor,
+    mut before: impl FnMut(usize, &mut SocketExecutor),
+) -> TrainingReport {
+    let mut report = TrainingReport::new(trainer.scheme().label(), trainer.scenario_label());
+    let mut runner = WireRunner::new();
+    let mut cumulative = 0.0;
+    for iteration in 0..trainer.iterations() {
+        before(iteration, fleet);
+        let round1_tasks = trainer.encode_round1();
+        let byzantine = trainer.byzantine().clone();
+        let round1 = runner
+            .run_round(fleet, 0, &round1_tasks, &byzantine)
+            .expect("round 1 over the fleet");
+        let round2_tasks = trainer.collect_round1(&round1).expect("collect round 1");
+        let round2 = runner
+            .run_round(fleet, 1, &round2_tasks, &byzantine)
+            .expect("round 2 over the fleet");
+        let record = trainer
+            .collect_round2(iteration, &round2, &mut cumulative)
+            .expect("collect round 2");
+        report.push(record);
+    }
+    report
+}
+
+fn trajectory(report: &TrainingReport) -> Vec<(f64, f64)> {
+    report
+        .iterations
+        .iter()
+        .map(|r| (r.test_accuracy, r.train_loss))
+        .collect()
+}
+
 /// GISETTE-style training over a real TCP fleet of 12 worker *processes*,
 /// with one worker killed and one corrupted frame injected mid-job: the
 /// model trajectory must stay bit-identical to the in-process oracle —
@@ -83,10 +121,7 @@ fn training_over_tcp_processes_survives_kill_and_corruption() {
 
     let mut trainer = make_trainer();
     let mut fleet = process_fleet(12, Transport::Tcp);
-    let mut runner = WireRunner::new();
-    let mut cumulative = 0.0;
-    let mut records = Vec::new();
-    for iteration in 0..trainer.iterations() {
+    let report = train_waiting_for_all(&mut trainer, &mut fleet, |iteration, fleet| {
         if iteration == 1 {
             // Mid-job worker death: a real SIGKILL to the child process.
             fleet.kill_worker(2);
@@ -96,33 +131,11 @@ fn training_over_tcp_processes_survives_kill_and_corruption() {
             // post-checksum; the master must catch it by CRC and evict.
             fleet.inject_fault(5, FaultKind::CorruptPayload).unwrap();
         }
-        let round1_tasks = trainer.encode_round1();
-        let byzantine = trainer.byzantine().clone();
-        let round1 = runner
-            .run_round(&mut fleet, 0, &round1_tasks, &byzantine)
-            .expect("round 1 over TCP");
-        let round2_tasks = trainer.collect_round1(&round1).expect("collect round 1");
-        let round2 = runner
-            .run_round(&mut fleet, 1, &round2_tasks, &byzantine)
-            .expect("round 2 over TCP");
-        let record = trainer
-            .collect_round2(iteration, &round2, &mut cumulative)
-            .expect("collect round 2");
-        records.push(record);
-    }
+    });
 
     // Bit-identical model despite the kill and the corrupted frame.
     assert_eq!(trainer.model().weights, oracle.model().weights);
-    let trajectory: Vec<(f64, f64)> = records
-        .iter()
-        .map(|r| (r.test_accuracy, r.train_loss))
-        .collect();
-    let oracle_trajectory: Vec<(f64, f64)> = oracle_report
-        .iterations
-        .iter()
-        .map(|r| (r.test_accuracy, r.train_loss))
-        .collect();
-    assert_eq!(trajectory, oracle_trajectory);
+    assert_eq!(trajectory(&report), trajectory(&oracle_report));
 
     // The faults really happened and were really recovered from. The
     // between-rounds kill is healed by the reconnect path (respawn, no
@@ -168,16 +181,22 @@ fn batched_matmul_over_uds_processes_is_exact() {
         panic!("batch job must decode, got {:?}", completed[0].output);
     };
     assert_eq!(products, &expected);
+    // The job's round closed as soon as it could decode, which on a busy host
+    // is before worker 3's broken frame is in. One more round on the job's
+    // blocks (wire job 0), waited for in full, meets it for certain.
+    let idle_inputs = vec![vec![vec![0u64; cols]]; 12];
+    fleet
+        .execute_round(0, 1, &idle_inputs)
+        .expect("the job's blocks are still resident");
     assert!(fleet.metrics().evictions >= 1, "the bad CRC must evict");
 }
 
 /// A worker *process* returning Byzantine-corrupted blocks (master-side
 /// spec — the same injection path the in-process executors use) is caught
-/// by the engines' pre-decode dual-codeword screen on the ordinary
-/// `train_distributed` path: every round of every iteration reports it in
-/// `screened_workers`, it never reaches Freivalds or the decoder, and the
-/// training trajectory is bit-identical to the same run over the in-process
-/// `ThreadedExecutor`.
+/// by the engines' pre-decode dual-codeword screen: every round of every
+/// iteration reports it in `screened_workers`, it never reaches Freivalds or
+/// the decoder, and the training trajectory is bit-identical to the same run
+/// over the in-process `ThreadedExecutor`.
 #[test]
 fn screened_training_over_processes_matches_threaded_executor() {
     // StaticVcc: the adaptive controller would evict the worker after the
@@ -189,9 +208,12 @@ fn screened_training_over_processes_matches_threaded_executor() {
         )
     };
 
+    // Wait-for-all rounds: the strict per-round assertion below needs the
+    // liar among the arrivals of *every* round, which a round that closes as
+    // soon as it can decode does not promise.
     let mut socket_trainer = make();
     let mut fleet = process_fleet(12, Transport::Tcp);
-    let socket_report = train_distributed(&mut socket_trainer, &mut fleet).expect("socket run");
+    let socket_report = train_waiting_for_all(&mut socket_trainer, &mut fleet, |_, _| {});
 
     let mut oracle_trainer = make();
     let mut threaded = ThreadedExecutor::new(ClusterProfile::uniform(12));
@@ -202,13 +224,6 @@ fn screened_training_over_processes_matches_threaded_executor() {
         socket_trainer.model().weights,
         oracle_trainer.model().weights
     );
-    let trajectory = |report: &TrainingReport| -> Vec<(f64, f64)> {
-        report
-            .iterations
-            .iter()
-            .map(|r| (r.test_accuracy, r.train_loss))
-            .collect()
-    };
     assert_eq!(trajectory(&socket_report), trajectory(&oracle_report));
 
     // All 12 workers answer every round (12 > threshold 9), so the screen
