@@ -3,9 +3,11 @@
 //! near-linear cost" discussion (§II-A), plus the `F64` matrix-vs-NTT
 //! comparison: with evaluation points in subgroup position the
 //! `O(K·N)`-per-coordinate encoding matrix collapses to `O(N log N)`
-//! transforms.
+//! transforms, and `encode_dataset/*`: the whole one-time preprocessing of a
+//! dataset as the engines pay it (`EncodedDataset::encode`, the matrix read
+//! in place).
 
-use avcc_coding::{EvaluationPoints, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{EncodedDataset, EvaluationPoints, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F25, F64, P25, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -91,11 +93,33 @@ fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
     group.finish();
 }
 
+/// `EncodedDataset::encode` on the e2e `matmul_batch` job (1920 × 512
+/// Goldilocks, `(N, K) = (12, 8)`: the cache-blocked NTT path) and on the
+/// same shape with a row short of a multiple of `K` (the last band padded).
+fn bench_dataset_encoding(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encode_dataset");
+    let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+    for rows in [1920usize, 1919] {
+        let mut rng = StdRng::seed_from_u64(11);
+        let matrix: Matrix<F64> =
+            Matrix::from_vec(rows, 512, avcc_field::random_matrix(&mut rng, rows, 512));
+        group.bench_with_input(
+            BenchmarkId::new("p64_12_8", format!("{rows}x512")),
+            &rows,
+            |bencher, _| {
+                bencher.iter(|| EncodedDataset::<P64>::encode(black_box(&matrix), config, &mut rng))
+            },
+        );
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_mds_encoding_by_size,
     bench_encoding_by_worker_count,
     bench_private_encoding,
-    bench_f64_matrix_vs_ntt_encoding
+    bench_f64_matrix_vs_ntt_encoding,
+    bench_dataset_encoding
 );
 criterion_main!(benches);

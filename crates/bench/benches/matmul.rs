@@ -3,7 +3,7 @@
 //! run. These calibrate the simulator's compute-cost model and back the claim
 //! that the worker compute dominates the master-side overheads.
 
-use avcc_field::F25;
+use avcc_field::{Fp, PrimeModulus, F25, P61, P64};
 use avcc_linalg::{mat_vec, matt_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -36,5 +36,29 @@ fn bench_worker_kernel(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_worker_kernel);
+/// One worker's share of an e2e `matmul_batch` job — a 240 × 512 block
+/// against the job's 8 inputs — on the two tight-batch moduli, whose
+/// `mat_vec` counts carries instead of collapsing every
+/// [`PrimeModulus::WIDE_BATCH`] products.
+fn bench_tight_batch_kernel(c: &mut Criterion) {
+    fn run<M: PrimeModulus>(c: &mut Criterion, field_name: &str) {
+        let mut rng = StdRng::seed_from_u64(3);
+        let matrix = Matrix::from_vec(240, 512, avcc_field::random_matrix(&mut rng, 240, 512));
+        let inputs: Vec<Vec<Fp<M>>> = (0..8)
+            .map(|_| avcc_field::random_vector(&mut rng, 512))
+            .collect();
+        c.bench_function(&format!("matmul/batch_block_240x512x8/{field_name}"), |b| {
+            b.iter(|| {
+                inputs
+                    .iter()
+                    .map(|x| mat_vec(black_box(&matrix), black_box(x)))
+                    .collect::<Vec<_>>()
+            })
+        });
+    }
+    run::<P64>(c, "p64");
+    run::<P61>(c, "p61");
+}
+
+criterion_group!(benches, bench_worker_kernel, bench_tight_batch_kernel);
 criterion_main!(benches);

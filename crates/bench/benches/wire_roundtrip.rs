@@ -12,10 +12,14 @@
 //!
 //! `wire_roundtrip/*` is the absolute cost of a full
 //! encode/validate/decode cycle for realistic TASK_RESULT frames, i.e. the
-//! per-frame CPU tax the socket runtime adds over the threaded executor.
+//! per-frame CPU tax the socket runtime adds over the threaded executor;
+//! `wire_load_block/*` is the same for the bulk frame, each side as the
+//! socket runtime runs it: the master encodes a block straight into its wire
+//! bytes, the worker goes from the payload to a typed matrix in one pass.
 
 use avcc_sim::wire::{
-    crc32c, crc32c_bytewise, read_frame, TaskResult, WireWriter, DEFAULT_MAX_PAYLOAD,
+    crc32c, crc32c_bytewise, read_frame, Block, TaskResult, TypedBlock, WireWriter,
+    DEFAULT_MAX_PAYLOAD,
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
@@ -137,10 +141,43 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
     group.finish();
 }
 
+/// One `LOAD_BLOCK` of an e2e `matmul_batch` job (240 × 512 Goldilocks
+/// elements, 983 KB): `Block::encoded_frame` on the master, `read_frame` +
+/// `TypedBlock::from_payload` on the worker.
+fn bench_wire_load_block(c: &mut Criterion) {
+    const GOLDILOCKS: u64 = 0xFFFF_FFFF_0000_0001;
+    let block = Block {
+        modulus: GOLDILOCKS,
+        rows: 240,
+        cols: 512,
+        elements: elements(240 * 512, 0xB10C),
+    };
+    let wire = block.encoded_frame(3);
+    let (frame, _) = read_frame(&mut wire.bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
+    assert_eq!(
+        TypedBlock::from_payload(&frame.payload),
+        TypedBlock::from_block(&block)
+    );
+
+    let mut group = c.benchmark_group("wire_load_block");
+    group.bench_function(BenchmarkId::new("p64_240x512", "encode"), |b| {
+        b.iter(|| black_box(&block).encoded_frame(3))
+    });
+    group.bench_function(BenchmarkId::new("p64_240x512", "decode"), |b| {
+        b.iter(|| {
+            let (frame, _) =
+                read_frame(&mut black_box(&wire).bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
+            TypedBlock::from_payload(&frame.payload).unwrap()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_wire_crc,
     bench_wire_encode,
-    bench_wire_roundtrip
+    bench_wire_roundtrip,
+    bench_wire_load_block
 );
 criterion_main!(benches);

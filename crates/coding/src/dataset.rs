@@ -28,18 +28,6 @@ use crate::decoder::LagrangeDecoder;
 use crate::encoder::LagrangeEncoder;
 use crate::scheme::SchemeConfig;
 
-/// Pads a matrix with zero rows so its row count is a multiple of `parts`.
-fn pad_rows_to_multiple<M: PrimeModulus>(matrix: &Matrix<Fp<M>>, parts: usize) -> Matrix<Fp<M>> {
-    let remainder = matrix.rows() % parts;
-    if remainder == 0 {
-        return matrix.clone();
-    }
-    let extra = parts - remainder;
-    let mut data = matrix.data().to_vec();
-    data.extend(std::iter::repeat_n(Fp::<M>::ZERO, extra * matrix.cols()));
-    Matrix::from_vec(matrix.rows() + extra, matrix.cols(), data)
-}
-
 /// How the dataset's shares were produced.
 #[derive(Debug, Clone)]
 enum DatasetCoding<M: PrimeModulus> {
@@ -74,24 +62,38 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// from `rng`. Rows not divisible by `config.partitions` are padded with
     /// zero rows; decoded outputs must be trimmed back to
     /// [`EncodedDataset::output_rows`].
+    ///
+    /// The matrix is read **in place**: data block `k` is the band of
+    /// `block_rows` rows starting at row `k · block_rows`, handed to the
+    /// encoder as a slice of `matrix`'s own storage. Only when zero rows have
+    /// to be appended is anything copied, and then only the bands that reach
+    /// past the last real row.
     pub fn encode<R: Rng + ?Sized>(
         matrix: &Matrix<Fp<M>>,
         config: SchemeConfig,
         rng: &mut R,
     ) -> Self {
         let output_rows = matrix.rows();
-        let padded = pad_rows_to_multiple(matrix, config.partitions);
-        let blocks = padded.split_rows(config.partitions);
-        let block_rows = blocks[0].rows();
-        let encoder = LagrangeEncoder::<M>::new(config);
-        let shares = if config.colluding == 0 {
-            encoder.encode_deterministic(&blocks)
-        } else {
-            encoder.encode(&blocks, rng)
-        }
-        .into_iter()
-        .map(|s| Arc::new(s.block))
-        .collect();
+        let block_rows = output_rows.div_ceil(config.partitions);
+        let band = block_rows * matrix.cols();
+        let data = matrix.data();
+        // Bands that lie wholly inside the matrix are read where they are;
+        // the rest (none when `rows % K == 0`) come from one zero-padded copy
+        // of the matrix's tail.
+        let whole = data.len().checked_div(band).unwrap_or(config.partitions);
+        let mut tail = data[whole * band..].to_vec();
+        tail.resize((config.partitions - whole) * band, Fp::<M>::ZERO);
+        let blocks: Vec<&[Fp<M>]> = (0..config.partitions)
+            .map(|k| match k.checked_sub(whole) {
+                None => &data[k * band..(k + 1) * band],
+                Some(padded) => &tail[padded * band..(padded + 1) * band],
+            })
+            .collect();
+        let shares = LagrangeEncoder::<M>::new(config)
+            .encode_slices(&blocks, block_rows, matrix.cols(), rng)
+            .into_iter()
+            .map(|s| Arc::new(s.block))
+            .collect();
         EncodedDataset {
             shares,
             block_rows,
@@ -241,6 +243,60 @@ mod tests {
         assert_eq!(dataset.block_rows(), 3);
         assert_eq!(dataset.output_rows(), 20);
         assert_eq!(dataset.partitions() * dataset.block_rows(), 27);
+    }
+
+    #[test]
+    fn indivisible_rows_on_the_ntt_path_decode_exactly_and_trim() {
+        // Read in place, the last real rows share a band with zero rows and
+        // the bands after it are all padding: 21 rows over K = 8 leave one
+        // ragged band (4500-element bands, so the cache-blocked sweep also
+        // crosses a chunk inside each), 9 rows leave one ragged and three
+        // empty ones.
+        use avcc_field::{F64, P64};
+        let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+        for (rows, cols) in [(21usize, 1500usize), (9, 7)] {
+            let mut rng = StdRng::seed_from_u64(rows as u64);
+            let matrix: Matrix<F64> =
+                Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
+            let input: Vec<F64> = avcc_field::random_vector(&mut rng, cols);
+            let dataset = EncodedDataset::<P64>::encode(&matrix, config, &mut rng);
+            assert_eq!(dataset.block_rows(), rows.div_ceil(8));
+            assert_eq!(dataset.output_rows(), rows);
+            // Any K shares decode; take the last eight.
+            let results: Vec<(usize, Vec<F64>)> = (4..12)
+                .map(|worker| (worker, mat_vec(dataset.share(worker), &input)))
+                .collect();
+            let blocks = dataset.decoder().unwrap().decode_erasure(&results).unwrap();
+            let mut output: Vec<F64> = blocks.into_iter().flatten().collect();
+            assert_eq!(output.len(), 8 * dataset.block_rows());
+            assert!(output[rows..].iter().all(|&v| v == F64::ZERO), "padding");
+            output.truncate(dataset.output_rows());
+            assert_eq!(output, mat_vec(&matrix, &input), "{rows} × {cols}");
+        }
+    }
+
+    #[test]
+    fn private_encode_draws_what_it_always_drew() {
+        // Every seeded oracle downstream depends on the rng stream: with
+        // T = 2 the encode draws two whole pads up front and nothing else.
+        // Both values were recorded on the whole-lane encoder this one
+        // replaced (commit ab57d73): the next draw after the encode, and a
+        // fold over every share element.
+        use avcc_field::{F64, P64};
+        use rand::RngCore;
+        let config = SchemeConfig::new(12, 6, 1, 1, 2, 1).unwrap();
+        let mut rng = StdRng::seed_from_u64(0x0AB5_7D73);
+        let matrix: Matrix<F64> =
+            Matrix::from_vec(45, 200, avcc_field::random_matrix(&mut rng, 45, 200));
+        let dataset = EncodedDataset::<P64>::encode(&matrix, config, &mut rng);
+        assert_eq!(dataset.block_rows(), 8);
+        let fold = dataset
+            .shares()
+            .iter()
+            .flat_map(|share| share.data())
+            .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.value());
+        assert_eq!(rng.next_u64(), 0x1a01_7658_6574_6513);
+        assert_eq!(fold, 0x38fd_cb41_336b_bf67);
     }
 
     #[test]

@@ -4,23 +4,30 @@
 //! These are the inner loops of the encoder (`X̃ = Σ X_j ℓ_j(α)`), the worker
 //! compute kernels (`X̃ w`, `X̃ᵀ e`) and the Freivalds verifier (`r · z̃`).
 //! They exploit *lazy reduction*: products of canonical representatives are
-//! accumulated unreduced in `u128` lanes and collapsed through the modulus's
-//! specialized [`PrimeModulus::reduce_wide`] backend only every
-//! [`PrimeModulus::WIDE_BATCH`] products — a compile-time bound derived from
-//! the modulus (see [`assert_wide_batch`]) guaranteeing the accumulator can
-//! never overflow. For the paper's 25-bit field the batch exceeds any
-//! realistic vector length, so a dot product performs exactly one reduction;
-//! for the 61-bit field a reduction happens every ~63 products.
+//! accumulated unreduced in `u128` lanes and pass through the modulus's
+//! specialized [`PrimeModulus::reduce_wide`] backend as rarely as the modulus
+//! allows. How rarely is decided per modulus, at compile time, by its
+//! [`PrimeModulus::WIDE_BATCH`] — the number of products a `u128` absorbs
+//! before it could overflow (see [`assert_wide_batch`]):
 //!
-//! On top of the lazy reduction, the hot sweeps ([`dot`],
-//! [`WideAccumulator::axpy`]) are *vectorized*: they stripe over
-//! [`DOT_LANES`] independent `u128` accumulator lanes so consecutive
-//! multiply-adds never serialize on a single accumulator's add-with-carry
-//! chain. The striping is pure instruction-level parallelism in safe,
-//! portable code — no `unsafe`, no target-feature gates — and the
-//! [`PrimeModulus::WIDE_BATCH`] overflow bound is enforced per lane by the
-//! same compile-time guard, so the vector path admits exactly the moduli the
-//! scalar path did.
+//! * **Huge batch** (the paper's 25-bit field: ≈ 2^78 products). The sum
+//!   cannot overflow for any realistic vector, so a dot product is one plain
+//!   `u128` accumulator and exactly one reduction.
+//! * **Tight batch** (`F_{2^61-1}`: 63 products; Goldilocks: **one**). The sum
+//!   *does* overflow — for Goldilocks at almost every addition — so instead
+//!   of collapsing the accumulator every `WIDE_BATCH` products the kernels
+//!   let it wrap and **count the carries** ([`CarryAccumulator`]): one
+//!   `overflowing_add` and one carry increment per product, and a single
+//!   reduction per accumulator at the very end, as
+//!   `reduce_wide(sum) + carries · (2^128 mod q)`. Which moduli take this
+//!   path is [`counts_carries`].
+//!
+//! On top of that the tight-batch [`dot`] stripes over [`DOT_LANES`]
+//! independent accumulators so consecutive multiply-adds never serialize on
+//! one add-with-carry chain. The striping is pure instruction-level
+//! parallelism in safe, portable code — no `unsafe`, no target-feature gates.
+//! [`WideAccumulator`], whose lanes are whole vectors, still collapses once
+//! per `WIDE_BATCH` `axpy`s.
 
 use crate::fp::{Fp, PrimeField, PrimeModulus};
 
@@ -35,26 +42,70 @@ pub const fn assert_wide_batch<M: PrimeModulus>() {
     );
 }
 
-/// Number of independent `u128` accumulator lanes the vectorized kernels
-/// stripe over. A single running accumulator serializes on its own add
-/// (`u128` add-with-carry latency per product) and, worse, on the
-/// [`PrimeModulus::reduce_wide`] collapse it must pay every
-/// [`PrimeModulus::WIDE_BATCH`] products; four independent lanes let the
-/// multiplies, adds and per-lane collapses overlap, and the compiler keep
-/// all four in registers. The lanes are folded with field additions only at
-/// the end, so the result is bit-identical to the single-lane kernel.
+/// Number of independent accumulator lanes the tight-batch [`dot`] stripes
+/// over. A single running accumulator serializes on its own add-with-carry
+/// chain; four independent lanes let the multiplies and adds overlap and the
+/// compiler keep all four in registers. The lanes are folded with field
+/// additions only at the end, so the result is bit-identical to the
+/// single-lane kernel.
 pub const DOT_LANES: usize = 4;
 
-/// Batch size above which [`dot`] skips the lane striping and keeps one
-/// running accumulator. Striping pays off exactly when the collapse cadence
-/// is tight (`F_{2^61-1}`: every 63 products; Goldilocks: every product) —
-/// the per-lane collapses then overlap instead of serializing. When a single
-/// accumulator can absorb any realistic vector without collapsing (the
+/// Batch size above which the kernels keep one plain `u128` accumulator per
+/// output instead of counting carries over striped lanes. When a single
+/// accumulator can absorb any realistic vector without overflowing (the
 /// 25-bit field's batch is ≈ 2^78), the loop is a plain multiply-add
 /// reduction that the optimizer already reassociates across iterations, and
-/// manual striping only adds bookkeeping — measured, see the
+/// a carry count or manual striping only adds bookkeeping — measured, see the
 /// `dot_lanes/<field>` benches.
 pub const LANE_STRIPE_MAX_BATCH: usize = 1 << 16;
+
+/// `true` for the moduli whose dot-product kernels ([`dot`], and
+/// `avcc_linalg::mat_vec` on top of it) accumulate through a
+/// [`CarryAccumulator`] rather than a plain `u128`: those whose
+/// [`PrimeModulus::WIDE_BATCH`] is at most [`LANE_STRIPE_MAX_BATCH`]. A
+/// `const fn` of the modulus, so the unselected kernel folds away.
+pub const fn counts_carries<M: PrimeModulus>() -> bool {
+    M::WIDE_BATCH <= LANE_STRIPE_MAX_BATCH
+}
+
+/// A running sum of unreduced products that is allowed to overflow: a `u128`
+/// that wraps, plus the number of times it did.
+///
+/// The true sum is `sum + carries · 2^128`, and `2^128 mod q` is the
+/// Montgomery constant [`PrimeModulus::MONT_R2`] every modulus already
+/// carries, so [`CarryAccumulator::finish`] reduces the whole thing once —
+/// however many products went in. Per product the cost is one widening
+/// multiply, one 128-bit add and one carry increment; no comparison, no
+/// branch, no reduction. For Goldilocks, whose every product is within a
+/// factor of two of `2^128`, this replaces a `reduce_wide` per product
+/// (`matmul_batch`: worker kernel 1.6–1.8 → 0.6–0.7 ns per multiply-add).
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CarryAccumulator {
+    sum: u128,
+    /// Times `sum` wrapped. A `u64` cannot itself overflow: it would take
+    /// 2^64 products.
+    carries: u64,
+}
+
+impl CarryAccumulator {
+    /// Adds the unreduced product `a · b`.
+    #[inline(always)]
+    pub fn add_product<M: PrimeModulus>(&mut self, a: Fp<M>, b: Fp<M>) {
+        let (sum, carried) = self
+            .sum
+            .overflowing_add(a.value() as u128 * b.value() as u128);
+        self.sum = sum;
+        self.carries += carried as u64;
+    }
+
+    /// The accumulated sum as a field element:
+    /// `reduce_wide(sum) + carries · (2^128 mod q)`.
+    #[inline]
+    pub fn finish<M: PrimeModulus>(self) -> Fp<M> {
+        let wrapped = M::reduce_wide(self.carries as u128 * M::MONT_R2 as u128);
+        Fp::from_canonical(M::reduce_wide(self.sum)) + Fp::from_canonical(wrapped)
+    }
+}
 
 /// Element-wise sum of two equal-length slices into a new vector.
 ///
@@ -102,29 +153,24 @@ pub fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
     }
 }
 
-/// Inner product `Σ a[i]·b[i]` with lazy reduction, vectorized over
-/// [`DOT_LANES`] independent `u128` accumulator lanes for the moduli whose
-/// collapse cadence is tight enough to profit (see
-/// [`LANE_STRIPE_MAX_BATCH`]; the selection is a `const` branch that folds
-/// away).
+/// Inner product `Σ a[i]·b[i]` with lazy reduction: exactly one reduction
+/// per accumulator, whatever the length.
 ///
-/// On the striped path, unreduced products stripe across the lanes
-/// (`lane[j]` absorbs elements `j, j+4, j+8, …` of each chunk), each lane is
-/// reduced through the specialized backend once every
-/// [`PrimeModulus::WIDE_BATCH`] of *its* products, and the canonical lane
-/// totals are folded with field additions at the end — the inner loop is
-/// four independent multiply-adds per step, with no division, no comparison,
-/// no branch, and no dependency chain between consecutive products. The
-/// [`PrimeModulus::WIDE_BATCH`] overflow bound holds per lane exactly as it
-/// does for the scalar kernel: a chunk of `DOT_LANES · WIDE_BATCH` elements
-/// feeds at most `WIDE_BATCH` products into any one lane between collapses.
+/// Which accumulator is a `const` branch on the modulus that folds away
+/// ([`counts_carries`]). Huge-batch moduli keep one plain `u128` running sum.
+/// Tight-batch moduli stripe the unreduced products across [`DOT_LANES`]
+/// [`CarryAccumulator`]s (`lane[j]` absorbs elements `j, j+4, j+8, …`): the
+/// inner loop is four independent multiply-add-with-carry steps, with no
+/// division, no comparison, no branch and no dependency chain between
+/// consecutive products, and the four lane totals are folded with field
+/// additions at the end.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
     const { assert_wide_batch::<M>() }
-    if const { M::WIDE_BATCH > LANE_STRIPE_MAX_BATCH } {
+    if const { !counts_carries::<M>() } {
         // Huge-batch moduli: one accumulator, (almost) no collapses — the
         // optimizer already runs this reduction wide.
         let mut accumulator: u128 = 0;
@@ -136,34 +182,27 @@ pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
         }
         return Fp::from_canonical(M::reduce_wide(accumulator));
     }
-    let chunk_len = M::WIDE_BATCH.saturating_mul(DOT_LANES);
-    let mut lanes = [0u128; DOT_LANES];
-    for (chunk_a, chunk_b) in a.chunks(chunk_len).zip(b.chunks(chunk_len)) {
-        let mut groups_a = chunk_a.chunks_exact(DOT_LANES);
-        let mut groups_b = chunk_b.chunks_exact(DOT_LANES);
-        for (ga, gb) in groups_a.by_ref().zip(groups_b.by_ref()) {
-            lanes[0] += ga[0].value() as u128 * gb[0].value() as u128;
-            lanes[1] += ga[1].value() as u128 * gb[1].value() as u128;
-            lanes[2] += ga[2].value() as u128 * gb[2].value() as u128;
-            lanes[3] += ga[3].value() as u128 * gb[3].value() as u128;
-        }
-        for ((lane, &x), &y) in lanes
-            .iter_mut()
-            .zip(groups_a.remainder())
-            .zip(groups_b.remainder())
-        {
-            *lane += x.value() as u128 * y.value() as u128;
-        }
-        for lane in lanes.iter_mut() {
-            *lane = M::reduce_wide(*lane) as u128;
-        }
+    // One carry count per lane: a count shared by the lanes would chain every
+    // product of the loop through one register (measured 2.3× slower).
+    let mut lanes = [CarryAccumulator::default(); DOT_LANES];
+    let mut groups_a = a.chunks_exact(DOT_LANES);
+    let mut groups_b = b.chunks_exact(DOT_LANES);
+    for (ga, gb) in groups_a.by_ref().zip(groups_b.by_ref()) {
+        lanes[0].add_product(ga[0], gb[0]);
+        lanes[1].add_product(ga[1], gb[1]);
+        lanes[2].add_product(ga[2], gb[2]);
+        lanes[3].add_product(ga[3], gb[3]);
     }
-    // Every lane is canonical after the per-chunk collapse (or still zero),
-    // so the fold is plain field addition.
+    for ((lane, &x), &y) in lanes
+        .iter_mut()
+        .zip(groups_a.remainder())
+        .zip(groups_b.remainder())
+    {
+        lane.add_product(x, y);
+    }
     lanes
         .into_iter()
-        .map(|lane| Fp::from_canonical(lane as u64))
-        .fold(Fp::<M>::ZERO, |acc, lane| acc + lane)
+        .fold(Fp::<M>::ZERO, |acc, lane| acc + lane.finish())
 }
 
 /// A vector of `u128` lanes accumulating unreduced products — the shared
@@ -335,6 +374,43 @@ mod tests {
         }
         // (q−1)^2 ≡ 1, so ten accumulations of it sum to 10.
         assert_eq!(accumulator.finish(), vec![H::from_u64(10); 4]);
+    }
+
+    #[test]
+    fn carry_counting_dot_is_exact_when_every_addition_overflows() {
+        // (q−1)² ≈ 2^128 − 2^97 for Goldilocks: in each lane every addition
+        // after the first wraps the u128. The lengths cover a lone lane, a
+        // partial group, exactly one group, a group plus a remainder, the
+        // e2e block width and a long odd vector. (q−1)² ≡ 1, so the sum is
+        // the length. P61 takes the same kernel and wraps every ~64 products.
+        fn check<M: PrimeModulus>() {
+            assert!(counts_carries::<M>());
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            for len in [1usize, 3, 4, 5, 512, 4099] {
+                let a = vec![near; len];
+                let reference: Fp<M> = a.iter().map(|&x| x * x).sum();
+                assert_eq!(reference, Fp::<M>::from_u64(len as u64));
+                assert_eq!(dot(&a, &a), reference, "{} len = {len}", M::NAME);
+            }
+        }
+        check::<crate::fp::P64>();
+        check::<P61>();
+    }
+
+    #[test]
+    fn carry_accumulator_counts_each_wrap_once() {
+        type H = Fp<crate::fp::P64>;
+        let near = H::from_u64(crate::fp::P64::MODULUS - 1);
+        let mut accumulator = CarryAccumulator::default();
+        assert_eq!(accumulator.finish::<crate::fp::P64>(), H::ZERO);
+        for products in 1..=5u64 {
+            accumulator.add_product(near, near);
+            assert_eq!(accumulator.carries, products - 1);
+            assert_eq!(
+                accumulator.finish::<crate::fp::P64>(),
+                H::from_u64(products)
+            );
+        }
     }
 
     #[test]

@@ -38,7 +38,7 @@
 //! |---------|---------|--------------------|
 //! | `2^61 − 1` ([`P61`]) | Mersenne fold (`2^61 ≡ 1`) | 3 shift-add folds + 1 conditional subtract |
 //! | `2^25 − 39` ([`P25`]) | pseudo-Mersenne fold (`2^25 ≡ 39`) | 3 folds + 1 conditional subtract for inputs `< 2^64` (any product of canonical values); a loop sheds ≈19.7 bits/fold above that |
-//! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1`, so every product reduces — the field's payoff is the `2^32` two-adicity that unlocks the NTT encode/decode paths |
+//! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1` — a `u128` holds one product — so the dot-product kernels let the sum wrap and count the carries instead of reducing per product (below); the field's payoff is the `2^32` two-adicity that unlocks the NTT encode/decode paths |
 //! | `251` ([`P251`]) and any other | Barrett with `μ = ⌊2^128/q⌋` | 1 high-128 multiply + ≤ 2 conditional subtracts |
 //!
 //! # Backend selection per workload shape
@@ -72,15 +72,25 @@
 //!
 //! * `q = 2^25 − 39`: products are `< 2^50`, so the batch is `≈ 2^78` — one
 //!   reduction per lane for any realistic vector length;
-//! * `q = 2^61 − 1`: products are `< 2^122`, so the batch is 63 — one
-//!   reduction per 63 products.
+//! * `q = 2^61 − 1`: products are `< 2^122`, so the batch is 63;
+//! * Goldilocks: products reach `2^128 − 2^97`, so the batch is 1.
+//!
+//! Where the batch is that tight, collapsing every `WIDE_BATCH` products
+//! would mean a reduction per product. The dot-product kernels
+//! ([`batch::dot`], `avcc_linalg::mat_vec`) instead let the `u128` **wrap and
+//! count the carries** ([`CarryAccumulator`]): the true sum is
+//! `sum + carries·2^128`, and `2^128 mod q` is the [`PrimeModulus::MONT_R2`]
+//! every modulus already carries, so each accumulator is reduced exactly
+//! once, however long the vector. Which moduli do is the `const fn`
+//! [`batch::counts_carries`]; the vector-lane [`WideAccumulator`] still
+//! collapses once per `WIDE_BATCH` `axpy`s.
 //!
 //! Every kernel checks the bound at **compile time** via an inline-`const`
 //! evaluation of [`batch::assert_wide_batch`], so an unsound modulus is a
 //! build error, not a run-time overflow. This replaces the paper's
 //! 64-bit-accumulator constraint `d·(q−1)² ≤ 2^63 − 1` (§V) with a 128-bit
 //! budget that admits the GISETTE dimension `d = 5000` in both fields with
-//! a single reduction per lane (`F25`) or 79 reductions (`F61`).
+//! a single reduction per lane.
 //!
 //! # Example
 //!
@@ -104,7 +114,8 @@ pub mod reduce;
 pub mod rng;
 
 pub use batch::{
-    batch_inverse, dot, slice_add, slice_axpy, slice_scale, slice_sub, WideAccumulator, DOT_LANES,
+    batch_inverse, dot, slice_add, slice_axpy, slice_scale, slice_sub, CarryAccumulator,
+    WideAccumulator, DOT_LANES,
 };
 pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};

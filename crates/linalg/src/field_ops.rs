@@ -8,20 +8,22 @@
 //! (`s = rᵀ·X̃`).
 //!
 //! Both are built on *lazy reduction* (see [`avcc_field::batch`]):
-//! unreduced products accumulate in `u128` lanes and collapse through the
-//! modulus's specialized [`PrimeModulus::reduce_wide`] backend once per
-//! [`PrimeModulus::WIDE_BATCH`] products, so the inner loops are
-//! multiply-add only — no division, no per-element reduction:
+//! unreduced products accumulate in `u128` lanes and pass through the
+//! modulus's specialized [`PrimeModulus::reduce_wide`] backend as rarely as
+//! the modulus allows, so the inner loops are multiply-add only — no
+//! division, no per-element reduction:
 //!
 //! * [`mat_vec`] — register-blocked: four rows share one streaming pass over
-//!   `x`, each with its own lazy accumulator.
+//!   `x`, each with its own lazy accumulator and **one reduction per row** —
+//!   a plain `u128` for the huge-batch moduli, a carry-counting
+//!   [`CarryAccumulator`] for the tight-batch ones (Goldilocks, `2^61 − 1`).
 //! * [`matt_vec`] — one [`WideAccumulator`] over the output columns; the
 //!   matrix streams through row-major exactly once.
 //!
 //! Parallelism lives one level up: the executors in `avcc_sim` run one
 //! worker's kernel per pool task, so the kernels themselves stay serial.
 
-use avcc_field::batch::assert_wide_batch;
+use avcc_field::batch::{assert_wide_batch, counts_carries, CarryAccumulator};
 use avcc_field::{Fp, PrimeModulus, WideAccumulator};
 
 use crate::matrix::Matrix;
@@ -29,8 +31,16 @@ use crate::matrix::Matrix;
 /// Matrix–vector product `A·x` over the field.
 ///
 /// Rows are processed four at a time so each streamed load of `x[j]` feeds
-/// four multiply-adds; accumulation is lazy with one reduction per row per
-/// [`PrimeModulus::WIDE_BATCH`] products.
+/// four multiply-adds. Accumulation is lazy and the accumulator is selected
+/// per modulus by the `const` [`counts_carries`], exactly as in
+/// [`avcc_field::dot`] (which also finishes the up-to-three remainder rows):
+/// tight-batch moduli — Goldilocks overflows a `u128` at almost every
+/// product — count carries and reduce once per row; huge-batch moduli keep a
+/// plain `u128` per row, collapsed once per [`PrimeModulus::WIDE_BATCH`]
+/// products (for the 25-bit field: once). On `matmul_batch` (240 × 512
+/// Goldilocks blocks, 8 inputs) counting carries instead of reducing every
+/// product takes the worker's compute from 1.6–1.8 to 0.6–0.7 ns per
+/// multiply-add (`linalg.mat_vec_ns_per_mac`).
 ///
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
@@ -43,25 +53,36 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
     // Four-row micro-kernel: one pass over x feeds four accumulators.
     while row + 4 <= rows {
         let (r0, r1, r2, r3) = (a.row(row), a.row(row + 1), a.row(row + 2), a.row(row + 3));
-        let mut acc = [0u128; 4];
-        let mut column = 0;
-        while column < x.len() {
-            let stop = (column + M::WIDE_BATCH).min(x.len());
-            for j in column..stop {
-                let xj = x[j].value() as u128;
-                acc[0] += r0[j].value() as u128 * xj;
-                acc[1] += r1[j].value() as u128 * xj;
-                acc[2] += r2[j].value() as u128 * xj;
-                acc[3] += r3[j].value() as u128 * xj;
+        if const { counts_carries::<M>() } {
+            let mut acc = [CarryAccumulator::default(); 4];
+            for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                acc[0].add_product(a0, xj);
+                acc[1].add_product(a1, xj);
+                acc[2].add_product(a2, xj);
+                acc[3].add_product(a3, xj);
             }
-            for lane in acc.iter_mut() {
-                *lane = M::reduce_wide(*lane) as u128;
+            out.extend(acc.map(CarryAccumulator::finish::<M>));
+        } else {
+            let mut acc = [0u128; 4];
+            let mut column = 0;
+            while column < x.len() {
+                let stop = (column + M::WIDE_BATCH).min(x.len());
+                for j in column..stop {
+                    let xj = x[j].value() as u128;
+                    acc[0] += r0[j].value() as u128 * xj;
+                    acc[1] += r1[j].value() as u128 * xj;
+                    acc[2] += r2[j].value() as u128 * xj;
+                    acc[3] += r3[j].value() as u128 * xj;
+                }
+                for lane in acc.iter_mut() {
+                    *lane = M::reduce_wide(*lane) as u128;
+                }
+                column = stop;
             }
-            column = stop;
+            // Lanes are collapsed to canonical representatives at every chunk
+            // boundary, so the final cast is exact.
+            out.extend(acc.iter().map(|&lane| Fp::<M>::new(lane as u64)));
         }
-        // Lanes are collapsed to canonical representatives at every chunk
-        // boundary, so the final cast is exact.
-        out.extend(acc.iter().map(|&lane| Fp::<M>::new(lane as u64)));
         row += 4;
     }
     // Remainder rows: plain lazy dot.
@@ -89,7 +110,7 @@ pub fn matt_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, y: &[Fp<M>]) -> Vec<Fp<M>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avcc_field::{PrimeField, F25, F61, P61};
+    use avcc_field::{PrimeField, F25, F61, F64, P61, P64};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -165,6 +186,21 @@ mod tests {
     }
 
     #[test]
+    fn carry_counting_mat_vec_is_exact_when_every_addition_overflows() {
+        // All-(q−1) operands: each Goldilocks product is ≈ 2^128 − 2^97, so
+        // every addition but a row's first wraps its u128 accumulator.
+        // Six rows run the four-row micro-kernel and two remainder rows;
+        // (q−1)² ≡ 1, so every output is the width.
+        let near = F64::from_u64(P64::MODULUS - 1);
+        for cols in [1usize, 3, 4, 5, 512, 4099] {
+            let a = Matrix::from_vec(6, cols, vec![near; 6 * cols]);
+            let x = vec![near; cols];
+            let expected = vec![F64::from_u64(cols as u64); 6];
+            assert_eq!(mat_vec(&a, &x), expected, "cols = {cols}");
+        }
+    }
+
+    #[test]
     fn matt_vec_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(7);
         let a = random_matrix(&mut rng, 13, 7);
@@ -196,6 +232,24 @@ mod tests {
                 .map(|(p, q)| p + q)
                 .collect();
             prop_assert_eq!(lhs, rhs);
+        }
+
+        #[test]
+        fn prop_goldilocks_kernels_match_the_elementwise_reference(
+            raw_a in proptest::collection::vec(any::<u64>(), 7 * 13),
+            raw_x in proptest::collection::vec(any::<u64>(), 13),
+        ) {
+            // Seven rows: one four-row group and three `dot` remainder rows.
+            let a = Matrix::from_vec(7, 13, raw_a.iter().map(|&v| F64::from_u64(v)).collect());
+            let x: Vec<F64> = raw_x.iter().map(|&v| F64::from_u64(v)).collect();
+            let reference: Vec<F64> = a
+                .rows_iter()
+                .map(|row| row.iter().zip(x.iter()).map(|(&p, &q)| p * q).sum())
+                .collect();
+            prop_assert_eq!(mat_vec(&a, &x), reference.clone());
+            for (row, &expected) in a.rows_iter().zip(&reference) {
+                prop_assert_eq!(avcc_field::dot(row, &x), expected);
+            }
         }
 
         #[test]

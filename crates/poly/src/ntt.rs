@@ -20,12 +20,19 @@
 //!   per-coordinate gather. Both networks unroll [`NTT_LANES`] independent
 //!   butterflies per step so the per-product reductions overlap instead of
 //!   serializing (safe portable ILP, same spirit as the
-//!   [`avcc_field::DOT_LANES`] dot-product striping).
-//! * Coset helpers ([`NttPlan::coset_scale`] / [`NttPlan::coset_scale_vectors`])
-//!   implementing the substitution `u(z) → u(c·z)`: scaling coefficient `k`
-//!   by `c^k` turns a subgroup transform into an evaluation on the coset
-//!   `c·H` (the worker points live on a coset so they never collide with the
-//!   interpolation subgroup).
+//!   [`avcc_field::DOT_LANES`] dot-product striping), and a butterfly whose
+//!   twiddle is `ω⁰ = 1` — half of them at the encoder's sizes — is an add and
+//!   a subtract, no multiply. The lanes can be as short as the caller likes:
+//!   the encoder feeds the networks a few thousand coordinates at a time so
+//!   that every stage of both transforms runs out of cache.
+//! * The inverse transform *onto a coset*
+//!   ([`NttPlan::inverse_vectors_onto_coset`]): the substitution
+//!   `u(z) → u(c·z)` scales coefficient `k` by `c^k`, which turns a following
+//!   subgroup transform into an evaluation on the coset `c·H` (the worker
+//!   points live on a coset so they never collide with the interpolation
+//!   subgroup). The inverse transform already ends in a pass that scales
+//!   every coefficient by `n^{-1}`, so the two are one pass by the folded
+//!   constant `n^{-1}·c^k`.
 //!
 //! The plan is generic over [`PrimeModulus`] and checks the field's declared
 //! [`PrimeModulus::TWO_ADICITY`] at construction; fields that do not declare
@@ -138,6 +145,14 @@ fn bit_reverse_permute<T>(data: &mut [T]) {
 }
 
 /// A cached radix-2 NTT plan for one power-of-two size.
+///
+/// The plan owns the twiddle tables and the `n^{-1}` scaling; it holds no
+/// data and no scratch, so one plan serves any number of transforms of any
+/// lane width — whole blocks, or the encoder's cache-sized chunks of them.
+/// The vector-lane operations are [`NttPlan::forward_vectors`],
+/// [`NttPlan::inverse_vectors`] and the inverse *onto a coset*,
+/// [`NttPlan::inverse_vectors_onto_coset`], which folds the coset
+/// substitution into the inverse transform's own scaling pass.
 #[derive(Debug, Clone)]
 pub struct NttPlan<M: PrimeModulus> {
     log_n: u32,
@@ -284,13 +299,36 @@ impl<M: PrimeModulus> NttPlan<M> {
     /// Panics if `lanes.len()` differs from the plan size or the blocks
     /// disagree in length.
     pub fn inverse_vectors(&self, lanes: &mut [Vec<Fp<M>>]) {
+        self.inverse_vectors_onto_coset(lanes, Fp::<M>::ONE);
+    }
+
+    /// Inverse transform over vector lanes that lands on the coset
+    /// `shift·H`: values of `u` on the subgroup → coefficients of
+    /// `u(shift·z)`, so that a following forward transform (of this or any
+    /// larger size, after zero-padding) evaluates `u` at `shift·ω^i`.
+    ///
+    /// Coefficient `k` of `u(shift·z)` is `shift^k` times that of `u`, and
+    /// the inverse network's output still owes its `n^{-1}`: both are paid
+    /// in **one** pass over the lanes, by the folded constant
+    /// `n^{-1}·shift^k`. The running constant is a dependent product chain;
+    /// for chain-routed moduli it is held in Montgomery form, so the chain
+    /// step and the per-coefficient scale are single REDC multiplies with
+    /// canonical output.
+    ///
+    /// # Panics
+    /// Panics if `lanes.len()` differs from the plan size or the blocks
+    /// disagree in length.
+    pub fn inverse_vectors_onto_coset(&self, lanes: &mut [Vec<Fp<M>>], shift: Fp<M>) {
         assert_eq!(lanes.len(), self.len(), "NTT size mismatch");
         bit_reverse_permute(lanes);
         self.vector_butterflies(lanes, &self.inverse_twiddles);
+        let shift = to_plan_form(shift);
+        let mut scale = self.n_inverse;
         for lane in lanes.iter_mut() {
             for value in lane.iter_mut() {
-                *value = twiddle_mul(self.n_inverse, *value);
+                *value = twiddle_mul(scale, *value);
             }
+            scale = plan_form_mul::<M>(scale, shift);
         }
     }
 
@@ -298,7 +336,11 @@ impl<M: PrimeModulus> NttPlan<M> {
     /// element-wise across a whole block pair. The coordinate sweep runs
     /// [`NTT_LANES`] elements per step — with a shared twiddle the four
     /// `twiddle_mul` reductions are fully independent, so this is the
-    /// highest-ILP loop in the transform (and the encoder's hot path).
+    /// highest-ILP loop in the transform (and the encoder's hot path). The
+    /// first butterfly of every group has the twiddle `ω⁰ = 1`: it is an add
+    /// and a subtract, not a multiply by (the plan form of) one — bit-identical,
+    /// and half of all butterflies at the encoder's sizes (22 of 44 at
+    /// `(K + T, A) = (8, 16)`).
     fn vector_butterflies(&self, lanes: &mut [Vec<Fp<M>>], twiddles: &[u64]) {
         let n = lanes.len();
         let width = lanes.first().map_or(0, Vec::len);
@@ -307,13 +349,21 @@ impl<M: PrimeModulus> NttPlan<M> {
             let step = n / len;
             for start in (0..n).step_by(len) {
                 for k in 0..len / 2 {
-                    let twiddle = twiddles[k * step];
                     // Split-borrow the (a, b) pair of lanes.
                     let (head, tail) = lanes.split_at_mut(start + k + len / 2);
                     let a = &mut head[start + k];
                     let b = &mut tail[0];
                     assert_eq!(a.len(), width, "NTT lanes must share a width");
                     assert_eq!(b.len(), width, "NTT lanes must share a width");
+                    if k == 0 {
+                        for (x, y) in a.iter_mut().zip(b.iter_mut()) {
+                            let sum = *x + *y;
+                            *y = *x - *y;
+                            *x = sum;
+                        }
+                        continue;
+                    }
+                    let twiddle = twiddles[k * step];
                     let mut a_groups = a.chunks_exact_mut(NTT_LANES);
                     let mut b_groups = b.chunks_exact_mut(NTT_LANES);
                     for (xs, ys) in a_groups.by_ref().zip(b_groups.by_ref()) {
@@ -343,35 +393,6 @@ impl<M: PrimeModulus> NttPlan<M> {
                 }
             }
             len <<= 1;
-        }
-    }
-
-    /// Scales coefficient `k` by `shift^k`, turning a subsequent subgroup
-    /// transform into an evaluation on the coset `shift·H` (and, with
-    /// `shift^{-1}`, undoing it after an inverse transform).
-    ///
-    /// The running power is a dependent product chain; for chain-routed
-    /// moduli it is held in Montgomery form (shift converted once per call),
-    /// so both the chain step and the per-coefficient scale are single REDC
-    /// multiplies with canonical output.
-    pub fn coset_scale(&self, coefficients: &mut [Fp<M>], shift: Fp<M>) {
-        let shift = to_plan_form(shift);
-        let mut power = to_plan_form(Fp::<M>::ONE);
-        for coefficient in coefficients.iter_mut() {
-            *coefficient = twiddle_mul(power, *coefficient);
-            power = plan_form_mul::<M>(power, shift);
-        }
-    }
-
-    /// Vector-lane form of [`NttPlan::coset_scale`].
-    pub fn coset_scale_vectors(&self, lanes: &mut [Vec<Fp<M>>], shift: Fp<M>) {
-        let shift = to_plan_form(shift);
-        let mut power = to_plan_form(Fp::<M>::ONE);
-        for lane in lanes.iter_mut() {
-            for value in lane.iter_mut() {
-                *value = twiddle_mul(power, *value);
-            }
-            power = plan_form_mul::<M>(power, shift);
         }
     }
 }
@@ -434,18 +455,42 @@ mod tests {
     }
 
     #[test]
-    fn coset_scale_evaluates_on_shifted_coset() {
+    fn inverse_onto_coset_evaluates_on_shifted_coset() {
+        // Values of `width` polynomials on the subgroup go in; after the
+        // inverse transform onto the coset and a forward transform, lane `i`
+        // holds their values at `shift·ω^i` — and with a unit shift the
+        // operation is the plain inverse transform.
         let plan = NttPlan::<P64>::new(3);
         let omega = root_of_unity::<P64>(3);
         let shift = F64::from_u64(P64::GROUP_GENERATOR);
-        let coefficients = random_data(8, 7);
-        let polynomial = crate::Polynomial::from_coefficients(coefficients.clone());
-        let mut values = coefficients;
-        plan.coset_scale(&mut values, shift);
-        plan.forward(&mut values);
-        for (i, &value) in values.iter().enumerate() {
-            let point = shift * omega.pow(i as u64);
-            assert_eq!(value, polynomial.evaluate(point), "coset point {i}");
+        let width = 5;
+        let polynomials: Vec<_> = (0..width)
+            .map(|c| crate::Polynomial::from_coefficients(random_data(8, 7 + c)))
+            .collect();
+        let values_at = |point_of: &dyn Fn(u64) -> F64| -> Vec<Vec<F64>> {
+            (0..8)
+                .map(|i| {
+                    polynomials
+                        .iter()
+                        .map(|p| p.evaluate(point_of(i)))
+                        .collect()
+                })
+                .collect()
+        };
+        let on_subgroup = values_at(&|i| omega.pow(i));
+        let mut lanes = on_subgroup.clone();
+        plan.inverse_vectors_onto_coset(&mut lanes, shift);
+        plan.forward_vectors(&mut lanes);
+        assert_eq!(lanes, values_at(&|i| shift * omega.pow(i)));
+
+        let mut plain = on_subgroup.clone();
+        plan.inverse_vectors(&mut plain);
+        let mut unit_shift = on_subgroup;
+        plan.inverse_vectors_onto_coset(&mut unit_shift, F64::ONE);
+        assert_eq!(unit_shift, plain);
+        for (k, lane) in plain.iter().enumerate() {
+            let coefficients: Vec<F64> = polynomials.iter().map(|p| p.coefficients()[k]).collect();
+            assert_eq!(lane, &coefficients, "coefficient {k}");
         }
     }
 

@@ -42,6 +42,18 @@
 //! sent that worker rather than by its `(job, round)` echo. The `tickets`
 //! module next to this one holds that state machine and the reasons.
 //!
+//! # Frames are encoded once
+//!
+//! Every frame the master sends is built straight into its final wire bytes
+//! ([`EncodedFrame`]: header, payload written in place, CRC-32C trailer — one
+//! buffer) and those shared bytes are all that moves from there: the ticket
+//! board queues them, `send_frame` writes them, and for `LOAD_BLOCK` the
+//! **respawn cache keeps them** — `install_blocks` neither clones its blocks
+//! nor serializes one twice, and a respawned worker is replayed, verbatim and
+//! with its original checksum, the frame its predecessor was sent. A job is
+//! out of the cache while its new blocks ship, so a worker respawned in the
+//! middle of `install_blocks` gets that job's block once.
+//!
 //! # Eviction and recovery
 //!
 //! Any wire-level defect on a worker's connection — checksum mismatch,
@@ -50,7 +62,8 @@
 //! evicts the worker: its outcome is simply absent, which is exactly the
 //! straggler/Byzantine shape the decode layer already tolerates. The
 //! connection is torn down; at the next round the worker is respawned,
-//! re-handshaken and re-sent every cached block (`reconnect-or-evict`).
+//! re-handshaken and replayed every cached `LOAD_BLOCK` frame
+//! (`reconnect-or-evict`).
 //! Respawn attempts that *fail* back off with capped exponential delay and
 //! deterministic per-(worker, attempt) jitter — see [`backoff_delay`] — so a
 //! dead host is not hammered every round while the rest of the fleet makes
@@ -79,8 +92,8 @@ use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use avcc_wire::{
-    read_frame, write_frame, Block, Fault, FaultKind, Frame, FrameKind, Hello, HelloAck, Task,
-    TaskResult, WireError, WorkerOptions, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    read_frame, write_frame, Block, EncodedFrame, Fault, FaultKind, Frame, FrameKind, Hello,
+    HelloAck, Task, TaskResult, WireError, WorkerOptions, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
@@ -440,7 +453,8 @@ enum Event {
 }
 
 /// The TCP/UDS master runtime. See the module docs for topology and
-/// semantics.
+/// semantics: split-phase rounds with one task in flight per worker, frames
+/// encoded once and cached as wire bytes, reconnect-or-evict.
 #[derive(Debug)]
 pub struct SocketExecutor {
     profile: ClusterProfile,
@@ -449,9 +463,10 @@ pub struct SocketExecutor {
     links: Vec<Option<WorkerLink>>,
     events: mpsc::Receiver<Event>,
     events_tx: mpsc::Sender<Event>,
-    /// Master-side block cache, job → per-worker blocks: what a respawned
-    /// worker must be re-sent before it can compute again.
-    blocks: HashMap<u64, Vec<Block>>,
+    /// The respawn cache, job → each worker's `LOAD_BLOCK` frame as it was
+    /// first sent: what a respawned worker is replayed, verbatim, before it
+    /// can compute again.
+    blocks: HashMap<u64, Vec<EncodedFrame>>,
     /// Live rounds, what each worker is busy with and what waits for it.
     board: TicketBoard,
     /// Evictions since the most recent submit.
@@ -552,7 +567,7 @@ impl SocketExecutor {
     /// handles exactly as it would the real thing.
     pub fn inject_fault(&mut self, worker: usize, kind: FaultKind) -> Result<(), ExecutorError> {
         if self.links[worker].is_some() {
-            self.post(worker, None, Fault { kind }.frame());
+            self.post(worker, None, Fault { kind }.encoded_frame());
         }
         // `post` evicts on a failed write, so a missing link covers both "was
         // already down" and "went down under this frame".
@@ -738,11 +753,12 @@ impl SocketExecutor {
         self.failed_respawns[worker] = 0;
         self.respawn_after[worker] = now;
         self.metrics.respawns += 1;
-        // Re-send the worker's block for every cached job.
-        let frames: Vec<Frame> = self
+        // Replay the worker's block of every cached job: the bytes first
+        // sent, checksum and all.
+        let frames: Vec<EncodedFrame> = self
             .blocks
-            .iter()
-            .filter_map(|(job, blocks)| blocks.get(worker).map(|b| b.frame(*job)))
+            .values()
+            .filter_map(|frames| frames.get(worker).cloned())
             .collect();
         for frame in frames {
             if self.send_frame(worker, &frame).is_err() {
@@ -756,7 +772,7 @@ impl SocketExecutor {
     /// Queues `frame` for `worker` (as part of `ticket`'s round, if any) and
     /// sends whatever the worker is ready for: everything at once if it is
     /// idle, nothing until its result arrives if it is busy.
-    fn post(&mut self, worker: usize, ticket: Option<u64>, frame: Frame) {
+    fn post(&mut self, worker: usize, ticket: Option<u64>, frame: EncodedFrame) {
         self.board.enqueue(worker, ticket, frame);
         self.flush(worker);
     }
@@ -765,23 +781,19 @@ impl SocketExecutor {
     fn flush(&mut self, worker: usize) {
         while let Some(frame) = self.board.pop_ready(worker, Instant::now()) {
             if self.send_frame(worker, &frame).is_err() {
-                self.evict(worker, frame.round, EvictionReason::Disconnected);
+                self.evict(worker, frame.round(), EvictionReason::Disconnected);
             }
         }
     }
 
-    fn send_frame(&mut self, worker: usize, frame: &Frame) -> Result<(), WireError> {
+    fn send_frame(&mut self, worker: usize, frame: &EncodedFrame) -> Result<(), WireError> {
         let link = self.links[worker].as_mut().ok_or(WireError::Closed {
             context: "sending to an evicted worker",
         })?;
-        match write_frame(&mut link.writer, frame) {
-            Ok(bytes) => {
-                self.metrics.frames_sent += 1;
-                self.metrics.bytes_sent += bytes as u64;
-                Ok(())
-            }
-            Err(error) => Err(error),
-        }
+        let bytes = frame.write_to(&mut link.writer)?;
+        self.metrics.frames_sent += 1;
+        self.metrics.bytes_sent += bytes as u64;
+        Ok(())
     }
 
     /// Records an eviction and tears the connection down.
@@ -932,15 +944,23 @@ impl Executor for SocketExecutor {
         }
         self.pump(None, None);
         self.metrics.tasks_dropped += self.board.retire_job(job);
-        self.blocks.insert(job, blocks.to_vec());
+        // The job leaves the respawn cache while its new blocks ship: a
+        // worker `ensure_live` respawns inside this loop is replayed the
+        // *other* jobs' blocks, and gets this job's from the `post` — once.
+        self.blocks.remove(&job);
+        let mut frames = Vec::with_capacity(blocks.len());
         for (worker, block) in blocks.iter().enumerate() {
-            if !self.ensure_live(worker) {
-                continue; // stays dead; eviction surfaces at round time
+            // Encoded once: these bytes are what is queued, what is written
+            // and what the cache keeps.
+            let frame = block.encoded_frame(job);
+            frames.push(frame.clone());
+            if self.ensure_live(worker) {
+                self.post(worker, None, frame);
             }
-            // `ensure_live` above re-sent cached blocks only for *respawned*
-            // workers; live workers still need this job's block.
-            self.post(worker, None, block.frame(job));
+            // Otherwise it stays dead (eviction surfaces at round time) and
+            // finds its block in the cache when it comes back.
         }
+        self.blocks.insert(job, frames);
         Ok(())
     }
 
@@ -1010,7 +1030,7 @@ impl Executor for SocketExecutor {
                 // evicted as a corrupt frame — the real defect, end to end.
                 let kind = FaultKind::CorruptPayload;
                 self.board
-                    .enqueue(worker, Some(ticket), Fault { kind }.frame());
+                    .enqueue(worker, Some(ticket), Fault { kind }.encoded_frame());
             }
             let slowdown = self.profile.worker(worker).effective_slowdown()
                 * self
@@ -1022,7 +1042,7 @@ impl Executor for SocketExecutor {
                 sleep_micros: (sleep * 1e6) as u64,
                 inputs: worker_inputs.clone(),
             };
-            self.post(worker, Some(ticket), task.frame(job, round));
+            self.post(worker, Some(ticket), task.encoded_frame(job, round));
         }
         Ok(RoundTicket::live(ticket))
     }
@@ -1054,8 +1074,9 @@ impl Executor for SocketExecutor {
 impl Drop for SocketExecutor {
     fn drop(&mut self) {
         // Graceful: ask every live worker to exit, then reap.
+        let shutdown = EncodedFrame::from(&Frame::new(FrameKind::Shutdown, 0, 0, Vec::new()));
         for worker in 0..self.links.len() {
-            let _ = self.send_frame(worker, &Frame::new(FrameKind::Shutdown, 0, 0, Vec::new()));
+            let _ = self.send_frame(worker, &shutdown);
         }
         for link in self.links.iter_mut().flatten() {
             if let Some(child) = link.child.as_mut() {

@@ -31,7 +31,7 @@
 use std::collections::{BTreeMap, VecDeque};
 use std::time::{Duration, Instant};
 
-use avcc_wire::{Frame, FrameKind};
+use avcc_wire::{EncodedFrame, FrameKind};
 
 use crate::executor::{EvictionReason, RawOutcome, RoundPoll};
 
@@ -51,7 +51,9 @@ struct Queued {
     /// it): retiring that round drops the frame unsent. `None` for frames
     /// that must reach the worker regardless (`LOAD_BLOCK`).
     ticket: Option<u64>,
-    frame: Frame,
+    /// Already in its wire bytes: the board reads only its kind, job and
+    /// round.
+    frame: EncodedFrame,
 }
 
 #[derive(Debug, Default)]
@@ -162,8 +164,8 @@ impl TicketBoard {
     /// Queues `frame` for `worker` behind whatever is already waiting; a
     /// `TASK` of a live `ticket` makes the round wait for the worker. Send
     /// what [`TicketBoard::pop_ready`] releases afterwards.
-    pub(crate) fn enqueue(&mut self, worker: usize, ticket: Option<u64>, frame: Frame) {
-        if frame.kind == FrameKind::Task {
+    pub(crate) fn enqueue(&mut self, worker: usize, ticket: Option<u64>, frame: EncodedFrame) {
+        if frame.kind() == FrameKind::Task {
             if let Some(round) = ticket.and_then(|t| self.rounds.get_mut(&t)) {
                 round.pending.push(worker);
             }
@@ -173,17 +175,17 @@ impl TicketBoard {
 
     /// The next frame to write to `worker`, if it is idle and has one queued.
     /// Releasing a `TASK` makes the worker busy from `now`.
-    pub(crate) fn pop_ready(&mut self, worker: usize, now: Instant) -> Option<Frame> {
+    pub(crate) fn pop_ready(&mut self, worker: usize, now: Instant) -> Option<EncodedFrame> {
         let lane = &mut self.lanes[worker];
         if lane.busy.is_some() {
             return None;
         }
         let Queued { ticket, frame } = lane.queue.pop_front()?;
-        if frame.kind == FrameKind::Task {
+        if frame.kind() == FrameKind::Task {
             lane.busy = Some(InFlight {
                 ticket,
-                job: frame.job,
-                round: frame.round,
+                job: frame.job(),
+                round: frame.round(),
                 sent_at: now,
             });
         }
@@ -292,7 +294,7 @@ impl TicketBoard {
         for lane in &mut self.lanes {
             lane.queue.retain(|queued| {
                 let retired = queued.ticket == Some(ticket);
-                dropped += u64::from(retired && queued.frame.kind == FrameKind::Task);
+                dropped += u64::from(retired && queued.frame.kind() == FrameKind::Task);
                 !retired
             });
         }
@@ -311,7 +313,7 @@ impl TicketBoard {
         let dropped = void.into_iter().map(|ticket| self.retire(ticket)).sum();
         for lane in &mut self.lanes {
             lane.queue.retain(|queued| {
-                !(queued.frame.kind == FrameKind::LoadBlock && queued.frame.job == job)
+                !(queued.frame.kind() == FrameKind::LoadBlock && queued.frame.job() == job)
             });
         }
         dropped
@@ -355,22 +357,22 @@ mod tests {
     const ROUND: u64 = 5;
     const TIMEOUT: Duration = Duration::from_secs(30);
 
-    fn task(job: u64, round: u64) -> Frame {
+    fn task(job: u64, round: u64) -> EncodedFrame {
         Task {
             sleep_micros: 0,
             inputs: vec![vec![1, 2]],
         }
-        .frame(job, round)
+        .encoded_frame(job, round)
     }
 
-    fn load_block(job: u64) -> Frame {
+    fn load_block(job: u64) -> EncodedFrame {
         Block {
             modulus: 33_554_393,
             rows: 1,
             cols: 1,
             elements: vec![1],
         }
-        .frame(job)
+        .encoded_frame(job)
     }
 
     fn outcome(worker: usize) -> RawOutcome {
@@ -394,7 +396,7 @@ mod tests {
         for worker in [WORKER, 1] {
             board.enqueue(worker, Some(ticket), task(JOB, ROUND));
             let sent = board.pop_ready(worker, now).expect("idle worker");
-            assert_eq!(sent.kind, FrameKind::Task);
+            assert_eq!(sent.kind(), FrameKind::Task);
             assert!(board.pop_ready(worker, now).is_none(), "one task in flight");
         }
         (board, ticket)
@@ -584,7 +586,7 @@ mod tests {
 
         board.on_frame(WORKER, GENERATION, FrameKind::TaskResult, JOB, ROUND);
         let sent: Vec<(FrameKind, u64)> = std::iter::from_fn(|| board.pop_ready(WORKER, now))
-            .map(|frame| (frame.kind, frame.job))
+            .map(|frame| (frame.kind(), frame.job()))
             .collect();
         assert_eq!(
             sent,
@@ -594,7 +596,7 @@ mod tests {
         let verdict = board.on_frame(WORKER, GENERATION, FrameKind::TaskResult, JOB + 1, 0);
         assert!(matches!(verdict, Verdict::Deliver { ticket, .. } if ticket == second));
         assert_eq!(
-            board.pop_ready(WORKER, now).map(|frame| frame.job),
+            board.pop_ready(WORKER, now).map(|frame| frame.job()),
             Some(JOB + 2)
         );
         assert_eq!(board.retire(first), 0);
@@ -613,7 +615,7 @@ mod tests {
             Fault {
                 kind: FaultKind::CorruptPayload,
             }
-            .frame(),
+            .encoded_frame(),
         );
         board.enqueue(WORKER, Some(second), task(JOB, ROUND));
         assert_eq!(
@@ -629,7 +631,7 @@ mod tests {
             Verdict::Stale
         );
         assert_eq!(
-            board.pop_ready(WORKER, now).map(|frame| frame.kind),
+            board.pop_ready(WORKER, now).map(|frame| frame.kind()),
             Some(FrameKind::LoadBlock)
         );
         assert!(board.pop_ready(WORKER, now).is_none());
@@ -652,7 +654,7 @@ mod tests {
         let queued: Vec<u64> = board.lanes[WORKER]
             .queue
             .iter()
-            .map(|q| q.frame.job)
+            .map(|q| q.frame.job())
             .collect();
         assert_eq!(queued, [JOB + 1], "the other job's block still ships");
     }

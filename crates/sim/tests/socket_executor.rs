@@ -9,7 +9,7 @@ use std::time::Duration;
 use avcc_sim::cluster::ClusterProfile;
 use avcc_sim::executor::{EvictionReason, Executor, RawOutcome, ThreadedExecutor};
 use avcc_sim::socket::{SocketConfig, SocketExecutor, Transport};
-use avcc_sim::wire::{Block, FaultKind};
+use avcc_sim::wire::{Block, FaultKind, HelloAck, Task};
 use proptest::prelude::*;
 
 const Q: u64 = 2_305_843_009_213_693_951; // P61, the largest supported modulus
@@ -194,6 +194,140 @@ fn killed_worker_is_respawned_or_stays_evicted() {
     assert_eq!(evictions.len(), 1);
     assert_eq!(evictions[0].worker, 0);
     assert_eq!(evictions[0].reason, EvictionReason::Disconnected);
+}
+
+/// What a respawn costs on the wire before any block: the `HELLO_ACK`.
+fn hello_ack_bytes(worker: usize, workers: usize) -> u64 {
+    let ack = HelloAck {
+        worker: worker as u32,
+        workers: workers as u32,
+    };
+    ack.frame().wire_len() as u64
+}
+
+/// Bytes of one round's `TASK` frames (their size does not depend on the
+/// sleep or the round serial).
+fn task_bytes(inputs: &[Vec<Vec<u64>>]) -> u64 {
+    inputs
+        .iter()
+        .map(|worker_inputs| {
+            let task = Task {
+                sleep_micros: 0,
+                inputs: worker_inputs.clone(),
+            };
+            task.frame(0, 0).wire_len() as u64
+        })
+        .sum()
+}
+
+fn uds_fleet(workers: usize) -> SocketExecutor {
+    SocketExecutor::with_config(
+        ClusterProfile::uniform(workers),
+        quick_config(Transport::Uds),
+    )
+    .unwrap()
+}
+
+fn oracle_round(job_blocks: &[Block], inputs: &[Vec<Vec<u64>>]) -> Vec<(usize, Vec<Vec<u64>>)> {
+    let mut oracle = ThreadedExecutor::new(ClusterProfile::uniform(job_blocks.len()));
+    oracle.install_blocks(0, job_blocks).unwrap();
+    payloads(oracle.execute_round(0, 0, inputs).unwrap())
+}
+
+/// A worker found dead by `install_blocks` is respawned there and then: it is
+/// replayed the blocks of the jobs already cached and shipped the new job's
+/// block with everyone else — once, not once by the replay and again by the
+/// install.
+#[test]
+fn a_worker_respawned_during_install_is_shipped_the_jobs_block_once() {
+    let workers = 3;
+    let older = blocks(workers, 2, 2, 43);
+    let newer = blocks(workers, 3, 2, 41);
+    let inputs = inputs(workers, 1, 2, 41);
+    let mut socket = uds_fleet(workers);
+    socket.install_blocks(8, &older).unwrap();
+    socket.kill_worker(1);
+
+    let before = socket.metrics();
+    socket.install_blocks(4, &newer).unwrap();
+    let after = socket.metrics();
+    assert_eq!(after.respawns - before.respawns, 1);
+    // HELLO_ACK and job 8's block to worker 1, then job 4's block to each.
+    assert_eq!(
+        after.frames_sent - before.frames_sent,
+        2 + workers as u64,
+        "exactly one LOAD_BLOCK of the new job per worker"
+    );
+    let newer_bytes: u64 = newer.iter().map(|b| b.frame(4).wire_len() as u64).sum();
+    assert_eq!(
+        after.bytes_sent - before.bytes_sent,
+        hello_ack_bytes(1, workers) + older[1].frame(8).wire_len() as u64 + newer_bytes
+    );
+
+    // The respawned worker computes on both jobs, exactly.
+    for (job, job_blocks) in [(4, &newer), (8, &older)] {
+        let got = payloads(socket.execute_round(job, 0, &inputs).unwrap());
+        assert_eq!(got, oracle_round(job_blocks, &inputs), "job {job}");
+        assert!(socket.round_evictions().is_empty());
+    }
+    assert_eq!(
+        socket.metrics().bytes_sent - after.bytes_sent,
+        2 * task_bytes(&inputs),
+        "two rounds of tasks and nothing else"
+    );
+}
+
+/// The respawn cache holds each `LOAD_BLOCK` frame's wire bytes and replays
+/// them verbatim: a respawn costs the handshake plus exactly that frame, the
+/// worker accepts its checksum, and its next result is exact.
+#[test]
+fn a_respawned_worker_is_replayed_the_bytes_first_sent() {
+    let workers = 3;
+    let blocks = blocks(workers, 4, 3, 57);
+    let inputs = inputs(workers, 2, 3, 57);
+    let mut socket = uds_fleet(workers);
+    socket.install_blocks(4, &blocks).unwrap();
+    let clean = payloads(socket.execute_round(4, 0, &inputs).unwrap());
+    assert_eq!(clean, oracle_round(&blocks, &inputs));
+
+    socket.kill_worker(2);
+    let before = socket.metrics();
+    let after_respawn = payloads(socket.execute_round(4, 1, &inputs).unwrap());
+    let after = socket.metrics();
+    assert_eq!(after_respawn, clean, "the replayed block is the block");
+    assert!(socket.round_evictions().is_empty(), "the replay's CRC held");
+    assert_eq!(after.respawns - before.respawns, 1);
+    assert_eq!(after.frames_sent - before.frames_sent, 2 + workers as u64);
+    assert_eq!(
+        after.bytes_sent - before.bytes_sent,
+        hello_ack_bytes(2, workers) + blocks[2].frame(4).wire_len() as u64 + task_bytes(&inputs)
+    );
+}
+
+/// Installing a job again replaces its entry in the respawn cache: a worker
+/// respawned afterwards is replayed the new block, not the old one.
+#[test]
+fn reinstalling_a_job_replaces_its_respawn_cache_entry() {
+    let workers = 3;
+    let first = blocks(workers, 2, 2, 61);
+    let second = blocks(workers, 5, 2, 67); // another shape: another frame length
+    let inputs = inputs(workers, 1, 2, 61);
+    let mut socket = uds_fleet(workers);
+    socket.install_blocks(4, &first).unwrap();
+    socket.install_blocks(4, &second).unwrap();
+    socket.kill_worker(0);
+
+    let before = socket.metrics();
+    let got = payloads(socket.execute_round(4, 0, &inputs).unwrap());
+    let after = socket.metrics();
+    assert_eq!(got, oracle_round(&second, &inputs));
+    assert!(socket.round_evictions().is_empty());
+    assert_eq!(after.frames_sent - before.frames_sent, 2 + workers as u64);
+    assert_eq!(
+        after.bytes_sent - before.bytes_sent,
+        hello_ack_bytes(0, workers) + second[0].frame(4).wire_len() as u64 + task_bytes(&inputs),
+        "one replayed LOAD_BLOCK, of the second install's size"
+    );
 }
 
 /// A worker that blows the task deadline is evicted as a timed-out

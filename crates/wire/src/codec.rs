@@ -48,6 +48,16 @@ impl WireWriter {
         &self.buf
     }
 
+    /// Appends one byte.
+    pub fn put_u8(&mut self, value: u8) {
+        self.buf.push(value);
+    }
+
+    /// Appends raw bytes as they are.
+    pub fn put_bytes(&mut self, bytes: &[u8]) {
+        self.buf.extend_from_slice(bytes);
+    }
+
     /// Appends a little-endian `u16`.
     pub fn put_u16(&mut self, value: u16) {
         self.buf.extend_from_slice(&value.to_le_bytes());
@@ -145,6 +155,13 @@ impl<'a> WireReader<'a> {
     /// Reads an `f64` stored as its IEEE-754 bit pattern.
     pub fn take_f64(&mut self, context: &'static str) -> Result<f64, WireError> {
         Ok(f64::from_bits(self.take_u64(context)?))
+    }
+
+    /// Everything not yet consumed, consuming it.
+    pub fn take_rest(&mut self) -> &'a [u8] {
+        let rest = &self.bytes[self.pos..];
+        self.pos = self.bytes.len();
+        rest
     }
 
     /// Fails unless every byte has been consumed — trailing garbage in a

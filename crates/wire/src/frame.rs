@@ -20,10 +20,18 @@
 //! protocol revision may change the checksum algorithm; the kind byte is
 //! checked *after* so an unknown kind is only reported for frames proven
 //! intact (a corrupted kind byte surfaces as the checksum failure it is).
+//!
+//! A frame is encoded by **one routine**, straight into its final wire bytes —
+//! header, payload and trailer in one buffer, the payload written in place by
+//! its message type, never staged and copied. [`Frame::encode`] goes through
+//! it, and so does [`EncodedFrame`], the form a sender keeps when the same
+//! bytes will be written more than once or held while the peer is busy.
 
 use std::io::{ErrorKind, Read, Write};
+use std::sync::Arc;
 
-use crate::crc::Crc32c;
+use crate::codec::WireWriter;
+use crate::crc::{crc32c, Crc32c};
 use crate::error::WireError;
 
 /// First four bytes of every frame.
@@ -127,27 +135,140 @@ impl Frame {
     /// fault injection isolates version-mismatch handling from checksum
     /// handling.
     pub fn encode_with_version(&self, version: u16) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.wire_len());
-        buf.extend_from_slice(&MAGIC);
-        buf.extend_from_slice(&version.to_le_bytes());
-        buf.push(self.kind.code());
-        buf.push(0); // flags: reserved
-        buf.extend_from_slice(&self.job.to_le_bytes());
-        buf.extend_from_slice(&self.round.to_le_bytes());
-        buf.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        buf.extend_from_slice(&self.payload);
-        let mut crc = Crc32c::new();
-        crc.update(&buf);
-        buf.extend_from_slice(&crc.finalize().to_le_bytes());
-        buf
+        encode_frame(
+            version,
+            self.kind,
+            self.job,
+            self.round,
+            self.payload.len(),
+            |w| w.put_bytes(&self.payload),
+        )
+    }
+}
+
+/// The one frame-encode routine: the 28-byte header, then whatever
+/// `write_payload` appends (`payload_len` is a capacity hint; the length field
+/// is set from what was actually written), then the CRC-32C of everything
+/// before it — one buffer, allocated once, already the bytes for the socket.
+fn encode_frame(
+    version: u16,
+    kind: FrameKind,
+    job: u64,
+    round: u64,
+    payload_len: usize,
+    write_payload: impl FnOnce(&mut WireWriter),
+) -> Vec<u8> {
+    let mut w = WireWriter::with_capacity(HEADER_LEN + payload_len + TRAILER_LEN);
+    w.put_bytes(&MAGIC);
+    w.put_u16(version);
+    w.put_u8(kind.code());
+    w.put_u8(0); // flags: reserved
+    w.put_u64(job);
+    w.put_u64(round);
+    w.put_u32(0); // payload length, known once the payload is written
+    write_payload(&mut w);
+    let mut buf = w.into_bytes();
+    let written = (buf.len() - HEADER_LEN) as u32;
+    buf[HEADER_LEN - 4..HEADER_LEN].copy_from_slice(&written.to_le_bytes());
+    let checksum = crc32c(&buf);
+    buf.extend_from_slice(&checksum.to_le_bytes());
+    buf
+}
+
+/// A frame in its final wire form — header, payload and CRC-32C trailer in
+/// one immutable buffer — with the three header fields a sender's bookkeeping
+/// reads beside it.
+///
+/// Encoded once ([`EncodedFrame::build`], or the `encoded_frame` helper of a
+/// message type, which writes the payload in place), then shared: clones
+/// share the buffer, so the same bytes can sit in a send queue, be written to
+/// a socket, and be kept to replay to a reconnecting peer verbatim, checksum
+/// included, without ever being re-encoded.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct EncodedFrame {
+    // Private: they restate what `bytes` already says in its header.
+    kind: FrameKind,
+    job: u64,
+    round: u64,
+    bytes: Arc<Vec<u8>>,
+}
+
+impl EncodedFrame {
+    /// Encodes a frame whose payload `write_payload` appends to the writer it
+    /// is handed; `payload_len` sizes the buffer up front.
+    pub fn build(
+        kind: FrameKind,
+        job: u64,
+        round: u64,
+        payload_len: usize,
+        write_payload: impl FnOnce(&mut WireWriter),
+    ) -> Self {
+        let bytes = encode_frame(
+            PROTOCOL_VERSION,
+            kind,
+            job,
+            round,
+            payload_len,
+            write_payload,
+        );
+        Self {
+            kind,
+            job,
+            round,
+            bytes: Arc::new(bytes),
+        }
+    }
+
+    /// What the payload is.
+    pub fn kind(&self) -> FrameKind {
+        self.kind
+    }
+
+    /// Job the frame belongs to (0 for connection-level frames).
+    pub fn job(&self) -> u64 {
+        self.job
+    }
+
+    /// Round serial within the job (0 when not round-scoped).
+    pub fn round(&self) -> u64 {
+        self.round
+    }
+
+    /// The bytes that go on the wire.
+    pub fn bytes(&self) -> &[u8] {
+        &self.bytes
+    }
+
+    /// Total on-the-wire size of this frame in bytes.
+    pub fn wire_len(&self) -> usize {
+        self.bytes.len()
+    }
+
+    /// Writes the frame; returns the bytes written.
+    pub fn write_to<W: Write>(&self, writer: &mut W) -> Result<usize, WireError> {
+        write_bytes(writer, &self.bytes)
+    }
+}
+
+impl From<&Frame> for EncodedFrame {
+    fn from(frame: &Frame) -> Self {
+        Self {
+            kind: frame.kind,
+            job: frame.job,
+            round: frame.round,
+            bytes: Arc::new(frame.encode()),
+        }
     }
 }
 
 /// Encodes and writes one frame; returns the bytes written.
 pub fn write_frame<W: Write>(writer: &mut W, frame: &Frame) -> Result<usize, WireError> {
-    let bytes = frame.encode();
+    write_bytes(writer, &frame.encode())
+}
+
+fn write_bytes<W: Write>(writer: &mut W, bytes: &[u8]) -> Result<usize, WireError> {
     writer
-        .write_all(&bytes)
+        .write_all(bytes)
         .map_err(|e| WireError::io(e, "writing frame"))?;
     writer
         .flush()

@@ -40,8 +40,8 @@ pub use compute::TypedBlock;
 pub use crc::{crc32c, crc32c_bytewise, Crc32c};
 pub use error::WireError;
 pub use frame::{
-    read_frame, write_frame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN, MAGIC,
-    PROTOCOL_VERSION, TRAILER_LEN,
+    read_frame, write_frame, EncodedFrame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
+    MAGIC, PROTOCOL_VERSION, TRAILER_LEN,
 };
 pub use message::{
     result_frame_bytes, Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult,

@@ -2,14 +2,18 @@
 //!
 //! Each message type knows how to `encode` itself into payload bytes and
 //! `decode` itself back, and has a `frame(...)` helper producing the full
-//! [`Frame`]. Counts are explicit (`u32`) and validated against the payload
+//! [`Frame`]. The messages a master queues, and may have to hold or replay —
+//! [`Block`], [`Task`], [`Fault`] — also have `encoded_frame(...)`, the frame
+//! in its final wire bytes ([`EncodedFrame`]); the two that carry element
+//! arrays write them straight into that one buffer, with no staged copy.
+//! Counts are explicit (`u32`) and validated against the payload
 //! length on decode; every decoder finishes with `expect_end`, so trailing
 //! bytes are a protocol violation rather than silently ignored padding.
 //! Byte-level layouts are specified in `docs/WIRE_FORMAT.md`.
 
 use crate::codec::{take_u64_elements, WireReader, WireWriter};
 use crate::error::WireError;
-use crate::frame::{Frame, FrameKind, PROTOCOL_VERSION};
+use crate::frame::{EncodedFrame, Frame, FrameKind, PROTOCOL_VERSION};
 
 /// Worker → master handshake opener.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -103,13 +107,21 @@ pub struct Block {
 }
 
 impl Block {
-    /// Payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(16 + self.elements.len() * 8);
+    fn payload_len(&self) -> usize {
+        16 + self.elements.len() * 8
+    }
+
+    fn write_payload(&self, w: &mut WireWriter) {
         w.put_u64(self.modulus);
         w.put_u32(self.rows);
         w.put_u32(self.cols);
         w.put_u64_bulk(&self.elements);
+    }
+
+    /// Payload bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.payload_len());
+        self.write_payload(&mut w);
         w.into_bytes()
     }
 
@@ -138,6 +150,14 @@ impl Block {
     /// The full `LOAD_BLOCK` frame for `job`.
     pub fn frame(&self, job: u64) -> Frame {
         Frame::new(FrameKind::LoadBlock, job, 0, self.encode())
+    }
+
+    /// The `LOAD_BLOCK` frame for `job` in its final wire bytes, the elements
+    /// serialized straight into them.
+    pub fn encoded_frame(&self, job: u64) -> EncodedFrame {
+        EncodedFrame::build(FrameKind::LoadBlock, job, 0, self.payload_len(), |w| {
+            self.write_payload(w)
+        })
     }
 }
 
@@ -179,17 +199,29 @@ pub struct Task {
 }
 
 impl Task {
-    /// Payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
+    fn payload_len(&self) -> usize {
+        16 + self
+            .inputs
+            .iter()
+            .map(|input| input.len() * 8)
+            .sum::<usize>()
+    }
+
+    fn write_payload(&self, w: &mut WireWriter) {
         let input_len = self.inputs.first().map_or(0, Vec::len);
         debug_assert!(self.inputs.iter().all(|i| i.len() == input_len));
-        let mut w = WireWriter::with_capacity(16 + self.inputs.len() * input_len * 8);
         w.put_u64(self.sleep_micros);
         w.put_u32(self.inputs.len() as u32);
         w.put_u32(input_len as u32);
         for input in &self.inputs {
             w.put_u64_bulk(input);
         }
+    }
+
+    /// Payload bytes.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut w = WireWriter::with_capacity(self.payload_len());
+        self.write_payload(&mut w);
         w.into_bytes()
     }
 
@@ -210,6 +242,13 @@ impl Task {
     /// The full frame for `(job, round)`.
     pub fn frame(&self, job: u64, round: u64) -> Frame {
         Frame::new(FrameKind::Task, job, round, self.encode())
+    }
+
+    /// The frame for `(job, round)` in its final wire bytes.
+    pub fn encoded_frame(&self, job: u64, round: u64) -> EncodedFrame {
+        EncodedFrame::build(FrameKind::Task, job, round, self.payload_len(), |w| {
+            self.write_payload(w)
+        })
     }
 }
 
@@ -325,6 +364,11 @@ impl Fault {
     /// The full frame.
     pub fn frame(&self) -> Frame {
         Frame::new(FrameKind::Fault, 0, 0, self.encode())
+    }
+
+    /// The frame in its final wire bytes.
+    pub fn encoded_frame(&self) -> EncodedFrame {
+        EncodedFrame::from(&self.frame())
     }
 }
 
@@ -475,6 +519,59 @@ mod tests {
             Task::decode(&task),
             Err(WireError::Truncated { .. })
         ));
+    }
+
+    #[test]
+    fn frames_encoded_in_place_are_the_bytes_of_the_staged_encoding() {
+        // One wire format, two ways to reach it: the payload staged in a
+        // `Frame` and copied, or written straight into the final buffer.
+        let block = Block {
+            modulus: 251,
+            rows: 5,
+            cols: 7,
+            elements: (0..35).collect(), // crosses put_u64_bulk's 16-element stage
+        };
+        let task = Task {
+            sleep_micros: 1500,
+            inputs: vec![(0..20).collect(), (20..40).collect()],
+        };
+        let fault = Fault {
+            kind: FaultKind::Truncate,
+        };
+        let shutdown = Frame::new(FrameKind::Shutdown, 0, 0, Vec::new());
+        let pairs = [
+            (block.encoded_frame(9), block.frame(9)),
+            (task.encoded_frame(9, 4), task.frame(9, 4)),
+            (
+                Task {
+                    sleep_micros: 0,
+                    inputs: Vec::new(),
+                }
+                .encoded_frame(1, 2),
+                Task {
+                    sleep_micros: 0,
+                    inputs: Vec::new(),
+                }
+                .frame(1, 2),
+            ),
+            (fault.encoded_frame(), fault.frame()),
+            (EncodedFrame::from(&shutdown), shutdown.clone()),
+        ];
+        for (encoded, staged) in pairs {
+            assert_eq!(encoded.bytes(), staged.encode(), "{:?}", staged.kind);
+            assert_eq!(encoded.wire_len(), staged.wire_len());
+            assert_eq!(
+                (encoded.kind(), encoded.job(), encoded.round()),
+                (staged.kind, staged.job, staged.round)
+            );
+            let (read, consumed) =
+                crate::frame::read_frame(&mut encoded.bytes(), crate::frame::DEFAULT_MAX_PAYLOAD)
+                    .expect("the checksum verifies");
+            assert_eq!((read, consumed), (staged, encoded.wire_len()));
+            let mut sink = Vec::new();
+            assert_eq!(encoded.write_to(&mut sink), Ok(encoded.wire_len()));
+            assert_eq!(sink, encoded.bytes());
+        }
     }
 
     #[test]

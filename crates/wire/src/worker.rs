@@ -23,7 +23,7 @@ use std::time::{Duration, Instant};
 use crate::compute::TypedBlock;
 use crate::error::WireError;
 use crate::frame::{read_frame, write_frame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
-use crate::message::{Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult};
+use crate::message::{ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult};
 
 /// Knobs for the worker loop.
 #[derive(Debug, Clone)]
@@ -64,8 +64,7 @@ pub fn serve_connection<S: Read + Write>(
         let (frame, _) = read_frame(&mut stream, options.max_payload)?;
         match frame.kind {
             FrameKind::LoadBlock => {
-                let block = Block::decode(&frame.payload)?;
-                blocks.insert(frame.job, TypedBlock::from_block(&block)?);
+                blocks.insert(frame.job, TypedBlock::from_payload(&frame.payload)?);
             }
             FrameKind::Task => {
                 let task = Task::decode(&frame.payload)?;
@@ -177,6 +176,7 @@ fn write_raw<S: Write>(stream: &mut S, bytes: &[u8]) -> Result<(), WireError> {
 mod tests {
     use super::*;
     use crate::frame::PROTOCOL_VERSION;
+    use crate::message::Block;
     use std::io;
     use std::sync::mpsc;
 
