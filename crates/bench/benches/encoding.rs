@@ -94,8 +94,11 @@ fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
 }
 
 /// `EncodedDataset::encode` on the e2e `matmul_batch` job (1920 × 512
-/// Goldilocks, `(N, K) = (12, 8)`: the cache-blocked NTT path) and on the
-/// same shape with a row short of a multiple of `K` (the last band padded).
+/// Goldilocks, `(N, K) = (12, 8)`: the cache-blocked NTT path), on the same
+/// shape with a row short of a multiple of `K` (the last band padded), and on
+/// the e2e training set-up (1800 × 256 in the 25-bit field, `(12, 9)`: the
+/// dense path). All three are past the inline threshold, so on a host with
+/// more than one core these time the threaded sweep.
 fn bench_dataset_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_dataset");
     let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
@@ -111,6 +114,13 @@ fn bench_dataset_encoding(c: &mut Criterion) {
             },
         );
     }
+    let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+    let mut rng = StdRng::seed_from_u64(12);
+    let matrix: Matrix<F25> =
+        Matrix::from_vec(1800, 256, avcc_field::random_matrix(&mut rng, 1800, 256));
+    group.bench_function(BenchmarkId::new("p25_12_9", "1800x256"), |bencher| {
+        bencher.iter(|| EncodedDataset::<P25>::encode(black_box(&matrix), config, &mut rng))
+    });
     group.finish();
 }
 

@@ -2,7 +2,7 @@
 //! the worker's product — the `O(m + d)` vs `O(m·d/K)` asymmetry of §II-B
 //! that makes per-result verification affordable.
 
-use avcc_field::{F25, P25};
+use avcc_field::{F25, F64, P25, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_verify::{KeyGenConfig, MatVecKey};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -42,6 +42,15 @@ fn bench_key_generation(c: &mut Criterion) {
     c.bench_function("verify/keygen_100x63", |bencher| {
         bencher.iter(|| {
             MatVecKey::<P25>::generate(black_box(&block), KeyGenConfig::default(), &mut rng)
+        })
+    });
+    // One share of the e2e `matmul_batch` job: the carry-counting
+    // `WideAccumulator` lanes, two rows per pass.
+    let share: Matrix<F64> =
+        Matrix::from_vec(240, 512, avcc_field::random_matrix(&mut rng, 240, 512));
+    c.bench_function("verify/keygen_p64_240x512", |bencher| {
+        bencher.iter(|| {
+            MatVecKey::<P64>::generate(black_box(&share), KeyGenConfig::default(), &mut rng)
         })
     });
 }

@@ -3,9 +3,11 @@
 //!
 //! Two pairs compare a kernel with its baseline:
 //!
-//! * `wire_crc/n*/{bytewise,sliced}` — the slicing-by-8 CRC against the
-//!   canonical byte-at-a-time implementation (it is the one every frame
-//!   pays on both send and receive);
+//! * `wire_crc/n*/{bytewise,sliced}` — the shipped CRC (slice-by-8, four
+//!   lanes wide from 2 KiB up) against the canonical byte-at-a-time
+//!   implementation (it is the one every frame pays on both send and
+//!   receive); the 1 MiB size is a bulk `LOAD_BLOCK`, where the wide loop
+//!   is all there is;
 //! * `wire_encode/n*/{element,bulk}` — `WireWriter::put_u64_bulk` against a
 //!   per-element `put_u64` loop (task/result payloads are dominated by
 //!   element serialization).
@@ -42,11 +44,11 @@ fn payload_bytes(len: usize) -> Vec<u8> {
     writer.into_bytes()
 }
 
-/// CRC-32C: slicing-by-8 (the shipped kernel) vs the bit/byte-wise reference
-/// it must never regress against.
+/// CRC-32C: the shipped kernel vs the byte-wise reference its tests compare
+/// it with.
 fn bench_wire_crc(c: &mut Criterion) {
     let mut group = c.benchmark_group("wire_crc");
-    for len in [64usize, 4096, 65536] {
+    for len in [64usize, 4096, 65536, 1 << 20] {
         let bytes = payload_bytes(len / 8);
         assert_eq!(bytes.len(), len);
         // The two implementations must agree before we time either.

@@ -68,6 +68,11 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// encoder as a slice of `matrix`'s own storage. Only when zero rows have
     /// to be appended is anything copied, and then only the bands that reach
     /// past the last real row.
+    ///
+    /// A bulk matrix is encoded on every core the host gives this process
+    /// (one span of coordinates per core, see [`crate::encoder`]); the pads
+    /// are drawn first, on the calling thread, so the shares and the rng's
+    /// position afterwards are the same on any number of cores.
     pub fn encode<R: Rng + ?Sized>(
         matrix: &Matrix<Fp<M>>,
         config: SchemeConfig,

@@ -40,19 +40,6 @@ pub struct SubgroupLayout<M: PrimeModulus> {
     pub shift: Fp<M>,
 }
 
-impl<M: PrimeModulus> SubgroupLayout<M> {
-    /// The β-subgroup order `B = K + T`.
-    pub fn blocks(&self) -> usize {
-        1usize << self.log_blocks
-    }
-
-    /// The α-coset order `A`; the first `N ≤ A` coset points are the worker
-    /// points.
-    pub fn workers(&self) -> usize {
-        1usize << self.log_workers
-    }
-}
-
 /// The β (interpolation) and α (worker) evaluation points of a Lagrange code.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct EvaluationPoints<M: PrimeModulus> {
@@ -267,8 +254,7 @@ mod tests {
     fn subgroup_layout_places_beta_on_a_subgroup() {
         let points = EvaluationPoints::<P64>::subgroup(6, 2, 12).unwrap();
         let layout = *points.ntt_layout().unwrap();
-        assert_eq!(layout.blocks(), 8);
-        assert_eq!(layout.workers(), 16);
+        assert_eq!((layout.log_blocks, layout.log_workers), (3, 4));
         // Every β is a B-th root of unity; the product of all of them is
         // (−1)^(B+1)... more simply: β_j^B = 1 for all j.
         for &beta in points.beta() {

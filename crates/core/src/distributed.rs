@@ -30,7 +30,7 @@
 use std::sync::Arc;
 use std::time::Duration;
 
-use avcc_field::{Fp, PrimeField, PrimeModulus};
+use avcc_field::{map_spans, span_threads, Fp, PrimeField, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::executor::{Executor, ExecutorError, RawOutcome, RoundPoll, WorkerOutcome};
@@ -94,14 +94,33 @@ impl From<DistributedError> for SchemeFailure {
     }
 }
 
-/// Serializes one worker's matrix block into its wire form.
-fn block_of<M: PrimeModulus>(matrix: &Matrix<Fp<M>>) -> Block {
-    Block {
-        modulus: M::MODULUS,
-        rows: matrix.rows() as u32,
-        cols: matrix.cols() as u32,
-        elements: matrix.data().iter().map(|&v| v.to_u64()).collect(),
-    }
+/// One wire [`Block`] per matrix: the elements lowered to their canonical
+/// `u64`s, one span of blocks per core when the blocks are bulk (the
+/// conversions share nothing), inline when they are small.
+///
+/// Every block's buffer is reserved here, on the calling thread, and only
+/// filled on the spans': memory a short-lived thread allocates stays with
+/// that thread's allocator arena after both are gone (`train_quiet` read
+/// 2.3 MiB more resident that way).
+fn blocks_of<M: PrimeModulus>(matrices: &[&Arc<Matrix<Fp<M>>>]) -> Vec<Block> {
+    let mut blocks: Vec<Block> = matrices
+        .iter()
+        .map(|matrix| Block {
+            modulus: M::MODULUS,
+            rows: matrix.rows() as u32,
+            cols: matrix.cols() as u32,
+            elements: Vec::with_capacity(matrix.len()),
+        })
+        .collect();
+    let elements = matrices.iter().map(|matrix| matrix.len()).sum();
+    let threads = span_threads(matrices.len(), elements);
+    let pairs = blocks.iter_mut().zip(matrices).collect();
+    map_spans(pairs, threads, |(block, matrix): (&mut Block, _)| {
+        block
+            .elements
+            .extend(matrix.data().iter().map(|&v| v.to_u64()));
+    });
+    blocks
 }
 
 /// Lowers a field vector to its canonical `u64` representatives.
@@ -153,8 +172,7 @@ impl WireRunner {
         let job = channel as u64;
         let fingerprint: Vec<usize> = matrices.iter().map(|m| Arc::as_ptr(m) as usize).collect();
         if self.installed[channel].as_ref() != Some(&fingerprint) {
-            let blocks: Vec<Block> = matrices.iter().map(|m| block_of(m)).collect();
-            executor.install_blocks(job, &blocks)?;
+            executor.install_blocks(job, &blocks_of(matrices))?;
             self.installed[channel] = Some(fingerprint);
         }
         Ok(job)
@@ -433,9 +451,24 @@ fn run_parked_round<M: PrimeModulus, T>(
             &byzantine,
             Some(quorum),
             |outcomes, late| {
-                let outcomes: Vec<_> = outcomes.iter().cloned().map(single_function).collect();
-                trainer.set_live_hint(outcomes.len() + late.len(), late);
-                Ok((collect(trainer, &outcomes)?, outcomes.len()))
+                // The trainer collects single-function outcomes: each batch
+                // of one's payload is moved out for the attempt, and moved
+                // back if it fails — the round may stay open, and the next
+                // attempt needs `outcomes` intact.
+                let singles: Vec<_> = std::mem::take(outcomes)
+                    .into_iter()
+                    .map(single_function)
+                    .collect();
+                trainer.set_live_hint(singles.len() + late.len(), late);
+                match collect(trainer, &singles) {
+                    Ok(collected) => Ok((collected, singles.len())),
+                    Err(failure) => {
+                        let batch =
+                            |outcome: WorkerOutcome<_>| outcome.map_payload(|part| vec![part]);
+                        *outcomes = singles.into_iter().map(batch).collect();
+                        Err(failure)
+                    }
+                }
             },
         )?;
         match collected {

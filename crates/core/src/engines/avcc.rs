@@ -26,7 +26,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
-use avcc_field::{Fp, PrimeModulus};
+use avcc_field::{map_spans, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::WorkerOutcome;
@@ -60,6 +60,13 @@ impl<M: PrimeModulus> AvccMatVec<M> {
     /// step 1 — encoding — was paid once when the dataset was built, and is
     /// shared with every other session over the same `Arc`.
     ///
+    /// Every secret is drawn first, on the calling thread, in worker order —
+    /// the stream a loop of [`MatVecKey::generate`] calls draws — and only
+    /// then are the `N` products `s_i = r_iᵀ·X̃_i` computed, in one span of
+    /// workers per available core ([`avcc_field::map_spans`]; inline when the
+    /// shares are small). The keys, and the rng's position afterwards, do not
+    /// depend on how many threads computed them.
+    ///
     /// # Panics
     /// Panics if the dataset is not Lagrange-coded.
     pub fn over<R: Rng + ?Sized>(
@@ -71,11 +78,20 @@ impl<M: PrimeModulus> AvccMatVec<M> {
             dataset.is_coded(),
             "AVCC requires a Lagrange-coded dataset; use EncodedDataset::encode"
         );
-        let keys = dataset
-            .shares()
+        let shares = dataset.shares();
+        let drawn: Vec<_> = shares
             .iter()
-            .map(|share| MatVecKey::generate(share, key_config, rng))
+            .map(|share| {
+                let secrets = MatVecKey::draw_secrets(share.rows(), key_config, rng);
+                (share, secrets)
+            })
             .collect();
+        let multiplies =
+            shares.iter().map(|share| share.len()).sum::<usize>() * key_config.repetitions;
+        let threads = span_threads(shares.len(), multiplies);
+        let keys = map_spans(drawn, threads, |(share, secrets)| {
+            MatVecKey::from_secrets(share, secrets)
+        });
         let screen = DualCodeword::new(*dataset.scheme().expect("AVCC dataset is coded"));
         AvccMatVec {
             dataset,
@@ -385,6 +401,47 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, s, m).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         AvccMatVec::new(matrix, config, KeyGenConfig::default(), &mut rng)
+    }
+
+    #[test]
+    fn keys_do_not_depend_on_how_many_threads_multiplied_them() {
+        // `over` draws every secret first and multiplies afterwards, in spans
+        // when the shares are bulk (960 × 512 is past the inline threshold,
+        // 16 × 5 far below it): the keys must equal the sequential
+        // draw-multiply-draw-multiply loop's, and the rng must end where that
+        // loop leaves it — pinned to the values the parent of this code drew.
+        use avcc_field::P64;
+        use rand::RngCore;
+        let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+        let recorded_next = [0x206a_97d2_534e_bf46u64, 0x8a1b_aae1_bf11_7a88];
+        for (rows, cols, recorded) in [(16, 5, Some(recorded_next)), (960, 512, None)] {
+            for (case, repetitions) in [1usize, 3].into_iter().enumerate() {
+                let key_config = KeyGenConfig { repetitions };
+                let mut rng = StdRng::seed_from_u64(77);
+                let matrix = Matrix::from_vec(
+                    rows,
+                    cols,
+                    avcc_field::random_matrix::<P64, _>(&mut rng, rows, cols),
+                );
+                let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
+                let mut sequential_rng = rng.clone();
+                let engine = AvccMatVec::over(Arc::clone(&dataset), key_config, &mut rng);
+                let sequential: Vec<_> = dataset
+                    .shares()
+                    .iter()
+                    .map(|share| MatVecKey::generate(share, key_config, &mut sequential_rng))
+                    .collect();
+                assert_eq!(
+                    engine.keys, sequential,
+                    "{rows} × {cols}, t = {repetitions}"
+                );
+                let next = rng.next_u64();
+                assert_eq!(next, sequential_rng.next_u64());
+                if let Some(recorded) = recorded {
+                    assert_eq!(next, recorded[case], "t = {repetitions}");
+                }
+            }
+        }
     }
 
     #[test]

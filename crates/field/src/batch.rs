@@ -26,8 +26,9 @@
 //! independent accumulators so consecutive multiply-adds never serialize on
 //! one add-with-carry chain. The striping is pure instruction-level
 //! parallelism in safe, portable code — no `unsafe`, no target-feature gates.
-//! [`WideAccumulator`], whose lanes are whole vectors, still collapses once
-//! per `WIDE_BATCH` `axpy`s.
+//! [`WideAccumulator`], whose lanes are whole vectors and already independent,
+//! makes the same choice per lane: a wrapped sum and a carry count for the
+//! tight-batch moduli, a plain `u128` for the others.
 
 use crate::fp::{Fp, PrimeField, PrimeModulus};
 
@@ -206,17 +207,34 @@ pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
 }
 
 /// A vector of `u128` lanes accumulating unreduced products — the shared
-/// engine of the Lagrange encoder (`Σ_j ℓ_j(α)·X_j`), the erasure decoder and
-/// the blocked matrix kernels.
+/// engine of the dense Lagrange encode (`Σ_j ℓ_j(α)·X_j`), the erasure
+/// decoder, the screen and the transpose–vector kernel behind Freivalds key
+/// generation (`s = rᵀ·X̃`).
 ///
-/// Each `axpy` adds one product per lane; after [`PrimeModulus::WIDE_BATCH`]
-/// accumulated products the lanes are collapsed with one reduction each.
-/// Compared to repeated [`slice_axpy`] this performs `1/WIDE_BATCH` as many
-/// reductions (for the 25-bit field: one reduction per lane, total).
+/// Each `axpy` adds one product per lane and nothing is reduced until
+/// [`finish`](Self::finish), however many products went in. How a lane
+/// survives that is the same `const` choice [`dot`] makes
+/// ([`counts_carries`]):
+///
+/// * **Tight-batch moduli** (Goldilocks, `2^61 − 1`) let the lane wrap and
+///   count the carries beside it, exactly as a [`CarryAccumulator`] does —
+///   one `overflowing_add` and one carry increment per product, one reduction
+///   per lane at the end. Collapsing every [`PrimeModulus::WIDE_BATCH`]
+///   products instead would be a `reduce_wide` per product for Goldilocks
+///   (the twelve 240 × 512 Freivalds keys of a `matmul_batch` job, one
+///   thread: 2.1–2.5 ms that way, 1.05–1.23 ms this way).
+/// * **Huge-batch moduli** (the 25-bit field: ≈ 2^78 products fit) keep a
+///   plain `u128` per lane; the lanes are collapsed with one reduction each
+///   should `WIDE_BATCH` products ever accumulate.
+///
+/// Compared to repeated [`slice_axpy`] this performs one reduction per lane
+/// in total instead of one per product.
 #[derive(Debug, Clone)]
 pub struct WideAccumulator<M: PrimeModulus> {
     lanes: Vec<u128>,
-    /// Products accumulated since the last collapse.
+    /// Tight-batch moduli: times each lane wrapped. Empty for the others.
+    carries: Vec<u64>,
+    /// Huge-batch moduli: products accumulated since the last collapse.
     pending: usize,
     _modulus: core::marker::PhantomData<M>,
 }
@@ -225,8 +243,14 @@ impl<M: PrimeModulus> WideAccumulator<M> {
     /// Creates a zeroed accumulator with `len` lanes.
     pub fn new(len: usize) -> Self {
         const { assert_wide_batch::<M>() }
+        let carries = if const { counts_carries::<M>() } {
+            vec![0u64; len]
+        } else {
+            Vec::new()
+        };
         WideAccumulator {
             lanes: vec![0u128; len],
+            carries,
             pending: 0,
             _modulus: core::marker::PhantomData,
         }
@@ -242,79 +266,97 @@ impl<M: PrimeModulus> WideAccumulator<M> {
         self.lanes.is_empty()
     }
 
-    /// Fused multiply-add `lane[i] += c · b[i]`, reducing lazily.
-    ///
-    /// The sweep is unrolled [`DOT_LANES`] lanes at a time: the lanes are
-    /// already independent, and the explicit four-wide groups keep the
-    /// `u128` multiply-adds flowing without per-element loop control.
+    /// Fused multiply-add `lane[i] += c · b[i]`, reducing lazily:
+    /// [`axpy_rows`](Self::axpy_rows) with one row.
     ///
     /// # Panics
     /// Panics if `b.len()` differs from the number of lanes.
     pub fn axpy(&mut self, c: Fp<M>, b: &[Fp<M>]) {
-        assert_eq!(self.lanes.len(), b.len(), "axpy length mismatch");
-        if self.pending == M::WIDE_BATCH {
-            self.collapse();
-        }
-        let scale = c.value() as u128;
-        let mut lane_groups = self.lanes.chunks_exact_mut(DOT_LANES);
-        let mut b_groups = b.chunks_exact(DOT_LANES);
-        for (lanes, values) in lane_groups.by_ref().zip(b_groups.by_ref()) {
-            lanes[0] += scale * values[0].value() as u128;
-            lanes[1] += scale * values[1].value() as u128;
-            lanes[2] += scale * values[2].value() as u128;
-            lanes[3] += scale * values[3].value() as u128;
-        }
-        for (lane, &y) in lane_groups
-            .into_remainder()
-            .iter_mut()
-            .zip(b_groups.remainder())
-        {
-            *lane += scale * y.value() as u128;
-        }
-        self.pending += 1;
+        self.axpy_rows([c], [b]);
     }
 
-    /// Adds already-canonical values (one addition counts as one product
-    /// against the overflow budget, which is conservative).
+    /// `lane[i] += Σ_t c[t] · b[t][i]`: `R` fused multiply-adds per lane,
+    /// reducing lazily.
+    ///
+    /// Where carries are counted, a lane is a `u128` and a count — two loads
+    /// and three stores around every product if the rows come one at a time,
+    /// which is what a one-row pass is bound by. Here the lane and its count
+    /// are loaded once, absorb all `R` products in registers and are stored
+    /// once. The lanes are independent of each other, so consecutive steps
+    /// never wait on one add-with-carry chain. (`avcc_linalg::matt_vec`
+    /// documents the measured choice of `R`.)
     ///
     /// # Panics
-    /// Panics if `b.len()` differs from the number of lanes.
-    pub fn add(&mut self, b: &[Fp<M>]) {
-        assert_eq!(self.lanes.len(), b.len(), "add length mismatch");
-        if self.pending == M::WIDE_BATCH {
-            self.collapse();
+    /// Panics if a row's length differs from the number of lanes.
+    pub fn axpy_rows<const R: usize>(&mut self, c: [Fp<M>; R], b: [&[Fp<M>]; R]) {
+        let len = self.lanes.len();
+        for row in b {
+            assert_eq!(len, row.len(), "axpy length mismatch");
         }
-        for (lane, &y) in self.lanes.iter_mut().zip(b.iter()) {
-            *lane += y.value() as u128;
+        // Every slice re-cut to the one length the loops run to, so their
+        // indexing needs no bounds checks.
+        let b = b.map(|row| &row[..len]);
+        let lanes = self.lanes.as_mut_slice();
+        if const { counts_carries::<M>() } {
+            let carries = &mut self.carries[..len];
+            for i in 0..len {
+                let mut wrapped = CarryAccumulator {
+                    sum: lanes[i],
+                    carries: carries[i],
+                };
+                for t in 0..R {
+                    wrapped.add_product(c[t], b[t][i]);
+                }
+                (lanes[i], carries[i]) = (wrapped.sum, wrapped.carries);
+            }
+            return;
         }
-        self.pending += 1;
+        // A plain lane has nothing beside it to keep in registers across
+        // rows: one row per sweep, each a multiply-add loop the optimizer
+        // already runs wide.
+        for (c, row) in c.into_iter().zip(b) {
+            if self.pending == M::WIDE_BATCH {
+                for lane in lanes.iter_mut() {
+                    *lane = M::reduce_wide(*lane) as u128;
+                }
+                self.pending = 0;
+            }
+            let scale = c.value() as u128;
+            for (lane, &y) in lanes.iter_mut().zip(row) {
+                *lane += scale * y.value() as u128;
+            }
+            self.pending += 1;
+        }
     }
 
-    /// Reduces every lane to its canonical representative in place.
-    fn collapse(&mut self) {
-        for lane in self.lanes.iter_mut() {
-            *lane = M::reduce_wide(*lane) as u128;
-        }
-        self.pending = 0;
+    /// The lanes as field elements: each reduced once, with its carries
+    /// folded in where the modulus counts them.
+    fn reduced(&self) -> impl Iterator<Item = Fp<M>> + '_ {
+        let mut carries = self.carries.iter();
+        self.lanes.iter().map(move |&sum| {
+            if const { counts_carries::<M>() } {
+                let carries = *carries.next().expect("one carry count per lane");
+                CarryAccumulator { sum, carries }.finish::<M>()
+            } else {
+                Fp::from_canonical(M::reduce_wide(sum))
+            }
+        })
     }
 
     /// Reduces and returns the accumulated vector.
     pub fn finish(self) -> Vec<Fp<M>> {
-        self.lanes
-            .into_iter()
-            .map(|lane| Fp::from_canonical(M::reduce_wide(lane)))
-            .collect()
+        self.reduced().collect()
     }
 
-    /// Reduces the accumulated values into an existing slice (the blocked
-    /// kernels reuse one accumulator across tiles).
+    /// Reduces the accumulated values into an existing slice (the dense
+    /// encode writes each share's window in place).
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the number of lanes.
-    pub fn finish_into(mut self, out: &mut [Fp<M>]) {
+    pub fn finish_into(self, out: &mut [Fp<M>]) {
         assert_eq!(self.lanes.len(), out.len(), "finish_into length mismatch");
-        for (slot, lane) in out.iter_mut().zip(self.lanes.drain(..)) {
-            *slot = Fp::from_canonical(M::reduce_wide(lane));
+        for (slot, value) in out.iter_mut().zip(self.reduced()) {
+            *slot = value;
         }
     }
 }
@@ -358,8 +400,9 @@ mod tests {
 
     #[test]
     fn goldilocks_kernels_survive_batch_of_one() {
-        // WIDE_BATCH = 1 forces a collapse on every accumulation; the lazy
-        // kernels must still match the element-wise reference at the extremes.
+        // WIDE_BATCH = 1: a u128 holds one product, so every accumulation
+        // after the first wraps; the lazy kernels must still match the
+        // element-wise reference at the extremes.
         type H = Fp<crate::fp::P64>;
         const Q: u64 = crate::fp::P64::MODULUS;
         let a: Vec<H> = (0..100u64).map(|i| H::from_u64(Q - 1 - i)).collect();
@@ -542,6 +585,8 @@ mod tests {
 
     #[test]
     fn wide_accumulator_collapses_past_the_batch_limit() {
+        // More than twice the products a u128 holds for F_{2^61-1}: its lanes
+        // count carries, so they wrap (twice) instead of being collapsed.
         type G = Fp<P61>;
         let near = G::from_u64(P61::MODULUS - 1);
         let b = vec![near; 4];
@@ -556,13 +601,43 @@ mod tests {
     }
 
     #[test]
-    fn wide_accumulator_add_matches_slice_add() {
-        let a = fv(&[1, 2, 3]);
-        let b = fv(&[P25::MODULUS - 1, 5, 6]);
-        let mut accumulator = WideAccumulator::<P25>::new(3);
-        accumulator.add(&a);
-        accumulator.add(&b);
-        assert_eq!(accumulator.finish(), slice_add(&a, &b));
+    fn wide_accumulator_is_exact_when_every_axpy_overflows() {
+        // All-(q−1) operands: each Goldilocks product is ≈ 2^128 − 2^97, so
+        // in every lane each product after the first wraps the u128 and the
+        // carry count ends at `axpys − 1`. (q−1)² ≡ 1, so every lane sums to
+        // the number of `axpy`s; the element-wise `Fp` sum is the reference.
+        // The rows go in two at a time and then one, as `matt_vec` feeds
+        // them. The other moduli run the same sequence: P61 wraps every ≈ 64
+        // products, P25 and P251 never.
+        fn check<M: PrimeModulus>() {
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            let b = vec![near; 5];
+            for axpys in [1usize, 2, 5, 4099] {
+                let mut accumulator = WideAccumulator::<M>::new(5);
+                let mut reference = Fp::<M>::ZERO;
+                for _ in 0..axpys / 2 {
+                    accumulator.axpy_rows([near; 2], [&b; 2]);
+                }
+                if axpys % 2 == 1 {
+                    accumulator.axpy(near, &b);
+                }
+                for _ in 0..axpys {
+                    reference += near * near;
+                }
+                assert_eq!(reference, Fp::<M>::from_u64(axpys as u64));
+                if counts_carries::<M>() && M::WIDE_BATCH == 1 {
+                    assert_eq!(accumulator.carries, vec![axpys as u64 - 1; 5]);
+                }
+                let mut into = vec![Fp::<M>::ZERO; 5];
+                accumulator.clone().finish_into(&mut into);
+                assert_eq!(into, vec![reference; 5], "{} axpys = {axpys}", M::NAME);
+                assert_eq!(accumulator.finish(), into);
+            }
+        }
+        check::<crate::fp::P64>();
+        check::<P61>();
+        check::<P25>();
+        check::<P251>();
     }
 
     #[test]

@@ -82,8 +82,8 @@
 //! `sum + carries·2^128`, and `2^128 mod q` is the [`PrimeModulus::MONT_R2`]
 //! every modulus already carries, so each accumulator is reduced exactly
 //! once, however long the vector. Which moduli do is the `const fn`
-//! [`batch::counts_carries`]; the vector-lane [`WideAccumulator`] still
-//! collapses once per `WIDE_BATCH` `axpy`s.
+//! [`batch::counts_carries`]; the vector-lane [`WideAccumulator`] keeps a
+//! wrapped sum and a carry count per lane for the same moduli.
 //!
 //! Every kernel checks the bound at **compile time** via an inline-`const`
 //! evaluation of [`batch::assert_wide_batch`], so an unsound modulus is a
@@ -112,6 +112,7 @@ pub mod fp;
 pub mod quantize;
 pub mod reduce;
 pub mod rng;
+pub mod spans;
 
 pub use batch::{
     batch_inverse, dot, slice_add, slice_axpy, slice_scale, slice_sub, CarryAccumulator,
@@ -120,6 +121,7 @@ pub use batch::{
 pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};
+pub use spans::{map_spans, span_threads};
 
 /// The field used throughout the paper: `q = 2^25 − 39`, the largest 25-bit
 /// prime. With the GISETTE-like feature dimension `d = 5000` the worst-case

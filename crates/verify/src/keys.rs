@@ -10,6 +10,13 @@
 //! multiplies by in that round (the engines hold one key per worker per round
 //! matrix).
 //!
+//! Generating a key has an rng half and a compute half:
+//! [`MatVecKey::draw_secrets`] draws the `r`s and [`MatVecKey::from_secrets`]
+//! multiplies them into the matrix (`generate` is their composition). A
+//! caller with many keys to make draws every secret first, in key order, and
+//! then computes the products side by side — the rng stream is the one a
+//! loop of `generate` calls consumes.
+//!
 //! Key generation costs one pass over the coded block per key, but it is a
 //! **one-time** cost amortized over every training iteration — exactly the
 //! argument the paper makes when accounting per-iteration overheads (Fig. 4).
@@ -39,6 +46,11 @@ pub type KeyPair<M> = (Vec<Fp<M>>, Vec<Fp<M>>);
 /// A Freivalds key for verifying products with a fixed matrix `A`:
 /// each repetition holds `(r, s = rᵀA)`, so a claimed `y = A·x` is accepted
 /// iff `r·y = s·x` for every repetition.
+///
+/// The `r`s are the master's secret: a worker that knew them could forge a
+/// passing result. They come from the caller's rng and nowhere else
+/// ([`draw_secrets`](Self::draw_secrets)); everything after the draw is a
+/// deterministic function of the matrix and the secrets.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct MatVecKey<M: PrimeModulus> {
     /// One `(r, s)` pair per repetition; `r` has length `rows(A)`, `s` has
@@ -50,17 +62,42 @@ pub struct MatVecKey<M: PrimeModulus> {
 
 impl<M: PrimeModulus> MatVecKey<M> {
     /// Generates a key for the matrix `A` with the given number of
-    /// repetitions.
+    /// repetitions: [`draw_secrets`](Self::draw_secrets), then
+    /// [`from_secrets`](Self::from_secrets).
     pub fn generate<R: Rng + ?Sized>(
         matrix: &Matrix<Fp<M>>,
         config: KeyGenConfig,
         rng: &mut R,
     ) -> Self {
+        Self::from_secrets(matrix, Self::draw_secrets(matrix.rows(), config, rng))
+    }
+
+    /// The rng half of [`generate`](Self::generate): one uniformly random
+    /// secret `r ∈ F^{rows}` per repetition, in repetition order.
+    ///
+    /// # Panics
+    /// Panics if `config.repetitions` is zero.
+    pub fn draw_secrets<R: Rng + ?Sized>(
+        rows: usize,
+        config: KeyGenConfig,
+        rng: &mut R,
+    ) -> Vec<Vec<Fp<M>>> {
         assert!(config.repetitions > 0, "need at least one key repetition");
-        let pairs = (0..config.repetitions)
-            .map(|_| {
-                let r: Vec<Fp<M>> = random_vector(rng, matrix.rows());
-                // s = rᵀ A = Aᵀ r
+        (0..config.repetitions)
+            .map(|_| random_vector(rng, rows))
+            .collect()
+    }
+
+    /// The compute half of [`generate`](Self::generate): pairs each secret
+    /// `r` with `s = rᵀA = Aᵀr`, one pass over `matrix` per secret.
+    ///
+    /// # Panics
+    /// Panics if there is no secret or one's length is not `matrix.rows()`.
+    pub fn from_secrets(matrix: &Matrix<Fp<M>>, secrets: Vec<Vec<Fp<M>>>) -> Self {
+        assert!(!secrets.is_empty(), "need at least one key repetition");
+        let pairs = secrets
+            .into_iter()
+            .map(|r| {
                 let s = matt_vec(matrix, &r);
                 (r, s)
             })

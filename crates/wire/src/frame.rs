@@ -466,6 +466,50 @@ mod tests {
     }
 
     #[test]
+    fn a_flipped_bit_in_any_lane_of_a_bulk_frame_is_a_checksum_mismatch() {
+        // A 1 MiB LOAD_BLOCK goes through the checksum's wide loop, which
+        // `read_frame` starts at the payload (the header is its own
+        // `update`). One flipped bit in the first or the last byte of any
+        // lane — in the first, a middle and the last whole block — or in the
+        // trailer must never yield an accepted frame.
+        use crate::crc::{LANES, STREAM};
+        use crate::message::Block;
+        let block = Block {
+            modulus: u64::MAX,
+            rows: 256,
+            cols: 512,
+            elements: (0..256 * 512u64)
+                .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15))
+                .collect(),
+        };
+        let bytes = block.encoded_frame(3).bytes().to_vec();
+        let payload_len = bytes.len() - HEADER_LEN - TRAILER_LEN;
+        assert!(payload_len > 1 << 20);
+        let (intact, _) = read_frame(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(Block::decode(&intact.payload).unwrap(), block);
+
+        let blocks = payload_len / (LANES * STREAM);
+        let mut flips: Vec<usize> = (bytes.len() - TRAILER_LEN..bytes.len()).collect();
+        for block in [0, blocks / 2, blocks - 1] {
+            for lane in 0..LANES {
+                let first = HEADER_LEN + (block * LANES + lane) * STREAM;
+                flips.extend([first, first + STREAM - 1]);
+            }
+        }
+        for (case, at) in flips.into_iter().enumerate() {
+            let mut corrupted = bytes.clone();
+            corrupted[at] ^= 1 << (case % 8);
+            assert!(
+                matches!(
+                    read_frame(&mut corrupted.as_slice(), DEFAULT_MAX_PAYLOAD),
+                    Err(WireError::ChecksumMismatch { .. })
+                ),
+                "flip at byte {at} was not a checksum mismatch"
+            );
+        }
+    }
+
+    #[test]
     fn unknown_kind_reported_only_when_intact() {
         let frame = Frame {
             kind: FrameKind::Task,
