@@ -9,8 +9,10 @@
 //! * **specialized** — the per-modulus [`PrimeModulus::reduce_wide`] backend
 //!   (Mersenne fold for `F_{2^61-1}`, pseudo-Mersenne fold for `F_{2^25-39}`,
 //!   Barrett for `F_251`), one reduction per product;
-//! * **lazy** — unreduced `u128` accumulation with one specialized reduction
-//!   per [`PrimeModulus::WIDE_BATCH`] products (the batch/linalg kernels).
+//! * **lazy** — the batch/linalg kernels: unreduced accumulation, in `u64`
+//!   lanes collapsed once per `avcc_field::batch::narrow_batch` products for
+//!   `F_{2^25-39}`, in carry-counting `u128` lanes reduced once for
+//!   `F_{2^61-1}`.
 
 use avcc_field::{batch_inverse, dot, Fp, PrimeField, PrimeModulus, F25, F61, P25, P251, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
@@ -163,11 +165,11 @@ fn bench_mat_vec_512(c: &mut Criterion) {
     run::<P25>(c, "p25", 6);
 }
 
-/// The PR1 single-accumulator lazy dot: one `u128` running sum, one
-/// specialized reduction per [`PrimeModulus::WIDE_BATCH`] products — the
-/// baseline the lane-striped kernel is compared with (`avcc_field::dot`
-/// itself stripes for the tight-cadence moduli, so the baseline is spelled
-/// out here like the other pre-PR references).
+/// The single-accumulator lazy dot: one `u128` running sum, one specialized
+/// reduction per [`PrimeModulus::WIDE_BATCH`] products — the baseline both
+/// lane kinds of `avcc_field::dot` are compared with (the striped
+/// carry-counting lanes, the narrow `u64` lane; neither is this kernel any
+/// more, so it is spelled out here like the other earlier references).
 fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     let mut accumulator: u128 = 0;
     for (chunk_a, chunk_b) in a.chunks(M::WIDE_BATCH).zip(b.chunks(M::WIDE_BATCH)) {
@@ -179,12 +181,10 @@ fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     Fp::<M>::new(M::reduce_wide(accumulator))
 }
 
-/// Vector-vs-scalar dot: the [`avcc_field::DOT_LANES`]-striped kernel
-/// against the PR1 single-accumulator baseline, on the moduli whose collapse
-/// cadence makes striping worthwhile (`p61`: every 63 products; `p64`:
-/// every product — `P25`/`P251` keep the single accumulator via the
-/// `LANE_STRIPE_MAX_BATCH` const branch, exactly as they keep their folds
-/// over Montgomery).
+/// Vector-vs-scalar dot against the single-`u128` baseline: on `p61` (a
+/// `u128` wraps every 63 products) and `p64` (every product) the
+/// [`avcc_field::DOT_LANES`]-striped carry-counting kernel, on `p25` the
+/// narrow `u64` lane the optimizer runs in vector registers.
 fn bench_dot_lanes(c: &mut Criterion) {
     fn run<M: PrimeModulus>(c: &mut Criterion, field_name: &str, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);
@@ -204,6 +204,7 @@ fn bench_dot_lanes(c: &mut Criterion) {
 
     run::<P61>(c, "p61", 12);
     run::<P64>(c, "p64", 13);
+    run::<P25>(c, "p25", 14);
 }
 
 fn bench_batch_inverse(c: &mut Criterion) {

@@ -1,10 +1,13 @@
 //! Worker-kernel benchmarks: the serial field matrix–vector and
 //! transpose–vector products every executor and the Freivalds key generation
-//! run. These calibrate the simulator's compute-cost model and back the claim
-//! that the worker compute dominates the master-side overheads.
+//! run, and the master's `f64` evaluation pass. These calibrate the
+//! simulator's compute-cost model and back the claim that the worker compute
+//! dominates the master-side overheads.
 
+use avcc_core::TrainingProblem;
 use avcc_field::{Fp, PrimeModulus, F25, P61, P64};
-use avcc_linalg::{mat_vec, matt_vec, Matrix};
+use avcc_linalg::{mat_vec, matt_vec, real_mat_vec, Matrix};
+use avcc_ml::dataset::{Dataset, DatasetConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -36,10 +39,47 @@ fn bench_worker_kernel(c: &mut Criterion) {
     group.finish();
 }
 
+/// The two worker kernels of an e2e `train_quiet` iteration on the paper's
+/// field, which takes narrow `u64` lanes: round one's 200 × 261 block
+/// (`X̃w`) and round two's 29 × 1 800 block (`X̃ᵀe`, stored transposed).
+fn bench_train_quiet_blocks(c: &mut Criterion) {
+    let mut group = c.benchmark_group("matmul/train_quiet_block/p25");
+    for (rows, cols) in [(200usize, 261usize), (29, 1800)] {
+        let matrix = random_matrix(rows, cols, 4);
+        let mut rng = StdRng::seed_from_u64(5);
+        let x: Vec<F25> = avcc_field::random_vector(&mut rng, cols);
+        group.bench_with_input(
+            BenchmarkId::new("mat_vec", format!("{rows}x{cols}")),
+            &rows,
+            |bencher, _| bencher.iter(|| mat_vec(black_box(&matrix), black_box(&x))),
+        );
+    }
+    group.finish();
+}
+
+/// The master's evaluation pass on the e2e `train_quiet` problem: `X·w`
+/// over the scaled 1 800 × 261 training features, in `f64`.
+fn bench_evaluate(c: &mut Criterion) {
+    let dataset = Dataset::gisette_like(DatasetConfig {
+        train_samples: 1800,
+        test_samples: 360,
+        features: 255,
+        informative: 85,
+        seed: 1,
+        ..DatasetConfig::default()
+    });
+    let problem = TrainingProblem::from_dataset(&dataset, 9);
+    let weights: Vec<f64> = (0..problem.features())
+        .map(|j| (j as f64 * 0.37).sin())
+        .collect();
+    c.bench_function("evaluate/1800x261", |bencher| {
+        bencher.iter(|| real_mat_vec(black_box(&problem.train_features), black_box(&weights)))
+    });
+}
+
 /// One worker's share of an e2e `matmul_batch` job — a 240 × 512 block
-/// against the job's 8 inputs — on the two tight-batch moduli, whose
-/// `mat_vec` counts carries instead of collapsing every
-/// [`PrimeModulus::WIDE_BATCH`] products.
+/// against the job's 8 inputs — on the two moduli whose `mat_vec` counts
+/// carries in `u128` lanes.
 fn bench_tight_batch_kernel(c: &mut Criterion) {
     fn run<M: PrimeModulus>(c: &mut Criterion, field_name: &str) {
         let mut rng = StdRng::seed_from_u64(3);
@@ -60,5 +100,11 @@ fn bench_tight_batch_kernel(c: &mut Criterion) {
     run::<P61>(c, "p61");
 }
 
-criterion_group!(benches, bench_worker_kernel, bench_tight_batch_kernel);
+criterion_group!(
+    benches,
+    bench_worker_kernel,
+    bench_train_quiet_blocks,
+    bench_evaluate,
+    bench_tight_batch_kernel
+);
 criterion_main!(benches);

@@ -1,34 +1,38 @@
-//! Slice-level field kernels: element-wise arithmetic, lazy-reduction dot
+//! Slice-level field kernels: an in-place `axpy`, lazy-reduction dot
 //! products and accumulators, and Montgomery batch inversion.
 //!
 //! These are the inner loops of the encoder (`X̃ = Σ X_j ℓ_j(α)`), the worker
 //! compute kernels (`X̃ w`, `X̃ᵀ e`) and the Freivalds verifier (`r · z̃`).
 //! They exploit *lazy reduction*: products of canonical representatives are
-//! accumulated unreduced in `u128` lanes and pass through the modulus's
-//! specialized [`PrimeModulus::reduce_wide`] backend as rarely as the modulus
-//! allows. How rarely is decided per modulus, at compile time, by its
-//! [`PrimeModulus::WIDE_BATCH`] — the number of products a `u128` absorbs
-//! before it could overflow (see [`assert_wide_batch`]):
+//! accumulated unreduced and pass through the modulus's specialized
+//! [`PrimeModulus::reduce_wide`] backend as rarely as the modulus allows.
+//! Every kernel — [`dot`], `avcc_linalg::mat_vec` and [`WideAccumulator`] —
+//! picks one of two lane kinds by the same `const` rule, [`narrow_lanes`]:
 //!
-//! * **Huge batch** (the paper's 25-bit field: ≈ 2^78 products). The sum
-//!   cannot overflow for any realistic vector, so a dot product is one plain
-//!   `u128` accumulator and exactly one reduction.
-//! * **Tight batch** (`F_{2^61-1}`: 63 products; Goldilocks: **one**). The sum
-//!   *does* overflow — for Goldilocks at almost every addition — so instead
-//!   of collapsing the accumulator every `WIDE_BATCH` products the kernels
-//!   let it wrap and **count the carries** ([`CarryAccumulator`]): one
-//!   `overflowing_add` and one carry increment per product, and a single
-//!   reduction per accumulator at the very end, as
-//!   `reduce_wide(sum) + carries · (2^128 mod q)`. Which moduli take this
-//!   path is [`counts_carries`].
+//! * **Narrow lanes** (`q ≤ 2^32`: the paper's 25-bit field, and `F_251`).
+//!   Every canonical residue fits a `u32`, so a product is one
+//!   `(a as u32 as u64) · (b as u32 as u64)` and the sum lives in a **`u64`**.
+//!   The casts drop no bit (that is what the rule guarantees); they are there
+//!   so the optimizer sees a 32 × 32 → 64-bit multiply, which every x86-64
+//!   SIMD unit has (`pmuludq`) and which turns the loops into vector code.
+//!   A 64 × 64 → 128-bit product has no vector form at all. A lane holding
+//!   one canonical carry-in absorbs [`narrow_batch`]
+//!   `= ⌊(2^64 − q)/(q − 1)²⌋` products before it could overflow — 16 384
+//!   for the 25-bit field, ≈ 3·10^14 for `F_251` — so the kernels collapse
+//!   it with one `reduce_wide` per that many products
+//!   ([`assert_narrow_batch`] checks the bound at compile time).
+//! * **Carry-counting `u128` lanes** (every larger modulus: `F_{2^61-1}`,
+//!   Goldilocks). A `u128` absorbs only 63 such products for `2^61 − 1` and
+//!   **one** for Goldilocks, so instead of collapsing the kernels let it wrap
+//!   and **count the carries** ([`CarryAccumulator`]): one `overflowing_add`
+//!   and one carry increment per product, and a single reduction per
+//!   accumulator at the very end, as `reduce_wide(sum) + carries · (2^128 mod q)`.
+//!   [`dot`] stripes these over [`DOT_LANES`] independent accumulators so
+//!   consecutive multiply-adds never serialize on one add-with-carry chain.
 //!
-//! On top of that the tight-batch [`dot`] stripes over [`DOT_LANES`]
-//! independent accumulators so consecutive multiply-adds never serialize on
-//! one add-with-carry chain. The striping is pure instruction-level
-//! parallelism in safe, portable code — no `unsafe`, no target-feature gates.
-//! [`WideAccumulator`], whose lanes are whole vectors and already independent,
-//! makes the same choice per lane: a wrapped sum and a carry count for the
-//! tight-batch moduli, a plain `u128` for the others.
+//! Both are safe, portable code — no `unsafe`, no target-feature gates: the
+//! narrow lanes vectorize because of how they are written, the wide ones
+//! gain their parallelism from independent chains.
 
 use crate::fp::{Fp, PrimeField, PrimeModulus};
 
@@ -43,31 +47,59 @@ pub const fn assert_wide_batch<M: PrimeModulus>() {
     );
 }
 
-/// Number of independent accumulator lanes the tight-batch [`dot`] stripes
-/// over. A single running accumulator serializes on its own add-with-carry
-/// chain; four independent lanes let the multiplies and adds overlap and the
-/// compiler keep all four in registers. The lanes are folded with field
-/// additions only at the end, so the result is bit-identical to the
-/// single-lane kernel.
-pub const DOT_LANES: usize = 4;
-
-/// Batch size above which the kernels keep one plain `u128` accumulator per
-/// output instead of counting carries over striped lanes. When a single
-/// accumulator can absorb any realistic vector without overflowing (the
-/// 25-bit field's batch is ≈ 2^78), the loop is a plain multiply-add
-/// reduction that the optimizer already reassociates across iterations, and
-/// a carry count or manual striping only adds bookkeeping — measured, see the
-/// `dot_lanes/<field>` benches.
-pub const LANE_STRIPE_MAX_BATCH: usize = 1 << 16;
-
-/// `true` for the moduli whose dot-product kernels ([`dot`], and
-/// `avcc_linalg::mat_vec` on top of it) accumulate through a
-/// [`CarryAccumulator`] rather than a plain `u128`: those whose
-/// [`PrimeModulus::WIDE_BATCH`] is at most [`LANE_STRIPE_MAX_BATCH`]. A
-/// `const fn` of the modulus, so the unselected kernel folds away.
-pub const fn counts_carries<M: PrimeModulus>() -> bool {
-    M::WIDE_BATCH <= LANE_STRIPE_MAX_BATCH
+/// `true` for the moduli whose kernels take narrow lanes: `q ≤ 2^32`, so
+/// every canonical residue fits a `u32` and the product of two fits a `u64`.
+/// The others count carries in `u128` lanes. A `const fn` of the modulus, so
+/// the unselected kernel folds away.
+pub const fn narrow_lanes<M: PrimeModulus>() -> bool {
+    M::MODULUS <= 1 << 32
 }
+
+/// How many products of canonical representatives a narrow (`u64`) lane
+/// absorbs on top of one canonical carry-in before it could overflow:
+/// `⌊(2^64 − q) / (q−1)²⌋`, clamped to `usize` — 16 384 for the 25-bit field.
+/// The narrow kernels collapse a lane with one reduction at least this often.
+/// Zero for the moduli that do not take narrow lanes.
+pub const fn narrow_batch<M: PrimeModulus>() -> usize {
+    if !narrow_lanes::<M>() {
+        return 0;
+    }
+    let bound = (M::MODULUS - 1) as u128 * (M::MODULUS - 1) as u128;
+    let capacity = ((1u128 << 64) - M::MODULUS as u128) / bound;
+    if capacity > usize::MAX as u128 {
+        usize::MAX
+    } else {
+        capacity as usize
+    }
+}
+
+/// Compile-time guard beside [`assert_wide_batch`] for the narrow lanes: a
+/// modulus that takes them must fit at least one product per collapse.
+pub const fn assert_narrow_batch<M: PrimeModulus>() {
+    assert!(
+        !narrow_lanes::<M>() || narrow_batch::<M>() >= 1,
+        "modulus too large for narrow lanes: one (q-1)^2 product must fit in u64"
+    );
+}
+
+/// The narrow lanes' product `a · b`, as one 32 × 32 → 64-bit multiply.
+///
+/// Only for the moduli [`narrow_lanes`] admits: there every canonical residue
+/// is below `2^32`, so the casts drop no bit, and they let the optimizer
+/// emit the unsigned 32-bit vector multiply.
+#[inline(always)]
+pub fn narrow_product<M: PrimeModulus>(a: Fp<M>, b: Fp<M>) -> u64 {
+    debug_assert!(narrow_lanes::<M>(), "{} takes u128 lanes", M::NAME);
+    a.value() as u32 as u64 * b.value() as u32 as u64
+}
+
+/// Number of independent accumulator lanes the carry-counting [`dot`]
+/// stripes over. A single running accumulator serializes on its own
+/// add-with-carry chain; four independent lanes let the multiplies and adds
+/// overlap and the compiler keep all four in registers. The lanes are folded
+/// with field additions only at the end, so the result is bit-identical to
+/// the single-lane kernel.
+pub const DOT_LANES: usize = 4;
 
 /// A running sum of unreduced products that is allowed to overflow: a `u128`
 /// that wraps, plus the number of times it did.
@@ -108,32 +140,6 @@ impl CarryAccumulator {
     }
 }
 
-/// Element-wise sum of two equal-length slices into a new vector.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn slice_add<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Vec<Fp<M>> {
-    assert_eq!(a.len(), b.len(), "slice_add length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x + y).collect()
-}
-
-/// Element-wise difference `a − b` of two equal-length slices.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn slice_sub<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Vec<Fp<M>> {
-    assert_eq!(a.len(), b.len(), "slice_sub length mismatch");
-    a.iter().zip(b.iter()).map(|(&x, &y)| x - y).collect()
-}
-
-/// Scales every element of `a` by the scalar `c` into a new vector.
-pub fn slice_scale<M: PrimeModulus>(a: &[Fp<M>], c: Fp<M>) -> Vec<Fp<M>> {
-    let scale = c.value() as u128;
-    a.iter()
-        .map(|&x| Fp::from_canonical(M::reduce_wide(scale * x.value() as u128)))
-        .collect()
-}
-
 /// In-place fused multiply-add `acc[i] += c * b[i]`.
 ///
 /// One reduction per element (of `c·b[i] + acc[i]`, which never overflows a
@@ -154,34 +160,37 @@ pub fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
     }
 }
 
-/// Inner product `Σ a[i]·b[i]` with lazy reduction: exactly one reduction
-/// per accumulator, whatever the length.
+/// Inner product `Σ a[i]·b[i]` with lazy reduction.
 ///
-/// Which accumulator is a `const` branch on the modulus that folds away
-/// ([`counts_carries`]). Huge-batch moduli keep one plain `u128` running sum.
-/// Tight-batch moduli stripe the unreduced products across [`DOT_LANES`]
-/// [`CarryAccumulator`]s (`lane[j]` absorbs elements `j, j+4, j+8, …`): the
-/// inner loop is four independent multiply-add-with-carry steps, with no
-/// division, no comparison, no branch and no dependency chain between
-/// consecutive products, and the four lane totals are folded with field
-/// additions at the end.
+/// Which lane is a `const` branch on the modulus that folds away
+/// ([`narrow_lanes`]). Narrow moduli keep one `u64` running sum of
+/// [`narrow_product`]s, collapsed once per [`narrow_batch`] products (for a
+/// 25-bit vector shorter than 16 384: once) — a plain multiply-add reduction
+/// the optimizer runs in vector registers. The others stripe the unreduced
+/// products across [`DOT_LANES`] [`CarryAccumulator`]s (`lane[j]` absorbs
+/// elements `j, j+4, j+8, …`): the inner loop is four independent
+/// multiply-add-with-carry steps, with no division, no comparison, no branch
+/// and no dependency chain between consecutive products, and the four lane
+/// totals are folded with field additions at the end.
 ///
 /// # Panics
 /// Panics if the slices have different lengths.
 pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     assert_eq!(a.len(), b.len(), "dot product length mismatch");
-    const { assert_wide_batch::<M>() }
-    if const { !counts_carries::<M>() } {
-        // Huge-batch moduli: one accumulator, (almost) no collapses — the
-        // optimizer already runs this reduction wide.
-        let mut accumulator: u128 = 0;
-        for (chunk_a, chunk_b) in a.chunks(M::WIDE_BATCH).zip(b.chunks(M::WIDE_BATCH)) {
-            for (&x, &y) in chunk_a.iter().zip(chunk_b.iter()) {
-                accumulator += x.value() as u128 * y.value() as u128;
+    const {
+        assert_wide_batch::<M>();
+        assert_narrow_batch::<M>();
+    }
+    if const { narrow_lanes::<M>() } {
+        let batch = narrow_batch::<M>();
+        let mut lane = 0u64;
+        for (chunk_a, chunk_b) in a.chunks(batch).zip(b.chunks(batch)) {
+            for (&x, &y) in chunk_a.iter().zip(chunk_b) {
+                lane += narrow_product(x, y);
             }
-            accumulator = M::reduce_wide(accumulator) as u128;
+            lane = M::reduce_wide(lane as u128);
         }
-        return Fp::from_canonical(M::reduce_wide(accumulator));
+        return Fp::from_canonical(lane);
     }
     // One carry count per lane: a count shared by the lanes would chain every
     // product of the loop through one register (measured 2.3× slower).
@@ -206,64 +215,76 @@ pub fn dot<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
         .fold(Fp::<M>::ZERO, |acc, lane| acc + lane.finish())
 }
 
-/// A vector of `u128` lanes accumulating unreduced products — the shared
-/// engine of the dense Lagrange encode (`Σ_j ℓ_j(α)·X_j`), the erasure
-/// decoder, the screen and the transpose–vector kernel behind Freivalds key
-/// generation (`s = rᵀ·X̃`).
+/// A vector of lanes accumulating unreduced products — the shared engine of
+/// the dense Lagrange encode (`Σ_j ℓ_j(α)·X_j`), the erasure decoder, the
+/// screen and the transpose–vector kernel behind Freivalds key generation
+/// (`s = rᵀ·X̃`).
 ///
-/// Each `axpy` adds one product per lane and nothing is reduced until
-/// [`finish`](Self::finish), however many products went in. How a lane
-/// survives that is the same `const` choice [`dot`] makes
-/// ([`counts_carries`]):
+/// Each `axpy` adds one product per lane and reduces as rarely as the lane
+/// allows. The lane kind is the same `const` choice [`dot`] makes
+/// ([`narrow_lanes`]):
 ///
-/// * **Tight-batch moduli** (Goldilocks, `2^61 − 1`) let the lane wrap and
-///   count the carries beside it, exactly as a [`CarryAccumulator`] does —
-///   one `overflowing_add` and one carry increment per product, one reduction
+/// * **Narrow moduli** (the 25-bit field, `F_251`) keep a `u64` per lane,
+///   fed [`narrow_product`]s and collapsed with one reduction each once
+///   [`narrow_batch`] products have gone in (16 384 `axpy`s for the 25-bit
+///   field); their `axpy` loops run in vector registers.
+/// * **The others** (Goldilocks, `2^61 − 1`) let a `u128` lane wrap and count
+///   the carries beside it, exactly as a [`CarryAccumulator`] does — one
+///   `overflowing_add` and one carry increment per product, one reduction
 ///   per lane at the end. Collapsing every [`PrimeModulus::WIDE_BATCH`]
 ///   products instead would be a `reduce_wide` per product for Goldilocks
 ///   (the twelve 240 × 512 Freivalds keys of a `matmul_batch` job, one
 ///   thread: 2.1–2.5 ms that way, 1.05–1.23 ms this way).
-/// * **Huge-batch moduli** (the 25-bit field: ≈ 2^78 products fit) keep a
-///   plain `u128` per lane; the lanes are collapsed with one reduction each
-///   should `WIDE_BATCH` products ever accumulate.
 ///
 /// Compared to repeated [`slice_axpy`] this performs one reduction per lane
-/// in total instead of one per product.
+/// per batch instead of one per product.
 #[derive(Debug, Clone)]
 pub struct WideAccumulator<M: PrimeModulus> {
-    lanes: Vec<u128>,
-    /// Tight-batch moduli: times each lane wrapped. Empty for the others.
-    carries: Vec<u64>,
-    /// Huge-batch moduli: products accumulated since the last collapse.
+    /// Narrow moduli: one `u64` sum per lane. Empty for the others.
+    narrow: Vec<u64>,
+    /// Narrow moduli: products every lane absorbed since the last collapse.
     pending: usize,
+    /// The other moduli: one wrapped `u128` sum per lane. Empty for the
+    /// narrow moduli.
+    wide: Vec<u128>,
+    /// The other moduli: times each wide lane wrapped.
+    carries: Vec<u64>,
     _modulus: core::marker::PhantomData<M>,
 }
 
 impl<M: PrimeModulus> WideAccumulator<M> {
     /// Creates a zeroed accumulator with `len` lanes.
     pub fn new(len: usize) -> Self {
-        const { assert_wide_batch::<M>() }
-        let carries = if const { counts_carries::<M>() } {
-            vec![0u64; len]
+        const {
+            assert_wide_batch::<M>();
+            assert_narrow_batch::<M>();
+        }
+        let (narrow, wide, carries) = if const { narrow_lanes::<M>() } {
+            (vec![0u64; len], Vec::new(), Vec::new())
         } else {
-            Vec::new()
+            (Vec::new(), vec![0u128; len], vec![0u64; len])
         };
         WideAccumulator {
-            lanes: vec![0u128; len],
-            carries,
+            narrow,
             pending: 0,
+            wide,
+            carries,
             _modulus: core::marker::PhantomData,
         }
     }
 
     /// Number of lanes.
     pub fn len(&self) -> usize {
-        self.lanes.len()
+        if const { narrow_lanes::<M>() } {
+            self.narrow.len()
+        } else {
+            self.wide.len()
+        }
     }
 
     /// `true` iff the accumulator has no lanes.
     pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
+        self.len() == 0
     }
 
     /// Fused multiply-add `lane[i] += c · b[i]`, reducing lazily:
@@ -278,85 +299,85 @@ impl<M: PrimeModulus> WideAccumulator<M> {
     /// `lane[i] += Σ_t c[t] · b[t][i]`: `R` fused multiply-adds per lane,
     /// reducing lazily.
     ///
-    /// Where carries are counted, a lane is a `u128` and a count — two loads
-    /// and three stores around every product if the rows come one at a time,
-    /// which is what a one-row pass is bound by. Here the lane and its count
-    /// are loaded once, absorb all `R` products in registers and are stored
-    /// once. The lanes are independent of each other, so consecutive steps
-    /// never wait on one add-with-carry chain. (`avcc_linalg::matt_vec`
-    /// documents the measured choice of `R`.)
+    /// Each lane is loaded once, absorbs all `R` products in registers and is
+    /// stored once. Where carries are counted, a lane is a `u128` and a count
+    /// — two loads and three stores around every product if the rows came
+    /// one at a time, which is what a one-row pass is bound by. The lanes are
+    /// independent of each other, so consecutive steps never wait on one
+    /// add-with-carry chain, and narrow lanes run in vector registers.
+    /// (`avcc_linalg::matt_vec` documents the measured choice of `R`.)
     ///
     /// # Panics
     /// Panics if a row's length differs from the number of lanes.
     pub fn axpy_rows<const R: usize>(&mut self, c: [Fp<M>; R], b: [&[Fp<M>]; R]) {
-        let len = self.lanes.len();
+        const {
+            assert!(
+                !narrow_lanes::<M>() || R <= narrow_batch::<M>(),
+                "more rows per pass than a narrow lane absorbs"
+            )
+        }
+        let len = self.len();
         for row in b {
             assert_eq!(len, row.len(), "axpy length mismatch");
         }
         // Every slice re-cut to the one length the loops run to, so their
         // indexing needs no bounds checks.
         let b = b.map(|row| &row[..len]);
-        let lanes = self.lanes.as_mut_slice();
-        if const { counts_carries::<M>() } {
-            let carries = &mut self.carries[..len];
-            for i in 0..len {
-                let mut wrapped = CarryAccumulator {
-                    sum: lanes[i],
-                    carries: carries[i],
-                };
-                for t in 0..R {
-                    wrapped.add_product(c[t], b[t][i]);
-                }
-                (lanes[i], carries[i]) = (wrapped.sum, wrapped.carries);
-            }
-            return;
-        }
-        // A plain lane has nothing beside it to keep in registers across
-        // rows: one row per sweep, each a multiply-add loop the optimizer
-        // already runs wide.
-        for (c, row) in c.into_iter().zip(b) {
-            if self.pending == M::WIDE_BATCH {
-                for lane in lanes.iter_mut() {
-                    *lane = M::reduce_wide(*lane) as u128;
+        if const { narrow_lanes::<M>() } {
+            if self.pending + R > narrow_batch::<M>() {
+                for lane in self.narrow.iter_mut() {
+                    *lane = M::reduce_wide(*lane as u128);
                 }
                 self.pending = 0;
             }
-            let scale = c.value() as u128;
-            for (lane, &y) in lanes.iter_mut().zip(row) {
-                *lane += scale * y.value() as u128;
+            let lanes = &mut self.narrow[..len];
+            for i in 0..len {
+                let mut sum = lanes[i];
+                for t in 0..R {
+                    sum += narrow_product(c[t], b[t][i]);
+                }
+                lanes[i] = sum;
             }
-            self.pending += 1;
+            self.pending += R;
+            return;
         }
-    }
-
-    /// The lanes as field elements: each reduced once, with its carries
-    /// folded in where the modulus counts them.
-    fn reduced(&self) -> impl Iterator<Item = Fp<M>> + '_ {
-        let mut carries = self.carries.iter();
-        self.lanes.iter().map(move |&sum| {
-            if const { counts_carries::<M>() } {
-                let carries = *carries.next().expect("one carry count per lane");
-                CarryAccumulator { sum, carries }.finish::<M>()
-            } else {
-                Fp::from_canonical(M::reduce_wide(sum))
+        let lanes = &mut self.wide[..len];
+        let carries = &mut self.carries[..len];
+        for i in 0..len {
+            let mut wrapped = CarryAccumulator {
+                sum: lanes[i],
+                carries: carries[i],
+            };
+            for t in 0..R {
+                wrapped.add_product(c[t], b[t][i]);
             }
-        })
+            (lanes[i], carries[i]) = (wrapped.sum, wrapped.carries);
+        }
     }
 
     /// Reduces and returns the accumulated vector.
     pub fn finish(self) -> Vec<Fp<M>> {
-        self.reduced().collect()
+        let mut out = vec![Fp::ZERO; self.len()];
+        self.finish_into(&mut out);
+        out
     }
 
     /// Reduces the accumulated values into an existing slice (the dense
-    /// encode writes each share's window in place).
+    /// encode writes each share's window in place): each lane once, with its
+    /// carries folded in where the modulus counts them.
     ///
     /// # Panics
     /// Panics if `out.len()` differs from the number of lanes.
     pub fn finish_into(self, out: &mut [Fp<M>]) {
-        assert_eq!(self.lanes.len(), out.len(), "finish_into length mismatch");
-        for (slot, value) in out.iter_mut().zip(self.reduced()) {
-            *slot = value;
+        assert_eq!(self.len(), out.len(), "finish_into length mismatch");
+        if const { narrow_lanes::<M>() } {
+            for (slot, &lane) in out.iter_mut().zip(&self.narrow) {
+                *slot = Fp::from_canonical(M::reduce_wide(lane as u128));
+            }
+        } else {
+            for ((slot, &sum), &carries) in out.iter_mut().zip(&self.wide).zip(&self.carries) {
+                *slot = CarryAccumulator { sum, carries }.finish();
+            }
         }
     }
 }
@@ -399,6 +420,82 @@ mod tests {
     }
 
     #[test]
+    fn narrow_batch_is_the_largest_sound_collapse_interval() {
+        // B·(q−1)² + (q−1) < 2^64: a lane holding a canonical carry-in
+        // absorbs B maximal products; one more could overflow.
+        fn check<M: PrimeModulus>() -> usize {
+            assert!(narrow_lanes::<M>());
+            let batch = narrow_batch::<M>() as u128;
+            let top = (M::MODULUS - 1) as u128;
+            assert!(batch * top * top + top < 1 << 64, "{}", M::NAME);
+            assert!((batch + 1) * top * top + top >= 1 << 64, "{}", M::NAME);
+            batch as usize
+        }
+        assert_eq!(check::<P25>(), 16_384);
+        assert!(check::<P251>() > 1 << 48);
+        assert!(!narrow_lanes::<P61>() && narrow_batch::<P61>() == 0);
+        assert!(!narrow_lanes::<crate::fp::P64>() && narrow_batch::<crate::fp::P64>() == 0);
+    }
+
+    /// Lengths around the narrow batch `B` of the 25-bit field: none, one,
+    /// the last that needs no collapse, exactly one full batch, one past it
+    /// and two batches plus a partial one. `F_251` runs the same lengths,
+    /// far below its own batch.
+    fn narrow_boundary_lengths() -> [usize; 6] {
+        let batch = narrow_batch::<P25>();
+        [0, 1, batch - 1, batch, batch + 1, 2 * batch + 3]
+    }
+
+    #[test]
+    fn narrow_dot_is_exact_where_lanes_collapse() {
+        // All-(q−1) operands: every product is the largest a lane absorbs,
+        // so a collapse interval one too long overflows the u64 — a panic
+        // under debug overflow checks, a wrong residue in release.
+        fn check<M: PrimeModulus>() {
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            for len in narrow_boundary_lengths() {
+                let a = vec![near; len];
+                let reference: Fp<M> = a.iter().map(|&x| x * x).sum();
+                assert_eq!(reference, Fp::<M>::from_u64(len as u64));
+                assert_eq!(dot(&a, &a), reference, "{} len = {len}", M::NAME);
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+    }
+
+    #[test]
+    fn narrow_wide_accumulator_is_exact_where_lanes_collapse() {
+        // The same boundary in `axpy` count: one row per pass, two per pass
+        // (a pair may straddle the collapse point), and the two mixed as
+        // `matt_vec` mixes them for an odd height.
+        fn check<M: PrimeModulus>() {
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            let b = vec![near; 3];
+            for axpys in narrow_boundary_lengths().into_iter().skip(2) {
+                let reference = vec![Fp::<M>::from_u64(axpys as u64); 3];
+                let mut single = WideAccumulator::<M>::new(3);
+                let mut paired = WideAccumulator::<M>::new(3);
+                for _ in 0..axpys {
+                    single.axpy(near, &b);
+                }
+                for _ in 0..axpys / 2 {
+                    paired.axpy_rows([near; 2], [&b; 2]);
+                }
+                if axpys % 2 == 1 {
+                    paired.axpy(near, &b);
+                }
+                assert_eq!(single.finish(), reference, "{} axpys = {axpys}", M::NAME);
+                let mut into = vec![Fp::<M>::ZERO; 3];
+                paired.finish_into(&mut into);
+                assert_eq!(into, reference, "{} axpy_rows = {axpys}", M::NAME);
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+    }
+
+    #[test]
     fn goldilocks_kernels_survive_batch_of_one() {
         // WIDE_BATCH = 1: a u128 holds one product, so every accumulation
         // after the first wraps; the lazy kernels must still match the
@@ -427,7 +524,7 @@ mod tests {
         // e2e block width and a long odd vector. (q−1)² ≡ 1, so the sum is
         // the length. P61 takes the same kernel and wraps every ~64 products.
         fn check<M: PrimeModulus>() {
-            assert!(counts_carries::<M>());
+            assert!(!narrow_lanes::<M>());
             let near = Fp::<M>::from_u64(M::MODULUS - 1);
             for len in [1usize, 3, 4, 5, 512, 4099] {
                 let a = vec![near; len];
@@ -454,20 +551,6 @@ mod tests {
                 H::from_u64(products)
             );
         }
-    }
-
-    #[test]
-    fn slice_add_and_sub_are_inverses() {
-        let a = fv(&[1, 2, 3, 4]);
-        let b = fv(&[10, 20, 30, 40]);
-        let sum = slice_add(&a, &b);
-        assert_eq!(slice_sub(&sum, &b), a);
-    }
-
-    #[test]
-    fn slice_scale_by_one_is_identity() {
-        let a = fv(&[9, 8, 7]);
-        assert_eq!(slice_scale(&a, F::ONE), a);
     }
 
     #[test]
@@ -625,7 +708,7 @@ mod tests {
                     reference += near * near;
                 }
                 assert_eq!(reference, Fp::<M>::from_u64(axpys as u64));
-                if counts_carries::<M>() && M::WIDE_BATCH == 1 {
+                if !narrow_lanes::<M>() && M::WIDE_BATCH == 1 {
                     assert_eq!(accumulator.carries, vec![axpys as u64 - 1; 5]);
                 }
                 let mut into = vec![Fp::<M>::ZERO; 5];
@@ -680,7 +763,7 @@ mod tests {
             let a: Vec<F> = a[..n].iter().map(|&v| F::from_u64(v)).collect();
             let b: Vec<F> = b[..n].iter().map(|&v| F::from_u64(v)).collect();
             let c = F::from_u64(c);
-            let scaled = slice_scale(&a, c);
+            let scaled: Vec<F> = a.iter().map(|&x| c * x).collect();
             prop_assert_eq!(dot(&scaled, &b), c * dot(&a, &b));
         }
 

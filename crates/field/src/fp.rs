@@ -47,7 +47,9 @@ pub trait PrimeModulus:
     /// How many unreduced products of canonical representatives a `u128`
     /// accumulator can absorb (on top of one canonical carry-in) before it
     /// could overflow: `⌊(2^128 − q) / (q−1)²⌋`, clamped to `usize`. The batch
-    /// kernels ([`crate::batch`]) reduce once per this many products.
+    /// kernels ([`crate::batch`]) require at least one
+    /// ([`crate::batch::assert_wide_batch`]); past that, their `u128` lanes
+    /// count carries instead of collapsing.
     const WIDE_BATCH: usize = {
         let bound = (Self::MODULUS - 1) as u128 * (Self::MODULUS - 1) as u128;
         let capacity = (u128::MAX - Self::MODULUS as u128) / bound;
@@ -270,7 +272,7 @@ pub trait PrimeField:
     ///
     /// The default folds element-wise (one reduction per product); [`Fp`]
     /// overrides it with the lazy-reduction kernel [`crate::batch::dot`],
-    /// which reduces once per [`PrimeModulus::WIDE_BATCH`] products. Generic
+    /// which reduces once per lane and batch, not per product. Generic
     /// product chains (polynomial convolution, Berlekamp–Welch) route their
     /// sums-of-products through this hook so they inherit lazy reduction
     /// without naming a concrete modulus.

@@ -17,8 +17,8 @@
 //!   [`F251`] is provided for exhaustive tests.
 //! * [`reduce`] — the specialized wide-reduction backends behind every
 //!   multiply (see *Reduction strategy* below).
-//! * [`batch`] — slice-level kernels: element-wise operations, dot products
-//!   with lazy reduction, the [`WideAccumulator`] engine of the encoder and
+//! * [`batch`] — slice-level kernels: `axpy`, dot products with lazy
+//!   reduction, the [`WideAccumulator`] engine of the encoder and
 //!   decoder, Montgomery batch inversion.
 //! * [`quantize`] — fixed-point quantization between `f64` and `F_q` using the
 //!   two's-complement style signed embedding described in §V of the paper
@@ -53,7 +53,7 @@
 //!
 //! | Modulus | One-shot products / lazy sums | Long chains | Why |
 //! |---------|-------------------------------|-------------|-----|
-//! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step, and `WIDE_BATCH ≈ 2^78` makes lazy accumulation nearly free |
+//! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step; lazy sums run in narrow `u64` lanes of 32 × 32 → 64-bit products, which vectorize, collapsed once per 16 384 products |
 //! | [`P61`] | Mersenne fold | fold (opted out) | same: shift-add folds beat REDC per multiply |
 //! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the NTT butterflies (twiddles pre-converted once per plan) in-domain |
 //! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions (no end-to-end workload selects this field; it exists for exhaustive soundness tests) |
@@ -65,32 +65,33 @@
 //!
 //! # Overflow bounds (lazy reduction)
 //!
-//! The batch and linalg kernels do not reduce per product. A `u128` lane
-//! holding one canonical carry-in (`< q`) absorbs up to
-//! [`PrimeModulus::WIDE_BATCH`]` = ⌊(2^128 − q) / (q−1)²⌋` unreduced products
-//! before it could overflow:
+//! The batch and linalg kernels ([`batch::dot`], `avcc_linalg::mat_vec`, the
+//! vector-lane [`WideAccumulator`]) do not reduce per product. They use one
+//! of two lane kinds, chosen per modulus at compile time by
+//! [`batch::narrow_lanes`]:
 //!
-//! * `q = 2^25 − 39`: products are `< 2^50`, so the batch is `≈ 2^78` — one
-//!   reduction per lane for any realistic vector length;
-//! * `q = 2^61 − 1`: products are `< 2^122`, so the batch is 63;
-//! * Goldilocks: products reach `2^128 − 2^97`, so the batch is 1.
+//! * **`q ≤ 2^32`** (`q = 2^25 − 39`, `q = 251`): every residue fits a `u32`,
+//!   products are `< 2^64`, and the lane is a `u64` — the paper's own
+//!   64-bit accumulator, and the width at which the multiply-adds vectorize.
+//!   A lane holding one canonical carry-in absorbs
+//!   [`batch::narrow_batch`]` = ⌊(2^64 − q) / (q−1)²⌋` products before it
+//!   could overflow (16 384 for the 25-bit field), so the kernels collapse it
+//!   with one reduction per that many products — once per lane for the
+//!   GISETTE dimension `d = 5000`, where the paper's §V constraint
+//!   `d·(q−1)² ≤ 2^63 − 1` asks for none.
+//! * **Larger moduli**: products of canonical values reach `2^122`
+//!   (`2^61 − 1`) and `2^128 − 2^97` (Goldilocks), so a `u128` holds 63 of
+//!   them, or [`PrimeModulus::WIDE_BATCH`]` = 1`. Collapsing that often
+//!   would mean a reduction per product; the kernels instead let the `u128`
+//!   **wrap and count the carries** ([`CarryAccumulator`]): the true sum is
+//!   `sum + carries·2^128`, and `2^128 mod q` is the
+//!   [`PrimeModulus::MONT_R2`] every modulus already carries, so each
+//!   accumulator is reduced exactly once, however long the vector.
 //!
-//! Where the batch is that tight, collapsing every `WIDE_BATCH` products
-//! would mean a reduction per product. The dot-product kernels
-//! ([`batch::dot`], `avcc_linalg::mat_vec`) instead let the `u128` **wrap and
-//! count the carries** ([`CarryAccumulator`]): the true sum is
-//! `sum + carries·2^128`, and `2^128 mod q` is the [`PrimeModulus::MONT_R2`]
-//! every modulus already carries, so each accumulator is reduced exactly
-//! once, however long the vector. Which moduli do is the `const fn`
-//! [`batch::counts_carries`]; the vector-lane [`WideAccumulator`] keeps a
-//! wrapped sum and a carry count per lane for the same moduli.
-//!
-//! Every kernel checks the bound at **compile time** via an inline-`const`
-//! evaluation of [`batch::assert_wide_batch`], so an unsound modulus is a
-//! build error, not a run-time overflow. This replaces the paper's
-//! 64-bit-accumulator constraint `d·(q−1)² ≤ 2^63 − 1` (§V) with a 128-bit
-//! budget that admits the GISETTE dimension `d = 5000` in both fields with
-//! a single reduction per lane.
+//! Every kernel checks its bounds at **compile time** via inline-`const`
+//! evaluations of [`batch::assert_wide_batch`] and
+//! [`batch::assert_narrow_batch`], so an unsound modulus is a build error,
+//! not a run-time overflow.
 //!
 //! # Example
 //!
@@ -114,10 +115,7 @@ pub mod reduce;
 pub mod rng;
 pub mod spans;
 
-pub use batch::{
-    batch_inverse, dot, slice_add, slice_axpy, slice_scale, slice_sub, CarryAccumulator,
-    WideAccumulator, DOT_LANES,
-};
+pub use batch::{batch_inverse, dot, slice_axpy, CarryAccumulator, WideAccumulator, DOT_LANES};
 pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};
@@ -126,7 +124,8 @@ pub use spans::{map_spans, span_threads};
 /// The field used throughout the paper: `q = 2^25 − 39`, the largest 25-bit
 /// prime. With the GISETTE-like feature dimension `d = 5000` the worst-case
 /// inner product satisfies `d (q−1)^2 ≤ 2^63 − 1`, so accumulation fits in a
-/// 64-bit register (we still accumulate in `u128` for safety at larger `d`).
+/// 64-bit register (the kernels' `u64` lanes collapse once per 16 384
+/// products, so any `d` is safe).
 pub type F25 = Fp<P25>;
 
 /// A larger field, `q = 2^61 − 1` (a Mersenne prime), for workloads whose

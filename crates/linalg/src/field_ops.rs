@@ -8,22 +8,29 @@
 //! (`s = rᵀ·X̃`).
 //!
 //! Both are built on *lazy reduction* (see [`avcc_field::batch`]):
-//! unreduced products accumulate in `u128` lanes and pass through the
-//! modulus's specialized [`PrimeModulus::reduce_wide`] backend as rarely as
-//! the modulus allows, so the inner loops are multiply-add only — no
-//! division, no per-element reduction:
+//! unreduced products accumulate in lanes that pass through the modulus's
+//! specialized [`PrimeModulus::reduce_wide`] backend as rarely as the
+//! modulus allows, so the inner loops are multiply-add only — no division,
+//! no per-element reduction. There are two lane kinds, chosen per modulus at
+//! compile time by [`narrow_lanes`]: for `q ≤ 2^32` (the paper's 25-bit
+//! field) a `u64` fed 32 × 32 → 64-bit products, which the optimizer turns
+//! into vector code, collapsed once per [`narrow_batch`] products (16 384
+//! for the 25-bit field); for every larger modulus a carry-counting `u128`
+//! ([`CarryAccumulator`]), reduced once at the end.
 //!
 //! * [`mat_vec`] — register-blocked: four rows share one streaming pass over
-//!   `x`, each with its own lazy accumulator and **one reduction per row** —
-//!   a plain `u128` for the huge-batch moduli, a carry-counting
-//!   [`CarryAccumulator`] for the tight-batch ones (Goldilocks, `2^61 − 1`).
+//!   `x`, each with its own lazy accumulator and **one reduction per row**
+//!   per batch.
 //! * [`matt_vec`] — one [`WideAccumulator`] over the output columns, fed two
 //!   rows per pass; the matrix streams through row-major exactly once.
 //!
 //! Parallelism lives one level up: the executors in `avcc_sim` run one
 //! worker's kernel per pool task, so the kernels themselves stay serial.
 
-use avcc_field::batch::{assert_wide_batch, counts_carries, CarryAccumulator};
+use avcc_field::batch::{
+    assert_narrow_batch, assert_wide_batch, narrow_batch, narrow_lanes, narrow_product,
+    CarryAccumulator,
+};
 use avcc_field::{Fp, PrimeModulus, WideAccumulator};
 
 use crate::matrix::Matrix;
@@ -31,21 +38,30 @@ use crate::matrix::Matrix;
 /// Matrix–vector product `A·x` over the field.
 ///
 /// Rows are processed four at a time so each streamed load of `x[j]` feeds
-/// four multiply-adds. Accumulation is lazy and the accumulator is selected
-/// per modulus by the `const` [`counts_carries`], exactly as in
+/// four multiply-adds. Accumulation is lazy and the lane kind is selected
+/// per modulus by the `const` [`narrow_lanes`], exactly as in
 /// [`avcc_field::dot`] (which also finishes the up-to-three remainder rows):
-/// tight-batch moduli — Goldilocks overflows a `u128` at almost every
-/// product — count carries and reduce once per row; huge-batch moduli keep a
-/// plain `u128` per row, collapsed once per [`PrimeModulus::WIDE_BATCH`]
-/// products (for the 25-bit field: once). On `matmul_batch` (240 × 512
-/// Goldilocks blocks, 8 inputs) counting carries instead of reducing every
-/// product takes the worker's compute from 1.6–1.8 to 0.6–0.7 ns per
-/// multiply-add (`linalg.mat_vec_ns_per_mac`).
+///
+/// * narrow moduli (the 25-bit field) keep a `u64` per row, fed
+///   [`narrow_product`]s and collapsed once per [`narrow_batch`] columns (for
+///   a row shorter than 16 384: once) — four multiply-add reductions the
+///   optimizer runs in vector registers. On a 200 × 261 `train_quiet` block
+///   this took 24.0 µs in `u128` lanes and takes 8.8 µs (the
+///   `matmul/train_quiet_block/p25` bench); in the e2e probe
+///   `linalg.mat_vec_ns_per_mac` 0.46–0.47 → 0.18–0.20 ns per multiply-add;
+/// * the others count carries and reduce once per row — Goldilocks overflows
+///   a `u128` at almost every product. On `matmul_batch` (240 × 512
+///   Goldilocks blocks, 8 inputs) counting carries instead of reducing every
+///   product takes the worker's compute from 1.6–1.8 to 0.6–0.7 ns per
+///   multiply-add (`linalg.mat_vec_ns_per_mac`).
 ///
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
 pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
-    const { assert_wide_batch::<M>() }
+    const {
+        assert_wide_batch::<M>();
+        assert_narrow_batch::<M>();
+    }
     assert_eq!(a.cols(), x.len(), "mat_vec dimension mismatch");
     let rows = a.rows();
     let mut out = Vec::with_capacity(rows);
@@ -53,7 +69,25 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
     // Four-row micro-kernel: one pass over x feeds four accumulators.
     while row + 4 <= rows {
         let (r0, r1, r2, r3) = (a.row(row), a.row(row + 1), a.row(row + 2), a.row(row + 3));
-        if const { counts_carries::<M>() } {
+        if const { narrow_lanes::<M>() } {
+            let batch = narrow_batch::<M>();
+            let mut acc = [0u64; 4];
+            let bands = (x.chunks(batch).zip(r0.chunks(batch)).zip(r1.chunks(batch)))
+                .zip(r2.chunks(batch))
+                .zip(r3.chunks(batch));
+            for ((((x, r0), r1), r2), r3) in bands {
+                for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
+                    acc[0] += narrow_product(a0, xj);
+                    acc[1] += narrow_product(a1, xj);
+                    acc[2] += narrow_product(a2, xj);
+                    acc[3] += narrow_product(a3, xj);
+                }
+                acc = acc.map(|lane| M::reduce_wide(lane as u128));
+            }
+            // Every lane was just collapsed to a canonical representative
+            // (or never left zero), so `new` only compares.
+            out.extend(acc.map(Fp::<M>::new));
+        } else {
             let mut acc = [CarryAccumulator::default(); 4];
             for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
                 acc[0].add_product(a0, xj);
@@ -62,26 +96,6 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
                 acc[3].add_product(a3, xj);
             }
             out.extend(acc.map(CarryAccumulator::finish::<M>));
-        } else {
-            let mut acc = [0u128; 4];
-            let mut column = 0;
-            while column < x.len() {
-                let stop = (column + M::WIDE_BATCH).min(x.len());
-                for j in column..stop {
-                    let xj = x[j].value() as u128;
-                    acc[0] += r0[j].value() as u128 * xj;
-                    acc[1] += r1[j].value() as u128 * xj;
-                    acc[2] += r2[j].value() as u128 * xj;
-                    acc[3] += r3[j].value() as u128 * xj;
-                }
-                for lane in acc.iter_mut() {
-                    *lane = M::reduce_wide(*lane) as u128;
-                }
-                column = stop;
-            }
-            // Lanes are collapsed to canonical representatives at every chunk
-            // boundary, so the final cast is exact.
-            out.extend(acc.iter().map(|&lane| Fp::<M>::new(lane as u64)));
         }
         row += 4;
     }
@@ -127,7 +141,7 @@ pub fn matt_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, y: &[Fp<M>]) -> Vec<Fp<M>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avcc_field::{PrimeField, F25, F61, F64, P61, P64};
+    use avcc_field::{PrimeField, F25, F61, F64, P25, P251, P61, P64};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::{Rng, SeedableRng};
@@ -217,6 +231,72 @@ mod tests {
         }
     }
 
+    /// Widths around the 25-bit field's narrow batch `B`: none, one, the last
+    /// that needs no collapse, exactly one batch, one past it, and two
+    /// batches plus a partial one. `F_251` runs the same widths, far below
+    /// its own batch.
+    fn narrow_boundary_widths() -> [usize; 6] {
+        let batch = narrow_batch::<P25>();
+        [0, 1, batch - 1, batch, batch + 1, 2 * batch + 3]
+    }
+
+    #[test]
+    fn narrow_mat_vec_is_exact_where_lanes_collapse() {
+        // All-(q−1) operands: every product is the largest a u64 lane
+        // absorbs, so a collapse interval one too long overflows — a panic
+        // under debug overflow checks. Four to seven rows run the four-row
+        // kernel and every count of `dot` remainder rows; (q−1)² ≡ 1, so
+        // every output is the width.
+        fn check<M: PrimeModulus>() {
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            for cols in narrow_boundary_widths() {
+                for rows in 4..=7 {
+                    let a = Matrix::from_vec(rows, cols, vec![near; rows * cols]);
+                    let x = vec![near; cols];
+                    let reference: Vec<Fp<M>> = a
+                        .rows_iter()
+                        .map(|row| row.iter().zip(&x).map(|(&p, &q)| p * q).sum())
+                        .collect();
+                    assert_eq!(reference, vec![Fp::<M>::from_u64(cols as u64); rows]);
+                    assert_eq!(mat_vec(&a, &x), reference, "{} {rows} x {cols}", M::NAME);
+                }
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+    }
+
+    #[test]
+    fn narrow_matt_vec_is_exact_where_lanes_collapse() {
+        // The same boundary in rows: `matt_vec` feeds its accumulator two
+        // rows per pass and an odd height's last row alone.
+        fn check<M: PrimeModulus>() {
+            let near = Fp::<M>::from_u64(M::MODULUS - 1);
+            for rows in narrow_boundary_widths().into_iter().skip(2) {
+                let a = Matrix::from_vec(rows, 3, vec![near; rows * 3]);
+                let y = vec![near; rows];
+                let expected = vec![Fp::<M>::from_u64(rows as u64); 3];
+                assert_eq!(matt_vec(&a, &y), expected, "{} rows = {rows}", M::NAME);
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+    }
+
+    #[test]
+    fn kernels_keep_every_row_of_degenerate_shapes() {
+        // An r × 0 product is r empty sums; a 0 × c transpose product is c.
+        fn check<M: PrimeModulus>() {
+            for (rows, cols) in [(0usize, 0usize), (3, 0), (0, 3)] {
+                let a: Matrix<Fp<M>> = Matrix::zeros(rows, cols);
+                assert_eq!(mat_vec(&a, &vec![Fp::ONE; cols]), vec![Fp::ZERO; rows]);
+                assert_eq!(matt_vec(&a, &vec![Fp::ONE; rows]), vec![Fp::ZERO; cols]);
+            }
+        }
+        check::<P25>();
+        check::<P64>();
+    }
+
     #[test]
     fn matt_vec_matches_explicit_transpose() {
         let mut rng = StdRng::seed_from_u64(7);
@@ -259,21 +339,27 @@ mod tests {
         ) {
             // Seven rows: one four-row group and three `dot` remainder rows
             // for `mat_vec`, three row pairs and a single for `matt_vec`.
-            let a = Matrix::from_vec(7, 13, raw_a.iter().map(|&v| F64::from_u64(v)).collect());
-            let x: Vec<F64> = raw_x.iter().map(|&v| F64::from_u64(v)).collect();
-            let y: Vec<F64> = raw_y.iter().map(|&v| F64::from_u64(v)).collect();
-            let transposed: Vec<F64> = (0..13)
-                .map(|column| a.rows_iter().zip(&y).map(|(row, &scale)| scale * row[column]).sum())
-                .collect();
-            prop_assert_eq!(matt_vec(&a, &y), transposed);
-            let reference: Vec<F64> = a
-                .rows_iter()
-                .map(|row| row.iter().zip(x.iter()).map(|(&p, &q)| p * q).sum())
-                .collect();
-            prop_assert_eq!(mat_vec(&a, &x), reference.clone());
-            for (row, &expected) in a.rows_iter().zip(&reference) {
-                prop_assert_eq!(avcc_field::dot(row, &x), expected);
+            // Goldilocks takes the carry-counting lanes, the 25-bit field the
+            // narrow ones.
+            fn check<M: PrimeModulus>(raw_a: &[u64], raw_x: &[u64], raw_y: &[u64]) {
+                let a = Matrix::from_vec(7, 13, raw_a.iter().map(|&v| Fp::<M>::from_u64(v)).collect());
+                let x: Vec<Fp<M>> = raw_x.iter().map(|&v| Fp::from_u64(v)).collect();
+                let y: Vec<Fp<M>> = raw_y.iter().map(|&v| Fp::from_u64(v)).collect();
+                let transposed: Vec<Fp<M>> = (0..13)
+                    .map(|column| a.rows_iter().zip(&y).map(|(row, &scale)| scale * row[column]).sum())
+                    .collect();
+                assert_eq!(matt_vec(&a, &y), transposed, "{}", M::NAME);
+                let reference: Vec<Fp<M>> = a
+                    .rows_iter()
+                    .map(|row| row.iter().zip(x.iter()).map(|(&p, &q)| p * q).sum())
+                    .collect();
+                assert_eq!(mat_vec(&a, &x), reference, "{}", M::NAME);
+                for (row, &expected) in a.rows_iter().zip(&reference) {
+                    assert_eq!(avcc_field::dot(row, &x), expected, "{}", M::NAME);
+                }
             }
+            check::<P64>(&raw_a, &raw_x, &raw_y);
+            check::<P25>(&raw_a, &raw_x, &raw_y);
         }
 
         #[test]

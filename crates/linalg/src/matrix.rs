@@ -97,9 +97,10 @@ impl<T> Matrix<T> {
         self.data[i * self.cols + j] = value;
     }
 
-    /// Iterates over the rows as slices.
+    /// Iterates over the rows as slices: exactly [`rows`](Self::rows) of
+    /// them, empty ones for a zero-column matrix.
     pub fn rows_iter(&self) -> impl Iterator<Item = &[T]> {
-        self.data.chunks(self.cols.max(1)).take(self.rows)
+        (0..self.rows).map(move |i| &self.data[i * self.cols..(i + 1) * self.cols])
     }
 }
 
@@ -253,5 +254,15 @@ mod tests {
         let m = sample();
         let rows: Vec<&[i64]> = m.rows_iter().collect();
         assert_eq!(rows, vec![&[1, 2, 3][..], &[4, 5, 6][..]]);
+    }
+
+    #[test]
+    fn rows_iter_yields_every_row_of_a_degenerate_matrix() {
+        for (rows, cols) in [(0usize, 0usize), (3, 0), (0, 3)] {
+            let m: Matrix<i64> = Matrix::zeros(rows, cols);
+            let yielded: Vec<&[i64]> = m.rows_iter().collect();
+            assert_eq!(yielded.len(), rows, "{rows} x {cols}");
+            assert!(yielded.iter().all(|row| row.len() == cols));
+        }
     }
 }

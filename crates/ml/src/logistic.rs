@@ -391,4 +391,83 @@ mod tests {
     fn mismatched_prediction_lengths_panic() {
         let _ = accuracy(&[0.5], &[1.0, 0.0]);
     }
+
+    /// The e2e `train_quiet` problem: GISETTE-like, 1 800 / 360 samples ×
+    /// 255 features at seed 1, scaled, and padded with zero columns to
+    /// 261 = 9 · 29 as the distributed trainer pads it.
+    fn train_quiet_problem() -> (Dataset, Matrix<f64>, Matrix<f64>) {
+        let dataset = Dataset::gisette_like(DatasetConfig {
+            train_samples: 1800,
+            test_samples: 360,
+            features: 255,
+            informative: 85,
+            seed: 1,
+            ..DatasetConfig::default()
+        });
+        let (_, train, test) =
+            FeatureScaler::fit_transform(&dataset.train_features, &dataset.test_features);
+        let pad = |m: &Matrix<f64>| {
+            let data = m
+                .rows_iter()
+                .flat_map(|row| row.iter().copied().chain([0.0; 6]));
+            Matrix::from_vec(m.rows(), 261, data.collect())
+        };
+        (dataset, pad(&train), pad(&test))
+    }
+
+    /// An order-sensitive digest of a vector's bit patterns.
+    fn fingerprint(values: &[f64]) -> u64 {
+        values.iter().fold(0xcbf2_9ce4_8422_2325, |hash, value| {
+            (hash ^ value.to_bits()).wrapping_mul(0x0100_0000_01b3)
+        })
+    }
+
+    #[test]
+    fn evaluation_of_the_train_quiet_problem_keeps_its_bits() {
+        // Recorded from the one-row-at-a-time evaluation pass, per weight
+        // vector: test accuracy, train loss, and the digests of
+        // `predict_proba` over 359 test rows and 361 train rows (three and
+        // one rows past the last four-row band).
+        const RECORDED: [[u64; 4]; 3] = [
+            [
+                0x3fde_0b60_b60b_60b6,
+                0x3ff4_1333_734a_c08a,
+                0x3fec_111c_e474_bdff,
+                0xad38_700c_5dee_5261,
+            ],
+            [
+                0x3fdf_d27d_27d2_7d28,
+                0x4014_65f3_bd40_262c,
+                0x162e_9ecb_5ff3_37bb,
+                0xf554_6cc0_a431_ebf2,
+            ],
+            [
+                0x3fee_aaaa_aaaa_aaab,
+                0x3fd0_fd85_d9ec_0b35,
+                0xcd6e_6d20_c3ed_2793,
+                0xbb99_9bd7_ed27_45c3,
+            ],
+        ];
+        let (dataset, train, test) = train_quiet_problem();
+        let separator: Vec<f64> = dataset.true_weights.iter().map(|w| 40.0 * w).collect();
+        let weight_vectors: [Vec<f64>; 3] = [
+            (0..261)
+                .map(|j| ((j * 37) % 101) as f64 / 50.0 - 1.0)
+                .collect(),
+            (0..261).map(|j| 4.0 * (j as f64 * 0.37).sin()).collect(),
+            separator.into_iter().chain([0.0; 6]).collect(),
+        ];
+        for (weights, recorded) in weight_vectors.into_iter().zip(RECORDED) {
+            let model = LogisticModel { weights };
+            let observed = [
+                model
+                    .evaluate_accuracy(&test, &dataset.test_labels)
+                    .to_bits(),
+                model.evaluate_loss(&train, &dataset.train_labels).to_bits(),
+                fingerprint(&model.predict_proba(&test.row_slice(0, 359))),
+                fingerprint(&model.predict_proba(&train.row_slice(0, 361))),
+            ];
+            assert_eq!(observed, recorded);
+        }
+    }
 }
