@@ -25,7 +25,8 @@
 //!   rows per pass; the matrix streams through row-major exactly once.
 //!
 //! Parallelism lives one level up: the executors in `avcc_sim` run one
-//! worker's kernel per pool task, so the kernels themselves stay serial.
+//! worker's kernel per worker thread or process, so the kernels themselves
+//! stay serial.
 
 use avcc_field::batch::{
     assert_narrow_batch, assert_wide_batch, narrow_batch, narrow_lanes, narrow_product,

@@ -12,7 +12,7 @@
 //!
 //! [`Matrix`] is a simple row-major dense container generic over the element
 //! type; [`field_ops`] provides the two serial field kernels (the executors
-//! in `avcc_sim` fan workers out, one kernel call per pool task), and
+//! in `avcc_sim` fan workers out, one kernel call per worker), and
 //! [`real_ops`] provides the `f64` reference kernels plus the quantization
 //! bridge used by the ML layer.
 

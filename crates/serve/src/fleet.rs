@@ -1,29 +1,20 @@
-//! The shared worker fleet: a fixed number of worker slots on a thread pool.
+//! The shared worker fleet: a fixed number of worker slots.
 //!
 //! A [`Fleet`] models the cluster's worker machines for the serving layer the
 //! way [`avcc_sim::executor::ThreadedExecutor`] models them for a single
-//! round: each spawned round task occupies one slot for its real compute time
-//! (plus a straggler sleep, see
-//! [`avcc_sim::executor::slowdown_sleep_seconds`]). The fleet is deliberately
-//! *narrower* than the job's worker count in interesting configurations —
-//! that is what creates queueing, and what the scheduler's cross-job
-//! pipelining then fills.
+//! round: each round task occupies one slot for its real compute time (plus a
+//! straggler sleep, see [`avcc_sim::executor::slowdown_sleep_seconds`]). The
+//! fleet is deliberately *narrower* than the job's worker count in
+//! interesting configurations — that is what creates queueing, and what the
+//! scheduler's cross-job pipelining then fills.
 
-use avcc_pool::ThreadPool;
-
-/// A fixed-width pool of worker slots shared by every job the scheduler
-/// admits.
+/// A fixed number of worker slots shared by every job the scheduler admits.
 ///
-/// The fleet owns a dedicated [`ThreadPool`] of `width + 1` parallelism:
-/// `width` background threads execute worker tasks while the extra
-/// participant slot belongs to the scheduler thread, which blocks on result
-/// arrivals inside the pool scope. Keeping the scheduler off the worker
-/// threads means a fleet of width `w` really computes at most `w` tasks at
-/// once, and the scheduler can never deadlock waiting for a task that has no
-/// thread to run on.
+/// Each [`Scheduler::run`](crate::Scheduler::run) starts `width` slot threads
+/// that take round tasks from one queue, so a fleet of width `w` computes at
+/// most `w` tasks at once; the scheduler itself stays on the calling thread.
 #[derive(Debug)]
 pub struct Fleet {
-    pool: ThreadPool,
     width: usize,
 }
 
@@ -35,33 +26,18 @@ impl Fleet {
     /// a round.
     pub fn new(width: usize) -> Self {
         assert!(width >= 1, "a fleet needs at least one worker slot");
-        Fleet {
-            pool: ThreadPool::new(width + 1),
-            width,
-        }
+        Fleet { width }
     }
 
     /// Number of worker slots (tasks that can compute simultaneously).
     pub fn width(&self) -> usize {
         self.width
     }
-
-    /// The pool backing the fleet's worker slots.
-    pub(crate) fn pool(&self) -> &ThreadPool {
-        &self.pool
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn fleet_reserves_a_scheduler_slot() {
-        let fleet = Fleet::new(3);
-        assert_eq!(fleet.width(), 3);
-        assert_eq!(fleet.pool().parallelism(), 4);
-    }
 
     #[test]
     #[should_panic(expected = "at least one worker")]

@@ -5,8 +5,8 @@
 //! pipeline API ([`avcc_core::DistributedTrainer::encode_round1`] and its
 //! collect stages) into a *serving* system:
 //!
-//! * a [`Fleet`] — a fixed number of worker slots backed by the
-//!   [`avcc_pool`] work-stealing pool, shared by every admitted job;
+//! * a [`Fleet`] — a fixed number of worker slots, one thread each while
+//!   the scheduler runs, shared by every admitted job;
 //! * [`JobSpec`]s — full training runs, one-shot coded matrix–vector
 //!   products, or multi-function matmul batches built with
 //!   [`JobSpec::matmul`] that serve `m` inputs over **one** shared encoded

@@ -30,7 +30,8 @@
 
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::mpsc::{self, Sender};
+use std::sync::mpsc::{self, Receiver, Sender};
+use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use avcc_coding::SchemeConfig;
@@ -42,7 +43,6 @@ use avcc_core::{
 };
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
-use avcc_pool::Scope;
 use avcc_sim::churn::{ChurnSchedule, ChurnState};
 use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::{slowdown_sleep_seconds, WorkerOutcome};
@@ -133,6 +133,15 @@ struct PendingJob<M: PrimeModulus> {
     id: JobId,
     spec: JobSpec<M>,
     submitted_at: Instant,
+}
+
+/// One worker task queued for the fleet's slot threads.
+struct FleetTask<M: PrimeModulus> {
+    slot: usize,
+    serial: u64,
+    /// Real seconds of straggler sleep after the product.
+    sleep: f64,
+    task: BatchRoundTask<M>,
 }
 
 /// One worker result in flight from the fleet back to the master.
@@ -267,7 +276,8 @@ impl<M: PrimeModulus> Scheduler<M> {
     }
 
     /// Injects a churn schedule over the *logical* worker fleet (the worker
-    /// indices jobs dispatch to, not the [`Fleet`]'s thread slots). The
+    /// indices jobs dispatch to; any of the [`Fleet`]'s slots may run any
+    /// worker's task). The
     /// schedule's clock is the global dispatch counter: every dispatched
     /// round — including re-dispatches of parked rounds — advances it one
     /// tick, so the scheduling is deterministic and wall-clock-free.
@@ -313,9 +323,11 @@ impl<M: PrimeModulus> Scheduler<M> {
     /// Runs every queued job to completion on the fleet and reports.
     ///
     /// The loop keeps at most [`SchedulerConfig::max_in_flight`] jobs active.
-    /// Worker tasks execute on the fleet's slots; everything master-side
-    /// (encoding, verification, decoding, model updates, admission) runs on
-    /// the calling thread, interleaved across jobs.
+    /// Worker tasks execute on the fleet's `width` slot threads, which live
+    /// for this call and take tasks from one queue in dispatch order;
+    /// everything master-side (encoding, verification, decoding, model
+    /// updates, admission) runs on the calling thread, interleaved across
+    /// jobs.
     pub fn run(&mut self, fleet: &Fleet) -> ServingReport<M> {
         let run_started = Instant::now();
         let mut metrics = ServingMetrics {
@@ -327,12 +339,18 @@ impl<M: PrimeModulus> Scheduler<M> {
             .map(|_| None)
             .collect();
         let (tx, rx) = mpsc::channel::<TaskMessage<M>>();
+        let (queue, queued) = mpsc::channel::<FleetTask<M>>();
+        let queued = Mutex::new(queued);
         let mut next_serial: u64 = 0;
         let sleep_per_unit = self.config.sleep_per_slowdown_unit;
         let churn = &mut self.churn;
         let pending = &mut self.pending;
 
-        fleet.pool().scope(|scope| {
+        std::thread::scope(|scope| {
+            for _ in 0..fleet.width() {
+                let (queued, tx) = (&queued, tx.clone());
+                scope.spawn(move || run_slot(queued, &tx));
+            }
             // The one way a round reaches the fleet — a job's first round, its
             // next round, or a parked round again: a fresh serial (one tick of
             // the churn clock), an empty arrival list, `job.tasks` dispatched.
@@ -345,8 +363,7 @@ impl<M: PrimeModulus> Scheduler<M> {
                 job.outcomes.clear();
                 job.round_started_at = Instant::now();
                 job.dispatched = dispatch_round(
-                    scope,
-                    &tx,
+                    &queue,
                     slot,
                     job.serial,
                     sleep_per_unit,
@@ -423,16 +440,19 @@ impl<M: PrimeModulus> Scheduler<M> {
                 }
 
                 // Nothing to do until another result lands: block briefly.
-                // The fleet's background threads keep computing meanwhile.
+                // The slot threads keep computing meanwhile.
                 if !progressed {
                     if let Ok(message) = rx.recv_timeout(Duration::from_millis(50)) {
                         deliver(message, &mut slots, &mut metrics);
                     }
                 }
             }
+            // Closing the queue lets the slot threads exit once they have run
+            // what is still on it.
+            drop(queue);
         });
 
-        // Straggler tasks of already-collected rounds finish before the pool
+        // Straggler tasks of already-collected rounds finish before the
         // scope exits; their slot time still counts toward occupancy.
         while let Ok(message) = rx.try_recv() {
             metrics.busy_worker_seconds += message.compute_seconds;
@@ -538,15 +558,12 @@ fn start_matmul<M: PrimeModulus>(
     (engine, tasks, needed)
 }
 
-/// Spawns one round's tasks onto the fleet. Each task computes its share
-/// product, sleeps out its worker's straggler slowdown, and sends the tagged
-/// result back to the scheduler. Tasks addressed to churned-down (or
-/// corrupt-window) workers are skipped entirely — those workers are silently
-/// absent from the round. Returns the number of tasks dispatched.
-#[allow(clippy::too_many_arguments)]
-fn dispatch_round<'scope, M: PrimeModulus>(
-    scope: &Scope<'scope>,
-    tx: &Sender<TaskMessage<M>>,
+/// Queues one round's tasks for the fleet, each tagged with its worker's
+/// straggler sleep. Tasks addressed to churned-down (or corrupt-window)
+/// workers are skipped entirely — those workers are silently absent from the
+/// round. Returns the number of tasks dispatched.
+fn dispatch_round<M: PrimeModulus>(
+    queue: &Sender<FleetTask<M>>,
     slot: usize,
     serial: u64,
     sleep_per_unit: f64,
@@ -563,30 +580,49 @@ fn dispatch_round<'scope, M: PrimeModulus>(
             }
         }
         count += 1;
-        let tx = tx.clone();
         let slowdown = slowdowns.get(worker).copied().unwrap_or(1.0)
             * churn.map_or(1.0, |c| c.slowdown_multiplier(worker));
         let sleep = slowdown_sleep_seconds(slowdown, sleep_per_unit);
-        scope.spawn(move || {
-            let started = Instant::now();
-            // The m per-function outputs travel as one function-major payload.
-            let payload: Vec<Fp<M>> = task.run().into_iter().flatten().collect();
-            if sleep > 0.0 {
-                std::thread::sleep(Duration::from_secs_f64(sleep));
-            }
-            let compute_seconds = started.elapsed().as_secs_f64();
-            // A send can only fail after the scheduler has returned, which
-            // the pool scope prevents until every task has finished.
-            let _ = tx.send(TaskMessage {
-                slot,
-                serial,
-                worker,
-                payload,
-                compute_seconds,
-            });
+        // The receiving end lives as long as `Scheduler::run`.
+        let _ = queue.send(FleetTask {
+            slot,
+            serial,
+            sleep,
+            task,
         });
     }
     count
+}
+
+/// One fleet slot: takes queued tasks one at a time until the queue closes.
+/// Each computes its share product, sleeps out its worker's straggler
+/// slowdown, and sends the tagged result back to the scheduler.
+fn run_slot<M: PrimeModulus>(
+    queued: &Mutex<Receiver<FleetTask<M>>>,
+    results: &Sender<TaskMessage<M>>,
+) {
+    loop {
+        // The guard is a temporary of this statement: the lock is released
+        // before the task runs.
+        let Ok(next) = queued.lock().expect("fleet queue lock poisoned").recv() else {
+            return;
+        };
+        let started = Instant::now();
+        // The m per-function outputs travel as one function-major payload.
+        let payload: Vec<Fp<M>> = next.task.run().into_iter().flatten().collect();
+        if next.sleep > 0.0 {
+            std::thread::sleep(Duration::from_secs_f64(next.sleep));
+        }
+        let compute_seconds = started.elapsed().as_secs_f64();
+        // The receiving end lives as long as `Scheduler::run`.
+        let _ = results.send(TaskMessage {
+            slot: next.slot,
+            serial: next.serial,
+            worker: next.task.worker,
+            payload,
+            compute_seconds,
+        });
+    }
 }
 
 /// Routes one arrived result to its round, applying the job's Byzantine
@@ -911,6 +947,31 @@ mod tests {
         for job in &report.jobs {
             assert!(job.metrics.active_seconds > 0.0);
             assert!(job.metrics.rounds_per_second() > 0.0);
+        }
+    }
+
+    #[test]
+    fn a_fleet_computes_at_most_width_tasks_at_once() {
+        // Three uncoded jobs, each with two ×8 stragglers sleeping 14 ms per
+        // task: sleeps dominate, and up to six of them want a slot at once.
+        // Summed task time fits inside `span × width` only if no more than
+        // `width` tasks ever ran together.
+        for width in [1, 2] {
+            let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
+            for _ in 0..3 {
+                let mut config = quick_training(avcc_core::SchemeKind::Uncoded, 2);
+                config.scenario = FaultScenario::paper(2, 0, AttackModel::None);
+                scheduler.submit(JobSpec::Training(config)).unwrap();
+            }
+            let metrics = scheduler.run(&Fleet::new(width)).metrics;
+            assert_eq!(metrics.jobs_completed, 3);
+            // The raw sum: `pipeline_occupancy` clamps at 1.
+            let capacity = metrics.span_seconds * width as f64;
+            assert!(
+                metrics.busy_worker_seconds <= capacity * (1.0 + 1e-6),
+                "width {width}: {} busy slot-seconds in {capacity} available",
+                metrics.busy_worker_seconds
+            );
         }
     }
 }

@@ -1,8 +1,8 @@
 //! The serving layer's contract with the synchronous driver: whatever the
 //! fleet width, pipeline depth, scheme mix or fault profile, every training
 //! job served by the scheduler produces results bit-identical to
-//! `DistributedTrainer::train` — plus admission-control and no-deadlock
-//! coverage for the scheduler itself.
+//! `DistributedTrainer::train` — plus admission-control coverage for the
+//! scheduler itself.
 //!
 //! The equivalence comparator is the per-iteration `(test_accuracy,
 //! train_loss)` trajectory: both are deterministic `f64` functions of the
@@ -280,27 +280,6 @@ fn queue_drains_after_a_run_and_accepts_new_jobs() {
     assert_eq!(id, 2);
     let report = scheduler.run(&fleet);
     assert_eq!(report.metrics.jobs_completed, 1);
-}
-
-#[test]
-fn scheduler_completes_inside_a_nested_pool_scope() {
-    // A scheduler run spawned as a task on the global pool must still drain:
-    // the fleet owns its own threads, so blocking in the scheduler can never
-    // starve the scope that hosts it.
-    let completed = std::sync::Mutex::new(None);
-    avcc_pool::global().scope(|scope| {
-        let completed = &completed;
-        scope.spawn(move || {
-            let fleet = Fleet::new(1);
-            let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
-            scheduler
-                .submit(JobSpec::Training(quick(SchemeKind::Avcc, 1, 1, 33)))
-                .unwrap();
-            let report = scheduler.run(&fleet);
-            *completed.lock().unwrap() = Some(report.metrics.jobs_completed);
-        });
-    });
-    assert_eq!(completed.lock().unwrap().unwrap(), 1);
 }
 
 /// Builds a deterministic test matrix and `m` input vectors from a seed.

@@ -16,17 +16,12 @@
 //!   cost derives from a wall-clock measurement of that worker's product, and
 //!   running them concurrently would let them contend and corrupt each
 //!   other's measurements.
-//! * [`ThreadedExecutor`] — every worker's product runs as a task on the
-//!   shared [`avcc_pool`] work-stealing pool and reports back over an mpsc
-//!   channel; stragglers really do finish later. The round is a pool scope,
-//!   so it may itself be driven from inside a pool task: a thread waiting on
-//!   the scope executes that scope's pending tasks meanwhile (the pool's
-//!   *scope-local* helping rule, which is also what keeps a waiter from
-//!   nesting another worker's task — and sleep — inside its own measured
-//!   compute span), so the nesting cannot deadlock.
+//! * [`ThreadedExecutor`] — every worker's product runs on a scoped thread
+//!   of its own, as a worker machine would, and reports back over an mpsc
+//!   channel; stragglers really do finish later.
 
 use std::collections::HashMap;
-use std::sync::{mpsc, Arc};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 use avcc_wire::{result_frame_bytes, Block, TypedBlock, WireError};
@@ -48,8 +43,8 @@ pub struct WorkerOutcome<T> {
     /// Simulated arrival time at the master. All workers start at time
     /// zero; for the [`VirtualExecutor`] this is exactly
     /// `compute + network`, while for the [`ThreadedExecutor`] it is the
-    /// real send instant plus network time — which also includes any time
-    /// the task spent queued on the pool, so `arrival ≥ compute + network`.
+    /// real send instant plus network time — which also includes the
+    /// worker thread's start-up, so `arrival ≥ compute + network`.
     pub arrival_seconds: f64,
     /// `true` iff the payload was modified by a Byzantine attack.
     pub corrupted: bool,
@@ -330,13 +325,13 @@ fn type_blocks(workers: usize, blocks: &[Block]) -> Result<Vec<TypedBlock>, Exec
 
 /// The start of every in-process round: one tick of the churn clock, then the
 /// job's resident blocks, which must cover all `tasks` inputs.
-fn begin_round<'a, B>(
+fn begin_round<'a>(
     churn: &mut Option<ChurnState>,
-    resident: &'a HashMap<u64, Vec<B>>,
+    resident: &'a HashMap<u64, Vec<TypedBlock>>,
     job: u64,
     round: u64,
     tasks: usize,
-) -> Result<&'a [B], ExecutorError> {
+) -> Result<&'a [TypedBlock], ExecutorError> {
     if let Some(churn) = churn {
         churn.advance_to(round);
     }
@@ -426,29 +421,20 @@ pub fn slowdown_sleep_seconds(slowdown: f64, per_unit: f64) -> f64 {
     (slowdown - 1.0).max(0.0) * per_unit
 }
 
-/// A real-concurrency executor: every worker runs as a task on the shared
-/// work-stealing pool and sends its result back over a channel. Straggler
-/// slowdowns are realized as actual (scaled-down) sleeps so the arrival
-/// order visibly matches the profile when the pool has at least as many
-/// threads as there are workers (`AVCC_THREADS=<N>` guarantees it).
-///
-/// On smaller pools workers time-share the pool threads and whole tasks
-/// serialize, exactly as a real cluster node with fewer cores than
-/// processes would behave: arrival order degrades toward spawn order (a
-/// straggler early in the queue delays everyone behind it rather than only
-/// itself), and queue wait shows up in `arrival_seconds`. Per-worker
-/// `compute_seconds` stays honest everywhere — it is measured from the
-/// moment the worker's task starts running, not from the start of the
-/// round.
+/// A real-concurrency executor: every worker runs on a scoped thread of its
+/// own, borrowing its resident block, and sends its result back over a
+/// channel. Straggler slowdowns are realized as actual (scaled-down) sleeps,
+/// so the arrival order matches the profile on any host: a straggler delays
+/// only itself. Per-worker `compute_seconds` is measured from the moment the
+/// worker's thread starts its product, not from the start of the round.
 #[derive(Debug, Clone)]
 pub struct ThreadedExecutor {
     profile: ClusterProfile,
     /// Seconds of real sleep charged per unit of effective slowdown above 1.0
     /// (kept small so examples finish quickly).
     pub sleep_per_slowdown_unit: f64,
-    /// Per-job resident blocks (`Arc` so pool tasks can share them without
-    /// cloning matrices).
-    blocks: HashMap<u64, Vec<Arc<TypedBlock>>>,
+    /// Per-job resident blocks.
+    blocks: HashMap<u64, Vec<TypedBlock>>,
     /// Scripted fleet churn, consumed on the round clock (`None` = quiet).
     churn: Option<ChurnState>,
 }
@@ -565,8 +551,7 @@ impl Executor for ThreadedExecutor {
 
     fn install_blocks(&mut self, job: u64, blocks: &[Block]) -> Result<(), ExecutorError> {
         let typed = type_blocks(self.profile.len(), blocks)?;
-        self.blocks
-            .insert(job, typed.into_iter().map(Arc::new).collect());
+        self.blocks.insert(job, typed);
         Ok(())
     }
 
@@ -583,14 +568,14 @@ impl Executor for ThreadedExecutor {
             .collect();
         let (sender, receiver) = mpsc::channel();
         let round_start = Instant::now();
-        avcc_pool::scope(|scope| {
+        std::thread::scope(|scope| {
             for (worker, worker_inputs) in inputs.iter().enumerate() {
                 if churn.is_some_and(|c| c.is_down(worker)) {
-                    // Down per the schedule: no task, no outcome.
+                    // Down per the schedule: no thread, no outcome.
                     continue;
                 }
                 let sender = sender.clone();
-                let block = Arc::clone(&blocks[worker]);
+                let block = &blocks[worker];
                 let slowdown = self.profile.worker(worker).effective_slowdown()
                     * churn.map_or(1.0, |c| c.slowdown_multiplier(worker));
                 let extra_sleep = slowdown_sleep_seconds(slowdown, self.sleep_per_slowdown_unit);
@@ -768,16 +753,14 @@ mod tests {
     }
 
     #[test]
-    fn threaded_executor_nests_pool_backed_kernels_without_deadlock() {
-        // The composition the pool exists for: four masters run as pool
-        // tasks, and each fans its own 8-worker round onto the same pool.
-        // It must complete on ANY pool size because a thread waiting on an
-        // inner scope executes that scope's pending tasks.
+    fn concurrent_threaded_executors_each_collect_their_own_round() {
+        // Four masters on scoped threads, each fanning its own 8-worker round
+        // out at once: 32 worker threads, every round complete and exact.
         let (blocks, inputs) = round(8, 64, 64);
         let typed = TypedBlock::from_block(&blocks[3]).unwrap();
         let expected = typed.execute(&inputs[3]).unwrap();
         let (sender, receiver) = mpsc::channel();
-        avcc_pool::scope(|scope| {
+        std::thread::scope(|scope| {
             for _ in 0..4 {
                 let sender = sender.clone();
                 let (blocks, inputs) = (&blocks, &inputs);
@@ -859,11 +842,12 @@ mod tests {
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();
         assert_eq!(workers, vec![0, 1, 2, 3]);
-        // The straggler slept ~40 ms extra, so it should not arrive first.
-        assert_ne!(outcomes[0].worker, 3);
+        // Every worker has a thread of its own, so the straggler's ~40 ms
+        // sleep delays only itself: it arrives last.
+        assert_eq!(outcomes.last().unwrap().worker, 3);
         for outcome in &outcomes {
-            // Compute is the task's own span; arrival additionally carries
-            // queue wait (pools smaller than the worker count) + network.
+            // Compute is the thread's own span; arrival additionally carries
+            // the thread's start-up + network.
             assert!(
                 outcome.compute_seconds <= outcome.arrival_seconds - outcome.network_seconds + 1e-9,
                 "worker {}: compute {} should not exceed send time {}",

@@ -36,17 +36,15 @@
 //! | Engine | Products run on | Arrival time | Split-phase | Use when |
 //! |---|---|---|---|---|
 //! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per product × profile slowdown + modeled transfer of the result frame | provided default: the blocking round runs at submit | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
-//! | [`executor::ThreadedExecutor`] | the global [`avcc_pool`] work-stealing pool, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | provided default | the examples: demonstrates the same master logic driving real concurrency |
+//! | [`executor::ThreadedExecutor`] | one scoped thread per worker, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | provided default | the examples: demonstrates the same master logic driving real concurrency |
 //! | [`socket::SocketExecutor`] | worker threads or spawned `avcc-worker` processes, over TCP loopback or Unix domain sockets | real elapsed time; network time measured as arrival − compute, not modeled | real: a round can be retired while stragglers still compute (one task in flight per worker) | end-to-end protocol validation, wire-fault injection, the multi-process deployment shape |
 //!
 //! The virtual engine must stay serial because its cost model *measures*
 //! each product with a monotonic clock — concurrent products would contend
 //! for cores and corrupt each other's measurements. The threaded engine
-//! exists to exhibit real concurrency; its round is a scope on the shared
-//! work-stealing pool (not one OS thread per worker), so rounds driven from
-//! inside pool tasks share one fixed thread set — composable, deadlock-free
-//! (waiting threads execute their scope's pending tasks), never
-//! oversubscribed.
+//! exists to exhibit real concurrency: each worker of a round is a scoped
+//! thread of its own, as each is a machine of its own on the paper's
+//! testbed, so a straggler's sleep delays nobody else.
 //!
 //! # Cost accounting
 //!
