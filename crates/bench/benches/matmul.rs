@@ -5,7 +5,7 @@
 //! dominates the master-side overheads.
 
 use avcc_core::TrainingProblem;
-use avcc_field::{Fp, PrimeModulus, F25, P61, P64};
+use avcc_field::{Fp, PrimeModulus, F25, P25, P61, P64};
 use avcc_linalg::{mat_vec, matt_vec, real_mat_vec, Matrix};
 use avcc_ml::dataset::{Dataset, DatasetConfig};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -41,19 +41,49 @@ fn bench_worker_kernel(c: &mut Criterion) {
 
 /// The two worker kernels of an e2e `train_quiet` iteration on the paper's
 /// field, which takes narrow `u64` lanes: round one's 200 × 261 block
-/// (`X̃w`) and round two's 29 × 1 800 block (`X̃ᵀe`, stored transposed).
+/// (`X̃w`) and round two's 29 × 1 800 block (`X̃ᵀe`, stored transposed), over
+/// field elements and over the `u32`s a socket worker stores them as. Each
+/// is timed hot (one block, in cache) and in rotation: twelve workers'
+/// blocks of each shape, 24 in turn, the way the fleet's blocks are evicted
+/// from a two-core host's cache between one worker's tasks.
 fn bench_train_quiet_blocks(c: &mut Criterion) {
+    let narrow = |values: &[F25]| -> Vec<u32> { values.iter().map(|v| v.value() as u32).collect() };
     let mut group = c.benchmark_group("matmul/train_quiet_block/p25");
+    let mut rotation = Vec::new();
     for (rows, cols) in [(200usize, 261usize), (29, 1800)] {
-        let matrix = random_matrix(rows, cols, 4);
-        let mut rng = StdRng::seed_from_u64(5);
-        let x: Vec<F25> = avcc_field::random_vector(&mut rng, cols);
-        group.bench_with_input(
-            BenchmarkId::new("mat_vec", format!("{rows}x{cols}")),
-            &rows,
-            |bencher, _| bencher.iter(|| mat_vec(black_box(&matrix), black_box(&x))),
-        );
+        for worker in 0..12 {
+            let matrix = random_matrix(rows, cols, 4 + worker);
+            let mut rng = StdRng::seed_from_u64(5 + worker);
+            let x: Vec<F25> = avcc_field::random_vector(&mut rng, cols);
+            let stored = Matrix::from_vec(rows, cols, narrow(matrix.data()));
+            let x_stored = narrow(&x);
+            if worker == 0 {
+                let shape = format!("{rows}x{cols}");
+                group.bench_function(BenchmarkId::new("mat_vec", &shape), |bencher| {
+                    bencher.iter(|| mat_vec(black_box(&matrix), black_box(&x)))
+                });
+                group.bench_function(BenchmarkId::new("mat_vec_u32", &shape), |bencher| {
+                    bencher.iter(|| mat_vec::<P25, u32>(black_box(&stored), black_box(&x_stored)))
+                });
+            }
+            rotation.push(((matrix, x), (stored, x_stored)));
+        }
     }
+    let mut turn = 0;
+    group.bench_function(BenchmarkId::new("rotating_24", "fp"), |bencher| {
+        bencher.iter(|| {
+            let ((matrix, x), _) = &rotation[turn % rotation.len()];
+            turn += 1;
+            mat_vec(black_box(matrix), black_box(x))
+        })
+    });
+    group.bench_function(BenchmarkId::new("rotating_24", "u32"), |bencher| {
+        bencher.iter(|| {
+            let (_, (stored, x)) = &rotation[turn % rotation.len()];
+            turn += 1;
+            mat_vec::<P25, u32>(black_box(stored), black_box(x))
+        })
+    });
     group.finish();
 }
 

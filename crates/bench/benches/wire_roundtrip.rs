@@ -144,34 +144,43 @@ fn bench_wire_roundtrip(c: &mut Criterion) {
 }
 
 /// One `LOAD_BLOCK` of an e2e `matmul_batch` job (240 × 512 Goldilocks
-/// elements, 983 KB): `Block::encoded_frame` on the master, `read_frame` +
-/// `TypedBlock::from_payload` on the worker.
+/// elements, 983 KB) and one of a `train_*` job (200 × 261 elements of the
+/// 25-bit field, 4 bytes each: 209 KB): `Block::encoded_frame` on the
+/// master, `read_frame` + `TypedBlock::from_payload` on the worker.
 fn bench_wire_load_block(c: &mut Criterion) {
     const GOLDILOCKS: u64 = 0xFFFF_FFFF_0000_0001;
-    let block = Block {
-        modulus: GOLDILOCKS,
-        rows: 240,
-        cols: 512,
-        elements: elements(240 * 512, 0xB10C),
-    };
-    let wire = block.encoded_frame(3);
-    let (frame, _) = read_frame(&mut wire.bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
-    assert_eq!(
-        TypedBlock::from_payload(&frame.payload),
-        TypedBlock::from_block(&block)
-    );
-
+    const P25: u64 = (1 << 25) - 39;
     let mut group = c.benchmark_group("wire_load_block");
-    group.bench_function(BenchmarkId::new("p64_240x512", "encode"), |b| {
-        b.iter(|| black_box(&block).encoded_frame(3))
-    });
-    group.bench_function(BenchmarkId::new("p64_240x512", "decode"), |b| {
-        b.iter(|| {
-            let (frame, _) =
-                read_frame(&mut black_box(&wire).bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
-            TypedBlock::from_payload(&frame.payload).unwrap()
-        })
-    });
+    for (id, modulus, rows, cols) in [
+        ("p64_240x512", GOLDILOCKS, 240u32, 512u32),
+        ("p25_200x261", P25, 200, 261),
+    ] {
+        let block = Block {
+            modulus,
+            rows,
+            cols,
+            elements: elements((rows * cols) as usize, 0xB10C)
+                .into_iter()
+                .map(|v| v % modulus)
+                .collect(),
+        };
+        let wire = block.encoded_frame(3);
+        let (frame, _) = read_frame(&mut wire.bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
+        assert_eq!(
+            TypedBlock::from_payload(&frame.payload),
+            TypedBlock::from_block(&block)
+        );
+        group.bench_function(BenchmarkId::new(id, "encode"), |b| {
+            b.iter(|| black_box(&block).encoded_frame(3))
+        });
+        group.bench_function(BenchmarkId::new(id, "decode"), |b| {
+            b.iter(|| {
+                let (frame, _) =
+                    read_frame(&mut black_box(&wire).bytes(), DEFAULT_MAX_PAYLOAD).unwrap();
+                TypedBlock::from_payload(&frame.payload).unwrap()
+            })
+        });
+    }
     group.finish();
 }
 

@@ -302,6 +302,42 @@ mod tests {
         config
     }
 
+    /// Runs an attacked AVCC experiment and checks what holds on every
+    /// arrival timeline. These trainers do not screen, so Freivalds checks
+    /// results in arrival order and stops at the recovery threshold; arrival
+    /// order is measured wall-clock, and on a loaded host the liar can land
+    /// behind enough verified results in every round never to be checked.
+    /// Whether it is caught is the timeline's business; that it never
+    /// reaches the model is not: the run trains bit for bit as the same
+    /// configuration with no liar, and whoever was flagged is the liar.
+    /// (Detection itself is pinned where the arrival order is scripted, in
+    /// `distributed.rs`.)
+    fn run_under_attack<M: PrimeModulus>(config: &ExperimentConfig) -> TrainingReport {
+        let report = run_experiment::<M>(config).unwrap();
+        let mut honest = config.clone();
+        honest.scenario.byzantine.clear();
+        let clean = run_experiment::<M>(&honest).unwrap();
+        assert_eq!(report.len(), clean.len());
+        let bits = |report: &TrainingReport| -> Vec<(u64, u64)> {
+            report
+                .iterations
+                .iter()
+                .map(|r| (r.test_accuracy.to_bits(), r.train_loss.to_bits()))
+                .collect()
+        };
+        assert_eq!(bits(&report), bits(&clean), "the liar reached the model");
+        for record in &report.iterations {
+            for worker in &record.detected_byzantine {
+                assert!(
+                    config.scenario.byzantine.contains(worker),
+                    "iteration {} flagged honest worker {worker}",
+                    record.iteration
+                );
+            }
+        }
+        report
+    }
+
     #[test]
     fn paper_constructors_produce_feasible_configurations() {
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
@@ -335,10 +371,9 @@ mod tests {
     fn avcc_experiment_runs_end_to_end() {
         let scenario = FaultScenario::paper(1, 1, AttackModel::constant());
         let config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
-        let report = run_experiment::<P25>(&config).unwrap();
+        let report = run_under_attack::<P25>(&config);
         assert_eq!(report.len(), 5);
         assert_eq!(report.scheme, "avcc");
-        assert!(report.total_detections() > 0);
     }
 
     #[test]
@@ -350,9 +385,8 @@ mod tests {
         // modulus).
         let scenario = FaultScenario::paper(1, 1, AttackModel::constant());
         let config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
-        let report = run_experiment::<P64>(&config).unwrap();
+        let report = run_under_attack::<P64>(&config);
         assert_eq!(report.len(), 5);
-        assert!(report.total_detections() > 0);
     }
 
     #[test]
@@ -362,9 +396,8 @@ mod tests {
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
         let mut config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
         config.partitions = 8;
-        let report = run_experiment::<P64>(&config).unwrap();
+        let report = run_under_attack::<P64>(&config);
         assert_eq!(report.len(), 5);
-        assert!(report.total_detections() > 0);
     }
 
     #[test]

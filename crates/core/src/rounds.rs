@@ -306,8 +306,9 @@ pub fn waiting_costs<T>(
     }
 }
 
-/// Serialized size of a field vector in bytes (8 bytes per element, matching
-/// the wire format a real implementation would use for `u64` representatives).
+/// Modeled size of a field vector in bytes: 8 per element, a `u64`
+/// representative. The network model stands for the paper's testbed; the
+/// socket runtime's wire sends a 25-bit residue in 4.
 pub fn field_vector_bytes(len: usize) -> usize {
     len * 8
 }

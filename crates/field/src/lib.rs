@@ -78,7 +78,10 @@
 //!   could overflow (16 384 for the 25-bit field), so the kernels collapse it
 //!   with one reduction per that many products — once per lane for the
 //!   GISETTE dimension `d = 5000`, where the paper's §V constraint
-//!   `d·(q−1)² ≤ 2^63 − 1` asks for none.
+//!   `d·(q−1)² ≤ 2^63 − 1` asks for none. [`batch::dot`] and
+//!   `avcc_linalg::mat_vec` read these residues from field elements or from
+//!   `u32`s ([`Residue`]) with one loop body; a socket worker stores its
+//!   block and inputs as `u32`.
 //! * **Larger moduli**: products of canonical values reach `2^122`
 //!   (`2^61 − 1`) and `2^128 − 2^97` (Goldilocks), so a `u128` holds 63 of
 //!   them, or [`PrimeModulus::WIDE_BATCH`]` = 1`. Collapsing that often
@@ -115,7 +118,9 @@ pub mod reduce;
 pub mod rng;
 pub mod spans;
 
-pub use batch::{batch_inverse, dot, slice_axpy, CarryAccumulator, WideAccumulator, DOT_LANES};
+pub use batch::{
+    batch_inverse, dot, slice_axpy, CarryAccumulator, Residue, WideAccumulator, DOT_LANES,
+};
 pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};

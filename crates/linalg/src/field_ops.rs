@@ -16,7 +16,9 @@
 //! field) a `u64` fed 32 × 32 → 64-bit products, which the optimizer turns
 //! into vector code, collapsed once per [`narrow_batch`] products (16 384
 //! for the 25-bit field); for every larger modulus a carry-counting `u128`
-//! ([`CarryAccumulator`]), reduced once at the end.
+//! ([`CarryAccumulator`]), reduced once at the end. [`mat_vec`] reads its
+//! operands as field elements or, for a narrow modulus, as the `u32`s a
+//! socket worker stores ([`Residue`]).
 //!
 //! * [`mat_vec`] — register-blocked: four rows share one streaming pass over
 //!   `x`, each with its own lazy accumulator and **one reduction per row**
@@ -32,7 +34,7 @@ use avcc_field::batch::{
     assert_narrow_batch, assert_wide_batch, narrow_batch, narrow_lanes, narrow_product,
     CarryAccumulator,
 };
-use avcc_field::{Fp, PrimeModulus, WideAccumulator};
+use avcc_field::{Fp, PrimeModulus, Residue, WideAccumulator};
 
 use crate::matrix::Matrix;
 
@@ -56,9 +58,19 @@ use crate::matrix::Matrix;
 ///   product takes the worker's compute from 1.6–1.8 to 0.6–0.7 ns per
 ///   multiply-add (`linalg.mat_vec_ns_per_mac`).
 ///
+/// The block and `x` share one storage ([`Residue`]): field elements, or —
+/// for a narrow modulus — `u32`s, as a socket worker keeps them. The output
+/// comes back in the same storage. One loop body serves both, stepping
+/// [`Residue::NARROW_STEP`] columns at a time (one field element, or two
+/// `u32`s read as a word). Over `u32` it streams half the bytes: twelve
+/// workers' `train_quiet` blocks (200 × 261 and 29 × 1 800) multiplied in
+/// turn, so each comes from beyond the cache, take 13.6–18.0 µs per task as
+/// field elements and 9.4–11.0 as `u32`s; one block in cache, 8.5–9.0 and
+/// 8.1–8.4 (`matmul/train_quiet_block/p25`, three runs on a 2-vCPU host).
+///
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
-pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
+pub fn mat_vec<M: PrimeModulus, E: Residue<M>>(a: &Matrix<E>, x: &[E]) -> Vec<E> {
     const {
         assert_wide_batch::<M>();
         assert_narrow_batch::<M>();
@@ -71,23 +83,34 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
     while row + 4 <= rows {
         let (r0, r1, r2, r3) = (a.row(row), a.row(row + 1), a.row(row + 2), a.row(row + 3));
         if const { narrow_lanes::<M>() } {
-            let batch = narrow_batch::<M>();
+            let (batch, step) = (narrow_batch::<M>(), E::NARROW_STEP);
             let mut acc = [0u64; 4];
             let bands = (x.chunks(batch).zip(r0.chunks(batch)).zip(r1.chunks(batch)))
                 .zip(r2.chunks(batch))
                 .zip(r3.chunks(batch));
             for ((((x, r0), r1), r2), r3) in bands {
-                for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
-                    acc[0] += narrow_product(a0, xj);
-                    acc[1] += narrow_product(a1, xj);
-                    acc[2] += narrow_product(a2, xj);
-                    acc[3] += narrow_product(a3, xj);
+                let steps = (x.chunks_exact(step).zip(r0.chunks_exact(step)))
+                    .zip(r1.chunks_exact(step))
+                    .zip(r2.chunks_exact(step))
+                    .zip(r3.chunks_exact(step));
+                for ((((xj, a0), a1), a2), a3) in steps {
+                    acc[0] += E::narrow_step(a0, xj);
+                    acc[1] += E::narrow_step(a1, xj);
+                    acc[2] += E::narrow_step(a2, xj);
+                    acc[3] += E::narrow_step(a3, xj);
+                }
+                // The band's last `len % step` columns, one at a time.
+                for j in x.len() - x.len() % step..x.len() {
+                    acc[0] += narrow_product(r0[j], x[j]);
+                    acc[1] += narrow_product(r1[j], x[j]);
+                    acc[2] += narrow_product(r2[j], x[j]);
+                    acc[3] += narrow_product(r3[j], x[j]);
                 }
                 acc = acc.map(|lane| M::reduce_wide(lane as u128));
             }
             // Every lane was just collapsed to a canonical representative
-            // (or never left zero), so `new` only compares.
-            out.extend(acc.map(Fp::<M>::new));
+            // (or never left zero), so storing it only compares.
+            out.extend(acc.map(E::from_residue));
         } else {
             let mut acc = [CarryAccumulator::default(); 4];
             for ((((&xj, &a0), &a1), &a2), &a3) in x.iter().zip(r0).zip(r1).zip(r2).zip(r3) {
@@ -96,7 +119,7 @@ pub fn mat_vec<M: PrimeModulus>(a: &Matrix<Fp<M>>, x: &[Fp<M>]) -> Vec<Fp<M>> {
                 acc[2].add_product(a2, xj);
                 acc[3].add_product(a3, xj);
             }
-            out.extend(acc.map(CarryAccumulator::finish::<M>));
+            out.extend(acc.map(|lane| E::from_residue(lane.finish::<M>().value())));
         }
         row += 4;
     }
@@ -260,6 +283,15 @@ mod tests {
                         .collect();
                     assert_eq!(reference, vec![Fp::<M>::from_u64(cols as u64); rows]);
                     assert_eq!(mat_vec(&a, &x), reference, "{} {rows} x {cols}", M::NAME);
+                    // The same loop over `u32` storage, as a worker keeps it.
+                    let stored = a.map(|v| v.value() as u32);
+                    let x: Vec<u32> = x.iter().map(|v| v.value() as u32).collect();
+                    let product: Vec<u64> = mat_vec::<M, u32>(&stored, &x)
+                        .into_iter()
+                        .map(u64::from)
+                        .collect();
+                    let expected: Vec<u64> = reference.iter().map(|v| v.value()).collect();
+                    assert_eq!(product, expected, "{} u32 {rows} x {cols}", M::NAME);
                 }
             }
         }
@@ -361,6 +393,14 @@ mod tests {
             }
             check::<P64>(&raw_a, &raw_x, &raw_y);
             check::<P25>(&raw_a, &raw_x, &raw_y);
+            // The 25-bit field's residues stored as `u32`: the same residues.
+            let a = Matrix::from_vec(7, 13, raw_a.iter().map(|&v| F25::from_u64(v)).collect());
+            let x: Vec<F25> = raw_x.iter().map(|&v| F25::from_u64(v)).collect();
+            let narrow = |v: &F25| v.value() as u32;
+            let x_stored: Vec<u32> = x.iter().map(narrow).collect();
+            let stored = mat_vec::<P25, u32>(&a.map(|v| narrow(&v)), &x_stored);
+            let typed: Vec<u32> = mat_vec(&a, &x).iter().map(narrow).collect();
+            prop_assert_eq!(stored, typed);
         }
 
         #[test]

@@ -24,7 +24,7 @@ use std::collections::HashMap;
 use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
-use avcc_wire::{result_frame_bytes, Block, TypedBlock, WireError};
+use avcc_wire::{Block, TypedBlock, WireError, HEADER_LEN, TRAILER_LEN};
 
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
 use crate::cluster::ClusterProfile;
@@ -347,9 +347,17 @@ fn begin_round<'a>(
     Ok(blocks)
 }
 
-/// Modeled transfer time of a worker's result: the *true* wire size of its
-/// result frame, so the virtual network cost matches what the socket runtime
-/// ships.
+/// Modeled size of a worker's result: a `TASK_RESULT`-shaped frame carrying
+/// `functions` vectors of `output_len` elements. The model stands for the
+/// paper's testbed, not for this repository's wire: like
+/// `avcc_core::rounds::field_vector_bytes` it charges 8 bytes per element,
+/// where the socket runtime sends a 25-bit residue in 4, so that modeled
+/// timelines do not move with the wire format.
+fn result_frame_bytes(functions: usize, output_len: usize) -> usize {
+    HEADER_LEN + 20 + functions * output_len * 8 + TRAILER_LEN
+}
+
+/// Modeled transfer time of a worker's result ([`result_frame_bytes`]).
 fn result_transfer_seconds(profile: &ClusterProfile, payload: &[Vec<u64>]) -> f64 {
     let frame_bytes = result_frame_bytes(payload.len(), payload.first().map_or(0, Vec::len));
     profile.network.transfer_seconds(frame_bytes)
@@ -649,6 +657,20 @@ mod tests {
             .collect();
         let input = residues(cols);
         (blocks, vec![vec![input]; workers])
+    }
+
+    #[test]
+    fn the_modeled_result_frame_keeps_8_byte_elements() {
+        // The socket runtime sends these 25-bit residues in 4 bytes each;
+        // the model charges 8, so modeled timelines stay where they were.
+        let result = avcc_wire::TaskResult {
+            worker: 0,
+            compute_seconds: 0.0,
+            outputs: vec![vec![P25::MODULUS - 1; 2]; 3],
+        };
+        let on_the_wire = result.frame(0, 0).wire_len();
+        assert_eq!(on_the_wire, HEADER_LEN + 20 + 3 * 2 * 4 + TRAILER_LEN);
+        assert_eq!(result_frame_bytes(3, 2), on_the_wire + 3 * 2 * 4);
     }
 
     fn virtual_round(

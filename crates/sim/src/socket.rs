@@ -426,6 +426,38 @@ fn spawn_err(e: &dyn std::fmt::Display) -> ExecutorError {
     }
 }
 
+/// Reads the `HELLO` that opens worker `worker`'s connection, refusing a
+/// peer of another protocol version — its frame's version word is refused
+/// by `read_frame` before anything else is read, and its `HELLO` must name
+/// this version too — and a peer claiming another index.
+fn accept_hello<R: Read>(
+    stream: &mut R,
+    max_payload: usize,
+    worker: usize,
+) -> Result<(), ExecutorError> {
+    let (frame, _) = read_frame(stream, max_payload).map_err(|e| spawn_err(&e))?;
+    if frame.kind != FrameKind::Hello {
+        return Err(ExecutorError::Spawn {
+            context: format!("expected HELLO, got {:?}", frame.kind),
+        });
+    }
+    let hello = Hello::decode(&frame.payload).map_err(|e| spawn_err(&e))?;
+    if hello.version != PROTOCOL_VERSION {
+        return Err(ExecutorError::Spawn {
+            context: format!(
+                "worker speaks protocol version {}, master speaks {}",
+                hello.version, PROTOCOL_VERSION
+            ),
+        });
+    }
+    if hello.worker as usize != worker {
+        return Err(ExecutorError::Spawn {
+            context: format!("worker {} connected as {}", worker, hello.worker),
+        });
+    }
+    Ok(())
+}
+
 /// One live worker connection.
 #[derive(Debug)]
 struct WorkerLink {
@@ -634,26 +666,7 @@ impl SocketExecutor {
             .map_err(|e| spawn_err(&e))?;
 
         // Handshake: HELLO (their version, their claimed index) → HELLO_ACK.
-        let (frame, _) = read_frame(&mut stream, max_payload).map_err(|e| spawn_err(&e))?;
-        if frame.kind != FrameKind::Hello {
-            return Err(ExecutorError::Spawn {
-                context: format!("expected HELLO, got {:?}", frame.kind),
-            });
-        }
-        let hello = Hello::decode(&frame.payload).map_err(|e| spawn_err(&e))?;
-        if hello.version != PROTOCOL_VERSION {
-            return Err(ExecutorError::Spawn {
-                context: format!(
-                    "worker speaks protocol version {}, master speaks {}",
-                    hello.version, PROTOCOL_VERSION
-                ),
-            });
-        }
-        if hello.worker as usize != worker {
-            return Err(ExecutorError::Spawn {
-                context: format!("worker {} connected as {}", worker, hello.worker),
-            });
-        }
+        accept_hello(&mut stream, max_payload, worker)?;
         let ack = HelloAck {
             worker: worker as u32,
             workers: self.links.len() as u32,
@@ -1103,6 +1116,32 @@ impl Drop for SocketExecutor {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn a_version_1_worker_is_refused_at_hello() {
+        let hello = |version: u16, frame_version: u16, worker: u32| {
+            Hello { version, worker }
+                .frame()
+                .encode_with_version(frame_version)
+        };
+        let accept = |bytes: Vec<u8>| accept_hello(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD, 3);
+        assert_eq!(accept(hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 3)), Ok(()));
+        let refused = |bytes: Vec<u8>, why: &str| match accept(bytes) {
+            Err(ExecutorError::Spawn { context }) => assert!(context.contains(why), "{context}"),
+            other => panic!("accepted a peer it should refuse: {other:?}"),
+        };
+        // A version-1 worker frames its HELLO as version 1.
+        refused(hello(1, 1, 3), "unsupported protocol version 1");
+        // A HELLO that names version 1 inside a current frame.
+        refused(
+            hello(1, PROTOCOL_VERSION, 3),
+            "worker speaks protocol version 1",
+        );
+        refused(
+            hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 4),
+            "connected as 4",
+        );
+    }
 
     #[test]
     fn worker_reported_compute_time_is_bounded_by_what_the_master_observed() {

@@ -3,11 +3,98 @@
 //! Every multi-byte integer on the wire is little-endian. [`WireWriter`] and
 //! [`WireReader`] are the only places bytes are produced or consumed;
 //! everything above them (messages, frames) is layout, not byte twiddling.
-//! Field elements travel as raw `u64`s; the canonical-residue check happens
-//! where the modulus is known (`compute::typed_matrix` / `execute_typed` on
-//! the worker, `lift` on the master).
+//!
+//! Field elements travel as raw residues in element arrays of one
+//! `ElementWidth` per message: 4 bytes each when every element of the
+//! message is below `2^32` — every canonical residue of the paper's 25-bit
+//! field — and 8 otherwise. No byte says which: the receiver knows the
+//! element count from the message's own counts and reads the width off the
+//! array's length (`WireReader::take_element_bytes`). The canonical-residue
+//! check happens where the modulus is known (`compute::typed_matrix` /
+//! `execute_typed` on the worker, `lift` on the master).
 
 use crate::error::WireError;
+
+/// Bytes per element of an element array.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum ElementWidth {
+    /// 4 bytes: every element of the message is below `2^32`.
+    Narrow,
+    /// 8 bytes: some element is not.
+    Wide,
+}
+
+impl ElementWidth {
+    /// The width a message whose element arrays are `arrays` travels at.
+    pub fn of<'a>(arrays: impl IntoIterator<Item = &'a [u64]>) -> Self {
+        // OR-folds of 64 elements vectorize; a wide array is usually found
+        // in its first one.
+        let wide = arrays.into_iter().any(|array| {
+            array
+                .chunks(64)
+                .any(|chunk| chunk.iter().fold(0, |high, &v| high | v) >> 32 != 0)
+        });
+        if wide {
+            Self::Wide
+        } else {
+            Self::Narrow
+        }
+    }
+
+    /// Bytes per element.
+    pub const fn bytes(self) -> usize {
+        match self {
+            Self::Narrow => 4,
+            Self::Wide => 8,
+        }
+    }
+
+    /// The width of an array of `count` elements that occupies `len` bytes:
+    /// exactly `4 · count` or `8 · count`. Fewer than `4 · count` bytes are
+    /// [`WireError::Truncated`] (`context`), more than `8 · count` are
+    /// trailing bytes ([`WireError::Malformed`], `trailing`), and any other
+    /// length is malformed.
+    fn infer(
+        count: usize,
+        len: usize,
+        context: &'static str,
+        trailing: &'static str,
+    ) -> Result<Self, WireError> {
+        // In u128, neither product can overflow.
+        let (count, len) = (count as u128, len as u128);
+        if len == 4 * count {
+            Ok(Self::Narrow)
+        } else if len == 8 * count {
+            Ok(Self::Wide)
+        } else if len < 4 * count {
+            Err(WireError::Truncated { context })
+        } else if len > 8 * count {
+            Err(WireError::Malformed { context: trailing })
+        } else {
+            Err(WireError::Malformed {
+                context: "element array is neither 4 nor 8 bytes per element",
+            })
+        }
+    }
+
+    /// Decodes the little-endian elements of an array of this width.
+    pub fn read(self, bytes: &[u8]) -> Vec<u64> {
+        match self {
+            Self::Narrow => le_elements::<4>(bytes).collect(),
+            Self::Wide => le_elements::<8>(bytes).collect(),
+        }
+    }
+}
+
+/// The elements of a `W`-byte little-endian element array, `W` being 4 or
+/// 8; a partial last chunk is ignored.
+pub(crate) fn le_elements<const W: usize>(bytes: &[u8]) -> impl ExactSizeIterator<Item = u64> + '_ {
+    bytes.chunks_exact(W).map(|raw| {
+        let mut element = [0u8; 8];
+        element[..W].copy_from_slice(raw);
+        u64::from_le_bytes(element)
+    })
+}
 
 /// Append-only little-endian byte sink.
 #[derive(Debug, Clone, Default)]
@@ -79,23 +166,37 @@ impl WireWriter {
         self.put_u64(value.to_bits());
     }
 
-    /// Appends a `u64` slice in one pre-reserved pass — the bulk path used
-    /// for element arrays.
-    ///
-    /// Values are staged through a stack buffer 16 at a time so the vector
-    /// pays one capacity check per 128 bytes instead of one per element.
+    /// Appends a `u64` slice in one pre-reserved pass: an 8-byte element
+    /// array.
     pub fn put_u64_bulk(&mut self, values: &[u64]) {
-        self.buf.reserve(values.len() * 8);
+        self.put_staged::<8>(values);
+    }
+
+    /// Appends an element array at `width`. Narrow keeps each value's low 4
+    /// bytes, so every value must be below `2^32` ([`ElementWidth::of`]).
+    pub(crate) fn put_elements(&mut self, values: &[u64], width: ElementWidth) {
+        match width {
+            ElementWidth::Narrow => self.put_staged::<4>(values),
+            ElementWidth::Wide => self.put_staged::<8>(values),
+        }
+    }
+
+    /// Appends the low `W` little-endian bytes of each value, staged through
+    /// a 128-byte stack buffer so the vector pays one capacity check per
+    /// 128 bytes instead of one per element.
+    fn put_staged<const W: usize>(&mut self, values: &[u64]) {
+        debug_assert!(W == 8 || values.iter().all(|&v| v >> 32 == 0));
+        self.buf.reserve(values.len() * W);
         let mut staged = [0u8; 128];
-        let mut chunks = values.chunks_exact(16);
+        let mut chunks = values.chunks_exact(128 / W);
         for chunk in &mut chunks {
-            for (slot, &value) in staged.chunks_exact_mut(8).zip(chunk) {
-                slot.copy_from_slice(&value.to_le_bytes());
+            for (slot, &value) in staged.chunks_exact_mut(W).zip(chunk) {
+                slot.copy_from_slice(&value.to_le_bytes()[..W]);
             }
             self.buf.extend_from_slice(&staged);
         }
         for &value in chunks.remainder() {
-            self.buf.extend_from_slice(&value.to_le_bytes());
+            self.buf.extend_from_slice(&value.to_le_bytes()[..W]);
         }
     }
 }
@@ -164,6 +265,23 @@ impl<'a> WireReader<'a> {
         rest
     }
 
+    /// Consumes the rest of the payload as one array of `count` elements and
+    /// returns its width and bytes. The width is implied by the length, which
+    /// must be exactly `4 · count` or `8 · count`: fewer than `4 · count`
+    /// bytes are `Truncated` (`context`), more than `8 · count` are trailing
+    /// bytes (`Malformed`, `trailing`), and anything in between is
+    /// `Malformed`. All of this is settled on the length alone, before an
+    /// element is read or anything is allocated.
+    pub(crate) fn take_element_bytes(
+        &mut self,
+        count: usize,
+        context: &'static str,
+        trailing: &'static str,
+    ) -> Result<(ElementWidth, &'a [u8]), WireError> {
+        let width = ElementWidth::infer(count, self.remaining(), context, trailing)?;
+        Ok((width, self.take_rest()))
+    }
+
     /// Fails unless every byte has been consumed — trailing garbage in a
     /// message payload is a protocol violation, not padding.
     pub fn expect_end(&self, context: &'static str) -> Result<(), WireError> {
@@ -172,23 +290,6 @@ impl<'a> WireReader<'a> {
         }
         Ok(())
     }
-}
-
-/// Reads `count` raw `u64`s (the modulus-erased executor path; canonicity is
-/// checked later, when the modulus is known).
-pub fn take_u64_elements(
-    reader: &mut WireReader<'_>,
-    count: usize,
-    context: &'static str,
-) -> Result<Vec<u64>, WireError> {
-    if reader.remaining() < count.saturating_mul(8) {
-        return Err(WireError::Truncated { context });
-    }
-    let mut values = Vec::with_capacity(count);
-    for _ in 0..count {
-        values.push(reader.take_u64(context)?);
-    }
-    Ok(values)
 }
 
 #[cfg(test)]
@@ -230,6 +331,7 @@ mod tests {
 
     #[test]
     fn bulk_u64_matches_element_path() {
+        // 100 elements cross both writers' stages (16 and 32 elements).
         let values: Vec<u64> = (0..100).map(|i| i * 0x9E37_79B9).collect();
         let mut element = WireWriter::new();
         for &v in &values {
@@ -238,5 +340,17 @@ mod tests {
         let mut bulk = WireWriter::new();
         bulk.put_u64_bulk(&values);
         assert_eq!(element.as_slice(), bulk.as_slice());
+        assert_eq!(ElementWidth::Wide.read(bulk.as_slice()), values);
+
+        // 4 bytes wide: each element's low four bytes.
+        let values: Vec<u64> = values.iter().map(|&v| v as u32 as u64).collect();
+        let mut element = WireWriter::new();
+        for &v in &values {
+            element.put_u32(v as u32);
+        }
+        let mut bulk = WireWriter::new();
+        bulk.put_elements(&values, ElementWidth::Narrow);
+        assert_eq!(element.as_slice(), bulk.as_slice());
+        assert_eq!(ElementWidth::Narrow.read(bulk.as_slice()), values);
     }
 }

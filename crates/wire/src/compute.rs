@@ -1,46 +1,53 @@
 //! Worker-side typed compute: from a modulus-tagged block to the same
 //! `mat_vec` kernel the in-process executors run.
 //!
-//! The wire layer is modulus-erased (`u64` residues); this module is where a
+//! The wire layer is modulus-erased (raw residues); this module is where a
 //! worker re-types a block once at `LOAD_BLOCK` time — validating every
 //! element against the canonical-residue invariant — and then executes tasks
 //! with the identical register-blocked [`avcc_linalg::mat_vec`] kernel the
 //! threaded executor uses. Same kernel, same canonical residues in and out:
 //! this is what makes socket results bit-identical to in-process results.
 //!
+//! A block of a modulus that takes narrow lanes (the paper's 25-bit field,
+//! and `F_251`) is stored as `u32`, and each task input is narrowed to `u32`
+//! once it has passed its canonicity check, so the kernel streams half the
+//! bytes a block of field elements would take. Each of a fleet's blocks is
+//! evicted from cache between that worker's tasks, so this is the traffic a
+//! task pays. The wider moduli keep [`Fp`] storage.
+//!
 //! A block arrives either as a [`Block`] value (the in-process executors:
 //! [`TypedBlock::from_block`]) or as the payload bytes of a `LOAD_BLOCK`
 //! frame (the worker loop: [`TypedBlock::from_payload`], which goes from the
-//! bytes to field elements in one pass, with no `Vec<u64>` in between). Both
-//! end in the same element loop.
+//! bytes, 4 or 8 per element, to stored residues in one pass, with no
+//! `Vec<u64>` in between). Both end in the same element loop.
 
-use avcc_field::{Fp, PrimeField, PrimeModulus, P25, P251, P61, P64};
+use avcc_field::{Fp, PrimeModulus, Residue, P25, P251, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
 
-use crate::codec::WireReader;
+use crate::codec::{le_elements, ElementWidth, WireReader};
 use crate::error::WireError;
 use crate::message::Block;
 
 /// A block re-typed under its modulus, ready to multiply.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TypedBlock {
-    /// `q = 2^25 − 39` (the paper's field).
-    P25(Matrix<Fp<P25>>),
+    /// `q = 2^25 − 39` (the paper's field), stored as `u32`.
+    P25(Matrix<u32>),
     /// `q = 2^61 − 1`.
     P61(Matrix<Fp<P61>>),
-    /// `q = 251` (exhaustive-test field).
-    P251(Matrix<Fp<P251>>),
+    /// `q = 251` (exhaustive-test field), stored as `u32`.
+    P251(Matrix<u32>),
     /// Goldilocks `q = 2^64 − 2^32 + 1` (NTT field).
     P64(Matrix<Fp<P64>>),
 }
 
 /// The one block-element loop: checks the shape against the element count
 /// and every element against the modulus, in element order.
-fn typed_matrix<M: PrimeModulus>(
+fn typed_matrix<M: PrimeModulus, S: Residue<M>>(
     rows: u32,
     cols: u32,
     elements: impl ExactSizeIterator<Item = u64>,
-) -> Result<Matrix<Fp<M>>, WireError> {
+) -> Result<Matrix<S>, WireError> {
     // `Block`'s fields are public, so a block that never went through
     // `Block::decode` can disagree with its own shape.
     let count = (rows as usize).checked_mul(cols as usize);
@@ -58,13 +65,15 @@ fn typed_matrix<M: PrimeModulus>(
                 modulus: M::MODULUS,
             });
         }
-        data.push(<Fp<M> as PrimeField>::from_u64(raw));
+        data.push(S::from_residue(raw));
     }
     Ok(Matrix::from_vec(rows as usize, cols as usize, data))
 }
 
-fn execute_typed<M: PrimeModulus>(
-    matrix: &Matrix<Fp<M>>,
+/// Checks each input against the modulus, stores it as the block is stored,
+/// and multiplies.
+fn execute_typed<M: PrimeModulus, S: Residue<M>>(
+    matrix: &Matrix<S>,
     inputs: &[Vec<u64>],
 ) -> Result<Vec<Vec<u64>>, WireError> {
     let mut outputs = Vec::with_capacity(inputs.len());
@@ -83,10 +92,10 @@ fn execute_typed<M: PrimeModulus>(
                     modulus: M::MODULUS,
                 });
             }
-            typed.push(<Fp<M> as PrimeField>::from_u64(raw));
+            typed.push(S::from_residue(raw));
         }
-        let product = mat_vec(matrix, &typed);
-        outputs.push(product.into_iter().map(PrimeField::to_u64).collect());
+        let product = mat_vec::<M, S>(matrix, &typed);
+        outputs.push(product.into_iter().map(S::residue).collect());
     }
     Ok(outputs)
 }
@@ -102,10 +111,12 @@ impl TypedBlock {
         elements: impl ExactSizeIterator<Item = u64>,
     ) -> Result<Self, WireError> {
         match modulus {
-            m if m == P25::MODULUS => Ok(Self::P25(typed_matrix(rows, cols, elements)?)),
-            m if m == P61::MODULUS => Ok(Self::P61(typed_matrix(rows, cols, elements)?)),
-            m if m == P251::MODULUS => Ok(Self::P251(typed_matrix(rows, cols, elements)?)),
-            m if m == P64::MODULUS => Ok(Self::P64(typed_matrix(rows, cols, elements)?)),
+            m if m == P25::MODULUS => Ok(Self::P25(typed_matrix::<P25, _>(rows, cols, elements)?)),
+            m if m == P61::MODULUS => Ok(Self::P61(typed_matrix::<P61, _>(rows, cols, elements)?)),
+            m if m == P251::MODULUS => {
+                Ok(Self::P251(typed_matrix::<P251, _>(rows, cols, elements)?))
+            }
+            m if m == P64::MODULUS => Ok(Self::P64(typed_matrix::<P64, _>(rows, cols, elements)?)),
             other => Err(WireError::UnknownModulus { modulus: other }),
         }
     }
@@ -136,26 +147,17 @@ impl TypedBlock {
             .ok_or(WireError::Malformed {
                 context: "BLOCK rows*cols overflows",
             })?;
-        // The element bytes must be all that is left, no fewer and no more:
-        // both are settled before the modulus or any element is looked at.
-        let body = r.take_rest();
-        match body.len().cmp(&count.saturating_mul(8)) {
-            std::cmp::Ordering::Less => {
-                return Err(WireError::Truncated {
-                    context: "BLOCK elements",
-                })
-            }
-            std::cmp::Ordering::Greater => {
-                return Err(WireError::Malformed {
-                    context: "trailing bytes after BLOCK elements",
-                })
-            }
-            std::cmp::Ordering::Equal => {}
+        // The element bytes must be all that is left, exactly 4 or 8 per
+        // element: settled before the modulus or any element is looked at.
+        let (width, body) = r.take_element_bytes(
+            count,
+            "BLOCK elements",
+            "trailing bytes after BLOCK elements",
+        )?;
+        match width {
+            ElementWidth::Narrow => Self::typed(modulus, rows, cols, le_elements::<4>(body)),
+            ElementWidth::Wide => Self::typed(modulus, rows, cols, le_elements::<8>(body)),
         }
-        let elements = body
-            .chunks_exact(8)
-            .map(|raw| u64::from_le_bytes(raw.try_into().expect("chunks of 8 bytes")));
-        Self::typed(modulus, rows, cols, elements)
     }
 
     /// Row count of the block.
@@ -192,10 +194,10 @@ impl TypedBlock {
     /// residues.
     pub fn execute(&self, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, WireError> {
         match self {
-            Self::P25(m) => execute_typed(m, inputs),
-            Self::P61(m) => execute_typed(m, inputs),
-            Self::P251(m) => execute_typed(m, inputs),
-            Self::P64(m) => execute_typed(m, inputs),
+            Self::P25(m) => execute_typed::<P25, _>(m, inputs),
+            Self::P61(m) => execute_typed::<P61, _>(m, inputs),
+            Self::P251(m) => execute_typed::<P251, _>(m, inputs),
+            Self::P64(m) => execute_typed::<P64, _>(m, inputs),
         }
     }
 }
@@ -203,7 +205,9 @@ impl TypedBlock {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use avcc_field::F251;
+    use crate::codec::WireWriter;
+    use crate::message::Task;
+    use avcc_field::{PrimeField, F251};
 
     fn block_251() -> Block {
         Block {
@@ -270,6 +274,35 @@ mod tests {
             typed.execute(&[vec![7, 252, 9]]).unwrap_err(),
             WireError::NonCanonical { index: 1, .. }
         ));
+        // 4-byte TASK inputs of the 25-bit field, as they come off the wire:
+        // q itself and u32::MAX are named with their index.
+        let q = P25::MODULUS;
+        let typed = TypedBlock::from_block(&Block {
+            modulus: q,
+            rows: 2,
+            cols: 3,
+            elements: vec![1, 2, 3, 4, 5, q - 1],
+        })
+        .unwrap();
+        for (index, value) in [(1, q), (2, u32::MAX as u64)] {
+            let mut input = vec![7, 8, 9];
+            input[index] = value;
+            let task = Task {
+                sleep_micros: 0,
+                inputs: vec![input],
+            };
+            let payload = task.encode();
+            assert_eq!(payload.len(), 16 + 3 * 4, "sent 4 bytes wide");
+            let decoded = Task::decode(&payload).unwrap();
+            assert_eq!(
+                typed.execute(&decoded.inputs).unwrap_err(),
+                WireError::NonCanonical {
+                    index,
+                    value,
+                    modulus: q
+                }
+            );
+        }
     }
 
     #[test]
@@ -281,6 +314,22 @@ mod tests {
     /// The two-step path `from_payload` must be indistinguishable from.
     fn decode_then_type(payload: &[u8]) -> Result<TypedBlock, WireError> {
         TypedBlock::from_block(&Block::decode(payload)?)
+    }
+
+    /// A `LOAD_BLOCK` payload whose elements are written `width` wide.
+    fn payload_at(
+        width: ElementWidth,
+        modulus: u64,
+        rows: u32,
+        cols: u32,
+        elements: &[u64],
+    ) -> Vec<u8> {
+        let mut w = WireWriter::new();
+        w.put_u64(modulus);
+        w.put_u32(rows);
+        w.put_u32(cols);
+        w.put_elements(elements, width);
+        w.into_bytes()
     }
 
     #[test]
@@ -301,11 +350,35 @@ mod tests {
                         })
                         .collect(),
                 };
+                // What a sender writes, and every width the elements fit: a
+                // narrow modulus may also arrive 8 bytes wide.
                 let payload = block.encode();
-                let typed = TypedBlock::from_payload(&payload).unwrap();
-                assert_eq!(Ok(&typed), decode_then_type(&payload).as_ref());
-                assert_eq!(typed.modulus(), modulus);
-                assert_eq!((typed.rows(), typed.cols()), (rows as usize, cols as usize));
+                let narrow = ElementWidth::of([block.elements.as_slice()]) == ElementWidth::Narrow;
+                assert_eq!(narrow, modulus <= 1 << 32 || count == 0);
+                let mut payloads = vec![payload_at(
+                    ElementWidth::Wide,
+                    modulus,
+                    rows,
+                    cols,
+                    &block.elements,
+                )];
+                if narrow {
+                    payloads.push(payload_at(
+                        ElementWidth::Narrow,
+                        modulus,
+                        rows,
+                        cols,
+                        &block.elements,
+                    ));
+                }
+                assert!(payloads.contains(&payload));
+                for payload in payloads {
+                    let typed = TypedBlock::from_payload(&payload).unwrap();
+                    assert_eq!(Ok(&typed), decode_then_type(&payload).as_ref());
+                    assert_eq!(Ok(&typed), TypedBlock::from_block(&block).as_ref());
+                    assert_eq!(typed.modulus(), modulus);
+                    assert_eq!((typed.rows(), typed.cols()), (rows as usize, cols as usize));
+                }
             }
         }
     }
@@ -313,101 +386,139 @@ mod tests {
     #[test]
     fn one_pass_decode_rejects_hostile_payloads_exactly_as_the_two_step_path() {
         let header = |modulus: u64, rows: u32, cols: u32| {
-            let mut bytes = modulus.to_le_bytes().to_vec();
-            bytes.extend_from_slice(&rows.to_le_bytes());
-            bytes.extend_from_slice(&cols.to_le_bytes());
-            bytes
+            payload_at(ElementWidth::Wide, modulus, rows, cols, &[])
         };
-        let with_elements = |mut bytes: Vec<u8>, elements: &[u64]| {
-            for element in elements {
-                bytes.extend_from_slice(&element.to_le_bytes());
-            }
-            bytes
-        };
-        let valid = with_elements(header(251, 2, 3), &[1, 2, 3, 4, 5, 6]);
-        assert!(TypedBlock::from_payload(&valid).is_ok());
-
         let truncated = |context| WireError::Truncated { context };
         let malformed = |context| WireError::Malformed { context };
-        let non_canonical = |index, value| WireError::NonCanonical {
+        let neither = malformed("element array is neither 4 nor 8 bytes per element");
+        let trailing = malformed("trailing bytes after BLOCK elements");
+        let non_canonical = |index, value, modulus| WireError::NonCanonical {
             index,
             value,
-            modulus: 251,
+            modulus,
         };
-        let mut one_byte_long = valid.clone();
-        one_byte_long.push(0);
-        let cases: Vec<(&str, Vec<u8>, WireError)> = vec![
-            ("empty", Vec::new(), truncated("BLOCK modulus")),
-            (
-                "15-byte payload",
-                valid[..15].to_vec(),
-                truncated("BLOCK cols"),
-            ),
-            (
-                "one element short",
-                valid[..valid.len() - 8].to_vec(),
-                truncated("BLOCK elements"),
-            ),
-            (
-                "one byte short",
-                valid[..valid.len() - 1].to_vec(),
-                truncated("BLOCK elements"),
-            ),
-            (
-                "one byte long",
-                one_byte_long,
-                malformed("trailing bytes after BLOCK elements"),
-            ),
-            (
-                "rows·cols beyond any payload",
-                with_elements(header(251, u32::MAX, u32::MAX), &[1, 2]),
-                if usize::BITS >= 64 {
-                    truncated("BLOCK elements")
-                } else {
-                    malformed("BLOCK rows*cols overflows")
-                },
-            ),
-            (
-                "rows·cols below the element count",
-                with_elements(header(251, 2, 2), &[1, 2, 3, 4, 5, 6]),
-                malformed("trailing bytes after BLOCK elements"),
-            ),
-            (
-                "rows·cols above the element count",
-                with_elements(header(251, 2, 4), &[1, 2, 3, 4, 5, 6]),
-                truncated("BLOCK elements"),
-            ),
-            (
-                "unknown modulus",
-                with_elements(header(97, 2, 3), &[1, 2, 3, 4, 5, 6]),
-                WireError::UnknownModulus { modulus: 97 },
-            ),
-            (
-                // Settled before the elements are looked at, as in two steps.
-                "unknown modulus and a bad element",
-                with_elements(header(97, 1, 2), &[1, u64::MAX]),
-                WireError::UnknownModulus { modulus: 97 },
-            ),
-            (
-                "element = q",
-                with_elements(header(251, 2, 3), &[1, 2, 3, 4, 251, 6]),
-                non_canonical(4, 251),
-            ),
-            (
-                "element = u64::MAX",
-                with_elements(header(251, 2, 3), &[1, 2, u64::MAX, 4, 5, 6]),
-                non_canonical(2, u64::MAX),
-            ),
-            (
-                "two bad elements: the first is reported",
-                with_elements(header(251, 2, 3), &[1, 300, 3, 4, 5, u64::MAX]),
-                non_canonical(1, 300),
-            ),
-        ];
-        for (name, payload, expected) in cases {
-            let one_pass = TypedBlock::from_payload(&payload).unwrap_err();
-            assert_eq!(one_pass, expected, "{name}");
-            assert_eq!(one_pass, decode_then_type(&payload).unwrap_err(), "{name}");
+        let q = P25::MODULUS;
+        for width in [ElementWidth::Narrow, ElementWidth::Wide] {
+            let with_elements = |modulus: u64, rows: u32, cols: u32, elements: &[u64]| {
+                payload_at(width, modulus, rows, cols, elements)
+            };
+            // The error where the two widths part ways.
+            let by_width = |narrow: WireError, wide: WireError| match width {
+                ElementWidth::Narrow => narrow,
+                ElementWidth::Wide => wide,
+            };
+            let bytes = width.bytes();
+            let valid = with_elements(251, 2, 3, &[1, 2, 3, 4, 5, 6]);
+            assert!(TypedBlock::from_payload(&valid).is_ok());
+            let mut one_byte_long = valid.clone();
+            one_byte_long.push(0);
+            let mut cases: Vec<(&str, Vec<u8>, WireError)> = vec![
+                ("empty", Vec::new(), truncated("BLOCK modulus")),
+                (
+                    "15-byte payload",
+                    valid[..15].to_vec(),
+                    truncated("BLOCK cols"),
+                ),
+                (
+                    "header only",
+                    header(251, 2, 3),
+                    truncated("BLOCK elements"),
+                ),
+                (
+                    "one element short",
+                    valid[..valid.len() - bytes].to_vec(),
+                    by_width(truncated("BLOCK elements"), neither.clone()),
+                ),
+                (
+                    "one byte short",
+                    valid[..valid.len() - 1].to_vec(),
+                    by_width(truncated("BLOCK elements"), neither.clone()),
+                ),
+                (
+                    "one byte long",
+                    one_byte_long,
+                    by_width(neither.clone(), trailing.clone()),
+                ),
+                (
+                    "rows·cols beyond any payload",
+                    with_elements(251, u32::MAX, u32::MAX, &[1, 2]),
+                    if usize::BITS >= 64 {
+                        truncated("BLOCK elements")
+                    } else {
+                        malformed("BLOCK rows*cols overflows")
+                    },
+                ),
+                (
+                    "rows·cols below the element count",
+                    with_elements(251, 2, 2, &[1, 2, 3, 4, 5, 6]),
+                    by_width(neither.clone(), trailing.clone()),
+                ),
+                (
+                    "rows·cols above the element count",
+                    with_elements(251, 2, 4, &[1, 2, 3, 4, 5, 6]),
+                    by_width(truncated("BLOCK elements"), neither.clone()),
+                ),
+                (
+                    "unknown modulus",
+                    with_elements(97, 2, 3, &[1, 2, 3, 4, 5, 6]),
+                    WireError::UnknownModulus { modulus: 97 },
+                ),
+                (
+                    // Settled before the elements are looked at, as in two steps.
+                    "unknown modulus and a bad element",
+                    with_elements(97, 1, 2, &[1, u32::MAX as u64]),
+                    WireError::UnknownModulus { modulus: 97 },
+                ),
+                (
+                    "element = q",
+                    with_elements(251, 2, 3, &[1, 2, 3, 4, 251, 6]),
+                    non_canonical(4, 251, 251),
+                ),
+                (
+                    "element = u32::MAX",
+                    with_elements(251, 2, 3, &[1, 2, u32::MAX as u64, 4, 5, 6]),
+                    non_canonical(2, u32::MAX as u64, 251),
+                ),
+                (
+                    "two bad elements: the first is reported",
+                    with_elements(251, 2, 3, &[1, 300, 3, 4, 5, u32::MAX as u64]),
+                    non_canonical(1, 300, 251),
+                ),
+                (
+                    "25-bit block, element = q",
+                    with_elements(q, 1, 3, &[0, q, q - 1]),
+                    non_canonical(1, q, q),
+                ),
+                (
+                    "25-bit block, element = u32::MAX",
+                    with_elements(q, 1, 3, &[0, q - 1, u32::MAX as u64]),
+                    non_canonical(2, u32::MAX as u64, q),
+                ),
+            ];
+            if width == ElementWidth::Wide {
+                // Only an 8-byte element can hold these.
+                cases.extend([
+                    (
+                        "element = u64::MAX",
+                        with_elements(251, 2, 3, &[1, 2, u64::MAX, 4, 5, 6]),
+                        non_canonical(2, u64::MAX, 251),
+                    ),
+                    (
+                        "25-bit block, element = 2^32",
+                        with_elements(q, 1, 3, &[0, 1 << 32, 1]),
+                        non_canonical(1, 1 << 32, q),
+                    ),
+                ]);
+            }
+            for (name, payload, expected) in cases {
+                let one_pass = TypedBlock::from_payload(&payload).unwrap_err();
+                assert_eq!(one_pass, expected, "{name}, {width:?}");
+                assert_eq!(
+                    one_pass,
+                    decode_then_type(&payload).unwrap_err(),
+                    "{name}, {width:?}"
+                );
+            }
         }
     }
 
@@ -424,5 +535,23 @@ mod tests {
             assert_eq!(typed.modulus(), modulus);
             assert_eq!((typed.rows(), typed.cols()), (1, 2));
         }
+    }
+
+    #[test]
+    fn narrow_moduli_are_stored_as_u32() {
+        let block = |modulus| Block {
+            modulus,
+            rows: 1,
+            cols: 2,
+            elements: vec![0, 1],
+        };
+        assert!(avcc_field::batch::narrow_lanes::<P25>());
+        assert!(avcc_field::batch::narrow_lanes::<P251>());
+        let stored = |modulus| match TypedBlock::from_block(&block(modulus)) {
+            Ok(TypedBlock::P25(m) | TypedBlock::P251(m)) => m,
+            other => panic!("not stored as u32: {other:?}"),
+        };
+        assert_eq!(stored(P25::MODULUS).data(), [0u32, 1]);
+        assert_eq!(stored(P251::MODULUS).data(), [0u32, 1]);
     }
 }

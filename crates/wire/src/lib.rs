@@ -9,14 +9,15 @@
 //! * [`error`] — [`WireError`], the one error type; its variants are what
 //!   the master's eviction machinery keys on.
 //! * [`codec`] — little-endian primitives; field elements travel as raw
-//!   `u64` residues.
+//!   residues, 4 bytes each when every element of a message is below `2^32`
+//!   (the paper's 25-bit field) and 8 otherwise.
 //! * [`frame`] — the 28-byte header + payload + checksum framing, with the
 //!   magic/version/length/CRC/kind validation pipeline.
 //! * [`message`] — per-[`FrameKind`] payload layouts (handshake, blocks,
 //!   tasks, results, fault injection, errors).
-//! * [`compute`] — worker-side typed blocks: the same `mat_vec` kernel the
-//!   in-process executors run, which is what makes socket results
-//!   bit-identical to threaded results.
+//! * [`compute`] — worker-side typed blocks, stored as `u32` for the
+//!   25-bit field: the same `mat_vec` kernel the in-process executors run,
+//!   which is what makes socket results bit-identical to threaded results.
 //! * [`worker`] — the request/response protocol loop shared by the
 //!   `avcc-worker` binary and the in-process thread backend.
 //!
@@ -35,7 +36,7 @@ pub mod frame;
 pub mod message;
 pub mod worker;
 
-pub use codec::{take_u64_elements, WireReader, WireWriter};
+pub use codec::{WireReader, WireWriter};
 pub use compute::TypedBlock;
 pub use crc::{crc32c, crc32c_bytewise, Crc32c};
 pub use error::WireError;
@@ -43,7 +44,5 @@ pub use frame::{
     read_frame, write_frame, EncodedFrame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN,
     MAGIC, PROTOCOL_VERSION, TRAILER_LEN,
 };
-pub use message::{
-    result_frame_bytes, Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult,
-};
+pub use message::{Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult};
 pub use worker::{serve_connection, WorkerOptions};

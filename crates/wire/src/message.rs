@@ -7,11 +7,19 @@
 //! in its final wire bytes ([`EncodedFrame`]); the two that carry element
 //! arrays write them straight into that one buffer, with no staged copy.
 //! Counts are explicit (`u32`) and validated against the payload
-//! length on decode; every decoder finishes with `expect_end`, so trailing
-//! bytes are a protocol violation rather than silently ignored padding.
+//! length on decode; every decoder finishes with `expect_end` or an element
+//! array that must end the payload exactly, so trailing bytes are a protocol
+//! violation rather than silently ignored padding.
+//!
+//! The three messages that carry field elements — [`Block`], [`Task`],
+//! [`TaskResult`] — keep them as `u64` residues in memory and send each
+//! message's elements 4 bytes wide when all of them are below `2^32` (every
+//! residue of the paper's 25-bit field), 8 bytes wide otherwise
+//! (`codec::ElementWidth`). The receiver reads the width off the payload
+//! length.
 //! Byte-level layouts are specified in `docs/WIRE_FORMAT.md`.
 
-use crate::codec::{take_u64_elements, WireReader, WireWriter};
+use crate::codec::{ElementWidth, WireReader, WireWriter};
 use crate::error::WireError;
 use crate::frame::{EncodedFrame, Frame, FrameKind, PROTOCOL_VERSION};
 
@@ -91,9 +99,10 @@ impl HelloAck {
 
 /// Master → worker: a coded matrix block, installed once per job.
 ///
-/// Elements are raw canonical residues; the modulus word lets the worker
-/// select its typed kernel (and reject moduli it does not support) without
-/// any out-of-band configuration.
+/// Elements are raw canonical residues, on the wire 4 bytes each when the
+/// modulus is at most `2^32`; the modulus word lets the worker select its typed
+/// kernel (and reject moduli it does not support) without any out-of-band
+/// configuration.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Block {
     /// The prime modulus the elements live under.
@@ -107,21 +116,26 @@ pub struct Block {
 }
 
 impl Block {
-    fn payload_len(&self) -> usize {
-        16 + self.elements.len() * 8
+    fn width(&self) -> ElementWidth {
+        ElementWidth::of([self.elements.as_slice()])
     }
 
-    fn write_payload(&self, w: &mut WireWriter) {
+    fn payload_len(&self, width: ElementWidth) -> usize {
+        16 + self.elements.len() * width.bytes()
+    }
+
+    fn write_payload(&self, w: &mut WireWriter, width: ElementWidth) {
         w.put_u64(self.modulus);
         w.put_u32(self.rows);
         w.put_u32(self.cols);
-        w.put_u64_bulk(&self.elements);
+        w.put_elements(&self.elements, width);
     }
 
     /// Payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.payload_len());
-        self.write_payload(&mut w);
+        let width = self.width();
+        let mut w = WireWriter::with_capacity(self.payload_len(width));
+        self.write_payload(&mut w, width);
         w.into_bytes()
     }
 
@@ -137,13 +151,16 @@ impl Block {
             .ok_or(WireError::Malformed {
                 context: "BLOCK rows*cols overflows",
             })?;
-        let elements = take_u64_elements(&mut r, count, "BLOCK elements")?;
-        r.expect_end("trailing bytes after BLOCK elements")?;
+        let (width, elements) = r.take_element_bytes(
+            count,
+            "BLOCK elements",
+            "trailing bytes after BLOCK elements",
+        )?;
         Ok(Self {
             modulus,
             rows,
             cols,
-            elements,
+            elements: width.read(elements),
         })
     }
 
@@ -155,33 +172,45 @@ impl Block {
     /// The `LOAD_BLOCK` frame for `job` in its final wire bytes, the elements
     /// serialized straight into them.
     pub fn encoded_frame(&self, job: u64) -> EncodedFrame {
-        EncodedFrame::build(FrameKind::LoadBlock, job, 0, self.payload_len(), |w| {
-            self.write_payload(w)
+        let width = self.width();
+        EncodedFrame::build(FrameKind::LoadBlock, job, 0, self.payload_len(width), |w| {
+            self.write_payload(w, width)
         })
     }
 }
 
-/// Reads `functions` vectors of `len` raw `u64`s each. Both counts come off
-/// the wire unvalidated, so they are bounded by the bytes actually present
-/// *before* any allocation or loop: `functions · len · 8` may not exceed the
-/// rest of the payload, and zero-length vectors — which would let `functions`
-/// grow to 2³² at no byte cost — are malformed.
+/// Reads the rest of the payload as `functions` vectors of `len` elements
+/// each, 4 or 8 bytes per element as its length says
+/// ([`WireReader::take_element_bytes`]). Both counts come off the wire
+/// unvalidated, so they are bounded by the bytes actually present *before*
+/// any allocation or loop, and zero-length vectors — which would let
+/// `functions` grow to 2³² at no byte cost — are malformed.
 fn take_rectangular(
     reader: &mut WireReader<'_>,
     functions: usize,
     len: usize,
     context: &'static str,
+    trailing: &'static str,
 ) -> Result<Vec<Vec<u64>>, WireError> {
     if functions > 0 && len == 0 {
         return Err(WireError::Malformed { context });
     }
-    let bytes = functions.checked_mul(len).and_then(|n| n.checked_mul(8));
-    if bytes.is_none_or(|bytes| bytes > reader.remaining()) {
-        return Err(WireError::Truncated { context });
+    let count = functions
+        .checked_mul(len)
+        .ok_or(WireError::Truncated { context })?;
+    let (width, elements) = reader.take_element_bytes(count, context, trailing)?;
+    if count == 0 {
+        return Ok(Vec::new());
     }
-    (0..functions)
-        .map(|_| take_u64_elements(reader, len, context))
-        .collect()
+    Ok(elements
+        .chunks_exact(len * width.bytes())
+        .map(|vector| width.read(vector))
+        .collect())
+}
+
+/// The width every element array of a message travels at.
+fn width_of(vectors: &[Vec<u64>]) -> ElementWidth {
+    ElementWidth::of(vectors.iter().map(Vec::as_slice))
 }
 
 /// Master → worker: one round's inputs (the block is already resident).
@@ -199,29 +228,26 @@ pub struct Task {
 }
 
 impl Task {
-    fn payload_len(&self) -> usize {
-        16 + self
-            .inputs
-            .iter()
-            .map(|input| input.len() * 8)
-            .sum::<usize>()
+    fn payload_len(&self, width: ElementWidth) -> usize {
+        16 + self.inputs.iter().map(Vec::len).sum::<usize>() * width.bytes()
     }
 
-    fn write_payload(&self, w: &mut WireWriter) {
+    fn write_payload(&self, w: &mut WireWriter, width: ElementWidth) {
         let input_len = self.inputs.first().map_or(0, Vec::len);
         debug_assert!(self.inputs.iter().all(|i| i.len() == input_len));
         w.put_u64(self.sleep_micros);
         w.put_u32(self.inputs.len() as u32);
         w.put_u32(input_len as u32);
         for input in &self.inputs {
-            w.put_u64_bulk(input);
+            w.put_elements(input, width);
         }
     }
 
     /// Payload bytes.
     pub fn encode(&self) -> Vec<u8> {
-        let mut w = WireWriter::with_capacity(self.payload_len());
-        self.write_payload(&mut w);
+        let width = width_of(&self.inputs);
+        let mut w = WireWriter::with_capacity(self.payload_len(width));
+        self.write_payload(&mut w, width);
         w.into_bytes()
     }
 
@@ -231,8 +257,13 @@ impl Task {
         let sleep_micros = r.take_u64("TASK sleep")?;
         let functions = r.take_u32("TASK functions")? as usize;
         let input_len = r.take_u32("TASK input_len")? as usize;
-        let inputs = take_rectangular(&mut r, functions, input_len, "TASK inputs")?;
-        r.expect_end("trailing bytes after TASK inputs")?;
+        let inputs = take_rectangular(
+            &mut r,
+            functions,
+            input_len,
+            "TASK inputs",
+            "trailing bytes after TASK inputs",
+        )?;
         Ok(Self {
             sleep_micros,
             inputs,
@@ -246,8 +277,9 @@ impl Task {
 
     /// The frame for `(job, round)` in its final wire bytes.
     pub fn encoded_frame(&self, job: u64, round: u64) -> EncodedFrame {
-        EncodedFrame::build(FrameKind::Task, job, round, self.payload_len(), |w| {
-            self.write_payload(w)
+        let width = width_of(&self.inputs);
+        EncodedFrame::build(FrameKind::Task, job, round, self.payload_len(width), |w| {
+            self.write_payload(w, width)
         })
     }
 }
@@ -270,13 +302,14 @@ impl TaskResult {
     pub fn encode(&self) -> Vec<u8> {
         let output_len = self.outputs.first().map_or(0, Vec::len);
         debug_assert!(self.outputs.iter().all(|o| o.len() == output_len));
-        let mut w = WireWriter::with_capacity(20 + self.outputs.len() * output_len * 8);
+        let width = width_of(&self.outputs);
+        let mut w = WireWriter::with_capacity(20 + self.outputs.len() * output_len * width.bytes());
         w.put_u32(self.worker);
         w.put_f64(self.compute_seconds);
         w.put_u32(self.outputs.len() as u32);
         w.put_u32(output_len as u32);
         for output in &self.outputs {
-            w.put_u64_bulk(output);
+            w.put_elements(output, width);
         }
         w.into_bytes()
     }
@@ -288,8 +321,13 @@ impl TaskResult {
         let compute_seconds = r.take_f64("RESULT compute_seconds")?;
         let functions = r.take_u32("RESULT functions")? as usize;
         let output_len = r.take_u32("RESULT output_len")? as usize;
-        let outputs = take_rectangular(&mut r, functions, output_len, "RESULT outputs")?;
-        r.expect_end("trailing bytes after RESULT outputs")?;
+        let outputs = take_rectangular(
+            &mut r,
+            functions,
+            output_len,
+            "RESULT outputs",
+            "trailing bytes after RESULT outputs",
+        )?;
         Ok(Self {
             worker,
             compute_seconds,
@@ -399,14 +437,6 @@ impl ErrorMsg {
     }
 }
 
-/// On-the-wire size of a `TASK_RESULT` frame carrying `functions` output
-/// vectors of `output_len` elements — used by the in-process executors so
-/// their modeled network cost matches what the socket runtime actually
-/// ships.
-pub fn result_frame_bytes(functions: usize, output_len: usize) -> usize {
-    crate::frame::HEADER_LEN + 20 + functions * output_len * 8 + crate::frame::TRAILER_LEN
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -468,7 +498,14 @@ mod tests {
             inputs: vec![vec![1, 2, 3], vec![4, 5, 6]],
         };
         assert_eq!(Task::decode(&msg.encode()).unwrap(), msg);
-        assert_eq!(msg.encode().len(), 16 + 2 * 3 * 8);
+        assert_eq!(msg.encode().len(), 16 + 2 * 3 * 4);
+        // One element of 2^32 or more sends the whole message 8 bytes wide.
+        let wide = Task {
+            sleep_micros: 1500,
+            inputs: vec![vec![1, 2, 3], vec![4, 5, 1 << 32]],
+        };
+        assert_eq!(Task::decode(&wide.encode()).unwrap(), wide);
+        assert_eq!(wide.encode().len(), 16 + 2 * 3 * 8);
     }
 
     #[test]
@@ -479,7 +516,13 @@ mod tests {
             outputs: vec![vec![10, 20], vec![30, 40], vec![50, 60]],
         };
         assert_eq!(TaskResult::decode(&msg.encode()).unwrap(), msg);
-        assert_eq!(msg.encode().len() + 32, result_frame_bytes(3, 2));
+        assert_eq!(msg.encode().len(), 20 + 3 * 2 * 4);
+        let wide = TaskResult {
+            outputs: vec![vec![10, u64::MAX], vec![30, 40], vec![50, 60]],
+            ..msg
+        };
+        assert_eq!(TaskResult::decode(&wide.encode()).unwrap(), wide);
+        assert_eq!(wide.encode().len(), 20 + 3 * 2 * 8);
     }
 
     #[test]
@@ -506,19 +549,91 @@ mod tests {
         let (frame, _) =
             crate::frame::read_frame(&mut wire.as_slice(), crate::frame::DEFAULT_MAX_PAYLOAD)
                 .expect("the frame itself is valid");
-        assert!(matches!(
+        assert_eq!(
             TaskResult::decode(&frame.payload),
-            Err(WireError::Malformed { .. })
-        ));
-        // Same header shape on the worker side, and the non-zero-length
-        // variant: counts beyond the payload are truncation, not allocation.
-        let mut task = 0u64.to_le_bytes().to_vec(); // sleep_micros
-        task.extend_from_slice(&u32::MAX.to_le_bytes()); // functions
-        task.extend_from_slice(&u32::MAX.to_le_bytes()); // input_len
-        assert!(matches!(
-            Task::decode(&task),
-            Err(WireError::Truncated { .. })
-        ));
+            Err(WireError::Malformed {
+                context: "RESULT outputs"
+            })
+        );
+
+        // Every hostile shape of an element array, at both widths, on both
+        // sides: TASK (8 bytes before its counts) and TASK_RESULT (12). The
+        // width is read off the length, so a length that is neither 4n nor
+        // 8n is rejected before any element is read or allocated.
+        type Vectors = Result<Vec<Vec<u64>>, WireError>;
+        type Decoder = fn(&[u8]) -> Vectors;
+        let neither = WireError::Malformed {
+            context: "element array is neither 4 nor 8 bytes per element",
+        };
+        let sides: [(usize, Decoder, &str, &str); 2] = [
+            (
+                8,
+                |bytes| Task::decode(bytes).map(|task| task.inputs),
+                "TASK inputs",
+                "trailing bytes after TASK inputs",
+            ),
+            (
+                12,
+                |bytes| TaskResult::decode(bytes).map(|result| result.outputs),
+                "RESULT outputs",
+                "trailing bytes after RESULT outputs",
+            ),
+        ];
+        for (prefix, decode, context, trailing) in sides {
+            let payload = |functions: u32, len: u32, element_bytes: usize| {
+                let mut bytes = vec![0u8; prefix];
+                bytes.extend_from_slice(&functions.to_le_bytes());
+                bytes.extend_from_slice(&len.to_le_bytes());
+                bytes.resize(bytes.len() + element_bytes, 0);
+                bytes
+            };
+            let truncated = WireError::Truncated { context };
+            let malformed = WireError::Malformed { context };
+            let trailing = WireError::Malformed { context: trailing };
+            let zeros = vec![vec![0u64; 3]; 2];
+            let cases: Vec<(&str, Vec<u8>, Vectors)> = vec![
+                ("2 × 3, 4 bytes wide", payload(2, 3, 24), Ok(zeros.clone())),
+                ("2 × 3, 8 bytes wide", payload(2, 3, 48), Ok(zeros)),
+                (
+                    "one byte short of 4n",
+                    payload(2, 3, 23),
+                    Err(truncated.clone()),
+                ),
+                (
+                    "one byte long of 4n",
+                    payload(2, 3, 25),
+                    Err(neither.clone()),
+                ),
+                (
+                    "one byte short of 8n",
+                    payload(2, 3, 47),
+                    Err(neither.clone()),
+                ),
+                (
+                    "one byte long of 8n",
+                    payload(2, 3, 49),
+                    Err(trailing.clone()),
+                ),
+                ("neither, mid-way", payload(2, 3, 36), Err(neither.clone())),
+                (
+                    "2^32 empty vectors",
+                    payload(u32::MAX, 0, 0),
+                    Err(malformed),
+                ),
+                (
+                    "counts beyond the payload",
+                    payload(u32::MAX, u32::MAX, 8),
+                    Err(truncated),
+                ),
+                ("no vectors, no bytes", payload(0, 5, 0), Ok(Vec::new())),
+                ("no vectors, one byte", payload(0, 5, 1), Err(trailing)),
+            ];
+            for (name, bytes, expected) in cases {
+                assert_eq!(decode(&bytes), expected, "{context}: {name}");
+            }
+            // The 20-byte kill and its 16-byte TASK twin.
+            assert_eq!(payload(u32::MAX, 0, 0).len(), prefix + 8);
+        }
     }
 
     #[test]
@@ -529,11 +644,20 @@ mod tests {
             modulus: 251,
             rows: 5,
             cols: 7,
-            elements: (0..35).collect(), // crosses put_u64_bulk's 16-element stage
+            elements: (0..35).collect(), // crosses the writer's 32-element stage
+        };
+        let wide_block = Block {
+            modulus: u64::MAX,
+            elements: (0..35).map(|i| i << 40).collect(), // and its 16-element one
+            ..block.clone()
         };
         let task = Task {
             sleep_micros: 1500,
             inputs: vec![(0..20).collect(), (20..40).collect()],
+        };
+        let wide_task = Task {
+            sleep_micros: 1500,
+            inputs: vec![(0..20).collect(), (20..40).map(|i| i << 40).collect()],
         };
         let fault = Fault {
             kind: FaultKind::Truncate,
@@ -541,7 +665,9 @@ mod tests {
         let shutdown = Frame::new(FrameKind::Shutdown, 0, 0, Vec::new());
         let pairs = [
             (block.encoded_frame(9), block.frame(9)),
+            (wide_block.encoded_frame(9), wide_block.frame(9)),
             (task.encoded_frame(9, 4), task.frame(9, 4)),
+            (wide_task.encoded_frame(9, 4), wide_task.frame(9, 4)),
             (
                 Task {
                     sleep_micros: 0,

@@ -69,6 +69,40 @@ proptest! {
     }
 
     #[test]
+    fn every_message_roundtrips_4_bytes_wide_exactly_when_its_elements_fit_32_bits(
+        functions in 1usize..4,
+        len in 1usize..24,
+        raw in proptest::collection::vec(any::<u64>(), 72),
+        shift in 28u32..36,
+        edge in any::<u64>(),
+    ) {
+        // Shifts around 32 make both widths common; half the time one element
+        // sits on either side of the line, at 2^32 − 1 or 2^32.
+        let mut values: Vec<u64> = raw[..functions * len].iter().map(|&v| v >> shift).collect();
+        let at = (edge as usize) % (2 * values.len());
+        if at < values.len() {
+            values[at] = (1 << 32) - (edge >> 63);
+        }
+        let width = if values.iter().all(|&v| v < 1 << 32) { 4 } else { 8 };
+        let vectors: Vec<Vec<u64>> = values.chunks(len).map(<[u64]>::to_vec).collect();
+
+        let task = Task { sleep_micros: edge, inputs: vectors.clone() };
+        prop_assert_eq!(task.encode().len(), 16 + values.len() * width);
+        prop_assert_eq!(Task::decode(&task.encode()).unwrap(), task.clone());
+        prop_assert_eq!(task.encoded_frame(1, 2).bytes(), &task.frame(1, 2).encode()[..]);
+
+        let result = TaskResult { worker: 3, compute_seconds: 0.5, outputs: vectors };
+        prop_assert_eq!(result.encode().len(), 20 + values.len() * width);
+        prop_assert_eq!(TaskResult::decode(&result.encode()).unwrap(), result);
+
+        let (rows, cols) = (functions as u32, len as u32);
+        let block = Block { modulus: edge, rows, cols, elements: values.clone() };
+        prop_assert_eq!(block.encode().len(), 16 + values.len() * width);
+        prop_assert_eq!(Block::decode(&block.encode()).unwrap(), block.clone());
+        prop_assert_eq!(block.encoded_frame(1).bytes(), &block.frame(1).encode()[..]);
+    }
+
+    #[test]
     fn block_roundtrip_and_typed_compute(rows in 1u32..8, cols in 1u32..8, seed in any::<u64>()) {
         // Elements canonical under the exhaustive-test field q = 251.
         let elements: Vec<u64> = (0..rows as u64 * cols as u64)

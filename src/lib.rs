@@ -41,7 +41,18 @@
 //! };
 //! let report = run_experiment::<P25>(&config).unwrap();
 //! assert_eq!(report.scheme, SchemeKind::Avcc.label());
-//! assert!(report.total_detections() > 0); // the Byzantine worker was caught
+//!
+//! // Whichever order the results arrive in, the liar never reaches the
+//! // model: it trains bit for bit as with no liar at all, and anyone flagged
+//! // is the liar.
+//! let mut honest = config.clone();
+//! honest.scenario.byzantine.clear();
+//! let clean = run_experiment::<P25>(&honest).unwrap();
+//! for (attacked, clean) in report.iterations.iter().zip(&clean.iterations) {
+//!     assert_eq!(attacked.test_accuracy.to_bits(), clean.test_accuracy.to_bits());
+//!     assert_eq!(attacked.train_loss.to_bits(), clean.train_loss.to_bits());
+//!     assert!(attacked.detected_byzantine.iter().all(|w| config.scenario.byzantine.contains(w)));
+//! }
 //! ```
 
 #![forbid(unsafe_code)]
