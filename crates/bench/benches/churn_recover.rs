@@ -1,28 +1,21 @@
 //! Churn-recovery benchmark: wall-clock of one training job on a churning
-//! fleet, with and without the adaptive-(K, T) autopilot.
+//! fleet against the same job on a quiet one.
 //!
 //! The fleet carries a sustained correlated slow rack (workers 0–2 at ×8,
 //! the paper's straggler profile) whose sleeps dominate the timings, so the
 //! comparison measures protocol structure rather than host compute noise.
 //! The churn schedule flaps three fast workers out at round 2 and a fourth
-//! at round 14, permanently:
+//! at round 14, permanently. The fourth departure drops the fleet below the
+//! recovery threshold, so rounds park and re-dispatch (each re-dispatch
+//! paying a full slow-rack round) until the paper's dynamic-coding rule or
+//! the stall-budget shrink re-encodes to a smaller `K`.
 //!
-//! * `static` runs the paper's reactive controller. The fourth departure
-//!   drops the fleet below the recovery threshold, so rounds park and
-//!   re-dispatch (each re-dispatch paying a full slow-rack round) until the
-//!   controller or the stall-budget shrink reacts.
-//! * `autopilot` watches the smoothed missing-worker rate climb after the
-//!   first three departures and retunes K downward *before* the fourth, so
-//!   no round ever parks.
-//!
-//! `churn_recover/flap_fleet/{static,autopilot}` is the PR10 acceptance
-//! pair: the autopilot against the static configuration under churn. The
-//! `quiet` case (no churn) shows what the churn itself costs.
-//! All three cases are asserted bit-identical before any timing: churn,
-//! parking, shrink-recoding and retuning may change *which* results decode,
-//! never the decoded values.
+//! `churn_recover/flap_fleet/{quiet,churned}`: the gap is what the churn
+//! costs. Both cases are asserted bit-identical before any timing: churn,
+//! parking and shrink-recoding may change *which* results decode, never the
+//! decoded values.
 
-use avcc_core::{AutopilotConfig, ExperimentConfig, FaultScenario};
+use avcc_core::{ExperimentConfig, FaultScenario};
 use avcc_field::P25;
 use avcc_ml::dataset::DatasetConfig;
 use avcc_serve::{Fleet, JobOutput, JobSpec, Scheduler, SchedulerConfig, ServingReport};
@@ -34,9 +27,9 @@ const WORKERS: usize = 12;
 const FLEET_WIDTH: usize = 4;
 
 /// One AVCC training job designed for the slow rack (S = 3) with no
-/// Byzantine workers; long enough (12 iterations) for the autopilot's EWMA
-/// to cross its retune threshold before the fourth departure.
-fn job(autopilot: bool) -> ExperimentConfig {
+/// Byzantine workers, long enough (12 iterations) to outlast the fourth
+/// departure.
+fn job() -> ExperimentConfig {
     let scenario = FaultScenario::paper(3, 0, AttackModel::None);
     let mut config = ExperimentConfig::paper_avcc(3, 0, scenario);
     config.iterations = 12;
@@ -49,17 +42,6 @@ fn job(autopilot: bool) -> ExperimentConfig {
         informative: 9,
         ..DatasetConfig::default()
     };
-    if autopilot {
-        // A higher headroom keeps the quiet warmup from growing K (only to
-        // have churn force it straight back down), and the longer cooldown
-        // spaces retunes so the observed-straggler feedback cannot ping-pong
-        // the code dimension — each retune costs a real re-encode.
-        config.autopilot = AutopilotConfig {
-            headroom: 2.0,
-            cooldown: 6,
-            ..AutopilotConfig::with_privacy(0)
-        };
-    }
     config
 }
 
@@ -86,7 +68,7 @@ fn churn() -> ChurnSchedule {
     )
 }
 
-fn serve(fleet: &Fleet, churned: bool, autopilot: bool) -> ServingReport<P25> {
+fn serve(fleet: &Fleet, churned: bool) -> ServingReport<P25> {
     let mut scheduler = Scheduler::<P25>::new(SchedulerConfig {
         sleep_per_slowdown_unit: 0.004,
         ..SchedulerConfig::default()
@@ -95,7 +77,7 @@ fn serve(fleet: &Fleet, churned: bool, autopilot: bool) -> ServingReport<P25> {
         scheduler.set_churn(churn(), WORKERS);
     }
     scheduler
-        .submit(JobSpec::Training(job(autopilot)))
+        .submit(JobSpec::Training(job()))
         .expect("queue has room");
     scheduler.run(fleet)
 }
@@ -112,36 +94,25 @@ fn bench_churn_recover(c: &mut Criterion) {
     let fleet = Fleet::new(FLEET_WIDTH);
 
     // Churn may only change the timing, never the results.
-    let quiet = training_output(&serve(&fleet, false, false), "quiet");
-    let static_churned = training_output(&serve(&fleet, true, false), "static");
-    let autopiloted = training_output(&serve(&fleet, true, true), "autopilot");
-    for (case, output) in [("static", &static_churned), ("autopilot", &autopiloted)] {
-        assert_eq!(output.len(), quiet.len(), "{case}: iteration count");
-        for (index, (churned, oracle)) in
-            output.iterations.iter().zip(&quiet.iterations).enumerate()
-        {
-            assert_eq!(
-                (churned.test_accuracy, churned.train_loss),
-                (oracle.test_accuracy, oracle.train_loss),
-                "{case}: model diverged from the quiet fleet at iteration {index}"
-            );
-        }
+    let quiet = training_output(&serve(&fleet, false), "quiet");
+    let churned = training_output(&serve(&fleet, true), "churned");
+    assert_eq!(churned.len(), quiet.len(), "iteration count");
+    for (index, (churned, oracle)) in churned.iterations.iter().zip(&quiet.iterations).enumerate() {
+        assert_eq!(
+            (churned.test_accuracy, churned.train_loss),
+            (oracle.test_accuracy, oracle.train_loss),
+            "model diverged from the quiet fleet at iteration {index}"
+        );
     }
-    // Pin the scenario's shape: both churned runs re-encode at least once —
-    // the static run reactively, the autopilot run through its retunes.
-    assert!(static_churned.reconfiguration_count() >= 1);
-    assert!(autopiloted.reconfiguration_count() >= 1);
+    // Pin the scenario's shape: the churned run re-encodes at least once.
+    assert!(churned.reconfiguration_count() >= 1);
 
     let mut group = c.benchmark_group("churn_recover/flap_fleet");
-    group.bench_function(BenchmarkId::from_parameter("quiet"), |bencher| {
-        bencher.iter(|| serve(&fleet, false, false))
-    });
-    group.bench_function(BenchmarkId::from_parameter("static"), |bencher| {
-        bencher.iter(|| serve(&fleet, true, false))
-    });
-    group.bench_function(BenchmarkId::from_parameter("autopilot"), |bencher| {
-        bencher.iter(|| serve(&fleet, true, true))
-    });
+    for (case, with_churn) in [("quiet", false), ("churned", true)] {
+        group.bench_function(BenchmarkId::from_parameter(case), |bencher| {
+            bencher.iter(|| serve(&fleet, with_churn))
+        });
+    }
     group.finish();
 }
 

@@ -418,7 +418,7 @@ pub(crate) fn run_iteration_parked<M: PrimeModulus>(
 /// Dispatches `tasks` until `collect` accepts a round. Each dispatch is one
 /// [`WireRunner::run_streaming_round`] that closes once the round's engine
 /// can decode; what it did not wait for is reported to the trainer
-/// ([`DistributedTrainer::set_live_hint`]) before every collect. A round that
+/// ([`DistributedTrainer::set_late_hint`]) before every collect. A round that
 /// stays below threshold with nobody left to wait for is re-dispatched or
 /// shrink-recoded as [`DistributedTrainer::park_or_shrink`] decides.
 /// `Ok(None)` means the trainer shrink-recoded and the iteration must
@@ -459,7 +459,7 @@ fn run_parked_round<M: PrimeModulus, T>(
                     .into_iter()
                     .map(single_function)
                     .collect();
-                trainer.set_live_hint(singles.len() + late.len(), late);
+                trainer.set_late_hint(late);
                 match collect(trainer, &singles) {
                     Ok(collected) => Ok((collected, singles.len())),
                     Err(failure) => {
@@ -698,7 +698,6 @@ mod tests {
                 TrainerConfig {
                     iterations: 6,
                     time_scale: 1.0,
-                    autopilot: crate::adaptive::AutopilotConfig::with_privacy(0),
                     ..TrainerConfig::paper_defaults(
                         SchemeKind::Avcc,
                         SchemeConfig::linear(12, 9, 2, 1).unwrap(),
@@ -729,10 +728,13 @@ mod tests {
                 assert!(record.observed_stragglers.contains(&0), "{record:?}");
             }
         }
-        // Dispatched is not awaited: nobody was *missing*, so the autopilot's
-        // missing-worker estimate stays at zero in both runs.
-        assert_eq!(trainer.autopilot().rates().0, 0.0);
-        assert_eq!(oracle.autopilot().rates().0, 0.0);
+        // A ×10 straggler inside the S = 2 budget never re-encodes the
+        // paper's code, whether it was cut off or waited for.
+        let initial = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+        for (report, trainer) in [(&report, &trainer), (&oracle_report, &oracle)] {
+            assert_eq!(report.reconfiguration_count(), 0);
+            assert_eq!(trainer.current_coding(), &initial);
+        }
     }
 
     #[test]

@@ -15,9 +15,9 @@
 //!    quantize it;
 //! 3. run **round 2** (`g = Xᵀ e`) through the scheme's second engine;
 //! 4. dequantize the gradient, update the model, evaluate test accuracy;
-//! 5. (AVCC only) let the [`AdaptiveController`] evict detected Byzantine
-//!    workers and re-encode if the straggler slack went negative, charging the
-//!    one-time re-encoding and re-distribution cost to this iteration.
+//! 5. (AVCC only) let [`adapt`] evict detected Byzantine workers and
+//!    re-encode if the straggler slack went negative, charging the one-time
+//!    re-encoding and re-distribution cost to this iteration.
 
 use avcc_coding::SchemeConfig;
 use avcc_field::{Fp, PrimeModulus};
@@ -32,7 +32,7 @@ use avcc_verify::KeyGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-use crate::adaptive::{AdaptiveController, Autopilot, AutopilotConfig};
+use crate::adaptive::adapt;
 use crate::distributed::{run_iteration_parked, WireRunner};
 use crate::engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
 use crate::problem::TrainingProblem;
@@ -85,8 +85,6 @@ pub struct TrainerConfig {
     pub learning_rate: f64,
     /// Number of training iterations.
     pub iterations: usize,
-    /// Freivalds key repetitions (AVCC/Static VCC only).
-    pub key_repetitions: usize,
     /// Simulator compute-time scale factor.
     pub time_scale: f64,
     /// RNG seed for encoding pads, keys and decode fingerprints.
@@ -96,15 +94,6 @@ pub struct TrainerConfig {
     /// paper-figure experiment driver turns it off for fidelity to the
     /// paper's cost model.
     pub screen: bool,
-    /// The churn-aware closed-loop [`Autopilot`] knobs. Disabled by default;
-    /// when enabled (verifying schemes only) it replaces the permanent-
-    /// eviction [`AdaptiveController`] so churned workers keep their fleet
-    /// slot and may rejoin.
-    pub autopilot: AutopilotConfig,
-    /// How many times a parked round may be re-dispatched to the same fleet
-    /// (waiting for churned workers to rejoin) before the driver gives up
-    /// waiting and shrink-recodes to a smaller `K` instead.
-    pub stall_budget: usize,
 }
 
 impl TrainerConfig {
@@ -115,12 +104,9 @@ impl TrainerConfig {
             coding,
             learning_rate: 5.0,
             iterations: 50,
-            key_repetitions: 1,
             time_scale: 40.0,
             seed: 42,
             screen: true,
-            autopilot: AutopilotConfig::disabled(),
-            stall_budget: 4,
         }
     }
 }
@@ -144,19 +130,17 @@ struct InflightIteration<M: PrimeModulus> {
     round2_input: Option<Vec<Fp<M>>>,
 }
 
-/// One AVCC session per round matrix for `coding`. Per round the dataset is
-/// encoded before its keys are drawn — the order pins the rng stream.
+/// One AVCC session per round matrix for `coding`, with one-repetition
+/// Freivalds keys. Per round the dataset is encoded before its keys are
+/// drawn — the order pins the rng stream.
 fn avcc_sessions<M: PrimeModulus>(
     matrices: [&Matrix<Fp<M>>; 2],
     coding: SchemeConfig,
-    config: &TrainerConfig,
+    screen: bool,
     rng: &mut StdRng,
 ) -> [AvccMatVec<M>; 2] {
-    let key_config = KeyGenConfig {
-        repetitions: config.key_repetitions.max(1),
-    };
     matrices.map(|matrix| {
-        AvccMatVec::new(matrix, coding, key_config, rng).with_screening(config.screen)
+        AvccMatVec::new(matrix, coding, KeyGenConfig::default(), rng).with_screening(screen)
     })
 }
 
@@ -188,15 +172,12 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     round2: Box<dyn MatVecEngine<M>>,
     round1_matrix: Matrix<Fp<M>>,
     round2_matrix: Matrix<Fp<M>>,
-    controller: AdaptiveController,
-    autopilot: Autopilot,
     current_coding: SchemeConfig,
     rng: StdRng,
     scenario_label: String,
     inflight: Option<InflightIteration<M>>,
     fleet_events: Vec<ChurnEvent>,
     pending_reconfiguration: f64,
-    live_hint: Option<usize>,
     late_hint: Vec<usize>,
 }
 
@@ -219,12 +200,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             "cluster profile has {} workers but the coding scheme expects {}",
             cluster.len(),
             config.coding.workers
-        );
-        assert!(
-            !config.autopilot.enabled || config.scheme.verifies(),
-            "the autopilot re-encodes through the AVCC engines and needs a verifying scheme, \
-             not {:?}",
-            config.scheme
         );
         let mut rng = StdRng::seed_from_u64(config.seed);
         let protocol = problem.default_protocol::<M>();
@@ -249,15 +224,14 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             ),
             SchemeKind::Avcc | SchemeKind::StaticVcc => {
                 let matrices = [&round1_matrix, &round2_matrix];
-                let [engine1, engine2] = avcc_sessions(matrices, config.coding, &config, &mut rng);
+                let [engine1, engine2] =
+                    avcc_sessions(matrices, config.coding, config.screen, &mut rng);
                 (Box::new(engine1), Box::new(engine2), cluster)
             }
         };
 
         let model = LogisticModel::zeros(problem.features());
         DistributedTrainer {
-            controller: AdaptiveController::new(config.scheme.adapts()),
-            autopilot: Autopilot::new(config.autopilot),
             current_coding: config.coding,
             config,
             problem,
@@ -275,7 +249,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             inflight: None,
             fleet_events: Vec::new(),
             pending_reconfiguration: 0.0,
-            live_hint: None,
             late_hint: Vec::new(),
         }
     }
@@ -497,38 +470,13 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let mut reconfigured = self.pending_reconfiguration > 0.0;
         costs.reconfiguration = std::mem::take(&mut self.pending_reconfiguration);
 
-        // Dynamic coding. The churn-aware autopilot (when enabled) replaces
-        // the paper's permanent-eviction controller: every fleet slot is
-        // kept so churned workers may rejoin, and `(K, T)` is retuned in
-        // both directions from smoothed observations.
-        //
-        // A caller that stops waiting once the round can decode hands over
-        // fewer outcomes than workers were live; the live hint (set per
-        // round by such callers) corrects the missing-worker estimate.
-        let responded = self
-            .live_hint
-            .take()
-            .map_or(outcomes.len(), |live| live.max(outcomes.len()));
-        if self.autopilot.is_enabled() {
-            if let Some(decision) = self.autopilot.observe(
-                &self.current_coding,
-                responded,
-                stragglers.len(),
-                detected.len(),
-            ) {
-                costs.reconfiguration +=
-                    self.apply_adaptation(&[], decision.new_config, decision.reencode);
-                reconfigured |= decision.reencode;
-                self.fleet_events.push(ChurnEvent {
-                    round: iteration as u64,
-                    worker: responded,
-                    kind: ChurnEventKind::AutopilotRetune,
-                });
-            }
-        } else if let Some(decision) =
-            self.controller
-                .evaluate(&self.current_coding, &detected, &stragglers)
-        {
+        // Dynamic coding (AVCC only).
+        let decision = if self.config.scheme.adapts() {
+            adapt(&self.current_coding, &detected, &stragglers)
+        } else {
+            None
+        };
+        if let Some(decision) = decision {
             costs.reconfiguration += self.apply_adaptation(
                 &decision.evict_workers,
                 decision.new_config,
@@ -584,7 +532,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.byzantine = self.byzantine.reindexed_after_removal(evicted);
 
         let matrices = [&self.round1_matrix, &self.round2_matrix];
-        let [engine1, engine2] = avcc_sessions(matrices, new_config, &self.config, &mut self.rng);
+        let [engine1, engine2] =
+            avcc_sessions(matrices, new_config, self.config.screen, &mut self.rng);
         let redistribution_seconds = if reencode {
             let shipped_bytes = engine1.encoded_bytes() + engine2.encoded_bytes();
             // The master pushes every worker its new share over its single
@@ -610,36 +559,24 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// How many re-dispatches a parked round is allowed before the driver
     /// shrink-recodes (see [`DistributedTrainer::shrink_to_fit`]).
     pub fn stall_budget(&self) -> usize {
-        self.config.stall_budget
+        Self::STALL_BUDGET
     }
 
-    /// Reports what the round about to be collected looked like when its
-    /// caller stopped waiting: `live` workers were dispatched a task, and the
-    /// `late` ones among them had not answered yet. Callers that stop
+    /// Names the workers that had not answered the round about to be
+    /// collected when its caller stopped waiting. Callers that stop
     /// collecting once the round can decode — the iteration driver behind
-    /// [`crate::train_distributed`], the pipelined scheduler — must set this
-    /// before every collect, or the controllers see a fleet that is not
-    /// there: the autopilot would mistake the never-awaited workers for
-    /// churned-out ones and shrink the code indefinitely, and stragglers that
-    /// were cut off rather than waited for would never be observed as
-    /// stragglers. The next successful collect adds `late` to its round's
-    /// observed stragglers; the next [`DistributedTrainer::collect_round2`]
-    /// takes `live` as the number of workers that responded. A caller that
-    /// waits for every dispatched worker never needs it.
-    pub fn set_live_hint(&mut self, live: usize, late: &[usize]) {
-        self.live_hint = Some(live);
+    /// [`crate::train_distributed`] — must set this before every collect, or
+    /// stragglers that were cut off rather than waited for would never be
+    /// observed as stragglers. The next successful collect adds `late` to its
+    /// round's observed stragglers. A caller that waits for every dispatched
+    /// worker never needs it.
+    pub(crate) fn set_late_hint(&mut self, late: &[usize]) {
         self.late_hint = late.to_vec();
     }
 
-    /// The churn-aware autopilot (its smoothed rates are inspectable even
-    /// when disabled — they stay at zero because nothing feeds them).
-    pub fn autopilot(&self) -> &Autopilot {
-        &self.autopilot
-    }
-
     /// Fleet-level lifecycle events recorded by the driver and its callers:
-    /// parks, resumes, shrink-recodes and autopilot retunes, stamped with
-    /// the training-iteration clock.
+    /// parks, resumes and shrink-recodes, stamped with the
+    /// training-iteration clock.
     pub fn fleet_events(&self) -> &[ChurnEvent] {
         &self.fleet_events
     }
@@ -653,6 +590,11 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             kind,
         });
     }
+
+    /// How many times a parked round may be re-dispatched to the same fleet
+    /// (waiting for churned workers to rejoin) before the driver gives up
+    /// waiting and shrink-recodes to a smaller `K` instead.
+    const STALL_BUDGET: usize = 4;
 
     /// The park / shrink decision for a round whose collect failed with every
     /// dispatched result in (churned workers absent, not merely late), shared
@@ -682,7 +624,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             self.note_fleet_event(iteration as u64, available, ChurnEventKind::Parked);
         }
         *stalls += 1;
-        if *stalls <= self.config.stall_budget {
+        if *stalls <= Self::STALL_BUDGET {
             return Ok(false);
         }
         self.shrink_to_fit(iteration as u64, available, required)?;
@@ -699,9 +641,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     }
 
     /// Shrink-recodes after a parked round exhausted its stall budget: every
-    /// fleet slot is kept (absent workers may still rejoin, and the autopilot
-    /// may later grow `K` back), but `K` is lowered so the recovery threshold
-    /// fits the `available` workers that are actually responding.
+    /// fleet slot is kept (absent workers may still rejoin), but `K` is
+    /// lowered so the recovery threshold fits the `available` workers that
+    /// are actually responding.
     ///
     /// Abandons any in-flight iteration (the caller restarts it on the new
     /// code) and defers the re-encoding cost to the restarted iteration's

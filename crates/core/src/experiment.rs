@@ -25,7 +25,6 @@ use avcc_ml::dataset::{Dataset, DatasetConfig};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
 use avcc_sim::cluster::ClusterProfile;
 
-use crate::adaptive::AutopilotConfig;
 use crate::driver::{DistributedTrainer, SchemeKind, TrainerConfig};
 use crate::problem::TrainingProblem;
 use crate::report::TrainingReport;
@@ -118,11 +117,6 @@ pub struct ExperimentConfig {
     pub seed: u64,
     /// Simulator compute-time scale.
     pub time_scale: f64,
-    /// The churn-aware closed-loop autopilot knobs (disabled in all of the
-    /// paper's experiments; the elastic-fleet harness turns it on).
-    pub autopilot: AutopilotConfig,
-    /// Re-dispatches a parked round is allowed before shrink-recoding.
-    pub stall_budget: usize,
 }
 
 impl ExperimentConfig {
@@ -153,8 +147,6 @@ impl ExperimentConfig {
             // straggler and verification effects keep their relative weight;
             // the full-scale harness (`AVCC_FULL=1`) drops this back to 40.
             time_scale: 2000.0,
-            autopilot: AutopilotConfig::disabled(),
-            stall_budget: 4,
         }
     }
 
@@ -215,7 +207,6 @@ impl ExperimentConfig {
             coding: self.coding(),
             learning_rate: self.learning_rate,
             iterations: self.iterations,
-            key_repetitions: 1,
             time_scale: self.time_scale,
             seed: self.seed,
             // The figures reproduce the paper's AVCC, whose master never
@@ -223,8 +214,6 @@ impl ExperimentConfig {
             // patterns, so the (post-paper) dual-codeword screen would only
             // add master-side cost to the figures' cost model.
             screen: false,
-            autopilot: self.autopilot,
-            stall_budget: self.stall_budget,
         };
         DistributedTrainer::new(
             problem,

@@ -68,7 +68,7 @@ pub mod problem;
 pub mod report;
 pub mod rounds;
 
-pub use adaptive::{AdaptationDecision, AdaptiveController, Autopilot, AutopilotConfig};
+pub use adaptive::{adapt, AdaptationDecision};
 pub use distributed::{train_distributed, DistributedError, WireRunner};
 pub use driver::{DistributedTrainer, SchemeKind, TrainerConfig, TrainingRound};
 pub use engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};

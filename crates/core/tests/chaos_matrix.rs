@@ -2,9 +2,8 @@
 //! distributed training pipeline.
 //!
 //! Every recoverable [`ChaosSchedule`] — crash, stall, corrupt-then-rejoin,
-//! network flap, each hitting one or two workers, with and without the
-//! closed-loop autopilot — must leave the trained model **bit-identical** to
-//! the quiet-fleet oracle. The comparator is the per-iteration
+//! network flap, each hitting one or two workers — must leave the trained
+//! model **bit-identical** to the quiet-fleet oracle. The comparator is the per-iteration
 //! `(test_accuracy, train_loss)` trajectory: both are deterministic `f64`
 //! functions of the model weights, so exact equality across every iteration
 //! certifies bit-identical models.
@@ -12,14 +11,13 @@
 //! Why this invariant holds (and must keep holding): decode recovers the
 //! *exact* field product from any sufficient subset of honest results,
 //! whatever `(N, K, T)` the fleet is currently coded for, and corrupted
-//! payloads are dropped before decode. Churn, parking, shrink-recoding and
-//! autopilot retunes change *which* results decode — never the decoded
-//! values.
+//! payloads are dropped before decode. Churn, parking and shrink-recoding
+//! change *which* results decode — never the decoded values.
 
 use avcc_coding::SchemeConfig;
 use avcc_core::{
-    train_distributed, AutopilotConfig, DistributedTrainer, SchemeKind, TrainerConfig,
-    TrainingProblem, TrainingReport,
+    train_distributed, DistributedTrainer, SchemeKind, TrainerConfig, TrainingProblem,
+    TrainingReport,
 };
 use avcc_field::P25;
 use avcc_ml::dataset::{Dataset, DatasetConfig};
@@ -39,28 +37,19 @@ fn small_problem() -> TrainingProblem {
     TrainingProblem::from_dataset(&dataset, 9)
 }
 
-fn quick_config(autopilot: bool) -> TrainerConfig {
-    TrainerConfig {
-        iterations: 6,
-        time_scale: 1.0,
-        autopilot: if autopilot {
-            AutopilotConfig::with_privacy(0)
-        } else {
-            AutopilotConfig::disabled()
-        },
-        ..TrainerConfig::paper_defaults(
-            SchemeKind::Avcc,
-            SchemeConfig::linear(12, 9, 2, 1).unwrap(),
-        )
-    }
-}
-
-fn make_trainer(autopilot: bool) -> DistributedTrainer<P25> {
+fn make_trainer() -> DistributedTrainer<P25> {
     DistributedTrainer::new(
         small_problem(),
         ClusterProfile::uniform(12),
         ByzantineSpec::none(),
-        quick_config(autopilot),
+        TrainerConfig {
+            iterations: 6,
+            time_scale: 1.0,
+            ..TrainerConfig::paper_defaults(
+                SchemeKind::Avcc,
+                SchemeConfig::linear(12, 9, 2, 1).unwrap(),
+            )
+        },
         "chaos",
     )
 }
@@ -74,17 +63,17 @@ fn trajectory(report: &TrainingReport) -> Vec<(f64, f64)> {
         .collect()
 }
 
-/// Runs the quiet-fleet oracle once per autopilot setting.
-fn oracle(autopilot: bool) -> Vec<(f64, f64)> {
-    let mut trainer = make_trainer(autopilot);
+/// Runs the quiet-fleet oracle.
+fn oracle() -> Vec<(f64, f64)> {
+    let mut trainer = make_trainer();
     let mut executor = VirtualExecutor::new(trainer.cluster().clone());
     let report = train_distributed(&mut trainer, &mut executor).unwrap();
     trajectory(&report)
 }
 
 /// Runs one chaos schedule and returns the trajectory.
-fn chaos_run(schedule: ChurnSchedule, autopilot: bool) -> Vec<(f64, f64)> {
-    let mut trainer = make_trainer(autopilot);
+fn chaos_run(schedule: ChurnSchedule) -> Vec<(f64, f64)> {
+    let mut trainer = make_trainer();
     let mut executor = VirtualExecutor::new(trainer.cluster().clone());
     executor.set_churn(schedule);
     let report = train_distributed(&mut trainer, &mut executor)
@@ -94,32 +83,29 @@ fn chaos_run(schedule: ChurnSchedule, autopilot: bool) -> Vec<(f64, f64)> {
 
 #[test]
 fn chaos_matrix_is_bit_identical_to_the_quiet_fleet_oracle() {
-    // {crash, stall, corrupt-then-rejoin, flap} × {1, 2 workers} ×
-    // {autopilot off, autopilot on}: every cell must reproduce the quiet
-    // oracle's model exactly. Faults land at round 2 (mid-iteration-1) so
+    // {crash, stall, corrupt-then-rejoin, flap} × {1, 2 workers}: every cell
+    // must reproduce the quiet oracle's model exactly. Faults land at round 2 (mid-iteration-1) so
     // both the round-1 and round-2 collects see perturbed fleets across the
     // run. All schedules stay above the recovery threshold (12 − 2 = 10 ≥ 9
     // responders), so no cell needs to park — parking has its own test.
     let worker_sets: [&[usize]; 2] = [&[5], &[5, 11]];
-    for autopilot in [false, true] {
-        let quiet = oracle(autopilot);
-        for workers in worker_sets {
-            let schedules = [
-                ("crash", ChaosSchedule::crash(workers, 2)),
-                ("stall", ChaosSchedule::stall(workers, 2, 3, 25.0)),
-                (
-                    "corrupt-then-rejoin",
-                    ChaosSchedule::corrupt_then_rejoin(workers, 2, 3),
-                ),
-                ("flap", ChaosSchedule::flap(workers, 2, 3)),
-            ];
-            for (name, schedule) in schedules {
-                assert_eq!(
-                    chaos_run(schedule, autopilot),
-                    quiet,
-                    "{name} × {workers:?} × autopilot={autopilot} diverged from the oracle"
-                );
-            }
+    let quiet = oracle();
+    for workers in worker_sets {
+        let schedules = [
+            ("crash", ChaosSchedule::crash(workers, 2)),
+            ("stall", ChaosSchedule::stall(workers, 2, 3, 25.0)),
+            (
+                "corrupt-then-rejoin",
+                ChaosSchedule::corrupt_then_rejoin(workers, 2, 3),
+            ),
+            ("flap", ChaosSchedule::flap(workers, 2, 3)),
+        ];
+        for (name, schedule) in schedules {
+            assert_eq!(
+                chaos_run(schedule),
+                quiet,
+                "{name} × {workers:?} diverged from the oracle"
+            );
         }
     }
 }
@@ -129,8 +115,8 @@ fn chaos_schedules_replay_identically_on_the_threaded_executor() {
     // The same churn schedule on the concurrent executor: arrival *order*
     // differs run to run, but the round clock (not wall-clock) drives the
     // churn windows, so the model must still match the oracle exactly.
-    let quiet = oracle(false);
-    let mut trainer = make_trainer(false);
+    let quiet = oracle();
+    let mut trainer = make_trainer();
     let mut executor = ThreadedExecutor::new(trainer.cluster().clone());
     executor.sleep_per_slowdown_unit = 0.0005;
     executor.set_churn(ChaosSchedule::flap(&[3, 7], 2, 3));
@@ -144,8 +130,8 @@ fn below_threshold_fleet_parks_then_resumes_on_rejoin() {
     // remain, below the threshold of 9, so the driver must park the round
     // and re-dispatch until the flap window closes — and the trajectory must
     // still equal the quiet oracle's.
-    let quiet = oracle(false);
-    let mut trainer = make_trainer(false);
+    let quiet = oracle();
+    let mut trainer = make_trainer();
     let mut executor = VirtualExecutor::new(trainer.cluster().clone());
     executor.set_churn(ChaosSchedule::flap(&[0, 1, 2, 3], 0, 3));
     let report = train_distributed(&mut trainer, &mut executor)
@@ -173,8 +159,8 @@ fn exhausted_stall_budget_shrink_recodes_instead_of_erroring() {
     // threshold of 9, forever. The stall budget runs out and the driver must
     // shrink-recode (K 9 → 8 fits 8 responders) rather than fail; decode
     // stays exact, so the trajectory still matches the quiet oracle.
-    let quiet = oracle(false);
-    let mut trainer = make_trainer(false);
+    let quiet = oracle();
+    let mut trainer = make_trainer();
     let mut executor = VirtualExecutor::new(trainer.cluster().clone());
     executor.set_churn(ChaosSchedule::crash(&[0, 1, 2, 3], 2));
     let report = train_distributed(&mut trainer, &mut executor)
@@ -186,61 +172,4 @@ fn exhausted_stall_budget_shrink_recodes_instead_of_erroring() {
 
     // The report charges the shrink's re-distribution cost somewhere.
     assert!(report.iterations.iter().any(|r| r.reconfigured));
-}
-
-#[test]
-fn autopilot_grows_k_back_after_the_fleet_heals() {
-    // Crash two workers for a long stretch, then rejoin them. With the
-    // autopilot on, the smoothed churn rate first pushes K down (or holds it
-    // low), and after the heal the estimate decays until the autopilot
-    // retunes K upward again — all without disturbing the model.
-    let mut trainer = make_trainer(true);
-    let mut executor = VirtualExecutor::new(trainer.cluster().clone());
-    let schedule = ChurnSchedule::quiet()
-        .at(2, avcc_sim::churn::ChurnAction::Crash { worker: 4 })
-        .at(2, avcc_sim::churn::ChurnAction::Crash { worker: 9 })
-        .at(14, avcc_sim::churn::ChurnAction::Join { worker: 4 })
-        .at(14, avcc_sim::churn::ChurnAction::Join { worker: 9 });
-    let config = TrainerConfig {
-        iterations: 24,
-        ..quick_config(true)
-    };
-    trainer = DistributedTrainer::new(
-        small_problem(),
-        ClusterProfile::uniform(12),
-        ByzantineSpec::none(),
-        config,
-        "chaos-heal",
-    );
-    executor.set_churn(schedule);
-    let report = train_distributed(&mut trainer, &mut executor).unwrap();
-    assert_eq!(report.len(), 24);
-
-    let retunes = trainer
-        .fleet_events()
-        .iter()
-        .filter(|e| e.kind == ChurnEventKind::AutopilotRetune)
-        .count();
-    assert!(
-        retunes >= 2,
-        "expected shrink and regrow retunes: {retunes}"
-    );
-    // After the heal the autopilot reclaims throughput: K ends above the
-    // churn-era floor and the fleet still has all 12 slots.
-    assert_eq!(trainer.current_coding().workers, 12);
-    assert!(trainer.current_coding().partitions >= 9);
-
-    // And the model is still the oracle's.
-    let mut oracle_trainer = DistributedTrainer::<P25>::new(
-        small_problem(),
-        ClusterProfile::uniform(12),
-        ByzantineSpec::none(),
-        TrainerConfig {
-            iterations: 24,
-            ..quick_config(false)
-        },
-        "chaos-heal-oracle",
-    );
-    let oracle_report = oracle_trainer.train().unwrap();
-    assert_eq!(trajectory(&report), trajectory(&oracle_report));
 }

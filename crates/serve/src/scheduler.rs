@@ -727,11 +727,6 @@ fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, Sch
                 Ok(Step::Continue)
             }
             TrainingRound::Round2 => {
-                // The round stopped collecting at `needed` arrivals; tell the
-                // trainer how many workers were actually dispatched so the
-                // autopilot's missing-worker estimate reflects churn, not the
-                // early cutoff.
-                trainer.set_live_hint(job.dispatched, &[]);
                 let record = trainer.collect_round2(*iteration, &job.outcomes, cumulative)?;
                 trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
                 job.metrics.rounds += 1;

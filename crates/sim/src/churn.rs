@@ -256,9 +256,6 @@ pub enum ChurnEventKind {
     /// The stall budget ran out and the driver shrink-recoded `(N, K)` to
     /// restore decodability with the workers still live.
     ShrinkRecoded,
-    /// The autopilot retuned the coding configuration from its observed
-    /// churn/straggler/Byzantine rates.
-    AutopilotRetune,
 }
 
 /// One typed churn record: what happened, to whom, at which schedule round.

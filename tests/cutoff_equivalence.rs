@@ -274,14 +274,12 @@ fn training_past_a_straggler_and_a_liar_matches_train() {
             "cut off or waited for, worker 0 is seen to straggle: {record:?}"
         );
     }
-    // The blocking run of this configuration on this fleet parks nothing,
-    // shrinks nothing and retunes nothing; neither may this one.
+    // The blocking run of this configuration on this fleet parks nothing
+    // and shrinks nothing; neither may this one.
     assert!(
         !trainer.fleet_events().iter().any(|event| matches!(
             event.kind,
-            ChurnEventKind::Parked
-                | ChurnEventKind::ShrinkRecoded
-                | ChurnEventKind::AutopilotRetune
+            ChurnEventKind::Parked | ChurnEventKind::ShrinkRecoded
         )),
         "{:?}",
         trainer.fleet_events()
