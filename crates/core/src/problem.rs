@@ -67,7 +67,9 @@ impl TrainingProblem {
         protocol.quantize_features(&self.train_features.transpose())
     }
 
-    /// A safe default quantization protocol for this problem in the field `M`.
+    /// The default quantization protocol for this problem in the field `M`,
+    /// sized for weights of magnitude at most 4 (an assumption training does
+    /// not enforce: [`QuantizedProtocol::for_problem`]).
     pub fn default_protocol<M: PrimeModulus>(&self) -> QuantizedProtocol {
         QuantizedProtocol::for_problem::<M>(self.samples(), self.features(), 4.0)
     }

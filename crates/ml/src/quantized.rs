@@ -15,9 +15,10 @@
 //! features, weights and error vector) and performs every conversion. Because
 //! recovery of a signed value from the field is only correct while the true
 //! magnitude stays below `(q−1)/2`, the constructor
-//! [`QuantizedProtocol::for_problem`] derives safe bit widths from the problem
-//! size — the reproduction of the paper's overflow analysis that led to
-//! `q = 2^25 − 39` and `l = 5`.
+//! [`QuantizedProtocol::for_problem`] derives bit widths from the problem
+//! size and an assumed weight bound — the reproduction of the paper's
+//! overflow analysis that led to `q = 2^25 − 39` and `l = 5`. The bound is
+//! an assumption, not an invariant: see that constructor.
 
 use avcc_field::{Fp, PrimeModulus, Quantizer};
 use avcc_linalg::{quantize_matrix, Matrix};
@@ -50,10 +51,10 @@ impl Default for QuantizedProtocol {
 }
 
 impl QuantizedProtocol {
-    /// Chooses bit widths that provably avoid signed-recovery overflow in the
-    /// field `M` for a problem with `samples` training rows and `features`
-    /// columns, assuming normalized features in `[0, 1]`, weights bounded by
-    /// `weight_bound` in magnitude and error entries in `[−1, 1]`.
+    /// Chooses bit widths for the field `M` and a problem with `samples`
+    /// training rows and `features` columns, assuming normalized features in
+    /// `[0, 1]`, weights bounded by `weight_bound` in magnitude and error
+    /// entries in `[−1, 1]`.
     ///
     /// The two constraints (round 1 and round 2 respectively) are
     ///
@@ -61,6 +62,29 @@ impl QuantizedProtocol {
     /// features · weight_bound · 2^(l_x + l_w) < (q−1)/2
     /// samples  ·               2^(l_x + l_e) < (q−1)/2
     /// ```
+    ///
+    /// Round 2's premise holds by construction: each `e = h(z) − y`, a
+    /// sigmoid minus a 0/1 label, lies in `[−1, 1]`. Round 1's rests on
+    /// `weight_bound`, an assumption nothing enforces: [`quantize_weights`]
+    /// saturates only at the field's own range, and training lets `|w|`
+    /// grow. On the generated `train_quiet` problem (1 800 × 261, seed 1, the
+    /// `weight_bound = 4` of `default_protocol`, `l_x + l_w = 13`) `max |w|`
+    /// reads 5.22 after 1 000 iterations, 7.37 after 3 000 and 9.07 after
+    /// 6 000, and at 9.07 the premise `261 · 9.07 · 2^13 ≈ 1.94·10⁷` exceeds
+    /// `(q−1)/2 ≈ 1.68·10⁷`. So these widths guarantee that no round-1
+    /// result wraps while every `|w|` stays within `weight_bound`; past it
+    /// they guarantee nothing. The premise is a worst case: a result wraps
+    /// only once `|z| = |Σ x_j w_j|` itself passes `(q−1)/2 / 2^(l_x+l_w)`
+    /// (≈ 2 048 here), and is then dequantized with the wrong sign, silently.
+    /// Either way every scheme returns the exact field product, so coded and
+    /// uncoded training stay bit-identical to each other.
+    ///
+    /// The quantized weights `w · 2^l_w` are also what the socket runtime
+    /// sends 2 bytes per element while every one lies in `[−2^15, 2^15)`;
+    /// once one does not, that round's `TASK`s fall back to 4 bytes by
+    /// themselves.
+    ///
+    /// [`quantize_weights`]: Self::quantize_weights
     pub fn for_problem<M: PrimeModulus>(
         samples: usize,
         features: usize,

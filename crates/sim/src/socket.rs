@@ -52,7 +52,10 @@
 //! nor serializes one twice, and a respawned worker is replayed, verbatim and
 //! with its original checksum, the frame its predecessor was sent. A job is
 //! out of the cache while its new blocks ship, so a worker respawned in the
-//! middle of `install_blocks` gets that job's block once.
+//! middle of `install_blocks` gets that job's block once. The cache keeps
+//! each block's modulus beside its frame: a `TASK` whose inputs are small
+//! signed values of that field — the paper's quantized weights and errors —
+//! goes 2 bytes per element ([`Task::encoded_frame_in`]).
 //!
 //! # Eviction and recovery
 //!
@@ -484,6 +487,13 @@ enum Event {
     },
 }
 
+/// One worker's block of a job, as the master keeps it.
+#[derive(Debug, Clone)]
+struct CachedBlock {
+    frame: EncodedFrame,
+    modulus: u64,
+}
+
 /// The TCP/UDS master runtime. See the module docs for topology and
 /// semantics: split-phase rounds with one task in flight per worker, frames
 /// encoded once and cached as wire bytes, reconnect-or-evict.
@@ -495,10 +505,11 @@ pub struct SocketExecutor {
     links: Vec<Option<WorkerLink>>,
     events: mpsc::Receiver<Event>,
     events_tx: mpsc::Sender<Event>,
-    /// The respawn cache, job → each worker's `LOAD_BLOCK` frame as it was
-    /// first sent: what a respawned worker is replayed, verbatim, before it
-    /// can compute again.
-    blocks: HashMap<u64, Vec<EncodedFrame>>,
+    /// The respawn cache, job → each worker's block: its `LOAD_BLOCK` frame
+    /// as it was first sent, what a respawned worker is replayed, verbatim,
+    /// before it can compute again; and its modulus, which lets the job's
+    /// `TASK`s go 2 bytes wide.
+    blocks: HashMap<u64, Vec<CachedBlock>>,
     /// Live rounds, what each worker is busy with and what waits for it.
     board: TicketBoard,
     /// Evictions since the most recent submit.
@@ -771,7 +782,7 @@ impl SocketExecutor {
         let frames: Vec<EncodedFrame> = self
             .blocks
             .values()
-            .filter_map(|frames| frames.get(worker).cloned())
+            .filter_map(|blocks| blocks.get(worker).map(|block| block.frame.clone()))
             .collect();
         for frame in frames {
             if self.send_frame(worker, &frame).is_err() {
@@ -961,19 +972,22 @@ impl Executor for SocketExecutor {
         // worker `ensure_live` respawns inside this loop is replayed the
         // *other* jobs' blocks, and gets this job's from the `post` — once.
         self.blocks.remove(&job);
-        let mut frames = Vec::with_capacity(blocks.len());
+        let mut cached = Vec::with_capacity(blocks.len());
         for (worker, block) in blocks.iter().enumerate() {
             // Encoded once: these bytes are what is queued, what is written
             // and what the cache keeps.
             let frame = block.encoded_frame(job);
-            frames.push(frame.clone());
+            cached.push(CachedBlock {
+                frame: frame.clone(),
+                modulus: block.modulus,
+            });
             if self.ensure_live(worker) {
                 self.post(worker, None, frame);
             }
             // Otherwise it stays dead (eviction surfaces at round time) and
             // finds its block in the cache when it comes back.
         }
-        self.blocks.insert(job, frames);
+        self.blocks.insert(job, cached);
         Ok(())
     }
 
@@ -1001,11 +1015,14 @@ impl Executor for SocketExecutor {
         round: u64,
         inputs: &[Vec<Vec<u64>>],
     ) -> Result<RoundTicket, ExecutorError> {
-        let job_width = self
+        let moduli: Vec<u64> = self
             .blocks
             .get(&job)
             .ok_or(ExecutorError::UnknownJob { job })?
-            .len();
+            .iter()
+            .map(|block| block.modulus)
+            .collect();
+        let job_width = moduli.len();
         if inputs.len() > job_width {
             return Err(ExecutorError::TooManyTasks {
                 tasks: inputs.len(),
@@ -1055,7 +1072,11 @@ impl Executor for SocketExecutor {
                 sleep_micros: (sleep * 1e6) as u64,
                 inputs: worker_inputs.clone(),
             };
-            self.post(worker, Some(ticket), task.encoded_frame(job, round));
+            // 2 bytes per element when the inputs are small signed values of
+            // the worker's field, as the paper's quantized weights and errors
+            // are; otherwise 4 or 8.
+            let frame = task.encoded_frame_in(job, round, moduli[worker]);
+            self.post(worker, Some(ticket), frame);
         }
         Ok(RoundTicket::live(ticket))
     }
@@ -1118,7 +1139,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn a_version_1_worker_is_refused_at_hello() {
+    fn a_version_2_worker_is_refused_at_hello() {
         let hello = |version: u16, frame_version: u16, worker: u32| {
             Hello { version, worker }
                 .frame()
@@ -1130,12 +1151,12 @@ mod tests {
             Err(ExecutorError::Spawn { context }) => assert!(context.contains(why), "{context}"),
             other => panic!("accepted a peer it should refuse: {other:?}"),
         };
-        // A version-1 worker frames its HELLO as version 1.
-        refused(hello(1, 1, 3), "unsupported protocol version 1");
-        // A HELLO that names version 1 inside a current frame.
+        // A version-2 worker frames its HELLO as version 2.
+        refused(hello(2, 2, 3), "unsupported protocol version 2");
+        // A HELLO that names version 2 inside a current frame.
         refused(
-            hello(1, PROTOCOL_VERSION, 3),
-            "worker speaks protocol version 1",
+            hello(2, PROTOCOL_VERSION, 3),
+            "worker speaks protocol version 2",
         );
         refused(
             hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 4),

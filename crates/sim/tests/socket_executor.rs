@@ -277,6 +277,50 @@ fn a_worker_respawned_during_install_is_shipped_the_jobs_block_once() {
     );
 }
 
+/// The master frames each worker's `TASK` for the modulus of that worker's
+/// block: small signed inputs of the 25-bit field go 2 bytes per element,
+/// the same inputs to an `F_251` worker 4, and the results are the threaded
+/// executor's, bit for bit.
+#[test]
+fn small_inputs_to_a_25_bit_block_cross_the_wire_2_bytes_wide() {
+    let q = (1u64 << 25) - 39;
+    let workers = 3;
+    // Worker 2's block is of F_251, the others' of the 25-bit field.
+    let job_blocks: Vec<Block> = (0..workers)
+        .map(|w| {
+            let modulus = if w == 2 { 251 } else { q };
+            Block {
+                modulus,
+                rows: 4,
+                cols: 5,
+                elements: elements(20, w as u64 + 3)
+                    .into_iter()
+                    .map(|e| e % modulus)
+                    .collect(),
+            }
+        })
+        .collect();
+    // ±100: within 2^15 of 0 or of q, and canonical mod 251 too.
+    let inputs: Vec<Vec<Vec<u64>>> = (0..workers)
+        .map(|w| {
+            let modulus = job_blocks[w].modulus;
+            vec![(0..5).map(|i| (modulus + i * 50 - 100) % modulus).collect()]
+        })
+        .collect();
+    let mut socket = uds_fleet(workers);
+    socket.install_blocks(6, &job_blocks).unwrap();
+    let before = socket.metrics();
+    let got = payloads(socket.execute_round(6, 0, &inputs).unwrap());
+    let after = socket.metrics();
+    assert_eq!(got, oracle_round(&job_blocks, &inputs));
+    assert!(socket.round_evictions().is_empty());
+    // 16 + 5·2 and 16 + 5·4 payload bytes, and 32 of header and trailer.
+    assert_eq!(
+        after.bytes_sent - before.bytes_sent,
+        2 * (32 + 26) + (32 + 36)
+    );
+}
+
 /// The respawn cache holds each `LOAD_BLOCK` frame's wire bytes and replays
 /// them verbatim: a respawn costs the handshake plus exactly that frame, the
 /// worker accepts its checksum, and its next result is exact.

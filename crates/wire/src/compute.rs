@@ -19,14 +19,18 @@
 //! [`TypedBlock::from_block`]) or as the payload bytes of a `LOAD_BLOCK`
 //! frame (the worker loop: [`TypedBlock::from_payload`], which goes from the
 //! bytes, 4 or 8 per element, to stored residues in one pass, with no
-//! `Vec<u64>` in between). Both end in the same element loop.
+//! `Vec<u64>` in between). Both end in the same element loop. Task inputs
+//! likewise: `u64` residues ([`TypedBlock::execute`]) or the payload of a
+//! `TASK` frame ([`TypedBlock::execute_payload`]), whose inputs — 2, 4 or 8
+//! bytes per element — are read straight into the block's storage, one
+//! branch-free pass per input.
 
 use avcc_field::{Fp, PrimeModulus, Residue, P25, P251, P61, P64};
 use avcc_linalg::{mat_vec, Matrix};
 
-use crate::codec::{le_elements, ElementWidth, WireReader};
+use crate::codec::{le_elements, short_elements, ElementWidth, WireReader};
 use crate::error::WireError;
-use crate::message::Block;
+use crate::message::{Block, TaskPayload};
 
 /// A block re-typed under its modulus, ready to multiply.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -70,31 +74,127 @@ fn typed_matrix<M: PrimeModulus, S: Residue<M>>(
     Ok(Matrix::from_vec(rows as usize, cols as usize, data))
 }
 
-/// Checks each input against the modulus, stores it as the block is stored,
-/// and multiplies.
-fn execute_typed<M: PrimeModulus, S: Residue<M>>(
+/// How a block stores a task input's residues, with the two ways into that
+/// storage from the wire. Into `u32` lanes neither branches, so a loop of
+/// either vectorizes.
+trait Lanes<M: PrimeModulus>: Residue<M> {
+    /// The residue of a 2-byte element `c` for `q > 2^16`: `c`, plus `q` when
+    /// `c < 0` — always canonical, so never checked.
+    fn lift_short(c: i16) -> Self;
+
+    /// Stores `value`, which the caller checks is below `q`; for one that is
+    /// not, what is stored does not matter, as the caller rejects the input.
+    fn canonical(value: u64) -> Self;
+}
+
+impl<M: PrimeModulus> Lanes<M> for u32 {
+    #[inline(always)]
+    fn lift_short(c: i16) -> Self {
+        let c = i32::from(c);
+        (c as u32).wrapping_add((c >> 31) as u32 & M::MODULUS as u32)
+    }
+
+    #[inline(always)]
+    fn canonical(value: u64) -> Self {
+        value as u32
+    }
+}
+
+impl<M: PrimeModulus> Lanes<M> for Fp<M> {
+    #[inline(always)]
+    fn lift_short(c: i16) -> Self {
+        Fp::new(crate::codec::lift_short(c, M::MODULUS))
+    }
+
+    #[inline(always)]
+    fn canonical(value: u64) -> Self {
+        Fp::new(value)
+    }
+}
+
+/// One task input as it reaches a block: `u64` residues, or the bytes of its
+/// element array at one width.
+#[derive(Clone, Copy)]
+enum Input<'a> {
+    Residues(&'a [u64]),
+    Bytes(ElementWidth, &'a [u8]),
+}
+
+impl Input<'_> {
+    fn len(self) -> usize {
+        match self {
+            Self::Residues(values) => values.len(),
+            Self::Bytes(width, bytes) => bytes.len() / width.bytes(),
+        }
+    }
+
+    /// Appends the input's residues to `lanes`, rejecting a non-canonical
+    /// element (the first, by its index in the input) and a 2-byte input to
+    /// a block of `q ≤ 2^16`, for which a lifted 2-byte element need not be
+    /// canonical.
+    fn lift_into<M: PrimeModulus, S: Lanes<M>>(self, lanes: &mut Vec<S>) -> Result<(), WireError> {
+        match self {
+            Self::Residues(values) => lift_checked::<M, S>(values.iter().copied(), lanes),
+            Self::Bytes(ElementWidth::Short { .. }, _) if M::MODULUS <= 1 << 16 => {
+                Err(WireError::Malformed {
+                    context: "2-byte TASK inputs need a block modulus above 2^16",
+                })
+            }
+            Self::Bytes(ElementWidth::Short { .. }, bytes) => {
+                lanes.extend(short_elements(bytes).map(S::lift_short));
+                Ok(())
+            }
+            Self::Bytes(ElementWidth::Narrow, bytes) => {
+                lift_checked::<M, S>(le_elements::<4>(bytes), lanes)
+            }
+            Self::Bytes(ElementWidth::Wide, bytes) => {
+                lift_checked::<M, S>(le_elements::<8>(bytes), lanes)
+            }
+        }
+    }
+}
+
+/// Appends `elements` to `lanes` and checks each is below `q`: the check is
+/// an AND-fold beside the stores, and only an input that fails it is read
+/// again, to name its first non-canonical element.
+fn lift_checked<M: PrimeModulus, S: Lanes<M>>(
+    elements: impl Iterator<Item = u64> + Clone,
+    lanes: &mut Vec<S>,
+) -> Result<(), WireError> {
+    let mut canonical = true;
+    lanes.extend(elements.clone().map(|raw| {
+        canonical &= raw < M::MODULUS;
+        S::canonical(raw)
+    }));
+    if canonical {
+        return Ok(());
+    }
+    match elements.enumerate().find(|&(_, raw)| raw >= M::MODULUS) {
+        Some((index, value)) => Err(WireError::NonCanonical {
+            index,
+            value,
+            modulus: M::MODULUS,
+        }),
+        None => Ok(()),
+    }
+}
+
+/// Lifts each input into the block's storage and multiplies.
+fn execute_typed<'a, M: PrimeModulus, S: Lanes<M>>(
     matrix: &Matrix<S>,
-    inputs: &[Vec<u64>],
+    inputs: impl ExactSizeIterator<Item = Input<'a>>,
 ) -> Result<Vec<Vec<u64>>, WireError> {
     let mut outputs = Vec::with_capacity(inputs.len());
+    let mut lanes = Vec::with_capacity(matrix.cols());
     for input in inputs {
         if input.len() != matrix.cols() {
             return Err(WireError::Malformed {
                 context: "TASK input length does not match block columns",
             });
         }
-        let mut typed = Vec::with_capacity(input.len());
-        for (index, &raw) in input.iter().enumerate() {
-            if raw >= M::MODULUS {
-                return Err(WireError::NonCanonical {
-                    index,
-                    value: raw,
-                    modulus: M::MODULUS,
-                });
-            }
-            typed.push(S::from_residue(raw));
-        }
-        let product = mat_vec::<M, S>(matrix, &typed);
+        lanes.clear();
+        input.lift_into::<M, S>(&mut lanes)?;
+        let product = mat_vec::<M, S>(matrix, &lanes);
         outputs.push(product.into_iter().map(S::residue).collect());
     }
     Ok(outputs)
@@ -153,10 +253,12 @@ impl TypedBlock {
             count,
             "BLOCK elements",
             "trailing bytes after BLOCK elements",
+            None,
         )?;
+        // Without a task modulus, the array is 4 or 8 bytes wide.
         match width {
-            ElementWidth::Narrow => Self::typed(modulus, rows, cols, le_elements::<4>(body)),
             ElementWidth::Wide => Self::typed(modulus, rows, cols, le_elements::<8>(body)),
+            _ => Self::typed(modulus, rows, cols, le_elements::<4>(body)),
         }
     }
 
@@ -193,6 +295,28 @@ impl TypedBlock {
     /// Multiplies the block against each input vector, returning canonical
     /// residues.
     pub fn execute(&self, inputs: &[Vec<u64>]) -> Result<Vec<Vec<u64>>, WireError> {
+        self.execute_inputs(inputs.iter().map(|input| Input::Residues(input)))
+    }
+
+    /// Runs the payload of a `TASK` frame against this block and returns the
+    /// task's `sleep_micros` and its outputs. The inputs may be 2 bytes per
+    /// element as well as 4 or 8, the width read off their length; each goes
+    /// from its bytes into the block's storage in one pass, with no
+    /// `Vec<u64>` in between. For a 4- or 8-byte payload this is exactly
+    /// [`Task::decode`](crate::Task::decode) followed by
+    /// [`TypedBlock::execute`] — the same rejections, in the same order. A
+    /// 2-byte payload to a block of `q ≤ 2^16` is malformed.
+    pub fn execute_payload(&self, payload: &[u8]) -> Result<(u64, Vec<Vec<u64>>), WireError> {
+        let task = TaskPayload::parse(payload, Some(self.modulus()))?;
+        let outputs =
+            self.execute_inputs(task.inputs().map(|bytes| Input::Bytes(task.width, bytes)))?;
+        Ok((task.sleep_micros, outputs))
+    }
+
+    fn execute_inputs<'a>(
+        &self,
+        inputs: impl ExactSizeIterator<Item = Input<'a>>,
+    ) -> Result<Vec<Vec<u64>>, WireError> {
         match self {
             Self::P25(m) => execute_typed::<P25, _>(m, inputs),
             Self::P61(m) => execute_typed::<P61, _>(m, inputs),
@@ -293,22 +417,153 @@ mod tests {
             };
             let payload = task.encode();
             assert_eq!(payload.len(), 16 + 3 * 4, "sent 4 bytes wide");
+            // A non-canonical element is never folded into a 2-byte residue.
+            assert_eq!(task.encode_in(q), payload);
             let decoded = Task::decode(&payload).unwrap();
-            assert_eq!(
-                typed.execute(&decoded.inputs).unwrap_err(),
-                WireError::NonCanonical {
-                    index,
-                    value,
-                    modulus: q
-                }
-            );
+            let expected = WireError::NonCanonical {
+                index,
+                value,
+                modulus: q,
+            };
+            assert_eq!(typed.execute(&decoded.inputs).unwrap_err(), expected);
+            assert_eq!(typed.execute_payload(&payload).unwrap_err(), expected);
         }
+        // 8 bytes wide, past the first input: the index is within its input.
+        let task = Task {
+            sleep_micros: 0,
+            inputs: vec![vec![7, 8, 9], vec![7, 8, 1 << 40]],
+        };
+        assert_eq!(
+            typed.execute_payload(&task.encode_in(q)).unwrap_err(),
+            WireError::NonCanonical {
+                index: 2,
+                value: 1 << 40,
+                modulus: q
+            }
+        );
     }
 
     #[test]
     fn wrong_input_length_rejected() {
         let typed = TypedBlock::from_block(&block_251()).unwrap();
         assert!(typed.execute(&[vec![7, 8]]).is_err());
+        // Checked before the elements, as in two steps.
+        let task = Task {
+            sleep_micros: 0,
+            inputs: vec![vec![7, 300]],
+        };
+        let malformed = WireError::Malformed {
+            context: "TASK input length does not match block columns",
+        };
+        assert_eq!(typed.execute(&task.inputs), Err(malformed.clone()));
+        assert_eq!(typed.execute_payload(&task.encode()), Err(malformed));
+    }
+
+    /// A `TASK` payload of `functions` inputs of `input_len` elements whose
+    /// element array is `element_bytes` zero bytes.
+    fn task_payload(functions: u32, input_len: u32, element_bytes: usize) -> Vec<u8> {
+        let mut bytes = 0u64.to_le_bytes().to_vec();
+        bytes.extend_from_slice(&functions.to_le_bytes());
+        bytes.extend_from_slice(&input_len.to_le_bytes());
+        bytes.resize(bytes.len() + element_bytes, 0);
+        bytes
+    }
+
+    #[test]
+    fn task_payloads_of_every_length_against_25_bit_and_251_blocks() {
+        // Two inputs of three elements, n = 6, against 2 × 3 blocks: every
+        // length is settled before an element is read, and a 2-byte array is
+        // meaningless to a block of q ≤ 2^16. Never a panic, never
+        // `NonCanonical`.
+        let p25 = TypedBlock::from_block(&Block {
+            modulus: P25::MODULUS,
+            ..block_251()
+        })
+        .unwrap();
+        let p251 = TypedBlock::from_block(&block_251()).unwrap();
+        let n = 6;
+        let zeros = Ok((0, vec![vec![0u64; 2]; 2]));
+        let truncated = Err(WireError::Truncated {
+            context: "TASK inputs",
+        });
+        let malformed = |context| Err(WireError::Malformed { context });
+        let neither = malformed("element array is neither 2, 4 nor 8 bytes per element");
+        let trailing = malformed("trailing bytes after TASK inputs");
+        for (block, two_bytes) in [
+            (&p25, zeros.clone()),
+            (
+                &p251,
+                malformed("2-byte TASK inputs need a block modulus above 2^16"),
+            ),
+        ] {
+            let cases = [
+                ("2n − 1", 2 * n - 1, truncated.clone()),
+                ("2n", 2 * n, two_bytes),
+                ("2n + 1", 2 * n + 1, neither.clone()),
+                ("3n", 3 * n, neither.clone()),
+                ("4n", 4 * n, zeros.clone()),
+                ("8n", 8 * n, zeros.clone()),
+                ("8n + 1", 8 * n + 1, trailing.clone()),
+            ];
+            for (name, len, expected) in cases {
+                let payload = task_payload(2, 3, len);
+                assert_eq!(
+                    block.execute_payload(&payload),
+                    expected,
+                    "{name}, q = {}",
+                    block.modulus()
+                );
+            }
+            for (name, payload, expected) in [
+                ("header cut short", vec![0; 15], {
+                    Err(WireError::Truncated {
+                        context: "TASK input_len",
+                    })
+                }),
+                (
+                    "functions × input_len overflows",
+                    task_payload(u32::MAX, u32::MAX, 8),
+                    truncated.clone(),
+                ),
+                (
+                    "2^32 empty inputs",
+                    task_payload(u32::MAX, 0, 0),
+                    malformed("TASK inputs"),
+                ),
+                ("no inputs", task_payload(0, 5, 0), Ok((0, Vec::new()))),
+                (
+                    "no inputs, one byte",
+                    task_payload(0, 5, 1),
+                    trailing.clone(),
+                ),
+            ] {
+                assert_eq!(block.execute_payload(&payload), expected, "{name}");
+            }
+        }
+    }
+
+    #[test]
+    fn two_byte_elements_lift_to_the_residues_they_stand_for() {
+        // `u32` lanes (the 25-bit field) and field elements (Goldilocks): an
+        // identity block returns each input's residue.
+        for modulus in [P25::MODULUS, P64::MODULUS] {
+            let block = TypedBlock::from_block(&Block {
+                modulus,
+                rows: 4,
+                cols: 4,
+                elements: (0..16).map(|i| u64::from(i % 5 == 0)).collect(),
+            })
+            .unwrap();
+            let mut payload = task_payload(1, 4, 0);
+            payload[..8].copy_from_slice(&9u64.to_le_bytes());
+            for c in [i16::MIN, -1, 0, i16::MAX] {
+                payload.extend_from_slice(&c.to_le_bytes());
+            }
+            assert_eq!(
+                block.execute_payload(&payload),
+                Ok((9, vec![vec![modulus - 32768, modulus - 1, 0, 32767]]))
+            );
+        }
     }
 
     /// The two-step path `from_payload` must be indistinguishable from.
@@ -403,9 +658,12 @@ mod tests {
                 payload_at(width, modulus, rows, cols, elements)
             };
             // The error where the two widths part ways.
-            let by_width = |narrow: WireError, wide: WireError| match width {
-                ElementWidth::Narrow => narrow,
-                ElementWidth::Wide => wide,
+            let by_width = |narrow: WireError, wide: WireError| {
+                if width == ElementWidth::Narrow {
+                    narrow
+                } else {
+                    wide
+                }
             };
             let bytes = width.bytes();
             let valid = with_elements(251, 2, 3, &[1, 2, 3, 4, 5, 6]);

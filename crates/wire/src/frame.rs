@@ -5,7 +5,7 @@
 //! ```text
 //! offset  size  field
 //!      0     4  magic            b"AVCC"
-//!      4     2  version          u16, currently 2
+//!      4     2  version          u16, currently 3
 //!      6     1  kind             FrameKind discriminant
 //!      7     1  flags            reserved — senders write 0, receivers ignore
 //!      8     8  job id           u64
@@ -36,10 +36,11 @@ use crate::error::WireError;
 
 /// First four bytes of every frame.
 pub const MAGIC: [u8; 4] = *b"AVCC";
-/// The protocol version this build speaks. Version 2 sends a message's
-/// element array 4 bytes per element when every element is below `2^32`;
-/// version 1 always sent 8.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// The protocol version this build speaks. Version 3 may send a `TASK`'s
+/// inputs 2 bytes per element, as small signed values of the block's field;
+/// version 2 sends a message's element array 4 bytes per element when every
+/// element is below `2^32`; version 1 always sent 8.
+pub const PROTOCOL_VERSION: u16 = 3;
 /// Fixed header size in bytes (magic through payload length).
 pub const HEADER_LEN: usize = 28;
 /// Trailing checksum size in bytes.

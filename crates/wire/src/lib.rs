@@ -10,14 +10,16 @@
 //!   the master's eviction machinery keys on.
 //! * [`codec`] — little-endian primitives; field elements travel as raw
 //!   residues, 4 bytes each when every element of a message is below `2^32`
-//!   (the paper's 25-bit field) and 8 otherwise.
+//!   (the paper's 25-bit field) and 8 otherwise — and a `TASK`'s inputs 2
+//!   bytes each when they are small signed values of the worker's field.
 //! * [`frame`] — the 28-byte header + payload + checksum framing, with the
 //!   magic/version/length/CRC/kind validation pipeline.
 //! * [`message`] — per-[`FrameKind`] payload layouts (handshake, blocks,
 //!   tasks, results, fault injection, errors).
 //! * [`compute`] — worker-side typed blocks, stored as `u32` for the
-//!   25-bit field: the same `mat_vec` kernel the in-process executors run,
-//!   which is what makes socket results bit-identical to threaded results.
+//!   25-bit field, which read a `TASK`'s inputs straight into their lanes:
+//!   the same `mat_vec` kernel the in-process executors run, which is what
+//!   makes socket results bit-identical to threaded results.
 //! * [`worker`] — the request/response protocol loop shared by the
 //!   `avcc-worker` binary and the in-process thread backend.
 //!

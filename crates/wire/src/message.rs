@@ -15,8 +15,10 @@
 //! [`TaskResult`] — keep them as `u64` residues in memory and send each
 //! message's elements 4 bytes wide when all of them are below `2^32` (every
 //! residue of the paper's 25-bit field), 8 bytes wide otherwise
-//! (`codec::ElementWidth`). The receiver reads the width off the payload
-//! length.
+//! (`codec::ElementWidth`). A [`Task`] framed for a worker whose block
+//! modulus the master knows ([`Task::encoded_frame_in`]) also goes 2 bytes
+//! wide when every input is a small signed value — the paper's quantized
+//! weights and errors. The receiver reads the width off the payload length.
 //! Byte-level layouts are specified in `docs/WIRE_FORMAT.md`.
 
 use crate::codec::{ElementWidth, WireReader, WireWriter};
@@ -155,6 +157,7 @@ impl Block {
             count,
             "BLOCK elements",
             "trailing bytes after BLOCK elements",
+            None,
         )?;
         Ok(Self {
             modulus,
@@ -179,33 +182,82 @@ impl Block {
     }
 }
 
-/// Reads the rest of the payload as `functions` vectors of `len` elements
-/// each, 4 or 8 bytes per element as its length says
-/// ([`WireReader::take_element_bytes`]). Both counts come off the wire
-/// unvalidated, so they are bounded by the bytes actually present *before*
-/// any allocation or loop, and zero-length vectors — which would let
-/// `functions` grow to 2³² at no byte cost — are malformed.
-fn take_rectangular(
-    reader: &mut WireReader<'_>,
+/// Takes the rest of the payload as `functions` vectors of `len` elements
+/// each and returns its width and bytes ([`WireReader::take_element_bytes`];
+/// `task_modulus` as there). Both counts come off the wire unvalidated, so
+/// they are bounded by the bytes actually present *before* any allocation or
+/// loop, and zero-length vectors — which would let `functions` grow to 2³²
+/// at no byte cost — are malformed.
+fn take_vectors<'a>(
+    reader: &mut WireReader<'a>,
     functions: usize,
     len: usize,
     context: &'static str,
     trailing: &'static str,
-) -> Result<Vec<Vec<u64>>, WireError> {
+    task_modulus: Option<u64>,
+) -> Result<(ElementWidth, &'a [u8]), WireError> {
     if functions > 0 && len == 0 {
         return Err(WireError::Malformed { context });
     }
     let count = functions
         .checked_mul(len)
         .ok_or(WireError::Truncated { context })?;
-    let (width, elements) = reader.take_element_bytes(count, context, trailing)?;
-    if count == 0 {
-        return Ok(Vec::new());
+    reader.take_element_bytes(count, context, trailing, task_modulus)
+}
+
+/// The vectors of `len` elements of an element array of `width` that
+/// [`take_vectors`] accepted.
+fn vectors(
+    elements: &[u8],
+    len: usize,
+    width: ElementWidth,
+) -> impl ExactSizeIterator<Item = &[u8]> {
+    // An accepted array is empty when `len` is 0.
+    elements.chunks_exact((len * width.bytes()).max(1))
+}
+
+/// A `TASK` payload parsed down to its element array, whose vectors are left
+/// as bytes: [`Task::decode`] reads them into `u64`s, and
+/// [`TypedBlock::execute_payload`](crate::TypedBlock::execute_payload) lifts
+/// them straight into a block's storage.
+pub(crate) struct TaskPayload<'a> {
+    /// The injected straggler delay.
+    pub sleep_micros: u64,
+    input_len: usize,
+    /// The width of the inputs.
+    pub width: ElementWidth,
+    /// The inputs' element bytes, `input_len` elements each.
+    elements: &'a [u8],
+}
+
+impl<'a> TaskPayload<'a> {
+    /// Parses `payload`; `block_modulus` is that of the block the task runs
+    /// on, when the receiver has one, which lets the inputs be 2 bytes wide.
+    pub fn parse(payload: &'a [u8], block_modulus: Option<u64>) -> Result<Self, WireError> {
+        let mut r = WireReader::new(payload);
+        let sleep_micros = r.take_u64("TASK sleep")?;
+        let functions = r.take_u32("TASK functions")? as usize;
+        let input_len = r.take_u32("TASK input_len")? as usize;
+        let (width, elements) = take_vectors(
+            &mut r,
+            functions,
+            input_len,
+            "TASK inputs",
+            "trailing bytes after TASK inputs",
+            block_modulus,
+        )?;
+        Ok(Self {
+            sleep_micros,
+            input_len,
+            width,
+            elements,
+        })
     }
-    Ok(elements
-        .chunks_exact(len * width.bytes())
-        .map(|vector| width.read(vector))
-        .collect())
+
+    /// Each input's element bytes, in order.
+    pub fn inputs(&self) -> impl ExactSizeIterator<Item = &'a [u8]> {
+        vectors(self.elements, self.input_len, self.width)
+    }
 }
 
 /// The width every element array of a message travels at.
@@ -243,44 +295,64 @@ impl Task {
         }
     }
 
-    /// Payload bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let width = width_of(&self.inputs);
+    fn encode_at(&self, width: ElementWidth) -> Vec<u8> {
         let mut w = WireWriter::with_capacity(self.payload_len(width));
         self.write_payload(&mut w, width);
         w.into_bytes()
     }
 
-    /// Parses payload bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
-        let mut r = WireReader::new(bytes);
-        let sleep_micros = r.take_u64("TASK sleep")?;
-        let functions = r.take_u32("TASK functions")? as usize;
-        let input_len = r.take_u32("TASK input_len")? as usize;
-        let inputs = take_rectangular(
-            &mut r,
-            functions,
-            input_len,
-            "TASK inputs",
-            "trailing bytes after TASK inputs",
-        )?;
-        Ok(Self {
-            sleep_micros,
-            inputs,
+    fn encoded_frame_at(&self, job: u64, round: u64, width: ElementWidth) -> EncodedFrame {
+        EncodedFrame::build(FrameKind::Task, job, round, self.payload_len(width), |w| {
+            self.write_payload(w, width)
         })
     }
 
-    /// The full frame for `(job, round)`.
+    /// Payload bytes, 4 or 8 per element: the encoding for a receiver that
+    /// may not know the block's modulus.
+    pub fn encode(&self) -> Vec<u8> {
+        self.encode_at(width_of(&self.inputs))
+    }
+
+    /// Payload bytes for a worker whose block is of `modulus`: 2 bytes per
+    /// element when `modulus > 2^16` and every input element is within
+    /// `2^15` of 0 or of `modulus` (each then travels as the `i16` its
+    /// residue is congruent to), else exactly [`Task::encode`].
+    pub fn encode_in(&self, modulus: u64) -> Vec<u8> {
+        self.encode_at(ElementWidth::of_task_inputs(&self.inputs, modulus))
+    }
+
+    /// Parses payload bytes of 4 or 8 bytes per element. A 2-byte array means
+    /// nothing without the block's modulus, and is shorter than 4 bytes per
+    /// element, so it is [`WireError::Truncated`] here; a worker reads one
+    /// with [`TypedBlock::execute_payload`](crate::TypedBlock::execute_payload).
+    pub fn decode(bytes: &[u8]) -> Result<Self, WireError> {
+        let task = TaskPayload::parse(bytes, None)?;
+        Ok(Self {
+            sleep_micros: task.sleep_micros,
+            inputs: task.inputs().map(|input| task.width.read(input)).collect(),
+        })
+    }
+
+    /// The full frame for `(job, round)`, 4 or 8 bytes per element.
     pub fn frame(&self, job: u64, round: u64) -> Frame {
         Frame::new(FrameKind::Task, job, round, self.encode())
     }
 
-    /// The frame for `(job, round)` in its final wire bytes.
+    /// The frame for `(job, round)` in its final wire bytes, 4 or 8 bytes per
+    /// element.
     pub fn encoded_frame(&self, job: u64, round: u64) -> EncodedFrame {
-        let width = width_of(&self.inputs);
-        EncodedFrame::build(FrameKind::Task, job, round, self.payload_len(width), |w| {
-            self.write_payload(w, width)
-        })
+        self.encoded_frame_at(job, round, width_of(&self.inputs))
+    }
+
+    /// The frame for `(job, round)` in its final wire bytes, for a worker
+    /// whose block for `job` is of `modulus`: the payload of
+    /// [`Task::encode_in`].
+    pub fn encoded_frame_in(&self, job: u64, round: u64, modulus: u64) -> EncodedFrame {
+        self.encoded_frame_at(
+            job,
+            round,
+            ElementWidth::of_task_inputs(&self.inputs, modulus),
+        )
     }
 }
 
@@ -321,17 +393,20 @@ impl TaskResult {
         let compute_seconds = r.take_f64("RESULT compute_seconds")?;
         let functions = r.take_u32("RESULT functions")? as usize;
         let output_len = r.take_u32("RESULT output_len")? as usize;
-        let outputs = take_rectangular(
+        let (width, elements) = take_vectors(
             &mut r,
             functions,
             output_len,
             "RESULT outputs",
             "trailing bytes after RESULT outputs",
+            None,
         )?;
         Ok(Self {
             worker,
             compute_seconds,
-            outputs,
+            outputs: vectors(elements, output_len, width)
+                .map(|output| width.read(output))
+                .collect(),
         })
     }
 
@@ -506,6 +581,21 @@ mod tests {
         };
         assert_eq!(Task::decode(&wide.encode()).unwrap(), wide);
         assert_eq!(wide.encode().len(), 16 + 2 * 3 * 8);
+
+        // To a worker whose block is of the 25-bit field, small values go 2
+        // bytes wide; Task::decode, which has no modulus, cannot read them.
+        let q = (1 << 25) - 39;
+        assert_eq!(msg.encode_in(q).len(), 16 + 2 * 3 * 2);
+        assert_eq!(
+            Task::decode(&msg.encode_in(q)),
+            Err(WireError::Truncated {
+                context: "TASK inputs"
+            })
+        );
+        // Not to a block of q ≤ 2^16, and not with an element that does not
+        // fit: then exactly the modulus-less encoding.
+        assert_eq!(msg.encode_in(251), msg.encode());
+        assert_eq!(wide.encode_in(q), wide.encode());
     }
 
     #[test]
@@ -679,6 +769,10 @@ mod tests {
                     inputs: Vec::new(),
                 }
                 .frame(1, 2),
+            ),
+            (
+                task.encoded_frame_in(9, 4, (1 << 25) - 39),
+                Frame::new(FrameKind::Task, 9, 4, task.encode_in((1 << 25) - 39)),
             ),
             (fault.encoded_frame(), fault.frame()),
             (EncodedFrame::from(&shutdown), shutdown.clone()),

@@ -7,8 +7,9 @@
 //! 2. wait for `HELLO_ACK` (anything else, or a version the master already
 //!    rejected by closing, terminates the worker);
 //! 3. loop: `LOAD_BLOCK` installs a typed block per job; `TASK` computes
-//!    over the resident block and replies `TASK_RESULT` (or `ERROR` if no
-//!    block / bad inputs); `FAULT` arms a one-shot injected fault for the
+//!    over the resident block, its inputs read against the block's modulus,
+//!    and replies `TASK_RESULT` (or `ERROR` if no block / a malformed or
+//!    non-canonical payload); `FAULT` arms a one-shot injected fault for the
 //!    next result send; `SHUTDOWN` replies `BYE` and exits cleanly.
 //!
 //! Being generic over `Read + Write` keeps the loop transport-agnostic: the
@@ -23,7 +24,7 @@ use std::time::{Duration, Instant};
 use crate::compute::TypedBlock;
 use crate::error::WireError;
 use crate::frame::{read_frame, write_frame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
-use crate::message::{ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult};
+use crate::message::{ErrorMsg, Fault, FaultKind, Hello, HelloAck, TaskResult};
 
 /// Knobs for the worker loop.
 #[derive(Debug, Clone)]
@@ -67,30 +68,27 @@ pub fn serve_connection<S: Read + Write>(
                 blocks.insert(frame.job, TypedBlock::from_payload(&frame.payload)?);
             }
             FrameKind::Task => {
-                let task = Task::decode(&frame.payload)?;
+                // The block first: its modulus is what a 2-byte input means.
                 let started = Instant::now();
-                let response = match blocks.get(&frame.job) {
-                    None => ErrorMsg {
-                        message: format!("no block loaded for job {}", frame.job),
+                let executed = match blocks.get(&frame.job) {
+                    None => Err(format!("no block loaded for job {}", frame.job)),
+                    Some(block) => block
+                        .execute_payload(&frame.payload)
+                        .map_err(|err| err.to_string()),
+                };
+                let response = match executed {
+                    Err(message) => ErrorMsg { message }.frame(frame.job, frame.round),
+                    Ok((sleep_micros, outputs)) => {
+                        if sleep_micros > 0 {
+                            thread::sleep(Duration::from_micros(sleep_micros));
+                        }
+                        TaskResult {
+                            worker,
+                            compute_seconds: started.elapsed().as_secs_f64(),
+                            outputs,
+                        }
+                        .frame(frame.job, frame.round)
                     }
-                    .frame(frame.job, frame.round),
-                    Some(block) => match block.execute(&task.inputs) {
-                        Err(err) => ErrorMsg {
-                            message: err.to_string(),
-                        }
-                        .frame(frame.job, frame.round),
-                        Ok(outputs) => {
-                            if task.sleep_micros > 0 {
-                                thread::sleep(Duration::from_micros(task.sleep_micros));
-                            }
-                            TaskResult {
-                                worker,
-                                compute_seconds: started.elapsed().as_secs_f64(),
-                                outputs,
-                            }
-                            .frame(frame.job, frame.round)
-                        }
-                    },
                 };
                 send_with_fault(&mut stream, &response, armed.take())?;
             }
@@ -176,7 +174,7 @@ fn write_raw<S: Write>(stream: &mut S, bytes: &[u8]) -> Result<(), WireError> {
 mod tests {
     use super::*;
     use crate::frame::PROTOCOL_VERSION;
-    use crate::message::Block;
+    use crate::message::{Block, Task};
     use std::io;
     use std::sync::mpsc;
 
@@ -320,6 +318,71 @@ mod tests {
         assert_eq!(reply.kind, FrameKind::Error);
         let msg = ErrorMsg::decode(&reply.payload).unwrap();
         assert!(msg.message.contains("job 99"), "{}", msg.message);
+        write_frame(&mut master, &Frame::new(FrameKind::Shutdown, 0, 0, vec![])).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn task_inputs_are_read_against_the_blocks_modulus() {
+        let (mut master, handle) = spawn_worker(2);
+        assert_eq!(read_one(&mut master).kind, FrameKind::Hello);
+        write_frame(
+            &mut master,
+            &HelloAck {
+                worker: 2,
+                workers: 3,
+            }
+            .frame(),
+        )
+        .unwrap();
+        let q = (1 << 25) - 39;
+        for (job, modulus) in [(1, q), (2, 251)] {
+            let block = Block {
+                modulus,
+                rows: 1,
+                cols: 2,
+                elements: vec![1, 2],
+            };
+            write_frame(&mut master, &block.frame(job)).unwrap();
+        }
+        let task = Task {
+            sleep_micros: 0,
+            inputs: vec![vec![5, q - 1]],
+        };
+        let send = |master: &mut Pipe, job: u64, payload: Vec<u8>| {
+            write_frame(master, &Frame::new(FrameKind::Task, job, 1, payload)).unwrap();
+            read_one(master)
+        };
+        // 2 bytes wide against the 25-bit block: 5 + 2·(q − 1) = 3 mod q.
+        let reply = send(&mut master, 1, task.encode_in(q));
+        assert_eq!(reply.kind, FrameKind::TaskResult);
+        assert_eq!(
+            TaskResult::decode(&reply.payload).unwrap().outputs,
+            vec![vec![3]]
+        );
+        // The same bytes against the 251 block, and a length no width
+        // explains: ERROR replies, and the worker serves on.
+        let mut odd = task.encode();
+        odd.push(0);
+        for (job, payload) in [(2, task.encode_in(q)), (1, odd)] {
+            let reply = send(&mut master, job, payload);
+            assert_eq!(reply.kind, FrameKind::Error);
+            let message = ErrorMsg::decode(&reply.payload).unwrap().message;
+            assert!(message.contains("malformed"), "{message}");
+        }
+        let reply = send(
+            &mut master,
+            2,
+            Task {
+                inputs: vec![vec![5, 250]],
+                ..task
+            }
+            .encode(),
+        );
+        assert_eq!(
+            TaskResult::decode(&reply.payload).unwrap().outputs,
+            vec![vec![(5 + 2 * 250) % 251]]
+        );
         write_frame(&mut master, &Frame::new(FrameKind::Shutdown, 0, 0, vec![])).unwrap();
         handle.join().unwrap().unwrap();
     }

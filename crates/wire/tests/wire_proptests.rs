@@ -8,6 +8,34 @@ use avcc_wire::{
 };
 use proptest::prelude::*;
 
+/// Every modulus a worker types a block under: the 25-bit field, `2^61 − 1`,
+/// `F_251` and Goldilocks.
+const MODULI: [u64; 4] = [(1 << 25) - 39, (1 << 61) - 1, 251, 0xFFFF_FFFF_0000_0001];
+
+/// The residue `c mod q`.
+fn residue(c: i64, q: u64) -> u64 {
+    (c as i128).rem_euclid(q as i128) as u64
+}
+
+/// The centered value of a canonical residue: `x` if `x ≤ (q−1)/2`, else
+/// `x − q`.
+fn centered(x: u64, q: u64) -> i128 {
+    if x <= (q - 1) / 2 {
+        x as i128
+    } else {
+        x as i128 - q as i128
+    }
+}
+
+/// A `TASK` payload whose element array is `elements`.
+fn task_payload(sleep: u64, functions: usize, len: usize, elements: &[u8]) -> Vec<u8> {
+    let mut bytes = sleep.to_le_bytes().to_vec();
+    bytes.extend_from_slice(&(functions as u32).to_le_bytes());
+    bytes.extend_from_slice(&(len as u32).to_le_bytes());
+    bytes.extend_from_slice(elements);
+    bytes
+}
+
 proptest! {
     #[test]
     fn crc_sliced_matches_bytewise(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
@@ -44,6 +72,10 @@ proptest! {
 
     #[test]
     fn arbitrary_bytes_never_panic_message_decoders(bytes in proptest::collection::vec(any::<u8>(), 0..160)) {
+        for modulus in MODULI {
+            let block = Block { modulus, rows: 2, cols: 3, elements: vec![1, 2, 3, 4, 5, 6] };
+            let _ = TypedBlock::from_block(&block).unwrap().execute_payload(&bytes);
+        }
         let _ = Block::decode(&bytes);
         let _ = Task::decode(&bytes);
         let _ = TaskResult::decode(&bytes);
@@ -100,6 +132,91 @@ proptest! {
         prop_assert_eq!(block.encode().len(), 16 + values.len() * width);
         prop_assert_eq!(Block::decode(&block.encode()).unwrap(), block.clone());
         prop_assert_eq!(block.encoded_frame(1).bytes(), &block.frame(1).encode()[..]);
+    }
+
+    #[test]
+    fn a_task_goes_2_bytes_wide_exactly_when_its_modulus_is_above_2_16_and_every_centered_element_fits(
+        functions in 1usize..4,
+        len in 1usize..24,
+        raw in proptest::collection::vec(any::<u64>(), 72),
+        bits in 12u32..18,
+        pick in 0usize..4,
+        edge in any::<u64>(),
+    ) {
+        // Centered values of up to ±2^17, so both sides of ±2^15 are common;
+        // half the time one element sits on the line: 32767 and q − 32768
+        // fit, 32768 and q − 32769 do not.
+        let q = MODULI[pick];
+        let mut values: Vec<u64> = raw[..functions * len]
+            .iter()
+            .map(|&r| residue((r >> (63 - bits)) as i64 - (1 << bits), q))
+            .collect();
+        let at = (edge as usize) % (2 * values.len());
+        if at < values.len() && q > 1 << 16 {
+            values[at] = [32767, q - 32768, 32768, q - 32769][(edge >> 62) as usize];
+        }
+        let short = q > 1 << 16
+            && values.iter().all(|&v| (-32768..32768).contains(&centered(v, q)));
+        let width = if short { 2 } else if values.iter().all(|&v| v < 1 << 32) { 4 } else { 8 };
+        let task = Task {
+            sleep_micros: edge,
+            inputs: values.chunks(len).map(<[u64]>::to_vec).collect(),
+        };
+        prop_assert_eq!(task.encode_in(q).len(), 16 + values.len() * width);
+        if !short {
+            prop_assert_eq!(task.encode_in(q), task.encode());
+        }
+        prop_assert_eq!(
+            task.encoded_frame_in(1, 2, q).bytes(),
+            &Frame::new(FrameKind::Task, 1, 2, task.encode_in(q)).encode()[..]
+        );
+    }
+
+    #[test]
+    fn a_block_computes_the_same_outputs_from_2_4_and_8_byte_inputs(
+        rows in 1u32..6,
+        functions in 1usize..4,
+        len in 1u32..24,
+        raw in proptest::collection::vec(any::<u64>(), 144),
+        pick in 0usize..4,
+        sleep in any::<u64>(),
+    ) {
+        let q = MODULI[pick];
+        let block = Block {
+            modulus: q,
+            rows,
+            cols: len,
+            elements: raw[..(rows * len) as usize].iter().map(|&r| r % q).collect(),
+        };
+        let typed = TypedBlock::from_block(&block).unwrap();
+        // Small signed inputs, as the paper's quantized weights and errors.
+        let centered: Vec<i16> = raw[72..72 + functions * len as usize]
+            .iter()
+            .map(|&r| r as i16)
+            .collect();
+        let inputs: Vec<Vec<u64>> = centered
+            .chunks(len as usize)
+            .map(|input| input.iter().map(|&c| residue(c.into(), q)).collect())
+            .collect();
+        let expected = typed.execute(&inputs).unwrap();
+
+        let values = inputs.concat();
+        let mut encodings = vec![
+            values.iter().flat_map(|&v| v.to_le_bytes()).collect::<Vec<u8>>(),
+        ];
+        if values.iter().all(|&v| v < 1 << 32) {
+            encodings.push(values.iter().flat_map(|&v| (v as u32).to_le_bytes()).collect());
+        }
+        if q > 1 << 16 {
+            encodings.push(centered.iter().flat_map(|&c| c.to_le_bytes()).collect());
+        }
+        for elements in encodings {
+            let payload = task_payload(sleep, functions, len as usize, &elements);
+            prop_assert_eq!(typed.execute_payload(&payload), Ok((sleep, expected.clone())));
+        }
+        // What the master sends is one of them.
+        let task = Task { sleep_micros: sleep, inputs };
+        prop_assert_eq!(typed.execute_payload(&task.encode_in(q)), Ok((sleep, expected)));
     }
 
     #[test]
