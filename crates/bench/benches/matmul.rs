@@ -8,6 +8,7 @@ use avcc_core::TrainingProblem;
 use avcc_field::{Fp, PrimeModulus, F25, P25, P61, P64};
 use avcc_linalg::{mat_vec, matt_vec, real_mat_vec, Matrix};
 use avcc_ml::dataset::{Dataset, DatasetConfig};
+use avcc_ml::logistic::LogisticModel;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -88,7 +89,10 @@ fn bench_train_quiet_blocks(c: &mut Criterion) {
 }
 
 /// The master's evaluation pass on the e2e `train_quiet` problem: `X·w`
-/// over the scaled 1 800 × 261 training features, in `f64`.
+/// over the scaled 1 800 × 261 training features, in `f64`; then the whole
+/// per-iteration evaluation (test accuracy and training loss, 2 160 rows)
+/// serially, as `evaluate_accuracy` + `evaluate_loss`, and on one and two
+/// spans, as `LogisticModel::evaluate` runs it.
 fn bench_evaluate(c: &mut Criterion) {
     let dataset = Dataset::gisette_like(DatasetConfig {
         train_samples: 1800,
@@ -105,6 +109,24 @@ fn bench_evaluate(c: &mut Criterion) {
     c.bench_function("evaluate/1800x261", |bencher| {
         bencher.iter(|| real_mat_vec(black_box(&problem.train_features), black_box(&weights)))
     });
+    let model = LogisticModel { weights };
+    let (test, train) = (&problem.test_features, &problem.train_features);
+    let (test_labels, train_labels) = (&problem.test_labels, &problem.train_labels);
+    c.bench_function("evaluate/2160x261/serial", |bencher| {
+        bencher.iter(|| {
+            (
+                model.evaluate_accuracy(black_box(test), test_labels),
+                model.evaluate_loss(black_box(train), train_labels),
+            )
+        })
+    });
+    for threads in [1, 2] {
+        c.bench_function(&format!("evaluate/2160x261/spans_{threads}"), |bencher| {
+            bencher.iter(|| {
+                model.evaluate_in_spans(black_box(test), test_labels, train, train_labels, threads)
+            })
+        });
+    }
 }
 
 /// One worker's share of an e2e `matmul_batch` job — a 240 × 512 block

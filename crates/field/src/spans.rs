@@ -2,8 +2,9 @@
 //! process.
 //!
 //! The master's one-time preprocessing (paper §IV-A steps 1–2: encode the
-//! dataset, generate the verification keys) and the lowering of the shares to
-//! wire blocks are each a list of pieces that share nothing but read-only
+//! dataset, generate the verification keys), the lowering of the shares to
+//! wire blocks, and the test accuracy and training loss it records after
+//! every update are each a list of pieces that share nothing but read-only
 //! inputs. [`map_spans`] cuts such a list into one contiguous span per thread,
 //! runs the first span on the caller and the rest on scoped threads, and
 //! returns the results in list order — so what is computed, and in which order
@@ -12,8 +13,8 @@
 //! This is `std::thread::scope` and nothing else: the threads live for one
 //! call, borrow the caller's data, and are joined before the call returns. It
 //! lives here because this is the lowest crate its callers (`avcc-coding`,
-//! `avcc-verify`, `avcc-core`) share; it is not a pool, keeps no threads
-//! around and has no configuration.
+//! `avcc-verify`, `avcc-core`, `avcc-ml`) share; it is not a pool, keeps no
+//! threads around and has no configuration.
 
 use std::num::NonZeroUsize;
 use std::sync::OnceLock;
@@ -27,10 +28,13 @@ use std::sync::OnceLock;
 /// run under it retire a multiply-add in 0.6–2.5 ns, so half a million
 /// multiply-adds is 0.3–1.3 ms of work: the second core's half of that is
 /// worth several spawns even on a bad one. Below the line sit every
-/// unit-test shape and the 240 × 128 jobs of `serve_mixed` (encode ≈ 0.2 M,
-/// keys ≈ 0.05 M); above it the 1920 × 512 encode of `matmul_batch` (≈ 6 M),
-/// its twelve keys and twelve wire blocks (≈ 1.5 M each) and the dense
-/// encode behind `train_*` set-up (≈ 1.8 M).
+/// unit-test shape, the 240 × 128 jobs of `serve_mixed` (encode ≈ 0.2 M,
+/// keys ≈ 0.05 M) and the per-iteration evaluation of its training jobs
+/// ((300 + 900) × 63 ≈ 0.08 M); above it the 1920 × 512 encode of
+/// `matmul_batch` (≈ 6 M), its twelve keys and twelve wire blocks (≈ 1.5 M
+/// each), the dense encode behind `train_*` set-up (≈ 1.8 M) and the
+/// evaluation `train_*` runs after every update ((360 + 1 800) × 261
+/// ≈ 0.56 M, `LogisticModel::evaluate`).
 pub const SPAWN_MIN_WORK: usize = 1 << 19;
 
 /// How many threads [`map_spans`] should use for `units` independent pieces

@@ -25,4 +25,4 @@ pub mod real_ops;
 
 pub use field_ops::{mat_vec, matt_vec};
 pub use matrix::Matrix;
-pub use real_ops::{quantize_matrix, real_mat_vec, real_matt_vec};
+pub use real_ops::{quantize_matrix, real_mat_vec, real_mat_vec_into, real_matt_vec};

@@ -11,29 +11,50 @@ use avcc_field::{Fp, PrimeModulus, QuantError, Quantizer};
 use crate::matrix::Matrix;
 
 /// `f64` matrix–vector product `A·x`: the master's evaluation pass
-/// (`predict_proba`, `evaluate_accuracy`, `evaluate_loss`).
+/// (`predict_proba`, `evaluate_accuracy`, `evaluate_loss`), and the body of
+/// its per-iteration evaluation on both cores (`LogisticModel::evaluate`,
+/// which runs [`real_mat_vec_into`] over row bands of the test and training
+/// features on `avcc_field::map_spans`).
 ///
 /// Every row is summed exactly as `row · x` with an iterator `.sum()` would
 /// be — from `−0.0`, adding `p * q` in column order, no `mul_add` — so every
-/// output is bit-for-bit that sum. But a row's adds form one dependency
-/// chain, each waiting on the last, so four rows share one pass over `x`
-/// with an accumulator each: four independent chains in flight. On a
-/// 1 800 × 261 matrix (the `train_quiet` training set) this took 261–280 µs
-/// one row at a time and takes 187–196 µs. A transposed copy, which would
-/// let every add be a vector add, costs the master 3.6 MiB more memory
-/// (1 800 × 261 × 8 B). The up-to-three remainder rows are summed one at a
-/// time.
+/// output is bit-for-bit that sum, whichever band of rows it was computed in.
+/// But a row's adds form one dependency chain, each waiting on the last, so
+/// four rows share one pass over `x` with an accumulator each: four
+/// independent chains in flight. On a 1 800 × 261 matrix (the `train_quiet`
+/// training set) this took 261–280 µs one row at a time and takes 187–196 µs.
+/// A transposed copy, which would let every add be a vector add, costs the
+/// master 3.6 MiB more memory (1 800 × 261 × 8 B). The up-to-three remainder
+/// rows are summed one at a time.
 ///
 /// # Panics
 /// Panics if `x.len() != A.cols()`.
 pub fn real_mat_vec(a: &Matrix<f64>, x: &[f64]) -> Vec<f64> {
     assert_eq!(a.cols(), x.len(), "real_mat_vec dimension mismatch");
-    let (rows, cols) = (a.rows(), a.cols());
-    let mut out = Vec::with_capacity(rows);
-    for band in 0..rows / 4 {
+    let mut out = vec![0.0; a.rows()];
+    real_mat_vec_into(a.data(), x, &mut out);
+    out
+}
+
+/// [`real_mat_vec`] over a band of rows: `rows` holds `out.len()` row-major
+/// rows of `x.len()` columns, and `out[r]` becomes row `r` dotted with `x`,
+/// bit for bit as [`real_mat_vec`] computes it.
+///
+/// # Panics
+/// Panics if `rows.len() != out.len() * x.len()`.
+pub fn real_mat_vec_into(rows: &[f64], x: &[f64], out: &mut [f64]) {
+    let cols = x.len();
+    assert_eq!(
+        rows.len(),
+        out.len() * cols,
+        "real_mat_vec_into dimension mismatch"
+    );
+    let banded = out.len() / 4 * 4;
+    let (bands, remainder) = out.split_at_mut(banded);
+    for (band, sums) in bands.chunks_exact_mut(4).enumerate() {
         // Row slices zipped with `x`, not indexed by column: the zip needs no
         // bounds check per element.
-        let (r0, rest) = a.data()[4 * band * cols..4 * (band + 1) * cols].split_at(cols);
+        let (r0, rest) = rows[4 * band * cols..4 * (band + 1) * cols].split_at(cols);
         let (r1, rest) = rest.split_at(cols);
         let (r2, r3) = rest.split_at(cols);
         let mut acc = [-0.0f64; 4];
@@ -43,12 +64,12 @@ pub fn real_mat_vec(a: &Matrix<f64>, x: &[f64]) -> Vec<f64> {
             acc[2] += p2 * q;
             acc[3] += p3 * q;
         }
-        out.extend(acc);
+        sums.copy_from_slice(&acc);
     }
-    out.extend(
-        (rows / 4 * 4..rows).map(|r| a.row(r).iter().zip(x).map(|(&p, &q)| p * q).sum::<f64>()),
-    );
-    out
+    for (r, sum) in (banded..).zip(remainder) {
+        let row = &rows[r * cols..(r + 1) * cols];
+        *sum = row.iter().zip(x).map(|(&p, &q)| p * q).sum::<f64>();
+    }
 }
 
 /// `f64` transpose–vector product `Aᵀ·y`.

@@ -12,7 +12,8 @@
 //! computations but keep the sigmoid, the error vector and the update rule in
 //! the real domain on the master, so this module is shared by every scheme.
 
-use avcc_linalg::{real_mat_vec, real_matt_vec, Matrix};
+use avcc_field::{map_spans, span_threads};
+use avcc_linalg::{real_mat_vec, real_mat_vec_into, real_matt_vec, Matrix};
 
 /// The numerically stable sigmoid `h(θ) = 1 / (1 + e^{−θ})`.
 pub fn sigmoid(theta: f64) -> f64 {
@@ -56,6 +57,26 @@ pub fn accuracy(predictions: &[f64], labels: &[f64]) -> f64 {
         .filter(|(&p, &y)| (p >= 0.5) == (y >= 0.5))
         .count();
     correct as f64 / predictions.len() as f64
+}
+
+/// Rows per band of [`LogisticModel::evaluate`]: small enough that bands of
+/// the test and training sets split evenly between two spans (the
+/// `train_quiet` problem's 360 + 1 800 rows make 69 bands, 35 and 34 per
+/// span), a multiple of the four rows [`real_mat_vec_into`] sums together.
+const EVALUATION_BAND_ROWS: usize = 32;
+
+/// `features` cut into bands of [`EVALUATION_BAND_ROWS`] rows, each paired
+/// with its rows' slice of `out`.
+fn row_bands<'a>(features: &'a Matrix<f64>, out: &'a mut [f64]) -> Vec<(&'a [f64], &'a mut [f64])> {
+    let cols = features.cols();
+    let data = features.data();
+    out.chunks_mut(EVALUATION_BAND_ROWS)
+        .enumerate()
+        .map(|(band, out)| {
+            let first = band * EVALUATION_BAND_ROWS * cols;
+            (&data[first..first + out.len() * cols], out)
+        })
+        .collect()
 }
 
 /// Gradient-descent hyperparameters.
@@ -113,6 +134,75 @@ impl LogisticModel {
     /// Test loss on a labelled set.
     pub fn evaluate_loss(&self, features: &Matrix<f64>, labels: &[f64]) -> f64 {
         cross_entropy(&self.predict_proba(features), labels)
+    }
+
+    /// Test accuracy and training loss in one pass — bit for bit
+    /// `(evaluate_accuracy(test…), evaluate_loss(train…))` — on as many cores
+    /// as [`span_threads`] gives the pass's `(test + train rows) × cols`
+    /// multiply-adds: two on a 2-vCPU host for the `train_*` problem
+    /// (≈ 0.56 M), inline for `serve_mixed`'s training jobs (≈ 0.08 M).
+    pub fn evaluate(
+        &self,
+        test_features: &Matrix<f64>,
+        test_labels: &[f64],
+        train_features: &Matrix<f64>,
+        train_labels: &[f64],
+    ) -> (f64, f64) {
+        let rows = test_features.rows() + train_features.rows();
+        let bands = test_features.rows().div_ceil(EVALUATION_BAND_ROWS)
+            + train_features.rows().div_ceil(EVALUATION_BAND_ROWS);
+        let threads = span_threads(bands, rows * self.weights.len());
+        self.evaluate_in_spans(
+            test_features,
+            test_labels,
+            train_features,
+            train_labels,
+            threads,
+        )
+    }
+
+    /// [`LogisticModel::evaluate`] on `threads` spans
+    /// ([`avcc_field::map_spans`]).
+    ///
+    /// The predictions of both sets land in one buffer reserved here, on the
+    /// calling thread — a buffer allocated on a spawned thread would open
+    /// that thread a malloc arena of its own — and each band of 32 rows fills
+    /// its own disjoint slice of it:
+    /// `h(x·w)` with `x·w` summed by [`real_mat_vec_into`], exactly as
+    /// [`real_mat_vec`] sums it. Accuracy and cross-entropy then read the
+    /// buffer serially, in row order, so no result depends on `threads`.
+    ///
+    /// # Panics
+    /// Panics if a feature matrix's width differs from the model's or a
+    /// label slice's length from its matrix's rows.
+    pub fn evaluate_in_spans(
+        &self,
+        test_features: &Matrix<f64>,
+        test_labels: &[f64],
+        train_features: &Matrix<f64>,
+        train_labels: &[f64],
+        threads: usize,
+    ) -> (f64, f64) {
+        let cols = self.weights.len();
+        for features in [test_features, train_features] {
+            assert_eq!(features.cols(), cols, "evaluate dimension mismatch");
+        }
+        let split = test_features.rows();
+        let mut predictions = vec![0.0; split + train_features.rows()];
+        let (test_out, train_out) = predictions.split_at_mut(split);
+        let mut bands = row_bands(test_features, test_out);
+        bands.extend(row_bands(train_features, train_out));
+        map_spans(bands, threads, |(rows, out): (&[f64], &mut [f64])| {
+            real_mat_vec_into(rows, &self.weights, out);
+            for prediction in out.iter_mut() {
+                *prediction = sigmoid(*prediction);
+            }
+        });
+        let (test_predictions, train_predictions) = predictions.split_at(split);
+        (
+            accuracy(test_predictions, test_labels),
+            cross_entropy(train_predictions, train_labels),
+        )
     }
 
     /// One full-batch gradient step from an already-computed gradient.
@@ -265,6 +355,8 @@ impl FeatureScaler {
 mod tests {
     use super::*;
     use crate::dataset::{Dataset, DatasetConfig};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
 
     #[test]
     fn sigmoid_has_expected_fixed_points() {
@@ -422,42 +514,48 @@ mod tests {
         })
     }
 
-    #[test]
-    fn evaluation_of_the_train_quiet_problem_keeps_its_bits() {
-        // Recorded from the one-row-at-a-time evaluation pass, per weight
-        // vector: test accuracy, train loss, and the digests of
-        // `predict_proba` over 359 test rows and 361 train rows (three and
-        // one rows past the last four-row band).
-        const RECORDED: [[u64; 4]; 3] = [
-            [
-                0x3fde_0b60_b60b_60b6,
-                0x3ff4_1333_734a_c08a,
-                0x3fec_111c_e474_bdff,
-                0xad38_700c_5dee_5261,
-            ],
-            [
-                0x3fdf_d27d_27d2_7d28,
-                0x4014_65f3_bd40_262c,
-                0x162e_9ecb_5ff3_37bb,
-                0xf554_6cc0_a431_ebf2,
-            ],
-            [
-                0x3fee_aaaa_aaaa_aaab,
-                0x3fd0_fd85_d9ec_0b35,
-                0xcd6e_6d20_c3ed_2793,
-                0xbb99_9bd7_ed27_45c3,
-            ],
-        ];
-        let (dataset, train, test) = train_quiet_problem();
+    /// Recorded from the one-row-at-a-time evaluation pass, per weight
+    /// vector of [`train_quiet_weights`]: test accuracy, train loss, and the
+    /// digests of `predict_proba` over 359 test rows and 361 train rows
+    /// (three and one rows past the last four-row band).
+    const RECORDED: [[u64; 4]; 3] = [
+        [
+            0x3fde_0b60_b60b_60b6,
+            0x3ff4_1333_734a_c08a,
+            0x3fec_111c_e474_bdff,
+            0xad38_700c_5dee_5261,
+        ],
+        [
+            0x3fdf_d27d_27d2_7d28,
+            0x4014_65f3_bd40_262c,
+            0x162e_9ecb_5ff3_37bb,
+            0xf554_6cc0_a431_ebf2,
+        ],
+        [
+            0x3fee_aaaa_aaaa_aaab,
+            0x3fd0_fd85_d9ec_0b35,
+            0xcd6e_6d20_c3ed_2793,
+            0xbb99_9bd7_ed27_45c3,
+        ],
+    ];
+
+    /// Three weight vectors for the `train_quiet` problem: a sawtooth, a
+    /// sine of amplitude 4 and the generator's separator scaled by 40.
+    fn train_quiet_weights(dataset: &Dataset) -> [Vec<f64>; 3] {
         let separator: Vec<f64> = dataset.true_weights.iter().map(|w| 40.0 * w).collect();
-        let weight_vectors: [Vec<f64>; 3] = [
+        [
             (0..261)
                 .map(|j| ((j * 37) % 101) as f64 / 50.0 - 1.0)
                 .collect(),
             (0..261).map(|j| 4.0 * (j as f64 * 0.37).sin()).collect(),
             separator.into_iter().chain([0.0; 6]).collect(),
-        ];
-        for (weights, recorded) in weight_vectors.into_iter().zip(RECORDED) {
+        ]
+    }
+
+    #[test]
+    fn evaluation_of_the_train_quiet_problem_keeps_its_bits() {
+        let (dataset, train, test) = train_quiet_problem();
+        for (weights, recorded) in train_quiet_weights(&dataset).into_iter().zip(RECORDED) {
             let model = LogisticModel { weights };
             let observed = [
                 model
@@ -468,6 +566,102 @@ mod tests {
                 fingerprint(&model.predict_proba(&train.row_slice(0, 361))),
             ];
             assert_eq!(observed, recorded);
+        }
+    }
+
+    /// `evaluate_in_spans` on `threads` spans, as bit patterns.
+    fn evaluation_bits(
+        model: &LogisticModel,
+        (test, test_labels): (&Matrix<f64>, &[f64]),
+        (train, train_labels): (&Matrix<f64>, &[f64]),
+        threads: usize,
+    ) -> [u64; 2] {
+        let (accuracy, loss) =
+            model.evaluate_in_spans(test, test_labels, train, train_labels, threads);
+        [accuracy.to_bits(), loss.to_bits()]
+    }
+
+    #[test]
+    fn evaluation_in_one_and_two_spans_keeps_the_recorded_bits() {
+        // The whole problem against the recorded constants, and its 359- and
+        // 361-row prefixes — whose remainder rows end a band, and a span —
+        // against the serial pass.
+        let (dataset, train, test) = train_quiet_problem();
+        let (test_labels, train_labels) = (&dataset.test_labels, &dataset.train_labels);
+        let (test_359, train_361) = (test.row_slice(0, 359), train.row_slice(0, 361));
+        for (weights, recorded) in train_quiet_weights(&dataset).into_iter().zip(RECORDED) {
+            let model = LogisticModel { weights };
+            let serial = [
+                model
+                    .evaluate_accuracy(&test_359, &test_labels[..359])
+                    .to_bits(),
+                model
+                    .evaluate_loss(&train_361, &train_labels[..361])
+                    .to_bits(),
+            ];
+            for threads in [1, 2] {
+                let whole = (&test, &test_labels[..]);
+                let observed = evaluation_bits(&model, whole, (&train, train_labels), threads);
+                assert_eq!(observed, recorded[..2], "{threads} spans");
+                let prefixes = (
+                    (&test_359, &test_labels[..359]),
+                    (&train_361, &train_labels[..361]),
+                );
+                let observed = evaluation_bits(&model, prefixes.0, prefixes.1, threads);
+                assert_eq!(observed, serial, "359 + 361 rows, {threads} spans");
+            }
+            let (accuracy, loss) = model.evaluate(&test, test_labels, &train, train_labels);
+            assert_eq!([accuracy.to_bits(), loss.to_bits()], recorded[..2]);
+        }
+    }
+
+    #[test]
+    fn evaluation_in_spans_is_the_serial_pass_bit_for_bit_on_random_shapes() {
+        // Row counts on both sides of a band (32) and of a four-row group,
+        // magnitudes over 16 decades so any reordering of a row's adds would
+        // round differently, and confident predictions that reach the
+        // cross-entropy clamp.
+        let mut rng = StdRng::seed_from_u64(31);
+        for (test_rows, train_rows, cols) in [
+            (1, 1, 1),
+            (3, 5, 7),
+            (31, 33, 7),
+            (32, 64, 261),
+            (33, 65, 19),
+            (359, 361, 261),
+            (361, 359, 40),
+        ] {
+            let mut draw = |len: usize| -> Vec<f64> {
+                (0..len)
+                    .map(|_| rng.gen_range(-1.0..1.0) * 10f64.powi(rng.gen_range(-8i32..8)))
+                    .collect()
+            };
+            let test = Matrix::from_vec(test_rows, cols, draw(test_rows * cols));
+            let train = Matrix::from_vec(train_rows, cols, draw(train_rows * cols));
+            let model = LogisticModel {
+                weights: draw(cols),
+            };
+            let labels = |rows: usize, rng: &mut StdRng| -> Vec<f64> {
+                (0..rows).map(|_| rng.gen_range(0..2) as f64).collect()
+            };
+            let test_labels = labels(test_rows, &mut rng);
+            let train_labels = labels(train_rows, &mut rng);
+            let serial = [
+                model.evaluate_accuracy(&test, &test_labels).to_bits(),
+                model.evaluate_loss(&train, &train_labels).to_bits(),
+            ];
+            for threads in [1, 2, 3] {
+                let observed = evaluation_bits(
+                    &model,
+                    (&test, &test_labels),
+                    (&train, &train_labels),
+                    threads,
+                );
+                assert_eq!(
+                    observed, serial,
+                    "{test_rows} + {train_rows} rows x {cols}, {threads} spans"
+                );
+            }
         }
     }
 }

@@ -83,7 +83,7 @@
 //! a genuine checksum mismatch and evicts the worker as a corrupt frame.
 
 use std::collections::HashMap;
-use std::io::{self, Read, Write};
+use std::io::{self, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -689,7 +689,10 @@ impl SocketExecutor {
         // The reader blocks indefinitely; round deadlines are enforced
         // master-side and worker death arrives as EOF.
         stream.set_read_timeout(None).map_err(|e| spawn_err(&e))?;
-        let mut reader_stream = stream.try_clone().map_err(|e| spawn_err(&e))?;
+        // Buffered, so a small frame — a `TASK_RESULT` — is one `read`, not a
+        // header read and a body read. 8 KiB, `BufReader`'s default: a
+        // larger buffer per connection costs master RSS.
+        let mut reader_stream = BufReader::new(stream.try_clone().map_err(|e| spawn_err(&e))?);
         let events_tx = self.events_tx.clone();
         let reader = thread::spawn(move || loop {
             match read_frame(&mut reader_stream, max_payload) {
@@ -1050,6 +1053,10 @@ impl Executor for SocketExecutor {
         }
 
         let ticket = self.board.open(job, Instant::now());
+        // The last `TASK` framed, keyed by all its bytes depend on: a
+        // training round sends every worker the same weights or errors, so
+        // all but a straggler (whose sleep differs) share one frame.
+        let mut last: Option<(_, EncodedFrame)> = None;
         for (worker, worker_inputs) in inputs.iter().enumerate() {
             if self.links[worker].is_none() {
                 continue; // down or evicted above
@@ -1068,14 +1075,22 @@ impl Executor for SocketExecutor {
                     .as_ref()
                     .map_or(1.0, |c| c.slowdown_multiplier(worker));
             let sleep = slowdown_sleep_seconds(slowdown, self.config.sleep_per_slowdown_unit);
-            let task = Task {
-                sleep_micros: (sleep * 1e6) as u64,
-                inputs: worker_inputs.clone(),
+            let key = ((sleep * 1e6) as u64, moduli[worker], worker_inputs);
+            let frame = match &last {
+                Some((shared, frame)) if key == *shared => frame.clone(),
+                _ => {
+                    let task = Task {
+                        sleep_micros: key.0,
+                        inputs: worker_inputs.clone(),
+                    };
+                    // 2 bytes per element when the inputs are small signed
+                    // values of the worker's field, as the paper's quantized
+                    // weights and errors are; otherwise 4 or 8.
+                    let frame = task.encoded_frame_in(job, round, key.1);
+                    last = Some((key, frame.clone()));
+                    frame
+                }
             };
-            // 2 bytes per element when the inputs are small signed values of
-            // the worker's field, as the paper's quantized weights and errors
-            // are; otherwise 4 or 8.
-            let frame = task.encoded_frame_in(job, round, moduli[worker]);
             self.post(worker, Some(ticket), frame);
         }
         Ok(RoundTicket::live(ticket))

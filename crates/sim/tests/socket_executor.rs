@@ -9,7 +9,7 @@ use std::time::Duration;
 use avcc_sim::cluster::ClusterProfile;
 use avcc_sim::executor::{EvictionReason, Executor, RawOutcome, ThreadedExecutor};
 use avcc_sim::socket::{SocketConfig, SocketExecutor, Transport};
-use avcc_sim::wire::{Block, FaultKind, HelloAck, Task};
+use avcc_sim::wire::{Block, Fault, FaultKind, HelloAck, Task};
 use proptest::prelude::*;
 
 const Q: u64 = 2_305_843_009_213_693_951; // P61, the largest supported modulus
@@ -622,6 +622,111 @@ fn churn_corrupt_window_evicts_then_rejoins() {
 
     let healed = payloads(socket.execute_round(0, 2, &inputs).unwrap());
     assert_eq!(healed, clean, "post-window round must be clean again");
+}
+
+/// A training round sends every worker the same input, and the master frames
+/// that `TASK` once — but only for workers whose frames would be the same
+/// bytes. A ×8 straggler's `TASK` carries its sleep, a worker of another
+/// field reads other widths, and a worker in a corruption window still gets
+/// its own `FAULT` first: each keeps its own frame, and every byte sent is
+/// what one frame per worker adds up to.
+#[test]
+fn a_shared_task_frame_never_crosses_workers_that_differ() {
+    use avcc_sim::churn::ChaosSchedule;
+
+    let q = (1u64 << 25) - 39;
+    let workers = 5;
+    let (straggler, corrupting, small_field) = (1, 3, 4);
+    let job_blocks: Vec<Block> = (0..workers)
+        .map(|w| {
+            let modulus = if w == small_field { 251 } else { q };
+            Block {
+                modulus,
+                rows: 3,
+                cols: 4,
+                elements: elements(12, w as u64 + 71)
+                    .into_iter()
+                    .map(|e| e % modulus)
+                    .collect(),
+            }
+        })
+        .collect();
+    let per_unit = 0.01;
+    let sleep = (8.0 - 1.0) * per_unit;
+    let mut socket = SocketExecutor::with_config(
+        ClusterProfile::uniform(workers).with_stragglers(&[straggler], 8.0),
+        SocketConfig {
+            sleep_per_slowdown_unit: per_unit,
+            ..quick_config(Transport::Uds)
+        },
+    )
+    .unwrap();
+    socket.set_churn(ChaosSchedule::corrupt_then_rejoin(&[corrupting], 0, 1));
+    socket.install_blocks(2, &job_blocks).unwrap();
+
+    // What one frame per worker costs: its `TASK` framed for its own block
+    // (2 bytes per element in the 25-bit field, 4 in F_251), plus the
+    // corrupting worker's `FAULT`.
+    let frame_bytes = |round: u64, inputs: &[Vec<Vec<u64>>], fault: bool| -> u64 {
+        let tasks: usize = inputs
+            .iter()
+            .zip(&job_blocks)
+            .map(|(inputs, block)| {
+                let task = Task {
+                    sleep_micros: 0,
+                    inputs: inputs.clone(),
+                };
+                task.encoded_frame_in(2, round, block.modulus).wire_len()
+            })
+            .sum();
+        let kind = FaultKind::CorruptPayload;
+        let faults = if fault {
+            Fault { kind }.encoded_frame().wire_len()
+        } else {
+            0
+        };
+        (tasks + faults) as u64
+    };
+
+    // Round 0: the same small input for everyone, canonical in both fields.
+    let shared = vec![vec![(0..4).map(|i| 17 * i + 5).collect::<Vec<u64>>()]; workers];
+    let before = socket.metrics();
+    let outcomes = socket.execute_round(2, 0, &shared).unwrap();
+    let sent = socket.metrics().bytes_sent - before.bytes_sent;
+    assert_eq!(sent, frame_bytes(0, &shared, true));
+    assert!(socket
+        .round_evictions()
+        .iter()
+        .any(|e| e.worker == corrupting && e.reason == EvictionReason::CorruptFrame));
+    for outcome in &outcomes {
+        if outcome.worker == straggler {
+            assert!(outcome.compute_seconds >= sleep, "the straggler slept");
+        } else {
+            assert!(outcome.compute_seconds < sleep, "worker {}", outcome.worker);
+        }
+    }
+    let expected: Vec<_> = oracle_round(&job_blocks, &shared)
+        .into_iter()
+        .filter(|(worker, _)| *worker != corrupting)
+        .collect();
+    assert_eq!(payloads(outcomes), expected);
+
+    // Round 1, window closed: inputs that differ, and repeat, from worker to
+    // worker decode exactly, each worker's from its own bytes.
+    let [a, b] = [7u64, 9].map(|seed| vec![(0..4).map(|i| (seed * i + 3) % 251).collect()]);
+    let mixed = vec![a.clone(), a.clone(), b.clone(), a, b];
+    let before = socket.metrics();
+    let got = payloads(socket.execute_round(2, 1, &mixed).unwrap());
+    let after = socket.metrics();
+    assert_eq!(got, oracle_round(&job_blocks, &mixed));
+    assert!(socket.round_evictions().is_empty());
+    // The corrupting worker was respawned: a handshake and its block first.
+    let respawn =
+        hello_ack_bytes(corrupting, workers) + job_blocks[corrupting].frame(2).wire_len() as u64;
+    assert_eq!(
+        after.bytes_sent - before.bytes_sent,
+        respawn + frame_bytes(1, &mixed, false)
+    );
 }
 
 /// Executor-level bookkeeping errors are typed, not panics.

@@ -17,7 +17,7 @@
 //! in-memory duplex pipe.
 
 use std::collections::HashMap;
-use std::io::{Read, Write};
+use std::io::{BufReader, Read, Write};
 use std::thread;
 use std::time::{Duration, Instant};
 
@@ -44,12 +44,19 @@ impl Default for WorkerOptions {
 /// Runs the worker protocol over `stream` until shutdown (Ok) or a fatal
 /// wire error (Err — the caller drops the stream, which is what the master's
 /// eviction machinery observes).
+///
+/// Reads go through an 8 KiB [`BufReader`], so a `TASK` — or any frame that
+/// fits — costs one `read` call rather than one for its header and one for
+/// its body; a larger frame (a `LOAD_BLOCK`) is read past the buffer
+/// straight into its payload. Writes, injected faults included, go to the
+/// stream itself.
 pub fn serve_connection<S: Read + Write>(
-    mut stream: S,
+    stream: S,
     worker: u32,
     options: &WorkerOptions,
 ) -> Result<(), WireError> {
-    write_frame(&mut stream, &Hello::new(worker).frame())?;
+    let mut stream = BufReader::new(stream);
+    write_frame(stream.get_mut(), &Hello::new(worker).frame())?;
     let (ack, _) = read_frame(&mut stream, options.max_payload)?;
     if ack.kind != FrameKind::HelloAck {
         return Err(WireError::UnexpectedFrame {
@@ -90,14 +97,17 @@ pub fn serve_connection<S: Read + Write>(
                         .frame(frame.job, frame.round)
                     }
                 };
-                send_with_fault(&mut stream, &response, armed.take())?;
+                send_with_fault(stream.get_mut(), &response, armed.take())?;
             }
             FrameKind::Fault => {
                 armed = Some(Fault::decode(&frame.payload)?.kind);
             }
             FrameKind::Shutdown => {
                 // Best-effort BYE: the master may already have gone away.
-                let _ = write_frame(&mut stream, &Frame::new(FrameKind::Bye, 0, 0, Vec::new()));
+                let _ = write_frame(
+                    stream.get_mut(),
+                    &Frame::new(FrameKind::Bye, 0, 0, Vec::new()),
+                );
                 return Ok(());
             }
             other => {

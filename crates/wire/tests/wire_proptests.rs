@@ -2,9 +2,11 @@
 //! central robustness claim — *no* byte input makes the decoder panic; it
 //! either yields a valid frame or a typed [`WireError`].
 
+use std::io::{BufReader, Read};
+
 use avcc_wire::{
-    crc32c, crc32c_bytewise, read_frame, Block, Frame, FrameKind, Task, TaskResult, TypedBlock,
-    DEFAULT_MAX_PAYLOAD,
+    crc32c, crc32c_bytewise, read_frame, Block, Frame, FrameKind, Hello, Task, TaskResult,
+    TypedBlock, WireError, DEFAULT_MAX_PAYLOAD,
 };
 use proptest::prelude::*;
 
@@ -36,7 +38,137 @@ fn task_payload(sleep: u64, functions: usize, len: usize, elements: &[u8]) -> Ve
     bytes
 }
 
+/// A reader that hands out `bytes` in chunks of the given sizes, in turn: the
+/// way a socket may split a stream anywhere, one byte at a time or all of it
+/// at once.
+struct Chunked {
+    bytes: Vec<u8>,
+    at: usize,
+    sizes: Vec<usize>,
+    turn: usize,
+}
+
+impl Read for Chunked {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let size = self.sizes[self.turn % self.sizes.len()];
+        self.turn += 1;
+        let n = size.min(buf.len()).min(self.bytes.len() - self.at);
+        buf[..n].copy_from_slice(&self.bytes[self.at..self.at + n]);
+        self.at += n;
+        Ok(n)
+    }
+}
+
+/// One frame of each kind and width a connection carries: a `HELLO`, `TASK`s
+/// 2, 4 and 8 bytes per element, a `TASK_RESULT`, and a `LOAD_BLOCK` larger
+/// than a reader's 8 KiB buffer.
+fn mixed_frames(seed: u64) -> Vec<Frame> {
+    let q = MODULI[0];
+    let values = |len: usize, shift: u32| -> Vec<u64> {
+        (0..len as u64)
+            .map(|i| seed.wrapping_add(i).wrapping_mul(0x9E37_79B9_7F4A_7C15) >> shift)
+            .collect()
+    };
+    let small: Vec<u64> = values(300, 49)
+        .iter()
+        .map(|&v| residue(v as i64 - (1 << 14), q))
+        .collect();
+    let task = |inputs: Vec<Vec<u64>>| Task {
+        sleep_micros: seed % 1000,
+        inputs,
+    };
+    let task_frame = |encoded: avcc_wire::EncodedFrame| {
+        read_frame(&mut encoded.bytes(), DEFAULT_MAX_PAYLOAD)
+            .unwrap()
+            .0
+    };
+    let block = Block {
+        modulus: q,
+        rows: 40,
+        cols: 64,
+        elements: values(40 * 64, 40),
+    };
+    let result = TaskResult {
+        worker: 7,
+        compute_seconds: 0.25,
+        outputs: vec![values(200, 40)],
+    };
+    vec![
+        Hello::new(3).frame(),
+        task_frame(task(vec![small]).encoded_frame_in(1, 2, q)),
+        task_frame(task(vec![values(261, 40)]).encoded_frame(1, 3)),
+        task_frame(task(vec![values(50, 0), values(50, 1)]).encoded_frame(2, 4)),
+        result.frame(1, 2),
+        block.frame(1),
+        result.frame(1, 3),
+    ]
+}
+
+/// Reads frames off `reader` until it fails: the frames, then the error.
+fn read_all<R: Read>(reader: &mut R) -> (Vec<Frame>, WireError) {
+    let mut frames = Vec::new();
+    loop {
+        match read_frame(reader, DEFAULT_MAX_PAYLOAD) {
+            Ok((frame, _)) => frames.push(frame),
+            Err(error) => return (frames, error),
+        }
+    }
+}
+
 proptest! {
+    #[test]
+    fn framing_holds_under_any_chunking_of_the_stream(
+        seed in any::<u64>(),
+        raw in proptest::collection::vec(any::<u32>(), 1..12),
+        scale in 0usize..4,
+        place in 0usize..3,
+        cut in any::<usize>(),
+    ) {
+        // Chunks of one byte, of up to 17 or 4 096, or of the whole stream.
+        let limit = [1, 17, 4096, usize::MAX][scale];
+        let sizes: Vec<usize> = raw.iter().map(|&r| 1 + r as usize % limit).collect();
+        let frames = mixed_frames(seed);
+        let encoded: Vec<Vec<u8>> = frames.iter().map(Frame::encode).collect();
+        // The three `TASK`s are 2, 4 and 8 bytes per element.
+        let task_lens: Vec<usize> = encoded[1..4].iter().map(Vec::len).collect();
+        prop_assert_eq!(task_lens, [48 + 300 * 2, 48 + 261 * 4, 48 + 100 * 8]);
+        prop_assert!(encoded[5].len() > 8 << 10, "the LOAD_BLOCK outgrows the buffer");
+        let stream = encoded.concat();
+        let boundaries: Vec<usize> = encoded
+            .iter()
+            .scan(0, |end, bytes| {
+                *end += bytes.len();
+                Some(*end)
+            })
+            .collect();
+
+        // The stream cut whole, at a frame boundary (or before the first
+        // frame), or anywhere. Frames before the cut come back intact,
+        // whether read raw or through the `BufReader` the worker and the
+        // master wrap their sockets in; then EOF at a boundary is `Closed`,
+        // inside a frame `Truncated`.
+        let cut = match place {
+            0 => stream.len(),
+            1 => *[0].iter().chain(&boundaries).nth(cut % (boundaries.len() + 1)).unwrap(),
+            _ => cut % (stream.len() + 1),
+        };
+        let whole = boundaries.iter().take_while(|&&end| end <= cut).count();
+        let at_boundary = cut == 0 || boundaries.contains(&cut);
+        let chunked = || Chunked {
+            bytes: stream[..cut].to_vec(),
+            at: 0,
+            sizes: sizes.clone(),
+            turn: 0,
+        };
+        for (read, error) in [read_all(&mut chunked()), read_all(&mut BufReader::new(chunked()))] {
+            prop_assert_eq!(&read[..], &frames[..whole]);
+            let closed = matches!(error, WireError::Closed { .. });
+            let truncated = matches!(error, WireError::Truncated { .. });
+            let expected = closed == at_boundary && truncated != at_boundary;
+            prop_assert!(expected, "cut {}: {:?}", cut, error);
+        }
+    }
+
     #[test]
     fn crc_sliced_matches_bytewise(bytes in proptest::collection::vec(any::<u8>(), 0..512)) {
         prop_assert_eq!(crc32c(&bytes), crc32c_bytewise(&bytes));
