@@ -7,14 +7,14 @@
 //! * **generic_div** — `(a as u128 * b as u128) % q`: the pre-PR1 baseline, a
 //!   128-bit hardware division per product;
 //! * **specialized** — the per-modulus [`PrimeModulus::reduce_wide`] backend
-//!   (Mersenne fold for `F_{2^61-1}`, pseudo-Mersenne fold for `F_{2^25-39}`,
-//!   Barrett for `F_251`), one reduction per product;
+//!   (pseudo-Mersenne fold for `F_{2^25-39}`), one reduction per product;
 //! * **lazy** — the batch/linalg kernels: unreduced accumulation, in `u64`
 //!   lanes collapsed once per `avcc_field::batch::narrow_batch` products for
-//!   `F_{2^25-39}`, in carry-counting `u128` lanes reduced once for
-//!   `F_{2^61-1}`.
+//!   `F_{2^25-39}`.
+//!
+//! `dot_lanes/` adds Goldilocks, whose kernels count carries in `u128` lanes.
 
-use avcc_field::{batch_inverse, dot, Fp, PrimeField, PrimeModulus, F25, F61, P25, P251, P61, P64};
+use avcc_field::{batch_inverse, dot, Fp, PrimeField, PrimeModulus, F25, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -49,11 +49,6 @@ fn bench_scalar_ops(c: &mut Criterion) {
     });
     c.bench_function("field/inverse_f25", |bencher| {
         bencher.iter(|| black_box(a).inverse())
-    });
-    let a61 = F61::from_u64(1_234_567_890_123);
-    let b61 = F61::from_u64(987_654_321_987);
-    c.bench_function("field/mul_f61", |bencher| {
-        bencher.iter(|| black_box(a61) * black_box(b61))
     });
 }
 
@@ -95,7 +90,6 @@ fn bench_reduction_backends(c: &mut Criterion) {
         group.finish();
     }
 
-    run::<P61>(c, "p61", 1);
     run::<P25>(c, "p25", 2);
 }
 
@@ -139,7 +133,6 @@ fn bench_dot_backends(c: &mut Criterion) {
         group.finish();
     }
 
-    run::<P61>(c, "p61", 3);
     run::<P25>(c, "p25", 4);
 }
 
@@ -161,7 +154,6 @@ fn bench_mat_vec_512(c: &mut Criterion) {
         group.finish();
     }
 
-    run::<P61>(c, "p61", 5);
     run::<P25>(c, "p25", 6);
 }
 
@@ -181,8 +173,8 @@ fn dot_single_lane<M: PrimeModulus>(a: &[Fp<M>], b: &[Fp<M>]) -> Fp<M> {
     Fp::<M>::new(M::reduce_wide(accumulator))
 }
 
-/// Vector-vs-scalar dot against the single-`u128` baseline: on `p61` (a
-/// `u128` wraps every 63 products) and `p64` (every product) the
+/// Vector-vs-scalar dot against the single-`u128` baseline: on `p64` (a
+/// `u128` wraps every product) the
 /// [`avcc_field::DOT_LANES`]-striped carry-counting kernel, on `p25` the
 /// narrow `u64` lane the optimizer runs in vector registers.
 fn bench_dot_lanes(c: &mut Criterion) {
@@ -202,7 +194,6 @@ fn bench_dot_lanes(c: &mut Criterion) {
         }
     }
 
-    run::<P61>(c, "p61", 12);
     run::<P64>(c, "p64", 13);
     run::<P25>(c, "p25", 14);
 }

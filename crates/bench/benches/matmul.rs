@@ -5,7 +5,7 @@
 //! dominates the master-side overheads.
 
 use avcc_core::TrainingProblem;
-use avcc_field::{Fp, PrimeModulus, F25, P25, P61, P64};
+use avcc_field::{Fp, PrimeModulus, F25, P25, P64};
 use avcc_linalg::{mat_vec, matt_vec, real_mat_vec, Matrix};
 use avcc_ml::dataset::{Dataset, DatasetConfig};
 use avcc_ml::logistic::LogisticModel;
@@ -149,7 +149,6 @@ fn bench_tight_batch_kernel(c: &mut Criterion) {
         });
     }
     run::<P64>(c, "p64");
-    run::<P61>(c, "p61");
 }
 
 criterion_group!(

@@ -14,7 +14,7 @@ use avcc_sim::socket::{SocketConfig, SocketExecutor, Transport};
 use avcc_sim::wire::Block;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-const Q: u64 = 2_305_843_009_213_693_951; // P61
+const Q: u64 = 18_446_744_069_414_584_321; // Goldilocks
 
 fn elements(count: usize, seed: u64) -> Vec<u64> {
     (0..count as u64)

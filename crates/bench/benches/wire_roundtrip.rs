@@ -25,7 +25,7 @@ use avcc_sim::wire::{
 };
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 
-const Q: u64 = 2_305_843_009_213_693_951; // P61: worst-case 8-byte residues
+const Q: u64 = 18_446_744_069_414_584_321; // Goldilocks: worst-case 8-byte residues
 
 /// Deterministic canonical residues, no rng dependency in the hot path.
 fn elements(count: usize, seed: u64) -> Vec<u64> {

@@ -7,7 +7,7 @@
 
 use avcc_coding::points::EvaluationPoints;
 use avcc_coding::{DualCodeword, SchemeConfig, ScreenError, ScreenOutcome};
-use avcc_field::{random_vector, Fp, PrimeModulus, P25, P251, P61, P64};
+use avcc_field::{random_vector, Fp, PrimeModulus, P25, P251, P64};
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
@@ -86,10 +86,9 @@ fn assert_honest_passes<M: PrimeModulus>(config: SchemeConfig, seed: u64) {
 }
 
 #[test]
-fn honest_rounds_pass_on_all_four_moduli() {
+fn honest_rounds_pass_on_every_modulus() {
     // General Lagrange layouts (standard points).
     assert_honest_passes::<P25>(SchemeConfig::linear(12, 9, 2, 1).unwrap(), 1);
-    assert_honest_passes::<P61>(SchemeConfig::linear(12, 9, 2, 1).unwrap(), 2);
     assert_honest_passes::<P251>(SchemeConfig::linear(10, 4, 2, 2).unwrap(), 3);
     // Subgroup/coset layout (P64 auto-selects NTT position for K+T = 8),
     // from the full α-coset (16 responders) down to threshold + 1.
@@ -115,7 +114,6 @@ fn boundary_values_near_the_modulus_pass() {
         };
     }
     check!(P25, SchemeConfig::linear(12, 9, 2, 1).unwrap());
-    check!(P61, SchemeConfig::linear(12, 9, 2, 1).unwrap());
     check!(P64, SchemeConfig::linear(16, 8, 4, 2).unwrap());
     check!(P251, SchemeConfig::linear(10, 4, 2, 2).unwrap());
 }
@@ -123,11 +121,11 @@ fn boundary_values_near_the_modulus_pass() {
 #[test]
 fn single_corruption_is_rejected_and_localized() {
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let screen = DualCodeword::<P61>::new(config);
+    let screen = DualCodeword::<P25>::new(config);
     let mut rng = StdRng::seed_from_u64(7);
     for victim in 0..config.workers {
-        let mut round = honest_round::<P61>(config, 5, 40 + victim as u64);
-        round[victim].1[3] += Fp::<P61>::new(1);
+        let mut round = honest_round::<P25>(config, 5, 40 + victim as u64);
+        round[victim].1[3] += Fp::<P25>::new(1);
         let report = screen.screen(&round, 1, &mut rng).expect("screenable");
         assert_eq!(
             report.outcome,
@@ -186,11 +184,11 @@ fn identical_colluding_corruption_is_still_localized() {
 #[test]
 fn threshold_plus_one_detects_but_cannot_localize() {
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let screen = DualCodeword::<P61>::new(config);
+    let screen = DualCodeword::<P25>::new(config);
     assert_eq!(screen.max_locatable(10), 0);
-    let mut round = honest_round::<P61>(config, 3, 13);
+    let mut round = honest_round::<P25>(config, 3, 13);
     round.truncate(10); // threshold 9 + 1: ν = 1, detection only.
-    round[2].1[0] += Fp::<P61>::new(9);
+    round[2].1[0] += Fp::<P25>::new(9);
     let mut rng = StdRng::seed_from_u64(14);
     let report = screen.screen(&round, 1, &mut rng).expect("screenable");
     assert_eq!(report.outcome, ScreenOutcome::Unlocalized);
@@ -411,8 +409,8 @@ proptest! {
     #[test]
     fn prop_honest_rounds_always_pass(seed in any::<u64>(), drop in 0usize..2) {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let screen = DualCodeword::<P61>::new(config);
-        let round = honest_round::<P61>(config, 4, seed);
+        let screen = DualCodeword::<P25>::new(config);
+        let round = honest_round::<P25>(config, 4, seed);
         let mut rng = StdRng::seed_from_u64(seed ^ 0xf00d);
         let report = screen.screen(&round[drop..], 2, &mut rng).unwrap();
         prop_assert_eq!(report.outcome, ScreenOutcome::Clean);

@@ -21,7 +21,7 @@ use std::sync::Arc;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
 use avcc_core::{AvccMatVec, MatVecEngine};
-use avcc_field::{Fp, PrimeModulus, P25, P251, P61, P64};
+use avcc_field::{Fp, PrimeModulus, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
 use avcc_sim::executor::WorkerOutcome;
@@ -208,7 +208,6 @@ proptest! {
     #[test]
     fn screening_matrix_holds_across_moduli(seed in 0u64..1000) {
         matrix_for_modulus::<P25>(seed);
-        matrix_for_modulus::<P61>(seed);
         // P64 puts the points in subgroup position (the NTT encode and
         // subproduct-tree decode paths).
         matrix_for_modulus::<P64>(seed);

@@ -21,12 +21,12 @@
 //!   for the 25-bit field, ≈ 3·10^14 for `F_251` — so the kernels collapse
 //!   it with one `reduce_wide` per that many products
 //!   ([`assert_narrow_batch`] checks the bound at compile time).
-//! * **Carry-counting `u128` lanes** (every larger modulus: `F_{2^61-1}`,
-//!   Goldilocks). A `u128` absorbs only 63 such products for `2^61 − 1` and
-//!   **one** for Goldilocks, so instead of collapsing the kernels let it wrap
-//!   and **count the carries** ([`CarryAccumulator`]): one `overflowing_add`
-//!   and one carry increment per product, and a single reduction per
-//!   accumulator at the very end, as `reduce_wide(sum) + carries · (2^128 mod q)`.
+//! * **Carry-counting `u128` lanes** (every larger modulus: Goldilocks). A
+//!   `u128` absorbs only **one** Goldilocks product, so instead of
+//!   collapsing the kernels let it wrap and **count the carries**
+//!   ([`CarryAccumulator`]): one `overflowing_add` and one carry increment
+//!   per product, and a single reduction per accumulator at the very end,
+//!   as `reduce_wide(sum) + carries · (2^128 mod q)`.
 //!   [`dot`] stripes these over [`DOT_LANES`] independent accumulators so
 //!   consecutive multiply-adds never serialize on one add-with-carry chain.
 //!
@@ -320,8 +320,8 @@ pub fn dot<M: PrimeModulus, E: Residue<M>>(a: &[E], b: &[E]) -> E {
 ///   fed [`narrow_product`]s and collapsed with one reduction each once
 ///   [`narrow_batch`] products have gone in (16 384 `axpy`s for the 25-bit
 ///   field); their `axpy` loops run in vector registers.
-/// * **The others** (Goldilocks, `2^61 − 1`) let a `u128` lane wrap and count
-///   the carries beside it, exactly as a [`CarryAccumulator`] does — one
+/// * **The others** (Goldilocks) let a `u128` lane wrap and count the
+///   carries beside it, exactly as a [`CarryAccumulator`] does — one
 ///   `overflowing_add` and one carry increment per product, one reduction
 ///   per lane at the end. Collapsing every [`PrimeModulus::WIDE_BATCH`]
 ///   products instead would be a `reduce_wide` per product for Goldilocks
@@ -489,7 +489,7 @@ pub fn batch_inverse<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::{P25, P251, P61};
+    use crate::fp::{P25, P251, P64};
     use proptest::prelude::*;
 
     type F = Fp<P25>;
@@ -503,12 +503,10 @@ mod tests {
     fn wide_batch_constants_are_sane() {
         // P25 products are ~2^50: the whole u128 is effectively one batch.
         assert!(P25::WIDE_BATCH > 1 << 40);
-        // P61 products are ~2^122: roughly 63 fit.
-        assert!((32..256).contains(&P61::WIDE_BATCH), "{}", P61::WIDE_BATCH);
         assert!(P251::WIDE_BATCH > 1 << 40);
         // The 64-bit Goldilocks modulus degenerates to one product per
         // reduction — the minimum the compile-time guard admits.
-        assert_eq!(crate::fp::P64::WIDE_BATCH, 1);
+        assert_eq!(P64::WIDE_BATCH, 1);
     }
 
     #[test]
@@ -525,8 +523,7 @@ mod tests {
         }
         assert_eq!(check::<P25>(), 16_384);
         assert!(check::<P251>() > 1 << 48);
-        assert!(!narrow_lanes::<P61>() && narrow_batch::<P61>() == 0);
-        assert!(!narrow_lanes::<crate::fp::P64>() && narrow_batch::<crate::fp::P64>() == 0);
+        assert!(!narrow_lanes::<P64>() && narrow_batch::<P64>() == 0);
     }
 
     /// Lengths around the narrow batch `B` of the 25-bit field: none, one,
@@ -607,14 +604,14 @@ mod tests {
         // WIDE_BATCH = 1: a u128 holds one product, so every accumulation
         // after the first wraps; the lazy kernels must still match the
         // element-wise reference at the extremes.
-        type H = Fp<crate::fp::P64>;
-        const Q: u64 = crate::fp::P64::MODULUS;
+        type H = Fp<P64>;
+        const Q: u64 = P64::MODULUS;
         let a: Vec<H> = (0..100u64).map(|i| H::from_u64(Q - 1 - i)).collect();
         let b: Vec<H> = (0..100u64).map(|i| H::from_u64(Q - 7 - i)).collect();
         let reference: H = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum();
         assert_eq!(dot(&a, &b), reference);
         let near = H::from_u64(Q - 1);
-        let mut accumulator = WideAccumulator::<crate::fp::P64>::new(4);
+        let mut accumulator = WideAccumulator::<P64>::new(4);
         let lane = vec![near; 4];
         for _ in 0..10 {
             accumulator.axpy(near, &lane);
@@ -629,7 +626,7 @@ mod tests {
         // after the first wraps the u128. The lengths cover a lone lane, a
         // partial group, exactly one group, a group plus a remainder, the
         // e2e block width and a long odd vector. (q−1)² ≡ 1, so the sum is
-        // the length. P61 takes the same kernel and wraps every ~64 products.
+        // the length.
         fn check<M: PrimeModulus>() {
             assert!(!narrow_lanes::<M>());
             let near = Fp::<M>::from_u64(M::MODULUS - 1);
@@ -640,23 +637,19 @@ mod tests {
                 assert_eq!(dot(&a, &a), reference, "{} len = {len}", M::NAME);
             }
         }
-        check::<crate::fp::P64>();
-        check::<P61>();
+        check::<P64>();
     }
 
     #[test]
     fn carry_accumulator_counts_each_wrap_once() {
-        type H = Fp<crate::fp::P64>;
-        let near = H::from_u64(crate::fp::P64::MODULUS - 1);
+        type H = Fp<P64>;
+        let near = H::from_u64(P64::MODULUS - 1);
         let mut accumulator = CarryAccumulator::default();
-        assert_eq!(accumulator.finish::<crate::fp::P64>(), H::ZERO);
+        assert_eq!(accumulator.finish::<P64>(), H::ZERO);
         for products in 1..=5u64 {
             accumulator.add_product(near, near);
             assert_eq!(accumulator.carries, products - 1);
-            assert_eq!(
-                accumulator.finish::<crate::fp::P64>(),
-                H::from_u64(products)
-            );
+            assert_eq!(accumulator.finish::<P64>(), H::from_u64(products));
         }
     }
 
@@ -704,25 +697,6 @@ mod tests {
     }
 
     #[test]
-    fn dot_crosses_the_p61_lane_chunk_boundary() {
-        // With 4 lanes the collapse boundary sits at 4 * WIDE_BATCH elements;
-        // straddle it, land exactly on it, and overshoot by a non-multiple
-        // of the lane count.
-        type G = Fp<P61>;
-        let chunk = P61::WIDE_BATCH * DOT_LANES;
-        for len in [chunk - 1, chunk, chunk + 1, chunk * 2 + 3] {
-            let a: Vec<G> = (0..len as u64)
-                .map(|i| G::from_u64(P61::MODULUS - 1 - (i % 11)))
-                .collect();
-            let b: Vec<G> = (0..len as u64)
-                .map(|i| G::from_u64(P61::MODULUS - 5 - (i % 7)))
-                .collect();
-            let naive: G = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum();
-            assert_eq!(dot(&a, &b), naive, "len = {len}");
-        }
-    }
-
-    #[test]
     fn axpy_matches_slice_axpy_across_lane_remainders() {
         for len in [1usize, 3, 4, 5, 7, 8, 11] {
             let b: Vec<F> = (0..len as u64)
@@ -737,21 +711,6 @@ mod tests {
             }
             assert_eq!(accumulator.finish(), expected, "len = {len}");
         }
-    }
-
-    #[test]
-    fn dot_crosses_the_p61_reduction_batch() {
-        // Vector longer than WIDE_BATCH forces mid-loop collapses in F_{2^61-1}.
-        type G = Fp<P61>;
-        let len = P61::WIDE_BATCH * 3 + 7;
-        let a: Vec<G> = (0..len as u64)
-            .map(|i| G::from_u64(P61::MODULUS - 1 - i))
-            .collect();
-        let b: Vec<G> = (0..len as u64)
-            .map(|i| G::from_u64(P61::MODULUS - 7 - i))
-            .collect();
-        let naive: G = a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum();
-        assert_eq!(dot(&a, &b), naive);
     }
 
     #[test]
@@ -774,31 +733,14 @@ mod tests {
     }
 
     #[test]
-    fn wide_accumulator_collapses_past_the_batch_limit() {
-        // More than twice the products a u128 holds for F_{2^61-1}: its lanes
-        // count carries, so they wrap (twice) instead of being collapsed.
-        type G = Fp<P61>;
-        let near = G::from_u64(P61::MODULUS - 1);
-        let b = vec![near; 4];
-        let mut accumulator = WideAccumulator::<P61>::new(4);
-        let rounds = P61::WIDE_BATCH * 2 + 5;
-        for _ in 0..rounds {
-            accumulator.axpy(near, &b);
-        }
-        // (q-1)^2 * rounds mod q == rounds mod q (since (q-1)^2 ≡ 1).
-        let expected = G::from_u64(rounds as u64);
-        assert_eq!(accumulator.finish(), vec![expected; 4]);
-    }
-
-    #[test]
     fn wide_accumulator_is_exact_when_every_axpy_overflows() {
         // All-(q−1) operands: each Goldilocks product is ≈ 2^128 − 2^97, so
         // in every lane each product after the first wraps the u128 and the
         // carry count ends at `axpys − 1`. (q−1)² ≡ 1, so every lane sums to
         // the number of `axpy`s; the element-wise `Fp` sum is the reference.
         // The rows go in two at a time and then one, as `matt_vec` feeds
-        // them. The other moduli run the same sequence: P61 wraps every ≈ 64
-        // products, P25 and P251 never.
+        // them. The other moduli run the same sequence: P25 and P251 never
+        // wrap.
         fn check<M: PrimeModulus>() {
             let near = Fp::<M>::from_u64(M::MODULUS - 1);
             let b = vec![near; 5];
@@ -824,8 +766,7 @@ mod tests {
                 assert_eq!(accumulator.finish(), into);
             }
         }
-        check::<crate::fp::P64>();
-        check::<P61>();
+        check::<P64>();
         check::<P25>();
         check::<P251>();
     }
@@ -887,9 +828,8 @@ mod tests {
                 assert_eq!(dot(&a, &b), reference);
             }
             check::<P25>(&raw_a, &raw_b, n);
-            check::<P61>(&raw_a, &raw_b, n);
             check::<P251>(&raw_a, &raw_b, n);
-            check::<crate::fp::P64>(&raw_a, &raw_b, n);
+            check::<P64>(&raw_a, &raw_b, n);
         }
 
         #[test]

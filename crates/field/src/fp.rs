@@ -21,7 +21,7 @@ use core::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAss
 /// 64-bit moduli, so lazy accumulation stays sound). The default
 /// [`PrimeModulus::reduce_wide`] is Barrett reduction — division-free and
 /// correct for any conforming modulus; moduli with special structure
-/// (Mersenne, pseudo-Mersenne, Goldilocks) override it with a cheaper fold
+/// (pseudo-Mersenne, Goldilocks) override it with a cheaper fold
 /// (see [`crate::reduce`]).
 pub trait PrimeModulus:
     'static + Copy + Clone + fmt::Debug + Default + PartialEq + Eq + Send + Sync
@@ -65,14 +65,14 @@ pub trait PrimeModulus:
     /// should switch into the Montgomery domain and multiply through
     /// [`PrimeModulus::mul_redc`] instead of [`PrimeModulus::reduce_wide`].
     ///
-    /// Defaults to `false`: the specialized folds (Mersenne, pseudo-Mersenne)
-    /// of [`P61`] / [`P25`] are already cheaper than REDC per multiply. Which
-    /// moduli flip it on is an empirical choice, not a soundness one (REDC is
-    /// correct for every odd modulus): Barrett-backed moduli ([`P251`]) win
-    /// on any chain longer than the two domain conversions, and Goldilocks
-    /// ([`P64`]) wins inside the NTT butterflies where `WIDE_BATCH = 1`
-    /// forces a reduction per product. The branch is on a `const`, so the
-    /// unselected path folds away entirely.
+    /// Defaults to `false`: the pseudo-Mersenne fold of [`P25`] is already
+    /// cheaper than REDC per multiply. Which moduli flip it on is an
+    /// empirical choice, not a soundness one (REDC is correct for every odd
+    /// modulus): Barrett-backed moduli ([`P251`]) win on any chain longer
+    /// than the two domain conversions, and Goldilocks ([`P64`]) wins inside
+    /// the NTT butterflies where `WIDE_BATCH = 1` forces a reduction per
+    /// product. The branch is on a `const`, so the unselected path folds
+    /// away entirely.
     const MONTGOMERY_CHAINS: bool = false;
     /// The REDC constant `−q⁻¹ mod 2^64` (valid for every odd modulus —
     /// i.e. every prime but 2).
@@ -141,20 +141,6 @@ impl PrimeModulus for P25 {
     }
 }
 
-/// The Mersenne prime `q = 2^61 − 1`.
-#[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
-pub struct P61;
-
-impl PrimeModulus for P61 {
-    const MODULUS: u64 = (1u64 << 61) - 1;
-    const NAME: &'static str = "F_{2^61-1}";
-
-    #[inline]
-    fn reduce_wide(value: u128) -> u64 {
-        crate::reduce::reduce_mersenne61(value)
-    }
-}
-
 /// A tiny prime (`q = 251`) for exhaustive tests and soundness-error demos.
 /// Uses the generic Barrett backend.
 #[derive(Copy, Clone, Debug, Default, PartialEq, Eq)]
@@ -216,8 +202,8 @@ impl NttModulus for P64 {}
 /// Operations every prime-field element type supports.
 ///
 /// The trait exists so that the coding, verification and ML layers can be
-/// written generically over the field and instantiated with either the
-/// paper's 25-bit field or the 61-bit field.
+/// written generically over the field and instantiated with the paper's
+/// 25-bit field, the NTT-friendly Goldilocks field or the tiny proof field.
 pub trait PrimeField:
     Copy
     + Clone
@@ -702,14 +688,11 @@ mod tests {
     use proptest::prelude::*;
 
     type F = Fp<P25>;
-    type G = Fp<P61>;
-
     type H = Fp<P64>;
 
     #[test]
     fn modulus_constants_are_prime_sized() {
         assert_eq!(P25::MODULUS, 33_554_393);
-        assert_eq!(P61::MODULUS, 2_305_843_009_213_693_951);
         assert_eq!(P251::MODULUS, 251);
         assert_eq!(P64::MODULUS, 18_446_744_069_414_584_321);
     }
@@ -731,7 +714,6 @@ mod tests {
         }
         // Non-NTT moduli keep the inert defaults.
         assert_eq!(P25::TWO_ADICITY, 0);
-        assert_eq!(P61::TWO_ADICITY, 0);
     }
 
     #[test]
@@ -847,7 +829,6 @@ mod tests {
             }
         }
         check::<P25>();
-        check::<P61>();
         check::<P251>();
     }
 
@@ -862,7 +843,6 @@ mod tests {
             );
         }
         check::<P25>();
-        check::<P61>();
         check::<P251>();
         check::<P64>();
     }
@@ -906,8 +886,8 @@ mod tests {
 
     #[test]
     fn large_field_multiplication_does_not_overflow() {
-        let a = G::from_u64(P61::MODULUS - 2);
-        let b = G::from_u64(P61::MODULUS - 3);
+        let a = H::from_u64(P64::MODULUS - 2);
+        let b = H::from_u64(P64::MODULUS - 3);
         // (q-2)(q-3) mod q = 6 mod q
         assert_eq!((a * b).to_u64(), 6);
     }
@@ -942,7 +922,6 @@ mod tests {
             }
         }
         check::<P25>();
-        check::<P61>();
         check::<P251>();
         check::<P64>();
     }
@@ -953,7 +932,6 @@ mod tests {
         assert!(P251::MONTGOMERY_CHAINS);
         assert!(P64::MONTGOMERY_CHAINS);
         assert!(!P25::MONTGOMERY_CHAINS);
-        assert!(!P61::MONTGOMERY_CHAINS);
     }
 
     #[test]
@@ -971,7 +949,6 @@ mod tests {
         check::<P251>(250);
         check::<P64>(P64::MODULUS - 1);
         check::<P25>(123_456);
-        check::<P61>(P61::MODULUS - 2);
         assert!(power_series(Fp::<P251>::from_u64(3), 0).is_empty());
     }
 
@@ -992,7 +969,6 @@ mod tests {
             }
         }
         check::<P25>();
-        check::<P61>();
         check::<P251>();
         check::<P64>();
     }
@@ -1019,7 +995,6 @@ mod tests {
             );
         }
         check::<P25>();
-        check::<P61>();
         check::<P251>();
         check::<P64>();
     }
@@ -1087,7 +1062,6 @@ mod tests {
                 assert_eq!(M::from_montgomery(M::to_montgomery(canonical)), canonical);
             }
             check::<P25>(raw);
-            check::<P61>(raw);
             check::<P251>(raw);
             check::<P64>(raw);
         }
@@ -1100,7 +1074,6 @@ mod tests {
                 assert_eq!(M::from_montgomery(product), (x * y).value(), "{}", M::NAME);
             }
             check::<P25>(a, b);
-            check::<P61>(a, b);
             check::<P251>(a, b);
             check::<P64>(a, b);
         }
@@ -1122,7 +1095,6 @@ mod tests {
                 assert_eq!(x.pow(exponent), pow_reference(x, exponent), "{}", M::NAME);
             }
             check::<P25>(raw, exponent);
-            check::<P61>(raw, exponent);
             check::<P251>(raw, exponent);
             check::<P64>(raw, exponent);
         }
@@ -1138,7 +1110,6 @@ mod tests {
                 }
             }
             check::<P25>(raw);
-            check::<P61>(raw);
             check::<P251>(raw);
             check::<P64>(raw);
         }
@@ -1161,7 +1132,6 @@ mod tests {
                 );
             }
             check::<P25>(&raws);
-            check::<P61>(&raws);
             check::<P251>(&raws);
             check::<P64>(&raws);
         }

@@ -12,9 +12,9 @@
 //!
 //! * [`Fp`] — a `u64`-backed prime-field element, generic over a
 //!   [`PrimeModulus`] marker type. The paper's field `q = 2^25 − 39` is
-//!   available as [`F25`]; a larger Mersenne field `q = 2^61 − 1` is available
-//!   as [`F61`] for workloads that need more headroom, and a tiny field
-//!   [`F251`] is provided for exhaustive tests.
+//!   available as [`F25`]; the NTT-friendly Goldilocks field
+//!   `q = 2^64 − 2^32 + 1` as [`F64`] for the bulk encode/decode paths, and a
+//!   tiny field [`F251`] is provided for exhaustive tests.
 //! * [`reduce`] — the specialized wide-reduction backends behind every
 //!   multiply (see *Reduction strategy* below).
 //! * [`batch`] — slice-level kernels: `axpy`, dot products with lazy
@@ -36,7 +36,6 @@
 //!
 //! | Modulus | Backend | Cost per reduction |
 //! |---------|---------|--------------------|
-//! | `2^61 − 1` ([`P61`]) | Mersenne fold (`2^61 ≡ 1`) | 3 shift-add folds + 1 conditional subtract |
 //! | `2^25 − 39` ([`P25`]) | pseudo-Mersenne fold (`2^25 ≡ 39`) | 3 folds + 1 conditional subtract for inputs `< 2^64` (any product of canonical values); a loop sheds ≈19.7 bits/fold above that |
 //! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1` — a `u128` holds one product — so the dot-product kernels let the sum wrap and count the carries instead of reducing per product (below); the field's payoff is the `2^32` two-adicity that unlocks the NTT encode/decode paths |
 //! | `251` ([`P251`]) and any other | Barrett with `μ = ⌊2^128/q⌋` | 1 high-128 multiply + ≤ 2 conditional subtracts |
@@ -54,7 +53,6 @@
 //! | Modulus | One-shot products / lazy sums | Long chains | Why |
 //! |---------|-------------------------------|-------------|-----|
 //! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step; lazy sums run in narrow `u64` lanes of 32 × 32 → 64-bit products, which vectorize, collapsed once per 16 384 products |
-//! | [`P61`] | Mersenne fold | fold (opted out) | same: shift-add folds beat REDC per multiply |
 //! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the NTT butterflies (twiddles pre-converted once per plan) in-domain |
 //! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions (no end-to-end workload selects this field; it exists for exhaustive soundness tests) |
 //!
@@ -82,9 +80,9 @@
 //!   `avcc_linalg::mat_vec` read these residues from field elements or from
 //!   `u32`s ([`Residue`]) with one loop body; a socket worker stores its
 //!   block and inputs as `u32`.
-//! * **Larger moduli**: products of canonical values reach `2^122`
-//!   (`2^61 − 1`) and `2^128 − 2^97` (Goldilocks), so a `u128` holds 63 of
-//!   them, or [`PrimeModulus::WIDE_BATCH`]` = 1`. Collapsing that often
+//! * **Larger moduli**: products of canonical Goldilocks values reach
+//!   `2^128 − 2^97`, so a `u128` holds one of them
+//!   ([`PrimeModulus::WIDE_BATCH`]` = 1`). Collapsing that often
 //!   would mean a reduction per product; the kernels instead let the `u128`
 //!   **wrap and count the carries** ([`CarryAccumulator`]): the true sum is
 //!   `sum + carries·2^128`, and `2^128 mod q` is the
@@ -121,7 +119,7 @@ pub mod spans;
 pub use batch::{
     batch_inverse, dot, slice_axpy, CarryAccumulator, Residue, WideAccumulator, DOT_LANES,
 };
-pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P61, P64};
+pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};
 pub use spans::{map_spans, span_threads};
@@ -132,10 +130,6 @@ pub use spans::{map_spans, span_threads};
 /// 64-bit register (the kernels' `u64` lanes collapse once per 16 384
 /// products, so any `d` is safe).
 pub type F25 = Fp<P25>;
-
-/// A larger field, `q = 2^61 − 1` (a Mersenne prime), for workloads whose
-/// quantized dynamic range does not fit in the 25-bit field.
-pub type F61 = Fp<P61>;
 
 /// The NTT-friendly Goldilocks field, `q = 2^64 − 2^32 + 1`, whose `2^32`
 /// two-adicity lets the coding layer place evaluation points in a

@@ -177,7 +177,7 @@ pub fn max_safe_dimension<M: PrimeModulus>() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::{P25, P61};
+    use crate::fp::{P25, P64};
     use proptest::prelude::*;
 
     type F = Fp<P25>;
@@ -249,7 +249,7 @@ mod tests {
 
     #[test]
     fn large_field_fails_u63_constraint() {
-        assert!(!worst_case_fits_u63::<P61>(2));
+        assert!(!worst_case_fits_u63::<P64>(1));
     }
 
     #[test]

@@ -9,9 +9,6 @@
 //! branch-light alternatives, selected per modulus through
 //! [`crate::fp::PrimeModulus::reduce_wide`]:
 //!
-//! * [`reduce_mersenne61`] — for `q = 2^61 − 1`: `2^61 ≡ 1 (mod q)`, so a
-//!   value folds as `(x & (2^61−1)) + (x >> 61)`. Three folds take any `u128`
-//!   below `2^61 + 1`; one conditional subtraction lands in `[0, q)`.
 //! * [`reduce_pseudo_mersenne25`] — for `q = 2^25 − 39`: `2^25 ≡ 39 (mod q)`,
 //!   so a value folds as `(x & (2^25−1)) + 39·(x >> 25)`, shedding ≈19.7 bits
 //!   per fold. Products of canonical representatives are below `2^50`, so the
@@ -68,22 +65,6 @@ pub const fn reduce_barrett(value: u128, modulus: u64, mu: u128) -> u64 {
         remainder -= modulus as u128;
     }
     remainder as u64
-}
-
-/// Mersenne reduction of a full-range `u128` modulo `q = 2^61 − 1`.
-#[inline]
-pub const fn reduce_mersenne61(value: u128) -> u64 {
-    const Q: u64 = (1u64 << 61) - 1;
-    const MASK: u128 = (1u128 << 61) - 1;
-    // 128 bits → ≤ 68 bits → ≤ 62 bits → ≤ 2^61.
-    let folded = (value & MASK) + (value >> 61);
-    let folded = (folded & MASK) + (folded >> 61);
-    let folded = ((folded & MASK) + (folded >> 61)) as u64;
-    if folded >= Q {
-        folded - Q
-    } else {
-        folded
-    }
 }
 
 /// Pseudo-Mersenne reduction of a full-range `u128` modulo `q = 2^25 − 39`
@@ -248,7 +229,9 @@ mod tests {
     use super::*;
     use proptest::prelude::*;
 
-    const P61: u64 = (1u64 << 61) - 1;
+    /// `2^61 − 1`: one more odd modulus, between the 25-bit and the
+    /// Goldilocks one, for the generic Barrett and REDC backends.
+    const M61: u64 = (1u64 << 61) - 1;
     const P25: u64 = (1u64 << 25) - 39;
     const P251: u64 = 251;
 
@@ -281,13 +264,6 @@ mod tests {
         assert_eq!(mulhi_u128(u128::MAX, u128::MAX), u128::MAX - 1);
         assert_eq!(mulhi_u128(1 << 64, 1 << 64), 1);
         assert_eq!(mulhi_u128(u128::MAX, 2), 1);
-    }
-
-    #[test]
-    fn mersenne61_matches_naive_on_boundaries() {
-        for input in boundary_inputs(P61) {
-            assert_eq!(reduce_mersenne61(input), naive(input, P61), "input {input}");
-        }
     }
 
     #[test]
@@ -342,7 +318,7 @@ mod tests {
     }
 
     const GOLD: u64 = GOLDILOCKS;
-    const ALL_MODULI: [u64; 4] = [P25, P61, P251, GOLD];
+    const ALL_MODULI: [u64; 4] = [P25, M61, P251, GOLD];
 
     #[test]
     fn mont_constants_satisfy_their_defining_identities() {
@@ -413,7 +389,7 @@ mod tests {
 
     #[test]
     fn barrett_matches_naive_on_boundaries_for_all_moduli() {
-        for modulus in [P25, P61, P251] {
+        for modulus in [P25, M61, P251] {
             let mu = barrett_mu(modulus);
             for input in boundary_inputs(modulus) {
                 assert_eq!(
@@ -426,12 +402,6 @@ mod tests {
     }
 
     proptest! {
-        #[test]
-        fn prop_mersenne61_matches_naive(hi in any::<u64>(), lo in any::<u64>()) {
-            let input = (hi as u128) << 64 | lo as u128;
-            prop_assert_eq!(reduce_mersenne61(input), naive(input, P61));
-        }
-
         #[test]
         fn prop_pseudo_mersenne25_matches_naive(hi in any::<u64>(), lo in any::<u64>()) {
             let input = (hi as u128) << 64 | lo as u128;
@@ -447,7 +417,7 @@ mod tests {
         #[test]
         fn prop_barrett_matches_naive_all_moduli(hi in any::<u64>(), lo in any::<u64>()) {
             let input = (hi as u128) << 64 | lo as u128;
-            for modulus in [P25, P61, P251, GOLDILOCKS] {
+            for modulus in [P25, M61, P251, GOLDILOCKS] {
                 let mu = barrett_mu(modulus);
                 prop_assert_eq!(reduce_barrett(input, modulus, mu), naive(input, modulus));
             }
@@ -468,10 +438,10 @@ mod tests {
         }
 
         #[test]
-        fn prop_product_range_reduces_exactly(a in 0..P61, b in 0..P61) {
+        fn prop_product_range_reduces_exactly(a in 0..P25, b in 0..P25) {
             // The hot-path shape: products of canonical representatives.
             let product = a as u128 * b as u128;
-            prop_assert_eq!(reduce_mersenne61(product), naive(product, P61));
+            prop_assert_eq!(reduce_pseudo_mersenne25(product), naive(product, P25));
         }
     }
 }

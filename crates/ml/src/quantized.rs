@@ -203,7 +203,7 @@ mod tests {
     use super::*;
     use crate::dataset::{Dataset, DatasetConfig};
     use crate::logistic::{normalize_features, LogisticModel};
-    use avcc_field::{P25, P61};
+    use avcc_field::{P25, P64};
     use avcc_linalg::{real_mat_vec, real_matt_vec};
 
     fn small_problem() -> (Matrix<f64>, Vec<f64>) {
@@ -233,8 +233,8 @@ mod tests {
         let round2 = 6000.0 * 2f64.powi(protocol.round2_scale_bits() as i32);
         assert!(round1 < half, "round 1 bound violated: {round1} vs {half}");
         assert!(round2 < half, "round 2 bound violated: {round2} vs {half}");
-        // A 61-bit field affords much more precision.
-        let generous = QuantizedProtocol::for_problem::<P61>(6000, 5000, 2.0);
+        // A 64-bit field affords much more precision.
+        let generous = QuantizedProtocol::for_problem::<P64>(6000, 5000, 2.0);
         assert!(generous.round1_scale_bits() >= protocol.round1_scale_bits());
     }
 

@@ -530,7 +530,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "supports NTT sizes up to")]
     fn non_ntt_field_cannot_build_a_plan() {
-        let _ = NttPlan::<avcc_field::P61>::new(1);
+        let _ = NttPlan::<avcc_field::P25>::new(1);
     }
 
     #[test]

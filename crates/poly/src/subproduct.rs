@@ -37,7 +37,7 @@
 //!
 //! Everything degrades gracefully on fields without NTT metadata (the
 //! products fall back to schoolbook convolution), so the tree is usable — and
-//! proptested — on all four moduli, not just Goldilocks.
+//! proptested — on all three moduli, not just Goldilocks.
 
 use std::collections::BTreeMap;
 

@@ -1,6 +1,6 @@
 //! Cross-moduli equivalence: subproduct-tree interpolation against the dense
 //! `LagrangeBasis`, and NTT polynomial multiplication against schoolbook
-//! convolution — on all four moduli, over random straggler/Byzantine-style
+//! convolution — on all three moduli, over random straggler/Byzantine-style
 //! survivor subsets, including boundary values near `q`.
 //!
 //! The decoder keeps the dense Lagrange combination as its correctness
@@ -9,7 +9,7 @@
 //! workers, Byzantine eviction removes arbitrary ones), both interpolators
 //! must produce bit-identical polynomials.
 
-use avcc_field::{Fp, PrimeField, PrimeModulus, P25, P251, P61, P64};
+use avcc_field::{Fp, PrimeField, PrimeModulus, P25, P251, P64};
 use avcc_poly::{LagrangeBasis, Polynomial, SubproductTree, TreeInterpolator};
 use proptest::prelude::*;
 
@@ -119,7 +119,6 @@ macro_rules! cross_moduli_suite {
 // runs long enough that the survivor subsets cross the NTT-multiplication
 // threshold on the NTT-capable modulus.
 cross_moduli_suite!(p25, P25, 48);
-cross_moduli_suite!(p61, P61, 48);
 cross_moduli_suite!(p251, P251, 24);
 cross_moduli_suite!(p64, P64, 48);
 

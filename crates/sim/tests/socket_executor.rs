@@ -3,6 +3,10 @@
 //! defect — corrupted frame, version mismatch, truncation, disconnect,
 //! deadline — must end in a clean eviction (never a panic or a hang)
 //! followed by a successful respawn.
+//!
+//! The suite runs on the Goldilocks field with every element at or above
+//! `2^32`, so blocks, task inputs and results cross the wire 8 bytes per
+//! element, the widest the protocol carries.
 
 use std::time::Duration;
 
@@ -12,15 +16,18 @@ use avcc_sim::socket::{SocketConfig, SocketExecutor, Transport};
 use avcc_sim::wire::{Block, Fault, FaultKind, HelloAck, Task};
 use proptest::prelude::*;
 
-const Q: u64 = 2_305_843_009_213_693_951; // P61, the largest supported modulus
+const Q: u64 = 18_446_744_069_414_584_321; // Goldilocks, 2^64 − 2^32 + 1
+const WIDE: u64 = 1 << 32;
 
-/// Deterministic pseudo-random canonical elements.
+/// Deterministic pseudo-random canonical elements in `[2^32, q)`: too wide
+/// for 4 bytes.
 fn elements(count: usize, seed: u64) -> Vec<u64> {
     (0..count as u64)
         .map(|i| {
-            seed.wrapping_mul(6_364_136_223_846_793_005)
+            WIDE + seed
+                .wrapping_mul(6_364_136_223_846_793_005)
                 .wrapping_add(i.wrapping_mul(1_442_695_040_888_963_407))
-                % Q
+                % (Q - WIDE)
         })
         .collect()
 }
@@ -342,6 +349,8 @@ fn a_respawned_worker_is_replayed_the_bytes_first_sent() {
     assert!(socket.round_evictions().is_empty(), "the replay's CRC held");
     assert_eq!(after.respawns - before.respawns, 1);
     assert_eq!(after.frames_sent - before.frames_sent, 2 + workers as u64);
+    // Header and trailer, the block's 16-byte head, 4 × 3 elements of 8 bytes.
+    assert_eq!(blocks[2].frame(4).wire_len(), 32 + 16 + 12 * 8);
     assert_eq!(
         after.bytes_sent - before.bytes_sent,
         hello_ack_bytes(2, workers) + blocks[2].frame(4).wire_len() as u64 + task_bytes(&inputs)

@@ -25,7 +25,7 @@
 //! bytes per element — are read straight into the block's storage, one
 //! branch-free pass per input.
 
-use avcc_field::{Fp, PrimeModulus, Residue, P25, P251, P61, P64};
+use avcc_field::{Fp, PrimeModulus, Residue, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 
 use crate::codec::{le_elements, short_elements, ElementWidth, WireReader};
@@ -37,8 +37,6 @@ use crate::message::{Block, TaskPayload};
 pub enum TypedBlock {
     /// `q = 2^25 − 39` (the paper's field), stored as `u32`.
     P25(Matrix<u32>),
-    /// `q = 2^61 − 1`.
-    P61(Matrix<Fp<P61>>),
     /// `q = 251` (exhaustive-test field), stored as `u32`.
     P251(Matrix<u32>),
     /// Goldilocks `q = 2^64 − 2^32 + 1` (NTT field).
@@ -212,7 +210,6 @@ impl TypedBlock {
     ) -> Result<Self, WireError> {
         match modulus {
             m if m == P25::MODULUS => Ok(Self::P25(typed_matrix::<P25, _>(rows, cols, elements)?)),
-            m if m == P61::MODULUS => Ok(Self::P61(typed_matrix::<P61, _>(rows, cols, elements)?)),
             m if m == P251::MODULUS => {
                 Ok(Self::P251(typed_matrix::<P251, _>(rows, cols, elements)?))
             }
@@ -266,7 +263,6 @@ impl TypedBlock {
     pub fn rows(&self) -> usize {
         match self {
             Self::P25(m) => m.rows(),
-            Self::P61(m) => m.rows(),
             Self::P251(m) => m.rows(),
             Self::P64(m) => m.rows(),
         }
@@ -276,7 +272,6 @@ impl TypedBlock {
     pub fn cols(&self) -> usize {
         match self {
             Self::P25(m) => m.cols(),
-            Self::P61(m) => m.cols(),
             Self::P251(m) => m.cols(),
             Self::P64(m) => m.cols(),
         }
@@ -286,7 +281,6 @@ impl TypedBlock {
     pub fn modulus(&self) -> u64 {
         match self {
             Self::P25(_) => P25::MODULUS,
-            Self::P61(_) => P61::MODULUS,
             Self::P251(_) => P251::MODULUS,
             Self::P64(_) => P64::MODULUS,
         }
@@ -319,7 +313,6 @@ impl TypedBlock {
     ) -> Result<Vec<Vec<u64>>, WireError> {
         match self {
             Self::P25(m) => execute_typed::<P25, _>(m, inputs),
-            Self::P61(m) => execute_typed::<P61, _>(m, inputs),
             Self::P251(m) => execute_typed::<P251, _>(m, inputs),
             Self::P64(m) => execute_typed::<P64, _>(m, inputs),
         }
@@ -356,12 +349,15 @@ mod tests {
 
     #[test]
     fn unknown_modulus_rejected() {
-        let mut block = block_251();
-        block.modulus = 97;
-        assert_eq!(
-            TypedBlock::from_block(&block).unwrap_err(),
-            WireError::UnknownModulus { modulus: 97 }
-        );
+        // 2^61 − 1 is prime, but no field of the workspace is typed under it.
+        for modulus in [97, (1 << 61) - 1] {
+            let mut block = block_251();
+            block.modulus = modulus;
+            assert_eq!(
+                TypedBlock::from_block(&block).unwrap_err(),
+                WireError::UnknownModulus { modulus }
+            );
+        }
     }
 
     #[test]
@@ -589,7 +585,7 @@ mod tests {
 
     #[test]
     fn one_pass_decode_equals_decode_then_type_on_valid_payloads() {
-        for modulus in [P25::MODULUS, P61::MODULUS, P251::MODULUS, P64::MODULUS] {
+        for modulus in [P25::MODULUS, P251::MODULUS, P64::MODULUS] {
             for (rows, cols) in [(0u32, 0u32), (0, 3), (1, 1), (3, 5)] {
                 let count = (rows * cols) as u64;
                 let block = Block {
@@ -722,6 +718,13 @@ mod tests {
                     WireError::UnknownModulus { modulus: 97 },
                 ),
                 (
+                    "2^61 − 1, a prime no field is typed under",
+                    with_elements((1 << 61) - 1, 2, 3, &[1, 2, 3, 4, 5, 6]),
+                    WireError::UnknownModulus {
+                        modulus: (1 << 61) - 1,
+                    },
+                ),
+                (
                     // Settled before the elements are looked at, as in two steps.
                     "unknown modulus and a bad element",
                     with_elements(97, 1, 2, &[1, u32::MAX as u64]),
@@ -782,7 +785,7 @@ mod tests {
 
     #[test]
     fn all_supported_moduli_type_check() {
-        for modulus in [P25::MODULUS, P61::MODULUS, P251::MODULUS, P64::MODULUS] {
+        for modulus in [P25::MODULUS, P251::MODULUS, P64::MODULUS] {
             let block = Block {
                 modulus,
                 rows: 1,

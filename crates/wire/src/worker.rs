@@ -6,11 +6,13 @@
 //! 1. send `HELLO{version, worker}` — the first bytes on any connection;
 //! 2. wait for `HELLO_ACK` (anything else, or a version the master already
 //!    rejected by closing, terminates the worker);
-//! 3. loop: `LOAD_BLOCK` installs a typed block per job; `TASK` computes
-//!    over the resident block, its inputs read against the block's modulus,
-//!    and replies `TASK_RESULT` (or `ERROR` if no block / a malformed or
-//!    non-canonical payload); `FAULT` arms a one-shot injected fault for the
-//!    next result send; `SHUTDOWN` replies `BYE` and exits cleanly.
+//! 3. loop: `LOAD_BLOCK` replaces the job's block with the typed block, or
+//!    with the error if it cannot be typed (an unsupported modulus, a
+//!    non-canonical element); `TASK` computes over the resident block, its
+//!    inputs read against the block's modulus, and replies `TASK_RESULT` (or
+//!    `ERROR` if no block / that typing error / a malformed or non-canonical
+//!    payload); `FAULT` arms a one-shot injected fault for the next result
+//!    send; `SHUTDOWN` replies `BYE` and exits cleanly.
 //!
 //! Being generic over `Read + Write` keeps the loop transport-agnostic: the
 //! binary hands it a `TcpStream` or `UnixStream`, tests can hand it an
@@ -66,20 +68,23 @@ pub fn serve_connection<S: Read + Write>(
     }
     HelloAck::decode(&ack.payload)?;
 
-    let mut blocks: HashMap<u64, TypedBlock> = HashMap::new();
+    // Per job: its typed block, or why its last `LOAD_BLOCK` did not type.
+    let mut blocks: HashMap<u64, Result<TypedBlock, String>> = HashMap::new();
     let mut armed: Option<FaultKind> = None;
     loop {
         let (frame, _) = read_frame(&mut stream, options.max_payload)?;
         match frame.kind {
             FrameKind::LoadBlock => {
-                blocks.insert(frame.job, TypedBlock::from_payload(&frame.payload)?);
+                let typed = TypedBlock::from_payload(&frame.payload).map_err(|e| e.to_string());
+                blocks.insert(frame.job, typed);
             }
             FrameKind::Task => {
                 // The block first: its modulus is what a 2-byte input means.
                 let started = Instant::now();
                 let executed = match blocks.get(&frame.job) {
                     None => Err(format!("no block loaded for job {}", frame.job)),
-                    Some(block) => block
+                    Some(Err(message)) => Err(message.clone()),
+                    Some(Ok(block)) => block
                         .execute_payload(&frame.payload)
                         .map_err(|err| err.to_string()),
                 };
@@ -394,6 +399,57 @@ mod tests {
             vec![vec![(5 + 2 * 250) % 251]]
         );
         write_frame(&mut master, &Frame::new(FrameKind::Shutdown, 0, 0, vec![])).unwrap();
+        handle.join().unwrap().unwrap();
+    }
+
+    #[test]
+    fn a_block_it_cannot_type_draws_an_error_and_the_connection_serves_on() {
+        let (mut master, handle) = spawn_worker(3);
+        assert_eq!(read_one(&mut master).kind, FrameKind::Hello);
+        write_frame(
+            &mut master,
+            &HelloAck {
+                worker: 3,
+                workers: 4,
+            }
+            .frame(),
+        )
+        .unwrap();
+        let q = (1 << 25) - 39;
+        let block = |modulus, elements| Block {
+            modulus,
+            rows: 1,
+            cols: 2,
+            elements,
+        };
+        let task = Task {
+            sleep_micros: 0,
+            inputs: vec![vec![5, 7]],
+        };
+        let run = |master: &mut Pipe, load: Block, round: u64| {
+            write_frame(master, &load.frame(5)).unwrap();
+            write_frame(master, &task.frame(5, round)).unwrap();
+            read_one(master)
+        };
+        let error = |reply: Frame| {
+            assert_eq!(reply.kind, FrameKind::Error);
+            ErrorMsg::decode(&reply.payload).unwrap().message
+        };
+        // 2^61 − 1 is no supported modulus: the next task gets the error.
+        let message = error(run(&mut master, block((1 << 61) - 1, vec![1, 2]), 1));
+        assert!(message.contains("unsupported field modulus"), "{message}");
+        // A valid block replaces the kept error: 5·1 + 7·2 = 19.
+        let reply = run(&mut master, block(q, vec![1, 2]), 2);
+        assert_eq!(reply.kind, FrameKind::TaskResult);
+        assert_eq!(
+            TaskResult::decode(&reply.payload).unwrap().outputs,
+            vec![vec![19]]
+        );
+        // A failed re-load drops that block rather than leave it serving.
+        let message = error(run(&mut master, block(q, vec![1, q]), 3));
+        assert!(message.contains("non-canonical"), "{message}");
+        write_frame(&mut master, &Frame::new(FrameKind::Shutdown, 0, 0, vec![])).unwrap();
+        assert_eq!(read_one(&mut master).kind, FrameKind::Bye);
         handle.join().unwrap().unwrap();
     }
 
