@@ -39,7 +39,7 @@ use avcc_sim::wire::Block;
 use crate::driver::{DistributedTrainer, TrainingRound};
 use crate::report::{IterationRecord, TrainingReport};
 use crate::rounds::{
-    has_dispatched_shape, BatchRoundTask, RoundTask, SchemeFailure, STRAGGLER_DETECTION_FACTOR,
+    has_dispatched_shape, BatchRoundTask, SchemeFailure, STRAGGLER_DETECTION_FACTOR,
 };
 
 /// Arrival-ordered outcomes of one batched round: per worker, one field
@@ -139,7 +139,8 @@ fn lift<M: PrimeModulus>(v: &[u64]) -> Option<Vec<Fp<M>>> {
 }
 
 /// Drives modulus-typed rounds over a modulus-erased [`Executor`], caching
-/// block installation per channel (see the module docs).
+/// block installation per channel (see the module docs). Every round is a
+/// batch of `m ≥ 1` functions; a training round is the batch of one.
 ///
 /// A *channel* is one logical dispatch stream (e.g. "round 1 of this
 /// trainer"). Its index is the wire job id its blocks live under.
@@ -309,26 +310,18 @@ impl WireRunner {
         Ok(outcomes.unwrap_or_default())
     }
 
-    /// Runs one single-function round — a batch of one — to the end and
-    /// unwraps each payload: the shape
-    /// [`DistributedTrainer::collect_round1`]/`collect_round2` and the
-    /// engines' `collect` expect.
+    /// [`run_batch_round`](Self::run_batch_round) under the name the
+    /// benchmark harness binds (by name, never by type). Harness
+    /// compatibility; remove at the next `benchmark` re-bind.
     pub fn run_round<M: PrimeModulus>(
         &mut self,
         executor: &mut dyn Executor,
         channel: usize,
-        tasks: &[RoundTask<M>],
+        tasks: &[BatchRoundTask<M>],
         byzantine: &ByzantineSpec,
-    ) -> Result<Vec<WorkerOutcome<Vec<Fp<M>>>>, ExecutorError> {
-        let batch: Vec<BatchRoundTask<M>> = tasks.iter().cloned().map(Into::into).collect();
-        let outcomes = self.run_batch_round(executor, channel, &batch, byzantine)?;
-        Ok(outcomes.into_iter().map(single_function).collect())
+    ) -> Result<BatchOutcomes<M>, ExecutorError> {
+        self.run_batch_round(executor, channel, tasks, byzantine)
     }
-}
-
-/// Unwraps a batch-of-one outcome into the single-function shape.
-fn single_function<T>(outcome: WorkerOutcome<Vec<T>>) -> WorkerOutcome<T> {
-    outcome.map_payload(|mut parts| parts.remove(0))
 }
 
 /// Channel index used for a trainer's round-1 dispatches.
@@ -418,9 +411,11 @@ pub(crate) fn run_iteration_parked<M: PrimeModulus>(
 /// Dispatches `tasks` until `collect` accepts a round. Each dispatch is one
 /// [`WireRunner::run_streaming_round`] that closes once the round's engine
 /// can decode; what it did not wait for is reported to the trainer
-/// ([`DistributedTrainer::set_late_hint`]) before every collect. A round that
-/// stays below threshold with nobody left to wait for is re-dispatched or
-/// shrink-recoded as [`DistributedTrainer::park_or_shrink`] decides.
+/// ([`DistributedTrainer::set_late_hint`]) before every collect. `collect`
+/// reads the runner's outcomes by reference, so a failed attempt leaves them
+/// intact for the retry at the next arrival. A round that stays below
+/// threshold with nobody left to wait for is re-dispatched or shrink-recoded
+/// as [`DistributedTrainer::park_or_shrink`] decides.
 /// `Ok(None)` means the trainer shrink-recoded and the iteration must
 /// restart.
 fn run_parked_round<M: PrimeModulus, T>(
@@ -429,10 +424,10 @@ fn run_parked_round<M: PrimeModulus, T>(
     runner: &mut WireRunner,
     round: TrainingRound,
     iteration: usize,
-    tasks: &[RoundTask<M>],
+    tasks: &[BatchRoundTask<M>],
     mut collect: impl FnMut(
         &mut DistributedTrainer<M>,
-        &[WorkerOutcome<Vec<Fp<M>>>],
+        &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
     ) -> Result<T, SchemeFailure>,
 ) -> Result<Option<T>, DistributedError> {
     let channel = match round {
@@ -440,35 +435,19 @@ fn run_parked_round<M: PrimeModulus, T>(
         TrainingRound::Round2 => CHANNEL_ROUND2,
     };
     let byzantine = trainer.byzantine().clone();
-    let batch: Vec<BatchRoundTask<M>> = tasks.iter().cloned().map(Into::into).collect();
     let mut stalls = 0usize;
     loop {
         let quorum = trainer.round_min_results(round);
         let collected = runner.run_streaming_round(
             executor,
             channel,
-            &batch,
+            tasks,
             &byzantine,
             Some(quorum),
             |outcomes, late| {
-                // The trainer collects single-function outcomes: each batch
-                // of one's payload is moved out for the attempt, and moved
-                // back if it fails — the round may stay open, and the next
-                // attempt needs `outcomes` intact.
-                let singles: Vec<_> = std::mem::take(outcomes)
-                    .into_iter()
-                    .map(single_function)
-                    .collect();
                 trainer.set_late_hint(late);
-                match collect(trainer, &singles) {
-                    Ok(collected) => Ok((collected, singles.len())),
-                    Err(failure) => {
-                        let batch =
-                            |outcome: WorkerOutcome<_>| outcome.map_payload(|part| vec![part]);
-                        *outcomes = singles.into_iter().map(batch).collect();
-                        Err(failure)
-                    }
-                }
+                let collected = collect(trainer, outcomes)?;
+                Ok((collected, outcomes.len()))
             },
         )?;
         match collected {
@@ -675,9 +654,14 @@ mod tests {
         let mut executor = ScriptedExecutor::new(fleet, &[&first_nine, &[9], &[10], &[11]]);
         let byzantine = ByzantineSpec::new([3], AttackModel::constant());
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(
+                std::slice::from_ref(&input),
+                &mut executor,
+                &byzantine,
+                &mut rng,
+            )
             .unwrap();
-        assert_eq!(round.output, mat_vec(&matrix, &input));
+        assert_eq!(round.outputs[0], mat_vec(&matrix, &input));
         assert_eq!(round.detected_byzantine, [3]);
         let mut used = round.used_workers.clone();
         used.sort_unstable();
@@ -686,6 +670,32 @@ mod tests {
             .iter()
             .all(|late| round.observed_stragglers.contains(late)));
         assert_eq!(executor.retired_with_pending, [[10, 11]]);
+    }
+
+    #[test]
+    fn a_forger_inside_the_first_quorum_is_retried_past_on_the_training_path() {
+        // Every round's first nine results include worker 3's forgery: the
+        // trainer's collect fails one verified result short, and must be
+        // retried on the same outcomes plus worker 9's. StaticVcc, so no
+        // adaptation re-indexes the fleet between rounds.
+        let mut oracle = make_trainer(SchemeKind::StaticVcc, &[], 3);
+        let oracle_report = oracle.train().unwrap();
+
+        let mut trainer = make_trainer(SchemeKind::StaticVcc, &[], 3);
+        let fleet = VirtualExecutor::new(trainer.cluster().clone()).with_time_scale(1.0);
+        let first_nine: Vec<usize> = (0..9).collect();
+        let mut executor = ScriptedExecutor::new(fleet, &[&first_nine, &[9], &[10], &[11]]);
+        let report = train_distributed(&mut trainer, &mut executor).unwrap();
+
+        assert_eq!(trajectory(&report), trajectory(&oracle_report));
+        assert_eq!(executor.retired_with_pending.len(), 2 * report.len());
+        assert!(executor
+            .retired_with_pending
+            .iter()
+            .all(|late| late == &[10, 11]));
+        for record in &report.iterations {
+            assert_eq!(record.detected_byzantine, [3], "{record:?}");
+        }
     }
 
     #[test]

@@ -37,7 +37,7 @@ use crate::distributed::{run_iteration_parked, WireRunner};
 use crate::engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
-use crate::rounds::{RoundExecution, RoundTask, SchemeFailure};
+use crate::rounds::{BatchExecution, BatchRoundTask, SchemeFailure};
 
 /// The four schemes the paper evaluates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -126,7 +126,7 @@ pub enum TrainingRound {
 /// [`DistributedTrainer::collect_round2`]).
 struct InflightIteration<M: PrimeModulus> {
     round1_input: Vec<Fp<M>>,
-    round1: Option<RoundExecution<M>>,
+    round1: Option<BatchExecution<M>>,
     round2_input: Option<Vec<Fp<M>>>,
 }
 
@@ -363,13 +363,13 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// # Panics
     /// Panics if an iteration is already in flight — collect it or call
     /// [`DistributedTrainer::reset_pipeline`] first.
-    pub fn encode_round1(&mut self) -> Vec<RoundTask<M>> {
+    pub fn encode_round1(&mut self) -> Vec<BatchRoundTask<M>> {
         assert!(
             self.inflight.is_none(),
             "an iteration is already in flight; collect it or reset the pipeline first"
         );
         let w_field = self.protocol.quantize_weights::<M>(&self.model.weights);
-        let tasks = self.round1.dispatch(&w_field);
+        let tasks = self.round1.dispatch_batch(std::slice::from_ref(&w_field));
         self.inflight = Some(InflightIteration {
             round1_input: w_field,
             round1: None,
@@ -390,8 +390,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// Panics if no iteration is in flight or round 1 was already collected.
     pub fn collect_round1(
         &mut self,
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-    ) -> Result<Vec<RoundTask<M>>, SchemeFailure> {
+        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
+    ) -> Result<Vec<BatchRoundTask<M>>, SchemeFailure> {
         let inflight = self
             .inflight
             .as_mut()
@@ -400,8 +400,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             inflight.round1.is_none(),
             "round 1 of the in-flight iteration was already collected"
         );
-        let mut execution = self.round1.collect(
-            &inflight.round1_input,
+        let mut execution = self.round1.collect_batch(
+            std::slice::from_ref(&inflight.round1_input),
             outcomes,
             &self.cluster.network,
             self.config.time_scale,
@@ -410,9 +410,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         execution.observed_stragglers.append(&mut self.late_hint);
         let errors = self
             .protocol
-            .error_vector(&execution.output, &self.problem.train_labels);
+            .error_vector(&execution.outputs[0], &self.problem.train_labels);
         let e_field = self.protocol.quantize_error::<M>(&errors);
-        let tasks = self.round2.dispatch(&e_field);
+        let tasks = self.round2.dispatch_batch(std::slice::from_ref(&e_field));
         inflight.round1 = Some(execution);
         inflight.round2_input = Some(e_field);
         Ok(tasks)
@@ -429,7 +429,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     pub fn collect_round2(
         &mut self,
         iteration: usize,
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
+        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
         let inflight = self
@@ -440,8 +440,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             .round2_input
             .as_ref()
             .expect("collect_round2 called before round 1 was collected");
-        let mut round2 = self.round2.collect(
-            e_field,
+        let mut round2 = self.round2.collect_batch(
+            std::slice::from_ref(e_field),
             outcomes,
             &self.cluster.network,
             self.config.time_scale,
@@ -453,7 +453,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             .take()
             .and_then(|inflight| inflight.round1)
             .expect("in-flight round 1 execution present");
-        let gradient = self.protocol.dequantize_round2(&round2.output);
+        let gradient = self.protocol.dequantize_round2(&round2.outputs[0]);
         self.model
             .apply_gradient(&gradient, self.config.learning_rate, self.problem.samples());
 
@@ -852,11 +852,11 @@ mod tests {
                 staged.round_workers(TrainingRound::Round1)
             );
             let round1_outcomes = runner
-                .run_round(&mut executor, 0, &round1_tasks, &byzantine)
+                .run_batch_round(&mut executor, 0, &round1_tasks, &byzantine)
                 .unwrap();
             let round2_tasks = staged.collect_round1(&round1_outcomes).unwrap();
             let round2_outcomes = runner
-                .run_round(&mut executor, 1, &round2_tasks, &byzantine)
+                .run_batch_round(&mut executor, 1, &round2_tasks, &byzantine)
                 .unwrap();
             let record = staged
                 .collect_round2(iteration, &round2_outcomes, &mut cumulative)

@@ -389,12 +389,13 @@ mod tests {
     use avcc_sim::executor::VirtualExecutor;
     use rand::SeedableRng;
 
-    fn setup() -> (Matrix<F25>, Vec<F25>, Vec<F25>) {
+    /// A matrix, one round's inputs (a batch of one) and their products.
+    fn setup() -> (Matrix<F25>, Vec<Vec<F25>>, Vec<Vec<F25>>) {
         let mut rng = StdRng::seed_from_u64(1);
         let matrix = Matrix::from_vec(18, 6, avcc_field::random_matrix(&mut rng, 18, 6));
         let input = avcc_field::random_vector(&mut rng, 6);
-        let expected = mat_vec(&matrix, &input);
-        (matrix, input, expected)
+        let expected = vec![mat_vec(&matrix, &input)];
+        (matrix, vec![input], expected)
     }
 
     fn engine(matrix: &Matrix<F25>, s: usize, m: usize, seed: u64) -> AvccMatVec<P25> {
@@ -446,14 +447,14 @@ mod tests {
 
     #[test]
     fn clean_round_uses_exactly_the_threshold() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 2);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(3);
         let round = engine
-            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert_eq!(round.used_workers.len(), 9);
         assert!(round.detected_byzantine.is_empty());
         assert!(round.costs.verification > 0.0);
@@ -461,7 +462,7 @@ mod tests {
 
     #[test]
     fn byzantine_results_are_rejected_and_reported() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 1, 2, 4);
         // Slow every honest worker down so the two Byzantine workers are
         // guaranteed to be among the arrivals the master verifies.
@@ -471,9 +472,9 @@ mod tests {
         let byzantine = ByzantineSpec::new([0, 6], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(5);
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected, "AVCC must still decode correctly");
+        assert_eq!(round.outputs, expected, "AVCC must still decode correctly");
         let mut detected = round.detected_byzantine.clone();
         detected.sort_unstable();
         assert_eq!(detected, vec![0, 6]);
@@ -483,7 +484,7 @@ mod tests {
 
     #[test]
     fn reverse_value_attack_is_also_rejected() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 6);
         // Slow every honest worker down: under wall-clock noise the Byzantine
         // worker could otherwise finish among the slowest three, and a master
@@ -495,30 +496,30 @@ mod tests {
         let byzantine = ByzantineSpec::new([4], AttackModel::reverse());
         let mut rng = StdRng::seed_from_u64(7);
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert_eq!(round.detected_byzantine, vec![4]);
     }
 
     #[test]
     fn stragglers_are_not_waited_for() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 8);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[1, 9], 300.0);
         let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(9);
         let round = engine
-            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert!(!round.used_workers.contains(&1));
         assert!(!round.used_workers.contains(&9));
     }
 
     #[test]
     fn combined_stragglers_and_byzantine_within_budget_still_decode() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         // (N=12, K=9, S+M=3): two stragglers plus one Byzantine node.
         let mut engine = engine(&matrix, 2, 1, 10);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[2, 3], 300.0);
@@ -526,9 +527,9 @@ mod tests {
         let byzantine = ByzantineSpec::new([7], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(11);
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert_eq!(round.detected_byzantine, vec![7]);
     }
 
@@ -553,21 +554,21 @@ mod tests {
             let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
             let mut round_rng = StdRng::seed_from_u64(41);
             let round = engine
-                .execute(
-                    &input,
+                .execute_batch(
+                    std::slice::from_ref(&input),
                     &mut executor,
                     &ByzantineSpec::none(),
                     &mut round_rng,
                 )
                 .unwrap();
-            assert_eq!(round.output, expected);
+            assert_eq!(round.outputs[0], expected);
             let survivors: Vec<(usize, Vec<F64>)> = round
                 .used_workers
                 .iter()
                 .map(|&w| (w, mat_vec(engine.dataset().share(w), &input)))
                 .collect();
             let oracle = decoder.decode_erasure_lagrange(&survivors).unwrap();
-            assert_eq!(round.output, oracle.concat());
+            assert_eq!(round.outputs[0], oracle.concat());
             for straggler in executor.profile().straggler_indices() {
                 assert!(!round.used_workers.contains(&straggler));
             }
@@ -576,14 +577,14 @@ mod tests {
 
     #[test]
     fn too_many_byzantine_workers_fail_loudly_not_silently() {
-        let (matrix, input, _) = setup();
+        let (matrix, inputs, _) = setup();
         // Every worker Byzantine: verification rejects them all and the engine
         // reports the shortfall instead of producing garbage.
         let mut engine = engine(&matrix, 2, 1, 12);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new(0..12, AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(13);
-        let outcome = engine.execute(&input, &mut executor, &byzantine, &mut rng);
+        let outcome = engine.execute_batch(&inputs, &mut executor, &byzantine, &mut rng);
         assert!(matches!(
             outcome,
             Err(DistributedError::Scheme(SchemeFailure::NotEnoughResults {

@@ -201,32 +201,33 @@ mod tests {
     use avcc_sim::executor::VirtualExecutor;
     use rand::SeedableRng;
 
-    fn setup() -> (Matrix<F25>, Vec<F25>, Vec<F25>) {
+    /// A matrix, one round's inputs (a batch of one) and their products.
+    fn setup() -> (Matrix<F25>, Vec<Vec<F25>>, Vec<Vec<F25>>) {
         let mut rng = StdRng::seed_from_u64(1);
         let matrix = Matrix::from_vec(18, 6, avcc_field::random_matrix(&mut rng, 18, 6));
         let input = avcc_field::random_vector(&mut rng, 6);
-        let expected = mat_vec(&matrix, &input);
-        (matrix, input, expected)
+        let expected = vec![mat_vec(&matrix, &input)];
+        (matrix, vec![input], expected)
     }
 
     #[test]
     fn clean_round_decodes_from_fastest_results() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let round = engine
-            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert_eq!(round.used_workers.len(), 11); // N - S
         assert!(round.detected_byzantine.is_empty());
     }
 
     #[test]
     fn single_byzantine_worker_is_corrected_and_identified() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
@@ -237,15 +238,15 @@ mod tests {
         let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert_eq!(round.detected_byzantine, vec![5]);
     }
 
     #[test]
     fn byzantine_workers_beyond_the_design_corrupt_the_output() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         // Designed for M = 1 only; corrupt four workers. Which workers the
         // engine excludes depends on wall-clock noise (one observed straggler
         // plus the two slowest of the fallback erasure subset), so corrupting
@@ -257,23 +258,23 @@ mod tests {
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2, 5, 7, 9], AttackModel::constant());
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_ne!(round.output, expected, "LCC beyond capability should err");
+        assert_ne!(round.outputs, expected, "LCC beyond capability should err");
     }
 
     #[test]
     fn straggler_is_not_waited_for() {
-        let (matrix, input, expected) = setup();
+        let (matrix, inputs, expected) = setup();
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(5);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[3], 300.0);
         let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
         let round = engine
-            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs, expected);
         assert!(
             !round.used_workers.contains(&3),
             "straggler should be excluded"

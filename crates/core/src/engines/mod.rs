@@ -21,12 +21,10 @@
 //! arrival-ordered outcomes (Freivalds for AVCC, error decoding for LCC),
 //! reconstructs the `m` products and accounts the round's costs.
 //!
-//! Training rounds are `m = 1`: [`MatVecEngine::dispatch`] and
-//! [`MatVecEngine::collect`] wrap one input into a batch of one and unwrap the
-//! result, because the trainer's staged API speaks [`RoundTask`] /
-//! [`RoundExecution`]. With one function the `(m − 1)/q` batching term
-//! vanishes and no combining scalar is drawn, so the wrapper is bit- and
-//! rng-identical to a dedicated single-function round.
+//! A training round is the batch of one (`m = 1`): the trainer passes its one
+//! input as `std::slice::from_ref(..)` and reads `outputs[0]`. With one
+//! function the `(m − 1)/q` batching term vanishes and no combining scalar is
+//! drawn.
 
 use avcc_field::{Fp, PrimeModulus};
 use avcc_sim::attack::ByzantineSpec;
@@ -35,7 +33,7 @@ use avcc_sim::executor::{Executor, WorkerOutcome};
 use rand::rngs::StdRng;
 
 use crate::distributed::{BatchOutcomes, DistributedError, WireRunner};
-use crate::rounds::{BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure};
+use crate::rounds::{BatchExecution, BatchRoundTask, SchemeFailure};
 
 pub mod avcc;
 pub mod lcc;
@@ -98,31 +96,6 @@ pub trait MatVecEngine<M: PrimeModulus> {
         (0, 0)
     }
 
-    /// The single-function round's tasks: [`MatVecEngine::dispatch_batch`]
-    /// for a batch of one, in the [`RoundTask`] shape.
-    fn dispatch(&self, input: &[Fp<M>]) -> Vec<RoundTask<M>> {
-        let batch = self.dispatch_batch(&[input.to_vec()]);
-        batch.into_iter().map(RoundTask::from).collect()
-    }
-
-    /// Collects a single-function round: [`MatVecEngine::collect_batch`] for
-    /// a batch of one, unwrapped into a [`RoundExecution`].
-    fn collect(
-        &mut self,
-        input: &[Fp<M>],
-        outcomes: &[WorkerOutcome<Vec<Fp<M>>>],
-        network: &NetworkModel,
-        time_scale: f64,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, SchemeFailure> {
-        let outcomes: Vec<_> = outcomes
-            .iter()
-            .map(|outcome| outcome.clone().map_payload(|payload| vec![payload]))
-            .collect();
-        self.collect_batch(&[input.to_vec()], &outcomes, network, time_scale, rng)
-            .map(BatchExecution::into_single)
-    }
-
     /// Runs one round — `m` products of the engine's matrix with `inputs` —
     /// on `executor` under the given attack: dispatch, run through
     /// [`WireRunner::run_streaming_round`], collect as soon as
@@ -149,18 +122,5 @@ pub trait MatVecEngine<M: PrimeModulus> {
         let execution = WireRunner::new()
             .run_streaming_round(executor, 0, &tasks, byzantine, quorum, collect)?;
         Ok(execution?)
-    }
-
-    /// Runs one single-function round: [`MatVecEngine::execute_batch`] for a
-    /// batch of one.
-    fn execute(
-        &mut self,
-        input: &[Fp<M>],
-        executor: &mut dyn Executor,
-        byzantine: &ByzantineSpec,
-        rng: &mut StdRng,
-    ) -> Result<RoundExecution<M>, DistributedError> {
-        self.execute_batch(&[input.to_vec()], executor, byzantine, rng)
-            .map(BatchExecution::into_single)
     }
 }

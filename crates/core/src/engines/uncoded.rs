@@ -153,50 +153,54 @@ mod tests {
     use avcc_sim::executor::VirtualExecutor;
     use rand::SeedableRng;
 
-    fn setup(rows: usize, cols: usize, partitions: usize) -> (Matrix<F25>, Vec<F25>) {
+    /// A matrix and one round's inputs (a batch of one).
+    fn setup(rows: usize, cols: usize, partitions: usize) -> (Matrix<F25>, Vec<Vec<F25>>) {
         let mut rng = StdRng::seed_from_u64(1);
         let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
         let input = avcc_field::random_vector(&mut rng, cols);
         let _ = partitions;
-        (matrix, input)
+        (matrix, vec![input])
     }
 
     #[test]
     fn honest_round_reconstructs_the_product() {
-        let (matrix, input) = setup(18, 5, 9);
-        let expected = mat_vec(&matrix, &input);
+        let (matrix, inputs) = setup(18, 5, 9);
+        let expected = mat_vec(&matrix, &inputs[0]);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 9);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9)).with_time_scale(1.0);
         let mut rng = StdRng::seed_from_u64(2);
         let round = engine
-            .execute(&input, &mut executor, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
-        assert_eq!(round.output, expected);
+        assert_eq!(round.outputs[0], expected);
         assert_eq!(round.used_workers.len(), 9);
         assert!(round.detected_byzantine.is_empty());
     }
 
     #[test]
     fn byzantine_corruption_silently_pollutes_the_output() {
-        let (matrix, input) = setup(12, 4, 6);
-        let expected = mat_vec(&matrix, &input);
+        let (matrix, inputs) = setup(12, 4, 6);
+        let expected = mat_vec(&matrix, &inputs[0]);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
         let byzantine = ByzantineSpec::new([2], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(3);
         let round = engine
-            .execute(&input, &mut executor, &byzantine, &mut rng)
+            .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
-        assert_ne!(round.output, expected, "corruption should reach the output");
+        assert_ne!(
+            round.outputs[0], expected,
+            "corruption should reach the output"
+        );
         // The uncoded scheme has no way to notice.
         assert!(round.detected_byzantine.is_empty());
         // Untouched blocks are still correct.
-        assert_eq!(round.output[..4], expected[..4]);
+        assert_eq!(round.outputs[0][..4], expected[..4]);
     }
 
     #[test]
     fn straggler_inflates_the_round_cost() {
-        let (matrix, input) = setup(12, 4, 6);
+        let (matrix, inputs) = setup(12, 4, 6);
         let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
         let mut rng = StdRng::seed_from_u64(4);
         let mut fast = VirtualExecutor::new(ClusterProfile::uniform(6)).with_time_scale(1.0);
@@ -210,14 +214,14 @@ mod tests {
         let fast_compute = (0..3)
             .map(|_| {
                 engine
-                    .execute(&input, &mut fast, &ByzantineSpec::none(), &mut rng)
+                    .execute_batch(&inputs, &mut fast, &ByzantineSpec::none(), &mut rng)
                     .unwrap()
                     .costs
                     .compute
             })
             .fold(f64::INFINITY, f64::min);
         let slow_costs = engine
-            .execute(&input, &mut slow, &ByzantineSpec::none(), &mut rng)
+            .execute_batch(&inputs, &mut slow, &ByzantineSpec::none(), &mut rng)
             .unwrap()
             .costs;
         assert!(slow_costs.compute > fast_compute * 5.0);

@@ -77,4 +77,4 @@ pub use experiment::{
 };
 pub use problem::TrainingProblem;
 pub use report::{IterationRecord, TrainingReport};
-pub use rounds::{BatchExecution, BatchRoundTask, RoundExecution, RoundTask, SchemeFailure};
+pub use rounds::{BatchExecution, BatchRoundTask, SchemeFailure};

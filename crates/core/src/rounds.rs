@@ -1,8 +1,9 @@
 //! Shared round-execution types and helpers used by every scheme engine.
 //!
-//! One "round" is one distributed matrix–vector product: broadcast an input
-//! vector, have every worker multiply it with its (coded or raw) block, and
-//! reconstruct the full product at the master. The engines differ in how many
+//! One "round" is `m ≥ 1` distributed matrix–vector products over one set of
+//! blocks: broadcast the input vectors, have every worker multiply each with
+//! its (coded or raw) block, and reconstruct the full products at the master.
+//! A training round is the batch of one. The engines differ in how many
 //! results they wait for and how they establish integrity; the bookkeeping —
 //! who was used, who straggled, what each phase cost — is common and lives
 //! here.
@@ -86,78 +87,8 @@ impl<M: PrimeModulus> BatchRoundTask<M> {
     }
 }
 
-/// A [`BatchRoundTask`] of exactly one input: the single-function shape the
-/// trainer's staged API speaks. Converts from and into the batch task.
-#[derive(Debug, Clone)]
-pub struct RoundTask<M: PrimeModulus> {
-    /// The worker this task is addressed to.
-    pub worker: usize,
-    batch: BatchRoundTask<M>,
-}
-
-impl<M: PrimeModulus> RoundTask<M> {
-    /// Runs the worker's computation: the block–vector product.
-    pub fn run(&self) -> Vec<Fp<M>> {
-        mat_vec(self.matrix(), self.input())
-    }
-
-    /// The worker's matrix block (see [`BatchRoundTask::matrix`]).
-    pub fn matrix(&self) -> &Arc<Matrix<Fp<M>>> {
-        self.batch.matrix()
-    }
-
-    /// The broadcast input vector of this task.
-    pub fn input(&self) -> &[Fp<M>] {
-        &self.batch.inputs()[0]
-    }
-}
-
-impl<M: PrimeModulus> From<BatchRoundTask<M>> for RoundTask<M> {
-    /// # Panics
-    /// Panics if `batch` does not carry exactly one input.
-    fn from(batch: BatchRoundTask<M>) -> Self {
-        assert_eq!(batch.functions(), 1, "not a batch of one");
-        RoundTask {
-            worker: batch.worker,
-            batch,
-        }
-    }
-}
-
-impl<M: PrimeModulus> From<RoundTask<M>> for BatchRoundTask<M> {
-    fn from(task: RoundTask<M>) -> Self {
-        task.batch
-    }
-}
-
-/// The outcome of one distributed matrix–vector round.
-#[derive(Debug, Clone)]
-pub struct RoundExecution<M: PrimeModulus> {
-    /// The reconstructed product (length = rows of the full matrix).
-    pub output: Vec<Fp<M>>,
-    /// Cost breakdown charged to this round.
-    pub costs: IterationCosts,
-    /// Deterministic operation counts for this round (see
-    /// [`avcc_sim::metrics::OpCounts`]): dimension-derived, identical across
-    /// executors and hosts, the noise-free counterpart of `costs`.
-    pub ops: OpCounts,
-    /// Workers whose results the master actually used for reconstruction.
-    pub used_workers: Vec<usize>,
-    /// Workers identified as Byzantine during this round (by verification for
-    /// AVCC, by error decoding for LCC; always empty for the uncoded scheme).
-    pub detected_byzantine: Vec<usize>,
-    /// Workers observed to straggle in this round (arrived far later than the
-    /// median, or had not arrived when reconstruction became possible).
-    pub observed_stragglers: Vec<usize>,
-    /// Workers evicted by the pre-decode dual-codeword screen
-    /// ([`avcc_coding::DualCodeword`]) before any per-worker verification
-    /// ran. Always a subset of `detected_byzantine`; empty for engines (or
-    /// rounds) that never screened.
-    pub screened_workers: Vec<usize>,
-}
-
-/// The outcome of one *batched* round: `m` reconstructed products over the
-/// shared encoded dataset, plus the common round bookkeeping.
+/// The outcome of one round: `m` reconstructed products over the shared
+/// encoded dataset, plus the common round bookkeeping.
 #[derive(Debug, Clone)]
 pub struct BatchExecution<M: PrimeModulus> {
     /// The reconstructed per-function products, in function order (each of
@@ -184,26 +115,6 @@ pub struct BatchExecution<M: PrimeModulus> {
     /// per-function fallback when `m > 1`, by the failed check itself when
     /// there is one function. Empty whenever every examined worker passed.
     pub corrupted_functions: Vec<usize>,
-}
-
-impl<M: PrimeModulus> BatchExecution<M> {
-    /// Unwraps a batch of one into the single-function round shape the
-    /// trainer's staged API speaks.
-    ///
-    /// # Panics
-    /// Panics if the batch does not hold exactly one function.
-    pub fn into_single(mut self) -> RoundExecution<M> {
-        assert_eq!(self.outputs.len(), 1, "not a batch of one");
-        RoundExecution {
-            output: self.outputs.remove(0),
-            costs: self.costs,
-            ops: self.ops,
-            used_workers: self.used_workers,
-            detected_byzantine: self.detected_byzantine,
-            observed_stragglers: self.observed_stragglers,
-            screened_workers: self.screened_workers,
-        }
-    }
 }
 
 /// Errors an engine can produce.

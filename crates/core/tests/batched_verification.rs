@@ -89,11 +89,16 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
         // m independent single-function rounds over the same session.
         for (function, input) in inputs.iter().enumerate() {
             let single = engine
-                .execute(input, &mut executor, &ByzantineSpec::none(), &mut round_rng)
+                .execute_batch(
+                    std::slice::from_ref(input),
+                    &mut executor,
+                    &ByzantineSpec::none(),
+                    &mut round_rng,
+                )
                 .unwrap();
             assert_eq!(
-                single.output,
-                oracle[function],
+                single.outputs,
+                [oracle[function].clone()],
                 "{}: single function {function} diverged from the oracle",
                 engine.name()
             );
@@ -485,13 +490,14 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
     for (engine, (name, used, detected, screened, macs, next_draw)) in
         engines.iter_mut().zip(recorded)
     {
-        let outcomes: Vec<WorkerOutcome<Vec<Fp<P25>>>> = engine
-            .dispatch(&input)
+        let inputs = std::slice::from_ref(&input);
+        let outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<P25>>>>> = engine
+            .dispatch_batch(inputs)
             .iter()
             .map(|task| {
                 let mut payload = task.run();
                 if task.worker == 1 {
-                    payload[0] += Fp::<P25>::ONE;
+                    payload[0][0] += Fp::<P25>::ONE;
                 }
                 WorkerOutcome {
                     worker: task.worker,
@@ -506,7 +512,7 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
         let mut collect_rng = StdRng::seed_from_u64(77);
         let network = NetworkModel::default();
         let round = engine
-            .collect(&input, &outcomes, &network, 1.0, &mut collect_rng)
+            .collect_batch(inputs, &outcomes, &network, 1.0, &mut collect_rng)
             .unwrap();
         // Every protected scheme decodes the exact product; the uncoded
         // baseline lets worker 1's corruption through, at its block's start.
@@ -514,7 +520,7 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
         if name == "uncoded" {
             expected[2] += Fp::<P25>::ONE;
         }
-        assert_eq!(round.output, expected, "{name}: output");
+        assert_eq!(round.outputs, [expected], "{name}: output");
         assert_eq!(round.used_workers, used, "{name}: used");
         assert_eq!(round.detected_byzantine, detected, "{name}: detected");
         assert_eq!(round.screened_workers, screened, "{name}: screened");

@@ -51,18 +51,18 @@ fn attack_rows() -> Vec<(AttackModel, usize)> {
 /// Outcomes arrive in worker order.
 fn manual_outcomes<M: PrimeModulus>(
     engine: &AvccMatVec<M>,
-    input: &[Fp<M>],
+    input: &[Vec<Fp<M>>],
     byzantine: &ByzantineSpec,
     stragglers: &[usize],
-) -> Vec<WorkerOutcome<Vec<Fp<M>>>> {
+) -> Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> {
     engine
-        .dispatch(input)
+        .dispatch_batch(input)
         .iter()
         .filter(|task| !stragglers.contains(&task.worker))
         .map(|task| {
             let worker = task.worker;
             let mut payload = task.run();
-            let corrupted = byzantine.corrupt(worker, &mut payload);
+            let corrupted = byzantine.corrupt(worker, &mut payload[0]);
             WorkerOutcome {
                 worker,
                 payload,
@@ -109,10 +109,11 @@ fn run_cell<M: PrimeModulus>(
     let dataset = Arc::new(EncodedDataset::<M>::encode(&matrix, config, &mut rng));
     let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
     let spec = ByzantineSpec::new(planted.iter().copied(), attack);
-    let outcomes = manual_outcomes(&engine, &input, &spec, &stragglers);
+    let input = std::slice::from_ref(&input);
+    let outcomes = manual_outcomes(&engine, input, &spec, &stragglers);
     let claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
         .iter()
-        .map(|o| (o.worker, o.payload.clone()))
+        .map(|o| (o.worker, o.payload[0].clone()))
         .collect();
 
     // (1) The standalone screen: Clean on honest rounds, exact localization
@@ -157,8 +158,8 @@ fn run_cell<M: PrimeModulus>(
     // equal to the planted set, screened ⊆ detected.
     let mut collect_rng = StdRng::seed_from_u64(seed ^ 0xc011ec7);
     let execution = engine
-        .collect(
-            &input,
+        .collect_batch(
+            input,
             &outcomes,
             &NetworkModel::default(),
             1.0,
@@ -166,7 +167,8 @@ fn run_cell<M: PrimeModulus>(
         )
         .unwrap();
     assert_eq!(
-        execution.output, oracle_product,
+        execution.outputs,
+        [oracle_product],
         "screened decode must be bit-identical to the redecode oracle"
     );
     assert_eq!(
@@ -228,17 +230,18 @@ fn all_worker_constant_attack_passes_screen_but_fails_freivalds() {
     let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
 
     let spec = ByzantineSpec::new(0..16, AttackModel::constant());
-    let outcomes = manual_outcomes(&engine, &input, &spec, &[]);
+    let input = std::slice::from_ref(&input);
+    let outcomes = manual_outcomes(&engine, input, &spec, &[]);
     let claims: Vec<(usize, Vec<Fp<P25>>)> = outcomes
         .iter()
-        .map(|o| (o.worker, o.payload.clone()))
+        .map(|o| (o.worker, o.payload[0].clone()))
         .collect();
 
     let screen = DualCodeword::<P25>::new(config);
     let report = screen.screen(&claims, 2, &mut rng).unwrap();
     assert_eq!(report.outcome, ScreenOutcome::Clean);
 
-    let result = engine.collect(&input, &outcomes, &NetworkModel::default(), 1.0, &mut rng);
+    let result = engine.collect_batch(input, &outcomes, &NetworkModel::default(), 1.0, &mut rng);
     assert!(matches!(
         result,
         Err(avcc_core::SchemeFailure::NotEnoughResults { .. })
@@ -267,10 +270,11 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
     )
     .alpha()[victim];
     let spec = ByzantineSpec::new([victim], AttackModel::reverse());
+    let inputs = std::slice::from_ref(&input);
 
     // ν = 1 (worker 3 straggles) and ν = 2 (everyone responds).
     for stragglers in [vec![3], vec![]] {
-        let outcomes = manual_outcomes(&engine, &input, &spec, &stragglers);
+        let outcomes = manual_outcomes(&engine, inputs, &spec, &stragglers);
         assert!(
             outcomes[victim].corrupted,
             "the attack must change the payload"
@@ -289,7 +293,7 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
 
         let claims: Vec<(usize, Vec<Fp<P251>>)> = outcomes
             .iter()
-            .map(|o| (o.worker, o.payload.clone()))
+            .map(|o| (o.worker, o.payload[0].clone()))
             .collect();
         let report = DualCodeword::<P251>::new(config)
             .screen(&claims, 1, &mut StdRng::seed_from_u64(escaping_seed))
@@ -297,8 +301,8 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
         assert_eq!(report.outcome, ScreenOutcome::Clean, "ν = {dual_dim}");
 
         let execution = engine
-            .collect(
-                &input,
+            .collect_batch(
+                inputs,
                 &outcomes,
                 &NetworkModel::default(),
                 1.0,
@@ -308,6 +312,6 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
         assert!(execution.screened_workers.is_empty(), "ν = {dual_dim}");
         assert_eq!(execution.detected_byzantine, vec![victim], "ν = {dual_dim}");
         assert!(!execution.used_workers.contains(&victim));
-        assert_eq!(execution.output, product, "ν = {dual_dim}");
+        assert_eq!(execution.outputs[0], product, "ν = {dual_dim}");
     }
 }

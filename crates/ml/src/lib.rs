@@ -3,8 +3,8 @@
 //! protocol that makes it compatible with coded computing over a finite field.
 //!
 //! * [`dataset`] — a synthetic GISETTE-like binary classification dataset
-//!   (the real GISETTE data is not redistributable here; see DESIGN.md §4 for
-//!   why the substitution preserves the evaluation's behaviour). Features are
+//!   (the real GISETTE data is not redistributable here; see the `avcc-ml`
+//!   entry of ARCHITECTURE.md's *Crate map*). Features are
 //!   non-negative integers bounded like GISETTE pixel counts, so the paper's
 //!   field-size analysis carries over unchanged.
 //! * [`logistic`] — the centralized reference implementation: sigmoid,

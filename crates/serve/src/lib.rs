@@ -10,8 +10,8 @@
 //! * [`JobSpec`]s — full training runs, one-shot coded matrix–vector
 //!   products, or multi-function matmul batches built with
 //!   [`JobSpec::matmul`] that serve `m` inputs over **one** shared encoded
-//!   dataset (one encode, one batched Freivalds pass, `m` decodes through a
-//!   shared Lagrange-basis cache) — submitted to a queue with admission
+//!   dataset (one encode, one batched Freivalds pass, `m` decodes over the
+//!   one Lagrange basis each collect prepares) — submitted to a queue with admission
 //!   control; and
 //! * a [`Scheduler`] — the master loop that multiplexes worker slots across
 //!   jobs and overlaps the stages of *different* jobs: while one job's round

@@ -35,11 +35,11 @@ use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
 use avcc_coding::SchemeConfig;
+use avcc_core::distributed::BatchOutcomes;
 use avcc_core::engines::AvccMatVec;
 use avcc_core::rounds::field_vector_bytes;
 use avcc_core::{
-    BatchRoundTask, DistributedTrainer, MatVecEngine, RoundTask, SchemeFailure, TrainingReport,
-    TrainingRound,
+    BatchRoundTask, DistributedTrainer, MatVecEngine, SchemeFailure, TrainingReport, TrainingRound,
 };
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
@@ -149,7 +149,7 @@ struct TaskMessage<M: PrimeModulus> {
     slot: usize,
     serial: u64,
     worker: usize,
-    payload: Vec<Fp<M>>,
+    payload: Vec<Vec<Fp<M>>>,
     compute_seconds: f64,
 }
 
@@ -172,19 +172,6 @@ enum JobEngine<M: PrimeModulus> {
     },
 }
 
-/// A training round's tasks in the fleet's one task shape: batches of one.
-fn batch_of_one<M: PrimeModulus>(tasks: Vec<RoundTask<M>>) -> Vec<BatchRoundTask<M>> {
-    tasks.into_iter().map(Into::into).collect()
-}
-
-/// Splits a flattened batch payload back into its `functions` per-function
-/// parts (the inverse of the flattening in [`dispatch_round`]).
-fn split_functions<M: PrimeModulus>(payload: &[Fp<M>], functions: usize) -> Vec<Vec<Fp<M>>> {
-    debug_assert_eq!(payload.len() % functions, 0);
-    let part = payload.len() / functions;
-    payload.chunks(part).map(<[Fp<M>]>::to_vec).collect()
-}
-
 /// A job occupying an in-flight slot, with its current round's bookkeeping.
 struct ActiveJob<M: PrimeModulus> {
     id: JobId,
@@ -199,7 +186,7 @@ struct ActiveJob<M: PrimeModulus> {
     /// collect failure).
     needed: usize,
     /// Arrival-ordered results of the current round.
-    outcomes: Vec<WorkerOutcome<Vec<Fp<M>>>>,
+    outcomes: BatchOutcomes<M>,
     round_started_at: Instant,
     admitted_at: Instant,
     metrics: JobMetrics,
@@ -219,9 +206,17 @@ impl<M: PrimeModulus> ActiveJob<M> {
         }
     }
 
-    fn corrupt(&self, worker: usize, payload: &mut [Fp<M>]) -> bool {
+    /// Applies the job's Byzantine corruption to every function of a
+    /// payload, as [`avcc_core::WireRunner`] does.
+    fn corrupt(&self, worker: usize, payload: &mut [Vec<Fp<M>>]) -> bool {
         match &self.engine {
-            JobEngine::Training { trainer, .. } => trainer.byzantine().corrupt(worker, payload),
+            JobEngine::Training { trainer, .. } => {
+                let mut corrupted = false;
+                for part in payload {
+                    corrupted |= trainer.byzantine().corrupt(worker, part);
+                }
+                corrupted
+            }
             JobEngine::MatVecBatch { .. } => false,
         }
     }
@@ -487,7 +482,7 @@ fn start_job<M: PrimeModulus>(pending: PendingJob<M>) -> Result<ActiveJob<M>, Co
                     metrics,
                 });
             }
-            let tasks = batch_of_one(trainer.encode_round1());
+            let tasks = trainer.encode_round1();
             let needed = trainer.round_min_results(TrainingRound::Round1);
             (
                 JobEngine::Training {
@@ -608,8 +603,7 @@ fn run_slot<M: PrimeModulus>(
             return;
         };
         let started = Instant::now();
-        // The m per-function outputs travel as one function-major payload.
-        let payload: Vec<Fp<M>> = next.task.run().into_iter().flatten().collect();
+        let payload = next.task.run();
         if next.sleep > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(next.sleep));
         }
@@ -644,9 +638,8 @@ fn deliver<M: PrimeModulus>(
     }
     let mut payload = message.payload;
     let corrupted = job.corrupt(message.worker, &mut payload);
-    let network_seconds = job
-        .network()
-        .transfer_seconds(field_vector_bytes(payload.len()));
+    let elements = payload.iter().map(Vec::len).sum();
+    let network_seconds = job.network().transfer_seconds(field_vector_bytes(elements));
     let arrival_seconds = job.round_started_at.elapsed().as_secs_f64() + network_seconds;
     job.outcomes.push(WorkerOutcome {
         worker: message.worker,
@@ -699,7 +692,7 @@ fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
         Ok(true) => {
             *round = TrainingRound::Round1;
             job.needed = trainer.round_min_results(TrainingRound::Round1);
-            job.tasks = batch_of_one(trainer.encode_round1());
+            job.tasks = trainer.encode_round1();
             Step::Continue
         }
         Err(failure) => Step::Done(JobOutput::Failed(failure)),
@@ -718,12 +711,11 @@ fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, Sch
             round,
         } => match round {
             TrainingRound::Round1 => {
-                let tasks = trainer.collect_round1(&job.outcomes)?;
+                job.tasks = trainer.collect_round1(&job.outcomes)?;
                 trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
                 job.metrics.rounds += 1;
                 *round = TrainingRound::Round2;
                 job.needed = trainer.round_min_results(TrainingRound::Round2);
-                job.tasks = batch_of_one(tasks);
                 Ok(Step::Continue)
             }
             TrainingRound::Round2 => {
@@ -738,10 +730,9 @@ fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, Sch
                     let finished = std::mem::replace(report, Box::new(TrainingReport::new("", "")));
                     return Ok(Step::Done(JobOutput::Training(finished)));
                 }
-                let tasks = trainer.encode_round1();
+                job.tasks = trainer.encode_round1();
                 *round = TrainingRound::Round1;
                 job.needed = trainer.round_min_results(TrainingRound::Round1);
-                job.tasks = batch_of_one(tasks);
                 Ok(Step::Continue)
             }
         },
@@ -751,18 +742,8 @@ fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, Sch
             rng,
             single,
         } => {
-            // Un-flatten each wire payload back into its m per-function
-            // parts before handing the arrivals to the batched collect.
-            let functions = inputs.len();
-            let outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> = job
-                .outcomes
-                .iter()
-                .map(|outcome| {
-                    (outcome.clone()).map_payload(|payload| split_functions(&payload, functions))
-                })
-                .collect();
             let mut execution =
-                engine.collect_batch(inputs, &outcomes, &NetworkModel::default(), 1.0, rng)?;
+                engine.collect_batch(inputs, &job.outcomes, &NetworkModel::default(), 1.0, rng)?;
             job.metrics.rounds += 1;
             job.metrics.ops = job.metrics.ops.combined(&execution.ops);
             job.metrics.screened_workers += execution.screened_workers.len() as u64;

@@ -3,9 +3,10 @@
 //!
 //! The paper evaluates AVCC on a 13-node DCOMP testbed (one master plus
 //! `N = 12` Minnow workers). That hardware is not available here, so this
-//! crate provides the substitute substrate described in DESIGN.md §4: worker
-//! products are *actually executed* (real finite-field arithmetic, measured with
-//! a monotonic clock) and their completion times are then placed on a virtual
+//! crate provides the substitute substrate of ARCHITECTURE.md's *The round
+//! path* (its executor table): worker products are *actually executed* (real
+//! finite-field arithmetic, measured with a monotonic clock) and their
+//! completion times are then placed on a virtual
 //! timeline according to a [`cluster::ClusterProfile`] — per-worker speed
 //! factors, straggler slowdowns and a network model. What the experiments
 //! depend on (the *order* in which results arrive at the master and the

@@ -17,7 +17,7 @@
 use std::sync::Arc;
 
 use avcc::coding::MdsCode;
-use avcc::core::{BatchRoundTask, RoundTask, WireRunner};
+use avcc::core::{BatchRoundTask, WireRunner};
 use avcc::field::{F25, P25};
 use avcc::linalg::{mat_vec, Matrix};
 use avcc::sim::attack::{AttackModel, ByzantineSpec};
@@ -60,13 +60,9 @@ fn main() {
     // of one). The runner ships the shares once, runs the round, and applies
     // the attack to worker 5's result on arrival.
     let blocks: Vec<_> = shares.iter().map(|s| Arc::new(s.block.clone())).collect();
-    let tasks: Vec<RoundTask<P25>> =
-        BatchRoundTask::for_shares(&blocks, std::slice::from_ref(&input))
-            .into_iter()
-            .map(RoundTask::from)
-            .collect();
+    let tasks = BatchRoundTask::for_shares(&blocks, std::slice::from_ref(&input));
     let outcomes = WireRunner::new()
-        .run_round(&mut executor, 0, &tasks, &byzantine)
+        .run_batch_round(&mut executor, 0, &tasks, &byzantine)
         .expect("the round runs");
 
     // Verify in arrival order, keep the first K verified results.
@@ -75,13 +71,14 @@ fn main() {
         if verified.len() >= partitions {
             break;
         }
-        if keys[outcome.worker].verify(&input, &outcome.payload) {
+        let product = &outcome.payload[0];
+        if keys[outcome.worker].verify(&input, product) {
             println!(
                 "worker {:>2} arrived at {:>7.1} ms: verified",
                 outcome.worker,
                 outcome.arrival_seconds * 1e3
             );
-            verified.push((outcome.worker, outcome.payload.clone()));
+            verified.push((outcome.worker, product.clone()));
         } else {
             println!(
                 "worker {:>2} arrived at {:>7.1} ms: REJECTED (Byzantine)",

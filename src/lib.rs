@@ -16,8 +16,8 @@
 //! * **dynamic coding** that re-balances straggler vs Byzantine tolerance at
 //!   run time.
 //!
-//! This meta-crate re-exports all sub-crates. See `DESIGN.md` for the system
-//! inventory, `EXPERIMENTS.md` for the paper-vs-measured comparison and the
+//! This meta-crate re-exports all sub-crates. See `ARCHITECTURE.md` (its
+//! *Crate map*) for the system inventory, `EXPERIMENTS.md` for the paper-vs-measured comparison and the
 //! `examples/` directory for runnable entry points.
 //!
 //! ## Quickstart

@@ -1,7 +1,7 @@
 //! A round that closes without its stragglers must change nothing but the
 //! time it takes: on a real socket fleet whose worker 0 is eight times slower
 //! than the rest, every product entry point — `serve_distributed`, the
-//! engines' `execute`, `train_distributed` — stops waiting for worker 0 once
+//! engines' `execute_batch`, `train_distributed` — stops waiting for worker 0 once
 //! it can decode, and every output stays bit-identical to its oracle.
 //!
 //! Everything asserted here is timing-independent: values, detected sets and
@@ -217,6 +217,7 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
     let a = random_matrix(18, 6, 1);
     let b = random_matrix(18, 6, 2);
     let x = random_vector(6, 3);
+    let xs = std::slice::from_ref(&x);
     let mut rng = StdRng::seed_from_u64(4);
     // One coded round is all this test has, and everything below is vacuous
     // unless that round closes without worker 0 — so worker 0 sleeps 140 ms:
@@ -226,14 +227,18 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
 
     let coding = SchemeConfig::linear(12, 9, 2, 1).unwrap();
     let mut coded = AvccMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
-    let first = coded.execute(&x, &mut fleet, &quiet, &mut rng).unwrap();
-    assert_eq!(first.output, mat_vec(&a, &x));
+    let first = coded
+        .execute_batch(xs, &mut fleet, &quiet, &mut rng)
+        .unwrap();
+    assert_eq!(first.outputs, [mat_vec(&a, &x)]);
     assert!(first.detected_byzantine.is_empty());
     assert!(first.observed_stragglers.contains(&0));
 
     let mut uncoded = UncodedMatVec::new(&b, 9);
-    let second = uncoded.execute(&x, &mut fleet, &quiet, &mut rng).unwrap();
-    assert_eq!(second.output, mat_vec(&b, &x));
+    let second = uncoded
+        .execute_batch(xs, &mut fleet, &quiet, &mut rng)
+        .unwrap();
+    assert_eq!(second.outputs, [mat_vec(&b, &x)]);
     assert_eq!(second.used_workers.len(), 9, "it waited for worker 0");
 
     let metrics = fleet.metrics();
@@ -241,9 +246,11 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
 
     let mut blocking = Blocking(straggling_fleet_sleeping(0.02));
     let mut coded = AvccMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
-    coded.execute(&x, &mut blocking, &quiet, &mut rng).unwrap();
+    coded
+        .execute_batch(xs, &mut blocking, &quiet, &mut rng)
+        .unwrap();
     uncoded
-        .execute(&x, &mut blocking, &quiet, &mut rng)
+        .execute_batch(xs, &mut blocking, &quiet, &mut rng)
         .unwrap();
     assert!(metrics.frames_sent <= blocking.0.metrics().frames_sent);
 }

@@ -73,7 +73,7 @@ fn make_trainer() -> DistributedTrainer<P25> {
 }
 
 /// Trains over `fleet` through the trainer's staged API, every round through
-/// [`WireRunner::run_round`] — which waits until all twelve workers have
+/// [`WireRunner::run_batch_round`] — which waits until all twelve workers have
 /// answered or been evicted — calling `before` ahead of each iteration.
 fn train_waiting_for_all(
     trainer: &mut DistributedTrainer<P25>,
@@ -88,11 +88,11 @@ fn train_waiting_for_all(
         let round1_tasks = trainer.encode_round1();
         let byzantine = trainer.byzantine().clone();
         let round1 = runner
-            .run_round(fleet, 0, &round1_tasks, &byzantine)
+            .run_batch_round(fleet, 0, &round1_tasks, &byzantine)
             .expect("round 1 over the fleet");
         let round2_tasks = trainer.collect_round1(&round1).expect("collect round 1");
         let round2 = runner
-            .run_round(fleet, 1, &round2_tasks, &byzantine)
+            .run_batch_round(fleet, 1, &round2_tasks, &byzantine)
             .expect("round 2 over the fleet");
         let record = trainer
             .collect_round2(iteration, &round2, &mut cumulative)
