@@ -3,9 +3,10 @@
 //! near-linear cost" discussion (§II-A), plus the `F64` matrix-vs-NTT
 //! comparison: with evaluation points in subgroup position the
 //! `O(K·N)`-per-coordinate encoding matrix collapses to `O(N log N)`
-//! transforms, and `encode_dataset/*`: the whole one-time preprocessing of a
-//! dataset as the engines pay it (`EncodedDataset::encode`, the matrix read
-//! in place).
+//! transforms; `encode_layout/*`: the systematic and the subgroup layout on
+//! either side of the rule `EvaluationPoints::auto` chooses by; and
+//! `encode_dataset/*`: the whole one-time preprocessing of a dataset as the
+//! engines pay it (`EncodedDataset::encode`, the matrix read in place).
 
 use avcc_coding::{EncodedDataset, EvaluationPoints, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F25, F64, P25, P64};
@@ -93,8 +94,43 @@ fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
     group.finish();
 }
 
+/// Both point layouts on a 1920 × 512 Goldilocks matrix at `K = 8`, either
+/// side of `EvaluationPoints::auto`'s rule (ids
+/// `encode_layout/p64_<N>_8/{systematic,subgroup}`): at `N = 12` the
+/// systematic code's 32 parity multiply-adds per coordinate undercut the
+/// transforms' 52, and `auto` picks it; at `N = 16` they are 64 and `auto`
+/// keeps the transforms.
+fn bench_layout_either_side_of_the_rule(c: &mut Criterion) {
+    let mut group = c.benchmark_group("encode_layout");
+    let blocks = f64_blocks(1920, 512, 8, 13);
+    for workers in [12usize, 16] {
+        let config = SchemeConfig::linear(workers, 8, 2, 1).unwrap();
+        let systematic =
+            LagrangeEncoder::<P64>::with_points(config, EvaluationPoints::standard(8, 0, workers));
+        assert!(!systematic.uses_ntt());
+        let subgroup = LagrangeEncoder::<P64>::with_points(
+            config,
+            EvaluationPoints::subgroup(8, 0, workers).unwrap(),
+        );
+        assert!(subgroup.uses_ntt());
+        assert_eq!(
+            LagrangeEncoder::<P64>::new(config).uses_ntt(),
+            workers == 16
+        );
+        for (layout, encoder) in [("systematic", &systematic), ("subgroup", &subgroup)] {
+            group.bench_with_input(
+                BenchmarkId::new(format!("p64_{workers}_8"), layout),
+                &workers,
+                |bencher, _| bencher.iter(|| encoder.encode_deterministic(black_box(&blocks))),
+            );
+        }
+    }
+    group.finish();
+}
+
 /// `EncodedDataset::encode` on the e2e `matmul_batch` job (1920 × 512
-/// Goldilocks, `(N, K) = (12, 8)`: the cache-blocked NTT path), on the same
+/// Goldilocks, `(N, K) = (12, 8)`: the systematic code — eight copied bands
+/// and four chunked parity shares), on the same
 /// shape with a row short of a multiple of `K` (the last band padded), and on
 /// the e2e training set-up (1800 × 256 in the 25-bit field, `(12, 9)`: the
 /// dense path). All three are past the inline threshold, so on a host with
@@ -130,6 +166,7 @@ criterion_group!(
     bench_encoding_by_worker_count,
     bench_private_encoding,
     bench_f64_matrix_vs_ntt_encoding,
+    bench_layout_either_side_of_the_rule,
     bench_dataset_encoding
 );
 criterion_main!(benches);

@@ -69,6 +69,12 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// to be appended is anything copied, and then only the bands that reach
     /// past the last real row.
     ///
+    /// The points are [`crate::EvaluationPoints::auto`]'s, so at `T = 0` a
+    /// code whose parity shares cost fewer multiplies than the transforms is
+    /// systematic — the Goldilocks `(N, K) = (12, 8)` of a bulk matrix job
+    /// among them: shares `0..K` are then copies of the bands and only the
+    /// `N − K` parity shares are computed.
+    ///
     /// A bulk matrix is encoded on every core the host gives this process
     /// (one span of coordinates per core, see [`crate::encoder`]); the pads
     /// are drawn first, on the calling thread, so the shares and the rng's
@@ -256,9 +262,12 @@ mod tests {
         // the bands after it are all padding: 21 rows over K = 8 leave one
         // ragged band (4500-element bands, so the cache-blocked sweep also
         // crosses a chunk inside each), 9 rows leave one ragged and three
-        // empty ones.
+        // empty ones. `(16, 8)` is in subgroup position under
+        // `EvaluationPoints::auto`: its transforms beat the systematic
+        // parity work.
         use avcc_field::{F64, P64};
-        let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+        let config = SchemeConfig::linear(16, 8, 2, 1).unwrap();
+        assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
         for (rows, cols) in [(21usize, 1500usize), (9, 7)] {
             let mut rng = StdRng::seed_from_u64(rows as u64);
             let matrix: Matrix<F64> =
@@ -268,7 +277,7 @@ mod tests {
             assert_eq!(dataset.block_rows(), rows.div_ceil(8));
             assert_eq!(dataset.output_rows(), rows);
             // Any K shares decode; take the last eight.
-            let results: Vec<(usize, Vec<F64>)> = (4..12)
+            let results: Vec<(usize, Vec<F64>)> = (8..16)
                 .map(|worker| (worker, mat_vec(dataset.share(worker), &input)))
                 .collect();
             let blocks = dataset.decoder().unwrap().decode_erasure(&results).unwrap();
@@ -277,6 +286,48 @@ mod tests {
             assert!(output[rows..].iter().all(|&v| v == F64::ZERO), "padding");
             output.truncate(dataset.output_rows());
             assert_eq!(output, mat_vec(&matrix, &input), "{rows} × {cols}");
+        }
+    }
+
+    #[test]
+    fn systematic_shares_are_the_data_bands() {
+        // The Goldilocks `(12, 8)` code at T = 0 is systematic: shares 0..8
+        // are the matrix's row bands bit for bit (the last one zero-padded
+        // when the rows do not divide), and each parity share is
+        // `Σ_j U[j][i]·X_j`, recomputed here one product at a time.
+        use avcc_field::{F64, P64};
+        use rand::RngCore;
+        let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+        let encoder = LagrangeEncoder::<P64>::new(config);
+        assert!(!encoder.uses_ntt());
+        assert!(encoder.points().is_systematic(8));
+        for rows in [1920usize, 1919] {
+            let mut rng = StdRng::seed_from_u64(rows as u64);
+            let matrix: Matrix<F64> =
+                Matrix::from_vec(rows, 512, avcc_field::random_matrix(&mut rng, rows, 512));
+            let mut replay = rng.clone();
+            let dataset = EncodedDataset::<P64>::encode(&matrix, config, &mut rng);
+            assert_eq!(rng.next_u64(), replay.next_u64(), "T = 0 draws nothing");
+            let band = dataset.block_rows() * 512;
+            let mut padded = matrix.data().to_vec();
+            padded.resize(8 * band, F64::ZERO);
+            let bands: Vec<&[F64]> = padded.chunks(band).collect();
+            for (k, &data) in bands.iter().enumerate() {
+                assert_eq!(dataset.share(k).data(), data, "{rows} rows, share {k}");
+            }
+            for worker in 8..12 {
+                let mut expected = vec![F64::ZERO; band];
+                for (row, &data) in encoder.encoding_matrix().iter().zip(&bands) {
+                    for (slot, &value) in expected.iter_mut().zip(data) {
+                        *slot += row[worker] * value;
+                    }
+                }
+                assert_eq!(
+                    dataset.share(worker).data(),
+                    &expected[..],
+                    "{rows} rows, share {worker}"
+                );
+            }
         }
     }
 

@@ -654,8 +654,13 @@ mod tests {
         type NttRound = (Vec<Vec<F64>>, Vec<(usize, Vec<F64>)>, LagrangeDecoder<P64>);
 
         /// A full encode → linear-compute round on the Goldilocks field with
-        /// `N = 16` workers (filling the covering subgroup) and `K = 8`.
+        /// `N = 16` workers (filling the covering subgroup) and `K = 8`, on
+        /// explicit subgroup points for every geometry — `auto` would make a
+        /// `T = 0` code with few parity shares systematic instead.
         fn ntt_round(config: SchemeConfig, seed: u64) -> NttRound {
+            let points =
+                EvaluationPoints::subgroup(config.partitions, config.colluding, config.workers)
+                    .expect("a power-of-two K + T fits the Goldilocks field");
             let mut rng = StdRng::seed_from_u64(seed);
             let rows = 4;
             let cols = 6;
@@ -665,7 +670,7 @@ mod tests {
                 })
                 .collect();
             let w: Vec<F64> = avcc_field::random_vector(&mut rng, cols);
-            let encoder = LagrangeEncoder::<P64>::new(config);
+            let encoder = LagrangeEncoder::<P64>::with_points(config, points.clone());
             assert!(encoder.uses_ntt());
             let shares = if config.colluding == 0 {
                 encoder.encode_deterministic(&blocks)
@@ -677,7 +682,11 @@ mod tests {
                 .iter()
                 .map(|share| (share.worker, mat_vec(&share.block, &w)))
                 .collect();
-            (expected, results, LagrangeDecoder::<P64>::new(config))
+            (
+                expected,
+                results,
+                LagrangeDecoder::<P64>::with_points(config, points),
+            )
         }
 
         #[test]
@@ -724,9 +733,8 @@ mod tests {
 
         #[test]
         fn non_power_of_two_worker_counts_use_the_partial_path() {
-            // N = 12 < 16 never fills the coset, but the points are still in
-            // subgroup position so the tree path applies — and decoding
-            // stays correct.
+            // N = 12 < 16 never fills the coset, but on subgroup points the
+            // tree path still applies — and decoding stays correct.
             let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
             let (expected, results, decoder) = ntt_round(config, 23);
             assert!(decoder.supports_partial_ntt());

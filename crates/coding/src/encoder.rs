@@ -16,16 +16,21 @@
 //! # Encoding paths
 //!
 //! With the default ([`EvaluationPoints::standard`]) points every share is a
-//! `(K+T)`-term linear combination — `O((K+T)·N)` multiply-reduces per
-//! coordinate. When the points are in subgroup position
-//! ([`EvaluationPoints::subgroup`], chosen automatically by
-//! [`EvaluationPoints::auto`] on NTT-friendly fields) the encoder instead
+//! linear combination of the `K+T` sources — `O((K+T)·N)` lazy multiply-adds
+//! per coordinate. At `T = 0` those points are systematic: the first `K`
+//! columns of the encoding matrix are unit vectors, so the first `K` shares
+//! are copies of the data blocks and only the `N − K` parity shares are
+//! computed, `(N − K)·K` multiply-adds per coordinate. When the points are
+//! in subgroup position ([`EvaluationPoints::subgroup`]) the encoder instead
 //! interpolates `u` with one inverse NTT over the β-subgroup (size `K+T`) and
 //! evaluates it at all worker points with one forward NTT over the α-coset
-//! (size `next_pow2(N)`) — `O(N log N)` per coordinate, selected
-//! automatically at construction. Both paths produce the evaluations of the
-//! same degree-`< K+T` polynomial at the same points, so they are
-//! interchangeable share-for-share.
+//! (size `next_pow2(N)`) — `O(N log N)` per coordinate. The path follows the
+//! points, and [`EvaluationPoints::auto`] picks the points whose encode costs
+//! fewer multiplies: on NTT-friendly fields the subgroup layout whenever
+//! `T > 0` or its transforms undercut the systematic parity work (so the
+//! Goldilocks `(N, K) = (12, 8)` code is systematic, `(16, 8)` is not). Both
+//! paths produce the evaluations of the same degree-`< K+T` polynomial at
+//! the points they were given.
 //!
 //! Both paths read the data blocks as plain coordinate slices, wherever they
 //! live: [`LagrangeEncoder::encode`] passes each block matrix's storage,
@@ -55,8 +60,8 @@
 //! multiplications (every small job) there is exactly one, inline. The pads
 //! are drawn before any of this, on the caller's thread, so the rng stream
 //! does not know how many cores the host has. Measured on
-//! `EncodedDataset::encode`, 1920 × 512 Goldilocks, `(N, K) = (12, 8)`, two
-//! cores: 11.7–16.2 ms on one thread, 6.7–7.1 ms on two.
+//! `EncodedDataset::encode`, 1920 × 512 Goldilocks, `(N, K) = (12, 8)` on
+//! subgroup points, two cores: 11.7–16.2 ms on one thread, 6.7–7.1 ms on two.
 
 use avcc_field::{map_spans, random_matrix, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
@@ -67,15 +72,17 @@ use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 
 /// Coordinates carried through both transforms of the NTT encode path at a
-/// time. The working set of a sweep is `next_pow2(N)` lanes of this many
-/// 8-byte elements — 512 KiB at `N ≤ 16` — and has to sit inside a core's L2
-/// for the seven butterfly stages and the scale pass to run out of cache.
+/// time, and through one parity share's accumulator on the dense path. The
+/// working set of an NTT sweep is `next_pow2(N)` lanes of this many 8-byte
+/// elements — 512 KiB at `N ≤ 16` — and has to sit inside a core's L2 for
+/// the seven butterfly stages and the scale pass to run out of cache.
 /// Measured on `EncodedDataset::encode`, 1920 × 512 Goldilocks,
-/// `(N, K) = (12, 8)`, 4 MiB L2: flat at 11.6–12.1 ms from 256 to 4096,
-/// 12.5 ms at 8192, 14.5 ms at 16 384 and 20–21 ms unblocked — so the largest
-/// size of the flat range, which keeps the per-sweep overhead (a lane
-/// permutation and one short loop per butterfly) smallest. A constant, not a
-/// knob: no caller has a reason to pick another value.
+/// `(N, K) = (12, 8)` on subgroup points, 4 MiB L2: flat at 11.6–12.1 ms
+/// from 256 to 4096, 12.5 ms at 8192, 14.5 ms at 16 384 and 20–21 ms
+/// unblocked — so the largest size of the flat range, which keeps the
+/// per-sweep overhead (a lane permutation and one short loop per butterfly)
+/// smallest. A constant, not a knob: no caller has a reason to pick another
+/// value.
 const ENCODE_CHUNK: usize = 4096;
 
 /// A coded data block assigned to one worker.
@@ -104,13 +111,14 @@ struct EncoderNtt<M: PrimeModulus> {
 /// points.
 ///
 /// One sweep body per point layout: the dense linear combination for
-/// arbitrary points, the cache-blocked NTT sweep for points in subgroup
-/// position (see the module docs). Either way the encoder reads its blocks
-/// where they are, draws the `T` pads whole and up front, allocates nothing
-/// full-size but the pads and the `N` shares it returns, and sweeps the
-/// coordinates in one span per available core when there is enough work to
-/// pay for a thread — with shares that are the same element for element
-/// however many spans there were.
+/// arbitrary points (with a copy for every unit column of the encoding
+/// matrix), the cache-blocked NTT sweep for points in subgroup position (see
+/// the module docs). Either way the encoder reads its blocks where they are,
+/// draws the `T` pads whole and up front, allocates nothing full-size but
+/// the pads and the `N` shares it returns, and sweeps the coordinates in one
+/// span per available core when there is enough work to pay for a thread —
+/// with shares that are the same element for element however many spans
+/// there were.
 #[derive(Debug, Clone)]
 pub struct LagrangeEncoder<M: PrimeModulus> {
     config: SchemeConfig,
@@ -129,8 +137,9 @@ pub struct LagrangeEncoder<M: PrimeModulus> {
 impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// Builds the encoder with automatically selected evaluation points
     /// ([`EvaluationPoints::auto`]: subgroup position on NTT-friendly fields
-    /// when `K + T` is a power of two, the standard integer points otherwise)
-    /// and precomputes the encoding matrix.
+    /// when `K + T` is a power of two and the transforms are the cheaper
+    /// encode, the standard integer points — systematic at `T = 0` —
+    /// otherwise).
     pub fn new(config: SchemeConfig) -> Self {
         Self::with_points(
             config,
@@ -304,12 +313,8 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// butterfly networks and the scale pass, or the non-zero entries of the
     /// encoding matrix (a systematic code's first `K` columns have one each).
     fn multiplies_per_coordinate(&self) -> usize {
-        match &self.ntt {
-            Some(ntt) => {
-                let network = |n: usize| n / 2 * n.trailing_zeros() as usize;
-                let (blocks, lanes) = (ntt.interpolate.len(), ntt.evaluate.len());
-                network(blocks) + blocks + network(lanes)
-            }
+        match self.points.ntt_layout() {
+            Some(layout) => layout.multiplies_per_coordinate(),
             None => self
                 .encoding_matrix()
                 .iter()
@@ -322,21 +327,52 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// The `O((K+T)·N)`-per-coordinate path for arbitrary points, over the
     /// coordinates `start..start + len` that `windows` (one per share) cover:
     /// share `i` is the linear combination `Σ_j U[j][i]·source_j`.
+    ///
+    /// A share whose column of `U` is a unit vector — each of the first `K`
+    /// shares of a systematic code — is a copy of its source. The others
+    /// take the coordinates [`ENCODE_CHUNK`] at a time: one chunk-sized
+    /// accumulator absorbs the chunk of every source with a non-zero
+    /// coefficient, two sources per pass, and reduces once per lane into the
+    /// share's window (see [`avcc_field::WideAccumulator`]), so each chunk of
+    /// the sources is read from cache by every parity share in turn. Two
+    /// sources per pass rather than one: `EncodedDataset::encode`, 1920 × 512
+    /// Goldilocks, `(N, K) = (12, 8)`, two cores, 6.7–7.2 → 5.2–6.4 ms.
     fn sweep_dense(&self, sources: &[&[Fp<M>]], start: usize, windows: Vec<&mut [Fp<M>]>) {
         let encoding_matrix = self.encoding_matrix();
+        let len = windows.first().map_or(0, |window| window.len());
+        let sources: Vec<&[Fp<M>]> = sources
+            .iter()
+            .map(|source| &source[start..start + len])
+            .collect();
+        let mut parity = Vec::with_capacity(windows.len());
         for (worker, window) in windows.into_iter().enumerate() {
-            // Lazy reduction across all K+T blocks: the u128 lanes absorb
-            // one product per block and reduce once per lane at the end
-            // (see avcc_field::batch::WideAccumulator).
-            let mut coded = avcc_field::WideAccumulator::<M>::new(window.len());
-            for (row, source) in encoding_matrix.iter().zip(sources) {
-                let coefficient = row[worker];
-                if coefficient == Fp::<M>::ZERO {
-                    continue;
+            let terms: Vec<(Fp<M>, &[Fp<M>])> = encoding_matrix
+                .iter()
+                .zip(&sources)
+                .map(|(row, &source)| (row[worker], source))
+                .filter(|&(coefficient, _)| coefficient != Fp::<M>::ZERO)
+                .collect();
+            match terms[..] {
+                [(coefficient, source)] if coefficient == Fp::<M>::ONE => {
+                    window.copy_from_slice(source)
                 }
-                coded.axpy(coefficient, &source[start..start + window.len()]);
+                _ => parity.push((terms, window)),
             }
-            coded.finish_into(window);
+        }
+        for at in (0..len).step_by(ENCODE_CHUNK) {
+            let end = (at + ENCODE_CHUNK).min(len);
+            for (terms, window) in parity.iter_mut() {
+                let mut coded = avcc_field::WideAccumulator::<M>::new(end - at);
+                let mut pairs = terms.chunks_exact(2);
+                for pair in pairs.by_ref() {
+                    let ((first, a), (second, b)) = (pair[0], pair[1]);
+                    coded.axpy_rows([first, second], [&a[at..end], &b[at..end]]);
+                }
+                if let [(coefficient, source)] = pairs.remainder() {
+                    coded.axpy(*coefficient, &source[at..end]);
+                }
+                coded.finish_into(&mut window[at..end]);
+            }
         }
     }
 
@@ -614,6 +650,15 @@ mod tests {
         (next, last.value())
     }
 
+    /// An encoder for `config` on explicit subgroup points, the NTT path
+    /// whatever [`EvaluationPoints::auto`] would pick for the geometry.
+    fn subgroup_encoder(config: SchemeConfig) -> LagrangeEncoder<avcc_field::P64> {
+        let points =
+            EvaluationPoints::subgroup(config.partitions, config.colluding, config.workers)
+                .expect("a power-of-two K + T fits the Goldilocks field");
+        LagrangeEncoder::with_points(config, points)
+    }
+
     #[test]
     fn shares_do_not_depend_on_how_many_threads_swept_them() {
         // Widths below one chunk, either side of one, two chunks and a ragged
@@ -621,8 +666,10 @@ mod tests {
         // `SPAWN_MIN_WORK` on every configuration here, so on a host with a
         // second core the spans run side by side; on one core (CI pins this
         // test to one with `taskset`) the same body runs inline. Three NTT
-        // geometries, and `K + T = 10`, which is no subgroup order and so
-        // takes the dense path, with pads drawn.
+        // geometries on explicit subgroup points; the systematic `(12, 8)`
+        // Goldilocks code `auto` picks, whose copies and chunked parity
+        // shares meet at every chunk edge; and `K + T = 10`, which is no
+        // subgroup order and so takes the dense path, with pads drawn.
         use avcc_field::P64;
         let widths = [
             1,
@@ -633,11 +680,22 @@ mod tests {
         ];
         for (workers, partitions) in [(12, 8), (16, 8), (11, 4)] {
             let config = SchemeConfig::new(workers, partitions, 1, 1, 0, 1).unwrap();
-            let encoder = LagrangeEncoder::<P64>::new(config);
+            let encoder = subgroup_encoder(config);
             assert!(encoder.uses_ntt());
             for width in widths {
                 check_against_the_encoding_matrix(&encoder, width);
             }
+        }
+        let config = SchemeConfig::new(12, 8, 1, 1, 0, 1).unwrap();
+        let systematic = LagrangeEncoder::<P64>::new(config);
+        assert!(!systematic.uses_ntt() && systematic.points().is_systematic(8));
+        for width in [
+            ENCODE_CHUNK - 1,
+            ENCODE_CHUNK + 1,
+            2 * ENCODE_CHUNK + 7,
+            30 * ENCODE_CHUNK,
+        ] {
+            check_against_the_encoding_matrix(&systematic, width);
         }
         // The rng's next draw after the encode, and the last element of the
         // last share, as the single-threaded parent of this code produced
@@ -691,9 +749,18 @@ mod tests {
 
         #[test]
         fn path_selection_follows_the_geometry() {
-            // Power-of-two K on the Goldilocks field: NTT.
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+            // Power-of-two K + T on the Goldilocks field, transforms cheaper
+            // than the systematic parity shares (64 > 52 multiplies per
+            // coordinate at (16, 8)), or pads drawn: NTT.
+            let config = SchemeConfig::linear(16, 8, 2, 1).unwrap();
             assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
+            let config = SchemeConfig::new(12, 7, 1, 1, 1, 1).unwrap();
+            assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
+            // (12, 8) at T = 0: 32 parity multiply-adds against 52 — the
+            // systematic matrix path, unless subgroup points are asked for.
+            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+            assert!(!LagrangeEncoder::<P64>::new(config).uses_ntt());
+            assert!(subgroup_encoder(config).uses_ntt());
             // Non-power-of-two K: matrix fallback.
             let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
             assert!(!LagrangeEncoder::<P64>::new(config).uses_ntt());
@@ -708,7 +775,7 @@ mod tests {
             // precomputes the (K+T)×N matrix, so recompute every share as the
             // explicit linear combination Σ_j U[j][i]·X_j and compare.
             let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            let encoder = LagrangeEncoder::<P64>::new(config);
+            let encoder = subgroup_encoder(config);
             assert!(encoder.uses_ntt());
             let blocks = f64_blocks(8, 3, 4, 11);
             let shares = encoder.encode_deterministic(&blocks);
@@ -742,7 +809,7 @@ mod tests {
             for (workers, colluding) in [(11, 0), (12, 0), (16, 0), (11, 2), (12, 2), (16, 2)] {
                 let partitions = 8 - colluding;
                 let config = SchemeConfig::new(workers, partitions, 1, 1, colluding, 1).unwrap();
-                let encoder = LagrangeEncoder::<P64>::new(config);
+                let encoder = subgroup_encoder(config);
                 assert!(encoder.uses_ntt());
                 for width in widths {
                     check_against_the_encoding_matrix(&encoder, width);
@@ -755,7 +822,7 @@ mod tests {
             // Interpolating any K shares back to a β-point recovers the block,
             // exactly as in the matrix path — degree < K is preserved.
             let config = SchemeConfig::linear(11, 8, 2, 1).unwrap();
-            let encoder = LagrangeEncoder::<P64>::new(config);
+            let encoder = subgroup_encoder(config);
             assert!(encoder.uses_ntt());
             let blocks = f64_blocks(8, 2, 3, 12);
             let shares = encoder.encode_deterministic(&blocks);

@@ -42,9 +42,9 @@
 //!
 //! | Path | Cost per coordinate | Requires | Chosen when |
 //! |---|---|---|---|
-//! | Lagrange matrix | `O((K+T)·N)` encode, `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | points not in subgroup position (`P25`: `train_*`, `serve_mixed`); also the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`] |
-//! | NTT (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors) | all conditions hold |
-//! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position (`P64`: `matmul_batch`) |
+//! | Lagrange matrix | `O((K+T)·N)` encode — `(N−K)·K` at `T = 0`, where the first `K` shares are copies — and `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | points not in subgroup position (`P25`: `train_*`, `serve_mixed`; the systematic `P64` `(12, 8)` code of `matmul_batch`); also the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`] |
+//! | NTT (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors) | all conditions hold; `auto` places the points there when `T > 0` or the transforms are cheaper than the systematic parity shares |
+//! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position |
 //! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; `O(R²)` dual weights + Horner `Q`-evaluation per screen on any layout | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
 //!
 //! The β-points (interpolation) sit in an order-`(K+T)` multiplicative

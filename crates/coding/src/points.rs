@@ -13,7 +13,9 @@
 //!
 //! * [`EvaluationPoints::standard`] — consecutive integers, works in every
 //!   field, systematic when `T = 0`. Encoding/decoding go through the
-//!   `O(N·K)`-per-coordinate Lagrange matrix.
+//!   `O(N·K)`-per-coordinate Lagrange matrix; on a systematic layout the
+//!   first `K` shares are copies of the data blocks, so an encode costs the
+//!   `(N − K)·K` multiply-adds of the parity shares per coordinate.
 //! * [`EvaluationPoints::subgroup`] — for NTT-friendly fields
 //!   ([`avcc_field::NttModulus`]) with `K + T` a power of two: the β-points
 //!   are the order-`K+T` subgroup `H = ⟨ω⟩` and the α-points are the first
@@ -22,7 +24,17 @@
 //!   multiplicative group). `g` has order `q − 1`, which no power-of-two
 //!   subgroup order divides, so the coset never intersects `H'` — the layout
 //!   is automatically disjoint (never systematic), and encoding/decoding
-//!   collapse to `O(N log N)` NTTs (see `encoder`/`decoder`).
+//!   collapse to `O(N log N)` NTTs (see `encoder`/`decoder`): per coordinate
+//!   `B/2·log₂B + B + A/2·log₂A` multiplies, with `B = K + T` and
+//!   `A = next_pow2(max(N, B))` — two butterfly networks and a scale pass.
+//!
+//! [`EvaluationPoints::auto`] picks between them by those two counts: the
+//! subgroup layout whenever it fits and `T > 0`, and at `T = 0` only when its
+//! transforms are strictly cheaper than the systematic parity work. At the
+//! Goldilocks `(N, K) = (12, 8)` of a bulk matrix job that is 32 against 52,
+//! so the layout is systematic; at `(16, 8)` it is 64 against 52, and at
+//! `(2K, K ≥ 64)` the transforms are far cheaper still, so both stay in
+//! subgroup position.
 
 use avcc_field::{Fp, NttModulus, PrimeModulus};
 use avcc_poly::root_of_unity;
@@ -38,6 +50,17 @@ pub struct SubgroupLayout<M: PrimeModulus> {
     /// The coset shift `g` (a generator of the full multiplicative group):
     /// `α_i = g·ω_A^i`.
     pub shift: Fp<M>,
+}
+
+impl<M: PrimeModulus> SubgroupLayout<M> {
+    /// Field multiplications one coordinate of an encode costs in this
+    /// layout: the inverse network over the `B` β-points, its folded scale
+    /// pass, and the forward network over the `A` α-coset points —
+    /// `B/2·log₂B + B + A/2·log₂A`.
+    pub(crate) fn multiplies_per_coordinate(&self) -> usize {
+        let network = |log: u32| (1usize << log) / 2 * log as usize;
+        network(self.log_blocks) + (1 << self.log_blocks) + network(self.log_workers)
+    }
 }
 
 /// The β (interpolation) and α (worker) evaluation points of a Lagrange code.
@@ -107,13 +130,29 @@ impl<M: PrimeModulus> EvaluationPoints<M> {
         Self::subgroup_position(partitions, colluding, workers)
     }
 
-    /// Chooses the subgroup layout when the modulus declares NTT support and
-    /// the geometry fits, and the [`EvaluationPoints::standard`] layout
-    /// otherwise. Deterministic for a given `(K, T, N, M)`, so encoders and
-    /// decoders built independently from the same scheme configuration agree
-    /// on the points.
+    /// Chooses the layout with the cheaper encode. The subgroup layout is
+    /// taken when the modulus declares NTT support, the geometry fits, and
+    /// either
+    ///
+    /// * `T > 0` — no layout may be systematic then (privacy), so there is
+    ///   no copy to save; or
+    /// * `T = 0` and its `B/2·log₂B + B + A/2·log₂A` multiplies per
+    ///   coordinate (`B = K`, `A = next_pow2(max(N, B))`) are fewer than the
+    ///   `(N − K)·K` multiply-adds of the systematic code's parity shares.
+    ///
+    /// Otherwise it is the [`EvaluationPoints::standard`] layout, systematic
+    /// at `T = 0`. Deterministic for a given `(K, T, N, M)`, so encoders,
+    /// decoders and screens built independently from the same scheme
+    /// configuration agree on the points.
     pub fn auto(partitions: usize, colluding: usize, workers: usize) -> Self {
+        let parity_work = workers.saturating_sub(partitions) * partitions;
         Self::subgroup_position(partitions, colluding, workers)
+            .filter(|points| {
+                colluding > 0
+                    || points
+                        .ntt_layout()
+                        .is_some_and(|layout| layout.multiplies_per_coordinate() < parity_work)
+            })
             .unwrap_or_else(|| Self::standard(partitions, colluding, workers))
     }
 
@@ -276,17 +315,56 @@ mod tests {
 
     #[test]
     fn auto_prefers_subgroup_only_on_ntt_fields() {
-        // P64 with a power-of-two K+T: subgroup position.
-        let on_ntt_field = EvaluationPoints::<P64>::auto(8, 0, 12);
+        // P64 with a power-of-two K+T and pads: subgroup position.
+        let on_ntt_field = EvaluationPoints::<P64>::auto(7, 1, 12);
         assert!(on_ntt_field.ntt_layout().is_some());
         // Same geometry on P25 (two-adicity undeclared): standard.
-        let on_plain_field = EvaluationPoints::<P25>::auto(8, 0, 12);
+        let on_plain_field = EvaluationPoints::<P25>::auto(7, 1, 12);
         assert!(on_plain_field.ntt_layout().is_none());
-        assert!(on_plain_field.is_systematic(8));
+        assert!(on_plain_field.disjoint());
         // Non-power-of-two K+T on P64: standard fallback.
         let fallback = EvaluationPoints::<P64>::auto(9, 0, 12);
         assert!(fallback.ntt_layout().is_none());
         assert!(fallback.is_systematic(9));
+    }
+
+    #[test]
+    fn auto_picks_the_cheaper_encode_at_t_zero() {
+        // (12, 8): 4·8 = 32 parity multiply-adds against 4·3 + 8 + 8·4 = 52
+        // transform multiplies per coordinate — systematic.
+        let systematic = EvaluationPoints::<P64>::auto(8, 0, 12);
+        assert!(systematic.ntt_layout().is_none());
+        assert!(systematic.is_systematic(8));
+        assert_eq!(systematic, EvaluationPoints::standard(8, 0, 12));
+        // (16, 8): 8·8 = 64 against the same 52 — subgroup.
+        let wide = EvaluationPoints::<P64>::auto(8, 0, 16);
+        assert!(wide.ntt_layout().is_some());
+        assert_eq!(Some(wide), EvaluationPoints::subgroup(8, 0, 16));
+        // T = 1: never systematic, so the transforms stay.
+        let private = EvaluationPoints::<P64>::auto(7, 1, 12);
+        assert!(private.ntt_layout().is_some());
+        assert_eq!(Some(private), EvaluationPoints::subgroup(7, 1, 12));
+        // The 25-bit field declares no two-adicity: standard either way.
+        for (partitions, colluding, workers) in [(8, 0, 12), (8, 0, 16), (7, 1, 12)] {
+            let points = EvaluationPoints::<P25>::auto(partitions, colluding, workers);
+            assert!(points.ntt_layout().is_none());
+            assert_eq!(
+                points,
+                EvaluationPoints::standard(partitions, colluding, workers)
+            );
+        }
+        // The counts the rule compares, at the geometries above.
+        let count = |k, t, n| {
+            EvaluationPoints::<P64>::subgroup(k, t, n)
+                .unwrap()
+                .ntt_layout()
+                .unwrap()
+                .multiplies_per_coordinate()
+        };
+        assert_eq!(
+            (count(8, 0, 12), count(8, 0, 16), count(64, 0, 128)),
+            (52, 52, 704)
+        );
     }
 
     proptest! {

@@ -503,6 +503,44 @@ mod tests {
     }
 
     #[test]
+    fn reverse_value_liars_are_caught_on_the_systematic_goldilocks_code() {
+        // The bulk matrix job's code: Goldilocks, (N, K, S, M) = (12, 8, 2, 1)
+        // at T = 0, whose shares 0..8 are the data bands themselves. A liar
+        // holding a copied band and one holding a parity share must both be
+        // rejected, and the product decoded exactly either way.
+        use avcc_field::{F64, P64};
+        let mut rng = StdRng::seed_from_u64(60);
+        let matrix = Matrix::from_vec(40, 6, avcc_field::random_matrix(&mut rng, 40, 6));
+        let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
+        let expected = vec![mat_vec(&matrix, &input)];
+        let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+        let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+        let encoder = avcc_coding::LagrangeEncoder::<P64>::new(config);
+        assert!(!encoder.uses_ntt() && encoder.points().is_systematic(8));
+        assert_eq!(engine.dataset().share(3).data(), &matrix.data()[90..120]);
+        for liar in [3, 10] {
+            // Every honest worker slowed down, so the liar is among the
+            // arrivals the master verifies.
+            let honest: Vec<usize> = (0..12).filter(|&w| w != liar).collect();
+            let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
+            let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+            let byzantine = ByzantineSpec::new([liar], AttackModel::reverse());
+            let mut round_rng = StdRng::seed_from_u64(61 + liar as u64);
+            let round = engine
+                .execute_batch(
+                    std::slice::from_ref(&input),
+                    &mut executor,
+                    &byzantine,
+                    &mut round_rng,
+                )
+                .unwrap();
+            assert_eq!(round.outputs, expected, "liar {liar}");
+            assert_eq!(round.detected_byzantine, vec![liar]);
+            assert!(!round.used_workers.contains(&liar));
+        }
+    }
+
+    #[test]
     fn stragglers_are_not_waited_for() {
         let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 8);

@@ -380,11 +380,14 @@ mod tests {
 
     #[test]
     fn avcc_experiment_runs_on_subgroup_points() {
-        // K = 8 with 12 workers on F64: the encoder takes the NTT fast path
-        // (power-of-two K), training must converge identically through it.
+        // K = 7 and T = 1 with 12 workers on F64: the encoder takes the NTT
+        // fast path (power-of-two K + T, and pads rule out the systematic
+        // layout), training must converge identically through it.
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
         let mut config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
-        config.partitions = 8;
+        config.partitions = 7;
+        config.colluding = 1;
+        assert!(avcc_coding::LagrangeEncoder::<P64>::new(config.coding()).uses_ntt());
         let report = run_under_attack::<P64>(&config);
         assert_eq!(report.len(), 5);
     }
