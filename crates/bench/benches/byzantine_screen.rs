@@ -20,8 +20,8 @@ use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criteri
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-/// Identity-map worker results for an NTT-friendly `(N, K)` code with the
-/// listed workers corrupted (values reversed), so the bench times only the
+/// Identity-map worker results for a systematic Goldilocks `(N, K)` code with
+/// the listed workers corrupted (values reversed), so the bench times only the
 /// screening / redecoding cost.
 fn corrupted_results(
     config: SchemeConfig,
@@ -36,7 +36,7 @@ fn corrupted_results(
     );
     let blocks = matrix.split_rows(config.partitions);
     let encoder = LagrangeEncoder::<P64>::new(config);
-    assert!(encoder.uses_ntt());
+    assert!(encoder.points().is_systematic(config.partitions));
     let shares = encoder.encode_deterministic(&blocks);
     let mut results: Vec<(usize, Vec<F64>)> = shares
         .iter()

@@ -1,12 +1,9 @@
 //! Decoding benchmarks: AVCC's erasure decoding versus LCC's error-correcting
 //! (Berlekamp–Welch) decoding — the master-side cost asymmetry behind Fig. 4
-//! and behind AVCC's ability to start decoding early — plus the
-//! straggler-decode pairs (`decode_straggler/k<K>_miss<m>/{dense,tree}`):
-//! the subproduct-tree path against the dense Lagrange combination on the
-//! same subgroup-position survivors.
+//! and behind AVCC's ability to start decoding early.
 
 use avcc_coding::{LagrangeDecoder, LagrangeEncoder, SchemeConfig};
-use avcc_field::{F25, F64, P25, P64};
+use avcc_field::{F25, P25};
 use avcc_linalg::{mat_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -59,66 +56,9 @@ fn bench_error_correcting_decoding(c: &mut Criterion) {
     group.finish();
 }
 
-/// Straggler decoding on the Goldilocks field: the dense Lagrange
-/// combination against the subproduct-tree partial path on identical
-/// subgroup-position inputs with 1–4 workers missing. Both paths build
-/// their basis inside the timed call, as a round does.
-fn bench_straggler_decoding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode_straggler");
-    for &(partitions, workers) in &[(64usize, 128usize), (128, 256)] {
-        let width = 128usize;
-        let mut rng = StdRng::seed_from_u64(30);
-        let matrix = Matrix::from_vec(
-            partitions,
-            width,
-            avcc_field::random_matrix(&mut rng, partitions, width),
-        );
-        let blocks = matrix.split_rows(partitions);
-        let config = SchemeConfig::linear(workers, partitions, 4, 1).unwrap();
-        let encoder = LagrangeEncoder::<P64>::new(config);
-        assert!(encoder.uses_ntt());
-        let shares = encoder.encode_deterministic(&blocks);
-        // Workers apply the identity map: results are the share rows
-        // themselves, which keeps the bench focused on decoding cost.
-        let results: Vec<(usize, Vec<F64>)> = shares
-            .iter()
-            .map(|share| (share.worker, share.block.data().to_vec()))
-            .collect();
-        let decoder = LagrangeDecoder::<P64>::new(config);
-        assert!(decoder.supports_partial_ntt());
-        for &missing in &[1usize, 4] {
-            let partial: Vec<(usize, Vec<F64>)> = results[missing..].to_vec();
-            // Same survivor subset through both paths; outputs must be
-            // bit-identical before we time anything.
-            assert_eq!(
-                decoder.decode_erasure(&partial).unwrap(),
-                decoder.decode_erasure_lagrange(&partial).unwrap()
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("k{partitions}_miss{missing}"), "dense"),
-                &missing,
-                |bencher, _| {
-                    bencher.iter(|| {
-                        decoder
-                            .decode_erasure_lagrange(black_box(&partial))
-                            .unwrap()
-                    })
-                },
-            );
-            group.bench_with_input(
-                BenchmarkId::new(format!("k{partitions}_miss{missing}"), "tree"),
-                &missing,
-                |bencher, _| bencher.iter(|| decoder.decode_erasure(black_box(&partial)).unwrap()),
-            );
-        }
-    }
-    group.finish();
-}
-
 criterion_group!(
     benches,
     bench_erasure_decoding,
-    bench_error_correcting_decoding,
-    bench_straggler_decoding
+    bench_error_correcting_decoding
 );
 criterion_main!(benches);

@@ -1,14 +1,11 @@
 //! Encoding benchmarks: MDS/Lagrange encoding cost as a function of the data
 //! size and the worker count, backing the paper's "encoding is a one-time,
-//! near-linear cost" discussion (§II-A), plus the `F64` matrix-vs-NTT
-//! comparison: with evaluation points in subgroup position the
-//! `O(K·N)`-per-coordinate encoding matrix collapses to `O(N log N)`
-//! transforms; `encode_layout/*`: the systematic and the subgroup layout on
-//! either side of the rule `EvaluationPoints::auto` chooses by; and
-//! `encode_dataset/*`: the whole one-time preprocessing of a dataset as the
-//! engines pay it (`EncodedDataset::encode`, the matrix read in place).
+//! near-linear cost" discussion (§II-A), plus the systematic `F64` encode at
+//! large `K` (`encode_f64/*`) and `encode_dataset/*`: the whole one-time
+//! preprocessing of a dataset as the engines pay it
+//! (`EncodedDataset::encode`, the matrix read in place).
 
-use avcc_coding::{EncodedDataset, EvaluationPoints, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{EncodedDataset, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F25, F64, P25, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -54,6 +51,7 @@ fn bench_private_encoding(c: &mut Criterion) {
     let blocks = data_blocks(450, 63, 9, 3);
     let config = SchemeConfig::new(14, 9, 1, 1, 2, 1).unwrap();
     let encoder = LagrangeEncoder::<P25>::new(config);
+    assert!(encoder.points().disjoint());
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("encode/private_t2", |bencher| {
         bencher.iter(|| encoder.encode(black_box(&blocks), &mut rng))
@@ -66,64 +64,21 @@ fn f64_blocks(rows: usize, cols: usize, partitions: usize, seed: u64) -> Vec<Mat
     matrix.split_rows(partitions)
 }
 
-/// Matrix-path vs NTT-path encoding on the Goldilocks field (ids
-/// `encode_f64/k<K>/{matrix,ntt}`).
-fn bench_f64_matrix_vs_ntt_encoding(c: &mut Criterion) {
+/// The systematic encode on the Goldilocks field at `N = 2K` (ids
+/// `encode_f64/k<K>/matrix`): `K` copied blocks and `K·K` parity
+/// multiply-adds per coordinate.
+fn bench_f64_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_f64");
     for &(partitions, workers, block_rows) in &[(64usize, 128usize, 4usize), (128, 256, 2)] {
         let blocks = f64_blocks(partitions * block_rows, 32, partitions, 10);
         let config = SchemeConfig::linear(workers, partitions, 2, 1).unwrap();
-        let standard = LagrangeEncoder::<P64>::with_points(
-            config,
-            EvaluationPoints::standard(partitions, 0, workers),
-        );
-        assert!(!standard.uses_ntt());
-        let subgroup = LagrangeEncoder::<P64>::new(config);
-        assert!(subgroup.uses_ntt());
+        let encoder = LagrangeEncoder::<P64>::new(config);
+        assert!(encoder.points().is_systematic(partitions));
         group.bench_with_input(
             BenchmarkId::new(format!("k{partitions}"), "matrix"),
             &partitions,
-            |bencher, _| bencher.iter(|| standard.encode_deterministic(black_box(&blocks))),
+            |bencher, _| bencher.iter(|| encoder.encode_deterministic(black_box(&blocks))),
         );
-        group.bench_with_input(
-            BenchmarkId::new(format!("k{partitions}"), "ntt"),
-            &partitions,
-            |bencher, _| bencher.iter(|| subgroup.encode_deterministic(black_box(&blocks))),
-        );
-    }
-    group.finish();
-}
-
-/// Both point layouts on a 1920 × 512 Goldilocks matrix at `K = 8`, either
-/// side of `EvaluationPoints::auto`'s rule (ids
-/// `encode_layout/p64_<N>_8/{systematic,subgroup}`): at `N = 12` the
-/// systematic code's 32 parity multiply-adds per coordinate undercut the
-/// transforms' 52, and `auto` picks it; at `N = 16` they are 64 and `auto`
-/// keeps the transforms.
-fn bench_layout_either_side_of_the_rule(c: &mut Criterion) {
-    let mut group = c.benchmark_group("encode_layout");
-    let blocks = f64_blocks(1920, 512, 8, 13);
-    for workers in [12usize, 16] {
-        let config = SchemeConfig::linear(workers, 8, 2, 1).unwrap();
-        let systematic =
-            LagrangeEncoder::<P64>::with_points(config, EvaluationPoints::standard(8, 0, workers));
-        assert!(!systematic.uses_ntt());
-        let subgroup = LagrangeEncoder::<P64>::with_points(
-            config,
-            EvaluationPoints::subgroup(8, 0, workers).unwrap(),
-        );
-        assert!(subgroup.uses_ntt());
-        assert_eq!(
-            LagrangeEncoder::<P64>::new(config).uses_ntt(),
-            workers == 16
-        );
-        for (layout, encoder) in [("systematic", &systematic), ("subgroup", &subgroup)] {
-            group.bench_with_input(
-                BenchmarkId::new(format!("p64_{workers}_8"), layout),
-                &workers,
-                |bencher, _| bencher.iter(|| encoder.encode_deterministic(black_box(&blocks))),
-            );
-        }
     }
     group.finish();
 }
@@ -165,8 +120,7 @@ criterion_group!(
     bench_mds_encoding_by_size,
     bench_encoding_by_worker_count,
     bench_private_encoding,
-    bench_f64_matrix_vs_ntt_encoding,
-    bench_layout_either_side_of_the_rule,
+    bench_f64_encoding,
     bench_dataset_encoding
 );
 criterion_main!(benches);

@@ -257,8 +257,8 @@ fn batch_inverse_per_product<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
 ///
 /// On `p251` the baseline is Barrett (`barrett` vs `montgomery`); the `p64`
 /// pair (`fold` vs `montgomery`) tracks REDC against the Goldilocks ε-fold,
-/// the trade the NTT butterflies make — the one that shows end to end
-/// (`matmul_batch`, see ARCHITECTURE.md).
+/// the trade P64's Fermat inversions and power series make (see
+/// ARCHITECTURE.md).
 fn bench_montgomery_chains(c: &mut Criterion) {
     fn run_pow<M: PrimeModulus>(c: &mut Criterion, field_name: &str, baseline: &str, seed: u64) {
         let mut rng = StdRng::seed_from_u64(seed);

@@ -69,11 +69,10 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// to be appended is anything copied, and then only the bands that reach
     /// past the last real row.
     ///
-    /// The points are [`crate::EvaluationPoints::auto`]'s, so at `T = 0` a
-    /// code whose parity shares cost fewer multiplies than the transforms is
-    /// systematic — the Goldilocks `(N, K) = (12, 8)` of a bulk matrix job
-    /// among them: shares `0..K` are then copies of the bands and only the
-    /// `N − K` parity shares are computed.
+    /// The points are [`crate::EvaluationPoints::standard`], so at `T = 0`
+    /// the code is systematic — the Goldilocks `(N, K) = (12, 8)` of a bulk
+    /// matrix job among them: shares `0..K` are copies of the bands and only
+    /// the `N − K` parity shares are computed.
     ///
     /// A bulk matrix is encoded on every core the host gives this process
     /// (one span of coordinates per core, see [`crate::encoder`]); the pads
@@ -257,17 +256,17 @@ mod tests {
     }
 
     #[test]
-    fn indivisible_rows_on_the_ntt_path_decode_exactly_and_trim() {
+    fn indivisible_rows_on_goldilocks_decode_exactly_and_trim() {
         // Read in place, the last real rows share a band with zero rows and
         // the bands after it are all padding: 21 rows over K = 8 leave one
-        // ragged band (4500-element bands, so the cache-blocked sweep also
+        // ragged band (4500-element bands, so the chunked parity sweep also
         // crosses a chunk inside each), 9 rows leave one ragged and three
-        // empty ones. `(16, 8)` is in subgroup position under
-        // `EvaluationPoints::auto`: its transforms beat the systematic
-        // parity work.
+        // empty ones. The last eight shares decoded below are all parity.
         use avcc_field::{F64, P64};
         let config = SchemeConfig::linear(16, 8, 2, 1).unwrap();
-        assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
+        assert!(LagrangeEncoder::<P64>::new(config)
+            .points()
+            .is_systematic(8));
         for (rows, cols) in [(21usize, 1500usize), (9, 7)] {
             let mut rng = StdRng::seed_from_u64(rows as u64);
             let matrix: Matrix<F64> =
@@ -299,7 +298,6 @@ mod tests {
         use rand::RngCore;
         let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
         let encoder = LagrangeEncoder::<P64>::new(config);
-        assert!(!encoder.uses_ntt());
         assert!(encoder.points().is_systematic(8));
         for rows in [1920usize, 1919] {
             let mut rng = StdRng::seed_from_u64(rows as u64);
@@ -335,9 +333,9 @@ mod tests {
     fn private_encode_draws_what_it_always_drew() {
         // Every seeded oracle downstream depends on the rng stream: with
         // T = 2 the encode draws two whole pads up front and nothing else.
-        // Both values were recorded on the whole-lane encoder this one
-        // replaced (commit ab57d73): the next draw after the encode, and a
-        // fold over every share element.
+        // The next draw after the encode was recorded on the whole-lane
+        // encoder this one replaced (commit ab57d73). The fold over every
+        // share element pins the shares on the standard points.
         use avcc_field::{F64, P64};
         use rand::RngCore;
         let config = SchemeConfig::new(12, 6, 1, 1, 2, 1).unwrap();
@@ -352,7 +350,7 @@ mod tests {
             .flat_map(|share| share.data())
             .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.value());
         assert_eq!(rng.next_u64(), 0x1a01_7658_6574_6513);
-        assert_eq!(fold, 0x38fd_cb41_336b_bf67);
+        assert_eq!(fold, 0x8036_9b26_9965_6db6);
     }
 
     #[test]

@@ -18,34 +18,24 @@
 //!   worker's vector (a corrupted vector produces a wrong fingerprint with
 //!   probability at least `1 − deg/q`), then erasure-decodes from the
 //!   remaining workers. The located workers are reported so the caller can
-//!   mark them Byzantine. An exhaustive per-coordinate Berlekamp–Welch
-//!   fallback is used if the fingerprint pass fails to produce a consistent
-//!   codeword.
+//!   mark them Byzantine. There is one such pass and no other locator: when
+//!   the fingerprints admit no codeword within the error budget, or too few
+//!   workers are left once the located ones are dropped, the decode fails
+//!   with [`DecodeError::TooManyErrors`]. The located set is not re-checked
+//!   against the full vectors.
 //!
 //! Erasure decoding is *prepare once, apply many*: everything that depends
 //! only on **which** workers supplied results — not on the values they
 //! returned — is built by [`LagrangeDecoder::prepare`] into a
 //! [`PreparedDecode`], which is then applied to any number of result sets
 //! from those workers (the `m` functions of a batched round share one
-//! prepare). The decoder itself holds no state between calls. Which of the
-//! two bases `prepare` builds follows from one observable property, the
-//! point layout:
-//!
-//! * **Points in subgroup position** (NTT-friendly field, see
-//!   [`crate::points::EvaluationPoints::subgroup`]): interpolate `f(u)` from
-//!   the survivor α-subset with a subproduct tree
-//!   ([`avcc_poly::TreeInterpolator`], `O(R log² R)` per coordinate), fold
-//!   the coefficients modulo `z^B − 1` and forward-NTT to the β-points.
-//! * **Any other points**: the dense Lagrange combination, `O(K·R)` per
-//!   coordinate.
-//!
-//! The dense combination also stays reachable on subgroup points as
-//! [`LagrangeDecoder::decode_erasure_lagrange`], the correctness oracle —
-//! both paths are bit-identical on every input (exact field arithmetic),
-//! which the tests assert directly.
+//! prepare). The decoder itself holds no state between calls. The basis is
+//! the dense Lagrange combination, `O(K·R)` per coordinate: a worker sitting
+//! exactly on a β-point (a systematic share) hands its vector through, every
+//! other output block is one combination of the first threshold lanes.
 
 use avcc_field::{dot, random_vector, Fp, PrimeModulus};
-use avcc_poly::{BerlekampWelch, LagrangeBasis, NttPlan, RsDecodeError, TreeInterpolator};
+use avcc_poly::{BerlekampWelch, LagrangeBasis, RsDecodeError};
 use rand::Rng;
 
 use crate::points::EvaluationPoints;
@@ -114,26 +104,14 @@ pub type DecodedWithErrors<M> = (Vec<Vec<Fp<M>>>, Vec<usize>);
 pub struct LagrangeDecoder<M: PrimeModulus> {
     config: SchemeConfig,
     points: EvaluationPoints<M>,
-    /// Forward transform over the β-subgroup (size `K + T`): folded
-    /// coefficients → outputs at the β-points. `None` → points not in
-    /// subgroup position, always the dense Lagrange path.
-    evaluate: Option<NttPlan<M>>,
 }
 
-/// What a decode needs beyond the result values: the basis for one survivor
-/// set, built by [`LagrangeDecoder::prepare`].
+/// What a decode needs beyond the result values, built by
+/// [`LagrangeDecoder::prepare`] for one survivor set: systematic hits plus
+/// one Lagrange coefficient row per interpolated block, in the order the
+/// workers were supplied.
 #[derive(Debug)]
-enum Basis<M: PrimeModulus> {
-    /// Dense Lagrange combination rows.
-    Dense(DenseBasis<M>),
-    /// Subproduct-tree interpolator over the survivor α-points.
-    Tree(TreeInterpolator<M>),
-}
-
-/// The dense path's shape: systematic hits plus one Lagrange coefficient row
-/// per interpolated block, in the order the workers were supplied.
-#[derive(Debug)]
-struct DenseBasis<M: PrimeModulus> {
+struct Basis<M: PrimeModulus> {
     /// For each data block `k`: the position of a worker sitting exactly on
     /// `β_k` (its vector *is* the output), if any.
     systematic: Vec<Option<usize>>,
@@ -153,48 +131,14 @@ pub struct PreparedDecode<'a, M: PrimeModulus> {
 }
 
 impl<M: PrimeModulus> LagrangeDecoder<M> {
-    /// Creates a decoder using the automatically selected evaluation points
-    /// for `config` — [`EvaluationPoints::auto`] is deterministic, so this
-    /// matches the points an independently constructed
-    /// [`crate::encoder::LagrangeEncoder`] picks.
+    /// Creates a decoder on [`EvaluationPoints::standard`] points — the
+    /// points an independently constructed
+    /// [`crate::encoder::LagrangeEncoder`] uses for the same `config`.
     pub fn new(config: SchemeConfig) -> Self {
-        Self::with_points(
-            config,
-            EvaluationPoints::<M>::auto(config.partitions, config.colluding, config.workers),
-        )
-    }
-
-    /// Creates a decoder on explicitly chosen evaluation points (must match
-    /// the encoder's).
-    ///
-    /// # Panics
-    /// Panics if the point counts disagree with the configuration.
-    pub fn with_points(config: SchemeConfig, points: EvaluationPoints<M>) -> Self {
-        assert_eq!(
-            points.beta().len(),
-            config.partitions + config.colluding,
-            "need one β-point per data block and pad"
-        );
-        assert_eq!(
-            points.alpha().len(),
-            config.workers,
-            "need one α-point per worker"
-        );
-        let evaluate = points
-            .ntt_layout()
-            .map(|layout| NttPlan::new(layout.log_blocks));
         LagrangeDecoder {
             config,
-            points,
-            evaluate,
+            points: EvaluationPoints::standard(config.partitions, config.colluding, config.workers),
         }
-    }
-
-    /// `true` iff erasure decoding takes the `O(R log² R)` subproduct-tree
-    /// path (points in subgroup position — the β-side forward NTT is what
-    /// the fold needs); otherwise it is the dense Lagrange combination.
-    pub fn supports_partial_ntt(&self) -> bool {
-        self.evaluate.is_some()
     }
 
     /// The scheme configuration.
@@ -212,29 +156,16 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
     /// threshold of them are used). The returned [`PreparedDecode`] decodes
     /// any number of result sets from exactly these workers.
     pub fn prepare(&self, workers: &[usize]) -> Result<PreparedDecode<'_, M>, DecodeError> {
-        self.prepare_on(workers, self.evaluate.is_some())
-    }
-
-    fn prepare_on(
-        &self,
-        workers: &[usize],
-        tree: bool,
-    ) -> Result<PreparedDecode<'_, M>, DecodeError> {
         let threshold = self.recovery_threshold();
         self.validate_workers(workers, threshold)?;
         let alphas: Vec<Fp<M>> = workers[..threshold]
             .iter()
             .map(|&worker| self.points.alpha()[worker])
             .collect();
-        let basis = if tree {
-            Basis::Tree(TreeInterpolator::new(alphas))
-        } else {
-            Basis::Dense(self.build_dense_basis(alphas))
-        };
         Ok(PreparedDecode {
             decoder: self,
             supplied: workers.len(),
-            basis,
+            basis: self.build_basis(alphas),
         })
     }
 
@@ -248,36 +179,16 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
         &self,
         results: &[(usize, Vec<Fp<M>>)],
     ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
-        self.decode_erasure_on(results, self.evaluate.is_some())
-    }
-
-    /// The dense Lagrange combination whatever the point layout — kept public
-    /// as the correctness oracle for the tree path (bit-identical outputs,
-    /// asserted in tests) and as the comparator of the `decode_straggler`
-    /// benches. Accepts the same inputs as
-    /// [`LagrangeDecoder::decode_erasure`].
-    pub fn decode_erasure_lagrange(
-        &self,
-        results: &[(usize, Vec<Fp<M>>)],
-    ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
-        self.decode_erasure_on(results, false)
-    }
-
-    fn decode_erasure_on(
-        &self,
-        results: &[(usize, Vec<Fp<M>>)],
-        tree: bool,
-    ) -> Result<Vec<Vec<Fp<M>>>, DecodeError> {
         let workers: Vec<usize> = results.iter().map(|(worker, _)| *worker).collect();
         let lanes: Vec<&[Fp<M>]> = results.iter().map(|(_, v)| v.as_slice()).collect();
-        self.prepare_on(&workers, tree)?.apply(&lanes)
+        self.prepare(&workers)?.apply(&lanes)
     }
 
-    /// Builds the dense basis: systematic hits and the Lagrange rows for the
+    /// Builds the basis: systematic hits and the Lagrange rows for the
     /// interpolated blocks. One basis construction (with its batch-inverted
     /// barycentric weights) and one shared `evaluate_at_many` batch inversion
     /// cover all `K` blocks.
-    fn build_dense_basis(&self, alphas: Vec<Fp<M>>) -> DenseBasis<M> {
+    fn build_basis(&self, alphas: Vec<Fp<M>>) -> Basis<M> {
         // Systematic fast path per block: a selected worker sitting exactly
         // on β_k already holds the output.
         let systematic: Vec<Option<usize>> = (0..self.config.partitions)
@@ -293,7 +204,7 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             .map(|(k, _)| self.points.beta()[k])
             .collect();
         let rows = LagrangeBasis::new(alphas).evaluate_at_many(&interpolated_betas);
-        DenseBasis { systematic, rows }
+        Basis { systematic, rows }
     }
 
     /// Error-correcting decoding: tolerates up to `max_errors` arbitrarily
@@ -385,22 +296,10 @@ impl<M: PrimeModulus> PreparedDecode<'_, M> {
         if lanes.len() != self.supplied || lanes.iter().any(|lane| lane.len() != width) {
             return Err(DecodeError::ShapeMismatch);
         }
-        let selected = &lanes[..self.decoder.recovery_threshold()];
-        Ok(match &self.basis {
-            Basis::Dense(dense) => self.apply_dense(dense, selected, width),
-            Basis::Tree(interpolator) => self.apply_tree(interpolator, selected),
-        })
-    }
-
-    /// The dense `O(K·R)`-per-coordinate combination.
-    fn apply_dense(
-        &self,
-        dense: &DenseBasis<M>,
-        lanes: &[&[Fp<M>]],
-        width: usize,
-    ) -> Vec<Vec<Fp<M>>> {
-        let mut basis_rows = dense.rows.iter();
-        dense
+        let lanes = &lanes[..self.decoder.recovery_threshold()];
+        let mut basis_rows = self.basis.rows.iter();
+        Ok(self
+            .basis
             .systematic
             .iter()
             .map(|hit| {
@@ -421,39 +320,7 @@ impl<M: PrimeModulus> PreparedDecode<'_, M> {
                 }
                 block.finish()
             })
-            .collect()
-    }
-
-    /// The `O(R log² R)`-per-coordinate tree path: interpolate `P = f(u)`
-    /// from the survivor α-subset (vector lanes — every coordinate in one
-    /// tree pass), fold the coefficients modulo `z^B − 1` and forward-NTT
-    /// over the β-subgroup.
-    fn apply_tree(
-        &self,
-        interpolator: &TreeInterpolator<M>,
-        lanes: &[&[Fp<M>]],
-    ) -> Vec<Vec<Fp<M>>> {
-        let evaluate = self
-            .decoder
-            .evaluate
-            .as_ref()
-            .expect("a tree basis is only prepared on subgroup points");
-        let mut coefficients = interpolator.interpolate_vectors(lanes).into_iter();
-        // Fold modulo z^B − 1 (exact: every β-point satisfies z^B = 1). The
-        // recovery threshold (K+T−1)·deg f + 1 is at least B = K+T, so the
-        // first B coefficient lanes always exist.
-        let blocks = evaluate.len();
-        let mut folded: Vec<Vec<Fp<M>>> = coefficients.by_ref().take(blocks).collect();
-        debug_assert_eq!(folded.len(), blocks);
-        for (m, lane) in coefficients.enumerate() {
-            let target = &mut folded[m % blocks];
-            for (slot, value) in target.iter_mut().zip(lane) {
-                *slot += value;
-            }
-        }
-        evaluate.forward_vectors(&mut folded);
-        folded.truncate(self.decoder.config.partitions);
-        folded
+            .collect())
     }
 }
 
@@ -647,20 +514,14 @@ mod tests {
         assert!(corrupted.is_empty());
     }
 
-    mod ntt_path {
+    mod goldilocks {
         use super::*;
         use avcc_field::{F64, P64};
 
-        type NttRound = (Vec<Vec<F64>>, Vec<(usize, Vec<F64>)>, LagrangeDecoder<P64>);
+        type GoldilocksRound = (Vec<Vec<F64>>, Vec<(usize, Vec<F64>)>, LagrangeDecoder<P64>);
 
-        /// A full encode → linear-compute round on the Goldilocks field with
-        /// `N = 16` workers (filling the covering subgroup) and `K = 8`, on
-        /// explicit subgroup points for every geometry — `auto` would make a
-        /// `T = 0` code with few parity shares systematic instead.
-        fn ntt_round(config: SchemeConfig, seed: u64) -> NttRound {
-            let points =
-                EvaluationPoints::subgroup(config.partitions, config.colluding, config.workers)
-                    .expect("a power-of-two K + T fits the Goldilocks field");
+        /// A full encode → linear-compute round on the Goldilocks field.
+        fn goldilocks_round(config: SchemeConfig, seed: u64) -> GoldilocksRound {
             let mut rng = StdRng::seed_from_u64(seed);
             let rows = 4;
             let cols = 6;
@@ -670,8 +531,7 @@ mod tests {
                 })
                 .collect();
             let w: Vec<F64> = avcc_field::random_vector(&mut rng, cols);
-            let encoder = LagrangeEncoder::<P64>::with_points(config, points.clone());
-            assert!(encoder.uses_ntt());
+            let encoder = LagrangeEncoder::<P64>::new(config);
             let shares = if config.colluding == 0 {
                 encoder.encode_deterministic(&blocks)
             } else {
@@ -682,70 +542,26 @@ mod tests {
                 .iter()
                 .map(|share| (share.worker, mat_vec(&share.block, &w)))
                 .collect();
-            (
-                expected,
-                results,
-                LagrangeDecoder::<P64>::with_points(config, points),
-            )
+            (expected, results, LagrangeDecoder::<P64>::new(config))
         }
 
         #[test]
-        fn full_coset_results_decode_through_the_ntt() {
+        fn any_threshold_subset_decodes_exactly() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 21);
-            // Every worker present at N = 16: still the tree path (over the
-            // first threshold arrivals), bit-identical to the dense oracle.
-            assert!(decoder.supports_partial_ntt());
-            let outputs = decoder.decode_erasure(&results).unwrap();
-            assert_eq!(outputs, expected);
-            assert_eq!(outputs, decoder.decode_erasure_lagrange(&results).unwrap());
-        }
-
-        #[test]
-        fn missing_workers_take_the_tree_path_and_agree() {
-            let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 22);
-            // With or without stragglers the subproduct-tree path decodes,
-            // and must agree with the dense oracle.
+            let (expected, results, decoder) = goldilocks_round(config, 22);
+            // With or without stragglers — here the first three of the
+            // systematic workers — the decode reproduces the product.
             let full = decoder.decode_erasure(&results).unwrap();
             let subset = results[3..].to_vec();
             let partial = decoder.decode_erasure(&subset).unwrap();
-            let oracle = decoder.decode_erasure_lagrange(&subset).unwrap();
             assert_eq!(full, expected);
             assert_eq!(partial, expected);
-            // Bit-identical to the dense Lagrange oracle, not just equal as
-            // decoded numbers.
-            assert_eq!(partial, oracle);
-        }
-
-        #[test]
-        fn tree_path_is_bit_identical_to_lagrange_for_any_straggler_count() {
-            let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 26);
-            for missing in 1..=4usize {
-                let subset = results[missing..].to_vec();
-                let tree = decoder.decode_erasure(&subset).unwrap();
-                let oracle = decoder.decode_erasure_lagrange(&subset).unwrap();
-                assert_eq!(tree, expected, "{missing} missing");
-                assert_eq!(tree, oracle, "{missing} missing");
-            }
-        }
-
-        #[test]
-        fn non_power_of_two_worker_counts_use_the_partial_path() {
-            // N = 12 < 16 never fills the coset, but on subgroup points the
-            // tree path still applies — and decoding stays correct.
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 23);
-            assert!(decoder.supports_partial_ntt());
-            let outputs = decoder.decode_erasure(&results).unwrap();
-            assert_eq!(outputs, expected);
         }
 
         #[test]
         fn one_prepare_decodes_many_result_sets_in_any_worker_order() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 27);
+            let (expected, results, decoder) = goldilocks_round(config, 27);
             assert_eq!(decoder.recovery_threshold(), 8);
             let subset = &results[2..10];
             let workers: Vec<usize> = subset.iter().map(|(worker, _)| *worker).collect();
@@ -765,14 +581,10 @@ mod tests {
                 .map(|block| block.iter().map(|&x| x + x).collect())
                 .collect();
             assert_eq!(prepared.apply(&doubled_lanes).unwrap(), doubled_expected);
-            // Arrival order does not change the decode, on either path.
+            // Arrival order does not change the decode.
             let mut shuffled = subset.to_vec();
             shuffled.reverse();
             assert_eq!(decoder.decode_erasure(&shuffled).unwrap(), expected);
-            assert_eq!(
-                decoder.decode_erasure_lagrange(&shuffled).unwrap(),
-                expected
-            );
             // Lanes must match the prepared workers one for one.
             assert_eq!(prepared.apply(&lanes[1..]), Err(DecodeError::ShapeMismatch));
             let mut ragged = lanes.clone();
@@ -781,20 +593,20 @@ mod tests {
         }
 
         #[test]
-        fn private_ntt_round_trips_with_full_coset() {
+        fn private_round_trips_on_goldilocks() {
             // K + T = 8, N = 16: threshold (8−1)·1+1 = 8 ≤ 16.
             let config = SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap();
-            let (expected, results, decoder) = ntt_round(config, 24);
+            let (expected, results, decoder) = goldilocks_round(config, 24);
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);
         }
 
         #[test]
-        fn error_correcting_decode_works_on_subgroup_points() {
+        fn error_correcting_decode_locates_a_corruption_on_goldilocks() {
             // LCC-style on F64: locate the corruption via Berlekamp–Welch,
-            // then erasure-decode the clean subset on the tree path.
+            // then erasure-decode the clean subset.
             let config = SchemeConfig::linear(16, 8, 2, 2).unwrap();
-            let (expected, mut results, decoder) = ntt_round(config, 25);
+            let (expected, mut results, decoder) = goldilocks_round(config, 25);
             for value in results[5].1.iter_mut() {
                 *value = -*value;
             }
@@ -802,19 +614,6 @@ mod tests {
             let (outputs, corrupted) = decoder.decode_with_errors(&results, 2, &mut rng).unwrap();
             assert_eq!(outputs, expected);
             assert_eq!(corrupted, vec![5]);
-        }
-
-        proptest! {
-            #![proptest_config(ProptestConfig::with_cases(12))]
-            #[test]
-            fn prop_ntt_and_lagrange_paths_agree(seed in any::<u64>(), drop_count in 0usize..8) {
-                let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-                let (expected, results, decoder) = ntt_round(config, seed);
-                let outputs = decoder
-                    .decode_erasure(&results[drop_count..])
-                    .unwrap();
-                prop_assert_eq!(outputs, expected);
-            }
         }
     }
 

@@ -13,76 +13,50 @@
 //! `U_{j,i} = ℓ_j(α_i)`) is exposed for the privacy analysis and the
 //! verification-key generation.
 //!
-//! # Encoding paths
+//! # Encoding
 //!
-//! With the default ([`EvaluationPoints::standard`]) points every share is a
-//! linear combination of the `K+T` sources — `O((K+T)·N)` lazy multiply-adds
-//! per coordinate. At `T = 0` those points are systematic: the first `K`
-//! columns of the encoding matrix are unit vectors, so the first `K` shares
-//! are copies of the data blocks and only the `N − K` parity shares are
-//! computed, `(N − K)·K` multiply-adds per coordinate. When the points are
-//! in subgroup position ([`EvaluationPoints::subgroup`]) the encoder instead
-//! interpolates `u` with one inverse NTT over the β-subgroup (size `K+T`) and
-//! evaluates it at all worker points with one forward NTT over the α-coset
-//! (size `next_pow2(N)`) — `O(N log N)` per coordinate. The path follows the
-//! points, and [`EvaluationPoints::auto`] picks the points whose encode costs
-//! fewer multiplies: on NTT-friendly fields the subgroup layout whenever
-//! `T > 0` or its transforms undercut the systematic parity work (so the
-//! Goldilocks `(N, K) = (12, 8)` code is systematic, `(16, 8)` is not). Both
-//! paths produce the evaluations of the same degree-`< K+T` polynomial at
-//! the points they were given.
+//! The points are [`EvaluationPoints::standard`], so every share is a linear
+//! combination of the `K+T` sources — `O((K+T)·N)` lazy multiply-adds per
+//! coordinate. At `T = 0` those points are systematic: the first `K` columns
+//! of the encoding matrix are unit vectors, so the first `K` shares are
+//! copies of the data blocks and only the `N − K` parity shares are
+//! computed, `(N − K)·K` multiply-adds per coordinate.
 //!
-//! Both paths read the data blocks as plain coordinate slices, wherever they
-//! live: [`LagrangeEncoder::encode`] passes each block matrix's storage,
+//! The encoder reads the data blocks as plain coordinate slices, wherever
+//! they live: [`LagrangeEncoder::encode`] passes each block matrix's storage,
 //! [`crate::EncodedDataset::encode`] passes row bands of the caller's matrix
 //! in place. Nothing is staged; the only full-size buffers an encode
 //! allocates are the `T` pads and the `N` shares it returns.
-//!
-//! The NTT path is **cache-blocked**: the two transforms are independent per
-//! coordinate, so the encoder sweeps the coordinates in chunks of
-//! `ENCODE_CHUNK`, carrying each chunk through gather → inverse butterflies →
-//! one folded `n⁻¹·gᵏ` scale pass → forward butterflies → copy into the
-//! shares while it is resident in cache, instead of streaming every
-//! whole-block lane through main memory once per butterfly stage.
 //!
 //! # One span of coordinates per core
 //!
 //! Lagrange coding evaluates one polynomial **per coordinate, independently
 //! of every other coordinate** (Yu et al., *Lagrange Coded Computing*), so
-//! either path can run on as many threads as there are cores without
+//! the encode can run on as many threads as there are cores without
 //! changing a single output element. The `N` shares are allocated once, whole
 //! and zeroed; the coordinates are cut into one contiguous run of whole
 //! chunks per available core; each run gets the matching disjoint `&mut`
-//! window of every share and, on the NTT path, its own lane buffers; the
-//! first run is swept on the calling thread and the others on scoped threads
-//! ([`avcc_field::map_spans`]). The same sweep body runs whether there is one
-//! run or several, and below `avcc_field::spans::SPAWN_MIN_WORK`
-//! multiplications (every small job) there is exactly one, inline. The pads
+//! window of every share; the first run is swept on the calling thread and
+//! the others on scoped threads ([`avcc_field::map_spans`]). The same sweep
+//! body runs whether there is one run or several, and below
+//! `avcc_field::spans::SPAWN_MIN_WORK` multiplications (every small job)
+//! there is exactly one, inline. The pads
 //! are drawn before any of this, on the caller's thread, so the rng stream
-//! does not know how many cores the host has. Measured on
-//! `EncodedDataset::encode`, 1920 × 512 Goldilocks, `(N, K) = (12, 8)` on
-//! subgroup points, two cores: 11.7–16.2 ms on one thread, 6.7–7.1 ms on two.
+//! does not know how many cores the host has.
 
 use avcc_field::{map_spans, random_matrix, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
-use avcc_poly::{LagrangeBasis, NttPlan};
+use avcc_poly::LagrangeBasis;
 use rand::Rng;
 
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 
-/// Coordinates carried through both transforms of the NTT encode path at a
-/// time, and through one parity share's accumulator on the dense path. The
-/// working set of an NTT sweep is `next_pow2(N)` lanes of this many 8-byte
-/// elements — 512 KiB at `N ≤ 16` — and has to sit inside a core's L2 for
-/// the seven butterfly stages and the scale pass to run out of cache.
-/// Measured on `EncodedDataset::encode`, 1920 × 512 Goldilocks,
-/// `(N, K) = (12, 8)` on subgroup points, 4 MiB L2: flat at 11.6–12.1 ms
-/// from 256 to 4096, 12.5 ms at 8192, 14.5 ms at 16 384 and 20–21 ms
-/// unblocked — so the largest size of the flat range, which keeps the
-/// per-sweep overhead (a lane permutation and one short loop per butterfly)
-/// smallest. A constant, not a knob: no caller has a reason to pick another
-/// value.
+/// Coordinates carried through one parity share's accumulator at a time,
+/// and the unit the coordinates are cut into spans by: each chunk of the
+/// sources (32 KiB per source at 8-byte elements) is read by every parity
+/// share in turn while it is still in cache. A constant, not a knob: no
+/// caller has a reason to pick another value.
 const ENCODE_CHUNK: usize = 4096;
 
 /// A coded data block assigned to one worker.
@@ -96,108 +70,46 @@ pub struct EncodedShare<M: PrimeModulus> {
     pub block: Matrix<Fp<M>>,
 }
 
-/// The cached NTT plans of an encoder whose points are in subgroup position.
-#[derive(Debug, Clone)]
-struct EncoderNtt<M: PrimeModulus> {
-    /// Inverse transform over the β-subgroup (size `K + T`): block values →
-    /// coefficients of `u`.
-    interpolate: NttPlan<M>,
-    /// Forward transform over the α-coset subgroup (size `next_pow2(N)`):
-    /// coefficients → evaluations at every worker point.
-    evaluate: NttPlan<M>,
-}
-
 /// The Lagrange encoder bound to a scheme configuration and its evaluation
 /// points.
 ///
-/// One sweep body per point layout: the dense linear combination for
-/// arbitrary points (with a copy for every unit column of the encoding
-/// matrix), the cache-blocked NTT sweep for points in subgroup position (see
-/// the module docs). Either way the encoder reads its blocks where they are,
-/// draws the `T` pads whole and up front, allocates nothing full-size but
-/// the pads and the `N` shares it returns, and sweeps the coordinates in one
-/// span per available core when there is enough work to pay for a thread —
-/// with shares that are the same element for element however many spans
-/// there were.
+/// One sweep body: the dense linear combination, with a copy for every unit
+/// column of the encoding matrix (see the module docs). The encoder reads
+/// its blocks where they are, draws the `T` pads whole and up front,
+/// allocates nothing full-size but the pads and the `N` shares it returns,
+/// and sweeps the coordinates in one span per available core when there is
+/// enough work to pay for a thread — with shares that are the same element
+/// for element however many spans there were.
 #[derive(Debug, Clone)]
 pub struct LagrangeEncoder<M: PrimeModulus> {
     config: SchemeConfig,
     points: EvaluationPoints<M>,
-    /// `encoding_matrix[j][i] = ℓ_j(α_i)` for `j ∈ [K+T]`, `i ∈ [N]`,
-    /// materialized on first use: the NTT fast path never evaluates it, and
-    /// its `O((K+T)·N)` construction is exactly the cost that path avoids —
-    /// only the matrix encode path and the analysis accessors
-    /// ([`LagrangeEncoder::encoding_matrix`] / [`LagrangeEncoder::pad_submatrix`])
-    /// force it.
-    encoding_matrix: std::sync::OnceLock<Vec<Vec<Fp<M>>>>,
-    /// Cached transforms for the NTT fast path (`None` → matrix path).
-    ntt: Option<EncoderNtt<M>>,
+    /// `encoding_matrix[j][i] = ℓ_j(α_i)` for `j ∈ [K+T]`, `i ∈ [N]`.
+    encoding_matrix: Vec<Vec<Fp<M>>>,
 }
 
 impl<M: PrimeModulus> LagrangeEncoder<M> {
-    /// Builds the encoder with automatically selected evaluation points
-    /// ([`EvaluationPoints::auto`]: subgroup position on NTT-friendly fields
-    /// when `K + T` is a power of two and the transforms are the cheaper
-    /// encode, the standard integer points — systematic at `T = 0` —
-    /// otherwise).
+    /// Builds the encoder on [`EvaluationPoints::standard`] points:
+    /// systematic at `T = 0`, disjoint from the β-points at `T > 0`.
     pub fn new(config: SchemeConfig) -> Self {
-        Self::with_points(
-            config,
-            EvaluationPoints::<M>::auto(config.partitions, config.colluding, config.workers),
-        )
-    }
-
-    /// Builds the encoder on explicitly chosen evaluation points (the decoder
-    /// must be built on the same points).
-    ///
-    /// # Panics
-    /// Panics if the point counts disagree with the configuration.
-    pub fn with_points(config: SchemeConfig, points: EvaluationPoints<M>) -> Self {
-        assert_eq!(
-            points.beta().len(),
-            config.partitions + config.colluding,
-            "need one β-point per data block and pad"
-        );
-        assert_eq!(
-            points.alpha().len(),
-            config.workers,
-            "need one α-point per worker"
-        );
-        let ntt = points.ntt_layout().map(|layout| EncoderNtt {
-            interpolate: NttPlan::new(layout.log_blocks),
-            evaluate: NttPlan::new(layout.log_workers),
-        });
-        LagrangeEncoder {
-            config,
-            points,
-            encoding_matrix: std::sync::OnceLock::new(),
-            ntt,
-        }
-    }
-
-    /// Builds the `(K+T) × N` matrix `U_{j,i} = ℓ_j(α_i)`.
-    fn build_encoding_matrix(&self) -> Vec<Vec<Fp<M>>> {
-        let basis = LagrangeBasis::new(self.points.beta().to_vec());
+        let points =
+            EvaluationPoints::standard(config.partitions, config.colluding, config.workers);
         // Column i of the encoding matrix is the basis evaluated at α_i; one
         // `evaluate_at_many` call shares a single batch inversion across all
         // N columns.
-        let mut matrix = vec![
-            vec![Fp::<M>::ZERO; self.config.workers];
-            self.config.partitions + self.config.colluding
-        ];
-        let columns = basis.evaluate_at_many(self.points.alpha());
+        let mut encoding_matrix =
+            vec![vec![Fp::<M>::ZERO; config.workers]; config.partitions + config.colluding];
+        let columns = LagrangeBasis::new(points.beta().to_vec()).evaluate_at_many(points.alpha());
         for (i, column) in columns.into_iter().enumerate() {
             for (j, value) in column.into_iter().enumerate() {
-                matrix[j][i] = value;
+                encoding_matrix[j][i] = value;
             }
         }
-        matrix
-    }
-
-    /// `true` iff this encoder evaluates through the `O(N log N)` NTT path
-    /// rather than the `O((K+T)·N)` encoding matrix.
-    pub fn uses_ntt(&self) -> bool {
-        self.ntt.is_some()
+        LagrangeEncoder {
+            config,
+            points,
+            encoding_matrix,
+        }
     }
 
     /// The scheme configuration.
@@ -210,11 +122,9 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         &self.points
     }
 
-    /// The `(K+T) × N` encoding matrix `U` with `U_{j,i} = ℓ_j(α_i)`
-    /// (materialized on first access).
+    /// The `(K+T) × N` encoding matrix `U` with `U_{j,i} = ℓ_j(α_i)`.
     pub fn encoding_matrix(&self) -> &[Vec<Fp<M>>] {
-        self.encoding_matrix
-            .get_or_init(|| self.build_encoding_matrix())
+        &self.encoding_matrix
     }
 
     /// Encodes the `K` data blocks into `N` coded shares, drawing the `T`
@@ -243,8 +153,8 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// [`LagrangeEncoder::encode`] over blocks given as row-major coordinate
     /// slices of `rows × cols` elements each — wherever they live (a block
     /// matrix, a row band of a larger one). The pads are drawn whole and up
-    /// front, one `rows × cols` draw per pad in pad order, whichever path
-    /// encodes: the rng stream is part of every seeded oracle.
+    /// front, one `rows × cols` draw per pad in pad order: the rng stream is
+    /// part of every seeded oracle.
     ///
     /// # Panics
     /// Panics if the number of blocks differs from `K` or a slice is not
@@ -293,9 +203,8 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
                 windows.push(window);
             }
         }
-        map_spans(spans, threads, |(start, windows)| match &self.ntt {
-            Some(ntt) => self.sweep_ntt(ntt, &sources, start, windows),
-            None => self.sweep_dense(&sources, start, windows),
+        map_spans(spans, threads, |(start, windows)| {
+            self.sweep(&sources, start, windows)
         });
         coded
             .into_iter()
@@ -308,25 +217,20 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
             .collect()
     }
 
-    /// Field multiplications one coordinate costs on this encoder's path —
-    /// what [`span_threads`] weighs against the cost of a thread: the two
-    /// butterfly networks and the scale pass, or the non-zero entries of the
+    /// Field multiplications one coordinate costs — what [`span_threads`]
+    /// weighs against the cost of a thread: the non-zero entries of the
     /// encoding matrix (a systematic code's first `K` columns have one each).
     fn multiplies_per_coordinate(&self) -> usize {
-        match self.points.ntt_layout() {
-            Some(layout) => layout.multiplies_per_coordinate(),
-            None => self
-                .encoding_matrix()
-                .iter()
-                .flatten()
-                .filter(|&&coefficient| coefficient != Fp::<M>::ZERO)
-                .count(),
-        }
+        self.encoding_matrix
+            .iter()
+            .flatten()
+            .filter(|&&coefficient| coefficient != Fp::<M>::ZERO)
+            .count()
     }
 
-    /// The `O((K+T)·N)`-per-coordinate path for arbitrary points, over the
-    /// coordinates `start..start + len` that `windows` (one per share) cover:
-    /// share `i` is the linear combination `Σ_j U[j][i]·source_j`.
+    /// The `O((K+T)·N)`-per-coordinate encode over the coordinates
+    /// `start..start + len` that `windows` (one per share) cover: share `i`
+    /// is the linear combination `Σ_j U[j][i]·source_j`.
     ///
     /// A share whose column of `U` is a unit vector — each of the first `K`
     /// shares of a systematic code — is a copy of its source. The others
@@ -337,8 +241,8 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// the sources is read from cache by every parity share in turn. Two
     /// sources per pass rather than one: `EncodedDataset::encode`, 1920 × 512
     /// Goldilocks, `(N, K) = (12, 8)`, two cores, 6.7–7.2 → 5.2–6.4 ms.
-    fn sweep_dense(&self, sources: &[&[Fp<M>]], start: usize, windows: Vec<&mut [Fp<M>]>) {
-        let encoding_matrix = self.encoding_matrix();
+    fn sweep(&self, sources: &[&[Fp<M>]], start: usize, windows: Vec<&mut [Fp<M>]>) {
+        let encoding_matrix = &self.encoding_matrix;
         let len = windows.first().map_or(0, |window| window.len());
         let sources: Vec<&[Fp<M>]> = sources
             .iter()
@@ -376,63 +280,6 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         }
     }
 
-    /// The `O(N log N)`-per-coordinate fast path for subgroup points, over
-    /// the coordinates `start..start + len` that `windows` (one per share)
-    /// cover.
-    ///
-    /// The `K + T` sources are the values of `u` on the β-subgroup, so one
-    /// inverse NTT yields the coefficients of `u` (degree `< K + T`, exactly
-    /// as in the matrix path — the recovery threshold is unchanged). Scaling
-    /// coefficient `k` by `g^k` and zero-padding to the coset size turns the
-    /// forward NTT into the evaluation `u(g·ω_A^i)` at every worker point at
-    /// once.
-    ///
-    /// Every coordinate goes through the same two transforms independently of
-    /// the others, so the sweep takes them [`ENCODE_CHUNK`] at a time: gather
-    /// the chunk of each source into a lane, run the inverse network with its
-    /// folded `n⁻¹·gᵏ` scale, the forward network, and copy lanes `0..N`
-    /// into the shares' windows — all on a working set that stays in cache.
-    /// The lanes are allocated once per sweep and reused.
-    fn sweep_ntt(
-        &self,
-        ntt: &EncoderNtt<M>,
-        sources: &[&[Fp<M>]],
-        start: usize,
-        mut windows: Vec<&mut [Fp<M>]>,
-    ) {
-        let shift = self
-            .points
-            .ntt_layout()
-            .expect("NTT plans imply a subgroup layout")
-            .shift;
-        let blocks = ntt.interpolate.len();
-        debug_assert_eq!(sources.len(), blocks);
-        let len = windows.first().map_or(0, |window| window.len());
-        let mut lanes: Vec<Vec<Fp<M>>> = (0..ntt.evaluate.len())
-            .map(|_| Vec::with_capacity(ENCODE_CHUNK.min(len)))
-            .collect();
-        for at in (0..len).step_by(ENCODE_CHUNK) {
-            let end = (at + ENCODE_CHUNK).min(len);
-            // Both networks permute the lanes (by swapping the vectors, not
-            // their contents), so which buffer is lane `j` changes from
-            // chunk to chunk; every lane is rewritten in full here.
-            let (values, padding) = lanes.split_at_mut(blocks);
-            for (lane, source) in values.iter_mut().zip(sources) {
-                lane.clear();
-                lane.extend_from_slice(&source[start + at..start + end]);
-            }
-            for lane in padding.iter_mut() {
-                lane.clear();
-                lane.resize(end - at, Fp::<M>::ZERO);
-            }
-            ntt.interpolate.inverse_vectors_onto_coset(values, shift);
-            ntt.evaluate.forward_vectors(&mut lanes);
-            for (window, lane) in windows.iter_mut().zip(&lanes) {
-                window[at..end].copy_from_slice(lane);
-            }
-        }
-    }
-
     /// Encodes without privacy pads (valid only when `T = 0`); deterministic,
     /// used by tests and by the MDS convenience wrapper.
     pub fn encode_deterministic(&self, blocks: &[Matrix<Fp<M>>]) -> Vec<EncodedShare<M>> {
@@ -447,7 +294,7 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
     /// The bottom `T × N` part of the encoding matrix (pad coefficients),
     /// used by the T-privacy check of Theorem 1.
     pub fn pad_submatrix(&self) -> Vec<Vec<Fp<M>>> {
-        self.encoding_matrix()[self.config.partitions..].to_vec()
+        self.encoding_matrix[self.config.partitions..].to_vec()
     }
 }
 
@@ -650,26 +497,16 @@ mod tests {
         (next, last.value())
     }
 
-    /// An encoder for `config` on explicit subgroup points, the NTT path
-    /// whatever [`EvaluationPoints::auto`] would pick for the geometry.
-    fn subgroup_encoder(config: SchemeConfig) -> LagrangeEncoder<avcc_field::P64> {
-        let points =
-            EvaluationPoints::subgroup(config.partitions, config.colluding, config.workers)
-                .expect("a power-of-two K + T fits the Goldilocks field");
-        LagrangeEncoder::with_points(config, points)
-    }
-
     #[test]
     fn shares_do_not_depend_on_how_many_threads_swept_them() {
         // Widths below one chunk, either side of one, two chunks and a ragged
-        // tail (all inline on the NTT path), and thirty chunks — past
-        // `SPAWN_MIN_WORK` on every configuration here, so on a host with a
-        // second core the spans run side by side; on one core (CI pins this
-        // test to one with `taskset`) the same body runs inline. Three NTT
-        // geometries on explicit subgroup points; the systematic `(12, 8)`
-        // Goldilocks code `auto` picks, whose copies and chunked parity
-        // shares meet at every chunk edge; and `K + T = 10`, which is no
-        // subgroup order and so takes the dense path, with pads drawn.
+        // tail, and thirty chunks — past `SPAWN_MIN_WORK` on every
+        // configuration here, so on a host with a second core the spans run
+        // side by side; on one core (CI pins this test to one with
+        // `taskset`) the same body runs inline. Three systematic Goldilocks
+        // codes, whose copies and chunked parity shares meet at every chunk
+        // edge — `(12, 8)` is the bulk matrix job's — and `K + T = 10`, with
+        // pads drawn.
         use avcc_field::P64;
         let widths = [
             1,
@@ -680,22 +517,11 @@ mod tests {
         ];
         for (workers, partitions) in [(12, 8), (16, 8), (11, 4)] {
             let config = SchemeConfig::new(workers, partitions, 1, 1, 0, 1).unwrap();
-            let encoder = subgroup_encoder(config);
-            assert!(encoder.uses_ntt());
+            let encoder = LagrangeEncoder::<P64>::new(config);
+            assert!(encoder.points().is_systematic(partitions));
             for width in widths {
                 check_against_the_encoding_matrix(&encoder, width);
             }
-        }
-        let config = SchemeConfig::new(12, 8, 1, 1, 0, 1).unwrap();
-        let systematic = LagrangeEncoder::<P64>::new(config);
-        assert!(!systematic.uses_ntt() && systematic.points().is_systematic(8));
-        for width in [
-            ENCODE_CHUNK - 1,
-            ENCODE_CHUNK + 1,
-            2 * ENCODE_CHUNK + 7,
-            30 * ENCODE_CHUNK,
-        ] {
-            check_against_the_encoding_matrix(&systematic, width);
         }
         // The rng's next draw after the encode, and the last element of the
         // last share, as the single-threaded parent of this code produced
@@ -718,7 +544,7 @@ mod tests {
         let config = SchemeConfig::new(12, 8, 1, 1, 2, 1).unwrap();
         let dense_p64 = LagrangeEncoder::<P64>::new(config);
         let dense_p25 = LagrangeEncoder::<P25>::new(config);
-        assert!(!dense_p64.uses_ntt() && !dense_p25.uses_ntt());
+        assert!(dense_p64.points().disjoint() && dense_p25.points().disjoint());
         for (case, width) in widths.into_iter().enumerate() {
             assert_eq!(
                 check_against_the_encoding_matrix(&dense_p64, width),
@@ -730,145 +556,6 @@ mod tests {
                 (recorded_next[case], recorded_last_p25[case]),
                 "P25, width {width}"
             );
-        }
-    }
-
-    mod ntt_path {
-        use super::*;
-        use crate::points::EvaluationPoints;
-        use avcc_field::{F64, P64};
-
-        fn f64_blocks(k: usize, rows: usize, cols: usize, seed: u64) -> Vec<Matrix<F64>> {
-            let mut rng = StdRng::seed_from_u64(seed);
-            (0..k)
-                .map(|_| {
-                    Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols))
-                })
-                .collect()
-        }
-
-        #[test]
-        fn path_selection_follows_the_geometry() {
-            // Power-of-two K + T on the Goldilocks field, transforms cheaper
-            // than the systematic parity shares (64 > 52 multiplies per
-            // coordinate at (16, 8)), or pads drawn: NTT.
-            let config = SchemeConfig::linear(16, 8, 2, 1).unwrap();
-            assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
-            let config = SchemeConfig::new(12, 7, 1, 1, 1, 1).unwrap();
-            assert!(LagrangeEncoder::<P64>::new(config).uses_ntt());
-            // (12, 8) at T = 0: 32 parity multiply-adds against 52 — the
-            // systematic matrix path, unless subgroup points are asked for.
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            assert!(!LagrangeEncoder::<P64>::new(config).uses_ntt());
-            assert!(subgroup_encoder(config).uses_ntt());
-            // Non-power-of-two K: matrix fallback.
-            let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-            assert!(!LagrangeEncoder::<P64>::new(config).uses_ntt());
-            // Power-of-two K on a field without declared NTT metadata: matrix.
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            assert!(!LagrangeEncoder::<P25>::new(config).uses_ntt());
-        }
-
-        #[test]
-        fn ntt_shares_match_the_encoding_matrix() {
-            // The two paths must agree share-for-share: the constructor still
-            // precomputes the (K+T)×N matrix, so recompute every share as the
-            // explicit linear combination Σ_j U[j][i]·X_j and compare.
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            let encoder = subgroup_encoder(config);
-            assert!(encoder.uses_ntt());
-            let blocks = f64_blocks(8, 3, 4, 11);
-            let shares = encoder.encode_deterministic(&blocks);
-            assert_eq!(shares.len(), 12);
-            for share in &shares {
-                let mut expected = [F64::ZERO; 12];
-                for (j, block) in blocks.iter().enumerate() {
-                    let coefficient = encoder.encoding_matrix()[j][share.worker];
-                    for (slot, &value) in expected.iter_mut().zip(block.data()) {
-                        *slot += coefficient * value;
-                    }
-                }
-                assert_eq!(share.block.data(), &expected[..], "worker {}", share.worker);
-            }
-        }
-
-        #[test]
-        fn ntt_shares_match_the_encoding_matrix_across_chunk_boundaries() {
-            // The sweep carries ENCODE_CHUNK coordinates at a time: blocks
-            // narrower than a chunk, exactly one, one element over, and two
-            // chunks and a ragged tail — on 11, 12 and all 16 points of the
-            // coset, without and with pads — must all equal the dense oracle
-            // Σ_j U[j][i]·X_j.
-            let widths = [
-                1,
-                ENCODE_CHUNK - 1,
-                ENCODE_CHUNK,
-                ENCODE_CHUNK + 1,
-                2 * ENCODE_CHUNK + 7,
-            ];
-            for (workers, colluding) in [(11, 0), (12, 0), (16, 0), (11, 2), (12, 2), (16, 2)] {
-                let partitions = 8 - colluding;
-                let config = SchemeConfig::new(workers, partitions, 1, 1, colluding, 1).unwrap();
-                let encoder = subgroup_encoder(config);
-                assert!(encoder.uses_ntt());
-                for width in widths {
-                    check_against_the_encoding_matrix(&encoder, width);
-                }
-            }
-        }
-
-        #[test]
-        fn ntt_shares_are_polynomial_evaluations_at_alpha() {
-            // Interpolating any K shares back to a β-point recovers the block,
-            // exactly as in the matrix path — degree < K is preserved.
-            let config = SchemeConfig::linear(11, 8, 2, 1).unwrap();
-            let encoder = subgroup_encoder(config);
-            assert!(encoder.uses_ntt());
-            let blocks = f64_blocks(8, 2, 3, 12);
-            let shares = encoder.encode_deterministic(&blocks);
-            let subset: Vec<_> = shares[3..11].to_vec();
-            let alphas: Vec<F64> = subset.iter().map(|s| s.alpha).collect();
-            for (k, block) in blocks.iter().enumerate() {
-                let beta = encoder.points().beta()[k];
-                for coordinate in 0..block.len() {
-                    let values: Vec<F64> =
-                        subset.iter().map(|s| s.block.data()[coordinate]).collect();
-                    let recovered = interpolate_eval(&alphas, &values, beta);
-                    assert_eq!(recovered, block.data()[coordinate]);
-                }
-            }
-        }
-
-        #[test]
-        fn private_ntt_encoding_stays_ntt_and_disjoint() {
-            // T = 2 pads with K + T = 8: still subgroup position, and privacy
-            // demands disjoint points.
-            let config = SchemeConfig::new(12, 6, 1, 1, 2, 1).unwrap();
-            let encoder = LagrangeEncoder::<P64>::new(config);
-            assert!(encoder.uses_ntt());
-            assert!(encoder.points().disjoint());
-            let blocks = f64_blocks(6, 2, 2, 13);
-            let mut rng = StdRng::seed_from_u64(5);
-            let shares = encoder.encode(&blocks, &mut rng);
-            for share in &shares {
-                for block in &blocks {
-                    assert_ne!(&share.block, block);
-                }
-            }
-        }
-
-        #[test]
-        fn explicit_standard_points_force_the_matrix_path_on_f64() {
-            let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-            let points = EvaluationPoints::<P64>::standard(8, 0, 12);
-            let encoder = LagrangeEncoder::<P64>::with_points(config, points);
-            assert!(!encoder.uses_ntt());
-            // Systematic: the standard layout's defining property survives.
-            let blocks = f64_blocks(8, 2, 2, 14);
-            let shares = encoder.encode_deterministic(&blocks);
-            for (i, block) in blocks.iter().enumerate() {
-                assert_eq!(&shares[i].block, block);
-            }
         }
     }
 }

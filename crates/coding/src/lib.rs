@@ -35,34 +35,23 @@
 //! and the multi-function batched rounds built on them — amortize a single
 //! encode instead of re-encoding per computation.
 //!
-//! # Encode/decode path selection
+//! # Encode/decode paths
 //!
-//! Every encode and decode picks between algebraically identical
-//! implementations by one observable property, the point layout:
+//! One point layout, [`points::EvaluationPoints::standard`] (consecutive
+//! integers; systematic at `T = 0`, disjoint at `T > 0`), and one algorithm
+//! per step:
 //!
 //! | Path | Cost per coordinate | Requires | Chosen when |
 //! |---|---|---|---|
-//! | Lagrange matrix | `O((K+T)·N)` encode — `(N−K)·K` at `T = 0`, where the first `K` shares are copies — and `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any points, any responder subset | points not in subgroup position (`P25`: `train_*`, `serve_mixed`; the systematic `P64` `(12, 8)` code of `matmul_batch`); also the tests' correctness oracle, [`decoder::LagrangeDecoder::decode_erasure_lagrange`] |
-//! | NTT (encode) | `O(N log N)` | field with declared two-adicity ([`avcc_field::NttModulus`], e.g. `F64`), `K+T` a power of two, points in subgroup position ([`points::EvaluationPoints`] `subgroup`/`auto` constructors) | all conditions hold; `auto` places the points there when `T > 0` or the transforms are cheaper than the systematic parity shares |
-//! | Subproduct tree (decode) | `O(R log² R)` | subgroup position as above; works for **any** surviving subset of ≥ threshold workers | points in subgroup position |
-//! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; `O(R²)` dual weights + Horner `Q`-evaluation per screen on any layout | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
+//! | Lagrange matrix | `O((K+T)·N)` encode — `(N−K)·K` at `T = 0`, where the first `K` shares are copies — and `O(B·R)` decode (`R` responders, `B` output blocks) | nothing — any field, any responder subset | always (`P25`: `train_*`, `serve_mixed`; the systematic `P64` `(12, 8)` code of `matmul_batch`) |
+//! | Dual-codeword screen (pre-decode) | `O(R·width)` per dual vector | strictly more than threshold responders; `O(R²)` dual weights + Horner `Q`-evaluation per screen | always, before verify/decode, when the responder count leaves dual redundancy ([`screen::DualCodeword`]) |
 //!
-//! The β-points (interpolation) sit in an order-`(K+T)` multiplicative
-//! subgroup and the α-points (workers) on a generator-shifted coset, so the
-//! two sets never collide; encode is then an inverse NTT over the subgroup
-//! followed by a coset-scaled forward NTT. The decoder interpolates `f(u)`
-//! from the first threshold verified α-points with a subproduct tree
-//! ([`avcc_poly::TreeInterpolator`]), folds the coefficients mod `z^B − 1`
-//! and forward-NTTs to the β-points. The basis (tree or dense rows) is built
-//! once per survivor set by [`decoder::LagrangeDecoder::prepare`] and
-//! applied to each of a batched round's `m` functions; nothing is kept
-//! between rounds. Correctness never depends on which path runs: both are
-//! exact, and the tests assert them bit-identical.
-//!
-//! Both paths share the same vectorized substrate: Lagrange linear
-//! combinations run on [`avcc_field::WideAccumulator`] lanes with one
-//! shared batch inversion per decode, and the NTT butterflies are
-//! lane-unrolled with per-plan Montgomery twiddles (`avcc_poly::ntt`).
+//! The decode basis is built once per survivor set by
+//! [`decoder::LagrangeDecoder::prepare`] and applied to each of a batched
+//! round's `m` functions; nothing is kept between rounds. Encode and decode
+//! share one vectorized substrate: Lagrange linear combinations run on
+//! [`avcc_field::WideAccumulator`] lanes with one shared batch inversion per
+//! basis.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -79,6 +68,6 @@ pub use dataset::EncodedDataset;
 pub use decoder::{DecodeError, LagrangeDecoder, PreparedDecode};
 pub use encoder::{EncodedShare, LagrangeEncoder};
 pub use mds::MdsCode;
-pub use points::{EvaluationPoints, SubgroupLayout};
+pub use points::EvaluationPoints;
 pub use scheme::{SchemeConfig, SchemeError};
 pub use screen::{DualCodeword, ScreenError, ScreenOutcome, ScreenReport};

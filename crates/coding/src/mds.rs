@@ -29,15 +29,12 @@ impl<M: PrimeModulus> MdsCode<M> {
                 details: format!("N = {workers} workers cannot hold K = {partitions} partitions"),
             });
         }
+        // No pads: the standard points are systematic, as in Fig. 1's
+        // illustration (worker i ≤ K stores X_i itself).
         let config = SchemeConfig::new(workers, partitions, workers - partitions, 0, 0, 1)?;
-        // Fig. 1's illustration is *systematic* (worker i ≤ K stores X_i
-        // itself), which only the standard integer points provide — subgroup
-        // layouts are disjoint by construction — so the MDS wrapper pins the
-        // standard layout instead of using the automatic selection.
-        let points = crate::points::EvaluationPoints::<M>::standard(partitions, 0, workers);
         Ok(MdsCode {
-            encoder: LagrangeEncoder::with_points(config, points.clone()),
-            decoder: LagrangeDecoder::with_points(config, points),
+            encoder: LagrangeEncoder::new(config),
+            decoder: LagrangeDecoder::new(config),
         })
     }
 

@@ -152,28 +152,13 @@ pub struct DualCodeword<M: PrimeModulus> {
 }
 
 impl<M: PrimeModulus> DualCodeword<M> {
-    /// Creates a screen on the automatically selected evaluation points for
-    /// `config` ([`EvaluationPoints::auto`] is deterministic, so this matches
-    /// independently constructed encoders and decoders).
+    /// Creates a screen on [`EvaluationPoints::standard`] points — the points
+    /// independently constructed encoders and decoders use for `config`.
     pub fn new(config: SchemeConfig) -> Self {
-        Self::with_points(
+        DualCodeword {
             config,
-            EvaluationPoints::<M>::auto(config.partitions, config.colluding, config.workers),
-        )
-    }
-
-    /// Creates a screen on explicitly chosen evaluation points (must match
-    /// the encoder's).
-    ///
-    /// # Panics
-    /// Panics if the point counts disagree with the configuration.
-    pub fn with_points(config: SchemeConfig, points: EvaluationPoints<M>) -> Self {
-        assert_eq!(
-            points.alpha().len(),
-            config.workers,
-            "need one α-point per worker"
-        );
-        DualCodeword { config, points }
+            points: EvaluationPoints::standard(config.partitions, config.colluding, config.workers),
+        }
     }
 
     /// The scheme configuration.

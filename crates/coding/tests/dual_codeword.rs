@@ -1,9 +1,9 @@
 //! Property tests for the SCRAPE-style dual-codeword screen: honest rounds
-//! always pass on every modulus and point layout (including boundary values
-//! next to the modulus), corrupted rounds are rejected and localized exactly,
-//! and the escape rate of a single corrupted symbol meets the documented
-//! Schwartz–Zippel bound `(1/q)^k` on the tiny `q = 251` field — exactly,
-//! over every dual polynomial, and empirically over random ones.
+//! always pass on every modulus, with and without pads (including boundary
+//! values next to the modulus), corrupted rounds are rejected and localized
+//! exactly, and the escape rate of a single corrupted symbol meets the
+//! documented Schwartz–Zippel bound `(1/q)^k` on the tiny `q = 251` field —
+//! exactly, over every dual polynomial, and empirically over random ones.
 
 use avcc_coding::points::EvaluationPoints;
 use avcc_coding::{DualCodeword, SchemeConfig, ScreenError, ScreenOutcome};
@@ -55,7 +55,8 @@ fn evaluate_round<M: PrimeModulus>(
     config: SchemeConfig,
     polys: &[Vec<Fp<M>>],
 ) -> Vec<(usize, Vec<Fp<M>>)> {
-    let points = EvaluationPoints::<M>::auto(config.partitions, config.colluding, config.workers);
+    let points =
+        EvaluationPoints::<M>::standard(config.partitions, config.colluding, config.workers);
     points
         .alpha()
         .iter()
@@ -87,16 +88,12 @@ fn assert_honest_passes<M: PrimeModulus>(config: SchemeConfig, seed: u64) {
 
 #[test]
 fn honest_rounds_pass_on_every_modulus() {
-    // General Lagrange layouts (standard points).
     assert_honest_passes::<P25>(SchemeConfig::linear(12, 9, 2, 1).unwrap(), 1);
     assert_honest_passes::<P251>(SchemeConfig::linear(10, 4, 2, 2).unwrap(), 3);
-    // Subgroup/coset layout (P64 auto-selects NTT position for K+T = 8),
-    // from the full α-coset (16 responders) down to threshold + 1.
-    let subgroup = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-    assert!(EvaluationPoints::<P64>::auto(8, 0, 16)
-        .ntt_layout()
-        .is_some());
-    assert_honest_passes::<P64>(subgroup, 4);
+    // The systematic Goldilocks layout, from all 16 responders down to
+    // threshold + 1.
+    assert!(EvaluationPoints::<P64>::standard(8, 0, 16).is_systematic(8));
+    assert_honest_passes::<P64>(SchemeConfig::linear(16, 8, 4, 2).unwrap(), 4);
     // Privacy pads shift the threshold; the screen must follow it.
     assert_honest_passes::<P64>(SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap(), 5);
 }
@@ -347,9 +344,10 @@ fn exhaustive_dual_polynomials_escape_exactly_one_in_q() {
     let config = SchemeConfig::linear(4, 2, 1, 1).unwrap();
     assert_eq!(config.recovery_threshold(), 2);
     let screen = DualCodeword::<P251>::new(config);
-    let alpha = EvaluationPoints::<P251>::auto(config.partitions, config.colluding, config.workers)
-        .alpha()
-        .to_vec();
+    let alpha =
+        EvaluationPoints::<P251>::standard(config.partitions, config.colluding, config.workers)
+            .alpha()
+            .to_vec();
     let honest = honest_round::<P251>(config, 2, 71);
 
     // ν = 1: three responders, Q = q₀. No localization draws at all.
@@ -405,7 +403,7 @@ fn exhaustive_dual_polynomials_escape_exactly_one_in_q() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Honest rounds pass for any responder subset on both layouts.
+    /// Honest rounds pass for any responder subset.
     #[test]
     fn prop_honest_rounds_always_pass(seed in any::<u64>(), drop in 0usize..2) {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
@@ -417,9 +415,9 @@ proptest! {
     }
 
     /// Any single corrupted symbol is rejected and localized exactly, on the
-    /// subgroup layout, for any victim and any screened subset.
+    /// Goldilocks field, for any victim and any screened subset.
     #[test]
-    fn prop_single_corruption_localized_on_subgroup_points(
+    fn prop_single_corruption_localized_on_goldilocks(
         seed in any::<u64>(),
         victim in 0usize..16,
         drop in 0usize..3,

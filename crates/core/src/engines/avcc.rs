@@ -516,7 +516,7 @@ mod tests {
         let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
         let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
         let encoder = avcc_coding::LagrangeEncoder::<P64>::new(config);
-        assert!(!encoder.uses_ntt() && encoder.points().is_systematic(8));
+        assert!(encoder.points().is_systematic(8));
         assert_eq!(engine.dataset().share(3).data(), &matrix.data()[90..120]);
         for liar in [3, 10] {
             // Every honest worker slowed down, so the liar is among the
@@ -572,21 +572,21 @@ mod tests {
     }
 
     #[test]
-    fn straggler_round_on_subgroup_points_decodes_via_the_partial_ntt_path() {
+    fn straggler_round_on_goldilocks_decodes_the_exact_product() {
         use avcc_field::{F64, P64};
-        // Goldilocks field, K = 8 and N = 16 in subgroup position: the
-        // straggler round below and a round with every worker present both
-        // decode through the subproduct-tree path, reproduce the exact
-        // product, and agree with the dense oracle on their survivor set.
+        // Goldilocks field, K = 8 and N = 16 on the systematic layout: the
+        // straggler round below (two of the four stragglers hold data bands)
+        // and a round with every worker present both reproduce the exact
+        // product, and agree with a fresh decode of their survivor set.
         let mut rng = StdRng::seed_from_u64(40);
         let matrix = Matrix::from_vec(16, 6, avcc_field::random_matrix(&mut rng, 16, 6));
         let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
         let expected = mat_vec(&matrix, &input);
         let config = SchemeConfig::linear(16, 8, 4, 0).unwrap();
         let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
-        // Sanity: this geometry really is the subgroup layout.
+        let encoder = avcc_coding::LagrangeEncoder::<P64>::new(config);
+        assert!(encoder.points().is_systematic(8));
         let decoder = avcc_coding::LagrangeDecoder::<P64>::new(config);
-        assert!(decoder.supports_partial_ntt());
         let straggling = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
         for profile in [straggling, ClusterProfile::uniform(16)] {
             let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
@@ -605,7 +605,7 @@ mod tests {
                 .iter()
                 .map(|&w| (w, mat_vec(engine.dataset().share(w), &input)))
                 .collect();
-            let oracle = decoder.decode_erasure_lagrange(&survivors).unwrap();
+            let oracle = decoder.decode_erasure(&survivors).unwrap();
             assert_eq!(round.outputs[0], oracle.concat());
             for straggler in executor.profile().straggler_indices() {
                 assert!(!round.used_workers.contains(&straggler));

@@ -368,10 +368,9 @@ mod tests {
     #[test]
     fn avcc_experiment_runs_on_the_goldilocks_field() {
         // The pipeline is generic over the modulus: the same experiment must
-        // run end-to-end on the 64-bit NTT-friendly field (with K = 9 the
-        // coding falls back to Lagrange points — the point is that nothing in
-        // quantization, encoding, verification or decoding assumes a small
-        // modulus).
+        // run end-to-end on the 64-bit Goldilocks field (the point is that
+        // nothing in quantization, encoding, verification or decoding
+        // assumes a small modulus).
         let scenario = FaultScenario::paper(1, 1, AttackModel::constant());
         let config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
         let report = run_under_attack::<P64>(&config);
@@ -379,15 +378,17 @@ mod tests {
     }
 
     #[test]
-    fn avcc_experiment_runs_on_subgroup_points() {
-        // K = 7 and T = 1 with 12 workers on F64: the encoder takes the NTT
-        // fast path (power-of-two K + T, and pads rule out the systematic
-        // layout), training must converge identically through it.
+    fn avcc_experiment_runs_with_pads_on_goldilocks() {
+        // K = 7 and T = 1 with 12 workers on F64: the pads rule out the
+        // systematic layout, so every share is a parity share, and training
+        // must run end to end through it.
         let scenario = FaultScenario::paper(1, 1, AttackModel::reverse());
         let mut config = quick(ExperimentConfig::paper_avcc(2, 1, scenario));
         config.partitions = 7;
         config.colluding = 1;
-        assert!(avcc_coding::LagrangeEncoder::<P64>::new(config.coding()).uses_ntt());
+        assert!(avcc_coding::LagrangeEncoder::<P64>::new(config.coding())
+            .points()
+            .disjoint());
         let report = run_under_attack::<P64>(&config);
         assert_eq!(report.len(), 5);
     }

@@ -210,8 +210,6 @@ proptest! {
     #[test]
     fn screening_matrix_holds_across_moduli(seed in 0u64..1000) {
         matrix_for_modulus::<P25>(seed);
-        // P64 puts the points in subgroup position (the NTT encode and
-        // subproduct-tree decode paths).
         matrix_for_modulus::<P64>(seed);
     }
 }
@@ -263,7 +261,7 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
     let product = mat_vec(&matrix, &input);
     let mut engine = AvccMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
     let victim = 1;
-    let alpha_victim = avcc_coding::points::EvaluationPoints::<P251>::auto(
+    let alpha_victim = avcc_coding::points::EvaluationPoints::<P251>::standard(
         config.partitions,
         config.colluding,
         config.workers,

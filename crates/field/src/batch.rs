@@ -222,26 +222,6 @@ impl CarryAccumulator {
     }
 }
 
-/// In-place fused multiply-add `acc[i] += c * b[i]`.
-///
-/// One reduction per element (of `c·b[i] + acc[i]`, which never overflows a
-/// `u128`). When several axpys accumulate into the same output — the Lagrange
-/// encoder/decoder case — prefer [`WideAccumulator`], which defers reduction
-/// across *all* of them.
-///
-/// # Panics
-/// Panics if the slices have different lengths.
-pub fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
-    assert_eq!(acc.len(), b.len(), "slice_axpy length mismatch");
-    const { assert_wide_batch::<M>() }
-    let scale = c.value() as u128;
-    for (x, &y) in acc.iter_mut().zip(b.iter()) {
-        *x = Fp::from_canonical(M::reduce_wide(
-            scale * y.value() as u128 + x.value() as u128,
-        ));
-    }
-}
-
 /// Inner product `Σ a[i]·b[i]` with lazy reduction.
 ///
 /// Which lane is a `const` branch on the modulus that folds away
@@ -328,8 +308,8 @@ pub fn dot<M: PrimeModulus, E: Residue<M>>(a: &[E], b: &[E]) -> E {
 ///   (the twelve 240 × 512 Freivalds keys of a `matmul_batch` job, one
 ///   thread: 2.1–2.5 ms that way, 1.05–1.23 ms this way).
 ///
-/// Compared to repeated [`slice_axpy`] this performs one reduction per lane
-/// per batch instead of one per product.
+/// Compared to an element-wise `acc[i] += c·b[i]` per source this performs
+/// one reduction per lane per batch instead of one per product.
 #[derive(Debug, Clone)]
 pub struct WideAccumulator<M: PrimeModulus> {
     /// Narrow moduli: one `u64` sum per lane. Empty for the others.
@@ -496,6 +476,15 @@ mod tests {
 
     fn fv(values: &[u64]) -> Vec<F> {
         values.iter().map(|&v| F::from_u64(v)).collect()
+    }
+
+    /// The element-wise reference `acc[i] += c·b[i]`, one reduction per
+    /// element.
+    fn slice_axpy<M: PrimeModulus>(acc: &mut [Fp<M>], c: Fp<M>, b: &[Fp<M>]) {
+        assert_eq!(acc.len(), b.len(), "slice_axpy length mismatch");
+        for (x, &y) in acc.iter_mut().zip(b) {
+            *x += c * y;
+        }
     }
 
     #[test]

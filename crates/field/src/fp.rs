@@ -30,17 +30,6 @@ pub trait PrimeModulus:
     const MODULUS: u64;
     /// A short human-readable name used in `Debug`/display output.
     const NAME: &'static str;
-    /// The 2-adicity `v` of the multiplicative group: `2^v` divides `q − 1`
-    /// and the field supports radix-2 NTTs up to size `2^v`. The default of 0
-    /// declares the modulus *not* NTT-friendly; moduli implementing
-    /// [`NttModulus`] override it together with the generators below.
-    const TWO_ADICITY: u32 = 0;
-    /// A primitive `2^TWO_ADICITY`-th root of unity (meaningless, and never
-    /// read, while `TWO_ADICITY = 0`).
-    const TWO_ADIC_GENERATOR: u64 = 0;
-    /// A generator of the full multiplicative group `F_q^*`, used as the coset
-    /// shift for NTT evaluation points (meaningless while `TWO_ADICITY = 0`).
-    const GROUP_GENERATOR: u64 = 0;
     /// The Barrett constant `⌊2^128 / q⌋` used by the default
     /// [`PrimeModulus::reduce_wide`].
     const BARRETT_MU: u128 = crate::reduce::barrett_mu(Self::MODULUS);
@@ -61,7 +50,7 @@ pub trait PrimeModulus:
     };
 
     /// Whether the long-product-chain paths (`pow`, Fermat inversion,
-    /// Montgomery batch inversion, NTT twiddle multiplies, power series)
+    /// Montgomery batch inversion, power series)
     /// should switch into the Montgomery domain and multiply through
     /// [`PrimeModulus::mul_redc`] instead of [`PrimeModulus::reduce_wide`].
     ///
@@ -69,9 +58,9 @@ pub trait PrimeModulus:
     /// cheaper than REDC per multiply. Which moduli flip it on is an
     /// empirical choice, not a soundness one (REDC is correct for every odd
     /// modulus): Barrett-backed moduli ([`P251`]) win on any chain longer
-    /// than the two domain conversions, and Goldilocks ([`P64`]) wins inside
-    /// the NTT butterflies where `WIDE_BATCH = 1` forces a reduction per
-    /// product. The branch is on a `const`, so the unselected path folds
+    /// than the two domain conversions, and Goldilocks ([`P64`]) wins on
+    /// Fermat's 64-squaring ladder, where `WIDE_BATCH = 1` forces a reduction
+    /// per product. The branch is on a `const`, so the unselected path folds
     /// away entirely.
     const MONTGOMERY_CHAINS: bool = false;
     /// The REDC constant `−q⁻¹ mod 2^64` (valid for every odd modulus —
@@ -105,8 +94,8 @@ pub trait PrimeModulus:
     ///
     /// For two Montgomery residues this is multiplication *in* the domain;
     /// for one Montgomery residue and one canonical value it is the hybrid
-    /// multiply whose result is canonical again (the NTT butterflies exploit
-    /// this with twiddles pre-converted once per plan).
+    /// multiply whose result is canonical again ([`power_series`] exploits
+    /// this with its base lifted once).
     #[inline]
     fn mul_redc(a: u64, b: u64) -> u64 {
         Self::redc(a as u128 * b as u128)
@@ -155,12 +144,9 @@ impl PrimeModulus for P251 {
     const MONTGOMERY_CHAINS: bool = true;
 }
 
-/// The NTT-friendly Goldilocks prime `q = 2^64 − 2^32 + 1`.
+/// The Goldilocks prime `q = 2^64 − 2^32 + 1`, the field of the bulk matrix
+/// jobs.
 ///
-/// `q − 1 = 2^32 · 3 · 5 · 17 · 257 · 65537`, so the multiplicative group
-/// contains a cyclic subgroup of every power-of-two order up to `2^32` —
-/// large enough to place Lagrange evaluation points in a subgroup and run
-/// encoding/decoding as `O(N log N)` NTTs for any realistic partition count.
 /// Reduction uses the `ε = 2^32 − 1` fold ([`crate::reduce::reduce_goldilocks64`]);
 /// the price of the 64-bit modulus is `WIDE_BATCH = 1` (one reduction per
 /// accumulated product — products of canonical representatives already
@@ -171,14 +157,9 @@ pub struct P64;
 impl PrimeModulus for P64 {
     const MODULUS: u64 = crate::reduce::GOLDILOCKS;
     const NAME: &'static str = "F_{2^64-2^32+1}";
-    const TWO_ADICITY: u32 = 32;
-    // 7^((q−1)/2^32), evaluated at compile time = 1753635133440165772.
-    const TWO_ADIC_GENERATOR: u64 =
-        crate::reduce::pow_goldilocks64(7, (Self::MODULUS - 1) >> Self::TWO_ADICITY);
-    const GROUP_GENERATOR: u64 = 7;
     // WIDE_BATCH = 1 means every chained product pays a full reduction;
-    // Montgomery keeps those chains (Fermat inversions, NTT butterflies with
-    // pre-converted twiddles) in the REDC domain instead.
+    // Montgomery keeps those chains (Fermat inversions, power series) in the
+    // REDC domain instead.
     const MONTGOMERY_CHAINS: bool = true;
 
     #[inline]
@@ -187,23 +168,11 @@ impl PrimeModulus for P64 {
     }
 }
 
-/// Marker for moduli whose metadata supports radix-2 NTTs: a nonzero
-/// [`PrimeModulus::TWO_ADICITY`] with matching [`PrimeModulus::TWO_ADIC_GENERATOR`]
-/// and [`PrimeModulus::GROUP_GENERATOR`] constants.
-///
-/// The subgroup evaluation-point constructors of the coding layer are gated
-/// on this trait, so only fields that *declare* NTT support can opt into the
-/// `O(N log N)` encode/decode paths; generic code bound by [`PrimeModulus`]
-/// reads the (const-folded) metadata at run time instead.
-pub trait NttModulus: PrimeModulus {}
-
-impl NttModulus for P64 {}
-
 /// Operations every prime-field element type supports.
 ///
 /// The trait exists so that the coding, verification and ML layers can be
 /// written generically over the field and instantiated with the paper's
-/// 25-bit field, the NTT-friendly Goldilocks field or the tiny proof field.
+/// 25-bit field, the Goldilocks field or the tiny proof field.
 pub trait PrimeField:
     Copy
     + Clone
@@ -339,8 +308,8 @@ pub(crate) fn pow_montgomery_raw<M: PrimeModulus>(base: u64, mut exponent: u64) 
 /// lifted to Montgomery form once and every step is a bare
 /// [`PrimeModulus::mul_redc`] whose *output is already canonical*
 /// (`x^k · x̄ · R^{-1} = x^{k+1}`), so the series costs one conversion total —
-/// no per-element domain traffic. Freivalds power-structured keys and the
-/// NTT coset scalings are built on this.
+/// no per-element domain traffic. Freivalds power-structured keys are built
+/// on this.
 pub fn power_series<M: PrimeModulus>(base: Fp<M>, len: usize) -> Vec<Fp<M>> {
     let mut powers = Vec::with_capacity(len);
     let mut current = Fp::<M>::ONE;
@@ -695,25 +664,6 @@ mod tests {
         assert_eq!(P25::MODULUS, 33_554_393);
         assert_eq!(P251::MODULUS, 251);
         assert_eq!(P64::MODULUS, 18_446_744_069_414_584_321);
-    }
-
-    #[test]
-    fn goldilocks_ntt_metadata_is_consistent() {
-        // q − 1 = 2^32 · (odd), and the declared generator has order exactly
-        // 2^32: its 2^31-th power is −1, not 1.
-        assert_eq!((P64::MODULUS - 1) % (1u64 << P64::TWO_ADICITY), 0);
-        assert_eq!((P64::MODULUS - 1) >> P64::TWO_ADICITY, 4_294_967_295);
-        let root = H::from_u64(P64::TWO_ADIC_GENERATOR);
-        assert_eq!(root.pow(1 << 31), -H::ONE);
-        assert_eq!(root.pow(1 << 31) * root.pow(1 << 31), H::ONE);
-        // 7 generates the full group: 7^((q−1)/f) ≠ 1 for every prime factor
-        // f of q − 1 (2, 3, 5, 17, 257, 65537).
-        let g = H::from_u64(P64::GROUP_GENERATOR);
-        for factor in [2u64, 3, 5, 17, 257, 65537] {
-            assert_ne!(g.pow((P64::MODULUS - 1) / factor), H::ONE, "{factor}");
-        }
-        // Non-NTT moduli keep the inert defaults.
-        assert_eq!(P25::TWO_ADICITY, 0);
     }
 
     #[test]

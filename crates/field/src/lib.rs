@@ -12,8 +12,8 @@
 //!
 //! * [`Fp`] — a `u64`-backed prime-field element, generic over a
 //!   [`PrimeModulus`] marker type. The paper's field `q = 2^25 − 39` is
-//!   available as [`F25`]; the NTT-friendly Goldilocks field
-//!   `q = 2^64 − 2^32 + 1` as [`F64`] for the bulk encode/decode paths, and a
+//!   available as [`F25`]; the Goldilocks field `q = 2^64 − 2^32 + 1` as
+//!   [`F64`] for the bulk matrix jobs, and a
 //!   tiny field [`F251`] is provided for exhaustive tests.
 //! * [`reduce`] — the specialized wide-reduction backends behind every
 //!   multiply (see *Reduction strategy* below).
@@ -37,13 +37,13 @@
 //! | Modulus | Backend | Cost per reduction |
 //! |---------|---------|--------------------|
 //! | `2^25 − 39` ([`P25`]) | pseudo-Mersenne fold (`2^25 ≡ 39`) | 3 folds + 1 conditional subtract for inputs `< 2^64` (any product of canonical values); a loop sheds ≈19.7 bits/fold above that |
-//! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1` — a `u128` holds one product — so the dot-product kernels let the sum wrap and count the carries instead of reducing per product (below); the field's payoff is the `2^32` two-adicity that unlocks the NTT encode/decode paths |
+//! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1` — a `u128` holds one product — so the dot-product kernels let the sum wrap and count the carries instead of reducing per product (below) |
 //! | `251` ([`P251`]) and any other | Barrett with `μ = ⌊2^128/q⌋` | 1 high-128 multiply + ≤ 2 conditional subtracts |
 //!
 //! # Backend selection per workload shape
 //!
 //! *Chains* — sequences of dependent multiplies (`pow` ladders, Fermat
-//! inversions, batch-inversion sweeps, NTT twiddle products, power series) —
+//! inversions, batch-inversion sweeps, power series) —
 //! additionally choose between the canonical backend above and the
 //! Montgomery domain (the raw [`PrimeModulus::mul_redc`] /
 //! [`PrimeModulus::to_montgomery`] hooks over [`reduce::redc`]: lift once,
@@ -53,7 +53,7 @@
 //! | Modulus | One-shot products / lazy sums | Long chains | Why |
 //! |---------|-------------------------------|-------------|-----|
 //! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step; lazy sums run in narrow `u64` lanes of 32 × 32 → 64-bit products, which vectorize, collapsed once per 16 384 products |
-//! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the NTT butterflies (twiddles pre-converted once per plan) in-domain |
+//! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the power series in-domain |
 //! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions (no end-to-end workload selects this field; it exists for exhaustive soundness tests) |
 //!
 //! Opting in is an empirical decision, not a soundness one: REDC is correct
@@ -116,10 +116,8 @@ pub mod reduce;
 pub mod rng;
 pub mod spans;
 
-pub use batch::{
-    batch_inverse, dot, slice_axpy, CarryAccumulator, Residue, WideAccumulator, DOT_LANES,
-};
-pub use fp::{power_series, Fp, NttModulus, PrimeField, PrimeModulus, P25, P251, P64};
+pub use batch::{batch_inverse, dot, CarryAccumulator, Residue, WideAccumulator, DOT_LANES};
+pub use fp::{power_series, Fp, PrimeField, PrimeModulus, P25, P251, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};
 pub use spans::{map_spans, span_threads};
@@ -131,9 +129,8 @@ pub use spans::{map_spans, span_threads};
 /// products, so any `d` is safe).
 pub type F25 = Fp<P25>;
 
-/// The NTT-friendly Goldilocks field, `q = 2^64 − 2^32 + 1`, whose `2^32`
-/// two-adicity lets the coding layer place evaluation points in a
-/// multiplicative subgroup and encode/decode in `O(N log N)` per coordinate.
+/// The Goldilocks field, `q = 2^64 − 2^32 + 1`: 8-byte elements for the bulk
+/// matrix jobs, with a one-multiply reduction ([`reduce::reduce_goldilocks64`]).
 pub type F64 = Fp<P64>;
 
 /// A tiny field (`q = 251`) used by exhaustive unit tests and to demonstrate

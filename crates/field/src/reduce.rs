@@ -13,7 +13,7 @@
 //!   so a value folds as `(x & (2^25−1)) + 39·(x >> 25)`, shedding ≈19.7 bits
 //!   per fold. Products of canonical representatives are below `2^50`, so the
 //!   hot path is three folds plus one conditional subtraction.
-//! * [`reduce_goldilocks64`] — for the NTT-friendly Goldilocks prime
+//! * [`reduce_goldilocks64`] — for the Goldilocks prime
 //!   `q = 2^64 − 2^32 + 1`: with `ε = 2^32 − 1` the identities `2^64 ≡ ε` and
 //!   `2^96 ≡ −1 (mod q)` collapse a 128-bit value
 //!   `x = lo + 2^64·hi_lo + 2^96·hi_hi` (where `hi_lo`, `hi_hi` are the two
@@ -207,23 +207,6 @@ pub const fn redc(t: u128, modulus: u64, neg_qinv: u64) -> u64 {
     }
 }
 
-/// Modular exponentiation by squaring in the Goldilocks field, usable in
-/// `const` contexts (it computes the 2-adic root-of-unity constant of
-/// [`crate::fp::P64`] at compile time).
-#[inline]
-pub const fn pow_goldilocks64(base: u64, mut exponent: u64) -> u64 {
-    let mut base = reduce_goldilocks64(base as u128);
-    let mut accumulator: u64 = 1;
-    while exponent > 0 {
-        if exponent & 1 == 1 {
-            accumulator = reduce_goldilocks64(accumulator as u128 * base as u128);
-        }
-        base = reduce_goldilocks64(base as u128 * base as u128);
-        exponent >>= 1;
-    }
-    accumulator
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -308,13 +291,15 @@ mod tests {
 
     #[test]
     fn goldilocks_pow_matches_naive_references() {
-        // 7 generates the multiplicative group; the 2-adic subgroup generator
-        // 7^((q−1)/2^32) has order exactly 2^32.
-        let root = pow_goldilocks64(7, (GOLDILOCKS - 1) >> 32);
-        assert_eq!(root, 1_753_635_133_440_165_772);
-        assert_eq!(pow_goldilocks64(root, 1 << 31), GOLDILOCKS - 1);
-        assert_eq!(pow_goldilocks64(5, 0), 1);
-        assert_eq!(pow_goldilocks64(GOLDILOCKS + 3, 2), 9);
+        use crate::fp::{Fp, PrimeField, P64};
+        type G = Fp<P64>;
+        // 7 generates the multiplicative group, so 7^((q−1)/2^32) has order
+        // exactly 2^32: its 2^31-th power is −1.
+        let root = G::from_u64(7).pow((GOLDILOCKS - 1) >> 32);
+        assert_eq!(root.to_u64(), 1_753_635_133_440_165_772);
+        assert_eq!(root.pow(1 << 31).to_u64(), GOLDILOCKS - 1);
+        assert_eq!(G::from_u64(5).pow(0), G::ONE);
+        assert_eq!(G::from_u64(GOLDILOCKS + 3).pow(2).to_u64(), 9);
     }
 
     const GOLD: u64 = GOLDILOCKS;

@@ -137,9 +137,6 @@ impl<F: PrimeField> Polynomial<F> {
     }
 
     /// The formal derivative `p'(z) = Σ_i i·p_i·z^{i−1}`.
-    ///
-    /// Used by the subproduct-tree interpolation: the barycentric weight of
-    /// point `x_i` under the vanishing polynomial `Z` is `1 / Z'(x_i)`.
     pub fn derivative(&self) -> Self {
         let coefficients = self
             .coefficients

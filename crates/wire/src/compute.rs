@@ -39,7 +39,7 @@ pub enum TypedBlock {
     P25(Matrix<u32>),
     /// `q = 251` (exhaustive-test field), stored as `u32`.
     P251(Matrix<u32>),
-    /// Goldilocks `q = 2^64 − 2^32 + 1` (NTT field).
+    /// Goldilocks `q = 2^64 − 2^32 + 1` (the bulk matrix jobs' field).
     P64(Matrix<Fp<P64>>),
 }
 
