@@ -1,19 +1,16 @@
-//! Byzantine screening vs detect-and-redecode: the master-side cost of
-//! discovering corrupted workers.
+//! Byzantine location: the master-side cost of discovering corrupted
+//! workers and decoding past them.
 //!
-//! The detect-and-redecode path (what LCC does, and what AVCC fell back to
-//! before PR9) runs Berlekamp–Welch error decoding over the full result set
-//! to simultaneously locate the corrupted workers and reconstruct the
-//! product. The screen path runs one SCRAPE-style dual-codeword membership
-//! pass (`O(R·width)`), localizes the corrupted workers by syndrome power
-//! sums, and then erasure-decodes the clean survivors — never paying the
-//! error-correcting solve.
+//! [`LagrangeDecoder::decode_with_errors`] is the LCC baseline's decode: one
+//! SCRAPE-style dual-codeword membership pass (`O(R·width)`), localization
+//! of the corrupted workers by syndrome power sums, then an erasure decode
+//! of the remaining workers. AVCC runs the same screen before verification.
 //!
-//! The ids are `byzantine_screen/k<K>_byz<B>/{redecode,screen}`.
-//! Both paths are asserted bit-identical (same product, same localized
-//! workers) before anything is timed.
+//! The ids are `byzantine_screen/k<K>_byz<B>/screen`. Before anything is
+//! timed, the located set is asserted to be the corrupted set and the
+//! decoded blocks to equal an erasure decode of the clean workers.
 
-use avcc_coding::{DualCodeword, LagrangeDecoder, LagrangeEncoder, SchemeConfig, ScreenOutcome};
+use avcc_coding::{LagrangeDecoder, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F64, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -22,7 +19,7 @@ use rand::SeedableRng;
 
 /// Identity-map worker results for a systematic Goldilocks `(N, K)` code with
 /// the listed workers corrupted (values reversed), so the bench times only the
-/// screening / redecoding cost.
+/// locating and decoding cost.
 fn corrupted_results(
     config: SchemeConfig,
     width: usize,
@@ -50,29 +47,6 @@ fn corrupted_results(
     results
 }
 
-/// Screen-then-erasure-decode: the PR9 pipeline in miniature.
-fn screen_and_decode(
-    screen: &DualCodeword<P64>,
-    decoder: &LagrangeDecoder<P64>,
-    results: &[(usize, Vec<F64>)],
-    rng: &mut StdRng,
-) -> (Vec<Vec<F64>>, Vec<usize>) {
-    let report = screen.screen(results, 1, rng).unwrap();
-    let evicted = match report.outcome {
-        ScreenOutcome::Corrupted { workers } => workers,
-        ScreenOutcome::Clean => Vec::new(),
-        ScreenOutcome::Unlocalized => panic!("bench plants localizable corruption"),
-    };
-    let clean: Vec<(usize, Vec<F64>)> = results
-        .iter()
-        .filter(|(worker, _)| !evicted.contains(worker))
-        .cloned()
-        .collect();
-    let threshold = decoder.recovery_threshold();
-    let blocks = decoder.decode_erasure(&clean[..threshold]).unwrap();
-    (blocks, evicted)
-}
-
 fn bench_byzantine_screen(c: &mut Criterion) {
     let mut group = c.benchmark_group("byzantine_screen");
     let width = 128usize;
@@ -83,41 +57,31 @@ fn bench_byzantine_screen(c: &mut Criterion) {
             let corrupted: Vec<usize> = (0..byzantine).map(|b| 5 + 11 * b).collect();
             let results = corrupted_results(config, width, &corrupted);
             let decoder = LagrangeDecoder::<P64>::new(config);
-            let screen = DualCodeword::<P64>::new(config);
 
-            // Both paths must agree — same product, same localized workers —
-            // before either is timed.
+            // The located set and the product must be right before anything
+            // is timed.
+            let clean: Vec<(usize, Vec<F64>)> = results
+                .iter()
+                .filter(|(worker, _)| !corrupted.contains(worker))
+                .cloned()
+                .collect();
             let mut check_rng = StdRng::seed_from_u64(91);
-            let (oracle_blocks, mut oracle_located) = decoder
+            let (blocks, located) = decoder
                 .decode_with_errors(&results, byzantine, &mut check_rng)
                 .unwrap();
-            oracle_located.sort_unstable();
-            let (screen_blocks, screen_located) =
-                screen_and_decode(&screen, &decoder, &results, &mut check_rng);
-            assert_eq!(oracle_located, corrupted);
-            assert_eq!(screen_located, corrupted);
-            assert_eq!(oracle_blocks, screen_blocks);
+            assert_eq!(located, corrupted);
+            assert_eq!(blocks, decoder.decode_erasure(&clean).unwrap());
 
             let label = format!("k{partitions}_byz{byzantine}");
-            let mut redecode_rng = StdRng::seed_from_u64(92);
-            group.bench_with_input(
-                BenchmarkId::new(label.clone(), "redecode"),
-                &byzantine,
-                |bencher, _| {
-                    bencher.iter(|| {
-                        decoder
-                            .decode_with_errors(black_box(&results), byzantine, &mut redecode_rng)
-                            .unwrap()
-                    })
-                },
-            );
             let mut screen_rng = StdRng::seed_from_u64(93);
             group.bench_with_input(
                 BenchmarkId::new(label, "screen"),
                 &byzantine,
                 |bencher, _| {
                     bencher.iter(|| {
-                        screen_and_decode(&screen, &decoder, black_box(&results), &mut screen_rng)
+                        decoder
+                            .decode_with_errors(black_box(&results), byzantine, &mut screen_rng)
+                            .unwrap()
                     })
                 },
             );

@@ -1,6 +1,7 @@
 //! Decoding benchmarks: AVCC's erasure decoding versus LCC's error-correcting
-//! (Berlekamp–Welch) decoding — the master-side cost asymmetry behind Fig. 4
-//! and behind AVCC's ability to start decoding early.
+//! decoding (locate through the dual-codeword screen, then erasure-decode the
+//! rest) — the master-side cost asymmetry behind Fig. 4 and behind AVCC's
+//! ability to start decoding early.
 
 use avcc_coding::{LagrangeDecoder, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F25, P25};
@@ -44,7 +45,7 @@ fn bench_erasure_decoding(c: &mut Criterion) {
 }
 
 fn bench_error_correcting_decoding(c: &mut Criterion) {
-    let mut group = c.benchmark_group("decode/lcc_berlekamp_welch");
+    let mut group = c.benchmark_group("decode/lcc_error_correcting");
     for &rows in &[90usize, 450, 900] {
         let results = worker_results(rows, Some(4));
         let decoder = LagrangeDecoder::<P25>::new(SchemeConfig::linear(12, 9, 1, 1).unwrap());

@@ -13,16 +13,14 @@
 //!   coordinates).
 //! * [`LagrangeDecoder::decode_with_errors`] — what the **LCC baseline**
 //!   uses: up to `max_errors` of the supplied results may be arbitrary
-//!   garbage. The decoder first *locates* the corrupted workers by running
-//!   Berlekamp–Welch on a random-linear-combination fingerprint of each
-//!   worker's vector (a corrupted vector produces a wrong fingerprint with
-//!   probability at least `1 − deg/q`), then erasure-decodes from the
-//!   remaining workers. The located workers are reported so the caller can
-//!   mark them Byzantine. There is one such pass and no other locator: when
-//!   the fingerprints admit no codeword within the error budget, or too few
-//!   workers are left once the located ones are dropped, the decode fails
-//!   with [`DecodeError::TooManyErrors`]. The located set is not re-checked
-//!   against the full vectors.
+//!   garbage. The decoder *locates* the corrupted workers with the
+//!   dual-codeword screen ([`crate::screen::DualCodeword`], the same locator
+//!   AVCC runs before verification), which re-checks every set it names by
+//!   re-screening the remaining workers, then erasure-decodes from those
+//!   remaining workers. The located workers (ascending) are reported so the
+//!   caller can mark them Byzantine. When the screen cannot localize, or names
+//!   more than `max_errors` workers, the decode fails with
+//!   [`DecodeError::TooManyErrors`].
 //!
 //! Erasure decoding is *prepare once, apply many*: everything that depends
 //! only on **which** workers supplied results — not on the values they
@@ -34,12 +32,13 @@
 //! exactly on a β-point (a systematic share) hands its vector through, every
 //! other output block is one combination of the first threshold lanes.
 
-use avcc_field::{dot, random_vector, Fp, PrimeModulus};
-use avcc_poly::{BerlekampWelch, LagrangeBasis, RsDecodeError};
+use avcc_field::{Fp, PrimeModulus};
+use avcc_poly::LagrangeBasis;
 use rand::Rng;
 
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
+use crate::screen::{DualCodeword, ScreenError, ScreenOutcome};
 
 /// Errors raised during decoding.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -209,7 +208,14 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
 
     /// Error-correcting decoding: tolerates up to `max_errors` arbitrarily
     /// corrupted results among `results`. Returns the `K` output blocks and
-    /// the worker indices identified as corrupted.
+    /// the worker indices (ascending) identified as corrupted.
+    ///
+    /// With exactly the recovery threshold of results (`max_errors = 0`)
+    /// there is no redundancy to check and the results are erasure-decoded.
+    /// Otherwise one [`DualCodeword::screen`] pass locates the corrupted
+    /// workers and the others are erasure-decoded, in the order given; a
+    /// round the screen cannot localize, or one naming more than
+    /// `max_errors` workers, fails with [`DecodeError::TooManyErrors`].
     pub fn decode_with_errors<R: Rng + ?Sized>(
         &self,
         results: &[(usize, Vec<Fp<M>>)],
@@ -224,42 +230,41 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
         if results.iter().any(|(_, vector)| vector.len() != width) {
             return Err(DecodeError::ShapeMismatch);
         }
-        let alphas: Vec<Fp<M>> = workers.iter().map(|&w| self.points.alpha()[w]).collect();
+        if results.len() == threshold {
+            return Ok((self.decode_erasure(results)?, Vec::new()));
+        }
 
-        // Fingerprint pass: collapse each worker vector to a single field
-        // element with a shared random combination vector. Correct workers'
-        // fingerprints are evaluations of a degree-(threshold-1) polynomial.
-        let combination: Vec<Fp<M>> = random_vector(rng, width);
-        let fingerprints: Vec<Fp<M>> = results
-            .iter()
-            .map(|(_, vector)| dot(vector, &combination))
-            .collect();
-        let decoder = BerlekampWelch::new(alphas, threshold);
-        let located = match decoder.decode(&fingerprints, max_errors) {
-            Ok(decoded) => decoded.error_positions,
-            Err(RsDecodeError::TooManyErrors) => return Err(DecodeError::TooManyErrors),
-            Err(RsDecodeError::NotEnoughEvaluations { provided, required }) => {
-                return Err(DecodeError::NotEnoughResults { provided, required })
+        let report = DualCodeword::new(self.config)
+            .screen(results, 1, rng)
+            .map_err(|error| match error {
+                ScreenError::NotScreenable {
+                    responders,
+                    required,
+                } => DecodeError::NotEnoughResults {
+                    provided: responders,
+                    required,
+                },
+                ScreenError::EmptyRound => DecodeError::NotEnoughResults {
+                    provided: 0,
+                    required,
+                },
+                ScreenError::DuplicateWorker { worker } => DecodeError::DuplicateWorker { worker },
+                ScreenError::UnknownWorker { worker } => DecodeError::UnknownWorker { worker },
+                ScreenError::ShapeMismatch => DecodeError::ShapeMismatch,
+            })?;
+        let located = match report.outcome {
+            ScreenOutcome::Clean => Vec::new(),
+            ScreenOutcome::Corrupted { workers } if workers.len() <= max_errors => workers,
+            ScreenOutcome::Corrupted { .. } | ScreenOutcome::Unlocalized => {
+                return Err(DecodeError::TooManyErrors)
             }
-            Err(RsDecodeError::LengthMismatch { .. }) => return Err(DecodeError::ShapeMismatch),
         };
-
-        // Erasure-decode from the workers that were not located as corrupted.
         let clean: Vec<(usize, Vec<Fp<M>>)> = results
             .iter()
-            .enumerate()
-            .filter(|(position, _)| !located.contains(position))
-            .map(|(_, entry)| entry.clone())
+            .filter(|(worker, _)| !located.contains(worker))
+            .cloned()
             .collect();
-        if clean.len() < threshold {
-            return Err(DecodeError::TooManyErrors);
-        }
-        let outputs = self.decode_erasure(&clean)?;
-        let corrupted_workers: Vec<usize> = located
-            .iter()
-            .map(|&position| results[position].0)
-            .collect();
-        Ok((outputs, corrupted_workers))
+        Ok((self.decode_erasure(&clean)?, located))
     }
 
     /// Checks a survivor list: enough of them, all in `[0, N)`, no repeats.
@@ -514,6 +519,46 @@ mod tests {
         assert!(corrupted.is_empty());
     }
 
+    #[test]
+    fn error_correcting_decode_never_names_more_than_the_budget() {
+        // ν = 16 − 8 = 8 lets the screen alone localize four workers; with a
+        // budget of one, two located workers are beyond the design.
+        let config = SchemeConfig::linear(16, 8, 0, 1).unwrap();
+        let (_, mut results, decoder) = linear_round(config, 12);
+        for index in [3, 10] {
+            for value in results[index].1.iter_mut() {
+                *value += F25::from_u64(5);
+            }
+        }
+        let mut rng = StdRng::seed_from_u64(120);
+        assert_eq!(
+            decoder.decode_with_errors(&results, 1, &mut rng),
+            Err(DecodeError::TooManyErrors)
+        );
+    }
+
+    #[test]
+    fn error_correcting_decode_with_no_budget() {
+        let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+        let (expected, mut results, decoder) = linear_round(config, 13);
+        let mut rng = StdRng::seed_from_u64(130);
+        // Exactly the threshold: nothing to check, an exact erasure decode.
+        let (outputs, corrupted) = decoder
+            .decode_with_errors(&results[..9], 0, &mut rng)
+            .unwrap();
+        assert_eq!(outputs, expected);
+        assert!(corrupted.is_empty());
+        // One result over the threshold detects a corruption it may not
+        // locate.
+        for value in results[2].1.iter_mut() {
+            *value = -*value;
+        }
+        assert_eq!(
+            decoder.decode_with_errors(&results[..10], 0, &mut rng),
+            Err(DecodeError::TooManyErrors)
+        );
+    }
+
     mod goldilocks {
         use super::*;
         use avcc_field::{F64, P64};
@@ -603,8 +648,8 @@ mod tests {
 
         #[test]
         fn error_correcting_decode_locates_a_corruption_on_goldilocks() {
-            // LCC-style on F64: locate the corruption via Berlekamp–Welch,
-            // then erasure-decode the clean subset.
+            // LCC-style on F64: locate the corruption with the screen, then
+            // erasure-decode the clean subset.
             let config = SchemeConfig::linear(16, 8, 2, 2).unwrap();
             let (expected, mut results, decoder) = goldilocks_round(config, 25);
             for value in results[5].1.iter_mut() {

@@ -16,18 +16,18 @@
 //! 3. **How are results decoded?** [`decoder::LagrangeDecoder`] interpolates
 //!    `f(u(z))` from worker evaluations: erasure-only decoding (what AVCC
 //!    needs, since Byzantine results have already been discarded by the
-//!    verifier) and error-correcting decoding via Berlekamp–Welch on
-//!    worker fingerprints (what the LCC baseline needs to identify Byzantine
-//!    workers without verification).
+//!    verifier) and error-correcting decoding (what the LCC baseline needs to
+//!    identify Byzantine workers without verification), which locates them
+//!    with the screen below and erasure-decodes the rest.
 //!
 //! A fourth question — **are the returned blocks even consistent?** — is
 //! answered before any of the above runs: [`screen::DualCodeword`] checks all
 //! responder blocks for RS-codeword membership at once with a SCRAPE-style
 //! random dual-codeword inner product (`O(R·width)` per check, escape
 //! probability `(1/q)^k`), and on failure localizes the corrupted workers by
-//! syndrome power sums instead of full Berlekamp–Welch error decoding. The
-//! AVCC engine runs it pre-decode so screened-out workers become plain
-//! erasures.
+//! syndrome power sums. The AVCC engine runs it pre-decode so screened-out
+//! workers become plain erasures; the LCC baseline's error-correcting decode
+//! runs it as its error locator.
 //!
 //! A fifth concern sits on top: **how often is the dataset encoded?**
 //! [`dataset::EncodedDataset`] owns the coded partitions (and the decoder

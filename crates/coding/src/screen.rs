@@ -24,10 +24,13 @@
 //! at the fleet sizes in use, so nothing is cached.
 //!
 //! **Localization**: when membership fails, the corrupted workers are found
-//! without Berlekamp–Welch error decoding. Collapse each responder vector to
-//! a scalar fingerprint `φ_i = ⟨Ỹ_i, ρ⟩` for a random `ρ`; the scalar
-//! syndromes `S_m = Σ_i u_i·α_i^m·φ_i` for `m < ν` are blind to the honest
-//! codeword (sum-of-residues: `Σ_i u_i·α_i^m·P(α_i) = 0` whenever
+//! from syndromes. This is the workspace's one Reed–Solomon error locator:
+//! the AVCC engine runs it before verification, and the LCC baseline's
+//! [`crate::decoder::LagrangeDecoder::decode_with_errors`] runs it before
+//! its erasure decode. Collapse each responder vector to a scalar
+//! fingerprint `φ_i = ⟨Ỹ_i, ρ⟩` for a random `ρ`; the scalar syndromes
+//! `S_m = Σ_i u_i·α_i^m·φ_i` for `m < ν` are blind to the honest codeword
+//! (sum-of-residues: `Σ_i u_i·α_i^m·P(α_i) = 0` whenever
 //! `m + deg P ≤ R − 2`) and equal the power sums `Σ_{i∈E} η_i·α_i^m` of the
 //! corrupted positions. A Peterson–Gorenstein–Zierler solve on the Hankel
 //! system of those power sums recovers the error-locator polynomial for up

@@ -4,7 +4,11 @@
 //! wait for the first `N − S` results before it can do anything — Byzantine
 //! workers are only identified *during* Reed–Solomon error decoding, which is
 //! why LCC cannot start processing early and why each Byzantine worker costs
-//! two extra workers (eq. 1).
+//! two extra workers (eq. 1). The error locator is the dual-codeword screen
+//! ([`avcc_coding::DualCodeword`], through
+//! [`avcc_coding::LagrangeDecoder::decode_with_errors`]): it names up to `M`
+//! corrupted results, re-checks them by re-screening the rest, and the rest
+//! are erasure-decoded.
 //!
 //! When the actual number of corrupted results exceeds the designed `M`, real
 //! LCC decoders produce an incorrect reconstruction; this engine reproduces
@@ -164,9 +168,10 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         }
         costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
-        // Reed–Solomon error decoding interpolates through all `wait_count`
-        // results (the syndrome/locator work is the extra `wait_count²` term
-        // LCC pays over an erasure decode), once per function.
+        // The modelled Reed–Solomon decode cost: an interpolation through all
+        // `wait_count` results plus a `wait_count²` syndrome/locator term over
+        // an erasure decode, once per function. It models the decode the
+        // paper charges LCC, not the screen's own multiply count.
         let ops = OpCounts {
             worker_macs: (block_rows * functions * cols) as u64,
             verify_macs: 0,

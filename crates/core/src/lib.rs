@@ -30,7 +30,7 @@
 //! | Scheme | Feasibility bound | Waits for | Master-side overhead |
 //! |---|---|---|---|
 //! | `Uncoded` | `N ≥ K` | **all** `N` results (stragglers included) | reassembly only |
-//! | `Lcc` | `N ≥ (K+T−1)·deg f + S + 2M + 1` (eq. 1) | the fastest `N − S` | Berlekamp–Welch error decoding on fingerprints to locate Byzantine results |
+//! | `Lcc` | `N ≥ (K+T−1)·deg f + S + 2M + 1` (eq. 1) | the fastest `N − S` | Reed–Solomon error decoding: the dual-codeword screen locates Byzantine results, the rest are erasure-decoded |
 //! | `Avcc` / `StaticVcc` | `N ≥ (K+T−1)·deg f + S + M + 1` (eq. 2) | the fastest `(K+T−1)·deg f + 1` **verified** results | per-result Freivalds check + erasure-only interpolation |
 //!
 //! The paper's headline trade is visible in the bounds: verification lets

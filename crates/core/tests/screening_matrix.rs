@@ -8,12 +8,12 @@
 //!    [`DualCodeword`] check reports `Clean` exactly on attack-free rounds
 //!    and localizes the planted Byzantine set *exactly* otherwise.
 //! 2. **Bit-identical output**: the AVCC engine's screened collect decodes
-//!    the same product, bit for bit, as the detect-and-redecode oracle
-//!    (Berlekamp–Welch [`decode_with_errors`] over the same corrupted
-//!    claims) — and both equal the plain `mat_vec` oracle.
-//! 3. **Oracle agreement on localization**: the worker sets identified by
-//!    the screen, the engine, and the error decoder all match the planted
-//!    set.
+//!    the same product, bit for bit, as the LCC baseline's error-correcting
+//!    decode ([`decode_with_errors`] over the same corrupted claims, which
+//!    locates through the same screen) — and both equal the plain `mat_vec`
+//!    oracle.
+//! 3. **Agreement on localization**: the worker sets identified by the
+//!    screen, the engine, and the LCC decode all match the planted set.
 //!
 //! [`decode_with_errors`]: avcc_coding::LagrangeDecoder::decode_with_errors
 
@@ -140,8 +140,9 @@ fn run_cell<M: PrimeModulus>(
         ),
     }
 
-    // (2) The detect-and-redecode oracle: Berlekamp–Welch error decoding
-    // over the same claims finds the same workers and the same product.
+    // (2) The LCC baseline's path: error-correcting decoding over the same
+    // claims, with the planted set as its budget, names the planted workers
+    // and decodes the `mat_vec` product from the rest.
     let mut oracle_rng = StdRng::seed_from_u64(seed ^ 0x0c1e);
     let (blocks, error_positions) = dataset
         .decoder()

@@ -228,7 +228,7 @@ pub trait PrimeField:
     /// The default folds element-wise (one reduction per product); [`Fp`]
     /// overrides it with the lazy-reduction kernel [`crate::batch::dot`],
     /// which reduces once per lane and batch, not per product. Generic
-    /// product chains (polynomial convolution, Berlekamp–Welch) route their
+    /// product chains (polynomial convolution) route their
     /// sums-of-products through this hook so they inherit lazy reduction
     /// without naming a concrete modulus.
     ///

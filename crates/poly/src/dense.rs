@@ -35,16 +35,6 @@ impl<F: PrimeField> Polynomial<F> {
         Polynomial { coefficients }
     }
 
-    /// The monomial `c · z^degree`.
-    pub fn monomial(c: F, degree: usize) -> Self {
-        if c.is_zero() {
-            return Self::zero();
-        }
-        let mut coefficients = vec![F::ZERO; degree + 1];
-        coefficients[degree] = c;
-        Polynomial { coefficients }
-    }
-
     /// Degree of the polynomial, or `None` for the zero polynomial.
     pub fn degree(&self) -> Option<usize> {
         if self.coefficients.is_empty() {
@@ -93,22 +83,12 @@ impl<F: PrimeField> Polynomial<F> {
         Self::from_coefficients(coefficients)
     }
 
-    /// Polynomial subtraction `self − other`.
-    pub fn sub(&self, other: &Self) -> Self {
-        let len = self.coefficients.len().max(other.coefficients.len());
-        let mut coefficients = Vec::with_capacity(len);
-        for i in 0..len {
-            coefficients.push(self.coefficient(i) - other.coefficient(i));
-        }
-        Self::from_coefficients(coefficients)
-    }
-
     /// Schoolbook polynomial multiplication (the degrees involved in AVCC are
     /// tiny — at most `(K+T−1)·deg f` ≈ tens — so FFT multiplication is not
     /// warranted). Each output coefficient is one convolution window,
     /// computed as a dot product against a reversed copy of `other` so the
     /// sum-of-products runs through [`PrimeField::dot_product`] and inherits
-    /// lazy reduction — this sits under the Berlekamp–Welch `Q/E` chains.
+    /// lazy reduction.
     pub fn mul(&self, other: &Self) -> Self {
         if self.is_zero() || other.is_zero() {
             return Self::zero();
@@ -134,50 +114,6 @@ impl<F: PrimeField> Polynomial<F> {
     /// Multiplies every coefficient by the scalar `c`.
     pub fn scale(&self, c: F) -> Self {
         Self::from_coefficients(self.coefficients.iter().map(|&x| x * c).collect())
-    }
-
-    /// The formal derivative `p'(z) = Σ_i i·p_i·z^{i−1}`.
-    pub fn derivative(&self) -> Self {
-        let coefficients = self
-            .coefficients
-            .iter()
-            .enumerate()
-            .skip(1)
-            .map(|(i, &c)| c * F::from_u64(i as u64))
-            .collect();
-        Self::from_coefficients(coefficients)
-    }
-
-    /// Polynomial long division, returning `(quotient, remainder)` such that
-    /// `self = quotient · divisor + remainder` with
-    /// `deg remainder < deg divisor`.
-    ///
-    /// # Panics
-    /// Panics if `divisor` is the zero polynomial.
-    pub fn div_rem(&self, divisor: &Self) -> (Self, Self) {
-        assert!(!divisor.is_zero(), "polynomial division by zero");
-        if self.is_zero() || self.coefficients.len() < divisor.coefficients.len() {
-            return (Self::zero(), self.clone());
-        }
-        let divisor_degree = divisor.coefficients.len() - 1;
-        let leading_inverse = divisor.coefficients[divisor_degree].inverse();
-        let mut remainder = self.coefficients.clone();
-        let quotient_len = remainder.len() - divisor_degree;
-        let mut quotient = vec![F::ZERO; quotient_len];
-        for step in (0..quotient_len).rev() {
-            let factor = remainder[step + divisor_degree] * leading_inverse;
-            quotient[step] = factor;
-            if factor.is_zero() {
-                continue;
-            }
-            for (offset, &d) in divisor.coefficients.iter().enumerate() {
-                remainder[step + offset] -= factor * d;
-            }
-        }
-        (
-            Self::from_coefficients(quotient),
-            Self::from_coefficients(remainder),
-        )
     }
 }
 
@@ -218,21 +154,6 @@ mod tests {
     }
 
     #[test]
-    fn monomial_has_expected_degree_and_value() {
-        let p = Polynomial::monomial(F25::from_u64(5), 3);
-        assert_eq!(p.degree(), Some(3));
-        assert_eq!(p.evaluate(F25::from_u64(2)), F25::from_u64(40));
-        assert!(Polynomial::monomial(F25::ZERO, 3).is_zero());
-    }
-
-    #[test]
-    fn addition_and_subtraction_are_inverses() {
-        let p = poly(&[1, 2, 3]);
-        let q = poly(&[4, 5]);
-        assert_eq!(p.add(&q).sub(&q), p);
-    }
-
-    #[test]
     fn multiplication_matches_known_product() {
         // (1 + z)(1 - z) = 1 - z^2
         let p = poly(&[1, 1]);
@@ -244,41 +165,6 @@ mod tests {
     fn multiplication_by_zero_is_zero() {
         let p = poly(&[1, 2, 3]);
         assert!(p.mul(&Polynomial::zero()).is_zero());
-    }
-
-    #[test]
-    fn division_round_trips() {
-        let p = poly(&[2, 7, 1, 5]);
-        let d = poly(&[3, 1]);
-        let (q, r) = p.div_rem(&d);
-        assert_eq!(q.mul(&d).add(&r), p);
-        assert!(r.degree().unwrap_or(0) < d.degree().unwrap());
-    }
-
-    #[test]
-    fn division_of_lower_degree_returns_self_as_remainder() {
-        let p = poly(&[1, 2]);
-        let d = poly(&[1, 2, 3]);
-        let (q, r) = p.div_rem(&d);
-        assert!(q.is_zero());
-        assert_eq!(r, p);
-    }
-
-    #[test]
-    #[should_panic(expected = "division by zero")]
-    fn division_by_zero_panics() {
-        let _ = poly(&[1]).div_rem(&Polynomial::zero());
-    }
-
-    #[test]
-    fn derivative_matches_power_rule() {
-        // p(z) = 3 + 2z + 5z^2 + z^3 → p'(z) = 2 + 10z + 3z^2
-        let p = poly(&[3, 2, 5, 1]);
-        assert_eq!(p.derivative(), poly(&[2, 10, 3]));
-        assert!(Polynomial::<F25>::zero().derivative().is_zero());
-        assert!(Polynomial::constant(F25::from_u64(7))
-            .derivative()
-            .is_zero());
     }
 
     #[test]
@@ -316,16 +202,6 @@ mod tests {
             let point = F25::from_u64(point);
             prop_assert_eq!(p.add(&q).evaluate(point), p.evaluate(point) + q.evaluate(point));
             prop_assert_eq!(p.mul(&q).evaluate(point), p.evaluate(point) * q.evaluate(point));
-        }
-
-        #[test]
-        fn prop_div_rem_reconstructs(p in arbitrary_poly(), d in arbitrary_poly()) {
-            prop_assume!(!d.is_zero());
-            let (q, r) = p.div_rem(&d);
-            prop_assert_eq!(q.mul(&d).add(&r), p);
-            if let Some(rd) = r.degree() {
-                prop_assert!(rd < d.degree().unwrap());
-            }
         }
     }
 }

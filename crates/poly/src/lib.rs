@@ -1,5 +1,4 @@
-//! Polynomials, Lagrange interpolation, linear solving and Reed–Solomon error
-//! decoding over prime fields.
+//! Polynomials, Lagrange interpolation and linear solving over prime fields.
 //!
 //! This crate provides the algebraic machinery behind both coding layers of
 //! the AVCC reproduction:
@@ -8,11 +7,10 @@
 //!   polynomial `u(z) = Σ X_j ℓ_j(z) + Σ W_j ℓ_j(z)` from Lagrange basis
 //!   monomials ([`lagrange`]) and evaluate it at the worker points `α_i`.
 //! * The **decoders** interpolate `f(u(z))` from worker evaluations:
-//!   erasure-only decoding is plain Lagrange interpolation
-//!   ([`lagrange::interpolate`]), while the LCC baseline's Byzantine
-//!   tolerance needs *error-correcting* decoding, implemented here as the
-//!   Berlekamp–Welch algorithm ([`reed_solomon::BerlekampWelch`]) on top of a
-//!   dense Gaussian-elimination solver ([`linear::solve`]).
+//!   erasure decoding is plain Lagrange interpolation
+//!   ([`lagrange::interpolate`]), and the dual-codeword screen that locates
+//!   Byzantine workers solves its error-locator system with a dense
+//!   Gaussian-elimination solver ([`linear::solve`]).
 //!
 //! Dense polynomials ([`dense::Polynomial`]) carry the arithmetic both need.
 //! All algorithms are written generically over [`avcc_field::PrimeField`].
@@ -23,9 +21,7 @@
 pub mod dense;
 pub mod lagrange;
 pub mod linear;
-pub mod reed_solomon;
 
 pub use dense::Polynomial;
 pub use lagrange::{evaluate_basis_at, interpolate, interpolate_eval, LagrangeBasis};
 pub use linear::{mat_vec, rank, solve, LinearSolveError};
-pub use reed_solomon::{BerlekampWelch, RsDecodeError, RsDecoded};

@@ -61,7 +61,7 @@
 /// Prime-field arithmetic, signed embedding and quantization.
 pub use avcc_field as field;
 
-/// Polynomials, Lagrange interpolation and Reed–Solomon decoding.
+/// Polynomials, Lagrange interpolation and dense linear solving.
 pub use avcc_poly as poly;
 
 /// Dense matrices and multi-threaded kernels.
