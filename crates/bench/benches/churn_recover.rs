@@ -33,7 +33,6 @@ fn job() -> ExperimentConfig {
     let scenario = FaultScenario::paper(3, 0, AttackModel::None);
     let mut config = ExperimentConfig::paper_avcc(3, 0, scenario);
     config.iterations = 12;
-    config.time_scale = 1.0;
     config.seed = 17;
     config.dataset = DatasetConfig {
         train_samples: 180,

@@ -29,7 +29,6 @@ fn job(seed: u64) -> ExperimentConfig {
     let scenario = FaultScenario::paper(1, 0, AttackModel::None);
     let mut config = ExperimentConfig::paper_uncoded(scenario);
     config.iterations = 3;
-    config.time_scale = 1.0;
     config.seed = seed;
     config.dataset = DatasetConfig {
         train_samples: 180,

@@ -15,8 +15,8 @@
 //! stragglers) and varies only `(K, T)`.
 //!
 //! Columns: `t` (colluding tolerance), `k` (data partitions), `threshold`
-//! (recovery threshold), `final_accuracy`, `total_seconds` (simulated
-//! robust wall-clock of the full run) and `seconds_per_iteration`.
+//! (recovery threshold), `final_accuracy`, `total_seconds` (modeled time of
+//! the full run) and `seconds_per_iteration`.
 
 use avcc_bench::{fmt, harness_tune};
 use avcc_core::{run_experiment, ExperimentConfig, FaultScenario};
@@ -36,7 +36,7 @@ fn main() {
         config.colluding = colluding;
         let coding = config.coding();
         let report = run_experiment::<P25>(&config).expect("privacy sweep run failed");
-        let total = report.robust_total_seconds();
+        let total = report.total_seconds();
         println!(
             "{colluding}\t{}\t{}\t{}\t{}\t{}",
             coding.partitions,

@@ -9,7 +9,8 @@
 //!   (6000 × 5000). Slow, but dimensionally identical to the paper.
 //!
 //! The binaries print tab-separated series that correspond one-to-one to the
-//! paper's plots; `EXPERIMENTS.md` records a captured run.
+//! paper's plots; every number is modeled time, so two runs print the same
+//! bytes. `EXPERIMENTS.md` records a captured run.
 
 use avcc_core::{ExperimentConfig, FaultScenario, SchemeKind};
 use avcc_ml::dataset::DatasetConfig;
@@ -33,16 +34,12 @@ pub fn harness_dataset() -> DatasetConfig {
 }
 
 /// Applies the harness dataset and iteration count to an experiment config.
-///
-/// In full-scale mode the worker blocks are GISETTE-sized, so the simulator's
-/// compute-time scale is dropped back to the paper-calibrated 40× (the quick
-/// mode keeps the larger default that compensates for the smaller dataset).
+/// Both modes run on the one modeled clock,
+/// [`SECONDS_PER_MAC`](avcc_sim::SECONDS_PER_MAC): full scale charges its
+/// GISETTE-sized blocks at the same rate per MAC as quick mode's.
 pub fn harness_tune(mut config: ExperimentConfig) -> ExperimentConfig {
     config.dataset = harness_dataset();
     config.iterations = 50;
-    if full_scale() {
-        config.time_scale = 40.0;
-    }
     config
 }
 

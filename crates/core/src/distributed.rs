@@ -500,7 +500,6 @@ mod tests {
             ByzantineSpec::new([byzantine], AttackModel::constant()),
             TrainerConfig {
                 iterations: 6,
-                time_scale: 1.0,
                 ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
             },
             "bridge-test",
@@ -529,6 +528,37 @@ mod tests {
 
         assert_eq!(trajectory(&report), trajectory(&oracle_report));
         assert_eq!(trainer.model().weights, oracle.model().weights);
+    }
+
+    #[test]
+    fn a_socket_fleet_charges_the_master_on_the_modeled_clock() {
+        // Worker seconds on a real fleet are measured; the master's are not:
+        // its verification and decoding are the iteration's op counts at the
+        // one modeled rate, whatever executor ran the round.
+        use avcc_sim::socket::{SocketConfig, SocketExecutor, WorkerBackend};
+        use avcc_sim::SECONDS_PER_MAC;
+        let mut trainer = make_trainer(SchemeKind::Avcc, &[], 3);
+        let config = SocketConfig {
+            backend: WorkerBackend::InProcess,
+            ..SocketConfig::default()
+        };
+        let mut fleet = SocketExecutor::with_config(trainer.cluster().clone(), config).unwrap();
+        let report = train_distributed(&mut trainer, &mut fleet).unwrap();
+        let close = |seconds: f64, macs: u64| {
+            let modeled = macs as f64 * SECONDS_PER_MAC;
+            (seconds - modeled).abs() <= 1e-12 * modeled
+        };
+        for record in &report.iterations {
+            assert!(record.ops.verify_macs > 0 && record.ops.decode_macs > 0);
+            assert!(
+                close(record.costs.verification, record.ops.verify_macs),
+                "{record:?}"
+            );
+            assert!(
+                close(record.costs.decoding, record.ops.decode_macs),
+                "{record:?}"
+            );
+        }
     }
 
     #[test]
@@ -649,7 +679,7 @@ mod tests {
         // The first nine results include worker 3's forgery: a quorum, but
         // one verified result short. Worker 9 completes it; 10 and 11 are
         // never waited for.
-        let fleet = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let fleet = VirtualExecutor::new(ClusterProfile::uniform(12));
         let first_nine: Vec<usize> = (0..9).collect();
         let mut executor = ScriptedExecutor::new(fleet, &[&first_nine, &[9], &[10], &[11]]);
         let byzantine = ByzantineSpec::new([3], AttackModel::constant());
@@ -682,7 +712,7 @@ mod tests {
         let oracle_report = oracle.train().unwrap();
 
         let mut trainer = make_trainer(SchemeKind::StaticVcc, &[], 3);
-        let fleet = VirtualExecutor::new(trainer.cluster().clone()).with_time_scale(1.0);
+        let fleet = VirtualExecutor::new(trainer.cluster().clone());
         let first_nine: Vec<usize> = (0..9).collect();
         let mut executor = ScriptedExecutor::new(fleet, &[&first_nine, &[9], &[10], &[11]]);
         let report = train_distributed(&mut trainer, &mut executor).unwrap();
@@ -707,7 +737,6 @@ mod tests {
                 ByzantineSpec::none(),
                 TrainerConfig {
                     iterations: 6,
-                    time_scale: 1.0,
                     ..TrainerConfig::paper_defaults(
                         SchemeKind::Avcc,
                         SchemeConfig::linear(12, 9, 2, 1).unwrap(),
@@ -722,7 +751,7 @@ mod tests {
 
         // Cut off, it never answers before its round is retired.
         let mut trainer = make();
-        let fleet = VirtualExecutor::new(trainer.cluster().clone()).with_time_scale(1.0);
+        let fleet = VirtualExecutor::new(trainer.cluster().clone());
         let everyone_else: Vec<usize> = (1..12).collect();
         let mut executor = ScriptedExecutor::new(fleet, &[&everyone_else, &[0]]);
         let report = train_distributed(&mut trainer, &mut executor).unwrap();

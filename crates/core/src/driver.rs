@@ -85,7 +85,9 @@ pub struct TrainerConfig {
     pub learning_rate: f64,
     /// Number of training iterations.
     pub iterations: usize,
-    /// Simulator compute-time scale factor.
+    /// Ignored: simulated seconds come from op counts at
+    /// [`avcc_sim::SECONDS_PER_MAC`]. Harness compatibility; remove at the
+    /// next `benchmark` re-bind.
     pub time_scale: f64,
     /// RNG seed for encoding pads, keys and decode fingerprints.
     pub seed: u64,
@@ -104,7 +106,7 @@ impl TrainerConfig {
             coding,
             learning_rate: 5.0,
             iterations: 50,
-            time_scale: 40.0,
+            time_scale: 1.0,
             seed: 42,
             screen: true,
         }
@@ -341,9 +343,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
         let (mut executor, mut runner) = self.local.take().unwrap_or_else(|| {
-            let executor = VirtualExecutor::new(self.cluster.clone());
             (
-                executor.with_time_scale(self.config.time_scale),
+                VirtualExecutor::new(self.cluster.clone()),
                 WireRunner::new(),
             )
         });
@@ -404,7 +405,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             std::slice::from_ref(&inflight.round1_input),
             outcomes,
             &self.cluster.network,
-            self.config.time_scale,
+            1.0,
             &mut self.rng,
         )?;
         execution.observed_stragglers.append(&mut self.late_hint);
@@ -444,7 +445,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             std::slice::from_ref(e_field),
             outcomes,
             &self.cluster.network,
-            self.config.time_scale,
+            1.0,
             &mut self.rng,
         )?;
         round2.observed_stragglers.append(&mut self.late_hint);
@@ -723,7 +724,6 @@ mod tests {
     fn quick_config(scheme: SchemeKind, s: usize, m: usize) -> TrainerConfig {
         TrainerConfig {
             iterations: 6,
-            time_scale: 1.0,
             ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, s, m).unwrap())
         }
     }
@@ -841,7 +841,7 @@ mod tests {
         let report = synchronous.train().unwrap();
 
         let mut staged = make();
-        let mut executor = VirtualExecutor::new(staged.cluster().clone()).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(staged.cluster().clone());
         let mut runner = WireRunner::new();
         let mut cumulative = 0.0;
         for iteration in 0..staged.iterations() {

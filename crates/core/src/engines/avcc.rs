@@ -23,7 +23,6 @@
 //! the round onto a different codeword passes the screen but not Freivalds).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
 use avcc_field::{map_spans, span_threads, Fp, PrimeModulus};
@@ -231,7 +230,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         inputs: &[Vec<Fp<M>>],
         outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
         network: &NetworkModel,
-        time_scale: f64,
+        _time_scale: f64,
         rng: &mut StdRng,
     ) -> Result<BatchExecution<M>, SchemeFailure> {
         assert!(!inputs.is_empty(), "batched round needs at least one input");
@@ -264,7 +263,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             Some(sigma) => combine_with_powers(sigma, parts),
             None => parts[0].clone(),
         };
-        let verify_setup = Instant::now();
         let combined_input = combine(inputs);
         // Pre-decode dual-codeword screen: with more than threshold arrivals
         // there is dual redundancy, and one O(R·width) pass localizes
@@ -278,7 +276,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             .map(|outcome| (outcome.worker, combine(&outcome.payload)))
             .collect();
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
-        let mut verification_seconds = verify_setup.elapsed().as_secs_f64();
         let mut verifications = 0usize;
         let mut fallback_checks = 0usize;
         let mut verified: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = Vec::with_capacity(threshold);
@@ -300,7 +297,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             if screened_workers.contains(&outcome.worker) {
                 continue;
             }
-            let verify_start = Instant::now();
             let accepted = self.keys[outcome.worker].verify(&combined_input, combined_claim);
             verifications += 1;
             if accepted {
@@ -309,7 +305,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
                 fallback_checks += self.localize(inputs, outcome, &mut corrupted_functions);
                 detected_byzantine.push(outcome.worker);
             }
-            verification_seconds += verify_start.elapsed().as_secs_f64();
         }
         corrupted_functions.sort_unstable();
         if verified.len() < threshold {
@@ -319,18 +314,9 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             });
         }
 
-        let mut costs = waiting_costs(
-            &verified,
-            network,
-            field_vector_bytes(functions * cols),
-            self.dataset.workers(),
-        );
-        costs.verification = verification_seconds * time_scale;
-
         // One interpolation basis for the verified survivor set, applied to
         // each of the m functions' borrowed result lanes.
         let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
-        let decode_start = Instant::now();
         let survivors: Vec<usize> = verified.iter().map(|o| o.worker).collect();
         let prepared = decoder.prepare(&survivors)?;
         let mut outputs = Vec::with_capacity(functions);
@@ -347,7 +333,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
             output.truncate(self.dataset.output_rows());
             outputs.push(output);
         }
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
         // Combining (m > 1 only) costs `m` MACs per coordinate (inputs once,
         // plus every arrival's claims — the screen needs them all); each
@@ -365,6 +350,13 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
                 + screen_macs,
             decode_macs: (functions * block_rows * threshold * self.dataset.partitions()) as u64,
         };
+        let costs = waiting_costs(
+            &verified,
+            network,
+            field_vector_bytes(functions * cols),
+            self.dataset.workers(),
+            &ops,
+        );
         Ok(BatchExecution {
             outputs,
             costs,
@@ -449,7 +441,7 @@ mod tests {
     fn clean_round_uses_exactly_the_threshold() {
         let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 2);
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let mut rng = StdRng::seed_from_u64(3);
         let round = engine
             .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
@@ -464,11 +456,9 @@ mod tests {
     fn byzantine_results_are_rejected_and_reported() {
         let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 1, 2, 4);
-        // Slow every honest worker down so the two Byzantine workers are
-        // guaranteed to be among the arrivals the master verifies.
-        let honest: Vec<usize> = (0..12).filter(|w| *w != 0 && *w != 6).collect();
-        let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        // Uniform workers arrive in worker order, so both liars are among
+        // the first eleven arrivals, all of which the master must verify.
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let byzantine = ByzantineSpec::new([0, 6], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(5);
         let round = engine
@@ -486,13 +476,9 @@ mod tests {
     fn reverse_value_attack_is_also_rejected() {
         let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 6);
-        // Slow every honest worker down: under wall-clock noise the Byzantine
-        // worker could otherwise finish among the slowest three, and a master
-        // that already has threshold verified results never examines (or
-        // detects) it.
-        let honest: Vec<usize> = (0..12).filter(|w| *w != 4).collect();
-        let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        // Uniform workers arrive in worker order: the liar is the fifth
+        // arrival, ahead of the ninth verified result.
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let byzantine = ByzantineSpec::new([4], AttackModel::reverse());
         let mut rng = StdRng::seed_from_u64(7);
         let round = engine
@@ -520,10 +506,11 @@ mod tests {
         assert_eq!(engine.dataset().share(3).data(), &matrix.data()[90..120]);
         for liar in [3, 10] {
             // Every honest worker slowed down, so the liar is among the
-            // arrivals the master verifies.
+            // arrivals the master verifies (in worker order, liar 10 would
+            // arrive after the eighth verified result).
             let honest: Vec<usize> = (0..12).filter(|&w| w != liar).collect();
             let profile = ClusterProfile::uniform(12).with_stragglers(&honest, 50.0);
-            let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+            let mut executor = VirtualExecutor::new(profile);
             let byzantine = ByzantineSpec::new([liar], AttackModel::reverse());
             let mut round_rng = StdRng::seed_from_u64(61 + liar as u64);
             let round = engine
@@ -545,7 +532,7 @@ mod tests {
         let (matrix, inputs, expected) = setup();
         let mut engine = engine(&matrix, 2, 1, 8);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[1, 9], 300.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile);
         let mut rng = StdRng::seed_from_u64(9);
         let round = engine
             .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
@@ -561,7 +548,7 @@ mod tests {
         // (N=12, K=9, S+M=3): two stragglers plus one Byzantine node.
         let mut engine = engine(&matrix, 2, 1, 10);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[2, 3], 300.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile);
         let byzantine = ByzantineSpec::new([7], AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(11);
         let round = engine
@@ -589,7 +576,7 @@ mod tests {
         let decoder = avcc_coding::LagrangeDecoder::<P64>::new(config);
         let straggling = ClusterProfile::uniform(16).with_stragglers(&[0, 5, 11, 13], 300.0);
         for profile in [straggling, ClusterProfile::uniform(16)] {
-            let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+            let mut executor = VirtualExecutor::new(profile);
             let mut round_rng = StdRng::seed_from_u64(41);
             let round = engine
                 .execute_batch(
@@ -619,7 +606,7 @@ mod tests {
         // Every worker Byzantine: verification rejects them all and the engine
         // reports the shortfall instead of producing garbage.
         let mut engine = engine(&matrix, 2, 1, 12);
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let byzantine = ByzantineSpec::new(0..12, AttackModel::constant());
         let mut rng = StdRng::seed_from_u64(13);
         let outcome = engine.execute_batch(&inputs, &mut executor, &byzantine, &mut rng);

@@ -17,7 +17,6 @@
 //! in Fig. 3(b)/(d).
 
 use std::sync::Arc;
-use std::time::Instant;
 
 use avcc_coding::decoder::DecodeError;
 use avcc_coding::{EncodedDataset, SchemeConfig};
@@ -103,7 +102,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         inputs: &[Vec<Fp<M>>],
         outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
         network: &NetworkModel,
-        time_scale: f64,
+        _time_scale: f64,
         rng: &mut StdRng,
     ) -> Result<BatchExecution<M>, SchemeFailure> {
         assert!(!inputs.is_empty(), "batched round needs at least one input");
@@ -123,19 +122,12 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             });
         }
         let used: Vec<_> = outcomes[..wait_count].iter().collect();
-        let mut costs = waiting_costs(
-            &used,
-            network,
-            field_vector_bytes(functions * cols),
-            config.workers,
-        );
 
         // LCC has no per-arrival check to batch: each function is error-
         // decoded independently (Byzantine identification is a decode-side
         // by-product), with detections unioned across the batch in
         // first-located order.
         let decoder = self.dataset.decoder().expect("LCC dataset is coded");
-        let decode_start = Instant::now();
         let mut outputs = Vec::with_capacity(functions);
         let mut detected_byzantine: Vec<usize> = Vec::new();
         for function in 0..functions {
@@ -166,7 +158,6 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
             output.truncate(self.dataset.output_rows());
             outputs.push(output);
         }
-        costs.decoding = decode_start.elapsed().as_secs_f64() * time_scale;
 
         // The modelled Reed–Solomon decode cost: an interpolation through all
         // `wait_count` results plus a `wait_count²` syndrome/locator term over
@@ -179,6 +170,13 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
                 * (block_rows * wait_count * config.partitions + wait_count * wait_count))
                 as u64,
         };
+        let costs = waiting_costs(
+            &used,
+            network,
+            field_vector_bytes(functions * cols),
+            config.workers,
+            &ops,
+        );
         Ok(BatchExecution {
             outputs,
             costs,
@@ -221,7 +219,7 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(2);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let round = engine
             .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
@@ -236,11 +234,9 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(3);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        // Pin the dropped straggler to worker 11: under wall-clock noise any
-        // uniform worker can be the slowest, and if the Byzantine worker were
-        // dropped there would be nothing left to detect.
-        let profile = ClusterProfile::uniform(12).with_stragglers(&[11], 300.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        // Uniform workers arrive in worker order: LCC decodes from workers
+        // 0..=10, the liar among them.
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
         let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
         let round = engine
             .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
@@ -252,20 +248,19 @@ mod tests {
     #[test]
     fn byzantine_workers_beyond_the_design_corrupt_the_output() {
         let (matrix, inputs, expected) = setup();
-        // Designed for M = 1 only; corrupt four workers. Which workers the
-        // engine excludes depends on wall-clock noise (one observed straggler
-        // plus the two slowest of the fallback erasure subset), so corrupting
-        // more workers than can ever be excluded keeps at least one corrupted
-        // result in every decode regardless of timing.
+        // Designed for M = 1 only; corrupt two workers. Uniform workers
+        // arrive in worker order, so both liars are among the eleven results
+        // LCC waits for, and among the nine its fallback erasure decode uses.
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
         let mut rng = StdRng::seed_from_u64(4);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0);
-        let byzantine = ByzantineSpec::new([2, 5, 7, 9], AttackModel::constant());
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
+        let byzantine = ByzantineSpec::new([2, 5], AttackModel::constant());
         let round = engine
             .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
         assert_ne!(round.outputs, expected, "LCC beyond capability should err");
+        assert!(round.detected_byzantine.is_empty());
     }
 
     #[test]
@@ -275,7 +270,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(5);
         let mut engine = LccMatVec::<P25>::new(&matrix, config, &mut rng);
         let profile = ClusterProfile::uniform(12).with_stragglers(&[3], 300.0);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(profile);
         let round = engine
             .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();

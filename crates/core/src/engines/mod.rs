@@ -76,11 +76,15 @@ pub trait MatVecEngine<M: PrimeModulus> {
     /// `m` products over one dispatch, one wait, and (for AVCC) one batched
     /// Freivalds pass per arrival with per-function fallback.
     ///
-    /// `network` and `time_scale` feed the cost model (broadcast cost and
-    /// master-side work scaling). The outputs are bit-identical to `m`
-    /// independent rounds over the same dataset — all decode paths are exact
-    /// over the field. On `Err` the engine's state is unchanged, so the call
-    /// may be retried with more outcomes.
+    /// `network` feeds the cost model's broadcast term; the master's
+    /// verification and decoding are charged as the round's
+    /// [`OpCounts`](avcc_sim::OpCounts) at
+    /// [`SECONDS_PER_MAC`](avcc_sim::SECONDS_PER_MAC). `time_scale` is
+    /// ignored. Harness compatibility; remove at the next `benchmark`
+    /// re-bind. The outputs are bit-identical to `m` independent rounds over
+    /// the same dataset — all decode paths are exact over the field. On `Err`
+    /// the engine's state is unchanged, so the call may be retried with more
+    /// outcomes.
     fn collect_batch(
         &mut self,
         inputs: &[Vec<Fp<M>>],
@@ -102,8 +106,7 @@ pub trait MatVecEngine<M: PrimeModulus> {
     /// [`MatVecEngine::min_results`] non-straggling results allow it. Workers
     /// the round did not wait for join its observed stragglers. Byzantine
     /// workers corrupt every function of their payload (a corrupted node does
-    /// not selectively spare sub-results). Master-side costs are charged
-    /// unscaled.
+    /// not selectively spare sub-results).
     fn execute_batch(
         &mut self,
         inputs: &[Vec<Fp<M>>],

@@ -50,11 +50,13 @@
 //!
 //! # Reporting
 //!
-//! [`report::TrainingReport`] aggregates virtual-seconds cost breakdowns
-//! per iteration ([`report::IterationRecord`]); totals use a median-based
-//! robust sum (`robust_total_seconds`) so a single preempted measurement
-//! cannot dominate a scheme comparison, and `report::speedup` interpolates
-//! time-to-accuracy ratios (the paper's Table I metric).
+//! [`report::TrainingReport`] aggregates modeled-seconds cost breakdowns
+//! per iteration ([`report::IterationRecord`]): worker compute from the
+//! executor's timeline, verification and decoding from the round's
+//! [`avcc_sim::OpCounts`] at [`avcc_sim::SECONDS_PER_MAC`]. On the trainer's
+//! own executor every run is the same run, so totals are plain sums and
+//! `report::speedup` compares times to a target accuracy (the paper's Table I
+//! metric) directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

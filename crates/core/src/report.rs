@@ -19,8 +19,9 @@ pub struct IterationRecord {
     pub iteration: usize,
     /// Cost breakdown of this iteration.
     pub costs: IterationCosts,
-    /// Deterministic operation counts for both rounds of this iteration —
-    /// the noise-free counterpart of `costs` for comparisons on loaded hosts.
+    /// Deterministic operation counts for both rounds of this iteration;
+    /// `costs.verification` and `costs.decoding` are these counts'
+    /// `verify_macs` and `decode_macs` at [`avcc_sim::SECONDS_PER_MAC`].
     pub ops: OpCounts,
     /// Cumulative simulated time after this iteration.
     pub cumulative_seconds: f64,
@@ -83,40 +84,6 @@ impl TrainingReport {
             .last()
             .map(|r| r.cumulative_seconds)
             .unwrap_or(0.0)
-    }
-
-    /// Median per-iteration *recurring* simulated time (reconfiguration
-    /// excluded — it is a genuine one-off, not part of the steady state).
-    ///
-    /// The simulator derives iteration costs from real wall-clock
-    /// measurements, so a host-scheduler preemption during one iteration can
-    /// inflate [`TrainingReport::total_seconds`] arbitrarily. The median is
-    /// robust to such spikes; cross-scheme timing comparisons should use
-    /// [`TrainingReport::robust_total_seconds`].
-    pub fn median_iteration_seconds(&self) -> f64 {
-        if self.iterations.is_empty() {
-            return 0.0;
-        }
-        let mut per_iteration: Vec<f64> = self
-            .iterations
-            .iter()
-            .map(|r| r.costs.total() - r.costs.reconfiguration)
-            .collect();
-        per_iteration.sort_by(|a, b| a.partial_cmp(b).expect("iteration costs are finite"));
-        per_iteration[per_iteration.len() / 2]
-    }
-
-    /// Noise-robust total: median recurring per-iteration time × iteration
-    /// count, plus the *sum* of one-time reconfiguration costs. The median
-    /// absorbs preemption spikes in the recurring costs without discarding
-    /// real one-offs like dynamic re-encoding (Fig. 5).
-    pub fn robust_total_seconds(&self) -> f64 {
-        let reconfiguration: f64 = self
-            .iterations
-            .iter()
-            .map(|r| r.costs.reconfiguration)
-            .sum();
-        self.median_iteration_seconds() * self.iterations.len() as f64 + reconfiguration
     }
 
     /// Final test accuracy.
@@ -206,11 +173,9 @@ pub fn speedup(fast: &TrainingReport, slow: &TrainingReport, target_accuracy: f6
     ) {
         (Some(fast_time), Some(slow_time)) if fast_time > 0.0 => slow_time / fast_time,
         _ => {
-            // Median-based totals so a single preemption-inflated iteration
-            // cannot skew the ratio.
-            let fast_total = fast.robust_total_seconds();
+            let fast_total = fast.total_seconds();
             if fast_total > 0.0 {
-                slow.robust_total_seconds() / fast_total
+                slow.total_seconds() / fast_total
             } else {
                 1.0
             }

@@ -14,7 +14,7 @@ use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::{IterationCosts, OpCounts};
-use avcc_sim::NetworkModel;
+use avcc_sim::{NetworkModel, SECONDS_PER_MAC};
 
 /// One worker's share of a dispatched round: the (coded or raw) matrix block
 /// the worker holds plus the `m` broadcast input vectors it is applied to —
@@ -190,14 +190,16 @@ pub(crate) fn has_dispatched_shape<T>(payload: &[Vec<T>], functions: usize, rows
     payload.len() == functions && payload.iter().all(|part| part.len() == rows)
 }
 
-/// Assembles the compute/communication part of a round's cost from the subset
-/// of outcomes the master actually waited for, plus the cost of broadcasting
-/// the input vector to every worker.
+/// Assembles a round's cost: compute and communication from the subset of
+/// outcomes the master actually waited for, plus the cost of broadcasting the
+/// input vector to every worker; verification and decoding are the master's
+/// `ops` at [`SECONDS_PER_MAC`], the rate worker compute is modeled at.
 pub fn waiting_costs<T>(
     used: &[&WorkerOutcome<T>],
     network: &NetworkModel,
     broadcast_bytes: usize,
     workers: usize,
+    ops: &OpCounts,
 ) -> IterationCosts {
     let compute = used
         .iter()
@@ -213,7 +215,9 @@ pub fn waiting_costs<T>(
     IterationCosts {
         compute,
         communication: receive + broadcast,
-        ..IterationCosts::default()
+        verification: ops.verify_macs as f64 * SECONDS_PER_MAC,
+        decoding: ops.decode_macs as f64 * SECONDS_PER_MAC,
+        reconfiguration: 0.0,
     }
 }
 
@@ -272,10 +276,15 @@ mod tests {
         let a = outcome(0, 2.0, 0.2);
         let b = outcome(1, 3.0, 0.1);
         let network = NetworkModel::default();
-        let costs = waiting_costs(&[&a, &b], &network, 800, 4);
+        let ops = OpCounts {
+            worker_macs: 1,
+            verify_macs: 10,
+            decode_macs: 0,
+        };
+        let costs = waiting_costs(&[&a, &b], &network, 800, 4, &ops);
         assert!((costs.compute - 3.0).abs() < 1e-12);
         assert!(costs.communication > 0.2);
-        assert_eq!(costs.verification, 0.0);
+        assert_eq!(costs.verification, 10.0 * SECONDS_PER_MAC);
         assert_eq!(costs.decoding, 0.0);
     }
 

@@ -64,8 +64,7 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
     ];
 
     for engine in engines.iter_mut() {
-        let mut executor =
-            VirtualExecutor::new(ClusterProfile::uniform(engine.workers())).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(engine.workers()));
         let mut round_rng = StdRng::seed_from_u64(seed ^ 0x5eed);
         let batch = engine
             .execute_batch(
@@ -303,7 +302,7 @@ fn a_wrong_length_result_is_dropped_before_verification() {
                 AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
 
             let mut executor = ReshapingExecutor {
-                inner: VirtualExecutor::new(ClusterProfile::uniform(12)).with_time_scale(1.0),
+                inner: VirtualExecutor::new(ClusterProfile::uniform(12)),
                 victim: 0,
                 reshape,
             };

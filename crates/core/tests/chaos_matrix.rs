@@ -44,7 +44,6 @@ fn make_trainer() -> DistributedTrainer<P25> {
         ByzantineSpec::none(),
         TrainerConfig {
             iterations: 6,
-            time_scale: 1.0,
             ..TrainerConfig::paper_defaults(
                 SchemeKind::Avcc,
                 SchemeConfig::linear(12, 9, 2, 1).unwrap(),

@@ -246,7 +246,6 @@ mod tests {
     fn training(scenario: FaultScenario, iterations: usize) -> ExperimentConfig {
         let mut config = ExperimentConfig::paper_avcc(2, 1, scenario);
         config.iterations = iterations;
-        config.time_scale = 1.0;
         config.dataset = DatasetConfig {
             train_samples: 180,
             test_samples: 60,

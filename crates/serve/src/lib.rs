@@ -36,7 +36,6 @@
 //!
 //! let mut config = ExperimentConfig::paper_avcc(2, 1, FaultScenario::none());
 //! config.iterations = 2;
-//! config.time_scale = 1.0;
 //! config.dataset = DatasetConfig {
 //!     train_samples: 180,
 //!     test_samples: 60,

@@ -776,7 +776,6 @@ mod tests {
             _ => ExperimentConfig::paper_avcc(2, 1, scenario),
         };
         config.iterations = iterations;
-        config.time_scale = 1.0;
         config.dataset = DatasetConfig {
             train_samples: 180,
             test_samples: 60,

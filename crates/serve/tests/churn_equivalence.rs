@@ -24,7 +24,6 @@ fn quick(scheme: SchemeKind, seed: u64) -> ExperimentConfig {
     let mut config = ExperimentConfig::paper_avcc(2, 1, FaultScenario::none());
     config.scheme = scheme;
     config.iterations = 2;
-    config.time_scale = 1.0;
     config.seed = seed;
     config.dataset = DatasetConfig {
         train_samples: 180,

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-/// A quick experiment: tiny dataset, two iterations, unit time scale.
+/// A quick experiment: tiny dataset, two iterations.
 fn quick(scheme: SchemeKind, stragglers: usize, byzantine: usize, seed: u64) -> ExperimentConfig {
     let attack = if byzantine > 0 {
         AttackModel::constant()
@@ -49,7 +49,6 @@ fn quick(scheme: SchemeKind, stragglers: usize, byzantine: usize, seed: u64) -> 
         }
     };
     config.iterations = 2;
-    config.time_scale = 1.0;
     config.seed = seed;
     config.dataset = DatasetConfig {
         train_samples: 180,

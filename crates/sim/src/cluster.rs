@@ -3,9 +3,10 @@
 //!
 //! The paper's testbed exhibits stragglers whose latency is up to an order of
 //! magnitude above the median (§I). We model each worker with a
-//! [`WorkerProfile`]: a *speed factor* multiplying its measured compute time
+//! [`WorkerProfile`]: a *speed factor* multiplying its modeled compute time
 //! (1.0 = nominal, 10.0 = ten times slower) and an optional straggler flag
-//! that applies an additional multiplier for the current iteration. The
+//! that applies an additional multiplier for the current iteration. A
+//! nominal core spends [`SECONDS_PER_MAC`] per field multiply–accumulate. The
 //! [`NetworkModel`] charges a base link latency plus a byte-proportional
 //! transfer time for each result sent back to the master, mirroring the
 //! 1 GbE interfaces of the Minnow nodes.
@@ -13,7 +14,7 @@
 /// The execution profile of a single worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerProfile {
-    /// Multiplier on the measured compute time (1.0 = nominal speed).
+    /// Multiplier on the modeled compute time (1.0 = nominal speed).
     pub speed_factor: f64,
     /// Whether this worker is currently a straggler.
     pub straggler: bool,
@@ -41,6 +42,20 @@ impl WorkerProfile {
         }
     }
 }
+
+/// Modeled seconds one field multiply–accumulate takes on one nominal testbed
+/// core: the one clock of every modeled timeline. Worker compute is a block's
+/// `rows × cols × functions` MACs at this rate (times the worker's slowdown),
+/// and the master's verification and decoding are their
+/// [`OpCounts`](crate::metrics::OpCounts) at the same rate.
+///
+/// Calibrated to keep the paper-figure runs in the regime they had when
+/// compute was measured wall-clock time × 2000: the median, over 14 runs of
+/// the fault-free AVCC experiment of `fig4_breakdown` (900 × 63 dataset,
+/// 12 600 worker MACs per iteration, 2-core x86-64 Linux host), of the
+/// average per-iteration compute divided by the iteration's worker MACs.
+/// The runs ranged from 5.1e-7 to 9.3e-7; see EXPERIMENTS.md.
+pub const SECONDS_PER_MAC: f64 = 5.2e-7;
 
 /// The network model: a fixed per-message latency plus a byte-proportional
 /// transfer time.
@@ -213,7 +228,7 @@ mod tests {
     }
 
     #[test]
-    fn network_transfer_time_scales_with_bytes() {
+    fn network_transfer_grows_with_bytes() {
         let network = NetworkModel::default();
         let small = network.transfer_seconds(1_000);
         let large = network.transfer_seconds(10_000_000);

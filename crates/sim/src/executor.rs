@@ -6,19 +6,16 @@
 //!
 //! * [`VirtualExecutor`] — the engine every experiment uses. Each worker's
 //!   block product is executed for real (so the payload is a genuine
-//!   finite-field result and its cost is measured with a monotonic clock),
-//!   then the measured compute time is multiplied by the worker's slowdown
-//!   factor and a network transfer time is added, producing a
-//!   deterministic-enough virtual arrival time. Nothing sleeps; a
-//!   50-iteration training run over a 12-worker cluster completes in seconds
-//!   of real time while still exhibiting the arrival orderings the paper's
-//!   results depend on. It stays deliberately serial: each worker's virtual
-//!   cost derives from a wall-clock measurement of that worker's product, and
-//!   running them concurrently would let them contend and corrupt each
-//!   other's measurements.
+//!   finite-field result), but its cost is *modeled*: the product's
+//!   multiply–accumulates at [`SECONDS_PER_MAC`], times the worker's
+//!   slowdown, plus a modeled network transfer. Nothing sleeps and nothing
+//!   reads a clock, so a round's timeline depends only on the block shapes
+//!   and the profile: uniform workers tie exactly (and arrive in worker
+//!   order), a straggler is late by construction, and every run of an
+//!   experiment is the same run.
 //! * [`ThreadedExecutor`] — every worker's product runs on a scoped thread
 //!   of its own, as a worker machine would, and reports back over an mpsc
-//!   channel; stragglers really do finish later.
+//!   channel; stragglers really do finish later, and compute is measured.
 
 use std::collections::HashMap;
 use std::sync::mpsc;
@@ -27,7 +24,7 @@ use std::time::{Duration, Instant};
 use avcc_wire::{Block, TypedBlock, WireError, HEADER_LEN, TRAILER_LEN};
 
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
-use crate::cluster::ClusterProfile;
+use crate::cluster::{ClusterProfile, SECONDS_PER_MAC};
 
 /// The result of one worker's participation in a round.
 #[derive(Debug, Clone, PartialEq)]
@@ -367,11 +364,6 @@ fn result_transfer_seconds(profile: &ClusterProfile, payload: &[Vec<u64>]) -> f6
 #[derive(Debug, Clone)]
 pub struct VirtualExecutor {
     profile: ClusterProfile,
-    /// Multiplier translating measured local compute time into simulated
-    /// worker time (the paper's Minnow Atom cores are far slower than a
-    /// development machine; the default of 40 puts per-iteration times in the
-    /// same ballpark as the paper's seconds-per-iteration scale).
-    pub time_scale: f64,
     /// Per-job resident blocks.
     blocks: HashMap<u64, Vec<TypedBlock>>,
     /// Scripted fleet churn, consumed on the round clock (`None` = quiet).
@@ -379,12 +371,10 @@ pub struct VirtualExecutor {
 }
 
 impl VirtualExecutor {
-    /// Creates an executor over the given cluster profile with the default
-    /// time scale.
+    /// Creates an executor over the given cluster profile.
     pub fn new(profile: ClusterProfile) -> Self {
         VirtualExecutor {
             profile,
-            time_scale: 40.0,
             blocks: HashMap::new(),
             churn: None,
         }
@@ -400,12 +390,6 @@ impl VirtualExecutor {
     /// The churn state, if a schedule is installed.
     pub fn churn(&self) -> Option<&ChurnState> {
         self.churn.as_ref()
-    }
-
-    /// Sets the compute-time scale factor.
-    pub fn with_time_scale(mut self, time_scale: f64) -> Self {
-        self.time_scale = time_scale;
-        self
     }
 
     /// The cluster profile.
@@ -506,17 +490,17 @@ impl Executor for VirtualExecutor {
                 // shape as a straggler beyond the horizon.
                 continue;
             }
-            let started = Instant::now();
-            let mut payload = blocks[worker]
+            let block = &blocks[worker];
+            let mut payload = block
                 .execute(worker_inputs)
                 .map_err(|error| ExecutorError::BadBlock { worker, error })?;
             if churn.is_some_and(|c| c.is_corrupting(worker)) {
                 clobber(&mut payload);
             }
-            let measured = started.elapsed().as_secs_f64();
+            let macs = block.rows() * block.cols() * worker_inputs.len();
             let stall = churn.map_or(1.0, |c| c.slowdown_multiplier(worker));
-            let compute_seconds = measured
-                * self.time_scale
+            let compute_seconds = macs as f64
+                * SECONDS_PER_MAC
                 * self.profile.worker(worker).effective_slowdown()
                 * stall;
             let network_seconds = result_transfer_seconds(&self.profile, &payload);
@@ -529,11 +513,8 @@ impl Executor for VirtualExecutor {
                 corrupted: false,
             });
         }
-        outcomes.sort_by(|a, b| {
-            a.arrival_seconds
-                .partial_cmp(&b.arrival_seconds)
-                .expect("arrival times are finite")
-        });
+        // Stable: workers that tie arrive in worker order.
+        outcomes.sort_by(|a, b| a.arrival_seconds.total_cmp(&b.arrival_seconds));
         Ok(outcomes)
     }
 
@@ -637,8 +618,7 @@ mod tests {
     use rand::SeedableRng;
 
     /// `workers` random `rows × cols` blocks over the 25-bit field plus one
-    /// shared input per worker — enough field arithmetic per worker that
-    /// measured compute times are non-trivial and comparable.
+    /// shared input per worker.
     fn round(workers: usize, rows: usize, cols: usize) -> (Vec<Block>, Vec<Vec<Vec<u64>>>) {
         let mut rng = rand::rngs::StdRng::seed_from_u64(42);
         let mut residues = |count: usize| -> Vec<u64> {
@@ -673,20 +653,16 @@ mod tests {
         assert_eq!(result_frame_bytes(3, 2), on_the_wire + 3 * 2 * 4);
     }
 
-    fn virtual_round(
-        profile: ClusterProfile,
-        time_scale: f64,
-        rows: usize,
-    ) -> Vec<WorkerOutcome<Vec<Vec<u64>>>> {
+    fn virtual_round(profile: ClusterProfile, rows: usize) -> Vec<WorkerOutcome<Vec<Vec<u64>>>> {
         let (blocks, inputs) = round(profile.len(), rows, 64);
-        let mut executor = VirtualExecutor::new(profile).with_time_scale(time_scale);
+        let mut executor = VirtualExecutor::new(profile);
         executor.install_blocks(0, &blocks).unwrap();
         executor.execute_round(0, 0, &inputs).unwrap()
     }
 
     #[test]
     fn virtual_round_returns_one_outcome_per_worker() {
-        let outcomes = virtual_round(ClusterProfile::uniform(4), 1.0, 32);
+        let outcomes = virtual_round(ClusterProfile::uniform(4), 32);
         let mut workers: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
         workers.sort_unstable();
         assert_eq!(workers, vec![0, 1, 2, 3]);
@@ -706,7 +682,7 @@ mod tests {
     #[test]
     fn outcomes_are_sorted_by_arrival() {
         let profile = ClusterProfile::uniform(6).with_stragglers(&[0], 50.0);
-        let outcomes = virtual_round(profile, 1.0, 256);
+        let outcomes = virtual_round(profile, 256);
         for pair in outcomes.windows(2) {
             assert!(pair[0].arrival_seconds <= pair[1].arrival_seconds);
         }
@@ -717,7 +693,7 @@ mod tests {
     #[test]
     fn stragglers_arrive_after_nominal_workers() {
         let profile = ClusterProfile::uniform(5).with_stragglers(&[2, 4], 100.0);
-        let outcomes = virtual_round(profile, 1.0, 512);
+        let outcomes = virtual_round(profile, 512);
         let last_two: Vec<usize> = outcomes[3..].iter().map(|o| o.worker).collect();
         assert!(last_two.contains(&2) && last_two.contains(&4));
     }
@@ -766,12 +742,28 @@ mod tests {
     }
 
     #[test]
-    fn time_scale_scales_compute_linearly() {
-        let slow = &virtual_round(ClusterProfile::uniform(1), 100.0, 512)[0];
-        let fast = &virtual_round(ClusterProfile::uniform(1), 1.0, 512)[0];
-        // Measured times vary between runs, but a 100x scale must dominate
-        // measurement noise by a wide margin.
-        assert!(slow.compute_seconds > fast.compute_seconds * 5.0);
+    fn modeled_compute_is_macs_times_slowdown_at_seconds_per_mac() {
+        // 512 × 64 blocks, one input: 32 768 MACs per worker; worker 1 is a
+        // ×3 straggler.
+        let profile = ClusterProfile::uniform(3).with_stragglers(&[1], 3.0);
+        let outcomes = virtual_round(profile, 512);
+        for outcome in &outcomes {
+            let slowdown = if outcome.worker == 1 { 3.0 } else { 1.0 };
+            assert_eq!(
+                outcome.compute_seconds,
+                (512 * 64) as f64 * SECONDS_PER_MAC * slowdown
+            );
+        }
+    }
+
+    #[test]
+    fn uniform_workers_tie_and_arrive_in_worker_order() {
+        let outcomes = virtual_round(ClusterProfile::uniform(6), 64);
+        let order: Vec<usize> = outcomes.iter().map(|o| o.worker).collect();
+        assert_eq!(order, vec![0, 1, 2, 3, 4, 5]);
+        assert!(outcomes
+            .iter()
+            .all(|o| o.arrival_seconds == outcomes[0].arrival_seconds));
     }
 
     #[test]
@@ -838,7 +830,7 @@ mod tests {
     #[test]
     fn virtual_churn_flap_readmits_on_the_round_clock() {
         use crate::churn::{ChaosSchedule, ChurnEventKind};
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(4)).with_time_scale(1.0);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(4));
         executor.set_churn(ChaosSchedule::flap(&[0], 1, 2));
         let (blocks, inputs) = round(4, 2, 2);
         executor.install_blocks(0, &blocks).unwrap();

@@ -5,13 +5,14 @@
 //! `N = 12` Minnow workers). That hardware is not available here, so this
 //! crate provides the substitute substrate of ARCHITECTURE.md's *The round
 //! path* (its executor table): worker products are *actually executed* (real
-//! finite-field arithmetic, measured with a monotonic clock) and their
-//! completion times are then placed on a virtual
-//! timeline according to a [`cluster::ClusterProfile`] — per-worker speed
-//! factors, straggler slowdowns and a network model. What the experiments
-//! depend on (the *order* in which results arrive at the master and the
-//! *relative* cost of compute, communication, verification and decoding) is
-//! therefore preserved while remaining fully reproducible and laptop-sized.
+//! finite-field arithmetic) and their completion times are then placed on a
+//! virtual timeline modeled from their multiply–accumulate counts at
+//! [`cluster::SECONDS_PER_MAC`] and a [`cluster::ClusterProfile`] —
+//! per-worker speed factors, straggler slowdowns and a network model. What
+//! the experiments depend on (the *order* in which results arrive at the
+//! master and the *relative* cost of compute, communication, verification and
+//! decoding) is therefore preserved while remaining reproducible bit for bit
+//! and laptop-sized.
 //!
 //! * [`cluster`] — worker profiles, straggler injection and the network model.
 //! * [`churn`] — deterministic, seeded fleet churn (crash / join / stall /
@@ -36,26 +37,24 @@
 //!
 //! | Engine | Products run on | Arrival time | Split-phase | Use when |
 //! |---|---|---|---|---|
-//! | [`executor::VirtualExecutor`] | the calling thread, serially | measured wall-clock per product × profile slowdown + modeled transfer of the result frame | provided default: the blocking round runs at submit | every experiment: deterministic-enough orderings, seconds of real time for a 50-iteration × 12-worker run |
+//! | [`executor::VirtualExecutor`] | the calling thread, serially | modeled: the product's MACs × `SECONDS_PER_MAC` × profile slowdown + modeled transfer of the result frame | provided default: the blocking round runs at submit | every experiment: deterministic orderings and costs, seconds of real time for a 50-iteration × 12-worker run |
 //! | [`executor::ThreadedExecutor`] | one scoped thread per worker, concurrently | real elapsed time (straggler slowdowns realized as scaled-down sleeps) + modeled transfer | provided default | the examples: demonstrates the same master logic driving real concurrency |
 //! | [`socket::SocketExecutor`] | worker threads or spawned `avcc-worker` processes, over TCP loopback or Unix domain sockets | real elapsed time; network time measured as arrival − compute, not modeled | real: a round can be retired while stragglers still compute (one task in flight per worker) | end-to-end protocol validation, wire-fault injection, the multi-process deployment shape |
 //!
-//! The virtual engine must stay serial because its cost model *measures*
-//! each product with a monotonic clock — concurrent products would contend
-//! for cores and corrupt each other's measurements. The threaded engine
-//! exists to exhibit real concurrency: each worker of a round is a scoped
-//! thread of its own, as each is a machine of its own on the paper's
-//! testbed, so a straggler's sleep delays nobody else.
+//! The threaded engine exists to exhibit real concurrency: each worker of a
+//! round is a scoped thread of its own, as each is a machine of its own on
+//! the paper's testbed, so a straggler's sleep delays nobody else.
 //!
 //! # Cost accounting
 //!
-//! Per-iteration costs are virtual seconds, not wall-clock: compute comes
-//! from the executor's timeline, verification/decoding/encoding are
-//! measured on the master and scaled by the same
-//! [`executor::VirtualExecutor::time_scale`], and totals aggregate across
-//! iterations with a median-based robust sum
-//! (`TrainingReport::robust_total_seconds` in `avcc-core`) so host
-//! preemption spikes do not swamp comparisons.
+//! Per-iteration costs are modeled seconds, not wall-clock, on one clock:
+//! [`cluster::SECONDS_PER_MAC`]. Compute comes from the executor's timeline;
+//! the master's verification and decoding are the round's
+//! [`metrics::OpCounts`] at the same rate; communication and re-encoding come
+//! from the [`cluster::NetworkModel`]. A run on the [`executor::VirtualExecutor`]
+//! is therefore the same run on every host, and totals are plain sums. On the
+//! real executors only worker compute and arrival times are measured; the
+//! master's costs stay modeled.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -76,7 +75,7 @@ pub use attack::{AttackModel, ByzantineSpec};
 pub use churn::{
     ChaosSchedule, ChurnAction, ChurnEvent, ChurnEventKind, ChurnSchedule, ChurnState,
 };
-pub use cluster::{ClusterProfile, NetworkModel, WorkerProfile};
+pub use cluster::{ClusterProfile, NetworkModel, WorkerProfile, SECONDS_PER_MAC};
 pub use executor::{
     slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, RawOutcome,
     RoundPoll, RoundTicket, ThreadedExecutor, VirtualExecutor, WorkerOutcome,

@@ -19,12 +19,11 @@
 //!
 //! Two further families serve the PR6 serving layer:
 //!
-//! * [`OpCounts`] — *deterministic* field-operation counts recorded alongside
-//!   the wall-clock numbers. Wall clock on a loaded host is noisy; the
-//!   operation counts depend only on the problem dimensions and the coding
-//!   configuration, so scheme and scheduler comparisons stay meaningful even
-//!   when the timings do not. This is the first piece of the calibrated cost
-//!   model: a later PR fits seconds-per-MAC coefficients to these counts.
+//! * [`OpCounts`] — *deterministic* field-operation counts. They depend only
+//!   on the problem dimensions, the coding configuration and the arrival
+//!   order, and the master's verification and decoding seconds are these
+//!   counts at [`SECONDS_PER_MAC`](crate::cluster::SECONDS_PER_MAC), the
+//!   same rate the virtual executor charges worker compute at.
 //! * [`JobMetrics`] / [`ServingMetrics`] — per-job and per-fleet throughput
 //!   accounting (queue wait, rounds/sec, jobs/sec, pipeline occupancy) for
 //!   the multi-job scheduler in `avcc-serve`.
@@ -46,7 +45,7 @@ pub struct IterationCosts {
 }
 
 impl IterationCosts {
-    /// Total wall-clock charged to the iteration.
+    /// Total simulated time charged to the iteration.
     pub fn total(&self) -> f64 {
         self.compute + self.communication + self.verification + self.decoding + self.reconfiguration
     }

@@ -50,7 +50,6 @@ fn job(scheme: SchemeKind, stragglers: usize, byzantine: usize, seed: u64) -> Ex
         _ => ExperimentConfig::paper_avcc(2, 1, scenario),
     };
     config.iterations = 3;
-    config.time_scale = 1.0;
     config.seed = seed;
     config.dataset = DatasetConfig {
         train_samples: 360,

@@ -85,7 +85,6 @@ fn random_vector(len: usize, seed: u64) -> Vec<F> {
 
 fn training(mut config: ExperimentConfig, seed: u64) -> ExperimentConfig {
     config.iterations = 3;
-    config.time_scale = 1.0;
     config.seed = seed;
     config.dataset = DatasetConfig {
         train_samples: 180,

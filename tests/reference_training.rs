@@ -29,7 +29,6 @@ fn problem() -> TrainingProblem {
 fn config(scheme: SchemeKind, stragglers: usize, byzantine: usize) -> TrainerConfig {
     TrainerConfig {
         iterations: 6,
-        time_scale: 1.0,
         ..TrainerConfig::paper_defaults(
             scheme,
             SchemeConfig::linear(12, 9, stragglers, byzantine).unwrap(),

@@ -61,7 +61,6 @@ fn make_trainer_with(scheme: SchemeKind, byzantine: ByzantineSpec) -> Distribute
         byzantine,
         TrainerConfig {
             iterations: 4,
-            time_scale: 1.0,
             ..TrainerConfig::paper_defaults(scheme, SchemeConfig::linear(12, 9, 2, 1).unwrap())
         },
         "socket-acceptance",
