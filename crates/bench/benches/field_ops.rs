@@ -14,7 +14,7 @@
 //!
 //! `dot_lanes/` adds Goldilocks, whose kernels count carries in `u128` lanes.
 
-use avcc_field::{batch_inverse, dot, Fp, PrimeField, PrimeModulus, F25, P25, P251, P64};
+use avcc_field::{dot, Fp, PrimeField, PrimeModulus, F25, P25, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
@@ -202,109 +202,8 @@ fn bench_batch_inverse(c: &mut Criterion) {
     let mut rng = StdRng::seed_from_u64(2);
     let values: Vec<F25> = avcc_field::rng::random_nonzero_vector(&mut rng, 1024);
     c.bench_function("field/batch_inverse_1024", |bencher| {
-        bencher.iter(|| batch_inverse(black_box(&values)))
+        bencher.iter(|| F25::batch_inverse(black_box(&values)))
     });
-}
-
-/// The non-Montgomery square-and-multiply ladder, every product paying the
-/// modulus's per-product `reduce_wide` — the baseline the chain benches
-/// compare against (`Fp::pow` itself is Montgomery-routed for the chained
-/// moduli, so the baseline is spelled out here like the other pre-PR
-/// references).
-fn pow_per_product<M: PrimeModulus>(base: Fp<M>, mut exponent: u64) -> Fp<M> {
-    if exponent == 0 {
-        return Fp::<M>::ONE;
-    }
-    let mut base = base;
-    let mut accumulator = Fp::<M>::ONE;
-    while exponent > 1 {
-        if exponent & 1 == 1 {
-            accumulator *= base;
-        }
-        base *= base;
-        exponent >>= 1;
-    }
-    accumulator * base
-}
-
-/// The non-Montgomery batch inversion (prefix products, one Fermat
-/// inversion via [`pow_per_product`], suffix sweep) — the baseline for
-/// `inverse_chain`.
-fn batch_inverse_per_product<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
-    let mut prefixes = Vec::with_capacity(values.len());
-    let mut running = Fp::<M>::ONE;
-    for &v in values {
-        running *= v;
-        prefixes.push(running);
-    }
-    let mut inverse_of_running = pow_per_product(running, M::MODULUS - 2);
-    let mut result = vec![Fp::<M>::ZERO; values.len()];
-    for i in (0..values.len()).rev() {
-        if i == 0 {
-            result[0] = inverse_of_running;
-        } else {
-            result[i] = inverse_of_running * prefixes[i - 1];
-            inverse_of_running *= values[i];
-        }
-    }
-    result
-}
-
-/// Long dependent product chains per reduction backend. `pow_chain/<field>/len<B>` runs a `B`-bit exponent ladder
-/// (`B` squarings + up to `B` multiplies); `inverse_chain/<field>/len<N>`
-/// batch-inverts `N` elements (`3(N−1)` chained multiplies plus one Fermat
-/// ladder).
-///
-/// On `p251` the baseline is Barrett (`barrett` vs `montgomery`); the `p64`
-/// pair (`fold` vs `montgomery`) tracks REDC against the Goldilocks ε-fold,
-/// the trade P64's Fermat inversions and power series make (see
-/// ARCHITECTURE.md).
-fn bench_montgomery_chains(c: &mut Criterion) {
-    fn run_pow<M: PrimeModulus>(c: &mut Criterion, field_name: &str, baseline: &str, seed: u64) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        let base: Fp<M> = avcc_field::random_element(&mut rng);
-        for bits in [16u32, 64] {
-            let exponent = if bits == 64 {
-                u64::MAX
-            } else {
-                (1u64 << bits) - 1
-            };
-            let mut group = c.benchmark_group(format!("pow_chain/{field_name}/len{bits}"));
-            group.bench_function(BenchmarkId::from_parameter(baseline), |bencher| {
-                bencher.iter(|| pow_per_product(black_box(base), black_box(exponent)))
-            });
-            group.bench_function(BenchmarkId::from_parameter("montgomery"), |bencher| {
-                // The routed path: one conversion in, REDC ladder, one out.
-                bencher.iter(|| black_box(base).pow(black_box(exponent)))
-            });
-            group.finish();
-        }
-    }
-
-    fn run_inverse<M: PrimeModulus>(
-        c: &mut Criterion,
-        field_name: &str,
-        baseline: &str,
-        seed: u64,
-    ) {
-        let mut rng = StdRng::seed_from_u64(seed);
-        for len in [16usize, 64, 256, 1024] {
-            let values: Vec<Fp<M>> = avcc_field::rng::random_nonzero_vector(&mut rng, len);
-            let mut group = c.benchmark_group(format!("inverse_chain/{field_name}/len{len}"));
-            group.bench_function(BenchmarkId::from_parameter(baseline), |bencher| {
-                bencher.iter(|| batch_inverse_per_product(black_box(&values)))
-            });
-            group.bench_function(BenchmarkId::from_parameter("montgomery"), |bencher| {
-                bencher.iter(|| batch_inverse(black_box(&values)))
-            });
-            group.finish();
-        }
-    }
-
-    run_pow::<P251>(c, "p251", "barrett", 7);
-    run_inverse::<P251>(c, "p251", "barrett", 8);
-    run_pow::<P64>(c, "p64", "fold", 9);
-    run_inverse::<P64>(c, "p64", "fold", 10);
 }
 
 criterion_group!(
@@ -315,7 +214,6 @@ criterion_group!(
     bench_dot_backends,
     bench_dot_lanes,
     bench_mat_vec_512,
-    bench_batch_inverse,
-    bench_montgomery_chains
+    bench_batch_inverse
 );
 criterion_main!(benches);

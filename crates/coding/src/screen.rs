@@ -52,7 +52,7 @@
 //! the Freivalds check downstream as the belt to this suspender, so a
 //! screened round is still verified against the actual computation.
 
-use avcc_field::{batch_inverse, dot, random_vector, Fp, PrimeModulus};
+use avcc_field::{dot, random_vector, Fp, PrimeField, PrimeModulus};
 use avcc_poly::linear::{self, LinearSolveError};
 use rand::Rng;
 
@@ -432,7 +432,7 @@ fn dual_weights<M: PrimeModulus>(alphas: &[Fp<M>]) -> Vec<Fp<M>> {
             }
         }
     }
-    batch_inverse(&products)
+    Fp::<M>::batch_inverse(&products)
 }
 
 /// Evaluates the polynomial with ascending `coefficients` at `point`.

@@ -1,5 +1,5 @@
 //! Slice-level field kernels: an in-place `axpy`, lazy-reduction dot
-//! products and accumulators, and Montgomery batch inversion.
+//! products and accumulators.
 //!
 //! These are the inner loops of the encoder (`X̃ = Σ X_j ℓ_j(α)`), the worker
 //! compute kernels (`X̃ w`, `X̃ᵀ e`) and the Freivalds verifier (`r · z̃`).
@@ -34,7 +34,7 @@
 //! narrow lanes vectorize because of how they are written, the wide ones
 //! gain their parallelism from independent chains.
 
-use crate::fp::{Fp, PrimeField, PrimeModulus};
+use crate::fp::{Fp, PrimeModulus};
 
 /// Compile-time guard that lazy accumulation is sound for a modulus: at least
 /// one product must fit per reduction. Every kernel in this module evaluates
@@ -187,8 +187,8 @@ pub const DOT_LANES: usize = 4;
 /// that wraps, plus the number of times it did.
 ///
 /// The true sum is `sum + carries · 2^128`, and `2^128 mod q` is the
-/// Montgomery constant [`PrimeModulus::MONT_R2`] every modulus already
-/// carries, so [`CarryAccumulator::finish`] reduces the whole thing once —
+/// constant [`PrimeModulus::POW2_128`] every modulus carries, so
+/// [`CarryAccumulator::finish`] reduces the whole thing once —
 /// however many products went in. Per product the cost is one widening
 /// multiply, one 128-bit add and one carry increment; no comparison, no
 /// branch, no reduction. For Goldilocks, whose every product is within a
@@ -217,7 +217,7 @@ impl CarryAccumulator {
     /// `reduce_wide(sum) + carries · (2^128 mod q)`.
     #[inline]
     pub fn finish<M: PrimeModulus>(self) -> Fp<M> {
-        let wrapped = M::reduce_wide(self.carries as u128 * M::MONT_R2 as u128);
+        let wrapped = M::reduce_wide(self.carries as u128 * M::POW2_128 as u128);
         Fp::from_canonical(M::reduce_wide(self.sum)) + Fp::from_canonical(wrapped)
     }
 }
@@ -454,22 +454,10 @@ impl<M: PrimeModulus> WideAccumulator<M> {
     }
 }
 
-/// Montgomery batch inversion: inverts every element of `values` using a
-/// single field inversion plus `3(n−1)` multiplications.
-///
-/// Free-function form of [`PrimeField::batch_inverse`], kept for callers that
-/// work with a concrete [`PrimeModulus`].
-///
-/// # Panics
-/// Panics if any element is zero.
-pub fn batch_inverse<M: PrimeModulus>(values: &[Fp<M>]) -> Vec<Fp<M>> {
-    <Fp<M> as PrimeField>::batch_inverse(values)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::{P25, P251, P64};
+    use crate::fp::{PrimeField, P25, P251, P64};
     use proptest::prelude::*;
 
     type F = Fp<P25>;
@@ -769,26 +757,6 @@ mod tests {
         assert_eq!(out, fv(&[30, 60]));
     }
 
-    #[test]
-    fn batch_inverse_matches_individual_inverses() {
-        let values = fv(&[1, 2, 3, 12345, P25::MODULUS - 1]);
-        let inverses = batch_inverse(&values);
-        for (v, inv) in values.iter().zip(inverses.iter()) {
-            assert_eq!(*v * *inv, F::ONE);
-        }
-    }
-
-    #[test]
-    fn batch_inverse_of_empty_is_empty() {
-        assert!(batch_inverse::<P25>(&[]).is_empty());
-    }
-
-    #[test]
-    #[should_panic(expected = "zero element")]
-    fn batch_inverse_rejects_zero() {
-        let _ = batch_inverse(&fv(&[1, 0, 2]));
-    }
-
     proptest! {
         #[test]
         fn prop_dot_is_bilinear(
@@ -819,17 +787,6 @@ mod tests {
             check::<P25>(&raw_a, &raw_b, n);
             check::<P251>(&raw_a, &raw_b, n);
             check::<P64>(&raw_a, &raw_b, n);
-        }
-
-        #[test]
-        fn prop_batch_inverse_correct(
-            raw in proptest::collection::vec(1..P25::MODULUS, 1..40)
-        ) {
-            let values: Vec<F> = raw.iter().map(|&v| F::from_u64(v)).collect();
-            let inverses = batch_inverse(&values);
-            for (v, inv) in values.iter().zip(inverses.iter()) {
-                prop_assert_eq!(*v * *inv, F::ONE);
-            }
         }
     }
 }

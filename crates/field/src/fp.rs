@@ -49,28 +49,9 @@ pub trait PrimeModulus:
         }
     };
 
-    /// Whether the long-product-chain paths (`pow`, Fermat inversion,
-    /// Montgomery batch inversion, power series)
-    /// should switch into the Montgomery domain and multiply through
-    /// [`PrimeModulus::mul_redc`] instead of [`PrimeModulus::reduce_wide`].
-    ///
-    /// Defaults to `false`: the pseudo-Mersenne fold of [`P25`] is already
-    /// cheaper than REDC per multiply. Which moduli flip it on is an
-    /// empirical choice, not a soundness one (REDC is correct for every odd
-    /// modulus): Barrett-backed moduli ([`P251`]) win on any chain longer
-    /// than the two domain conversions, and Goldilocks ([`P64`]) wins on
-    /// Fermat's 64-squaring ladder, where `WIDE_BATCH = 1` forces a reduction
-    /// per product. The branch is on a `const`, so the unselected path folds
-    /// away entirely.
-    const MONTGOMERY_CHAINS: bool = false;
-    /// The REDC constant `−q⁻¹ mod 2^64` (valid for every odd modulus —
-    /// i.e. every prime but 2).
-    const MONT_NEG_QINV: u64 = crate::reduce::mont_neg_qinv(Self::MODULUS);
-    /// The Montgomery radix residue `R = 2^64 mod q` — the domain's
-    /// multiplicative identity (`to_montgomery(1)`).
-    const MONT_R: u64 = crate::reduce::mont_r(Self::MODULUS);
-    /// The conversion constant `R² = 2^128 mod q`.
-    const MONT_R2: u64 = crate::reduce::mont_r2(Self::MODULUS);
+    /// `2^128 mod q`, the weight of one carry out of a wrapping `u128` sum
+    /// ([`crate::batch::CarryAccumulator`]).
+    const POW2_128: u64 = crate::reduce::pow2_128_mod(Self::MODULUS);
 
     /// Reduces a full-range `u128` to the canonical representative in
     /// `[0, q)` without hardware division.
@@ -81,38 +62,6 @@ pub trait PrimeModulus:
     #[inline]
     fn reduce_wide(value: u128) -> u64 {
         crate::reduce::reduce_barrett(value, Self::MODULUS, Self::BARRETT_MU)
-    }
-
-    /// Montgomery reduction `t ↦ t·2^{-64} mod q` for `t < q·2^64` (any
-    /// product of canonical representatives). See [`crate::reduce::redc`].
-    #[inline]
-    fn redc(t: u128) -> u64 {
-        crate::reduce::redc(t, Self::MODULUS, Self::MONT_NEG_QINV)
-    }
-
-    /// Fused Montgomery multiply-reduce: `a·b·2^{-64} mod q`.
-    ///
-    /// For two Montgomery residues this is multiplication *in* the domain;
-    /// for one Montgomery residue and one canonical value it is the hybrid
-    /// multiply whose result is canonical again ([`power_series`] exploits
-    /// this with its base lifted once).
-    #[inline]
-    fn mul_redc(a: u64, b: u64) -> u64 {
-        Self::redc(a as u128 * b as u128)
-    }
-
-    /// Lifts a canonical representative into the Montgomery domain:
-    /// `x ↦ x·R mod q`.
-    #[inline]
-    fn to_montgomery(value: u64) -> u64 {
-        Self::mul_redc(value, Self::MONT_R2)
-    }
-
-    /// Lowers a Montgomery residue back to the canonical representative:
-    /// `x̄ ↦ x̄·R⁻¹ mod q`.
-    #[inline]
-    fn from_montgomery(value: u64) -> u64 {
-        Self::redc(value as u128)
     }
 }
 
@@ -138,10 +87,6 @@ pub struct P251;
 impl PrimeModulus for P251 {
     const MODULUS: u64 = 251;
     const NAME: &'static str = "F_251";
-    // Barrett per-product reduction loses to REDC on any chain longer than
-    // the two domain conversions; route pow/inversion chains through
-    // Montgomery.
-    const MONTGOMERY_CHAINS: bool = true;
 }
 
 /// The Goldilocks prime `q = 2^64 − 2^32 + 1`, the field of the bulk matrix
@@ -157,10 +102,6 @@ pub struct P64;
 impl PrimeModulus for P64 {
     const MODULUS: u64 = crate::reduce::GOLDILOCKS;
     const NAME: &'static str = "F_{2^64-2^32+1}";
-    // WIDE_BATCH = 1 means every chained product pays a full reduction;
-    // Montgomery keeps those chains (Fermat inversions, power series) in the
-    // REDC domain instead.
-    const MONTGOMERY_CHAINS: bool = true;
 
     #[inline]
     fn reduce_wide(value: u128) -> u64 {
@@ -239,91 +180,44 @@ pub trait PrimeField:
         a.iter().zip(b.iter()).map(|(&x, &y)| x * y).sum()
     }
 
-    /// Montgomery batch inversion: inverts every element using a single field
-    /// inversion plus `3(n−1)` multiplications. Hot on the decoder's
-    /// per-iteration path (Lagrange basis construction and evaluation).
+    /// Batch inversion by Montgomery's trick: prefix products, one field
+    /// inversion, then a suffix sweep — `3(n−1)` multiplications in all.
+    /// Hot on the decoder's per-iteration path (Lagrange basis construction
+    /// and evaluation).
     ///
     /// # Panics
     /// Panics if any element is zero.
     fn batch_inverse(values: &[Self]) -> Vec<Self> {
-        batch_inverse_generic(values)
-    }
-}
-
-/// The generic (non-Montgomery) Montgomery-*trick* batch inversion shared by
-/// the [`PrimeField`] default and the opted-out moduli: prefix products, one
-/// inversion, suffix sweep.
-fn batch_inverse_generic<F: PrimeField>(values: &[F]) -> Vec<F> {
-    if values.is_empty() {
-        return Vec::new();
-    }
-    // Prefix products: prefixes[i] = v0 * v1 * ... * vi.
-    let mut prefixes = Vec::with_capacity(values.len());
-    let mut running = F::ONE;
-    for &v in values {
-        assert!(!v.is_zero(), "batch_inverse: zero element");
-        running *= v;
-        prefixes.push(running);
-    }
-    let mut inverse_of_running = running.inverse();
-    let mut result = vec![F::ZERO; values.len()];
-    for i in (0..values.len()).rev() {
-        if i == 0 {
-            result[0] = inverse_of_running;
-        } else {
+        if values.is_empty() {
+            return Vec::new();
+        }
+        // Prefix products: prefixes[i] = v0 * v1 * ... * vi.
+        let mut prefixes = Vec::with_capacity(values.len());
+        let mut running = Self::ONE;
+        for &v in values {
+            assert!(!v.is_zero(), "batch_inverse: zero element");
+            running *= v;
+            prefixes.push(running);
+        }
+        let mut inverse_of_running = running.inverse();
+        let mut result = vec![Self::ZERO; values.len()];
+        for i in (1..values.len()).rev() {
             result[i] = inverse_of_running * prefixes[i - 1];
             inverse_of_running *= values[i];
         }
+        result[0] = inverse_of_running;
+        result
     }
-    result
-}
-
-/// Modular exponentiation of a canonical representative through the
-/// Montgomery domain: one conversion in, the REDC square-and-multiply
-/// ladder, one conversion out.
-pub(crate) fn pow_montgomery_raw<M: PrimeModulus>(base: u64, mut exponent: u64) -> u64 {
-    debug_assert!(base < M::MODULUS, "non-canonical base {base}");
-    let mut base = M::to_montgomery(base);
-    // `MONT_R` is the Montgomery representation of 1.
-    let mut accumulator = M::MONT_R;
-    if exponent > 0 {
-        // Same top-bit trim as the generic `Fp::pow`: the final squaring of
-        // the naive loop is never consumed.
-        while exponent > 1 {
-            if exponent & 1 == 1 {
-                accumulator = M::mul_redc(accumulator, base);
-            }
-            base = M::mul_redc(base, base);
-            exponent >>= 1;
-        }
-        accumulator = M::mul_redc(accumulator, base);
-    }
-    M::from_montgomery(accumulator)
 }
 
 /// The powers `[1, x, x², …, x^{len-1}]`, computed as a single dependent
-/// product chain.
-///
-/// For chain-routed moduli the hybrid-multiply trick applies: the base is
-/// lifted to Montgomery form once and every step is a bare
-/// [`PrimeModulus::mul_redc`] whose *output is already canonical*
-/// (`x^k · x̄ · R^{-1} = x^{k+1}`), so the series costs one conversion total —
-/// no per-element domain traffic. Freivalds power-structured keys are built
-/// on this.
+/// product chain. Freivalds power-structured keys are built on this.
 pub fn power_series<M: PrimeModulus>(base: Fp<M>, len: usize) -> Vec<Fp<M>> {
     let mut powers = Vec::with_capacity(len);
     let mut current = Fp::<M>::ONE;
-    if M::MONTGOMERY_CHAINS {
-        let lifted = M::to_montgomery(base.value());
-        for _ in 0..len {
-            powers.push(current);
-            current = Fp::new(M::mul_redc(current.value(), lifted));
-        }
-    } else {
-        for _ in 0..len {
-            powers.push(current);
-            current *= base;
-        }
+    for _ in 0..len {
+        powers.push(current);
+        current *= base;
     }
     powers
 }
@@ -425,13 +319,6 @@ impl<M: PrimeModulus> PrimeField for Fp<M> {
         if exponent == 0 {
             return Self::ONE;
         }
-        // Chain-routed moduli run the whole square-and-multiply ladder in the
-        // Montgomery domain: the value enters once, stays there across every
-        // squaring, and leaves once. The branch is on a `const`, so the
-        // unselected ladder compiles away.
-        if M::MONTGOMERY_CHAINS {
-            return Fp(pow_montgomery_raw::<M>(self.0, exponent), PhantomData);
-        }
         let mut base = self;
         let mut accumulator = Self::ONE;
         // Stop squaring at the top bit: the final `base *= base` of the naive
@@ -471,45 +358,6 @@ impl<M: PrimeModulus> PrimeField for Fp<M> {
     #[inline]
     fn dot_product(a: &[Self], b: &[Self]) -> Self {
         crate::batch::dot(a, b)
-    }
-
-    fn batch_inverse(values: &[Self]) -> Vec<Self> {
-        if !M::MONTGOMERY_CHAINS {
-            return batch_inverse_generic(values);
-        }
-        // Montgomery-domain prefix products with exact radix-power
-        // cancellation: every multiply below is a bare `mul_redc` and **no
-        // per-element domain conversion happens at all**. Writing
-        // `P_i = v_0⋯v_i`, the forward sweep stores `p̄_i = P_i·R^{-i}`; the
-        // Fermat inversion of `p̄_{n-1}` (itself a Montgomery-routed `pow`)
-        // yields `P_{n-1}^{-1}·R^{n-1}`, and the suffix sweep's invariant
-        // `inv = P_i^{-1}·R^i` makes every emitted
-        // `mul_redc(inv, p̄_{i-1}) = v_i^{-1}·R^0` land exactly canonical.
-        if values.is_empty() {
-            return Vec::new();
-        }
-        let mut prefixes = Vec::with_capacity(values.len());
-        let mut running = {
-            assert!(!values[0].is_zero(), "batch_inverse: zero element");
-            values[0].0
-        };
-        prefixes.push(running);
-        for &v in &values[1..] {
-            assert!(!v.is_zero(), "batch_inverse: zero element");
-            running = M::mul_redc(running, v.0);
-            prefixes.push(running);
-        }
-        let mut inverse_of_running = pow_montgomery_raw::<M>(running, M::MODULUS - 2);
-        let mut result = vec![Self::ZERO; values.len()];
-        for i in (1..values.len()).rev() {
-            result[i] = Fp(
-                M::mul_redc(inverse_of_running, prefixes[i - 1]),
-                PhantomData,
-            );
-            inverse_of_running = M::mul_redc(inverse_of_running, values[i].0);
-        }
-        result[0] = Fp(inverse_of_running, PhantomData);
-        result
     }
 }
 
@@ -849,39 +697,14 @@ mod tests {
         assert!(format!("{a:?}").contains("42"));
     }
 
-    /// The pre-Montgomery `pow` ladder, kept as the reference the routed
-    /// implementation must agree with bit-for-bit.
+    /// `pow` by repeated multiplication, the reference the square-and-multiply
+    /// ladder must agree with bit-for-bit.
     fn pow_reference<M: PrimeModulus>(base: Fp<M>, exponent: u64) -> Fp<M> {
         let mut result = Fp::<M>::ONE;
         for _ in 0..exponent {
             result *= base;
         }
         result
-    }
-
-    #[test]
-    fn montgomery_round_trip_at_boundaries_all_moduli() {
-        fn check<M: PrimeModulus>() {
-            for raw in [0u64, 1, 2, M::MODULUS / 2, M::MODULUS - 2, M::MODULUS - 1] {
-                assert_eq!(
-                    M::from_montgomery(M::to_montgomery(raw)),
-                    raw,
-                    "{} raw {raw}",
-                    M::NAME
-                );
-            }
-        }
-        check::<P25>();
-        check::<P251>();
-        check::<P64>();
-    }
-
-    #[test]
-    #[allow(clippy::assertions_on_constants)]
-    fn montgomery_chains_are_routed_for_p251_and_p64_only() {
-        assert!(P251::MONTGOMERY_CHAINS);
-        assert!(P64::MONTGOMERY_CHAINS);
-        assert!(!P25::MONTGOMERY_CHAINS);
     }
 
     #[test]
@@ -895,7 +718,6 @@ mod tests {
                 expected *= base;
             }
         }
-        // Both the Montgomery-routed and the plain chain, incl. boundaries.
         check::<P251>(250);
         check::<P64>(P64::MODULUS - 1);
         check::<P25>(123_456);
@@ -924,7 +746,7 @@ mod tests {
     }
 
     #[test]
-    fn batch_inverse_routed_and_generic_agree_all_moduli() {
+    fn batch_inverse_matches_per_element_inverses_all_moduli() {
         fn check<M: PrimeModulus>() {
             // Boundary-heavy inputs: the extremes of the canonical range.
             let values: Vec<Fp<M>> = [1u64, 2, M::MODULUS - 1, M::MODULUS - 2, 3, M::MODULUS / 2]
@@ -932,10 +754,10 @@ mod tests {
                 .map(|&v| Fp::<M>::from_u64(v))
                 .filter(|v| !v.is_zero())
                 .collect();
-            let routed = <Fp<M> as PrimeField>::batch_inverse(&values);
-            let generic = batch_inverse_generic(&values);
-            assert_eq!(routed, generic, "{}", M::NAME);
-            for (v, inv) in values.iter().zip(routed.iter()) {
+            let batched = <Fp<M> as PrimeField>::batch_inverse(&values);
+            let per_element: Vec<Fp<M>> = values.iter().map(|v| v.inverse()).collect();
+            assert_eq!(batched, per_element, "{}", M::NAME);
+            for (v, inv) in values.iter().zip(batched.iter()) {
                 assert_eq!(*v * *inv, Fp::<M>::ONE, "{}", M::NAME);
             }
             assert!(<Fp<M> as PrimeField>::batch_inverse(&[]).is_empty());
@@ -951,8 +773,32 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "zero element")]
-    fn montgomery_batch_inverse_rejects_zero() {
+    fn batch_inverse_rejects_zero_in_p251() {
         let _ = <Fp<P251> as PrimeField>::batch_inverse(&[Fp::<P251>::ONE, Fp::<P251>::ZERO]);
+    }
+
+    fn fv(values: &[u64]) -> Vec<F> {
+        values.iter().map(|&v| F::from_u64(v)).collect()
+    }
+
+    #[test]
+    fn batch_inverse_matches_individual_inverses() {
+        let values = fv(&[1, 2, 3, 12345, P25::MODULUS - 1]);
+        let inverses = F::batch_inverse(&values);
+        for (v, inv) in values.iter().zip(inverses.iter()) {
+            assert_eq!(*v * *inv, F::ONE);
+        }
+    }
+
+    #[test]
+    fn batch_inverse_of_empty_is_empty() {
+        assert!(F::batch_inverse(&[]).is_empty());
+    }
+
+    #[test]
+    #[should_panic(expected = "zero element")]
+    fn batch_inverse_rejects_zero() {
+        let _ = F::batch_inverse(&fv(&[1, 0, 2]));
     }
 
     fn arbitrary_f25() -> impl Strategy<Value = F> {
@@ -1006,29 +852,6 @@ mod tests {
         }
 
         #[test]
-        fn prop_montgomery_round_trip_all_moduli(raw in any::<u64>()) {
-            fn check<M: PrimeModulus>(raw: u64) {
-                let canonical = raw % M::MODULUS;
-                assert_eq!(M::from_montgomery(M::to_montgomery(canonical)), canonical);
-            }
-            check::<P25>(raw);
-            check::<P251>(raw);
-            check::<P64>(raw);
-        }
-
-        #[test]
-        fn prop_mul_redc_multiplies_in_the_domain(a in any::<u64>(), b in any::<u64>()) {
-            fn check<M: PrimeModulus>(a: u64, b: u64) {
-                let (x, y) = (Fp::<M>::from_u64(a), Fp::<M>::from_u64(b));
-                let product = M::mul_redc(M::to_montgomery(x.value()), M::to_montgomery(y.value()));
-                assert_eq!(M::from_montgomery(product), (x * y).value(), "{}", M::NAME);
-            }
-            check::<P25>(a, b);
-            check::<P251>(a, b);
-            check::<P64>(a, b);
-        }
-
-        #[test]
         fn prop_power_series_prefix_consistency(raw in any::<u64>(), len in 1usize..40) {
             let base = Fp::<P64>::from_u64(raw);
             let series = power_series(base, len);
@@ -1065,7 +888,7 @@ mod tests {
         }
 
         #[test]
-        fn prop_batch_inverse_matches_generic_all_moduli(
+        fn prop_batch_inverse_matches_per_element_inverses_all_moduli(
             raws in proptest::collection::vec(any::<u64>(), 1..24)
         ) {
             fn check<M: PrimeModulus>(raws: &[u64]) {
@@ -1076,7 +899,7 @@ mod tests {
                     .collect();
                 assert_eq!(
                     <Fp<M> as PrimeField>::batch_inverse(&values),
-                    batch_inverse_generic(&values),
+                    values.iter().map(|v| v.inverse()).collect::<Vec<_>>(),
                     "{}",
                     M::NAME
                 );
@@ -1084,6 +907,17 @@ mod tests {
             check::<P25>(&raws);
             check::<P251>(&raws);
             check::<P64>(&raws);
+        }
+
+        #[test]
+        fn prop_batch_inverse_correct(
+            raw in proptest::collection::vec(1..P25::MODULUS, 1..40)
+        ) {
+            let values: Vec<F> = raw.iter().map(|&v| F::from_u64(v)).collect();
+            let inverses = F::batch_inverse(&values);
+            for (v, inv) in values.iter().zip(inverses.iter()) {
+                prop_assert_eq!(*v * *inv, F::ONE);
+            }
         }
     }
 }

@@ -18,8 +18,8 @@
 //! * [`reduce`] — the specialized wide-reduction backends behind every
 //!   multiply (see *Reduction strategy* below).
 //! * [`batch`] — slice-level kernels: `axpy`, dot products with lazy
-//!   reduction, the [`WideAccumulator`] engine of the encoder and
-//!   decoder, Montgomery batch inversion.
+//!   reduction, and the [`WideAccumulator`] engine of the encoder and
+//!   decoder.
 //! * [`quantize`] — fixed-point quantization between `f64` and `F_q` using the
 //!   two's-complement style signed embedding described in §V of the paper
 //!   (values above `(q−1)/2` represent negative numbers), together with
@@ -30,36 +30,17 @@
 //!
 //! # Reduction strategy
 //!
-//! Every *one-shot* multiply funnels through [`PrimeModulus::reduce_wide`],
-//! which maps a full-range `u128` to the canonical representative without
-//! hardware division:
+//! Every multiply — one-shot products and the dependent chains of `pow`,
+//! Fermat inversion, [`PrimeField::batch_inverse`] and [`power_series`]
+//! alike — funnels through [`PrimeModulus::reduce_wide`], which maps a
+//! full-range `u128` to the canonical representative without hardware
+//! division:
 //!
 //! | Modulus | Backend | Cost per reduction |
 //! |---------|---------|--------------------|
 //! | `2^25 − 39` ([`P25`]) | pseudo-Mersenne fold (`2^25 ≡ 39`) | 3 folds + 1 conditional subtract for inputs `< 2^64` (any product of canonical values); a loop sheds ≈19.7 bits/fold above that |
 //! | `2^64 − 2^32 + 1` ([`P64`], Goldilocks) | `ε = 2^32 − 1` fold (`2^64 ≡ ε`, `2^96 ≡ −1`) | 1 borrow-corrected subtract + 1 32×32 multiply + 1 carry-corrected add + 1 conditional subtract; `WIDE_BATCH = 1` — a `u128` holds one product — so the dot-product kernels let the sum wrap and count the carries instead of reducing per product (below) |
 //! | `251` ([`P251`]) and any other | Barrett with `μ = ⌊2^128/q⌋` | 1 high-128 multiply + ≤ 2 conditional subtracts |
-//!
-//! # Backend selection per workload shape
-//!
-//! *Chains* — sequences of dependent multiplies (`pow` ladders, Fermat
-//! inversions, batch-inversion sweeps, power series) —
-//! additionally choose between the canonical backend above and the
-//! Montgomery domain (the raw [`PrimeModulus::mul_redc`] /
-//! [`PrimeModulus::to_montgomery`] hooks over [`reduce::redc`]: lift once,
-//! multiply with the three-multiply REDC step, lower once), selected at
-//! compile time by the [`PrimeModulus::MONTGOMERY_CHAINS`] flag:
-//!
-//! | Modulus | One-shot products / lazy sums | Long chains | Why |
-//! |---------|-------------------------------|-------------|-----|
-//! | [`P25`] | pseudo-Mersenne fold | fold (opted out) | the 3-fold reduction is cheaper than the 3-multiply REDC step; lazy sums run in narrow `u64` lanes of 32 × 32 → 64-bit products, which vectorize, collapsed once per 16 384 products |
-//! | [`P64`] | Goldilocks ε-fold | **Montgomery** | `WIDE_BATCH = 1` forces a reduction per chained product; REDC keeps Fermat's 64-squaring ladder and the power series in-domain |
-//! | [`P251`] (and any structureless prime) | Barrett | **Montgomery** | Barrett's 128×128 high multiply per product loses to REDC on any chain longer than the two domain conversions (no end-to-end workload selects this field; it exists for exhaustive soundness tests) |
-//!
-//! Opting in is an empirical decision, not a soundness one: REDC is correct
-//! for every odd modulus. The `P64` route is the one an end-to-end workload
-//! exercises: without it `matmul_batch` `op_ms_p50` is 5.6 % worse on 8 of 8
-//! alternating pairs (`avcc-e2e/E2E.md` names the workloads).
 //!
 //! # Overflow bounds (lazy reduction)
 //!
@@ -86,7 +67,7 @@
 //!   would mean a reduction per product; the kernels instead let the `u128`
 //!   **wrap and count the carries** ([`CarryAccumulator`]): the true sum is
 //!   `sum + carries·2^128`, and `2^128 mod q` is the
-//!   [`PrimeModulus::MONT_R2`] every modulus already carries, so each
+//!   [`PrimeModulus::POW2_128`] every modulus carries, so each
 //!   accumulator is reduced exactly once, however long the vector.
 //!
 //! Every kernel checks its bounds at **compile time** via inline-`const`
@@ -116,7 +97,7 @@ pub mod reduce;
 pub mod rng;
 pub mod spans;
 
-pub use batch::{batch_inverse, dot, CarryAccumulator, Residue, WideAccumulator, DOT_LANES};
+pub use batch::{dot, CarryAccumulator, Residue, WideAccumulator, DOT_LANES};
 pub use fp::{power_series, Fp, PrimeField, PrimeModulus, P25, P251, P64};
 pub use quantize::{QuantError, Quantizer, SignedEmbedding};
 pub use rng::{random_element, random_matrix, random_vector};

@@ -161,10 +161,13 @@ impl Quantizer {
 
 /// Checks the paper's field-size constraint: with feature dimension `d`, the
 /// worst-case inner-product accumulation `d (q−1)²` must fit in a signed
-/// 64-bit register (`≤ 2^63 − 1`).
+/// 64-bit register (`≤ 2^63 − 1`). A product too large for a `u128` (the
+/// Goldilocks field at `d ≥ 2`) does not fit either.
 pub fn worst_case_fits_u63<M: PrimeModulus>(dimension: u64) -> bool {
     let per_term = (M::MODULUS - 1) as u128 * (M::MODULUS - 1) as u128;
-    dimension as u128 * per_term <= (i64::MAX as u128)
+    (dimension as u128)
+        .checked_mul(per_term)
+        .is_some_and(|worst| worst <= i64::MAX as u128)
 }
 
 /// The largest dimension `d` for which the worst-case accumulation fits in a
@@ -250,6 +253,12 @@ mod tests {
     #[test]
     fn large_field_fails_u63_constraint() {
         assert!(!worst_case_fits_u63::<P64>(1));
+    }
+
+    #[test]
+    fn large_field_at_gisette_dimension_does_not_overflow_the_check() {
+        // d·(q−1)² exceeds u128 for Goldilocks at any d ≥ 2.
+        assert!(!worst_case_fits_u63::<P64>(5000));
     }
 
     #[test]

@@ -136,75 +136,11 @@ pub const fn reduce_goldilocks64(value: u128) -> u64 {
     }
 }
 
-/// `−q⁻¹ mod 2^64` for an odd modulus `q` — the REDC constant of the
-/// Montgomery backend ([`redc`]).
-///
-/// Computed by Hensel lifting: starting from the 3-bit-exact seed `x = q`
-/// (every odd `q` satisfies `q·q ≡ 1 (mod 8)`), each Newton step
-/// `x ← x·(2 − q·x)` doubles the number of correct low bits, so five steps
-/// reach 96 ≥ 64 bits.
-///
-/// # Panics
-/// Panics (at compile time, in const contexts) if `q` is even — Montgomery
-/// reduction requires `gcd(q, 2^64) = 1`.
-pub const fn mont_neg_qinv(modulus: u64) -> u64 {
-    assert!(
-        modulus & 1 == 1,
-        "Montgomery reduction needs an odd modulus"
-    );
-    let mut inverse = modulus;
-    let mut step = 0;
-    while step < 5 {
-        inverse = inverse.wrapping_mul(2u64.wrapping_sub(modulus.wrapping_mul(inverse)));
-        step += 1;
-    }
-    inverse.wrapping_neg()
-}
-
-/// The Montgomery radix residue `R = 2^64 mod q`.
-///
-/// This is also the Montgomery representation of `1`, i.e. the multiplicative
-/// identity of the REDC domain.
-pub const fn mont_r(modulus: u64) -> u64 {
-    ((u64::MAX % modulus) + 1) % modulus
-}
-
-/// The Montgomery conversion constant `R² = 2^128 mod q`:
-/// `redc(x · R²) = x·R mod q` lifts a canonical value into the domain.
-pub const fn mont_r2(modulus: u64) -> u64 {
+/// `2^128 mod q`: the weight of one carry out of a wrapping `u128` sum,
+/// which [`crate::batch::CarryAccumulator::finish`] multiplies the carry
+/// count by.
+pub const fn pow2_128_mod(modulus: u64) -> u64 {
     (((u128::MAX % modulus as u128) + 1) % modulus as u128) as u64
-}
-
-/// Montgomery reduction: maps `t < q·2^64` to `t · 2^{-64} mod q` in `[0, q)`.
-///
-/// The classic REDC step: `m = (t mod 2^64)·(−q⁻¹) mod 2^64` makes `t + m·q`
-/// divisible by `2^64`, and the shifted value is below `2q`, so one
-/// conditional subtraction lands in `[0, q)`. A carry out of the 128-bit sum
-/// contributes exactly `2^64` to the shifted value and implies it exceeds
-/// `q`, so it is folded by subtracting `q` once via
-/// `q.wrapping_neg() = 2^64 − q`.
-///
-/// Unlike the [`reduce_barrett`]-family backends this does **not** accept the
-/// full `u128` range — callers must keep `t < q·2^64` (any product of two
-/// canonical representatives qualifies, as does any `u64`).
-#[inline]
-pub const fn redc(t: u128, modulus: u64, neg_qinv: u64) -> u64 {
-    let m = (t as u64).wrapping_mul(neg_qinv);
-    let (sum, carry) = t.overflowing_add(m as u128 * modulus as u128);
-    let hi = (sum >> 64) as u64;
-    // On carry the true shifted value is `hi + 2^64 < 2q`, so subtracting `q`
-    // once (as the wrapping add of `2^64 − q`) cannot overflow and lands
-    // below `q` directly.
-    let folded = if carry {
-        hi.wrapping_add(modulus.wrapping_neg())
-    } else {
-        hi
-    };
-    if folded >= modulus {
-        folded - modulus
-    } else {
-        folded
-    }
 }
 
 #[cfg(test)]
@@ -213,7 +149,7 @@ mod tests {
     use proptest::prelude::*;
 
     /// `2^61 − 1`: one more odd modulus, between the 25-bit and the
-    /// Goldilocks one, for the generic Barrett and REDC backends.
+    /// Goldilocks one, for the generic Barrett backend.
     const M61: u64 = (1u64 << 61) - 1;
     const P25: u64 = (1u64 << 25) - 39;
     const P251: u64 = 251;
@@ -302,74 +238,18 @@ mod tests {
         assert_eq!(G::from_u64(GOLDILOCKS + 3).pow(2).to_u64(), 9);
     }
 
-    const GOLD: u64 = GOLDILOCKS;
-    const ALL_MODULI: [u64; 4] = [P25, M61, P251, GOLD];
+    const ALL_MODULI: [u64; 4] = [P25, M61, P251, GOLDILOCKS];
 
     #[test]
-    fn mont_constants_satisfy_their_defining_identities() {
+    fn pow2_128_mod_is_two_to_the_128_reduced() {
         for modulus in ALL_MODULI {
-            let neg_qinv = mont_neg_qinv(modulus);
-            // q · (−q⁻¹) ≡ −1 (mod 2^64).
+            let r = (1u128 << 64) % modulus as u128;
             assert_eq!(
-                modulus.wrapping_mul(neg_qinv),
-                u64::MAX,
-                "modulus {modulus}"
-            );
-            assert_eq!(mont_r(modulus) as u128, (1u128 << 64) % modulus as u128);
-            let r = mont_r(modulus) as u128;
-            assert_eq!(mont_r2(modulus) as u128, r * r % modulus as u128);
-        }
-    }
-
-    #[test]
-    fn redc_divides_by_the_radix_exactly() {
-        // redc(t) = t · 2^{-64} mod q, checked as redc(t) · 2^64 ≡ t (mod q).
-        for modulus in ALL_MODULI {
-            let neg_qinv = mont_neg_qinv(modulus);
-            let q = modulus as u128;
-            let boundary_products: Vec<u128> = vec![
-                0,
-                1,
-                q - 1,
-                q,
-                (q - 1) * (q - 1),
-                (q - 1) * mont_r2(modulus) as u128,
-                (q * (1u128 << 64)) - 1, // largest admissible input
-            ];
-            for t in boundary_products {
-                let reduced = redc(t, modulus, neg_qinv) as u128;
-                assert!(reduced < q, "modulus {modulus}, input {t}");
-                let back = reduced * ((1u128 << 64) % q) % q;
-                assert_eq!(back, t % q, "modulus {modulus}, input {t}");
-            }
-        }
-    }
-
-    #[test]
-    fn redc_round_trips_through_the_montgomery_domain() {
-        for modulus in ALL_MODULI {
-            let neg_qinv = mont_neg_qinv(modulus);
-            let r2 = mont_r2(modulus);
-            for raw in [0u64, 1, 2, modulus - 2, modulus - 1] {
-                // to_montgomery then from_montgomery is the identity.
-                let lifted = redc(raw as u128 * r2 as u128, modulus, neg_qinv);
-                let lowered = redc(lifted as u128, modulus, neg_qinv);
-                assert_eq!(lowered, raw, "modulus {modulus}, raw {raw}");
-            }
-            // The Montgomery identity element is R mod q: lifting 1 is
-            // redc(1 · R²).
-            assert_eq!(
-                redc(r2 as u128, modulus, neg_qinv),
-                mont_r(modulus),
+                pow2_128_mod(modulus) as u128,
+                r * r % modulus as u128,
                 "modulus {modulus}"
             );
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "odd modulus")]
-    fn mont_neg_qinv_rejects_even_moduli() {
-        let _ = mont_neg_qinv(1 << 32);
     }
 
     #[test]
@@ -405,20 +285,6 @@ mod tests {
             for modulus in [P25, M61, P251, GOLDILOCKS] {
                 let mu = barrett_mu(modulus);
                 prop_assert_eq!(reduce_barrett(input, modulus, mu), naive(input, modulus));
-            }
-        }
-
-        #[test]
-        fn prop_redc_matches_naive_division(a in any::<u64>(), b in any::<u64>()) {
-            // Products of canonical representatives — the only shape the hot
-            // path feeds REDC — reduce to a·b·2^{-64} mod q exactly.
-            for modulus in ALL_MODULI {
-                let neg_qinv = mont_neg_qinv(modulus);
-                let (a, b) = (a % modulus, b % modulus);
-                let t = a as u128 * b as u128;
-                let reduced = redc(t, modulus, neg_qinv) as u128;
-                let back = reduced * ((1u128 << 64) % modulus as u128) % modulus as u128;
-                prop_assert_eq!(back, t % modulus as u128);
             }
         }
 

@@ -3,11 +3,22 @@
 //! Uniform randomness over `F_q` is load-bearing in two places of the AVCC
 //! protocol: the Lagrange privacy pads `W_{K+1..K+T}` (Theorem 1, T-privacy)
 //! and the Freivalds verification keys `r` (the `1/q` soundness error of the
-//! integrity check). Both must be sampled uniformly, which
-//! [`random_element`] guarantees via rejection-free modular sampling from the
-//! RNG's 64-bit output (the modulo bias is below `2^-38` for the 25-bit field
-//! and is irrelevant for the statistical guarantees reproduced here; tests
-//! check uniformity empirically).
+//! integrity check). [`random_element`] maps one 64-bit RNG word onto
+//! `[0, q)` by multiply-shift (`⌊word · q / 2^64⌋`, the `rand` shim's
+//! `gen_range`), with no rejection, so it is close to uniform but not
+//! exactly: each residue receives `⌊2^64/q⌋` or `⌈2^64/q⌉` of the `2^64`
+//! words.
+//!
+//! * **`q = 2^25 − 39`** (the paper's field): every residue's probability is
+//!   within a factor `1 ± q/2^64`, i.e. `1 ± 2^-39`, of `1/q`.
+//! * **Goldilocks** (`q = 2^64 − 2^32 + 1`): `⌊2^64/q⌋ = 1`, so `2^32 − 1`
+//!   residues are drawn with probability `2^-63` and the rest with `2^-64`;
+//!   the statistical distance from uniform is about `2^-32`. No residue is
+//!   more than twice as likely as under the uniform law, so the bias at most
+//!   doubles a Freivalds key's `1/q` soundness error (still about `2^-63`).
+//!
+//! Tests check uniformity empirically. Changing the sampler would move every
+//! seeded draw the workspace pins.
 
 use rand::Rng;
 
@@ -15,7 +26,8 @@ use crate::fp::{Fp, PrimeModulus};
 
 /// Samples a uniformly random field element.
 pub fn random_element<M: PrimeModulus, R: Rng + ?Sized>(rng: &mut R) -> Fp<M> {
-    // gen_range on the canonical range is unbiased (rand uses rejection).
+    // Multiply-shift onto the canonical range: no rejection, so the draw
+    // carries the small bias the module doc bounds.
     Fp::<M>::new(rng.gen_range(0..M::MODULUS))
 }
 

@@ -93,9 +93,7 @@ impl<F: PrimeField> LagrangeBasis<F> {
     /// flattened difference vectors: one Fermat inversion and one
     /// `3(n·m − 1)`-multiply chain for `m` targets over `n` points, instead
     /// of `m` separate inversions — the shape the decoder's Lagrange
-    /// fallback hits once per output block. The chain itself is
-    /// Montgomery-routed for moduli that opted in (see
-    /// [`avcc_field::PrimeModulus::MONTGOMERY_CHAINS`]).
+    /// fallback hits once per output block.
     pub fn evaluate_at_many(&self, targets: &[F]) -> Vec<Vec<F>> {
         let n = self.points.len();
         // Pass 1: resolve indicator targets (z equal to an interpolation

@@ -80,7 +80,7 @@ pub use executor::{
     slowdown_sleep_seconds, Eviction, EvictionReason, Executor, ExecutorError, RawOutcome,
     RoundPoll, RoundTicket, ThreadedExecutor, VirtualExecutor, WorkerOutcome,
 };
-pub use metrics::{CostAccumulator, IterationCosts, JobMetrics, OpCounts, ServingMetrics};
+pub use metrics::{IterationCosts, JobMetrics, OpCounts, ServingMetrics};
 pub use socket::{
     backoff_delay, SocketConfig, SocketExecutor, SocketMetrics, Transport, WorkerBackend,
 };

@@ -13,9 +13,7 @@
 //! 4. **Decoding time** — MDS/Lagrange decoding at the master (zero for the
 //!    uncoded baseline).
 //!
-//! [`IterationCosts`] holds one iteration's breakdown in simulated seconds;
-//! [`CostAccumulator`] aggregates across iterations for the cumulative curves
-//! of Fig. 3 and Fig. 5.
+//! [`IterationCosts`] holds one iteration's breakdown in simulated seconds.
 //!
 //! Two further families serve the PR6 serving layer:
 //!
@@ -70,71 +68,6 @@ impl IterationCosts {
             decoding: self.decoding * factor,
             reconfiguration: self.reconfiguration * factor,
         }
-    }
-}
-
-/// Accumulates iteration costs into cumulative and average views.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct CostAccumulator {
-    iterations: Vec<IterationCosts>,
-}
-
-impl CostAccumulator {
-    /// An empty accumulator.
-    pub fn new() -> Self {
-        CostAccumulator::default()
-    }
-
-    /// Records one iteration's costs.
-    pub fn record(&mut self, costs: IterationCosts) {
-        self.iterations.push(costs);
-    }
-
-    /// Number of iterations recorded.
-    pub fn len(&self) -> usize {
-        self.iterations.len()
-    }
-
-    /// `true` iff nothing has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.iterations.is_empty()
-    }
-
-    /// The recorded per-iteration costs.
-    pub fn iterations(&self) -> &[IterationCosts] {
-        &self.iterations
-    }
-
-    /// Sum of all recorded iterations.
-    pub fn cumulative(&self) -> IterationCosts {
-        self.iterations
-            .iter()
-            .fold(IterationCosts::default(), |acc, c| acc.combined(c))
-    }
-
-    /// Total elapsed (simulated) time.
-    pub fn total_seconds(&self) -> f64 {
-        self.cumulative().total()
-    }
-
-    /// Running total after each iteration — the x-axis of the convergence
-    /// curves (Fig. 3) and the cumulative-time comparison (Fig. 5).
-    pub fn cumulative_timeline(&self) -> Vec<f64> {
-        let mut timeline = Vec::with_capacity(self.iterations.len());
-        let mut running = 0.0;
-        for costs in &self.iterations {
-            running += costs.total();
-            timeline.push(running);
-        }
-        timeline
-    }
-
-    /// Average per-iteration breakdown.
-    pub fn average(&self) -> IterationCosts {
-        if self.iterations.is_empty() {
-            return IterationCosts::default();
-        }
-        self.cumulative().scaled(1.0 / self.iterations.len() as f64)
     }
 }
 
@@ -322,35 +255,6 @@ mod tests {
         let a = sample(2.0).scaled(0.5);
         assert!((a.compute - 1.0).abs() < 1e-12);
         assert!((a.communication - 0.05).abs() < 1e-12);
-    }
-
-    #[test]
-    fn accumulator_tracks_cumulative_time() {
-        let mut accumulator = CostAccumulator::new();
-        assert!(accumulator.is_empty());
-        accumulator.record(sample(1.0));
-        accumulator.record(sample(2.0));
-        assert_eq!(accumulator.len(), 2);
-        let total = accumulator.total_seconds();
-        assert!((total - (1.13 + 2.13)).abs() < 1e-9);
-        let timeline = accumulator.cumulative_timeline();
-        assert_eq!(timeline.len(), 2);
-        assert!(timeline[0] < timeline[1]);
-        assert!((timeline[1] - total).abs() < 1e-12);
-    }
-
-    #[test]
-    fn average_divides_by_iteration_count() {
-        let mut accumulator = CostAccumulator::new();
-        accumulator.record(sample(1.0));
-        accumulator.record(sample(3.0));
-        let average = accumulator.average();
-        assert!((average.compute - 2.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn empty_accumulator_has_zero_average() {
-        assert_eq!(CostAccumulator::new().average(), IterationCosts::default());
     }
 
     #[test]
