@@ -206,7 +206,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let mut rng = StdRng::seed_from_u64(config.seed);
         let protocol = problem.default_protocol::<M>();
         let round1_matrix = problem.round1_matrix::<M>(&protocol);
-        let round2_matrix = problem.round2_matrix::<M>(&protocol);
+        // `round2_matrix`'s definition, without quantizing a second time.
+        let round2_matrix = round1_matrix.transpose();
         // The uncoded scheme uses only the first K workers.
         let participants = config.coding.partitions;
         let (round1, round2, cluster): (

@@ -61,10 +61,14 @@ impl TrainingProblem {
         protocol.quantize_features(&self.train_features)
     }
 
-    /// Quantizes the transposed training features for round 2 (`Xᵀ`,
-    /// row-partitioned).
+    /// The quantized transposed training features for round 2 (`Xᵀ`,
+    /// row-partitioned): the transpose of
+    /// [`round1_matrix`](Self::round1_matrix). Quantization works element by
+    /// element, so this is exactly the quantized `f64` transpose, without a
+    /// second pass over the features; a caller holding the round-1 matrix
+    /// transposes it instead.
     pub fn round2_matrix<M: PrimeModulus>(&self, protocol: &QuantizedProtocol) -> Matrix<Fp<M>> {
-        protocol.quantize_features(&self.train_features.transpose())
+        self.round1_matrix(protocol).transpose()
     }
 
     /// The default quantization protocol for this problem in the field `M`,
@@ -151,5 +155,28 @@ mod tests {
         assert_eq!(round1.cols(), problem.features());
         assert_eq!(round2.rows(), problem.features());
         assert_eq!(round2.cols(), problem.samples());
+    }
+
+    #[test]
+    fn round2_is_the_quantized_transpose() {
+        // The `train_*` shape: 1 800 × 261 once aligned to K = 9.
+        let dataset = Dataset::gisette_like(DatasetConfig {
+            train_samples: 1800,
+            test_samples: 360,
+            features: 255,
+            informative: 85,
+            ..DatasetConfig::default()
+        });
+        let problem = TrainingProblem::from_dataset(&dataset, 9);
+        assert_eq!((problem.samples(), problem.features()), (1800, 261));
+        let protocol = problem.default_protocol::<P25>();
+        let round1 = problem.round1_matrix::<P25>(&protocol);
+        let round2 = problem.round2_matrix::<P25>(&protocol);
+        assert_eq!(round2, round1.transpose());
+        // And both are what quantizing the `f64` transpose gives.
+        assert_eq!(
+            round2,
+            protocol.quantize_features::<P25>(&problem.train_features.transpose())
+        );
     }
 }

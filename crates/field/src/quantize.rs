@@ -116,9 +116,40 @@ impl Quantizer {
         Ok(Fp::<M>::from_i64(scaled as i64))
     }
 
-    /// Quantizes a slice of reals. Fails on the first offending element.
+    /// Quantizes a slice of reals: element for element what
+    /// [`quantize`](Self::quantize) returns, in one pass. Fails on the first
+    /// offending element with exactly the error `quantize` gives it.
+    ///
+    /// The pass has no data-dependent branch but the range check: rounding
+    /// half away from zero is a truncating cast and a fraction compare (exact
+    /// wherever the cast is, and every in-range value is), and the signed
+    /// embedding is a sign mask — not `f64::round`'s libm call and
+    /// [`PrimeField::from_i64`]'s sign branch, which mispredicts on half of a
+    /// centered matrix.
     pub fn quantize_slice<M: PrimeModulus>(self, values: &[f64]) -> Result<Vec<Fp<M>>, QuantError> {
-        values.iter().map(|&v| self.quantize(v)).collect()
+        // The largest `f64` below 2^63: within it, `as i64` is exact.
+        const CAST_EXACT: f64 = 9_223_372_036_854_774_784.0;
+        let scale = self.scale();
+        let half = (M::MODULUS - 1) / 2;
+        let mut out = Vec::with_capacity(values.len());
+        for &value in values {
+            let scaled = value * scale;
+            // Wrapping, so a saturated cast (infinite or huge `scaled`)
+            // cannot overflow; the range check below refuses it anyway.
+            let truncated = scaled as i64;
+            let fraction = scaled - truncated as f64;
+            let rounded = truncated
+                .wrapping_add((fraction >= 0.5) as i64)
+                .wrapping_sub((fraction <= -0.5) as i64);
+            // NaN fails the first compare, ±∞ and huge values either.
+            if !((scaled.abs() <= CAST_EXACT) & (rounded.unsigned_abs() <= half)) {
+                return Err(self
+                    .quantize::<M>(value)
+                    .expect_err("a value out of range for the slice is out of range alone"));
+            }
+            out.push(embed_signed(rounded));
+        }
+        Ok(out)
     }
 
     /// Quantizes, saturating out-of-range magnitudes to the representable
@@ -132,7 +163,7 @@ impl Quantizer {
         }
         let scaled = (value * self.scale()).round();
         let clamped = scaled.clamp(-(max_magnitude as f64), max_magnitude as f64) as i64;
-        Fp::<M>::from_i64(clamped)
+        embed_signed(clamped)
     }
 
     /// Dequantizes a single field element produced by a computation whose
@@ -159,6 +190,20 @@ impl Quantizer {
     }
 }
 
+/// The signed embedding of an `r` with `|r| ≤ (q−1)/2`, without a branch:
+/// `r + (sign mask & q)`, which wraps in `u64` (for the Goldilocks field
+/// `q > 2^63`) to the canonical `r` or `q − |r|`. Equals [`Fp::from_i64`]
+/// on that range; [`Fp::from_i64`] stays the total form.
+#[inline]
+pub(crate) fn embed_signed<M: PrimeModulus>(r: i64) -> Fp<M> {
+    debug_assert!(
+        r.unsigned_abs() <= (M::MODULUS - 1) / 2,
+        "{r} is outside ±(q−1)/2"
+    );
+    let sign = (r >> 63) as u64;
+    Fp::from_canonical((r as u64).wrapping_add(sign & M::MODULUS))
+}
+
 /// Checks the paper's field-size constraint: with feature dimension `d`, the
 /// worst-case inner-product accumulation `d (q−1)²` must fit in a signed
 /// 64-bit register (`≤ 2^63 − 1`). A product too large for a `u128` (the
@@ -180,7 +225,7 @@ pub fn max_safe_dimension<M: PrimeModulus>() -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fp::{P25, P64};
+    use crate::fp::{P25, P251, P64};
     use proptest::prelude::*;
 
     type F = Fp<P25>;
@@ -268,7 +313,136 @@ mod tests {
         assert!(err.to_string().contains("does not fit"));
     }
 
+    #[test]
+    fn embedding_matches_from_i64_on_the_signed_range() {
+        fn check<M: PrimeModulus>() {
+            let half = ((M::MODULUS - 1) / 2) as i64;
+            let mut rng = <rand::rngs::StdRng as rand::SeedableRng>::seed_from_u64(M::MODULUS);
+            let random = (0..1000).map(|_| rand::Rng::gen_range(&mut rng, -half..=half));
+            for r in [0, 1, -1, half, -half, half - 1, 1 - half]
+                .into_iter()
+                .chain(random)
+            {
+                assert_eq!(
+                    embed_signed::<M>(r),
+                    Fp::<M>::from_i64(r),
+                    "{r} in {}",
+                    M::NAME
+                );
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+        // q > 2^63: the embedding of a negative value wraps in u64.
+        check::<P64>();
+    }
+
+    /// The per-element definition the slice pass must reproduce.
+    fn per_element<M: PrimeModulus>(
+        q: Quantizer,
+        values: &[f64],
+    ) -> Result<Vec<Fp<M>>, QuantError> {
+        values.iter().map(|&v| q.quantize(v)).collect()
+    }
+
+    /// The values on every edge of the slice pass at `bits` precision in `M`:
+    /// ties `k ± 0.5` of both signs, signed zero, subnormals, `±(q−1)/2` and
+    /// the next value past it, `2^63` and beyond, NaN and `±∞`.
+    fn edge_values<M: PrimeModulus>(bits: u32) -> Vec<f64> {
+        let scale = (1u64 << bits) as f64;
+        let half = ((M::MODULUS - 1) / 2) as f64;
+        let mut values = vec![
+            0.0,
+            -0.0,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::MIN_POSITIVE / 2.0,
+            f64::NAN,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for k in [0.0, 1.0, 2.0, 7.0, 1e6, half - 1.0] {
+            for tie in [k - 0.5, k + 0.5] {
+                values.extend([tie / scale, -tie / scale]);
+            }
+        }
+        for scaled in [
+            half,
+            half.next_up(),
+            half + 1.0,
+            9_223_372_036_854_775_808.0, // 2^63
+            9_223_372_036_854_775_808.0f64.next_down(),
+            18_446_744_073_709_551_616.0, // 2^64
+            1e30,
+        ] {
+            values.extend([scaled / scale, -scaled / scale]);
+        }
+        values
+    }
+
+    /// An element of a test slice: mostly in range, the rest edge values or
+    /// raw bit patterns.
+    fn slice_value<M: PrimeModulus>(bits: u32, draw: u64) -> f64 {
+        let edges = edge_values::<M>(bits);
+        let half = ((M::MODULUS - 1) / 2) as f64;
+        let unit = (draw >> 11) as f64 / (1u64 << 53) as f64;
+        match draw % 8 {
+            0 => edges[(draw >> 3) as usize % edges.len()],
+            1 => f64::from_bits(draw.rotate_left(17)),
+            _ => (2.0 * unit - 1.0) * half / (1u64 << bits) as f64,
+        }
+    }
+
+    #[test]
+    fn slice_matches_per_element_at_every_edge() {
+        fn check<M: PrimeModulus>() {
+            for bits in [0, 1, 5, 12] {
+                let q = Quantizer::new(bits);
+                let edges = edge_values::<M>(bits);
+                for &value in &edges {
+                    let one = [value];
+                    assert_eq!(
+                        q.quantize_slice::<M>(&one),
+                        per_element::<M>(q, &one),
+                        "{value:e} at {bits} bits in {}",
+                        M::NAME
+                    );
+                }
+                // Every in-range edge together, then each failure after them.
+                let fine: Vec<f64> = edges
+                    .iter()
+                    .copied()
+                    .filter(|&v| q.quantize::<M>(v).is_ok())
+                    .collect();
+                assert_eq!(q.quantize_slice::<M>(&fine), per_element::<M>(q, &fine));
+                for &bad in edges.iter().filter(|&&v| q.quantize::<M>(v).is_err()) {
+                    let slice: Vec<f64> = fine.iter().copied().chain([bad, 0.0]).collect();
+                    assert_eq!(q.quantize_slice::<M>(&slice), per_element::<M>(q, &slice));
+                }
+            }
+        }
+        check::<P25>();
+        check::<P251>();
+        check::<P64>();
+    }
+
     proptest! {
+        #[test]
+        fn prop_slice_matches_per_element(
+            draws in proptest::collection::vec(any::<u64>(), 0..48),
+            bits in 0u32..13,
+        ) {
+            let q = Quantizer::new(bits);
+            let p25: Vec<f64> = draws.iter().map(|&d| slice_value::<P25>(bits, d)).collect();
+            prop_assert_eq!(q.quantize_slice::<P25>(&p25), per_element::<P25>(q, &p25));
+            let p251: Vec<f64> = draws.iter().map(|&d| slice_value::<P251>(bits, d)).collect();
+            prop_assert_eq!(q.quantize_slice::<P251>(&p251), per_element::<P251>(q, &p251));
+            let p64: Vec<f64> = draws.iter().map(|&d| slice_value::<P64>(bits, d)).collect();
+            prop_assert_eq!(q.quantize_slice::<P64>(&p64), per_element::<P64>(q, &p64));
+        }
+
         #[test]
         fn prop_round_trip_error_bounded(value in -1000.0f64..1000.0f64, bits in 0u32..12) {
             let q = Quantizer::new(bits);

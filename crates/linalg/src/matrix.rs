@@ -6,6 +6,10 @@
 //! Numeric kernels live in [`crate::field_ops`] and [`crate::real_ops`] so
 //! that the container itself stays element-type agnostic.
 
+/// Output rows per band of [`Matrix::transpose`]: 16 elements of 8 bytes
+/// are two cache lines of each input row, and 16 output lines fill at once.
+const TRANSPOSE_BAND: usize = 16;
+
 /// A dense row-major matrix.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Matrix<T> {
@@ -106,16 +110,34 @@ impl<T> Matrix<T> {
 
 impl<T: Copy> Matrix<T> {
     /// Returns the transpose.
+    ///
+    /// Written one band of 16 output rows at a time: each input row gives
+    /// the band a contiguous run, and the band's rows fill together, so every
+    /// input and output cache line is touched once — where reading whole
+    /// columns walks the input `cols` elements apart.
     pub fn transpose(&self) -> Matrix<T> {
-        let mut data = Vec::with_capacity(self.data.len());
-        for j in 0..self.cols {
-            for i in 0..self.rows {
-                data.push(self.data[i * self.cols + j]);
+        let (rows, cols) = (self.rows, self.cols);
+        let Some(&fill) = self.data.first() else {
+            return Matrix {
+                rows: cols,
+                cols: rows,
+                data: Vec::new(),
+            };
+        };
+        let mut data = vec![fill; self.data.len()];
+        // Output rows `j0..j0 + width` are input columns `j0..j0 + width`.
+        for (band, out) in data.chunks_mut(TRANSPOSE_BAND * rows).enumerate() {
+            let j0 = band * TRANSPOSE_BAND;
+            let width = out.len() / rows;
+            for (i, row) in self.rows_iter().enumerate() {
+                for (out_row, &value) in out.chunks_exact_mut(rows).zip(&row[j0..j0 + width]) {
+                    out_row[i] = value;
+                }
             }
         }
         Matrix {
-            rows: self.cols,
-            cols: self.rows,
+            rows: cols,
+            cols: rows,
             data,
         }
     }
@@ -219,6 +241,28 @@ mod tests {
         assert_eq!(*t.get(2, 0), 3);
         assert_eq!(*t.get(0, 1), 4);
         assert_eq!(t.transpose(), sample());
+    }
+
+    #[test]
+    fn transpose_matches_the_element_definition() {
+        for (rows, cols) in [
+            (0, 0),
+            (0, 5),
+            (5, 0),
+            (1, 7),
+            (1, 40),
+            (33, 65),
+            (1800, 261),
+        ] {
+            let m = Matrix::from_vec(rows, cols, (0..rows * cols).map(|x| x as u64).collect());
+            let t = m.transpose();
+            assert_eq!((t.rows(), t.cols()), (cols, rows));
+            for i in 0..rows {
+                for j in 0..cols {
+                    assert_eq!(t.get(j, i), m.get(i, j), "({i}, {j}) of {rows} x {cols}");
+                }
+            }
+        }
     }
 
     #[test]

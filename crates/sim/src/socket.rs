@@ -26,6 +26,19 @@
 //! timed-out straggler), and a dead worker by the EOF its closing socket
 //! delivers to the reader thread.
 //!
+//! # Workers launch in waves
+//!
+//! [`SocketExecutor::with_config`] launches all `N` workers first — child
+//! processes or in-process threads — and only then accepts `N` connections,
+//! in whatever order they arrive, giving each the slot its `HELLO` names; so
+//! the fleet starts in about the time one worker does. A respawn is a wave of
+//! one through the same code. A `HELLO` of the wrong frame kind or protocol
+//! version, or naming an index outside the wave or one already taken, fails
+//! the wave with [`ExecutorError::Spawn`], as does a worker not handshaken
+//! [`SocketConfig::connect_timeout`] after the launch; every child of a
+//! failed wave whose handshake did not complete is killed and reaped, so no
+//! orphan can connect later as a respawn of its slot.
+//!
 //! # Rounds are split-phase
 //!
 //! [`Executor::submit_round`] dispatches a round and returns a ticket,
@@ -138,7 +151,8 @@ pub struct SocketConfig {
     pub transport: Transport,
     /// Worker launch mode.
     pub backend: WorkerBackend,
-    /// Deadline for spawn + connect + handshake of one worker.
+    /// Deadline for spawn + connect + handshake of each worker, from the
+    /// launch of its wave.
     pub connect_timeout: Duration,
     /// Per-task deadline, running from the instant the task was sent: a
     /// worker silent past it is evicted as a timed-out straggler.
@@ -253,6 +267,14 @@ impl StreamKind {
         }
     }
 
+    fn set_nonblocking(&self, nonblocking: bool) -> io::Result<()> {
+        match self {
+            Self::Tcp(s) => s.set_nonblocking(nonblocking),
+            #[cfg(unix)]
+            Self::Unix(s) => s.set_nonblocking(nonblocking),
+        }
+    }
+
     fn set_write_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         match self {
             Self::Tcp(s) => s.set_write_timeout(timeout),
@@ -345,6 +367,7 @@ impl ListenerKind {
         match transport {
             Transport::Tcp => {
                 let listener = TcpListener::bind("127.0.0.1:0").map_err(|e| spawn_err(&e))?;
+                listener.set_nonblocking(true).map_err(|e| spawn_err(&e))?;
                 Ok(Self::Tcp(listener))
             }
             #[cfg(unix)]
@@ -356,6 +379,7 @@ impl ListenerKind {
                 ));
                 let _ = std::fs::remove_file(&path);
                 let listener = UnixListener::bind(&path).map_err(|e| spawn_err(&e))?;
+                listener.set_nonblocking(true).map_err(|e| spawn_err(&e))?;
                 Ok(Self::Unix(listener, path))
             }
             #[cfg(not(unix))]
@@ -376,41 +400,46 @@ impl ListenerKind {
         }
     }
 
-    /// Accepts one connection before `deadline` (non-blocking poll loop so a
-    /// worker that never connects cannot wedge the master).
+    /// Takes the next connection waiting in the backlog, if any. The
+    /// listener is non-blocking from [`bind`](Self::bind) on; the stream it
+    /// returns blocks.
+    fn accept_waiting(&self) -> io::Result<StreamKind> {
+        let stream = match self {
+            Self::Tcp(l) => l.accept().map(|(s, _)| {
+                let _ = s.set_nodelay(true);
+                StreamKind::Tcp(s)
+            }),
+            #[cfg(unix)]
+            Self::Unix(l, _) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
+        }?;
+        stream.set_nonblocking(false)?;
+        Ok(stream)
+    }
+
+    /// Accepts one connection before `deadline` (a poll loop, so a worker
+    /// that never connects cannot wedge the master).
     fn accept_deadline(&self, deadline: Instant) -> Result<StreamKind, ExecutorError> {
-        let set_nonblocking = |on: bool| -> io::Result<()> {
-            match self {
-                Self::Tcp(l) => l.set_nonblocking(on),
-                #[cfg(unix)]
-                Self::Unix(l, _) => l.set_nonblocking(on),
-            }
-        };
-        set_nonblocking(true).map_err(|e| spawn_err(&e))?;
-        let result = loop {
-            let accepted = match self {
-                Self::Tcp(l) => l.accept().map(|(s, _)| {
-                    let _ = s.set_nodelay(true);
-                    StreamKind::Tcp(s)
-                }),
-                #[cfg(unix)]
-                Self::Unix(l, _) => l.accept().map(|(s, _)| StreamKind::Unix(s)),
-            };
-            match accepted {
-                Ok(stream) => break Ok(stream),
+        loop {
+            match self.accept_waiting() {
+                Ok(stream) => return Ok(stream),
                 Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
                     if Instant::now() >= deadline {
-                        break Err(ExecutorError::Spawn {
+                        return Err(ExecutorError::Spawn {
                             context: "worker did not connect before the deadline".to_string(),
                         });
                     }
                     thread::sleep(Duration::from_millis(1));
                 }
-                Err(e) => break Err(spawn_err(&e)),
+                Err(e) => return Err(spawn_err(&e)),
             }
-        };
-        let _ = set_nonblocking(false);
-        result
+        }
+    }
+
+    /// Closes every connection still waiting in the backlog: what a failed
+    /// earlier wave left behind (a killed child's, or an in-process worker's
+    /// that connected after its wave gave up), never a worker of the next.
+    fn drain(&self) {
+        while self.accept_waiting().is_ok() {}
     }
 }
 
@@ -429,15 +458,11 @@ fn spawn_err(e: &dyn std::fmt::Display) -> ExecutorError {
     }
 }
 
-/// Reads the `HELLO` that opens worker `worker`'s connection, refusing a
-/// peer of another protocol version — its frame's version word is refused
-/// by `read_frame` before anything else is read, and its `HELLO` must name
-/// this version too — and a peer claiming another index.
-fn accept_hello<R: Read>(
-    stream: &mut R,
-    max_payload: usize,
-    worker: usize,
-) -> Result<(), ExecutorError> {
+/// Reads the `HELLO` that opens a worker's connection and returns the index
+/// it claims, refusing a peer of another protocol version — its frame's
+/// version word is refused by `read_frame` before anything else is read, and
+/// its `HELLO` must name this version too.
+fn accept_hello<R: Read>(stream: &mut R, max_payload: usize) -> Result<u32, ExecutorError> {
     let (frame, _) = read_frame(stream, max_payload).map_err(|e| spawn_err(&e))?;
     if frame.kind != FrameKind::Hello {
         return Err(ExecutorError::Spawn {
@@ -453,12 +478,48 @@ fn accept_hello<R: Read>(
             ),
         });
     }
-    if hello.worker as usize != worker {
-        return Err(ExecutorError::Spawn {
-            context: format!("worker {} connected as {}", worker, hello.worker),
-        });
+    Ok(hello.worker)
+}
+
+/// Gives a `HELLO` naming `index` its slot in the wave launched for `wave`,
+/// of which `open` are not yet taken: an index outside the wave, or one
+/// already taken, is refused.
+fn claim_slot(wave: &[usize], open: &mut Vec<usize>, index: u32) -> Result<usize, ExecutorError> {
+    let index = index as usize;
+    if let Some(at) = open.iter().position(|&worker| worker == index) {
+        open.swap_remove(at);
+        return Ok(index);
     }
-    Ok(())
+    let context = if wave.contains(&index) {
+        format!("worker {index} connected twice")
+    } else {
+        format!("a worker connected as {index}, outside the wave {wave:?}")
+    };
+    Err(ExecutorError::Spawn { context })
+}
+
+/// The child processes of a launch wave whose handshakes have not completed.
+/// Any still here when the wave ends — it failed part-way — are killed and
+/// reaped: `std` does not kill on drop, and an orphan could connect later
+/// and be accepted as a respawn of its slot.
+#[derive(Default)]
+struct Launched(Vec<(usize, Child)>);
+
+impl Launched {
+    /// Hands over worker `worker`'s child, its handshake done.
+    fn take(&mut self, worker: usize) -> Option<Child> {
+        let at = self.0.iter().position(|(w, _)| *w == worker)?;
+        Some(self.0.swap_remove(at).1)
+    }
+}
+
+impl Drop for Launched {
+    fn drop(&mut self) {
+        for (_, child) in &mut self.0 {
+            let _ = child.kill();
+            let _ = child.wait();
+        }
+    }
 }
 
 /// One live worker connection.
@@ -545,7 +606,8 @@ impl SocketExecutor {
     }
 
     /// Full-control constructor: binds the listener, launches one worker per
-    /// profile slot and completes every handshake before returning.
+    /// profile slot in one wave and completes every handshake before
+    /// returning. On failure every worker it launched is stopped.
     pub fn with_config(
         profile: ClusterProfile,
         config: SocketConfig,
@@ -572,9 +634,8 @@ impl SocketExecutor {
             respawn_after: vec![Instant::now(); width],
             churn: None,
         };
-        for worker in 0..width {
-            this.spawn_worker(worker)?;
-        }
+        let fleet: Vec<usize> = (0..width).collect();
+        this.launch_wave(&fleet)?;
         Ok(this)
     }
 
@@ -636,48 +697,77 @@ impl SocketExecutor {
         self.tear_down(worker);
     }
 
-    /// Launches worker `worker`, accepts its connection and completes the
-    /// handshake.
-    fn spawn_worker(&mut self, worker: usize) -> Result<(), ExecutorError> {
-        let generation = self.next_generation;
-        self.next_generation += 1;
+    /// Launches the workers `wave` names all at once — child processes or
+    /// in-process threads — and only then accepts their connections, in
+    /// whatever order they arrive, giving each the slot its `HELLO` names.
+    /// The constructor launches the whole fleet as one wave; a respawn is a
+    /// wave of one.
+    ///
+    /// Each worker's spawn, connect and handshake must finish within
+    /// [`SocketConfig::connect_timeout`] of the launch. A failed launch or
+    /// accept, or a `HELLO` of the wrong kind or version or naming an index
+    /// outside the wave or already taken, fails the wave with
+    /// [`ExecutorError::Spawn`]: the workers whose handshake completed keep
+    /// their links, every other launched child is killed and reaped.
+    fn launch_wave(&mut self, wave: &[usize]) -> Result<(), ExecutorError> {
+        self.listener.drain();
         let target = self.listener.target()?;
         let deadline = Instant::now() + self.config.connect_timeout;
         let max_payload = self.config.max_payload;
-
-        let child = match &self.config.backend {
-            WorkerBackend::InProcess => {
-                let options = WorkerOptions { max_payload };
-                thread::spawn(move || {
-                    if let Ok(stream) = target.connect() {
-                        let _ = avcc_wire::serve_connection(stream, worker as u32, &options);
-                    }
-                });
-                None
+        let mut launched = Launched::default();
+        for &worker in wave {
+            match &self.config.backend {
+                WorkerBackend::InProcess => {
+                    let options = WorkerOptions { max_payload };
+                    let target = target.clone();
+                    thread::spawn(move || {
+                        if let Ok(stream) = target.connect() {
+                            let _ = avcc_wire::serve_connection(stream, worker as u32, &options);
+                        }
+                    });
+                }
+                WorkerBackend::Process { binary } => {
+                    let child = Command::new(binary)
+                        .arg("--connect")
+                        .arg(target.to_arg())
+                        .arg("--worker")
+                        .arg(worker.to_string())
+                        .stdin(Stdio::null())
+                        .spawn()
+                        .map_err(|e| spawn_err(&e))?;
+                    launched.0.push((worker, child));
+                }
             }
-            WorkerBackend::Process { binary } => {
-                let child = Command::new(binary)
-                    .arg("--connect")
-                    .arg(target.to_arg())
-                    .arg("--worker")
-                    .arg(worker.to_string())
-                    .stdin(Stdio::null())
-                    .spawn()
-                    .map_err(|e| spawn_err(&e))?;
-                Some(child)
-            }
-        };
+        }
 
-        let mut stream = self.listener.accept_deadline(deadline)?;
-        stream
-            .set_read_timeout(Some(self.config.connect_timeout))
-            .map_err(|e| spawn_err(&e))?;
+        let mut open = wave.to_vec();
+        while !open.is_empty() {
+            let mut stream = self.listener.accept_deadline(deadline)?;
+            let patience = deadline.saturating_duration_since(Instant::now());
+            stream
+                .set_read_timeout(Some(patience.max(Duration::from_millis(1))))
+                .map_err(|e| spawn_err(&e))?;
+            let index = accept_hello(&mut stream, max_payload)?;
+            let worker = claim_slot(wave, &mut open, index)?;
+            self.connect(worker, stream, launched.take(worker))?;
+        }
+        Ok(())
+    }
+
+    /// Completes worker `worker`'s handshake on `stream`, whose `HELLO` has
+    /// been read, and makes it the worker's live link.
+    fn connect(
+        &mut self,
+        worker: usize,
+        mut stream: StreamKind,
+        child: Option<Child>,
+    ) -> Result<(), ExecutorError> {
+        let generation = self.next_generation;
+        self.next_generation += 1;
+        let max_payload = self.config.max_payload;
         stream
             .set_write_timeout(Some(self.config.io_timeout))
             .map_err(|e| spawn_err(&e))?;
-
-        // Handshake: HELLO (their version, their claimed index) → HELLO_ACK.
-        accept_hello(&mut stream, max_payload, worker)?;
         let ack = HelloAck {
             worker: worker as u32,
             workers: self.links.len() as u32,
@@ -764,7 +854,7 @@ impl SocketExecutor {
             return false; // still backing off; no attempt burned
         }
         self.metrics.respawn_attempts[worker] += 1;
-        if self.spawn_worker(worker).is_err() {
+        if self.launch_wave(&[worker]).is_err() {
             self.links[worker] = None;
             let attempt = self.failed_respawns[worker];
             self.failed_respawns[worker] += 1;
@@ -1160,8 +1250,12 @@ mod tests {
                 .frame()
                 .encode_with_version(frame_version)
         };
-        let accept = |bytes: Vec<u8>| accept_hello(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD, 3);
-        assert_eq!(accept(hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 3)), Ok(()));
+        // A wave of one, worker 3.
+        let accept = |bytes: Vec<u8>| {
+            let index = accept_hello(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD)?;
+            claim_slot(&[3], &mut vec![3], index)
+        };
+        assert_eq!(accept(hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 3)), Ok(3));
         let refused = |bytes: Vec<u8>, why: &str| match accept(bytes) {
             Err(ExecutorError::Spawn { context }) => assert!(context.contains(why), "{context}"),
             other => panic!("accepted a peer it should refuse: {other:?}"),
@@ -1177,6 +1271,27 @@ mod tests {
             hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 4),
             "connected as 4",
         );
+    }
+
+    #[test]
+    fn a_wave_gives_each_index_its_slot_once() {
+        let wave = [2, 5, 7];
+        let mut open = wave.to_vec();
+        // Arrival order is the workers', not the wave's.
+        assert_eq!(claim_slot(&wave, &mut open, 7), Ok(7));
+        assert_eq!(claim_slot(&wave, &mut open, 2), Ok(2));
+        let refused =
+            |open: &mut Vec<usize>, index: u32, why: &str| match claim_slot(&wave, open, index) {
+                Err(ExecutorError::Spawn { context }) => {
+                    assert!(context.contains(why), "{context}")
+                }
+                other => panic!("gave index {index} a slot: {other:?}"),
+            };
+        refused(&mut open, 7, "worker 7 connected twice");
+        refused(&mut open, 3, "connected as 3, outside the wave [2, 5, 7]");
+        assert_eq!(claim_slot(&wave, &mut open, 5), Ok(5));
+        assert!(open.is_empty());
+        refused(&mut open, 5, "worker 5 connected twice");
     }
 
     #[test]
