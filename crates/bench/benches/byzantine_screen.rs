@@ -10,7 +10,7 @@
 //! timed, the located set is asserted to be the corrupted set and the
 //! decoded blocks to equal an erasure decode of the clean workers.
 
-use avcc_coding::{LagrangeDecoder, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{EncodedDataset, LagrangeDecoder, LagrangeEncoder, SchemeConfig};
 use avcc_field::{F64, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -31,13 +31,15 @@ fn corrupted_results(
         width,
         avcc_field::random_matrix(&mut rng, config.partitions, width),
     );
-    let blocks = matrix.split_rows(config.partitions);
-    let encoder = LagrangeEncoder::<P64>::new(config);
-    assert!(encoder.points().is_systematic(config.partitions));
-    let shares = encoder.encode_deterministic(&blocks);
-    let mut results: Vec<(usize, Vec<F64>)> = shares
+    assert!(LagrangeEncoder::<P64>::new(config)
+        .points()
+        .is_systematic(config.partitions));
+    let dataset = EncodedDataset::<P64>::encode(&matrix, config, &mut rng);
+    let mut results: Vec<(usize, Vec<F64>)> = dataset
+        .shares()
         .iter()
-        .map(|share| (share.worker, share.block.data().to_vec()))
+        .enumerate()
+        .map(|(worker, share)| (worker, share.data().to_vec()))
         .collect();
     for &victim in corrupted {
         for value in results[victim].1.iter_mut() {

@@ -3,7 +3,7 @@
 //! rest) — the master-side cost asymmetry behind Fig. 4 and behind AVCC's
 //! ability to start decoding early.
 
-use avcc_coding::{LagrangeDecoder, LagrangeEncoder, SchemeConfig};
+use avcc_coding::{EncodedDataset, LagrangeDecoder, SchemeConfig};
 use avcc_field::{F25, P25};
 use avcc_linalg::{mat_vec, Matrix};
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -16,13 +16,13 @@ fn worker_results(rows: usize, corrupt: Option<usize>) -> Vec<(usize, Vec<F25>)>
     let mut rng = StdRng::seed_from_u64(7);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
     let matrix = Matrix::from_vec(rows, 63, avcc_field::random_matrix(&mut rng, rows, 63));
-    let blocks = matrix.split_rows(9);
-    let encoder = LagrangeEncoder::<P25>::new(config);
-    let shares = encoder.encode_deterministic(&blocks);
+    let dataset = EncodedDataset::<P25>::encode(&matrix, config, &mut rng);
     let w: Vec<F25> = avcc_field::random_vector(&mut rng, 63);
-    let mut results: Vec<(usize, Vec<F25>)> = shares
+    let mut results: Vec<(usize, Vec<F25>)> = dataset
+        .shares()
         .iter()
-        .map(|s| (s.worker, mat_vec(&s.block, &w)))
+        .enumerate()
+        .map(|(worker, share)| (worker, mat_vec(share, &w)))
         .collect();
     if let Some(victim) = corrupt {
         for value in results[victim].1.iter_mut() {

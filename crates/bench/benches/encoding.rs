@@ -6,26 +6,25 @@
 //! (`EncodedDataset::encode`, the matrix read in place).
 
 use avcc_coding::{EncodedDataset, LagrangeEncoder, SchemeConfig};
-use avcc_field::{F25, F64, P25, P64};
+use avcc_field::{Fp, PrimeModulus, F25, F64, P25, P64};
 use avcc_linalg::Matrix;
 use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn data_blocks(rows: usize, cols: usize, partitions: usize, seed: u64) -> Vec<Matrix<F25>> {
+fn data_matrix<M: PrimeModulus>(rows: usize, cols: usize, seed: u64) -> Matrix<Fp<M>> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
-    matrix.split_rows(partitions)
+    Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols))
 }
 
 fn bench_mds_encoding_by_size(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode/mds_12_9");
     for &rows in &[90usize, 450, 900] {
-        let blocks = data_blocks(rows, 63, 9, 1);
+        let matrix = data_matrix::<P25>(rows, 63, 1);
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P25>::new(config);
+        let mut rng = StdRng::seed_from_u64(0);
         group.bench_with_input(BenchmarkId::from_parameter(rows), &rows, |bencher, _| {
-            bencher.iter(|| encoder.encode_deterministic(black_box(&blocks)))
+            bencher.iter(|| EncodedDataset::encode(black_box(&matrix), config, &mut rng))
         });
     }
     group.finish();
@@ -34,13 +33,15 @@ fn bench_mds_encoding_by_size(c: &mut Criterion) {
 fn bench_encoding_by_worker_count(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode/workers");
     for &workers in &[12usize, 18, 24] {
-        let blocks = data_blocks(450, 63, 9, 2);
+        let matrix = data_matrix::<P25>(450, 63, 2);
         let config = SchemeConfig::linear(workers, 9, workers - 10, 1).unwrap();
-        let encoder = LagrangeEncoder::<P25>::new(config);
+        let mut rng = StdRng::seed_from_u64(0);
         group.bench_with_input(
             BenchmarkId::from_parameter(workers),
             &workers,
-            |bencher, _| bencher.iter(|| encoder.encode_deterministic(black_box(&blocks))),
+            |bencher, _| {
+                bencher.iter(|| EncodedDataset::encode(black_box(&matrix), config, &mut rng))
+            },
         );
     }
     group.finish();
@@ -48,20 +49,13 @@ fn bench_encoding_by_worker_count(c: &mut Criterion) {
 
 fn bench_private_encoding(c: &mut Criterion) {
     // T = 2 privacy pads: the extra cost of the privacy guarantee.
-    let blocks = data_blocks(450, 63, 9, 3);
+    let matrix = data_matrix::<P25>(450, 63, 3);
     let config = SchemeConfig::new(14, 9, 1, 1, 2, 1).unwrap();
-    let encoder = LagrangeEncoder::<P25>::new(config);
-    assert!(encoder.points().disjoint());
+    assert!(LagrangeEncoder::<P25>::new(config).points().disjoint());
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("encode/private_t2", |bencher| {
-        bencher.iter(|| encoder.encode(black_box(&blocks), &mut rng))
+        bencher.iter(|| EncodedDataset::encode(black_box(&matrix), config, &mut rng))
     });
-}
-
-fn f64_blocks(rows: usize, cols: usize, partitions: usize, seed: u64) -> Vec<Matrix<F64>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
-    matrix.split_rows(partitions)
 }
 
 /// The systematic encode on the Goldilocks field at `N = 2K` (ids
@@ -70,14 +64,18 @@ fn f64_blocks(rows: usize, cols: usize, partitions: usize, seed: u64) -> Vec<Mat
 fn bench_f64_encoding(c: &mut Criterion) {
     let mut group = c.benchmark_group("encode_f64");
     for &(partitions, workers, block_rows) in &[(64usize, 128usize, 4usize), (128, 256, 2)] {
-        let blocks = f64_blocks(partitions * block_rows, 32, partitions, 10);
+        let matrix = data_matrix::<P64>(partitions * block_rows, 32, 10);
         let config = SchemeConfig::linear(workers, partitions, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P64>::new(config);
-        assert!(encoder.points().is_systematic(partitions));
+        assert!(LagrangeEncoder::<P64>::new(config)
+            .points()
+            .is_systematic(partitions));
+        let mut rng = StdRng::seed_from_u64(0);
         group.bench_with_input(
             BenchmarkId::new(format!("k{partitions}"), "matrix"),
             &partitions,
-            |bencher, _| bencher.iter(|| encoder.encode_deterministic(black_box(&blocks))),
+            |bencher, _| {
+                bencher.iter(|| EncodedDataset::encode(black_box(&matrix), config, &mut rng))
+            },
         );
     }
     group.finish();

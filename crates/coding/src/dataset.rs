@@ -9,14 +9,12 @@
 //! in `avcc-core`) can dispatch against a single encode, typically through an
 //! [`std::sync::Arc`].
 //!
-//! Two layouts are supported, matching the engines that consume them:
-//!
-//! * [`EncodedDataset::encode`] — Lagrange/MDS coded shares for the AVCC and
-//!   LCC engines, with the row padding the dynamic-coding controller needs
-//!   (a row count not divisible by `K` is padded with zero rows; the decoded
-//!   output is trimmed back to [`EncodedDataset::output_rows`]).
-//! * [`EncodedDataset::partitioned`] — raw row blocks for the uncoded
-//!   baseline: no redundancy, one block per participating worker.
+//! [`EncodedDataset::encode`] is the one way a matrix becomes shares, for
+//! every engine. The uncoded baseline is the `(K, K)` code at `T = 0`: on
+//! the standard points it is systematic, so its shares are the matrix's row
+//! bands and nothing is computed. A row count not divisible by `K` is padded
+//! with zero rows; decoded outputs are trimmed back to
+//! [`EncodedDataset::output_rows`].
 
 use std::sync::Arc;
 
@@ -28,20 +26,7 @@ use crate::decoder::LagrangeDecoder;
 use crate::encoder::LagrangeEncoder;
 use crate::scheme::SchemeConfig;
 
-/// How the dataset's shares were produced.
-#[derive(Debug, Clone)]
-enum DatasetCoding<M: PrimeModulus> {
-    /// Lagrange/MDS coded shares under a scheme configuration, with the
-    /// decoder that inverts the code.
-    Lagrange {
-        config: SchemeConfig,
-        decoder: Box<LagrangeDecoder<M>>,
-    },
-    /// Raw row blocks (the uncoded baseline): share `i` *is* partition `i`.
-    Raw { partitions: usize },
-}
-
-/// One matrix, encoded (or partitioned) once, shared by many computations.
+/// One matrix, encoded once, shared by many computations.
 ///
 /// To share the encode across sessions, wrap the dataset in an [`Arc`] and
 /// hand clones of the `Arc` to each engine.
@@ -50,11 +35,12 @@ pub struct EncodedDataset<M: PrimeModulus> {
     shares: Vec<Arc<Matrix<Fp<M>>>>,
     block_rows: usize,
     output_rows: usize,
-    coding: DatasetCoding<M>,
+    config: SchemeConfig,
+    decoder: LagrangeDecoder<M>,
 }
 
 impl<M: PrimeModulus> EncodedDataset<M> {
-    /// Lagrange/MDS encodes `matrix` for `config`: the one-time master-side
+    /// Lagrange encodes `matrix` for `config`: the one-time master-side
     /// preprocessing every session over this dataset amortizes.
     ///
     /// With `T = 0` the encoding is deterministic (no privacy pads, so no
@@ -102,36 +88,14 @@ impl<M: PrimeModulus> EncodedDataset<M> {
         let shares = LagrangeEncoder::<M>::new(config)
             .encode_slices(&blocks, block_rows, matrix.cols(), rng)
             .into_iter()
-            .map(|s| Arc::new(s.block))
+            .map(Arc::new)
             .collect();
         EncodedDataset {
             shares,
             block_rows,
             output_rows,
-            coding: DatasetCoding::Lagrange {
-                config,
-                decoder: Box::new(LagrangeDecoder::new(config)),
-            },
-        }
-    }
-
-    /// Splits `matrix` into `partitions` raw row blocks (the uncoded
-    /// baseline's layout): share `i` is partition `i`, no redundancy.
-    ///
-    /// # Panics
-    /// Panics if the row count is not divisible by `partitions`.
-    pub fn partitioned(matrix: &Matrix<Fp<M>>, partitions: usize) -> Self {
-        let shares: Vec<Arc<Matrix<Fp<M>>>> = matrix
-            .split_rows(partitions)
-            .into_iter()
-            .map(Arc::new)
-            .collect();
-        let block_rows = shares[0].rows();
-        EncodedDataset {
-            block_rows,
-            output_rows: matrix.rows(),
-            shares,
-            coding: DatasetCoding::Raw { partitions },
+            config,
+            decoder: LagrangeDecoder::new(config),
         }
     }
 
@@ -152,10 +116,7 @@ impl<M: PrimeModulus> EncodedDataset<M> {
 
     /// Number of data partitions `K`.
     pub fn partitions(&self) -> usize {
-        match &self.coding {
-            DatasetCoding::Lagrange { config, .. } => config.partitions,
-            DatasetCoding::Raw { partitions } => *partitions,
-        }
+        self.config.partitions
     }
 
     /// Rows per share/block.
@@ -169,35 +130,19 @@ impl<M: PrimeModulus> EncodedDataset<M> {
         self.output_rows
     }
 
-    /// `true` iff the shares are Lagrange/MDS coded (as opposed to raw
-    /// partitions).
-    pub fn is_coded(&self) -> bool {
-        matches!(self.coding, DatasetCoding::Lagrange { .. })
+    /// The scheme configuration the shares were encoded for.
+    pub fn scheme(&self) -> &SchemeConfig {
+        &self.config
     }
 
-    /// The scheme configuration, for coded datasets.
-    pub fn scheme(&self) -> Option<&SchemeConfig> {
-        match &self.coding {
-            DatasetCoding::Lagrange { config, .. } => Some(config),
-            DatasetCoding::Raw { .. } => None,
-        }
+    /// The decoder that inverts the code.
+    pub fn decoder(&self) -> &LagrangeDecoder<M> {
+        &self.decoder
     }
 
-    /// The decoder that inverts the code, for coded datasets.
-    pub fn decoder(&self) -> Option<&LagrangeDecoder<M>> {
-        match &self.coding {
-            DatasetCoding::Lagrange { decoder, .. } => Some(decoder),
-            DatasetCoding::Raw { .. } => None,
-        }
-    }
-
-    /// Results needed to reconstruct the product: the recovery threshold for
-    /// coded datasets, every partition for raw ones.
+    /// Results needed to reconstruct the product: the recovery threshold.
     pub fn recovery_threshold(&self) -> usize {
-        match &self.coding {
-            DatasetCoding::Lagrange { config, .. } => config.recovery_threshold(),
-            DatasetCoding::Raw { partitions } => *partitions,
-        }
+        self.config.recovery_threshold()
     }
 
     /// Total size of the shares shipped to the workers, in bytes (8 bytes per
@@ -227,19 +172,22 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(2);
         let input = avcc_field::random_vector(&mut rng, 5);
         let dataset = EncodedDataset::<P25>::encode(&matrix, config, &mut rng);
-        assert!(dataset.is_coded());
+        assert_eq!(dataset.scheme(), &config);
         assert_eq!(dataset.workers(), 12);
         assert_eq!(dataset.block_rows(), 2);
         assert_eq!(dataset.output_rows(), 18);
         assert_eq!(dataset.recovery_threshold(), 9);
         assert_eq!(dataset.encoded_bytes(), 12 * 2 * 5 * 8);
+        // Systematic: the first K workers hold the row bands themselves.
+        for (k, band) in matrix.data().chunks(2 * 5).enumerate() {
+            assert_eq!(dataset.share(k).data(), band, "share {k}");
+        }
 
         let results: Vec<(usize, Vec<F25>)> = (0..dataset.recovery_threshold())
             .map(|worker| (worker, mat_vec(dataset.share(worker), &input)))
             .collect();
-        let blocks = dataset.decoder().unwrap().decode_erasure(&results).unwrap();
-        let mut output: Vec<F25> = blocks.into_iter().flatten().collect();
-        output.truncate(dataset.output_rows());
+        let blocks = dataset.decoder().decode_erasure(&results).unwrap();
+        let output: Vec<F25> = blocks.into_iter().flatten().collect();
         assert_eq!(output, mat_vec(&matrix, &input));
     }
 
@@ -279,7 +227,7 @@ mod tests {
             let results: Vec<(usize, Vec<F64>)> = (8..16)
                 .map(|worker| (worker, mat_vec(dataset.share(worker), &input)))
                 .collect();
-            let blocks = dataset.decoder().unwrap().decode_erasure(&results).unwrap();
+            let blocks = dataset.decoder().decode_erasure(&results).unwrap();
             let mut output: Vec<F64> = blocks.into_iter().flatten().collect();
             assert_eq!(output.len(), 8 * dataset.block_rows());
             assert!(output[rows..].iter().all(|&v| v == F64::ZERO), "padding");
@@ -355,13 +303,14 @@ mod tests {
 
     #[test]
     fn partitioned_dataset_is_the_raw_split() {
+        // The uncoded baseline's layout is the (K, K) code at T = 0: no
+        // redundancy, every result needed, share k the k-th row band.
         let matrix = matrix(18, 5, 5);
-        let dataset = EncodedDataset::<P25>::partitioned(&matrix, 9);
-        assert!(!dataset.is_coded());
+        let config = SchemeConfig::linear(9, 9, 0, 0).unwrap();
+        let mut rng = StdRng::seed_from_u64(6);
+        let dataset = EncodedDataset::<P25>::encode(&matrix, config, &mut rng);
         assert_eq!(dataset.workers(), 9);
         assert_eq!(dataset.recovery_threshold(), 9);
-        assert!(dataset.scheme().is_none());
-        assert!(dataset.decoder().is_none());
         for (k, share) in dataset.shares().iter().enumerate() {
             assert_eq!(share.data(), &matrix.data()[k * 2 * 5..(k + 1) * 2 * 5]);
         }

@@ -332,44 +332,43 @@ impl<M: PrimeModulus> PreparedDecode<'_, M> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::encoder::LagrangeEncoder;
+    use crate::EncodedDataset;
     use avcc_field::{PrimeField, F25, P25};
     use avcc_linalg::{mat_vec, Matrix};
     use proptest::prelude::*;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    /// Builds a full encode → worker-compute → decode round for a linear map
-    /// (matrix–vector product), returning the expected per-block outputs and
-    /// the worker results.
-    type LinearRound = (Vec<Vec<F25>>, Vec<(usize, Vec<F25>)>, LagrangeDecoder<P25>);
+    /// The per-block outputs a decode must reproduce, every worker's result
+    /// and the decoder of the code.
+    type Round<M> = (
+        Vec<Vec<Fp<M>>>,
+        Vec<(usize, Vec<Fp<M>>)>,
+        LagrangeDecoder<M>,
+    );
 
-    fn linear_round(config: SchemeConfig, seed: u64) -> LinearRound {
+    /// A full encode → worker-compute round for a linear map (matrix–vector
+    /// product) over `K` blocks of 4 × 6.
+    fn round<M: PrimeModulus>(config: SchemeConfig, seed: u64) -> Round<M> {
         let mut rng = StdRng::seed_from_u64(seed);
-        let rows = 4;
-        let cols = 6;
-        let blocks: Vec<Matrix<F25>> = (0..config.partitions)
-            .map(|_| Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols)))
-            .collect();
-        let w: Vec<F25> = avcc_field::random_vector(&mut rng, cols);
-        let encoder = LagrangeEncoder::<P25>::new(config);
-        let shares = if config.colluding == 0 {
-            encoder.encode_deterministic(&blocks)
-        } else {
-            encoder.encode(&blocks, &mut rng)
-        };
-        let expected: Vec<Vec<F25>> = blocks.iter().map(|b| mat_vec(b, &w)).collect();
-        let results: Vec<(usize, Vec<F25>)> = shares
+        let (rows, cols) = (4 * config.partitions, 6);
+        let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
+        let w: Vec<Fp<M>> = avcc_field::random_vector(&mut rng, cols);
+        let dataset = EncodedDataset::<M>::encode(&matrix, config, &mut rng);
+        let expected = mat_vec(&matrix, &w).chunks(4).map(<[_]>::to_vec).collect();
+        let results = dataset
+            .shares()
             .iter()
-            .map(|share| (share.worker, mat_vec(&share.block, &w)))
+            .enumerate()
+            .map(|(worker, share)| (worker, mat_vec(share, &w)))
             .collect();
-        (expected, results, LagrangeDecoder::<P25>::new(config))
+        (expected, results, dataset.decoder().clone())
     }
 
     #[test]
     fn erasure_decoding_from_all_workers() {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let (expected, results, decoder) = linear_round(config, 1);
+        let (expected, results, decoder) = round::<P25>(config, 1);
         let outputs = decoder.decode_erasure(&results).unwrap();
         assert_eq!(outputs, expected);
     }
@@ -377,7 +376,7 @@ mod tests {
     #[test]
     fn erasure_decoding_from_any_threshold_subset() {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let (expected, results, decoder) = linear_round(config, 2);
+        let (expected, results, decoder) = round::<P25>(config, 2);
         // Drop the first three workers (as if they straggled).
         let subset = results[3..].to_vec();
         let outputs = decoder.decode_erasure(&subset).unwrap();
@@ -387,7 +386,7 @@ mod tests {
     #[test]
     fn erasure_decoding_with_privacy_pads() {
         let config = SchemeConfig::new(8, 3, 1, 0, 2, 1).unwrap();
-        let (expected, results, decoder) = linear_round(config, 3);
+        let (expected, results, decoder) = round::<P25>(config, 3);
         // Threshold is (3+2-1)*1+1 = 5.
         assert_eq!(decoder.recovery_threshold(), 5);
         let subset = results[2..7].to_vec();
@@ -398,7 +397,7 @@ mod tests {
     #[test]
     fn erasure_decoding_requires_threshold_results() {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let (_, results, decoder) = linear_round(config, 4);
+        let (_, results, decoder) = round::<P25>(config, 4);
         let subset = results[..8].to_vec();
         assert_eq!(
             decoder.decode_erasure(&subset),
@@ -412,7 +411,7 @@ mod tests {
     #[test]
     fn duplicate_and_unknown_workers_are_rejected() {
         let config = SchemeConfig::linear(6, 3, 2, 1).unwrap();
-        let (_, results, decoder) = linear_round(config, 5);
+        let (_, results, decoder) = round::<P25>(config, 5);
         let mut duplicated = results.clone();
         duplicated[1] = duplicated[0].clone();
         assert_eq!(
@@ -430,7 +429,7 @@ mod tests {
     #[test]
     fn shape_mismatch_is_rejected() {
         let config = SchemeConfig::linear(6, 3, 2, 1).unwrap();
-        let (_, mut results, decoder) = linear_round(config, 6);
+        let (_, mut results, decoder) = round::<P25>(config, 6);
         results[2].1.pop();
         assert_eq!(
             decoder.decode_erasure(&results),
@@ -442,7 +441,7 @@ mod tests {
     fn error_correcting_decode_locates_byzantine_workers() {
         // LCC-style: (N=12, K=9, S=1, M=1) needs 9 + 1 + 2 = 12 workers.
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-        let (expected, mut results, decoder) = linear_round(config, 7);
+        let (expected, mut results, decoder) = round::<P25>(config, 7);
         // Corrupt worker 4's vector (constant attack).
         for value in results[4].1.iter_mut() {
             *value = F25::from_u64(3);
@@ -458,7 +457,7 @@ mod tests {
     #[test]
     fn error_correcting_decode_with_two_errors() {
         let config = SchemeConfig::linear(14, 9, 1, 2).unwrap();
-        let (expected, mut results, decoder) = linear_round(config, 8);
+        let (expected, mut results, decoder) = round::<P25>(config, 8);
         for value in results[0].1.iter_mut() {
             *value = -*value; // reverse-value attack
         }
@@ -476,7 +475,7 @@ mod tests {
     #[test]
     fn error_correcting_decode_needs_two_extra_per_error() {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-        let (_, results, decoder) = linear_round(config, 9);
+        let (_, results, decoder) = round::<P25>(config, 9);
         // Only 10 results available but 9 + 2*1 = 11 required.
         let subset = results[..10].to_vec();
         let mut rng = StdRng::seed_from_u64(90);
@@ -492,7 +491,7 @@ mod tests {
     #[test]
     fn error_correcting_decode_reports_overload() {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-        let (expected, mut results, decoder) = linear_round(config, 10);
+        let (expected, mut results, decoder) = round::<P25>(config, 10);
         // Corrupt three workers but only budget one error: the decoder must
         // either refuse or at least fail to reproduce the clean outputs (the
         // attack exceeds the code's correction capability by design).
@@ -512,7 +511,7 @@ mod tests {
     #[test]
     fn clean_results_report_no_corruption() {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-        let (expected, results, decoder) = linear_round(config, 11);
+        let (expected, results, decoder) = round::<P25>(config, 11);
         let mut rng = StdRng::seed_from_u64(110);
         let (outputs, corrupted) = decoder.decode_with_errors(&results, 1, &mut rng).unwrap();
         assert_eq!(outputs, expected);
@@ -524,7 +523,7 @@ mod tests {
         // ν = 16 − 8 = 8 lets the screen alone localize four workers; with a
         // budget of one, two located workers are beyond the design.
         let config = SchemeConfig::linear(16, 8, 0, 1).unwrap();
-        let (_, mut results, decoder) = linear_round(config, 12);
+        let (_, mut results, decoder) = round::<P25>(config, 12);
         for index in [3, 10] {
             for value in results[index].1.iter_mut() {
                 *value += F25::from_u64(5);
@@ -540,7 +539,7 @@ mod tests {
     #[test]
     fn error_correcting_decode_with_no_budget() {
         let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-        let (expected, mut results, decoder) = linear_round(config, 13);
+        let (expected, mut results, decoder) = round::<P25>(config, 13);
         let mut rng = StdRng::seed_from_u64(130);
         // Exactly the threshold: nothing to check, an exact erasure decode.
         let (outputs, corrupted) = decoder
@@ -563,37 +562,10 @@ mod tests {
         use super::*;
         use avcc_field::{F64, P64};
 
-        type GoldilocksRound = (Vec<Vec<F64>>, Vec<(usize, Vec<F64>)>, LagrangeDecoder<P64>);
-
-        /// A full encode → linear-compute round on the Goldilocks field.
-        fn goldilocks_round(config: SchemeConfig, seed: u64) -> GoldilocksRound {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let rows = 4;
-            let cols = 6;
-            let blocks: Vec<Matrix<F64>> = (0..config.partitions)
-                .map(|_| {
-                    Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols))
-                })
-                .collect();
-            let w: Vec<F64> = avcc_field::random_vector(&mut rng, cols);
-            let encoder = LagrangeEncoder::<P64>::new(config);
-            let shares = if config.colluding == 0 {
-                encoder.encode_deterministic(&blocks)
-            } else {
-                encoder.encode(&blocks, &mut rng)
-            };
-            let expected: Vec<Vec<F64>> = blocks.iter().map(|b| mat_vec(b, &w)).collect();
-            let results: Vec<(usize, Vec<F64>)> = shares
-                .iter()
-                .map(|share| (share.worker, mat_vec(&share.block, &w)))
-                .collect();
-            (expected, results, LagrangeDecoder::<P64>::new(config))
-        }
-
         #[test]
         fn any_threshold_subset_decodes_exactly() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = goldilocks_round(config, 22);
+            let (expected, results, decoder) = round::<P64>(config, 22);
             // With or without stragglers — here the first three of the
             // systematic workers — the decode reproduces the product.
             let full = decoder.decode_erasure(&results).unwrap();
@@ -606,7 +578,7 @@ mod tests {
         #[test]
         fn one_prepare_decodes_many_result_sets_in_any_worker_order() {
             let config = SchemeConfig::linear(16, 8, 4, 2).unwrap();
-            let (expected, results, decoder) = goldilocks_round(config, 27);
+            let (expected, results, decoder) = round::<P64>(config, 27);
             assert_eq!(decoder.recovery_threshold(), 8);
             let subset = &results[2..10];
             let workers: Vec<usize> = subset.iter().map(|(worker, _)| *worker).collect();
@@ -641,7 +613,7 @@ mod tests {
         fn private_round_trips_on_goldilocks() {
             // K + T = 8, N = 16: threshold (8−1)·1+1 = 8 ≤ 16.
             let config = SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap();
-            let (expected, results, decoder) = goldilocks_round(config, 24);
+            let (expected, results, decoder) = round::<P64>(config, 24);
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);
         }
@@ -651,7 +623,7 @@ mod tests {
             // LCC-style on F64: locate the corruption with the screen, then
             // erasure-decode the clean subset.
             let config = SchemeConfig::linear(16, 8, 2, 2).unwrap();
-            let (expected, mut results, decoder) = goldilocks_round(config, 25);
+            let (expected, mut results, decoder) = round::<P64>(config, 25);
             for value in results[5].1.iter_mut() {
                 *value = -*value;
             }
@@ -667,7 +639,7 @@ mod tests {
         #[test]
         fn prop_any_threshold_subset_decodes(seed in any::<u64>(), drop_count in 0usize..3) {
             let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-            let (expected, results, decoder) = linear_round(config, seed);
+            let (expected, results, decoder) = round::<P25>(config, seed);
             let subset = results[drop_count..].to_vec();
             let outputs = decoder.decode_erasure(&subset).unwrap();
             prop_assert_eq!(outputs, expected);
@@ -676,7 +648,7 @@ mod tests {
         #[test]
         fn prop_single_corruption_is_always_located(seed in any::<u64>(), victim in 0usize..12) {
             let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
-            let (expected, mut results, decoder) = linear_round(config, seed);
+            let (expected, mut results, decoder) = round::<P25>(config, seed);
             for value in results[victim].1.iter_mut() {
                 *value += F25::from_u64(999);
             }

@@ -23,10 +23,10 @@
 //! computed, `(N − K)·K` multiply-adds per coordinate.
 //!
 //! The encoder reads the data blocks as plain coordinate slices, wherever
-//! they live: [`LagrangeEncoder::encode`] passes each block matrix's storage,
-//! [`crate::EncodedDataset::encode`] passes row bands of the caller's matrix
-//! in place. Nothing is staged; the only full-size buffers an encode
-//! allocates are the `T` pads and the `N` shares it returns.
+//! they live: [`crate::EncodedDataset::encode`], its one caller, passes row
+//! bands of the caller's matrix in place. Nothing is staged; the only
+//! full-size buffers an encode allocates are the `T` pads and the `N` shares
+//! it returns.
 //!
 //! # One span of coordinates per core
 //!
@@ -58,17 +58,6 @@ use crate::scheme::SchemeConfig;
 /// share in turn while it is still in cache. A constant, not a knob: no
 /// caller has a reason to pick another value.
 const ENCODE_CHUNK: usize = 4096;
-
-/// A coded data block assigned to one worker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EncodedShare<M: PrimeModulus> {
-    /// The worker index `i ∈ [N]` this share belongs to.
-    pub worker: usize,
-    /// The evaluation point `α_i` of this worker.
-    pub alpha: Fp<M>,
-    /// The coded block `X̃_i = u(α_i)`, same shape as a data block.
-    pub block: Matrix<Fp<M>>,
-}
 
 /// The Lagrange encoder bound to a scheme configuration and its evaluation
 /// points.
@@ -127,34 +116,11 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         &self.encoding_matrix
     }
 
-    /// Encodes the `K` data blocks into `N` coded shares, drawing the `T`
-    /// privacy pads uniformly at random from `rng`.
-    ///
-    /// # Panics
-    /// Panics if the number of blocks differs from `K` or the blocks disagree
-    /// in shape.
-    pub fn encode<R: Rng + ?Sized>(
-        &self,
-        blocks: &[Matrix<Fp<M>>],
-        rng: &mut R,
-    ) -> Vec<EncodedShare<M>> {
-        let (rows, cols) = blocks.first().map_or((0, 0), |b| (b.rows(), b.cols()));
-        for block in blocks {
-            assert_eq!(
-                (block.rows(), block.cols()),
-                (rows, cols),
-                "all data blocks must have the same shape"
-            );
-        }
-        let blocks: Vec<&[Fp<M>]> = blocks.iter().map(Matrix::data).collect();
-        self.encode_slices(&blocks, rows, cols, rng)
-    }
-
-    /// [`LagrangeEncoder::encode`] over blocks given as row-major coordinate
-    /// slices of `rows × cols` elements each — wherever they live (a block
-    /// matrix, a row band of a larger one). The pads are drawn whole and up
-    /// front, one `rows × cols` draw per pad in pad order: the rng stream is
-    /// part of every seeded oracle.
+    /// Encodes the `K` data blocks, given as row-major coordinate slices of
+    /// `rows × cols` elements each — wherever they live — into the `N` coded
+    /// shares, worker `i`'s at index `i`. The `T` privacy pads are drawn
+    /// uniformly from `rng`, whole and up front, one `rows × cols` draw per
+    /// pad in pad order: the rng stream is part of every seeded oracle.
     ///
     /// # Panics
     /// Panics if the number of blocks differs from `K` or a slice is not
@@ -165,7 +131,7 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         rows: usize,
         cols: usize,
         rng: &mut R,
-    ) -> Vec<EncodedShare<M>> {
+    ) -> Vec<Matrix<Fp<M>>> {
         assert_eq!(
             blocks.len(),
             self.config.partitions,
@@ -208,12 +174,7 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         });
         coded
             .into_iter()
-            .enumerate()
-            .map(|(worker, data)| EncodedShare {
-                worker,
-                alpha: self.points.alpha()[worker],
-                block: Matrix::from_vec(rows, cols, data),
-            })
+            .map(|data| Matrix::from_vec(rows, cols, data))
             .collect()
     }
 
@@ -280,17 +241,6 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         }
     }
 
-    /// Encodes without privacy pads (valid only when `T = 0`); deterministic,
-    /// used by tests and by the MDS convenience wrapper.
-    pub fn encode_deterministic(&self, blocks: &[Matrix<Fp<M>>]) -> Vec<EncodedShare<M>> {
-        assert_eq!(
-            self.config.colluding, 0,
-            "deterministic encoding requires T = 0 (no privacy pads)"
-        );
-        let mut rng = rand::rngs::mock::StepRng::new(0, 0);
-        self.encode(blocks, &mut rng)
-    }
-
     /// The bottom `T × N` part of the encoding matrix (pad coefficients),
     /// used by the T-privacy check of Theorem 1.
     pub fn pad_submatrix(&self) -> Vec<Vec<Fp<M>>> {
@@ -301,29 +251,43 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::EncodedDataset;
     use avcc_field::{F25, P25};
     use avcc_linalg::mat_vec;
     use avcc_poly::{interpolate_eval, rank};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 
-    fn data_blocks(k: usize, rows: usize, cols: usize, seed: u64) -> Vec<Matrix<F25>> {
-        let mut rng = StdRng::seed_from_u64(seed);
-        (0..k)
-            .map(|_| Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols)))
-            .collect()
+    /// `k` random `rows × cols` data blocks stacked into one matrix, and
+    /// that matrix encoded for `config` (pads, if any, drawn from `rng`).
+    fn encode(
+        config: SchemeConfig,
+        rows: usize,
+        cols: usize,
+        seed: u64,
+        rng: &mut StdRng,
+    ) -> (Vec<Matrix<F25>>, EncodedDataset<P25>) {
+        let k = config.partitions;
+        let mut data_rng = StdRng::seed_from_u64(seed);
+        let matrix = Matrix::from_vec(
+            k * rows,
+            cols,
+            avcc_field::random_matrix(&mut data_rng, k * rows, cols),
+        );
+        let blocks = (0..k)
+            .map(|j| matrix.row_slice(j * rows, (j + 1) * rows))
+            .collect();
+        (blocks, EncodedDataset::encode(&matrix, config, rng))
     }
 
     #[test]
     fn systematic_shares_equal_data_blocks() {
         // With T = 0 the code is systematic: worker i < K receives X_i itself.
         let config = SchemeConfig::linear(6, 3, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(3, 4, 5, 1);
-        let shares = encoder.encode_deterministic(&blocks);
-        assert_eq!(shares.len(), 6);
+        let (blocks, dataset) = encode(config, 4, 5, 1, &mut StdRng::seed_from_u64(0));
+        assert_eq!(dataset.workers(), 6);
         for (i, block) in blocks.iter().enumerate() {
-            assert_eq!(&shares[i].block, block, "worker {i} should hold X_{i}");
+            assert_eq!(&**dataset.share(i), block, "worker {i} should hold X_{i}");
         }
     }
 
@@ -334,16 +298,16 @@ mod tests {
         // at a β-point recovers the data block coordinate.
         let config = SchemeConfig::linear(7, 4, 2, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(4, 2, 3, 2);
-        let shares = encoder.encode_deterministic(&blocks);
+        let (blocks, dataset) = encode(config, 2, 3, 2, &mut StdRng::seed_from_u64(0));
         // Use shares 3..7 (any 4 = K shares suffice when T = 0).
-        let subset: Vec<_> = shares[3..7].to_vec();
-        let alphas: Vec<F25> = subset.iter().map(|s| s.alpha).collect();
+        let alphas = &encoder.points().alpha()[3..7];
         for (k, block) in blocks.iter().enumerate() {
             let beta = encoder.points().beta()[k];
             for coordinate in 0..block.len() {
-                let values: Vec<F25> = subset.iter().map(|s| s.block.data()[coordinate]).collect();
-                let recovered = interpolate_eval(&alphas, &values, beta);
+                let values: Vec<F25> = (3..7)
+                    .map(|worker| dataset.share(worker).data()[coordinate])
+                    .collect();
+                let recovered = interpolate_eval(alphas, &values, beta);
                 assert_eq!(recovered, block.data()[coordinate]);
             }
         }
@@ -355,16 +319,15 @@ mod tests {
         // encode-then-multiply equals multiply-then-encode.
         let config = SchemeConfig::linear(5, 3, 1, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(3, 3, 4, 3);
-        let shares = encoder.encode_deterministic(&blocks);
+        let (blocks, dataset) = encode(config, 3, 4, 3, &mut StdRng::seed_from_u64(0));
         let mut rng = StdRng::seed_from_u64(99);
         let w: Vec<F25> = avcc_field::random_vector(&mut rng, 4);
-        for share in &shares {
-            let lhs = mat_vec(&share.block, &w);
+        for (worker, share) in dataset.shares().iter().enumerate() {
+            let lhs = mat_vec(share, &w);
             // Σ_j U[j][i] * (X_j w)
             let mut rhs = vec![F25::ZERO; 3];
             for (j, block) in blocks.iter().enumerate() {
-                let coefficient = encoder.encoding_matrix()[j][share.worker];
+                let coefficient = encoder.encoding_matrix()[j][worker];
                 let term = mat_vec(block, &w);
                 for (slot, value) in rhs.iter_mut().zip(term) {
                     *slot += coefficient * value;
@@ -395,15 +358,12 @@ mod tests {
     #[test]
     fn private_shares_differ_from_data_blocks() {
         let config = SchemeConfig::new(8, 3, 1, 0, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(3, 2, 2, 4);
-        let mut rng = StdRng::seed_from_u64(5);
-        let shares = encoder.encode(&blocks, &mut rng);
+        let (blocks, dataset) = encode(config, 2, 2, 4, &mut StdRng::seed_from_u64(5));
         // No share should equal a raw data block (points are disjoint and the
         // pads are random).
-        for share in &shares {
+        for share in dataset.shares() {
             for block in &blocks {
-                assert_ne!(&share.block, block);
+                assert_ne!(&**share, block);
             }
         }
     }
@@ -426,26 +386,17 @@ mod tests {
     fn wrong_block_count_panics() {
         let config = SchemeConfig::linear(6, 3, 2, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(2, 2, 2, 6);
-        let _ = encoder.encode_deterministic(&blocks);
+        let block = [F25::ZERO; 4];
+        let _ = encoder.encode_slices(&[&block, &block], 2, 2, &mut StdRng::seed_from_u64(6));
     }
 
     #[test]
-    #[should_panic(expected = "same shape")]
+    #[should_panic(expected = "not rows × cols")]
     fn mismatched_block_shapes_panic() {
         let config = SchemeConfig::linear(4, 2, 1, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = vec![Matrix::<F25>::zeros(2, 2), Matrix::<F25>::zeros(3, 2)];
-        let _ = encoder.encode_deterministic(&blocks);
-    }
-
-    #[test]
-    #[should_panic(expected = "requires T = 0")]
-    fn deterministic_encoding_requires_no_privacy() {
-        let config = SchemeConfig::new(8, 3, 1, 0, 2, 1).unwrap();
-        let encoder = LagrangeEncoder::<P25>::new(config);
-        let blocks = data_blocks(3, 2, 2, 7);
-        let _ = encoder.encode_deterministic(&blocks);
+        let (small, large) = ([F25::ZERO; 4], [F25::ZERO; 6]);
+        let _ = encoder.encode_slices(&[&small, &large], 2, 2, &mut StdRng::seed_from_u64(7));
     }
 
     /// Every share of `encoder` over `width`-wide blocks equals the dense
@@ -460,40 +411,39 @@ mod tests {
         use rand::RngCore;
         let config = *encoder.config();
         let mut data_rng = StdRng::seed_from_u64(21);
-        let blocks: Vec<Matrix<Fp<M>>> = (0..config.partitions)
-            .map(|_| Matrix::from_vec(1, width, random_matrix(&mut data_rng, 1, width)))
+        let blocks: Vec<Vec<Fp<M>>> = (0..config.partitions)
+            .map(|_| random_matrix(&mut data_rng, 1, width))
             .collect();
+        let sources: Vec<&[Fp<M>]> = blocks.iter().map(Vec::as_slice).collect();
         let mut rng = StdRng::seed_from_u64(width as u64);
         let mut replay = rng.clone();
-        let shares = encoder.encode(&blocks, &mut rng);
+        let shares = encoder.encode_slices(&sources, 1, width, &mut rng);
         let pads: Vec<Vec<Fp<M>>> = (0..config.colluding)
             .map(|_| random_matrix(&mut replay, 1, width))
             .collect();
         let next = rng.next_u64();
         assert_eq!(next, replay.next_u64(), "encode drew exactly the pads");
         assert_eq!(shares.len(), config.workers);
-        let sources: Vec<&[Fp<M>]> = blocks
-            .iter()
-            .map(Matrix::data)
+        let sources: Vec<&[Fp<M>]> = sources
+            .into_iter()
             .chain(pads.iter().map(Vec::as_slice))
             .collect();
-        for share in &shares {
+        for (worker, share) in shares.iter().enumerate() {
             let mut expected = vec![Fp::<M>::ZERO; width];
             for (row, source) in encoder.encoding_matrix().iter().zip(&sources) {
-                let coefficient = row[share.worker];
+                let coefficient = row[worker];
                 for (slot, &value) in expected.iter_mut().zip(source.iter()) {
                     *slot += coefficient * value;
                 }
             }
             assert_eq!(
-                share.block.data(),
+                share.data(),
                 &expected[..],
-                "{}, {config}, width {width}, worker {}",
-                M::NAME,
-                share.worker
+                "{}, {config}, width {width}, worker {worker}",
+                M::NAME
             );
         }
-        let last = shares[config.workers - 1].block.data()[width - 1];
+        let last = shares[config.workers - 1].data()[width - 1];
         (next, last.value())
     }
 

@@ -1,5 +1,5 @@
-//! Coded computing: MDS and Lagrange Coded Computing (LCC) encoders and
-//! decoders, with the privacy padding and feasibility rules of the AVCC paper.
+//! Coded computing: the Lagrange Coded Computing (LCC) encoder and decoder,
+//! with the privacy padding and feasibility rules of the AVCC paper.
 //!
 //! The coding layer answers three questions:
 //!
@@ -7,8 +7,10 @@
 //!    the paper's eq. (12)–(13): the `K` data blocks and `T` uniformly random
 //!    pads are interpolated through the β-points and the encoder hands worker
 //!    `i` the evaluation `X̃_i = u(α_i)`. With `T = 0` and systematic α-points
-//!    this is exactly an `(N, K)` MDS / Reed–Solomon code
-//!    ([`mds::MdsCode`], the illustration of Fig. 1).
+//!    this is exactly an `(N, K)` MDS / Reed–Solomon code: Fig. 1's `(3, 2)`
+//!    illustration is `EncodedDataset::encode` under
+//!    `SchemeConfig::linear(3, 2, 1, 0)`, and the uncoded baseline's split
+//!    is the `(K, K)` code, whose shares are the row bands themselves.
 //! 2. **How many workers are needed?** [`scheme::SchemeConfig`] captures
 //!    `(N, K, S, M, T, deg f)` and checks the LCC bound
 //!    `N ≥ (K+T−1)·deg f + S + 2M + 1` (eq. 1) and the AVCC bound
@@ -33,7 +35,8 @@
 //! [`dataset::EncodedDataset`] owns the coded partitions (and the decoder
 //! that inverts them) once, so many per-function engine sessions —
 //! and the multi-function batched rounds built on them — amortize a single
-//! encode instead of re-encoding per computation.
+//! encode instead of re-encoding per computation. Its `encode` is the one
+//! way a matrix becomes shares.
 //!
 //! # Encode/decode paths
 //!
@@ -59,15 +62,15 @@
 pub mod dataset;
 pub mod decoder;
 pub mod encoder;
-pub mod mds;
+#[cfg(test)]
+mod mds;
 pub mod points;
 pub mod scheme;
 pub mod screen;
 
 pub use dataset::EncodedDataset;
 pub use decoder::{DecodeError, LagrangeDecoder, PreparedDecode};
-pub use encoder::{EncodedShare, LagrangeEncoder};
-pub use mds::MdsCode;
+pub use encoder::LagrangeEncoder;
 pub use points::EvaluationPoints;
 pub use scheme::{SchemeConfig, SchemeError};
 pub use screen::{DualCodeword, ScreenError, ScreenOutcome, ScreenReport};

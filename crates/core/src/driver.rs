@@ -216,8 +216,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             ClusterProfile,
         ) = match config.scheme {
             SchemeKind::Uncoded => (
-                Box::new(UncodedMatVec::new(&round1_matrix, participants)),
-                Box::new(UncodedMatVec::new(&round2_matrix, participants)),
+                Box::new(UncodedMatVec::new(&round1_matrix, participants, &mut rng)),
+                Box::new(UncodedMatVec::new(&round2_matrix, participants, &mut rng)),
                 cluster.truncated(participants),
             ),
             SchemeKind::Lcc => (
@@ -531,7 +531,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// fresh keys for the re-indexed survivors — and on the socket fleet the
     /// next round re-ships every block. So a pure eviction is free in modeled
     /// time but not in wall time or bytes. Making it move no data (mask the
-    /// evicted slot, keep the encoding) is ROADMAP item 2(a).
+    /// evicted slot, keep the encoding) is ROADMAP item 3(a).
     fn apply_adaptation(
         &mut self,
         evicted: &[usize],

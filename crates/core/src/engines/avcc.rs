@@ -65,18 +65,11 @@ impl<M: PrimeModulus> AvccMatVec<M> {
     /// workers per available core ([`avcc_field::map_spans`]; inline when the
     /// shares are small). The keys, and the rng's position afterwards, do not
     /// depend on how many threads computed them.
-    ///
-    /// # Panics
-    /// Panics if the dataset is not Lagrange-coded.
     pub fn over<R: Rng + ?Sized>(
         dataset: Arc<EncodedDataset<M>>,
         key_config: KeyGenConfig,
         rng: &mut R,
     ) -> Self {
-        assert!(
-            dataset.is_coded(),
-            "AVCC requires a Lagrange-coded dataset; use EncodedDataset::encode"
-        );
         let shares = dataset.shares();
         let drawn: Vec<_> = shares
             .iter()
@@ -91,7 +84,7 @@ impl<M: PrimeModulus> AvccMatVec<M> {
         let keys = map_spans(drawn, threads, |(share, secrets)| {
             MatVecKey::from_secrets(share, secrets)
         });
-        let screen = DualCodeword::new(*dataset.scheme().expect("AVCC dataset is coded"));
+        let screen = DualCodeword::new(*dataset.scheme());
         AvccMatVec {
             dataset,
             keys,
@@ -138,7 +131,7 @@ impl<M: PrimeModulus> AvccMatVec<M> {
 
     /// The scheme configuration.
     pub fn config(&self) -> &SchemeConfig {
-        self.dataset.scheme().expect("AVCC dataset is coded")
+        self.dataset.scheme()
     }
 
     /// Total size of the encoded data shipped to the workers, in bytes.
@@ -316,7 +309,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
 
         // One interpolation basis for the verified survivor set, applied to
         // each of the m functions' borrowed result lanes.
-        let decoder = self.dataset.decoder().expect("AVCC dataset is coded");
+        let decoder = self.dataset.decoder();
         let survivors: Vec<usize> = verified.iter().map(|o| o.worker).collect();
         let prepared = decoder.prepare(&survivors)?;
         let mut outputs = Vec::with_capacity(functions);

@@ -45,14 +45,7 @@ impl<M: PrimeModulus> LccMatVec<M> {
     /// Opens an LCC session over an already-encoded dataset; the encode was
     /// paid once when the dataset was built and is shared with every other
     /// session over the same `Arc`.
-    ///
-    /// # Panics
-    /// Panics if the dataset is not Lagrange-coded.
     pub fn over(dataset: Arc<EncodedDataset<M>>) -> Self {
-        assert!(
-            dataset.is_coded(),
-            "LCC requires a Lagrange-coded dataset; use EncodedDataset::encode"
-        );
         LccMatVec { dataset }
     }
 
@@ -71,7 +64,7 @@ impl<M: PrimeModulus> LccMatVec<M> {
 
     /// The scheme configuration.
     pub fn config(&self) -> &SchemeConfig {
-        self.dataset.scheme().expect("LCC dataset is coded")
+        self.dataset.scheme()
     }
 
     /// Total size of the encoded data shipped to the workers, in bytes.
@@ -127,7 +120,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for LccMatVec<M> {
         // decoded independently (Byzantine identification is a decode-side
         // by-product), with detections unioned across the batch in
         // first-located order.
-        let decoder = self.dataset.decoder().expect("LCC dataset is coded");
+        let decoder = self.dataset.decoder();
         let mut outputs = Vec::with_capacity(functions);
         let mut detected_byzantine: Vec<usize> = Vec::new();
         for function in 0..functions {

@@ -1,8 +1,8 @@
 //! The per-scheme execution engines.
 //!
 //! Each engine is a lightweight *session* over a shared
-//! [`avcc_coding::EncodedDataset`] (raw blocks for the uncoded scheme, coded
-//! shares for LCC/AVCC) plus whatever master-side state the scheme needs
+//! [`avcc_coding::EncodedDataset`] (the `(K, K)` code, whose shares are the
+//! row bands, for the uncoded scheme; an `(N, K)` code for LCC/AVCC) plus whatever master-side state the scheme needs
 //! (Freivalds keys and the dual-codeword screen for AVCC). The `::over`
 //! constructors take an `Arc`'d dataset encoded once; `::new` builds a
 //! private one.

@@ -1,20 +1,22 @@
 //! The uncoded baseline (paper §V): no redundancy, no integrity protection.
 //!
-//! The data matrix is split into `K` raw blocks, one per participating worker
-//! (the paper uses 9 of the 12 nodes). The master must wait for **every**
-//! worker — a single straggler delays the whole round — and a Byzantine
-//! worker's corrupted block flows straight into the reconstructed product,
-//! which is what degrades the uncoded accuracy curves in Fig. 3.
+//! The data matrix is split into `K` row bands, one per participating worker
+//! (the paper uses 9 of the 12 nodes): the `(K, K)` Lagrange code at `T = 0`,
+//! whose systematic shares are the bands themselves. The master must wait
+//! for **every** worker — a single straggler delays the whole round — and a
+//! Byzantine worker's corrupted block flows straight into the reconstructed
+//! product, which is what degrades the uncoded accuracy curves in Fig. 3.
 
 use std::sync::Arc;
 
-use avcc_coding::EncodedDataset;
+use avcc_coding::{EncodedDataset, SchemeConfig};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_sim::cluster::NetworkModel;
 use avcc_sim::executor::WorkerOutcome;
 use avcc_sim::metrics::OpCounts;
 use rand::rngs::StdRng;
+use rand::Rng;
 
 use crate::engines::MatVecEngine;
 use crate::rounds::{
@@ -23,34 +25,40 @@ use crate::rounds::{
 };
 
 /// The uncoded distributed matrix–vector engine: a per-function session over
-/// a shared raw-partitioned [`EncodedDataset`].
+/// a shared [`EncodedDataset`] of the `(K, K)` code.
 #[derive(Debug, Clone)]
 pub struct UncodedMatVec<M: PrimeModulus> {
     dataset: Arc<EncodedDataset<M>>,
 }
 
 impl<M: PrimeModulus> UncodedMatVec<M> {
-    /// Opens an uncoded session over an already-partitioned dataset.
+    /// Opens an uncoded session over an already-encoded dataset.
     ///
     /// # Panics
-    /// Panics if the dataset is coded (the uncoded baseline reassembles raw
-    /// blocks by position; coded shares would decode to garbage).
+    /// Panics unless the dataset's code is `(K, K)` at `T = 0`: the uncoded
+    /// baseline reassembles its output by concatenating the shares, which
+    /// only that code's shares — the row bands — allow.
     pub fn over(dataset: Arc<EncodedDataset<M>>) -> Self {
+        let scheme = dataset.scheme();
         assert!(
-            !dataset.is_coded(),
-            "the uncoded engine needs raw partitions; use EncodedDataset::partitioned"
+            scheme.workers == scheme.partitions && scheme.colluding == 0,
+            "the uncoded engine needs the (K, K) code at T = 0, not {scheme}"
         );
         UncodedMatVec { dataset }
     }
 
-    /// Splits the full matrix into `partitions` raw row blocks — the
-    /// single-function convenience wrapper around
-    /// [`EncodedDataset::partitioned`] plus [`UncodedMatVec::over`].
+    /// Splits the matrix into `partitions` row bands — the single-function
+    /// convenience wrapper around [`EncodedDataset::encode`] under
+    /// `SchemeConfig::linear(K, K, 0, 0)` plus [`UncodedMatVec::over`]. At
+    /// `T = 0` the encode draws nothing from `rng`. Rows not divisible by
+    /// `partitions` are zero-padded and the output trimmed back.
     ///
     /// # Panics
-    /// Panics if the row count is not divisible by `partitions`.
-    pub fn new(matrix: &Matrix<Fp<M>>, partitions: usize) -> Self {
-        Self::over(Arc::new(EncodedDataset::partitioned(matrix, partitions)))
+    /// Panics if `partitions` is zero.
+    pub fn new<R: Rng + ?Sized>(matrix: &Matrix<Fp<M>>, partitions: usize, rng: &mut R) -> Self {
+        let config = SchemeConfig::linear(partitions, partitions, 0, 0)
+            .expect("the uncoded baseline needs at least one partition");
+        Self::over(Arc::new(EncodedDataset::encode(matrix, config, rng)))
     }
 
     /// The shared dataset this session dispatches against.
@@ -101,13 +109,17 @@ impl<M: PrimeModulus> MatVecEngine<M> for UncodedMatVec<M> {
             });
         }
         let observed_stragglers = detect_stragglers(outcomes);
-        // Reassembly (concatenation in block order) is the uncoded "decode".
+        // Reassembly (concatenation in block order, trimmed of the padding
+        // rows) is the uncoded "decode".
         let mut outputs = vec![vec![Fp::<M>::ZERO; workers * block_rows]; functions];
         for outcome in outcomes {
             let start = outcome.worker * block_rows;
             for (function, part) in outcome.payload.iter().enumerate() {
                 outputs[function][start..start + block_rows].copy_from_slice(part);
             }
+        }
+        for output in &mut outputs {
+            output.truncate(self.dataset.output_rows());
         }
 
         // No verification and no real decode: reassembly is data movement,
@@ -150,21 +162,20 @@ mod tests {
     use rand::SeedableRng;
 
     /// A matrix and one round's inputs (a batch of one).
-    fn setup(rows: usize, cols: usize, partitions: usize) -> (Matrix<F25>, Vec<Vec<F25>>) {
+    fn setup(rows: usize, cols: usize) -> (Matrix<F25>, Vec<Vec<F25>>) {
         let mut rng = StdRng::seed_from_u64(1);
         let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
         let input = avcc_field::random_vector(&mut rng, cols);
-        let _ = partitions;
         (matrix, vec![input])
     }
 
     #[test]
     fn honest_round_reconstructs_the_product() {
-        let (matrix, inputs) = setup(18, 5, 9);
+        let (matrix, inputs) = setup(18, 5);
         let expected = mat_vec(&matrix, &inputs[0]);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 9);
-        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9));
         let mut rng = StdRng::seed_from_u64(2);
+        let mut engine = UncodedMatVec::<P25>::new(&matrix, 9, &mut rng);
+        let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9));
         let round = engine
             .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
             .unwrap();
@@ -175,12 +186,12 @@ mod tests {
 
     #[test]
     fn byzantine_corruption_silently_pollutes_the_output() {
-        let (matrix, inputs) = setup(12, 4, 6);
+        let (matrix, inputs) = setup(12, 4);
         let expected = mat_vec(&matrix, &inputs[0]);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6, &mut rng);
         let mut executor = VirtualExecutor::new(ClusterProfile::uniform(6));
         let byzantine = ByzantineSpec::new([2], AttackModel::constant());
-        let mut rng = StdRng::seed_from_u64(3);
         let round = engine
             .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
             .unwrap();
@@ -196,9 +207,9 @@ mod tests {
 
     #[test]
     fn straggler_inflates_the_round_cost() {
-        let (matrix, inputs) = setup(12, 4, 6);
-        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6);
+        let (matrix, inputs) = setup(12, 4);
         let mut rng = StdRng::seed_from_u64(4);
+        let mut engine = UncodedMatVec::<P25>::new(&matrix, 6, &mut rng);
         let mut fast = VirtualExecutor::new(ClusterProfile::uniform(6));
         let mut slow =
             VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0));
@@ -214,5 +225,28 @@ mod tests {
         // waits for the ×200 straggler.
         assert_eq!(fast_compute, 8.0 * avcc_sim::SECONDS_PER_MAC);
         assert_eq!(slow_compute, fast_compute * 200.0);
+    }
+
+    #[test]
+    fn indivisible_rows_decode_exactly_and_trim() {
+        // 22 rows over K = 6 are bands of 4 rows, the last holding the two
+        // real rows left and two zero rows; 9 rows over K = 4 are bands of 3,
+        // the last all padding. The output is the product, padding cut off.
+        for (rows, partitions) in [(22, 6), (9, 4)] {
+            let (matrix, inputs) = setup(rows, 4);
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut engine = UncodedMatVec::<P25>::new(&matrix, partitions, &mut rng);
+            assert_eq!(engine.block_rows(), rows.div_ceil(partitions));
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(partitions));
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
+                .unwrap();
+            assert_eq!(
+                round.outputs[0],
+                mat_vec(&matrix, &inputs[0]),
+                "{rows} rows"
+            );
+            assert_eq!(round.ops.decode_macs, 0);
+        }
     }
 }

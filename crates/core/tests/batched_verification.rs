@@ -47,12 +47,14 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
     let oracle: Vec<Vec<Fp<M>>> = inputs.iter().map(|input| mat_vec(&matrix, input)).collect();
     // AVCC tolerates (S=2, M=1) at N=12; the same budget is LCC-infeasible
     // (eq. 1 needs S + 2M headroom), so LCC gets its own (S=1, M=1) dataset.
-    // The uncoded baseline uses the raw partition of the same matrix.
+    // The uncoded baseline uses the (K, K) code of the same matrix: its
+    // shares are the raw row bands.
     let avcc_config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
     let lcc_config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
     let avcc_coded = Arc::new(EncodedDataset::<M>::encode(&matrix, avcc_config, &mut rng));
     let lcc_coded = Arc::new(EncodedDataset::<M>::encode(&matrix, lcc_config, &mut rng));
-    let raw = Arc::new(EncodedDataset::<M>::partitioned(&matrix, 9));
+    let uncoded = SchemeConfig::linear(9, 9, 0, 0).unwrap();
+    let raw = Arc::new(EncodedDataset::<M>::encode(&matrix, uncoded, &mut rng));
     let mut engines: Vec<Box<dyn MatVecEngine<M>>> = vec![
         Box::new(AvccMatVec::over(
             avcc_coded,
@@ -486,7 +488,7 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
         Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng)),
         Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng).with_screening(false)),
         Box::new(LccMatVec::new(&matrix, lcc, &mut rng)),
-        Box::new(UncodedMatVec::new(&matrix, 9)),
+        Box::new(UncodedMatVec::new(&matrix, 9, &mut rng)),
     ];
     for (engine, (name, used, detected, screened, macs, next_draw)) in
         engines.iter_mut().zip(recorded)

@@ -146,7 +146,6 @@ fn run_cell<M: PrimeModulus>(
     let mut oracle_rng = StdRng::seed_from_u64(seed ^ 0x0c1e);
     let (blocks, error_positions) = dataset
         .decoder()
-        .expect("AVCC dataset is coded")
         .decode_with_errors(&claims, planted.len(), &mut oracle_rng)
         .unwrap();
     let mut located = error_positions;

@@ -142,36 +142,6 @@ impl<T: Copy> Matrix<T> {
         }
     }
 
-    /// Splits the matrix into `parts` consecutive row blocks of equal size.
-    ///
-    /// This is the data partition `X = [X_1ᵀ, …, X_Kᵀ]ᵀ` used by every coding
-    /// scheme in the paper.
-    ///
-    /// # Panics
-    /// Panics if `rows` is not divisible by `parts` or `parts` is zero.
-    pub fn split_rows(&self, parts: usize) -> Vec<Matrix<T>> {
-        assert!(parts > 0, "cannot split into zero parts");
-        assert_eq!(
-            self.rows % parts,
-            0,
-            "{} rows are not divisible into {} equal blocks",
-            self.rows,
-            parts
-        );
-        let block_rows = self.rows / parts;
-        (0..parts)
-            .map(|p| {
-                let start = p * block_rows * self.cols;
-                let end = start + block_rows * self.cols;
-                Matrix {
-                    rows: block_rows,
-                    cols: self.cols,
-                    data: self.data[start..end].to_vec(),
-                }
-            })
-            .collect()
-    }
-
     /// Returns a copy of the sub-matrix consisting of rows `[start, end)`.
     pub fn row_slice(&self, start: usize, end: usize) -> Matrix<T> {
         assert!(
@@ -263,21 +233,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    fn split_rows_partitions_evenly() {
-        let m = Matrix::from_vec(4, 2, (0..8).collect());
-        let blocks = m.split_rows(2);
-        assert_eq!(blocks.len(), 2);
-        assert_eq!(blocks[0], Matrix::from_vec(2, 2, vec![0, 1, 2, 3]));
-        assert_eq!(blocks[1], Matrix::from_vec(2, 2, vec![4, 5, 6, 7]));
-    }
-
-    #[test]
-    #[should_panic(expected = "not divisible")]
-    fn uneven_split_panics() {
-        let _ = sample().split_rows(4);
     }
 
     #[test]

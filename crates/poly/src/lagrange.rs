@@ -13,8 +13,6 @@
 
 use avcc_field::PrimeField;
 
-use crate::dense::Polynomial;
-
 /// A precomputed Lagrange basis over a fixed set of distinct interpolation
 /// points.
 ///
@@ -137,65 +135,23 @@ impl<F: PrimeField> LagrangeBasis<F> {
         }
         rows
     }
-
-    /// Returns the `j`-th basis monomial as an explicit polynomial (degree
-    /// `n−1`). Used by tests and by the key-generation path that needs the
-    /// full encoding matrix.
-    pub fn basis_polynomial(&self, j: usize) -> Polynomial<F> {
-        let mut numerator = Polynomial::constant(self.weights[j]);
-        for (k, &beta_k) in self.points.iter().enumerate() {
-            if k == j {
-                continue;
-            }
-            let linear = Polynomial::from_coefficients(vec![-beta_k, F::ONE]);
-            numerator = numerator.mul(&linear);
-        }
-        numerator
-    }
-
-    /// Interpolates the unique polynomial of degree `< n` passing through
-    /// `(points[j], values[j])`.
-    ///
-    /// # Panics
-    /// Panics if `values.len()` differs from the number of points.
-    pub fn interpolate(&self, values: &[F]) -> Polynomial<F> {
-        assert_eq!(
-            values.len(),
-            self.points.len(),
-            "interpolation needs one value per point"
-        );
-        let mut result = Polynomial::zero();
-        for (j, &value) in values.iter().enumerate() {
-            if value.is_zero() {
-                continue;
-            }
-            result = result.add(&self.basis_polynomial(j).scale(value));
-        }
-        result
-    }
 }
 
-/// Convenience wrapper: evaluates the Lagrange basis built on `points` at `z`.
-pub fn evaluate_basis_at<F: PrimeField>(points: &[F], z: F) -> Vec<F> {
-    LagrangeBasis::new(points.to_vec()).evaluate_at(z)
-}
-
-/// Interpolates the unique polynomial of degree `< points.len()` through the
-/// given `(point, value)` pairs.
-pub fn interpolate<F: PrimeField>(points: &[F], values: &[F]) -> Polynomial<F> {
-    LagrangeBasis::new(points.to_vec()).interpolate(values)
-}
-
-/// Interpolates and immediately evaluates at `target` without materializing
-/// the polynomial — the core of the erasure decoder, where we interpolate
-/// `f(u(z))` from the fastest verified workers and evaluate at the β-points.
+/// Evaluates at `target` the unique polynomial of degree `< points.len()`
+/// through the `(point, value)` pairs, without materializing it: one basis
+/// evaluation and a dot product. The encoder's tests check shares against
+/// it.
+///
+/// # Panics
+/// Panics if the lengths differ, or on the conditions of
+/// [`LagrangeBasis::new`].
 pub fn interpolate_eval<F: PrimeField>(points: &[F], values: &[F], target: F) -> F {
     assert_eq!(
         points.len(),
         values.len(),
         "interpolate_eval length mismatch"
     );
-    let basis_at_target = evaluate_basis_at(points, target);
+    let basis_at_target = LagrangeBasis::new(points.to_vec()).evaluate_at(target);
     F::dot_product(values, &basis_at_target)
 }
 
@@ -207,6 +163,14 @@ mod tests {
 
     fn pts(values: &[u64]) -> Vec<F25> {
         values.iter().map(|&v| F25::from_u64(v)).collect()
+    }
+
+    /// `Σ_i coefficients[i]·z^i`, by Horner's rule.
+    fn horner(coefficients: &[F25], z: F25) -> F25 {
+        coefficients
+            .iter()
+            .rev()
+            .fold(F25::ZERO, |acc, &c| acc * z + c)
     }
 
     #[test]
@@ -232,18 +196,6 @@ mod tests {
     }
 
     #[test]
-    fn basis_polynomial_matches_pointwise_evaluation() {
-        let basis = LagrangeBasis::new(pts(&[2, 4, 8]));
-        for j in 0..3 {
-            let poly = basis.basis_polynomial(j);
-            for z in [0u64, 1, 3, 17, 1000] {
-                let z = F25::from_u64(z);
-                assert_eq!(poly.evaluate(z), basis.evaluate_at(z)[j]);
-            }
-        }
-    }
-
-    #[test]
     fn evaluate_at_many_matches_per_target_evaluation() {
         let basis = LagrangeBasis::new(pts(&[5, 9, 11, 200]));
         // A mix of ordinary targets and indicator targets (9 and 200 are
@@ -259,30 +211,35 @@ mod tests {
 
     #[test]
     fn interpolation_recovers_known_polynomial() {
-        // p(z) = 7 + 3z + z^2
-        let p = Polynomial::from_coefficients(pts(&[7, 3, 1]));
+        // p(z) = 7 + 3z + z^2, off its interpolation points too.
+        let p = pts(&[7, 3, 1]);
         let points = pts(&[10, 20, 30]);
-        let values = p.evaluate_many(&points);
-        let recovered = interpolate(&points, &values);
-        assert_eq!(recovered, p);
+        let values: Vec<F25> = points.iter().map(|&z| horner(&p, z)).collect();
+        for z in pts(&[0, 10, 15, 999_999]) {
+            assert_eq!(interpolate_eval(&points, &values, z), horner(&p, z));
+        }
     }
 
     #[test]
     fn interpolate_eval_matches_full_interpolation() {
-        let p = Polynomial::from_coefficients(pts(&[1, 2, 3, 4]));
+        let p = pts(&[1, 2, 3, 4]);
         let points = pts(&[100, 200, 300, 400]);
-        let values = p.evaluate_many(&points);
+        let values: Vec<F25> = points.iter().map(|&z| horner(&p, z)).collect();
         let target = F25::from_u64(55);
         assert_eq!(
             interpolate_eval(&points, &values, target),
-            p.evaluate(target)
+            horner(&p, target)
         );
     }
 
     #[test]
     fn interpolation_through_single_point_is_constant() {
-        let recovered = interpolate(&pts(&[42]), &pts(&[7]));
-        assert_eq!(recovered, Polynomial::constant(F25::from_u64(7)));
+        for z in pts(&[0, 42, 1000]) {
+            assert_eq!(
+                interpolate_eval(&pts(&[42]), &pts(&[7]), z),
+                F25::from_u64(7)
+            );
+        }
     }
 
     #[test]
@@ -298,10 +255,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "one value per point")]
+    #[should_panic(expected = "length mismatch")]
     fn interpolation_length_mismatch_panics() {
-        let basis = LagrangeBasis::new(pts(&[1, 2, 3]));
-        let _ = basis.interpolate(&pts(&[1, 2]));
+        let _ = interpolate_eval(&pts(&[1, 2, 3]), &pts(&[1, 2]), F25::ZERO);
     }
 
     proptest! {
@@ -309,36 +265,37 @@ mod tests {
         fn prop_interpolation_round_trips(
             coefficients in proptest::collection::vec(0u64..F25::MODULUS, 1..8),
             offset in 1u64..1000,
+            target in 0u64..F25::MODULUS,
         ) {
-            let p = Polynomial::from_coefficients(
-                coefficients.iter().map(|&c| F25::from_u64(c)).collect(),
-            );
-            let n = coefficients.len();
-            // Distinct points offset..offset+n.
-            let points: Vec<F25> = (0..n as u64).map(|i| F25::from_u64(offset + i)).collect();
-            let values = p.evaluate_many(&points);
-            let recovered = interpolate(&points, &values);
-            prop_assert_eq!(recovered, p);
+            // Through n distinct points offset..offset+n, the interpolant of
+            // a degree-(< n) polynomial's values is that polynomial: it
+            // agrees with it anywhere.
+            let p = pts(&coefficients);
+            let points: Vec<F25> = (0..p.len() as u64).map(|i| F25::from_u64(offset + i)).collect();
+            let values: Vec<F25> = points.iter().map(|&z| horner(&p, z)).collect();
+            let target = F25::from_u64(target);
+            prop_assert_eq!(interpolate_eval(&points, &values, target), horner(&p, target));
         }
 
         #[test]
         fn prop_any_subset_of_evaluations_decodes_low_degree_polynomial(
             coefficients in proptest::collection::vec(0u64..F25::MODULUS, 1..5),
             extra in 1usize..5,
+            target in 0u64..F25::MODULUS,
         ) {
-            // Evaluate at degree+1+extra points; any (degree+1)-subset recovers p.
-            let p = Polynomial::from_coefficients(
-                coefficients.iter().map(|&c| F25::from_u64(c)).collect(),
-            );
-            let needed = coefficients.len();
+            // Evaluate at degree+1+extra points; any (degree+1)-subset — here
+            // the *last* `needed` evaluations — recovers p (the MDS property
+            // every erasure decode rests on).
+            let p = pts(&coefficients);
+            let needed = p.len();
             let total = needed + extra;
             let points: Vec<F25> = (1..=total as u64).map(F25::from_u64).collect();
-            let values = p.evaluate_many(&points);
-            // Take the *last* `needed` evaluations (an arbitrary subset).
-            let subset_points = &points[extra..];
-            let subset_values = &values[extra..];
-            let recovered = interpolate(subset_points, subset_values);
-            prop_assert_eq!(recovered, p);
+            let values: Vec<F25> = points.iter().map(|&z| horner(&p, z)).collect();
+            let target = F25::from_u64(target);
+            prop_assert_eq!(
+                interpolate_eval(&points[extra..], &values[extra..], target),
+                horner(&p, target)
+            );
         }
     }
 }

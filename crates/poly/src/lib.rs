@@ -1,27 +1,25 @@
-//! Polynomials, Lagrange interpolation and linear solving over prime fields.
+//! Lagrange interpolation and linear solving over prime fields.
 //!
-//! This crate provides the algebraic machinery behind both coding layers of
-//! the AVCC reproduction:
+//! This crate provides the algebraic machinery behind the coding layer of
+//! the AVCC reproduction (crate `avcc-coding`):
 //!
-//! * The **MDS / Lagrange encoders** (crate `avcc-coding`) build the encoding
-//!   polynomial `u(z) = Σ X_j ℓ_j(z) + Σ W_j ℓ_j(z)` from Lagrange basis
-//!   monomials ([`lagrange`]) and evaluate it at the worker points `α_i`.
-//! * The **decoders** interpolate `f(u(z))` from worker evaluations:
-//!   erasure decoding is plain Lagrange interpolation
-//!   ([`lagrange::interpolate`]), and the dual-codeword screen that locates
-//!   Byzantine workers solves its error-locator system with a dense
-//!   Gaussian-elimination solver ([`linear::solve`]).
+//! * The **Lagrange encoder and decoder** evaluate the Lagrange basis
+//!   ([`lagrange::LagrangeBasis`]) at the worker points `α_i` (the encoding
+//!   matrix `U_{j,i} = ℓ_j(α_i)` of `u(z) = Σ X_j ℓ_j(z) + Σ W_j ℓ_j(z)`)
+//!   and at the β-points (the erasure decode's interpolation basis).
+//! * The **dual-codeword screen** that locates Byzantine workers solves its
+//!   error-locator system with a dense Gaussian-elimination solver
+//!   ([`linear::solve`]); [`linear::rank`] checks the T-privacy condition.
 //!
-//! Dense polynomials ([`dense::Polynomial`]) carry the arithmetic both need.
-//! All algorithms are written generically over [`avcc_field::PrimeField`].
+//! [`lagrange::interpolate_eval`] evaluates an interpolant at one point, the
+//! reference the encoder's tests check shares against. All algorithms are
+//! written generically over [`avcc_field::PrimeField`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod dense;
 pub mod lagrange;
 pub mod linear;
 
-pub use dense::Polynomial;
-pub use lagrange::{evaluate_basis_at, interpolate, interpolate_eval, LagrangeBasis};
-pub use linear::{mat_vec, rank, solve, LinearSolveError};
+pub use lagrange::{interpolate_eval, LagrangeBasis};
+pub use linear::{rank, solve, LinearSolveError};

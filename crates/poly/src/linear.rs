@@ -139,25 +139,6 @@ pub fn rank<F: PrimeField>(matrix: &[F], rows: usize, cols: usize) -> usize {
     rank
 }
 
-/// Multiplies the row-major `rows × inner` matrix by the `inner`-length vector.
-pub fn mat_vec<F: PrimeField>(matrix: &[F], vector: &[F], rows: usize, inner: usize) -> Vec<F> {
-    assert_eq!(
-        matrix.len(),
-        rows * inner,
-        "mat_vec: matrix dimension mismatch"
-    );
-    assert_eq!(vector.len(), inner, "mat_vec: vector dimension mismatch");
-    (0..rows)
-        .map(|row| {
-            let mut accumulator = F::ZERO;
-            for column in 0..inner {
-                accumulator += matrix[row * inner + column] * vector[column];
-            }
-            accumulator
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -221,13 +202,6 @@ mod tests {
         assert_eq!(rank(&a, 2, 3), 2);
     }
 
-    #[test]
-    fn mat_vec_matches_manual_computation() {
-        let a = fm(&[1, 2, 3, 4]);
-        let v = fm(&[5, 6]);
-        assert_eq!(mat_vec(&a, &v, 2, 2), fm(&[17, 39]));
-    }
-
     proptest! {
         #[test]
         fn prop_solve_then_substitute(seed in any::<u64>(), n in 1usize..6) {
@@ -241,7 +215,10 @@ mod tests {
                 .collect();
             match solve(&matrix, &rhs, n) {
                 Ok(solution) => {
-                    let reconstructed = mat_vec(&matrix, &solution, n, n);
+                    let reconstructed: Vec<F25> = matrix
+                        .chunks(n)
+                        .map(|row| row.iter().zip(&solution).map(|(&a, &x)| a * x).sum())
+                        .collect();
                     prop_assert_eq!(reconstructed, rhs);
                 }
                 Err(LinearSolveError::Singular) => {

@@ -3,10 +3,9 @@
 //!
 //! The paper's testbed exhibits stragglers whose latency is up to an order of
 //! magnitude above the median (§I). We model each worker with a
-//! [`WorkerProfile`]: a *speed factor* multiplying its modeled compute time
-//! (1.0 = nominal, 10.0 = ten times slower) and an optional straggler flag
-//! that applies an additional multiplier for the current iteration. A
-//! nominal core spends [`SECONDS_PER_MAC`] per field multiply–accumulate. The
+//! [`WorkerProfile`]: nominal speed, and a straggler flag that, while set,
+//! multiplies its modeled compute time by the profile's straggler
+//! multiplier for the current iteration. A nominal core spends [`SECONDS_PER_MAC`] per field multiply–accumulate. The
 //! [`NetworkModel`] charges a base link latency plus a byte-proportional
 //! transfer time for each result sent back to the master, mirroring the
 //! 1 GbE interfaces of the Minnow nodes.
@@ -14,8 +13,6 @@
 /// The execution profile of a single worker.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct WorkerProfile {
-    /// Multiplier on the modeled compute time (1.0 = nominal speed).
-    pub speed_factor: f64,
     /// Whether this worker is currently a straggler.
     pub straggler: bool,
     /// Extra multiplier applied when `straggler` is set.
@@ -25,7 +22,6 @@ pub struct WorkerProfile {
 impl Default for WorkerProfile {
     fn default() -> Self {
         WorkerProfile {
-            speed_factor: 1.0,
             straggler: false,
             straggler_multiplier: 8.0,
         }
@@ -36,9 +32,9 @@ impl WorkerProfile {
     /// The effective multiplier on compute time for this worker.
     pub fn effective_slowdown(&self) -> f64 {
         if self.straggler {
-            self.speed_factor * self.straggler_multiplier
+            self.straggler_multiplier
         } else {
-            self.speed_factor
+            1.0
         }
     }
 }

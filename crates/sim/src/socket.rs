@@ -109,7 +109,7 @@ use std::time::{Duration, Instant};
 
 use avcc_wire::{
     read_frame, write_frame, Block, EncodedFrame, Fault, FaultKind, Frame, FrameKind, Hello,
-    HelloAck, Task, TaskResult, WireError, WorkerOptions, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
+    HelloAck, Task, TaskResult, WireError, DEFAULT_MAX_PAYLOAD, PROTOCOL_VERSION,
 };
 
 use crate::churn::{ChurnEvent, ChurnSchedule, ChurnState};
@@ -157,24 +157,24 @@ pub struct SocketConfig {
     /// Per-task deadline, running from the instant the task was sent: a
     /// worker silent past it is evicted as a timed-out straggler.
     pub round_timeout: Duration,
-    /// Write timeout on master→worker sends (a wedged worker cannot block
-    /// the master indefinitely).
-    pub io_timeout: Duration,
-    /// Largest payload the master will accept.
-    pub max_payload: usize,
     /// Seconds of injected sleep per unit of effective slowdown above 1.0
     /// (same knob as `ThreadedExecutor`, realized worker-side via the TASK
     /// frame's `sleep_micros` field).
     pub sleep_per_slowdown_unit: f64,
     /// Respawn evicted/dead workers at the next round (reconnect-or-evict).
     pub respawn: bool,
-    /// Base delay of the capped exponential backoff between *failed* respawn
-    /// attempts for one worker (the first attempt after a death is
-    /// immediate).
-    pub respawn_backoff_base: Duration,
-    /// Upper bound on the respawn backoff delay.
-    pub respawn_backoff_cap: Duration,
 }
+
+/// Write timeout on master→worker sends: a wedged worker cannot block the
+/// master indefinitely.
+const IO_TIMEOUT: Duration = Duration::from_secs(10);
+
+/// Base delay of the capped exponential backoff between *failed* respawn
+/// attempts for one worker (the first attempt after a death is immediate).
+const RESPAWN_BACKOFF_BASE: Duration = Duration::from_millis(50);
+
+/// Upper bound on the respawn backoff delay.
+const RESPAWN_BACKOFF_CAP: Duration = Duration::from_secs(2);
 
 impl Default for SocketConfig {
     fn default() -> Self {
@@ -183,12 +183,8 @@ impl Default for SocketConfig {
             backend: WorkerBackend::InProcess,
             connect_timeout: Duration::from_secs(10),
             round_timeout: Duration::from_secs(30),
-            io_timeout: Duration::from_secs(10),
-            max_payload: DEFAULT_MAX_PAYLOAD,
             sleep_per_slowdown_unit: 0.01,
             respawn: true,
-            respawn_backoff_base: Duration::from_millis(50),
-            respawn_backoff_cap: Duration::from_secs(2),
         }
     }
 }
@@ -462,8 +458,8 @@ fn spawn_err(e: &dyn std::fmt::Display) -> ExecutorError {
 /// it claims, refusing a peer of another protocol version — its frame's
 /// version word is refused by `read_frame` before anything else is read, and
 /// its `HELLO` must name this version too.
-fn accept_hello<R: Read>(stream: &mut R, max_payload: usize) -> Result<u32, ExecutorError> {
-    let (frame, _) = read_frame(stream, max_payload).map_err(|e| spawn_err(&e))?;
+fn accept_hello<R: Read>(stream: &mut R) -> Result<u32, ExecutorError> {
+    let (frame, _) = read_frame(stream, DEFAULT_MAX_PAYLOAD).map_err(|e| spawn_err(&e))?;
     if frame.kind != FrameKind::Hello {
         return Err(ExecutorError::Spawn {
             context: format!("expected HELLO, got {:?}", frame.kind),
@@ -713,16 +709,14 @@ impl SocketExecutor {
         self.listener.drain();
         let target = self.listener.target()?;
         let deadline = Instant::now() + self.config.connect_timeout;
-        let max_payload = self.config.max_payload;
         let mut launched = Launched::default();
         for &worker in wave {
             match &self.config.backend {
                 WorkerBackend::InProcess => {
-                    let options = WorkerOptions { max_payload };
                     let target = target.clone();
                     thread::spawn(move || {
                         if let Ok(stream) = target.connect() {
-                            let _ = avcc_wire::serve_connection(stream, worker as u32, &options);
+                            let _ = avcc_wire::serve_connection(stream, worker as u32);
                         }
                     });
                 }
@@ -747,7 +741,7 @@ impl SocketExecutor {
             stream
                 .set_read_timeout(Some(patience.max(Duration::from_millis(1))))
                 .map_err(|e| spawn_err(&e))?;
-            let index = accept_hello(&mut stream, max_payload)?;
+            let index = accept_hello(&mut stream)?;
             let worker = claim_slot(wave, &mut open, index)?;
             self.connect(worker, stream, launched.take(worker))?;
         }
@@ -764,9 +758,8 @@ impl SocketExecutor {
     ) -> Result<(), ExecutorError> {
         let generation = self.next_generation;
         self.next_generation += 1;
-        let max_payload = self.config.max_payload;
         stream
-            .set_write_timeout(Some(self.config.io_timeout))
+            .set_write_timeout(Some(IO_TIMEOUT))
             .map_err(|e| spawn_err(&e))?;
         let ack = HelloAck {
             worker: worker as u32,
@@ -785,7 +778,7 @@ impl SocketExecutor {
         let mut reader_stream = BufReader::new(stream.try_clone().map_err(|e| spawn_err(&e))?);
         let events_tx = self.events_tx.clone();
         let reader = thread::spawn(move || loop {
-            match read_frame(&mut reader_stream, max_payload) {
+            match read_frame(&mut reader_stream, DEFAULT_MAX_PAYLOAD) {
                 Ok((frame, bytes)) => {
                     if events_tx
                         .send(Event::Frame {
@@ -858,13 +851,8 @@ impl SocketExecutor {
             self.links[worker] = None;
             let attempt = self.failed_respawns[worker];
             self.failed_respawns[worker] += 1;
-            self.respawn_after[worker] = now
-                + backoff_delay(
-                    attempt,
-                    worker,
-                    self.config.respawn_backoff_base,
-                    self.config.respawn_backoff_cap,
-                );
+            self.respawn_after[worker] =
+                now + backoff_delay(attempt, worker, RESPAWN_BACKOFF_BASE, RESPAWN_BACKOFF_CAP);
             return false;
         }
         self.failed_respawns[worker] = 0;
@@ -1252,7 +1240,7 @@ mod tests {
         };
         // A wave of one, worker 3.
         let accept = |bytes: Vec<u8>| {
-            let index = accept_hello(&mut bytes.as_slice(), DEFAULT_MAX_PAYLOAD)?;
+            let index = accept_hello(&mut bytes.as_slice())?;
             claim_slot(&[3], &mut vec![3], index)
         };
         assert_eq!(accept(hello(PROTOCOL_VERSION, PROTOCOL_VERSION, 3)), Ok(3));

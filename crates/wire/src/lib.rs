@@ -47,4 +47,4 @@ pub use frame::{
     MAGIC, PROTOCOL_VERSION, TRAILER_LEN,
 };
 pub use message::{Block, ErrorMsg, Fault, FaultKind, Hello, HelloAck, Task, TaskResult};
-pub use worker::{serve_connection, WorkerOptions};
+pub use worker::serve_connection;

@@ -28,21 +28,6 @@ use crate::error::WireError;
 use crate::frame::{read_frame, write_frame, Frame, FrameKind, DEFAULT_MAX_PAYLOAD, HEADER_LEN};
 use crate::message::{ErrorMsg, Fault, FaultKind, Hello, HelloAck, TaskResult};
 
-/// Knobs for the worker loop.
-#[derive(Debug, Clone)]
-pub struct WorkerOptions {
-    /// Largest payload the worker will accept.
-    pub max_payload: usize,
-}
-
-impl Default for WorkerOptions {
-    fn default() -> Self {
-        Self {
-            max_payload: DEFAULT_MAX_PAYLOAD,
-        }
-    }
-}
-
 /// Runs the worker protocol over `stream` until shutdown (Ok) or a fatal
 /// wire error (Err — the caller drops the stream, which is what the master's
 /// eviction machinery observes).
@@ -52,14 +37,10 @@ impl Default for WorkerOptions {
 /// its body; a larger frame (a `LOAD_BLOCK`) is read past the buffer
 /// straight into its payload. Writes, injected faults included, go to the
 /// stream itself.
-pub fn serve_connection<S: Read + Write>(
-    stream: S,
-    worker: u32,
-    options: &WorkerOptions,
-) -> Result<(), WireError> {
+pub fn serve_connection<S: Read + Write>(stream: S, worker: u32) -> Result<(), WireError> {
     let mut stream = BufReader::new(stream);
     write_frame(stream.get_mut(), &Hello::new(worker).frame())?;
-    let (ack, _) = read_frame(&mut stream, options.max_payload)?;
+    let (ack, _) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)?;
     if ack.kind != FrameKind::HelloAck {
         return Err(WireError::UnexpectedFrame {
             context: "waiting for HELLO_ACK",
@@ -72,7 +53,7 @@ pub fn serve_connection<S: Read + Write>(
     let mut blocks: HashMap<u64, Result<TypedBlock, String>> = HashMap::new();
     let mut armed: Option<FaultKind> = None;
     loop {
-        let (frame, _) = read_frame(&mut stream, options.max_payload)?;
+        let (frame, _) = read_frame(&mut stream, DEFAULT_MAX_PAYLOAD)?;
         match frame.kind {
             FrameKind::LoadBlock => {
                 let typed = TypedBlock::from_payload(&frame.payload).map_err(|e| e.to_string());
@@ -247,8 +228,7 @@ mod tests {
 
     fn spawn_worker(worker: u32) -> (Pipe, thread::JoinHandle<Result<(), WireError>>) {
         let (master_side, worker_side) = duplex();
-        let handle =
-            thread::spawn(move || serve_connection(worker_side, worker, &WorkerOptions::default()));
+        let handle = thread::spawn(move || serve_connection(worker_side, worker));
         (master_side, handle)
     }
 

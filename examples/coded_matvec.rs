@@ -14,9 +14,7 @@
 //! cargo run --release --example coded_matvec
 //! ```
 
-use std::sync::Arc;
-
-use avcc::coding::MdsCode;
+use avcc::coding::{EncodedDataset, SchemeConfig};
 use avcc::core::{BatchRoundTask, WireRunner};
 use avcc::field::{F25, P25};
 use avcc::linalg::{mat_vec, Matrix};
@@ -37,8 +35,11 @@ fn main() {
     let input: Vec<F25> = avcc::field::random_vector(&mut rng, 63);
     let expected = mat_vec(&matrix, &input);
 
-    let code = MdsCode::<P25>::new(workers, partitions).expect("valid MDS configuration");
-    let shares = code.encode_matrix(&matrix);
+    // No pads (T = 0), so the encode draws nothing from `rng`.
+    let config = SchemeConfig::linear(workers, partitions, workers - partitions, 0)
+        .expect("valid MDS configuration");
+    let dataset = EncodedDataset::<P25>::encode(&matrix, config, &mut rng);
+    let shares = dataset.shares();
     println!(
         "encoded {} data blocks into {} coded shares",
         partitions,
@@ -48,7 +49,7 @@ fn main() {
     // One-time Freivalds keys, one per worker.
     let keys: Vec<MatVecKey<P25>> = shares
         .iter()
-        .map(|share| MatVecKey::generate(&share.block, KeyGenConfig::default(), &mut rng))
+        .map(|share| MatVecKey::generate(share, KeyGenConfig::default(), &mut rng))
         .collect();
 
     // Worker 2 is a straggler; worker 5 is Byzantine (reverse-value attack).
@@ -59,8 +60,7 @@ fn main() {
     // One task per worker: its coded share and the broadcast input (a batch
     // of one). The runner ships the shares once, runs the round, and applies
     // the attack to worker 5's result on arrival.
-    let blocks: Vec<_> = shares.iter().map(|s| Arc::new(s.block.clone())).collect();
-    let tasks = BatchRoundTask::for_shares(&blocks, std::slice::from_ref(&input));
+    let tasks = BatchRoundTask::for_shares(shares, std::slice::from_ref(&input));
     let outcomes = WireRunner::new()
         .run_batch_round(&mut executor, 0, &tasks, &byzantine)
         .expect("the round runs");
@@ -88,9 +88,11 @@ fn main() {
         }
     }
 
-    let decoded = code
-        .decode_concatenated(&verified)
-        .expect("enough verified results to decode");
+    let decoded: Vec<F25> = dataset
+        .decoder()
+        .decode_erasure(&verified)
+        .expect("enough verified results to decode")
+        .concat();
     assert_eq!(decoded, expected);
     println!(
         "decoded X*b correctly from {} verified results (out of {} workers)",

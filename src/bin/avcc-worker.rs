@@ -14,7 +14,7 @@
 use std::net::TcpStream;
 use std::process::ExitCode;
 
-use avcc_sim::wire::{serve_connection, WorkerOptions};
+use avcc_sim::wire::serve_connection;
 
 fn usage() -> ExitCode {
     eprintln!("usage: avcc-worker --connect tcp:HOST:PORT|uds:PATH --worker INDEX");
@@ -36,12 +36,11 @@ fn main() -> ExitCode {
         return usage();
     };
 
-    let options = WorkerOptions::default();
     let result = if let Some(addr) = connect.strip_prefix("tcp:") {
         match TcpStream::connect(addr) {
             Ok(stream) => {
                 let _ = stream.set_nodelay(true);
-                serve_connection(stream, worker, &options)
+                serve_connection(stream, worker)
             }
             Err(e) => {
                 eprintln!("avcc-worker {worker}: connect {addr}: {e}");
@@ -52,7 +51,7 @@ fn main() -> ExitCode {
         #[cfg(unix)]
         {
             match std::os::unix::net::UnixStream::connect(path) {
-                Ok(stream) => serve_connection(stream, worker, &options),
+                Ok(stream) => serve_connection(stream, worker),
                 Err(e) => {
                     eprintln!("avcc-worker {worker}: connect {path}: {e}");
                     return ExitCode::FAILURE;

@@ -2,7 +2,7 @@
 //! independent of the ML workload: Theorem 1's three guarantees
 //! (S-resiliency, M-security, T-privacy) exercised through the public API.
 
-use avcc::coding::{LagrangeDecoder, LagrangeEncoder, MdsCode, SchemeConfig};
+use avcc::coding::{EncodedDataset, LagrangeEncoder, SchemeConfig};
 use avcc::field::{PrimeField, F25, P25};
 use avcc::linalg::{mat_vec, Matrix};
 use avcc::poly::rank;
@@ -11,10 +11,31 @@ use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
-fn random_blocks(k: usize, rows: usize, cols: usize, seed: u64) -> Vec<Matrix<F25>> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    (0..k)
-        .map(|_| Matrix::from_vec(rows, cols, avcc::field::random_matrix(&mut rng, rows, cols)))
+/// A random matrix of `K` blocks of `rows × cols`, encoded for `config` (any
+/// pads drawn from `rng`).
+fn encoded(
+    config: SchemeConfig,
+    rows: usize,
+    cols: usize,
+    seed: u64,
+    rng: &mut StdRng,
+) -> (Matrix<F25>, EncodedDataset<P25>) {
+    let mut data_rng = StdRng::seed_from_u64(seed);
+    let rows = config.partitions * rows;
+    let matrix = Matrix::from_vec(
+        rows,
+        cols,
+        avcc::field::random_matrix(&mut data_rng, rows, cols),
+    );
+    let dataset = EncodedDataset::encode(&matrix, config, rng);
+    (matrix, dataset)
+}
+
+/// Each block's product `X_j·w`, in block order.
+fn block_products(matrix: &Matrix<F25>, block_rows: usize, w: &[F25]) -> Vec<Vec<F25>> {
+    mat_vec(matrix, w)
+        .chunks(block_rows)
+        .map(<[F25]>::to_vec)
         .collect()
 }
 
@@ -23,16 +44,15 @@ fn random_blocks(k: usize, rows: usize, cols: usize, seed: u64) -> Vec<Matrix<F2
 #[test]
 fn s_resiliency_from_any_straggler_pattern() {
     let config = SchemeConfig::linear(12, 9, 3, 0).unwrap();
-    let blocks = random_blocks(9, 4, 6, 1);
-    let encoder = LagrangeEncoder::<P25>::new(config);
-    let decoder = LagrangeDecoder::<P25>::new(config);
-    let shares = encoder.encode_deterministic(&blocks);
     let mut rng = StdRng::seed_from_u64(2);
+    let (matrix, dataset) = encoded(config, 4, 6, 1, &mut rng);
     let w: Vec<F25> = avcc::field::random_vector(&mut rng, 6);
-    let expected: Vec<Vec<F25>> = blocks.iter().map(|b| mat_vec(b, &w)).collect();
-    let results: Vec<(usize, Vec<F25>)> = shares
+    let expected = block_products(&matrix, 4, &w);
+    let results: Vec<(usize, Vec<F25>)> = dataset
+        .shares()
         .iter()
-        .map(|s| (s.worker, mat_vec(&s.block, &w)))
+        .enumerate()
+        .map(|(worker, share)| (worker, mat_vec(share, &w)))
         .collect();
 
     // Drop every possible set of three stragglers (a few hundred subsets).
@@ -44,7 +64,7 @@ fn s_resiliency_from_any_straggler_pattern() {
                     .filter(|(worker, _)| *worker != a && *worker != b && *worker != c)
                     .cloned()
                     .collect();
-                let decoded = decoder.decode_erasure(&subset).unwrap();
+                let decoded = dataset.decoder().decode_erasure(&subset).unwrap();
                 assert_eq!(decoded, expected, "failed for stragglers {a},{b},{c}");
             }
         }
@@ -57,36 +77,34 @@ fn s_resiliency_from_any_straggler_pattern() {
 #[test]
 fn m_security_via_per_worker_verification() {
     let config = SchemeConfig::linear(12, 9, 1, 2).unwrap();
-    let blocks = random_blocks(9, 5, 7, 3);
-    let encoder = LagrangeEncoder::<P25>::new(config);
-    let decoder = LagrangeDecoder::<P25>::new(config);
-    let shares = encoder.encode_deterministic(&blocks);
     let mut rng = StdRng::seed_from_u64(4);
-    let keys: Vec<MatVecKey<P25>> = shares
+    let (matrix, dataset) = encoded(config, 5, 7, 3, &mut rng);
+    let keys: Vec<MatVecKey<P25>> = dataset
+        .shares()
         .iter()
-        .map(|s| MatVecKey::generate(&s.block, KeyGenConfig::default(), &mut rng))
+        .map(|share| MatVecKey::generate(share, KeyGenConfig::default(), &mut rng))
         .collect();
     let w: Vec<F25> = avcc::field::random_vector(&mut rng, 7);
-    let expected: Vec<Vec<F25>> = blocks.iter().map(|b| mat_vec(b, &w)).collect();
+    let expected = block_products(&matrix, 5, &w);
 
     // Workers 1 and 8 are Byzantine (constant attack).
     let mut verified = Vec::new();
     let mut rejected = Vec::new();
-    for share in &shares {
-        let mut result = mat_vec(&share.block, &w);
-        if share.worker == 1 || share.worker == 8 {
+    for (worker, share) in dataset.shares().iter().enumerate() {
+        let mut result = mat_vec(share, &w);
+        if worker == 1 || worker == 8 {
             for value in result.iter_mut() {
                 *value = F25::from_u64(77);
             }
         }
-        if keys[share.worker].verify(&w, &result) {
-            verified.push((share.worker, result));
+        if keys[worker].verify(&w, &result) {
+            verified.push((worker, result));
         } else {
-            rejected.push(share.worker);
+            rejected.push(worker);
         }
     }
     assert_eq!(rejected, vec![1, 8]);
-    let decoded = decoder.decode_erasure(&verified).unwrap();
+    let decoded = dataset.decoder().decode_erasure(&verified).unwrap();
     assert_eq!(decoded, expected);
 }
 
@@ -124,13 +142,11 @@ fn t_privacy_pad_submatrices_are_invertible() {
 #[test]
 fn private_shares_never_expose_raw_blocks() {
     let config = SchemeConfig::new(10, 3, 1, 0, 2, 1).unwrap();
-    let blocks = random_blocks(3, 4, 4, 5);
-    let encoder = LagrangeEncoder::<P25>::new(config);
     let mut rng = StdRng::seed_from_u64(6);
-    let shares = encoder.encode(&blocks, &mut rng);
-    for share in &shares {
-        for block in &blocks {
-            assert_ne!(&share.block, block);
+    let (matrix, dataset) = encoded(config, 4, 4, 5, &mut rng);
+    for share in dataset.shares() {
+        for block in matrix.data().chunks(4 * 4) {
+            assert_ne!(share.data(), block);
         }
     }
 }
@@ -150,21 +166,24 @@ fn worker_budget_gap_between_lcc_and_avcc() {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// Property: the MDS wrapper decodes X·b correctly from any K-subset of
-    /// worker results, for random matrices and random straggler patterns.
+    /// Property: the `(12, 9)` MDS code decodes X·b correctly from any
+    /// K-subset of worker results, for random matrices and random straggler
+    /// patterns.
     #[test]
     fn prop_mds_decodes_from_random_subsets(seed in any::<u64>(), drop in 0usize..3) {
         let mut rng = StdRng::seed_from_u64(seed);
-        let code = MdsCode::<P25>::new(12, 9).unwrap();
+        let config = SchemeConfig::linear(12, 9, 3, 0).unwrap();
         let matrix = Matrix::from_vec(18, 5, avcc::field::random_matrix(&mut rng, 18, 5));
         let b: Vec<F25> = avcc::field::random_vector(&mut rng, 5);
         let expected = mat_vec(&matrix, &b);
-        let shares = code.encode_matrix(&matrix);
-        let results: Vec<(usize, Vec<F25>)> = shares
+        let dataset = EncodedDataset::<P25>::encode(&matrix, config, &mut rng);
+        let results: Vec<(usize, Vec<F25>)> = dataset
+            .shares()
             .iter()
-            .map(|s| (s.worker, mat_vec(&s.block, &b)))
+            .enumerate()
+            .map(|(worker, share)| (worker, mat_vec(share, &b)))
             .collect();
-        let decoded = code.decode_concatenated(&results[drop..]).unwrap();
+        let decoded = dataset.decoder().decode_erasure(&results[drop..]).unwrap().concat();
         prop_assert_eq!(decoded, expected);
     }
 

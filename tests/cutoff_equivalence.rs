@@ -233,7 +233,7 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
     assert!(first.detected_byzantine.is_empty());
     assert!(first.observed_stragglers.contains(&0));
 
-    let mut uncoded = UncodedMatVec::new(&b, 9);
+    let mut uncoded = UncodedMatVec::new(&b, 9, &mut rng);
     let second = uncoded
         .execute_batch(xs, &mut fleet, &quiet, &mut rng)
         .unwrap();
