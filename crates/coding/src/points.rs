@@ -71,11 +71,6 @@ impl<M: PrimeModulus> EvaluationPoints<M> {
         &self.alpha
     }
 
-    /// The β-points corresponding to the data blocks only (the first `K`).
-    pub fn data_beta(&self, partitions: usize) -> &[Fp<M>] {
-        &self.beta[..partitions]
-    }
-
     /// `true` iff no worker point coincides with an interpolation point.
     pub fn disjoint(&self) -> bool {
         self.alpha.iter().all(|a| !self.beta.contains(a))
@@ -124,12 +119,6 @@ mod tests {
         all.sort_unstable();
         all.dedup();
         assert_eq!(all.len(), 5 + 3 + 20);
-    }
-
-    #[test]
-    fn data_beta_returns_first_k_points() {
-        let points = EvaluationPoints::<P25>::standard(3, 2, 8);
-        assert_eq!(points.data_beta(3), &points.beta()[..3]);
     }
 
     #[test]

@@ -667,7 +667,7 @@ mod tests {
 
     #[test]
     fn a_short_prefix_is_retried_at_each_new_arrival_and_the_rest_is_not_awaited() {
-        use crate::engines::{AvccMatVec, MatVecEngine};
+        use crate::engines::{CodedMatVec, MatVecEngine};
         use avcc_linalg::mat_vec;
         use rand::SeedableRng;
 
@@ -675,7 +675,7 @@ mod tests {
         let matrix = Matrix::from_vec(18, 6, avcc_field::random_matrix::<P25, _>(&mut rng, 18, 6));
         let input = avcc_field::random_vector::<P25, _>(&mut rng, 6);
         let coding = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-        let mut engine = AvccMatVec::new(&matrix, coding, Default::default(), &mut rng);
+        let mut engine = CodedMatVec::new(&matrix, coding, Default::default(), &mut rng);
         // The first nine results include worker 3's forgery: a quorum, but
         // one verified result short. Worker 9 completes it; 10 and 11 are
         // never waited for.

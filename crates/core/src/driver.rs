@@ -19,7 +19,9 @@
 //!    re-encode if the straggler slack went negative, charging the one-time
 //!    re-encoding and re-distribution cost to this iteration.
 
-use avcc_coding::SchemeConfig;
+use std::sync::Arc;
+
+use avcc_coding::{EncodedDataset, SchemeConfig};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
 use avcc_ml::logistic::LogisticModel;
@@ -34,7 +36,7 @@ use rand::SeedableRng;
 
 use crate::adaptive::adapt;
 use crate::distributed::{run_iteration_parked, WireRunner};
-use crate::engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
+use crate::engines::{CodedMatVec, MatVecEngine};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
 use crate::rounds::{BatchExecution, BatchRoundTask, SchemeFailure};
@@ -92,7 +94,7 @@ pub struct TrainerConfig {
     /// RNG seed for encoding pads, keys and decode fingerprints.
     pub seed: u64,
     /// Whether the AVCC engines run the pre-decode dual-codeword screen
-    /// (see [`AvccMatVec::with_screening`]). On by default; the
+    /// (see [`CodedMatVec::with_screening`]). On by default; the
     /// paper-figure experiment driver turns it off for fidelity to the
     /// paper's cost model.
     pub screen: bool,
@@ -132,17 +134,29 @@ struct InflightIteration<M: PrimeModulus> {
     round2_input: Option<Vec<Fp<M>>>,
 }
 
-/// One AVCC session per round matrix for `coding`, with one-repetition
-/// Freivalds keys. Per round the dataset is encoded before its keys are
-/// drawn — the order pins the rng stream.
-fn avcc_sessions<M: PrimeModulus>(
+/// One `scheme` session per round matrix for `coding`: the uncoded scheme
+/// over the `(K, K)` code of its first `K` workers, LCC over `coding`, the
+/// verifying schemes over `coding` with one-repetition Freivalds keys. Per
+/// round the dataset is encoded before its keys are drawn — the order pins
+/// the rng stream.
+fn sessions<M: PrimeModulus>(
+    scheme: SchemeKind,
     matrices: [&Matrix<Fp<M>>; 2],
     coding: SchemeConfig,
     screen: bool,
     rng: &mut StdRng,
-) -> [AvccMatVec<M>; 2] {
-    matrices.map(|matrix| {
-        AvccMatVec::new(matrix, coding, KeyGenConfig::default(), rng).with_screening(screen)
+) -> [CodedMatVec<M>; 2] {
+    matrices.map(|matrix| match scheme {
+        SchemeKind::Uncoded => {
+            let k = coding.partitions;
+            let bands =
+                SchemeConfig::linear(k, k, 0, 0).expect("a code has at least one partition");
+            CodedMatVec::uncoded(Arc::new(EncodedDataset::encode(matrix, bands, rng)))
+        }
+        SchemeKind::Lcc => CodedMatVec::lcc(Arc::new(EncodedDataset::encode(matrix, coding, rng))),
+        SchemeKind::Avcc | SchemeKind::StaticVcc => {
+            CodedMatVec::new(matrix, coding, KeyGenConfig::default(), rng).with_screening(screen)
+        }
     })
 }
 
@@ -170,8 +184,8 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     /// iteration driver (hence the `Option`).
     local: Option<(VirtualExecutor, WireRunner)>,
     byzantine: ByzantineSpec,
-    round1: Box<dyn MatVecEngine<M>>,
-    round2: Box<dyn MatVecEngine<M>>,
+    round1: CodedMatVec<M>,
+    round2: CodedMatVec<M>,
     round1_matrix: Matrix<Fp<M>>,
     round2_matrix: Matrix<Fp<M>>,
     current_coding: SchemeConfig,
@@ -208,29 +222,17 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         let round1_matrix = problem.round1_matrix::<M>(&protocol);
         // `round2_matrix`'s definition, without quantizing a second time.
         let round2_matrix = round1_matrix.transpose();
+        let [round1, round2] = sessions(
+            config.scheme,
+            [&round1_matrix, &round2_matrix],
+            config.coding,
+            config.screen,
+            &mut rng,
+        );
         // The uncoded scheme uses only the first K workers.
-        let participants = config.coding.partitions;
-        let (round1, round2, cluster): (
-            Box<dyn MatVecEngine<M>>,
-            Box<dyn MatVecEngine<M>>,
-            ClusterProfile,
-        ) = match config.scheme {
-            SchemeKind::Uncoded => (
-                Box::new(UncodedMatVec::new(&round1_matrix, participants, &mut rng)),
-                Box::new(UncodedMatVec::new(&round2_matrix, participants, &mut rng)),
-                cluster.truncated(participants),
-            ),
-            SchemeKind::Lcc => (
-                Box::new(LccMatVec::new(&round1_matrix, config.coding, &mut rng)),
-                Box::new(LccMatVec::new(&round2_matrix, config.coding, &mut rng)),
-                cluster,
-            ),
-            SchemeKind::Avcc | SchemeKind::StaticVcc => {
-                let matrices = [&round1_matrix, &round2_matrix];
-                let [engine1, engine2] =
-                    avcc_sessions(matrices, config.coding, config.screen, &mut rng);
-                (Box::new(engine1), Box::new(engine2), cluster)
-            }
+        let cluster = match config.scheme {
+            SchemeKind::Uncoded => cluster.truncated(config.coding.partitions),
+            _ => cluster,
         };
 
         let model = LogisticModel::zeros(problem.features());
@@ -302,14 +304,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// remove at the next `benchmark` re-bind.
     pub fn decode_cache_stats(&self) -> (u64, u64) {
         (0, 0)
-    }
-
-    /// The number of workers the given round dispatches to.
-    pub fn round_workers(&self, round: TrainingRound) -> usize {
-        match round {
-            TrainingRound::Round1 => self.round1.workers(),
-            TrainingRound::Round2 => self.round2.workers(),
-        }
     }
 
     /// The minimum number of arrived results the given round's collect needs
@@ -542,10 +536,15 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.byzantine = self.byzantine.reindexed_after_removal(evicted);
 
         let matrices = [&self.round1_matrix, &self.round2_matrix];
-        let [engine1, engine2] =
-            avcc_sessions(matrices, new_config, self.config.screen, &mut self.rng);
+        let [round1, round2] = sessions(
+            self.config.scheme,
+            matrices,
+            new_config,
+            self.config.screen,
+            &mut self.rng,
+        );
         let redistribution_seconds = if reencode {
-            let shipped_bytes = engine1.encoded_bytes() + engine2.encoded_bytes();
+            let shipped_bytes = round1.dataset().encoded_bytes() + round2.dataset().encoded_bytes();
             // The master pushes every worker its new share over its single
             // uplink, so the transfers serialize.
             let network = self.cluster.network;
@@ -554,8 +553,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         } else {
             0.0
         };
-        self.round1 = Box::new(engine1);
-        self.round2 = Box::new(engine2);
+        self.round1 = round1;
+        self.round2 = round2;
         self.current_coding = new_config;
         redistribution_seconds
     }
@@ -848,10 +847,7 @@ mod tests {
         for iteration in 0..staged.iterations() {
             let byzantine = staged.byzantine().clone();
             let round1_tasks = staged.encode_round1();
-            assert_eq!(
-                round1_tasks.len(),
-                staged.round_workers(TrainingRound::Round1)
-            );
+            assert_eq!(round1_tasks.len(), staged.current_coding().workers);
             let round1_outcomes = runner
                 .run_batch_round(&mut executor, 0, &round1_tasks, &byzantine)
                 .unwrap();

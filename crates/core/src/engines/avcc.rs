@@ -1,29 +1,52 @@
-//! The AVCC engine (paper §IV): coded computing for stragglers and privacy,
-//! Freivalds verification for Byzantine workers.
+//! The coded session behind all three of the paper's schemes.
 //!
-//! The data is Lagrange/MDS encoded exactly as for LCC, but the master holds a
-//! per-worker Freivalds key and verifies each result *the moment it arrives*.
-//! Results that fail verification are discarded (their workers are reported as
-//! detected Byzantine); decoding starts as soon as the recovery threshold of
-//! *verified* results is available, so a Byzantine worker costs exactly one
-//! extra wait — the same as a straggler — instead of LCC's two (eq. 2 vs
-//! eq. 1).
+//! A [`CodedMatVec`] is a session over one shared [`EncodedDataset`] plus the
+//! check that establishes a round's integrity. The check is all that tells
+//! the schemes apart — it fixes how many results a round waits for, which of
+//! them it decodes from, and what the master pays:
 //!
-//! Since PR9 a **pre-decode dual-codeword screen**
-//! ([`avcc_coding::DualCodeword`]) runs first whenever strictly more than the
-//! recovery threshold of results arrived: one `O(R·width)` SCRAPE-style
-//! inner product checks all returned blocks for RS-codeword membership at
-//! once and, on failure, localizes the corrupted workers by syndrome power
-//! sums. Screened-out workers are dropped before any Freivalds work — they
-//! become erasures exactly like stragglers — and are reported both in
-//! `detected_byzantine` and in the new `screened_workers` field. The
-//! per-arrival Freivalds check stays downstream as the belt to this
-//! suspender: the screen proves the blocks *consistent with one polynomial*,
-//! Freivalds proves them *the right polynomial* (a full coalition shifting
-//! the round onto a different codeword passes the screen but not Freivalds).
+//! * **None** — the uncoded baseline (paper §V). The dataset is the `(K, K)`
+//!   code at `T = 0`, whose systematic shares are the row bands themselves.
+//!   The master waits for **every** worker — a single straggler delays the
+//!   whole round — and concatenates their results; a Byzantine worker's
+//!   corrupted block flows straight into the product, which is what degrades
+//!   the uncoded accuracy curves in Fig. 3.
+//! * **Error decoding** — the LCC baseline (§II-A, the evaluation's main
+//!   comparator). The master takes the fastest `N − S` results and
+//!   Reed–Solomon error-decodes each function
+//!   ([`avcc_coding::LagrangeDecoder::decode_with_errors`], whose error
+//!   locator is the dual-codeword screen). Byzantine workers surface only
+//!   *during* decoding, which is why LCC cannot start early and why each
+//!   costs two extra workers (eq. 1). Beyond the designed `M` a real decoder
+//!   emits a wrong reconstruction; the session reproduces that by erasure-
+//!   decoding the fastest threshold results, corrupted or not, which is what
+//!   degrades the LCC accuracy curves in Fig. 3(b)/(d).
+//! * **Freivalds** — AVCC (§IV). The master holds one Freivalds key per
+//!   worker. Once the round closes, `collect_batch` checks the arrivals in
+//!   arrival order and stops at the first recovery threshold of accepted
+//!   ones; rejected workers are reported as detected Byzantine, and the
+//!   product is erasure-decoded from the accepted set. A Byzantine worker so
+//!   costs exactly one extra wait — the same as a straggler — instead of
+//!   LCC's two (eq. 2 vs eq. 1). When strictly more than the threshold
+//!   arrived, a **pre-decode dual-codeword screen**
+//!   ([`avcc_coding::DualCodeword`], on unless
+//!   [`CodedMatVec::with_screening`] turns it off) runs first: one
+//!   `O(R·width)` SCRAPE-style pass checks every returned block for
+//!   RS-codeword membership and, on failure, localizes the corrupted workers,
+//!   which are dropped before any Freivalds work and reported in both
+//!   `detected_byzantine` and `screened_workers`. The screen proves the
+//!   blocks *consistent with one polynomial*, Freivalds proves them *the
+//!   right polynomial* (a full coalition shifting the round onto another
+//!   codeword passes the screen but not Freivalds).
+//!
+//! One `collect_batch` body serves all three: a shared prologue drops
+//! malformed arrivals and detects stragglers, the scheme's survivor rule
+//! picks and decodes the results it trusts, and a shared epilogue assembles
+//! the products and accounts the round.
 
 use std::sync::Arc;
 
+use avcc_coding::decoder::DecodeError;
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
 use avcc_field::{map_spans, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
@@ -40,20 +63,75 @@ use crate::rounds::{
     BatchRoundTask, SchemeFailure,
 };
 
-/// The AVCC distributed matrix–vector engine: a per-function session over a
-/// shared [`EncodedDataset`], plus the per-worker Freivalds keys.
+/// One worker's arrival: one result vector per function.
+type Arrival<M> = WorkerOutcome<Vec<Vec<Fp<M>>>>;
+
+/// The distributed matrix–vector session of every scheme: a shared
+/// [`EncodedDataset`] plus the scheme's integrity check.
 ///
-/// Cloning the session clones the `Arc` onto the dataset, so clones keep
-/// sharing one encode.
+/// [`CodedMatVec::over`] and [`CodedMatVec::new`] open the paper's verified
+/// (AVCC) session; [`CodedMatVec::lcc`] and [`CodedMatVec::uncoded`] open its
+/// two baselines. Cloning the session clones the `Arc` onto the dataset, so
+/// clones keep sharing one encode.
 #[derive(Debug, Clone)]
-pub struct AvccMatVec<M: PrimeModulus> {
+pub struct CodedMatVec<M: PrimeModulus> {
     dataset: Arc<EncodedDataset<M>>,
-    keys: Vec<MatVecKey<M>>,
-    screen: DualCodeword<M>,
-    screen_enabled: bool,
+    check: Check<M>,
 }
 
-impl<M: PrimeModulus> AvccMatVec<M> {
+/// The AVCC session under its old name. Harness compatibility; remove at the
+/// next `benchmark` re-bind.
+pub type AvccMatVec<M> = CodedMatVec<M>;
+
+/// How a session establishes a round's integrity.
+#[derive(Debug, Clone)]
+enum Check<M: PrimeModulus> {
+    /// The uncoded baseline: wait for every worker, check nothing.
+    None,
+    /// LCC: the fastest `N − S` results, error-decoded.
+    ErrorDecoding,
+    /// AVCC: per-worker Freivalds keys, behind the optional screen.
+    Freivalds(Freivalds<M>),
+}
+
+/// AVCC's master-side state.
+#[derive(Debug, Clone)]
+struct Freivalds<M: PrimeModulus> {
+    keys: Vec<MatVecKey<M>>,
+    screen: DualCodeword<M>,
+    screening: bool,
+}
+
+/// What a survivor rule hands the shared epilogue.
+struct Survivors<'a, M: PrimeModulus> {
+    /// The arrivals the round waited for and decoded from; the round pays
+    /// for the slowest of them.
+    used: Vec<&'a Arrival<M>>,
+    /// Per function, the `K` decoded data blocks in order.
+    blocks: Vec<Vec<Vec<Fp<M>>>>,
+    verify_macs: u64,
+    decode_macs: u64,
+    detected_byzantine: Vec<usize>,
+    screened_workers: Vec<usize>,
+    corrupted_functions: Vec<usize>,
+}
+
+impl<'a, M: PrimeModulus> Survivors<'a, M> {
+    /// Survivors of a scheme that checks nothing itself.
+    fn unverified(used: Vec<&'a Arrival<M>>, blocks: Vec<Vec<Vec<Fp<M>>>>) -> Self {
+        Survivors {
+            used,
+            blocks,
+            verify_macs: 0,
+            decode_macs: 0,
+            detected_byzantine: Vec::new(),
+            screened_workers: Vec::new(),
+            corrupted_functions: Vec::new(),
+        }
+    }
+}
+
+impl<M: PrimeModulus> CodedMatVec<M> {
     /// Opens an AVCC session over an already-encoded dataset, generating one
     /// Freivalds verification key per worker (§IV-A step 2). The expensive
     /// step 1 — encoding — was paid once when the dataset was built, and is
@@ -85,30 +163,19 @@ impl<M: PrimeModulus> AvccMatVec<M> {
             MatVecKey::from_secrets(share, secrets)
         });
         let screen = DualCodeword::new(*dataset.scheme());
-        AvccMatVec {
+        CodedMatVec {
             dataset,
-            keys,
-            screen,
-            screen_enabled: true,
+            check: Check::Freivalds(Freivalds {
+                keys,
+                screen,
+                screening: true,
+            }),
         }
     }
 
-    /// Enables or disables the pre-decode dual-codeword screen (on by
-    /// default). The paper-figure experiment driver turns it off: Fig. 3–5
-    /// reproduce Tang et al.'s AVCC, whose master never screens — Freivalds
-    /// verification plus erasure decoding already absorbs those fault
-    /// patterns, so there the screen only adds master-side cost to the
-    /// figures' cost model. Every other consumer (serving jobs, the socket
-    /// runtime, direct sessions) keeps it on for pre-decode localization.
-    pub fn with_screening(mut self, enabled: bool) -> Self {
-        self.screen_enabled = enabled;
-        self
-    }
-
     /// Encodes the matrix and generates one Freivalds verification key per
-    /// worker (the one-time preprocessing of §IV-A steps 1–2) — the
-    /// single-function convenience wrapper around [`EncodedDataset::encode`]
-    /// plus [`AvccMatVec::over`].
+    /// worker (the one-time preprocessing of §IV-A steps 1–2) —
+    /// [`EncodedDataset::encode`] plus [`CodedMatVec::over`].
     ///
     /// If the row count is not divisible by `config.partitions` — which
     /// happens when the dynamic-coding controller switches to a smaller `K` —
@@ -124,133 +191,166 @@ impl<M: PrimeModulus> AvccMatVec<M> {
         Self::over(dataset, key_config, rng)
     }
 
+    /// Opens an LCC session over an already-encoded dataset.
+    pub fn lcc(dataset: Arc<EncodedDataset<M>>) -> Self {
+        CodedMatVec {
+            dataset,
+            check: Check::ErrorDecoding,
+        }
+    }
+
+    /// Opens an uncoded session over an already-encoded dataset.
+    ///
+    /// # Panics
+    /// Panics unless the dataset's code is `(K, K)` at `T = 0`: the uncoded
+    /// baseline reassembles its output by concatenating the shares, which
+    /// only that code's shares — the row bands — allow.
+    pub fn uncoded(dataset: Arc<EncodedDataset<M>>) -> Self {
+        let scheme = dataset.scheme();
+        assert!(
+            scheme.workers == scheme.partitions && scheme.colluding == 0,
+            "the uncoded session needs the (K, K) code at T = 0, not {scheme}"
+        );
+        CodedMatVec {
+            dataset,
+            check: Check::None,
+        }
+    }
+
+    /// Enables or disables AVCC's pre-decode dual-codeword screen (on by
+    /// default; a session that does not verify has none to switch). The
+    /// paper-figure experiment driver turns it off: Fig. 3–5 reproduce Tang
+    /// et al.'s AVCC, whose master never screens — Freivalds verification
+    /// plus erasure decoding already absorbs those fault patterns, so there
+    /// the screen only adds master-side cost to the figures' cost model.
+    /// Every other consumer (serving jobs, the socket runtime, direct
+    /// sessions) keeps it on for pre-decode localization.
+    pub fn with_screening(mut self, enabled: bool) -> Self {
+        if let Check::Freivalds(freivalds) = &mut self.check {
+            freivalds.screening = enabled;
+        }
+        self
+    }
+
     /// The shared encoded dataset this session dispatches against.
     pub fn dataset(&self) -> &Arc<EncodedDataset<M>> {
         &self.dataset
     }
 
-    /// The scheme configuration.
-    pub fn config(&self) -> &SchemeConfig {
-        self.dataset.scheme()
-    }
-
-    /// Total size of the encoded data shipped to the workers, in bytes.
-    pub fn encoded_bytes(&self) -> usize {
-        self.dataset.encoded_bytes()
-    }
-
-    /// The recovery threshold (number of verified results needed to decode).
-    pub fn recovery_threshold(&self) -> usize {
-        self.dataset.recovery_threshold()
-    }
-
-    /// The pre-decode dual-codeword screen this session runs on arrivals
-    /// (shared configuration/points with the dataset's encoder and decoder).
-    pub fn screen(&self) -> &DualCodeword<M> {
-        &self.screen
-    }
-
-    /// Runs the pre-decode screen over a round's arrivals: returns the
-    /// localized corrupted workers (empty when the round is clean, not
-    /// screenable, or localization did not converge) plus the screening MAC
-    /// count.
-    fn screen_claims<R: Rng + ?Sized>(
+    /// The uncoded survivor rule: every worker's result, concatenated.
+    fn concatenate<'a>(
         &self,
-        claims: &[(usize, Vec<Fp<M>>)],
-        rng: &mut R,
-    ) -> (Vec<usize>, u64) {
-        if !self.screen_enabled || !self.screen.screenable(claims.len()) {
-            return (Vec::new(), 0);
+        arrivals: Vec<&'a Arrival<M>>,
+        functions: usize,
+    ) -> Result<Survivors<'a, M>, SchemeFailure> {
+        let workers = self.dataset.workers();
+        if arrivals.len() < workers {
+            return Err(SchemeFailure::NotEnoughResults {
+                available: arrivals.len(),
+                required: workers,
+            });
         }
-        match self.screen.screen(claims, 1, rng) {
-            Ok(report) => {
-                let workers = match report.outcome {
-                    ScreenOutcome::Corrupted { workers } => workers,
-                    ScreenOutcome::Clean | ScreenOutcome::Unlocalized => Vec::new(),
+        // Reassembly is the uncoded "decode": the shares are the row bands,
+        // so block `k` is worker `k`'s result. It is data movement, not
+        // multiply–accumulate work, so the master is charged nothing.
+        let mut bands = arrivals.clone();
+        bands.sort_unstable_by_key(|arrival| arrival.worker);
+        let blocks = (0..functions)
+            .map(|function| {
+                bands
+                    .iter()
+                    .map(|band| band.payload[function].clone())
+                    .collect()
+            })
+            .collect();
+        Ok(Survivors::unverified(arrivals, blocks))
+    }
+
+    /// The LCC survivor rule: the fastest `N − S` results, each function
+    /// error-decoded on its own (Byzantine identification is a decode-side
+    /// by-product), detections unioned across the batch in first-located
+    /// order.
+    fn error_decode<'a>(
+        &self,
+        mut arrivals: Vec<&'a Arrival<M>>,
+        functions: usize,
+        rng: &mut StdRng,
+    ) -> Result<Survivors<'a, M>, SchemeFailure> {
+        let config = *self.dataset.scheme();
+        let block_rows = self.dataset.block_rows();
+        let wait_count = config.lcc_wait_count().min(arrivals.len());
+        let threshold = config.recovery_threshold();
+        if wait_count < threshold {
+            return Err(SchemeFailure::NotEnoughResults {
+                available: wait_count,
+                required: threshold,
+            });
+        }
+        arrivals.truncate(wait_count);
+        let decoder = self.dataset.decoder();
+        let mut blocks = Vec::with_capacity(functions);
+        let mut detected_byzantine: Vec<usize> = Vec::new();
+        for function in 0..functions {
+            let results: Vec<(usize, Vec<Fp<M>>)> = arrivals
+                .iter()
+                .map(|o| (o.worker, o.payload[function].clone()))
+                .collect();
+            let (decoded, located) =
+                match decoder.decode_with_errors(&results, config.byzantine, rng) {
+                    Ok(outcome) => outcome,
+                    // Beyond the designed correction capability: a real
+                    // decoder emits an incorrect reconstruction. Erasure-
+                    // decode the fastest threshold results, corrupted or not.
+                    Err(DecodeError::TooManyErrors) => {
+                        (decoder.decode_erasure(&results[..threshold])?, Vec::new())
+                    }
+                    Err(other) => return Err(other.into()),
                 };
-                (workers, report.macs)
+            for worker in located {
+                if !detected_byzantine.contains(&worker) {
+                    detected_byzantine.push(worker);
+                }
             }
-            // Malformed rounds (shape mismatches, duplicates) fall through to
-            // the existing verification/decode paths, which report them.
-            Err(_) => (Vec::new(), 0),
+            blocks.push(decoded);
         }
-    }
-
-    /// Names the function(s) a rejected worker corrupted, adding them to
-    /// `corrupted`, and returns how many Freivalds checks that took: one per
-    /// function for a batch, none for a single function — the check (or
-    /// screen) that rejected the worker already names it.
-    fn localize(
-        &self,
-        inputs: &[Vec<Fp<M>>],
-        outcome: &WorkerOutcome<Vec<Vec<Fp<M>>>>,
-        corrupted: &mut Vec<usize>,
-    ) -> usize {
-        if inputs.len() == 1 {
-            if corrupted.is_empty() {
-                corrupted.push(0);
-            }
-            return 0;
-        }
-        for (function, (input, claim)) in inputs.iter().zip(&outcome.payload).enumerate() {
-            if !self.keys[outcome.worker].verify(input, claim) && !corrupted.contains(&function) {
-                corrupted.push(function);
-            }
-        }
-        inputs.len()
+        // The modelled Reed–Solomon decode cost: an interpolation through all
+        // `wait_count` results plus a `wait_count²` syndrome/locator term over
+        // an erasure decode, once per function. It models the decode the
+        // paper charges LCC, not the screen's own multiply count.
+        let decode_macs = (functions
+            * (block_rows * wait_count * config.partitions + wait_count * wait_count))
+            as u64;
+        Ok(Survivors {
+            decode_macs,
+            detected_byzantine,
+            ..Survivors::unverified(arrivals, blocks)
+        })
     }
 }
 
-impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
-    fn name(&self) -> &'static str {
-        "avcc"
-    }
-
-    fn workers(&self) -> usize {
-        self.dataset.workers()
-    }
-
-    fn min_results(&self) -> usize {
-        self.dataset.recovery_threshold()
-    }
-
-    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
-        BatchRoundTask::for_shares(self.dataset.shares(), inputs)
-    }
-
-    fn collect_batch(
-        &mut self,
+impl<M: PrimeModulus> Freivalds<M> {
+    /// The AVCC survivor rule: screen, then verify in arrival order up to
+    /// the recovery threshold, then erasure-decode the accepted results.
+    ///
+    /// With m > 1 one scalar σ batches the whole round: the master combines
+    /// the m inputs into x_c = Σ σ^j x_j once, combines each arrival's m
+    /// claims into y_c = Σ σ^j y_j, and runs a single Freivalds check per
+    /// arrival — verifying m products costs barely more than one. A failed
+    /// combined check falls back to the m per-function checks to localize
+    /// which function(s) the worker corrupted. A single function is its own
+    /// combination: no σ is drawn (so the rng stream is exactly the
+    /// single-function round's) and nothing is combined.
+    fn verify<'a>(
+        &self,
+        dataset: &EncodedDataset<M>,
         inputs: &[Vec<Fp<M>>],
-        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-        network: &NetworkModel,
-        _time_scale: f64,
+        arrivals: Vec<&'a Arrival<M>>,
         rng: &mut StdRng,
-    ) -> Result<BatchExecution<M>, SchemeFailure> {
-        assert!(!inputs.is_empty(), "batched round needs at least one input");
+    ) -> Result<Survivors<'a, M>, SchemeFailure> {
         let functions = inputs.len();
         let cols = inputs[0].len();
-        let observed_stragglers = detect_stragglers(outcomes);
-        let threshold = self.dataset.recovery_threshold();
-        let block_rows = self.dataset.block_rows();
-        // A wrong-shaped arrival never reaches a key or the decoder: it is
-        // dropped here, exactly like a result that never arrived.
-        let outcomes: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = outcomes
-            .iter()
-            .filter(|outcome| has_dispatched_shape(&outcome.payload, functions, block_rows))
-            .collect();
-
-        // Verify results in arrival order and stop as soon as the threshold of
-        // verified results is reached — the key property that lets AVCC start
-        // decoding before the stragglers (and without LCC's 2M overhead).
-        //
-        // With m > 1 one scalar σ batches the whole round: the master
-        // combines the m inputs into x_c = Σ σ^j x_j once, combines each
-        // arrival's m claims into y_c = Σ σ^j y_j, and runs a single Freivalds
-        // check per arrival — verifying m products costs barely more than
-        // one. A failed combined check falls back to the m per-function
-        // checks to localize which function(s) the worker corrupted. A single
-        // function is its own combination: no σ is drawn (so the rng stream
-        // is exactly the single-function round's) and nothing is combined.
+        let threshold = dataset.recovery_threshold();
+        let block_rows = dataset.block_rows();
         let sigma: Option<Fp<M>> = (functions > 1).then(|| avcc_field::random_element(rng));
         let combine = |parts: &[Vec<Fp<M>>]| match sigma {
             Some(sigma) => combine_with_powers(sigma, parts),
@@ -264,39 +364,39 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         // polynomial (degree unchanged), so one screen over them covers all m
         // functions at once — the same amortization as the batched Freivalds
         // pass. Screened-out workers are erased exactly like stragglers.
-        let combined_claims: Vec<(usize, Vec<Fp<M>>)> = outcomes
+        let combined_claims: Vec<(usize, Vec<Fp<M>>)> = arrivals
             .iter()
-            .map(|outcome| (outcome.worker, combine(&outcome.payload)))
+            .map(|arrival| (arrival.worker, combine(&arrival.payload)))
             .collect();
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
         let mut verifications = 0usize;
         let mut fallback_checks = 0usize;
-        let mut verified: Vec<&WorkerOutcome<Vec<Vec<Fp<M>>>>> = Vec::with_capacity(threshold);
+        let mut verified: Vec<&Arrival<M>> = Vec::with_capacity(threshold);
         let mut detected_byzantine = screened_workers.clone();
         let mut corrupted_functions = Vec::new();
         // Screened-out workers skip the combined check entirely, but their
         // corrupted functions are still localized.
         for &worker in &screened_workers {
-            let outcome = outcomes
+            let arrival = arrivals
                 .iter()
-                .find(|outcome| outcome.worker == worker)
+                .find(|arrival| arrival.worker == worker)
                 .expect("screened workers come from the arrivals");
-            fallback_checks += self.localize(inputs, outcome, &mut corrupted_functions);
+            fallback_checks += self.localize(inputs, arrival, &mut corrupted_functions);
         }
-        for (outcome, (_, combined_claim)) in outcomes.iter().zip(&combined_claims) {
+        for (&arrival, (_, combined_claim)) in arrivals.iter().zip(&combined_claims) {
             if verified.len() >= threshold {
                 break;
             }
-            if screened_workers.contains(&outcome.worker) {
+            if screened_workers.contains(&arrival.worker) {
                 continue;
             }
-            let accepted = self.keys[outcome.worker].verify(&combined_input, combined_claim);
+            let accepted = self.keys[arrival.worker].verify(&combined_input, combined_claim);
             verifications += 1;
             if accepted {
-                verified.push(outcome);
+                verified.push(arrival);
             } else {
-                fallback_checks += self.localize(inputs, outcome, &mut corrupted_functions);
-                detected_byzantine.push(outcome.worker);
+                fallback_checks += self.localize(inputs, arrival, &mut corrupted_functions);
+                detected_byzantine.push(arrival.worker);
             }
         }
         corrupted_functions.sort_unstable();
@@ -309,23 +409,17 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
 
         // One interpolation basis for the verified survivor set, applied to
         // each of the m functions' borrowed result lanes.
-        let decoder = self.dataset.decoder();
         let survivors: Vec<usize> = verified.iter().map(|o| o.worker).collect();
-        let prepared = decoder.prepare(&survivors)?;
-        let mut outputs = Vec::with_capacity(functions);
-        for function in 0..functions {
-            let lanes: Vec<&[Fp<M>]> = verified
-                .iter()
-                .map(|o| o.payload[function].as_slice())
-                .collect();
-            let blocks = prepared.apply(&lanes)?;
-            let mut output = Vec::with_capacity(self.dataset.partitions() * block_rows);
-            for block in blocks {
-                output.extend(block);
-            }
-            output.truncate(self.dataset.output_rows());
-            outputs.push(output);
-        }
+        let prepared = dataset.decoder().prepare(&survivors)?;
+        let blocks = (0..functions)
+            .map(|function| {
+                let lanes: Vec<&[Fp<M>]> = verified
+                    .iter()
+                    .map(|o| o.payload[function].as_slice())
+                    .collect();
+                prepared.apply(&lanes)
+            })
+            .collect::<Result<_, _>>()?;
 
         // Combining (m > 1 only) costs `m` MACs per coordinate (inputs once,
         // plus every arrival's claims — the screen needs them all); each
@@ -333,32 +427,165 @@ impl<M: PrimeModulus> MatVecEngine<M> for AvccMatVec<M> {
         // over the payload plus one over the input; fallbacks are ordinary
         // per-function checks; the screen adds its reported MACs.
         let combine_macs = match sigma {
-            Some(_) => functions * cols + outcomes.len() * functions * block_rows,
+            Some(_) => functions * cols + arrivals.len() * functions * block_rows,
             None => 0,
         };
-        let ops = OpCounts {
-            worker_macs: (block_rows * functions * cols) as u64,
+        Ok(Survivors {
+            used: verified,
+            blocks,
             verify_macs: (combine_macs + (verifications + fallback_checks) * (block_rows + cols))
                 as u64
                 + screen_macs,
-            decode_macs: (functions * block_rows * threshold * self.dataset.partitions()) as u64,
+            decode_macs: (functions * block_rows * threshold * dataset.partitions()) as u64,
+            detected_byzantine,
+            screened_workers,
+            corrupted_functions,
+        })
+    }
+
+    /// Runs the pre-decode screen over a round's arrivals: returns the
+    /// localized corrupted workers (empty when the round is clean, not
+    /// screenable, or localization did not converge) plus the screening MAC
+    /// count.
+    fn screen_claims<R: Rng + ?Sized>(
+        &self,
+        claims: &[(usize, Vec<Fp<M>>)],
+        rng: &mut R,
+    ) -> (Vec<usize>, u64) {
+        if !self.screening || !self.screen.screenable(claims.len()) {
+            return (Vec::new(), 0);
+        }
+        match self.screen.screen(claims, 1, rng) {
+            Ok(report) => {
+                let workers = match report.outcome {
+                    ScreenOutcome::Corrupted { workers } => workers,
+                    ScreenOutcome::Clean | ScreenOutcome::Unlocalized => Vec::new(),
+                };
+                (workers, report.macs)
+            }
+            // The prologue already dropped what the screen would refuse
+            // (shape mismatches, repeats); anything else falls through to
+            // Freivalds, which checks every result it uses.
+            Err(_) => (Vec::new(), 0),
+        }
+    }
+
+    /// Names the function(s) a rejected worker corrupted, adding them to
+    /// `corrupted`, and returns how many Freivalds checks that took: one per
+    /// function for a batch, none for a single function — the check (or
+    /// screen) that rejected the worker already names it.
+    fn localize(
+        &self,
+        inputs: &[Vec<Fp<M>>],
+        arrival: &Arrival<M>,
+        corrupted: &mut Vec<usize>,
+    ) -> usize {
+        if inputs.len() == 1 {
+            if corrupted.is_empty() {
+                corrupted.push(0);
+            }
+            return 0;
+        }
+        for (function, (input, claim)) in inputs.iter().zip(&arrival.payload).enumerate() {
+            if !self.keys[arrival.worker].verify(input, claim) && !corrupted.contains(&function) {
+                corrupted.push(function);
+            }
+        }
+        inputs.len()
+    }
+}
+
+impl<M: PrimeModulus> MatVecEngine<M> for CodedMatVec<M> {
+    fn name(&self) -> &'static str {
+        match self.check {
+            Check::None => "uncoded",
+            Check::ErrorDecoding => "lcc",
+            Check::Freivalds(_) => "avcc",
+        }
+    }
+
+    fn workers(&self) -> usize {
+        self.dataset.workers()
+    }
+
+    fn min_results(&self) -> usize {
+        match self.check {
+            Check::None => self.dataset.workers(),
+            Check::ErrorDecoding => self.dataset.scheme().lcc_wait_count(),
+            Check::Freivalds(_) => self.dataset.recovery_threshold(),
+        }
+    }
+
+    fn dispatch_batch(&self, inputs: &[Vec<Fp<M>>]) -> Vec<BatchRoundTask<M>> {
+        BatchRoundTask::for_shares(self.dataset.shares(), inputs)
+    }
+
+    fn collect_batch(
+        &mut self,
+        inputs: &[Vec<Fp<M>>],
+        outcomes: &[Arrival<M>],
+        network: &NetworkModel,
+        _time_scale: f64,
+        rng: &mut StdRng,
+    ) -> Result<BatchExecution<M>, SchemeFailure> {
+        assert!(!inputs.is_empty(), "batched round needs at least one input");
+        let functions = inputs.len();
+        let cols = inputs[0].len();
+        let workers = self.dataset.workers();
+        let block_rows = self.dataset.block_rows();
+        // A worker chooses what it sends. An arrival of the wrong shape, from
+        // outside the fleet, or repeating a worker that already arrived never
+        // reaches a key, the decoder or the output: it is dropped here,
+        // exactly like a result that never arrived.
+        let mut arrived = vec![false; workers];
+        let arrivals: Vec<&Arrival<M>> = outcomes
+            .iter()
+            .filter(|outcome| {
+                has_dispatched_shape(&outcome.payload, functions, block_rows)
+                    && outcome.worker < workers
+                    && !std::mem::replace(&mut arrived[outcome.worker], true)
+            })
+            .collect();
+        let observed_stragglers = detect_stragglers(&arrivals);
+
+        let survivors = match &self.check {
+            Check::None => self.concatenate(arrivals, functions)?,
+            Check::ErrorDecoding => self.error_decode(arrivals, functions, rng)?,
+            Check::Freivalds(freivalds) => {
+                freivalds.verify(&self.dataset, inputs, arrivals, rng)?
+            }
+        };
+
+        let outputs = survivors
+            .blocks
+            .into_iter()
+            .map(|blocks| {
+                let mut output = blocks.concat();
+                output.truncate(self.dataset.output_rows());
+                output
+            })
+            .collect();
+        let ops = OpCounts {
+            worker_macs: (block_rows * functions * cols) as u64,
+            verify_macs: survivors.verify_macs,
+            decode_macs: survivors.decode_macs,
         };
         let costs = waiting_costs(
-            &verified,
+            &survivors.used,
             network,
             field_vector_bytes(functions * cols),
-            self.dataset.workers(),
+            workers,
             &ops,
         );
         Ok(BatchExecution {
             outputs,
             costs,
             ops,
-            used_workers: survivors,
-            detected_byzantine,
+            used_workers: survivors.used.iter().map(|o| o.worker).collect(),
+            detected_byzantine: survivors.detected_byzantine,
             observed_stragglers,
-            screened_workers,
-            corrupted_functions,
+            screened_workers: survivors.screened_workers,
+            corrupted_functions: survivors.corrupted_functions,
         })
     }
 }
@@ -383,10 +610,10 @@ mod tests {
         (matrix, vec![input], expected)
     }
 
-    fn engine(matrix: &Matrix<F25>, s: usize, m: usize, seed: u64) -> AvccMatVec<P25> {
+    fn engine(matrix: &Matrix<F25>, s: usize, m: usize, seed: u64) -> CodedMatVec<P25> {
         let config = SchemeConfig::linear(12, 9, s, m).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
-        AvccMatVec::new(matrix, config, KeyGenConfig::default(), &mut rng)
+        CodedMatVec::new(matrix, config, KeyGenConfig::default(), &mut rng)
     }
 
     #[test]
@@ -411,14 +638,17 @@ mod tests {
                 );
                 let dataset = Arc::new(EncodedDataset::encode(&matrix, config, &mut rng));
                 let mut sequential_rng = rng.clone();
-                let engine = AvccMatVec::over(Arc::clone(&dataset), key_config, &mut rng);
+                let engine = CodedMatVec::over(Arc::clone(&dataset), key_config, &mut rng);
                 let sequential: Vec<_> = dataset
                     .shares()
                     .iter()
                     .map(|share| MatVecKey::generate(share, key_config, &mut sequential_rng))
                     .collect();
+                let Check::Freivalds(freivalds) = &engine.check else {
+                    unreachable!("`over` opens a verifying session")
+                };
                 assert_eq!(
-                    engine.keys, sequential,
+                    freivalds.keys, sequential,
                     "{rows} × {cols}, t = {repetitions}"
                 );
                 let next = rng.next_u64();
@@ -493,7 +723,8 @@ mod tests {
         let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
         let expected = vec![mat_vec(&matrix, &input)];
         let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-        let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+        let mut engine =
+            CodedMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
         let encoder = avcc_coding::LagrangeEncoder::<P64>::new(config);
         assert!(encoder.points().is_systematic(8));
         assert_eq!(engine.dataset().share(3).data(), &matrix.data()[90..120]);
@@ -563,7 +794,8 @@ mod tests {
         let input: Vec<F64> = avcc_field::random_vector(&mut rng, 6);
         let expected = mat_vec(&matrix, &input);
         let config = SchemeConfig::linear(16, 8, 4, 0).unwrap();
-        let mut engine = AvccMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+        let mut engine =
+            CodedMatVec::<P64>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
         let encoder = avcc_coding::LagrangeEncoder::<P64>::new(config);
         assert!(encoder.points().is_systematic(8));
         let decoder = avcc_coding::LagrangeDecoder::<P64>::new(config);
@@ -610,5 +842,192 @@ mod tests {
                 ..
             }))
         ));
+    }
+
+    /// The LCC baseline: error decoding over the fastest `N − S`.
+    mod lcc {
+        use super::*;
+
+        fn lcc_session<R: Rng>(
+            matrix: &Matrix<F25>,
+            config: SchemeConfig,
+            rng: &mut R,
+        ) -> CodedMatVec<P25> {
+            CodedMatVec::lcc(Arc::new(EncodedDataset::encode(matrix, config, rng)))
+        }
+
+        #[test]
+        fn clean_round_decodes_from_fastest_results() {
+            let (matrix, inputs, expected) = setup();
+            let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut engine = lcc_session(&matrix, config, &mut rng);
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
+                .unwrap();
+            assert_eq!(round.outputs, expected);
+            assert_eq!(round.used_workers.len(), 11); // N - S
+            assert!(round.detected_byzantine.is_empty());
+        }
+
+        #[test]
+        fn single_byzantine_worker_is_corrected_and_identified() {
+            let (matrix, inputs, expected) = setup();
+            let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut engine = lcc_session(&matrix, config, &mut rng);
+            // Uniform workers arrive in worker order: LCC decodes from workers
+            // 0..=10, the liar among them.
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
+            let byzantine = ByzantineSpec::new([5], AttackModel::reverse());
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
+                .unwrap();
+            assert_eq!(round.outputs, expected);
+            assert_eq!(round.detected_byzantine, vec![5]);
+        }
+
+        #[test]
+        fn byzantine_workers_beyond_the_design_corrupt_the_output() {
+            let (matrix, inputs, expected) = setup();
+            // Designed for M = 1 only; corrupt two workers. Uniform workers
+            // arrive in worker order, so both liars are among the eleven results
+            // LCC waits for, and among the nine its fallback erasure decode uses.
+            let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut engine = lcc_session(&matrix, config, &mut rng);
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(12));
+            let byzantine = ByzantineSpec::new([2, 5], AttackModel::constant());
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
+                .unwrap();
+            assert_ne!(round.outputs, expected, "LCC beyond capability should err");
+            assert!(round.detected_byzantine.is_empty());
+        }
+
+        #[test]
+        fn straggler_is_not_waited_for() {
+            let (matrix, inputs, expected) = setup();
+            let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(5);
+            let mut engine = lcc_session(&matrix, config, &mut rng);
+            let profile = ClusterProfile::uniform(12).with_stragglers(&[3], 300.0);
+            let mut executor = VirtualExecutor::new(profile);
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
+                .unwrap();
+            assert_eq!(round.outputs, expected);
+            assert!(
+                !round.used_workers.contains(&3),
+                "straggler should be excluded"
+            );
+            assert!(round.observed_stragglers.contains(&3));
+        }
+    }
+
+    /// The uncoded baseline: every worker, concatenated.
+    mod uncoded {
+        use super::*;
+
+        /// The `(K, K)` code's session: the matrix's `partitions` row bands.
+        fn uncoded_session<R: Rng>(
+            matrix: &Matrix<F25>,
+            partitions: usize,
+            rng: &mut R,
+        ) -> CodedMatVec<P25> {
+            let bands = SchemeConfig::linear(partitions, partitions, 0, 0).unwrap();
+            CodedMatVec::uncoded(Arc::new(EncodedDataset::encode(matrix, bands, rng)))
+        }
+
+        /// A matrix and one round's inputs (a batch of one).
+        fn setup(rows: usize, cols: usize) -> (Matrix<F25>, Vec<Vec<F25>>) {
+            let mut rng = StdRng::seed_from_u64(1);
+            let matrix =
+                Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
+            let input = avcc_field::random_vector(&mut rng, cols);
+            (matrix, vec![input])
+        }
+
+        #[test]
+        fn honest_round_reconstructs_the_product() {
+            let (matrix, inputs) = setup(18, 5);
+            let expected = mat_vec(&matrix, &inputs[0]);
+            let mut rng = StdRng::seed_from_u64(2);
+            let mut engine = uncoded_session(&matrix, 9, &mut rng);
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(9));
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
+                .unwrap();
+            assert_eq!(round.outputs[0], expected);
+            assert_eq!(round.used_workers.len(), 9);
+            assert!(round.detected_byzantine.is_empty());
+        }
+
+        #[test]
+        fn byzantine_corruption_silently_pollutes_the_output() {
+            let (matrix, inputs) = setup(12, 4);
+            let expected = mat_vec(&matrix, &inputs[0]);
+            let mut rng = StdRng::seed_from_u64(3);
+            let mut engine = uncoded_session(&matrix, 6, &mut rng);
+            let mut executor = VirtualExecutor::new(ClusterProfile::uniform(6));
+            let byzantine = ByzantineSpec::new([2], AttackModel::constant());
+            let round = engine
+                .execute_batch(&inputs, &mut executor, &byzantine, &mut rng)
+                .unwrap();
+            assert_ne!(
+                round.outputs[0], expected,
+                "corruption should reach the output"
+            );
+            // The uncoded scheme has no way to notice.
+            assert!(round.detected_byzantine.is_empty());
+            // Untouched blocks are still correct.
+            assert_eq!(round.outputs[0][..4], expected[..4]);
+        }
+
+        #[test]
+        fn straggler_inflates_the_round_cost() {
+            let (matrix, inputs) = setup(12, 4);
+            let mut rng = StdRng::seed_from_u64(4);
+            let mut engine = uncoded_session(&matrix, 6, &mut rng);
+            let mut fast = VirtualExecutor::new(ClusterProfile::uniform(6));
+            let mut slow =
+                VirtualExecutor::new(ClusterProfile::uniform(6).with_stragglers(&[0], 200.0));
+            let mut compute = |executor: &mut VirtualExecutor| {
+                engine
+                    .execute_batch(&inputs, executor, &ByzantineSpec::none(), &mut rng)
+                    .unwrap()
+                    .costs
+                    .compute
+            };
+            let (fast_compute, slow_compute) = (compute(&mut fast), compute(&mut slow));
+            // A 2 × 4 block per worker is 8 MACs at the modeled rate; the round
+            // waits for the ×200 straggler.
+            assert_eq!(fast_compute, 8.0 * avcc_sim::SECONDS_PER_MAC);
+            assert_eq!(slow_compute, fast_compute * 200.0);
+        }
+
+        #[test]
+        fn indivisible_rows_decode_exactly_and_trim() {
+            // 22 rows over K = 6 are bands of 4 rows, the last holding the two
+            // real rows left and two zero rows; 9 rows over K = 4 are bands of 3,
+            // the last all padding. The output is the product, padding cut off.
+            for (rows, partitions) in [(22, 6), (9, 4)] {
+                let (matrix, inputs) = setup(rows, 4);
+                let mut rng = StdRng::seed_from_u64(5);
+                let mut engine = uncoded_session(&matrix, partitions, &mut rng);
+                assert_eq!(engine.dataset().block_rows(), rows.div_ceil(partitions));
+                let mut executor = VirtualExecutor::new(ClusterProfile::uniform(partitions));
+                let round = engine
+                    .execute_batch(&inputs, &mut executor, &ByzantineSpec::none(), &mut rng)
+                    .unwrap();
+                assert_eq!(
+                    round.outputs[0],
+                    mat_vec(&matrix, &inputs[0]),
+                    "{rows} rows"
+                );
+                assert_eq!(round.ops.decode_macs, 0);
+            }
+        }
     }
 }

@@ -1,11 +1,12 @@
-//! The per-scheme execution engines.
+//! The distributed matrix–vector session.
 //!
-//! Each engine is a lightweight *session* over a shared
-//! [`avcc_coding::EncodedDataset`] (the `(K, K)` code, whose shares are the
-//! row bands, for the uncoded scheme; an `(N, K)` code for LCC/AVCC) plus whatever master-side state the scheme needs
-//! (Freivalds keys and the dual-codeword screen for AVCC). The `::over`
-//! constructors take an `Arc`'d dataset encoded once; `::new` builds a
-//! private one.
+//! One type, [`CodedMatVec`], runs every scheme: a lightweight *session*
+//! over a shared [`avcc_coding::EncodedDataset`] (the `(K, K)` code, whose
+//! shares are the row bands, for the uncoded scheme; an `(N, K)` code for
+//! LCC/AVCC) plus the scheme's integrity check — none, error decoding, or
+//! Freivalds keys with the dual-codeword screen. [`CodedMatVec::uncoded`],
+//! [`CodedMatVec::lcc`] and [`CodedMatVec::over`] (AVCC) take an `Arc`'d
+//! dataset encoded once; [`CodedMatVec::new`] encodes a private one for AVCC.
 //!
 //! Every round is a *batch* of `m ≥ 1` input vectors over the same blocks,
 //! and every round takes the same path:
@@ -17,9 +18,11 @@
 //! [`MatVecEngine::dispatch_batch`] builds one [`BatchRoundTask`] per worker;
 //! the [`WireRunner`] (or the in-process fleet scheduler) runs them, closing
 //! the round once [`MatVecEngine::min_results`] non-straggling results are
-//! in; [`MatVecEngine::collect_batch`] establishes integrity on the
-//! arrival-ordered outcomes (Freivalds for AVCC, error decoding for LCC),
-//! reconstructs the `m` products and accounts the round's costs.
+//! in; [`MatVecEngine::collect_batch`] drops malformed arrivals, lets the
+//! scheme's survivor rule pick and decode the results it trusts (all of
+//! them concatenated, the fastest `N − S` error-decoded, or the first
+//! threshold that pass Freivalds), and reconstructs the `m` products and
+//! accounts the round's costs.
 //!
 //! A training round is the batch of one (`m = 1`): the trainer passes its one
 //! input as `std::slice::from_ref(..)` and reads `outputs[0]`. With one
@@ -36,18 +39,16 @@ use crate::distributed::{BatchOutcomes, DistributedError, WireRunner};
 use crate::rounds::{BatchExecution, BatchRoundTask, SchemeFailure};
 
 pub mod avcc;
-pub mod lcc;
-pub mod uncoded;
 
-pub use avcc::AvccMatVec;
-pub use lcc::LccMatVec;
-pub use uncoded::UncodedMatVec;
+pub use avcc::{AvccMatVec, CodedMatVec};
 
 /// A distributed matrix–vector engine: one per (scheme, matrix) pair.
+/// [`CodedMatVec`] is the one implementation; the trait stays as the
+/// interface the serving and benchmark layers call.
 ///
-/// The training driver holds two engines per scheme — one for round 1
-/// (`X`, row-partitioned) and one for round 2 (`Xᵀ`, row-partitioned) — and
-/// feeds them the quantized weight vector and the quantized error vector
+/// The training driver holds two sessions — one for round 1 (`X`,
+/// row-partitioned) and one for round 2 (`Xᵀ`, row-partitioned) — and feeds
+/// them the quantized weight vector and the quantized error vector
 /// respectively, one function per round.
 pub trait MatVecEngine<M: PrimeModulus> {
     /// Human-readable scheme name (for reports).
@@ -74,7 +75,9 @@ pub trait MatVecEngine<M: PrimeModulus> {
     /// Reconstructs a round from arrival-ordered worker `outcomes` of the
     /// tasks built by [`MatVecEngine::dispatch_batch`] for the same `inputs`:
     /// `m` products over one dispatch, one wait, and (for AVCC) one batched
-    /// Freivalds pass per arrival with per-function fallback.
+    /// Freivalds check per examined arrival with per-function fallback.
+    /// Arrivals of the wrong shape, from a worker outside `[0, workers)`, or
+    /// repeating a worker that already arrived are dropped first.
     ///
     /// `network` feeds the cost model's broadcast term; the master's
     /// verification and decoding are charged as the round's

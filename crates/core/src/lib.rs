@@ -38,6 +38,13 @@
 //! and arrival-order verification lets it decode as soon as enough *good*
 //! results exist instead of waiting out a fixed straggler budget.
 //!
+//! All three are one engine, [`engines::CodedMatVec`]: a session over one
+//! shared encoded dataset whose check — none, error decoding, or Freivalds —
+//! is the only per-scheme part. It picks the stopping rule above, the
+//! survivor set the round decodes from, and the master's op counts; the
+//! rest of a round's collect (dropping malformed arrivals, straggler
+//! detection, assembling the products, the cost model) is shared.
+//!
 //! # Adaptivity
 //!
 //! What separates `Avcc` from `StaticVcc` is [`adaptive`]: a controller
@@ -73,7 +80,7 @@ pub mod rounds;
 pub use adaptive::{adapt, AdaptationDecision};
 pub use distributed::{train_distributed, DistributedError, WireRunner};
 pub use driver::{DistributedTrainer, SchemeKind, TrainerConfig, TrainingRound};
-pub use engines::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
+pub use engines::{AvccMatVec, CodedMatVec, MatVecEngine};
 pub use experiment::{
     run_dynamic_coding_scenario, run_experiment, ExperimentConfig, FaultScenario,
 };

@@ -147,16 +147,6 @@ impl TrainingReport {
             .sum()
     }
 
-    /// Total number of screened-worker evictions across the run — the share
-    /// of [`TrainingReport::total_detections`] caught by the dual-codeword
-    /// screen before any Freivalds verification ran.
-    pub fn total_screened(&self) -> usize {
-        self.iterations
-            .iter()
-            .map(|r| r.screened_workers.len())
-            .sum()
-    }
-
     /// Number of iterations after which the adaptive controller re-encoded.
     pub fn reconfiguration_count(&self) -> usize {
         self.iterations.iter().filter(|r| r.reconfigured).count()
@@ -275,12 +265,10 @@ mod tests {
         let mut report = TrainingReport::new("avcc", "faults");
         let mut r = record(0, 0.5, 1.0, 1.0);
         r.detected_byzantine = vec![3, 7];
-        r.screened_workers = vec![3];
         r.reconfigured = true;
         report.push(r);
         report.push(record(1, 0.6, 1.0, 2.0));
         assert_eq!(report.total_detections(), 2);
-        assert_eq!(report.total_screened(), 1);
         assert_eq!(report.reconfiguration_count(), 1);
     }
 }

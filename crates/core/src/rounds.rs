@@ -1,9 +1,9 @@
-//! Shared round-execution types and helpers used by every scheme engine.
+//! Round-execution types and helpers shared by every scheme.
 //!
 //! One "round" is `m ≥ 1` distributed matrix–vector products over one set of
 //! blocks: broadcast the input vectors, have every worker multiply each with
 //! its (coded or raw) block, and reconstruct the full products at the master.
-//! A training round is the batch of one. The engines differ in how many
+//! A training round is the batch of one. The schemes differ in how many
 //! results they wait for and how they establish integrity; the bookkeeping —
 //! who was used, who straggled, what each phase cost — is common and lives
 //! here.
@@ -35,24 +35,19 @@ pub struct BatchRoundTask<M: PrimeModulus> {
 }
 
 impl<M: PrimeModulus> BatchRoundTask<M> {
-    /// A task multiplying `matrix` by each of `inputs` at `worker`.
-    pub fn new(worker: usize, matrix: Arc<Matrix<Fp<M>>>, inputs: Arc<Vec<Vec<Fp<M>>>>) -> Self {
-        BatchRoundTask {
-            worker,
-            matrix,
-            inputs,
-        }
-    }
-
     /// One round's tasks over a dataset's per-worker `shares`: worker `i`
     /// gets `shares[i]` and all of `inputs` (shared behind one `Arc`). What
-    /// every engine's `dispatch_batch` is.
+    /// the session's `dispatch_batch` is.
     pub fn for_shares(shares: &[Arc<Matrix<Fp<M>>>], inputs: &[Vec<Fp<M>>]) -> Vec<Self> {
         let inputs = Arc::new(inputs.to_vec());
         shares
             .iter()
             .enumerate()
-            .map(|(worker, share)| Self::new(worker, Arc::clone(share), Arc::clone(&inputs)))
+            .map(|(worker, share)| BatchRoundTask {
+                worker,
+                matrix: Arc::clone(share),
+                inputs: Arc::clone(&inputs),
+            })
             .collect()
     }
 
@@ -107,7 +102,7 @@ pub struct BatchExecution<M: PrimeModulus> {
     /// Workers observed to straggle in this round.
     pub observed_stragglers: Vec<usize>,
     /// Workers evicted by the pre-decode dual-codeword screen (run on the
-    /// σ-combined claims — see the AVCC engine). Always a subset of
+    /// σ-combined claims — see [`crate::engines::CodedMatVec`]). Always a subset of
     /// `detected_byzantine`.
     pub screened_workers: Vec<usize>,
     /// Function indices localized as corrupted after a worker failed the
@@ -167,7 +162,7 @@ pub const STRAGGLER_DETECTION_FACTOR: f64 = 3.0;
 /// whose compute time exceeds `STRAGGLER_DETECTION_FACTOR ×` the median. The
 /// network component is excluded because it is shared by all workers and would
 /// otherwise mask compute-side stragglers on small tasks.
-pub fn detect_stragglers<T>(outcomes: &[WorkerOutcome<T>]) -> Vec<usize> {
+pub fn detect_stragglers<T>(outcomes: &[&WorkerOutcome<T>]) -> Vec<usize> {
     if outcomes.is_empty() {
         return Vec::new();
     }
@@ -246,28 +241,28 @@ mod tests {
 
     #[test]
     fn straggler_detection_flags_late_workers() {
-        let outcomes = vec![
-            outcome(0, 1.0, 0.1),
-            outcome(1, 1.1, 0.1),
-            outcome(2, 0.9, 0.1),
-            outcome(3, 10.0, 0.1),
+        let outcomes = [
+            &outcome(0, 1.0, 0.1),
+            &outcome(1, 1.1, 0.1),
+            &outcome(2, 0.9, 0.1),
+            &outcome(3, 10.0, 0.1),
         ];
         assert_eq!(detect_stragglers(&outcomes), vec![3]);
     }
 
     #[test]
     fn no_stragglers_in_a_homogeneous_round() {
-        let outcomes = vec![
-            outcome(0, 1.0, 0.1),
-            outcome(1, 1.2, 0.1),
-            outcome(2, 0.8, 0.1),
+        let outcomes = [
+            &outcome(0, 1.0, 0.1),
+            &outcome(1, 1.2, 0.1),
+            &outcome(2, 0.8, 0.1),
         ];
         assert!(detect_stragglers(&outcomes).is_empty());
     }
 
     #[test]
     fn empty_round_has_no_stragglers() {
-        let outcomes: Vec<WorkerOutcome<Vec<F25>>> = Vec::new();
+        let outcomes: [&WorkerOutcome<Vec<F25>>; 0] = [];
         assert!(detect_stragglers(&outcomes).is_empty());
     }
 

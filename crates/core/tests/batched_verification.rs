@@ -11,12 +11,13 @@
 use std::sync::Arc;
 
 use avcc_coding::{EncodedDataset, SchemeConfig};
-use avcc_core::{AvccMatVec, LccMatVec, MatVecEngine, UncodedMatVec};
+use avcc_core::{CodedMatVec, MatVecEngine, SchemeFailure};
 use avcc_field::{Fp, PrimeModulus, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::cluster::ClusterProfile;
 use avcc_sim::executor::{Executor, ExecutorError, VirtualExecutor, WorkerOutcome};
+use avcc_sim::metrics::OpCounts;
 use avcc_sim::wire::Block;
 use avcc_sim::NetworkModel;
 use avcc_verify::KeyGenConfig;
@@ -55,14 +56,10 @@ fn batch_matches_singles_for_modulus<M: PrimeModulus>(seed: u64, functions: usiz
     let lcc_coded = Arc::new(EncodedDataset::<M>::encode(&matrix, lcc_config, &mut rng));
     let uncoded = SchemeConfig::linear(9, 9, 0, 0).unwrap();
     let raw = Arc::new(EncodedDataset::<M>::encode(&matrix, uncoded, &mut rng));
-    let mut engines: Vec<Box<dyn MatVecEngine<M>>> = vec![
-        Box::new(AvccMatVec::over(
-            avcc_coded,
-            KeyGenConfig::default(),
-            &mut rng,
-        )),
-        Box::new(LccMatVec::over(lcc_coded)),
-        Box::new(UncodedMatVec::over(raw)),
+    let mut engines = [
+        CodedMatVec::over(avcc_coded, KeyGenConfig::default(), &mut rng),
+        CodedMatVec::lcc(lcc_coded),
+        CodedMatVec::uncoded(raw),
     ];
 
     for engine in engines.iter_mut() {
@@ -122,7 +119,7 @@ proptest! {
 /// Builds arrival-ordered batch outcomes by running the dispatched tasks
 /// directly, corrupting the listed `(worker, function)` payload entries.
 fn manual_outcomes<M: PrimeModulus>(
-    engine: &AvccMatVec<M>,
+    engine: &CodedMatVec<M>,
     inputs: &[Vec<Fp<M>>],
     corruptions: &[(usize, usize)],
 ) -> Vec<WorkerOutcome<Vec<Vec<Fp<M>>>>> {
@@ -159,7 +156,7 @@ fn corrupted_function_is_localized_for_modulus<M: PrimeModulus>(seed: u64, bad_f
     let inputs = random_inputs::<M>(&mut rng, functions, 6);
     let oracle: Vec<Vec<Fp<M>>> = inputs.iter().map(|input| mat_vec(&matrix, input)).collect();
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<M>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::<M>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
 
     // Worker 0 arrives first (so the master is guaranteed to examine it) and
     // corrupts exactly one function of its batch payload.
@@ -209,7 +206,7 @@ fn multiple_corrupted_functions_are_all_localized() {
     let matrix = random_matrix::<P25>(&mut rng, 18, 6);
     let inputs = random_inputs::<P25>(&mut rng, functions, 6);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
 
     // Worker 0 corrupts functions 1 and 3; worker 2 corrupts function 1.
     let outcomes = manual_outcomes(&engine, &inputs, &[(0, 1), (0, 3), (2, 1)]);
@@ -230,22 +227,27 @@ fn multiple_corrupted_functions_are_all_localized() {
     }
 }
 
-/// How a hostile worker misshapes every part of an otherwise correct,
-/// CRC-valid, canonical payload.
+/// How a hostile worker misshapes an otherwise correct, CRC-valid,
+/// canonical payload: every part, or the payload itself.
 #[derive(Debug, Clone, Copy)]
 enum Reshape {
     Shorten,
     Lengthen,
     Empty,
+    NoFunctions,
 }
 
 impl Reshape {
-    fn apply<T: Default>(self, parts: &mut [Vec<T>]) {
-        for part in parts {
+    fn apply<T: Default>(self, payload: &mut Vec<Vec<T>>) {
+        if let Reshape::NoFunctions = self {
+            return payload.clear();
+        }
+        for part in payload {
             match self {
                 Reshape::Shorten => drop(part.pop()),
                 Reshape::Lengthen => part.push(T::default()),
                 Reshape::Empty => part.clear(),
+                Reshape::NoFunctions => unreachable!(),
             }
         }
     }
@@ -292,8 +294,14 @@ impl Executor for ReshapingExecutor {
 /// worker had been absent.
 #[test]
 fn a_wrong_length_result_is_dropped_before_verification() {
+    let reshapes = [
+        Reshape::Shorten,
+        Reshape::Lengthen,
+        Reshape::Empty,
+        Reshape::NoFunctions,
+    ];
     for functions in [1usize, 3] {
-        for reshape in [Reshape::Shorten, Reshape::Lengthen, Reshape::Empty] {
+        for reshape in reshapes {
             let case = format!("m = {functions}, {reshape:?}");
             let mut rng = StdRng::seed_from_u64(500 + functions as u64);
             let matrix = random_matrix::<P25>(&mut rng, 18, 6);
@@ -301,7 +309,7 @@ fn a_wrong_length_result_is_dropped_before_verification() {
             let oracle: Vec<Vec<Fp<P25>>> = inputs.iter().map(|x| mat_vec(&matrix, x)).collect();
             let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
             let mut engine =
-                AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+                CodedMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
 
             let mut executor = ReshapingExecutor {
                 inner: VirtualExecutor::new(ClusterProfile::uniform(12)),
@@ -320,28 +328,91 @@ fn a_wrong_length_result_is_dropped_before_verification() {
             assert!(!wired.used_workers.contains(&0), "{case}");
             assert!(wired.detected_byzantine.is_empty(), "{case}");
 
-            let honest = manual_outcomes(&engine, &inputs, &[]);
-            let mut hostile = honest.clone();
-            reshape.apply(&mut hostile[0].payload);
-            let mut collect = |outcomes: &[WorkerOutcome<Vec<Vec<Fp<P25>>>>]| {
-                engine
-                    .collect_batch(
-                        &inputs,
-                        outcomes,
-                        &NetworkModel::default(),
-                        1.0,
-                        &mut StdRng::seed_from_u64(502),
-                    )
-                    .unwrap()
+            for mut session in every_scheme(&matrix, &mut rng) {
+                let case = format!("{case}, {}", session.name());
+                let honest = manual_outcomes(&session, &inputs, &[]);
+                let mut hostile = honest.clone();
+                reshape.apply(&mut hostile[0].payload);
+                let direct = collect(&mut session, &inputs, &hostile);
+                let absent = collect(&mut session, &inputs, &honest[1..]);
+                assert_eq!(direct, absent, "{case}");
+                if let Ok((outputs, ..)) = &direct {
+                    assert_eq!(outputs, &oracle, "{case}");
+                }
+            }
+        }
+    }
+}
+
+/// Each scheme's session over `matrix`: AVCC at `(N, K, S, M) = (12, 9, 2,
+/// 1)`, LCC at `(12, 9, 1, 1)` and the uncoded `(9, 9)` row bands.
+fn every_scheme<M: PrimeModulus>(matrix: &Matrix<Fp<M>>, rng: &mut StdRng) -> [CodedMatVec<M>; 3] {
+    let avcc = SchemeConfig::linear(12, 9, 2, 1).unwrap();
+    let lcc = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+    let bands = SchemeConfig::linear(9, 9, 0, 0).unwrap();
+    [
+        CodedMatVec::new(matrix, avcc, KeyGenConfig::default(), rng),
+        CodedMatVec::lcc(Arc::new(EncodedDataset::encode(matrix, lcc, rng))),
+        CodedMatVec::uncoded(Arc::new(EncodedDataset::encode(matrix, bands, rng))),
+    ]
+}
+
+/// What a collect of `outcomes` decides, with a fixed rng: the products, the
+/// workers used and detected, the op counts — or the failure.
+type Verdict<M> = Result<(Vec<Vec<Fp<M>>>, Vec<usize>, Vec<usize>, OpCounts), SchemeFailure>;
+
+fn collect<M: PrimeModulus>(
+    session: &mut CodedMatVec<M>,
+    inputs: &[Vec<Fp<M>>],
+    outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
+) -> Verdict<M> {
+    let mut rng = StdRng::seed_from_u64(502);
+    session
+        .collect_batch(inputs, outcomes, &NetworkModel::default(), 1.0, &mut rng)
+        .map(|round| {
+            let ops = round.ops;
+            (
+                round.outputs,
+                round.used_workers,
+                round.detected_byzantine,
+                ops,
+            )
+        })
+}
+
+/// Only a worker's first arrival counts, and only workers of the fleet: a
+/// result repeated in place of worker 8's, or relabelled as a worker beyond
+/// the fleet, is dropped, and the round is decided as if worker 8 had never
+/// answered — under every scheme.
+#[test]
+fn a_repeated_or_foreign_arrival_is_dropped_under_every_scheme() {
+    for functions in [1usize, 3] {
+        let mut rng = StdRng::seed_from_u64(510 + functions as u64);
+        let matrix = random_matrix::<P25>(&mut rng, 18, 6);
+        let inputs = random_inputs::<P25>(&mut rng, functions, 6);
+        let oracle: Vec<Vec<Fp<P25>>> = inputs.iter().map(|x| mat_vec(&matrix, x)).collect();
+        for mut session in every_scheme(&matrix, &mut rng) {
+            let honest = manual_outcomes(&session, &inputs, &[]);
+            let without_8: Vec<_> = honest.iter().filter(|o| o.worker != 8).cloned().collect();
+            let absent = collect(&mut session, &inputs, &without_8);
+            let repeated = WorkerOutcome {
+                arrival_seconds: honest[8].arrival_seconds,
+                ..honest[0].clone()
             };
-            let (direct, absent) = (collect(&hostile), collect(&honest[1..]));
-            assert_eq!(direct.outputs, oracle, "{case}");
-            assert_eq!(direct.used_workers, absent.used_workers, "{case}");
-            assert_eq!(
-                direct.detected_byzantine, absent.detected_byzantine,
-                "{case}"
-            );
-            assert_eq!(direct.ops, absent.ops, "{case}");
+            let foreign = WorkerOutcome {
+                worker: session.workers(),
+                ..honest[8].clone()
+            };
+            for (kind, stand_in) in [("repeated", repeated), ("foreign", foreign)] {
+                let case = format!("m = {functions}, {}, {kind}", session.name());
+                let mut hostile = honest.clone();
+                hostile[8] = stand_in;
+                let direct = collect(&mut session, &inputs, &hostile);
+                assert_eq!(direct, absent, "{case}");
+                if let Ok((outputs, ..)) = &direct {
+                    assert_eq!(outputs, &oracle, "{case}");
+                }
+            }
         }
     }
 }
@@ -357,7 +428,7 @@ fn sigmas_accepting_worker_zero(functions: usize, corrupted: &[usize], seed: u64
     let inputs = random_inputs::<P251>(&mut rng, functions, 6);
     let oracle: Vec<Vec<Fp<P251>>> = inputs.iter().map(|x| mat_vec(&matrix, x)).collect();
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng)
+    let mut engine = CodedMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng)
         .with_screening(false);
     let corruptions: Vec<(usize, usize)> = corrupted.iter().map(|&j| (0, j)).collect();
     let outcomes = manual_outcomes(&engine, &inputs, &corruptions);
@@ -436,7 +507,7 @@ fn empty_arrivals_fail_loudly() {
     let matrix = random_matrix::<P25>(&mut rng, 18, 6);
     let inputs = random_inputs::<P25>(&mut rng, 2, 6);
     let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut engine = AvccMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
     let mut collect_rng = StdRng::seed_from_u64(124);
     let result = engine.collect_batch(
         &inputs,
@@ -462,19 +533,29 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
     // commit that still had one: (engine, used workers, detected, screened,
     // (worker, verify, decode) MACs, the caller's rng's next draw). The LCC
     // row's draw was re-recorded when its error locator became the
-    // dual-codeword screen, which draws a different number of values.
+    // dual-codeword screen, which draws a different number of values. The
+    // `min_results` column, each scheme's stopping rule, was recorded from
+    // the three per-scheme engine types before they became one session.
     type Workers = &'static [usize];
-    type Recorded = (&'static str, Workers, Workers, Workers, [u64; 3], u64);
+    type Recorded = (
+        &'static str,
+        usize,
+        Workers,
+        Workers,
+        Workers,
+        [u64; 3],
+        u64,
+    );
     const VERIFIED: Workers = &[0, 2, 3, 4, 5, 6, 7, 8, 9];
     const WAITED_FOR: Workers = &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
     const EVERYONE: Workers = &[0, 1, 2, 3, 4, 5, 6, 7, 8];
     const UNTOUCHED: u64 = 7086638178683056257; // first draw of seed 77
     #[rustfmt::skip]
     let recorded: [Recorded; 4] = [
-        ("avcc",             VERIFIED,   &[1], &[1], [12, 249, 162], 8159428425992391467),
-        ("avcc, screen off", VERIFIED,   &[1], &[],  [12, 80, 162],  UNTOUCHED),
-        ("lcc",              WAITED_FOR, &[1], &[],  [12, 0, 319],   7691228355860892142),
-        ("uncoded",          EVERYONE,   &[],  &[],  [12, 0, 0],     UNTOUCHED),
+        ("avcc",             9,  VERIFIED,   &[1], &[1], [12, 249, 162], 8159428425992391467),
+        ("avcc, screen off", 9,  VERIFIED,   &[1], &[],  [12, 80, 162],  UNTOUCHED),
+        ("lcc",              11, WAITED_FOR, &[1], &[],  [12, 0, 319],   7691228355860892142),
+        ("uncoded",          9,  EVERYONE,   &[],  &[],  [12, 0, 0],     UNTOUCHED),
     ];
 
     let mut rng = StdRng::seed_from_u64(2024);
@@ -484,15 +565,17 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
     let avcc = SchemeConfig::linear(12, 9, 2, 1).unwrap();
     let lcc = SchemeConfig::linear(12, 9, 1, 1).unwrap();
     let keys = KeyGenConfig::default();
-    let mut engines: Vec<Box<dyn MatVecEngine<P25>>> = vec![
-        Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng)),
-        Box::new(AvccMatVec::new(&matrix, avcc, keys, &mut rng).with_screening(false)),
-        Box::new(LccMatVec::new(&matrix, lcc, &mut rng)),
-        Box::new(UncodedMatVec::new(&matrix, 9, &mut rng)),
+    let bands = SchemeConfig::linear(9, 9, 0, 0).unwrap();
+    let mut engines = [
+        CodedMatVec::new(&matrix, avcc, keys, &mut rng),
+        CodedMatVec::new(&matrix, avcc, keys, &mut rng).with_screening(false),
+        CodedMatVec::lcc(Arc::new(EncodedDataset::encode(&matrix, lcc, &mut rng))),
+        CodedMatVec::uncoded(Arc::new(EncodedDataset::encode(&matrix, bands, &mut rng))),
     ];
-    for (engine, (name, used, detected, screened, macs, next_draw)) in
+    for (engine, (name, min_results, used, detected, screened, macs, next_draw)) in
         engines.iter_mut().zip(recorded)
     {
+        assert_eq!(engine.min_results(), min_results, "{name}: min_results");
         let inputs = std::slice::from_ref(&input);
         let outcomes: Vec<WorkerOutcome<Vec<Vec<Fp<P25>>>>> = engine
             .dispatch_batch(inputs)

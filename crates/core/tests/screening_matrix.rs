@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use avcc_coding::{DualCodeword, EncodedDataset, SchemeConfig, ScreenOutcome};
-use avcc_core::{AvccMatVec, MatVecEngine};
+use avcc_core::{CodedMatVec, MatVecEngine};
 use avcc_field::{Fp, PrimeModulus, P25, P251, P64};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
@@ -50,7 +50,7 @@ fn attack_rows() -> Vec<(AttackModel, usize)> {
 /// master-side (exactly as the executors do), and drops the straggler set.
 /// Outcomes arrive in worker order.
 fn manual_outcomes<M: PrimeModulus>(
-    engine: &AvccMatVec<M>,
+    engine: &CodedMatVec<M>,
     input: &[Vec<Fp<M>>],
     byzantine: &ByzantineSpec,
     stragglers: &[usize],
@@ -107,7 +107,7 @@ fn run_cell<M: PrimeModulus>(
     let oracle_product = mat_vec(&matrix, &input);
 
     let dataset = Arc::new(EncodedDataset::<M>::encode(&matrix, config, &mut rng));
-    let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
     let spec = ByzantineSpec::new(planted.iter().copied(), attack);
     let input = std::slice::from_ref(&input);
     let outcomes = manual_outcomes(&engine, input, &spec, &stragglers);
@@ -225,7 +225,7 @@ fn all_worker_constant_attack_passes_screen_but_fails_freivalds() {
     let matrix = Matrix::from_vec(24, 6, avcc_field::random_matrix(&mut rng, 24, 6));
     let input: Vec<Fp<P25>> = avcc_field::random_vector(&mut rng, 6);
     let dataset = Arc::new(EncodedDataset::<P25>::encode(&matrix, config, &mut rng));
-    let mut engine = AvccMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::over(Arc::clone(&dataset), KeyGenConfig::default(), &mut rng);
 
     let spec = ByzantineSpec::new(0..16, AttackModel::constant());
     let input = std::slice::from_ref(&input);
@@ -259,7 +259,7 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
     let matrix = Matrix::from_vec(4, 3, avcc_field::random_matrix(&mut rng, 4, 3));
     let input: Vec<Fp<P251>> = avcc_field::random_vector(&mut rng, 3);
     let product = mat_vec(&matrix, &input);
-    let mut engine = AvccMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let mut engine = CodedMatVec::<P251>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
     let victim = 1;
     let alpha_victim = avcc_coding::points::EvaluationPoints::<P251>::standard(
         config.partitions,

@@ -35,7 +35,7 @@ use std::time::Instant;
 
 use avcc_coding::SchemeConfig;
 use avcc_core::distributed::train_distributed;
-use avcc_core::engines::AvccMatVec;
+use avcc_core::CodedMatVec;
 use avcc_core::{MatVecEngine, SchemeFailure};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_linalg::Matrix;
@@ -115,7 +115,7 @@ fn matmul_batch<M: PrimeModulus>(
     metrics: &mut JobMetrics,
 ) -> Result<Vec<Vec<Fp<M>>>, SchemeFailure> {
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut engine = AvccMatVec::new(matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
+    let mut engine = CodedMatVec::new(matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
     let execution = engine.execute_batch(inputs, executor, &ByzantineSpec::none(), &mut rng)?;
     metrics.rounds = 1;
     metrics.ops = execution.ops;

@@ -36,8 +36,8 @@ use std::time::{Duration, Instant};
 
 use avcc_coding::SchemeConfig;
 use avcc_core::distributed::BatchOutcomes;
-use avcc_core::engines::AvccMatVec;
 use avcc_core::rounds::field_vector_bytes;
+use avcc_core::CodedMatVec;
 use avcc_core::{
     BatchRoundTask, DistributedTrainer, MatVecEngine, SchemeFailure, TrainingReport, TrainingRound,
 };
@@ -165,7 +165,7 @@ enum JobEngine<M: PrimeModulus> {
     /// `m` products over one encode; a `CodedMatVec` job is the batch of one
     /// (`single`), unwrapped into [`JobOutput::MatVec`] at completion.
     MatVecBatch {
-        engine: Box<AvccMatVec<M>>,
+        engine: Box<CodedMatVec<M>>,
         inputs: Vec<Vec<Fp<M>>>,
         rng: StdRng,
         single: bool,
@@ -536,7 +536,7 @@ fn start_matmul<M: PrimeModulus>(
     single: bool,
 ) -> (JobEngine<M>, Vec<BatchRoundTask<M>>, usize) {
     let mut rng = StdRng::seed_from_u64(seed);
-    let engine = Box::new(AvccMatVec::new(
+    let engine = Box::new(CodedMatVec::new(
         matrix,
         coding,
         KeyGenConfig { repetitions: 1 },

@@ -113,19 +113,9 @@ impl ChurnSchedule {
         self
     }
 
-    /// `true` iff the schedule contains no actions.
-    pub fn is_quiet(&self) -> bool {
-        self.actions.is_empty()
-    }
-
     /// The actions scheduled at exactly round `round`.
     pub fn actions_at(&self, round: u64) -> &[ChurnAction] {
         self.actions.get(&round).map_or(&[], Vec::as_slice)
-    }
-
-    /// The last round with a scheduled action, or `None` when quiet.
-    pub fn last_round(&self) -> Option<u64> {
-        self.actions.keys().next_back().copied()
     }
 
     /// The largest worker index the schedule touches, or `None` when quiet.
@@ -603,7 +593,6 @@ mod tests {
         let a = ChurnSchedule::seeded(7, 8, 40, 2);
         let b = ChurnSchedule::seeded(7, 8, 40, 2);
         assert_eq!(a, b);
-        assert!(!a.is_quiet());
         let c = ChurnSchedule::seeded(8, 8, 40, 2);
         assert_ne!(a, c);
         // Bound holds: replay and check live count never dips below 8 - 2.
@@ -643,7 +632,6 @@ mod tests {
                 rounds: 2
             }
         ));
-        assert_eq!(flap.last_round(), Some(4));
         assert_eq!(flap.max_worker(), Some(5));
     }
 

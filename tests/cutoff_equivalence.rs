@@ -1,17 +1,19 @@
 //! A round that closes without its stragglers must change nothing but the
 //! time it takes: on a real socket fleet whose worker 0 is eight times slower
 //! than the rest, every product entry point — `serve_distributed`, the
-//! engines' `execute_batch`, `train_distributed` — stops waiting for worker 0 once
+//! sessions' `execute_batch`, `train_distributed` — stops waiting for worker 0 once
 //! it can decode, and every output stays bit-identical to its oracle.
 //!
 //! Everything asserted here is timing-independent: values, detected sets and
 //! counters (the cutoff *happened*), never a duration. The fleet is the
 //! in-process UDS backend — the full wire protocol, no worker binary needed.
 
-use avcc::coding::SchemeConfig;
+use std::sync::Arc;
+
+use avcc::coding::{EncodedDataset, SchemeConfig};
 use avcc::core::{
-    train_distributed, AvccMatVec, DistributedTrainer, ExperimentConfig, FaultScenario,
-    MatVecEngine, SchemeKind, TrainingReport, UncodedMatVec,
+    train_distributed, CodedMatVec, DistributedTrainer, ExperimentConfig, FaultScenario,
+    MatVecEngine, SchemeKind, TrainingReport,
 };
 use avcc::field::{Fp, P25};
 use avcc::linalg::{mat_vec, Matrix};
@@ -225,7 +227,7 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
     let quiet = ByzantineSpec::none();
 
     let coding = SchemeConfig::linear(12, 9, 2, 1).unwrap();
-    let mut coded = AvccMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
+    let mut coded = CodedMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
     let first = coded
         .execute_batch(xs, &mut fleet, &quiet, &mut rng)
         .unwrap();
@@ -233,7 +235,8 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
     assert!(first.detected_byzantine.is_empty());
     assert!(first.observed_stragglers.contains(&0));
 
-    let mut uncoded = UncodedMatVec::new(&b, 9, &mut rng);
+    let bands = SchemeConfig::linear(9, 9, 0, 0).unwrap();
+    let mut uncoded = CodedMatVec::uncoded(Arc::new(EncodedDataset::encode(&b, bands, &mut rng)));
     let second = uncoded
         .execute_batch(xs, &mut fleet, &quiet, &mut rng)
         .unwrap();
@@ -244,7 +247,7 @@ fn a_late_share_of_one_matrix_is_not_taken_for_a_block_of_the_next() {
     assert_the_cutoff_happened(&metrics);
 
     let mut blocking = Blocking(straggling_fleet_sleeping(0.02));
-    let mut coded = AvccMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
+    let mut coded = CodedMatVec::new(&a, coding, KeyGenConfig::default(), &mut rng);
     coded
         .execute_batch(xs, &mut blocking, &quiet, &mut rng)
         .unwrap();
