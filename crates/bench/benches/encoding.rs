@@ -50,7 +50,7 @@ fn bench_encoding_by_worker_count(c: &mut Criterion) {
 fn bench_private_encoding(c: &mut Criterion) {
     // T = 2 privacy pads: the extra cost of the privacy guarantee.
     let matrix = data_matrix::<P25>(450, 63, 3);
-    let config = SchemeConfig::new(14, 9, 1, 1, 2, 1).unwrap();
+    let config = SchemeConfig::new(14, 9, 1, 1, 2).unwrap();
     assert!(LagrangeEncoder::<P25>::new(config).points().disjoint());
     let mut rng = StdRng::seed_from_u64(4);
     c.bench_function("encode/private_t2", |bencher| {

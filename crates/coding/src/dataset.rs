@@ -286,7 +286,7 @@ mod tests {
         // share element pins the shares on the standard points.
         use avcc_field::{F64, P64};
         use rand::RngCore;
-        let config = SchemeConfig::new(12, 6, 1, 1, 2, 1).unwrap();
+        let config = SchemeConfig::new(12, 6, 1, 1, 2).unwrap();
         let mut rng = StdRng::seed_from_u64(0x0AB5_7D73);
         let matrix: Matrix<F64> =
             Matrix::from_vec(45, 200, avcc_field::random_matrix(&mut rng, 45, 200));

@@ -1,13 +1,14 @@
 //! The Lagrange / MDS decoder (paper §IV-B, step 4).
 //!
 //! Workers return `Ỹ_i = f(X̃_i) = f(u(α_i))`, i.e. evaluations of the
-//! composed polynomial `f(u(z))` of degree at most `(K+T−1)·deg f`. The master
+//! composed polynomial `f(u(z))` of degree at most `K + T − 1` (`f` is
+//! linear). The master
 //! recovers the desired outputs `Y_k = f(X_k) = f(u(β_k))` by interpolation.
 //! Two decoding modes are provided:
 //!
 //! * [`LagrangeDecoder::decode_erasure`] — what **AVCC** uses: every supplied
 //!   result has already passed Freivalds verification, so the decoder only
-//!   needs the recovery threshold `(K+T−1)·deg f + 1` of them and performs a
+//!   needs the recovery threshold `K + T` of them and performs a
 //!   plain coordinate-wise interpolation (implemented as one linear
 //!   combination per output block, with coefficients shared across all
 //!   coordinates).
@@ -31,6 +32,8 @@
 //! the dense Lagrange combination, `O(K·R)` per coordinate: a worker sitting
 //! exactly on a β-point (a systematic share) hands its vector through, every
 //! other output block is one combination of the first threshold lanes.
+//! [`PreparedDecode::macs`] reports what an apply runs — the modeled clock
+//! charges the decode from it, not from a formula of its own.
 
 use avcc_field::{Fp, PrimeModulus};
 use avcc_poly::LagrangeBasis;
@@ -116,6 +119,9 @@ struct Basis<M: PrimeModulus> {
     systematic: Vec<Option<usize>>,
     /// `ℓ_j(β_k)` rows for the non-systematic blocks, ascending `k`.
     rows: Vec<Vec<Fp<M>>>,
+    /// The non-zero coefficients across `rows`: the multiply–accumulates
+    /// [`PreparedDecode::apply`] runs per lane element.
+    terms: usize,
 }
 
 /// An erasure decode prepared for one survivor set: apply it to the result
@@ -145,7 +151,7 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
         &self.config
     }
 
-    /// The recovery threshold `(K+T−1)·deg f + 1`.
+    /// The recovery threshold `K + T`.
     pub fn recovery_threshold(&self) -> usize {
         self.config.recovery_threshold()
     }
@@ -202,8 +208,23 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
             .filter(|(_, hit)| hit.is_none())
             .map(|(k, _)| self.points.beta()[k])
             .collect();
-        let rows = LagrangeBasis::new(alphas).evaluate_at_many(&interpolated_betas);
-        Basis { systematic, rows }
+        // A survivor set holding every systematic share interpolates nothing
+        // and needs no barycentric weights.
+        let rows = if interpolated_betas.is_empty() {
+            Vec::new()
+        } else {
+            LagrangeBasis::new(alphas).evaluate_at_many(&interpolated_betas)
+        };
+        let terms = rows
+            .iter()
+            .flatten()
+            .filter(|&&coefficient| coefficient != Fp::<M>::ZERO)
+            .count();
+        Basis {
+            systematic,
+            rows,
+            terms,
+        }
     }
 
     /// Error-correcting decoding: tolerates up to `max_errors` arbitrarily
@@ -290,6 +311,15 @@ impl<M: PrimeModulus> LagrangeDecoder<M> {
 }
 
 impl<M: PrimeModulus> PreparedDecode<'_, M> {
+    /// The multiply–accumulates one [`apply`](Self::apply) to lanes of
+    /// `width` elements performs: every non-zero coefficient of an
+    /// interpolated block's row, once per element. A systematic survivor's
+    /// vector is handed through and costs nothing, so a survivor set holding
+    /// every systematic share decodes for 0.
+    pub fn macs(&self, width: usize) -> u64 {
+        (self.basis.terms * width) as u64
+    }
+
     /// Decodes one result set: `lanes[i]` is the vector returned by the
     /// `i`-th worker given to [`LagrangeDecoder::prepare`]. Returns the `K`
     /// output blocks, each as long as the lanes.
@@ -385,9 +415,9 @@ mod tests {
 
     #[test]
     fn erasure_decoding_with_privacy_pads() {
-        let config = SchemeConfig::new(8, 3, 1, 0, 2, 1).unwrap();
+        let config = SchemeConfig::new(8, 3, 1, 0, 2).unwrap();
         let (expected, results, decoder) = round::<P25>(config, 3);
-        // Threshold is (3+2-1)*1+1 = 5.
+        // Threshold is K + T = 3 + 2 = 5.
         assert_eq!(decoder.recovery_threshold(), 5);
         let subset = results[2..7].to_vec();
         let outputs = decoder.decode_erasure(&subset).unwrap();
@@ -611,8 +641,8 @@ mod tests {
 
         #[test]
         fn private_round_trips_on_goldilocks() {
-            // K + T = 8, N = 16: threshold (8−1)·1+1 = 8 ≤ 16.
-            let config = SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap();
+            // K + T = 8, N = 16: threshold 8 ≤ 16.
+            let config = SchemeConfig::new(16, 6, 2, 2, 2).unwrap();
             let (expected, results, decoder) = round::<P64>(config, 24);
             let outputs = decoder.decode_erasure(&results).unwrap();
             assert_eq!(outputs, expected);

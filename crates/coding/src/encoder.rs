@@ -342,7 +342,7 @@ mod tests {
         // Lemma 2 of LCC (used by Theorem 1): every T×T submatrix of the
         // bottom T×N pad-coefficient matrix is invertible, which is what makes
         // the random mask uniform for any T colluding workers.
-        let config = SchemeConfig::new(9, 3, 1, 1, 2, 1).unwrap();
+        let config = SchemeConfig::new(9, 3, 1, 1, 2).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
         let pads = encoder.pad_submatrix();
         assert_eq!(pads.len(), 2);
@@ -357,7 +357,7 @@ mod tests {
 
     #[test]
     fn private_shares_differ_from_data_blocks() {
-        let config = SchemeConfig::new(8, 3, 1, 0, 2, 1).unwrap();
+        let config = SchemeConfig::new(8, 3, 1, 0, 2).unwrap();
         let (blocks, dataset) = encode(config, 2, 2, 4, &mut StdRng::seed_from_u64(5));
         // No share should equal a raw data block (points are disjoint and the
         // pads are random).
@@ -466,7 +466,7 @@ mod tests {
             30 * ENCODE_CHUNK,
         ];
         for (workers, partitions) in [(12, 8), (16, 8), (11, 4)] {
-            let config = SchemeConfig::new(workers, partitions, 1, 1, 0, 1).unwrap();
+            let config = SchemeConfig::new(workers, partitions, 1, 1, 0).unwrap();
             let encoder = LagrangeEncoder::<P64>::new(config);
             assert!(encoder.points().is_systematic(partitions));
             for width in widths {
@@ -491,7 +491,7 @@ mod tests {
             16_982_148_801_219_758_314,
         ];
         let recorded_last_p25 = [27_646_833, 12_286_008, 29_697_885, 1_007_052, 14_412_381];
-        let config = SchemeConfig::new(12, 8, 1, 1, 2, 1).unwrap();
+        let config = SchemeConfig::new(12, 8, 1, 1, 2).unwrap();
         let dense_p64 = LagrangeEncoder::<P64>::new(config);
         let dense_p25 = LagrangeEncoder::<P25>::new(config);
         assert!(dense_p64.points().disjoint() && dense_p25.points().disjoint());

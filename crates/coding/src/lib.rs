@@ -12,9 +12,8 @@
 //!    `SchemeConfig::linear(3, 2, 1, 0)`, and the uncoded baseline's split
 //!    is the `(K, K)` code, whose shares are the row bands themselves.
 //! 2. **How many workers are needed?** [`scheme::SchemeConfig`] captures
-//!    `(N, K, S, M, T, deg f)` and checks the LCC bound
-//!    `N ≥ (K+T−1)·deg f + S + 2M + 1` (eq. 1) and the AVCC bound
-//!    `N ≥ (K+T−1)·deg f + S + M + 1` (eq. 2).
+//!    `(N, K, S, M, T)` and checks the LCC bound `N ≥ K + T + S + 2M`
+//!    (eq. 1) and the AVCC bound `N ≥ K + T + S + M` (eq. 2).
 //! 3. **How are results decoded?** [`decoder::LagrangeDecoder`] interpolates
 //!    `f(u(z))` from worker evaluations: erasure-only decoding (what AVCC
 //!    needs, since Byzantine results have already been discarded by the

@@ -1,15 +1,17 @@
 //! Coding-scheme configuration and the worker-count feasibility rules.
 //!
-//! A [`SchemeConfig`] is the tuple `(N, K, S, M, T, deg f)` from §III of the
-//! paper. The two bounds it enforces are the heart of the AVCC-vs-LCC
-//! comparison:
+//! A [`SchemeConfig`] is the tuple `(N, K, S, M, T)` from §III of the
+//! paper. Every worker computes a linear map (a matrix–vector product), so
+//! the paper's computation degree `deg f` is 1 and its recovery threshold
+//! `(K + T − 1)·deg f + 1` is `K + T`. The two bounds it enforces are the
+//! heart of the AVCC-vs-LCC comparison:
 //!
-//! * **LCC (eq. 1)**: `N ≥ (K + T − 1)·deg f + S + 2M + 1` — a Byzantine
-//!   worker costs two extra workers because Reed–Solomon error correction
-//!   needs two redundant evaluations per error.
-//! * **AVCC (eq. 2)**: `N ≥ (K + T − 1)·deg f + S + M + 1` — a Byzantine
-//!   worker costs one extra worker because its (verified-and-rejected) result
-//!   is simply treated as an erasure.
+//! * **LCC (eq. 1)**: `N ≥ K + T + S + 2M` — a Byzantine worker costs two
+//!   extra workers because Reed–Solomon error correction needs two
+//!   redundant evaluations per error.
+//! * **AVCC (eq. 2)**: `N ≥ K + T + S + M` — a Byzantine worker costs one
+//!   extra worker because its (verified-and-rejected) result is simply
+//!   treated as an erasure.
 
 /// Errors raised when a configuration is infeasible or inconsistent.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,7 +50,7 @@ impl std::fmt::Display for SchemeError {
 
 impl std::error::Error for SchemeError {}
 
-/// The coding-scheme parameters `(N, K, S, M, T, deg f)`.
+/// The coding-scheme parameters `(N, K, S, M, T)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SchemeConfig {
     /// Number of worker nodes `N`.
@@ -61,14 +63,11 @@ pub struct SchemeConfig {
     pub byzantine: usize,
     /// Number of colluding workers to protect against, `T`.
     pub colluding: usize,
-    /// Degree of the computation polynomial `f` (1 for the linear
-    /// matrix–vector rounds of logistic regression).
-    pub degree: usize,
 }
 
 impl SchemeConfig {
     /// Creates a configuration, validating only structural sanity (positive
-    /// `K`, positive degree, `N ≥ K`). Feasibility for a particular scheme is
+    /// `K`, `N ≥ K`). Feasibility for a particular scheme is
     /// checked by [`SchemeConfig::require_lcc_feasible`] /
     /// [`SchemeConfig::require_avcc_feasible`].
     pub fn new(
@@ -77,16 +76,10 @@ impl SchemeConfig {
         stragglers: usize,
         byzantine: usize,
         colluding: usize,
-        degree: usize,
     ) -> Result<Self, SchemeError> {
         if partitions == 0 {
             return Err(SchemeError::Invalid {
                 details: "the number of partitions K must be positive".to_string(),
-            });
-        }
-        if degree == 0 {
-            return Err(SchemeError::Invalid {
-                details: "the polynomial degree must be positive".to_string(),
             });
         }
         if workers < partitions {
@@ -100,26 +93,25 @@ impl SchemeConfig {
             stragglers,
             byzantine,
             colluding,
-            degree,
         })
     }
 
-    /// Convenience constructor for the paper's linear, non-private setting
-    /// (`T = 0`, `deg f = 1`): the `(N, K, S, M)` configuration used in §V.
+    /// Convenience constructor for the paper's non-private setting (`T = 0`):
+    /// the `(N, K, S, M)` configuration used in §V.
     pub fn linear(
         workers: usize,
         partitions: usize,
         stragglers: usize,
         byzantine: usize,
     ) -> Result<Self, SchemeError> {
-        Self::new(workers, partitions, stragglers, byzantine, 0, 1)
+        Self::new(workers, partitions, stragglers, byzantine, 0)
     }
 
     /// The recovery threshold shared by both schemes: the number of *correct*
-    /// evaluations needed to interpolate `f(u(z))`, namely
-    /// `(K + T − 1)·deg f + 1`.
+    /// evaluations needed to interpolate `f(u(z))`, of degree `K + T − 1`,
+    /// namely `K + T`.
     pub fn recovery_threshold(&self) -> usize {
-        (self.partitions + self.colluding - 1) * self.degree + 1
+        self.partitions + self.colluding
     }
 
     /// Workers required by the LCC bound (eq. 1).
@@ -190,13 +182,8 @@ impl std::fmt::Display for SchemeConfig {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
             f,
-            "(N={}, K={}, S={}, M={}, T={}, deg={})",
-            self.workers,
-            self.partitions,
-            self.stragglers,
-            self.byzantine,
-            self.colluding,
-            self.degree
+            "(N={}, K={}, S={}, M={}, T={})",
+            self.workers, self.partitions, self.stragglers, self.byzantine, self.colluding
         )
     }
 }
@@ -241,8 +228,8 @@ mod tests {
 
     #[test]
     fn recovery_threshold_matches_formula() {
-        let config = SchemeConfig::new(30, 4, 2, 1, 3, 2).unwrap();
-        assert_eq!(config.recovery_threshold(), (4 + 3 - 1) * 2 + 1);
+        let config = SchemeConfig::new(30, 4, 2, 1, 3).unwrap();
+        assert_eq!(config.recovery_threshold(), 4 + 3);
     }
 
     #[test]
@@ -272,7 +259,6 @@ mod tests {
     #[test]
     fn invalid_structural_parameters_are_rejected() {
         assert!(SchemeConfig::linear(4, 0, 0, 0).is_err());
-        assert!(SchemeConfig::new(4, 2, 0, 0, 0, 0).is_err());
         assert!(SchemeConfig::linear(3, 5, 0, 0).is_err());
     }
 
@@ -300,11 +286,10 @@ mod tests {
             stragglers in 0usize..5,
             byzantine in 0usize..5,
             colluding in 0usize..4,
-            degree in 1usize..3,
         ) {
-            let workers = (partitions + colluding) * degree + stragglers + 2 * byzantine + 2;
+            let workers = partitions + colluding + stragglers + 2 * byzantine + 2;
             let config = SchemeConfig::new(
-                workers, partitions, stragglers, byzantine, colluding, degree,
+                workers, partitions, stragglers, byzantine, colluding,
             ).unwrap();
             prop_assert!(config.avcc_required_workers() <= config.lcc_required_workers());
             // The gap is exactly M (eq. 1 minus eq. 2).

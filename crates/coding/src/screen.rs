@@ -1,7 +1,7 @@
 //! SCRAPE-style dual-codeword Byzantine screening (pre-decode).
 //!
 //! Workers return `Ỹ_i = f(u(α_i))` — evaluations of a polynomial of degree
-//! at most `threshold − 1` (the recovery threshold is `(K+T−1)·deg f + 1`).
+//! at most `threshold − 1` (the recovery threshold is `K + T`).
 //! Whenever strictly more than `threshold` workers respond, the received
 //! vectors carry redundancy that can be checked *before* any Freivalds
 //! verification or decoding: the evaluation code is an `[R, threshold]`
@@ -42,15 +42,28 @@
 //! attempts the screen reports [`ScreenOutcome::Unlocalized`] and the caller
 //! falls back to its existing verification path.
 //!
-//! **Soundness model**: the screen checks consistency *among responders*. It
-//! is sound as long as the honest responders hold a majority of at least
-//! `threshold` positions — guaranteed inside the AVCC bound
-//! `N ≥ threshold + S + M`, since even after `S` stragglers the `R ≥
-//! threshold + M` responders contain at most `M` Byzantine workers. Outside
-//! that model (more corrupted responders than `R − threshold`) a coordinated
-//! adversary could shift the round onto a *different* codeword; AVCC keeps
-//! the Freivalds check downstream as the belt to this suspender, so a
-//! screened round is still verified against the actual computation.
+//! **Soundness model**: the screen checks consistency *among responders*.
+//! Membership is sound for any corruption of at most `ν = R − threshold`
+//! responders: a non-zero error of that weight is never a codeword.
+//! *Localization* is weaker. The error-locator solve is unique only up to
+//! `⌊ν/2⌋` corrupted responders, and the AVCC bound `N ≥ threshold + S + M`
+//! does not keep the liars below that radius: `b ≤ M` liars among `R`
+//! responders may number anywhere up to `ν`. Liars who know the public
+//! α-points can add `e(α_i)` for a polynomial `e` of degree `< threshold`
+//! that vanishes on all honest responders but `t` of them; the round then
+//! sits `t` errors from the codeword `c + e`, and the screen names those `t`
+//! *honest* workers, and its re-screen confirms them. That framing works
+//! whenever `⌈ν/2⌉ + 1 ≤ b ≤ ν` (ROADMAP finding 2).
+//!
+//! What a caller does with a localization is its own decision. The AVCC
+//! engine today drops the screened workers **without** a Freivalds check, so
+//! a framed round loses honest results and can fall short of the threshold;
+//! it is *not* verified against the computation. Making the screen a
+//! suggestion that Freivalds confirms is ROADMAP item 2 ("The screen
+//! suggests; Freivalds decides"). The LCC baseline's
+//! [`crate::decoder::LagrangeDecoder::decode_with_errors`] trusts the
+//! locator by design, so beyond its designed `M` it can decode a wrong
+//! product and blame honest workers.
 
 use avcc_field::{dot, random_vector, Fp, PrimeField, PrimeModulus};
 use avcc_poly::linear::{self, LinearSolveError};

@@ -95,7 +95,7 @@ fn honest_rounds_pass_on_every_modulus() {
     assert!(EvaluationPoints::<P64>::standard(8, 0, 16).is_systematic(8));
     assert_honest_passes::<P64>(SchemeConfig::linear(16, 8, 4, 2).unwrap(), 4);
     // Privacy pads shift the threshold; the screen must follow it.
-    assert_honest_passes::<P64>(SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap(), 5);
+    assert_honest_passes::<P64>(SchemeConfig::new(16, 6, 2, 2, 2).unwrap(), 5);
 }
 
 #[test]

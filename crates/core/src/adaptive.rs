@@ -12,8 +12,8 @@
 //! latency every iteration, so the controller shrinks the code:
 //!
 //! ```text
-//! (N_{t+1}, K_{t+1}) = (N_t − M_t, K_t)            if A_t ≥ 0
-//!                      (N_t − M_t, K_t + ⌊A_t/deg f⌋) if A_t < 0   (eq. 17 / 19)
+//! (N_{t+1}, K_{t+1}) = (N_t − M_t, K_t)        if A_t ≥ 0
+//!                      (N_t − M_t, K_t + A_t)  if A_t < 0   (eq. 17 / 19, deg f = 1)
 //! ```
 //!
 //! Detected Byzantine workers are evicted either way. Re-encoding for the new
@@ -56,8 +56,7 @@ pub fn adapt(
     let new_partitions = if slack >= 0 {
         current.partitions
     } else {
-        let reduction = ((-slack) as usize).div_ceil(current.degree);
-        current.partitions.saturating_sub(reduction).max(1)
+        current.partitions.saturating_sub((-slack) as usize).max(1)
     };
     // Evicting a worker keeps the same code (the remaining shares still
     // decode); only a change of the code dimension K requires switching to
@@ -66,22 +65,14 @@ pub fn adapt(
 
     // Residual tolerances of the new code: Byzantine workers were evicted,
     // so the remaining redundancy is budgeted entirely for stragglers.
-    let new_threshold = (new_partitions + current.colluding - 1) * current.degree + 1;
-    if new_workers < new_threshold {
-        // Shrinking any further would make decoding impossible; keep the
-        // current configuration rather than break the system.
-        return None;
-    }
-    let new_stragglers = new_workers - new_threshold;
-    let new_config = SchemeConfig::new(
-        new_workers,
-        new_partitions,
-        new_stragglers,
-        0,
-        current.colluding,
-        current.degree,
-    )
-    .ok()?;
+    let candidate = SchemeConfig::new(new_workers, new_partitions, 0, 0, current.colluding).ok()?;
+    // Shrinking any further would make decoding impossible; keep the current
+    // configuration rather than break the system.
+    let new_stragglers = new_workers.checked_sub(candidate.recovery_threshold())?;
+    let new_config = SchemeConfig {
+        stragglers: new_stragglers,
+        ..candidate
+    };
 
     Some(AdaptationDecision {
         evict_workers: detected_byzantine.to_vec(),
@@ -131,18 +122,6 @@ mod tests {
         assert_eq!(decision.new_config.stragglers, 3);
         assert_eq!(decision.new_config.byzantine, 0);
         assert!(decision.reencode);
-    }
-
-    #[test]
-    fn lagrange_slack_uses_degree_in_the_reduction() {
-        // deg f = 2, T = 1: threshold = (K + T - 1) * 2 + 1.
-        let config = SchemeConfig::new(20, 4, 2, 1, 1, 2).unwrap();
-        // threshold = 9; observe 1 Byzantine and 12 stragglers:
-        // A_t = 20 - 1 - 12 - 9 = -2, reduction = ceil(2/2) = 1 partition.
-        let decision =
-            adapt(&config, &[0], &(1..13).collect::<Vec<_>>()).expect("re-coding expected");
-        assert_eq!(decision.new_config.partitions, 3);
-        assert_eq!(decision.new_config.workers, 19);
     }
 
     #[test]

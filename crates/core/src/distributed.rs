@@ -534,7 +534,10 @@ mod tests {
     fn a_socket_fleet_charges_the_master_on_the_modeled_clock() {
         // Worker seconds on a real fleet are measured; the master's are not:
         // its verification and decoding are the iteration's op counts at the
-        // one modeled rate, whatever executor ran the round.
+        // one modeled rate, whatever executor ran the round. Arrival order
+        // decides which bands a decode interpolates, except that the liar's
+        // (worker 3, a data band) is never decoded from its own result until
+        // it is evicted at the end of the iteration that detects it.
         use avcc_sim::socket::{SocketConfig, SocketExecutor, WorkerBackend};
         use avcc_sim::SECONDS_PER_MAC;
         let mut trainer = make_trainer(SchemeKind::Avcc, &[], 3);
@@ -548,8 +551,14 @@ mod tests {
             let modeled = macs as f64 * SECONDS_PER_MAC;
             (seconds - modeled).abs() <= 1e-12 * modeled
         };
-        for record in &report.iterations {
-            assert!(record.ops.verify_macs > 0 && record.ops.decode_macs > 0);
+        let caught = report
+            .iterations
+            .iter()
+            .position(|record| !record.detected_byzantine.is_empty())
+            .map_or(report.iterations.len(), |iteration| iteration + 1);
+        for (iteration, record) in report.iterations.iter().enumerate() {
+            assert!(record.ops.verify_macs > 0);
+            assert!(iteration >= caught || record.ops.decode_macs > 0);
             assert!(
                 close(record.costs.verification, record.ops.verify_macs),
                 "{record:?}"

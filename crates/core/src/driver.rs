@@ -81,7 +81,7 @@ impl SchemeKind {
 pub struct TrainerConfig {
     /// Which scheme to run.
     pub scheme: SchemeKind,
-    /// The coding configuration `(N, K, S, M, T, deg f)`.
+    /// The coding configuration `(N, K, S, M, T)`.
     pub coding: SchemeConfig,
     /// Gradient-descent learning rate.
     pub learning_rate: f64,
@@ -673,9 +673,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             return Err(fail());
         }
         let current = self.current_coding;
-        // Largest K with (K + T − 1)·deg + 1 ≤ available.
-        let budget = (available - 1) / current.degree;
-        let Some(k) = (budget + 1).checked_sub(current.colluding) else {
+        // Largest K whose threshold K + T fits the available workers.
+        let Some(k) = available.checked_sub(current.colluding) else {
             return Err(fail());
         };
         if k == 0 || k >= current.partitions {
@@ -683,19 +682,16 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             // threshold any further: waiting longer is the only option left.
             return Err(fail());
         }
-        let threshold = (k + current.colluding - 1) * current.degree + 1;
-        let stragglers = current
-            .workers
-            .saturating_sub(threshold + current.byzantine);
-        let new_config = SchemeConfig::new(
-            current.workers,
-            k,
-            stragglers,
-            current.byzantine,
-            current.colluding,
-            current.degree,
-        )
-        .map_err(|_| fail())?;
+        let candidate = SchemeConfig {
+            partitions: k,
+            ..current
+        };
+        let new_config = SchemeConfig {
+            stragglers: current
+                .workers
+                .saturating_sub(candidate.recovery_threshold() + current.byzantine),
+            ..candidate
+        };
         self.reset_pipeline();
         self.pending_reconfiguration += self.apply_adaptation(&[], new_config, true);
         self.note_fleet_event(round, available, ChurnEventKind::ShrinkRecoded);

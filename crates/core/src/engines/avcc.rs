@@ -8,9 +8,10 @@
 //! * **None** — the uncoded baseline (paper §V). The dataset is the `(K, K)`
 //!   code at `T = 0`, whose systematic shares are the row bands themselves.
 //!   The master waits for **every** worker — a single straggler delays the
-//!   whole round — and concatenates their results; a Byzantine worker's
-//!   corrupted block flows straight into the product, which is what degrades
-//!   the uncoded accuracy curves in Fig. 3.
+//!   whole round — and erasure-decodes their results, which on that code
+//!   hands each band through; a Byzantine worker's corrupted block flows
+//!   straight into the product, which is what degrades the uncoded accuracy
+//!   curves in Fig. 3.
 //! * **Error decoding** — the LCC baseline (§II-A, the evaluation's main
 //!   comparator). The master takes the fastest `N − S` results and
 //!   Reed–Solomon error-decodes each function
@@ -41,8 +42,10 @@
 //!
 //! One `collect_batch` body serves all three: a shared prologue drops
 //! malformed arrivals and detects stragglers, the scheme's survivor rule
-//! picks and decodes the results it trusts, and a shared epilogue assembles
-//! the products and accounts the round.
+//! picks the results it trusts and decodes them through one prepared
+//! erasure decode, and a shared epilogue assembles the products and accounts
+//! the round. Each MAC count comes from the code that ran it (the decode, a
+//! Freivalds key, the screen), except LCC's modeled Reed–Solomon decode.
 
 use std::sync::Arc;
 
@@ -117,17 +120,34 @@ struct Survivors<'a, M: PrimeModulus> {
 }
 
 impl<'a, M: PrimeModulus> Survivors<'a, M> {
-    /// Survivors of a scheme that checks nothing itself.
-    fn unverified(used: Vec<&'a Arrival<M>>, blocks: Vec<Vec<Vec<Fp<M>>>>) -> Self {
-        Survivors {
+    /// Erasure-decodes every function from `used`'s results through one
+    /// prepared basis, charging the MACs the decode ran and nothing else.
+    fn decoded(
+        dataset: &EncodedDataset<M>,
+        used: Vec<&'a Arrival<M>>,
+        functions: usize,
+    ) -> Result<Self, SchemeFailure> {
+        let workers: Vec<usize> = used.iter().map(|arrival| arrival.worker).collect();
+        let prepared = dataset.decoder().prepare(&workers)?;
+        let blocks = (0..functions)
+            .map(|function| {
+                let lanes: Vec<&[Fp<M>]> = used
+                    .iter()
+                    .map(|arrival| arrival.payload[function].as_slice())
+                    .collect();
+                prepared.apply(&lanes)
+            })
+            .collect::<Result<_, _>>()?;
+        let decode_macs = functions as u64 * prepared.macs(dataset.block_rows());
+        Ok(Survivors {
             used,
             blocks,
             verify_macs: 0,
-            decode_macs: 0,
+            decode_macs,
             detected_byzantine: Vec::new(),
             screened_workers: Vec::new(),
             corrupted_functions: Vec::new(),
-        }
+        })
     }
 }
 
@@ -202,9 +222,8 @@ impl<M: PrimeModulus> CodedMatVec<M> {
     /// Opens an uncoded session over an already-encoded dataset.
     ///
     /// # Panics
-    /// Panics unless the dataset's code is `(K, K)` at `T = 0`: the uncoded
-    /// baseline reassembles its output by concatenating the shares, which
-    /// only that code's shares — the row bands — allow.
+    /// Panics unless the dataset's code is `(K, K)` at `T = 0`, the code
+    /// without redundancy whose shares are the row bands.
     pub fn uncoded(dataset: Arc<EncodedDataset<M>>) -> Self {
         let scheme = dataset.scheme();
         assert!(
@@ -237,8 +256,9 @@ impl<M: PrimeModulus> CodedMatVec<M> {
         &self.dataset
     }
 
-    /// The uncoded survivor rule: every worker's result, concatenated.
-    fn concatenate<'a>(
+    /// The uncoded survivor rule: all `K` workers, erasure-decoded. Every
+    /// share of the `(K, K)` code is systematic, so the decode runs no MACs.
+    fn wait_for_all<'a>(
         &self,
         arrivals: Vec<&'a Arrival<M>>,
         functions: usize,
@@ -250,26 +270,14 @@ impl<M: PrimeModulus> CodedMatVec<M> {
                 required: workers,
             });
         }
-        // Reassembly is the uncoded "decode": the shares are the row bands,
-        // so block `k` is worker `k`'s result. It is data movement, not
-        // multiply–accumulate work, so the master is charged nothing.
-        let mut bands = arrivals.clone();
-        bands.sort_unstable_by_key(|arrival| arrival.worker);
-        let blocks = (0..functions)
-            .map(|function| {
-                bands
-                    .iter()
-                    .map(|band| band.payload[function].clone())
-                    .collect()
-            })
-            .collect();
-        Ok(Survivors::unverified(arrivals, blocks))
+        Survivors::decoded(&self.dataset, arrivals, functions)
     }
 
     /// The LCC survivor rule: the fastest `N − S` results, each function
     /// error-decoded on its own (Byzantine identification is a decode-side
     /// by-product), detections unioned across the batch in first-located
-    /// order.
+    /// order. Error decoding needs `threshold + 2M` of them (eq. 1); a round
+    /// with fewer is short of results, like any other, and may be parked.
     fn error_decode<'a>(
         &self,
         mut arrivals: Vec<&'a Arrival<M>>,
@@ -277,13 +285,13 @@ impl<M: PrimeModulus> CodedMatVec<M> {
         rng: &mut StdRng,
     ) -> Result<Survivors<'a, M>, SchemeFailure> {
         let config = *self.dataset.scheme();
-        let block_rows = self.dataset.block_rows();
         let wait_count = config.lcc_wait_count().min(arrivals.len());
         let threshold = config.recovery_threshold();
-        if wait_count < threshold {
+        let required = threshold + 2 * config.byzantine;
+        if wait_count < required {
             return Err(SchemeFailure::NotEnoughResults {
                 available: wait_count,
-                required: threshold,
+                required,
             });
         }
         arrivals.truncate(wait_count);
@@ -313,18 +321,25 @@ impl<M: PrimeModulus> CodedMatVec<M> {
             }
             blocks.push(decoded);
         }
-        // The modelled Reed–Solomon decode cost: an interpolation through all
-        // `wait_count` results plus a `wait_count²` syndrome/locator term over
-        // an erasure decode, once per function. It models the decode the
-        // paper charges LCC, not the screen's own multiply count.
-        let decode_macs = (functions
-            * (block_rows * wait_count * config.partitions + wait_count * wait_count))
-            as u64;
         Ok(Survivors {
-            decode_macs,
+            used: arrivals,
+            blocks,
+            verify_macs: 0,
+            decode_macs: self.reed_solomon_decode_macs(functions, wait_count),
             detected_byzantine,
-            ..Survivors::unverified(arrivals, blocks)
+            screened_workers: Vec::new(),
+            corrupted_functions: Vec::new(),
         })
+    }
+
+    /// LCC's decode MACs for one round: a model of the Reed–Solomon decoder
+    /// of Yu et al.'s LCC (PAPERS.md), the baseline the paper compares
+    /// against, not a count of this repository's locator — an interpolation
+    /// through all `wait_count` results plus a `wait_count²` syndrome/locator
+    /// term, once per function.
+    fn reed_solomon_decode_macs(&self, functions: usize, wait_count: usize) -> u64 {
+        let interpolation = self.dataset.block_rows() * wait_count * self.dataset.partitions();
+        (functions * (interpolation + wait_count * wait_count)) as u64
     }
 }
 
@@ -368,9 +383,14 @@ impl<M: PrimeModulus> Freivalds<M> {
             .iter()
             .map(|arrival| (arrival.worker, combine(&arrival.payload)))
             .collect();
+        // Combining (m > 1 only) costs `m` MACs per coordinate: the inputs
+        // once, plus every arrival's claims — the screen needs them all.
+        let mut verify_macs = match sigma {
+            Some(_) => (functions * cols + arrivals.len() * functions * block_rows) as u64,
+            None => 0,
+        };
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
-        let mut verifications = 0usize;
-        let mut fallback_checks = 0usize;
+        verify_macs += screen_macs;
         let mut verified: Vec<&Arrival<M>> = Vec::with_capacity(threshold);
         let mut detected_byzantine = screened_workers.clone();
         let mut corrupted_functions = Vec::new();
@@ -381,7 +401,7 @@ impl<M: PrimeModulus> Freivalds<M> {
                 .iter()
                 .find(|arrival| arrival.worker == worker)
                 .expect("screened workers come from the arrivals");
-            fallback_checks += self.localize(inputs, arrival, &mut corrupted_functions);
+            verify_macs += self.localize(inputs, arrival, &mut corrupted_functions);
         }
         for (&arrival, (_, combined_claim)) in arrivals.iter().zip(&combined_claims) {
             if verified.len() >= threshold {
@@ -390,12 +410,13 @@ impl<M: PrimeModulus> Freivalds<M> {
             if screened_workers.contains(&arrival.worker) {
                 continue;
             }
-            let accepted = self.keys[arrival.worker].verify(&combined_input, combined_claim);
-            verifications += 1;
+            let key = &self.keys[arrival.worker];
+            let accepted = key.verify(&combined_input, combined_claim);
+            verify_macs += key.check_macs();
             if accepted {
                 verified.push(arrival);
             } else {
-                fallback_checks += self.localize(inputs, arrival, &mut corrupted_functions);
+                verify_macs += self.localize(inputs, arrival, &mut corrupted_functions);
                 detected_byzantine.push(arrival.worker);
             }
         }
@@ -406,40 +427,12 @@ impl<M: PrimeModulus> Freivalds<M> {
                 required: threshold,
             });
         }
-
-        // One interpolation basis for the verified survivor set, applied to
-        // each of the m functions' borrowed result lanes.
-        let survivors: Vec<usize> = verified.iter().map(|o| o.worker).collect();
-        let prepared = dataset.decoder().prepare(&survivors)?;
-        let blocks = (0..functions)
-            .map(|function| {
-                let lanes: Vec<&[Fp<M>]> = verified
-                    .iter()
-                    .map(|o| o.payload[function].as_slice())
-                    .collect();
-                prepared.apply(&lanes)
-            })
-            .collect::<Result<_, _>>()?;
-
-        // Combining (m > 1 only) costs `m` MACs per coordinate (inputs once,
-        // plus every arrival's claims — the screen needs them all); each
-        // combined check is one ordinary Freivalds check — one inner product
-        // over the payload plus one over the input; fallbacks are ordinary
-        // per-function checks; the screen adds its reported MACs.
-        let combine_macs = match sigma {
-            Some(_) => functions * cols + arrivals.len() * functions * block_rows,
-            None => 0,
-        };
         Ok(Survivors {
-            used: verified,
-            blocks,
-            verify_macs: (combine_macs + (verifications + fallback_checks) * (block_rows + cols))
-                as u64
-                + screen_macs,
-            decode_macs: (functions * block_rows * threshold * dataset.partitions()) as u64,
+            verify_macs,
             detected_byzantine,
             screened_workers,
             corrupted_functions,
+            ..Survivors::decoded(dataset, verified, functions)?
         })
     }
 
@@ -471,27 +464,28 @@ impl<M: PrimeModulus> Freivalds<M> {
     }
 
     /// Names the function(s) a rejected worker corrupted, adding them to
-    /// `corrupted`, and returns how many Freivalds checks that took: one per
-    /// function for a batch, none for a single function — the check (or
-    /// screen) that rejected the worker already names it.
+    /// `corrupted`, and returns the MACs of the Freivalds checks that took:
+    /// one check per function for a batch, none for a single function — the
+    /// check (or screen) that rejected the worker already names it.
     fn localize(
         &self,
         inputs: &[Vec<Fp<M>>],
         arrival: &Arrival<M>,
         corrupted: &mut Vec<usize>,
-    ) -> usize {
+    ) -> u64 {
         if inputs.len() == 1 {
             if corrupted.is_empty() {
                 corrupted.push(0);
             }
             return 0;
         }
+        let key = &self.keys[arrival.worker];
         for (function, (input, claim)) in inputs.iter().zip(&arrival.payload).enumerate() {
-            if !self.keys[arrival.worker].verify(input, claim) && !corrupted.contains(&function) {
+            if !key.verify(input, claim) && !corrupted.contains(&function) {
                 corrupted.push(function);
             }
         }
-        inputs.len()
+        inputs.len() as u64 * key.check_macs()
     }
 }
 
@@ -549,7 +543,7 @@ impl<M: PrimeModulus> MatVecEngine<M> for CodedMatVec<M> {
         let observed_stragglers = detect_stragglers(&arrivals);
 
         let survivors = match &self.check {
-            Check::None => self.concatenate(arrivals, functions)?,
+            Check::None => self.wait_for_all(arrivals, functions)?,
             Check::ErrorDecoding => self.error_decode(arrivals, functions, rng)?,
             Check::Freivalds(freivalds) => {
                 freivalds.verify(&self.dataset, inputs, arrivals, rng)?
@@ -614,6 +608,78 @@ mod tests {
         let config = SchemeConfig::linear(12, 9, s, m).unwrap();
         let mut rng = StdRng::seed_from_u64(seed);
         CodedMatVec::new(matrix, config, KeyGenConfig::default(), &mut rng)
+    }
+
+    /// Honest arrivals of `workers`, in that order, for a direct collect.
+    fn arrivals<M: PrimeModulus>(
+        engine: &CodedMatVec<M>,
+        inputs: &[Vec<Fp<M>>],
+        workers: &[usize],
+    ) -> Vec<Arrival<M>> {
+        let tasks = engine.dispatch_batch(inputs);
+        workers
+            .iter()
+            .enumerate()
+            .map(|(position, &worker)| WorkerOutcome {
+                worker,
+                payload: tasks[worker].run(),
+                compute_seconds: 0.001,
+                network_seconds: 0.0001,
+                arrival_seconds: 0.001 * (position + 1) as f64,
+                corrupted: false,
+            })
+            .collect()
+    }
+
+    #[test]
+    fn reported_decode_macs_are_the_macs_the_decode_ran() {
+        // The closed form, derived without the basis: the decode hands a
+        // systematic survivor's vector through (at T = 0 worker k < K sits on
+        // β_k; at T > 0 no worker does) and combines all R lanes for every
+        // other band, so each function costs
+        // (K − systematic survivors among the first R) · R · width MACs.
+        fn check<M: PrimeModulus>(colluding: usize, seed: u64) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let (workers, partitions) = (12, 8 - colluding);
+            let config = SchemeConfig::new(workers, partitions, 2, 1, colluding).unwrap();
+            let threshold = config.recovery_threshold();
+            let matrix = Matrix::from_vec(20, 5, avcc_field::random_matrix(&mut rng, 20, 5));
+            let mut engine =
+                CodedMatVec::<M>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+            let width = engine.dataset().block_rows();
+            for _ in 0..8 {
+                let mut order: Vec<usize> = (0..workers).collect();
+                for i in (1..workers).rev() {
+                    order.swap(i, rng.gen_range(0..=i));
+                }
+                let functions = rng.gen_range(1..4);
+                let inputs: Vec<Vec<Fp<M>>> = (0..functions)
+                    .map(|_| avcc_field::random_vector(&mut rng, 5))
+                    .collect();
+                let outcomes = arrivals(&engine, &inputs, &order);
+                let round = engine
+                    .collect_batch(&inputs, &outcomes, &NetworkModel::default(), 1.0, &mut rng)
+                    .unwrap();
+                let expected: Vec<_> = inputs.iter().map(|input| mat_vec(&matrix, input)).collect();
+                assert_eq!(round.outputs, expected);
+                assert_eq!(round.used_workers, order[..threshold]);
+                let systematic = order[..threshold]
+                    .iter()
+                    .filter(|&&worker| colluding == 0 && worker < partitions)
+                    .count();
+                let per_function = (partitions - systematic) * threshold * width;
+                assert_eq!(
+                    round.ops.decode_macs,
+                    (functions * per_function) as u64,
+                    "T = {colluding}, survivors {:?}",
+                    &order[..threshold]
+                );
+            }
+        }
+        for (colluding, seed) in [(0, 90), (2, 91)] {
+            check::<P25>(colluding, seed);
+            check::<avcc_field::P64>(colluding, seed);
+        }
     }
 
     #[test]
@@ -907,6 +973,35 @@ mod tests {
         }
 
         #[test]
+        fn a_round_short_of_threshold_plus_two_m_is_not_enough_results() {
+            // (12, 9, 1, 1) error-decodes from 9 + 2·1 = 11 results. Nine or
+            // ten honest arrivals are a round short of results, which the
+            // driver parks until more workers respond, not a failed decode.
+            let (matrix, inputs, _) = setup();
+            let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
+            let mut rng = StdRng::seed_from_u64(6);
+            let mut engine = lcc_session(&matrix, config, &mut rng);
+            for available in [9, 10] {
+                let workers: Vec<usize> = (0..available).collect();
+                let outcomes = arrivals(&engine, &inputs, &workers);
+                let round = engine.collect_batch(
+                    &inputs,
+                    &outcomes,
+                    &NetworkModel::default(),
+                    1.0,
+                    &mut rng,
+                );
+                assert_eq!(
+                    round.err(),
+                    Some(SchemeFailure::NotEnoughResults {
+                        available,
+                        required: 11
+                    })
+                );
+            }
+        }
+
+        #[test]
         fn straggler_is_not_waited_for() {
             let (matrix, inputs, expected) = setup();
             let config = SchemeConfig::linear(12, 9, 1, 1).unwrap();
@@ -926,7 +1021,7 @@ mod tests {
         }
     }
 
-    /// The uncoded baseline: every worker, concatenated.
+    /// The uncoded baseline: every worker, erasure-decoded.
     mod uncoded {
         use super::*;
 

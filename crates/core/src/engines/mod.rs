@@ -20,9 +20,9 @@
 //! the round once [`MatVecEngine::min_results`] non-straggling results are
 //! in; [`MatVecEngine::collect_batch`] drops malformed arrivals, lets the
 //! scheme's survivor rule pick and decode the results it trusts (all of
-//! them concatenated, the fastest `N − S` error-decoded, or the first
-//! threshold that pass Freivalds), and reconstructs the `m` products and
-//! accounts the round's costs.
+//! them, the fastest `N − S` error-decoded, or the first threshold that pass
+//! Freivalds), and reconstructs the `m` products and accounts the round's
+//! costs.
 //!
 //! A training round is the batch of one (`m = 1`): the trainer passes its one
 //! input as `std::slice::from_ref(..)` and reads `outputs[0]`. With one

@@ -176,7 +176,6 @@ impl ExperimentConfig {
             self.designed_stragglers,
             self.designed_byzantine,
             self.colluding,
-            1,
         )
         .expect("experiment coding configuration must be structurally valid")
     }

@@ -24,14 +24,14 @@
 //!
 //! The schemes differ most concretely in their per-round *stopping rule*
 //! and in which master-side costs they incur. With `N` workers, `K` data
-//! blocks, `S` stragglers and `M` Byzantine workers tolerated, `T` privacy
-//! pads and polynomial degree `deg f`:
+//! blocks, `S` stragglers and `M` Byzantine workers tolerated, and `T`
+//! privacy pads (every round is a linear map, so the paper's `deg f` is 1):
 //!
 //! | Scheme | Feasibility bound | Waits for | Master-side overhead |
 //! |---|---|---|---|
 //! | `Uncoded` | `N ≥ K` | **all** `N` results (stragglers included) | reassembly only |
-//! | `Lcc` | `N ≥ (K+T−1)·deg f + S + 2M + 1` (eq. 1) | the fastest `N − S` | Reed–Solomon error decoding: the dual-codeword screen locates Byzantine results, the rest are erasure-decoded |
-//! | `Avcc` / `StaticVcc` | `N ≥ (K+T−1)·deg f + S + M + 1` (eq. 2) | the fastest `(K+T−1)·deg f + 1` **verified** results | per-result Freivalds check + erasure-only interpolation |
+//! | `Lcc` | `N ≥ K + T + S + 2M` (eq. 1) | the fastest `N − S` | Reed–Solomon error decoding: the dual-codeword screen locates Byzantine results, the rest are erasure-decoded |
+//! | `Avcc` / `StaticVcc` | `N ≥ K + T + S + M` (eq. 2) | the fastest `K + T` **verified** results | per-result Freivalds check + erasure-only interpolation |
 //!
 //! The paper's headline trade is visible in the bounds: verification lets
 //! AVCC spend `M` workers on Byzantine tolerance where LCC spends `2M`,

@@ -19,9 +19,12 @@ pub struct IterationRecord {
     pub iteration: usize,
     /// Cost breakdown of this iteration.
     pub costs: IterationCosts,
-    /// Deterministic operation counts for both rounds of this iteration;
-    /// `costs.verification` and `costs.decoding` are these counts'
-    /// `verify_macs` and `decode_macs` at [`avcc_sim::SECONDS_PER_MAC`].
+    /// Deterministic operation counts for both rounds of this iteration, as
+    /// reported by the code that did the work (the Freivalds keys, the
+    /// screen and the prepared decode; LCC's decode is its modeled
+    /// Reed–Solomon count); `costs.verification` and `costs.decoding` are
+    /// these counts' `verify_macs` and `decode_macs` at
+    /// [`avcc_sim::SECONDS_PER_MAC`].
     pub ops: OpCounts,
     /// Cumulative simulated time after this iteration.
     pub cumulative_seconds: f64,

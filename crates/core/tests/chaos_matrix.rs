@@ -38,16 +38,17 @@ fn small_problem() -> TrainingProblem {
 }
 
 fn make_trainer() -> DistributedTrainer<P25> {
+    trainer_for(SchemeKind::Avcc, SchemeConfig::linear(12, 9, 2, 1).unwrap())
+}
+
+fn trainer_for(scheme: SchemeKind, coding: SchemeConfig) -> DistributedTrainer<P25> {
     DistributedTrainer::new(
         small_problem(),
         ClusterProfile::uniform(12),
         ByzantineSpec::none(),
         TrainerConfig {
             iterations: 6,
-            ..TrainerConfig::paper_defaults(
-                SchemeKind::Avcc,
-                SchemeConfig::linear(12, 9, 2, 1).unwrap(),
-            )
+            ..TrainerConfig::paper_defaults(scheme, coding)
         },
         "chaos",
     )
@@ -72,10 +73,14 @@ fn oracle() -> Vec<(f64, f64)> {
 
 /// Runs one chaos schedule and returns the trajectory.
 fn chaos_run(schedule: ChurnSchedule) -> Vec<(f64, f64)> {
-    let mut trainer = make_trainer();
+    chaos_run_on(&mut make_trainer(), schedule)
+}
+
+/// Runs one chaos schedule on `trainer` and returns the trajectory.
+fn chaos_run_on(trainer: &mut DistributedTrainer<P25>, schedule: ChurnSchedule) -> Vec<(f64, f64)> {
     let mut executor = VirtualExecutor::new(trainer.cluster().clone());
     executor.set_churn(schedule);
-    let report = train_distributed(&mut trainer, &mut executor)
+    let report = train_distributed(trainer, &mut executor)
         .expect("every recoverable schedule must train to completion");
     trajectory(&report)
 }
@@ -171,4 +176,21 @@ fn exhausted_stall_budget_shrink_recodes_instead_of_erroring() {
 
     // The report charges the shrink's re-distribution cost somewhere.
     assert!(report.iterations.iter().any(|r| r.reconfigured));
+}
+
+#[test]
+fn an_lcc_round_short_of_its_error_decoding_floor_parks_then_resumes() {
+    // LCC (12, 9, 1, 1) error-decodes from 9 + 2·1 = 11 results. With two
+    // workers flapped out only 10 respond, above the threshold of 9 but
+    // short of that floor: the round must park until they rejoin, and the
+    // trajectory must equal LCC's quiet-fleet oracle.
+    let lcc = || trainer_for(SchemeKind::Lcc, SchemeConfig::linear(12, 9, 1, 1).unwrap());
+    let quiet = chaos_run_on(&mut lcc(), ChurnSchedule::quiet());
+    let mut trainer = lcc();
+    let flapped = chaos_run_on(&mut trainer, ChaosSchedule::flap(&[5, 11], 2, 3));
+    assert_eq!(flapped, quiet);
+
+    let kinds: Vec<ChurnEventKind> = trainer.fleet_events().iter().map(|e| e.kind).collect();
+    assert!(kinds.contains(&ChurnEventKind::Parked), "{kinds:?}");
+    assert!(kinds.contains(&ChurnEventKind::Resumed), "{kinds:?}");
 }

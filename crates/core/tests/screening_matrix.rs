@@ -195,7 +195,7 @@ fn matrix_for_modulus<M: PrimeModulus>(seed: u64) {
     let plain = SchemeConfig::linear(16, 8, 2, 3).unwrap();
     // Privacy-padded config: T=2 random pads, threshold (6+2−1)+1 = 8,
     // Byzantine budget M=2.
-    let padded = SchemeConfig::new(16, 6, 2, 2, 2, 1).unwrap();
+    let padded = SchemeConfig::new(16, 6, 2, 2, 2).unwrap();
     for config in [plain, padded] {
         for (attack, byzantine_count) in attack_rows() {
             for straggler_count in 0..=2usize {

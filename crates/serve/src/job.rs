@@ -29,7 +29,7 @@ pub enum JobSpec<M: PrimeModulus> {
         matrix: Matrix<Fp<M>>,
         /// The broadcast input vector (`matrix.cols()` entries).
         input: Vec<Fp<M>>,
-        /// The coding configuration `(N, K, S, M, T, deg f)`.
+        /// The coding configuration `(N, K, S, M, T)`.
         coding: SchemeConfig,
         /// RNG seed for encoding pads and verification keys.
         seed: u64,
@@ -46,7 +46,7 @@ pub enum JobSpec<M: PrimeModulus> {
         matrix: Matrix<Fp<M>>,
         /// The `m` broadcast input vectors (`matrix.cols()` entries each).
         inputs: Vec<Vec<Fp<M>>>,
-        /// The coding configuration `(N, K, S, M, T, deg f)`.
+        /// The coding configuration `(N, K, S, M, T)`.
         coding: SchemeConfig,
         /// RNG seed for encoding pads and verification keys.
         seed: u64,

@@ -73,20 +73,24 @@ impl IterationCosts {
 
 /// Deterministic field-operation counts for one round, iteration or job.
 ///
-/// All counts are first-order multiply–accumulate (MAC) estimates derived
-/// from the problem dimensions — *not* measured — so they are bit-identical
-/// across runs, executors and hosts. `worker_macs` models the critical path
-/// (one worker's share product, since the shares compute in parallel);
-/// `verify_macs` and `decode_macs` model the master-side Freivalds checks
-/// and decode/reassembly work that the serving layer overlaps with worker
-/// compute.
+/// All counts are multiply–accumulates (MACs) that the code performing the
+/// work reports — counted, not timed — so they are bit-identical across
+/// runs, executors and hosts. `worker_macs` is the critical path (one
+/// worker's share product, since the shares compute in parallel).
+/// `verify_macs` sums the master's checks that ran: each Freivalds check's
+/// `MatVecKey::check_macs`, the dual-codeword screen's reported MACs, and
+/// the σ-combining of a batch. `decode_macs` is the prepared erasure
+/// decode's `PreparedDecode::macs` — the non-zero coefficients of the bands
+/// it interpolates, per element; a systematic survivor's band costs
+/// nothing. The one modeled count is the LCC baseline's decode, a model of
+/// its Reed–Solomon decoder. The basis a decode prepares is not charged.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct OpCounts {
     /// MACs on the worker critical path (one share/block product).
     pub worker_macs: u64,
     /// Master-side MACs spent verifying results (AVCC/Static VCC only).
     pub verify_macs: u64,
-    /// Master-side MACs spent decoding or reassembling the product.
+    /// Master-side MACs spent decoding the product.
     pub decode_macs: u64,
 }
 

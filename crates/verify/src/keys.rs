@@ -114,6 +114,14 @@ impl<M: PrimeModulus> MatVecKey<M> {
         self.pairs.len()
     }
 
+    /// The multiply–accumulates one [`verify`](Self::verify) costs: per
+    /// repetition, one inner product over the claimed result (`rows`) and
+    /// one over the input (`cols`). A rejected claim may stop after its
+    /// first failing repetition, so for it this is an upper bound.
+    pub fn check_macs(&self) -> u64 {
+        (self.repetitions() * (self.rows + self.cols)) as u64
+    }
+
     /// Verifies a claimed result: accepts iff `r·claimed = s·input` for every
     /// repetition. Completeness is exact (a correct result always passes);
     /// soundness error is `q^{-repetitions}`.
@@ -158,6 +166,7 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(1);
         let block = random_block(&mut rng, 10, 6);
         let key = MatVecKey::generate(&block, KeyGenConfig::default(), &mut rng);
+        assert_eq!(key.check_macs(), 10 + 6);
         for _ in 0..20 {
             let w: Vec<F25> = avcc_field::random_vector(&mut rng, 6);
             let z = mat_vec(&block, &w);
@@ -188,6 +197,7 @@ mod tests {
         let block = random_block(&mut rng, 9, 9);
         let key = MatVecKey::generate(&block, KeyGenConfig { repetitions: 3 }, &mut rng);
         assert_eq!(key.repetitions(), 3);
+        assert_eq!(key.check_macs(), 3 * (9 + 9));
         let w: Vec<F25> = avcc_field::random_vector(&mut rng, 9);
         assert!(key.verify(&w, &mat_vec(&block, &w)));
     }

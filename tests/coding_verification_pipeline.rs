@@ -113,7 +113,7 @@ fn m_security_via_per_worker_verification() {
 /// masked by a full-entropy uniform pad.
 #[test]
 fn t_privacy_pad_submatrices_are_invertible() {
-    let config = SchemeConfig::new(12, 4, 1, 1, 3, 1).unwrap();
+    let config = SchemeConfig::new(12, 4, 1, 1, 3).unwrap();
     let encoder = LagrangeEncoder::<P25>::new(config);
     let pads = encoder.pad_submatrix();
     assert_eq!(pads.len(), 3);
@@ -141,7 +141,7 @@ fn t_privacy_pad_submatrices_are_invertible() {
 /// a single share never equals the raw data block.
 #[test]
 fn private_shares_never_expose_raw_blocks() {
-    let config = SchemeConfig::new(10, 3, 1, 0, 2, 1).unwrap();
+    let config = SchemeConfig::new(10, 3, 1, 0, 2).unwrap();
     let mut rng = StdRng::seed_from_u64(6);
     let (matrix, dataset) = encoded(config, 4, 4, 5, &mut rng);
     for share in dataset.shares() {
