@@ -68,10 +68,7 @@ fn churn() -> ChurnSchedule {
 }
 
 fn serve(fleet: &Fleet, churned: bool) -> ServingReport<P25> {
-    let mut scheduler = Scheduler::<P25>::new(SchedulerConfig {
-        sleep_per_slowdown_unit: 0.004,
-        ..SchedulerConfig::default()
-    });
+    let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
     if churned {
         scheduler.set_churn(churn(), WORKERS);
     }

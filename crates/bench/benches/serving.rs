@@ -5,7 +5,7 @@
 //! acceptance bench: with four concurrent training jobs on a four-slot
 //! fleet the pipelined schedule beats the synchronous one. The win is
 //! structural, not a core-count artifact: each job carries a ×10 straggler
-//! whose slot sleep (`sleep_per_slowdown_unit`) sits on the synchronous
+//! whose slot sleep (2 ms per unit of slowdown) sits on the synchronous
 //! critical path every round, while the pipelined schedule overlaps the
 //! sleeps (and the master-side encode/verify/decode) of different jobs on
 //! the same slots. Results stay bit-identical either way, which the bench

@@ -23,9 +23,9 @@
 //! so the re-shipped blocks *replace* the superseded ones on the master's
 //! respawn cache and on every worker.
 //!
-//! On top of the runner sits the one iteration driver: [`train_distributed`]
-//! runs it on a caller's executor, [`DistributedTrainer::train`] on the
-//! trainer's own.
+//! On top of the runner, [`TrainingRun::run_on`] steps a training run:
+//! [`train_distributed`] on a caller's executor, [`DistributedTrainer::train`]
+//! on the trainer's own.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -36,8 +36,8 @@ use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::executor::{Executor, ExecutorError, RawOutcome, RoundPoll, WorkerOutcome};
 use avcc_sim::wire::Block;
 
-use crate::driver::{DistributedTrainer, TrainingRound};
-use crate::report::{IterationRecord, TrainingReport};
+use crate::driver::{DistributedTrainer, TrainingRun};
+use crate::report::TrainingReport;
 use crate::rounds::{
     has_dispatched_shape, BatchRoundTask, SchemeFailure, STRAGGLER_DETECTION_FACTOR,
 };
@@ -324,144 +324,24 @@ impl WireRunner {
     }
 }
 
-/// Channel index used for a trainer's round-1 dispatches.
-const CHANNEL_ROUND1: usize = 0;
-/// Channel index used for a trainer's round-2 dispatches.
-const CHANNEL_ROUND2: usize = 1;
-
 /// Runs the trainer's full configured training loop on `executor`: what
 /// [`DistributedTrainer::train`] does on the trainer's own executor, producing
 /// a bit-identical model trajectory for any executor whose outcomes carry the
 /// same values (all of them — the compute path is the same
 /// `avcc_linalg::mat_vec` kernel everywhere, and decode is exact).
 ///
-/// Blocks ship to the workers once up front (and again only after a dynamic
-/// re-coding swaps the datasets); each round then moves one input vector per
-/// worker down and one output vector per worker back.
-///
-/// # Graceful degradation under churn
-///
-/// When a round comes back below the recovery threshold (churned workers
-/// absent), the driver does not error: it **parks** the round — re-dispatching
-/// the same tasks, each dispatch advancing the executor's round clock so
-/// churned workers may have rejoined by the retry — up to the trainer's
-/// [stall budget](DistributedTrainer::stall_budget). Exhausting the budget
-/// [shrink-recodes](DistributedTrainer::shrink_to_fit) to a smaller `K` that
-/// fits the workers actually responding and restarts the iteration on the
-/// new code. Decode is exact, so neither path perturbs the model trajectory.
+/// Blocks ship once up front (again only after a re-coding swaps the
+/// datasets); each round then moves one input and one output vector per
+/// worker. A round that comes back below the recovery threshold (churned
+/// workers absent) parks, then shrink-recodes ([`TrainingRun::stall`]);
+/// decode is exact, so neither perturbs the model trajectory.
 pub fn train_distributed<M: PrimeModulus>(
     trainer: &mut DistributedTrainer<M>,
     executor: &mut dyn Executor,
 ) -> Result<TrainingReport, DistributedError> {
-    let mut runner = WireRunner::new();
-    let mut report = TrainingReport::new(trainer.scheme().label(), trainer.scenario_label());
-    let mut cumulative = 0.0;
-    for iteration in 0..trainer.iterations() {
-        let record =
-            run_iteration_parked(trainer, executor, &mut runner, iteration, &mut cumulative)?;
-        report.push(record);
-    }
-    Ok(report)
-}
-
-/// The iteration driver: both rounds of one training iteration on
-/// `executor`, each inside the park / resume / shrink loop (see
-/// [`train_distributed`]); a shrink-recode restarts the iteration on the new
-/// code. On `Err` the trainer's pipeline is reset.
-pub(crate) fn run_iteration_parked<M: PrimeModulus>(
-    trainer: &mut DistributedTrainer<M>,
-    executor: &mut dyn Executor,
-    runner: &mut WireRunner,
-    iteration: usize,
-    cumulative: &mut f64,
-) -> Result<IterationRecord, DistributedError> {
-    let result = (|| loop {
-        let tasks = trainer.encode_round1();
-        let Some(tasks) = run_parked_round(
-            trainer,
-            executor,
-            runner,
-            TrainingRound::Round1,
-            iteration,
-            &tasks,
-            |trainer, outcomes| trainer.collect_round1(outcomes),
-        )?
-        else {
-            continue;
-        };
-        let record = run_parked_round(
-            trainer,
-            executor,
-            runner,
-            TrainingRound::Round2,
-            iteration,
-            &tasks,
-            |trainer, outcomes| trainer.collect_round2(iteration, outcomes, cumulative),
-        )?;
-        if let Some(record) = record {
-            return Ok(record);
-        }
-    })();
-    if result.is_err() {
-        trainer.reset_pipeline();
-    }
-    result
-}
-
-/// Dispatches `tasks` until `collect` accepts a round. Each dispatch is one
-/// [`WireRunner::run_streaming_round`] that closes once the round's engine
-/// can decode; what it did not wait for is reported to the trainer
-/// ([`DistributedTrainer::set_late_hint`]) before every collect. `collect`
-/// reads the runner's outcomes by reference, so a failed attempt leaves them
-/// intact for the retry at the next arrival. A round that stays below
-/// threshold with nobody left to wait for is re-dispatched or shrink-recoded
-/// as [`DistributedTrainer::park_or_shrink`] decides.
-/// `Ok(None)` means the trainer shrink-recoded and the iteration must
-/// restart.
-fn run_parked_round<M: PrimeModulus, T>(
-    trainer: &mut DistributedTrainer<M>,
-    executor: &mut dyn Executor,
-    runner: &mut WireRunner,
-    round: TrainingRound,
-    iteration: usize,
-    tasks: &[BatchRoundTask<M>],
-    mut collect: impl FnMut(
-        &mut DistributedTrainer<M>,
-        &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
-    ) -> Result<T, SchemeFailure>,
-) -> Result<Option<T>, DistributedError> {
-    let channel = match round {
-        TrainingRound::Round1 => CHANNEL_ROUND1,
-        TrainingRound::Round2 => CHANNEL_ROUND2,
-    };
-    let byzantine = trainer.byzantine().clone();
-    let mut stalls = 0usize;
-    loop {
-        let quorum = trainer.round_min_results(round);
-        let collected = runner.run_streaming_round(
-            executor,
-            channel,
-            tasks,
-            &byzantine,
-            Some(quorum),
-            |outcomes, late| {
-                trainer.set_late_hint(late);
-                let collected = collect(trainer, outcomes)?;
-                Ok((collected, outcomes.len()))
-            },
-        )?;
-        match collected {
-            Ok((collected, responded)) => {
-                trainer.note_resumed(iteration, &mut stalls, responded);
-                return Ok(Some(collected));
-            }
-            Err(failure) => {
-                if trainer.park_or_shrink(iteration, &mut stalls, failure)? {
-                    return Ok(None);
-                }
-            }
-        }
-    }
+    let mut run = TrainingRun::new(trainer);
+    run.run_on(trainer, executor, &mut WireRunner::new())?;
+    Ok(run.into_report())
 }
 
 #[cfg(test)]

@@ -2,10 +2,11 @@
 //! scenario) that runs the paper's two-round logistic-regression protocol for
 //! a configured number of iterations and records everything the experiments
 //! need. The staged API (`encode_round1` → `collect_round1` →
-//! `collect_round2`) is the master's half of an iteration; who runs the
-//! rounds in between is the caller's business — [`crate::distributed`]'s
-//! iteration driver for `train()` / `train_distributed`, the serving
-//! scheduler for pipelined jobs.
+//! `collect_round2`) is the master's half of an iteration; [`TrainingRun`]
+//! strings the stages into a whole run — which round is next, when a short
+//! round parks, resumes or shrink-recodes — and leaves who runs the rounds
+//! to its caller: [`TrainingRun::run_on`] an [`Executor`] for `train()` /
+//! `train_distributed`, the serving scheduler its fleet.
 //!
 //! One iteration (§IV-A) is:
 //!
@@ -19,6 +20,7 @@
 //!    re-encode if the straggler slack went negative, charging the one-time
 //!    re-encoding and re-distribution cost to this iteration.
 
+use std::ops::Range;
 use std::sync::Arc;
 
 use avcc_coding::{EncodedDataset, SchemeConfig};
@@ -29,13 +31,13 @@ use avcc_ml::quantized::QuantizedProtocol;
 use avcc_sim::attack::ByzantineSpec;
 use avcc_sim::churn::{ChurnEvent, ChurnEventKind};
 use avcc_sim::cluster::ClusterProfile;
-use avcc_sim::executor::{VirtualExecutor, WorkerOutcome};
+use avcc_sim::executor::{Executor, VirtualExecutor, WorkerOutcome};
 use avcc_verify::KeyGenConfig;
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::adaptive::adapt;
-use crate::distributed::{run_iteration_parked, WireRunner};
+use crate::distributed::{BatchOutcomes, DistributedError, WireRunner};
 use crate::engines::{CodedMatVec, MatVecEngine};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
@@ -194,7 +196,6 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     inflight: Option<InflightIteration<M>>,
     fleet_events: Vec<ChurnEvent>,
     pending_reconfiguration: f64,
-    late_hint: Vec<usize>,
 }
 
 impl<M: PrimeModulus> DistributedTrainer<M> {
@@ -254,7 +255,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             inflight: None,
             fleet_events: Vec::new(),
             pending_reconfiguration: 0.0,
-            late_hint: Vec::new(),
         }
     }
 
@@ -346,9 +346,14 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         // Evictions and `set_stragglers` edit the trainer's view of the
         // fleet; the executor must charge exactly those slots and slowdowns.
         executor.set_profile(self.cluster.clone());
-        let result = run_iteration_parked(self, &mut executor, &mut runner, iteration, cumulative);
+        let mut run = TrainingRun::over(self, iteration..iteration + 1, *cumulative);
+        let result = run.run_on(self, &mut executor, &mut runner);
         self.local = Some((executor, runner));
-        Ok(result?)
+        result?;
+        let record = run.into_report().iterations.pop();
+        let record = record.expect("a finished run of one iteration has its record");
+        *cumulative = record.cumulative_seconds;
+        Ok(record)
     }
 
     /// Stage 1 of the pipeline: quantizes the current weights and builds the
@@ -388,6 +393,16 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         &mut self,
         outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
     ) -> Result<Vec<BatchRoundTask<M>>, SchemeFailure> {
+        self.close_round1(outcomes, &[])
+    }
+
+    /// [`DistributedTrainer::collect_round1`] that adds `late`, the workers
+    /// its caller stopped waiting for, to the round's observed stragglers.
+    fn close_round1(
+        &mut self,
+        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
+        late: &[usize],
+    ) -> Result<Vec<BatchRoundTask<M>>, SchemeFailure> {
         let inflight = self
             .inflight
             .as_mut()
@@ -403,7 +418,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             1.0,
             &mut self.rng,
         )?;
-        execution.observed_stragglers.append(&mut self.late_hint);
+        execution.observed_stragglers.extend_from_slice(late);
         let errors = self
             .protocol
             .error_vector(&execution.outputs[0], &self.problem.train_labels);
@@ -428,6 +443,18 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
         cumulative: &mut f64,
     ) -> Result<IterationRecord, SchemeFailure> {
+        self.close_round2(iteration, outcomes, &[], cumulative)
+    }
+
+    /// [`DistributedTrainer::collect_round2`] with round 2's `late` workers,
+    /// as in [`DistributedTrainer::close_round1`].
+    fn close_round2(
+        &mut self,
+        iteration: usize,
+        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
+        late: &[usize],
+        cumulative: &mut f64,
+    ) -> Result<IterationRecord, SchemeFailure> {
         let inflight = self
             .inflight
             .as_ref()
@@ -443,7 +470,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             1.0,
             &mut self.rng,
         )?;
-        round2.observed_stragglers.append(&mut self.late_hint);
+        round2.observed_stragglers.extend_from_slice(late);
         let round1 = self
             .inflight
             .take()
@@ -525,7 +552,7 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
     /// fresh keys for the re-indexed survivors — and on the socket fleet the
     /// next round re-ships every block. So a pure eviction is free in modeled
     /// time but not in wall time or bytes. Making it move no data (mask the
-    /// evicted slot, keep the encoding) is ROADMAP item 3(a).
+    /// evicted slot, keep the encoding) is ROADMAP item 7(a).
     fn apply_adaptation(
         &mut self,
         evicted: &[usize],
@@ -565,22 +592,11 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.cluster.set_stragglers(stragglers, multiplier);
     }
 
-    /// How many re-dispatches a parked round is allowed before the driver
-    /// shrink-recodes (see [`DistributedTrainer::shrink_to_fit`]).
+    /// How many times a parked round may be re-dispatched to the same fleet
+    /// (waiting for churned workers to rejoin) before the run gives up
+    /// waiting and [shrink-recodes](DistributedTrainer::shrink_to_fit).
     pub fn stall_budget(&self) -> usize {
-        Self::STALL_BUDGET
-    }
-
-    /// Names the workers that had not answered the round about to be
-    /// collected when its caller stopped waiting. Callers that stop
-    /// collecting once the round can decode — the iteration driver behind
-    /// [`crate::train_distributed`] — must set this before every collect, or
-    /// stragglers that were cut off rather than waited for would never be
-    /// observed as stragglers. The next successful collect adds `late` to its
-    /// round's observed stragglers. A caller that waits for every dispatched
-    /// worker never needs it.
-    pub(crate) fn set_late_hint(&mut self, late: &[usize]) {
-        self.late_hint = late.to_vec();
+        4
     }
 
     /// Fleet-level lifecycle events recorded by the driver and its callers:
@@ -598,55 +614,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             worker: workers,
             kind,
         });
-    }
-
-    /// How many times a parked round may be re-dispatched to the same fleet
-    /// (waiting for churned workers to rejoin) before the driver gives up
-    /// waiting and shrink-recodes to a smaller `K` instead.
-    const STALL_BUDGET: usize = 4;
-
-    /// The park / shrink decision for a round whose collect failed with every
-    /// dispatched result in (churned workers absent, not merely late), shared
-    /// by the iteration driver and the serving scheduler. The round is parked
-    /// — re-dispatched unchanged — while `stalls`, its consecutive
-    /// re-dispatches, stay within the stall budget; then the trainer
-    /// [shrink-recodes](DistributedTrainer::shrink_to_fit). Returns whether
-    /// it did: `false` = re-dispatch the same tasks (the next dispatch
-    /// advances the churn clock, so absent workers may rejoin), `true` = the
-    /// in-flight iteration was abandoned, restart it from `encode_round1`.
-    /// Any other failure, or a shrink with no smaller decodable code, is the
-    /// error.
-    pub fn park_or_shrink(
-        &mut self,
-        iteration: usize,
-        stalls: &mut usize,
-        failure: SchemeFailure,
-    ) -> Result<bool, SchemeFailure> {
-        let SchemeFailure::NotEnoughResults {
-            available,
-            required,
-        } = failure
-        else {
-            return Err(failure);
-        };
-        if *stalls == 0 {
-            self.note_fleet_event(iteration as u64, available, ChurnEventKind::Parked);
-        }
-        *stalls += 1;
-        if *stalls <= Self::STALL_BUDGET {
-            return Ok(false);
-        }
-        self.shrink_to_fit(iteration as u64, available, required)?;
-        *stalls = 0;
-        Ok(true)
-    }
-
-    /// Closes a park: records `Resumed` if the round that just collected
-    /// (from `responded` workers) had been parked, and clears `stalls`.
-    pub fn note_resumed(&mut self, iteration: usize, stalls: &mut usize, responded: usize) {
-        if std::mem::take(stalls) > 0 {
-            self.note_fleet_event(iteration as u64, responded, ChurnEventKind::Resumed);
-        }
     }
 
     /// Shrink-recodes after a parked round exhausted its stall budget: every
@@ -695,6 +662,216 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.reset_pipeline();
         self.pending_reconfiguration += self.apply_adaptation(&[], new_config, true);
         self.note_fleet_event(round, available, ChurnEventKind::ShrinkRecoded);
+        Ok(())
+    }
+}
+
+/// What [`TrainingRun::stall`] did with a short round.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Stall {
+    /// Parked: dispatch the same [`TrainingRun::tasks`] again.
+    Parked {
+        /// The results the round needs, as its failure named them.
+        required: usize,
+    },
+    /// Shrink-recoded: the iteration restarts at round 1 on a smaller code.
+    ShrinkRecoded,
+}
+
+/// A training run as one resumable state machine: the iteration and round
+/// in flight, the tasks to dispatch next, the park count, the modeled clock
+/// and the report so far. [`TrainingRun::run_on`] runs its rounds on an
+/// [`Executor`], the serving scheduler on its fleet; both step the same
+/// `collect` and `stall`. The trainer is an argument to each call, so its
+/// owner keeps it.
+pub struct TrainingRun<M: PrimeModulus> {
+    iteration: usize,
+    /// One past the last iteration of the run.
+    end: usize,
+    round: TrainingRound,
+    /// Consecutive re-dispatches of the parked round (0 = not parked).
+    stalls: usize,
+    cumulative: f64,
+    report: TrainingReport,
+    tasks: Vec<BatchRoundTask<M>>,
+}
+
+impl<M: PrimeModulus> TrainingRun<M> {
+    /// A run of the trainer's configured iterations, its first round
+    /// encoded.
+    ///
+    /// # Panics
+    /// Panics if the trainer already has an iteration in flight.
+    pub fn new(trainer: &mut DistributedTrainer<M>) -> Self {
+        Self::over(trainer, 0..trainer.iterations(), 0.0)
+    }
+
+    /// A run of `iterations`, its modeled clock starting at `cumulative`.
+    fn over(
+        trainer: &mut DistributedTrainer<M>,
+        iterations: Range<usize>,
+        cumulative: f64,
+    ) -> Self {
+        let tasks = if iterations.is_empty() {
+            Vec::new()
+        } else {
+            trainer.encode_round1()
+        };
+        TrainingRun {
+            iteration: iterations.start,
+            end: iterations.end,
+            round: TrainingRound::Round1,
+            stalls: 0,
+            cumulative,
+            report: TrainingReport::new(trainer.scheme().label(), trainer.scenario_label()),
+            tasks,
+        }
+    }
+
+    /// Whether every iteration of the run has its record.
+    pub fn is_finished(&self) -> bool {
+        self.iteration >= self.end
+    }
+
+    /// The round to dispatch next.
+    pub fn round(&self) -> TrainingRound {
+        self.round
+    }
+
+    /// The wire channel of the round to dispatch next: one per round, so
+    /// each keeps its blocks installed from one iteration to the next.
+    pub fn channel(&self) -> usize {
+        match self.round {
+            TrainingRound::Round1 => 0,
+            TrainingRound::Round2 => 1,
+        }
+    }
+
+    /// The tasks to dispatch next, one per worker (none once finished).
+    pub fn tasks(&self) -> &[BatchRoundTask<M>] {
+        &self.tasks
+    }
+
+    /// The records of the iterations run so far.
+    pub fn report(&self) -> &TrainingReport {
+        &self.report
+    }
+
+    /// The run's report.
+    pub fn into_report(self) -> TrainingReport {
+        self.report
+    }
+
+    /// Collects the round in flight from its arrival-ordered `outcomes`.
+    /// `late` names the workers the caller stopped waiting for; they join
+    /// the round's observed stragglers, so the adaptive controller sees a
+    /// straggler it cut off as it sees one it waited for. A caller that
+    /// waits for every dispatched worker passes none.
+    ///
+    /// On success the run moves on — to round 2, or past round 2 to the
+    /// next iteration's round 1, returning the record round 2 closed — and
+    /// a parked round is logged `Resumed`. On `Err` nothing changed, so the
+    /// call may be retried with more outcomes.
+    pub fn collect(
+        &mut self,
+        trainer: &mut DistributedTrainer<M>,
+        outcomes: &[WorkerOutcome<Vec<Vec<Fp<M>>>>],
+        late: &[usize],
+    ) -> Result<Option<&IterationRecord>, SchemeFailure> {
+        let record = match self.round {
+            TrainingRound::Round1 => {
+                self.tasks = trainer.close_round1(outcomes, late)?;
+                None
+            }
+            TrainingRound::Round2 => {
+                let cumulative = &mut self.cumulative;
+                Some(trainer.close_round2(self.iteration, outcomes, late, cumulative)?)
+            }
+        };
+        if std::mem::take(&mut self.stalls) > 0 {
+            let iteration = self.iteration as u64;
+            trainer.note_fleet_event(iteration, outcomes.len(), ChurnEventKind::Resumed);
+        }
+        let Some(record) = record else {
+            self.round = TrainingRound::Round2;
+            return Ok(None);
+        };
+        self.report.push(record);
+        self.iteration += 1;
+        self.round = TrainingRound::Round1;
+        self.tasks = if self.is_finished() {
+            Vec::new()
+        } else {
+            trainer.encode_round1()
+        };
+        Ok(self.report.iterations.last())
+    }
+
+    /// Handles a round whose collect failed with every dispatched result in
+    /// (churned workers absent, not merely late). A short round
+    /// ([`SchemeFailure::NotEnoughResults`]) parks — logged `Parked` once —
+    /// for the trainer's [stall budget](DistributedTrainer::stall_budget) of
+    /// re-dispatches (each advances the churn clock, so absent workers may
+    /// rejoin); then the trainer [shrink-recodes](DistributedTrainer::shrink_to_fit).
+    /// Any other failure, or a shrink with no smaller code, is the error.
+    pub fn stall(
+        &mut self,
+        trainer: &mut DistributedTrainer<M>,
+        failure: SchemeFailure,
+    ) -> Result<Stall, SchemeFailure> {
+        let SchemeFailure::NotEnoughResults {
+            available,
+            required,
+        } = failure
+        else {
+            return Err(failure);
+        };
+        let iteration = self.iteration as u64;
+        if self.stalls == 0 {
+            trainer.note_fleet_event(iteration, available, ChurnEventKind::Parked);
+        }
+        self.stalls += 1;
+        if self.stalls <= trainer.stall_budget() {
+            return Ok(Stall::Parked { required });
+        }
+        trainer.shrink_to_fit(iteration, available, required)?;
+        self.stalls = 0;
+        self.round = TrainingRound::Round1;
+        self.tasks = trainer.encode_round1();
+        Ok(Stall::ShrinkRecoded)
+    }
+
+    /// Steps the run to its end on `executor`. Each round is one
+    /// [`WireRunner::run_streaming_round`] on the round's channel, closed
+    /// once the trainer's `round_min_results` non-straggling results are in
+    /// and collected with the workers it did not wait for; a round that
+    /// comes back short [stalls](TrainingRun::stall). On `Err` the
+    /// trainer's pipeline is reset.
+    pub fn run_on(
+        &mut self,
+        trainer: &mut DistributedTrainer<M>,
+        executor: &mut dyn Executor,
+        runner: &mut WireRunner,
+    ) -> Result<(), DistributedError> {
+        while !self.is_finished() {
+            let (channel, tasks) = (self.channel(), self.tasks.clone());
+            let byzantine = trainer.byzantine().clone();
+            let quorum = Some(trainer.round_min_results(self.round));
+            let collect = |outcomes: &mut BatchOutcomes<M>, late: &[usize]| {
+                self.collect(trainer, outcomes, late).map(drop)
+            };
+            let collected =
+                runner.run_streaming_round(executor, channel, &tasks, &byzantine, quorum, collect);
+            let stalled = match collected {
+                Ok(Ok(())) => Ok(()),
+                Ok(Err(failure)) => self.stall(trainer, failure).map(drop).map_err(Into::into),
+                Err(error) => Err(error.into()),
+            };
+            if let Err(error) = stalled {
+                trainer.reset_pipeline();
+                return Err(error);
+            }
+        }
         Ok(())
     }
 }
@@ -905,5 +1082,220 @@ mod tests {
             quick_config(SchemeKind::Avcc, 2, 1),
             "test",
         );
+    }
+
+    /// A verifying (12, 9, S = 2, M = 1) trainer on a quiet profile, with
+    /// `byzantine` workers mounting the constant attack.
+    fn machine_trainer(byzantine: &[usize]) -> DistributedTrainer<P25> {
+        DistributedTrainer::new(
+            small_problem(),
+            ClusterProfile::uniform(12),
+            ByzantineSpec::new(byzantine.iter().copied(), AttackModel::constant()),
+            quick_config(SchemeKind::Avcc, 2, 1),
+            "machine",
+        )
+    }
+
+    /// What `workers` send for `tasks`, in that arrival order: computed in
+    /// place, corrupted as the trainer's Byzantine spec says — a synthetic
+    /// round, no executor.
+    fn arrivals(
+        trainer: &DistributedTrainer<P25>,
+        tasks: &[BatchRoundTask<P25>],
+        workers: impl IntoIterator<Item = usize>,
+    ) -> BatchOutcomes<P25> {
+        workers
+            .into_iter()
+            .enumerate()
+            .map(|(order, worker)| {
+                let mut payload = tasks[worker].run();
+                let mut corrupted = false;
+                for part in payload.iter_mut() {
+                    corrupted |= trainer.byzantine().corrupt(worker, part);
+                }
+                WorkerOutcome {
+                    worker,
+                    payload,
+                    compute_seconds: 1.0,
+                    network_seconds: 0.0,
+                    arrival_seconds: 1.0 + order as f64 * 1e-3,
+                    corrupted,
+                }
+            })
+            .collect()
+    }
+
+    /// Steps `run` to its end, every round answered by the whole fleet.
+    fn finish(run: &mut TrainingRun<P25>, trainer: &mut DistributedTrainer<P25>) {
+        while !run.is_finished() {
+            let outcomes = arrivals(trainer, run.tasks(), 0..12);
+            run.collect(trainer, &outcomes, &[]).unwrap();
+        }
+    }
+
+    /// The per-iteration `(accuracy, loss)` trajectory, a function of the
+    /// model weights alone (the synthetic rounds' timings are not the
+    /// executor's).
+    fn trajectory(report: &TrainingReport) -> Vec<(f64, f64)> {
+        let records = report.iterations.iter();
+        records.map(|r| (r.test_accuracy, r.train_loss)).collect()
+    }
+
+    fn event(round: u64, workers: usize, kind: ChurnEventKind) -> ChurnEvent {
+        ChurnEvent {
+            round,
+            worker: workers,
+            kind,
+        }
+    }
+
+    #[test]
+    fn a_short_round_parks_and_a_full_one_resumes_it() {
+        let mut trainer = machine_trainer(&[]);
+        let mut run = TrainingRun::new(&mut trainer);
+        // Round 1 of iteration 0 is in; round 2 comes back from 8 workers.
+        let full = arrivals(&trainer, run.tasks(), 0..12);
+        run.collect(&mut trainer, &full, &[]).unwrap();
+        assert_eq!(run.round(), TrainingRound::Round2);
+        for _ in 0..2 {
+            let short = arrivals(&trainer, run.tasks(), 0..8);
+            let failure = run.collect(&mut trainer, &short, &[]).unwrap_err();
+            assert_eq!(
+                failure,
+                SchemeFailure::NotEnoughResults {
+                    available: 8,
+                    required: 9
+                }
+            );
+            let stalled = run.stall(&mut trainer, failure);
+            assert_eq!(stalled, Ok(Stall::Parked { required: 9 }));
+            assert_eq!(run.round(), TrainingRound::Round2);
+        }
+        let full = arrivals(&trainer, run.tasks(), 0..12);
+        run.collect(&mut trainer, &full, &[]).unwrap();
+        assert_eq!(
+            (run.round(), run.report().len()),
+            (TrainingRound::Round1, 1)
+        );
+        // Parked once however often it stalled, resumed by all 12.
+        assert_eq!(
+            trainer.fleet_events(),
+            [
+                event(0, 8, ChurnEventKind::Parked),
+                event(0, 12, ChurnEventKind::Resumed)
+            ]
+        );
+        // The park moved no bit of the model.
+        finish(&mut run, &mut trainer);
+        let mut oracle = machine_trainer(&[]);
+        let oracle_report = oracle.train().unwrap();
+        assert_eq!(trajectory(run.report()), trajectory(&oracle_report));
+        assert_eq!(trainer.model().weights, oracle.model().weights);
+    }
+
+    #[test]
+    fn a_spent_stall_budget_shrink_recodes_and_restarts_at_round_one() {
+        let mut trainer = machine_trainer(&[]);
+        let mut run = TrainingRun::new(&mut trainer);
+        let full = arrivals(&trainer, run.tasks(), 0..12);
+        run.collect(&mut trainer, &full, &[]).unwrap();
+        let budget = trainer.stall_budget();
+        for stall in 0..=budget {
+            let short = arrivals(&trainer, run.tasks(), 0..8);
+            let failure = run.collect(&mut trainer, &short, &[]).unwrap_err();
+            let expected = if stall < budget {
+                Stall::Parked { required: 9 }
+            } else {
+                Stall::ShrinkRecoded
+            };
+            assert_eq!(run.stall(&mut trainer, failure), Ok(expected));
+        }
+        // Round 2 is abandoned: iteration 0 restarts at round 1 on K = 8,
+        // every fleet slot kept.
+        assert_eq!(
+            (run.round(), run.report().len()),
+            (TrainingRound::Round1, 0)
+        );
+        assert_eq!(trainer.current_coding().partitions, 8);
+        assert_eq!(run.tasks().len(), 12);
+        assert_eq!(
+            trainer.fleet_events(),
+            [
+                event(0, 8, ChurnEventKind::Parked),
+                event(0, 8, ChurnEventKind::ShrinkRecoded)
+            ]
+        );
+        // The 8 responders now decode both rounds, and the shrink is no
+        // park: nothing resumes.
+        for _ in 0..2 {
+            let short = arrivals(&trainer, run.tasks(), 0..8);
+            run.collect(&mut trainer, &short, &[]).unwrap();
+        }
+        assert_eq!(run.report().len(), 1);
+        assert!(run.report().iterations[0].reconfigured);
+        assert_eq!(trainer.fleet_events().len(), 2);
+        let oracle = machine_trainer(&[]).train().unwrap();
+        finish(&mut run, &mut trainer);
+        assert_eq!(trajectory(run.report()), trajectory(&oracle));
+    }
+
+    #[test]
+    fn a_failed_collect_changes_nothing_and_its_retry_matches_a_direct_one() {
+        // Worker 3's forgery sits inside the first nine arrivals of every
+        // round: one verified result short. The retry adds worker 9.
+        let mut retried = machine_trainer(&[3]);
+        let mut direct = machine_trainer(&[3]);
+        let mut retried_run = TrainingRun::new(&mut retried);
+        let mut direct_run = TrainingRun::new(&mut direct);
+        for _ in 0..2 {
+            let prefix = arrivals(&retried, retried_run.tasks(), 0..9);
+            let failure = retried_run.collect(&mut retried, &prefix, &[]).unwrap_err();
+            assert!(matches!(failure, SchemeFailure::NotEnoughResults { .. }));
+            let round = retried_run.round();
+            assert_eq!(retried_run.report().len(), 0);
+            let more = arrivals(&retried, retried_run.tasks(), 0..10);
+            retried_run.collect(&mut retried, &more, &[]).unwrap();
+            assert_ne!(retried_run.round(), round);
+
+            let once = arrivals(&direct, direct_run.tasks(), 0..10);
+            direct_run.collect(&mut direct, &once, &[]).unwrap();
+        }
+        assert_eq!(retried.model().weights, direct.model().weights);
+        assert_eq!(
+            retried_run.report().iterations,
+            direct_run.report().iterations
+        );
+        assert_eq!(retried_run.report().iterations[0].detected_byzantine, [3]);
+        assert!(retried.fleet_events().is_empty());
+    }
+
+    #[test]
+    fn late_workers_join_the_round_s_observed_stragglers() {
+        let mut trainer = machine_trainer(&[]);
+        let mut run = TrainingRun::new(&mut trainer);
+        // Each round names a different late worker; the record has both.
+        for late in [11, 10] {
+            let outcomes = arrivals(&trainer, run.tasks(), 0..10);
+            run.collect(&mut trainer, &outcomes, &[late]).unwrap();
+        }
+        assert_eq!(run.report().iterations[0].observed_stragglers, [10, 11]);
+    }
+
+    #[test]
+    fn a_run_of_no_iterations_is_finished_and_encodes_nothing() {
+        let mut trainer = DistributedTrainer::<P25>::new(
+            small_problem(),
+            ClusterProfile::uniform(12),
+            ByzantineSpec::none(),
+            TrainerConfig {
+                iterations: 0,
+                ..quick_config(SchemeKind::Avcc, 2, 1)
+            },
+            "machine",
+        );
+        let run = TrainingRun::new(&mut trainer);
+        assert!(run.is_finished() && run.tasks().is_empty());
+        // Nothing is in flight.
+        assert_eq!(trainer.encode_round1().len(), 12);
     }
 }

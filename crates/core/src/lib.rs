@@ -79,7 +79,9 @@ pub mod rounds;
 
 pub use adaptive::{adapt, AdaptationDecision};
 pub use distributed::{train_distributed, DistributedError, WireRunner};
-pub use driver::{DistributedTrainer, SchemeKind, TrainerConfig, TrainingRound};
+pub use driver::{
+    DistributedTrainer, SchemeKind, Stall, TrainerConfig, TrainingRound, TrainingRun,
+};
 pub use engines::{AvccMatVec, CodedMatVec, MatVecEngine};
 pub use experiment::{
     run_dynamic_coding_scenario, run_experiment, ExperimentConfig, FaultScenario,

@@ -9,16 +9,18 @@
 //! a round, across worker processes), but every job's result is bit-identical
 //! to the scheduler's for the same spec — all decode paths are exact.
 //!
-//! Every job takes the one round path: a training job is
-//! `train_distributed`, a product job — one input or `m` — is one
-//! [`MatVecEngine::execute_batch`]. Each job ships its blocks under the same
-//! small set of wire job ids, replacing its predecessor's, so a long call
-//! holds one job's blocks at a time on the master and on the workers.
+//! Each spec becomes the scheduler's own `Job`, and each of its rounds is
+//! one [`WireRunner::run_streaming_round`] collected by `Job::collect`, a
+//! short one stalled by `Job::stall` — for a training job, the steps
+//! `train_distributed` takes. Each job gets a fresh runner, so it ships its
+//! blocks under the same small set of wire job ids (0 and 1 for a training
+//! run's two rounds, 0 for products), replacing its predecessor's: a long
+//! call holds one job's blocks at a time on the master and on the workers.
 //!
-//! On an executor with real split-phase rounds (the socket fleet) neither
-//! path waits for stragglers: a round closes once its engine can decode and
-//! everybody who is not ≥ 3× the median late has answered, so a coded job's
-//! rounds cost the fast workers' time, not the slowest worker's. A job may
+//! On an executor with real split-phase rounds (the socket fleet) no round
+//! waits for stragglers: it closes once its job can decode and everybody
+//! who is not ≥ 3× the median late has answered, so a coded job's rounds
+//! cost the fast workers' time, not the slowest worker's. A job may
 //! therefore *start* while a straggler still computes a task of its
 //! predecessor under the very wire ids the new job reuses; the executor keeps
 //! the two apart (one task in flight per worker, results matched to the task
@@ -31,22 +33,12 @@
 //! tolerance they were designed around; a job fails only when the surviving
 //! results genuinely cannot reconstruct the product.
 
-use std::time::Instant;
-
-use avcc_coding::SchemeConfig;
-use avcc_core::distributed::train_distributed;
-use avcc_core::CodedMatVec;
-use avcc_core::{MatVecEngine, SchemeFailure};
-use avcc_field::{Fp, PrimeModulus};
-use avcc_linalg::Matrix;
-use avcc_sim::attack::ByzantineSpec;
+use avcc_core::distributed::BatchOutcomes;
+use avcc_core::{DistributedError, SchemeFailure, WireRunner};
+use avcc_field::PrimeModulus;
 use avcc_sim::executor::Executor;
-use avcc_sim::metrics::JobMetrics;
-use avcc_verify::KeyGenConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
-use crate::job::{CompletedJob, JobOutput, JobSpec};
+use crate::job::{CompletedJob, Job, JobSpec};
 
 /// Runs every job on `executor`, in submission order, returning one
 /// [`CompletedJob`] per spec (ids are the spec's index). See the module docs
@@ -55,81 +47,48 @@ pub fn serve_distributed<M: PrimeModulus>(
     specs: Vec<JobSpec<M>>,
     executor: &mut dyn Executor,
 ) -> Vec<CompletedJob<M>> {
-    let mut completed = Vec::with_capacity(specs.len());
-    for (id, spec) in specs.into_iter().enumerate() {
-        let started = Instant::now();
-        let mut metrics = JobMetrics::default();
-        let output = match spec {
-            JobSpec::Training(config) => {
-                let mut trainer = config.build_trainer::<M>();
-                match train_distributed(&mut trainer, executor) {
-                    Ok(report) => {
-                        metrics.rounds = report.len() * 2;
-                        for record in &report.iterations {
-                            metrics.ops = metrics.ops.combined(&record.ops);
-                            metrics.screened_workers += record.screened_workers.len() as u64;
-                        }
-                        JobOutput::Training(Box::new(report))
-                    }
-                    Err(error) => JobOutput::Failed(error.into()),
-                }
-            }
-            // A single product is a batch of one.
-            JobSpec::CodedMatVec {
-                matrix,
-                input,
-                coding,
-                seed,
-            } => matmul_batch(&matrix, &[input], coding, seed, executor, &mut metrics)
-                .map(|mut outputs| JobOutput::MatVec(outputs.remove(0)))
-                .unwrap_or_else(JobOutput::Failed),
-            JobSpec::MatMulBatch {
-                matrix,
-                inputs,
-                coding,
-                seed,
-            } => matmul_batch(&matrix, &inputs, coding, seed, executor, &mut metrics)
-                .map(JobOutput::MatVecBatch)
-                .unwrap_or_else(JobOutput::Failed),
-        };
-        metrics.active_seconds = started.elapsed().as_secs_f64();
-        completed.push(CompletedJob {
-            id,
-            output,
-            metrics,
-        });
-    }
-    completed
+    let serve = |(id, spec)| {
+        let mut job = Job::new(spec, 0.0);
+        let mut runner = WireRunner::new();
+        let mut failure = None;
+        while failure.is_none() && !job.is_finished() {
+            failure = run_round(&mut job, executor, &mut runner).err();
+        }
+        job.complete(id, failure)
+    };
+    specs.into_iter().enumerate().map(serve).collect()
 }
 
-/// One one-shot job: encode `matrix`, key it, and run its `inputs` as a
-/// single batched round on `executor` (the `m` functions share one encode
-/// and one key set). Every one-shot job ships its blocks under the same wire
-/// job id, replacing its predecessor's.
-fn matmul_batch<M: PrimeModulus>(
-    matrix: &Matrix<Fp<M>>,
-    inputs: &[Vec<Fp<M>>],
-    coding: SchemeConfig,
-    seed: u64,
+/// One round of `job` on `executor`: collected once the job can decode, with
+/// the workers it did not wait for, or stalled.
+fn run_round<M: PrimeModulus>(
+    job: &mut Job<M>,
     executor: &mut dyn Executor,
-    metrics: &mut JobMetrics,
-) -> Result<Vec<Vec<Fp<M>>>, SchemeFailure> {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let mut engine = CodedMatVec::new(matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
-    let execution = engine.execute_batch(inputs, executor, &ByzantineSpec::none(), &mut rng)?;
-    metrics.rounds = 1;
-    metrics.ops = execution.ops;
-    metrics.screened_workers = execution.screened_workers.len() as u64;
-    Ok(execution.outputs)
+    runner: &mut WireRunner,
+) -> Result<(), SchemeFailure> {
+    let (channel, tasks) = (job.channel(), job.tasks().to_vec());
+    let byzantine = job.fleet().1.clone();
+    let quorum = Some(job.min_results());
+    let collect = |outcomes: &mut BatchOutcomes<M>, late: &[usize]| job.collect(outcomes, late);
+    let collected = runner
+        .run_streaming_round(executor, channel, &tasks, &byzantine, quorum, collect)
+        .map_err(DistributedError::Executor)?;
+    if let Err(failure) = collected {
+        job.stall(failure)?;
+    }
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::job::JobSpec;
+    use crate::job::JobOutput;
+    use avcc_coding::SchemeConfig;
+    use avcc_core::train_distributed;
     use avcc_core::{ExperimentConfig, FaultScenario};
-    use avcc_field::{PrimeField, P25};
+    use avcc_field::{Fp, PrimeField, P25};
     use avcc_linalg::mat_vec;
+    use avcc_linalg::Matrix;
     use avcc_ml::dataset::DatasetConfig;
     use avcc_sim::attack::AttackModel;
     use avcc_sim::cluster::ClusterProfile;

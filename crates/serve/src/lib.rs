@@ -1,22 +1,22 @@
 //! The pipelined multi-job serving layer: many jobs on one shared fleet.
 //!
-//! The training driver in `avcc-core` runs one job at a time and blocks the
-//! master through every stage of every round. This crate turns the staged
-//! pipeline API ([`avcc_core::DistributedTrainer::encode_round1`] and its
-//! collect stages) into a *serving* system:
+//! `avcc-core` steps one training run at a time
+//! ([`avcc_core::TrainingRun::run_on`]), its master blocked through every
+//! round. This crate turns many runs — and product batches — into a
+//! *serving* system:
 //!
-//! * a [`Fleet`] — a fixed number of worker slots, one thread each while
-//!   the scheduler runs, shared by every admitted job;
 //! * [`JobSpec`]s — full training runs, one-shot coded matrix–vector
 //!   products, or multi-function matmul batches built with
 //!   [`JobSpec::matmul`] that serve `m` inputs over **one** shared encoded
 //!   dataset (one encode, one batched Freivalds pass, `m` decodes over the
-//!   one Lagrange basis each collect prepares) — submitted to a queue with admission
-//!   control; and
-//! * a [`Scheduler`] — the master loop that multiplexes worker slots across
-//!   jobs and overlaps the stages of *different* jobs: while one job's round
-//!   computes on the fleet, the scheduler verifies/decodes another job's
-//!   finished round and encodes a third job's next round.
+//!   one Lagrange basis their collect prepares) — each admitted as one job;
+//! * a [`Fleet`] — a fixed number of worker slots, one thread each while
+//!   the scheduler runs, shared by every admitted job;
+//! * a [`Scheduler`] — admission control and a master loop that overlaps
+//!   the stages of *different* jobs: while one job's round computes on the
+//!   fleet, it verifies/decodes another's and encodes a third's; and
+//! * [`serve_distributed`] — the same jobs, stepped the same way, one at a
+//!   time over a wire executor (the socket fleet).
 //!
 //! The pipelining win comes from exactly the waits the paper's schemes
 //! expose: the uncoded baseline blocks on every straggler, LCC blocks on the

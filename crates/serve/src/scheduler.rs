@@ -3,7 +3,8 @@
 //!
 //! The scheduler owns a bounded submission queue and a fixed number of
 //! in-flight slots. Its [`Scheduler::run`] loop is the master of every
-//! admitted job at once, driving each through the staged round state machine
+//! admitted job at once, stepping each one's `Job` — the state
+//! [`crate::serve_distributed`] steps too —
 //!
 //! ```text
 //! Encode → Dispatch → Compute (on the fleet) → Verify/Decode → Update
@@ -11,10 +12,12 @@
 //!
 //! with the master-side stages of *different jobs* overlapping each other's
 //! compute stages. Concretely, one pass of the loop admits queued jobs into
-//! free slots, drains every worker result that has arrived, and runs the
-//! collect stage of any job whose round has enough arrivals — each collect
-//! immediately encodes and dispatches the job's next round, so the fleet
-//! never waits on the master for longer than one collect.
+//! free slots, drains every worker result that has arrived, and collects
+//! any job whose round has enough arrivals — each collect immediately
+//! dispatches the job's next round, so the fleet never waits on the master
+//! for longer than one collect. A round that is short with every result in
+//! goes to `Job::stall`: a training run parks (the same tasks again, then
+//! `required` arrivals awaited) or shrink-recodes; a product job fails.
 //!
 //! Two properties the tests pin down:
 //!
@@ -34,27 +37,24 @@ use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use avcc_coding::SchemeConfig;
 use avcc_core::distributed::BatchOutcomes;
 use avcc_core::rounds::field_vector_bytes;
-use avcc_core::CodedMatVec;
-use avcc_core::{
-    BatchRoundTask, DistributedTrainer, MatVecEngine, SchemeFailure, TrainingReport, TrainingRound,
-};
+use avcc_core::{BatchRoundTask, Stall};
 use avcc_field::{Fp, PrimeModulus};
-use avcc_linalg::Matrix;
 use avcc_sim::churn::{ChurnSchedule, ChurnState};
-use avcc_sim::cluster::NetworkModel;
+use avcc_sim::cluster::ClusterProfile;
 use avcc_sim::executor::{slowdown_sleep_seconds, WorkerOutcome};
-use avcc_sim::metrics::{JobMetrics, ServingMetrics};
-use avcc_verify::KeyGenConfig;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
+use avcc_sim::metrics::ServingMetrics;
 
 use crate::fleet::Fleet;
-use crate::job::{CompletedJob, JobId, JobOutput, JobSpec};
+use crate::job::{CompletedJob, Job, JobId, JobSpec};
 
-/// Admission and pacing knobs of one scheduler.
+/// Real seconds a fleet task sleeps per unit of straggler slowdown (see
+/// [`slowdown_sleep_seconds`]) — how the fleet realizes the cluster
+/// profile's stragglers in wall-clock time.
+const SLEEP_PER_SLOWDOWN_UNIT: f64 = 0.002;
+
+/// Admission knobs of one scheduler.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SchedulerConfig {
     /// Jobs allowed in flight simultaneously (the pipeline depth). `1`
@@ -63,10 +63,6 @@ pub struct SchedulerConfig {
     /// Jobs allowed in the submission queue; [`Scheduler::submit`] rejects
     /// with [`AdmissionError::QueueFull`] beyond this (backpressure).
     pub queue_capacity: usize,
-    /// Real seconds a fleet task sleeps per unit of straggler slowdown (see
-    /// [`slowdown_sleep_seconds`]) — how the fleet realizes the cluster
-    /// profile's stragglers in wall-clock time.
-    pub sleep_per_slowdown_unit: f64,
 }
 
 impl Default for SchedulerConfig {
@@ -74,7 +70,6 @@ impl Default for SchedulerConfig {
         SchedulerConfig {
             max_in_flight: 4,
             queue_capacity: 64,
-            sleep_per_slowdown_unit: 0.002,
         }
     }
 }
@@ -153,29 +148,10 @@ struct TaskMessage<M: PrimeModulus> {
     compute_seconds: f64,
 }
 
-/// The master-side driver of one admitted job.
-enum JobEngine<M: PrimeModulus> {
-    Training {
-        trainer: Box<DistributedTrainer<M>>,
-        report: Box<TrainingReport>,
-        iteration: usize,
-        cumulative: f64,
-        round: TrainingRound,
-    },
-    /// `m` products over one encode; a `CodedMatVec` job is the batch of one
-    /// (`single`), unwrapped into [`JobOutput::MatVec`] at completion.
-    MatVecBatch {
-        engine: Box<CodedMatVec<M>>,
-        inputs: Vec<Vec<Fp<M>>>,
-        rng: StdRng,
-        single: bool,
-    },
-}
-
 /// A job occupying an in-flight slot, with its current round's bookkeeping.
 struct ActiveJob<M: PrimeModulus> {
     id: JobId,
-    engine: JobEngine<M>,
+    job: Job<M>,
     /// Tag of the round currently on the fleet; results from earlier rounds
     /// of this slot (or earlier occupants) carry older serials and are
     /// discarded as stale.
@@ -188,66 +164,6 @@ struct ActiveJob<M: PrimeModulus> {
     /// Arrival-ordered results of the current round.
     outcomes: BatchOutcomes<M>,
     round_started_at: Instant,
-    admitted_at: Instant,
-    metrics: JobMetrics,
-    /// The current round's tasks (cheap to clone: both halves sit behind
-    /// `Arc`s), set by whoever prepares a round and kept so a parked round
-    /// can be re-dispatched verbatim.
-    tasks: Vec<BatchRoundTask<M>>,
-    /// Consecutive re-dispatches of the current parked round.
-    stalls: usize,
-}
-
-impl<M: PrimeModulus> ActiveJob<M> {
-    fn network(&self) -> NetworkModel {
-        match &self.engine {
-            JobEngine::Training { trainer, .. } => trainer.cluster().network,
-            JobEngine::MatVecBatch { .. } => NetworkModel::default(),
-        }
-    }
-
-    /// Applies the job's Byzantine corruption to every function of a
-    /// payload, as [`avcc_core::WireRunner`] does.
-    fn corrupt(&self, worker: usize, payload: &mut [Vec<Fp<M>>]) -> bool {
-        match &self.engine {
-            JobEngine::Training { trainer, .. } => {
-                let mut corrupted = false;
-                for part in payload {
-                    corrupted |= trainer.byzantine().corrupt(worker, part);
-                }
-                corrupted
-            }
-            JobEngine::MatVecBatch { .. } => false,
-        }
-    }
-
-    /// Every worker's effective slowdown right now — snapshotted per
-    /// dispatch, so a later adaptation (worker eviction) cannot skew a round
-    /// already in flight. One-shot products run on nominal workers;
-    /// stragglers and attacks are the training scenarios' concern.
-    fn slowdowns(&self) -> Vec<f64> {
-        match &self.engine {
-            JobEngine::Training { trainer, .. } => {
-                let workers = trainer.cluster().workers();
-                workers.iter().map(|w| w.effective_slowdown()).collect()
-            }
-            JobEngine::MatVecBatch { .. } => vec![1.0; self.tasks.len()],
-        }
-    }
-}
-
-/// What one master step did to a collectable job.
-enum Step<M: PrimeModulus> {
-    /// Put the job's `tasks` on the fleet: the next round after a successful
-    /// collect, or a parked round again — one that came back below the
-    /// recovery threshold with every dispatched result in (churned workers
-    /// absent) is re-dispatched unchanged while the stall budget lasts; each
-    /// dispatch advances the churn clock, so absent workers may have rejoined.
-    Continue,
-    /// The collect failed on a short prefix; wait for one more arrival.
-    Wait,
-    /// The job finished (successfully or not).
-    Done(JobOutput<M>),
 }
 
 /// The multi-job serving scheduler. Submit jobs, then [`Scheduler::run`] them
@@ -282,7 +198,7 @@ impl<M: PrimeModulus> Scheduler<M> {
     /// dispatched to), its tasks are skipped; a stalled worker's sleep is
     /// scaled by the stall multiplier. Training rounds that fall below the
     /// recovery threshold park and re-dispatch up to the trainer's stall
-    /// budget, then shrink-recode; see [`DistributedTrainer::shrink_to_fit`].
+    /// budget, then shrink-recode; see [`avcc_core::TrainingRun::stall`].
     pub fn set_churn(&mut self, schedule: ChurnSchedule, workers: usize) {
         self.churn = Some(ChurnState::new(schedule, workers));
     }
@@ -337,7 +253,6 @@ impl<M: PrimeModulus> Scheduler<M> {
         let (queue, queued) = mpsc::channel::<FleetTask<M>>();
         let queued = Mutex::new(queued);
         let mut next_serial: u64 = 0;
-        let sleep_per_unit = self.config.sleep_per_slowdown_unit;
         let churn = &mut self.churn;
         let pending = &mut self.pending;
 
@@ -348,31 +263,32 @@ impl<M: PrimeModulus> Scheduler<M> {
             }
             // The one way a round reaches the fleet — a job's first round, its
             // next round, or a parked round again: a fresh serial (one tick of
-            // the churn clock), an empty arrival list, `job.tasks` dispatched.
-            let mut launch = |slot: usize, job: &mut ActiveJob<M>| {
-                job.serial = next_serial;
+            // the churn clock), an empty arrival list, the job's tasks
+            // dispatched.
+            let mut launch = |slot: usize, active: &mut ActiveJob<M>| {
+                active.serial = next_serial;
                 next_serial += 1;
                 if let Some(churn) = churn.as_mut() {
-                    churn.advance_to(job.serial);
+                    churn.advance_to(active.serial);
                 }
-                job.outcomes.clear();
-                job.round_started_at = Instant::now();
-                job.dispatched = dispatch_round(
+                active.outcomes.clear();
+                active.round_started_at = Instant::now();
+                active.dispatched = dispatch_round(
                     &queue,
                     slot,
-                    job.serial,
-                    sleep_per_unit,
-                    job.tasks.clone(),
-                    &job.slowdowns(),
+                    active.serial,
+                    active.job.tasks().to_vec(),
+                    active.job.fleet().0,
                     churn.as_ref(),
                 );
-                job.needed = job.needed.min(job.dispatched);
+                active.needed = active.needed.min(active.dispatched);
             };
             loop {
                 let mut progressed = false;
 
                 // Admission: move queued jobs into free slots and dispatch
-                // their first rounds.
+                // their first rounds (a zero-iteration training job has none
+                // and completes at once).
                 for (slot, entry) in slots.iter_mut().enumerate() {
                     if entry.is_some() {
                         continue;
@@ -380,17 +296,26 @@ impl<M: PrimeModulus> Scheduler<M> {
                     let Some(pending) = pending.pop_front() else {
                         break;
                     };
-                    match start_job(pending) {
-                        Ok(mut job) => {
-                            launch(slot, &mut job);
-                            *entry = Some(job);
-                        }
-                        Err(completed) => {
-                            metrics.record_job(&completed.metrics, completed.output.is_failed());
-                            jobs.push(completed);
-                        }
-                    }
                     progressed = true;
+                    let queue_wait_seconds = pending.submitted_at.elapsed().as_secs_f64();
+                    let job = Job::new(pending.spec, queue_wait_seconds);
+                    if job.is_finished() {
+                        let completed = job.complete(pending.id, None);
+                        metrics.record_job(&completed.metrics, completed.output.is_failed());
+                        jobs.push(completed);
+                        continue;
+                    }
+                    let mut active = ActiveJob {
+                        id: pending.id,
+                        needed: job.min_results(),
+                        job,
+                        serial: 0,
+                        dispatched: 0,
+                        outcomes: Vec::new(),
+                        round_started_at: Instant::now(),
+                    };
+                    launch(slot, &mut active);
+                    *entry = Some(active);
                 }
 
                 // Drain every result that has arrived, without blocking.
@@ -399,33 +324,44 @@ impl<M: PrimeModulus> Scheduler<M> {
                 }
 
                 // Master steps: collect any round with enough arrivals, then
-                // immediately dispatch that job's next round.
+                // immediately dispatch that job's next round. The scheduler
+                // names no late workers: on a fleet narrower than the job, a
+                // task that has not arrived is queued, not straggling.
                 for (slot, entry) in slots.iter_mut().enumerate() {
-                    let Some(mut job) = entry.take() else {
+                    let Some(active) = entry.as_mut() else {
                         continue;
                     };
-                    if job.outcomes.len() < job.needed {
-                        *entry = Some(job);
+                    if active.outcomes.len() < active.needed {
                         continue;
                     }
-                    match step(&mut job) {
-                        Step::Continue => {
-                            launch(slot, &mut job);
-                            *entry = Some(job);
-                            progressed = true;
+                    let next = match active.job.collect(&active.outcomes, &[]) {
+                        Ok(()) if active.job.is_finished() => Err(None),
+                        Ok(()) => Ok(active.job.min_results()),
+                        // A short prefix (a corrupt result inside it): one
+                        // more arrival may complete it.
+                        Err(_) if active.outcomes.len() < active.dispatched => {
+                            active.needed = active.outcomes.len() + 1;
+                            continue;
                         }
-                        Step::Wait => {
-                            *entry = Some(job);
+                        // Every dispatched result is in: the same tasks
+                        // again, or round 1 on a smaller code.
+                        Err(failure) => match active.job.stall(failure) {
+                            Ok(Stall::Parked { required }) => Ok(required),
+                            Ok(Stall::ShrinkRecoded) => Ok(active.job.min_results()),
+                            Err(failure) => Err(Some(failure)),
+                        },
+                    };
+                    progressed = true;
+                    match next {
+                        Ok(needed) => {
+                            active.needed = needed;
+                            launch(slot, active);
                         }
-                        Step::Done(output) => {
-                            job.metrics.active_seconds = job.admitted_at.elapsed().as_secs_f64();
-                            metrics.record_job(&job.metrics, output.is_failed());
-                            jobs.push(CompletedJob {
-                                id: job.id,
-                                output,
-                                metrics: job.metrics,
-                            });
-                            progressed = true;
+                        Err(failure) => {
+                            let done = entry.take().expect("the slot holds the job");
+                            let completed = done.job.complete(done.id, failure);
+                            metrics.record_job(&completed.metrics, completed.output.is_failed());
+                            jobs.push(completed);
                         }
                     }
                 }
@@ -459,100 +395,6 @@ impl<M: PrimeModulus> Scheduler<M> {
     }
 }
 
-/// Builds the master-side driver for a freshly admitted job, its first
-/// round's tasks ready to launch, or completes it immediately
-/// (zero-iteration training).
-fn start_job<M: PrimeModulus>(pending: PendingJob<M>) -> Result<ActiveJob<M>, CompletedJob<M>> {
-    let queue_wait_seconds = pending.submitted_at.elapsed().as_secs_f64();
-    let metrics = JobMetrics {
-        queue_wait_seconds,
-        ..JobMetrics::default()
-    };
-    let (engine, tasks, needed) = match pending.spec {
-        JobSpec::Training(config) => {
-            let mut trainer = Box::new(config.build_trainer::<M>());
-            let report = Box::new(TrainingReport::new(
-                trainer.scheme().label(),
-                trainer.scenario_label(),
-            ));
-            if trainer.iterations() == 0 {
-                return Err(CompletedJob {
-                    id: pending.id,
-                    output: JobOutput::Training(report),
-                    metrics,
-                });
-            }
-            let tasks = trainer.encode_round1();
-            let needed = trainer.round_min_results(TrainingRound::Round1);
-            (
-                JobEngine::Training {
-                    trainer,
-                    report,
-                    iteration: 0,
-                    cumulative: 0.0,
-                    round: TrainingRound::Round1,
-                },
-                tasks,
-                needed,
-            )
-        }
-        // A single product is a batch of one.
-        JobSpec::CodedMatVec {
-            matrix,
-            input,
-            coding,
-            seed,
-        } => start_matmul(&matrix, vec![input], coding, seed, true),
-        JobSpec::MatMulBatch {
-            matrix,
-            inputs,
-            coding,
-            seed,
-        } => start_matmul(&matrix, inputs, coding, seed, false),
-    };
-    let now = Instant::now();
-    Ok(ActiveJob {
-        id: pending.id,
-        engine,
-        serial: 0,
-        dispatched: tasks.len(),
-        needed,
-        outcomes: Vec::new(),
-        round_started_at: now,
-        admitted_at: now,
-        metrics,
-        tasks,
-        stalls: 0,
-    })
-}
-
-/// The driver and single round of a one-shot product job: one encode and one
-/// key set shared by the `m` inputs.
-fn start_matmul<M: PrimeModulus>(
-    matrix: &Matrix<Fp<M>>,
-    inputs: Vec<Vec<Fp<M>>>,
-    coding: SchemeConfig,
-    seed: u64,
-    single: bool,
-) -> (JobEngine<M>, Vec<BatchRoundTask<M>>, usize) {
-    let mut rng = StdRng::seed_from_u64(seed);
-    let engine = Box::new(CodedMatVec::new(
-        matrix,
-        coding,
-        KeyGenConfig { repetitions: 1 },
-        &mut rng,
-    ));
-    let tasks = engine.dispatch_batch(&inputs);
-    let needed = engine.min_results();
-    let engine = JobEngine::MatVecBatch {
-        engine,
-        inputs,
-        rng,
-        single,
-    };
-    (engine, tasks, needed)
-}
-
 /// Queues one round's tasks for the fleet, each tagged with its worker's
 /// straggler sleep. Tasks addressed to churned-down (or corrupt-window)
 /// workers are skipped entirely — those workers are silently absent from the
@@ -561,9 +403,8 @@ fn dispatch_round<M: PrimeModulus>(
     queue: &Sender<FleetTask<M>>,
     slot: usize,
     serial: u64,
-    sleep_per_unit: f64,
     tasks: Vec<BatchRoundTask<M>>,
-    slowdowns: &[f64],
+    cluster: &ClusterProfile,
     churn: Option<&ChurnState>,
 ) -> usize {
     let mut count = 0;
@@ -575,9 +416,12 @@ fn dispatch_round<M: PrimeModulus>(
             }
         }
         count += 1;
-        let slowdown = slowdowns.get(worker).copied().unwrap_or(1.0)
+        let slowdown = cluster
+            .workers()
+            .get(worker)
+            .map_or(1.0, |w| w.effective_slowdown())
             * churn.map_or(1.0, |c| c.slowdown_multiplier(worker));
-        let sleep = slowdown_sleep_seconds(slowdown, sleep_per_unit);
+        let sleep = slowdown_sleep_seconds(slowdown, SLEEP_PER_SLOWDOWN_UNIT);
         // The receiving end lives as long as `Scheduler::run`.
         let _ = queue.send(FleetTask {
             slot,
@@ -630,18 +474,24 @@ fn deliver<M: PrimeModulus>(
     metrics: &mut ServingMetrics,
 ) -> bool {
     metrics.busy_worker_seconds += message.compute_seconds;
-    let Some(job) = slots[message.slot].as_mut() else {
+    let Some(active) = slots[message.slot].as_mut() else {
         return false;
     };
-    if job.serial != message.serial {
+    if active.serial != message.serial {
         return false;
     }
     let mut payload = message.payload;
-    let corrupted = job.corrupt(message.worker, &mut payload);
+    let (cluster, byzantine) = active.job.fleet();
+    let mut corrupted = false;
+    for part in payload.iter_mut() {
+        corrupted |= byzantine.corrupt(message.worker, part);
+    }
     let elements = payload.iter().map(Vec::len).sum();
-    let network_seconds = job.network().transfer_seconds(field_vector_bytes(elements));
-    let arrival_seconds = job.round_started_at.elapsed().as_secs_f64() + network_seconds;
-    job.outcomes.push(WorkerOutcome {
+    let network_seconds = cluster
+        .network
+        .transfer_seconds(field_vector_bytes(elements));
+    let arrival_seconds = active.round_started_at.elapsed().as_secs_f64() + network_seconds;
+    active.outcomes.push(WorkerOutcome {
         worker: message.worker,
         payload,
         compute_seconds: message.compute_seconds,
@@ -652,119 +502,19 @@ fn deliver<M: PrimeModulus>(
     true
 }
 
-/// Runs the collect stage of a job whose round has enough arrivals, and
-/// prepares the next round. Collect failures on a short prefix raise the
-/// arrival target instead of failing the job (the engines guarantee a failed
-/// collect consumes no state). With every dispatched result already in, a
-/// training round parks or shrink-recodes as
-/// [`DistributedTrainer::park_or_shrink`] decides — re-dispatching the same
-/// round while the stall budget lasts (the churn clock advances per dispatch,
-/// so absent workers may rejoin), then restarting the iteration on a smaller
-/// `K` — and a one-shot job fails.
-fn step<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Step<M> {
-    let failure = match collect_stage(job) {
-        Ok(step) => return step,
-        Err(failure) => failure,
-    };
-    if job.outcomes.len() < job.dispatched {
-        job.needed = job.outcomes.len() + 1;
-        return Step::Wait;
-    }
-    let JobEngine::Training {
-        trainer,
-        iteration,
-        round,
-        ..
-    } = &mut job.engine
-    else {
-        return Step::Done(JobOutput::Failed(failure));
-    };
-    let SchemeFailure::NotEnoughResults { required, .. } = failure else {
-        return Step::Done(JobOutput::Failed(failure));
-    };
-    match trainer.park_or_shrink(*iteration, &mut job.stalls, failure) {
-        // Parked: the same tasks again.
-        Ok(false) => {
-            job.needed = required;
-            Step::Continue
-        }
-        // Shrink-recoded: restart the iteration on the new code.
-        Ok(true) => {
-            *round = TrainingRound::Round1;
-            job.needed = trainer.round_min_results(TrainingRound::Round1);
-            job.tasks = trainer.encode_round1();
-            Step::Continue
-        }
-        Err(failure) => Step::Done(JobOutput::Failed(failure)),
-    }
-}
-
-/// The collect half of [`step`]: `Ok` is what a successful collect leads to,
-/// `Err` the engine's failure with the job's state untouched.
-fn collect_stage<M: PrimeModulus>(job: &mut ActiveJob<M>) -> Result<Step<M>, SchemeFailure> {
-    match &mut job.engine {
-        JobEngine::Training {
-            trainer,
-            report,
-            iteration,
-            cumulative,
-            round,
-        } => match round {
-            TrainingRound::Round1 => {
-                job.tasks = trainer.collect_round1(&job.outcomes)?;
-                trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
-                job.metrics.rounds += 1;
-                *round = TrainingRound::Round2;
-                job.needed = trainer.round_min_results(TrainingRound::Round2);
-                Ok(Step::Continue)
-            }
-            TrainingRound::Round2 => {
-                let record = trainer.collect_round2(*iteration, &job.outcomes, cumulative)?;
-                trainer.note_resumed(*iteration, &mut job.stalls, job.outcomes.len());
-                job.metrics.rounds += 1;
-                job.metrics.ops = job.metrics.ops.combined(&record.ops);
-                job.metrics.screened_workers += record.screened_workers.len() as u64;
-                report.push(record);
-                *iteration += 1;
-                if *iteration >= trainer.iterations() {
-                    let finished = std::mem::replace(report, Box::new(TrainingReport::new("", "")));
-                    return Ok(Step::Done(JobOutput::Training(finished)));
-                }
-                job.tasks = trainer.encode_round1();
-                *round = TrainingRound::Round1;
-                job.needed = trainer.round_min_results(TrainingRound::Round1);
-                Ok(Step::Continue)
-            }
-        },
-        JobEngine::MatVecBatch {
-            engine,
-            inputs,
-            rng,
-            single,
-        } => {
-            let mut execution =
-                engine.collect_batch(inputs, &job.outcomes, &NetworkModel::default(), 1.0, rng)?;
-            job.metrics.rounds += 1;
-            job.metrics.ops = job.metrics.ops.combined(&execution.ops);
-            job.metrics.screened_workers += execution.screened_workers.len() as u64;
-            Ok(Step::Done(if *single {
-                JobOutput::MatVec(execution.outputs.remove(0))
-            } else {
-                JobOutput::MatVecBatch(execution.outputs)
-            }))
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::job::JobOutput;
+    use avcc_coding::SchemeConfig;
     use avcc_core::{ExperimentConfig, FaultScenario};
     use avcc_field::{PrimeField, P25};
-    use avcc_linalg::mat_vec;
+    use avcc_linalg::{mat_vec, Matrix};
     use avcc_ml::dataset::DatasetConfig;
     use avcc_sim::attack::AttackModel;
+    use rand::rngs::StdRng;
     use rand::Rng;
+    use rand::SeedableRng;
 
     type F = avcc_field::F25;
 

@@ -262,7 +262,6 @@ fn queue_drains_after_a_run_and_accepts_new_jobs() {
     let mut scheduler = Scheduler::<P25>::new(SchedulerConfig {
         max_in_flight: 2,
         queue_capacity: 2,
-        ..SchedulerConfig::default()
     });
     let spec = || JobSpec::Training(quick(SchemeKind::Uncoded, 0, 0, 1));
     scheduler.submit(spec()).unwrap();

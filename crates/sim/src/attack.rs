@@ -4,7 +4,12 @@
 //!
 //! * **Reverse-value attack** — a Byzantine worker that should send `z` sends
 //!   `−c·z` for some `c > 0` (the paper sets `c = 1`). A "weak" attack: the
-//!   perturbation stays in the data's dynamic range.
+//!   perturbation stays in the data's dynamic range. On a zero product it is
+//!   no attack at all: `−c·0 = 0`. Training starts from zero weights, so in
+//!   iteration 0's round 1 every product is the zero vector, and the
+//!   reverse-value liar sends the correct result — it passes Freivalds and
+//!   is decoded from. It is caught from round 2 on. Table I's and
+//!   Fig. 3–4's reverse-value scenarios inherit that one honest round.
 //! * **Constant attack** — the worker sends a constant vector of the right
 //!   dimension. A "strong" attack: it typically destroys convergence of the
 //!   unprotected baseline.
@@ -89,7 +94,9 @@ impl AttackModel {
     }
 
     /// Applies the attack to a field-vector payload in place. Returns `true`
-    /// iff the payload was modified.
+    /// iff the attack was mounted — which does not mean a value changed: the
+    /// reverse-value attack on an all-zero payload returns `true` and sends
+    /// the zero vector, the correct product (see the module docs).
     ///
     /// # Panics
     /// Panics on [`AttackModel::ReverseValue`] with `scale: 0`: that
@@ -244,6 +251,20 @@ mod tests {
         let mut data = payload(&[1, -2, 3]);
         assert!(AttackModel::reverse().apply(&mut data));
         assert_eq!(data, payload(&[-1, 2, -3]));
+    }
+
+    #[test]
+    fn reverse_attack_on_a_zero_payload_sends_the_correct_zeros() {
+        // Iteration 0's round 1 multiplies by the zero weights: the liar
+        // claims an attack and sends exactly the honest product.
+        for attack in [
+            AttackModel::reverse(),
+            AttackModel::ReverseValue { scale: 5 },
+        ] {
+            let mut data = payload(&[0, 0, 0]);
+            assert!(attack.apply(&mut data));
+            assert_eq!(data, payload(&[0, 0, 0]));
+        }
     }
 
     #[test]

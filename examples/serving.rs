@@ -15,8 +15,8 @@
 //! as one [`JobSpec::MatMulBatch`] (built with the `JobSpec::matmul(...)`
 //! builder) against a single shared encoded dataset, versus the same eight
 //! functions as independent jobs that each re-encode the matrix. The batch
-//! pays one encode, one batched Freivalds pass and reuses one cached
-//! Lagrange basis across its decodes — with bit-identical outputs.
+//! pays one encode, one batched Freivalds pass and prepares one Lagrange
+//! basis for all its decodes — with bit-identical outputs.
 //!
 //! Run with:
 //!
