@@ -12,9 +12,9 @@
 //! [`EncodedDataset::encode`] is the one way a matrix becomes shares, for
 //! every engine. The uncoded baseline is the `(K, K)` code at `T = 0`: on
 //! the standard points it is systematic, so its shares are the matrix's row
-//! bands and nothing is computed. A row count not divisible by `K` is padded
-//! with zero rows; decoded outputs are trimmed back to
-//! [`EncodedDataset::output_rows`].
+//! bands — views of the caller's matrix, not copies — and nothing is
+//! computed. A row count not divisible by `K` is padded with zero rows;
+//! decoded outputs are trimmed back to [`EncodedDataset::output_rows`].
 
 use std::sync::Arc;
 
@@ -50,15 +50,16 @@ impl<M: PrimeModulus> EncodedDataset<M> {
     /// [`EncodedDataset::output_rows`].
     ///
     /// The matrix is read **in place**: data block `k` is the band of
-    /// `block_rows` rows starting at row `k · block_rows`, handed to the
-    /// encoder as a slice of `matrix`'s own storage. Only when zero rows have
-    /// to be appended is anything copied, and then only the bands that reach
-    /// past the last real row.
+    /// `block_rows` rows starting at row `k · block_rows`, an O(1)
+    /// [`Matrix::row_slice`] view of `matrix`'s own storage. Only when zero
+    /// rows have to be appended is anything copied, and then only the bands
+    /// that reach past the last real row, into one small owned tail.
     ///
     /// The points are [`crate::EvaluationPoints::standard`], so at `T = 0`
     /// the code is systematic — the Goldilocks `(N, K) = (12, 8)` of a bulk
-    /// matrix job among them: shares `0..K` are copies of the bands and only
-    /// the `N − K` parity shares are computed.
+    /// matrix job among them: shares `0..K` *are* those views, sharing (and
+    /// keeping alive) the caller's storage, and only the `N − K` parity
+    /// shares are computed and allocated.
     ///
     /// A bulk matrix is encoded on every core the host gives this process
     /// (one span of coordinates per core, see [`crate::encoder`]); the pads
@@ -70,23 +71,27 @@ impl<M: PrimeModulus> EncodedDataset<M> {
         rng: &mut R,
     ) -> Self {
         let output_rows = matrix.rows();
-        let block_rows = output_rows.div_ceil(config.partitions);
-        let band = block_rows * matrix.cols();
-        let data = matrix.data();
-        // Bands that lie wholly inside the matrix are read where they are;
-        // the rest (none when `rows % K == 0`) come from one zero-padded copy
-        // of the matrix's tail.
-        let whole = data.len().checked_div(band).unwrap_or(config.partitions);
-        let mut tail = data[whole * band..].to_vec();
-        tail.resize((config.partitions - whole) * band, Fp::<M>::ZERO);
-        let blocks: Vec<&[Fp<M>]> = (0..config.partitions)
+        let (cols, partitions) = (matrix.cols(), config.partitions);
+        let block_rows = output_rows.div_ceil(partitions);
+        // Bands that lie wholly inside the matrix are views of it; the rest
+        // (none when `rows % K == 0`) are views of one zero-padded copy of
+        // the matrix's tail.
+        let whole = output_rows.checked_div(block_rows).unwrap_or(partitions);
+        let tail_rows = (partitions - whole) * block_rows;
+        let mut tail = matrix
+            .row_slice(whole * block_rows, output_rows)
+            .data()
+            .to_vec();
+        tail.resize(tail_rows * cols, Fp::<M>::ZERO);
+        let tail = Matrix::from_vec(tail_rows, cols, tail);
+        let blocks: Vec<Matrix<Fp<M>>> = (0..partitions)
             .map(|k| match k.checked_sub(whole) {
-                None => &data[k * band..(k + 1) * band],
-                Some(padded) => &tail[padded * band..(padded + 1) * band],
+                None => matrix.row_slice(k * block_rows, (k + 1) * block_rows),
+                Some(padded) => tail.row_slice(padded * block_rows, (padded + 1) * block_rows),
             })
             .collect();
         let shares = LagrangeEncoder::<M>::new(config)
-            .encode_slices(&blocks, block_rows, matrix.cols(), rng)
+            .encode_blocks(&blocks, block_rows, cols, rng)
             .into_iter()
             .map(Arc::new)
             .collect();
@@ -165,6 +170,14 @@ mod tests {
         Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols))
     }
 
+    /// `true` iff `share`'s elements are stored inside `matrix`'s.
+    fn aliases<T>(share: &Matrix<T>, matrix: &Matrix<T>) -> bool {
+        matrix
+            .data()
+            .as_ptr_range()
+            .contains(&share.data().as_ptr())
+    }
+
     #[test]
     fn encode_round_trips_through_the_shared_decoder() {
         let config = SchemeConfig::linear(12, 9, 2, 1).unwrap();
@@ -241,7 +254,10 @@ mod tests {
         // The Goldilocks `(12, 8)` code at T = 0 is systematic: shares 0..8
         // are the matrix's row bands bit for bit (the last one zero-padded
         // when the rows do not divide), and each parity share is
-        // `Σ_j U[j][i]·X_j`, recomputed here one product at a time.
+        // `Σ_j U[j][i]·X_j`, recomputed here one product at a time. A band
+        // wholly inside the matrix is a view of the matrix's own storage at
+        // that band's offset; the padded tail band and the parity shares are
+        // stored on their own.
         use avcc_field::{F64, P64};
         use rand::RngCore;
         let config = SchemeConfig::linear(12, 8, 2, 1).unwrap();
@@ -259,8 +275,18 @@ mod tests {
             padded.resize(8 * band, F64::ZERO);
             let bands: Vec<&[F64]> = padded.chunks(band).collect();
             for (k, &data) in bands.iter().enumerate() {
-                assert_eq!(dataset.share(k).data(), data, "{rows} rows, share {k}");
+                let share = dataset.share(k);
+                assert_eq!(share.data(), data, "{rows} rows, share {k}");
+                if (k + 1) * band <= matrix.len() {
+                    assert_eq!(share.data().as_ptr(), matrix.data()[k * band..].as_ptr());
+                } else {
+                    assert!(!aliases(share, &matrix), "{rows} rows, tail share {k}");
+                }
             }
+            let owned = (0..12)
+                .filter(|&worker| !aliases(dataset.share(worker), &matrix))
+                .count();
+            assert_eq!(owned, if rows == 1920 { 4 } else { 5 }, "{rows} rows");
             for worker in 8..12 {
                 let mut expected = vec![F64::ZERO; band];
                 for (row, &data) in encoder.encoding_matrix().iter().zip(&bands) {
@@ -273,6 +299,7 @@ mod tests {
                     &expected[..],
                     "{rows} rows, share {worker}"
                 );
+                assert!(!aliases(dataset.share(worker), &matrix));
             }
         }
     }
@@ -299,6 +326,11 @@ mod tests {
             .fold(0u64, |acc, v| acc.rotate_left(7) ^ v.value());
         assert_eq!(rng.next_u64(), 0x1a01_7658_6574_6513);
         assert_eq!(fold, 0x8036_9b26_9965_6db6);
+        // Disjoint points: every share is computed, none is the data.
+        assert!(dataset
+            .shares()
+            .iter()
+            .all(|share| !aliases(share, &matrix)));
     }
 
     #[test]
@@ -313,6 +345,7 @@ mod tests {
         assert_eq!(dataset.recovery_threshold(), 9);
         for (k, share) in dataset.shares().iter().enumerate() {
             assert_eq!(share.data(), &matrix.data()[k * 2 * 5..(k + 1) * 2 * 5]);
+            assert!(aliases(share, &matrix), "share {k} is a view");
         }
     }
 }

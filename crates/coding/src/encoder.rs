@@ -18,31 +18,32 @@
 //! The points are [`EvaluationPoints::standard`], so every share is a linear
 //! combination of the `K+T` sources — `O((K+T)·N)` lazy multiply-adds per
 //! coordinate. At `T = 0` those points are systematic: the first `K` columns
-//! of the encoding matrix are unit vectors, so the first `K` shares are
-//! copies of the data blocks and only the `N − K` parity shares are
-//! computed, `(N − K)·K` multiply-adds per coordinate.
+//! of the encoding matrix are unit vectors, so the first `K` shares are the
+//! data blocks themselves — the same [`Matrix`] views the caller passed in,
+//! cloned in O(1) — and only the `N − K` parity shares are computed,
+//! `(N − K)·K` multiply-adds per coordinate.
 //!
-//! The encoder reads the data blocks as plain coordinate slices, wherever
-//! they live: [`crate::EncodedDataset::encode`], its one caller, passes row
-//! bands of the caller's matrix in place. Nothing is staged; the only
-//! full-size buffers an encode allocates are the `T` pads and the `N` shares
-//! it returns.
+//! The encoder reads the data blocks where they live:
+//! [`crate::EncodedDataset::encode`], its one caller, passes row-band views
+//! of the caller's matrix. Nothing is staged or copied; the only full-size
+//! buffers an encode allocates are the `T` pads and the shares whose column
+//! of the encoding matrix is not a unit vector.
 //!
 //! # One span of coordinates per core
 //!
 //! Lagrange coding evaluates one polynomial **per coordinate, independently
 //! of every other coordinate** (Yu et al., *Lagrange Coded Computing*), so
 //! the encode can run on as many threads as there are cores without
-//! changing a single output element. The `N` shares are allocated once, whole
-//! and zeroed; the coordinates are cut into one contiguous run of whole
+//! changing a single output element. The computed shares are allocated once,
+//! whole and zeroed; the coordinates are cut into one contiguous run of whole
 //! chunks per available core; each run gets the matching disjoint `&mut`
-//! window of every share; the first run is swept on the calling thread and
-//! the others on scoped threads ([`avcc_field::map_spans`]). The same sweep
-//! body runs whether there is one run or several, and below
+//! window of every computed share; the first run is swept on the calling
+//! thread and the others on scoped threads ([`avcc_field::map_spans`]). The
+//! same sweep body runs whether there is one run or several, and below
 //! `avcc_field::spans::SPAWN_MIN_WORK` multiplications (every small job)
-//! there is exactly one, inline. The pads
-//! are drawn before any of this, on the caller's thread, so the rng stream
-//! does not know how many cores the host has.
+//! there is exactly one, inline. The pads are drawn before any of this, on
+//! the caller's thread, so the rng stream does not know how many cores the
+//! host has.
 
 use avcc_field::{map_spans, random_matrix, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
@@ -62,13 +63,14 @@ const ENCODE_CHUNK: usize = 4096;
 /// The Lagrange encoder bound to a scheme configuration and its evaluation
 /// points.
 ///
-/// One sweep body: the dense linear combination, with a copy for every unit
-/// column of the encoding matrix (see the module docs). The encoder reads
-/// its blocks where they are, draws the `T` pads whole and up front,
-/// allocates nothing full-size but the pads and the `N` shares it returns,
-/// and sweeps the coordinates in one span per available core when there is
-/// enough work to pay for a thread — with shares that are the same element
-/// for element however many spans there were.
+/// One sweep body: the dense linear combination, for every share whose
+/// column of the encoding matrix is not a unit vector; a unit column's share
+/// is its source itself (see the module docs). The encoder reads its blocks
+/// where they are, draws the `T` pads whole and up front, allocates nothing
+/// full-size but the pads and the shares it computes, and sweeps the
+/// coordinates in one span per available core when there is enough work to
+/// pay for a thread — with shares that are the same element for element
+/// however many spans there were.
 #[derive(Debug, Clone)]
 pub struct LagrangeEncoder<M: PrimeModulus> {
     config: SchemeConfig,
@@ -116,18 +118,20 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
         &self.encoding_matrix
     }
 
-    /// Encodes the `K` data blocks, given as row-major coordinate slices of
-    /// `rows × cols` elements each — wherever they live — into the `N` coded
-    /// shares, worker `i`'s at index `i`. The `T` privacy pads are drawn
-    /// uniformly from `rng`, whole and up front, one `rows × cols` draw per
-    /// pad in pad order: the rng stream is part of every seeded oracle.
+    /// Encodes the `K` data blocks, each `rows × cols` and wherever it
+    /// lives, into the `N` coded shares, worker `i`'s at index `i`. A share
+    /// whose column of the encoding matrix is a unit vector is that source
+    /// itself, an O(1) clone of the view; the others are computed. The `T`
+    /// privacy pads are drawn uniformly from `rng`, whole and up front, one
+    /// `rows × cols` draw per pad in pad order: the rng stream is part of
+    /// every seeded oracle.
     ///
     /// # Panics
-    /// Panics if the number of blocks differs from `K` or a slice is not
-    /// `rows · cols` long.
-    pub(crate) fn encode_slices<R: Rng + ?Sized>(
+    /// Panics if the number of blocks differs from `K` or a block is not
+    /// `rows × cols`.
+    pub(crate) fn encode_blocks<R: Rng + ?Sized>(
         &self,
-        blocks: &[&[Fp<M>]],
+        blocks: &[Matrix<Fp<M>>],
         rows: usize,
         cols: usize,
         rng: &mut R,
@@ -140,26 +144,51 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
             blocks.len()
         );
         for block in blocks {
-            assert_eq!(block.len(), rows * cols, "a data block is not rows × cols");
+            assert_eq!(
+                (block.rows(), block.cols()),
+                (rows, cols),
+                "a data block is not rows × cols"
+            );
         }
-        let pads: Vec<Vec<Fp<M>>> = (0..self.config.colluding)
-            .map(|_| random_matrix(rng, rows, cols))
+        let pads: Vec<Matrix<Fp<M>>> = (0..self.config.colluding)
+            .map(|_| Matrix::from_vec(rows, cols, random_matrix(rng, rows, cols)))
             .collect();
-        let sources: Vec<&[Fp<M>]> = blocks
-            .iter()
-            .copied()
-            .chain(pads.iter().map(Vec::as_slice))
-            .collect();
+        let sources: Vec<&Matrix<Fp<M>>> = blocks.iter().chain(&pads).collect();
+
+        // Each share's non-zero terms `(U[j][i], j)`: a lone term of
+        // coefficient 1 makes the share source `j` itself; the others are
+        // computed, worker `computed[c]` from the terms `parity[c]`.
+        let mut shares: Vec<Option<Matrix<Fp<M>>>> = vec![None; self.config.workers];
+        let (mut computed, mut parity) = (Vec::new(), Vec::new());
+        for (worker, share) in shares.iter_mut().enumerate() {
+            let terms: Vec<(Fp<M>, usize)> = self
+                .encoding_matrix
+                .iter()
+                .enumerate()
+                .map(|(j, row)| (row[worker], j))
+                .filter(|&(coefficient, _)| coefficient != Fp::<M>::ZERO)
+                .collect();
+            match terms[..] {
+                [(coefficient, j)] if coefficient == Fp::<M>::ONE => {
+                    *share = Some(sources[j].clone())
+                }
+                _ => {
+                    computed.push(worker);
+                    parity.push(terms);
+                }
+            }
+        }
 
         let width = rows * cols;
-        let mut coded: Vec<Vec<Fp<M>>> = (0..self.config.workers)
-            .map(|_| vec![Fp::<M>::ZERO; width])
-            .collect();
+        let mut coded: Vec<Vec<Fp<M>>> =
+            parity.iter().map(|_| vec![Fp::<M>::ZERO; width]).collect();
         // Every coordinate is encoded independently of every other, so the
         // coordinates are cut into one contiguous run of whole chunks per
-        // thread, each run holding its own window of all N shares.
+        // thread, each run holding its own window of every computed share.
+        // A thread is weighed against the multiplications those shares cost.
+        let multiplies: usize = parity.iter().map(Vec::len).sum();
         let chunks = width.div_ceil(ENCODE_CHUNK);
-        let threads = span_threads(chunks, width * self.multiplies_per_coordinate());
+        let threads = span_threads(chunks, width * multiplies);
         let span = (chunks.div_ceil(threads) * ENCODE_CHUNK).max(1);
         let mut spans: Vec<(usize, Vec<&mut [Fp<M>]>)> = (0..width.div_ceil(span))
             .map(|index| (index * span, Vec::with_capacity(coded.len())))
@@ -169,82 +198,59 @@ impl<M: PrimeModulus> LagrangeEncoder<M> {
                 windows.push(window);
             }
         }
+        let sources: Vec<&[Fp<M>]> = sources.iter().map(|source| source.data()).collect();
         map_spans(spans, threads, |(start, windows)| {
-            self.sweep(&sources, start, windows)
+            sweep(&sources, &parity, start, windows)
         });
-        coded
-            .into_iter()
-            .map(|data| Matrix::from_vec(rows, cols, data))
-            .collect()
-    }
-
-    /// Field multiplications one coordinate costs — what [`span_threads`]
-    /// weighs against the cost of a thread: the non-zero entries of the
-    /// encoding matrix (a systematic code's first `K` columns have one each).
-    fn multiplies_per_coordinate(&self) -> usize {
-        self.encoding_matrix
-            .iter()
-            .flatten()
-            .filter(|&&coefficient| coefficient != Fp::<M>::ZERO)
-            .count()
-    }
-
-    /// The `O((K+T)·N)`-per-coordinate encode over the coordinates
-    /// `start..start + len` that `windows` (one per share) cover: share `i`
-    /// is the linear combination `Σ_j U[j][i]·source_j`.
-    ///
-    /// A share whose column of `U` is a unit vector — each of the first `K`
-    /// shares of a systematic code — is a copy of its source. The others
-    /// take the coordinates [`ENCODE_CHUNK`] at a time: one chunk-sized
-    /// accumulator absorbs the chunk of every source with a non-zero
-    /// coefficient, two sources per pass, and reduces once per lane into the
-    /// share's window (see [`avcc_field::WideAccumulator`]), so each chunk of
-    /// the sources is read from cache by every parity share in turn. Two
-    /// sources per pass rather than one: `EncodedDataset::encode`, 1920 × 512
-    /// Goldilocks, `(N, K) = (12, 8)`, two cores, 6.7–7.2 → 5.2–6.4 ms.
-    fn sweep(&self, sources: &[&[Fp<M>]], start: usize, windows: Vec<&mut [Fp<M>]>) {
-        let encoding_matrix = &self.encoding_matrix;
-        let len = windows.first().map_or(0, |window| window.len());
-        let sources: Vec<&[Fp<M>]> = sources
-            .iter()
-            .map(|source| &source[start..start + len])
-            .collect();
-        let mut parity = Vec::with_capacity(windows.len());
-        for (worker, window) in windows.into_iter().enumerate() {
-            let terms: Vec<(Fp<M>, &[Fp<M>])> = encoding_matrix
-                .iter()
-                .zip(&sources)
-                .map(|(row, &source)| (row[worker], source))
-                .filter(|&(coefficient, _)| coefficient != Fp::<M>::ZERO)
-                .collect();
-            match terms[..] {
-                [(coefficient, source)] if coefficient == Fp::<M>::ONE => {
-                    window.copy_from_slice(source)
-                }
-                _ => parity.push((terms, window)),
-            }
+        for (worker, data) in computed.into_iter().zip(coded) {
+            shares[worker] = Some(Matrix::from_vec(rows, cols, data));
         }
-        for at in (0..len).step_by(ENCODE_CHUNK) {
-            let end = (at + ENCODE_CHUNK).min(len);
-            for (terms, window) in parity.iter_mut() {
-                let mut coded = avcc_field::WideAccumulator::<M>::new(end - at);
-                let mut pairs = terms.chunks_exact(2);
-                for pair in pairs.by_ref() {
-                    let ((first, a), (second, b)) = (pair[0], pair[1]);
-                    coded.axpy_rows([first, second], [&a[at..end], &b[at..end]]);
-                }
-                if let [(coefficient, source)] = pairs.remainder() {
-                    coded.axpy(*coefficient, &source[at..end]);
-                }
-                coded.finish_into(&mut window[at..end]);
-            }
-        }
+        shares.into_iter().flatten().collect()
     }
 
     /// The bottom `T × N` part of the encoding matrix (pad coefficients),
     /// used by the T-privacy check of Theorem 1.
     pub fn pad_submatrix(&self) -> Vec<Vec<Fp<M>>> {
         self.encoding_matrix[self.config.partitions..].to_vec()
+    }
+}
+
+/// The `O((K+T)·N)`-per-coordinate encode over the coordinates
+/// `start..start + len` that `windows` (one per computed share) cover: each
+/// share is the linear combination `Σ_j U[j][i]·source_j` over its non-zero
+/// terms `(U[j][i], j)` in `parity`.
+///
+/// The coordinates go [`ENCODE_CHUNK`] at a time: one chunk-sized
+/// accumulator absorbs the chunk of every source with a non-zero coefficient,
+/// two sources per pass, and reduces once per lane into the share's window
+/// (see [`avcc_field::WideAccumulator`]), so each chunk of the sources is
+/// read from cache by every computed share in turn. Two sources per pass
+/// rather than one: `EncodedDataset::encode`, 1920 × 512 Goldilocks,
+/// `(N, K) = (12, 8)`, two cores, 6.7–7.2 → 5.2–6.4 ms.
+fn sweep<M: PrimeModulus>(
+    sources: &[&[Fp<M>]],
+    parity: &[Vec<(Fp<M>, usize)>],
+    start: usize,
+    mut windows: Vec<&mut [Fp<M>]>,
+) {
+    let len = windows.first().map_or(0, |window| window.len());
+    for at in (start..start + len).step_by(ENCODE_CHUNK) {
+        let end = (at + ENCODE_CHUNK).min(start + len);
+        for (terms, window) in parity.iter().zip(windows.iter_mut()) {
+            let mut coded = avcc_field::WideAccumulator::<M>::new(end - at);
+            let mut pairs = terms.chunks_exact(2);
+            for pair in pairs.by_ref() {
+                let ((first, a), (second, b)) = (pair[0], pair[1]);
+                coded.axpy_rows(
+                    [first, second],
+                    [&sources[a][at..end], &sources[b][at..end]],
+                );
+            }
+            if let [(coefficient, source)] = pairs.remainder() {
+                coded.axpy(*coefficient, &sources[*source][at..end]);
+            }
+            coded.finish_into(&mut window[at - start..end - start]);
+        }
     }
 }
 
@@ -386,8 +392,8 @@ mod tests {
     fn wrong_block_count_panics() {
         let config = SchemeConfig::linear(6, 3, 2, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let block = [F25::ZERO; 4];
-        let _ = encoder.encode_slices(&[&block, &block], 2, 2, &mut StdRng::seed_from_u64(6));
+        let block = Matrix::zeros(2, 2);
+        let _ = encoder.encode_blocks(&[block.clone(), block], 2, 2, &mut StdRng::seed_from_u64(6));
     }
 
     #[test]
@@ -395,8 +401,8 @@ mod tests {
     fn mismatched_block_shapes_panic() {
         let config = SchemeConfig::linear(4, 2, 1, 1).unwrap();
         let encoder = LagrangeEncoder::<P25>::new(config);
-        let (small, large) = ([F25::ZERO; 4], [F25::ZERO; 6]);
-        let _ = encoder.encode_slices(&[&small, &large], 2, 2, &mut StdRng::seed_from_u64(7));
+        let (small, large) = (Matrix::zeros(2, 2), Matrix::zeros(3, 2));
+        let _ = encoder.encode_blocks(&[small, large], 2, 2, &mut StdRng::seed_from_u64(7));
     }
 
     /// Every share of `encoder` over `width`-wide blocks equals the dense
@@ -411,13 +417,13 @@ mod tests {
         use rand::RngCore;
         let config = *encoder.config();
         let mut data_rng = StdRng::seed_from_u64(21);
-        let blocks: Vec<Vec<Fp<M>>> = (0..config.partitions)
-            .map(|_| random_matrix(&mut data_rng, 1, width))
+        let blocks: Vec<Matrix<Fp<M>>> = (0..config.partitions)
+            .map(|_| Matrix::from_vec(1, width, random_matrix(&mut data_rng, 1, width)))
             .collect();
-        let sources: Vec<&[Fp<M>]> = blocks.iter().map(Vec::as_slice).collect();
+        let sources: Vec<&[Fp<M>]> = blocks.iter().map(Matrix::data).collect();
         let mut rng = StdRng::seed_from_u64(width as u64);
         let mut replay = rng.clone();
-        let shares = encoder.encode_slices(&sources, 1, width, &mut rng);
+        let shares = encoder.encode_blocks(&blocks, 1, width, &mut rng);
         let pads: Vec<Vec<Fp<M>>> = (0..config.colluding)
             .map(|_| random_matrix(&mut replay, 1, width))
             .collect();

@@ -13,8 +13,9 @@
 //! works in every field (Lagrange coding needs only *distinct* points) and is
 //! systematic when `T = 0`. Encoding and decoding go through the
 //! `O(N·K)`-per-coordinate Lagrange matrix; on the systematic layout the
-//! first `K` shares are copies of the data blocks, so an encode costs the
-//! `(N − K)·K` multiply-adds of the parity shares per coordinate.
+//! first `K` shares are the data blocks themselves (row-band views of the
+//! encoded matrix), so an encode costs the `(N − K)·K` multiply-adds of the
+//! parity shares per coordinate and allocates only those shares.
 
 use avcc_field::{Fp, PrimeModulus};
 

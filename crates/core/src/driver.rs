@@ -924,6 +924,36 @@ mod tests {
     }
 
     #[test]
+    fn systematic_shares_are_views_of_the_round_matrices() {
+        // At T = 0 the code is systematic: shares 0..K of both rounds are row
+        // bands of the quantized matrices the trainer keeps for re-encoding,
+        // stored once, and only the parity shares have storage of their own.
+        let trainer = DistributedTrainer::<P25>::new(
+            small_problem(),
+            ClusterProfile::uniform(12),
+            ByzantineSpec::none(),
+            quick_config(SchemeKind::Avcc, 2, 1),
+            "test",
+        );
+        let rounds = [
+            (&trainer.round1, &trainer.round1_matrix),
+            (&trainer.round2, &trainer.round2_matrix),
+        ];
+        for (round, (session, matrix)) in rounds.into_iter().enumerate() {
+            let dataset = session.dataset();
+            let band = dataset.block_rows() * matrix.cols();
+            for (worker, share) in dataset.shares().iter().enumerate() {
+                let at = share.data().as_ptr();
+                if worker < dataset.partitions() {
+                    assert_eq!(at, matrix.data()[worker * band..].as_ptr(), "round {round}");
+                } else {
+                    assert!(!matrix.data().as_ptr_range().contains(&at), "round {round}");
+                }
+            }
+        }
+    }
+
+    #[test]
     fn uncoded_trainer_runs_but_cannot_detect() {
         let problem = small_problem();
         let cluster = ClusterProfile::uniform(12);

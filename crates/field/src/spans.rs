@@ -31,8 +31,9 @@ use std::sync::OnceLock;
 /// unit-test shape, the 240 × 128 jobs of `serve_mixed` (encode ≈ 0.2 M,
 /// keys ≈ 0.05 M) and the per-iteration evaluation of its training jobs
 /// ((300 + 900) × 63 ≈ 0.08 M); above it the 1920 × 512 encode of
-/// `matmul_batch` (≈ 6 M), its twelve keys and twelve wire blocks (≈ 1.5 M
-/// each), the dense encode behind `train_*` set-up (≈ 1.8 M) and the
+/// `matmul_batch` (≈ 3.9 M, its four parity shares), its twelve keys and
+/// twelve wire blocks (≈ 1.5 M each), the parity encode behind `train_*`
+/// set-up (≈ 1.4 M per round) and the
 /// evaluation `train_*` runs after every update ((360 + 1 800) × 261
 /// ≈ 0.56 M, `LogisticModel::evaluate`).
 pub const SPAWN_MIN_WORK: usize = 1 << 19;

@@ -177,9 +177,11 @@ impl Dataset {
         self.train_features.cols()
     }
 
-    /// Returns a copy whose training-set size is padded (by repeating samples)
-    /// or truncated so it is divisible by `partitions` — MDS/Lagrange coding
-    /// splits the data into `K` equal row blocks.
+    /// Returns a dataset whose training-set size is truncated so it is
+    /// divisible by `partitions` — MDS/Lagrange coding splits the data into
+    /// `K` equal row blocks. The feature matrices are views of this
+    /// dataset's ([`Matrix`] clones and row slices are O(1)); the label and
+    /// weight vectors are copied.
     pub fn with_train_size_divisible_by(&self, partitions: usize) -> Dataset {
         assert!(partitions > 0, "partitions must be positive");
         let m = self.train_len();
