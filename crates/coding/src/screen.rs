@@ -56,11 +56,11 @@
 //! whenever `⌈ν/2⌉ + 1 ≤ b ≤ ν` (ROADMAP finding 2).
 //!
 //! What a caller does with a localization is its own decision. The AVCC
-//! engine today drops the screened workers **without** a Freivalds check, so
-//! a framed round loses honest results and can fall short of the threshold;
-//! it is *not* verified against the computation. Making the screen a
-//! suggestion that Freivalds confirms is ROADMAP item 2 ("The screen
-//! suggests; Freivalds decides"). The LCC baseline's
+//! engine never acts on the screen alone: the workers it localizes are
+//! suspects, Freivalds-checked after every other arrival, and only a failed
+//! check convicts one. Inside the radius a located liar so costs no honest
+//! wait; beyond it a framed honest worker passes its check and still counts
+//! toward the threshold, and the liars fail theirs. The LCC baseline's
 //! [`crate::decoder::LagrangeDecoder::decode_with_errors`] trusts the
 //! locator by design, so beyond its designed `M` it can decode a wrong
 //! product and blame honest workers.

@@ -33,12 +33,17 @@
 //!   ([`avcc_coding::DualCodeword`], on unless
 //!   [`CodedMatVec::with_screening`] turns it off) runs first: one
 //!   `O(R·width)` SCRAPE-style pass checks every returned block for
-//!   RS-codeword membership and, on failure, localizes the corrupted workers,
-//!   which are dropped before any Freivalds work and reported in both
-//!   `detected_byzantine` and `screened_workers`. The screen proves the
-//!   blocks *consistent with one polynomial*, Freivalds proves them *the
-//!   right polynomial* (a full coalition shifting the round onto another
-//!   codeword passes the screen but not Freivalds).
+//!   RS-codeword membership and, on failure, localizes the corrupted workers.
+//!   The screen suggests, Freivalds decides: the localized workers, reported
+//!   in `screened_workers`, become suspects that are checked after every
+//!   other arrival, one combined check each, and only a suspect that fails
+//!   its check joins `detected_byzantine`. So a liar the screen found costs
+//!   no honest wait, and colluding liars who steer the localization onto
+//!   honest workers (beyond its `⌊ν/2⌋` radius, see [`avcc_coding::screen`])
+//!   frame nobody. The screen proves the blocks *consistent with one
+//!   polynomial*, Freivalds proves them *the right polynomial* (a full
+//!   coalition shifting the round onto another codeword passes the screen
+//!   but not Freivalds).
 //!
 //! One `collect_batch` body serves all three: a shared prologue drops
 //! malformed arrivals and detects stragglers, the scheme's survivor rule
@@ -344,8 +349,9 @@ impl<M: PrimeModulus> CodedMatVec<M> {
 }
 
 impl<M: PrimeModulus> Freivalds<M> {
-    /// The AVCC survivor rule: screen, then verify in arrival order up to
-    /// the recovery threshold, then erasure-decode the accepted results.
+    /// The AVCC survivor rule: screen, then verify the unscreened arrivals
+    /// in arrival order up to the recovery threshold and every screened one
+    /// after them, then erasure-decode the accepted results.
     ///
     /// With m > 1 one scalar σ batches the whole round: the master combines
     /// the m inputs into x_c = Σ σ^j x_j once, combines each arrival's m
@@ -378,7 +384,7 @@ impl<M: PrimeModulus> Freivalds<M> {
         // Σ σ^j·Ỹ_i^{(j)} are themselves evaluations of the combined
         // polynomial (degree unchanged), so one screen over them covers all m
         // functions at once — the same amortization as the batched Freivalds
-        // pass. Screened-out workers are erased exactly like stragglers.
+        // pass.
         let combined_claims: Vec<(usize, Vec<Fp<M>>)> = arrivals
             .iter()
             .map(|arrival| (arrival.worker, combine(&arrival.payload)))
@@ -391,33 +397,30 @@ impl<M: PrimeModulus> Freivalds<M> {
         };
         let (screened_workers, screen_macs) = self.screen_claims(&combined_claims, rng);
         verify_macs += screen_macs;
+        // The screen only suggests: the workers it localized are suspects,
+        // examined after every other arrival. The others are checked in
+        // arrival order up to the threshold; then each suspect gets one
+        // combined check, which convicts a liar the screen found and clears
+        // an honest worker that colluding liars framed.
+        let (suspects, others): (Vec<_>, Vec<_>) = arrivals
+            .iter()
+            .zip(&combined_claims)
+            .partition(|(arrival, _)| screened_workers.contains(&arrival.worker));
         let mut verified: Vec<&Arrival<M>> = Vec::with_capacity(threshold);
-        let mut detected_byzantine = screened_workers.clone();
+        let mut detected_byzantine = Vec::new();
         let mut corrupted_functions = Vec::new();
-        // Screened-out workers skip the combined check entirely, but their
-        // corrupted functions are still localized.
-        for &worker in &screened_workers {
-            let arrival = arrivals
-                .iter()
-                .find(|arrival| arrival.worker == worker)
-                .expect("screened workers come from the arrivals");
-            verify_macs += self.localize(inputs, arrival, &mut corrupted_functions);
-        }
-        for (&arrival, (_, combined_claim)) in arrivals.iter().zip(&combined_claims) {
-            if verified.len() >= threshold {
-                break;
-            }
-            if screened_workers.contains(&arrival.worker) {
+        for (&arrival, (_, combined_claim)) in others.into_iter().chain(suspects) {
+            if verified.len() >= threshold && !screened_workers.contains(&arrival.worker) {
                 continue;
             }
             let key = &self.keys[arrival.worker];
             let accepted = key.verify(&combined_input, combined_claim);
             verify_macs += key.check_macs();
-            if accepted {
-                verified.push(arrival);
-            } else {
+            if !accepted {
                 verify_macs += self.localize(inputs, arrival, &mut corrupted_functions);
                 detected_byzantine.push(arrival.worker);
+            } else if verified.len() < threshold {
+                verified.push(arrival);
             }
         }
         corrupted_functions.sort_unstable();
@@ -466,7 +469,7 @@ impl<M: PrimeModulus> Freivalds<M> {
     /// Names the function(s) a rejected worker corrupted, adding them to
     /// `corrupted`, and returns the MACs of the Freivalds checks that took:
     /// one check per function for a batch, none for a single function — the
-    /// check (or screen) that rejected the worker already names it.
+    /// check that rejected the worker already names it.
     fn localize(
         &self,
         inputs: &[Vec<Fp<M>>],

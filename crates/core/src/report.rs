@@ -34,8 +34,9 @@ pub struct IterationRecord {
     pub train_loss: f64,
     /// Workers detected as Byzantine during this iteration.
     pub detected_byzantine: Vec<usize>,
-    /// Workers evicted by the pre-decode dual-codeword screen during this
-    /// iteration — always a subset of `detected_byzantine`.
+    /// Workers the pre-decode dual-codeword screen localized during this
+    /// iteration. Only those that then failed their Freivalds check are also
+    /// in `detected_byzantine`.
     pub screened_workers: Vec<usize>,
     /// Workers observed to straggle during this iteration.
     pub observed_stragglers: Vec<usize>,

@@ -101,12 +101,14 @@ pub struct BatchExecution<M: PrimeModulus> {
     pub detected_byzantine: Vec<usize>,
     /// Workers observed to straggle in this round.
     pub observed_stragglers: Vec<usize>,
-    /// Workers evicted by the pre-decode dual-codeword screen (run on the
-    /// σ-combined claims — see [`crate::engines::CodedMatVec`]). Always a subset of
+    /// Workers the pre-decode dual-codeword screen localized (run on the
+    /// σ-combined claims — see [`crate::engines::CodedMatVec`]): what the
+    /// screen said, not a verdict. Each was Freivalds-checked after every
+    /// other arrival; only those whose check failed are also in
     /// `detected_byzantine`.
     pub screened_workers: Vec<usize>,
     /// Function indices localized as corrupted after a worker failed the
-    /// batched check or the screen (sorted, deduplicated): by the
+    /// batched check (sorted, deduplicated): by the
     /// per-function fallback when `m > 1`, by the failed check itself when
     /// there is one function. Empty whenever every examined worker passed.
     pub corrupted_functions: Vec<usize>,

@@ -538,7 +538,10 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
     // the three per-scheme engine types before they became one session. The
     // AVCC rows' decode MACs were re-recorded when the decode began
     // reporting what it runs: workers 0 and 2–8 hand their bands through,
-    // and only worker 1's band is interpolated, 9 coefficients × 2 rows.
+    // and only worker 1's band is interpolated, 9 coefficients × 2 rows. The
+    // screened AVCC row's verify MACs were re-recorded when the screen began
+    // to suggest rather than decide: worker 1, the suspect, now gets its one
+    // Freivalds check (2 rows + 6 columns = 8 MACs) before it is detected.
     type Workers = &'static [usize];
     type Recorded = (
         &'static str,
@@ -555,7 +558,7 @@ fn a_batch_of_one_reproduces_the_recorded_single_function_round() {
     const UNTOUCHED: u64 = 7086638178683056257; // first draw of seed 77
     #[rustfmt::skip]
     let recorded: [Recorded; 4] = [
-        ("avcc",             9,  VERIFIED,   &[1], &[1], [12, 249, 18],  8159428425992391467),
+        ("avcc",             9,  VERIFIED,   &[1], &[1], [12, 257, 18],  8159428425992391467),
         ("avcc, screen off", 9,  VERIFIED,   &[1], &[],  [12, 80, 18],   UNTOUCHED),
         ("lcc",              11, WAITED_FOR, &[1], &[],  [12, 0, 319],   7691228355860892142),
         ("uncoded",          9,  EVERYONE,   &[],  &[],  [12, 0, 0],     UNTOUCHED),

@@ -155,7 +155,8 @@ fn run_cell<M: PrimeModulus>(
     assert_eq!(redecoded, oracle_product, "oracle decode diverged");
 
     // (3) The engine's screened collect: bit-identical output, screened set
-    // equal to the planted set, screened ⊆ detected.
+    // equal to the planted set, and every screened liar fails its Freivalds
+    // check, so screened ⊆ detected here.
     let mut collect_rng = StdRng::seed_from_u64(seed ^ 0xc011ec7);
     let execution = engine
         .collect_batch(
@@ -173,7 +174,7 @@ fn run_cell<M: PrimeModulus>(
     );
     assert_eq!(
         execution.screened_workers, planted,
-        "engine screening must evict exactly the planted set under {attack:?}"
+        "engine screening must localize exactly the planted set under {attack:?}"
     );
     assert!(execution
         .screened_workers
@@ -312,4 +313,91 @@ fn screen_escape_is_caught_by_freivalds_and_decodes_exactly() {
         assert!(!execution.used_workers.contains(&victim));
         assert_eq!(execution.outputs[0], product, "ν = {dual_dim}");
     }
+}
+
+/// Colluding liars inside the AVCC bound frame honest workers (ROADMAP
+/// finding 2). Each liar `i` adds `e(α_i)·v` to its result, where `e` has
+/// degree `threshold − 1` and vanishes on every honest responder except the
+/// `framed` ones. The responders are then `framed.len()` errors from the
+/// codeword `c + e·v`, inside the screen's unique-decoding radius `⌊ν/2⌋`, so
+/// the screen names the framed honest workers. Freivalds decides: the round
+/// decodes the exact product, and detects exactly the liars. Arrivals come
+/// in worker order, so the liars arrive last.
+fn framed_round_convicts_only_the_liars(config: SchemeConfig, liars: &[usize], framed: &[usize]) {
+    let threshold = config.recovery_threshold();
+    let mut rng = StdRng::seed_from_u64(0xf7a3ed);
+    let rows = 2 * config.partitions;
+    let matrix = Matrix::from_vec(rows, 5, avcc_field::random_matrix(&mut rng, rows, 5));
+    let input: Vec<Fp<P25>> = avcc_field::random_vector(&mut rng, 5);
+    let product = mat_vec(&matrix, &input);
+    let mut engine = CodedMatVec::<P25>::new(&matrix, config, KeyGenConfig::default(), &mut rng);
+    let alpha = avcc_coding::points::EvaluationPoints::<P25>::standard(
+        config.partitions,
+        config.colluding,
+        config.workers,
+    )
+    .alpha()
+    .to_vec();
+    let roots: Vec<Fp<P25>> = (0..config.workers)
+        .filter(|worker| !liars.contains(worker) && !framed.contains(worker))
+        .map(|worker| alpha[worker])
+        .collect();
+    assert_eq!(roots.len(), threshold - 1, "e has degree threshold − 1");
+    let e = |x: Fp<P25>| roots.iter().fold(Fp::new(1), |acc, &root| acc * (x - root));
+    let shift: Vec<Fp<P25>> = avcc_field::random_vector(&mut rng, rows / config.partitions);
+
+    let inputs = std::slice::from_ref(&input);
+    let mut outcomes = manual_outcomes(&engine, inputs, &ByzantineSpec::none(), &[]);
+    for outcome in outcomes.iter_mut().filter(|o| liars.contains(&o.worker)) {
+        let scale = e(alpha[outcome.worker]);
+        for (claim, &v) in outcome.payload[0].iter_mut().zip(&shift) {
+            *claim += scale * v;
+        }
+        outcome.corrupted = true;
+    }
+
+    // The attack works: the screen alone names the framed honest workers.
+    let claims: Vec<(usize, Vec<Fp<P25>>)> = outcomes
+        .iter()
+        .map(|o| (o.worker, o.payload[0].clone()))
+        .collect();
+    let report = DualCodeword::<P25>::new(config)
+        .screen(&claims, 1, &mut StdRng::seed_from_u64(5))
+        .unwrap();
+    assert_eq!(
+        report.outcome,
+        ScreenOutcome::Corrupted {
+            workers: framed.to_vec()
+        }
+    );
+
+    let execution = engine
+        .collect_batch(
+            inputs,
+            &outcomes,
+            &NetworkModel::default(),
+            1.0,
+            &mut StdRng::seed_from_u64(6),
+        )
+        .unwrap();
+    assert_eq!(execution.outputs, [product]);
+    assert_eq!(execution.screened_workers, framed, "what the screen said");
+    let mut detected = execution.detected_byzantine.clone();
+    detected.sort_unstable();
+    assert_eq!(detected, liars, "exactly the liars are detected");
+    assert!(liars
+        .iter()
+        .all(|liar| !execution.used_workers.contains(liar)));
+}
+
+#[test]
+fn colluding_liars_cannot_frame_one_honest_worker() {
+    let config = SchemeConfig::linear(12, 9, 0, 3).unwrap();
+    framed_round_convicts_only_the_liars(config, &[9, 10, 11], &[0]);
+}
+
+#[test]
+fn colluding_liars_cannot_frame_two_honest_workers() {
+    let config = SchemeConfig::linear(13, 9, 1, 3).unwrap();
+    framed_round_convicts_only_the_liars(config, &[10, 11, 12], &[0, 1]);
 }

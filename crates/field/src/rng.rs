@@ -45,17 +45,6 @@ pub fn random_matrix<M: PrimeModulus, R: Rng + ?Sized>(
     random_vector(rng, rows * cols)
 }
 
-/// Samples a vector of `len` *nonzero* random field elements (used for
-/// evaluation-point selection where zero would collide with the origin).
-pub fn random_nonzero_vector<M: PrimeModulus, R: Rng + ?Sized>(
-    rng: &mut R,
-    len: usize,
-) -> Vec<Fp<M>> {
-    (0..len)
-        .map(|_| Fp::<M>::new(rng.gen_range(1..M::MODULUS)))
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -84,13 +73,6 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(3);
         let m: Vec<Fp<P25>> = random_matrix(&mut rng, 4, 9);
         assert_eq!(m.len(), 36);
-    }
-
-    #[test]
-    fn nonzero_vector_has_no_zeros() {
-        let mut rng = StdRng::seed_from_u64(4);
-        let v: Vec<Fp<P251>> = random_nonzero_vector(&mut rng, 5000);
-        assert!(v.iter().all(|e| !e.is_zero()));
     }
 
     #[test]

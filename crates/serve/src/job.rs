@@ -68,87 +68,6 @@ pub enum JobSpec<M: PrimeModulus> {
     },
 }
 
-impl<M: PrimeModulus> JobSpec<M> {
-    /// Starts a builder for a coded matmul job over `matrix` with one input
-    /// vector — extend it with [`MatMulJobBuilder::with_batch`] to serve
-    /// many functions over the same encoded dataset.
-    ///
-    /// Defaults: the paper's `(N = 12, K = 9, S = 2, M = 1)` linear coding
-    /// and seed `0`.
-    pub fn matmul(matrix: Matrix<Fp<M>>, input: Vec<Fp<M>>) -> MatMulJobBuilder<M> {
-        MatMulJobBuilder {
-            matrix,
-            inputs: vec![input],
-            coding: SchemeConfig::linear(12, 9, 2, 1)
-                .expect("the paper's default coding configuration is feasible"),
-            seed: 0,
-        }
-    }
-}
-
-/// Builder returned by [`JobSpec::matmul`]: configures the coding scheme,
-/// the input batch and the seed before producing a [`JobSpec`].
-#[derive(Debug, Clone)]
-pub struct MatMulJobBuilder<M: PrimeModulus> {
-    matrix: Matrix<Fp<M>>,
-    inputs: Vec<Vec<Fp<M>>>,
-    coding: SchemeConfig,
-    seed: u64,
-}
-
-impl<M: PrimeModulus> MatMulJobBuilder<M> {
-    /// Uses the given coding configuration instead of the paper default.
-    pub fn with_scheme(mut self, coding: SchemeConfig) -> Self {
-        self.coding = coding;
-        self
-    }
-
-    /// Replaces the input set with a batch of `m` input vectors, all served
-    /// against the one shared encoded dataset.
-    ///
-    /// # Panics
-    /// Panics if `inputs` is empty.
-    pub fn with_batch(mut self, inputs: Vec<Vec<Fp<M>>>) -> Self {
-        assert!(!inputs.is_empty(), "a matmul job needs at least one input");
-        self.inputs = inputs;
-        self
-    }
-
-    /// Seeds the encoding pads and verification keys. Two jobs with the same
-    /// matrix, coding and seed encode identically, which is what makes a
-    /// batch comparable to its independent single-function equivalents.
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
-
-    /// Produces the job: a [`JobSpec::CodedMatVec`] for a single input, a
-    /// [`JobSpec::MatMulBatch`] for `m > 1`.
-    pub fn build(self) -> JobSpec<M> {
-        let MatMulJobBuilder {
-            matrix,
-            mut inputs,
-            coding,
-            seed,
-        } = self;
-        if inputs.len() == 1 {
-            JobSpec::CodedMatVec {
-                matrix,
-                input: inputs.pop().expect("one input"),
-                coding,
-                seed,
-            }
-        } else {
-            JobSpec::MatMulBatch {
-                matrix,
-                inputs,
-                coding,
-                seed,
-            }
-        }
-    }
-}
-
 /// What a finished job produced.
 #[derive(Debug, Clone)]
 pub enum JobOutput<M: PrimeModulus> {
@@ -202,6 +121,9 @@ enum Work<M: PrimeModulus> {
     },
     /// `m` products over one encode and one key set.
     Products(Box<Products<M>>),
+    /// A product job whose inputs do not fit its matrix: it runs no round
+    /// and completes as this failure.
+    Rejected(SchemeFailure),
 }
 
 /// The one round of a product job.
@@ -220,7 +142,8 @@ struct Products<M: PrimeModulus> {
 
 impl<M: PrimeModulus> Work<M> {
     /// The product job over `matrix` for `inputs`: one encode and one key
-    /// set, drawn from `seed`.
+    /// set, drawn from `seed` — or, unless there is at least one input and
+    /// every input has `matrix.cols()` entries, the job's failure.
     fn products(
         matrix: &Matrix<Fp<M>>,
         inputs: Vec<Vec<Fp<M>>>,
@@ -228,6 +151,15 @@ impl<M: PrimeModulus> Work<M> {
         seed: u64,
         single: bool,
     ) -> Self {
+        if inputs.is_empty() || inputs.iter().any(|input| input.len() != matrix.cols()) {
+            let lengths: Vec<usize> = inputs.iter().map(Vec::len).collect();
+            return Work::Rejected(SchemeFailure::DecodeFailed {
+                details: format!(
+                    "a product job needs at least one input of {} entries, got input lengths {lengths:?}",
+                    matrix.cols()
+                ),
+            });
+        }
         let mut rng = StdRng::seed_from_u64(seed);
         let engine = CodedMatVec::new(matrix, coding, KeyGenConfig { repetitions: 1 }, &mut rng);
         let tasks = engine.dispatch_batch(&inputs);
@@ -246,7 +178,9 @@ impl<M: PrimeModulus> Work<M> {
 
 impl<M: PrimeModulus> Job<M> {
     /// Builds the job for `spec` — the trainer and its run, or the encoded
-    /// and keyed products — with its first round's tasks ready.
+    /// and keyed products — with its first round's tasks ready. A product
+    /// job with no input, or with an input that is not `matrix.cols()` long,
+    /// is finished at once and completes as a [`JobOutput::Failed`].
     pub(crate) fn new(spec: JobSpec<M>, queue_wait_seconds: f64) -> Self {
         let admitted_at = Instant::now();
         let work = match spec {
@@ -285,6 +219,7 @@ impl<M: PrimeModulus> Job<M> {
         match &self.work {
             Work::Training { run, .. } => run.is_finished(),
             Work::Products(products) => products.outputs.is_some(),
+            Work::Rejected(_) => true,
         }
     }
 
@@ -293,6 +228,7 @@ impl<M: PrimeModulus> Job<M> {
         match &self.work {
             Work::Training { run, .. } => run.tasks(),
             Work::Products(products) => &products.tasks,
+            Work::Rejected(_) => &[],
         }
     }
 
@@ -301,7 +237,7 @@ impl<M: PrimeModulus> Job<M> {
     pub(crate) fn channel(&self) -> usize {
         match &self.work {
             Work::Training { run, .. } => run.channel(),
-            Work::Products(_) => 0,
+            Work::Products(_) | Work::Rejected(_) => 0,
         }
     }
 
@@ -310,6 +246,7 @@ impl<M: PrimeModulus> Job<M> {
         match &self.work {
             Work::Training { trainer, run } => trainer.round_min_results(run.round()),
             Work::Products(products) => products.engine.min_results(),
+            Work::Rejected(_) => 0,
         }
     }
 
@@ -319,6 +256,7 @@ impl<M: PrimeModulus> Job<M> {
         match &self.work {
             Work::Training { trainer, .. } => (trainer.cluster(), trainer.byzantine()),
             Work::Products(products) => (&products.fleet.0, &products.fleet.1),
+            Work::Rejected(_) => unreachable!("a rejected job is finished and runs no round"),
         }
     }
 
@@ -349,6 +287,7 @@ impl<M: PrimeModulus> Job<M> {
                 products.outputs = Some(execution.outputs);
                 (execution.ops, execution.screened_workers.len())
             }
+            Work::Rejected(failure) => return Err(failure.clone()),
         };
         self.metrics.rounds += 1;
         self.metrics.ops = self.metrics.ops.combined(&ops);
@@ -362,14 +301,14 @@ impl<M: PrimeModulus> Job<M> {
     pub(crate) fn stall(&mut self, failure: SchemeFailure) -> Result<Stall, SchemeFailure> {
         match &mut self.work {
             Work::Training { trainer, run } => run.stall(trainer, failure),
-            Work::Products(_) => Err(failure),
+            Work::Products(_) | Work::Rejected(_) => Err(failure),
         }
     }
 
     /// Completes the job with its output — `failure`, if it failed.
     pub(crate) fn complete(self, id: JobId, failure: Option<SchemeFailure>) -> CompletedJob<M> {
         let output = match (failure, self.work) {
-            (Some(failure), _) => JobOutput::Failed(failure),
+            (Some(failure), _) | (None, Work::Rejected(failure)) => JobOutput::Failed(failure),
             (None, Work::Training { run, .. }) => JobOutput::Training(Box::new(run.into_report())),
             (None, Work::Products(products)) => {
                 let mut outputs = products.outputs.expect("a finished job has its products");
@@ -389,72 +328,5 @@ impl<M: PrimeModulus> Job<M> {
             output,
             metrics,
         }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use avcc_field::{PrimeField, F25, P25};
-
-    fn small_matrix() -> Matrix<F25> {
-        Matrix::from_vec(4, 2, (0..8).map(F25::from_u64).collect())
-    }
-
-    fn input(offset: u64) -> Vec<F25> {
-        vec![F25::from_u64(offset), F25::from_u64(offset + 1)]
-    }
-
-    #[test]
-    fn builder_defaults_to_a_single_function_job() {
-        let spec = JobSpec::<P25>::matmul(small_matrix(), input(0)).build();
-        let JobSpec::CodedMatVec {
-            coding,
-            seed,
-            input: built_input,
-            ..
-        } = spec
-        else {
-            panic!("one input must build a CodedMatVec job");
-        };
-        assert_eq!(seed, 0);
-        assert_eq!(built_input, input(0));
-        assert_eq!((coding.workers, coding.partitions), (12, 9));
-    }
-
-    #[test]
-    fn builder_with_batch_builds_a_batched_job() {
-        let coding = SchemeConfig::linear(12, 8, 2, 1).unwrap();
-        let spec = JobSpec::<P25>::matmul(small_matrix(), input(0))
-            .with_batch(vec![input(0), input(2), input(4)])
-            .with_scheme(coding)
-            .with_seed(7)
-            .build();
-        let JobSpec::MatMulBatch {
-            inputs,
-            coding: built,
-            seed,
-            ..
-        } = spec
-        else {
-            panic!("three inputs must build a MatMulBatch job");
-        };
-        assert_eq!(inputs.len(), 3);
-        assert_eq!(seed, 7);
-        assert_eq!(built.partitions, 8);
-    }
-
-    #[test]
-    fn builder_with_batch_of_one_stays_single_function() {
-        let spec = JobSpec::<P25>::matmul(small_matrix(), input(0))
-            .with_batch(vec![input(9)])
-            .build();
-        assert!(matches!(spec, JobSpec::CodedMatVec { .. }));
-    }
-
-    #[test]
-    #[should_panic(expected = "at least one input")]
-    fn builder_rejects_an_empty_batch() {
-        let _ = JobSpec::<P25>::matmul(small_matrix(), input(0)).with_batch(Vec::new());
     }
 }

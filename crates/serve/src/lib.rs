@@ -6,9 +6,9 @@
 //! *serving* system:
 //!
 //! * [`JobSpec`]s — full training runs, one-shot coded matrix–vector
-//!   products, or multi-function matmul batches built with
-//!   [`JobSpec::matmul`] that serve `m` inputs over **one** shared encoded
-//!   dataset (one encode, one batched Freivalds pass, `m` decodes over the
+//!   products, or multi-function matmul batches
+//!   ([`JobSpec::MatMulBatch`]) that serve `m` inputs over **one** shared
+//!   encoded dataset (one encode, one batched Freivalds pass, `m` decodes over the
 //!   one Lagrange basis their collect prepares) — each admitted as one job;
 //! * a [`Fleet`] — a fixed number of worker slots, one thread each while
 //!   the scheduler runs, shared by every admitted job;
@@ -62,5 +62,5 @@ pub mod scheduler;
 
 pub use distributed::serve_distributed;
 pub use fleet::Fleet;
-pub use job::{CompletedJob, JobId, JobOutput, JobSpec, MatMulJobBuilder};
+pub use job::{CompletedJob, JobId, JobOutput, JobSpec};
 pub use scheduler::{AdmissionError, Scheduler, SchedulerConfig, ServingReport};

@@ -148,3 +148,53 @@ fn below_threshold_round_parks_then_resumes_in_the_scheduler() {
     );
     assert_trajectories_match(served, &oracle, "parked-then-resumed job");
 }
+
+#[test]
+fn a_long_flap_shrinks_the_code_inside_the_scheduler() {
+    // A slow rack (workers 0–2 at ×8, the code designed for S = 3) and no
+    // Byzantine workers, for 12 iterations. Three fast workers flap out at
+    // round 2 and a fourth at round 14, each for longer than the job: the
+    // fourth departure leaves 8 responders, below the recovery threshold of
+    // 9, so rounds park and re-dispatch until the dynamic-coding rule or the
+    // stall budget re-encodes to a smaller `K`. The shrink may change which
+    // results decode, never the decoded values.
+    let scenario = FaultScenario::paper(3, 0, avcc_sim::attack::AttackModel::None);
+    let mut config = ExperimentConfig::paper_avcc(3, 0, scenario);
+    config.iterations = 12;
+    config.seed = 17;
+    config.dataset = quick(SchemeKind::Avcc, 0).dataset;
+    let schedule = [(2, 7), (2, 8), (2, 9), (14, 10)].into_iter().fold(
+        ChurnSchedule::quiet(),
+        |schedule, (round, worker)| {
+            schedule.at(
+                round,
+                ChurnAction::Flap {
+                    worker,
+                    rounds: 400,
+                },
+            )
+        },
+    );
+    let serve = |churn: Option<ChurnSchedule>| {
+        let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
+        if let Some(schedule) = churn {
+            scheduler.set_churn(schedule, WORKERS);
+        }
+        let id = scheduler.submit(JobSpec::Training(config.clone())).unwrap();
+        let report = scheduler.run(&Fleet::new(2));
+        assert_eq!(report.metrics.jobs_failed, 0, "the job must not fail");
+        let JobOutput::Training(served) = &report.job(id).unwrap().output else {
+            panic!("training job must produce a report");
+        };
+        (**served).clone()
+    };
+
+    let quiet = serve(None);
+    let churned = serve(Some(schedule));
+    assert!(
+        churned.reconfiguration_count() >= 1,
+        "the fourth departure must shrink the code"
+    );
+    assert_eq!(quiet.reconfiguration_count(), 0);
+    assert_trajectories_match(&churned, &quiet, "job under a long flap");
+}

@@ -10,12 +10,15 @@
 //! bit-identical models without reaching into the trainer.
 
 use avcc_coding::SchemeConfig;
+use avcc_core::SchemeFailure;
 use avcc_core::{ExperimentConfig, FaultScenario, SchemeKind};
 use avcc_field::{PrimeField, F25, P25};
 use avcc_linalg::{mat_vec, Matrix};
 use avcc_ml::dataset::DatasetConfig;
-use avcc_serve::{Fleet, JobOutput, JobSpec, Scheduler, SchedulerConfig};
+use avcc_serve::{serve_distributed, Fleet, JobOutput, JobSpec, Scheduler, SchedulerConfig};
 use avcc_sim::attack::AttackModel;
+use avcc_sim::cluster::ClusterProfile;
+use avcc_sim::executor::ThreadedExecutor;
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -311,24 +314,23 @@ proptest! {
 
         let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
         let batch_id = scheduler
-            .submit(
-                JobSpec::matmul(matrix.clone(), inputs[0].clone())
-                    .with_batch(inputs.clone())
-                    .with_scheme(coding)
-                    .with_seed(seed)
-                    .build(),
-            )
+            .submit(JobSpec::MatMulBatch {
+                matrix: matrix.clone(),
+                inputs: inputs.clone(),
+                coding,
+                seed,
+            })
             .unwrap();
         let single_ids: Vec<_> = inputs
             .iter()
             .map(|input| {
                 scheduler
-                    .submit(
-                        JobSpec::matmul(matrix.clone(), input.clone())
-                            .with_scheme(coding)
-                            .with_seed(seed)
-                            .build(),
-                    )
+                    .submit(JobSpec::CodedMatVec {
+                        matrix: matrix.clone(),
+                        input: input.clone(),
+                        coding,
+                        seed,
+                    })
                     .unwrap()
             })
             .collect();
@@ -347,5 +349,84 @@ proptest! {
             prop_assert_eq!(single, &batch_outputs[function]);
         }
         prop_assert_eq!(report.metrics.jobs_completed, functions + 1);
+    }
+}
+
+/// The product jobs whose inputs do not fit their matrix: an input one
+/// entry short, and no input at all.
+fn malformed_product_jobs() -> Vec<JobSpec<P25>> {
+    let (matrix, inputs) = batch_problem(5, 2);
+    let coding = SchemeConfig::linear(12, 8, 2, 1).unwrap();
+    let short = inputs[0][..matrix.cols() - 1].to_vec();
+    vec![
+        JobSpec::MatMulBatch {
+            matrix: matrix.clone(),
+            inputs: vec![inputs[0].clone(), short],
+            coding,
+            seed: 1,
+        },
+        JobSpec::MatMulBatch {
+            matrix,
+            inputs: Vec::new(),
+            coding,
+            seed: 2,
+        },
+    ]
+}
+
+fn assert_failed_as_a_job(output: &JobOutput<P25>) {
+    assert!(
+        matches!(
+            output,
+            JobOutput::Failed(SchemeFailure::DecodeFailed { .. })
+        ),
+        "a malformed product job must fail as a job, got {output:?}"
+    );
+}
+
+/// A malformed product job fails as a job, next to a well-formed one that
+/// still decodes, instead of panicking a slot thread (which left the master
+/// waiting forever) or the master itself. The scheduler runs on a watchdog
+/// thread so that a hang fails the test instead of stalling the suite.
+#[test]
+fn malformed_product_jobs_fail_in_the_scheduler() {
+    let (matrix, inputs) = batch_problem(6, 1);
+    let oracle = mat_vec(&matrix, &inputs[0]);
+    let (done, report) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
+        for spec in malformed_product_jobs() {
+            scheduler.submit(spec).unwrap();
+        }
+        scheduler
+            .submit(JobSpec::CodedMatVec {
+                matrix,
+                input: inputs[0].clone(),
+                coding: SchemeConfig::linear(12, 8, 2, 1).unwrap(),
+                seed: 3,
+            })
+            .unwrap();
+        let _ = done.send(scheduler.run(&Fleet::new(2)));
+    });
+    let report = report
+        .recv_timeout(std::time::Duration::from_secs(60))
+        .expect("the scheduler must return");
+    assert_eq!(report.jobs.len(), 3);
+    assert_eq!(report.metrics.jobs_failed, 2);
+    assert_failed_as_a_job(&report.jobs[0].output);
+    assert_failed_as_a_job(&report.jobs[1].output);
+    let JobOutput::MatVec(product) = &report.jobs[2].output else {
+        panic!("the well-formed job must decode");
+    };
+    assert_eq!(product, &oracle);
+}
+
+#[test]
+fn malformed_product_jobs_fail_over_a_wire_executor() {
+    let mut executor = ThreadedExecutor::new(ClusterProfile::uniform(12));
+    let completed = serve_distributed(malformed_product_jobs(), &mut executor);
+    assert_eq!(completed.len(), 2);
+    for job in &completed {
+        assert_failed_as_a_job(&job.output);
     }
 }

@@ -203,20 +203,6 @@ impl ByzantineSpec {
         }
     }
 
-    /// Returns a copy with the given workers removed (used after the adaptive
-    /// controller evicts detected Byzantine nodes).
-    pub fn without_workers(&self, removed: &[usize]) -> Self {
-        ByzantineSpec {
-            workers: self
-                .workers
-                .iter()
-                .copied()
-                .filter(|w| !removed.contains(w))
-                .collect(),
-            attack: self.attack,
-        }
-    }
-
     /// Re-indexes the compromised workers after the cluster dropped the
     /// workers in `removed` (indices shift down to fill the gaps).
     pub fn reindexed_after_removal(&self, removed: &[usize]) -> Self {
@@ -354,8 +340,6 @@ mod tests {
     #[test]
     fn removal_and_reindexing_track_cluster_shrinkage() {
         let spec = ByzantineSpec::new([2, 5, 8], AttackModel::reverse());
-        let without = spec.without_workers(&[5]);
-        assert_eq!(without.workers().collect::<Vec<_>>(), vec![2, 8]);
         // Dropping worker 5 from the cluster shifts 8 down to 7.
         let reindexed = spec.reindexed_after_removal(&[5]);
         assert_eq!(reindexed.workers().collect::<Vec<_>>(), vec![2, 7]);

@@ -62,28 +62,17 @@ pub enum ChurnAction {
         /// How many rounds the link stays down.
         rounds: u64,
     },
-    /// A correlated straggler burst: every worker in `group` slows down by
-    /// `multiplier` for `rounds` rounds (one event takes a whole rack slow).
-    SlowBurst {
-        /// The workers in the slow group (e.g. one rack).
-        group: Vec<usize>,
-        /// How many rounds the burst lasts.
-        rounds: u64,
-        /// Slowdown multiplier for the whole group.
-        multiplier: f64,
-    },
 }
 
 impl ChurnAction {
-    /// The largest worker index this action touches, if any.
-    fn max_worker(&self) -> Option<usize> {
+    /// The worker this action touches.
+    fn worker(&self) -> usize {
         match self {
             ChurnAction::Crash { worker }
             | ChurnAction::Join { worker }
             | ChurnAction::Stall { worker, .. }
             | ChurnAction::Corrupt { worker, .. }
-            | ChurnAction::Flap { worker, .. } => Some(*worker),
-            ChurnAction::SlowBurst { group, .. } => group.iter().copied().max(),
+            | ChurnAction::Flap { worker, .. } => *worker,
         }
     }
 }
@@ -123,7 +112,7 @@ impl ChurnSchedule {
         self.actions
             .values()
             .flatten()
-            .filter_map(ChurnAction::max_worker)
+            .map(ChurnAction::worker)
             .max()
     }
 
@@ -379,17 +368,6 @@ impl ChurnState {
                     self.record(r, worker, ChurnEventKind::FlapDown);
                 }
             }
-            ChurnAction::SlowBurst {
-                ref group,
-                rounds,
-                multiplier,
-            } => {
-                for &worker in group {
-                    self.stall_until[worker] = r + rounds.max(1);
-                    self.stall_multiplier[worker] = multiplier.max(1.0);
-                    self.record(r, worker, ChurnEventKind::StallStart);
-                }
-            }
         }
     }
 
@@ -556,26 +534,6 @@ mod tests {
         assert!(state.is_corrupting(1));
         state.advance_to(4);
         assert!(!state.is_corrupting(1));
-    }
-
-    #[test]
-    fn slow_burst_takes_the_whole_group_down_together() {
-        let schedule = ChurnSchedule::quiet().at(
-            1,
-            ChurnAction::SlowBurst {
-                group: vec![0, 1, 2],
-                rounds: 2,
-                multiplier: 8.0,
-            },
-        );
-        let mut state = ChurnState::new(schedule, 6);
-        state.advance_to(1);
-        for w in 0..3 {
-            assert_eq!(state.slowdown_multiplier(w), 8.0);
-        }
-        for w in 3..6 {
-            assert_eq!(state.slowdown_multiplier(w), 1.0);
-        }
     }
 
     #[test]

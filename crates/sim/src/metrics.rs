@@ -121,8 +121,9 @@ pub struct JobMetrics {
     pub rounds: usize,
     /// Deterministic operation counts accumulated across the job's rounds.
     pub ops: OpCounts,
-    /// Workers evicted by the pre-decode dual-codeword screen across the
-    /// job's rounds (PR9). Zero for engines without a screen.
+    /// Workers the pre-decode dual-codeword screen localized across the
+    /// job's rounds, each then Freivalds-checked. Zero for engines without a
+    /// screen.
     pub screened_workers: u64,
 }
 
@@ -157,8 +158,8 @@ pub struct ServingMetrics {
     pub queue_wait_total_seconds: f64,
     /// Deterministic operation counts accumulated across all jobs.
     pub ops: OpCounts,
-    /// Summed screened-worker evictions across all jobs (PR9 dual-codeword
-    /// screen).
+    /// Summed screened workers across all jobs (the dual-codeword screen's
+    /// localizations).
     pub screened_workers: u64,
 }
 

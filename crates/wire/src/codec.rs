@@ -236,12 +236,6 @@ impl WireWriter {
         self.put_u64(value.to_bits());
     }
 
-    /// Appends a `u64` slice in one pre-reserved pass: an 8-byte element
-    /// array.
-    pub fn put_u64_bulk(&mut self, values: &[u64]) {
-        self.put_staged::<8>(values, |v| v);
-    }
-
     /// Appends an element array at `width`. Narrow keeps each value's low 4
     /// bytes, so every value must be below `2^32` ([`ElementWidth::of`]);
     /// Short writes each value's centered representative, so every value
@@ -422,7 +416,7 @@ mod tests {
             element.put_u64(v);
         }
         let mut bulk = WireWriter::new();
-        bulk.put_u64_bulk(&values);
+        bulk.put_elements(&values, ElementWidth::Wide);
         assert_eq!(element.as_slice(), bulk.as_slice());
         assert_eq!(ElementWidth::Wide.read(bulk.as_slice()), values);
 

@@ -12,8 +12,7 @@
 //! bit-identical between the two schedules.
 //!
 //! A second act shows *encode amortization*: eight matvec functions served
-//! as one [`JobSpec::MatMulBatch`] (built with the `JobSpec::matmul(...)`
-//! builder) against a single shared encoded dataset, versus the same eight
+//! as one [`JobSpec::MatMulBatch`] against a single shared encoded dataset, versus the same eight
 //! functions as independent jobs that each re-encode the matrix. The batch
 //! pays one encode, one batched Freivalds pass and prepares one Lagrange
 //! basis for all its decodes — with bit-identical outputs.
@@ -138,12 +137,12 @@ fn serve_batched_matmuls(fleet: &Fleet) {
     let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
     for input in &inputs {
         scheduler
-            .submit(
-                JobSpec::matmul(matrix.clone(), input.clone())
-                    .with_scheme(coding)
-                    .with_seed(7)
-                    .build(),
-            )
+            .submit(JobSpec::CodedMatVec {
+                matrix: matrix.clone(),
+                input: input.clone(),
+                coding,
+                seed: 7,
+            })
             .expect("queue has room");
     }
     let independent = scheduler.run(fleet);
@@ -153,13 +152,12 @@ fn serve_batched_matmuls(fleet: &Fleet) {
     let started = Instant::now();
     let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
     let id = scheduler
-        .submit(
-            JobSpec::matmul(matrix.clone(), inputs[0].clone())
-                .with_batch(inputs.clone())
-                .with_scheme(coding)
-                .with_seed(7)
-                .build(),
-        )
+        .submit(JobSpec::MatMulBatch {
+            matrix: matrix.clone(),
+            inputs: inputs.clone(),
+            coding,
+            seed: 7,
+        })
         .expect("queue has room");
     let batched = scheduler.run(fleet);
     let batched_seconds = started.elapsed().as_secs_f64();

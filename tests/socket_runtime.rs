@@ -193,9 +193,10 @@ fn batched_matmul_over_uds_processes_is_exact() {
 /// A worker *process* returning Byzantine-corrupted blocks (master-side
 /// spec — the same injection path the in-process executors use) is caught
 /// by the engines' pre-decode dual-codeword screen: every round of every
-/// iteration reports it in `screened_workers`, it never reaches Freivalds or
-/// the decoder, and the training trajectory is bit-identical to the same run
-/// over the in-process `ThreadedExecutor`.
+/// iteration reports it in `screened_workers`, its Freivalds check (run
+/// after every other arrival's) rejects it, it never reaches the decoder,
+/// and the training trajectory is bit-identical to the same run over the
+/// in-process `ThreadedExecutor`.
 #[test]
 fn screened_training_over_processes_matches_threaded_executor() {
     // StaticVcc: the adaptive controller would evict the worker after the
