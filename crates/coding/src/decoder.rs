@@ -36,9 +36,9 @@
 //! charges the decode from it, not from a formula of its own.
 
 use avcc_field::{Fp, PrimeModulus};
-use avcc_poly::LagrangeBasis;
 use rand::Rng;
 
+use crate::lagrange::LagrangeBasis;
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 use crate::screen::{DualCodeword, ScreenError, ScreenOutcome};

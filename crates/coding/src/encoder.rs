@@ -47,9 +47,9 @@
 
 use avcc_field::{map_spans, random_matrix, span_threads, Fp, PrimeModulus};
 use avcc_linalg::Matrix;
-use avcc_poly::LagrangeBasis;
 use rand::Rng;
 
+use crate::lagrange::LagrangeBasis;
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 
@@ -257,10 +257,11 @@ fn sweep<M: PrimeModulus>(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::lagrange::interpolate_eval;
+    use crate::linear::rank;
     use crate::EncodedDataset;
     use avcc_field::{F25, P25};
     use avcc_linalg::mat_vec;
-    use avcc_poly::{interpolate_eval, rank};
     use rand::rngs::StdRng;
     use rand::SeedableRng;
 

@@ -61,11 +61,30 @@
 pub mod dataset;
 pub mod decoder;
 pub mod encoder;
+mod lagrange;
+mod linear;
 #[cfg(test)]
 mod mds;
 pub mod points;
 pub mod scheme;
 pub mod screen;
+
+/// Lagrange interpolation and dense linear solving over prime fields: the
+/// algebra under the encoder, the decoder and the screen.
+///
+/// * [`LagrangeBasis`](poly::LagrangeBasis) evaluates the Lagrange basis at
+///   the worker points `α_i` (the encoding matrix `U_{j,i} = ℓ_j(α_i)` of
+///   `u(z) = Σ X_j ℓ_j(z) + Σ W_j ℓ_j(z)`, paper eq. 12–13) and at the
+///   β-points (the erasure decode's interpolation basis);
+///   [`interpolate_eval`](poly::interpolate_eval) evaluates an interpolant
+///   at one point, the reference the encoder's tests check shares against.
+/// * [`solve`](poly::solve) is the dense Gaussian elimination the
+///   dual-codeword screen's error locator runs on; [`rank`](poly::rank)
+///   checks the T-privacy condition.
+pub mod poly {
+    pub use crate::lagrange::{interpolate_eval, LagrangeBasis};
+    pub use crate::linear::{rank, solve, LinearSolveError};
+}
 
 pub use dataset::EncodedDataset;
 pub use decoder::{DecodeError, LagrangeDecoder, PreparedDecode};

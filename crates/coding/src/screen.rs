@@ -66,9 +66,9 @@
 //! product and blame honest workers.
 
 use avcc_field::{dot, random_vector, Fp, PrimeField, PrimeModulus};
-use avcc_poly::linear::{self, LinearSolveError};
 use rand::Rng;
 
+use crate::linear::{self, LinearSolveError};
 use crate::points::EvaluationPoints;
 use crate::scheme::SchemeConfig;
 

@@ -4,14 +4,15 @@
 //! [`serve_distributed`] runs a list of [`JobSpec`]s against any executor
 //! implementing the modulus-erased trait: the in-process engines for tests,
 //! or `avcc_sim::SocketExecutor` for a real multi-process TCP/UDS fleet. Jobs
-//! run to completion one at a time (round pipelining across jobs remains the
-//! in-process scheduler's specialty; the wire fleet's concurrency is *within*
-//! a round, across worker processes), but every job's result is bit-identical
-//! to the scheduler's for the same spec — all decode paths are exact.
+//! run to completion one at a time (the wire fleet's concurrency is *within*
+//! a round, across worker processes), but every job's result is
+//! bit-identical to the scheduler's for the same spec — all decode paths are
+//! exact.
 //!
-//! Each spec becomes the scheduler's own `Job`, and each of its rounds is
-//! one [`WireRunner::run_streaming_round`] collected by `Job::collect`, a
-//! short one stalled by `Job::stall` — for a training job, the steps
+//! Each spec becomes a `Job`, stepped by the job loop every scheduler job
+//! thread runs too; here each round is one
+//! [`WireRunner::run_streaming_round`] collected by `Job::collect`, a short
+//! one stalled by `Job::stall` — for a training job, the steps
 //! `train_distributed` takes. Each job gets a fresh runner, so it ships its
 //! blocks under the same small set of wire job ids (0 and 1 for a training
 //! run's two rounds, 0 for products), replacing its predecessor's: a long
@@ -48,13 +49,8 @@ pub fn serve_distributed<M: PrimeModulus>(
     executor: &mut dyn Executor,
 ) -> Vec<CompletedJob<M>> {
     let serve = |(id, spec)| {
-        let mut job = Job::new(spec, 0.0);
         let mut runner = WireRunner::new();
-        let mut failure = None;
-        while failure.is_none() && !job.is_finished() {
-            failure = run_round(&mut job, executor, &mut runner).err();
-        }
-        job.complete(id, failure)
+        Job::new(spec, 0.0).serve(id, |job| run_round(job, executor, &mut runner))
     };
     specs.into_iter().enumerate().map(serve).collect()
 }

@@ -6,13 +6,13 @@
 //! straggler sleep, see [`avcc_sim::executor::slowdown_sleep_seconds`]). The
 //! fleet is deliberately *narrower* than the job's worker count in
 //! interesting configurations — that is what creates queueing, and what the
-//! scheduler's cross-job pipelining then fills.
+//! scheduler's other in-flight jobs then fill.
 
 /// A fixed number of worker slots shared by every job the scheduler admits.
 ///
 /// Each [`Scheduler::run`](crate::Scheduler::run) starts `width` slot threads
 /// that take round tasks from one queue, so a fleet of width `w` computes at
-/// most `w` tasks at once; the scheduler itself stays on the calling thread.
+/// most `w` tasks at once, whatever the number of job threads feeding it.
 #[derive(Debug)]
 pub struct Fleet {
     width: usize,

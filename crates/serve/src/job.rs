@@ -2,13 +2,14 @@
 //!
 //! A job is a complete unit of master-side work: either a full training run
 //! (many iterations, each two distributed rounds) or a batch of coded
-//! matrix–vector products (a single round). The scheduler interleaves the
-//! *rounds* of different jobs on the fleet; the job is the unit of admission,
-//! completion and accounting.
+//! matrix–vector products (a single round). The scheduler's job threads
+//! share the fleet, so the *rounds* of different jobs interleave on it; the
+//! job is the unit of admission, completion and accounting.
 //!
 //! A [`JobSpec`] becomes one `Job`, whatever runs its rounds:
 //! [`crate::serve_distributed`] over a wire executor and the
-//! [`crate::Scheduler`] over its fleet step the same `collect` / `stall`.
+//! [`crate::Scheduler`] over its fleet step it through the same `Job::serve`
+//! loop and the same `collect` / `stall`.
 
 use std::time::Instant;
 
@@ -102,9 +103,9 @@ pub struct CompletedJob<M: PrimeModulus> {
 }
 
 /// An admitted job: the master-side state of one [`JobSpec`] and its
-/// [`JobMetrics`]. Its rounds are whoever's to run: each takes
-/// [`Job::tasks`] and hands the arrivals to [`Job::collect`], and a round
-/// that comes back short with nobody left to wait for goes to
+/// [`JobMetrics`]. [`Job::serve`] steps it through rounds run by its caller:
+/// each takes [`Job::tasks`] and hands the arrivals to [`Job::collect`], and
+/// a round that comes back short with nobody left to wait for goes to
 /// [`Job::stall`].
 pub(crate) struct Job<M: PrimeModulus> {
     work: Work<M>,
@@ -215,7 +216,7 @@ impl<M: PrimeModulus> Job<M> {
 
     /// Whether the job has nothing left to run (a zero-iteration training
     /// job never had anything).
-    pub(crate) fn is_finished(&self) -> bool {
+    fn is_finished(&self) -> bool {
         match &self.work {
             Work::Training { run, .. } => run.is_finished(),
             Work::Products(products) => products.outputs.is_some(),
@@ -305,8 +306,19 @@ impl<M: PrimeModulus> Job<M> {
         }
     }
 
-    /// Completes the job with its output — `failure`, if it failed.
-    pub(crate) fn complete(self, id: JobId, failure: Option<SchemeFailure>) -> CompletedJob<M> {
+    /// The one job loop: steps the job to completion, one `round` at a time,
+    /// and completes it as `id` with its output. `round` runs and collects
+    /// the next round (or stalls it, see [`Job::stall`]); its first `Err`
+    /// fails the job.
+    pub(crate) fn serve(
+        mut self,
+        id: JobId,
+        mut round: impl FnMut(&mut Self) -> Result<(), SchemeFailure>,
+    ) -> CompletedJob<M> {
+        let mut failure = None;
+        while failure.is_none() && !self.is_finished() {
+            failure = round(&mut self).err();
+        }
         let output = match (failure, self.work) {
             (Some(failure), _) | (None, Work::Rejected(failure)) => JobOutput::Failed(failure),
             (None, Work::Training { run, .. }) => JobOutput::Training(Box::new(run.into_report())),

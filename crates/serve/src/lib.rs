@@ -12,21 +12,25 @@
 //!   one Lagrange basis their collect prepares) — each admitted as one job;
 //! * a [`Fleet`] — a fixed number of worker slots, one thread each while
 //!   the scheduler runs, shared by every admitted job;
-//! * a [`Scheduler`] — admission control and a master loop that overlaps
-//!   the stages of *different* jobs: while one job's round computes on the
-//!   fleet, it verifies/decodes another's and encodes a third's; and
-//! * [`serve_distributed`] — the same jobs, stepped the same way, one at a
-//!   time over a wire executor (the socket fleet).
+//! * a [`Scheduler`] — admission control and one thread per in-flight job,
+//!   so that while one job's round computes on the fleet, another job
+//!   verifies/decodes and a third encodes; and
+//! * [`serve_distributed`] — the same jobs, one at a time, over a wire
+//!   executor (the socket fleet).
+//!
+//! Both step a job through one loop, round after round until it finishes;
+//! only the round differs (a fleet round, or
+//! [`avcc_core::WireRunner::run_streaming_round`]).
 //!
 //! The pipelining win comes from exactly the waits the paper's schemes
 //! expose: the uncoded baseline blocks on every straggler, LCC blocks on the
 //! fastest `N − S`, and AVCC blocks on the verified threshold. In a
 //! synchronous schedule ([`SchedulerConfig::synchronous`]) those waits leave
-//! the fleet idle; with several jobs in flight the scheduler fills them with
-//! other jobs' work. Results are unaffected: every job's final model is
-//! bit-identical to what the synchronous driver produces, because the exact
-//! field decode reconstructs the same product from *any* sufficient set of
-//! honest results (see `tests/serving_equivalence.rs`).
+//! the fleet idle; with several jobs in flight other jobs' work fills them.
+//! Results are unaffected: every job's final model is bit-identical to what
+//! the synchronous driver produces, because the exact field decode
+//! reconstructs the same product from *any* sufficient set of honest results
+//! (see `tests/serving_equivalence.rs`).
 //!
 //! ```
 //! use avcc_core::{ExperimentConfig, FaultScenario, SchemeKind};

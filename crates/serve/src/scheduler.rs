@@ -1,23 +1,25 @@
-//! The serving scheduler: admission control plus a round-pipelined master
-//! loop over the shared fleet.
+//! The serving scheduler: admission control plus one thread per in-flight
+//! job over the shared fleet.
 //!
-//! The scheduler owns a bounded submission queue and a fixed number of
-//! in-flight slots. Its [`Scheduler::run`] loop is the master of every
-//! admitted job at once, stepping each one's `Job` — the state
-//! [`crate::serve_distributed`] steps too —
+//! The scheduler owns a bounded submission queue. Its [`Scheduler::run`]
+//! starts [`SchedulerConfig::max_in_flight`] job threads next to the fleet's
+//! slot threads. Each job thread takes the next queued job, in submission
+//! order, and steps its `Job` to completion through the one job loop
+//! [`crate::serve_distributed`] runs too —
 //!
 //! ```text
 //! Encode → Dispatch → Compute (on the fleet) → Verify/Decode → Update
 //! ```
 //!
-//! with the master-side stages of *different jobs* overlapping each other's
-//! compute stages. Concretely, one pass of the loop admits queued jobs into
-//! free slots, drains every worker result that has arrived, and collects
-//! any job whose round has enough arrivals — each collect immediately
-//! dispatches the job's next round, so the fleet never waits on the master
-//! for longer than one collect. A round that is short with every result in
-//! goes to `Job::stall`: a training run parks (the same tasks again, then
-//! `required` arrivals awaited) or shrink-recodes; a product job fails.
+//! — so the master-side stages of *different jobs* overlap each other's
+//! compute stages. A fleet round queues the job's tasks, each carrying a
+//! sender of that round's own reply channel, and collects once enough
+//! results are in. When the round ends its receiver goes, so a straggler
+//! that answers late answers nobody. A round that is short with nothing
+//! left to arrive goes to `Job::stall`: a training run parks (the same
+//! tasks again, then `required` arrivals awaited) or shrink-recodes; a
+//! product job fails. A task that panics is a result that never comes, so
+//! its round ends that way too, in bounded time.
 //!
 //! Two properties the tests pin down:
 //!
@@ -28,18 +30,18 @@
 //!   function of the worker index).
 //! * **Retry on short prefixes** — engine collects are retryable: when an
 //!   exactly-threshold prefix contains a corrupted result, the collect fails
-//!   without consuming state and the scheduler simply waits for one more
-//!   arrival, failing the job only when every dispatched result is in.
+//!   without consuming state and the round simply waits for one more
+//!   arrival, stalling only when nothing more can arrive.
 
 use std::collections::VecDeque;
 use std::fmt;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
 
-use avcc_core::distributed::BatchOutcomes;
 use avcc_core::rounds::field_vector_bytes;
-use avcc_core::{BatchRoundTask, Stall};
+use avcc_core::{BatchRoundTask, SchemeFailure, Stall};
 use avcc_field::{Fp, PrimeModulus};
 use avcc_sim::churn::{ChurnSchedule, ChurnState};
 use avcc_sim::cluster::ClusterProfile;
@@ -132,38 +134,37 @@ struct PendingJob<M: PrimeModulus> {
 
 /// One worker task queued for the fleet's slot threads.
 struct FleetTask<M: PrimeModulus> {
-    slot: usize,
-    serial: u64,
     /// Real seconds of straggler sleep after the product.
     sleep: f64,
     task: BatchRoundTask<M>,
+    /// The reply channel of the round that dispatched the task.
+    reply: Sender<TaskMessage<M>>,
 }
 
-/// One worker result in flight from the fleet back to the master.
+/// One worker result on its way back to its round.
 struct TaskMessage<M: PrimeModulus> {
-    slot: usize,
-    serial: u64,
     worker: usize,
     payload: Vec<Vec<Fp<M>>>,
     compute_seconds: f64,
 }
 
-/// A job occupying an in-flight slot, with its current round's bookkeeping.
-struct ActiveJob<M: PrimeModulus> {
-    id: JobId,
-    job: Job<M>,
-    /// Tag of the round currently on the fleet; results from earlier rounds
-    /// of this slot (or earlier occupants) carry older serials and are
-    /// discarded as stale.
-    serial: u64,
-    /// Tasks dispatched for the current round.
-    dispatched: usize,
-    /// Arrivals the next collect attempt waits for (raised after a retryable
-    /// collect failure).
-    needed: usize,
-    /// Arrival-ordered results of the current round.
-    outcomes: BatchOutcomes<M>,
-    round_started_at: Instant,
+/// The churn schedule of one run and its clock, shared by the job threads.
+struct ChurnClock<'a> {
+    state: Option<&'a mut ChurnState>,
+    /// Rounds dispatched so far in this run.
+    ticks: u64,
+}
+
+impl ChurnClock<'_> {
+    /// Advances the clock one tick — one dispatched round — and returns the
+    /// schedule's state at it.
+    fn tick(&mut self) -> Option<&ChurnState> {
+        let tick = self.ticks;
+        self.ticks += 1;
+        let state = self.state.as_deref_mut()?;
+        state.advance_to(tick);
+        Some(state)
+    }
 }
 
 /// The multi-job serving scheduler. Submit jobs, then [`Scheduler::run`] them
@@ -233,176 +234,143 @@ impl<M: PrimeModulus> Scheduler<M> {
 
     /// Runs every queued job to completion on the fleet and reports.
     ///
-    /// The loop keeps at most [`SchedulerConfig::max_in_flight`] jobs active.
-    /// Worker tasks execute on the fleet's `width` slot threads, which live
-    /// for this call and take tasks from one queue in dispatch order;
-    /// everything master-side (encoding, verification, decoding, model
-    /// updates, admission) runs on the calling thread, interleaved across
-    /// jobs.
+    /// [`SchedulerConfig::max_in_flight`] job threads each serve one queued
+    /// job at a time, master side included (encoding, verification,
+    /// decoding, model updates). Worker tasks execute on the fleet's `width`
+    /// slot threads, which take them from one queue in dispatch order. All
+    /// of these threads live for this call.
     pub fn run(&mut self, fleet: &Fleet) -> ServingReport<M> {
         let run_started = Instant::now();
-        let mut metrics = ServingMetrics {
-            fleet_width: fleet.width(),
-            ..ServingMetrics::default()
-        };
-        let mut jobs: Vec<CompletedJob<M>> = Vec::new();
-        let mut slots: Vec<Option<ActiveJob<M>>> = (0..self.config.max_in_flight.max(1))
-            .map(|_| None)
-            .collect();
-        let (tx, rx) = mpsc::channel::<TaskMessage<M>>();
+        let depth = self.config.max_in_flight.max(1);
+        let pending = Mutex::new(&mut self.pending);
+        let churn = Mutex::new(ChurnClock {
+            state: self.churn.as_mut(),
+            ticks: 0,
+        });
+        let (pending, churn) = (&pending, &churn);
         let (queue, queued) = mpsc::channel::<FleetTask<M>>();
         let queued = Mutex::new(queued);
-        let mut next_serial: u64 = 0;
-        let churn = &mut self.churn;
-        let pending = &mut self.pending;
 
-        std::thread::scope(|scope| {
-            for _ in 0..fleet.width() {
-                let (queued, tx) = (&queued, tx.clone());
-                scope.spawn(move || run_slot(queued, &tx));
-            }
-            // The one way a round reaches the fleet — a job's first round, its
-            // next round, or a parked round again: a fresh serial (one tick of
-            // the churn clock), an empty arrival list, the job's tasks
-            // dispatched.
-            let mut launch = |slot: usize, active: &mut ActiveJob<M>| {
-                active.serial = next_serial;
-                next_serial += 1;
-                if let Some(churn) = churn.as_mut() {
-                    churn.advance_to(active.serial);
-                }
-                active.outcomes.clear();
-                active.round_started_at = Instant::now();
-                active.dispatched = dispatch_round(
-                    &queue,
-                    slot,
-                    active.serial,
-                    active.job.tasks().to_vec(),
-                    active.job.fleet().0,
-                    churn.as_ref(),
-                );
-                active.needed = active.needed.min(active.dispatched);
-            };
-            loop {
-                let mut progressed = false;
-
-                // Admission: move queued jobs into free slots and dispatch
-                // their first rounds (a zero-iteration training job has none
-                // and completes at once).
-                for (slot, entry) in slots.iter_mut().enumerate() {
-                    if entry.is_some() {
-                        continue;
-                    }
-                    let Some(pending) = pending.pop_front() else {
-                        break;
-                    };
-                    progressed = true;
-                    let queue_wait_seconds = pending.submitted_at.elapsed().as_secs_f64();
-                    let job = Job::new(pending.spec, queue_wait_seconds);
-                    if job.is_finished() {
-                        let completed = job.complete(pending.id, None);
-                        metrics.record_job(&completed.metrics, completed.output.is_failed());
-                        jobs.push(completed);
-                        continue;
-                    }
-                    let mut active = ActiveJob {
-                        id: pending.id,
-                        needed: job.min_results(),
-                        job,
-                        serial: 0,
-                        dispatched: 0,
-                        outcomes: Vec::new(),
-                        round_started_at: Instant::now(),
-                    };
-                    launch(slot, &mut active);
-                    *entry = Some(active);
-                }
-
-                // Drain every result that has arrived, without blocking.
-                while let Ok(message) = rx.try_recv() {
-                    progressed |= deliver(message, &mut slots, &mut metrics);
-                }
-
-                // Master steps: collect any round with enough arrivals, then
-                // immediately dispatch that job's next round. The scheduler
-                // names no late workers: on a fleet narrower than the job, a
-                // task that has not arrived is queued, not straggling.
-                for (slot, entry) in slots.iter_mut().enumerate() {
-                    let Some(active) = entry.as_mut() else {
-                        continue;
-                    };
-                    if active.outcomes.len() < active.needed {
-                        continue;
-                    }
-                    let next = match active.job.collect(&active.outcomes, &[]) {
-                        Ok(()) if active.job.is_finished() => Err(None),
-                        Ok(()) => Ok(active.job.min_results()),
-                        // A short prefix (a corrupt result inside it): one
-                        // more arrival may complete it.
-                        Err(_) if active.outcomes.len() < active.dispatched => {
-                            active.needed = active.outcomes.len() + 1;
-                            continue;
-                        }
-                        // Every dispatched result is in: the same tasks
-                        // again, or round 1 on a smaller code.
-                        Err(failure) => match active.job.stall(failure) {
-                            Ok(Stall::Parked { required }) => Ok(required),
-                            Ok(Stall::ShrinkRecoded) => Ok(active.job.min_results()),
-                            Err(failure) => Err(Some(failure)),
-                        },
-                    };
-                    progressed = true;
-                    match next {
-                        Ok(needed) => {
-                            active.needed = needed;
-                            launch(slot, active);
-                        }
-                        Err(failure) => {
-                            let done = entry.take().expect("the slot holds the job");
-                            let completed = done.job.complete(done.id, failure);
-                            metrics.record_job(&completed.metrics, completed.output.is_failed());
-                            jobs.push(completed);
-                        }
-                    }
-                }
-
-                if pending.is_empty() && slots.iter().all(Option::is_none) {
-                    break;
-                }
-
-                // Nothing to do until another result lands: block briefly.
-                // The slot threads keep computing meanwhile.
-                if !progressed {
-                    if let Ok(message) = rx.recv_timeout(Duration::from_millis(50)) {
-                        deliver(message, &mut slots, &mut metrics);
-                    }
-                }
-            }
-            // Closing the queue lets the slot threads exit once they have run
-            // what is still on it.
+        let (mut jobs, busy_worker_seconds) = std::thread::scope(|scope| {
+            let slots: Vec<_> = (0..fleet.width())
+                .map(|_| scope.spawn(|| run_slot(&queued)))
+                .collect();
+            let servers: Vec<_> = (0..depth)
+                .map(|_| {
+                    let queue = queue.clone();
+                    scope.spawn(move || serve_jobs(pending, &queue, churn))
+                })
+                .collect();
+            // The slot threads exit once every job thread has dropped its
+            // sender and the queue is empty.
             drop(queue);
+            let jobs: Vec<CompletedJob<M>> = servers
+                .into_iter()
+                .flat_map(|server| server.join().expect("a job thread panicked"))
+                .collect();
+            let busy: f64 = slots
+                .into_iter()
+                .map(|slot| slot.join().expect("a slot thread panicked"))
+                .sum();
+            (jobs, busy)
         });
 
-        // Straggler tasks of already-collected rounds finish before the
-        // scope exits; their slot time still counts toward occupancy.
-        while let Ok(message) = rx.try_recv() {
-            metrics.busy_worker_seconds += message.compute_seconds;
-        }
-
-        metrics.span_seconds = run_started.elapsed().as_secs_f64();
         jobs.sort_by_key(|job| job.id);
+        let mut metrics = ServingMetrics {
+            fleet_width: fleet.width(),
+            busy_worker_seconds,
+            ..ServingMetrics::default()
+        };
+        for job in &jobs {
+            metrics.record_job(&job.metrics, job.output.is_failed());
+        }
+        metrics.span_seconds = run_started.elapsed().as_secs_f64();
         ServingReport { jobs, metrics }
     }
 }
 
+/// One job thread: serves queued jobs one at a time, in submission order,
+/// until none is left (queue wait ends when the job is taken).
+fn serve_jobs<M: PrimeModulus>(
+    pending: &Mutex<&mut VecDeque<PendingJob<M>>>,
+    queue: &Sender<FleetTask<M>>,
+    churn: &Mutex<ChurnClock<'_>>,
+) -> Vec<CompletedJob<M>> {
+    let mut served = Vec::new();
+    loop {
+        // The guard is a temporary of this statement: the lock is released
+        // before the job runs.
+        let Some(next) = pending.lock().expect("job queue lock poisoned").pop_front() else {
+            return served;
+        };
+        let job = Job::new(next.spec, next.submitted_at.elapsed().as_secs_f64());
+        // Arrivals a parked round waits for when it is dispatched again.
+        let mut parked = None;
+        served.push(job.serve(next.id, |job| {
+            let needed = parked.take().unwrap_or_else(|| job.min_results());
+            let tasks = job.tasks().to_vec();
+            parked = fleet_round(job, tasks, needed, queue, churn)?;
+            Ok(())
+        }));
+    }
+}
+
+/// One round of `job` on the fleet: ticks the churn clock, queues `tasks`
+/// with this round's reply channel, and collects once `needed` results are
+/// in. Returns the arrivals the next round waits for if this one parked.
+///
+/// The scheduler names no late workers: on a fleet narrower than the job, a
+/// task that has not answered is queued, not straggling.
+fn fleet_round<M: PrimeModulus>(
+    job: &mut Job<M>,
+    tasks: Vec<BatchRoundTask<M>>,
+    needed: usize,
+    queue: &Sender<FleetTask<M>>,
+    churn: &Mutex<ChurnClock<'_>>,
+) -> Result<Option<usize>, SchemeFailure> {
+    let started = Instant::now();
+    let (reply, arrivals) = mpsc::channel();
+    let dispatched = {
+        let mut clock = churn.lock().expect("churn clock lock poisoned");
+        dispatch_round(queue, &reply, tasks, job.fleet().0, clock.tick())
+    };
+    drop(reply);
+    let mut needed = needed.min(dispatched);
+    let mut outcomes = Vec::new();
+    let mut closed = false;
+    loop {
+        while outcomes.len() < needed && !closed {
+            match arrivals.recv() {
+                Ok(message) => outcomes.push(arrival(job, message, started)),
+                // Every task has run; the ones missing panicked.
+                Err(_) => closed = true,
+            }
+        }
+        match job.collect(&outcomes, &[]) {
+            Ok(()) => return Ok(None),
+            // A short prefix (a corrupt result inside it): one more arrival
+            // may complete it.
+            Err(_) if !closed && outcomes.len() < dispatched => needed = outcomes.len() + 1,
+            // Nothing more can arrive: the same tasks again, or round 1 on
+            // a smaller code.
+            Err(failure) => {
+                return match job.stall(failure)? {
+                    Stall::Parked { required } => Ok(Some(required)),
+                    Stall::ShrinkRecoded => Ok(None),
+                }
+            }
+        }
+    }
+}
+
 /// Queues one round's tasks for the fleet, each tagged with its worker's
-/// straggler sleep. Tasks addressed to churned-down (or corrupt-window)
-/// workers are skipped entirely — those workers are silently absent from the
-/// round. Returns the number of tasks dispatched.
+/// straggler sleep and the round's `reply` channel. Tasks addressed to
+/// churned-down (or corrupt-window) workers are skipped entirely — those
+/// workers are silently absent from the round. Returns the number of tasks
+/// dispatched.
 fn dispatch_round<M: PrimeModulus>(
     queue: &Sender<FleetTask<M>>,
-    slot: usize,
-    serial: u64,
+    reply: &Sender<TaskMessage<M>>,
     tasks: Vec<BatchRoundTask<M>>,
     cluster: &ClusterProfile,
     churn: Option<&ChurnState>,
@@ -422,84 +390,77 @@ fn dispatch_round<M: PrimeModulus>(
             .map_or(1.0, |w| w.effective_slowdown())
             * churn.map_or(1.0, |c| c.slowdown_multiplier(worker));
         let sleep = slowdown_sleep_seconds(slowdown, SLEEP_PER_SLOWDOWN_UNIT);
-        // The receiving end lives as long as `Scheduler::run`.
+        // The slot threads live as long as `Scheduler::run`.
         let _ = queue.send(FleetTask {
-            slot,
-            serial,
             sleep,
             task,
+            reply: reply.clone(),
         });
     }
     count
 }
 
-/// One fleet slot: takes queued tasks one at a time until the queue closes.
-/// Each computes its share product, sleeps out its worker's straggler
-/// slowdown, and sends the tagged result back to the scheduler.
-fn run_slot<M: PrimeModulus>(
-    queued: &Mutex<Receiver<FleetTask<M>>>,
-    results: &Sender<TaskMessage<M>>,
-) {
+/// One fleet slot: runs queued tasks one at a time until the queue closes,
+/// and returns the seconds it was busy. Each task computes its share
+/// product, sleeps out its worker's straggler slowdown, and sends the result
+/// to its round. A task that panics sends nothing, and the slot goes on.
+fn run_slot<M: PrimeModulus>(queued: &Mutex<Receiver<FleetTask<M>>>) -> f64 {
+    let mut busy_seconds = 0.0;
     loop {
         // The guard is a temporary of this statement: the lock is released
         // before the task runs.
         let Ok(next) = queued.lock().expect("fleet queue lock poisoned").recv() else {
-            return;
+            return busy_seconds;
         };
         let started = Instant::now();
-        let payload = next.task.run();
+        let payload = panic::catch_unwind(AssertUnwindSafe(|| next.task.run()));
         if next.sleep > 0.0 {
             std::thread::sleep(Duration::from_secs_f64(next.sleep));
         }
         let compute_seconds = started.elapsed().as_secs_f64();
-        // The receiving end lives as long as `Scheduler::run`.
-        let _ = results.send(TaskMessage {
-            slot: next.slot,
-            serial: next.serial,
-            worker: next.task.worker,
-            payload,
-            compute_seconds,
-        });
+        busy_seconds += compute_seconds;
+        if let Ok(payload) = payload {
+            // A round that is over has dropped its receiver: the result is
+            // discarded.
+            let _ = next.reply.send(TaskMessage {
+                worker: next.task.worker,
+                payload,
+                compute_seconds,
+            });
+        }
     }
 }
 
-/// Routes one arrived result to its round, applying the job's Byzantine
-/// corruption and network model on the way (the same master-side accounting
+/// One arrived result as its round sees it: the job's Byzantine corruption
+/// and network model applied (the same master-side accounting
 /// [`avcc_sim::executor::ThreadedExecutor`] performs for a single round).
-/// Stale results — from rounds already collected — only count toward slot
-/// occupancy. Returns `true` iff the result joined a live round.
-fn deliver<M: PrimeModulus>(
+fn arrival<M: PrimeModulus>(
+    job: &Job<M>,
     message: TaskMessage<M>,
-    slots: &mut [Option<ActiveJob<M>>],
-    metrics: &mut ServingMetrics,
-) -> bool {
-    metrics.busy_worker_seconds += message.compute_seconds;
-    let Some(active) = slots[message.slot].as_mut() else {
-        return false;
-    };
-    if active.serial != message.serial {
-        return false;
-    }
-    let mut payload = message.payload;
-    let (cluster, byzantine) = active.job.fleet();
+    round_started: Instant,
+) -> WorkerOutcome<Vec<Vec<Fp<M>>>> {
+    let TaskMessage {
+        worker,
+        mut payload,
+        compute_seconds,
+    } = message;
+    let (cluster, byzantine) = job.fleet();
     let mut corrupted = false;
     for part in payload.iter_mut() {
-        corrupted |= byzantine.corrupt(message.worker, part);
+        corrupted |= byzantine.corrupt(worker, part);
     }
     let elements = payload.iter().map(Vec::len).sum();
     let network_seconds = cluster
         .network
         .transfer_seconds(field_vector_bytes(elements));
-    let arrival_seconds = active.round_started_at.elapsed().as_secs_f64() + network_seconds;
-    active.outcomes.push(WorkerOutcome {
-        worker: message.worker,
+    WorkerOutcome {
+        worker,
         payload,
-        compute_seconds: message.compute_seconds,
+        compute_seconds,
         network_seconds,
-        arrival_seconds,
+        arrival_seconds: round_started.elapsed().as_secs_f64() + network_seconds,
         corrupted,
-    });
-    true
+    }
 }
 
 #[cfg(test)]
@@ -698,5 +659,72 @@ mod tests {
                 metrics.busy_worker_seconds
             );
         }
+    }
+
+    #[test]
+    fn a_panicking_task_is_a_missing_result_not_a_hang() {
+        // One slot, and worker 0's task first in its queue: a product with an
+        // input one entry short, so `mat_vec` asserts. The round waits for
+        // every task, so only the end of its reply channel ends the wait, and
+        // only a slot that outlives the panic runs the other eleven tasks. A
+        // watchdog thread turns a hang into a failure.
+        let mut rng = StdRng::seed_from_u64(13);
+        let (rows, cols) = (16, 6);
+        let matrix = Matrix::from_vec(rows, cols, avcc_field::random_matrix(&mut rng, rows, cols));
+        let input: Vec<F> = avcc_field::random_vector(&mut rng, cols);
+        let expected = mat_vec(&matrix, &input);
+        let broken = BatchRoundTask::for_shares(
+            &[std::sync::Arc::new(Matrix::from_vec(
+                1,
+                cols,
+                vec![F::ZERO; cols],
+            ))],
+            &[vec![F::ZERO; cols - 1]],
+        )
+        .remove(0);
+        let (done, finished) = mpsc::channel();
+        std::thread::spawn(move || {
+            let job = Job::new(
+                JobSpec::CodedMatVec {
+                    matrix,
+                    input,
+                    coding: SchemeConfig::linear(12, 8, 2, 1).unwrap(),
+                    seed: 3,
+                },
+                0.0,
+            );
+            let (queue, queued) = mpsc::channel();
+            let queued = Mutex::new(queued);
+            let churn = Mutex::new(ChurnClock {
+                state: None,
+                ticks: 0,
+            });
+            std::thread::scope(|scope| {
+                let slot = scope.spawn(|| run_slot(&queued));
+                let mut rounds = 0;
+                let completed = job.serve(0, |job| {
+                    rounds += 1;
+                    let mut tasks = job.tasks().to_vec();
+                    tasks[0] = broken.clone();
+                    let every_task = tasks.len();
+                    fleet_round(job, tasks, every_task, &queue, &churn).map(drop)
+                });
+                drop(queue);
+                let busy_seconds = slot.join().expect("the slot survives its task's panic");
+                let _ = done.send((completed, rounds, busy_seconds));
+            });
+        });
+        let (completed, rounds, busy_seconds) = finished
+            .recv_timeout(Duration::from_secs(60))
+            .expect("a round with a panicking task must end");
+        assert_eq!(rounds, 1);
+        assert!(busy_seconds > 0.0);
+        let JobOutput::MatVec(product) = &completed.output else {
+            panic!(
+                "eleven results decode the product, got {:?}",
+                completed.output
+            );
+        };
+        assert_eq!(product, &expected);
     }
 }

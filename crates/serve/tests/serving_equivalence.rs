@@ -171,6 +171,48 @@ fn pipelined_and_synchronous_schedules_agree() {
     }
 }
 
+/// Each round hears only its own tasks' results. A result that leaked in
+/// from another round or job would not be its worker's share product, so
+/// AVCC's Freivalds check would flag an honest worker as Byzantine — while
+/// the decode still came out exact and the trajectory matched. The two ×8
+/// workers are the last of each round's tasks in the fleet's queue, so
+/// their results come in after the round has decoded, while the job's next
+/// round and other jobs' rounds run. With as many training samples as
+/// features, both rounds' results are 3 entries long, so a leaked result is
+/// not dropped as misshapen.
+#[test]
+fn no_result_crosses_into_another_round() {
+    let configs: Vec<ExperimentConfig> = (0..6)
+        .map(|job| {
+            let scheme = [SchemeKind::Avcc, SchemeKind::StaticVcc][job % 2];
+            let mut config = quick(scheme, 0, 0, 300 + job as u64);
+            config.scenario.stragglers = vec![10, 11];
+            config.dataset.train_samples = 27;
+            config
+        })
+        .collect();
+    let mut scheduler = Scheduler::<P25>::new(SchedulerConfig::default());
+    for config in &configs {
+        scheduler.submit(JobSpec::Training(config.clone())).unwrap();
+    }
+    let report = scheduler.run(&Fleet::new(2));
+
+    assert_eq!(report.metrics.jobs_completed, configs.len());
+    for job in &report.jobs {
+        let JobOutput::Training(served) = &job.output else {
+            panic!("job {} must produce a training report", job.id);
+        };
+        for (index, iteration) in served.iterations.iter().enumerate() {
+            assert!(
+                iteration.detected_byzantine.is_empty(),
+                "job {} iteration {index}: honest workers {:?} flagged",
+                job.id,
+                iteration.detected_byzantine
+            );
+        }
+    }
+}
+
 #[test]
 fn mixed_training_and_matvec_jobs_share_the_fleet() {
     let mut rng = StdRng::seed_from_u64(11);

@@ -62,7 +62,7 @@
 pub use avcc_field as field;
 
 /// Lagrange interpolation and dense linear solving.
-pub use avcc_poly as poly;
+pub use avcc_coding::poly;
 
 /// Dense matrices and multi-threaded kernels.
 pub use avcc_linalg as linalg;
