@@ -1,5 +1,5 @@
-//! The wire bridge: the one way a round reaches an [`Executor`] — the
-//! trainer's own `VirtualExecutor`, real threads, or real sockets.
+//! The wire bridge: the one way a round reaches an [`Executor`] — a modeled
+//! `VirtualExecutor`, real threads, or real sockets.
 //!
 //! The executor trait is modulus-erased (blocks and vectors travel as `u64`
 //! representatives, because closures cannot cross a process boundary), so
@@ -24,8 +24,8 @@
 //! respawn cache and on every worker.
 //!
 //! On top of the runner, [`TrainingRun::run_on`] steps a training run:
-//! [`train_distributed`] on a caller's executor, [`DistributedTrainer::train`]
-//! on the trainer's own.
+//! [`train_distributed`] on a caller's executor — [`DistributedTrainer::train`]
+//! is that call on a `VirtualExecutor` of the trainer's fleet.
 
 use std::sync::Arc;
 use std::time::Duration;
@@ -324,11 +324,12 @@ impl WireRunner {
     }
 }
 
-/// Runs the trainer's full configured training loop on `executor`: what
-/// [`DistributedTrainer::train`] does on the trainer's own executor, producing
-/// a bit-identical model trajectory for any executor whose outcomes carry the
-/// same values (all of them — the compute path is the same
-/// `avcc_linalg::mat_vec` kernel everywhere, and decode is exact).
+/// Runs the trainer's full configured training loop on `executor`. This is
+/// the one training loop: [`DistributedTrainer::train`] is this call on a
+/// `VirtualExecutor`, and every executor whose outcomes carry the same
+/// values yields a bit-identical model trajectory (all of them — the compute
+/// path is the same `avcc_linalg::mat_vec` kernel everywhere, and decode is
+/// exact).
 ///
 /// Blocks ship once up front (again only after a re-coding swaps the
 /// datasets); each round then moves one input and one output vector per
@@ -596,7 +597,7 @@ mod tests {
         // Every round's first nine results include worker 3's forgery: the
         // trainer's collect fails one verified result short, and must be
         // retried on the same outcomes plus worker 9's. StaticVcc, so no
-        // adaptation re-indexes the fleet between rounds.
+        // eviction re-indexes the workers between rounds.
         let mut oracle = make_trainer(SchemeKind::StaticVcc, &[], 3);
         let oracle_report = oracle.train().unwrap();
 

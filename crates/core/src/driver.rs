@@ -5,8 +5,16 @@
 //! `collect_round2`) is the master's half of an iteration; [`TrainingRun`]
 //! strings the stages into a whole run — which round is next, when a short
 //! round parks, resumes or shrink-recodes — and leaves who runs the rounds
-//! to its caller: [`TrainingRun::run_on`] an [`Executor`] for `train()` /
-//! `train_distributed`, the serving scheduler its fleet.
+//! to its caller: [`TrainingRun::run_on`] an [`Executor`] for
+//! `train_distributed` (and `train()`, which is `train_distributed` on a
+//! [`VirtualExecutor`] of the trainer's fleet), the serving scheduler its
+//! fleet.
+//!
+//! The trainer's [`ClusterProfile`] is the fleet it was built for, and it
+//! never changes: an eviction drops a worker from the code, not a slot from
+//! the fleet, so a slowdown stays on its slot — logical worker `i` of any
+//! code runs on slot `i` — and a mid-run change of the fleet (Fig. 5's
+//! straggler onset) is a churn schedule on the executor's round clock.
 //!
 //! One iteration (§IV-A) is:
 //!
@@ -20,7 +28,6 @@
 //!    re-encode if the straggler slack went negative, charging the one-time
 //!    re-encoding and re-distribution cost to this iteration.
 
-use std::ops::Range;
 use std::sync::Arc;
 
 use avcc_coding::{EncodedDataset, SchemeConfig};
@@ -37,7 +44,7 @@ use rand::rngs::StdRng;
 use rand::SeedableRng;
 
 use crate::adaptive::adapt;
-use crate::distributed::{BatchOutcomes, DistributedError, WireRunner};
+use crate::distributed::{train_distributed, BatchOutcomes, DistributedError, WireRunner};
 use crate::engines::{CodedMatVec, MatVecEngine};
 use crate::problem::TrainingProblem;
 use crate::report::{IterationRecord, TrainingReport};
@@ -176,15 +183,10 @@ pub struct DistributedTrainer<M: PrimeModulus> {
     problem: TrainingProblem,
     protocol: QuantizedProtocol,
     model: LogisticModel,
-    /// The fleet as the trainer models it: cost-model network, straggler
-    /// flags, and one slot per worker of the current code (shrinks when the
-    /// dynamic-coding controller evicts workers).
+    /// The fleet the trainer was built for: cost-model network and one slot,
+    /// with its slowdown, per worker. Fixed for life: logical worker `i` of
+    /// the current code runs on slot `i`.
     cluster: ClusterProfile,
-    /// The trainer's own executor for `train()` / `run_iteration()`, with the
-    /// runner that keeps its blocks installed between calls. Built on first
-    /// use, re-profiled from `cluster` every iteration, and lent to the
-    /// iteration driver (hence the `Option`).
-    local: Option<(VirtualExecutor, WireRunner)>,
     byzantine: ByzantineSpec,
     round1: CodedMatVec<M>,
     round2: CodedMatVec<M>,
@@ -244,7 +246,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
             protocol,
             model,
             cluster,
-            local: None,
             byzantine,
             round1,
             round2,
@@ -274,8 +275,9 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         &self.protocol
     }
 
-    /// The cluster profile the trainer currently executes against (shrinks
-    /// when the dynamic-coding controller evicts workers).
+    /// The fleet the trainer was built for (for the uncoded scheme, its
+    /// first `K` workers). Evictions leave it as it is: a slot keeps its
+    /// slowdown whichever logical worker runs on it.
     pub fn cluster(&self) -> &ClusterProfile {
         &self.cluster
     }
@@ -315,45 +317,12 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         }
     }
 
-    /// Runs the configured number of iterations on the trainer's own serial
-    /// [`VirtualExecutor`] and returns the full report — exactly
-    /// [`crate::train_distributed`] on that executor, park / resume / shrink
-    /// included (on its quiet fleet nothing ever parks).
+    /// Runs the configured number of iterations and returns the full
+    /// report: [`train_distributed`] on a serial [`VirtualExecutor`] of the
+    /// trainer's fleet, so every run of a configuration is the same run.
     pub fn train(&mut self) -> Result<TrainingReport, SchemeFailure> {
-        let mut report = TrainingReport::new(self.config.scheme.label(), &self.scenario_label);
-        let mut cumulative = 0.0;
-        for iteration in 0..self.config.iterations {
-            let record = self.run_iteration(iteration, &mut cumulative)?;
-            report.push(record);
-        }
-        Ok(report)
-    }
-
-    /// Runs a single iteration on the trainer's own executor, returning its
-    /// record. Exposed so scenario scripts (e.g. Fig. 5) can change fault
-    /// conditions between iterations; blocks stay installed across calls.
-    pub fn run_iteration(
-        &mut self,
-        iteration: usize,
-        cumulative: &mut f64,
-    ) -> Result<IterationRecord, SchemeFailure> {
-        let (mut executor, mut runner) = self.local.take().unwrap_or_else(|| {
-            (
-                VirtualExecutor::new(self.cluster.clone()),
-                WireRunner::new(),
-            )
-        });
-        // Evictions and `set_stragglers` edit the trainer's view of the
-        // fleet; the executor must charge exactly those slots and slowdowns.
-        executor.set_profile(self.cluster.clone());
-        let mut run = TrainingRun::over(self, iteration..iteration + 1, *cumulative);
-        let result = run.run_on(self, &mut executor, &mut runner);
-        self.local = Some((executor, runner));
-        result?;
-        let record = run.into_report().iterations.pop();
-        let record = record.expect("a finished run of one iteration has its record");
-        *cumulative = record.cumulative_seconds;
-        Ok(record)
+        let mut executor = VirtualExecutor::new(self.cluster.clone());
+        Ok(train_distributed(self, &mut executor)?)
     }
 
     /// Stage 1 of the pipeline: quantizes the current weights and builds the
@@ -559,7 +528,8 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         new_config: SchemeConfig,
         reencode: bool,
     ) -> f64 {
-        self.cluster = self.cluster.without_workers(evicted);
+        // The liars are the master's simulation of who lies, so they follow
+        // their logical index; the fleet's slots do not move.
         self.byzantine = self.byzantine.reindexed_after_removal(evicted);
 
         let matrices = [&self.round1_matrix, &self.round2_matrix];
@@ -584,12 +554,6 @@ impl<M: PrimeModulus> DistributedTrainer<M> {
         self.round2 = round2;
         self.current_coding = new_config;
         redistribution_seconds
-    }
-
-    /// Updates the straggler set of the cluster mid-run (used by scenario
-    /// scripts such as Fig. 5 where stragglers appear at a given iteration).
-    pub fn set_stragglers(&mut self, stragglers: &[usize], multiplier: f64) {
-        self.cluster.set_stragglers(stragglers, multiplier);
     }
 
     /// How many times a parked round may be re-dispatched to the same fleet
@@ -703,26 +667,18 @@ impl<M: PrimeModulus> TrainingRun<M> {
     /// # Panics
     /// Panics if the trainer already has an iteration in flight.
     pub fn new(trainer: &mut DistributedTrainer<M>) -> Self {
-        Self::over(trainer, 0..trainer.iterations(), 0.0)
-    }
-
-    /// A run of `iterations`, its modeled clock starting at `cumulative`.
-    fn over(
-        trainer: &mut DistributedTrainer<M>,
-        iterations: Range<usize>,
-        cumulative: f64,
-    ) -> Self {
-        let tasks = if iterations.is_empty() {
+        let end = trainer.iterations();
+        let tasks = if end == 0 {
             Vec::new()
         } else {
             trainer.encode_round1()
         };
         TrainingRun {
-            iteration: iterations.start,
-            end: iterations.end,
+            iteration: 0,
+            end,
             round: TrainingRound::Round1,
             stalls: 0,
-            cumulative,
+            cumulative: 0.0,
             report: TrainingReport::new(trainer.scheme().label(), trainer.scenario_label()),
             tasks,
         }
@@ -1027,10 +983,10 @@ mod tests {
     }
 
     #[test]
-    fn staged_pipeline_matches_run_iteration_bit_for_bit() {
-        // The staged API driven by hand must produce the exact model the
-        // synchronous wrapper produces: `train()` is the behaviour oracle for
-        // every scheduler built on the stages.
+    fn staged_pipeline_matches_train_bit_for_bit() {
+        // The staged API driven by hand must produce the exact model
+        // `train()` produces: it is the behaviour oracle for every scheduler
+        // built on the stages.
         let make = || {
             DistributedTrainer::<P25>::new(
                 small_problem(),
@@ -1068,6 +1024,27 @@ mod tests {
             .model()
             .evaluate_accuracy(&staged.problem.test_features, &staged.problem.test_labels);
         assert_eq!(staged_accuracy, report.final_accuracy());
+    }
+
+    #[test]
+    fn a_slowdown_stays_on_its_slot_after_an_eviction() {
+        // Worker 2 lies and is evicted in iteration 0, so every worker above
+        // it moves down one logical index. The fleet does not move: the ×10
+        // slot 5 slows whichever worker runs on it, logical worker 5 after
+        // the eviction as before it.
+        let mut trainer = DistributedTrainer::<P25>::new(
+            small_problem(),
+            ClusterProfile::uniform(12).with_stragglers(&[5], 10.0),
+            ByzantineSpec::new([2], AttackModel::constant()),
+            quick_config(SchemeKind::Avcc, 2, 1),
+            "test",
+        );
+        let report = trainer.train().unwrap();
+        assert_eq!(report.iterations[0].detected_byzantine, [2]);
+        assert_eq!(trainer.current_coding().workers, 11);
+        for record in &report.iterations[1..] {
+            assert_eq!(record.observed_stragglers, [5], "{record:?}");
+        }
     }
 
     #[test]

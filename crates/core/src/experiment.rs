@@ -23,8 +23,11 @@ use avcc_coding::SchemeConfig;
 use avcc_field::PrimeModulus;
 use avcc_ml::dataset::{Dataset, DatasetConfig};
 use avcc_sim::attack::{AttackModel, ByzantineSpec};
+use avcc_sim::churn::ChaosSchedule;
 use avcc_sim::cluster::ClusterProfile;
+use avcc_sim::executor::VirtualExecutor;
 
+use crate::distributed::train_distributed;
 use crate::driver::{DistributedTrainer, SchemeKind, TrainerConfig};
 use crate::problem::TrainingProblem;
 use crate::report::TrainingReport;
@@ -222,10 +225,15 @@ pub fn run_experiment<M: PrimeModulus>(
 
 /// Runs the Fig. 5 style dynamic-coding scenario: the run starts with the
 /// fault conditions of `config.scenario`, and at `onset_iteration` the given
-/// additional stragglers appear (on top of any existing ones). With
-/// `SchemeKind::Avcc` the controller reacts by evicting detected Byzantine
-/// workers and re-encoding; with `SchemeKind::StaticVcc` the coding stays
-/// fixed and every subsequent iteration pays the straggler tail latency.
+/// additional stragglers appear (a worker that already straggles keeps its
+/// slowdown). With `SchemeKind::Avcc` the controller reacts by evicting
+/// detected Byzantine workers and re-encoding; with `SchemeKind::StaticVcc`
+/// the coding stays fixed and every subsequent iteration pays the straggler
+/// tail latency.
+///
+/// The onset is a churn stall on the executor's round clock, two rounds per
+/// iteration: `onset_stragglers` name fleet slots, which keep their
+/// slowdown whichever logical worker an eviction puts on them.
 pub fn run_dynamic_coding_scenario<M: PrimeModulus>(
     config: &ExperimentConfig,
     onset_iteration: usize,
@@ -233,31 +241,26 @@ pub fn run_dynamic_coding_scenario<M: PrimeModulus>(
     straggler_multiplier: f64,
 ) -> Result<TrainingReport, SchemeFailure> {
     let mut trainer = config.build_trainer::<M>();
-    let mut report = TrainingReport::new(
-        config.scheme.label(),
-        format!(
-            "{} + {} stragglers from iteration {}",
-            config.scenario.label(),
-            onset_stragglers.len(),
-            onset_iteration
-        ),
+    let mut executor = VirtualExecutor::new(trainer.cluster().clone());
+    let onset: Vec<usize> = onset_stragglers
+        .iter()
+        .copied()
+        .filter(|worker| !config.scenario.stragglers.contains(worker))
+        .collect();
+    let remaining = config.iterations.saturating_sub(onset_iteration);
+    executor.set_churn(ChaosSchedule::stall(
+        &onset,
+        2 * onset_iteration as u64,
+        2 * remaining as u64,
+        straggler_multiplier,
+    ));
+    let mut report = train_distributed(&mut trainer, &mut executor)?;
+    report.scenario = format!(
+        "{} + {} stragglers from iteration {}",
+        config.scenario.label(),
+        onset_stragglers.len(),
+        onset_iteration
     );
-    let mut cumulative = 0.0;
-    for iteration in 0..config.iterations {
-        if iteration == onset_iteration {
-            let mut stragglers = config.scenario.stragglers.clone();
-            stragglers.extend_from_slice(onset_stragglers);
-            stragglers.sort_unstable();
-            stragglers.dedup();
-            // Worker indices may have shifted if the controller already
-            // evicted nodes; clamp to the current cluster size.
-            let current = trainer.current_coding().workers;
-            stragglers.retain(|w| *w < current);
-            trainer.set_stragglers(&stragglers, straggler_multiplier);
-        }
-        let record = trainer.run_iteration(iteration, &mut cumulative)?;
-        report.push(record);
-    }
     Ok(report)
 }
 

@@ -60,10 +60,10 @@
 //! [`report::TrainingReport`] aggregates modeled-seconds cost breakdowns
 //! per iteration ([`report::IterationRecord`]): worker compute from the
 //! executor's timeline, verification and decoding from the round's
-//! [`avcc_sim::OpCounts`] at [`avcc_sim::SECONDS_PER_MAC`]. On the trainer's
-//! own executor every run is the same run, so totals are plain sums and
-//! `report::speedup` compares times to a target accuracy (the paper's Table I
-//! metric) directly.
+//! [`avcc_sim::OpCounts`] at [`avcc_sim::SECONDS_PER_MAC`]. On a
+//! `VirtualExecutor` (what `train()` runs on) every run is the same run, so
+//! totals are plain sums and `report::speedup` compares times to a target
+//! accuracy (the paper's Table I metric) directly.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

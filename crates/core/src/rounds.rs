@@ -156,8 +156,12 @@ impl From<avcc_coding::decoder::DecodeError> for SchemeFailure {
     }
 }
 
-/// Multiplier above the median arrival time beyond which a worker counts as
-/// an *observed* straggler (the adaptive controller's input `S_t`).
+/// Multiplier above a round's median beyond which a worker straggles, used
+/// twice: [`detect_stragglers`] applies it to *compute* times to name a
+/// round's observed stragglers (the adaptive controller's input `S_t`), and
+/// [`WireRunner::run_streaming_round`](crate::WireRunner::run_streaming_round)
+/// applies it to *arrival* times to decide how long a quorate round still
+/// waits before it closes.
 pub const STRAGGLER_DETECTION_FACTOR: f64 = 3.0;
 
 /// Identifies observed stragglers from a round's *compute* times: every worker

@@ -35,8 +35,8 @@ pub type JobId = usize;
 #[derive(Debug, Clone)]
 pub enum JobSpec<M: PrimeModulus> {
     /// A full distributed training run: every iteration's two rounds pass
-    /// through the fleet, exactly as `DistributedTrainer::train` would run
-    /// them on its own executor.
+    /// through the fleet, exactly as `DistributedTrainer::train` runs them
+    /// on a `VirtualExecutor`.
     Training(ExperimentConfig),
     /// A one-shot AVCC-coded matrix–vector product: encode, one round on the
     /// fleet, verify and decode — served as a [`JobSpec::MatMulBatch`] of one.
@@ -251,8 +251,9 @@ impl<M: PrimeModulus> Job<M> {
         }
     }
 
-    /// The fleet as the job models it right now: the cluster profile
-    /// (network, straggler slowdowns) and what its Byzantine workers send.
+    /// The fleet as the job models it: the cluster profile (network, one
+    /// straggler slowdown per slot, fixed for the job's life) and what its
+    /// Byzantine workers send.
     pub(crate) fn fleet(&self) -> (&ClusterProfile, &ByzantineSpec) {
         match &self.work {
             Work::Training { trainer, .. } => (trainer.cluster(), trainer.byzantine()),

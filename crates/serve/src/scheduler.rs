@@ -13,11 +13,12 @@
 //!
 //! — so the master-side stages of *different jobs* overlap each other's
 //! compute stages. A fleet round queues the job's tasks, each carrying a
-//! sender of that round's own reply channel, and collects once enough
-//! results are in. When the round ends its receiver goes, so a straggler
-//! that answers late answers nobody. A round that is short with nothing
-//! left to arrive goes to `Job::stall`: a training run parks (the same
-//! tasks again, then `required` arrivals awaited) or shrink-recodes; a
+//! sender of that round's own reply channel and a weak handle on the round's
+//! token, and collects once enough results are in. When the round ends its
+//! token and its receiver go: a task still queued is skipped, and a
+//! straggler that answers late answers nobody. A round that is short with
+//! nothing left to arrive goes to `Job::stall`: a training run parks (the
+//! same tasks again, then `required` arrivals awaited) or shrink-recodes; a
 //! product job fails. A task that panics is a result that never comes, so
 //! its round ends that way too, in bounded time.
 //!
@@ -37,7 +38,7 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::mpsc::{self, Receiver, Sender};
-use std::sync::Mutex;
+use std::sync::{Arc, Mutex, Weak};
 use std::time::{Duration, Instant};
 
 use avcc_core::rounds::field_vector_bytes;
@@ -139,6 +140,8 @@ struct FleetTask<M: PrimeModulus> {
     task: BatchRoundTask<M>,
     /// The reply channel of the round that dispatched the task.
     reply: Sender<TaskMessage<M>>,
+    /// The token of that round, alive while the round is.
+    round: Weak<()>,
 }
 
 /// One worker result on its way back to its round.
@@ -316,8 +319,9 @@ fn serve_jobs<M: PrimeModulus>(
 }
 
 /// One round of `job` on the fleet: ticks the churn clock, queues `tasks`
-/// with this round's reply channel, and collects once `needed` results are
-/// in. Returns the arrivals the next round waits for if this one parked.
+/// with this round's reply channel and token, and collects once `needed`
+/// results are in. Returns the arrivals the next round waits for if this one
+/// parked.
 ///
 /// The scheduler names no late workers: on a fleet narrower than the job, a
 /// task that has not answered is queued, not straggling.
@@ -330,9 +334,11 @@ fn fleet_round<M: PrimeModulus>(
 ) -> Result<Option<usize>, SchemeFailure> {
     let started = Instant::now();
     let (reply, arrivals) = mpsc::channel();
+    // Dropped on return, when the round is over.
+    let token = Arc::new(());
     let dispatched = {
         let mut clock = churn.lock().expect("churn clock lock poisoned");
-        dispatch_round(queue, &reply, tasks, job.fleet().0, clock.tick())
+        dispatch_round(queue, &reply, &token, tasks, job.fleet().0, clock.tick())
     };
     drop(reply);
     let mut needed = needed.min(dispatched);
@@ -364,13 +370,14 @@ fn fleet_round<M: PrimeModulus>(
 }
 
 /// Queues one round's tasks for the fleet, each tagged with its worker's
-/// straggler sleep and the round's `reply` channel. Tasks addressed to
-/// churned-down (or corrupt-window) workers are skipped entirely — those
+/// straggler sleep and the round's reply channel and token. Tasks addressed
+/// to churned-down (or corrupt-window) workers are skipped entirely — those
 /// workers are silently absent from the round. Returns the number of tasks
 /// dispatched.
 fn dispatch_round<M: PrimeModulus>(
     queue: &Sender<FleetTask<M>>,
     reply: &Sender<TaskMessage<M>>,
+    token: &Arc<()>,
     tasks: Vec<BatchRoundTask<M>>,
     cluster: &ClusterProfile,
     churn: Option<&ChurnState>,
@@ -395,6 +402,7 @@ fn dispatch_round<M: PrimeModulus>(
             sleep,
             task,
             reply: reply.clone(),
+            round: Arc::downgrade(token),
         });
     }
     count
@@ -403,7 +411,9 @@ fn dispatch_round<M: PrimeModulus>(
 /// One fleet slot: runs queued tasks one at a time until the queue closes,
 /// and returns the seconds it was busy. Each task computes its share
 /// product, sleeps out its worker's straggler slowdown, and sends the result
-/// to its round. A task that panics sends nothing, and the slot goes on.
+/// to its round. A task whose round is already over is skipped: no product,
+/// no sleep, no busy time. A task that panics sends nothing, and the slot
+/// goes on.
 fn run_slot<M: PrimeModulus>(queued: &Mutex<Receiver<FleetTask<M>>>) -> f64 {
     let mut busy_seconds = 0.0;
     loop {
@@ -412,6 +422,9 @@ fn run_slot<M: PrimeModulus>(queued: &Mutex<Receiver<FleetTask<M>>>) -> f64 {
         let Ok(next) = queued.lock().expect("fleet queue lock poisoned").recv() else {
             return busy_seconds;
         };
+        if next.round.strong_count() == 0 {
+            continue;
+        }
         let started = Instant::now();
         let payload = panic::catch_unwind(AssertUnwindSafe(|| next.task.run()));
         if next.sleep > 0.0 {
@@ -674,11 +687,7 @@ mod tests {
         let input: Vec<F> = avcc_field::random_vector(&mut rng, cols);
         let expected = mat_vec(&matrix, &input);
         let broken = BatchRoundTask::for_shares(
-            &[std::sync::Arc::new(Matrix::from_vec(
-                1,
-                cols,
-                vec![F::ZERO; cols],
-            ))],
+            &[Arc::new(Matrix::from_vec(1, cols, vec![F::ZERO; cols]))],
             &[vec![F::ZERO; cols - 1]],
         )
         .remove(0);
@@ -726,5 +735,29 @@ mod tests {
             );
         };
         assert_eq!(product, &expected);
+    }
+
+    #[test]
+    fn a_slot_skips_a_task_whose_round_is_over() {
+        // A straggler's task, still queued when its round collected: had the
+        // slot run it, it would have slept 50 ms.
+        let share = Arc::new(Matrix::from_vec(1, 2, vec![F::ONE; 2]));
+        let task = BatchRoundTask::for_shares(&[share], &[vec![F::ONE; 2]]).remove(0);
+        let (reply, arrivals) = mpsc::channel();
+        let (queue, queued) = mpsc::channel();
+        let token = Arc::new(());
+        let round = Arc::downgrade(&token);
+        let sleep = 0.05;
+        let stale = FleetTask {
+            sleep,
+            task,
+            reply,
+            round,
+        };
+        queue.send(stale).unwrap();
+        drop((token, queue));
+        assert_eq!(run_slot(&Mutex::new(queued)), 0.0);
+        let nothing = arrivals.try_recv().map(|message| message.worker);
+        assert_eq!(nothing, Err(mpsc::TryRecvError::Disconnected));
     }
 }

@@ -82,8 +82,10 @@ impl ChurnAction {
 /// Build one with [`ChurnSchedule::quiet`] + [`ChurnSchedule::at`], with the
 /// [`ChaosSchedule`] constructors, or with the seeded generator
 /// [`ChurnSchedule::seeded`]. Install it on an executor
-/// (`ThreadedExecutor::set_churn` / `SocketExecutor::set_churn`) and the
-/// executor consumes it round by round.
+/// (`VirtualExecutor::set_churn` / `ThreadedExecutor::set_churn` /
+/// `SocketExecutor::set_churn`) and the executor consumes it round by round.
+/// Fig. 5's straggler onset is one: a [`ChurnAction::Stall`] on a
+/// `VirtualExecutor` (`avcc_core::run_dynamic_coding_scenario`).
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChurnSchedule {
     actions: BTreeMap<u64, Vec<ChurnAction>>,

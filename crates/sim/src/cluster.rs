@@ -3,9 +3,9 @@
 //!
 //! The paper's testbed exhibits stragglers whose latency is up to an order of
 //! magnitude above the median (§I). We model each worker with a
-//! [`WorkerProfile`]: nominal speed, and a straggler flag that, while set,
-//! multiplies its modeled compute time by the profile's straggler
-//! multiplier for the current iteration. A nominal core spends [`SECONDS_PER_MAC`] per field multiply–accumulate. The
+//! [`WorkerProfile`]: nominal speed, and a straggler flag that multiplies
+//! its modeled compute time by the profile's straggler multiplier. A nominal
+//! core spends [`SECONDS_PER_MAC`] per field multiply–accumulate. The
 //! [`NetworkModel`] charges a base link latency plus a byte-proportional
 //! transfer time for each result sent back to the master, mirroring the
 //! 1 GbE interfaces of the Minnow nodes.
@@ -150,9 +150,9 @@ impl ClusterProfile {
             .collect()
     }
 
-    /// Restricts the profile to the first `count` workers — used by the
-    /// dynamic-coding controller when it drops detected Byzantine workers and
-    /// shrinks the cluster from `N_t` to `N_{t+1}` (eq. 17/19).
+    /// Restricts the profile to the first `count` workers — the fleet of the
+    /// uncoded trainer, which runs on the first `K` of the workers a coded
+    /// scheme would use.
     pub fn truncated(&self, count: usize) -> Self {
         assert!(
             count <= self.workers.len(),
@@ -160,21 +160,6 @@ impl ClusterProfile {
         );
         ClusterProfile {
             workers: self.workers[..count].to_vec(),
-            network: self.network,
-        }
-    }
-
-    /// Removes the given workers entirely (dropping detected Byzantine nodes),
-    /// preserving the order of the remaining workers.
-    pub fn without_workers(&self, removed: &[usize]) -> Self {
-        ClusterProfile {
-            workers: self
-                .workers
-                .iter()
-                .enumerate()
-                .filter(|(i, _)| !removed.contains(i))
-                .map(|(_, p)| *p)
-                .collect(),
             network: self.network,
         }
     }
@@ -233,13 +218,11 @@ mod tests {
     }
 
     #[test]
-    fn truncation_and_removal_shrink_the_cluster() {
+    fn truncation_shrinks_the_cluster() {
         let cluster = ClusterProfile::uniform(12).with_stragglers(&[11], 4.0);
         let truncated = cluster.truncated(11);
         assert_eq!(truncated.len(), 11);
         assert!(truncated.straggler_indices().is_empty());
-        let removed = cluster.without_workers(&[0, 5]);
-        assert_eq!(removed.len(), 10);
     }
 
     #[test]

@@ -396,12 +396,6 @@ impl VirtualExecutor {
     pub fn profile(&self) -> &ClusterProfile {
         &self.profile
     }
-
-    /// Replaces the cluster profile (the trainer re-profiles its executor
-    /// when stragglers move or the dynamic-coding controller drops workers).
-    pub fn set_profile(&mut self, profile: ClusterProfile) {
-        self.profile = profile;
-    }
 }
 
 /// Real seconds of sleep charged to a worker with the given effective
